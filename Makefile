@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
+.PHONY: all build test race bench bench-module bench-json bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
 
 all: build test
 
@@ -16,7 +16,14 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/...
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tensor ./internal/wire ./internal/core ./internal/aggregate ./internal/importance
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tensor ./internal/nn ./internal/nas ./internal/wire ./internal/core ./internal/aggregate ./internal/importance
+
+# bench-module vets and tests the standing benchmark, a module of its
+# own (bench/go.mod) that `go build ./... && go test ./...` never
+# compiles: a change that breaks an exported call it uses fails here
+# instead of at benchmark time.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-json regenerates BENCH_10.json: the Pareto round scheduler vs
 # the uniform participation draw under a straggling heterogeneous fleet
@@ -110,4 +117,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test race bench bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke
+ci: fmt-check vet build test race bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke

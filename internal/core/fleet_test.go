@@ -107,8 +107,19 @@ func TestDeviceCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range res.Reports {
-		backbone, header, err := LoadDeviceCheckpoint(cfg.CheckpointDir, rep.DeviceID)
+	checkSavedModels(t, sys, cfg.CheckpointDir, res.Reports)
+}
+
+// checkSavedModels loads each reporting device's saved final model and
+// re-evaluates it on the device's raw test samples through
+// HeaderModel.Forward, the reference path. The device computed its
+// reported accuracy over backbone features it built once (at start, or
+// at resume from a snapshot), so exact equality shows those features
+// are the ones its final model's backbone produces.
+func checkSavedModels(t *testing.T, sys *System, dir string, reports []DeviceReport) {
+	t.Helper()
+	for _, rep := range reports {
+		backbone, header, err := LoadDeviceCheckpoint(dir, rep.DeviceID)
 		if err != nil {
 			t.Fatalf("device %d: %v", rep.DeviceID, err)
 		}
@@ -116,7 +127,6 @@ func TestDeviceCheckpoints(t *testing.T) {
 			t.Fatalf("device %d: checkpoint backbone %d params, report %d",
 				rep.DeviceID, backbone.ActiveParamCount(), rep.BackboneParams)
 		}
-		// The restored model must produce the reported test accuracy.
 		var di int
 		for i, d := range sys.Devices() {
 			if d.ID == rep.DeviceID {

@@ -343,9 +343,12 @@ func TestRestoreSmokeTCP(t *testing.T) {
 // TestDeviceRestoreWarmRejoin: a killed device restored from its
 // snapshot must re-enter the run through the resync machinery and
 // report — and a device with no usable snapshot must degrade to the
-// plain cold rejoin rather than fail.
+// plain cold rejoin rather than fail. The restored device rebuilds its
+// backbone features from the snapshot's model; its reported accuracy
+// must be the one the reference path computes for the model it saved.
 func TestDeviceRestoreWarmRejoin(t *testing.T) {
 	cfg := restoreConfig(t.TempDir())
+	cfg.CheckpointDir = t.TempDir()
 	// The victim needs cluster peers to satisfy the quorum while gone.
 	victimID, victimEdge := slowDeviceInLargestCluster(t, cfg)
 	cfg.Straggler.Quorum = 0.5
@@ -435,6 +438,7 @@ func TestDeviceRestoreWarmRejoin(t *testing.T) {
 	if got, want := len(collected.Reports), len(sys.Devices()); got != want {
 		t.Fatalf("restored-device run completed with %d reports, want %d", got, want)
 	}
+	checkSavedModels(t, sys, cfg.CheckpointDir, collected.Reports)
 }
 
 // TestCheckpointValidation pins the config contract around the

@@ -162,12 +162,11 @@ func (s *System) sweepCandidates(ref *nn.BackboneClassifier, cs ClusterStats, rn
 			return cand
 		}
 		clone := &nn.BackboneClassifier{Backbone: bb, Head: ref.Head}
-		loss, err := nn.MeanLoss(clone, probe.X, probe.Y)
+		loss, acc, err := nn.Score(clone, probe.X, probe.Y)
 		if err != nil {
 			cand.Loss = 1e9
 			return cand
 		}
-		acc, _ := nn.Evaluate(clone, probe.X, probe.Y)
 		cand.Loss = loss
 		cand.Accuracy = acc
 		cand.Energy = cs.Profile.Energy(w, d)
@@ -1469,10 +1468,26 @@ func buildDeviceHeader(pkg HeaderPackage) (*nas.HeaderModel, error) {
 // startRound, final evaluation, optional checkpoint, and the report to
 // the collector. rng must be the same stream the caller used for its
 // setup so the no-churn path consumes random draws in the legacy order.
-func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Session, edgeID, devIdx int, rng *rand.Rand, header *nas.HeaderModel, pkg HeaderPackage, startRound int) error {
+func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Session, edgeID, devIdx int, rng *rand.Rand, model *nas.HeaderModel, pkg HeaderPackage, startRound int) error {
 	dev := s.devices[devIdx]
-	local := s.devTrain[devIdx]
-	test := s.devTest[devIdx]
+
+	// The backbone is frozen for the rest of this device's life, so its
+	// representations of the local and test samples are computed here,
+	// once, and every later pass — refinement, importance folds, round
+	// training, both evaluations — starts from them. This is the one
+	// place a fresh, a rejoining and a restored device all pass through.
+	header, err := model.Frozen()
+	if err != nil {
+		return err
+	}
+	local, err := model.Featurize(s.devTrain[devIdx])
+	if err != nil {
+		return err
+	}
+	test, err := model.Featurize(s.devTest[devIdx])
+	if err != nil {
+		return err
+	}
 
 	// 3. Local refinement of the coarse header.
 	if err := header.TrainLocal(local, s.Cfg.LocalEpochs, s.Cfg.LocalBatch, s.Cfg.LocalLR, rng); err != nil {
@@ -1499,7 +1514,7 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 	}
 
 	if s.Cfg.CheckpointDir != "" {
-		if err := SaveDeviceCheckpoint(s.Cfg.CheckpointDir, dev.ID, header.Backbone, header, pkg.Backbone.Candidate); err != nil {
+		if err := SaveDeviceCheckpoint(s.Cfg.CheckpointDir, dev.ID, model.Backbone, model, pkg.Backbone.Candidate); err != nil {
 			return err
 		}
 	}
@@ -1533,7 +1548,9 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 // against slightly stale parameters. A ROUND-CUTOFF from the edge
 // means this round combined without us: the uplink delta state
 // restarts cold (the edge dropped our upload) and the loop moves on.
-func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev cluster.Device, edgeID int, rng *rand.Rand, local *data.Dataset, header *nas.HeaderModel, pkg HeaderPackage, startRound int) error {
+// local holds the Featurize rows of the device's samples, the input
+// header runs over.
+func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev cluster.Device, edgeID int, rng *rand.Rand, local *data.Dataset, header *nas.FrozenHeader, pkg HeaderPackage, startRound int) error {
 	if s.Cfg.Fleet.Sampling() {
 		return s.deviceSampledLoop(ctx, ses, dev, edgeID, rng, local, header, pkg, startRound)
 	}
@@ -1695,7 +1712,7 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 			// device warm-rejoins with (resumeDevice). Synchronous — a
 			// device's round is compute-dominated, and the loop must not
 			// advance past state it claims to have persisted.
-			if err := s.writeDeviceSnapshot(dev.ID, t+1, header, pkg); err != nil {
+			if err := s.writeDeviceSnapshot(dev.ID, t+1, header.HeaderModel, pkg); err != nil {
 				return err
 			}
 		}
@@ -1831,7 +1848,7 @@ func (s *System) awaitDownlink(ctx context.Context, ses *transport.Session, edge
 // re-invites for rounds already played and downlinks already applied —
 // are dropped unread, so a killed-and-restored edge finishes with
 // reports identical to the uninterrupted run.
-func (s *System) deviceSampledLoop(ctx context.Context, ses *transport.Session, dev cluster.Device, edgeID int, rng *rand.Rand, local *data.Dataset, header *nas.HeaderModel, pkg HeaderPackage, startRound int) error {
+func (s *System) deviceSampledLoop(ctx context.Context, ses *transport.Session, dev cluster.Device, edgeID int, rng *rand.Rand, local *data.Dataset, header *nas.FrozenHeader, pkg HeaderPackage, startRound int) error {
 	name := ses.Node()
 	edge := edgeName(edgeID)
 	topK := s.Cfg.Wire.TopKFraction > 0 && s.Cfg.Wire.TopKFraction < 1
@@ -2032,7 +2049,7 @@ func (s *System) deviceSampledLoop(ctx context.Context, ses *transport.Session, 
 		if ckpt && !out.final && (t+1)%s.Cfg.Checkpoint.EveryN() == 0 {
 			// End-of-round device snapshot, as in the self-paced loop: a
 			// restarted device warm-rejoins with this model.
-			if err := s.writeDeviceSnapshot(dev.ID, t+1, header, pkg); err != nil {
+			if err := s.writeDeviceSnapshot(dev.ID, t+1, header.HeaderModel, pkg); err != nil {
 				return err
 			}
 		}

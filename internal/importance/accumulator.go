@@ -12,6 +12,14 @@ import (
 // importance contributions Q⁽¹⁾ᵣ = (gᵣ·υᵣ)² (Eq. 17) across calls, so
 // a device can fold only newly seen batches into its previous round's
 // state instead of recomputing the full set from scratch every round.
+// pinned is a classifier with its parameter list fixed up front.
+type pinned struct {
+	nn.Classifier
+	params []*nn.Param
+}
+
+func (p pinned) Params() []*nn.Param { return p.params }
+
 // Average returns the per-batch mean the paper uses as the pruning
 // criterion; Reset starts a fresh accumulation (the periodic full
 // refresh that bounds drift between the running average and a from-
@@ -56,6 +64,9 @@ func (a *Accumulator) FoldBatches(c nn.Classifier, ds *data.Dataset, batchSize, 
 	if batchSize <= 0 {
 		batchSize = 16
 	}
+	// One parameter list for the whole call: a module may rebuild its
+	// list on every Params(), and each batch below asks twice.
+	c = pinned{c, c.Params()}
 	if a.sum == nil {
 		a.sum = NewSet(c)
 	}

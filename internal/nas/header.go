@@ -106,21 +106,35 @@ type HeaderModel struct {
 	// an OpBank during search, or privately owned after Materialize).
 	ops [][][2]nn.SeqOp
 	// opMasks[u][b][slot] is an optional per-channel output mask for
-	// parametric ops, populated by ApplyImportance.
-	opMasks [][][2][]bool
+	// parametric ops, populated by ApplyImportance; maskedCols lists its
+	// switched-off channels (see indexMasks).
+	opMasks    [][][2][]bool
+	maskedCols [][][2][]int
 
 	FC1        *nn.Linear
 	FC2        *nn.Linear
 	act        nn.GELU
 	HiddenMask []bool
 
-	// forward caches
-	nodes      [][]*tensor.Matrix // per repeat: inputs + block outputs
+	// loose lists a module's loose-end nodes: the block outputs no later
+	// block reads, whose mean is the module output. A function of Arch
+	// alone, so the same for every repeat.
+	loose []int
+
+	// Forward state, kept in reused buffers (the tensor.Ensure idiom of
+	// nn.Linear): after the first sample a forward/backward pair
+	// allocates nothing here.
+	nodes      [][]*tensor.Matrix // per repeat: 2 inputs + block outputs
 	moduleOuts []*tensor.Matrix
-	looseEnds  [][]int
 	pooled     *tensor.Matrix
-	hidden     *tensor.Matrix
 	seqLen     int
+
+	// Backward scratch.
+	dl           tensor.Matrix
+	dModule      []gradSlot
+	nodeGrads    []gradSlot
+	masked       [2]*tensor.Matrix // masked copies of a block's gradient
+	dFinal, dPen *tensor.Matrix
 }
 
 var _ nn.Classifier = (*HeaderModel)(nil)
@@ -137,12 +151,14 @@ func BuildShared(cfg HeaderConfig, arch Architecture, backbone *nn.Backbone, ban
 	if len(arch.Blocks) != cfg.Blocks {
 		return nil, fmt.Errorf("nas: arch has %d blocks, config %d", len(arch.Blocks), cfg.Blocks)
 	}
-	h := &HeaderModel{Cfg: cfg, Arch: arch, Backbone: backbone, FC1: fc1, FC2: fc2}
+	h := &HeaderModel{Cfg: cfg, Arch: arch, Backbone: backbone, FC1: fc1, FC2: fc2, loose: looseEnds(arch)}
 	h.ops = make([][][2]nn.SeqOp, cfg.Repeats)
 	h.opMasks = make([][][2][]bool, cfg.Repeats)
+	h.maskedCols = make([][][2][]int, cfg.Repeats)
 	for u := 0; u < cfg.Repeats; u++ {
 		h.ops[u] = make([][2]nn.SeqOp, cfg.Blocks)
 		h.opMasks[u] = make([][2][]bool, cfg.Blocks)
+		h.maskedCols[u] = make([][2][]int, cfg.Blocks)
 		for b, gene := range arch.Blocks {
 			h.ops[u][b][0] = bank.Get(u, b, 0, gene.Op1)
 			h.ops[u][b][1] = bank.Get(u, b, 1, gene.Op2)
@@ -174,14 +190,17 @@ func (h *HeaderModel) Clone(backbone *nn.Backbone) *HeaderModel {
 		Backbone: backbone,
 		FC1:      cloneLinear(h.FC1),
 		FC2:      cloneLinear(h.FC2),
+		loose:    h.loose,
 	}
 	out.HiddenMask = append([]bool(nil), h.HiddenMask...)
 	out.ops = make([][][2]nn.SeqOp, len(h.ops))
 	out.opMasks = make([][][2][]bool, len(h.ops))
+	out.maskedCols = make([][][2][]int, len(h.ops))
 	rng := rand.New(rand.NewSource(0))
 	for u := range h.ops {
 		out.ops[u] = make([][2]nn.SeqOp, len(h.ops[u]))
 		out.opMasks[u] = make([][2][]bool, len(h.ops[u]))
+		out.maskedCols[u] = make([][2][]int, len(h.ops[u]))
 		for b := range h.ops[u] {
 			for s := 0; s < 2; s++ {
 				out.ops[u][b][s] = cloneOp(h.ops[u][b][s], h.Cfg.DModel, rng)
@@ -191,6 +210,7 @@ func (h *HeaderModel) Clone(backbone *nn.Backbone) *HeaderModel {
 			}
 		}
 	}
+	out.indexMasks()
 	return out
 }
 
@@ -241,6 +261,7 @@ func (h *HeaderModel) ImportMasks(m HeaderMasks) error {
 			}
 		}
 	}
+	h.indexMasks()
 	return nil
 }
 
@@ -260,57 +281,55 @@ func (h *HeaderModel) Forward(x []float64) ([]float64, error) {
 }
 
 // forwardFromFeatures runs the header DAG and classifier given the
-// backbone representations.
+// backbone representations. The returned logits live in a reused
+// buffer, valid until the next forward pass.
 func (h *HeaderModel) forwardFromFeatures(final, pen *tensor.Matrix) []float64 {
-	U := h.Cfg.Repeats
-	h.seqLen = final.Rows
-	h.nodes = make([][]*tensor.Matrix, U)
-	h.moduleOuts = make([]*tensor.Matrix, U)
-	h.looseEnds = make([][]int, U)
+	U, B, d := h.Cfg.Repeats, h.Cfg.Blocks, h.Cfg.DModel
+	seq := final.Rows
+	h.seqLen = seq
+	if h.nodes == nil {
+		h.nodes = make([][]*tensor.Matrix, U)
+		for u := range h.nodes {
+			h.nodes[u] = make([]*tensor.Matrix, 2+B)
+		}
+		h.moduleOuts = make([]*tensor.Matrix, U)
+	}
 	for u := 0; u < U; u++ {
-		in0, in1 := h.moduleInputs(u, final, pen)
-		nodes := make([]*tensor.Matrix, 2, 2+h.Cfg.Blocks)
-		nodes[0], nodes[1] = in0, in1
-		used := make([]bool, 2+h.Cfg.Blocks)
+		nodes := h.nodes[u]
+		nodes[0], nodes[1] = h.moduleInputs(u, final, pen)
 		for b, gene := range h.Arch.Blocks {
 			y1 := h.ops[u][b][0].Forward(nodes[gene.In1])
 			y2 := h.ops[u][b][1].Forward(nodes[gene.In2])
-			h.applyOpMask(y1, u, b, 0)
-			h.applyOpMask(y2, u, b, 1)
-			out := tensor.Add(y1, y2)
-			nodes = append(nodes, out)
-			used[gene.In1] = true
-			used[gene.In2] = true
+			zeroCols(y1, h.maskedCols[u][b][0])
+			zeroCols(y2, h.maskedCols[u][b][1])
+			nodes[2+b] = tensor.Ensure(nodes[2+b], seq, d)
+			tensor.AddInto(nodes[2+b], y1, y2)
 		}
-		h.nodes[u] = nodes
-		// Module output: mean of loose-end blocks (outputs unused inside
-		// the module).
-		var loose []int
-		for b := 0; b < h.Cfg.Blocks; b++ {
-			if !used[2+b] {
-				loose = append(loose, 2+b)
-			}
-		}
-		if len(loose) == 0 {
-			loose = []int{2 + h.Cfg.Blocks - 1}
-		}
-		h.looseEnds[u] = loose
-		out := tensor.New(final.Rows, h.Cfg.DModel)
-		for _, idx := range loose {
+		// Module output: mean of the loose-end blocks.
+		out := tensor.Ensure(h.moduleOuts[u], seq, d)
+		out.Zero()
+		for _, idx := range h.loose {
 			tensor.AddInPlace(out, nodes[idx])
 		}
-		out.Scale(1 / float64(len(loose)))
+		out.Scale(1 / float64(len(h.loose)))
 		h.moduleOuts[u] = out
 	}
 
 	// Token mean-pool of the last module output, concatenated with the
 	// backbone [CLS] representation.
-	last := h.moduleOuts[U-1]
-	mean := last.MeanRows()
-	concat := make([]float64, 2*h.Cfg.DModel)
-	copy(concat[:h.Cfg.DModel], mean)
-	copy(concat[h.Cfg.DModel:], final.Row(0))
-	h.pooled = tensor.FromSlice(1, 2*h.Cfg.DModel, concat)
+	h.pooled = tensor.Ensure(h.pooled, 1, 2*d)
+	mean := h.pooled.Data[:d]
+	for j := range mean {
+		mean[j] = 0
+	}
+	h.moduleOuts[U-1].SumRowsInto(mean)
+	if seq > 0 {
+		inv := 1 / float64(seq)
+		for j := range mean {
+			mean[j] *= inv
+		}
+	}
+	copy(h.pooled.Data[d:], final.Row(0))
 
 	hid := h.act.Forward(h.FC1.Forward(h.pooled))
 	for j, on := range h.HiddenMask {
@@ -318,8 +337,25 @@ func (h *HeaderModel) forwardFromFeatures(final, pen *tensor.Matrix) []float64 {
 			hid.Data[j] = 0
 		}
 	}
-	h.hidden = hid
 	return h.FC2.Forward(hid).Row(0)
+}
+
+// looseEnds lists the nodes of one module that no block reads. The
+// last block's output always is one, so the list is never empty.
+func looseEnds(arch Architecture) []int {
+	B := len(arch.Blocks)
+	used := make([]bool, 2+B)
+	for _, gene := range arch.Blocks {
+		used[gene.In1] = true
+		used[gene.In2] = true
+	}
+	var loose []int
+	for b := 0; b < B; b++ {
+		if !used[2+b] {
+			loose = append(loose, 2+b)
+		}
+	}
+	return loose
 }
 
 // moduleInputs wires repeat u to its two inputs.
@@ -334,10 +370,21 @@ func (h *HeaderModel) moduleInputs(u int, final, pen *tensor.Matrix) (in0, in1 *
 	}
 }
 
-// Backward implements nn.Classifier.
+// backboneInput reports whether input node i of repeat u is a backbone
+// representation rather than an earlier module's output (the inverse
+// of moduleInputs' wiring).
+func backboneInput(u, i int) bool {
+	return i < 2 && (u == 0 || (u == 1 && i == 1))
+}
+
+// Backward implements nn.Classifier. With the backbone frozen
+// (TrainBackbone off) nobody reads the gradient at the backbone's
+// representations, so ops fed by them accumulate only their parameter
+// gradients and dFinal/dPen are never formed; every gradient that is
+// computed is bit-identical either way.
 func (h *HeaderModel) Backward(dlogits []float64) {
-	dl := tensor.FromSlice(1, len(dlogits), dlogits)
-	dHid := h.FC2.Backward(dl)
+	h.dl = tensor.Matrix{Rows: 1, Cols: len(dlogits), Data: dlogits}
+	dHid := h.FC2.Backward(&h.dl)
 	for j, on := range h.HiddenMask {
 		if !on {
 			dHid.Data[j] = 0
@@ -345,11 +392,17 @@ func (h *HeaderModel) Backward(dlogits []float64) {
 	}
 	dConcat := h.FC1.Backward(h.act.Backward(dHid))
 
-	U := h.Cfg.Repeats
-	d := h.Cfg.DModel
+	U, B, d := h.Cfg.Repeats, h.Cfg.Blocks, h.Cfg.DModel
+	train := h.Cfg.TrainBackbone
+	if h.dModule == nil {
+		h.dModule = make([]gradSlot, U)
+		h.nodeGrads = make([]gradSlot, 2+B)
+	}
+	for u := range h.dModule {
+		h.dModule[u].set = false
+	}
 	// Gradient of the token mean-pool back to the last module output.
-	dModule := make([]*tensor.Matrix, U)
-	dLast := tensor.New(h.seqLen, d)
+	dLast := h.dModule[U-1].reset(h.seqLen, d)
 	inv := 1 / float64(h.seqLen)
 	for t := 0; t < h.seqLen; t++ {
 		row := dLast.Row(t)
@@ -357,113 +410,154 @@ func (h *HeaderModel) Backward(dlogits []float64) {
 			row[j] = dConcat.Data[j] * inv
 		}
 	}
-	dModule[U-1] = dLast
-
-	dFinal := tensor.New(h.seqLen, d)
-	// CLS half of the concat flows straight into the backbone final row 0.
-	for j := 0; j < d; j++ {
-		dFinal.Row(0)[j] += dConcat.Data[d+j]
+	if train {
+		h.dFinal = tensor.Ensure(h.dFinal, h.seqLen, d)
+		h.dFinal.Zero()
+		// CLS half of the concat flows straight into the backbone final row 0.
+		for j := 0; j < d; j++ {
+			h.dFinal.Row(0)[j] += dConcat.Data[d+j]
+		}
+		h.dPen = tensor.Ensure(h.dPen, h.seqLen, d)
+		h.dPen.Zero()
 	}
-	dPen := tensor.New(h.seqLen, d)
 
 	for u := U - 1; u >= 0; u-- {
-		if dModule[u] == nil {
+		if !h.dModule[u].set {
 			continue
 		}
-		nodeGrads := make([]*tensor.Matrix, 2+h.Cfg.Blocks)
-		inv := 1 / float64(len(h.looseEnds[u]))
-		for _, idx := range h.looseEnds[u] {
-			nodeGrads[idx] = axpyGrad(nodeGrads[idx], inv, dModule[u])
+		for i := range h.nodeGrads {
+			h.nodeGrads[i].set = false
 		}
-		for b := h.Cfg.Blocks - 1; b >= 0; b-- {
-			g := nodeGrads[2+b]
-			if g == nil {
+		inv := 1 / float64(len(h.loose))
+		for _, idx := range h.loose {
+			h.nodeGrads[idx].axpy(inv, h.dModule[u].m)
+		}
+		for b := B - 1; b >= 0; b-- {
+			if !h.nodeGrads[2+b].set {
 				continue
 			}
+			g := h.nodeGrads[2+b].m
 			gene := h.Arch.Blocks[b]
-			g1 := g.Clone()
-			g2 := g.Clone()
-			h.applyOpMaskGrad(g1, u, b, 0)
-			h.applyOpMaskGrad(g2, u, b, 1)
-			dx1 := h.ops[u][b][0].Backward(g1)
-			dx2 := h.ops[u][b][1].Backward(g2)
-			nodeGrads[gene.In1] = addGrad(nodeGrads[gene.In1], dx1)
-			nodeGrads[gene.In2] = addGrad(nodeGrads[gene.In2], dx2)
+			for slot, in := range [2]int{gene.In1, gene.In2} {
+				op := h.ops[u][b][slot]
+				dy := h.maskedGrad(g, u, b, slot)
+				if !train && backboneInput(u, in) {
+					op.BackwardParams(dy)
+					continue
+				}
+				h.nodeGrads[in].add(op.Backward(dy))
+			}
 		}
-		h.routeInputGrads(u, nodeGrads, dModule, dFinal, dPen)
+		h.routeInputGrads(u)
 	}
 
-	if h.Cfg.TrainBackbone {
+	if train {
 		inj := map[int]*tensor.Matrix{}
 		if h.Backbone.ActiveDepth > 0 {
-			inj[h.Backbone.ActiveDepth-1] = dPen
+			inj[h.Backbone.ActiveDepth-1] = h.dPen
 		}
-		h.Backbone.Backward(dFinal, inj)
+		h.Backbone.Backward(h.dFinal, inj)
 	}
 }
 
-func (h *HeaderModel) routeInputGrads(u int, nodeGrads []*tensor.Matrix, dModule []*tensor.Matrix, dFinal, dPen *tensor.Matrix) {
-	g0, g1 := nodeGrads[0], nodeGrads[1]
-	switch u {
-	case 0:
-		if g0 != nil {
-			tensor.AddInPlace(dFinal, g0)
-		}
-		if g1 != nil {
-			tensor.AddInPlace(dPen, g1)
-		}
-	case 1:
-		if g0 != nil {
-			dModule[0] = addGrad(dModule[0], g0)
-		}
-		if g1 != nil {
-			tensor.AddInPlace(dFinal, g1)
-		}
-	default:
-		if g0 != nil {
-			dModule[u-1] = addGrad(dModule[u-1], g0)
-		}
-		if g1 != nil {
-			dModule[u-2] = addGrad(dModule[u-2], g1)
-		}
-	}
-}
-
-func addGrad(dst, src *tensor.Matrix) *tensor.Matrix {
-	if dst == nil {
-		return src.Clone()
-	}
-	tensor.AddInPlace(dst, src)
-	return dst
-}
-
-// axpyGrad accumulates dst += alpha·src, allocating dst on first use —
-// the fused form of Clone+Scale+addGrad for shared loose-end gradients.
-func axpyGrad(dst *tensor.Matrix, alpha float64, src *tensor.Matrix) *tensor.Matrix {
-	if dst == nil {
-		dst = tensor.New(src.Rows, src.Cols)
-	}
-	tensor.AxpyRows(alpha, src, dst)
-	return dst
-}
-
-func (h *HeaderModel) applyOpMask(y *tensor.Matrix, u, b, slot int) {
-	mask := h.opMasks[u][b][slot]
-	if mask == nil {
-		return
-	}
-	for j, on := range mask {
-		if on {
+// routeInputGrads hands repeat u's two input gradients on: to the
+// module outputs they came from, or (when the backbone trains) to the
+// backbone representations.
+func (h *HeaderModel) routeInputGrads(u int) {
+	for i := 0; i < 2; i++ {
+		g := h.nodeGrads[i]
+		if !g.set {
 			continue
 		}
-		for t := 0; t < y.Rows; t++ {
-			y.Row(t)[j] = 0
+		switch {
+		case !backboneInput(u, i):
+			// Node 0 is the previous module's output, node 1 the one
+			// before that (moduleInputs).
+			h.dModule[u-1-i].add(g.m)
+		case u == 0 && i == 1:
+			tensor.AddInPlace(h.dPen, g.m)
+		default:
+			tensor.AddInPlace(h.dFinal, g.m)
 		}
 	}
 }
 
-func (h *HeaderModel) applyOpMaskGrad(g *tensor.Matrix, u, b, slot int) {
-	h.applyOpMask(g, u, b, slot)
+// maskedGrad returns the gradient an op at (u, b, slot) receives: g
+// itself, or a copy with the op's masked channels zeroed.
+func (h *HeaderModel) maskedGrad(g *tensor.Matrix, u, b, slot int) *tensor.Matrix {
+	off := h.maskedCols[u][b][slot]
+	if len(off) == 0 {
+		return g
+	}
+	m := tensor.Ensure(h.masked[slot], g.Rows, g.Cols)
+	h.masked[slot] = m
+	copy(m.Data, g.Data)
+	zeroCols(m, off)
+	return m
+}
+
+// gradSlot is a reusable gradient accumulator that counts as absent
+// until a backward pass first contributes to it.
+type gradSlot struct {
+	m   *tensor.Matrix
+	set bool
+}
+
+// reset marks the slot present and returns its r×c buffer, contents
+// unspecified.
+func (g *gradSlot) reset(r, c int) *tensor.Matrix {
+	g.m = tensor.Ensure(g.m, r, c)
+	g.set = true
+	return g.m
+}
+
+// add accumulates src; the first contribution is an exact copy.
+func (g *gradSlot) add(src *tensor.Matrix) {
+	if g.set {
+		tensor.AddInPlace(g.m, src)
+		return
+	}
+	copy(g.reset(src.Rows, src.Cols).Data, src.Data)
+}
+
+// axpy accumulates alpha·src, starting from zero.
+func (g *gradSlot) axpy(alpha float64, src *tensor.Matrix) {
+	if !g.set {
+		g.reset(src.Rows, src.Cols).Zero()
+	}
+	tensor.AxpyRows(alpha, src, g.m)
+}
+
+// indexMasks rebuilds maskedCols from opMasks; every writer of opMasks
+// calls it, so the per-sample masking walks a short index list row by
+// row instead of scanning the mask per column.
+func (h *HeaderModel) indexMasks() {
+	for u := range h.opMasks {
+		for b := range h.opMasks[u] {
+			for s, mask := range h.opMasks[u][b] {
+				off := h.maskedCols[u][b][s][:0]
+				for j, on := range mask {
+					if !on {
+						off = append(off, j)
+					}
+				}
+				h.maskedCols[u][b][s] = off
+			}
+		}
+	}
+}
+
+// zeroCols clears the listed columns of m.
+func zeroCols(m *tensor.Matrix, cols []int) {
+	if len(cols) == 0 {
+		return
+	}
+	for t := 0; t < m.Rows; t++ {
+		row := m.Row(t)
+		for _, j := range cols {
+			row[j] = 0
+		}
+	}
 }
 
 // Params implements Module. Header parameters only — the backbone's are

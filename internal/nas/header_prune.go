@@ -48,6 +48,7 @@ func (h *HeaderModel) ApplyImportance(set *importance.Set, discardUnits int) err
 		}
 	}
 	// Reset all masks to fully active, then re-derive.
+	defer h.indexMasks()
 	for u := range h.opMasks {
 		for b := range h.opMasks[u] {
 			h.opMasks[u][b][0] = nil
@@ -135,52 +136,49 @@ func (h *HeaderModel) ApplyImportance(set *importance.Set, discardUnits int) err
 }
 
 // TrainLocal fine-tunes the header on local data with the backbone
-// frozen (Phase 2-2 device-side training step).
+// frozen (Phase 2-2 device-side training step). It runs the backbone on
+// every sample of every epoch; a device, whose backbone stays frozen
+// for good, trains through Frozen instead.
 func (h *HeaderModel) TrainLocal(local *data.Dataset, epochs, batch int, lr float64, rng *rand.Rand) error {
 	prev := h.Cfg.TrainBackbone
 	h.Cfg.TrainBackbone = false
 	defer func() { h.Cfg.TrainBackbone = prev }()
-	opt := nn.NewAdam(lr)
-	for e := 0; e < epochs; e++ {
-		if _, err := trainHeaderEpoch(h, opt, local, batch, rng); err != nil {
-			return err
-		}
-	}
-	return nil
+	return trainHeader(h, h.Params(), local, epochs, batch, lr, rng)
 }
 
-// trainHeaderEpoch is nn.TrainEpoch specialized to header parameters
-// only (the backbone stays frozen even though Forward runs it).
-func trainHeaderEpoch(h *HeaderModel, opt nn.Optimizer, ds *data.Dataset, batch int, rng *rand.Rand) (float64, error) {
+// trainHeader is epochs of nn.TrainEpoch with a fresh Adam, specialized
+// to a header's parameters (the backbone stays frozen even where
+// Forward runs it). params is c.Params(), built once for the call.
+func trainHeader(c nn.Classifier, params []*nn.Param, ds *data.Dataset, epochs, batch int, lr float64, rng *rand.Rand) error {
 	if batch <= 0 {
 		batch = 16
 	}
-	order := rng.Perm(ds.Len())
-	var total float64
-	for start := 0; start < len(order); start += batch {
-		end := start + batch
-		if end > len(order) {
-			end = len(order)
-		}
-		nn.ZeroGrads(h)
-		for _, i := range order[start:end] {
-			logits, err := h.Forward(ds.X[i])
-			if err != nil {
-				return 0, err
+	opt := nn.NewAdam(lr)
+	for e := 0; e < epochs; e++ {
+		order := rng.Perm(ds.Len())
+		for start := 0; start < len(order); start += batch {
+			end := start + batch
+			if end > len(order) {
+				end = len(order)
 			}
-			loss, dl := nn.CrossEntropy(logits, ds.Y[i])
-			total += loss
-			for j := range dl {
-				dl[j] /= float64(end - start)
+			for _, p := range params {
+				p.ZeroGrad()
 			}
-			h.Backward(dl)
+			for _, i := range order[start:end] {
+				logits, err := c.Forward(ds.X[i])
+				if err != nil {
+					return err
+				}
+				_, dl := nn.CrossEntropy(logits, ds.Y[i])
+				for j := range dl {
+					dl[j] /= float64(end - start)
+				}
+				c.Backward(dl)
+			}
+			opt.Step(params)
 		}
-		opt.Step(h.Params())
 	}
-	if ds.Len() == 0 {
-		return 0, nil
-	}
-	return total / float64(ds.Len()), nil
+	return nil
 }
 
 func fullMask(n int) []bool {

@@ -205,6 +205,10 @@ func (m *MHSA) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return m.dx
 }
 
+// BackwardParams implements SeqOp. Only the last three products of
+// Backward are input-gradient work, so the full Backward runs.
+func (m *MHSA) BackwardParams(dy *tensor.Matrix) { m.Backward(dy) }
+
 // ResetImportance zeroes accumulated head importances.
 func (m *MHSA) ResetImportance() {
 	for i := range m.HeadImportance {

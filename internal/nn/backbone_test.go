@@ -232,3 +232,40 @@ func TestPenultimateIdentity(t *testing.T) {
 		t.Fatal("penultimate mismatch")
 	}
 }
+
+// TestScoreMatchesTwoPasses: the one-pass Score returns exactly the
+// mean loss and accuracy the two separate passes do (the Phase 1 sweep
+// ranks candidates on these bits).
+func TestScoreMatchesTwoPasses(t *testing.T) {
+	b := newTestBackbone(t, 9)
+	rng := rand.New(rand.NewSource(10))
+	c := NewBackboneClassifier(b, 4, rng)
+	xs, ys := make([][]float64, 37), make([]int, 37)
+	for i := range xs {
+		xs[i] = make([]float64, b.Cfg.InputDim)
+		for j := range xs[i] {
+			xs[i][j] = rng.NormFloat64()
+		}
+		ys[i] = rng.Intn(4)
+	}
+	var total float64
+	for i, x := range xs {
+		logits, err := c.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, _ := CrossEntropy(logits, ys[i])
+		total += l
+	}
+	wantAcc, err := Evaluate(c, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, acc, err := Score(c, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantLoss := total / float64(len(xs)); loss != wantLoss || acc != wantAcc {
+		t.Fatalf("Score = (%v, %v), two passes give (%v, %v)", loss, acc, wantLoss, wantAcc)
+	}
+}

@@ -94,6 +94,11 @@ func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return m.FC1.Backward(m.act.Backward(dh))
 }
 
+// BackwardParams implements SeqOp. FC1's gradient needs the chain
+// through FC2 anyway, so only FC1's own dx would be saved: the full
+// Backward runs.
+func (m *MLP) BackwardParams(dy *tensor.Matrix) { m.Backward(dy) }
+
 // ResetImportance zeroes accumulated neuron importances.
 func (m *MLP) ResetImportance() {
 	for i := range m.NeuronImportance {

@@ -139,19 +139,31 @@ func Evaluate(c Classifier, xs [][]float64, ys []int) (float64, error) {
 // MeanLoss returns the mean cross-entropy of c on (xs, ys) without
 // touching gradients.
 func MeanLoss(c Classifier, xs [][]float64, ys []int) (float64, error) {
+	loss, _, err := Score(c, xs, ys)
+	return loss, err
+}
+
+// Score returns MeanLoss and Evaluate of c on (xs, ys) from one forward
+// pass per sample, bit-equal to calling the two separately.
+func Score(c Classifier, xs [][]float64, ys []int) (loss, accuracy float64, err error) {
 	if len(xs) == 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
 	var total float64
+	var correct int
 	for i, x := range xs {
 		logits, err := c.Forward(x)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		loss, _ := CrossEntropy(logits, ys[i])
-		total += loss
+		if Argmax(logits) == ys[i] {
+			correct++
+		}
+		l, _ := CrossEntropy(logits, ys[i])
+		total += l
 	}
-	return total / float64(len(xs)), nil
+	n := float64(len(xs))
+	return total / n, float64(correct) / n, nil
 }
 
 func scaleVec(v []float64, s float64) {

@@ -13,10 +13,19 @@ import (
 // outputs can always be combined by element-wise addition (the paper
 // constrains the combiner to addition and inserts 1×1 convolutions for
 // mismatches — shape-preserving ops make that insertion implicit).
+//
+// Outputs and input gradients are per-instance scratch buffers (the
+// tensor.Ensure idiom of Linear): a result is valid until the same
+// instance's next Forward or Backward, so callers consume it before
+// then.
 type SeqOp interface {
 	Module
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Backward(dy *tensor.Matrix) *tensor.Matrix
+	// BackwardParams accumulates the parameter gradients Backward would
+	// and skips the input gradient — for an op whose input nobody
+	// differentiates (a frozen backbone's representation).
+	BackwardParams(dy *tensor.Matrix)
 }
 
 // Conv1D is a same-padded convolution over the token axis with d input
@@ -27,6 +36,8 @@ type Conv1D struct {
 	B           *Param // 1 × d
 
 	cols *tensor.Matrix // im2col cache: seq × (kernel*d)
+
+	y, dcols, dx *tensor.Matrix // reused scratch, as in Linear
 }
 
 var _ SeqOp = (*Conv1D)(nil)
@@ -48,7 +59,9 @@ func NewConv1D(name string, kernel, dim int, rng *rand.Rand) *Conv1D {
 func (c *Conv1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	seq := x.Rows
 	half := c.Kernel / 2
-	c.cols = tensor.New(seq, c.Kernel*c.Dim)
+	// The zero padding needs no clearing on reuse: for a given seq the
+	// same cells are padding every time, and nothing else writes cols.
+	c.cols = tensor.Ensure(c.cols, seq, c.Kernel*c.Dim)
 	for t := 0; t < seq; t++ {
 		dst := c.cols.Row(t)
 		for k := 0; k < c.Kernel; k++ {
@@ -59,21 +72,29 @@ func (c *Conv1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 			copy(dst[k*c.Dim:(k+1)*c.Dim], x.Row(src))
 		}
 	}
-	y := tensor.MatMul(c.cols, c.W.Value)
-	y.AddRowVector(c.B.Value.Data)
-	return y
+	c.y = tensor.Ensure(c.y, seq, c.Dim)
+	tensor.MatMulInto(c.y, c.cols, c.W.Value)
+	c.y.AddRowVector(c.B.Value.Data)
+	return c.y
+}
+
+// BackwardParams implements SeqOp: dW and dB only.
+func (c *Conv1D) BackwardParams(dy *tensor.Matrix) {
+	tensor.MatMulTransAAcc(c.W.Grad, c.cols, dy)
+	dy.SumRowsInto(c.B.Grad.Data)
 }
 
 // Backward accumulates gradients and returns dx.
 func (c *Conv1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	tensor.MatMulTransAAcc(c.W.Grad, c.cols, dy)
-	dy.SumRowsInto(c.B.Grad.Data)
-	dcols := tensor.MatMulTransB(dy, c.W.Value)
+	c.BackwardParams(dy)
 	seq := dy.Rows
+	c.dcols = tensor.Ensure(c.dcols, seq, c.Kernel*c.Dim)
+	tensor.MatMulTransBInto(c.dcols, dy, c.W.Value)
 	half := c.Kernel / 2
-	dx := tensor.New(seq, c.Dim)
+	c.dx = zeroed(c.dx, seq, c.Dim)
+	dx := c.dx
 	for t := 0; t < seq; t++ {
-		row := dcols.Row(t)
+		row := c.dcols.Row(t)
 		for k := 0; k < c.Kernel; k++ {
 			src := t + k - half
 			if src < 0 || src >= seq {
@@ -99,6 +120,9 @@ func (Identity) Forward(x *tensor.Matrix) *tensor.Matrix { return x }
 // Backward returns dy.
 func (Identity) Backward(dy *tensor.Matrix) *tensor.Matrix { return dy }
 
+// BackwardParams implements SeqOp.
+func (Identity) BackwardParams(*tensor.Matrix) {}
+
 // Params implements Module.
 func (Identity) Params() []*Param { return nil }
 
@@ -106,6 +130,7 @@ func (Identity) Params() []*Param { return nil }
 type AvgPool1D struct {
 	Window int
 	seq    int
+	y, dx  *tensor.Matrix // reused scratch
 }
 
 var _ SeqOp = (*AvgPool1D)(nil)
@@ -113,13 +138,30 @@ var _ SeqOp = (*AvgPool1D)(nil)
 // Forward averages each window of rows.
 func (p *AvgPool1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	p.seq = x.Rows
-	return poolAvg(x, p.Window)
+	half := p.Window / 2
+	p.y = zeroed(p.y, x.Rows, x.Cols)
+	for t := 0; t < x.Rows; t++ {
+		lo, hi := t-half, t+half
+		if lo < 0 {
+			lo = 0
+		}
+		if hi >= x.Rows {
+			hi = x.Rows - 1
+		}
+		inv := 1 / float64(hi-lo+1)
+		yr := p.y.Row(t)
+		for s := lo; s <= hi; s++ {
+			tensor.Axpy(inv, x.Row(s), yr)
+		}
+	}
+	return p.y
 }
 
 // Backward spreads each output gradient uniformly over its window.
 func (p *AvgPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	half := p.Window / 2
-	dx := tensor.New(dy.Rows, dy.Cols)
+	p.dx = zeroed(p.dx, dy.Rows, dy.Cols)
+	dx := p.dx
 	for t := 0; t < dy.Rows; t++ {
 		lo, hi := t-half, t+half
 		if lo < 0 {
@@ -137,6 +179,9 @@ func (p *AvgPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
+// BackwardParams implements SeqOp.
+func (p *AvgPool1D) BackwardParams(*tensor.Matrix) {}
+
 // Params implements Module.
 func (p *AvgPool1D) Params() []*Param { return nil }
 
@@ -145,6 +190,7 @@ type MaxPool1D struct {
 	Window int
 	argmax []int // flattened (t*d + j) -> source row
 	dim    int
+	y, dx  *tensor.Matrix // reused scratch
 }
 
 var _ SeqOp = (*MaxPool1D)(nil)
@@ -153,8 +199,11 @@ var _ SeqOp = (*MaxPool1D)(nil)
 func (p *MaxPool1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	half := p.Window / 2
 	p.dim = x.Cols
-	p.argmax = make([]int, x.Rows*x.Cols)
-	y := tensor.New(x.Rows, x.Cols)
+	if len(p.argmax) != x.Rows*x.Cols {
+		p.argmax = make([]int, x.Rows*x.Cols)
+	}
+	p.y = tensor.Ensure(p.y, x.Rows, x.Cols)
+	y := p.y
 	for t := 0; t < x.Rows; t++ {
 		lo, hi := t-half, t+half
 		if lo < 0 {
@@ -180,7 +229,8 @@ func (p *MaxPool1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward routes each gradient to its argmax source.
 func (p *MaxPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.New(dy.Rows, dy.Cols)
+	p.dx = zeroed(p.dx, dy.Rows, dy.Cols)
+	dx := p.dx
 	for t := 0; t < dy.Rows; t++ {
 		row := dy.Row(t)
 		for j, v := range row {
@@ -191,6 +241,9 @@ func (p *MaxPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
+// BackwardParams implements SeqOp.
+func (p *MaxPool1D) BackwardParams(*tensor.Matrix) {}
+
 // Params implements Module.
 func (p *MaxPool1D) Params() []*Param { return nil }
 
@@ -198,15 +251,15 @@ func (p *MaxPool1D) Params() []*Param { return nil }
 // repeats rows back to the original length, giving a coarse, shape-
 // preserving downsampling operation.
 type Downsample struct {
-	seq int
+	y, dx *tensor.Matrix // reused scratch
 }
 
 var _ SeqOp = (*Downsample)(nil)
 
 // Forward averages row pairs and duplicates them back out.
 func (d *Downsample) Forward(x *tensor.Matrix) *tensor.Matrix {
-	d.seq = x.Rows
-	y := tensor.New(x.Rows, x.Cols)
+	d.y = tensor.Ensure(d.y, x.Rows, x.Cols) // every row is written below
+	y := d.y
 	for t := 0; t < x.Rows; t += 2 {
 		hi := t + 1
 		if hi >= x.Rows {
@@ -225,7 +278,8 @@ func (d *Downsample) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward distributes gradients back through the average+repeat.
 func (d *Downsample) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.New(dy.Rows, dy.Cols)
+	d.dx = zeroed(d.dx, dy.Rows, dy.Cols)
+	dx := d.dx
 	for t := 0; t < dy.Rows; t += 2 {
 		hi := t + 1
 		if hi >= dy.Rows {
@@ -245,6 +299,9 @@ func (d *Downsample) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	}
 	return dx
 }
+
+// BackwardParams implements SeqOp.
+func (d *Downsample) BackwardParams(*tensor.Matrix) {}
 
 // Params implements Module.
 func (d *Downsample) Params() []*Param { return nil }
@@ -267,25 +324,17 @@ func (o *LayerNormOp) Forward(x *tensor.Matrix) *tensor.Matrix { return o.LN.For
 // Backward implements SeqOp.
 func (o *LayerNormOp) Backward(dy *tensor.Matrix) *tensor.Matrix { return o.LN.Backward(dy) }
 
+// BackwardParams implements SeqOp. LayerNorm computes its gain/bias
+// gradients and dx in one sweep, so the full Backward runs.
+func (o *LayerNormOp) BackwardParams(dy *tensor.Matrix) { o.LN.Backward(dy) }
+
 // Params implements Module.
 func (o *LayerNormOp) Params() []*Param { return o.LN.Params() }
 
-func poolAvg(x *tensor.Matrix, window int) *tensor.Matrix {
-	half := window / 2
-	y := tensor.New(x.Rows, x.Cols)
-	for t := 0; t < x.Rows; t++ {
-		lo, hi := t-half, t+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= x.Rows {
-			hi = x.Rows - 1
-		}
-		inv := 1 / float64(hi-lo+1)
-		yr := y.Row(t)
-		for s := lo; s <= hi; s++ {
-			tensor.Axpy(inv, x.Row(s), yr)
-		}
-	}
-	return y
+// zeroed is tensor.Ensure followed by Zero: a scratch buffer that the
+// caller accumulates into.
+func zeroed(m *tensor.Matrix, r, c int) *tensor.Matrix {
+	m = tensor.Ensure(m, r, c)
+	m.Zero()
+	return m
 }
