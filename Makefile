@@ -1,8 +1,10 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in lockstep.
+# Not part of `ci`: `kernel-bench` times the shipped matrix kernels
+# against the reference loops of internal/tensor/kernel_ref_test.go.
 
 GO ?= go
 
-.PHONY: all build test race bench bench-module bench-json bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
+.PHONY: all build test race bench kernel-bench bench-module bench-json bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
 
 all: build test
 
@@ -17,6 +19,13 @@ race:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tensor ./internal/nn ./internal/nas ./internal/wire ./internal/core ./internal/aggregate ./internal/importance
+
+# kernel-bench measures internal/tensor's three serial kernels ("new")
+# against the loops they replaced ("ref") from one binary, at the shapes
+# a customization run multiplies and three left-operand zero patterns.
+# The shipped kernel must not be slower on any cell.
+kernel-bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchtime=2000x -count=5 ./internal/tensor
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never

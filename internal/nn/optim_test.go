@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -266,5 +268,47 @@ func TestTrainingLearnsSeparableData(t *testing.T) {
 	}
 	if acc < 0.9 {
 		t.Fatalf("failed to fit separable data: accuracy %.3f", acc)
+	}
+}
+
+// TestTrainEpochPinned pins one whole cloud-side epoch: Linear, MHSA and
+// MLP forward and backward over many samples, the classifier head, and
+// the Adam updates that compound any last-bit difference. The constant
+// is the FNV-1a hash of every parameter bit as computed on amd64 at
+// commit 57724c9, before the register-blocked kernels replaced the
+// one-step-per-sweep loops in internal/tensor; a reordered reduction in
+// any kernel changes it. The widths are deliberately not multiples of 4.
+func TestTrainEpochPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	bb, err := NewBackbone(BackboneConfig{
+		InputDim: 30, NumPatches: 5, DModel: 15, NumHeads: 3, Hidden: 22, Depth: 2,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewBackboneClassifier(bb, 5, rng)
+	xs := make([][]float64, 37)
+	ys := make([]int, len(xs))
+	for i := range xs {
+		ys[i] = i % 5
+		xs[i] = make([]float64, 30)
+		for j := range xs[i] {
+			xs[i][j] = float64(ys[i]) + rng.NormFloat64()
+		}
+	}
+	if _, err := TrainEpoch(c, NewAdam(2e-3), xs, ys, 8, rng); err != nil {
+		t.Fatal(err)
+	}
+	hash := fnv.New64a()
+	var buf [8]byte
+	for _, p := range c.Params() {
+		for _, v := range p.Value.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			hash.Write(buf[:])
+		}
+	}
+	const want uint64 = 0x0b9015c9bfabb416
+	if got := hash.Sum64(); got != want {
+		t.Fatalf("parameter hash %#x, want %#x", got, want)
 	}
 }

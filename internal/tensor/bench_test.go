@@ -11,7 +11,7 @@ import (
 // actually hits: 64 (header-scale), 256 (backbone-scale), 1024
 // (stress / paper-scale surrogate).
 
-func benchMatMul(b *testing.B, n, parallelism int) {
+func benchMatMul(b *testing.B, into func(dst, x, y *Matrix), n, parallelism int) {
 	SetParallelism(parallelism)
 	defer SetParallelism(0)
 	rng := rand.New(rand.NewSource(1))
@@ -23,55 +23,66 @@ func benchMatMul(b *testing.B, n, parallelism int) {
 	b.SetBytes(int64(8 * n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
+		into(dst, x, y)
 	}
 }
 
-func BenchmarkMatMul(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("serial/%d", n), func(b *testing.B) { benchMatMul(b, n, 1) })
-		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) { benchMatMul(b, n, 0) })
+// benchSerialParallel runs one product at each size on the serial kernel
+// and on the pool, in a fixed order so benchstat pairs the results.
+func benchSerialParallel(b *testing.B, into func(dst, x, y *Matrix), sizes ...int) {
+	for _, n := range sizes {
+		b.Run(fmt.Sprintf("serial/%d", n), func(b *testing.B) { benchMatMul(b, into, n, 1) })
+		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) { benchMatMul(b, into, n, 0) })
 	}
 }
 
-func BenchmarkMatMulTransA(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		for name, p := range map[string]int{"serial": 1, "parallel": 0} {
-			b.Run(fmt.Sprintf("%s/%d", name, n), func(b *testing.B) {
-				SetParallelism(p)
-				defer SetParallelism(0)
-				rng := rand.New(rand.NewSource(1))
-				x := New(n, n)
-				y := New(n, n)
-				x.Randomize(rng, 1)
-				y.Randomize(rng, 1)
-				dst := New(n, n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MatMulTransAInto(dst, x, y)
-				}
-			})
-		}
-	}
-}
+// 64, 96 and 128 bracket minParallelFlops: its comment quotes these.
+func BenchmarkMatMul(b *testing.B) { benchSerialParallel(b, MatMulInto, 64, 96, 128, 256, 1024) }
 
-func BenchmarkMatMulTransB(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		for name, p := range map[string]int{"serial": 1, "parallel": 0} {
-			b.Run(fmt.Sprintf("%s/%d", name, n), func(b *testing.B) {
-				SetParallelism(p)
-				defer SetParallelism(0)
-				rng := rand.New(rand.NewSource(1))
-				x := New(n, n)
-				y := New(n, n)
-				x.Randomize(rng, 1)
-				y.Randomize(rng, 1)
-				dst := New(n, n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MatMulTransBInto(dst, x, y)
-				}
-			})
+func BenchmarkMatMulTransA(b *testing.B) { benchSerialParallel(b, MatMulTransAInto, 256, 1024) }
+
+func BenchmarkMatMulTransB(b *testing.B) { benchSerialParallel(b, MatMulTransBInto, 256, 1024) }
+
+// BenchmarkKernel drives the reference loops of kernel_ref_test.go and
+// the shipped kernels from one binary at the shapes a customization run
+// multiplies (sequence 9, Conv1D im2col width 160, model width 32), so
+// the layer delta reproduces on any box without a parent checkout.
+// Shapes are output rows × inner × output columns.
+func BenchmarkKernel(b *testing.B) {
+	shapes := []struct {
+		kernel  int // index into kernelCases
+		m, k, n int
+	}{
+		{0, 9, 160, 32}, // Conv1D.Forward: cols · W
+		{1, 160, 9, 32}, // Conv1D.BackwardParams: colsᵀ · dy
+		{2, 9, 32, 160}, // Conv1D.Backward: dy · Wᵀ
+		{0, 9, 32, 32},  // Linear / attention projections
+		{0, 9, 32, 128}, // MLP up-projection
+		{0, 64, 64, 64}, // the parallel crossover
+		{1, 64, 64, 64},
+		{2, 64, 64, 64},
+	}
+	for _, side := range []string{"ref", "new"} {
+		for _, sh := range shapes {
+			kc := kernelCases[sh.kernel]
+			fn := kc.new
+			if side == "ref" {
+				fn = kc.ref
+			}
+			for _, pattern := range zeroPatterns[:3] { // "zerorows" is for the oracle only
+				name := fmt.Sprintf("%s/%s_%dx%dx%d/%s", side, kc.name, sh.m, sh.k, sh.n, pattern)
+				b.Run(name, func(b *testing.B) {
+					rng := rand.New(rand.NewSource(1))
+					x, y := kc.operands(sh.m, sh.k, sh.n)
+					fillPattern(x, pattern, rng)
+					y.Randomize(rng, 1)
+					dst := New(sh.m, sh.n)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						fn(dst, x, y, 0, sh.m)
+					}
+				})
+			}
 		}
 	}
 }

@@ -43,30 +43,56 @@ func matMulAcc(dst, a, b *Matrix) {
 
 // matMulRange accumulates rows [i0, i1) of a·b into dst.
 func matMulRange(dst, a, b *Matrix, i0, i1 int) {
-	for k0 := 0; k0 < a.Cols; k0 += blockK {
-		k1 := k0 + blockK
-		if k1 > a.Cols {
-			k1 = a.Cols
-		}
-		for j0 := 0; j0 < b.Cols; j0 += blockJ {
-			j1 := j0 + blockJ
-			if j1 > b.Cols {
-				j1 = b.Cols
-			}
+	ac, bc := a.Cols, b.Cols
+	for k0 := 0; k0 < ac; k0 += blockK {
+		k1 := min(k0+blockK, ac)
+		for j0 := 0; j0 < bc; j0 += blockJ {
+			j1 := min(j0+blockJ, bc)
 			for i := i0; i < i1; i++ {
-				arow := a.Row(i)
-				dseg := dst.Row(i)[j0:j1]
-				for k := k0; k < k1; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
-					}
-					bseg := b.Row(k)[j0:j1]
-					for j, bv := range bseg {
-						dseg[j] += av * bv
-					}
-				}
+				mulAddRows(dst.Data[i*bc+j0:i*bc+j1], a.Data[i*ac+k0:i*ac+k1], 1, b.Data[k0*bc+j0:], bc)
 			}
+		}
+	}
+}
+
+// mulAddRows is the inner kernel of a·b and aᵀ·b: for t = 0, 1, … it
+// adds as[t·astride] · bs[t·bstride : t·bstride+len(d)] into d, skipping
+// zero multipliers (so 0·Inf contributes nothing and a −0 in d keeps its
+// sign). It takes the next four non-zero multipliers at a time and
+// applies them in one pass over d: the same rounded multiply-adds in the
+// same ascending-t order per element as four separate passes, with one
+// load and one store of d instead of four.
+func mulAddRows(d, as []float64, astride int, bs []float64, bstride int) {
+	var mul [4]float64
+	var off [4]int
+	g := 0
+	for t := 0; t*astride < len(as); t++ {
+		av := as[t*astride]
+		if av == 0 {
+			continue
+		}
+		mul[g&3], off[g&3] = av, t*bstride
+		if g++; g < 4 {
+			continue
+		}
+		g = 0
+		a0, a1, a2, a3 := mul[0], mul[1], mul[2], mul[3]
+		b0 := bs[off[0]:][:len(d)]
+		b1 := bs[off[1]:][:len(d)]
+		b2 := bs[off[2]:][:len(d)]
+		b3 := bs[off[3]:][:len(d)]
+		for j, v := range d {
+			v += a0 * b0[j]
+			v += a1 * b1[j]
+			v += a2 * b2[j]
+			v += a3 * b3[j]
+			d[j] = v
+		}
+	}
+	for r := 0; r < g; r++ {
+		av := mul[r]
+		for j, bv := range bs[off[r]:][:len(d)] {
+			d[j] += av * bv
 		}
 	}
 }
@@ -101,21 +127,40 @@ func matMulTransBAcc(dst, a, b *Matrix) {
 
 // matMulTransBRange accumulates rows [i0, i1) of a·bᵀ into dst. The
 // rows of b are walked in panels so the panel stays cached across the
-// rows of a in this range.
+// rows of a in this range. Four output cells are reduced at once: each
+// still sums in ascending k from zero with its own accumulator, but the
+// four add chains overlap in the pipeline and a's element is loaded once
+// for four rows of b. Nothing is skipped: a zero in a still multiplies.
 func matMulTransBRange(dst, a, b *Matrix, i0, i1 int) {
-	for p0 := 0; p0 < b.Rows; p0 += blockK {
-		p1 := p0 + blockK
-		if p1 > b.Rows {
-			p1 = b.Rows
-		}
+	ac, br := a.Cols, b.Rows
+	for p0 := 0; p0 < br; p0 += blockK {
+		p1 := min(p0+blockK, br)
 		for i := i0; i < i1; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for j := p0; j < p1; j++ {
-				brow := b.Row(j)
+			arow := a.Data[i*ac : (i+1)*ac]
+			drow := dst.Data[i*br : (i+1)*br]
+			j := p0
+			for ; j+4 <= p1; j += 4 {
+				b0 := b.Data[j*ac:][:len(arow)]
+				b1 := b.Data[(j+1)*ac:][:len(arow)]
+				b2 := b.Data[(j+2)*ac:][:len(arow)]
+				b3 := b.Data[(j+3)*ac:][:len(arow)]
+				var s0, s1, s2, s3 float64
+				for k, av := range arow {
+					s0 += av * b0[k]
+					s1 += av * b1[k]
+					s2 += av * b2[k]
+					s3 += av * b3[k]
+				}
+				d := drow[j : j+4 : j+4]
+				d[0] += s0
+				d[1] += s1
+				d[2] += s2
+				d[3] += s3
+			}
+			for ; j < p1; j++ {
 				var s float64
-				for k := range arow {
-					s += arow[k] * brow[k]
+				for k, bv := range b.Data[j*ac:][:len(arow)] {
+					s += arow[k] * bv
 				}
 				drow[j] += s
 			}
@@ -154,19 +199,17 @@ func matMulTransAAcc(dst, a, b *Matrix) {
 }
 
 // matMulTransARange accumulates rows [i0, i1) of aᵀ·b into dst (row i
-// of the output corresponds to column i of a).
+// of the output corresponds to column i of a). An output row is visited
+// once per four rows of a, not once per row: the multipliers are read
+// down a's column with stride a.Cols.
 func matMulTransARange(dst, a, b *Matrix, i0, i1 int) {
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i := i0; i < i1; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
+	ar, ac, bc := a.Rows, a.Cols, b.Cols
+	for k0 := 0; k0 < ar; k0 += blockK {
+		k1 := min(k0+blockK, ar)
+		for j0 := 0; j0 < bc; j0 += blockJ {
+			j1 := min(j0+blockJ, bc)
+			for i := i0; i < i1; i++ {
+				mulAddRows(dst.Data[i*bc+j0:i*bc+j1], a.Data[k0*ac+i:(k1-1)*ac+i+1], ac, b.Data[k0*bc+j0:], bc)
 			}
 		}
 	}

@@ -36,9 +36,13 @@ func SetParallelism(n int) {
 
 // minParallelFlops is the kernel cost (multiply-adds) below which
 // dispatching to the pool costs more than it saves and the serial
-// kernel runs instead. 64³ is roughly where a matmul reaches ~100µs
-// of scalar work.
-const minParallelFlops = 64 * 64 * 64
+// kernel runs instead. Measured with BenchmarkMatMul on a 2-thread
+// amd64 box after the register-blocked kernels landed (serial vs
+// pooled, µs per product): 64³ 75 vs 105, 96³ 265 vs 250, 128³ 585 vs
+// 410. Waking a worker and being woken by it costs about 30 µs whatever
+// the size, so the pool starts to pay where the serial kernel takes a
+// few hundred µs: 96³.
+const minParallelFlops = 96 * 96 * 96
 
 type blockTask struct {
 	fn         func(start, end int)

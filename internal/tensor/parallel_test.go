@@ -32,8 +32,10 @@ func bitwiseEqual(t *testing.T, op string, serial, parallel *Matrix) {
 // equivalenceShapes covers non-divisible block sizes, degenerate rows
 // and columns, and empty matrices.
 var equivalenceShapes = []struct{ m, k, n int }{
-	{64, 64, 64},  // exactly one block
+	{64, 64, 64},  // exactly one block, below the parallel crossover
+	{96, 96, 96},  // exactly the parallel crossover
 	{65, 130, 67}, // every dimension straddles a block boundary
+	{130, 65, 131},
 	{1, 300, 300}, // single output row
 	{300, 300, 1}, // single output column
 	{1, 1, 1},
