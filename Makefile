@@ -1,10 +1,12 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in lockstep.
 # Not part of `ci`: `kernel-bench` times the shipped matrix kernels
-# against the reference loops of internal/tensor/kernel_ref_test.go.
+# against the reference loops of internal/tensor/kernel_ref_test.go, and
+# `edge-bench` times the edge's round floor layer by layer: the grouped
+# fold against Combine, the range coder, and the Axpy kernels under both.
 
 GO ?= go
 
-.PHONY: all build test race bench kernel-bench bench-module bench-json bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
+.PHONY: all build test race bench kernel-bench edge-bench bench-module bench-json bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
 
 all: build test
 
@@ -26,6 +28,14 @@ bench:
 # The shipped kernel must not be slower on any cell.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchtime=2000x -count=5 ./internal/tensor
+
+# edge-bench measures what the exchange-replay workload spends its CPU
+# on: BenchmarkEdgeAggregate (Combine vs the streaming combiner's total
+# and tail, at 12 × 5 120 and at the replay's 64 × 19 844),
+# BenchmarkEntropyCompress/Expand, and BenchmarkAxpy (one Axpy pass and
+# one four-source pass at 19 844 and 32 elements).
+edge-bench:
+	$(GO) test -run '^$$' -bench 'EdgeAggregate|Entropy|Axpy' -count=5 ./internal/aggregate ./internal/wire ./internal/tensor
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never

@@ -72,19 +72,31 @@ func Combine(sets []*importance.Set, sim [][]float64) ([]*importance.Set, error)
 // accumulators incrementally, so an edge server can overlap decoding
 // with aggregation instead of materializing every device's set before
 // a monolithic Combine. Results are bitwise identical to Combine:
-// uploads that arrive out of device order are buffered and folds are
-// applied in ascending device position, preserving Combine's exact
-// floating-point addition order. Each fold fans out across the output
-// accumulators on the tensor worker pool (every accumulator is owned
-// by one goroutine, so the parallelism is also bitwise-invisible).
+// uploads are buffered until the next foldGroup consecutive device
+// positions are present and then folded together, one pass over each
+// accumulator applying the group's multiply-adds in ascending device
+// position — Combine's exact floating-point addition order at a
+// fraction of its accumulator traffic. Each fold fans out across the
+// output accumulators on the tensor worker pool (every accumulator is
+// owned by one goroutine, so the parallelism is also bitwise-invisible).
+//
+// A set handed to Add is read when its group folds, which may be as late
+// as Result or ResultPartial: it must stay valid and unmodified until
+// one of them returns. What remains after the last upload is at most one
+// grouped pass plus finalize.
 type Combiner struct {
 	sim     [][]float64
 	n       int
 	acc     []*importance.Set
-	pending []*importance.Set // buffered out-of-order arrivals
+	pending []*importance.Set // added but not yet folded
 	added   int               // positions handed to Add so far
-	next    int               // positions [0,next) are folded
+	next    int               // positions [0,next) are folded or skipped
 }
+
+// foldGroup is how many uploads one pass over the accumulators folds.
+// Measured on the 64-device × 19 844-entry exchange replay: 4 cuts the
+// replay's CPU by a quarter against 1, and 8 is indistinguishable from 4.
+const foldGroup = 4
 
 // NewCombiner validates the similarity matrix and returns an empty
 // combiner expecting one Add per device position.
@@ -106,9 +118,10 @@ func NewCombiner(sim [][]float64) (*Combiner, error) {
 func (c *Combiner) Added() int { return c.added }
 
 // Add registers device position pos's importance set and folds every
-// position that is now ready in ascending order. The set must not be
-// mutated afterwards. Duplicate positions and shape mismatches are
-// rejected.
+// full group of consecutive positions that is now ready, in ascending
+// order. The set must stay valid and unmodified until Result or
+// ResultPartial returns. Duplicate positions and shape mismatches are
+// rejected here, before anything is buffered.
 func (c *Combiner) Add(pos int, set *importance.Set) error {
 	if pos < 0 || pos >= c.n {
 		return fmt.Errorf("aggregate: position %d outside [0,%d)", pos, c.n)
@@ -131,10 +144,16 @@ func (c *Combiner) Add(pos int, set *importance.Set) error {
 	}
 	c.added++
 	c.pending[pos] = set
-	for c.next < c.n && c.pending[c.next] != nil {
-		c.fold(c.next, c.pending[c.next])
-		c.pending[c.next] = nil
-		c.next++
+	for c.next+foldGroup <= c.n {
+		var ps [foldGroup]int
+		for k := range ps {
+			if c.pending[c.next+k] == nil {
+				return nil
+			}
+			ps[k] = c.next + k
+		}
+		c.fold(ps, foldGroup)
+		c.next += foldGroup
 	}
 	return nil
 }
@@ -152,28 +171,66 @@ func shapeCheck(ref, set *importance.Set, pos int) error {
 	return nil
 }
 
-// fold applies acc[i] += sim[i][pos]·set for every output i. Shapes
-// were validated in Add, so the inner loop is pure Axpy.
-func (c *Combiner) fold(pos int, set *importance.Set) {
+// fold applies acc[i] += sim[i][p]·pending[p] for every output i and the
+// g buffered positions ps[:g], ascending, then releases them. A full
+// group takes one pass over each accumulator; a shorter one (only Result
+// and ResultPartial produce those) takes one Axpy pass per position.
+// Shapes were validated in Add.
+func (c *Combiner) fold(ps [foldGroup]int, g int) {
 	tensor.ParallelFor(c.n, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
-			w := c.sim[i][pos]
-			for l := range set.Layers {
-				tensor.Axpy(w, set.Layers[l], c.acc[i].Layers[l])
+			w, acc := c.sim[i], c.acc[i].Layers
+			if g < foldGroup {
+				for _, p := range ps[:g] {
+					for l, x := range c.pending[p].Layers {
+						tensor.Axpy(w[p], x, acc[l])
+					}
+				}
+				continue
+			}
+			s0, s1, s2, s3 := c.pending[ps[0]].Layers, c.pending[ps[1]].Layers, c.pending[ps[2]].Layers, c.pending[ps[3]].Layers
+			for l, y := range acc {
+				tensor.Axpy4(w[ps[0]], w[ps[1]], w[ps[2]], w[ps[3]], s0[l], s1[l], s2[l], s3[l], y)
 			}
 		}
 	})
+	for _, p := range ps[:g] {
+		c.pending[p] = nil
+	}
 }
 
-// Result finalizes the aggregation once every position was added. It
-// also measures the convergence delta against prev (the previous
-// round's combined sets) in the same pass over the still-cache-hot
-// accumulators, returning +Inf when prev is nil or shaped differently
-// (both mean "not converged").
-func (c *Combiner) Result(prev []*importance.Set) ([]*importance.Set, float64, error) {
-	if c.next != c.n {
-		return nil, 0, fmt.Errorf("aggregate: only %d of %d sets folded", c.next, c.n)
+// flush folds whatever is still buffered, in ascending position order
+// and in groups of up to foldGroup. Grouping across the gaps a straggler
+// cutoff leaves is fine: only the order matters.
+func (c *Combiner) flush() {
+	var ps [foldGroup]int
+	g := 0
+	for p := c.next; p < c.n; p++ {
+		if c.pending[p] == nil {
+			continue
+		}
+		ps[g] = p
+		if g++; g == foldGroup {
+			c.fold(ps, g)
+			g = 0
+		}
 	}
+	if g > 0 {
+		c.fold(ps, g)
+	}
+	c.next = c.n
+}
+
+// Result finalizes the aggregation once every position was added,
+// folding the last n mod foldGroup positions first. It also measures the
+// convergence delta against prev (the previous round's combined sets) in
+// the same pass over the still-cache-hot accumulators, returning +Inf
+// when prev is nil or shaped differently (both mean "not converged").
+func (c *Combiner) Result(prev []*importance.Set) ([]*importance.Set, float64, error) {
+	if c.added != c.n {
+		return nil, 0, fmt.Errorf("aggregate: only %d of %d sets added", c.added, c.n)
+	}
+	c.flush()
 	return c.acc, SetsDelta(prev, c.acc), nil
 }
 
@@ -182,34 +239,24 @@ func (c *Combiner) Result(prev []*importance.Set) ([]*importance.Set, float64, e
 // accumulator is renormalized by its present similarity mass
 // Σ_{j present} sim[i][j], so each combined set stays a convex
 // combination of the uploads that did arrive instead of shrinking
-// toward zero with the missing weight. Buffered out-of-order arrivals
-// beyond the first gap are folded here, still in ascending position
-// order. present reports how many positions contributed. A full
-// combine should keep using Result — it skips the renormalization pass
-// entirely, so the no-cutoff path stays bitwise identical to Combine.
+// toward zero with the missing weight. Every arrival still buffered is
+// folded here, in ascending position order. present reports how many
+// positions contributed. A full combine should keep using Result — it
+// skips the renormalization pass entirely, so the no-cutoff path stays
+// bitwise identical to Combine.
 func (c *Combiner) ResultPartial(prev []*importance.Set) ([]*importance.Set, int, float64, error) {
 	if c.added == 0 {
 		return nil, 0, 0, fmt.Errorf("aggregate: quorum combine with no sets folded")
 	}
 	folded := make([]bool, c.n)
-	for p := 0; p < c.next; p++ {
-		folded[p] = true
-	}
-	for p := c.next; p < c.n; p++ {
-		if c.pending[p] == nil {
-			continue
-		}
-		c.fold(p, c.pending[p])
-		c.pending[p] = nil
-		folded[p] = true
-	}
-	c.next = c.n
 	present := 0
-	for _, ok := range folded {
-		if ok {
+	for p := range folded {
+		if p < c.next || c.pending[p] != nil {
+			folded[p] = true
 			present++
 		}
 	}
+	c.flush()
 	tensor.ParallelFor(c.n, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			var mass float64

@@ -86,3 +86,34 @@ func BenchmarkKernel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAxpy times the vector kernels at the two lengths that matter:
+// 19 844, one importance set of the exchange replay (what the combiner
+// folds per upload and per output), and 32, one model-width row (the
+// pools, Conv1D's col2im). "axpy4" is one grouped pass, to be read
+// against four "axpy" passes.
+func BenchmarkAxpy(b *testing.B) {
+	for _, n := range []int{19844, 32} {
+		rng := rand.New(rand.NewSource(1))
+		var x [4][]float64
+		for i := range x {
+			x[i] = make([]float64, n)
+			for k := range x[i] {
+				x[i][k] = rng.NormFloat64()
+			}
+		}
+		y := make([]float64, n)
+		b.Run(fmt.Sprintf("axpy/%d", n), func(b *testing.B) {
+			b.SetBytes(int64(8 * n))
+			for i := 0; i < b.N; i++ {
+				Axpy(0.25, x[0], y)
+			}
+		})
+		b.Run(fmt.Sprintf("axpy4/%d", n), func(b *testing.B) {
+			b.SetBytes(int64(4 * 8 * n))
+			for i := 0; i < b.N; i++ {
+				Axpy4(0.25, -0.5, 0.125, 0.0625, x[0], x[1], x[2], x[3], y)
+			}
+		})
+	}
+}

@@ -270,3 +270,62 @@ func TestKernelsMatchReferenceBitwiseSpecialValues(t *testing.T) {
 		}
 	}
 }
+
+// refAxpy is Axpy as it stood before the four-element unroll: the
+// reference for both Axpy and (applied four times) Axpy4.
+func refAxpy(alpha float64, x, y []float64) {
+	for i := range x {
+		y[i] += alpha * x[i]
+	}
+}
+
+// TestAxpyMatchesReferenceBitwise covers every remainder of the length
+// mod 4 and the values a skipped multiply would treat differently: a
+// zero alpha still multiplies, so 0·Inf poisons y in Axpy and in Axpy4.
+func TestAxpyMatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	draw := func(n int, special bool) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+			if special && rng.Intn(4) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		return v
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 1023} {
+		for _, special := range []bool{false, true} {
+			var x [4][]float64
+			for i := range x {
+				x[i] = draw(n, special)
+			}
+			a := draw(4, special)
+			y := draw(n, special)
+			want, got := append([]float64(nil), y...), append([]float64(nil), y...)
+			refAxpy(a[0], x[0], want)
+			Axpy(a[0], x[0], got)
+			what := fmt.Sprintf("axpy n=%d special=%v", n, special)
+			requireSameBits(t, what, FromSlice(1, n, want), FromSlice(1, n, got))
+
+			want, got = append([]float64(nil), y...), append([]float64(nil), y...)
+			for i := range x {
+				refAxpy(a[i], x[i], want)
+			}
+			Axpy4(a[0], a[1], a[2], a[3], x[0], x[1], x[2], x[3], got)
+			requireSameBits(t, "axpy4"+what[4:], FromSlice(1, n, want), FromSlice(1, n, got))
+		}
+	}
+	y := []float64{1, 2, 3, 4, 5}
+	inf := []float64{math.Inf(1), 0, 0, 0, math.Inf(-1)}
+	Axpy(0, inf, y)
+	if y[0] == y[0] || y[4] == y[4] || y[1] != 2 {
+		t.Fatalf("Axpy skipped a zero multiplier: %v", y)
+	}
+	y = []float64{1, 2, 3, 4, 5}
+	Axpy4(1, 1, 0, 1, y, y, inf, y, y)
+	if y[0] == y[0] || y[4] == y[4] {
+		t.Fatalf("Axpy4 skipped a zero multiplier: %v", y)
+	}
+}

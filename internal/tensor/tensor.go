@@ -233,12 +233,42 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x for equal-length vectors.
+// Axpy computes y += alpha*x for equal-length vectors. Nothing is
+// skipped: a zero alpha still multiplies, so 0·Inf makes a NaN. The loop
+// takes four elements per iteration; each element is still one rounded
+// multiply-add, so the unrolling does not change a bit.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: axpy length %d vs %d", len(x), len(y)))
 	}
-	for i := range x {
+	y = y[:len(x)]
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
+		ys[0] += alpha * xs[0]
+		ys[1] += alpha * xs[1]
+		ys[2] += alpha * xs[2]
+		ys[3] += alpha * xs[3]
+	}
+	for ; i < len(x); i++ {
 		y[i] += alpha * x[i]
+	}
+}
+
+// Axpy4 computes y += a0*x0; y += a1*x1; y += a2*x2; y += a3*x3 in one
+// pass over y: per element the same four rounded multiply-adds in the
+// same order as four Axpy calls, with one load and one store of y
+// instead of four. Like Axpy it skips nothing.
+func Axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+	if len(x0) != len(y) || len(x1) != len(y) || len(x2) != len(y) || len(x3) != len(y) {
+		panic(fmt.Sprintf("tensor: axpy4 lengths %d, %d, %d, %d vs %d", len(x0), len(x1), len(x2), len(x3), len(y)))
+	}
+	x0, x1, x2, x3 = x0[:len(y)], x1[:len(y)], x2[:len(y)], x3[:len(y)]
+	for k, v := range y {
+		v += a0 * x0[k]
+		v += a1 * x1[k]
+		v += a2 * x2[k]
+		v += a3 * x3[k]
+		y[k] = v
 	}
 }

@@ -104,6 +104,24 @@ var entropyModelPool = sync.Pool{New: func() any { return new(entropyModel) }}
 
 // --- range coder --------------------------------------------------
 
+// A bit whose model gives the likelier outcome under 3/4 (probability of
+// zero in [evenLo, evenLo+evenSpan) of 2048) is coded without a branch
+// on its value: on such bits — the mantissa planes of float payloads —
+// the branch mispredicts about as often as not, and the misprediction
+// costs more than the few extra operations of the arithmetic select. A
+// skewed bit keeps the branch, which predicts well there and lets the
+// processor start the next bit's model load before this one resolves.
+// Both forms compute the same state, so the choice never shows in the
+// stream. Measured on a 2-thread amd64 box, MB/s compress/expand:
+// always branching 15/16 on float-heavy frames (BenchmarkEntropy*) and
+// 55/66 on all-zero ones, never branching 28/23 and 37/25, this split
+// 28/25 and 48/67; moving the band's edges by 128 either way changes
+// nothing measurable.
+const (
+	evenLo   = 512
+	evenSpan = 1024
+)
+
 type rcEncoder struct {
 	out       []byte
 	low       uint64
@@ -120,48 +138,61 @@ func (e *rcEncoder) init(out []byte) {
 	e.cacheSize = 1
 }
 
-func (e *rcEncoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || e.low>>32 != 0 {
-		carry := byte(e.low >> 32)
+// shiftLow moves the top byte of low towards the output, resolving a
+// pending carry through the cache byte and the run of 0xFF bytes behind
+// it, and returns low shifted up one byte. low travels through the
+// arguments so encodeByte can keep it in a register across a byte.
+func (e *rcEncoder) shiftLow(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || low>>32 != 0 {
+		carry := byte(low >> 32)
 		e.out = append(e.out, e.cache+carry)
 		for ; e.cacheSize > 1; e.cacheSize-- {
 			e.out = append(e.out, 0xFF+carry)
 		}
 		e.cacheSize = 0
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
 	}
 	e.cacheSize++
-	e.low = (e.low << 8) & 0xFFFFFFFF
+	return (low << 8) & 0xFFFFFFFF
 }
 
-func (e *rcEncoder) encodeBit(p *uint16, bit int) {
-	bound := (e.rng >> 11) * uint32(*p)
-	if bit == 0 {
-		e.rng = bound
-		*p += (2048 - *p) >> 5
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
-		*p -= *p >> 5
-	}
-	for e.rng < 1<<24 {
-		e.rng <<= 8
-		e.shiftLow()
-	}
-}
-
+// encodeByte codes b's eight bits, most significant first, each under
+// the bit-tree node its predecessors select. The coder state lives in
+// locals for the whole byte and is stored back once. p-evenLo wraps
+// below evenLo, so the one unsigned compare tests both edges.
 func (e *rcEncoder) encodeByte(m *byteModel, b byte) {
-	ctx := 1
+	low, rng := e.low, e.rng
+	ctx := uint(1)
 	for i := 7; i >= 0; i-- {
-		bit := int(b>>uint(i)) & 1
-		e.encodeBit(&m[ctx], bit)
-		ctx = ctx<<1 | bit
+		bit := uint32(b>>uint(i)) & 1
+		p := uint32(m[ctx&0xFF])
+		bound := (rng >> 11) * p
+		if p-evenLo < evenSpan {
+			mask := -bit
+			low += uint64(bound & mask)
+			rng = bound + (rng-bound-bound)&mask
+			p0, p1 := p+(2048-p)>>5, p-p>>5
+			m[ctx&0xFF] = uint16(p0 ^ (p0^p1)&mask)
+		} else if bit == 0 {
+			rng = bound
+			m[ctx&0xFF] = uint16(p + (2048-p)>>5)
+		} else {
+			low += uint64(bound)
+			rng -= bound
+			m[ctx&0xFF] = uint16(p - p>>5)
+		}
+		ctx = ctx<<1 | uint(bit)
+		for rng < 1<<24 {
+			rng <<= 8
+			low = e.shiftLow(low)
+		}
 	}
+	e.low, e.rng = low, rng
 }
 
 func (e *rcEncoder) flush() {
 	for i := 0; i < 5; i++ {
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
 }
 
@@ -195,30 +226,41 @@ func (d *rcDecoder) init(in []byte) {
 	}
 }
 
-func (d *rcDecoder) decodeBit(p *uint16) int {
-	bound := (d.rng >> 11) * uint32(*p)
-	var bit int
-	if d.code < bound {
-		d.rng = bound
-		*p += (2048 - *p) >> 5
-	} else {
-		d.code -= bound
-		d.rng -= bound
-		*p -= *p >> 5
-		bit = 1
-	}
-	for d.rng < 1<<24 {
-		d.rng <<= 8
-		d.code = d.code<<8 | uint32(d.nextByte())
-	}
-	return bit
-}
-
+// decodeByte mirrors encodeByte: eight bit decisions down the bit-tree,
+// the coder state in locals for the whole byte.
 func (d *rcDecoder) decodeByte(m *byteModel) byte {
-	ctx := 1
+	rng, code := d.rng, d.code
+	ctx := uint(1)
 	for i := 0; i < 8; i++ {
-		ctx = ctx<<1 | d.decodeBit(&m[ctx])
+		p := uint32(m[ctx&0xFF])
+		bound := (rng >> 11) * p
+		if p-evenLo < evenSpan {
+			var bit uint32
+			if code >= bound {
+				bit = 1
+			}
+			mask := -bit
+			code -= bound & mask
+			rng = bound + (rng-bound-bound)&mask
+			p0, p1 := p+(2048-p)>>5, p-p>>5
+			m[ctx&0xFF] = uint16(p0 ^ (p0^p1)&mask)
+			ctx = ctx<<1 | uint(bit)
+		} else if code < bound {
+			rng = bound
+			m[ctx&0xFF] = uint16(p + (2048-p)>>5)
+			ctx <<= 1
+		} else {
+			code -= bound
+			rng -= bound
+			m[ctx&0xFF] = uint16(p - p>>5)
+			ctx = ctx<<1 | 1
+		}
+		for rng < 1<<24 {
+			rng <<= 8
+			code = code<<8 | uint32(d.nextByte())
+		}
 	}
+	d.rng, d.code = rng, code
 	return byte(ctx)
 }
 
@@ -277,11 +319,15 @@ func (s *encStream) uvarint() (uint64, error) {
 }
 
 func (s *encStream) run(base, n, stride int) error {
-	if n > s.remaining() {
+	if n < 0 || n > s.remaining() {
 		return fmt.Errorf("wire: entropy encode: run past frame end")
 	}
-	for i := 0; i < n; i++ {
-		s.rc.encodeByte(&s.m.probs[base+i%stride], s.src[s.off+i])
+	lanes, lane := s.m.probs[base:base+stride], 0
+	for _, b := range s.src[s.off : s.off+n] {
+		s.rc.encodeByte(&lanes[lane], b)
+		if lane++; lane == len(lanes) {
+			lane = 0
+		}
 	}
 	s.off += n
 	return nil
@@ -323,11 +369,19 @@ func (s *decStream) uvarint() (uint64, error) {
 }
 
 func (s *decStream) run(base, n, stride int) error {
-	if n > s.remaining() {
+	if n < 0 || n > s.remaining() {
 		return fmt.Errorf("wire: entropy frame declares %d-byte run with %d budget", n, s.remaining())
 	}
-	for i := 0; i < n; i++ {
-		s.out = append(s.out, s.rc.decodeByte(&s.m.probs[base+i%stride]))
+	// The budget check above keeps the run inside out's capacity
+	// (limit bytes, set by EntropyExpand), so extend once and index.
+	dst := s.out[len(s.out) : len(s.out)+n]
+	s.out = s.out[:len(s.out)+n]
+	lanes, lane := s.m.probs[base:base+stride], 0
+	for i := range dst {
+		dst[i] = s.rc.decodeByte(&lanes[lane])
+		if lane++; lane == len(lanes) {
+			lane = 0
+		}
 	}
 	return nil
 }
