@@ -30,8 +30,8 @@ kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchtime=2000x -count=5 ./internal/tensor
 
 # edge-bench measures what the exchange-replay workload spends its CPU
-# on: BenchmarkEdgeAggregate (Combine vs the streaming combiner's total
-# and tail, at 12 × 5 120 and at the replay's 64 × 19 844),
+# on: BenchmarkEdgeAggregate (Combine vs the streaming combiner's tail
+# at 12 × 5 120, vs its total and tail at the replay's 64 × 19 844),
 # BenchmarkEntropyCompress/Expand, and BenchmarkAxpy (one Axpy pass and
 # one four-source pass at 19 844 and 32 elements).
 edge-bench:

@@ -98,6 +98,10 @@ type Combiner struct {
 // replay's CPU by a quarter against 1, and 8 is indistinguishable from 4.
 const foldGroup = 4
 
+// fold spells the group out (four sources, tensor.Axpy4's arity), so
+// changing foldGroup alone must not compile.
+var _ = [1]struct{}{}[foldGroup-4]
+
 // NewCombiner validates the similarity matrix and returns an empty
 // combiner expecting one Add per device position.
 func NewCombiner(sim [][]float64) (*Combiner, error) {

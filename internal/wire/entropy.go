@@ -104,24 +104,6 @@ var entropyModelPool = sync.Pool{New: func() any { return new(entropyModel) }}
 
 // --- range coder --------------------------------------------------
 
-// A bit whose model gives the likelier outcome under 3/4 (probability of
-// zero in [evenLo, evenLo+evenSpan) of 2048) is coded without a branch
-// on its value: on such bits — the mantissa planes of float payloads —
-// the branch mispredicts about as often as not, and the misprediction
-// costs more than the few extra operations of the arithmetic select. A
-// skewed bit keeps the branch, which predicts well there and lets the
-// processor start the next bit's model load before this one resolves.
-// Both forms compute the same state, so the choice never shows in the
-// stream. Measured on a 2-thread amd64 box, MB/s compress/expand:
-// always branching 15/16 on float-heavy frames (BenchmarkEntropy*) and
-// 55/66 on all-zero ones, never branching 28/23 and 37/25, this split
-// 28/25 and 48/67; moving the band's edges by 128 either way changes
-// nothing measurable.
-const (
-	evenLo   = 512
-	evenSpan = 1024
-)
-
 type rcEncoder struct {
 	out       []byte
 	low       uint64
@@ -158,29 +140,22 @@ func (e *rcEncoder) shiftLow(low uint64) uint64 {
 
 // encodeByte codes b's eight bits, most significant first, each under
 // the bit-tree node its predecessors select. The coder state lives in
-// locals for the whole byte and is stored back once. p-evenLo wraps
-// below evenLo, so the one unsigned compare tests both edges.
+// locals for the whole byte and is stored back once. The bit selects the
+// interval half and the model update through a mask rather than a branch:
+// on the mantissa planes of float payloads, most of what crosses the
+// wire, a branch on the bit mispredicts about as often as not.
 func (e *rcEncoder) encodeByte(m *byteModel, b byte) {
 	low, rng := e.low, e.rng
 	ctx := uint(1)
 	for i := 7; i >= 0; i-- {
 		bit := uint32(b>>uint(i)) & 1
+		mask := -bit // all ones for a 1 bit
 		p := uint32(m[ctx&0xFF])
 		bound := (rng >> 11) * p
-		if p-evenLo < evenSpan {
-			mask := -bit
-			low += uint64(bound & mask)
-			rng = bound + (rng-bound-bound)&mask
-			p0, p1 := p+(2048-p)>>5, p-p>>5
-			m[ctx&0xFF] = uint16(p0 ^ (p0^p1)&mask)
-		} else if bit == 0 {
-			rng = bound
-			m[ctx&0xFF] = uint16(p + (2048-p)>>5)
-		} else {
-			low += uint64(bound)
-			rng -= bound
-			m[ctx&0xFF] = uint16(p - p>>5)
-		}
+		low += uint64(bound & mask)
+		rng = bound + (rng-bound-bound)&mask // bound for 0, rng-bound for 1
+		p0, p1 := p+(2048-p)>>5, p-p>>5
+		m[ctx&0xFF] = uint16(p0 ^ (p0^p1)&mask)
 		ctx = ctx<<1 | uint(bit)
 		for rng < 1<<24 {
 			rng <<= 8
@@ -227,34 +202,24 @@ func (d *rcDecoder) init(in []byte) {
 }
 
 // decodeByte mirrors encodeByte: eight bit decisions down the bit-tree,
-// the coder state in locals for the whole byte.
+// the coder state in locals for the whole byte, the decoded bit applied
+// through a mask.
 func (d *rcDecoder) decodeByte(m *byteModel) byte {
 	rng, code := d.rng, d.code
 	ctx := uint(1)
 	for i := 0; i < 8; i++ {
 		p := uint32(m[ctx&0xFF])
 		bound := (rng >> 11) * p
-		if p-evenLo < evenSpan {
-			var bit uint32
-			if code >= bound {
-				bit = 1
-			}
-			mask := -bit
-			code -= bound & mask
-			rng = bound + (rng-bound-bound)&mask
-			p0, p1 := p+(2048-p)>>5, p-p>>5
-			m[ctx&0xFF] = uint16(p0 ^ (p0^p1)&mask)
-			ctx = ctx<<1 | uint(bit)
-		} else if code < bound {
-			rng = bound
-			m[ctx&0xFF] = uint16(p + (2048-p)>>5)
-			ctx <<= 1
-		} else {
-			code -= bound
-			rng -= bound
-			m[ctx&0xFF] = uint16(p - p>>5)
-			ctx = ctx<<1 | 1
+		var bit uint32
+		if code >= bound {
+			bit = 1
 		}
+		mask := -bit
+		code -= bound & mask
+		rng = bound + (rng-bound-bound)&mask
+		p0, p1 := p+(2048-p)>>5, p-p>>5
+		m[ctx&0xFF] = uint16(p0 ^ (p0^p1)&mask)
+		ctx = ctx<<1 | uint(bit)
 		for rng < 1<<24 {
 			rng <<= 8
 			code = code<<8 | uint32(d.nextByte())
