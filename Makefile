@@ -2,11 +2,14 @@
 # Not part of `ci`: `kernel-bench` times the shipped matrix kernels
 # against the reference loops of internal/tensor/kernel_ref_test.go, and
 # `edge-bench` times the edge's round floor layer by layer: the grouped
-# fold against Combine, the range coder, and the Axpy kernels under both.
+# fold against Combine, the range coder, and the Axpy kernels under both,
+# and `fleet-bench` times what a sampled fleet pays per round and per
+# device: the edge's combine for all rows against the invitees' rows, a
+# device's model set-up, and one backbone forward pass (0 allocs/op).
 
 GO ?= go
 
-.PHONY: all build test race bench kernel-bench edge-bench bench-module bench-json bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
+.PHONY: all build test race bench kernel-bench edge-bench fleet-bench bench-module bench-json bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
 
 all: build test
 
@@ -36,6 +39,14 @@ kernel-bench:
 # one four-source pass at 19 844 and 32 elements).
 edge-bench:
 	$(GO) test -run '^$$' -bench 'EdgeAggregate|Entropy|Axpy' -count=5 ./internal/aggregate ./internal/wire ./internal/tensor
+
+# fleet-bench measures the three costs the fleet-sampled workload scales
+# with: BenchmarkEdgeAggregate/sampled-10of100x19844 (one round of 100
+# uploads, all 100 rows of Eq. 21 vs the 10 that get a downlink),
+# BenchmarkBuildDeviceHeader (package → model, per device) and
+# BenchmarkBackboneForward (per sample; must report 0 allocs/op).
+fleet-bench:
+	$(GO) test -run '^$$' -bench 'EdgeAggregate/sampled|BuildDeviceHeader|BackboneForward' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/nn
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never

@@ -84,10 +84,17 @@ func Combine(sets []*importance.Set, sim [][]float64) ([]*importance.Set, error)
 // as Result or ResultPartial: it must stay valid and unmodified until
 // one of them returns. What remains after the last upload is at most one
 // grouped pass plus finalize.
+//
+// Output rows are independent of one another, so a combiner built by
+// NewCombinerFor allocates, folds and renormalizes only the rows its
+// caller will read and leaves the others nil; the rows it does compute
+// are the ones NewCombiner would, bit for bit.
 type Combiner struct {
 	sim     [][]float64
 	n       int
-	acc     []*importance.Set
+	rows    []int             // output rows computed, ascending
+	acc     []*importance.Set // nil outside rows
+	first   *importance.Set   // first set added: the shape every other must match
 	pending []*importance.Set // added but not yet folded
 	added   int               // positions handed to Add so far
 	next    int               // positions [0,next) are folded or skipped
@@ -103,17 +110,39 @@ const foldGroup = 4
 var _ = [1]struct{}{}[foldGroup-4]
 
 // NewCombiner validates the similarity matrix and returns an empty
-// combiner expecting one Add per device position.
+// combiner expecting one Add per device position. Every output row is
+// computed.
 func NewCombiner(sim [][]float64) (*Combiner, error) {
+	return NewCombinerFor(sim, nil)
+}
+
+// NewCombinerFor is NewCombiner for a caller that reads only the output
+// rows i with read[i] set: the result holds nil everywhere else. Uploads
+// are still expected, and checked, from every position — which rows are
+// read has no bearing on which devices contribute. A nil read selects
+// every row. read is consulted here only; the caller may reuse it. A
+// result with unread rows has no convergence delta: Result and
+// ResultPartial report +Inf for it, as SetsDelta does for any nil set.
+func NewCombinerFor(sim [][]float64, read []bool) (*Combiner, error) {
 	n := len(sim)
 	for i, row := range sim {
 		if len(row) != n {
 			return nil, fmt.Errorf("aggregate: similarity row %d has %d cols, want %d", i, len(row), n)
 		}
 	}
+	if read != nil && len(read) != n {
+		return nil, fmt.Errorf("aggregate: %d read flags for %d output rows", len(read), n)
+	}
+	rows := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if read == nil || read[i] {
+			rows = append(rows, i)
+		}
+	}
 	return &Combiner{
 		sim:     sim,
 		n:       n,
+		rows:    rows,
 		pending: make([]*importance.Set, n),
 	}, nil
 }
@@ -138,12 +167,13 @@ func (c *Combiner) Add(pos int, set *importance.Set) error {
 	if set == nil {
 		return fmt.Errorf("aggregate: nil set for position %d", pos)
 	}
-	if c.acc == nil {
+	if c.first == nil {
+		c.first = set
 		c.acc = make([]*importance.Set, c.n)
-		for i := range c.acc {
+		for _, i := range c.rows {
 			c.acc[i] = set.ZeroClone()
 		}
-	} else if err := shapeCheck(c.acc[0], set, pos); err != nil {
+	} else if err := shapeCheck(c.first, set, pos); err != nil {
 		return err
 	}
 	c.added++
@@ -175,14 +205,14 @@ func shapeCheck(ref, set *importance.Set, pos int) error {
 	return nil
 }
 
-// fold applies acc[i] += sim[i][p]·pending[p] for every output i and the
-// g buffered positions ps[:g], ascending, then releases them. A full
-// group takes one pass over each accumulator; a shorter one (only Result
-// and ResultPartial produce those) takes one Axpy pass per position.
-// Shapes were validated in Add.
+// fold applies acc[i] += sim[i][p]·pending[p] for every computed output
+// i and the g buffered positions ps[:g], ascending, then releases them.
+// A full group takes one pass over each accumulator; a shorter one (only
+// Result and ResultPartial produce those) takes one Axpy pass per
+// position. Shapes were validated in Add.
 func (c *Combiner) fold(ps [foldGroup]int, g int) {
-	tensor.ParallelFor(c.n, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
+	tensor.ParallelFor(len(c.rows), func(k0, k1 int) {
+		for _, i := range c.rows[k0:k1] {
 			w, acc := c.sim[i], c.acc[i].Layers
 			if g < foldGroup {
 				for _, p := range ps[:g] {
@@ -239,7 +269,7 @@ func (c *Combiner) Result(prev []*importance.Set) ([]*importance.Set, float64, e
 }
 
 // ResultPartial finalizes a quorum combine: the positions that never
-// arrived (a straggler cutoff) are simply skipped, and every output
+// arrived (a straggler cutoff) are simply skipped, and every computed
 // accumulator is renormalized by its present similarity mass
 // Σ_{j present} sim[i][j], so each combined set stays a convex
 // combination of the uploads that did arrive instead of shrinking
@@ -261,8 +291,8 @@ func (c *Combiner) ResultPartial(prev []*importance.Set) ([]*importance.Set, int
 		}
 	}
 	c.flush()
-	tensor.ParallelFor(c.n, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
+	tensor.ParallelFor(len(c.rows), func(k0, k1 int) {
+		for _, i := range c.rows[k0:k1] {
 			var mass float64
 			for j, ok := range folded {
 				if ok {

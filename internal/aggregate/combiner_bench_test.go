@@ -40,7 +40,10 @@ func benchSets(rng *rand.Rand, n int) ([]*importance.Set, [][]float64) {
 // shape and add "streaming-total", every Add plus Result — the edge's
 // whole fold work for a round, one pass over every accumulator per four
 // uploads — so the grouped fold's gain over materialize reads off one
-// binary.
+// binary. sampled-10of100x19844 is one round of the fleet-sampled
+// workload's edge, 100 uploads of which 10 devices get a downlink:
+// every Add plus Result computing all 100 rows against computing the
+// invitees' 10.
 func BenchmarkEdgeAggregate(b *testing.B) {
 	const n = 12
 	rng := rand.New(rand.NewSource(5))
@@ -108,4 +111,35 @@ func BenchmarkEdgeAggregate(b *testing.B) {
 	})
 	b.Run("streaming-total-64x19844", func(b *testing.B) { streaming(b, 0) })
 	b.Run("streaming-tail-64x19844", func(b *testing.B) { streaming(b, replayN-1) })
+
+	b.Run("sampled-10of100x19844", func(b *testing.B) {
+		const fleetN = 100
+		fleetSets := randomSets(rng, fleetN, []int{5152, 3104, 5152, 1056, 5120, 196, 32, 32})
+		fleetSim := randomStochastic(rng, fleetN)
+		invited := make([]bool, fleetN)
+		for _, p := range rng.Perm(fleetN)[:fleetN/10] {
+			invited[p] = true
+		}
+		round := func(read []bool) func(b *testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					comb, err := NewCombinerFor(fleetSim, read)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for j, set := range fleetSets {
+						if err := comb.Add(j, set); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, _, err := comb.Result(nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		b.Run("all-rows", round(nil))
+		b.Run("invited-rows", round(invited))
+	})
 }

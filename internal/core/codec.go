@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -300,9 +299,10 @@ func EncodeBackbone(b *nn.Backbone, w float64, d int, cand pareto.Candidate, mod
 	return asg
 }
 
-// DecodeBackbone reconstructs a backbone from an assignment.
+// DecodeBackbone reconstructs a backbone from an assignment, as a
+// received model (nn.Param): no gradient storage unless it trains.
 func DecodeBackbone(asg BackboneAssignment) (*nn.Backbone, error) {
-	b, err := nn.NewBackbone(asg.Cfg, rand.New(rand.NewSource(0)))
+	b, err := nn.NewBackbone(asg.Cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -336,9 +336,10 @@ func EncodeHeader(h *nas.HeaderModel, mode QuantMode) HeaderPackage {
 	}
 }
 
-// DecodeHeader reconstructs a header over the given backbone.
+// DecodeHeader reconstructs a header over the given backbone, as a
+// received model (nn.Param).
 func DecodeHeader(pkg HeaderPackage, backbone *nn.Backbone) (*nas.HeaderModel, error) {
-	h, err := nas.NewHeaderModel(pkg.HeaderCfg, pkg.Arch, backbone, rand.New(rand.NewSource(0)))
+	h, err := nas.NewHeaderModel(pkg.HeaderCfg, pkg.Arch, backbone, nil)
 	if err != nil {
 		return nil, err
 	}

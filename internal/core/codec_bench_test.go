@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
 	"acme/internal/transport"
@@ -83,5 +84,41 @@ func BenchmarkDecodeBackbone(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBuildDeviceHeader measures what each of a fleet's devices
+// pays to turn the package its edge sent into a model: the default
+// backbone and a 19 844-parameter header, decoded as received layers —
+// no random initialisation, no gradient storage for the backbone.
+func BenchmarkBuildDeviceHeader(b *testing.B) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(1))
+	bb, err := nn.NewBackbone(cfg.Backbone, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hc := nas.HeaderConfig{
+		Blocks: cfg.Search.Blocks, Repeats: cfg.Search.Repeats,
+		DModel: cfg.Backbone.DModel, Hidden: cfg.Search.Hidden, NumClasses: cfg.NumClasses,
+	}
+	arch := nas.Architecture{Blocks: []nas.BlockGene{
+		{In1: 0, In2: 1, Op1: nas.OpConv5, Op2: nas.OpAvgPool},
+		{In1: 1, In2: 2, Op1: nas.OpConv3, Op2: nas.OpIdentity},
+		{In1: 0, In2: 3, Op1: nas.OpConv5, Op2: nas.OpMaxPool},
+		{In1: 2, In2: 4, Op1: nas.OpConv1, Op2: nas.OpDownsample},
+	}}
+	h, err := nas.NewHeaderModel(hc, arch, bb, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkg := EncodeHeader(h, QuantLossless)
+	pkg.Backbone = EncodeBackbone(bb, 1, cfg.Backbone.Depth, pareto.Candidate{W: 1, D: cfg.Backbone.Depth}, QuantLossless)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := buildDeviceHeader(pkg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -642,6 +642,8 @@ func (s *System) edgeRounds(ctx context.Context, st *edgeState, writer *snapshot
 	detect := st.detect
 	detectPending := st.detectPending
 	detectSamples := st.detectSamples
+	// monitor: the §II-A convergence check is on.
+	monitor := s.Cfg.ConvergenceEpsilon > 0
 	// sendCutoff tells one device its round was combined without it (or,
 	// with done set, that the run is over) — best-effort in every
 	// caller: a slow device reads it and moves on, a dead one's
@@ -672,10 +674,9 @@ func (s *System) edgeRounds(ctx context.Context, st *edgeState, writer *snapshot
 		// folded tracks which positions already contributed this round,
 		// for the post-restore duplicate-tolerance window.
 		folded := make([]bool, len(order))
-		comb, err := aggregate.NewCombiner(sim)
-		if err != nil {
-			return err
-		}
+		// Built once the round's invitees are known (below), before the
+		// gather that feeds it.
+		var comb *aggregate.Combiner
 		rs := Phase2RoundStat{EdgeID: edgeID, Round: t}
 		fold := func(msg transport.Message) error {
 			busy := time.Now()
@@ -901,6 +902,18 @@ func (s *System) edgeRounds(ctx context.Context, st *edgeState, writer *snapshot
 				}
 			}
 		}
+		// A sampled round sends a downlink to its invitees only, so only
+		// their rows of Eq. 21 are computed — unless the convergence
+		// monitor is on, which compares every row with the previous
+		// round's.
+		var read []bool
+		if sampling && !monitor {
+			read = invited
+		}
+		var err error
+		if comb, err = aggregate.NewCombinerFor(sim, read); err != nil {
+			return err
+		}
 		spec := transport.GatherSpec{
 			Round:  t,
 			Kinds:  []transport.Kind{transport.KindImportanceSet, transport.KindImportanceDelta},
@@ -1020,21 +1033,18 @@ func (s *System) edgeRounds(ctx context.Context, st *edgeState, writer *snapshot
 			continue
 		}
 		// The fused convergence pass only runs when convergence checking
-		// is on: a nil prev short-circuits SetsDelta to +Inf.
-		prevForDelta := st.prev
-		if s.Cfg.ConvergenceEpsilon <= 0 {
-			prevForDelta = nil
-		}
+		// is on: st.prev stays nil otherwise, which short-circuits
+		// SetsDelta to +Inf.
 		busy := time.Now()
 		var combined []*importance.Set
 		var delta float64
 		if comb.Added() == len(order) {
 			// Full round: identical arithmetic to the pre-session path.
-			combined, delta, err = comb.Result(prevForDelta)
+			combined, delta, err = comb.Result(st.prev)
 		} else {
 			// Quorum round: fold what arrived, renormalize the
 			// similarity mass over the present devices.
-			combined, _, delta, err = comb.ResultPartial(prevForDelta)
+			combined, _, delta, err = comb.ResultPartial(st.prev)
 		}
 		if err != nil {
 			return err
@@ -1045,10 +1055,15 @@ func (s *System) edgeRounds(ctx context.Context, st *edgeState, writer *snapshot
 		// convergence"). The delta comes fused out of the combiner's
 		// finalize pass; round 0 reports +Inf (no previous round).
 		done := t+1 >= s.Cfg.Phase2Rounds
-		if !done && s.Cfg.ConvergenceEpsilon > 0 && delta < s.Cfg.ConvergenceEpsilon {
+		if !done && monitor && delta < s.Cfg.ConvergenceEpsilon {
 			done = true
 		}
-		st.prev = combined
+		if monitor {
+			// The monitor is st.prev's only reader; without it the round's
+			// accumulators are garbage once the downlinks are sent, and a
+			// snapshot has nothing to copy.
+			st.prev = combined
+		}
 		discard := s.Cfg.DiscardPerRound * (t + 1)
 		// Stream the downlinks: every accumulator is final once the last
 		// upload folds, so each device's personalized set is encoded

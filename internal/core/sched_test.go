@@ -61,6 +61,18 @@ func runSchedulerMemory(t *testing.T, cfg Config) (*System, *Result, []sampledTr
 	return sys, res, trace
 }
 
+// stragglerDelay is how long the delayed device of these tests sleeps
+// per round: far past 8× the fleet's median round, so the scheduler must
+// class it slow on any transport. Under the race detector every device's
+// round is an order of magnitude slower — over TCP the median reaches
+// 150 ms and 800 ms is inside the guard — so the delay grows with it.
+func stragglerDelay() time.Duration {
+	if raceDetectorEnabled {
+		return 3 * time.Second
+	}
+	return 800 * time.Millisecond
+}
+
 // pickScheduledVictim probes cfg without any straggler and returns a
 // device the scheduler invites at some round >= 1 (the phase-2 round-0
 // gather shares the setup gather's round stamp, so round 0 yields no
@@ -87,7 +99,7 @@ func pickScheduledVictim(t *testing.T, cfg Config) (devID, edgeID, firstRound in
 // scheduler first observes the delayed device's wall (firstRound —
 // telemetry is identical to the undelayed run until that round's
 // gather), its participations must match the undelayed run; after it,
-// the 800 ms observation lands far past the 8x-median slowness guard
+// the delayed observation lands far past the 8x-median slowness guard
 // and the device must never be invited again.
 func assertStragglerDropped(t *testing.T, label string, base, got []int, firstRound int) {
 	t.Helper()
@@ -115,7 +127,7 @@ func TestSchedulerDeterminismMemory(t *testing.T) {
 	victim, victimEdge, firstRound := pickScheduledVictim(t, cfg)
 	base := cfg
 	cfg.Straggler.SlowDeviceID = victim
-	cfg.Straggler.SlowDeviceDelay = 800 * time.Millisecond
+	cfg.Straggler.SlowDeviceDelay = stragglerDelay()
 
 	_, _, baseTrace := runSchedulerMemory(t, base)
 	sys1, res1, trace1 := runSchedulerMemory(t, cfg)
@@ -154,7 +166,7 @@ func TestSchedSmokeTCP(t *testing.T) {
 	victim, victimEdge, firstRound := pickScheduledVictim(t, cfg)
 	base := cfg
 	cfg.Straggler.SlowDeviceID = victim
-	cfg.Straggler.SlowDeviceDelay = 800 * time.Millisecond
+	cfg.Straggler.SlowDeviceDelay = stragglerDelay()
 
 	_, _, baseTrace := runSchedulerMemory(t, base)
 	_, _, memTrace := runSchedulerMemory(t, cfg)

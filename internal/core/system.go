@@ -741,7 +741,7 @@ func (s *System) assignmentsCopy() map[int]pareto.Candidate {
 // referenceParamCount computes the parameter count of the reference
 // model (backbone + linear head) without training it.
 func referenceParamCount(cfg Config) (float64, error) {
-	bb, err := nn.NewBackbone(cfg.Backbone, rand.New(rand.NewSource(0)))
+	bb, err := nn.NewBackbone(cfg.Backbone, nil)
 	if err != nil {
 		return 0, fmt.Errorf("core: reference shape: %w", err)
 	}

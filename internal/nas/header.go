@@ -172,7 +172,8 @@ func BuildShared(cfg HeaderConfig, arch Architecture, backbone *nn.Backbone, ban
 }
 
 // NewHeaderModel builds a header with privately owned, freshly
-// initialized operations and classifier.
+// initialized operations and classifier — or, for a nil rng, a received
+// one (nn.Param) whose values the caller fills in.
 func NewHeaderModel(cfg HeaderConfig, arch Architecture, backbone *nn.Backbone, rng *rand.Rand) (*HeaderModel, error) {
 	bank := NewOpBank(cfg.DModel, rng)
 	fc1 := nn.NewLinear("header.fc1", 2*cfg.DModel, cfg.Hidden, rng)
@@ -196,14 +197,13 @@ func (h *HeaderModel) Clone(backbone *nn.Backbone) *HeaderModel {
 	out.ops = make([][][2]nn.SeqOp, len(h.ops))
 	out.opMasks = make([][][2][]bool, len(h.ops))
 	out.maskedCols = make([][][2][]int, len(h.ops))
-	rng := rand.New(rand.NewSource(0))
 	for u := range h.ops {
 		out.ops[u] = make([][2]nn.SeqOp, len(h.ops[u]))
 		out.opMasks[u] = make([][2][]bool, len(h.ops[u]))
 		out.maskedCols[u] = make([][2][]int, len(h.ops[u]))
 		for b := range h.ops[u] {
 			for s := 0; s < 2; s++ {
-				out.ops[u][b][s] = cloneOp(h.ops[u][b][s], h.Cfg.DModel, rng)
+				out.ops[u][b][s] = cloneOp(h.ops[u][b][s], h.Cfg.DModel)
 				if m := h.opMasks[u][b][s]; m != nil {
 					out.opMasks[u][b][s] = append([]bool(nil), m...)
 				}
@@ -643,10 +643,12 @@ func cloneLinear(l *nn.Linear) *nn.Linear {
 	return &nn.Linear{In: l.In, Out: l.Out, W: l.W.Clone(), B: l.B.Clone()}
 }
 
-func cloneOp(op nn.SeqOp, dim int, rng *rand.Rand) nn.SeqOp {
+// cloneOp copies op into a received instance (nn.Param): nothing is
+// drawn for the weights about to be overwritten.
+func cloneOp(op nn.SeqOp, dim int) nn.SeqOp {
 	switch o := op.(type) {
 	case *nn.Conv1D:
-		c := nn.NewConv1D(o.W.Name, o.Kernel, dim, rng)
+		c := nn.NewConv1D(o.W.Name, o.Kernel, dim, nil)
 		copy(c.W.Value.Data, o.W.Value.Data)
 		copy(c.B.Value.Data, o.B.Value.Data)
 		return c
@@ -659,12 +661,12 @@ func cloneOp(op nn.SeqOp, dim int, rng *rand.Rand) nn.SeqOp {
 	case *nn.MaxPool1D:
 		return &nn.MaxPool1D{Window: o.Window}
 	case *nn.LayerNormOp:
-		ln := nn.NewLayerNormOp(o.LN.Gain.Name, dim, rng)
+		ln := nn.NewLayerNormOp(o.LN.Gain.Name, dim, nil)
 		copy(ln.LN.Gain.Value.Data, o.LN.Gain.Value.Data)
 		copy(ln.LN.Bias.Value.Data, o.LN.Bias.Value.Data)
 		return ln
 	case *nn.MHSA:
-		m := nn.NewMHSA(o.Wq.Name, dim, o.NumHeads, rng)
+		m := nn.NewMHSA(o.Wq.Name, dim, o.NumHeads, nil)
 		src, dst := o.Params(), m.Params()
 		for i := range src {
 			copy(dst[i].Value.Data, src[i].Value.Data)
@@ -672,7 +674,7 @@ func cloneOp(op nn.SeqOp, dim int, rng *rand.Rand) nn.SeqOp {
 		copy(m.HeadMask, o.HeadMask)
 		return m
 	case *nn.MLP:
-		m := nn.NewMLP(o.FC1.W.Name, o.DModel, o.Hidden, rng)
+		m := nn.NewMLP(o.FC1.W.Name, o.DModel, o.Hidden, nil)
 		src, dst := o.Params(), m.Params()
 		for i := range src {
 			copy(dst[i].Value.Data, src[i].Value.Data)

@@ -11,25 +11,29 @@ type GELU struct {
 	x *tensor.Matrix
 
 	// Reused output buffers; overwritten on the next pass, after
-	// callers have consumed them.
-	y, dx *tensor.Matrix
+	// callers have consumed them. cdf keeps Forward's Φ(x) for Backward,
+	// which would otherwise evaluate erf a second time on the same x.
+	y, dx, cdf *tensor.Matrix
 }
 
 // Forward computes y = x·Φ(x) with the exact Gaussian CDF.
 func (g *GELU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	g.x = x
 	g.y = tensor.Ensure(g.y, x.Rows, x.Cols)
+	g.cdf = tensor.Ensure(g.cdf, x.Rows, x.Cols)
 	for i, v := range x.Data {
-		g.y.Data[i] = v * gaussCDF(v)
+		c := gaussCDF(v)
+		g.cdf.Data[i] = c
+		g.y.Data[i] = v * c
 	}
 	return g.y
 }
 
-// Backward returns dx = dy ∘ gelu'(x).
+// Backward returns dx = dy ∘ gelu'(x), gelu'(x) = Φ(x) + x·φ(x).
 func (g *GELU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	g.dx = tensor.Ensure(g.dx, dy.Rows, dy.Cols)
 	for i, v := range g.x.Data {
-		g.dx.Data[i] = dy.Data[i] * (gaussCDF(v) + v*gaussPDF(v))
+		g.dx.Data[i] = dy.Data[i] * (g.cdf.Data[i] + v*gaussPDF(v))
 	}
 	return g.dx
 }

@@ -52,11 +52,11 @@ func NewMHSA(name string, dModel, numHeads int, rng *rand.Rand) *MHSA {
 		DModel:   dModel,
 		NumHeads: numHeads,
 		HeadDim:  hd,
-		Wq:       NewParam(name+".wq", dModel, dModel),
-		Wk:       NewParam(name+".wk", dModel, dModel),
-		Wv:       NewParam(name+".wv", dModel, dModel),
-		Wo:       NewParam(name+".wo", dModel, dModel),
-		Bo:       NewParam(name+".bo", 1, dModel),
+		Wq:       newParam(name+".wq", dModel, dModel, rng),
+		Wk:       newParam(name+".wk", dModel, dModel, rng),
+		Wv:       newParam(name+".wv", dModel, dModel, rng),
+		Wo:       newParam(name+".wo", dModel, dModel, rng),
+		Bo:       newParam(name+".bo", 1, dModel, rng),
 		HeadMask: make([]bool, numHeads),
 	}
 	for i := range m.HeadMask {

@@ -51,14 +51,20 @@ type Backbone struct {
 	Blocks     []*Block
 	FinalLN    *LayerNorm
 
-	// forward caches
-	tokens []*tensor.Matrix // tokens[l] = input to block l; tokens[ActiveDepth] = last block output
-	final  *tensor.Matrix
+	// Forward caches. Every matrix below is a per-instance buffer (this
+	// backbone's, a block's, a layer's) that the next Forward overwrites:
+	// Forward's result, Embedding, HiddenStates and Penultimate are valid
+	// until then, and after the first sample a Forward allocates nothing.
+	tokens  []*tensor.Matrix // tokens[l] = input to block l; tokens[ActiveDepth] = last block output
+	final   *tensor.Matrix
+	embed   *tensor.Matrix // tokens[0]
+	patches tensor.Matrix  // the current sample viewed as patches × patchDim
 
 	dPatches *tensor.Matrix // reused backward scratch
 }
 
-// NewBackbone builds a randomly initialized reference backbone.
+// NewBackbone builds a randomly initialized reference backbone (a
+// received one for a nil rng, see Param).
 func NewBackbone(cfg BackboneConfig, rng *rand.Rand) (*Backbone, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -68,12 +74,12 @@ func NewBackbone(cfg BackboneConfig, rng *rand.Rand) (*Backbone, error) {
 		Cfg:         cfg,
 		ActiveDepth: cfg.Depth,
 		PatchEmbed:  NewLinear("backbone.embed", patchDim, cfg.DModel, rng),
-		CLS:         NewParam("backbone.cls", 1, cfg.DModel),
-		Pos:         NewParam("backbone.pos", cfg.NumPatches+1, cfg.DModel),
+		CLS:         newParam("backbone.cls", 1, cfg.DModel, rng),
+		Pos:         newParam("backbone.pos", cfg.NumPatches+1, cfg.DModel, rng),
 		FinalLN:     NewLayerNorm("backbone.lnf", cfg.DModel, rng),
 	}
-	b.CLS.Value.Randomize(rng, 0.02)
-	b.Pos.Value.Randomize(rng, 0.02)
+	b.CLS.InitNormal(rng, 0.02)
+	b.Pos.InitNormal(rng, 0.02)
 	b.Blocks = make([]*Block, cfg.Depth)
 	for l := range b.Blocks {
 		b.Blocks[l] = NewBlock(fmt.Sprintf("backbone.blk%d", l), cfg.DModel, cfg.NumHeads, cfg.Hidden, rng)
@@ -86,7 +92,8 @@ func (b *Backbone) SeqLen() int { return b.Cfg.NumPatches + 1 }
 
 // Tokenize embeds sample x into the (seq × d) token matrix — the input
 // of block 0. Exposed for incremental execution (early-exit inference
-// runs blocks one at a time via Blocks[l].Forward).
+// runs blocks one at a time via Blocks[l].Forward). The result is valid
+// until this backbone's next Tokenize or Forward.
 func (b *Backbone) Tokenize(x []float64) (*tensor.Matrix, error) {
 	if len(x) != b.Cfg.InputDim {
 		return nil, fmt.Errorf("nn: sample dim %d want %d", len(x), b.Cfg.InputDim)
@@ -96,10 +103,10 @@ func (b *Backbone) Tokenize(x []float64) (*tensor.Matrix, error) {
 
 // tokenize embeds sample x into the (seq × d) token matrix.
 func (b *Backbone) tokenize(x []float64) *tensor.Matrix {
-	patchDim := b.Cfg.InputDim / b.Cfg.NumPatches
-	patches := tensor.FromSlice(b.Cfg.NumPatches, patchDim, x)
-	emb := b.PatchEmbed.Forward(patches)
-	t := tensor.New(b.SeqLen(), b.Cfg.DModel)
+	b.patches = tensor.Matrix{Rows: b.Cfg.NumPatches, Cols: b.Cfg.InputDim / b.Cfg.NumPatches, Data: x}
+	emb := b.PatchEmbed.Forward(&b.patches)
+	b.embed = tensor.Ensure(b.embed, b.SeqLen(), b.Cfg.DModel)
+	t := b.embed // every row is written below
 	copy(t.Row(0), b.CLS.Value.Data)
 	for i := 0; i < b.Cfg.NumPatches; i++ {
 		copy(t.Row(i+1), emb.Row(i))
@@ -109,12 +116,16 @@ func (b *Backbone) tokenize(x []float64) *tensor.Matrix {
 }
 
 // Forward runs the backbone on sample x (length InputDim) and returns
-// the final (seq × d) representation.
+// the final (seq × d) representation, valid until this backbone's next
+// Forward.
 func (b *Backbone) Forward(x []float64) (*tensor.Matrix, error) {
 	if len(x) != b.Cfg.InputDim {
 		return nil, fmt.Errorf("nn: sample dim %d want %d", len(x), b.Cfg.InputDim)
 	}
-	b.tokens = make([]*tensor.Matrix, b.ActiveDepth+1)
+	if cap(b.tokens) <= b.ActiveDepth {
+		b.tokens = make([]*tensor.Matrix, b.Cfg.Depth+1)
+	}
+	b.tokens = b.tokens[:b.ActiveDepth+1]
 	b.tokens[0] = b.tokenize(x)
 	for l := 0; l < b.ActiveDepth; l++ {
 		b.tokens[l+1] = b.Blocks[l].Forward(b.tokens[l])
@@ -252,9 +263,10 @@ func (b *Backbone) Width() float64 {
 }
 
 // Clone returns a deep copy of the backbone (parameters, masks, depth).
+// The copy is a received model: it holds no gradient storage until it
+// trains.
 func (b *Backbone) Clone() *Backbone {
-	rng := rand.New(rand.NewSource(0))
-	nb, err := NewBackbone(b.Cfg, rng)
+	nb, err := NewBackbone(b.Cfg, nil)
 	if err != nil {
 		// Cfg was already validated at construction; this is unreachable.
 		panic(err)

@@ -269,3 +269,32 @@ func TestScoreMatchesTwoPasses(t *testing.T) {
 		t.Fatalf("Score = (%v, %v), two passes give (%v, %v)", loss, acc, wantLoss, wantAcc)
 	}
 }
+
+// BenchmarkBackboneForward is one sample through the default-sized
+// backbone; after the first sample it should report 0 allocs/op.
+func BenchmarkBackboneForward(b *testing.B) {
+	bb, err := NewBackbone(BackboneConfig{
+		InputDim: 64, NumPatches: 8, DModel: 32, NumHeads: 4, Hidden: 64, Depth: 4,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	xs := make([][]float64, 16)
+	for i := range xs {
+		xs[i] = make([]float64, bb.Cfg.InputDim)
+		for j := range xs[i] {
+			xs[i][j] = rng.NormFloat64()
+		}
+	}
+	if _, err := bb.Forward(xs[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bb.Forward(xs[i%len(xs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

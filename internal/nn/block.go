@@ -16,10 +16,12 @@ type Block struct {
 	LN2  *LayerNorm
 	FFN  *MLP
 
-	// Reused backward buffers. Forward outputs stay freshly allocated
-	// because the backbone caches them across the whole pass (tokens);
-	// backward outputs are consumed by the next-lower block before this
-	// block runs again.
+	// Reused buffers (the tensor.Ensure idiom of Linear). h and y are
+	// Forward's two residual sums; y, the block's output, is what the
+	// backbone keeps in tokens across a pass, and each block has its own,
+	// so it stays valid until this block's next Forward. Backward outputs
+	// are consumed by the next-lower block before this block runs again.
+	h, y   *tensor.Matrix
 	dh, dx *tensor.Matrix
 }
 
@@ -33,10 +35,14 @@ func NewBlock(name string, dModel, numHeads, hidden int, rng *rand.Rand) *Block 
 	}
 }
 
-// Forward applies the block to x (seq × d).
+// Forward applies the block to x (seq × d). The result is valid until
+// this block's next Forward.
 func (b *Block) Forward(x *tensor.Matrix) *tensor.Matrix {
-	h := tensor.Add(x, b.Attn.Forward(b.LN1.Forward(x)))
-	return tensor.Add(h, b.FFN.Forward(b.LN2.Forward(h)))
+	b.h = tensor.Ensure(b.h, x.Rows, x.Cols)
+	tensor.AddInto(b.h, x, b.Attn.Forward(b.LN1.Forward(x)))
+	b.y = tensor.Ensure(b.y, x.Rows, x.Cols)
+	tensor.AddInto(b.y, b.h, b.FFN.Forward(b.LN2.Forward(b.h)))
+	return b.y
 }
 
 // Backward propagates dy through the block and returns dx.

@@ -24,11 +24,11 @@ type LayerNorm struct {
 }
 
 // NewLayerNorm returns a LayerNorm with gain 1 and bias 0.
-func NewLayerNorm(name string, dim int, _ *rand.Rand) *LayerNorm {
+func NewLayerNorm(name string, dim int, rng *rand.Rand) *LayerNorm {
 	ln := &LayerNorm{
 		Dim:  dim,
-		Gain: NewParam(name+".gain", 1, dim),
-		Bias: NewParam(name+".bias", 1, dim),
+		Gain: newParam(name+".gain", 1, dim, rng),
+		Bias: newParam(name+".bias", 1, dim, rng),
 	}
 	ln.Gain.Value.Fill(1)
 	return ln

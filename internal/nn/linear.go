@@ -23,13 +23,14 @@ type Linear struct {
 	dx *tensor.Matrix
 }
 
-// NewLinear returns a Xavier-initialized Linear layer.
+// NewLinear returns a Xavier-initialized Linear layer (a received one
+// for a nil rng, see Param).
 func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{
 		In:  in,
 		Out: out,
-		W:   NewParam(name+".w", in, out),
-		B:   NewParam(name+".b", 1, out),
+		W:   newParam(name+".w", in, out, rng),
+		B:   newParam(name+".b", 1, out, rng),
 	}
 	l.W.InitXavier(rng, in, out)
 	return l

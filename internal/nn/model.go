@@ -22,7 +22,8 @@ type BackboneClassifier struct {
 	Backbone *Backbone
 	Head     *Linear
 
-	cls *tensor.Matrix // cached 1×d CLS representation
+	cls    *tensor.Matrix // 1×d copy of the CLS representation, reused
+	dFinal *tensor.Matrix // reused backward scratch
 }
 
 var _ Classifier = (*BackboneClassifier)(nil)
@@ -41,7 +42,8 @@ func (c *BackboneClassifier) Forward(x []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.cls = tensor.FromSlice(1, f.Cols, append([]float64(nil), f.Row(0)...))
+	c.cls = tensor.Ensure(c.cls, 1, f.Cols)
+	copy(c.cls.Data, f.Row(0))
 	return c.Head.Forward(c.cls).Row(0), nil
 }
 
@@ -49,9 +51,9 @@ func (c *BackboneClassifier) Forward(x []float64) ([]float64, error) {
 func (c *BackboneClassifier) Backward(dlogits []float64) {
 	dl := tensor.FromSlice(1, len(dlogits), dlogits)
 	dcls := c.Head.Backward(dl)
-	dFinal := tensor.New(c.Backbone.SeqLen(), c.Backbone.Cfg.DModel)
-	copy(dFinal.Row(0), dcls.Row(0))
-	c.Backbone.Backward(dFinal, nil)
+	c.dFinal = zeroed(c.dFinal, c.Backbone.SeqLen(), c.Backbone.Cfg.DModel)
+	copy(c.dFinal.Row(0), dcls.Row(0))
+	c.Backbone.Backward(c.dFinal, nil)
 }
 
 // Params implements Module.

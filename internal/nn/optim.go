@@ -57,10 +57,13 @@ type Adam struct {
 	Eps          float64
 	Clip         float64 // max gradient L2 norm per parameter tensor; 0 disables
 
-	t int
-	m map[*Param][]float64
-	v map[*Param][]float64
+	t     int
+	state map[*Param]moments
 }
+
+// moments is Adam's per-parameter state: the first and second moment
+// estimates, each as long as the parameter.
+type moments struct{ m, v []float64 }
 
 var _ Optimizer = (*Adam)(nil)
 
@@ -72,8 +75,7 @@ func NewAdam(lr float64) *Adam {
 		Beta2: 0.999,
 		Eps:   1e-8,
 		Clip:  5,
-		m:     make(map[*Param][]float64),
-		v:     make(map[*Param][]float64),
+		state: make(map[*Param]moments),
 	}
 }
 
@@ -82,16 +84,12 @@ func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	a.meet(params)
 	for _, p := range params {
 		g := p.Grad.Data
 		clipNorm(g, a.Clip)
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float64, len(g))
-			a.m[p] = m
-			a.v[p] = make([]float64, len(g))
-		}
-		v := a.v[p]
+		st := a.state[p]
+		m, v := st.m, st.v
 		for i := range g {
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g[i]*g[i]
@@ -100,6 +98,30 @@ func (a *Adam) Step(params []*Param) {
 			p.Value.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
 		p.ZeroGrad()
+	}
+}
+
+// meet gives every parameter Step has not seen before its zeroed
+// moments, all cut from one slab: a header has some thirty parameters
+// and a device builds a fresh Adam for every round's TrainLocal.
+func (a *Adam) meet(params []*Param) {
+	var need int
+	for _, p := range params {
+		if _, ok := a.state[p]; !ok {
+			need += 2 * len(p.Grad.Data)
+		}
+	}
+	if need == 0 {
+		return
+	}
+	slab := make([]float64, need)
+	for _, p := range params {
+		if _, ok := a.state[p]; ok {
+			continue
+		}
+		n := len(p.Grad.Data)
+		a.state[p] = moments{m: slab[:n:n], v: slab[n : 2*n : 2*n]}
+		slab = slab[2*n:]
 	}
 }
 

@@ -48,8 +48,8 @@ func NewConv1D(name string, kernel, dim int, rng *rand.Rand) *Conv1D {
 	c := &Conv1D{
 		Kernel: kernel,
 		Dim:    dim,
-		W:      NewParam(name+".w", kernel*dim, dim),
-		B:      NewParam(name+".b", 1, dim),
+		W:      newParam(name+".w", kernel*dim, dim, rng),
+		B:      newParam(name+".b", 1, dim, rng),
 	}
 	c.W.InitXavier(rng, kernel*dim, dim)
 	return c

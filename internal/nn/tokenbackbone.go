@@ -58,14 +58,14 @@ func NewTokenBackbone(cfg TokenBackboneConfig, rng *rand.Rand) (*TokenBackbone, 
 	b := &TokenBackbone{
 		Cfg:         cfg,
 		ActiveDepth: cfg.Depth,
-		Emb:         NewParam("token.emb", cfg.VocabSize, cfg.DModel),
-		CLS:         NewParam("token.cls", 1, cfg.DModel),
-		Pos:         NewParam("token.pos", cfg.SeqLen+1, cfg.DModel),
+		Emb:         newParam("token.emb", cfg.VocabSize, cfg.DModel, rng),
+		CLS:         newParam("token.cls", 1, cfg.DModel, rng),
+		Pos:         newParam("token.pos", cfg.SeqLen+1, cfg.DModel, rng),
 		FinalLN:     NewLayerNorm("token.lnf", cfg.DModel, rng),
 	}
-	b.Emb.Value.Randomize(rng, 0.1)
-	b.CLS.Value.Randomize(rng, 0.02)
-	b.Pos.Value.Randomize(rng, 0.02)
+	b.Emb.InitNormal(rng, 0.1)
+	b.CLS.InitNormal(rng, 0.02)
+	b.Pos.InitNormal(rng, 0.02)
 	b.Blocks = make([]*Block, cfg.Depth)
 	for l := range b.Blocks {
 		b.Blocks[l] = NewBlock(fmt.Sprintf("token.blk%d", l), cfg.DModel, cfg.NumHeads, cfg.Hidden, rng)

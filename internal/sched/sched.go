@@ -440,22 +440,37 @@ func gridDominates(a, b [numObj]int, w [numObj]float64) bool {
 
 // slowClass quantizes a measured wall EWMA into a coarse slowness
 // class relative to the fleet's median positive EWMA: 0 for anything
-// within guard× the median (ordinary scheduling and transport jitter),
-// then one class per further doubling. Only classes — never raw wall
-// values — enter the objective, so the same run picks identically over
-// memory and TCP even though the measured offsets differ.
+// within guard× the median (ordinary scheduling and transport jitter)
+// or under slowFloor outright, then one class per further doubling.
+// Only classes — never raw wall values — enter the objective, so the
+// same run picks identically over memory and TCP even though the
+// measured offsets differ.
 func slowClass(wall, median float64) int {
-	const guard = 8
 	if !isFinite(wall) {
 		// An unmeasurable wall can't prove the member fast: first class
 		// past the guard.
 		return 1
 	}
-	if median <= 0 || wall <= guard*median {
+	if median <= 0 || wall < slowFloor || wall <= guard*median {
 		return 0
 	}
 	return 1 + int(math.Log2(wall/(guard*median)))
 }
+
+const (
+	// guard is how many fleet medians a wall may reach before it counts
+	// as slow.
+	guard = 8
+	// slowFloor, in seconds, is the wall under which a member is never
+	// slow, whatever the median. A ratio alone misreads a fast fleet:
+	// when every member answers in well under a millisecond, the median
+	// is tens of microseconds and one goroutine preemption (a few
+	// hundred) is already 8× it, so which members look slow — and with
+	// them the round's picks — would depend on the host's scheduler. No
+	// deadline this runtime enforces is anywhere near as short as 50 ms,
+	// so a wall below it says nothing about the member.
+	slowFloor = 0.050
+)
 
 // medianPositive returns the median of the members' positive wall
 // EWMAs — members never yet measured don't drag the reference down.

@@ -208,3 +208,30 @@ func TestWeightsZeroValueIsFlat(t *testing.T) {
 		t.Fatalf("zero-value weights must normalize to flat")
 	}
 }
+
+// TestSlowClassFloor: the class is a ratio to the fleet median, except
+// that a wall under slowFloor is never slow. Without the floor a fleet
+// answering in tens of microseconds classes a member by one goroutine
+// preemption, and the picks follow the host's scheduler.
+func TestSlowClassFloor(t *testing.T) {
+	cases := []struct {
+		name         string
+		wall, median float64
+		want         int
+	}{
+		{"preempted member of a microsecond fleet", 900e-6, 40e-6, 0},
+		{"just under the floor", slowFloor - 1e-9, 1e-6, 0},
+		{"at the floor, past the guard", slowFloor, 1e-3, 3},
+		{"past the floor, inside the guard", 0.4, 0.1, 0},
+		{"straggler", 0.8, 0.01, 4},
+		{"one doubling past the guard", 0.2, 0.01, 2},
+		{"no median yet", 5, 0, 0},
+		{"unmeasurable", math.Inf(1), 0.01, 1},
+		{"not a number", math.NaN(), 0.01, 1},
+	}
+	for _, c := range cases {
+		if got := slowClass(c.wall, c.median); got != c.want {
+			t.Errorf("%s: slowClass(%g, %g) = %d, want %d", c.name, c.wall, c.median, got, c.want)
+		}
+	}
+}
