@@ -31,6 +31,7 @@ package acme
 
 import (
 	"context"
+	"flag"
 
 	"acme/internal/core"
 	"acme/internal/data"
@@ -43,8 +44,8 @@ import (
 // field documentation.
 type Config = core.Config
 
-// WireOptions groups the payload-shaping knobs (Config.Wire): codec,
-// quantization, and the delta/top-k sparsification schemes.
+// WireOptions groups the payload-shaping knobs (Config.Wire): entropy
+// coding, quantization, and the delta/top-k sparsification schemes.
 type WireOptions = core.WireOptions
 
 // StragglerPolicy groups the round-scoped straggler cutoff and the
@@ -166,6 +167,13 @@ const (
 // DefaultConfig returns a micro-scale configuration that runs a full
 // pipeline in seconds.
 func DefaultConfig() Config { return core.DefaultConfig() }
+
+// BindFlags declares the run flags shared by every ACME command line
+// on fs, defaulted from *cfg, and returns the function that writes the
+// parsed values into *cfg after fs.Parse. See core.BindFlags.
+func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
+	return core.BindFlags(fs, cfg)
+}
 
 // NewSystem validates cfg and materializes the fleet, datasets, and
 // in-memory network.

@@ -228,20 +228,6 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkExtMultiExit regenerates the multi-exit extension's
-// accuracy-vs-depth frontier.
-func BenchmarkExtMultiExit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.ExtMultiExit()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) != 6 {
-			b.Fatalf("got %d rows", len(t.Rows))
-		}
-	}
-}
-
 // BenchmarkAblationTopKSparsification measures the uplink saving of
 // top-k importance-set sparsification on a real pipeline run.
 func BenchmarkAblationTopKSparsification(b *testing.B) {

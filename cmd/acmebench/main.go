@@ -17,7 +17,6 @@ import (
 	"acme/internal/core"
 	"acme/internal/experiments"
 	"acme/internal/tensor"
-	"acme/internal/transport"
 )
 
 func main() {
@@ -31,14 +30,13 @@ func run() error {
 	exp := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 	seeds := flag.Int("seeds", 2, "seeds for averaged micro-scale experiments")
 	parallel := flag.Int("parallel", 0, "tensor-kernel goroutines (0 = GOMAXPROCS)")
-	wireName := flag.String("wire", "binary", "wire format for measured runs: binary, gob")
 	quant := flag.String("quant", "lossless", "payload quantization for measured runs: lossless, float16, int8, mixed")
 	delta := flag.Bool("delta", false, "delta-encode importance payloads (both directions) in measured runs")
 	entropy := flag.Bool("entropy", false, "entropy-code bulk payloads in measured runs (lossless range coder under the binary codec)")
 	refresh := flag.Int("refresh", 0, "device importance full-refresh period in measured runs (≤1 = full recompute every round)")
 	quorum := flag.Float64("quorum", 0, "straggler quorum fraction in (0,1) for measured runs (set together with -cutoff)")
 	cutoff := flag.Duration("cutoff", 0, "straggler deadline per aggregation round for measured runs")
-	benchJSON := flag.String("benchjson", "BENCH_3.json", "output path for the bench3 trajectory JSON (bench3 pins its own dense/delta × lossless/mixed variants; -wire/-quant/-delta do not apply to it)")
+	benchJSON := flag.String("benchjson", "BENCH_3.json", "output path for the bench3 trajectory JSON (bench3 pins its own dense/delta × lossless/mixed variants; -quant/-delta do not apply to it)")
 	bench4JSON := flag.String("bench4json", "BENCH_4.json", "output path for the bench4 symmetric-exchange JSON (bench4 pins its own memory/TCP × dense/delta variants)")
 	bench5JSON := flag.String("bench5json", "BENCH_5.json", "output path for the bench5 straggler-cutoff JSON (bench5 pins its own wait/cutoff variants)")
 	bench6JSON := flag.String("bench6json", "BENCH_6.json", "output path for the bench6 fleet-sampling JSON (bench6 pins its own full/sampled fleet variants)")
@@ -52,10 +50,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := transport.CodecByName(*wireName); err != nil {
-		return err
-	}
-	experiments.SetWireOptions(*wireName, qm, *delta, *entropy, *refresh)
+	experiments.SetWireOptions(qm, *delta, *entropy, *refresh)
 	experiments.SetSessionOptions(*quorum, *cutoff)
 
 	type runner struct {
@@ -77,7 +72,6 @@ func run() error {
 		{"fig12", wrap(experiments.Fig12)},
 		{"fig13a", wrap(experiments.Fig13a)},
 		{"fig13b", wrap(experiments.Fig13b)},
-		{"ext-multiexit", experiments.ExtMultiExit},
 		{"ext-opset", experiments.ExtOpSet},
 		{"ablation-distill", experiments.AblationDistillation},
 		{"ablation-controller", experiments.AblationController},

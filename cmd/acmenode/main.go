@@ -37,47 +37,15 @@ func run() error {
 	role := flag.String("role", "", "role to run: cloud, edge-N, device-N, collector")
 	listen := flag.String("listen", "", "listen address for this node")
 	peers := flag.String("peers", "", "comma-separated name=addr peer list (must include every role)")
-	edges := flag.Int("edges", 1, "edge servers")
-	devices := flag.Int("devices", 2, "devices per cluster")
-	samples := flag.Int("samples", 160, "samples per device (identical across processes)")
-	rounds := flag.Int("rounds", 2, "phase 2-2 loop rounds T (identical across processes)")
-	seed := flag.Int64("seed", 1, "shared random seed (identical across processes)")
+	// The run flags are the ones acmesim takes, bound once next to
+	// Config; only the fleet shape defaults differ (1 edge × 2 devices).
+	cfg := acme.DefaultConfig()
+	cfg.EdgeServers = 1
+	cfg.Fleet.Spec.DevicesPerCluster = 2
+	apply := acme.BindFlags(flag.CommandLine, &cfg)
 	timeout := flag.Duration("timeout", 10*time.Minute, "run timeout")
-	wireName := flag.String("wire", "binary", "wire format: binary, gob (identical across processes)")
-	entropy := flag.Bool("entropy", false, "entropy-code bulk payloads (lossless; receivers detect entropy frames without configuration, so mixed fleets interoperate)")
-	quant := flag.String("quant", "lossless", "payload quantization: lossless, float16, int8, mixed (identical across processes)")
-	delta := flag.Bool("delta", false, "delta-encode successive importance payloads in both directions (identical across processes)")
-	refresh := flag.Int("refresh", 0, "device importance full-refresh period (identical across processes)")
-	quorum := flag.Float64("quorum", 0, "straggler quorum fraction in (0,1) for edge rounds (identical across processes)")
-	cutoff := flag.Duration("cutoff", 0, "straggler deadline per aggregation round (set together with -quorum)")
-	straggle := flag.Duration("straggle", 0, "artificially delay device 0's upload by this much every round (identical across processes; pairs with -quorum/-cutoff)")
-	sampleFrac := flag.Float64("sample-frac", 0, "per-round participation fraction in (0,1) (identical across processes)")
-	sampleSeed := flag.Int64("sample-seed", 0, "participation sampling seed, 0 = derive from -seed (identical across processes)")
-	schedMode := flag.String("sched", "", "round scheduler: uniform or pareto (identical across processes; pareto needs -sample-frac)")
-	schedWeights := flag.String("sched-weights", "", "pareto scheduler objective weights, positional or named (identical across processes)")
-	sharedShards := flag.Bool("shared-shards", false, "share one training shard per data group across its devices (identical across processes)")
 	rejoin := flag.Bool("rejoin", false, "device roles only: rejoin a run already in progress via a dense resync instead of the setup handshake")
-	ckptPath := flag.String("ckpt-path", "", "checkpoint directory: write durable session snapshots at round boundaries (identical across processes)")
-	ckptEvery := flag.Int("ckpt-every", 0, "snapshot every Nth round (0 or 1 = every round; identical across processes)")
-	ckptFsync := flag.Bool("ckpt-fsync", false, "fsync snapshots to stable storage before they count (identical across processes)")
 	restore := flag.Bool("restore", false, "edge and device roles: restore this role from its -ckpt-path snapshot and re-enter the run in progress")
-	chaosOn := flag.Bool("chaos", false, "wrap this node's transport in the seeded link-fault model (timing only; per-node — a mixed fleet interoperates)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "link-fault schedule seed (0 = derive from -seed)")
-	chaosBase := flag.Duration("chaos-base", 200*time.Microsecond, "chaos per-message base delay")
-	chaosJitter := flag.Duration("chaos-jitter", 2*time.Millisecond, "chaos uniform jitter on top of the base delay")
-	chaosSpikeProb := flag.Float64("chaos-spike-prob", 0.1, "chaos per-message probability of a latency spike")
-	chaosSpike := flag.Duration("chaos-spike", 10*time.Millisecond, "chaos extra delay of a latency spike")
-	chaosBandwidth := flag.Int64("chaos-bandwidth", 0, "chaos per-link bandwidth in bytes/s for serialization delay (0 = unlimited)")
-	byzStrategy := flag.String("byzantine", "", "byzantine strategy for the first -byzantine-count devices: inflate, fabricate, replay (identical across processes)")
-	byzCount := flag.Int("byzantine-count", 1, "how many devices lie (identical across processes)")
-	byzProb := flag.Float64("byzantine-prob", 1, "per-round lie probability (identical across processes)")
-	byzFactor := flag.Float64("byzantine-factor", 0, "corruption scale, 0 = default 10 (identical across processes)")
-	byzSeed := flag.Int64("byzantine-seed", 0, "lie-draw seed, 0 = derive from -seed (identical across processes)")
-	detect := flag.Bool("detect", false, "arm the edge-side statistical detector (identical across processes)")
-	detectK := flag.Float64("detect-k", 0, "detector MAD multiplier (0 = default 3, identical across processes)")
-	detectMargin := flag.Float64("detect-margin", 0, "detector median slack (0 = default 0.5, identical across processes)")
-	detectStrikes := flag.Int("detect-strikes", 0, "flagged rounds before eviction (0 = default 2, negative = never evict; identical across processes)")
-	detectReplay := flag.Float64("detect-replay", 0, "flag devices whose uploads repeat verbatim in at least this fraction of scored rounds (0 = off; identical across processes)")
 	flag.Parse()
 
 	if *role == "" || *listen == "" || *peers == "" {
@@ -91,60 +59,8 @@ func run() error {
 		}
 		peerMap[parts[0]] = parts[1]
 	}
-
-	cfg := acme.DefaultConfig()
-	cfg.EdgeServers = *edges
-	cfg.Fleet.Spec.Clusters = *edges
-	cfg.Fleet.Spec.DevicesPerCluster = *devices
-	cfg.SamplesPerDevice = *samples
-	cfg.Phase2Rounds = *rounds
-	cfg.Seed = *seed
-	cfg.Wire.Format = *wireName
-	cfg.Wire.Entropy = *entropy
-	qm, err := acme.ParseQuantMode(*quant)
-	if err != nil {
+	if err := apply(); err != nil {
 		return err
-	}
-	cfg.Wire.Quantization = qm
-	cfg.Wire.DeltaImportance = *delta
-	cfg.ImportanceRefreshPeriod = *refresh
-	cfg.Straggler.Quorum = *quorum
-	cfg.Straggler.Deadline = *cutoff
-	if *straggle > 0 {
-		cfg.Straggler.SlowDeviceID = 0
-		cfg.Straggler.SlowDeviceDelay = *straggle
-	}
-	cfg.Fleet.SampleFrac = *sampleFrac
-	cfg.Fleet.SampleSeed = *sampleSeed
-	cfg.Fleet.Scheduler.Mode = *schedMode
-	if cfg.Fleet.Scheduler.Weights, err = acme.ParseSchedulerWeights(*schedWeights); err != nil {
-		return err
-	}
-	cfg.Fleet.SharedShards = *sharedShards
-	if *byzStrategy != "" {
-		cfg.Fleet.Byzantine = acme.ByzantineOptions{
-			Strategy: *byzStrategy,
-			Count:    *byzCount,
-			Prob:     *byzProb,
-			Factor:   *byzFactor,
-			Seed:     *byzSeed,
-		}
-	}
-	if *detect {
-		cfg.Fleet.Detect = acme.DetectOptions{
-			Enabled:     true,
-			K:           *detectK,
-			Margin:      *detectMargin,
-			StrikeLimit: *detectStrikes,
-			ReplayFrac:  *detectReplay,
-		}
-	}
-	if *ckptPath != "" {
-		cfg.Checkpoint = acme.CheckpointOptions{
-			Path:  *ckptPath,
-			Every: *ckptEvery,
-			Fsync: *ckptFsync,
-		}
 	}
 
 	tcpNet, err := transport.NewTCP(*role, *listen, peerMap)
@@ -152,21 +68,14 @@ func run() error {
 		return err
 	}
 	var net transport.Transport = tcpNet
-	if *chaosOn {
+	if cfg.Chaos.Enabled {
 		// Per-node link chaos over the real TCP transport: this node's
 		// sends are delayed per the seeded schedule; nodes without the
-		// flag interoperate untouched.
-		seed := *chaosSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		net = chaos.New(tcpNet, chaos.Options{Seed: seed, Default: chaos.Profile{
-			BaseDelay:    *chaosBase,
-			Jitter:       *chaosJitter,
-			SpikeProb:    *chaosSpikeProb,
-			SpikeDelay:   *chaosSpike,
-			BandwidthBps: *chaosBandwidth,
-		}})
+		// flag interoperate untouched. Config.Chaos itself wraps the
+		// in-memory transport, which this process never uses, so it is
+		// cleared once the profile is taken.
+		net = chaos.New(tcpNet, chaos.Options{Seed: cfg.ChaosSeed(), Default: cfg.Chaos.Profile()})
+		cfg.Chaos = acme.ChaosOptions{}
 	}
 	defer net.Close()
 

@@ -25,52 +25,15 @@ func main() {
 }
 
 func run() error {
-	edges := flag.Int("edges", 2, "edge servers (device clusters)")
-	devices := flag.Int("devices", 3, "devices per cluster")
-	samples := flag.Int("samples", 160, "samples per device")
-	rounds := flag.Int("rounds", 2, "phase 2-2 loop rounds T")
+	cfg := acme.DefaultConfig()
+	apply := acme.BindFlags(flag.CommandLine, &cfg)
 	level := flag.String("level", "C1", "data distribution: IID, C1, C2, C3")
 	dataset := flag.String("dataset", "cifar100", "dataset family: cifar100, cars")
 	agg := flag.String("agg", "wasserstein", "aggregation: wasserstein, js, average, alone")
-	seed := flag.Int64("seed", 1, "random seed")
 	timeout := flag.Duration("timeout", 10*time.Minute, "run timeout")
-	parallel := flag.Int("parallel", 0, "tensor-kernel goroutines (0 = GOMAXPROCS)")
-	wireName := flag.String("wire", "binary", "wire format: binary, gob")
-	entropy := flag.Bool("entropy", false, "entropy-code bulk payloads: an adaptive range coder under the binary codec (lossless, decoded results identical)")
-	quant := flag.String("quant", "lossless", "payload quantization: lossless, float16, int8, mixed")
-	delta := flag.Bool("delta", false, "delta-encode successive importance payloads in both directions (round t vs t−1)")
-	refresh := flag.Int("refresh", 0, "device importance full-refresh period (≤1 = full recompute every round; >1 folds only new batches in between, overlapped with the upload)")
-	quorum := flag.Float64("quorum", 0, "straggler quorum fraction in (0,1): combine a round once this share of uploads arrived and -cutoff elapsed (0 = wait for every device)")
-	cutoff := flag.Duration("cutoff", 0, "straggler deadline per aggregation round (set together with -quorum)")
-	straggle := flag.Duration("straggle", 0, "artificially delay device 0's upload by this much every round (a deterministic straggler for -quorum/-cutoff demos)")
-	sampleFrac := flag.Float64("sample-frac", 0, "per-round participation fraction in (0,1): each round every edge invites only a seeded sample of its live devices (0 = full participation)")
-	sampleSeed := flag.Int64("sample-seed", 0, "participation sampling seed (0 = derive from -seed)")
-	schedMode := flag.String("sched", "", "round scheduler: uniform (seeded draw, default) or pareto (score live members over gain/bytes/latency/energy and pick from the non-dominated frontier; needs -sample-frac)")
-	schedWeights := flag.String("sched-weights", "", "pareto scheduler objective weights: \"gain,bytes,latency,energy\" or named \"gain=2,bytes=1\" (default flat)")
-	sharedShards := flag.Bool("shared-shards", false, "share one training shard per data group across its devices (memory scaling for thousands of simulated devices)")
-	chaosOn := flag.Bool("chaos", false, "wrap the in-memory transport in the seeded link-fault model (timing only — seeded results are identical with it on or off)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "link-fault schedule seed (0 = derive from -seed)")
-	chaosBase := flag.Duration("chaos-base", 200*time.Microsecond, "chaos per-message base delay")
-	chaosJitter := flag.Duration("chaos-jitter", 2*time.Millisecond, "chaos uniform jitter on top of the base delay")
-	chaosSpikeProb := flag.Float64("chaos-spike-prob", 0.1, "chaos per-message probability of a latency spike")
-	chaosSpike := flag.Duration("chaos-spike", 10*time.Millisecond, "chaos extra delay of a latency spike")
-	chaosBandwidth := flag.Int64("chaos-bandwidth", 0, "chaos per-link bandwidth in bytes/s for serialization delay (0 = unlimited)")
-	byzStrategy := flag.String("byzantine", "", "byzantine strategy for the first -byzantine-count devices: inflate, fabricate, replay ('' = none)")
-	byzCount := flag.Int("byzantine-count", 1, "how many devices lie (IDs 0..count-1)")
-	byzProb := flag.Float64("byzantine-prob", 1, "per-round lie probability of each byzantine device")
-	byzFactor := flag.Float64("byzantine-factor", 0, "corruption scale: inflate multiplier / fabricate range (0 = default 10)")
-	byzSeed := flag.Int64("byzantine-seed", 0, "lie-draw seed (0 = derive from -seed)")
-	detect := flag.Bool("detect", false, "arm the edge-side statistical detector: Wasserstein anomaly scoring, suspect exclusion, strike-limit eviction")
-	detectK := flag.Float64("detect-k", 0, "detector MAD multiplier in the outlier threshold (0 = default 3)")
-	detectMargin := flag.Float64("detect-margin", 0, "detector relative slack on the median score (0 = default 0.5)")
-	detectStrikes := flag.Int("detect-strikes", 0, "flagged rounds before eviction (0 = default 2, negative = never evict)")
-	detectReplay := flag.Float64("detect-replay", 0, "flag devices whose uploads repeat verbatim in at least this fraction of scored rounds (0 = off)")
-	ckptPath := flag.String("ckpt-path", "", "checkpoint directory: write durable session snapshots at round boundaries")
-	ckptEvery := flag.Int("ckpt-every", 0, "snapshot every Nth round (0 or 1 = every round)")
-	ckptFsync := flag.Bool("ckpt-fsync", false, "fsync snapshots to stable storage before they count")
+	flag.IntVar(&cfg.Parallelism, "parallel", 0, "tensor-kernel goroutines (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	cfg := acme.DefaultConfig()
 	switch *dataset {
 	case "cifar100":
 		// default spec
@@ -82,72 +45,9 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown dataset %q", *dataset)
 	}
-	cfg.EdgeServers = *edges
-	cfg.Fleet.Spec.Clusters = *edges
-	cfg.Fleet.Spec.DevicesPerCluster = *devices
-	cfg.SamplesPerDevice = *samples
-	cfg.Phase2Rounds = *rounds
-	cfg.Seed = *seed
-	cfg.Parallelism = *parallel
-	cfg.Wire.Format = *wireName
-	cfg.Wire.Entropy = *entropy
-	qm, err := acme.ParseQuantMode(*quant)
-	if err != nil {
+	if err := apply(); err != nil {
 		return err
 	}
-	cfg.Wire.Quantization = qm
-	cfg.Wire.DeltaImportance = *delta
-	cfg.ImportanceRefreshPeriod = *refresh
-	cfg.Straggler.Quorum = *quorum
-	cfg.Straggler.Deadline = *cutoff
-	if *straggle > 0 {
-		cfg.Straggler.SlowDeviceID = 0
-		cfg.Straggler.SlowDeviceDelay = *straggle
-	}
-	cfg.Fleet.SampleFrac = *sampleFrac
-	cfg.Fleet.SampleSeed = *sampleSeed
-	cfg.Fleet.Scheduler.Mode = *schedMode
-	if cfg.Fleet.Scheduler.Weights, err = acme.ParseSchedulerWeights(*schedWeights); err != nil {
-		return err
-	}
-	cfg.Fleet.SharedShards = *sharedShards
-	if *chaosOn {
-		cfg.Chaos = acme.ChaosOptions{
-			Enabled:      true,
-			Seed:         *chaosSeed,
-			BaseDelay:    *chaosBase,
-			Jitter:       *chaosJitter,
-			SpikeProb:    *chaosSpikeProb,
-			SpikeDelay:   *chaosSpike,
-			BandwidthBps: *chaosBandwidth,
-		}
-	}
-	if *byzStrategy != "" {
-		cfg.Fleet.Byzantine = acme.ByzantineOptions{
-			Strategy: *byzStrategy,
-			Count:    *byzCount,
-			Prob:     *byzProb,
-			Factor:   *byzFactor,
-			Seed:     *byzSeed,
-		}
-	}
-	if *detect {
-		cfg.Fleet.Detect = acme.DetectOptions{
-			Enabled:     true,
-			K:           *detectK,
-			Margin:      *detectMargin,
-			StrikeLimit: *detectStrikes,
-			ReplayFrac:  *detectReplay,
-		}
-	}
-	if *ckptPath != "" {
-		cfg.Checkpoint = acme.CheckpointOptions{
-			Path:  *ckptPath,
-			Every: *ckptEvery,
-			Fsync: *ckptFsync,
-		}
-	}
-
 	switch *level {
 	case "IID":
 		cfg.Level = acme.IID
@@ -184,7 +84,7 @@ func run() error {
 	elapsed := time.Since(start)
 
 	fmt.Printf("ACME run: %d edges × %d devices, %s data, %s aggregation (%.1fs)\n\n",
-		*edges, *devices, *level, *agg, elapsed.Seconds())
+		cfg.EdgeServers, cfg.Fleet.Spec.DevicesPerCluster, *level, *agg, elapsed.Seconds())
 
 	fmt.Println("cluster backbone assignments:")
 	edgeIDs := make([]int, 0, len(res.Assignments))
@@ -229,8 +129,8 @@ func run() error {
 		res.SearchSpaceOurs, res.SearchSpaceCS)
 
 	st := res.Stats
-	fmt.Printf("\nwire traffic (%s codec, %s payloads): %d messages, %d wire bytes, %d in-memory bytes (ratio %.2f); received %d messages, %d bytes\n",
-		*wireName, qm, st.TotalMessages(), st.TotalBytes(), st.TotalRawBytes(), st.CompressionRatio(),
+	fmt.Printf("\nwire traffic (binary codec, %s payloads): %d messages, %d wire bytes, %d in-memory bytes (ratio %.2f); received %d messages, %d bytes\n",
+		cfg.Wire.Quantization, st.TotalMessages(), st.TotalBytes(), st.TotalRawBytes(), st.CompressionRatio(),
 		st.TotalReceivedMessages(), st.TotalReceivedBytes())
 	wireByKind := st.BytesByKind()
 	rawByKind := st.RawBytesByKind()

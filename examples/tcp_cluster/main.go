@@ -33,9 +33,6 @@ func main() {
 	cfg.Fleet.Spec.DevicesPerCluster = 2
 	cfg.SamplesPerDevice = 80
 	cfg.Phase2Rounds = 1
-	// The compact binary wire format is the default; set it explicitly
-	// here because every process of a TCP deployment must agree on it.
-	cfg.Wire.Format = "binary"
 	// Entropy coding is sender-side: receivers detect entropy frames on
 	// the wire, so every process decodes correctly whether or not its
 	// own config sets this.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -383,12 +381,7 @@ func LoadDeviceCheckpoint(dir string, id int) (*nn.Backbone, *nas.HeaderModel, e
 		return nil, nil, fmt.Errorf("core: read checkpoint: %w", err)
 	}
 	var cp DeviceCheckpoint
-	if checkpoint.IsEnvelope(raw) {
-		if _, err := checkpoint.Decode(raw, &cp); err != nil {
-			return nil, nil, fmt.Errorf("core: decode checkpoint: %w", err)
-		}
-	} else if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&cp); err != nil {
-		// Legacy bare-gob checkpoint, written before the envelope.
+	if _, err := checkpoint.Decode(raw, &cp); err != nil {
 		return nil, nil, fmt.Errorf("core: decode checkpoint: %w", err)
 	}
 	backbone, err := DecodeBackbone(cp.Package.Backbone)

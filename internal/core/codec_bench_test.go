@@ -31,7 +31,6 @@ func BenchmarkEncodeBackbone(b *testing.B) {
 		codec transport.Codec
 		mode  QuantMode
 	}{
-		{"gob-lossless", transport.Gob, QuantLossless},
 		{"binary-lossless", transport.Binary, QuantLossless},
 		{"binary-float16", transport.Binary, QuantFloat16},
 		{"binary-int8", transport.Binary, QuantInt8},
@@ -62,7 +61,6 @@ func BenchmarkDecodeBackbone(b *testing.B) {
 		codec transport.Codec
 		mode  QuantMode
 	}{
-		{"gob-lossless", transport.Gob, QuantLossless},
 		{"binary-lossless", transport.Binary, QuantLossless},
 		{"binary-int8", transport.Binary, QuantInt8},
 	}

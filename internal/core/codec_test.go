@@ -1,10 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"acme/internal/checkpoint"
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
@@ -37,12 +43,12 @@ func TestBackboneCodecRoundTrip(t *testing.T) {
 	asg := EncodeBackbone(bb, 0.5, 2, pareto.Candidate{W: 0.5, D: 2}, QuantLossless)
 
 	// Through the wire.
-	raw, err := transport.Encode(asg)
+	raw, err := transport.Binary.Encode(asg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decodedAsg BackboneAssignment
-	if err := transport.Decode(raw, &decodedAsg); err != nil {
+	if err := transport.Binary.Decode(raw, &decodedAsg); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeBackbone(decodedAsg)
@@ -84,12 +90,12 @@ func TestHeaderCodecRoundTrip(t *testing.T) {
 	pkg := EncodeHeader(h, QuantLossless)
 	pkg.Backbone = EncodeBackbone(bb, 1, 3, pareto.Candidate{}, QuantLossless)
 
-	raw, err := transport.Encode(pkg)
+	raw, err := transport.Binary.Encode(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded HeaderPackage
-	if err := transport.Decode(raw, &decoded); err != nil {
+	if err := transport.Binary.Decode(raw, &decoded); err != nil {
 		t.Fatal(err)
 	}
 	bb2, err := DecodeBackbone(decoded.Backbone)
@@ -144,5 +150,27 @@ func TestDecodeBackboneRejectsCorruptMasks(t *testing.T) {
 	asg2.Params[0].Data = asg2.Params[0].Data[:1]
 	if _, err := DecodeBackbone(asg2); err == nil {
 		t.Fatal("expected param-size error")
+	}
+}
+
+// TestLoadDeviceCheckpointRejectsBareGob: device checkpoints are
+// envelope files; a bare gob stream from before the envelope existed is
+// refused with the envelope's own diagnosis, not decoded on a guess.
+func TestLoadDeviceCheckpointRejectsBareGob(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	bb := codecBackbone(t, rng)
+	cp := DeviceCheckpoint{DeviceID: 0, Package: HeaderPackage{
+		Backbone: EncodeBackbone(bb, 1, 3, pareto.Candidate{}, QuantLossless),
+	}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "device-0.ckpt"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadDeviceCheckpoint(dir, 0); !errors.Is(err, checkpoint.ErrMagic) {
+		t.Fatalf("bare-gob device checkpoint: got %v, want an error wrapping %v", err, checkpoint.ErrMagic)
 	}
 }

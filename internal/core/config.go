@@ -19,19 +19,15 @@ import (
 	"acme/internal/pareto"
 	"acme/internal/prune"
 	"acme/internal/sched"
-	"acme/internal/transport"
 )
 
 // WireOptions groups the knobs that shape protocol payloads on the
-// wire: codec, quantization, and the two sparsification schemes. They
+// wire: entropy coding, quantization, and the two sparsification
+// schemes. Payloads always travel in the compact binary codec
+// (internal/wire) — what Table I's traffic numbers measure. They
 // change measured traffic, never seeded results (lossless settings are
 // bitwise-identical across all of them).
 type WireOptions struct {
-	// Format selects the payload codec for protocol messages: "binary"
-	// (default — compact pooled wire codec, what Table I's traffic
-	// numbers measure) or "gob" (legacy, kept for compatibility runs).
-	// In TCP mode every process must agree.
-	Format string
 	// Entropy layers an adaptive order-0 range coder under the binary
 	// codec for the bulk payload kinds (raw shards, provisioned data,
 	// header/backbone packages, importance sets and deltas). It is
@@ -39,15 +35,14 @@ type WireOptions struct {
 	// frame would not be strictly smaller than its plain binary frame
 	// travels plain. Receivers need no configuration — the wire layer
 	// detects and expands entropy frames transparently — so decoded
-	// results are bitwise identical with the flag on or off. Requires
-	// the binary (or entropy) format.
+	// results are bitwise identical with the flag on or off.
 	Entropy bool
 	// Quantization selects the precision of parameter and importance
-	// payloads. Lossless (default) reproduces bitwise-identical
-	// results across codecs; QuantFloat16/QuantInt8 deterministically
-	// compress model traffic 4×/8× at bounded precision cost, and
-	// QuantMixed picks float16 or int8 per layer from the measured
-	// quantization error of the payload itself.
+	// payloads. Lossless (default) ships exact parameters and float32
+	// importance; QuantFloat16/QuantInt8 deterministically compress
+	// model traffic 4×/8× at bounded precision cost, and QuantMixed
+	// picks float16 or int8 per layer from the measured quantization
+	// error of the payload itself.
 	Quantization QuantMode
 	// DeltaImportance makes the Phase 2-2 exchange symmetric and
 	// sparse: devices upload round-t importance sets as deltas against
@@ -74,12 +69,6 @@ type WireOptions struct {
 func (w WireOptions) Validate() error {
 	if !w.Quantization.Valid() {
 		return fmt.Errorf("core: unknown quantization mode %d", int(w.Quantization))
-	}
-	if _, err := transport.CodecByName(w.Format); err != nil {
-		return err
-	}
-	if w.Entropy && w.Format == "gob" {
-		return fmt.Errorf("core: entropy coding requires the binary wire format, not %q", w.Format)
 	}
 	return nil
 }
@@ -512,7 +501,8 @@ type Config struct {
 	// of the setting; it only trades cores for wall time.
 	Parallelism int
 
-	// Wire is the payload shaping: codec, quantization, sparsification.
+	// Wire is the payload shaping: entropy coding, quantization,
+	// sparsification.
 	Wire WireOptions
 
 	// Chaos injects seeded link faults into the in-memory transport.

@@ -9,6 +9,7 @@ import (
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
+	"acme/internal/transport"
 )
 
 // requireSameParams: same names, shapes and value bits, in order.
@@ -53,6 +54,11 @@ func requireSameBackboneMasks(t *testing.T, want, got *nn.Backbone) {
 // packaged as an edge would send it.
 func receivedFixture(t *testing.T) (*nn.Backbone, *nas.HeaderModel, HeaderPackage) {
 	t.Helper()
+	return receivedFixtureQuant(t, QuantLossless)
+}
+
+func receivedFixtureQuant(t *testing.T, mode QuantMode) (*nn.Backbone, *nas.HeaderModel, HeaderPackage) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	bb := codecBackbone(t, rng)
 	bb.Blocks[0].Attn.HeadImportance[1] = 1
@@ -74,8 +80,8 @@ func receivedFixture(t *testing.T) (*nn.Backbone, *nas.HeaderModel, HeaderPackag
 		t.Fatal(err)
 	}
 	h.HiddenMask[4] = false
-	pkg := EncodeHeader(h, QuantLossless)
-	pkg.Backbone = EncodeBackbone(bb, 0.5, 2, pareto.Candidate{W: 0.5, D: 2}, QuantLossless)
+	pkg := EncodeHeader(h, mode)
+	pkg.Backbone = EncodeBackbone(bb, 0.5, 2, pareto.Candidate{W: 0.5, D: 2}, mode)
 	return bb, h, pkg
 }
 
@@ -172,4 +178,77 @@ func TestDeviceBackboneHoldsNoGradients(t *testing.T) {
 	requireSameBackboneMasks(t, model.Backbone, loadedBB)
 	requireSameParams(t, model.Params(), loadedH.Params())
 	noGrads("after checkpointing")
+}
+
+// overwrite models what the read pool does to a released frame once
+// the next one lands in it.
+func overwrite(frame []byte) {
+	for i := range frame {
+		frame[i] = 0xa5
+	}
+}
+
+// TestReceivedModelOutlivesItsFrame: a quantized parameter blob is
+// decoded zero-copy out of the frame, and Session.Receive releases the
+// frame when the handler returns, so the handler body every device's
+// model receive shares must have built the model — and dropped the
+// blobs — by the time it returns. The frame is overwritten the moment
+// it does; the model must equal one built from an untouched copy of the
+// same bytes. (The waits themselves, and the edge's, run against frames
+// destroyed on release in transport's TestRolesSurviveReleasedFrames.)
+func TestReceivedModelOutlivesItsFrame(t *testing.T) {
+	s := &System{}
+	for _, mode := range []QuantMode{QuantInt8, QuantFloat16, QuantMixed} {
+		_, _, pkg := receivedFixtureQuant(t, mode)
+		sent, err := transport.Binary.Encode(pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pristine HeaderPackage
+		if err := s.decode(append([]byte(nil), sent...), &pristine); err != nil {
+			t.Fatal(err)
+		}
+		want, err := buildDeviceHeader(pristine)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The fixture has teeth: built after its frame is reused, the
+		// model is not the one that was sent.
+		frame := append([]byte(nil), sent...)
+		var dangling HeaderPackage
+		if err := s.decode(frame, &dangling); err != nil {
+			t.Fatal(err)
+		}
+		overwrite(frame)
+		if late, err := buildDeviceHeader(dangling); err == nil && sameParamBits(want.Backbone.Params(), late.Backbone.Params()) {
+			t.Fatalf("%v: blobs no longer alias the frame; this test pins nothing", mode)
+		}
+
+		frame = append([]byte(nil), sent...)
+		model, kept, err := s.modelFromFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwrite(frame)
+		requireSameParams(t, want.Backbone.Params(), model.Backbone.Params())
+		requireSameParams(t, want.Params(), model.Params())
+		if kept.Backbone.Params != nil || kept.HeaderParams != nil {
+			t.Fatalf("%v: parameter blobs kept past the frame", mode)
+		}
+		if b := kept.Backbone; b.W != 0.5 || b.D != 2 || b.Candidate != pkg.Backbone.Candidate {
+			t.Fatalf("%v: shape or candidate lost: %+v", mode, b)
+		}
+	}
+}
+
+func sameParamBits(a, b []*nn.Param) bool {
+	for i := range a {
+		for k, v := range a[i].Value.Data {
+			if math.Float64bits(b[i].Value.Data[k]) != math.Float64bits(v) {
+				return false
+			}
+		}
+	}
+	return true
 }

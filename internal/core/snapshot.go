@@ -231,9 +231,9 @@ func (w *snapshotWriter) Close() error {
 // serializable form. Every mutable buffer is deep-copied here,
 // synchronously, so the writer goroutine can serialize it while the
 // round runs.
-func (st *edgeState) snapshot(s *System, t int) *EdgeSnapshot {
+func (st *edgeState) snapshot(t int) *EdgeSnapshot {
 	snap := &EdgeSnapshot{
-		RunTag:      s.Cfg.runTag(),
+		RunTag:      st.s.Cfg.runTag(),
 		EdgeID:      st.edgeID,
 		Round:       t,
 		Pkg:         st.pkg, // immutable after setup
@@ -344,17 +344,11 @@ func (s *System) ResumeRole(ctx context.Context, role string) error {
 	if !s.Cfg.Checkpoint.Enabled() {
 		return fmt.Errorf("core: resume requires Config.Checkpoint.Path")
 	}
-	for e := range s.clusters {
-		if role == edgeName(e) {
+	if e, di, ok := s.roleOf(role); ok {
+		if di < 0 {
 			return s.resumeEdge(ctx, e)
 		}
-	}
-	for e, members := range s.clusters {
-		for _, di := range members {
-			if role == s.devices[di].Name() {
-				return s.resumeDevice(ctx, e, di)
-			}
-		}
+		return s.resumeDevice(ctx, e, di)
 	}
 	return fmt.Errorf("core: only edge and device roles can resume, got %q", role)
 }
@@ -394,7 +388,7 @@ func (s *System) resumeEdge(ctx context.Context, edgeID int) error {
 			Device: st.idByPos[p], Round: snap.Round,
 		})
 	}
-	return s.edgeLoop(ctx, st)
+	return s.edgeRounds(ctx, st)
 }
 
 // resumeDevice warm-rejoins a restored device: the normal RESYNC
@@ -415,31 +409,15 @@ func (s *System) resumeDevice(ctx context.Context, edgeID, devIdx int) error {
 	if err != nil {
 		return s.runDeviceRejoin(ctx, edgeID, devIdx)
 	}
-	name := dev.Name()
-	edge := edgeName(edgeID)
 	rng := rand.New(rand.NewSource(s.Cfg.Seed + 4000 + int64(dev.ID)))
-	ses := transport.NewSession(name, s.Net)
-	if err := ses.SendControl(edge, wire.ControlRecord{
-		Type: wire.ControlResyncRequest, Node: name, Device: dev.ID,
-	}); err != nil {
+	ses := transport.NewSession(dev.Name(), s.Net)
+	// The dense re-seed exactly like the cold rejoin — but keep the
+	// checkpointed model; only the re-entry round is taken from the
+	// wire.
+	startRound, _, _, err := s.resync(ctx, ses, edgeName(edgeID), dev.ID, false)
+	if err != nil {
 		return err
 	}
-	// Wait for the dense re-seed exactly like the cold rejoin — but
-	// keep the checkpointed model; only the re-entry round (the
-	// message's round stamp) is taken from the wire.
-	var msg transport.Message
-	for {
-		var err error
-		if msg, err = ses.Recv(ctx); err != nil {
-			return err
-		}
-		if msg.Kind == transport.KindHeader && msg.From == edge {
-			break
-		}
-		msg.Release() // stray predecessor traffic: dropped unread
-	}
-	startRound := msg.Round
-	msg.Release()
 	return s.deviceRefineAndReport(ctx, ses, edgeID, devIdx, rng, header, snap.Package, startRound)
 }
 

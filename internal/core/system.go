@@ -155,11 +155,8 @@ type System struct {
 	Cfg Config
 	Net transport.Network
 
-	codec    transport.Codec
-	entropy  bool
 	devices  []cluster.Device
 	clusters [][]int // edge id → device indices
-	gen      *data.Generator
 	public   *data.Dataset
 	devTrain []*data.Dataset
 	devTest  []*data.Dataset
@@ -182,10 +179,6 @@ func NewSystem(cfg Config) (*System, error) {
 	// clobbers a -parallel flag applied earlier.
 	if cfg.Parallelism > 0 {
 		tensor.SetParallelism(cfg.Parallelism)
-	}
-	codec, err := transport.CodecByName(cfg.Wire.Format)
-	if err != nil {
-		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen, err := data.NewGenerator(cfg.Dataset)
@@ -222,65 +215,17 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	public := gen.Sample(publicN, nil, rand.New(rand.NewSource(cfg.Seed+101)))
 
-	devTrain := make([]*data.Dataset, len(devices))
-	devTest := make([]*data.Dataset, len(devices))
-	if cfg.Fleet.SharedShards {
-		// Memory scaling for thousands of simulated devices
-		// (Config.Fleet.SharedShards): materialize one shard per data
-		// group and alias its read-only train/test splits across the
-		// group's devices, so a 2000-device fleet holds G datasets
-		// instead of 2000.
-		g := cfg.DataGroups
-		if g < 1 {
-			g = 1
-		}
-		if g > len(devices) {
-			g = len(devices)
-		}
-		shards, err := data.Partition(gen, data.PartitionSpec{
-			Devices:        g,
-			SamplesPerDev:  cfg.SamplesPerDevice,
-			ClassesPerDev:  cfg.ClassesPerDevice,
-			Level:          cfg.Level,
-			DistinctGroups: g,
-		}, rand.New(rand.NewSource(cfg.Seed+202)))
-		if err != nil {
-			return nil, fmt.Errorf("core: shards: %w", err)
-		}
-		groupTrain := make([]*data.Dataset, g)
-		groupTest := make([]*data.Dataset, g)
-		for gi, shard := range shards {
-			groupTrain[gi], groupTest[gi] = shard.Split(0.8, rand.New(rand.NewSource(cfg.Seed+303+int64(gi))))
-		}
-		for i := range devices {
-			devTrain[i] = groupTrain[i%g]
-			devTest[i] = groupTest[i%g]
-		}
-	} else {
-		shards, err := data.Partition(gen, data.PartitionSpec{
-			Devices:        len(devices),
-			SamplesPerDev:  cfg.SamplesPerDevice,
-			ClassesPerDev:  cfg.ClassesPerDevice,
-			Level:          cfg.Level,
-			DistinctGroups: cfg.DataGroups,
-		}, rand.New(rand.NewSource(cfg.Seed+202)))
-		if err != nil {
-			return nil, fmt.Errorf("core: shards: %w", err)
-		}
-		for i, shard := range shards {
-			devTrain[i], devTest[i] = shard.Split(0.8, rand.New(rand.NewSource(cfg.Seed+303+int64(i))))
-		}
+	devTrain, devTest, err := deviceShards(cfg, gen, len(devices))
+	if err != nil {
+		return nil, err
 	}
 
 	mem := transport.NewMemory()
 	s := &System{
 		Cfg:         cfg,
 		Net:         mem,
-		codec:       codec,
-		entropy:     cfg.Wire.Entropy,
 		devices:     devices,
 		clusters:    clusters,
-		gen:         gen,
 		public:      public,
 		devTrain:    devTrain,
 		devTest:     devTest,
@@ -310,6 +255,40 @@ func NewSystem(cfg Config) (*System, error) {
 		})
 	}
 	return s, nil
+}
+
+// deviceShards materializes every device's local train/test split: one
+// shard per device, or — memory scaling for thousands of simulated
+// devices (Config.Fleet.SharedShards) — one shard per data group, its
+// read-only splits aliased across the group's devices, so a 2000-device
+// fleet holds G datasets instead of 2000.
+func deviceShards(cfg Config, gen *data.Generator, n int) (devTrain, devTest []*data.Dataset, err error) {
+	count, groups := n, cfg.DataGroups
+	if cfg.Fleet.SharedShards {
+		count = min(max(cfg.DataGroups, 1), n)
+		groups = count
+	}
+	shards, err := data.Partition(gen, data.PartitionSpec{
+		Devices:        count,
+		SamplesPerDev:  cfg.SamplesPerDevice,
+		ClassesPerDev:  cfg.ClassesPerDevice,
+		Level:          cfg.Level,
+		DistinctGroups: groups,
+	}, rand.New(rand.NewSource(cfg.Seed+202)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: shards: %w", err)
+	}
+	train := make([]*data.Dataset, count)
+	test := make([]*data.Dataset, count)
+	for i, shard := range shards {
+		train[i], test[i] = shard.Split(0.8, rand.New(rand.NewSource(cfg.Seed+303+int64(i))))
+	}
+	devTrain = make([]*data.Dataset, n)
+	devTest = make([]*data.Dataset, n)
+	for i := range devTrain {
+		devTrain[i], devTest[i] = train[i%count], test[i%count]
+	}
+	return devTrain, devTest, nil
 }
 
 // NewSystemWithNetwork builds the system state over a caller-provided
@@ -368,33 +347,41 @@ var entropyKinds = map[transport.Kind]bool{
 
 // codecFor returns the payload codec for one message kind: the
 // entropy-layered binary codec for bulk kinds when Wire.Entropy is
-// set, the configured codec otherwise. Decoding never consults this —
+// set, the plain binary codec otherwise. Decoding never consults this —
 // entropy frames self-identify on the wire.
 func (s *System) codecFor(kind transport.Kind) transport.Codec {
-	if s.entropy && entropyKinds[kind] {
+	if s.Cfg.Wire.Entropy && entropyKinds[kind] {
 		return transport.Entropy
 	}
-	return s.codec
+	return transport.Binary
 }
 
-// send encodes v with the configured wire codec and sends it as one
+// send encodes v with the kind's wire codec and sends it as one
 // message, recording raw-vs-wire byte accounting.
 func (s *System) send(kind transport.Kind, from, to string, v any) error {
-	return transport.SendValue(s.Net, s.codecFor(kind), kind, from, to, v)
+	return s.sendRound(kind, from, to, 0, v)
 }
 
 // sendRound is send with the message stamped with its loop round, so
 // the session layer can tell a live upload from a cut straggler's
 // stale one without decoding the payload.
 func (s *System) sendRound(kind transport.Kind, from, to string, round int, v any) error {
-	payload, err := s.codecFor(kind).Encode(v)
+	_, err := s.sendCounted(kind, from, to, round, v)
+	return err
+}
+
+// sendCounted is sendRound plus a wire-byte readout (payload + framing
+// estimate), for paths that feed the per-round traffic traces without
+// re-reading the shared Stats counters.
+func (s *System) sendCounted(kind transport.Kind, from, to string, round int, v any) (int64, error) {
+	payload, raw, err := s.encodePayload(kind, v)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return s.Net.Send(transport.Message{
-		Kind: kind, From: from, To: to, Round: round,
-		Payload: payload, Raw: wire.RawSize(v),
-	})
+	if err := s.sendRaw(kind, from, to, round, payload, raw); err != nil {
+		return 0, err
+	}
+	return int64(len(payload)) + transport.HeaderEstimate, nil
 }
 
 // encodePayload runs v through the kind's wire codec once and returns
@@ -419,42 +406,17 @@ func (s *System) sendRaw(kind transport.Kind, from, to string, round int, payloa
 	})
 }
 
-// decode deserializes a payload with the configured wire codec.
+// decode deserializes a payload (plain or entropy-coded).
 func (s *System) decode(data []byte, v any) error {
-	return s.codec.Decode(data, v)
+	return transport.Binary.Decode(data, v)
 }
 
 // decodeArena is decode with slices carved from a caller-owned arena —
 // and, when the arena allows it, aliased straight into data — for
 // streaming folds that consume the decoded value before the next
-// message. Codecs without arena support (gob) fall back to a plain
-// decode, which is always safe.
+// message.
 func (s *System) decodeArena(data []byte, v any, a *wire.Arena) error {
-	if ad, ok := s.codec.(transport.ArenaDecoder); ok {
-		return ad.DecodeArena(data, v, a)
-	}
-	return s.codec.Decode(data, v)
-}
-
-// sendCounted is sendRound plus a wire-byte readout (payload + framing
-// estimate), for paths that feed the per-round traffic traces without
-// re-reading the shared Stats counters.
-func (s *System) sendCounted(kind transport.Kind, from, to string, round int, v any) (int64, error) {
-	payload, err := s.codecFor(kind).Encode(v)
-	if err != nil {
-		return 0, err
-	}
-	msg := transport.Message{Kind: kind, From: from, To: to, Round: round, Payload: payload, Raw: wire.RawSize(v)}
-	if err := s.Net.Send(msg); err != nil {
-		return 0, err
-	}
-	return int64(len(payload)) + transport.HeaderEstimate, nil
-}
-
-// cutoffEnabled reports whether the straggler cutoff is configured:
-// a quorum fraction plus a deadline (see Config.Straggler.Quorum).
-func (s *System) cutoffEnabled() bool {
-	return s.Cfg.Straggler.Quorum > 0 && s.Cfg.Straggler.Quorum < 1 && s.Cfg.Straggler.Deadline > 0
+	return transport.Binary.DecodeArena(data, v, a)
 }
 
 // Run executes the full pipeline: Phase 1 on the cloud, Phase 2-1 on
@@ -615,17 +577,11 @@ func (s *System) RunRole(ctx context.Context, role string) (*Result, error) {
 		}
 		return &Result{Reports: reports, Stats: s.networkStats()}, nil
 	}
-	for e := range s.clusters {
-		if role == edgeName(e) {
+	if e, di, ok := s.roleOf(role); ok {
+		if di < 0 {
 			return nil, s.runEdge(ctx, e)
 		}
-	}
-	for e, members := range s.clusters {
-		for _, di := range members {
-			if role == s.devices[di].Name() {
-				return nil, s.runDevice(ctx, e, di)
-			}
-		}
+		return nil, s.runDevice(ctx, e, di)
 	}
 	return nil, fmt.Errorf("core: unknown role %q", role)
 }
@@ -637,14 +593,26 @@ func (s *System) RunRole(ctx context.Context, role string) (*Result, error) {
 // loop — so the remaining rounds continue sparse without restarting
 // the run (cmd/acmenode -rejoin). Only device roles can rejoin.
 func (s *System) RejoinRole(ctx context.Context, role string) error {
+	if e, di, ok := s.roleOf(role); ok && di >= 0 {
+		return s.runDeviceRejoin(ctx, e, di)
+	}
+	return fmt.Errorf("core: rejoin is only for device roles, got %q", role)
+}
+
+// roleOf resolves an edge or device role name to its edge ID and, for a
+// device, its device index (−1 for an edge).
+func (s *System) roleOf(role string) (edgeID, devIdx int, ok bool) {
 	for e, members := range s.clusters {
+		if role == edgeName(e) {
+			return e, -1, true
+		}
 		for _, di := range members {
 			if role == s.devices[di].Name() {
-				return s.runDeviceRejoin(ctx, e, di)
+				return e, di, true
 			}
 		}
 	}
-	return fmt.Errorf("core: rejoin is only for device roles, got %q", role)
+	return 0, 0, false
 }
 
 // RoleNames lists every role of the configured system in launch order.

@@ -74,7 +74,6 @@ func bench10RunCell(scen bench10Scenario, cell *bench10Cell) error {
 	b7 := bench7Scenario{
 		Edges: scen.Edges, DevicesPerEdge: scen.DevicesPerEdge,
 		Samples: scen.Samples, Rounds: scen.Rounds, Seed: scen.Seed,
-		Wire: "binary",
 	}
 	var slowErr error
 	err := bench7Run(b7, &cell.bench7Config, func(cfg *core.Config) {
@@ -150,7 +149,7 @@ func Bench10JSON(path string) (*Table, error) {
 
 	// BENCH_7 continuity configs, scheduler and sampling off: bytes
 	// must stay byte-identical to BENCH_9's values.
-	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1, Wire: "binary"}
+	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1}
 	contVariants := []struct {
 		name   string
 		mutate func(*core.Config)

@@ -20,12 +20,11 @@ import (
 
 // bench3Scenario pins the measured configuration.
 type bench3Scenario struct {
-	Edges          int    `json:"edges"`
-	DevicesPerEdge int    `json:"devices_per_edge"`
-	Samples        int    `json:"samples_per_device"`
-	Rounds         int    `json:"rounds"`
-	Seed           int64  `json:"seed"`
-	Wire           string `json:"wire"`
+	Edges          int   `json:"edges"`
+	DevicesPerEdge int   `json:"devices_per_edge"`
+	Samples        int   `json:"samples_per_device"`
+	Rounds         int   `json:"rounds"`
+	Seed           int64 `json:"seed"`
 }
 
 // bench3Config is one measured variant of the exchange.
@@ -62,7 +61,7 @@ type bench3Report struct {
 // file and only renders the table).
 func Bench3JSON(path string) (*Table, error) {
 	const rounds = 4
-	scen := bench3Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: rounds, Seed: 1, Wire: "binary"}
+	scen := bench3Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: rounds, Seed: 1}
 	variants := []struct {
 		name  string
 		quant core.QuantMode
@@ -83,7 +82,6 @@ func Bench3JSON(path string) (*Table, error) {
 		cfg.SamplesPerDevice = scen.Samples
 		cfg.Phase2Rounds = scen.Rounds
 		cfg.Seed = scen.Seed
-		cfg.Wire.Format = scen.Wire
 		cfg.Wire.Quantization = v.quant
 		cfg.Wire.DeltaImportance = v.delta
 

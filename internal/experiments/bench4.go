@@ -23,12 +23,11 @@ import (
 
 // bench4Scenario pins the measured configuration.
 type bench4Scenario struct {
-	Edges          int    `json:"edges"`
-	DevicesPerEdge int    `json:"devices_per_edge"`
-	Samples        int    `json:"samples_per_device"`
-	Rounds         int    `json:"rounds"`
-	Seed           int64  `json:"seed"`
-	Wire           string `json:"wire"`
+	Edges          int   `json:"edges"`
+	DevicesPerEdge int   `json:"devices_per_edge"`
+	Samples        int   `json:"samples_per_device"`
+	Rounds         int   `json:"rounds"`
+	Seed           int64 `json:"seed"`
 }
 
 // bench4Config is one measured variant of the exchange.
@@ -88,7 +87,6 @@ func bench4BaseConfig(scen bench4Scenario) core.Config {
 	cfg.SamplesPerDevice = scen.Samples
 	cfg.Phase2Rounds = scen.Rounds
 	cfg.Seed = scen.Seed
-	cfg.Wire.Format = scen.Wire
 	return cfg
 }
 
@@ -230,7 +228,7 @@ func runBench4TCP(bc *bench4Config, cfg core.Config) error {
 // path ("" skips the file and only renders the table).
 func Bench4JSON(path string) (*Table, error) {
 	const rounds = 4
-	scen := bench4Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: rounds, Seed: 1, Wire: "binary"}
+	scen := bench4Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: rounds, Seed: 1}
 	variants := []struct {
 		name    string
 		tcp     bool

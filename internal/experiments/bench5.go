@@ -21,12 +21,11 @@ import (
 
 // bench5Scenario pins one measured topology.
 type bench5Scenario struct {
-	Edges          int    `json:"edges"`
-	DevicesPerEdge int    `json:"devices_per_edge"`
-	Samples        int    `json:"samples_per_device"`
-	Rounds         int    `json:"rounds"`
-	Seed           int64  `json:"seed"`
-	Wire           string `json:"wire"`
+	Edges          int   `json:"edges"`
+	DevicesPerEdge int   `json:"devices_per_edge"`
+	Samples        int   `json:"samples_per_device"`
+	Rounds         int   `json:"rounds"`
+	Seed           int64 `json:"seed"`
 }
 
 // bench5Config is one measured variant.
@@ -79,7 +78,6 @@ func bench5Run(scen bench5Scenario, bc *bench5Config, mutate func(*core.Config))
 	cfg.SamplesPerDevice = scen.Samples
 	cfg.Phase2Rounds = scen.Rounds
 	cfg.Seed = scen.Seed
-	cfg.Wire.Format = scen.Wire
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -125,10 +123,10 @@ func Bench5JSON(path string) (*Table, error) {
 	const rounds = 4
 	// Continuity block: BENCH_4's exact scenario, so wire bytes diff
 	// 1:1 across PRs.
-	cont := bench5Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: rounds, Seed: 1, Wire: "binary"}
+	cont := bench5Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: rounds, Seed: 1}
 	// Straggler block: one cluster of four, so a 0.75 quorum (ceil → 3)
 	// legitimately combines without the one slow device.
-	strag := bench5Scenario{Edges: 1, DevicesPerEdge: 4, Samples: 160, Rounds: rounds, Seed: 1, Wire: "binary"}
+	strag := bench5Scenario{Edges: 1, DevicesPerEdge: 4, Samples: 160, Rounds: rounds, Seed: 1}
 	const (
 		straggleDelay  = 500 * time.Millisecond
 		cutoffDeadline = 60 * time.Millisecond

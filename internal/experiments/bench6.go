@@ -28,7 +28,6 @@ type bench6Scenario struct {
 	Samples        int     `json:"samples_per_device"`
 	Rounds         int     `json:"rounds"`
 	Seed           int64   `json:"seed"`
-	Wire           string  `json:"wire"`
 	SampleFrac     float64 `json:"sample_frac,omitempty"`
 }
 
@@ -88,7 +87,6 @@ func bench6Run(scen bench6Scenario, bc *bench6Config, mutate func(*core.Config))
 	cfg.SamplesPerDevice = scen.Samples
 	cfg.Phase2Rounds = scen.Rounds
 	cfg.Seed = scen.Seed
-	cfg.Wire.Format = scen.Wire
 	cfg.Fleet.SampleFrac = scen.SampleFrac
 	if mutate != nil {
 		mutate(&cfg)
@@ -135,15 +133,15 @@ func bench6Run(scen bench6Scenario, bc *bench6Config, mutate func(*core.Config))
 func Bench6JSON(path string) (*Table, error) {
 	// Continuity block: BENCH_5's exact scenario, so wire bytes diff
 	// 1:1 across PRs (sampling off must stay bitwise identical).
-	cont := bench6Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1, Wire: "binary"}
+	cont := bench6Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1}
 	// Calibration fleet: full participation on a fleet small enough to
 	// run every device every round.
-	full := bench6Scenario{Edges: 8, DevicesPerEdge: 25, Samples: 16, Rounds: 2, Seed: 1, Wire: "binary"}
+	full := bench6Scenario{Edges: 8, DevicesPerEdge: 25, Samples: 16, Rounds: 2, Seed: 1}
 	// Sampled fleet: 10× the calibration fleet at 10% participation —
 	// per-round invitations match the calibration fleet's round size,
 	// so per-round traffic and wall should hold roughly flat while the
 	// fleet grows 10×.
-	sampled := bench6Scenario{Edges: 8, DevicesPerEdge: 250, Samples: 16, Rounds: 2, Seed: 1, Wire: "binary", SampleFrac: 0.1}
+	sampled := bench6Scenario{Edges: 8, DevicesPerEdge: 250, Samples: 16, Rounds: 2, Seed: 1, SampleFrac: 0.1}
 
 	fleetMutate := func(cfg *core.Config) {
 		// Thousands of simulated devices: shared read-only data shards

@@ -26,12 +26,11 @@ import (
 
 // bench7Scenario pins one measured topology.
 type bench7Scenario struct {
-	Edges          int    `json:"edges"`
-	DevicesPerEdge int    `json:"devices_per_edge"`
-	Samples        int    `json:"samples_per_device"`
-	Rounds         int    `json:"rounds"`
-	Seed           int64  `json:"seed"`
-	Wire           string `json:"wire"`
+	Edges          int   `json:"edges"`
+	DevicesPerEdge int   `json:"devices_per_edge"`
+	Samples        int   `json:"samples_per_device"`
+	Rounds         int   `json:"rounds"`
+	Seed           int64 `json:"seed"`
 }
 
 // bench7Config is one measured variant.
@@ -110,7 +109,6 @@ func bench7Run(scen bench7Scenario, bc *bench7Config, mutate func(*core.Config))
 	cfg.SamplesPerDevice = scen.Samples
 	cfg.Phase2Rounds = scen.Rounds
 	cfg.Seed = scen.Seed
-	cfg.Wire.Format = scen.Wire
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -264,7 +262,7 @@ func bench7DecodeMicro() ([]bench7Decode, error) {
 func Bench7JSON(path string) (*Table, error) {
 	// Continuity block: BENCH_6's exact scenario with entropy off, so
 	// wire bytes diff 1:1 across PRs.
-	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1, Wire: "binary"}
+	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1}
 
 	rep := bench7Report{Experiment: "bench7-wire-floor", Scenario: cont}
 	variants := []struct {

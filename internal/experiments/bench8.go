@@ -333,7 +333,7 @@ func Bench8JSON(path string) (*Table, error) {
 	// BENCH_7 continuity configs: the same scenario, chaos and
 	// detection off, so bench-compare keeps diffing wire bytes 1:1 —
 	// and the chaos-off pipeline is proven byte-identical across PRs.
-	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1, Wire: "binary"}
+	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1}
 	contVariants := []struct {
 		name   string
 		mutate func(*core.Config)

@@ -277,7 +277,7 @@ func bench9RestoreTrialWith(scen bench9Scenario, name string, mutate func(*core.
 // overhead of arming checkpoints, clamped at zero (the estimate is a
 // tax, never a speedup — negative pair noise is measurement jitter).
 func bench9Overhead(scen bench9Scenario) (*bench9OverheadCell, error) {
-	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: scen.BaseSeed, Wire: "binary"}
+	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: scen.BaseSeed}
 	cell := &bench9OverheadCell{Name: "ckpt-overhead", Trials: scen.OverheadTrials}
 	var fracs []float64
 	for trial := 0; trial < scen.OverheadTrials; trial++ {
@@ -400,7 +400,7 @@ func Bench9JSON(path string) (*Table, error) {
 
 	// BENCH_7 continuity configs: chaos, detection, and checkpointing
 	// all off, so bench-compare keeps diffing wire bytes 1:1.
-	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1, Wire: "binary"}
+	cont := bench7Scenario{Edges: 2, DevicesPerEdge: 3, Samples: 160, Rounds: 4, Seed: 1}
 	contVariants := []struct {
 		name   string
 		mutate func(*core.Config)

@@ -129,27 +129,6 @@ func TestMicroConfigValid(t *testing.T) {
 	}
 }
 
-// TestExtMultiExitFrontier checks the extension's headline property:
-// lower thresholds execute fewer blocks and the final exit is at least
-// as accurate as the first.
-func TestExtMultiExitFrontier(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model")
-	}
-	tbl, err := ExtMultiExit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("rows %d", len(tbl.Rows))
-	}
-	first := tbl.Rows[0]
-	last := tbl.Rows[len(tbl.Rows)-1]
-	if !(first[2] <= last[2]) { // depth column, lexicographic ok for x.xx format
-		t.Fatalf("depth not increasing: %v vs %v", first, last)
-	}
-}
-
 // TestFig7bMicroShape runs the real-stack header comparison at minimum
 // budget and checks NAS wins.
 func TestFig7bMicroShape(t *testing.T) {

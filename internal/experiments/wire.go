@@ -7,11 +7,10 @@ import (
 )
 
 // Wire options applied to every measured system run, settable from
-// acmebench's -wire/-quant/-delta/-refresh flags. Zero values keep the
-// config defaults (binary codec, lossless payloads, dense exchange,
+// acmebench's -quant/-delta/-entropy/-refresh flags. Zero values keep
+// the config defaults (lossless payloads, dense exchange,
 // full importance recompute every round).
 var (
-	wireFormat      string
 	quantMode       core.QuantMode
 	deltaExchange   bool
 	entropyCoding   bool
@@ -20,12 +19,11 @@ var (
 	stragglerCutoff time.Duration
 )
 
-// SetWireOptions overrides the wire format, quantization, delta
+// SetWireOptions overrides the quantization, delta
 // encoding (both directions), entropy coding of bulk payloads, and the
 // device importance refresh period used by the measured (micro-scale)
 // experiments.
-func SetWireOptions(format string, quant core.QuantMode, delta, entropy bool, refresh int) {
-	wireFormat = format
+func SetWireOptions(quant core.QuantMode, delta, entropy bool, refresh int) {
 	quantMode = quant
 	deltaExchange = delta
 	entropyCoding = entropy
@@ -41,9 +39,6 @@ func SetSessionOptions(quorum float64, cutoff time.Duration) {
 }
 
 func applyWireOptions(cfg *core.Config) {
-	if wireFormat != "" {
-		cfg.Wire.Format = wireFormat
-	}
 	if quantMode != core.QuantLossless {
 		cfg.Wire.Quantization = quantMode
 	}

@@ -1,11 +1,7 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
 
 	"acme/internal/checkpoint"
 )
@@ -57,23 +53,6 @@ func Restore(m Module, cp Checkpoint) error {
 	return nil
 }
 
-// WriteCheckpoint gob-encodes a snapshot of m to w.
-func WriteCheckpoint(w io.Writer, m Module) error {
-	if err := gob.NewEncoder(w).Encode(Snapshot(m)); err != nil {
-		return fmt.Errorf("nn: encode checkpoint: %w", err)
-	}
-	return nil
-}
-
-// ReadCheckpoint decodes a checkpoint from r and restores it into m.
-func ReadCheckpoint(r io.Reader, m Module) error {
-	var cp Checkpoint
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return fmt.Errorf("nn: decode checkpoint: %w", err)
-	}
-	return Restore(m, cp)
-}
-
 // SaveCheckpoint writes m's parameters to path inside the versioned,
 // CRC-guarded checkpoint envelope, atomically (temp file + rename), so
 // a torn or bit-rotted file is detected on load instead of silently
@@ -85,20 +64,13 @@ func SaveCheckpoint(path string, m Module) error {
 	return nil
 }
 
-// LoadCheckpoint reads path into m. Envelope files are CRC-verified;
-// legacy bare-gob files (written before the envelope existed) are
-// still read for compatibility.
+// LoadCheckpoint reads the envelope file at path into m, CRC-verified.
+// Anything else — a torn file, or a bare-gob checkpoint from before the
+// envelope existed — is an error naming what is wrong with it.
 func LoadCheckpoint(path string, m Module) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	var cp Checkpoint
+	if _, err := checkpoint.ReadFile(path, &cp); err != nil {
 		return fmt.Errorf("nn: load checkpoint: %w", err)
 	}
-	if checkpoint.IsEnvelope(raw) {
-		var cp Checkpoint
-		if _, err := checkpoint.Decode(raw, &cp); err != nil {
-			return fmt.Errorf("nn: load checkpoint: %w", err)
-		}
-		return Restore(m, cp)
-	}
-	return ReadCheckpoint(bytes.NewReader(raw), m)
+	return Restore(m, cp)
 }

@@ -2,56 +2,41 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"acme/internal/checkpoint"
-	"acme/internal/tensor"
 )
 
-// Checkpoint files now travel in the versioned CRC envelope; files
-// written by older builds are bare gob and must keep loading.
+// Checkpoint files travel in the versioned CRC envelope. A file from
+// before the envelope existed — a bare gob stream — is no longer read:
+// it must be refused with an error that says what is wrong with it,
+// leaving the module untouched.
 func TestLoadCheckpointLegacyBareGob(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	bb, err := NewBackbone(BackboneConfig{
-		InputDim: 16, NumPatches: 4, DModel: 8, NumHeads: 2, Hidden: 12, Depth: 2,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A legacy file: the bare gob stream WriteCheckpoint emits, no
-	// envelope around it.
+	lin := NewLinear("l", 6, 4, rng)
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, bb); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(Snapshot(lin)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "legacy.ckpt")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bb2, err := NewBackbone(bb.Cfg, rand.New(rand.NewSource(77)))
-	if err != nil {
-		t.Fatal(err)
+	lin2 := NewLinear("l", 6, 4, rand.New(rand.NewSource(77)))
+	before := append([]float64(nil), lin2.Params()[0].Value.Data...)
+	err := LoadCheckpoint(path, lin2)
+	if !errors.Is(err, checkpoint.ErrMagic) {
+		t.Fatalf("bare-gob checkpoint: got %v, want an error wrapping %v", err, checkpoint.ErrMagic)
 	}
-	if err := LoadCheckpoint(path, bb2); err != nil {
-		t.Fatalf("legacy bare-gob checkpoint rejected: %v", err)
-	}
-	x := make([]float64, 16)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	a, err := bb.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bb2.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equal(a, b, 1e-12) {
-		t.Fatal("legacy-restored backbone diverges")
+	for i, v := range lin2.Params()[0].Value.Data {
+		if v != before[i] {
+			t.Fatal("a refused checkpoint modified the module")
+		}
 	}
 }
 

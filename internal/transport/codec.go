@@ -1,19 +1,15 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"acme/internal/wire"
 )
 
-// Codec serializes protocol payloads. The binary codec is the default
-// wire format; gob remains available behind the same interface so
-// compatibility tests can diff the two paths and old tooling keeps
-// working.
+// Codec serializes protocol payloads: plain binary frames, or the same
+// frames entropy-coded where that is smaller.
 type Codec interface {
-	// Name identifies the codec ("binary", "gob").
+	// Name identifies the codec ("binary", "entropy").
 	Name() string
 	// Encode serializes v into a payload the codec's Decode reverses.
 	Encode(v any) ([]byte, error)
@@ -21,13 +17,12 @@ type Codec interface {
 	Decode(data []byte, v any) error
 }
 
-// Gob is the legacy gob-based codec: full type metadata per message,
-// kept for compatibility tests and checkpoint files.
-var Gob Codec = gobCodec{}
-
 // Binary is the compact pooled wire codec (internal/wire): varint
-// headers, typed frames, packed float payloads.
-var Binary Codec = binaryCodec{}
+// headers, typed frames, packed float payloads. Its DecodeArena carves
+// slices from a caller-owned arena (and aliases the input buffer when
+// the arena allows it) instead of allocating — the per-gather fold
+// path.
+var Binary = binaryCodec{}
 
 // Entropy is the binary codec with an order-0 adaptive range coder
 // layered on top: Encode emits the entropy-coded frame when it is
@@ -37,33 +32,6 @@ var Binary Codec = binaryCodec{}
 // receiver needs no configuration to interoperate with an
 // entropy-coding sender.
 var Entropy Codec = entropyCodec{}
-
-// ArenaDecoder is implemented by codecs whose Decode can carve slices
-// from a caller-owned arena (and alias the input buffer when the arena
-// allows it) instead of allocating. The session layer uses it for the
-// per-gather fold path.
-type ArenaDecoder interface {
-	DecodeArena(data []byte, v any, a *wire.Arena) error
-}
-
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return "gob" }
-
-func (gobCodec) Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func (gobCodec) Decode(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decode: %w", err)
-	}
-	return nil
-}
 
 type binaryCodec struct{}
 
@@ -105,26 +73,4 @@ func (entropyCodec) Encode(v any) ([]byte, error) {
 
 func (entropyCodec) Decode(data []byte, v any) error {
 	return Binary.Decode(data, v)
-}
-
-func (entropyCodec) DecodeArena(data []byte, v any, a *wire.Arena) error {
-	if err := wire.DecodeArena(data, v, a); err != nil {
-		return fmt.Errorf("transport: decode: %w", err)
-	}
-	return nil
-}
-
-// CodecByName resolves a codec from its configuration name. The empty
-// string selects the default binary codec.
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "", "binary":
-		return Binary, nil
-	case "entropy":
-		return Entropy, nil
-	case "gob":
-		return Gob, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown wire format %q (want binary, entropy, or gob)", name)
-	}
 }

@@ -3,6 +3,9 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"errors"
+	"io"
 	"sync"
 	"testing"
 )
@@ -127,4 +130,69 @@ func TestReleaseNoopWithoutPool(t *testing.T) {
 	msg.Release()
 	msg.Release()
 	msg.Release() // still a no-op: no pooled buffer to misaccount
+}
+
+// frameNet is a Network whose Recv parses the next queued wire frame
+// into a pooled buffer, the way the TCP read loop does.
+type frameNet struct{ frames [][]byte }
+
+func (n *frameNet) Send(Message) error { return nil }
+
+func (n *frameNet) Recv(context.Context, string) (Message, error) {
+	if len(n.frames) == 0 {
+		return Message{}, io.EOF
+	}
+	frame := n.frames[0]
+	n.frames = n.frames[1:]
+	return readFrame(bufio.NewReader(bytes.NewReader(frame)))
+}
+
+// TestSessionReceiveReleasesEveryFrame pins the receive discipline the
+// device role waits through: whatever the handler returns — keep
+// waiting, done, or an error — the frame it was handed goes back to the
+// pool, so a wait that drops strays or fails early constructs no more
+// buffers than one that reads a single message.
+func TestSessionReceiveReleasesEveryFrame(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5a}, 64)
+	frame := frameBytes(t, Message{Kind: KindControl, From: "e0", To: "d0", Round: 3, Payload: payload})
+	ses := NewSession("d0", &frameNet{frames: [][]byte{frame, frame, frame, frame, frame, frame}})
+	errRefused := errors.New("refused")
+
+	allocs := withCountingReadPool(t)
+	seen := 0
+	// Two strays dropped, the third message ends the wait.
+	if err := ses.Receive(context.Background(), func(msg Message) (bool, error) {
+		if !bytes.Equal(msg.Payload, payload) {
+			t.Errorf("payload not live inside the handler: %x", msg.Payload)
+		}
+		seen++
+		return seen == 3, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// One more stray, then the handler fails the wait.
+	if err := ses.Receive(context.Background(), func(Message) (bool, error) {
+		seen++
+		if seen == 5 {
+			return false, errRefused
+		}
+		return false, nil
+	}); !errors.Is(err, errRefused) {
+		t.Fatalf("handler error not returned: %v", err)
+	}
+	// The last frame is dropped and the transport's own error ends it.
+	if err := ses.Receive(context.Background(), func(Message) (bool, error) {
+		seen++
+		return false, nil
+	}); !errors.Is(err, io.EOF) {
+		t.Fatalf("transport error not returned: %v", err)
+	}
+	if seen != 6 {
+		t.Fatalf("handler saw %d of 6 frames", seen)
+	}
+	// (Race builds randomly discard sync.Pool puts, so the exact count
+	// only holds without -race.)
+	if *allocs != 1 && !raceEnabled {
+		t.Fatalf("6 frames through Receive constructed %d buffers, want 1 (every path must release)", *allocs)
+	}
 }

@@ -75,16 +75,25 @@ func (s *Session) Recv(ctx context.Context) (Message, error) {
 	return s.net.Recv(ctx, s.node)
 }
 
-// RecvKind receives the next message, failing on any kind but want.
-func (s *Session) RecvKind(ctx context.Context, want Kind) (Message, error) {
-	msg, err := s.Recv(ctx)
-	if err != nil {
-		return Message{}, err
+// Receive hands handle each message addressed to this session, in
+// arrival order, until handle reports done or fails, or ctx ends. It
+// is Recv with Gather's buffer contract: the frame is released when
+// handle returns — whatever it returns — so on a pooling transport the
+// payload, and anything decoded zero-copy out of it, is only valid
+// inside handle. A role that waits through Receive cannot leak a frame
+// on an early return.
+func (s *Session) Receive(ctx context.Context, handle func(Message) (done bool, err error)) error {
+	for {
+		msg, err := s.Recv(ctx)
+		if err != nil {
+			return err
+		}
+		done, err := handle(msg)
+		msg.Release()
+		if err != nil || done {
+			return err
+		}
 	}
-	if msg.Kind != want {
-		return Message{}, fmt.Errorf("transport: %s expected %v from protocol, got %v from %s", s.node, want, msg.Kind, msg.From)
-	}
-	return msg, nil
 }
 
 // SendControl sends a typed control-plane record to a peer. Control

@@ -125,15 +125,6 @@ func (m Message) Release() {
 	}
 }
 
-// Encode gob-serializes v. Deprecated in the protocol path — messages
-// go through a Codec — but kept for checkpoint files and tests that
-// need the legacy format.
-func Encode(v any) ([]byte, error) { return Gob.Encode(v) }
-
-// Decode gob-deserializes data into v (a pointer). Counterpart of
-// Encode; protocol payloads are decoded through the sending Codec.
-func Decode(data []byte, v any) error { return Gob.Decode(data, v) }
-
 // Network moves messages between named nodes.
 type Network interface {
 	// Send delivers msg to msg.To. It blocks only if the destination
