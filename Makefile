@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench kernel-bench edge-bench fleet-bench bench-module bench-json bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
+.PHONY: all build test race bench kernel-bench edge-bench fleet-bench bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
 
 all: build test
 
@@ -55,45 +55,18 @@ fleet-bench:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-json regenerates BENCH_10.json: the Pareto round scheduler vs
-# the uniform participation draw under a straggling heterogeneous fleet
-# (bytes per accuracy point, gated strictly under the uniform baseline),
-# the kill/restore equivalence trial over a participation-sampled fleet,
-# and the BENCH_7 continuity configs (dense/delta wire bytes, must stay
-# byte-identical).
+# bench-json regenerates the trajectory (~2½ min): the 48 cells PRs 3…10
+# added one generator at a time — wire shapes, TCP, straggler cutoff,
+# fleet sampling, entropy coding, the adversarial matrix, kill/restore,
+# the checkpoint tax, the Pareto scheduler — run once each from
+# internal/experiments' cell table, with the gate table benchcmp reads.
+# BENCH_3…10.json stay as the record; nothing regenerates them.
 bench-json:
-	$(GO) run ./cmd/acmebench -exp bench10 -bench10json BENCH_10.json
-
-# bench-json9 regenerates the PR 9 crash-tolerance trajectory.
-bench-json9:
-	$(GO) run ./cmd/acmebench -exp bench9 -bench9json BENCH_9.json
-
-# bench-json8 regenerates the PR 8 adversarial-matrix trajectory.
-bench-json8:
-	$(GO) run ./cmd/acmebench -exp bench8 -bench8json BENCH_8.json
-
-# bench-json7 regenerates the PR 7 wire-floor trajectory.
-bench-json7:
-	$(GO) run ./cmd/acmebench -exp bench7 -bench7json BENCH_7.json
-
-# bench-json6 regenerates the PR 6 fleet-sampling trajectory.
-bench-json6:
-	$(GO) run ./cmd/acmebench -exp bench6 -bench6json BENCH_6.json
-
-# bench-json5 regenerates the PR 5 straggler-cutoff trajectory.
-bench-json5:
-	$(GO) run ./cmd/acmebench -exp bench5 -bench5json BENCH_5.json
-
-# bench-json3 regenerates the PR 3 trajectory (uplink only).
-bench-json3:
-	$(GO) run ./cmd/acmebench -exp bench3 -benchjson BENCH_3.json
-
-# bench-json4 regenerates the PR 4 symmetric-exchange trajectory.
-bench-json4:
-	$(GO) run ./cmd/acmebench -exp bench4 -bench4json BENCH_4.json
+	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_23.json
 
 # bench-compare diffs the two newest checked-in BENCH_*.json files and
-# fails on any >10% wire-byte regression.
+# fails on any gated regression (>10% wire bytes, 5 points of TPR/FPR,
+# the checkpoint-tax and scheduler ceilings).
 bench-compare:
 	$(GO) run ./cmd/benchcmp
 

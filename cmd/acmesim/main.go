@@ -98,9 +98,7 @@ func run() error {
 	}
 
 	fmt.Println("\nper-device results:")
-	reports := append([]acme.DeviceReport(nil), res.Reports...)
-	sort.Slice(reports, func(i, j int) bool { return reports[i].DeviceID < reports[j].DeviceID })
-	for _, r := range reports {
+	for _, r := range res.Reports {
 		fmt.Printf("  device-%d (edge-%d): w=%.2f d=%d acc %.3f → %.3f, %d backbone + %d header params, %.1f J\n",
 			r.DeviceID, r.EdgeID, r.Width, r.Depth, r.AccuracyCoarse, r.AccuracyFinal,
 			r.BackboneParams, r.HeaderParams, r.Energy)

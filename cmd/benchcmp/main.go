@@ -1,27 +1,28 @@
 // Command benchcmp diffs the two most recent BENCH_<N>.json trajectory
-// files and fails (exit 1) when any wire-byte metric regressed more
-// than 10% for a config present in both — the guard behind
-// `make bench-compare`.
+// files and fails (exit 1) when a gated metric regressed for a config
+// present in both — the guard behind `make bench-compare`.
 //
-// The BENCH files evolve schema per PR, so the comparison is
-// structural: every document is expected to carry a top-level
-// "configs" array whose entries have a "name" and numeric metrics;
-// metrics whose key ends in "_bytes_total" are treated as
-// smaller-is-better wire volumes and compared across files for configs
-// sharing a name. A "*_bytes_total" object value (such as the per-kind
-// "kind_bytes_total" map introduced in BENCH_7) is flattened into one
-// gated metric per kind. Detection-quality metrics (BENCH_8's
-// adversarial matrix) are gated on absolute points rather than ratios:
-// a "*_tpr" metric fails when it drops by more than 0.05, a "*_fpr"
-// metric fails when it rises by more than 0.05. A "*_overhead_frac"
-// metric (BENCH_9's durability tax) is an absolute ceiling: it fails
-// whenever the newer value exceeds 0.05, regardless of the older one.
-// A "*_vs_uniform_ratio" metric (BENCH_10's scheduler win) is likewise
-// an absolute ceiling — the scored scheduler must beat its uniform
-// baseline, so the newer value failing to land strictly under 1.0
-// fails the run even when the older file has no such metric.
-// Other metrics or configs present in only one file are reported but
-// do not fail the run.
+// Every document carries a top-level "configs" array whose entries have
+// a "name" and flat numeric metrics. Which metrics are gated, and how,
+// is not decided here: a trajectory file (BENCH_23 on) carries the gate
+// table its generator declares beside each metric (internal/experiments,
+// `gates`), in BENCHMARK.json's {name, unit, better, bound} vocabulary
+// plus a "kind" saying how the bound is read:
+//
+//   - relative: fails when worse than the older file's value by more
+//     than bound × older (wire volumes, 10 %);
+//   - points: fails when worse by more than bound in absolute points
+//     (rates in [0,1]: a TPR of 0.02 doubling to 0.04 is noise, a TPR of
+//     0.9 falling to 0.8 is a broken detector);
+//   - ceiling: fails when at or past bound, whatever the older file
+//     says and even on a config the older file lacks (the durability
+//     tax, the scheduler's bytes per point against its uniform baseline).
+//
+// A gate on an object-valued metric (the per-kind "kind_bytes_total"
+// map) applies to each of its keys. The table is read from the newer
+// file, or from the older one when the newer predates it; BENCH_3…10
+// carry none and compare against a file that does. Metrics or configs
+// present in only one file are reported but do not fail the run.
 //
 //	benchcmp            # compare the two newest BENCH_*.json in .
 //	benchcmp A.json B.json  # compare A (older) against B (newer)
@@ -38,25 +39,21 @@ import (
 	"strings"
 )
 
-const (
-	regressionLimit = 1.10 // fail when newer > older × this
-	regressionPct   = 10   // regressionLimit as a percentage, for messages
+// gate is one row of a trajectory file's gate table.
+type gate struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+	Kind   string  `json:"kind"`
+}
 
-	// Detection metrics are rates in [0,1]; their gate is absolute
-	// points, not a ratio (a TPR of 0.02 doubling to 0.04 is noise, a
-	// TPR of 0.9 falling to 0.8 is a broken detector).
-	detectionSlack = 0.05 // fail when TPR drops / FPR rises more than this
-
-	// The durability tax is gated on an absolute ceiling, not a diff:
-	// checkpointing must stay under 5% of the plain wall no matter what
-	// the previous PR measured.
-	overheadCeiling = 0.05 // fail when an _overhead_frac metric exceeds this
-
-	// The scheduler's bytes-per-accuracy-point must stay strictly under
-	// its uniform baseline: a _vs_uniform_ratio metric at or above 1.0
-	// means the scored picks no longer pay for themselves.
-	uniformRatioCeiling = 1.0
-)
+// worse is how far now moved in the gate's bad direction from was.
+func (g gate) worse(was, now float64) float64 {
+	if g.Better == "higher" {
+		return was - now
+	}
+	return now - was
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -99,58 +96,61 @@ func latestPair(dir string) (older, newer string, err error) {
 	return found[len(found)-2].name, found[len(found)-1].name, nil
 }
 
-// wireMetrics extracts config-name → metric-key → value for every
-// numeric "*_bytes_total" metric in the document's configs array.
-func wireMetrics(path string) (map[string]map[string]float64, error) {
+// document is what benchcmp reads of a trajectory file: each config's
+// metrics flattened to name → value (an object-valued metric becomes
+// one "metric.key" entry per key), and the gate table if it has one.
+type document struct {
+	gates   []gate
+	configs map[string]map[string]float64
+}
+
+func readDocument(path string) (*document, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var doc map[string]any
+	var doc struct {
+		Gates   []gate           `json:"gates"`
+		Configs []map[string]any `json:"configs"`
+	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	configs, ok := doc["configs"].([]any)
-	if !ok {
+	if doc.Configs == nil {
 		return nil, fmt.Errorf("%s: no configs array", path)
 	}
-	out := make(map[string]map[string]float64, len(configs))
-	for _, c := range configs {
-		obj, ok := c.(map[string]any)
-		if !ok {
-			continue
-		}
+	out := &document{gates: doc.Gates, configs: make(map[string]map[string]float64, len(doc.Configs))}
+	for _, obj := range doc.Configs {
 		name, ok := obj["name"].(string)
 		if !ok {
 			continue
 		}
 		metrics := make(map[string]float64)
 		for k, v := range obj {
-			if !strings.HasSuffix(k, "_bytes_total") &&
-				!strings.HasSuffix(k, "_tpr") && !strings.HasSuffix(k, "_fpr") &&
-				!strings.HasSuffix(k, "_overhead_frac") &&
-				!strings.HasSuffix(k, "_vs_uniform_ratio") {
-				continue
-			}
 			switch t := v.(type) {
 			case float64:
 				metrics[k] = t
 			case map[string]any:
-				// Per-kind byte maps (e.g. "kind_bytes_total"): flatten
-				// each kind into its own gated metric. Older files
-				// without the map simply report "new metric".
-				for kind, kv := range t {
-					if f, ok := kv.(float64); ok {
-						metrics[k+"."+kind] = f
+				for sub, sv := range t {
+					if f, ok := sv.(float64); ok {
+						metrics[k+"."+sub] = f
 					}
 				}
 			}
 		}
-		if len(metrics) > 0 {
-			out[name] = metrics
-		}
+		out.configs[name] = metrics
 	}
 	return out, nil
+}
+
+// gateFor finds the gate on a flattened metric key.
+func gateFor(gates []gate, key string) (gate, bool) {
+	for _, g := range gates {
+		if key == g.Name || strings.HasPrefix(key, g.Name+".") {
+			return g, true
+		}
+	}
+	return gate{}, false
 }
 
 func run(args []string) error {
@@ -167,112 +167,78 @@ func run(args []string) error {
 		return fmt.Errorf("usage: benchcmp [older.json newer.json]")
 	}
 
-	prev, err := wireMetrics(older)
+	prev, err := readDocument(older)
 	if err != nil {
 		return err
 	}
-	cur, err := wireMetrics(newer)
+	cur, err := readDocument(newer)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("benchcmp: %s → %s (fail on >%d%% wire-byte regression)\n",
-		older, newer, regressionPct)
+	gates := cur.gates
+	if len(gates) == 0 {
+		gates = prev.gates
+	}
+	if len(gates) == 0 {
+		return fmt.Errorf("neither %s nor %s carries a gate table; compare against a trajectory file (BENCH_23 on)", older, newer)
+	}
+	fmt.Printf("benchcmp: %s → %s (%d gated metrics)\n", older, newer, len(gates))
 
-	names := make([]string, 0, len(cur))
-	for name := range cur {
+	names := make([]string, 0, len(cur.configs))
+	for name := range cur.configs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
 	compared, regressions := 0, 0
 	for _, name := range names {
-		prevMetrics, ok := prev[name]
-		if !ok {
+		prevMetrics, hasPrev := prev.configs[name]
+		if !hasPrev {
 			fmt.Printf("  %-28s new config, no baseline\n", name)
-			// Absolute ceilings still apply to brand-new configs: a
-			// *_vs_uniform_ratio is gated against 1.0, baseline or not.
-			keys := make([]string, 0, len(cur[name]))
-			for k := range cur[name] {
-				if strings.HasSuffix(k, "_vs_uniform_ratio") {
-					keys = append(keys, k)
-				}
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				now := cur[name][k]
-				compared++
-				status := "ok"
-				if now >= uniformRatioCeiling {
-					status = "REGRESSION"
-					regressions++
-				}
-				fmt.Printf("  %-28s %-28s %12s → %12.3f (ceiling %.1f) %s\n",
-					name, k, "(none)", now, uniformRatioCeiling, status)
-			}
-			continue
 		}
-		keys := make([]string, 0, len(cur[name]))
-		for k := range cur[name] {
+		keys := make([]string, 0, len(cur.configs[name]))
+		for k := range cur.configs[name] {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			now := cur[name][k]
-			if strings.HasSuffix(k, "_vs_uniform_ratio") {
-				compared++
-				status := "ok"
-				if now >= uniformRatioCeiling {
-					status = "REGRESSION"
-					regressions++
-				}
-				if was, ok := prevMetrics[k]; ok {
-					fmt.Printf("  %-28s %-28s %12.3f → %12.3f (ceiling %.1f) %s\n",
-						name, k, was, now, uniformRatioCeiling, status)
-				} else {
-					fmt.Printf("  %-28s %-28s %12s → %12.3f (ceiling %.1f) %s\n",
-						name, k, "(none)", now, uniformRatioCeiling, status)
-				}
+			g, gated := gateFor(gates, k)
+			if !gated {
 				continue
 			}
-			was, ok := prevMetrics[k]
-			if !ok {
-				fmt.Printf("  %-28s %s: new metric, no baseline\n", name, k)
-				continue
-			}
-			compared++
+			now := cur.configs[name][k]
+			was, hasWas := prevMetrics[k]
 			status := "ok"
 			switch {
-			case strings.HasSuffix(k, "_tpr"):
-				if now < was-detectionSlack {
+			case g.Kind == "ceiling":
+				if g.worse(g.Bound, now) >= 0 {
 					status = "REGRESSION"
-					regressions++
 				}
-				fmt.Printf("  %-28s %-28s %12.3f → %12.3f (%+.3f) %s\n",
-					name, k, was, now, now-was, status)
+				before := "(none)"
+				if hasWas {
+					before = fmt.Sprintf("%.3f", was)
+				}
+				fmt.Printf("  %-28s %-28s %12s → %12.3f (ceiling %.2f) %s\n", name, k, before, now, g.Bound, status)
+			case !hasWas:
+				if hasPrev {
+					fmt.Printf("  %-28s %s: new metric, no baseline\n", name, k)
+				}
 				continue
-			case strings.HasSuffix(k, "_fpr"):
-				if now > was+detectionSlack {
+			case g.Kind == "points":
+				if g.worse(was, now) > g.Bound {
 					status = "REGRESSION"
-					regressions++
 				}
-				fmt.Printf("  %-28s %-28s %12.3f → %12.3f (%+.3f) %s\n",
-					name, k, was, now, now-was, status)
-				continue
-			case strings.HasSuffix(k, "_overhead_frac"):
-				if now > overheadCeiling {
+				fmt.Printf("  %-28s %-28s %12.3f → %12.3f (%+.3f) %s\n", name, k, was, now, now-was, status)
+			default: // relative
+				if was > 0 && g.worse(was, now) > g.Bound*was {
 					status = "REGRESSION"
-					regressions++
 				}
-				fmt.Printf("  %-28s %-28s %12.3f → %12.3f (%+.3f) %s\n",
-					name, k, was, now, now-was, status)
-				continue
+				fmt.Printf("  %-28s %-28s %12.0f → %12.0f (%+.1f%%) %s\n", name, k, was, now, 100*(now-was)/was, status)
 			}
-			if was > 0 && now > was*regressionLimit {
-				status = "REGRESSION"
+			compared++
+			if status != "ok" {
 				regressions++
 			}
-			fmt.Printf("  %-28s %-28s %12.0f → %12.0f (%+.1f%%) %s\n",
-				name, k, was, now, 100*(now-was)/was, status)
 		}
 	}
 	if compared == 0 {
@@ -280,8 +246,7 @@ func run(args []string) error {
 		return nil
 	}
 	if regressions > 0 {
-		return fmt.Errorf("%d wire-byte metric(s) regressed more than %d%%",
-			regressions, regressionPct)
+		return fmt.Errorf("%d gated metric(s) regressed", regressions)
 	}
 	fmt.Printf("benchcmp: %d metric(s) compared, no regression\n", compared)
 	return nil

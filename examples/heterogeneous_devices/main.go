@@ -48,9 +48,7 @@ func main() {
 	}
 
 	fmt.Println("\ndevices then refined their headers locally:")
-	reports := append([]acme.DeviceReport(nil), res.Reports...)
-	sort.Slice(reports, func(i, j int) bool { return reports[i].DeviceID < reports[j].DeviceID })
-	for _, r := range reports {
+	for _, r := range res.Reports {
 		fmt.Printf("  device-%d: %d total params, final accuracy %.3f\n",
 			r.DeviceID, r.BackboneParams+r.HeaderParams, r.AccuracyFinal)
 	}

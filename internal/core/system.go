@@ -88,13 +88,13 @@ type DeviceRoundStat struct {
 
 // Result aggregates the outcome of one full ACME run.
 type Result struct {
-	Reports     []DeviceReport
+	Reports     []DeviceReport           // in DeviceID order
 	Assignments map[int]pareto.Candidate // edge id → selected backbone
 	Stats       *transport.Stats
 
 	// Phase2Rounds traces the importance loop per edge and round,
 	// ordered by (EdgeID, Round) — the data behind the byte/latency
-	// trajectory of BENCH_3.json / BENCH_4.json.
+	// trajectory of the BENCH_<N>.json files.
 	Phase2Rounds []Phase2RoundStat
 
 	// DeviceRounds traces the device side of the loop per device and
@@ -504,23 +504,24 @@ func (s *System) Run(ctx context.Context) (*Result, error) {
 // node guaranteed to observe the departure, announces a MEMBER-GONE,
 // and the collector stops waiting for that device. A MEMBER-BACK (the
 // device resynced into the loop) re-arms the wait for its report.
+//
+// Reports come back in DeviceID order, not arrival order, so a seeded
+// run's Result — and the means summed over it — do not depend on which
+// device finished first. Every frame is released once handled, on the
+// error returns too: a DeviceReport is scalars, nothing aliases it.
 func (s *System) collectReports(ctx context.Context) ([]DeviceReport, error) {
 	reports := make([]DeviceReport, 0, len(s.devices))
 	reported := make(map[int]bool, len(s.devices))
 	gone := make(map[int]bool)
-	for len(reported)+len(gone) < len(s.devices) {
-		msg, err := s.Net.Recv(ctx, "collector")
-		if err != nil {
-			return reports, err
-		}
+	handle := func(msg transport.Message) error {
 		switch msg.Kind {
 		case transport.KindReport:
 			var rep DeviceReport
 			if err := s.decode(msg.Payload, &rep); err != nil {
-				return reports, err
+				return err
 			}
 			if reported[rep.DeviceID] {
-				return reports, fmt.Errorf("duplicate report from %s for device %d", msg.From, rep.DeviceID)
+				return fmt.Errorf("duplicate report from %s for device %d", msg.From, rep.DeviceID)
 			}
 			reported[rep.DeviceID] = true
 			delete(gone, rep.DeviceID)
@@ -528,7 +529,7 @@ func (s *System) collectReports(ctx context.Context) ([]DeviceReport, error) {
 		case transport.KindControl:
 			rec, err := transport.ParseControl(msg)
 			if err != nil {
-				return reports, err
+				return err
 			}
 			switch rec.Type {
 			case wire.ControlMemberGone:
@@ -541,12 +542,25 @@ func (s *System) collectReports(ctx context.Context) ([]DeviceReport, error) {
 				// Link lifecycle noise: on TCP every reporting device
 				// JOINs the collector's listener and LEAVEs on Close.
 			default:
-				return reports, fmt.Errorf("unexpected %v control from %s at collector", rec.Type, msg.From)
+				return fmt.Errorf("unexpected %v control from %s at collector", rec.Type, msg.From)
 			}
 		default:
-			return reports, fmt.Errorf("unexpected %v from %s at collector", msg.Kind, msg.From)
+			return fmt.Errorf("unexpected %v from %s at collector", msg.Kind, msg.From)
+		}
+		return nil
+	}
+	for len(reported)+len(gone) < len(s.devices) {
+		msg, err := s.Net.Recv(ctx, "collector")
+		if err != nil {
+			return reports, err
+		}
+		err = handle(msg)
+		msg.Release()
+		if err != nil {
+			return reports, err
 		}
 	}
+	sort.Slice(reports, func(i, j int) bool { return reports[i].DeviceID < reports[j].DeviceID })
 	return reports, nil
 }
 

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"acme/internal/data"
+	"acme/internal/transport"
 )
 
 // tinyConfig returns a configuration small enough for fast CI runs.
@@ -88,5 +91,88 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 	if res.SearchSpaceOurs >= res.SearchSpaceCS {
 		t.Fatalf("ACME search space (%g) should be below CS (%g)", res.SearchSpaceOurs, res.SearchSpaceCS)
+	}
+}
+
+// scriptedNet delivers a fixed sequence of messages to whoever asks.
+type scriptedNet struct{ msgs []transport.Message }
+
+func (n *scriptedNet) Send(transport.Message) error { return nil }
+
+func (n *scriptedNet) Recv(ctx context.Context, _ string) (transport.Message, error) {
+	if len(n.msgs) == 0 {
+		<-ctx.Done()
+		return transport.Message{}, ctx.Err()
+	}
+	msg := n.msgs[0]
+	n.msgs = n.msgs[1:]
+	return msg, nil
+}
+
+// TestReportsInDeviceOrder: a seeded run's Result must not depend on
+// which device finished first. The collector returns reports in
+// DeviceID order, so the means — float sums, which are order-sensitive
+// in the last bit — come out bit-equal for every arrival order, and two
+// seeded runs have equal Reports without the caller sorting them.
+func TestReportsInDeviceOrder(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	// (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) in float64.
+	accs := []float64{0.1, 0.2, 0.3, 0.7}
+	collect := func(order []int) *Result {
+		t.Helper()
+		net := &scriptedNet{}
+		sys, err := NewSystemWithNetwork(tinyConfig(), net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range order {
+			payload, err := sys.codecFor(transport.KindReport).Encode(
+				DeviceReport{DeviceID: id, AccuracyFinal: accs[id], AccuracyCoarse: accs[id] / 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.msgs = append(net.msgs, transport.Message{Kind: transport.KindReport, From: "device", To: "collector", Payload: payload})
+		}
+		res, err := sys.RunRole(ctx, "collector")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := collect([]int{0, 1, 2, 3})
+	for _, order := range [][]int{{3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}} {
+		got := collect(order)
+		if !reflect.DeepEqual(got.Reports, want.Reports) {
+			t.Fatalf("arrival order %v: reports %+v, want DeviceID order", order, got.Reports)
+		}
+		if math.Float64bits(got.MeanAccuracyFinal()) != math.Float64bits(want.MeanAccuracyFinal()) ||
+			math.Float64bits(got.MeanAccuracyCoarse()) != math.Float64bits(want.MeanAccuracyCoarse()) {
+			t.Fatalf("arrival order %v: means %v / %v, want %v / %v", order,
+				got.MeanAccuracyFinal(), got.MeanAccuracyCoarse(), want.MeanAccuracyFinal(), want.MeanAccuracyCoarse())
+		}
+	}
+
+	run := func() *Result {
+		t.Helper()
+		sys, err := NewSystem(tinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a.Reports, b.Reports) {
+		t.Fatalf("two seeded runs differ without sorting:\n%+v\n%+v", a.Reports, b.Reports)
+	}
+	for i, rep := range a.Reports {
+		if rep.DeviceID != i {
+			t.Fatalf("report %d is device %d, want DeviceID order: %+v", i, rep.DeviceID, a.Reports)
+		}
 	}
 }

@@ -206,7 +206,6 @@ func Fig11(seeds int) (*Table, error) {
 }
 
 func runSystem(cfg core.Config) (*core.Result, error) {
-	applyWireOptions(&cfg)
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package transport_test
 import (
 	"context"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"acme/internal/core"
 	"acme/internal/data"
 	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 // destroyingNet hands every received message over in a frame that is
@@ -150,8 +150,6 @@ func TestRolesSurviveReleasedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		reseed = net.header0
-		// Reports arrive in completion order.
-		sort.Slice(res.Reports, func(i, j int) bool { return res.Reports[i].DeviceID < res.Reports[j].DeviceID })
 		var models [][]float64
 		for _, r := range res.Reports {
 			models = append(models, finalModel(t, cfg.CheckpointDir, r.DeviceID))
@@ -182,5 +180,72 @@ func TestRolesSurviveReleasedFrames(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rejoin(false), rejoin(true)) {
 		t.Fatal("a rejoined device's model differs once its re-seed frame is destroyed on release")
+	}
+}
+
+// TestCollectorReleasesEveryFrame: the collector decodes each report
+// and parses each control record into scalars, so it owes every frame
+// back to the pool once handled — link-lifecycle noise, membership
+// records and reports alike, and the frame it refuses too. Frames read
+// one after another on one goroutine then construct a single buffer.
+func TestCollectorReleasesEveryFrame(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	report := func(id int) transport.Message {
+		payload, err := transport.Binary.Encode(core.DeviceReport{DeviceID: id, AccuracyFinal: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return transport.Message{Kind: transport.KindReport, From: "device", To: "collector", Payload: payload}
+	}
+	control := func(typ wire.ControlType, device int) transport.Message {
+		payload, err := wire.EncodeControl(wire.ControlRecord{Type: typ, Node: "device", Device: device})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return transport.Message{Kind: transport.KindControl, From: "edge-0", To: "collector", Payload: payload}
+	}
+	// Systems are built before the pool is watched: building one
+	// allocates enough to run the garbage collector, which empties pools.
+	collector := func(msgs ...transport.Message) *core.System {
+		t.Helper()
+		sys, err := core.NewSystemWithNetwork(releaseConfig(), transport.NewFrameNet(t, msgs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	clean := collector(
+		control(wire.ControlJoin, 0), control(wire.ControlMemberGone, 0), control(wire.ControlMemberBack, 0),
+		report(1), control(wire.ControlLeave, 1), report(0))
+	// The error returns: a duplicate report, an undecodable one, a
+	// control verb the collector has no business receiving, a stray kind.
+	garbled := report(0)
+	garbled.Payload = garbled.Payload[:1]
+	refused := map[string]*core.System{
+		"duplicate report":   collector(report(1), report(1)),
+		"undecodable report": collector(garbled),
+		"unexpected control": collector(control(wire.ControlResyncRequest, 0)),
+		"unexpected kind":    collector(transport.Message{Kind: transport.KindStats, From: "device", To: "collector", Payload: []byte("x")}),
+	}
+
+	allocs := transport.WithCountingReadPool(t)
+	res, err := clean.RunRole(ctx, "collector")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Reports) != 2 {
+		t.Fatalf("collector returned %d reports, want 2", len(res.Reports))
+	}
+	for name, sys := range refused {
+		if _, err := sys.RunRole(ctx, "collector"); err == nil {
+			t.Fatalf("%s: collector accepted it", name)
+		}
+	}
+	// (Race builds randomly discard sync.Pool puts, so the exact count
+	// only holds without -race.)
+	if *allocs != 1 && !transport.RaceEnabled {
+		t.Fatalf("11 frames through the collector constructed %d buffers, want 1 (every path must release)", *allocs)
 	}
 }
