@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench kernel-bench edge-bench fleet-bench bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke fuzz fmt fmt-check vet ci
+.PHONY: all build test race bench kernel-bench edge-bench fleet-bench bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet ci
 
 all: build test
 
@@ -55,18 +55,19 @@ fleet-bench:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-json regenerates the trajectory (~2½ min): the 48 cells PRs 3…10
+# bench-json regenerates the trajectory (~2½ min): the 46 cells PRs 3…10
 # added one generator at a time — wire shapes, TCP, straggler cutoff,
 # fleet sampling, entropy coding, the adversarial matrix, kill/restore,
-# the checkpoint tax, the Pareto scheduler — run once each from
-# internal/experiments' cell table, with the gate table benchcmp reads.
-# BENCH_3…10.json stay as the record; nothing regenerates them.
+# the checkpoint tax — run once each from internal/experiments' cell
+# table, with the gate table benchcmp reads (PR 10's two scheduler cells
+# were retired with the scheduler in PR 24). BENCH_3…23.json stay as the
+# record; nothing regenerates them.
 bench-json:
-	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_23.json
+	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_24.json
 
 # bench-compare diffs the two newest checked-in BENCH_*.json files and
 # fails on any gated regression (>10% wire bytes, 5 points of TPR/FPR,
-# the checkpoint-tax and scheduler ceilings).
+# the checkpoint-tax ceiling).
 bench-compare:
 	$(GO) run ./cmd/benchcmp
 
@@ -98,12 +99,6 @@ fleet-smoke:
 restore-smoke:
 	$(GO) test -run 'TestRestoreSmokeTCP' -count=1 -v -timeout 600s ./internal/core
 
-# sched-smoke runs the Pareto round scheduler against the uniform draw
-# over loopback TCP: picks must be identical across transports and two
-# seeded runs, and an observed straggler must never be re-invited.
-sched-smoke:
-	$(GO) test -run 'TestSchedulerDeterminismMemory|TestSchedSmokeTCP' -count=1 -v -timeout 600s ./internal/core
-
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=20s ./internal/transport
@@ -120,4 +115,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test race bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke sched-smoke
+ci: fmt-check vet build test race bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke

@@ -36,7 +36,6 @@ import (
 	"acme/internal/core"
 	"acme/internal/data"
 	"acme/internal/fleet"
-	"acme/internal/sched"
 	"acme/internal/transport"
 )
 
@@ -55,20 +54,6 @@ type StragglerPolicy = core.StragglerPolicy
 // FleetOptions groups the fleet topology and the per-round
 // participation sampling (Config.Fleet).
 type FleetOptions = core.FleetOptions
-
-// SchedulerOptions selects how each round's participation subset is
-// drawn (Config.Fleet.Scheduler): the uniform seeded sample, or the
-// Pareto-frontier scheduler scoring members over information gain,
-// bytes, latency, and energy.
-type SchedulerOptions = core.SchedulerOptions
-
-// SchedulerWeights scales the scheduler's four objectives; the zero
-// value means flat. Parse flag strings with ParseSchedulerWeights.
-type SchedulerWeights = sched.Weights
-
-// ParseSchedulerWeights parses a -sched-weights style flag value:
-// positional "gain,bytes,latency,energy" or named "gain=2,bytes=1".
-func ParseSchedulerWeights(s string) (SchedulerWeights, error) { return sched.ParseWeights(s) }
 
 // ByzantineOptions injects adversarial devices into the fleet
 // (Config.Fleet.Byzantine): the first Count device IDs corrupt their

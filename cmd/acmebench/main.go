@@ -3,7 +3,7 @@
 //
 //	acmebench -exp all
 //	acmebench -exp table1,fig7a,fig11 -seeds 3
-//	acmebench -exp trajectory -json BENCH_23.json
+//	acmebench -exp trajectory -json BENCH_24.json
 //
 // Paper-scale experiments use the calibrated surrogate; micro-scale
 // experiments run the real training stack and distributed pipeline.

@@ -16,7 +16,7 @@
 //     0.9 falling to 0.8 is a broken detector);
 //   - ceiling: fails when at or past bound, whatever the older file
 //     says and even on a config the older file lacks (the durability
-//     tax, the scheduler's bytes per point against its uniform baseline).
+//     tax).
 //
 // A gate on an object-valued metric (the per-kind "kind_bytes_total"
 // map) applies to each of its keys. The table is read from the newer
@@ -240,6 +240,16 @@ func run(args []string) error {
 				regressions++
 			}
 		}
+	}
+	var retired []string
+	for name := range prev.configs {
+		if _, ok := cur.configs[name]; !ok {
+			retired = append(retired, name)
+		}
+	}
+	sort.Strings(retired)
+	for _, name := range retired {
+		fmt.Printf("  %-28s retired config, older file only\n", name)
 	}
 	if compared == 0 {
 		fmt.Println("  no overlapping configs/metrics; nothing to compare")

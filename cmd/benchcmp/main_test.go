@@ -160,7 +160,7 @@ func TestGates(t *testing.T) {
 				{"name": "dense", "importance_bytes_total": 1000, "kind_bytes_total": config{"report": 99}},
 				{"name": "added", "importance_bytes_total": 1 << 30},
 			},
-			reported: []string{"new config, no baseline", "new metric, no baseline"},
+			reported: []string{"new config, no baseline", "new metric, no baseline", "retired config, older file only"},
 		},
 		{
 			name:  "an ungated metric is ignored",

@@ -135,11 +135,12 @@ type PersonalizedSet struct {
 }
 
 // layers extracts the float64 importance layers from whichever payload
-// an upload carries.
-func (u *ImportanceUpload) layers() ([][]float64, error) {
+// an upload carries; topK is the run's Wire.TopKFraction, which a sparse
+// payload is vetted against.
+func (u *ImportanceUpload) layers(topK float64) ([][]float64, error) {
 	switch {
 	case len(u.Sparse) > 0:
-		return densifySet(u.Sparse), nil
+		return densifySet(u.Sparse, topK)
 	case len(u.Quant) > 0:
 		return dequantizeLayers(u.Quant)
 	default:
@@ -156,17 +157,17 @@ func (p *PersonalizedSet) layers() ([][]float64, error) {
 	return dequantizeSet(p.Layers), nil
 }
 
+// topKCount is how many of a layer's n entries top-k sparsification at
+// fraction keeps.
+func topKCount(n int, fraction float64) int {
+	return min(max(int(fraction*float64(n)), 1), n)
+}
+
 // sparsifySet keeps the top fraction of entries (by value) per layer.
 func sparsifySet(layers [][]float64, fraction float64) []SparseLayer {
 	out := make([]SparseLayer, len(layers))
 	for i, l := range layers {
-		k := int(fraction * float64(len(l)))
-		if k < 1 {
-			k = 1
-		}
-		if k > len(l) {
-			k = len(l)
-		}
+		k := topKCount(len(l), fraction)
 		idx := make([]int, len(l))
 		for j := range idx {
 			idx[j] = j
@@ -187,19 +188,31 @@ func sparsifySet(layers [][]float64, fraction float64) []SparseLayer {
 }
 
 // densifySet reconstructs dense layers from a sparse upload (missing
-// entries are zero — they were below the top-k cut).
-func densifySet(sparse []SparseLayer) [][]float64 {
+// entries are zero — they were below the top-k cut). The upload comes
+// off the wire, so each layer is vetted before its row is allocated: it
+// must carry exactly the entries sparsifySet keeps of Size at the run's
+// fraction — which bounds Size by the payload's own length — all of them
+// inside the row.
+func densifySet(sparse []SparseLayer, fraction float64) ([][]float64, error) {
 	out := make([][]float64, len(sparse))
 	for i, sl := range sparse {
+		k := topKCount(int(sl.Size), fraction)
+		if sl.Size < 0 || len(sl.Indices) != k || len(sl.Values) != k {
+			return nil, fmt.Errorf("sparse layer %d: size %d with %d indices and %d values, want %d of each at top-k fraction %v",
+				i, sl.Size, len(sl.Indices), len(sl.Values), k, fraction)
+		}
+		for _, idx := range sl.Indices {
+			if idx < 0 || idx >= sl.Size {
+				return nil, fmt.Errorf("sparse layer %d: index %d outside [0,%d)", i, idx, sl.Size)
+			}
+		}
 		row := make([]float64, sl.Size)
 		for j, idx := range sl.Indices {
-			if int(idx) < len(row) {
-				row[idx] = float64(sl.Values[j])
-			}
+			row[idx] = float64(sl.Values[j])
 		}
 		out[i] = row
 	}
-	return out
+	return out, nil
 }
 
 // quantizeSet converts importance layers to float32 for the wire.

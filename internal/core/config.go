@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"acme/internal/chaos"
@@ -18,7 +17,6 @@ import (
 	"acme/internal/nn"
 	"acme/internal/pareto"
 	"acme/internal/prune"
-	"acme/internal/sched"
 )
 
 // WireOptions groups the knobs that shape protocol payloads on the
@@ -89,21 +87,6 @@ type StragglerPolicy struct {
 	// fraction in (0,1); the two must be set together.
 	Quorum   float64
 	Deadline time.Duration
-	// AdaptiveCutoff replaces the fixed Deadline with an EWMA of the
-	// edge's past gather walls: each round's effective deadline is
-	// AdaptiveFactor × the smoothed wall, seeded by the configured
-	// Deadline before the first observation. Slow rounds stretch the
-	// budget, fast rounds tighten it — the cutoff tracks the cluster's
-	// real pace instead of a hand-tuned constant. Requires the
-	// Quorum/Deadline pair; off (default) keeps the fixed deadline,
-	// bitwise identical to the pre-adaptive policy.
-	AdaptiveCutoff bool
-	// AdaptiveAlpha is the EWMA smoothing weight of the newest gather
-	// wall in (0,1] (0 = default 0.3).
-	AdaptiveAlpha float64
-	// AdaptiveFactor is the slack multiplier applied to the smoothed
-	// wall to form the round deadline (0 = default 2).
-	AdaptiveFactor float64
 	// SlowDeviceDelay artificially delays one device's importance
 	// upload by this much every round (the device whose ID is
 	// SlowDeviceID) — a deterministic straggler for benchmarks and
@@ -130,31 +113,8 @@ func (p StragglerPolicy) Validate() error {
 			p.Quorum, p.Deadline)
 	case p.SlowDeviceDelay < 0:
 		return fmt.Errorf("core: negative slow-device delay %v", p.SlowDeviceDelay)
-	case p.AdaptiveCutoff && !(p.Quorum > 0 && p.Deadline > 0):
-		return fmt.Errorf("core: adaptive cutoff requires the straggler quorum and deadline (-quorum %v, -cutoff %v)",
-			p.Quorum, p.Deadline)
-	case p.AdaptiveAlpha < 0 || p.AdaptiveAlpha > 1:
-		return fmt.Errorf("core: adaptive cutoff alpha %v outside (0,1]", p.AdaptiveAlpha)
-	case p.AdaptiveFactor < 0:
-		return fmt.Errorf("core: negative adaptive cutoff factor %v", p.AdaptiveFactor)
 	}
 	return nil
-}
-
-// adaptiveAlpha returns the EWMA weight, defaulted.
-func (p StragglerPolicy) adaptiveAlpha() float64 {
-	if p.AdaptiveAlpha == 0 {
-		return 0.3
-	}
-	return p.AdaptiveAlpha
-}
-
-// adaptiveFactor returns the deadline slack multiplier, defaulted.
-func (p StragglerPolicy) adaptiveFactor() float64 {
-	if p.AdaptiveFactor == 0 {
-		return 2
-	}
-	return p.AdaptiveFactor
 }
 
 // ByzantineOptions injects adversarial devices into the fleet: the
@@ -249,58 +209,12 @@ type FleetOptions struct {
 	// Byzantine injects lying devices; Detect is the edge-side defense.
 	Byzantine ByzantineOptions
 	Detect    DetectOptions
-	// Scheduler upgrades the per-round draw from uniform to scored (see
-	// SchedulerOptions); it only applies while Sampling() is true.
-	Scheduler SchedulerOptions
-}
-
-// SchedulerOptions selects how each round's participation subset is
-// drawn from the live membership.
-type SchedulerOptions struct {
-	// Mode is the picker: "" or "uniform" keeps PR 6's seeded uniform
-	// draw (the bitwise-pinned reference); "pareto" scores every live
-	// member on (information gain, upload bytes, latency, energy) and
-	// picks from the non-dominated grid frontier (internal/sched).
-	Mode string
-	// Weights scales the pareto scheduler's four objectives; the zero
-	// value means flat (all ones).
-	Weights sched.Weights
-	// Intervals is the dominance grid resolution per objective (0 =
-	// sched default).
-	Intervals int
-}
-
-// Pareto reports whether the scored scheduler is selected.
-func (o SchedulerOptions) Pareto() bool { return o.Mode == "pareto" }
-
-// Validate reports scheduler-option errors.
-func (o SchedulerOptions) Validate() error {
-	switch o.Mode {
-	case "", "uniform", "pareto":
-	default:
-		return fmt.Errorf("core: unknown scheduler mode %q (want uniform or pareto)", o.Mode)
-	}
-	if o.Intervals < 0 {
-		return fmt.Errorf("core: scheduler grid intervals %d negative", o.Intervals)
-	}
-	for _, w := range []float64{o.Weights.Gain, o.Weights.Bytes, o.Weights.Latency, o.Weights.Energy} {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("core: scheduler weights %v must be finite and non-negative", o.Weights)
-		}
-	}
-	return nil
 }
 
 // Validate reports fleet-option errors.
 func (f FleetOptions) Validate() error {
 	if f.SampleFrac < 0 || f.SampleFrac > 1 {
 		return fmt.Errorf("core: participation sample fraction %v outside [0,1]", f.SampleFrac)
-	}
-	if err := f.Scheduler.Validate(); err != nil {
-		return err
-	}
-	if f.Scheduler.Pareto() && !f.Sampling() {
-		return fmt.Errorf("core: scheduler mode %q needs participation sampling (-sample-frac in (0,1))", f.Scheduler.Mode)
 	}
 	return f.Byzantine.Validate()
 }
@@ -461,17 +375,13 @@ type Config struct {
 	// ImportanceRefreshPeriod makes device-side importance incremental:
 	// instead of recomputing the full importance set from scratch every
 	// round, a device keeps its running batch accumulator and folds only
-	// IncrementalBatches newly drawn minibatches per round, with a full
-	// refresh (reset + complete recompute) every this-many rounds to
-	// bound drift. ≤1 refreshes every round — bitwise identical to the
-	// legacy full recompute. Incremental rounds also overlap compute
-	// with communication: the new batches are folded while the round's
-	// upload is in flight instead of on the next round's critical path.
+	// two newly drawn minibatches per round, with a full refresh (reset +
+	// complete recompute) every this-many rounds to bound drift. ≤1
+	// refreshes every round — bitwise identical to the legacy full
+	// recompute. Incremental rounds also overlap compute with
+	// communication: the new batches are folded while the round's upload
+	// is in flight instead of on the next round's critical path.
 	ImportanceRefreshPeriod int
-	// IncrementalBatches is how many new minibatches an incremental
-	// round folds into the running accumulator (0 = default 2; full
-	// refresh rounds always fold the complete budget).
-	IncrementalBatches int
 	// Straggler is the round cutoff policy and slow-device injection.
 	Straggler   StragglerPolicy
 	LocalEpochs int
@@ -653,8 +563,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative phase-2 rounds")
 	case c.ImportanceRefreshPeriod < 0:
 		return fmt.Errorf("core: negative importance refresh period %d", c.ImportanceRefreshPeriod)
-	case c.IncrementalBatches < 0:
-		return fmt.Errorf("core: negative incremental batch count %d", c.IncrementalBatches)
 	case c.Parallelism < 0:
 		return fmt.Errorf("core: negative parallelism %d", c.Parallelism)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,17 +19,68 @@ func TestSparsifyDensifyRoundTrip(t *testing.T) {
 		{0.1, 0.9},
 	}
 	sparse := sparsifySet(layers, 0.4) // keep top 2 of 5, top 1 of 2
-	dense := densifySet(sparse)
-	// Top entries preserved.
-	if dense[0][0] != 5 || dense[0][2] != 4 {
-		t.Fatalf("top entries lost: %v", dense[0])
+	dense, err := densifySet(sparse, 0.4)
+	if err != nil {
+		t.Fatalf("an honest sparse set was refused: %v", err)
 	}
-	// Dropped entries are zero.
-	if dense[0][1] != 0 || dense[0][3] != 0 || dense[0][4] != 0 {
-		t.Fatalf("dropped entries nonzero: %v", dense[0])
+	// Top entries preserved at wire precision, dropped entries zero.
+	want := [][]float64{{5, 0, 4, 0, 0}, {0, float64(float32(0.9))}}
+	if !reflect.DeepEqual(dense, want) {
+		t.Fatalf("round trip: got %v, want %v", dense, want)
 	}
-	if dense[1][1] != float64(float32(0.9)) || dense[1][0] != 0 {
-		t.Fatalf("layer 1 wrong: %v", dense[1])
+}
+
+// hostileSparseLayers are frames no sparsifySet produces; densifying
+// them unchecked panics (negative size, ragged or negative indices) or
+// allocates 16 GiB (a size the payload does not back).
+var hostileSparseLayers = map[string]SparseLayer{
+	"negative size":  {Size: -1},
+	"ragged entries": {Size: 5, Indices: []int32{0, 1}, Values: []float32{1}},
+	"negative index": {Size: 5, Indices: []int32{0, -1}, Values: []float32{1, 2}},
+	"index past end": {Size: 5, Indices: []int32{0, 5}, Values: []float32{1, 2}},
+	"unbacked size":  {Size: 1<<31 - 1, Indices: []int32{0}, Values: []float32{1}},
+}
+
+func TestDensifyRefusesHostileLayers(t *testing.T) {
+	for name, sl := range hostileSparseLayers {
+		if _, err := densifySet([]SparseLayer{sl}, 0.4); err == nil {
+			t.Errorf("%s: densified without error", name)
+		}
+	}
+}
+
+// TestEdgeRefusesHostileSparseUpload: one device's top-k frame must not
+// take the edge down. With top-k off any sparse payload is refused;
+// with it on, one that is not what sparsifySet sends is — as an error
+// naming sender and kind, before anything is allocated or folded.
+func TestEdgeRefusesHostileSparseUpload(t *testing.T) {
+	fold := func(topK float64, sl SparseLayer) error {
+		cfg := tinyConfig()
+		cfg.Wire.TopKFraction = topK
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sys.newEdgeState(0, transport.NewSession(edgeName(0), sys.Net), HeaderPackage{}, nil)
+		r := &edgeRound{edgeState: st, folded: make([]bool, len(st.order))}
+		payload, err := transport.Binary.Encode(ImportanceUpload{DeviceID: st.idByPos[0], Sparse: []SparseLayer{sl}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.fold(transport.Message{Kind: transport.KindImportanceSet, From: st.nameByPos[0], Payload: payload})
+	}
+	named := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), transport.KindImportanceSet.String()) &&
+			strings.Contains(err.Error(), "device-")
+	}
+	honest := sparsifySet([][]float64{{5, 1, 4, 0.5, 3}}, 0.4)[0]
+	if err := fold(0, honest); !named(err) || !strings.Contains(err.Error(), "top-k sparsification is off") {
+		t.Fatalf("sparse upload with top-k off: %v", err)
+	}
+	for name, sl := range hostileSparseLayers {
+		if err := fold(0.4, sl); !named(err) {
+			t.Errorf("%s with top-k on: %v", name, err)
+		}
 	}
 }
 

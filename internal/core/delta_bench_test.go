@@ -173,7 +173,7 @@ func BenchmarkImportanceRound(b *testing.B) {
 						if err := transport.Binary.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
-						if _, err := got.layers(); err != nil {
+						if _, err := got.layers(0); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -20,7 +20,7 @@ import (
 // fullImportanceBatches is the device's per-round minibatch budget for
 // a from-scratch importance recomputation (the legacy fixed budget).
 // defaultIncrementalBatches is how many new batches an incremental
-// round folds when Config.IncrementalBatches is unset.
+// round folds.
 const (
 	fullImportanceBatches     = 8
 	defaultIncrementalBatches = 2
@@ -269,7 +269,7 @@ type deviceRounds struct {
 	acc     importance.Accumulator
 	// refresh > 0 makes importance incremental (see deviceLoop);
 	// prefolded is how many batches the previous round folded ahead.
-	refresh, incBatches, prefolded int
+	refresh, prefolded int
 
 	// buf retains recent encoded uploads for SESSION-RESUME
 	// retransmission; inert (zero retain) unless checkpointing is on.
@@ -292,7 +292,7 @@ type deviceRounds struct {
 // comes back as a delta against the previous downlink; top-k
 // sparsification keeps its legacy uplink payload (already sparse). With
 // ImportanceRefreshPeriod > 1, importance is incremental: only
-// IncrementalBatches new minibatches are folded into the running
+// defaultIncrementalBatches new minibatches are folded into the running
 // accumulator per round — speculatively, while the in-flight upload
 // travels and the edge aggregates the cluster — with a full recompute
 // every refresh-period rounds to bound the drift from folding batches
@@ -312,13 +312,12 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 	d := &deviceRounds{
 		s: s, ses: ses, dev: dev, edge: edgeName(edgeID),
 		rng: rng, local: local, header: header, pkg: pkg,
-		sampling:   s.Cfg.Fleet.Sampling(),
-		last:       startRound - 1,
-		delta:      s.Cfg.Wire.DeltaImportance && !s.topK(),
-		enc:        deltaEncoder{mode: s.Cfg.Wire.Quantization},
-		liar:       s.liarFor(dev.ID),
-		incBatches: s.Cfg.IncrementalBatches,
-		buf:        uplinkBuffer{retain: s.retainRounds()},
+		sampling: s.Cfg.Fleet.Sampling(),
+		last:     startRound - 1,
+		delta:    s.Cfg.Wire.DeltaImportance && !s.topK(),
+		enc:      deltaEncoder{mode: s.Cfg.Wire.Quantization},
+		liar:     s.liarFor(dev.ID),
+		buf:      uplinkBuffer{retain: s.retainRounds()},
 	}
 	// Incremental folding is self-paced only. It does not compose with
 	// participation gaps: the accumulator would mix batches from
@@ -326,9 +325,6 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 	// importance from scratch for every round it plays.
 	if s.Cfg.ImportanceRefreshPeriod > 1 && !d.sampling {
 		d.refresh = s.Cfg.ImportanceRefreshPeriod
-	}
-	if d.incBatches <= 0 {
-		d.incBatches = defaultIncrementalBatches
 	}
 	for {
 		t, ok, err := d.nextRound(ctx)
@@ -495,7 +491,7 @@ func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transpor
 		// Incremental round whose prefold folded nothing (an empty
 		// or sub-batch-size local dataset): fold on the critical
 		// path so the upload still reflects this round's budget.
-		drs.Batches, err = d.acc.FoldBatches(d.header, d.local, s.Cfg.LocalBatch, d.incBatches, d.rng)
+		drs.Batches, err = d.acc.FoldBatches(d.header, d.local, s.Cfg.LocalBatch, defaultIncrementalBatches, d.rng)
 	}
 	if err != nil {
 		return 0, nil, 0, err
@@ -627,7 +623,7 @@ func (d *deviceRounds) prefold(t int, drs *DeviceRoundStat) (err error) {
 		return nil
 	}
 	start := time.Now()
-	d.prefolded, err = d.acc.FoldBatches(d.header, d.local, d.s.Cfg.LocalBatch, d.incBatches, d.rng)
+	d.prefolded, err = d.acc.FoldBatches(d.header, d.local, d.s.Cfg.LocalBatch, defaultIncrementalBatches, d.rng)
 	drs.PrefoldBatches = d.prefolded
 	drs.PrefoldNS = time.Since(start).Nanoseconds()
 	return err

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -14,7 +13,6 @@ import (
 	"acme/internal/importance"
 	"acme/internal/nas"
 	"acme/internal/nn"
-	"acme/internal/sched"
 	"acme/internal/transport"
 	"acme/internal/wire"
 )
@@ -106,9 +104,7 @@ func (s *System) edgeGatherSetup(ctx context.Context, ses *transport.Session, ed
 	// The membership registry outlives any single gather: seeded from
 	// the static cluster list, then fed by every control record the
 	// session sees (JOIN / LEAVE / RESYNC fold in automatically), it is
-	// the live member set each round's participation sample draws from
-	// and the per-member traffic/latency history a scored sampler can
-	// rank by.
+	// the live member set each round's participation sample draws from.
 	ses.Membership().Seed(genesis)
 	haveStats := make(map[int]bool, len(members))
 	shards := make(map[int]RawShard, len(members))
@@ -332,19 +328,10 @@ type edgeState struct {
 	lastRound int
 
 	sampling bool
-	sampler  participationPicker
+	sampler  fleet.Sampler
 	// monitor: the §II-A convergence check is on.
 	monitor bool
-	// schedTrack arms the scored scheduler's gain telemetry: the fold
-	// path feeds each decoded upload's magnitude into the registry.
-	// Off (uniform mode) the fold path is untouched, keeping
-	// scheduler-off runs byte- and state-identical to PR 6's sampler.
-	schedTrack bool
-	cutoff     bool
-	// gatherEWMA is the adaptive straggler cutoff's smoothed gather
-	// wall in seconds (Config.Straggler.AdaptiveCutoff); 0 until the
-	// first gather completes.
-	gatherEWMA float64
+	cutoff  bool
 
 	// Byzantine screening (Config.Fleet.Detect): one detector per edge,
 	// strikes accumulated across rounds. In detection mode uploads are
@@ -370,90 +357,6 @@ type edgeState struct {
 	// copies into the shadow), inside the buffer lifetime the gather
 	// guarantees OnMessage.
 	arena *wire.Arena
-}
-
-// participationPicker is the per-round subset draw behind the sampled
-// loop: PR 6's uniform fleet.Sampler or the scored sched.Scheduler,
-// both deterministic functions of (seed, round, live set[, telemetry])
-// behind the same contract — ceil(Frac×n) picks clamped to [1,n],
-// sorted, identical across transports and repeated runs.
-type participationPicker interface {
-	Sample(round int, live []string) []string
-}
-
-// schedSource adapts the fleet registry and the cluster's device
-// energy profiles to the scheduler's telemetry view. Everything it
-// serves is deterministic given the run history: the registry series
-// are round-gated EWMAs fed from decoded bytes, and the energy and
-// latency priors are pure functions of the Config-derived device
-// profiles at the cluster's backbone shape.
-type schedSource struct {
-	reg     *fleet.Registry
-	energy  map[string]float64
-	latency map[string]float64
-}
-
-func (src *schedSource) Telemetry(node string, round int) sched.Telemetry {
-	tel := sched.Telemetry{
-		Energy:       src.energy[node],
-		LatencyPrior: src.latency[node],
-		Staleness:    float64(round + 1), // unseen member: maximally stale
-	}
-	if m, ok := src.reg.Lookup(node); ok {
-		tel.Gain = m.GainEWMA
-		tel.GainKnown = m.HaveMag
-		tel.Staleness = float64(round - m.LastRound)
-		tel.UpBytes = m.BytesEWMA
-		// A delta chain survives only adjacent participation: a member
-		// that contributed exactly last round uploads at its EWMA cost;
-		// anyone else re-seeds dense.
-		tel.Warm = m.LastRound == round-1
-		tel.WallSeconds = m.WallEWMA
-	}
-	return tel
-}
-
-// newParetoScheduler builds the scored picker for one edge: frac and
-// seed shared with the uniform sampler (so disabling scoring
-// reproduces its draws), telemetry from the edge's own registry, and
-// per-member energy/latency priors evaluated at the cluster backbone.
-func (s *System) newParetoScheduler(st *edgeState) *sched.Scheduler {
-	src := &schedSource{
-		reg:     st.reg,
-		energy:  make(map[string]float64, len(st.order)),
-		latency: make(map[string]float64, len(st.order)),
-	}
-	for _, di := range st.order {
-		dev := s.devices[di]
-		src.energy[dev.Name()] = dev.Profile.Energy(st.pkg.Backbone.W, st.pkg.Backbone.D)
-		src.latency[dev.Name()] = dev.Profile.Latency(st.pkg.Backbone.W, st.pkg.Backbone.D)
-	}
-	o := s.Cfg.Fleet.Scheduler
-	return &sched.Scheduler{
-		Frac:      s.Cfg.Fleet.SampleFrac,
-		Seed:      s.Cfg.SampleSeed(),
-		Weights:   o.Weights,
-		Intervals: o.Intervals,
-		Source:    src,
-	}
-}
-
-// importanceMagnitude is the deterministic scalar the scheduler's gain
-// telemetry tracks: the mean absolute value over an upload's decoded
-// layers. Fixed iteration order, so identical across transports.
-func importanceMagnitude(layers [][]float64) float64 {
-	var sum float64
-	var n int
-	for _, l := range layers {
-		for _, v := range l {
-			sum += math.Abs(v)
-		}
-		n += len(l)
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // inResumeWindow reports whether round t is close enough to a restore
@@ -496,10 +399,6 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 		cutoff:       s.Cfg.Straggler.Enabled(),
 		resumedRound: -1,
 		arena:        &wire.Arena{AliasInput: true},
-	}
-	if s.Cfg.Fleet.Scheduler.Pareto() {
-		st.schedTrack = true
-		st.sampler = s.newParetoScheduler(st)
 	}
 	for i, di := range order {
 		st.pos[s.devices[di].ID] = i

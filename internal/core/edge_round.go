@@ -32,8 +32,8 @@ type edgeRound struct {
 }
 
 // edgeRounds is the round loop itself: a round-scoped gather per round
-// with optional (adaptive) straggler cutoff, the control plane that
-// lets churned devices resync mid-loop, and the streamed downlinks.
+// with optional straggler cutoff, the control plane that lets churned
+// devices resync mid-loop, and the streamed downlinks.
 // When checkpointing is configured it owns the background snapshot
 // writer: a round hands it a marshalled snapshot and keeps going; the
 // write (and its fsync, if configured) happens off the critical path.
@@ -206,29 +206,13 @@ func (r *edgeRound) gather(ctx context.Context, expect []string, epoch uint64) e
 		OnMessage: r.fold,
 		OnControl: r.control,
 	}
-	adaptive := r.cutoff && r.s.Cfg.Straggler.AdaptiveCutoff
 	if r.cutoff {
 		spec.Quorum = r.s.Cfg.Straggler.Quorum
 		spec.Deadline = r.s.Cfg.Straggler.Deadline
-		if adaptive && r.gatherEWMA > 0 {
-			// Adaptive deadline: a multiple of the smoothed gather
-			// wall, so the cutoff tracks the cluster's observed pace
-			// instead of a hand-tuned constant. The first round (no
-			// observation yet) uses the configured deadline.
-			spec.Deadline = time.Duration(r.s.Cfg.Straggler.adaptiveFactor() * r.gatherEWMA * float64(time.Second))
-		}
 	}
 	gres, err := r.ses.Gather(ctx, spec)
 	if err != nil {
 		return err
-	}
-	if adaptive {
-		a := r.s.Cfg.Straggler.adaptiveAlpha()
-		if wall := gres.Wall.Seconds(); r.gatherEWMA <= 0 {
-			r.gatherEWMA = wall
-		} else {
-			r.gatherEWMA = a*wall + (1-a)*r.gatherEWMA
-		}
 	}
 	r.rs.GatherWallNS = gres.Wall.Nanoseconds()
 	r.rs.StaleMessages = gres.Stale
@@ -270,7 +254,10 @@ func (r *edgeRound) fold(msg transport.Message) error {
 			// outlived the crash in an inbox: drop the second copy.
 			return nil
 		}
-		if layers, err = up.layers(); err != nil {
+		if len(up.Sparse) > 0 && !r.s.topK() {
+			return fmt.Errorf("%v from %s (device %d): sparse payload but top-k sparsification is off", msg.Kind, msg.From, devID)
+		}
+		if layers, err = up.layers(r.s.Cfg.Wire.TopKFraction); err != nil {
 			return fmt.Errorf("%v from %s (device %d): %w", msg.Kind, msg.From, devID, err)
 		}
 		// A dense upload does not advance the delta shadow, so
@@ -302,14 +289,6 @@ func (r *edgeRound) fold(msg transport.Message) error {
 			return fmt.Errorf("%v from %s (device %d): %w", msg.Kind, msg.From, devID, err)
 		}
 		r.rs.DeltaMessages++
-	}
-	if r.schedTrack {
-		// Scored-scheduler telemetry: the decoded upload's
-		// magnitude feeds the gain objective. After the duplicate
-		// checks — and round-gated again inside the registry — so
-		// a restored run's retransmissions fold at most once and
-		// the telemetry series replays identically.
-		r.reg.RecordImportance(r.nameByPos[p], r.t, importanceMagnitude(layers))
 	}
 	if r.detect != nil {
 		// Detection mode: hold the upload until the gather ends —

@@ -3,13 +3,11 @@ package core
 import (
 	"flag"
 	"time"
-
-	"acme/internal/sched"
 )
 
 // BindFlags declares on fs the run flags every ACME command line shares
-// — fleet shape, wire shaping, straggler policy, participation sampling
-// and scheduling, link chaos, Byzantine injection and detection,
+// — fleet shape, wire shaping, straggler policy, participation
+// sampling, link chaos, Byzantine injection and detection,
 // checkpointing — defaulted from *cfg, and returns the function that
 // writes them into *cfg once fs is parsed. The processes of a TCP
 // deployment must run with identical values for all of them (the chaos
@@ -30,8 +28,6 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	straggle := fs.Duration("straggle", 0, "artificially delay device 0's upload by this much every round (a deterministic straggler for -quorum/-cutoff demos)")
 	fs.Float64Var(&cfg.Fleet.SampleFrac, "sample-frac", cfg.Fleet.SampleFrac, "per-round participation fraction in (0,1): each round every edge invites only a seeded sample of its live devices (0 = full participation)")
 	fs.Int64Var(&cfg.Fleet.SampleSeed, "sample-seed", cfg.Fleet.SampleSeed, "participation sampling seed (0 = derive from -seed)")
-	fs.StringVar(&cfg.Fleet.Scheduler.Mode, "sched", cfg.Fleet.Scheduler.Mode, "round scheduler: uniform (seeded draw, default) or pareto (score live members over gain/bytes/latency/energy and pick from the non-dominated frontier; needs -sample-frac)")
-	schedWeights := fs.String("sched-weights", "", "pareto scheduler objective weights: \"gain,bytes,latency,energy\" or named \"gain=2,bytes=1\" (default flat)")
 	fs.BoolVar(&cfg.Fleet.SharedShards, "shared-shards", cfg.Fleet.SharedShards, "share one training shard per data group across its devices (memory scaling for thousands of simulated devices)")
 
 	// The option groups are staged: each lands in cfg only when its
@@ -58,7 +54,7 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	fs.Float64Var(&detect.K, "detect-k", 0, "detector MAD multiplier in the outlier threshold (0 = default 3)")
 	fs.Float64Var(&detect.Margin, "detect-margin", 0, "detector relative slack on the median score (0 = default 0.5)")
 	fs.IntVar(&detect.StrikeLimit, "detect-strikes", 0, "flagged rounds before eviction (0 = default 2, negative = never evict)")
-	fs.Float64Var(&detect.ReplayFrac, "detect-replay", 0, "flag devices whose uploads repeat verbatim in at least this fraction of scored rounds (0 = off)")
+	fs.Float64Var(&detect.ReplayFrac, "detect-replay", 0, "replay screen: flag a device whose upload sits within this fraction of the cluster's median round-to-round self-drift of its own previous upload (0 = default 0.1, negative = screen off)")
 	fs.StringVar(&checkpoint.Path, "ckpt-path", "", "checkpoint directory: write durable session snapshots at round boundaries")
 	fs.IntVar(&checkpoint.Every, "ckpt-every", 0, "snapshot every Nth round (0 or 1 = every round)")
 	fs.BoolVar(&checkpoint.Fsync, "ckpt-fsync", false, "fsync snapshots to stable storage before they count")
@@ -66,9 +62,6 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	return func() (err error) {
 		cfg.Fleet.Spec.Clusters = cfg.EdgeServers
 		if cfg.Wire.Quantization, err = ParseQuantMode(*quant); err != nil {
-			return err
-		}
-		if cfg.Fleet.Scheduler.Weights, err = sched.ParseWeights(*schedWeights); err != nil {
 			return err
 		}
 		if *straggle > 0 {

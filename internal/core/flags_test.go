@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"acme/internal/sched"
 )
 
 // runFlagDefaults is the run-flag set acmesim and acmenode both
@@ -20,7 +18,7 @@ var runFlagDefaults = map[string]string{
 	"edges": "2", "devices": "3", "samples": "160", "rounds": "2", "seed": "1",
 	"entropy": "false", "quant": "lossless", "delta": "false", "refresh": "0",
 	"quorum": "0", "cutoff": "0s", "straggle": "0s",
-	"sample-frac": "0", "sample-seed": "0", "sched": "", "sched-weights": "", "shared-shards": "false",
+	"sample-frac": "0", "sample-seed": "0", "shared-shards": "false",
 	"chaos": "false", "chaos-seed": "0", "chaos-base": "200µs", "chaos-jitter": "2ms",
 	"chaos-spike-prob": "0.1", "chaos-spike": "10ms", "chaos-bandwidth": "0",
 	"byzantine": "", "byzantine-count": "1", "byzantine-prob": "1", "byzantine-factor": "0", "byzantine-seed": "0",
@@ -60,8 +58,8 @@ func TestBindFlagsSet(t *testing.T) {
 }
 
 // TestBindFlagsApply: parsed values land in the Config fields the
-// hand-written blocks set, option groups only when switched on, and the
-// two string-valued flags fail with their parsers' errors.
+// hand-written blocks set, option groups only when switched on, and
+// -quant fails with its parser's error.
 func TestBindFlagsApply(t *testing.T) {
 	parse := func(args ...string) (Config, error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -85,7 +83,7 @@ func TestBindFlagsApply(t *testing.T) {
 
 	cfg, err := parse("-edges", "4", "-devices", "5", "-quant", "mixed", "-delta", "-entropy",
 		"-quorum", "0.5", "-cutoff", "2s", "-straggle", "30ms", "-sample-frac", "0.25",
-		"-sched", "pareto", "-sched-weights", "gain=2", "-chaos", "-chaos-seed", "7",
+		"-chaos", "-chaos-seed", "7",
 		"-byzantine", "inflate", "-byzantine-prob", "0.5", "-detect", "-detect-strikes", "3",
 		"-ckpt-path", "/tmp/x", "-ckpt-every", "2")
 	if err != nil {
@@ -96,8 +94,6 @@ func TestBindFlagsApply(t *testing.T) {
 	want.Wire = WireOptions{Entropy: true, Quantization: QuantMixed, DeltaImportance: true}
 	want.Straggler = StragglerPolicy{Quorum: 0.5, Deadline: 2 * time.Second, SlowDeviceDelay: 30 * time.Millisecond}
 	want.Fleet.SampleFrac = 0.25
-	want.Fleet.Scheduler.Mode = "pareto"
-	want.Fleet.Scheduler.Weights = sched.Weights{Gain: 2, Bytes: 1, Latency: 1, Energy: 1}
 	want.Chaos = ChaosOptions{Enabled: true, Seed: 7, BaseDelay: 200 * time.Microsecond,
 		Jitter: 2 * time.Millisecond, SpikeProb: 0.1, SpikeDelay: 10 * time.Millisecond}
 	want.Fleet.Byzantine = ByzantineOptions{Strategy: "inflate", Count: 1, Prob: 0.5}
@@ -112,9 +108,6 @@ func TestBindFlagsApply(t *testing.T) {
 
 	if _, err := parse("-quant", "int4"); err == nil || !strings.Contains(err.Error(), "unknown quantization") {
 		t.Fatalf("-quant int4: %v", err)
-	}
-	if _, err := parse("-sched-weights", "gain=x"); err == nil {
-		t.Fatal("-sched-weights gain=x accepted")
 	}
 	// Validation stays Config.Validate's, with its flag-naming message.
 	cfg, err = parse("-quorum", "0.5")

@@ -57,7 +57,6 @@ func TestIncrementalBoundedDrift(t *testing.T) {
 
 	inc := cfg
 	inc.ImportanceRefreshPeriod = 4
-	inc.IncrementalBatches = 2
 	incRes := runCfg(t, inc)
 
 	if math.Abs(incRes.MeanAccuracyFinal()-full.MeanAccuracyFinal()) > 0.15 {
@@ -98,16 +97,11 @@ func TestIncrementalBoundedDrift(t *testing.T) {
 	}
 }
 
-// TestIncrementalConfigValidation pins the new knobs' validation.
+// TestIncrementalConfigValidation pins the refresh period's validation.
 func TestIncrementalConfigValidation(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.ImportanceRefreshPeriod = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative refresh period accepted")
-	}
-	cfg = tinyConfig()
-	cfg.IncrementalBatches = -2
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative incremental batch count accepted")
 	}
 }

@@ -81,9 +81,6 @@ type EdgeSnapshot struct {
 	HavePrev bool
 
 	LastRound int
-	// GatherEWMA is the adaptive straggler cutoff's smoothed gather
-	// wall, in seconds (Config.Straggler.AdaptiveCutoff).
-	GatherEWMA float64
 
 	// Detector is the Byzantine detector's cross-round memory (strike
 	// book, eviction set, previous-round samples).
@@ -244,7 +241,6 @@ func (st *edgeState) snapshot(t int) *EdgeSnapshot {
 		LastSampled: append([]int(nil), st.lastSampled...),
 		Shadows:     make([]ShadowState, len(st.shadows)),
 		LastRound:   st.lastRound,
-		GatherEWMA:  st.gatherEWMA,
 		Members:     st.reg.Snapshot(),
 		Epoch:       st.reg.Epoch(),
 	}
@@ -320,7 +316,6 @@ func (snap *EdgeSnapshot) restoreInto(st *edgeState) error {
 		}
 	}
 	st.lastRound = snap.LastRound
-	st.gatherEWMA = snap.GatherEWMA
 	if snap.HaveDetector {
 		if st.detect == nil {
 			return fmt.Errorf("core: edge snapshot carries detector state the config does not enable")

@@ -13,7 +13,7 @@ import (
 
 // The trajectory is the repo's measured claim about the Phase 2-2 loop,
 // PR by PR: what the exchange costs in bytes, what the edge waits for,
-// what the detector catches, what durability and scheduling cost. Each
+// what the detector catches, what durability costs. Each
 // PR 3…10 added cells; they are one table here, run once each by
 // Trajectory. A cell is data (this file); config, run and measure
 // (trajectory_run.go) turn it into a core.Config, a core.Result and the
@@ -62,7 +62,6 @@ type cell struct {
 	CutoffMS   int64   `json:"cutoff_ms,omitempty"`
 
 	SampleFrac float64 `json:"sample_frac,omitempty"`
-	Scheduler  string  `json:"scheduler,omitempty"`
 
 	// The adversarial axes: chaos link profile, Byzantine strategy ×
 	// per-round lie probability (Byzantine devices are IDs 0 and 1),
@@ -96,12 +95,6 @@ type wireMetrics struct {
 	KindBinaryBytes    map[string]int64   `json:"kind_binary_bytes"`
 	EntropyRatioByKind map[string]float64 `json:"entropy_ratio_by_kind,omitempty"`
 	BulkEntropyRatio   float64            `json:"bulk_entropy_ratio,omitempty"`
-
-	// BytesPerPoint is loop bytes per accuracy point on the scheduler
-	// cells; VsUniformRatio the pareto cell's figure over the uniform
-	// cell's.
-	BytesPerPoint  float64 `json:"bytes_per_point,omitempty"`
-	VsUniformRatio float64 `json:"bytes_per_point_vs_uniform_ratio,omitempty"`
 }
 
 // roundMetrics is a run's round trace, summed over edges per round: the
@@ -175,14 +168,9 @@ type gate struct {
 	Kind   string  `json:"kind"`
 }
 
-const (
-	// Checkpointing must stay under 5% of the plain wall no matter what
-	// the previous PR measured.
-	ckptTaxCeiling = 0.05
-	// The scored scheduler must beat its uniform baseline: at or above
-	// 1.0 the picks no longer pay for themselves.
-	vsUniformCeiling = 1.0
-)
+// Checkpointing must stay under 5% of the plain wall no matter what the
+// previous PR measured.
+const ckptTaxCeiling = 0.05
 
 // gates lists every gated metric above. Wire volumes are gated as a
 // ratio. Rates in [0,1] are gated on absolute points (a TPR of 0.02
@@ -196,7 +184,6 @@ var gates = []gate{
 	{"detection_fpr", "fraction", "lower", 0.05, "points"},
 	{"restore_equal_tpr", "fraction", "higher", 0.05, "points"},
 	{"ckpt_overhead_frac", "fraction", "lower", ckptTaxCeiling, "ceiling"},
-	{"bytes_per_point_vs_uniform_ratio", "ratio", "lower", vsUniformCeiling, "ceiling"},
 }
 
 // report is one entry of the file's configs array: the cell and
@@ -260,7 +247,7 @@ var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0, StrikeLimit:
 // byzantineDevices is how many devices lie in a cell with a Strategy.
 const byzantineDevices = 2
 
-// cells returns the trajectory: 18 named cells and the 30-cell
+// cells returns the trajectory: 16 named cells and the 30-cell
 // adversarial matrix.
 func cells() []cell {
 	// acmesim's default scenario at seed 1. Its dense-lossless and
@@ -288,16 +275,6 @@ func cells() []cell {
 	fleet := with(base, "fleet-full-200", 6, func(c *cell) {
 		c.Edges, c.DevicesPerEdge, c.Samples, c.Rounds, c.DataGroups = 8, 25, 16, 2, 8
 	})
-	// A sampled, straggling fleet on the wire-shaped exchange (mixed
-	// quantization + delta): a warm delta chain uploads at a fraction of
-	// a dense re-seed, which is precisely the cost structure the
-	// scheduler's warm/cold bytes objective trades against. The 500 ms
-	// delay is far past the scheduler's 8×-median slowness guard, so the
-	// pareto cell drops the device once observed while the uniform draw
-	// keeps re-inviting it.
-	sched := with(deltaMixed, "sched-uniform", 10, func(c *cell) {
-		c.DevicesPerEdge, c.Rounds, c.SampleFrac, c.Scheduler, c.StraggleMS = 4, 10, 0.5, "uniform", 500
-	})
 	// The kill/restore topology: the micro stack over two edges, the
 	// sparse delta exchange on (the hardest state to restore — shadow
 	// chains must roll forward bit-exactly), five rounds so the kill
@@ -322,8 +299,6 @@ func cells() []cell {
 		with(deltaMixed, "delta-mixed-entropy", 7, func(c *cell) { c.Entropy = true }),
 		restore,
 		with(base, "ckpt-overhead", 9, func(c *cell) { c.Trials, c.CkptTax = 5, true }),
-		sched,
-		with(sched, "sched-pareto", 10, func(c *cell) { c.Scheduler = "pareto" }),
 		// The restored edge must re-derive the identical picks.
 		with(restore, "restore-kill-edge-sampled", 10, func(c *cell) { c.DevicesPerEdge, c.SampleFrac = 4, 0.5 }),
 	}
@@ -404,12 +379,6 @@ func check(r map[string]*report) error {
 	if tax := r["ckpt-overhead"].CkptOverheadFrac; tax >= ckptTaxCeiling {
 		return fmt.Errorf("checkpoint overhead %.3f ≥ %.2f of the plain wall", tax, ckptTaxCeiling)
 	}
-	// (A cell at zero accuracy makes the ratio NaN or +Inf, refused here,
-	// or its own bytes per point +Inf, refused by the JSON encoder.)
-	if pareto := r["sched-pareto"]; !(pareto.VsUniformRatio < vsUniformCeiling) {
-		return fmt.Errorf("pareto bytes/point %.1f not better than uniform %.1f (ratio %.3f ≥ %.1f)",
-			pareto.BytesPerPoint, r["sched-uniform"].BytesPerPoint, pareto.VsUniformRatio, vsUniformCeiling)
-	}
 	return nil
 }
 
@@ -473,7 +442,6 @@ func Trajectory(path string) (*Table, error) {
 		doc.Configs = append(doc.Configs, rep)
 		byName[c.Name] = rep
 	}
-	byName["sched-pareto"].VsUniformRatio = byName["sched-pareto"].BytesPerPoint / byName["sched-uniform"].BytesPerPoint
 	if err := check(byName); err != nil {
 		return nil, err
 	}
@@ -491,7 +459,7 @@ func Trajectory(path string) (*Table, error) {
 
 	t := &Table{
 		ID:      "trajectory",
-		Title:   "Phase 2-2 loop, PR 3…10: wire bytes, edge wait, detection, durability, scheduling",
+		Title:   "Phase 2-2 loop, PR 3…10: wire bytes, edge wait, detection, durability",
 		Columns: []string{"cell", "PR", "uplink B", "downlink B", "mean acc", "TPR", "FPR", "wall s"},
 	}
 	for _, c := range doc.Configs {
@@ -519,7 +487,6 @@ func Trajectory(path string) (*Table, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: %.3f", name, doc.Headlines[name]))
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("bytes_per_point_vs_uniform_ratio: %.3f (gated < %.1f)", byName["sched-pareto"].VsUniformRatio, vsUniformCeiling),
 		fmt.Sprintf("ckpt_overhead_frac: %.4f (gated < %.2f)", byName["ckpt-overhead"].CkptOverheadFrac, ckptTaxCeiling))
 	if path != "" {
 		t.Notes = append(t.Notes, "trajectory written to "+path)

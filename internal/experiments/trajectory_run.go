@@ -70,7 +70,6 @@ func (c cell) config(trial int) (core.Config, error) {
 	cfg.ImportanceRefreshPeriod = c.Refresh
 
 	cfg.Fleet.SampleFrac = c.SampleFrac
-	cfg.Fleet.Scheduler.Mode = c.Scheduler
 	cfg.Straggler.Quorum = c.Quorum
 	cfg.Straggler.Deadline = time.Duration(c.CutoffMS) * time.Millisecond
 
@@ -354,9 +353,6 @@ func measure(c cell, out outcome) (*wireMetrics, *roundMetrics) {
 			}
 		}
 		m.BulkEntropyRatio = float64(bulkBin) / float64(bulkWire)
-	}
-	if c.Scheduler != "" {
-		m.BytesPerPoint = float64(m.ImportanceBytesTotal+m.DownlinkBytesTotal) / (100 * out.res.MeanAccuracyFinal())
 	}
 	return m, rounds
 }

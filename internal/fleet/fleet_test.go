@@ -235,108 +235,10 @@ func TestRegistryGatherHistory(t *testing.T) {
 	if r.Epoch() != 1 {
 		t.Fatalf("gather history bumped epoch to %d", r.Epoch())
 	}
-}
-
-func TestRecordGatherEWMARoundGated(t *testing.T) {
-	r := NewRegistry()
-	r.Seed(map[string]int{"device-0": 0})
-	r.RecordGather("device-0", 0, 100, 10*time.Millisecond)
-	m, _ := r.Lookup("device-0")
-	if m.BytesEWMA != 100 || m.WallEWMA != 0.010 || m.StatRound != 0 {
-		t.Fatalf("first observation must seed the EWMA: %+v", m)
-	}
-	// A second message in the same round (setup's second frame, a
-	// resume-window retransmission) must not move the EWMA, while the
-	// cumulative counters keep counting.
-	r.RecordGather("device-0", 0, 9999, time.Second)
-	m, _ = r.Lookup("device-0")
-	if m.BytesEWMA != 100 || m.WallEWMA != 0.010 {
-		t.Fatalf("same-round observation moved the EWMA: %+v", m)
-	}
-	if m.Rounds != 2 || m.Bytes != 100+9999 {
-		t.Fatalf("cumulative counters should keep counting: %+v", m)
-	}
-	r.RecordGather("device-0", 1, 200, 20*time.Millisecond)
-	m, _ = r.Lookup("device-0")
-	if want := ewmaAlpha*200 + (1-ewmaAlpha)*100; m.BytesEWMA != want {
-		t.Fatalf("BytesEWMA = %v, want %v", m.BytesEWMA, want)
-	}
-}
-
-func TestRecordGatherEWMAShedsStragglyRound(t *testing.T) {
-	r := NewRegistry()
-	r.Seed(map[string]int{"device-0": 0})
-	// Nine ordinary rounds, one straggly outlier, then nine more
-	// ordinary rounds: the EWMA must decay back near the steady state
-	// instead of carrying the outlier forever (which the cumulative
-	// Wall average would).
-	round := 0
-	for i := 0; i < 9; i++ {
-		r.RecordGather("device-0", round, 100, 10*time.Millisecond)
-		round++
-	}
-	r.RecordGather("device-0", round, 100, 5*time.Second)
-	round++
-	for i := 0; i < 9; i++ {
-		r.RecordGather("device-0", round, 100, 10*time.Millisecond)
-		round++
-	}
-	m, _ := r.Lookup("device-0")
-	if m.WallEWMA > 0.5 {
-		t.Fatalf("one straggly round still dominates after 9 rounds: WallEWMA=%v", m.WallEWMA)
-	}
-	mean := m.Wall.Seconds() / float64(m.Rounds)
-	if m.WallEWMA >= mean {
-		t.Fatalf("EWMA %v should shed the outlier faster than the cumulative mean %v", m.WallEWMA, mean)
-	}
-}
-
-func TestRecordImportanceGainEWMA(t *testing.T) {
-	r := NewRegistry()
-	r.Seed(map[string]int{"device-0": 0})
-	r.RecordImportance("device-0", 0, 2.0)
-	m, _ := r.Lookup("device-0")
-	if !m.HaveMag || m.GainEWMA != 2.0 || m.LastMag != 2.0 || m.MagRound != 0 {
-		t.Fatalf("first importance observation: %+v", m)
-	}
-	// Replay of the same round is dropped by the round gate.
-	r.RecordImportance("device-0", 0, 50)
-	if m, _ = r.Lookup("device-0"); m.GainEWMA != 2.0 {
-		t.Fatalf("same-round importance moved the gain: %+v", m)
-	}
-	r.RecordImportance("device-0", 1, 1.5)
-	m, _ = r.Lookup("device-0")
-	if want := ewmaAlpha*0.5 + (1-ewmaAlpha)*2.0; m.GainEWMA != want {
-		t.Fatalf("GainEWMA = %v, want %v", m.GainEWMA, want)
-	}
-	if m.LastMag != 1.5 {
-		t.Fatalf("LastMag = %v, want 1.5", m.LastMag)
-	}
-}
-
-// TestTelemetrySurvivesSnapshotRestore pins the crash-tolerance
-// contract: the scheduler's telemetry must ride the same
-// Snapshot/Restore path as liveness, so a restored edge re-derives
-// identical picks.
-func TestTelemetrySurvivesSnapshotRestore(t *testing.T) {
-	r := NewRegistry()
-	r.Seed(map[string]int{"device-0": 0, "device-1": 1})
-	r.RecordGather("device-0", 0, 100, 10*time.Millisecond)
-	r.RecordImportance("device-0", 0, 2.0)
-	r.RecordGather("device-0", 1, 120, 12*time.Millisecond)
-	r.RecordImportance("device-0", 1, 1.5)
-	snap, epoch := r.Snapshot(), r.Epoch()
-	r2 := NewRegistry()
-	r2.Restore(snap, epoch)
-	a, _ := r.Lookup("device-0")
-	b, _ := r2.Lookup("device-0")
-	if a != b {
-		t.Fatalf("telemetry lost in restore: %+v vs %+v", a, b)
-	}
-	// Round-gating must survive too: a replayed observation after
-	// restore is still a no-op.
-	r2.RecordGather("device-0", 1, 9999, time.Second)
-	if b, _ = r2.Lookup("device-0"); b.BytesEWMA != a.BytesEWMA {
-		t.Fatalf("replayed round moved the restored EWMA: %+v", b)
+	// History rides the same Snapshot/Restore path as liveness.
+	restored := NewRegistry()
+	restored.Restore(r.Snapshot(), r.Epoch())
+	if got, _ := restored.Lookup("device-0"); got != m || restored.Epoch() != 1 {
+		t.Fatalf("restore lost history: %+v at epoch %d, want %+v at epoch 1", got, restored.Epoch(), m)
 	}
 }

@@ -43,42 +43,6 @@ type Member struct {
 	// Wall is the cumulative gather wall time attributed to the
 	// member's rounds.
 	Wall time.Duration
-
-	// Smoothed per-round telemetry for the scored (Pareto) scheduler.
-	// The cumulative counters above double-count resume-window
-	// retransmissions and let one straggly round dominate forever; the
-	// EWMAs fold at most one observation per member per round (StatRound
-	// guards the gate), so a restored run replays to the same series and
-	// old outliers decay. BytesEWMA is wire bytes per contribution,
-	// WallEWMA the member's gather arrival offset in seconds.
-	BytesEWMA float64
-	WallEWMA  float64
-	// StatRound is the last round folded into the byte/wall EWMAs (-1
-	// before the first).
-	StatRound int
-
-	// Importance-movement telemetry, fed from the edge fold path when
-	// the scheduler is on: GainEWMA smooths the round-over-round change
-	// in the member's decoded importance magnitude — the "expected
-	// information gain" objective. LastMag is the previous magnitude,
-	// HaveMag whether one was seen, MagRound the round gate (-1 before
-	// the first).
-	GainEWMA float64
-	LastMag  float64
-	HaveMag  bool
-	MagRound int
-}
-
-// ewmaAlpha weights a new telemetry observation against the member's
-// history: heavy enough that a few rounds re-rank a member, light
-// enough that one straggly round doesn't dominate its score.
-const ewmaAlpha = 0.25
-
-func ewma(prev, v float64, first bool) float64 {
-	if first {
-		return v
-	}
-	return ewmaAlpha*v + (1-ewmaAlpha)*prev
 }
 
 // Registry is an epoch-stamped member set. Every liveness change
@@ -119,7 +83,7 @@ func (r *Registry) Seed(members map[string]int) uint64 {
 func (r *Registry) member(node string) *Member {
 	m, ok := r.members[node]
 	if !ok {
-		m = &Member{Node: node, Device: -1, LastRound: -1, StatRound: -1, MagRound: -1}
+		m = &Member{Node: node, Device: -1, LastRound: -1}
 		r.members[node] = m
 	}
 	return m
@@ -279,46 +243,4 @@ func (r *Registry) RecordGather(node string, round int, bytes int64, wall time.D
 	}
 	m.Bytes += bytes
 	m.Wall += wall
-	// EWMAs fold the first observation of each round only: the setup
-	// gather's second message, duplicate uploads inside a restore's
-	// resume window, and resent buffers all arrive under an
-	// already-folded round and leave the series untouched.
-	if round > m.StatRound {
-		first := m.StatRound < 0
-		m.StatRound = round
-		m.BytesEWMA = ewma(m.BytesEWMA, float64(bytes), first)
-		m.WallEWMA = ewma(m.WallEWMA, wall.Seconds(), first)
-	}
-}
-
-// RecordImportance folds the deterministic magnitude of one decoded
-// importance upload into the member's gain telemetry. The tracked
-// quantity is the EWMA of |magnitude − previous magnitude|: how much
-// the member's importance picture is still moving, which is the
-// scheduler's proxy for the information a future round with this
-// member would carry. Round-gated like the gather EWMAs so replayed
-// uploads fold at most once.
-func (r *Registry) RecordImportance(node string, round int, mag float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.member(node)
-	if round <= m.MagRound {
-		return
-	}
-	m.MagRound = round
-	if !m.HaveMag {
-		// First sight: the whole magnitude is news.
-		m.HaveMag = true
-		m.GainEWMA = mag
-	} else {
-		m.GainEWMA = ewma(m.GainEWMA, mathAbs(mag-m.LastMag), false)
-	}
-	m.LastMag = mag
-}
-
-func mathAbs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
