@@ -55,15 +55,14 @@ fleet-bench:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-json regenerates the trajectory (~2½ min): the 46 cells PRs 3…10
-# added one generator at a time — wire shapes, TCP, straggler cutoff,
-# fleet sampling, entropy coding, the adversarial matrix, kill/restore,
-# the checkpoint tax — run once each from internal/experiments' cell
-# table, with the gate table benchcmp reads (PR 10's two scheduler cells
-# were retired with the scheduler in PR 24). BENCH_3…23.json stay as the
-# record; nothing regenerates them.
+# bench-json regenerates the trajectory (~2½ min): 47 cells — wire
+# shapes, TCP, straggler cutoff, fleet sampling, entropy coding, top-K,
+# the adversarial matrix, kill/restore, the checkpoint tax — run once
+# each from internal/experiments' cell table, with the gate table
+# benchcmp reads. The older BENCH_*.json files stay as the record;
+# nothing regenerates them.
 bench-json:
-	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_24.json
+	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_25.json
 
 # bench-compare diffs the two newest checked-in BENCH_*.json files and
 # fails on any gated regression (>10% wire bytes, 5 points of TPR/FPR,

@@ -2,6 +2,12 @@ package acme
 
 import (
 	"context"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -135,5 +141,39 @@ func TestTCPRoles(t *testing.T) {
 	}
 	if collected == nil || len(collected.Reports) != 2 {
 		t.Fatalf("collector got %+v", collected)
+	}
+}
+
+// TestOneSerializationFormat: internal/wire is the one serializer —
+// messages and snapshots alike. No program file outside bench/ may
+// import encoding/gob; tests may, as a yardstick.
+func TestOneSerializationFormat(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || path == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" {
+				t.Errorf("%s imports encoding/gob: serialize through internal/wire", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

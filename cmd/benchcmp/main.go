@@ -22,7 +22,8 @@
 // map) applies to each of its keys. The table is read from the newer
 // file, or from the older one when the newer predates it; BENCH_3…10
 // carry none and compare against a file that does. Metrics or configs
-// present in only one file are reported but do not fail the run.
+// present in only one file are reported but do not fail the run; a new
+// config is listed with its gated values and its mean accuracy.
 //
 //	benchcmp            # compare the two newest BENCH_*.json in .
 //	benchcmp A.json B.json  # compare A (older) against B (newer)
@@ -194,7 +195,11 @@ func run(args []string) error {
 	for _, name := range names {
 		prevMetrics, hasPrev := prev.configs[name]
 		if !hasPrev {
-			fmt.Printf("  %-28s new config, no baseline\n", name)
+			line := "new config, no baseline"
+			if acc, ok := cur.configs[name]["mean_accuracy_final"]; ok {
+				line += fmt.Sprintf("; mean accuracy %.3f", acc)
+			}
+			fmt.Printf("  %-28s %s\n", name, line)
 		}
 		keys := make([]string, 0, len(cur.configs[name]))
 		for k := range cur.configs[name] {
@@ -222,6 +227,8 @@ func run(args []string) error {
 			case !hasWas:
 				if hasPrev {
 					fmt.Printf("  %-28s %s: new metric, no baseline\n", name, k)
+				} else {
+					fmt.Printf("  %-28s %-28s %12s → %12s (new)\n", name, k, "(none)", strconv.FormatFloat(now, 'f', -1, 64))
 				}
 				continue
 			case g.Kind == "points":

@@ -158,9 +158,10 @@ func TestGates(t *testing.T) {
 			},
 			newer: []config{
 				{"name": "dense", "importance_bytes_total": 1000, "kind_bytes_total": config{"report": 99}},
-				{"name": "added", "importance_bytes_total": 1 << 30},
+				{"name": "added", "importance_bytes_total": 1 << 30, "mean_accuracy_final": 0.5},
 			},
-			reported: []string{"new config, no baseline", "new metric, no baseline", "retired config, older file only"},
+			reported: []string{"new config, no baseline; mean accuracy 0.500", "1073741824 (new)",
+				"new metric, no baseline", "retired config, older file only"},
 		},
 		{
 			name:  "an ungated metric is ignored",

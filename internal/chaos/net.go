@@ -159,9 +159,6 @@ func NewFlaky(inner transport.Transport, maxDelay time.Duration, seed int64) *Ne
 	return New(inner, Options{Seed: seed, Default: Profile{Jitter: maxDelay}})
 }
 
-// Inner returns the wrapped transport.
-func (n *Net) Inner() transport.Transport { return n.inner }
-
 // splitmix64 is the standard SplitMix64 mixer — the same generator the
 // fleet sampler uses, duplicated here to keep the packages independent.
 func splitmix64(x uint64) uint64 {

@@ -1,25 +1,25 @@
 // Package checkpoint is the durable snapshot envelope for mid-flight
-// session state: a versioned, CRC-guarded container written atomically
-// (temp file + rename) so a crash mid-write can never leave a
-// half-valid file behind. The payload travels through the repo's
-// binary wire codec by default; gob is kept as the compatibility
-// oracle and as the lane for types the wire codec does not model.
+// session state and saved models: a versioned, CRC-guarded container
+// written atomically (temp file + rename) so a crash mid-write can never
+// leave a half-valid file behind. The payload is the value's
+// internal/wire encoding — the same serializer the protocol's messages
+// use, so there is one format on the wire and on disk.
 //
 // Envelope layout (little-endian):
 //
 //	offset  size  field
 //	0       4     magic "ACKP"
-//	4       1     envelope version (currently 1)
-//	5       1     payload codec (1 = wire, 2 = gob)
-//	6       8     payload length, uint64 LE
-//	14      4     CRC-32C (Castagnoli) of the payload, uint32 LE
-//	18      n     payload
+//	4       1     envelope version (currently 2)
+//	5       8     payload length, uint64 LE
+//	13      4     CRC-32C (Castagnoli) of the payload, uint32 LE
+//	17      n     payload (wire encoding)
+//
+// Version 1 carried a payload-codec byte after the version (wire or
+// gob); its files are refused with ErrVersion.
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -32,123 +32,80 @@ import (
 // Magic opens every checkpoint file.
 const Magic = "ACKP"
 
-// Version is the current envelope version. Decoders reject anything
-// newer; older versions would be migrated here if the layout evolved.
-const Version = 1
+// Version is the current envelope version. Decoders reject any other.
+const Version = 2
 
 // headerSize is the fixed envelope prefix before the payload.
-const headerSize = 4 + 1 + 1 + 8 + 4
+const headerSize = 4 + 1 + 8 + 4
 
 // maxPayload bounds the declared payload length so a corrupt header
 // cannot drive a huge allocation before the CRC check runs.
 const maxPayload = 1 << 32
 
-// Codec selects the payload serialization inside the envelope.
-type Codec byte
-
-const (
-	// CodecWire serializes the payload through the repo's binary wire
-	// codec — the default, and the format the restore path expects.
-	CodecWire Codec = 1
-	// CodecGob serializes through encoding/gob: the compatibility
-	// oracle, and the lane for payloads the wire codec cannot model.
-	CodecGob Codec = 2
-)
-
-func (c Codec) valid() bool { return c == CodecWire || c == CodecGob }
-
-// Typed decode failures, so callers can distinguish "not a checkpoint
-// file" (fall back to legacy formats) from "damaged checkpoint"
-// (fall back to dense resync).
+// Typed decode failures, so callers can tell "not a checkpoint file"
+// from "damaged checkpoint" from "written by another envelope version".
 var (
 	ErrTruncated = errors.New("checkpoint: truncated envelope")
 	ErrMagic     = errors.New("checkpoint: bad magic")
 	ErrVersion   = errors.New("checkpoint: unsupported envelope version")
-	ErrCodec     = errors.New("checkpoint: unknown payload codec")
 	ErrChecksum  = errors.New("checkpoint: payload checksum mismatch")
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// IsEnvelope reports whether data begins with the checkpoint magic —
-// the sniff legacy readers use to route bare-gob files.
+// IsEnvelope reports whether data begins with the checkpoint magic.
 func IsEnvelope(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
 }
 
-// Encode serializes v with the given codec and wraps it in the
+// Encode serializes v through the wire codec and wraps it in the
 // envelope.
-func Encode(codec Codec, v any) ([]byte, error) {
-	var payload []byte
-	switch codec {
-	case CodecWire:
-		var err error
-		if payload, err = wire.Encode(v); err != nil {
-			return nil, fmt.Errorf("checkpoint: wire encode: %w", err)
-		}
-	case CodecGob:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			return nil, fmt.Errorf("checkpoint: gob encode: %w", err)
-		}
-		payload = buf.Bytes()
-	default:
-		return nil, ErrCodec
+func Encode(v any) ([]byte, error) {
+	payload, err := wire.Encode(v)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
 	out := make([]byte, headerSize+len(payload))
 	copy(out, Magic)
 	out[4] = Version
-	out[5] = byte(codec)
-	binary.LittleEndian.PutUint64(out[6:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(out[14:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint64(out[5:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(out[13:], crc32.Checksum(payload, castagnoli))
 	copy(out[headerSize:], payload)
 	return out, nil
 }
 
-// Decode validates the envelope and deserializes the payload into v,
-// returning the codec the payload was written with. Every failure is
-// an error, never a panic, whatever the input bytes.
-func Decode(data []byte, v any) (Codec, error) {
+// Decode validates the envelope and deserializes the payload into v.
+// Every failure is an error, never a panic, whatever the input bytes.
+func Decode(data []byte, v any) error {
 	if len(data) < headerSize {
-		return 0, ErrTruncated
+		return ErrTruncated
 	}
 	if !IsEnvelope(data) {
-		return 0, ErrMagic
+		return ErrMagic
 	}
 	if data[4] != Version {
-		return 0, fmt.Errorf("%w: %d", ErrVersion, data[4])
+		return fmt.Errorf("%w: %d", ErrVersion, data[4])
 	}
-	codec := Codec(data[5])
-	if !codec.valid() {
-		return 0, fmt.Errorf("%w: %d", ErrCodec, data[5])
-	}
-	n := binary.LittleEndian.Uint64(data[6:])
+	n := binary.LittleEndian.Uint64(data[5:])
 	if n > maxPayload || int(n) != len(data)-headerSize {
-		return codec, fmt.Errorf("%w: declared %d payload bytes, have %d", ErrTruncated, n, len(data)-headerSize)
+		return fmt.Errorf("%w: declared %d payload bytes, have %d", ErrTruncated, n, len(data)-headerSize)
 	}
 	payload := data[headerSize:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[14:]) {
-		return codec, ErrChecksum
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[13:]) {
+		return ErrChecksum
 	}
-	switch codec {
-	case CodecWire:
-		if err := wire.Decode(payload, v); err != nil {
-			return codec, fmt.Errorf("checkpoint: wire decode: %w", err)
-		}
-	case CodecGob:
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-			return codec, fmt.Errorf("checkpoint: gob decode: %w", err)
-		}
+	if err := wire.Decode(payload, v); err != nil {
+		return fmt.Errorf("checkpoint: decode: %w", err)
 	}
-	return codec, nil
+	return nil
 }
 
 // WriteFile encodes v and writes it to path atomically: the bytes land
 // in a temp file in the same directory, optionally fsynced, then
 // renamed over path. A reader never observes a partial file; a crash
 // leaves either the old snapshot or the new one.
-func WriteFile(path string, codec Codec, v any, fsync bool) error {
-	data, err := Encode(codec, v)
+func WriteFile(path string, v any, fsync bool) error {
+	data, err := Encode(v)
 	if err != nil {
 		return err
 	}
@@ -195,10 +152,10 @@ func writeFileAtomic(path string, data []byte, fsync bool) error {
 }
 
 // ReadFile reads path and decodes the envelope into v.
-func ReadFile(path string, v any) (Codec, error) {
+func ReadFile(path string, v any) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	return Decode(raw, v)
 }

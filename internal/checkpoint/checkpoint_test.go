@@ -1,12 +1,17 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"acme/internal/wire"
 )
 
 type snapshot struct {
@@ -27,54 +32,62 @@ func sample() snapshot {
 	}
 }
 
-func TestRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{CodecWire, CodecGob} {
-		raw, err := Encode(codec, sample())
-		if err != nil {
-			t.Fatalf("codec %d: %v", codec, err)
-		}
-		if !IsEnvelope(raw) {
-			t.Fatalf("codec %d: envelope does not start with magic", codec)
-		}
-		var got snapshot
-		back, err := Decode(raw, &got)
-		if err != nil {
-			t.Fatalf("codec %d decode: %v", codec, err)
-		}
-		if back != codec {
-			t.Fatalf("decoded codec %d, wrote %d", back, codec)
-		}
-		if !reflect.DeepEqual(got, sample()) {
-			t.Fatalf("codec %d round trip: got %+v", codec, got)
-		}
+func TestRoundTrip(t *testing.T) {
+	raw, err := Encode(sample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsEnvelope(raw) || raw[4] != Version {
+		t.Fatalf("envelope opens with % x, want magic and version %d", raw[:5], Version)
+	}
+	var got snapshot
+	if err := Decode(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sample()) {
+		t.Fatalf("round trip: got %+v", got)
 	}
 }
 
-// The two codecs are each other's oracle: whatever wire persists, gob
-// must reproduce identically (and vice versa) for the same value.
+// TestCodecOracle: encoding/gob, the format snapshots used to travel
+// in, is the yardstick — whatever the envelope persists must come back
+// as the value a gob round trip reproduces.
 func TestCodecOracle(t *testing.T) {
-	w, err := Encode(CodecWire, sample())
+	raw, err := Encode(sample())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Encode(CodecGob, sample())
-	if err != nil {
+	var fromEnvelope, fromGob snapshot
+	if err := Decode(raw, &fromEnvelope); err != nil {
 		t.Fatal(err)
 	}
-	var fromWire, fromGob snapshot
-	if _, err := Decode(w, &fromWire); err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(sample()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(g, &fromGob); err != nil {
+	if err := gob.NewDecoder(&buf).Decode(&fromGob); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fromWire, fromGob) {
-		t.Fatalf("wire %+v vs gob %+v", fromWire, fromGob)
+	if !reflect.DeepEqual(fromEnvelope, fromGob) {
+		t.Fatalf("envelope %+v vs gob %+v", fromEnvelope, fromGob)
 	}
+}
+
+// v1Envelope lays payload out in the version-1 envelope: a payload-codec
+// byte (1 = wire, 2 = gob) after the version, the length and CRC behind it.
+func v1Envelope(codec byte, payload []byte) []byte {
+	out := append([]byte(Magic), 1, codec)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
 }
 
 func TestDecodeRejectsDamage(t *testing.T) {
-	raw, err := Encode(CodecWire, sample())
+	raw, err := Encode(sample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.Encode(sample())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,16 +105,16 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{"short header", raw[:10], ErrTruncated},
 		{"bad magic", mut(func(b []byte) { b[0] = 'X' }), ErrMagic},
 		{"future version", mut(func(b []byte) { b[4] = Version + 1 }), ErrVersion},
-		{"unknown codec", mut(func(b []byte) { b[5] = 99 }), ErrCodec},
+		{"version 1, wire payload", v1Envelope(1, payload), ErrVersion},
+		{"version 1, gob payload", v1Envelope(2, payload), ErrVersion},
 		{"truncated payload", raw[:len(raw)-3], ErrTruncated},
-		{"oversized length", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[6:], 1<<40) }), ErrTruncated},
+		{"oversized length", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[5:], 1<<40) }), ErrTruncated},
 		{"flipped payload bit", mut(func(b []byte) { b[len(b)-1] ^= 0x01 }), ErrChecksum},
-		{"flipped crc", mut(func(b []byte) { b[14] ^= 0xff }), ErrChecksum},
+		{"flipped crc", mut(func(b []byte) { b[13] ^= 0xff }), ErrChecksum},
 	}
 	for _, tc := range cases {
 		var got snapshot
-		_, err := Decode(tc.data, &got)
-		if !errors.Is(err, tc.want) {
+		if err := Decode(tc.data, &got); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -111,11 +124,11 @@ func TestWriteFileAtomicAndFsync(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "edge-0.ackp")
 	for _, fsync := range []bool{false, true} {
-		if err := WriteFile(path, CodecWire, sample(), fsync); err != nil {
+		if err := WriteFile(path, sample(), fsync); err != nil {
 			t.Fatalf("fsync=%v: %v", fsync, err)
 		}
 		var got snapshot
-		if _, err := ReadFile(path, &got); err != nil {
+		if err := ReadFile(path, &got); err != nil {
 			t.Fatalf("fsync=%v read: %v", fsync, err)
 		}
 		if !reflect.DeepEqual(got, sample()) {
@@ -139,13 +152,13 @@ func TestWriteFileOverwritesCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got snapshot
-	if _, err := ReadFile(path, &got); err == nil {
+	if err := ReadFile(path, &got); err == nil {
 		t.Fatal("corrupt file decoded cleanly")
 	}
-	if err := WriteFile(path, CodecGob, sample(), false); err != nil {
+	if err := WriteFile(path, sample(), false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(path, &got); err != nil {
+	if err := ReadFile(path, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Round != sample().Round {

@@ -9,8 +9,9 @@ import (
 // invariant is "error, never panic": a snapshot file torn by a crash,
 // a bit-rotted disk, or a wrong-version file from a future build must
 // all surface as clean decode errors. The seed corpus holds a valid
-// envelope per codec plus truncated, corrupt-CRC, wrong-version,
-// wrong-magic, and oversized-length variants.
+// envelope for a populated and for a zero value, each with truncated,
+// corrupt-CRC, wrong-version, wrong-magic, oversized-length and
+// version-1 variants.
 func FuzzDecode(f *testing.F) {
 	type state struct {
 		Round  int
@@ -24,8 +25,8 @@ func FuzzDecode(f *testing.F) {
 		Shadow: [][]byte{{1, 2, 3}, nil, {255}},
 		Walls:  []float64{0.25, 17.5},
 	}
-	for _, codec := range []Codec{CodecWire, CodecGob} {
-		raw, err := Encode(codec, value)
+	for _, v := range []state{value, {}} {
+		raw, err := Encode(v)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func FuzzDecode(f *testing.F) {
 		trunc := append([]byte(nil), raw[:headerSize-1]...)
 		f.Add(trunc) // short header
 		crc := append([]byte(nil), raw...)
-		crc[14] ^= 0xff // corrupt checksum
+		crc[13] ^= 0xff // corrupt checksum
 		f.Add(crc)
 		bit := append([]byte(nil), raw...)
 		bit[len(bit)-1] ^= 0x01 // corrupt payload under a valid header
@@ -47,22 +48,19 @@ func FuzzDecode(f *testing.F) {
 		mag[0] = 'B' // wrong magic
 		f.Add(mag)
 		long := append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint64(long[6:], 1<<40) // oversized declared length
+		binary.LittleEndian.PutUint64(long[5:], 1<<40) // oversized declared length
 		f.Add(long)
-		cod := append([]byte(nil), raw...)
-		cod[5] = 0 // unknown codec
-		f.Add(cod)
+		f.Add(v1Envelope(1, raw[headerSize:])) // retired envelope version
 	}
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got state
-		codec, err := Decode(data, &got)
-		if err != nil {
+		if err := Decode(data, &got); err != nil {
 			return
 		}
-		// A successful decode must re-encode cleanly with the same codec.
-		if _, err := Encode(codec, got); err != nil {
+		// A successful decode must re-encode cleanly.
+		if _, err := Encode(got); err != nil {
 			t.Fatalf("decoded value does not re-encode: %v", err)
 		}
 	})

@@ -37,11 +37,6 @@ type FleetSpec struct {
 	Epochs        int
 }
 
-// DefaultFleetSpec mirrors §IV-A: 10 clusters × 5 devices.
-func DefaultFleetSpec() FleetSpec {
-	return FleetSpec{Clusters: 10, DevicesPerCluster: 5, Epochs: 3}
-}
-
 // paper storage ladder: 200, 250, 300, 350, 400 MB of float32 params.
 func defaultStorageLevels() []float64 {
 	mb := 1024.0 * 1024 / 4 // parameters per MB at 4 bytes each

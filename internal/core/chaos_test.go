@@ -232,10 +232,6 @@ func TestByzantineConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative chaos jitter accepted")
 	}
-	cfg.Chaos = ChaosOptions{Enabled: true, DuplicateProb: 2}
-	if err := cfg.Validate(); err == nil {
-		t.Error("duplicate probability above 1 accepted")
-	}
 	cfg.Chaos = ChaosOptions{Enabled: true, Jitter: time.Millisecond, SpikeProb: 0.1, SpikeDelay: 2 * time.Millisecond}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid chaos config rejected: %v", err)

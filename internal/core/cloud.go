@@ -11,6 +11,7 @@ import (
 	"acme/internal/pareto"
 	"acme/internal/prune"
 	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 // runCloud is Phase 1: pretrain the reference model on the public
@@ -42,8 +43,8 @@ func (s *System) runCloud(ctx context.Context) error {
 		Label:  "phase-1 statistics",
 		OnMessage: func(msg transport.Message) error {
 			var cs ClusterStats
-			if err := s.decode(msg.Payload, &cs); err != nil {
-				return err
+			if err := wire.Decode(msg.Payload, &cs); err != nil {
+				return fmt.Errorf("decode %v from %s: %w", msg.Kind, msg.From, err)
 			}
 			stats[cs.EdgeID] = cs
 			return nil

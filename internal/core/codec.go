@@ -2,11 +2,8 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
-	"acme/internal/checkpoint"
 	"acme/internal/energy"
 	"acme/internal/nas"
 	"acme/internal/nn"
@@ -363,47 +360,4 @@ func DecodeHeader(pkg HeaderPackage, backbone *nn.Backbone) (*nas.HeaderModel, e
 		}
 	}
 	return h, nil
-}
-
-// DeviceCheckpoint is the saved final model of one device.
-type DeviceCheckpoint struct {
-	DeviceID int
-	Package  HeaderPackage
-}
-
-// SaveDeviceCheckpoint writes the device's customized model to
-// dir/device-N.ckpt.
-func SaveDeviceCheckpoint(dir string, id int, backbone *nn.Backbone, header *nas.HeaderModel, cand pareto.Candidate) error {
-	// Checkpoints are always lossless: quantization is a wire-transfer
-	// trade-off, not a storage format.
-	pkg := EncodeHeader(header, QuantLossless)
-	pkg.Backbone = EncodeBackbone(backbone, cand.W, cand.D, cand, QuantLossless)
-	cp := DeviceCheckpoint{DeviceID: id, Package: pkg}
-	path := filepath.Join(dir, fmt.Sprintf("device-%d.ckpt", id))
-	if err := checkpoint.WriteFile(path, checkpoint.CodecGob, cp, false); err != nil {
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	return nil
-}
-
-// LoadDeviceCheckpoint restores a device's customized model from
-// dir/device-N.ckpt.
-func LoadDeviceCheckpoint(dir string, id int) (*nn.Backbone, *nas.HeaderModel, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("device-%d.ckpt", id)))
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: read checkpoint: %w", err)
-	}
-	var cp DeviceCheckpoint
-	if _, err := checkpoint.Decode(raw, &cp); err != nil {
-		return nil, nil, fmt.Errorf("core: decode checkpoint: %w", err)
-	}
-	backbone, err := DecodeBackbone(cp.Package.Backbone)
-	if err != nil {
-		return nil, nil, err
-	}
-	header, err := DecodeHeader(cp.Package, backbone)
-	if err != nil {
-		return nil, nil, err
-	}
-	return backbone, header, nil
 }

@@ -7,7 +7,7 @@ import (
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
-	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 func benchBackbone(b *testing.B) *nn.Backbone {
@@ -27,13 +27,12 @@ func benchBackbone(b *testing.B) *nn.Backbone {
 func BenchmarkEncodeBackbone(b *testing.B) {
 	bb := benchBackbone(b)
 	cases := []struct {
-		name  string
-		codec transport.Codec
-		mode  QuantMode
+		name string
+		mode QuantMode
 	}{
-		{"binary-lossless", transport.Binary, QuantLossless},
-		{"binary-float16", transport.Binary, QuantFloat16},
-		{"binary-int8", transport.Binary, QuantInt8},
+		{"binary-lossless", QuantLossless},
+		{"binary-float16", QuantFloat16},
+		{"binary-int8", QuantInt8},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -41,7 +40,7 @@ func BenchmarkEncodeBackbone(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				asg := EncodeBackbone(bb, 1, 4, pareto.Candidate{W: 1, D: 4}, c.mode)
-				payload, err := c.codec.Encode(asg)
+				payload, err := wire.Encode(asg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -57,16 +56,15 @@ func BenchmarkEncodeBackbone(b *testing.B) {
 func BenchmarkDecodeBackbone(b *testing.B) {
 	bb := benchBackbone(b)
 	cases := []struct {
-		name  string
-		codec transport.Codec
-		mode  QuantMode
+		name string
+		mode QuantMode
 	}{
-		{"binary-lossless", transport.Binary, QuantLossless},
-		{"binary-int8", transport.Binary, QuantInt8},
+		{"binary-lossless", QuantLossless},
+		{"binary-int8", QuantInt8},
 	}
 	for _, c := range cases {
 		asg := EncodeBackbone(bb, 1, 4, pareto.Candidate{W: 1, D: 4}, c.mode)
-		payload, err := c.codec.Encode(asg)
+		payload, err := wire.Encode(asg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +72,7 @@ func BenchmarkDecodeBackbone(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var decoded BackboneAssignment
-				if err := c.codec.Decode(payload, &decoded); err != nil {
+				if err := wire.Decode(payload, &decoded); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := DecodeBackbone(decoded); err != nil {

@@ -14,7 +14,7 @@ import (
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
-	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 func codecBackbone(t *testing.T, rng *rand.Rand) *nn.Backbone {
@@ -43,12 +43,12 @@ func TestBackboneCodecRoundTrip(t *testing.T) {
 	asg := EncodeBackbone(bb, 0.5, 2, pareto.Candidate{W: 0.5, D: 2}, QuantLossless)
 
 	// Through the wire.
-	raw, err := transport.Binary.Encode(asg)
+	raw, err := wire.Encode(asg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decodedAsg BackboneAssignment
-	if err := transport.Binary.Decode(raw, &decodedAsg); err != nil {
+	if err := wire.Decode(raw, &decodedAsg); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeBackbone(decodedAsg)
@@ -90,12 +90,12 @@ func TestHeaderCodecRoundTrip(t *testing.T) {
 	pkg := EncodeHeader(h, QuantLossless)
 	pkg.Backbone = EncodeBackbone(bb, 1, 3, pareto.Candidate{}, QuantLossless)
 
-	raw, err := transport.Binary.Encode(pkg)
+	raw, err := wire.Encode(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded HeaderPackage
-	if err := transport.Binary.Decode(raw, &decoded); err != nil {
+	if err := wire.Decode(raw, &decoded); err != nil {
 		t.Fatal(err)
 	}
 	bb2, err := DecodeBackbone(decoded.Backbone)
@@ -153,13 +153,13 @@ func TestDecodeBackboneRejectsCorruptMasks(t *testing.T) {
 	}
 }
 
-// TestLoadDeviceCheckpointRejectsBareGob: device checkpoints are
-// envelope files; a bare gob stream from before the envelope existed is
-// refused with the envelope's own diagnosis, not decoded on a guess.
+// TestLoadDeviceCheckpointRejectsBareGob: saved models are envelope
+// files; a bare gob stream from before the envelope existed is refused
+// with the envelope's own diagnosis, not decoded on a guess.
 func TestLoadDeviceCheckpointRejectsBareGob(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	bb := codecBackbone(t, rng)
-	cp := DeviceCheckpoint{DeviceID: 0, Package: HeaderPackage{
+	cp := DeviceSnapshot{DeviceID: 0, Package: HeaderPackage{
 		Backbone: EncodeBackbone(bb, 1, 3, pareto.Candidate{}, QuantLossless),
 	}}
 	var buf bytes.Buffer

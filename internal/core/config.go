@@ -226,9 +226,10 @@ func (f FleetOptions) Sampling() bool {
 
 // ChaosOptions wraps the run's in-memory transport in the
 // internal/chaos link-fault model: every message is delayed per a
-// seeded per-pair schedule (base + jitter + spikes + serialization),
-// optionally duplicated. Chaos perturbs timing and delivery order,
-// never payloads, so seeded Results are identical with it on or off —
+// seeded per-pair schedule (base + jitter + spikes + serialization).
+// Every message is delivered exactly once — the protocol expects it;
+// duplication is a transport-level knob of chaos.Profile only. Chaos
+// perturbs timing and delivery order, never payloads, so seeded Results are identical with it on or off —
 // it exists to shake out ordering assumptions and to give the
 // adversarial trial matrix realistic link conditions. Disabled (the
 // zero value) leaves the transport untouched, byte-identical to the
@@ -238,23 +239,21 @@ type ChaosOptions struct {
 	// Seed drives the per-message schedule draws (0 = the run seed).
 	Seed int64
 	// Link knobs, mirroring chaos.Profile.
-	BaseDelay     time.Duration
-	Jitter        time.Duration
-	SpikeProb     float64
-	SpikeDelay    time.Duration
-	BandwidthBps  int64
-	DuplicateProb float64
+	BaseDelay    time.Duration
+	Jitter       time.Duration
+	SpikeProb    float64
+	SpikeDelay   time.Duration
+	BandwidthBps int64
 }
 
 // Profile converts the options to the chaos link profile.
 func (c ChaosOptions) Profile() chaos.Profile {
 	return chaos.Profile{
-		BaseDelay:     c.BaseDelay,
-		Jitter:        c.Jitter,
-		SpikeProb:     c.SpikeProb,
-		SpikeDelay:    c.SpikeDelay,
-		BandwidthBps:  c.BandwidthBps,
-		DuplicateProb: c.DuplicateProb,
+		BaseDelay:    c.BaseDelay,
+		Jitter:       c.Jitter,
+		SpikeProb:    c.SpikeProb,
+		SpikeDelay:   c.SpikeDelay,
+		BandwidthBps: c.BandwidthBps,
 	}
 }
 
@@ -265,8 +264,6 @@ func (c ChaosOptions) Validate() error {
 		return fmt.Errorf("core: negative chaos delay (base %v, jitter %v, spike %v)", c.BaseDelay, c.Jitter, c.SpikeDelay)
 	case c.SpikeProb < 0 || c.SpikeProb > 1:
 		return fmt.Errorf("core: chaos spike probability %v outside [0,1]", c.SpikeProb)
-	case c.DuplicateProb < 0 || c.DuplicateProb > 1:
-		return fmt.Errorf("core: chaos duplicate probability %v outside [0,1]", c.DuplicateProb)
 	case c.BandwidthBps < 0:
 		return fmt.Errorf("core: negative chaos bandwidth %d", c.BandwidthBps)
 	}
@@ -396,7 +393,8 @@ type Config struct {
 
 	// CheckpointDir, when non-empty, makes every device save its final
 	// customized model (backbone + header) as device-N.ckpt in that
-	// directory, loadable with LoadDeviceCheckpoint.
+	// directory — a DeviceSnapshot, the format of the per-round device
+	// snapshots — loadable with LoadDeviceCheckpoint.
 	CheckpointDir string
 
 	// Checkpoint is the mid-flight durability policy: when armed, every
@@ -404,12 +402,6 @@ type Config struct {
 	// round boundaries, and System.ResumeRole can rehydrate a crashed
 	// role from the latest snapshot.
 	Checkpoint CheckpointOptions
-
-	// Parallelism caps the goroutines the tensor kernels may use for
-	// large matrix multiplies. 0 leaves the process-wide setting
-	// unchanged (default: GOMAXPROCS). Results are bitwise independent
-	// of the setting; it only trades cores for wall time.
-	Parallelism int
 
 	// Wire is the payload shaping: entropy coding, quantization,
 	// sparsification.
@@ -563,8 +555,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative phase-2 rounds")
 	case c.ImportanceRefreshPeriod < 0:
 		return fmt.Errorf("core: negative importance refresh period %d", c.ImportanceRefreshPeriod)
-	case c.Parallelism < 0:
-		return fmt.Errorf("core: negative parallelism %d", c.Parallelism)
 	}
 	for _, d := range c.Depths {
 		if d <= 0 || d > c.Backbone.Depth {

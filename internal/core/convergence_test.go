@@ -11,6 +11,7 @@ import (
 	"acme/internal/aggregate"
 	"acme/internal/importance"
 	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 func TestSparsifyDensifyRoundTrip(t *testing.T) {
@@ -63,7 +64,7 @@ func TestEdgeRefusesHostileSparseUpload(t *testing.T) {
 		}
 		st := sys.newEdgeState(0, transport.NewSession(edgeName(0), sys.Net), HeaderPackage{}, nil)
 		r := &edgeRound{edgeState: st, folded: make([]bool, len(st.order))}
-		payload, err := transport.Binary.Encode(ImportanceUpload{DeviceID: st.idByPos[0], Sparse: []SparseLayer{sl}})
+		payload, err := wire.Encode(ImportanceUpload{DeviceID: st.idByPos[0], Sparse: []SparseLayer{sl}})
 		if err != nil {
 			t.Fatal(err)
 		}

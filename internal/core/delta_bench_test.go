@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 // benchImportanceLayers builds a header-sized importance set with the
@@ -71,11 +71,11 @@ func BenchmarkDownlinkRound(b *testing.B) {
 							b.Fatal(e)
 						}
 						dd := DownlinkDelta{Round: t, Discard: 4 * (t + 1), Done: t == rounds-1, Layers: pls}
-						if payload, err = transport.Binary.Encode(dd); err != nil {
+						if payload, err = wire.Encode(dd); err != nil {
 							b.Fatal(err)
 						}
 						var got DownlinkDelta
-						if err := transport.Binary.Decode(payload, &got); err != nil {
+						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
 						if _, err := dec.applyLayers(got.Layers); err != nil {
@@ -90,11 +90,11 @@ func BenchmarkDownlinkRound(b *testing.B) {
 								b.Fatal(err)
 							}
 						}
-						if payload, err = transport.Binary.Encode(ps); err != nil {
+						if payload, err = wire.Encode(ps); err != nil {
 							b.Fatal(err)
 						}
 						var got PersonalizedSet
-						if err := transport.Binary.Decode(payload, &got); err != nil {
+						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
 						if _, err := got.layers(); err != nil {
@@ -147,11 +147,11 @@ func BenchmarkImportanceRound(b *testing.B) {
 						if e != nil {
 							b.Fatal(e)
 						}
-						if payload, err = transport.Binary.Encode(up); err != nil {
+						if payload, err = wire.Encode(up); err != nil {
 							b.Fatal(err)
 						}
 						var got DeltaUpload
-						if err := transport.Binary.Decode(payload, &got); err != nil {
+						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
 						if _, err := dec.apply(got); err != nil {
@@ -166,11 +166,11 @@ func BenchmarkImportanceRound(b *testing.B) {
 								b.Fatal(err)
 							}
 						}
-						if payload, err = transport.Binary.Encode(up); err != nil {
+						if payload, err = wire.Encode(up); err != nil {
 							b.Fatal(err)
 						}
 						var got ImportanceUpload
-						if err := transport.Binary.Decode(payload, &got); err != nil {
+						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
 						if _, err := got.layers(0); err != nil {

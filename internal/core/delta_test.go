@@ -408,8 +408,7 @@ func TestEdgeRejectsDuplicateSetupUpload(t *testing.T) {
 	}
 	victim := sys.Devices()[sys.Clusters()[0][0]]
 	forged := DeviceStats{ID: victim.ID, VCPUs: 1, Storage: 1}
-	if err := transport.SendValue(sys.Net, transport.Binary, transport.KindStats,
-		"intruder", "edge-0", forged); err != nil {
+	if err := sys.send(transport.KindStats, "intruder", "edge-0", forged); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -432,8 +431,7 @@ func TestEdgeRejectsUnknownDeviceUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	forged := DeviceStats{ID: 9999, VCPUs: 1, Storage: 1}
-	if err := transport.SendValue(sys.Net, transport.Binary, transport.KindStats,
-		"intruder", "edge-0", forged); err != nil {
+	if err := sys.send(transport.KindStats, "intruder", "edge-0", forged); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

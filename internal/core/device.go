@@ -153,8 +153,8 @@ func (s *System) resync(ctx context.Context, ses *transport.Session, edge string
 // keeps for the rest of its life points into a pooled buffer.
 func (s *System) modelFromFrame(payload []byte) (*nas.HeaderModel, HeaderPackage, error) {
 	var pkg HeaderPackage
-	if err := s.decode(payload, &pkg); err != nil {
-		return nil, HeaderPackage{}, err
+	if err := wire.Decode(payload, &pkg); err != nil {
+		return nil, HeaderPackage{}, fmt.Errorf("decode %v: %w", transport.KindHeader, err)
 	}
 	header, err := buildDeviceHeader(pkg)
 	pkg.Backbone.Params, pkg.HeaderParams = nil, nil
@@ -223,7 +223,7 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 	}
 
 	if s.Cfg.CheckpointDir != "" {
-		if err := SaveDeviceCheckpoint(s.Cfg.CheckpointDir, dev.ID, model.Backbone, model, pkg.Backbone.Candidate); err != nil {
+		if err := s.writeDeviceSnapshot(deviceModelFile(s.Cfg.CheckpointDir, dev.ID), dev.ID, s.Cfg.Phase2Rounds, model, pkg); err != nil {
 			return err
 		}
 	}
@@ -717,7 +717,7 @@ func (d *deviceRounds) apply(t int, out downlinkOutcome) error {
 		// device warm-rejoins with (resumeDevice). Synchronous — a
 		// device's round is compute-dominated, and the loop must not
 		// advance past state it claims to have persisted.
-		return s.writeDeviceSnapshot(d.dev.ID, t+1, d.header.HeaderModel, d.pkg)
+		return s.writeDeviceSnapshot(s.checkpointFile(d.dev.Name()), d.dev.ID, t+1, d.header.HeaderModel, d.pkg)
 	}
 	return nil
 }
@@ -736,7 +736,7 @@ func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message
 	switch msg.Kind {
 	case transport.KindPersonalizedSet:
 		var ps PersonalizedSet
-		if err := s.decode(msg.Payload, &ps); err != nil {
+		if err := wire.Decode(msg.Payload, &ps); err != nil {
 			return nil, 0, false, fmt.Errorf("decode %v from %s in round %d: %w", msg.Kind, msg.From, round, err)
 		}
 		layers, err := ps.layers()
@@ -750,7 +750,7 @@ func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message
 		return layers, ps.Discard, ps.Done, nil
 	case transport.KindImportanceDownDelta:
 		var dd DownlinkDelta
-		if err := s.decode(msg.Payload, &dd); err != nil {
+		if err := wire.Decode(msg.Payload, &dd); err != nil {
 			return nil, 0, false, fmt.Errorf("decode %v from %s in round %d: %w", msg.Kind, msg.From, round, err)
 		}
 		if dd.Round != round {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 // TestDownlinkDeltaMultiRoundChurn is the downlink property test: a
@@ -91,7 +92,7 @@ func downlinkSystem(t *testing.T) *System {
 
 func encodePayload(t *testing.T, v any) []byte {
 	t.Helper()
-	payload, err := transport.Binary.Encode(v)
+	payload, err := wire.Encode(v)
 	if err != nil {
 		t.Fatal(err)
 	}

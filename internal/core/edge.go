@@ -129,7 +129,7 @@ func (s *System) edgeGatherSetup(ctx context.Context, ses *transport.Session, ed
 			switch msg.Kind {
 			case transport.KindStats:
 				var ds DeviceStats
-				if err := s.decode(msg.Payload, &ds); err != nil {
+				if err := wire.Decode(msg.Payload, &ds); err != nil {
 					return fmt.Errorf("decode %v from %s during setup: %w", msg.Kind, msg.From, err)
 				}
 				if err := accept(msg, ds.ID, haveStats[ds.ID]); err != nil {
@@ -138,7 +138,7 @@ func (s *System) edgeGatherSetup(ctx context.Context, ses *transport.Session, ed
 				haveStats[ds.ID] = true
 			case transport.KindProvision:
 				var sh RawShard
-				if err := s.decode(msg.Payload, &sh); err != nil {
+				if err := wire.Decode(msg.Payload, &sh); err != nil {
 					return fmt.Errorf("decode %v from %s during setup: %w", msg.Kind, msg.From, err)
 				}
 				_, dup := shards[sh.DeviceID]
@@ -192,7 +192,9 @@ func (s *System) edgeReceiveBackbone(ctx context.Context, ses *transport.Session
 			return false, fmt.Errorf("%s expected %v from protocol, got %v from %s",
 				ses.Node(), transport.KindBackbone, msg.Kind, msg.From)
 		}
-		if err = s.decode(msg.Payload, &asg); err == nil {
+		if err = wire.Decode(msg.Payload, &asg); err != nil {
+			err = fmt.Errorf("decode %v from %s: %w", msg.Kind, msg.From, err)
+		} else {
 			backbone, err = DecodeBackbone(asg)
 		}
 		asg.Params = nil

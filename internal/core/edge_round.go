@@ -242,7 +242,7 @@ func (r *edgeRound) fold(msg transport.Message) error {
 	case transport.KindImportanceSet:
 		var up ImportanceUpload
 		r.arena.Reset()
-		if err := r.s.decodeArena(msg.Payload, &up, r.arena); err != nil {
+		if err := wire.DecodeArena(msg.Payload, &up, r.arena); err != nil {
 			return fmt.Errorf("decode %v from %s in round %d: %w", msg.Kind, msg.From, r.t, err)
 		}
 		devID = up.DeviceID
@@ -269,7 +269,7 @@ func (r *edgeRound) fold(msg transport.Message) error {
 	case transport.KindImportanceDelta:
 		var up DeltaUpload
 		r.arena.Reset()
-		if err := r.s.decodeArena(msg.Payload, &up, r.arena); err != nil {
+		if err := wire.DecodeArena(msg.Payload, &up, r.arena); err != nil {
 			return fmt.Errorf("decode %v from %s in round %d: %w", msg.Kind, msg.From, r.t, err)
 		}
 		devID = up.DeviceID

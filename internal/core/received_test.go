@@ -9,7 +9,7 @@ import (
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
-	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 // requireSameParams: same names, shapes and value bits, in order.
@@ -166,8 +166,8 @@ func TestDeviceBackboneHoldsNoGradients(t *testing.T) {
 	}
 	requireSameParams(t, bb.Params(), model.Backbone.Params())
 	dir := t.TempDir()
-	cand := pareto.Candidate{W: 0.5, D: 2}
-	if err := SaveDeviceCheckpoint(dir, 7, model.Backbone, model, cand); err != nil {
+	s := &System{}
+	if err := s.writeDeviceSnapshot(deviceModelFile(dir, 7), 7, 0, model, pkg); err != nil {
 		t.Fatal(err)
 	}
 	loadedBB, loadedH, err := LoadDeviceCheckpoint(dir, 7)
@@ -200,12 +200,12 @@ func TestReceivedModelOutlivesItsFrame(t *testing.T) {
 	s := &System{}
 	for _, mode := range []QuantMode{QuantInt8, QuantFloat16, QuantMixed} {
 		_, _, pkg := receivedFixtureQuant(t, mode)
-		sent, err := transport.Binary.Encode(pkg)
+		sent, err := wire.Encode(pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var pristine HeaderPackage
-		if err := s.decode(append([]byte(nil), sent...), &pristine); err != nil {
+		if err := wire.Decode(append([]byte(nil), sent...), &pristine); err != nil {
 			t.Fatal(err)
 		}
 		want, err := buildDeviceHeader(pristine)
@@ -217,7 +217,7 @@ func TestReceivedModelOutlivesItsFrame(t *testing.T) {
 		// model is not the one that was sent.
 		frame := append([]byte(nil), sent...)
 		var dangling HeaderPackage
-		if err := s.decode(frame, &dangling); err != nil {
+		if err := wire.Decode(frame, &dangling); err != nil {
 			t.Fatal(err)
 		}
 		overwrite(frame)

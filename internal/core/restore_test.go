@@ -59,7 +59,7 @@ func awaitEdgeSnapshot(t *testing.T, path string, minRound int) int {
 			t.Fatalf("edge snapshot never reached round %d", minRound)
 		}
 		var snap EdgeSnapshot
-		if _, err := checkpoint.ReadFile(path, &snap); err == nil && snap.Round >= minRound {
+		if err := checkpoint.ReadFile(path, &snap); err == nil && snap.Round >= minRound {
 			return snap.Round
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -411,7 +411,7 @@ func TestDeviceRestoreWarmRejoin(t *testing.T) {
 			t.Fatal("device snapshot never appeared")
 		}
 		var snap DeviceSnapshot
-		if _, err := checkpoint.ReadFile(path, &snap); err == nil && snap.Round >= 1 {
+		if err := checkpoint.ReadFile(path, &snap); err == nil && snap.Round >= 1 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

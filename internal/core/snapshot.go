@@ -13,6 +13,7 @@ import (
 	"acme/internal/fleet"
 	"acme/internal/importance"
 	"acme/internal/nas"
+	"acme/internal/nn"
 	"acme/internal/transport"
 	"acme/internal/wire"
 )
@@ -205,7 +206,7 @@ func newSnapshotWriter(path string, fsync bool) (*snapshotWriter, error) {
 func (w *snapshotWriter) loop() {
 	defer close(w.done)
 	for v := range w.ch {
-		if err := checkpoint.WriteFile(w.path, checkpoint.CodecGob, v, w.fsync); err != nil && w.err == nil {
+		if err := checkpoint.WriteFile(w.path, v, w.fsync); err != nil && w.err == nil {
 			w.err = err
 		}
 	}
@@ -355,7 +356,7 @@ func (s *System) ResumeRole(ctx context.Context, role string) error {
 func (s *System) resumeEdge(ctx context.Context, edgeID int) error {
 	name := edgeName(edgeID)
 	var snap EdgeSnapshot
-	if _, err := checkpoint.ReadFile(s.checkpointFile(name), &snap); err != nil {
+	if err := checkpoint.ReadFile(s.checkpointFile(name), &snap); err != nil {
 		return fmt.Errorf("core: restore %s: %w", name, err)
 	}
 	if snap.RunTag != s.Cfg.runTag() {
@@ -394,7 +395,7 @@ func (s *System) resumeEdge(ctx context.Context, edgeID int) error {
 func (s *System) resumeDevice(ctx context.Context, edgeID, devIdx int) error {
 	dev := s.devices[devIdx]
 	var snap DeviceSnapshot
-	if _, err := checkpoint.ReadFile(s.checkpointFile(dev.Name()), &snap); err != nil {
+	if err := checkpoint.ReadFile(s.checkpointFile(dev.Name()), &snap); err != nil {
 		return s.runDeviceRejoin(ctx, edgeID, devIdx)
 	}
 	if snap.RunTag != s.Cfg.runTag() || snap.DeviceID != dev.ID {
@@ -416,9 +417,11 @@ func (s *System) resumeDevice(ctx context.Context, edgeID, devIdx int) error {
 	return s.deviceRefineAndReport(ctx, ses, edgeID, devIdx, rng, header, snap.Package, startRound)
 }
 
-// writeDeviceSnapshot persists one device's warm-restore state: its
-// trained model, lossless with masks, under the run's tag.
-func (s *System) writeDeviceSnapshot(devID, round int, header *nas.HeaderModel, pkg HeaderPackage) error {
+// writeDeviceSnapshot persists one device's trained model, lossless
+// with masks, under the run's tag, to path: every round's warm-restore
+// snapshot (resumeDevice) and the final model saved under
+// Config.CheckpointDir (LoadDeviceCheckpoint) are this one file format.
+func (s *System) writeDeviceSnapshot(path string, devID, round int, header *nas.HeaderModel, pkg HeaderPackage) error {
 	model := EncodeHeader(header, QuantLossless)
 	model.Backbone = EncodeBackbone(header.Backbone, pkg.Backbone.W, pkg.Backbone.D,
 		pkg.Backbone.Candidate, QuantLossless)
@@ -428,14 +431,37 @@ func (s *System) writeDeviceSnapshot(devID, round int, header *nas.HeaderModel, 
 		Round:    round,
 		Package:  model,
 	}
-	path := s.checkpointFile(fmt.Sprintf("device-%d", devID))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	if err := checkpoint.WriteFile(path, checkpoint.CodecGob, snap, s.Cfg.Checkpoint.Fsync); err != nil {
+	if err := checkpoint.WriteFile(path, snap, s.Cfg.Checkpoint.Fsync); err != nil {
 		return fmt.Errorf("core: device %d snapshot: %w", devID, err)
 	}
 	return nil
+}
+
+// deviceModelFile is where device id's final model lands under dir
+// (Config.CheckpointDir).
+func deviceModelFile(dir string, id int) string {
+	return filepath.Join(dir, fmt.Sprintf("device-%d.ckpt", id))
+}
+
+// LoadDeviceCheckpoint restores the final customized model device id
+// saved under dir (Config.CheckpointDir).
+func LoadDeviceCheckpoint(dir string, id int) (*nn.Backbone, *nas.HeaderModel, error) {
+	var snap DeviceSnapshot
+	if err := checkpoint.ReadFile(deviceModelFile(dir, id), &snap); err != nil {
+		return nil, nil, fmt.Errorf("core: load device %d model: %w", id, err)
+	}
+	backbone, err := DecodeBackbone(snap.Package.Backbone)
+	if err != nil {
+		return nil, nil, err
+	}
+	header, err := DecodeHeader(snap.Package, backbone)
+	if err != nil {
+		return nil, nil, err
+	}
+	return backbone, header, nil
 }
 
 // uplinkBuffer retains a device's last few encoded uploads — the exact

@@ -14,7 +14,6 @@ import (
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
-	"acme/internal/tensor"
 	"acme/internal/transport"
 	"acme/internal/wire"
 )
@@ -171,14 +170,6 @@ type System struct {
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: config: %w", err)
-	}
-	// Results are bitwise independent of the kernel parallelism, so a
-	// package-level knob cannot break the determinism of concurrent
-	// systems sharing the process. 0 means "leave the process-wide
-	// setting alone" so a constructor with a default config never
-	// clobbers a -parallel flag applied earlier.
-	if cfg.Parallelism > 0 {
-		tensor.SetParallelism(cfg.Parallelism)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen, err := data.NewGenerator(cfg.Dataset)
@@ -345,19 +336,8 @@ var entropyKinds = map[transport.Kind]bool{
 	transport.KindImportanceDownDelta: true,
 }
 
-// codecFor returns the payload codec for one message kind: the
-// entropy-layered binary codec for bulk kinds when Wire.Entropy is
-// set, the plain binary codec otherwise. Decoding never consults this —
-// entropy frames self-identify on the wire.
-func (s *System) codecFor(kind transport.Kind) transport.Codec {
-	if s.Cfg.Wire.Entropy && entropyKinds[kind] {
-		return transport.Entropy
-	}
-	return transport.Binary
-}
-
-// send encodes v with the kind's wire codec and sends it as one
-// message, recording raw-vs-wire byte accounting.
+// send encodes v for its kind and sends it as one message, recording
+// raw-vs-wire byte accounting.
 func (s *System) send(kind transport.Kind, from, to string, v any) error {
 	return s.sendRound(kind, from, to, 0, v)
 }
@@ -384,15 +364,20 @@ func (s *System) sendCounted(kind transport.Kind, from, to string, round int, v 
 	return int64(len(payload)) + transport.HeaderEstimate, nil
 }
 
-// encodePayload runs v through the kind's wire codec once and returns
-// the payload bytes plus the raw-size estimate, so a caller can both
-// send the message and retain the exact bytes (the uplink replay
-// buffer retransmits originals after a SESSION-RESUME, keeping a
-// resumed run byte-identical).
+// encodePayload encodes v once — its wire encoding, entropy-coded when
+// Wire.Entropy is set and kind is one of entropyKinds — and returns the
+// payload bytes plus the raw-size estimate, so a caller can both send
+// the message and retain the exact bytes (the uplink replay buffer
+// retransmits originals after a SESSION-RESUME, keeping a resumed run
+// byte-identical). Receivers decode with wire.Decode either way:
+// entropy frames self-identify.
 func (s *System) encodePayload(kind transport.Kind, v any) ([]byte, int, error) {
-	payload, err := s.codecFor(kind).Encode(v)
+	payload, err := wire.Encode(v)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("encode %v: %w", kind, err)
+	}
+	if s.Cfg.Wire.Entropy && entropyKinds[kind] {
+		payload = wire.EntropyCompress(payload)
 	}
 	return payload, wire.RawSize(v), nil
 }
@@ -404,19 +389,6 @@ func (s *System) sendRaw(kind transport.Kind, from, to string, round int, payloa
 		Kind: kind, From: from, To: to, Round: round,
 		Payload: payload, Raw: raw,
 	})
-}
-
-// decode deserializes a payload (plain or entropy-coded).
-func (s *System) decode(data []byte, v any) error {
-	return transport.Binary.Decode(data, v)
-}
-
-// decodeArena is decode with slices carved from a caller-owned arena —
-// and, when the arena allows it, aliased straight into data — for
-// streaming folds that consume the decoded value before the next
-// message.
-func (s *System) decodeArena(data []byte, v any, a *wire.Arena) error {
-	return transport.Binary.DecodeArena(data, v, a)
 }
 
 // Run executes the full pipeline: Phase 1 on the cloud, Phase 2-1 on
@@ -517,8 +489,8 @@ func (s *System) collectReports(ctx context.Context) ([]DeviceReport, error) {
 		switch msg.Kind {
 		case transport.KindReport:
 			var rep DeviceReport
-			if err := s.decode(msg.Payload, &rep); err != nil {
-				return err
+			if err := wire.Decode(msg.Payload, &rep); err != nil {
+				return fmt.Errorf("decode %v from %s: %w", msg.Kind, msg.From, err)
 			}
 			if reported[rep.DeviceID] {
 				return fmt.Errorf("duplicate report from %s for device %d", msg.From, rep.DeviceID)
@@ -655,7 +627,7 @@ func (s *System) centralizedBytes() int64 {
 			Y:         s.devTrain[i].Y,
 			Histogram: s.devTrain[i].ClassHistogram(),
 		}
-		if payload, err := s.codecFor(transport.KindRawData).Encode(shard); err == nil {
+		if payload, _, err := s.encodePayload(transport.KindRawData, shard); err == nil {
 			total += int64(len(payload)) + 16
 		}
 	}

@@ -128,7 +128,7 @@ func TestReportsInDeviceOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range order {
-			payload, err := sys.codecFor(transport.KindReport).Encode(
+			payload, _, err := sys.encodePayload(transport.KindReport,
 				DeviceReport{DeviceID: id, AccuracyFinal: accs[id], AccuracyCoarse: accs[id] / 3})
 			if err != nil {
 				t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"acme/internal/energy"
-	"acme/internal/nas"
 	"acme/internal/pareto"
 	"acme/internal/surrogate"
 )
@@ -408,6 +407,3 @@ func Fig12() *Table {
 		"full backbone: accuracy falls as B·U grows; 0.25 backbone: accuracy rises (matches Fig. 12)")
 	return t
 }
-
-// SearchSpaceSize re-exports the Eq. 14 cardinality for reporting.
-func SearchSpaceSize(blocks int) float64 { return nas.SpaceSize(blocks) }

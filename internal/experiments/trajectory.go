@@ -48,6 +48,9 @@ type cell struct {
 	Delta   bool   `json:"delta"`
 	Entropy bool   `json:"entropy"`
 	Refresh int    `json:"refresh,omitempty"`
+	// TopK is Wire.TopKFraction: importance uploads carry only that
+	// fraction of each layer's largest entries (0 = dense).
+	TopK float64 `json:"topk_fraction,omitempty"`
 
 	// Transport is "memory" (one System, every role a goroutine) or
 	// "tcp" (every role its own System and loopback listener, exactly
@@ -211,10 +214,9 @@ type trajectoryDoc struct {
 }
 
 // links are the swept link conditions, applied through Config.Chaos
-// (delay-only knobs: duplication would break the protocol's
-// exactly-once expectations). "ideal" leaves the transport untouched;
-// "default" is a jittery but healthy edge link; "harsh" is congested
-// with heavy tail spikes.
+// (delay-only knobs: the protocol expects exactly-once delivery).
+// "ideal" leaves the transport untouched; "default" is a jittery but
+// healthy edge link; "harsh" is congested with heavy tail spikes.
 var links = map[string]core.ChaosOptions{
 	"ideal": {},
 	"default": {
@@ -247,7 +249,7 @@ var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0, StrikeLimit:
 // byzantineDevices is how many devices lie in a cell with a Strategy.
 const byzantineDevices = 2
 
-// cells returns the trajectory: 16 named cells and the 30-cell
+// cells returns the trajectory: 17 named cells and the 30-cell
 // adversarial matrix.
 func cells() []cell {
 	// acmesim's default scenario at seed 1. Its dense-lossless and
@@ -295,6 +297,9 @@ func cells() []cell {
 		with(straggler, "straggler-cutoff", 5, func(c *cell) { c.Quorum, c.CutoffMS = 0.75, 60 }),
 		fleet,
 		with(fleet, "fleet-sampled-2000", 6, func(c *cell) { c.DevicesPerEdge, c.SampleFrac = 250, 0.1 }),
+		// Top-K against delta + mixed, the other way to shrink the
+		// uplink: fewer importance bytes at the same accuracy.
+		with(base, "topk-005", 25, func(c *cell) { c.TopK = 0.05 }),
 		with(base, "dense-lossless-entropy", 7, func(c *cell) { c.Entropy = true }),
 		with(deltaMixed, "delta-mixed-entropy", 7, func(c *cell) { c.Entropy = true }),
 		restore,

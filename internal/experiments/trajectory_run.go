@@ -68,6 +68,7 @@ func (c cell) config(trial int) (core.Config, error) {
 	cfg.Wire.DeltaImportance = c.Delta
 	cfg.Wire.Entropy = c.Entropy
 	cfg.ImportanceRefreshPeriod = c.Refresh
+	cfg.Wire.TopKFraction = c.TopK
 
 	cfg.Fleet.SampleFrac = c.SampleFrac
 	cfg.Straggler.Quorum = c.Quorum
@@ -493,7 +494,7 @@ func runTax(ctx context.Context, c cell) (*taxMetrics, error) {
 func awaitSnapshot(ctx context.Context, path string, minRound int) (int, error) {
 	for ctx.Err() == nil {
 		var snap core.EdgeSnapshot
-		if _, err := checkpoint.ReadFile(path, &snap); err == nil && snap.Round >= minRound {
+		if err := checkpoint.ReadFile(path, &snap); err == nil && snap.Round >= minRound {
 			return snap.Round, nil
 		}
 		time.Sleep(5 * time.Millisecond)

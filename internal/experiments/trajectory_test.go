@@ -63,8 +63,8 @@ func TestTrajectoryConfigsValid(t *testing.T) {
 			}
 		}
 	}
-	if len(seen) != 46 {
-		t.Errorf("%d cells, want 46 (the 48 of BENCH_3…10 less the retired pair)", len(seen))
+	if len(seen) != 47 {
+		t.Errorf("%d cells, want 47 (the 48 of BENCH_3…10 less the retired pair, plus topk-005)", len(seen))
 	}
 }
 

@@ -47,9 +47,6 @@ func ExtendedOpSet() []OpKind {
 	return append(DefaultOpSet(), OpLayerNorm, OpMHSA, OpMLPBlock)
 }
 
-// AllOpKinds lists the default operation set (kept for compatibility).
-func AllOpKinds() []OpKind { return DefaultOpSet() }
-
 // String implements fmt.Stringer.
 func (k OpKind) String() string {
 	switch k {
@@ -75,16 +72,6 @@ func (k OpKind) String() string {
 		return "mlp"
 	default:
 		return fmt.Sprintf("OpKind(%d)", int(k))
-	}
-}
-
-// HasParams reports whether the operation kind owns trainable weights.
-func (k OpKind) HasParams() bool {
-	switch k {
-	case OpConv1, OpConv3, OpConv5, OpLayerNorm, OpMHSA, OpMLPBlock:
-		return true
-	default:
-		return false
 	}
 }
 

@@ -181,57 +181,6 @@ func TestDropoutTrainEval(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	bb, err := NewBackbone(BackboneConfig{
-		InputDim: 16, NumPatches: 4, DModel: 8, NumHeads: 2, Hidden: 12, Depth: 2,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/bb.ckpt"
-	if err := SaveCheckpoint(path, bb); err != nil {
-		t.Fatal(err)
-	}
-	// Build a second backbone with different weights, restore, compare.
-	bb2, err := NewBackbone(bb.Cfg, rand.New(rand.NewSource(99)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadCheckpoint(path, bb2); err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 16)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	a, err := bb.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bb2.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equal(a, b, 1e-12) {
-		t.Fatal("restored backbone diverges")
-	}
-}
-
-func TestCheckpointRejectsShapeMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := NewLinear("l", 4, 3, rng)
-	cp := Snapshot(a)
-	b := NewLinear("l", 4, 5, rng)
-	if err := Restore(b, cp); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-	c := NewLinear("other", 4, 3, rng)
-	if err := Restore(c, cp); err == nil {
-		t.Fatal("name mismatch accepted")
-	}
-}
-
 // TestTrainingLearnsSeparableData exercises the full training loop: a
 // tiny backbone classifier must fit well-separated Gaussian classes.
 func TestTrainingLearnsSeparableData(t *testing.T) {

@@ -57,13 +57,12 @@ func (s StepLR) LR(step int) float64 {
 	return s.Base * math.Pow(s.Gamma, float64(step/s.StepSize))
 }
 
-// ScheduledOptimizer wraps an optimizer, updating its learning rate
-// from a schedule before every step.
+// ScheduledOptimizer wraps Adam, updating its learning rate from a
+// schedule before every step.
 type ScheduledOptimizer struct {
 	Schedule LRSchedule
 	step     int
 	adam     *Adam
-	sgd      *SGD
 }
 
 var _ Optimizer = (*ScheduledOptimizer)(nil)
@@ -73,22 +72,12 @@ func NewScheduledAdam(s LRSchedule) *ScheduledOptimizer {
 	return &ScheduledOptimizer{Schedule: s, adam: NewAdam(s.LR(0))}
 }
 
-// NewScheduledSGD returns SGD (with momentum) driven by the schedule.
-func NewScheduledSGD(s LRSchedule, momentum float64) *ScheduledOptimizer {
-	return &ScheduledOptimizer{Schedule: s, sgd: NewSGD(s.LR(0), momentum)}
-}
-
 // Step implements Optimizer.
 func (o *ScheduledOptimizer) Step(params []*Param) {
 	lr := o.Schedule.LR(o.step)
 	o.step++
-	if o.adam != nil {
-		o.adam.LR = lr
-		o.adam.Step(params)
-		return
-	}
-	o.sgd.LR = lr
-	o.sgd.Step(params)
+	o.adam.LR = lr
+	o.adam.Step(params)
 }
 
 // CurrentStep returns the number of steps taken so far.

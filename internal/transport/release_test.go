@@ -193,7 +193,7 @@ func TestCollectorReleasesEveryFrame(t *testing.T) {
 	defer cancel()
 
 	report := func(id int) transport.Message {
-		payload, err := transport.Binary.Encode(core.DeviceReport{DeviceID: id, AccuracyFinal: 0.5})
+		payload, err := wire.Encode(core.DeviceReport{DeviceID: id, AccuracyFinal: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}

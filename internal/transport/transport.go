@@ -1,7 +1,7 @@
 // Package transport provides the messaging substrate of the
-// bidirectional single-loop distributed system: typed messages with
-// pluggable payload codecs (compact binary by default, gob for
-// compatibility), per-sender/per-kind byte accounting including
+// bidirectional single-loop distributed system: typed messages whose
+// payloads are internal/wire encodings (entropy-coded or not),
+// per-sender/per-kind byte accounting including
 // raw-vs-wire compression ratios (the data that feeds Table I), an
 // in-memory network for single-process simulation, and a TCP network
 // for multi-process deployment (cmd/acmenode).
@@ -504,15 +504,4 @@ func RecvKind(ctx context.Context, n Network, node string, want Kind) (Message, 
 		return Message{}, fmt.Errorf("transport: %s expected %v from protocol, got %v from %s", node, want, msg.Kind, msg.From)
 	}
 	return msg, nil
-}
-
-// SendValue encodes v with the given codec and sends it in one
-// message, recording the raw (pre-encoding) payload size for
-// compression accounting.
-func SendValue(n Network, c Codec, kind Kind, from, to string, v any) error {
-	payload, err := c.Encode(v)
-	if err != nil {
-		return err
-	}
-	return n.Send(Message{Kind: kind, From: from, To: to, Payload: payload, Raw: wire.RawSize(v)})
 }

@@ -7,8 +7,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"acme/internal/wire"
 )
 
+// TestEncodeDecodeRoundTrip: a payload travels as its wire encoding,
+// plain or entropy-coded, and decodes on the receiving side with no
+// knowledge of which — entropy frames identify themselves.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	type payload struct {
 		A int
@@ -16,17 +21,26 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		C string
 	}
 	in := payload{A: 7, B: []float64{1, 2, 3}, C: "hello"}
-	for _, codec := range []Codec{Binary, Entropy} {
-		raw, err := codec.Encode(in)
+	plain, err := wire.Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMemory()
+	m.Register("b", 2)
+	for _, frame := range [][]byte{plain, wire.EntropyCompress(plain)} {
+		if err := m.Send(Message{Kind: KindStats, From: "a", To: "b", Payload: frame}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := m.Recv(context.Background(), "b")
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out payload
-		if err := codec.Decode(raw, &out); err != nil {
+		if err := wire.Decode(msg.Payload, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.A != in.A || out.C != in.C || len(out.B) != 3 {
-			t.Fatalf("%s round trip mismatch: %+v", codec.Name(), out)
+			t.Fatalf("round trip mismatch (entropy frame %v): %+v", wire.IsEntropy(frame), out)
 		}
 	}
 }
@@ -46,7 +60,7 @@ func TestBinaryCodecIsSmallerOnFloatPayloads(t *testing.T) {
 	if err := gob.NewEncoder(&g).Encode(in); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Binary.Encode(in)
+	b, err := wire.Encode(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +144,18 @@ func TestStatsAccounting(t *testing.T) {
 func TestStatsRawVsWireAccounting(t *testing.T) {
 	m := NewMemory()
 	m.Register("edge", 4)
-	// SendValue records the in-memory payload size next to the wire
+	// A message carries the in-memory payload size next to the wire
 	// size; 512 float64s are 4096 raw bytes while the binary wire form
 	// is 4096 + small headers.
 	vals := make([]float64, 512)
 	for i := range vals {
 		vals[i] = float64(i) * 0.25
 	}
-	if err := SendValue(m, Binary, KindImportanceSet, "dev", "edge", vals); err != nil {
+	payload, err := wire.Encode(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Send(Message{Kind: KindImportanceSet, From: "dev", To: "edge", Payload: payload, Raw: wire.RawSize(vals)}); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
@@ -147,9 +165,9 @@ func TestStatsRawVsWireAccounting(t *testing.T) {
 	if st.TotalRawBytes() != 4096 {
 		t.Fatalf("total raw %d", st.TotalRawBytes())
 	}
-	wire := st.BytesByKind()[KindImportanceSet]
-	if wire <= 4096 || wire > 4096+64 {
-		t.Fatalf("wire bytes %d outside expected envelope", wire)
+	sent := st.BytesByKind()[KindImportanceSet]
+	if sent <= 4096 || sent > 4096+64 {
+		t.Fatalf("wire bytes %d outside expected envelope", sent)
 	}
 	ratio := st.CompressionRatio()
 	if ratio <= 0.9 || ratio > 1.0 {

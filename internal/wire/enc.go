@@ -36,9 +36,6 @@ func AppendListTag(b []byte, n int) []byte {
 	return binary.AppendUvarint(append(b, tList), uint64(n))
 }
 
-// AppendNil appends the nil-pointer tag.
-func AppendNil(b []byte) []byte { return append(b, tNil) }
-
 // AppendBool appends a bool value.
 func AppendBool(b []byte, v bool) []byte {
 	if v {
@@ -52,19 +49,9 @@ func AppendInt(b []byte, v int64) []byte {
 	return appendZigzag(append(b, tInt), v)
 }
 
-// AppendUint appends an unsigned integer.
-func AppendUint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(append(b, tUint), v)
-}
-
 // AppendFloat64 appends a float64.
 func AppendFloat64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(append(b, tF64), math.Float64bits(v))
-}
-
-// AppendFloat32 appends a float32.
-func AppendFloat32(b []byte, v float32) []byte {
-	return binary.LittleEndian.AppendUint32(append(b, tF32), math.Float32bits(v))
 }
 
 // AppendString appends a string.

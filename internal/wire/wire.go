@@ -1,5 +1,6 @@
-// Package wire implements the compact binary payload codec used by the
-// transport layer. The format is self-describing at the value level:
+// Package wire implements the repository's one serialization format:
+// the compact binary codec every protocol message and every checkpoint
+// payload (internal/checkpoint) travels in. The format is self-describing at the value level:
 // every value is prefixed with a one-byte type tag, lengths and integers
 // travel as varints, float slices and byte slices are packed raw, and
 // bool slices are bit-packed. Struct frames carry their exported field
