@@ -55,14 +55,14 @@ fleet-bench:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-json regenerates the trajectory (~2½ min): 47 cells — wire
+# bench-json regenerates the trajectory (~2½ min): 46 cells — wire
 # shapes, TCP, straggler cutoff, fleet sampling, entropy coding, top-K,
 # the adversarial matrix, kill/restore, the checkpoint tax — run once
 # each from internal/experiments' cell table, with the gate table
 # benchcmp reads. The older BENCH_*.json files stay as the record;
 # nothing regenerates them.
 bench-json:
-	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_25.json
+	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_26.json
 
 # bench-compare diffs the two newest checked-in BENCH_*.json files and
 # fails on any gated regression (>10% wire bytes, 5 points of TPR/FPR,
@@ -73,8 +73,10 @@ bench-compare:
 # churn-smoke kills one device mid-run over loopback TCP and rejoins it
 # via the dense-resync control path, asserting the run completes with
 # every device reporting and the exchange back to sparse deltas. The
-# 20-iteration stress loop guards the rejoin path's timing races (the
-# flake fixed in PR 8 only reproduced once in tens of runs).
+# 20-iteration stress loop guards the rejoin path's timing races. The
+# test paces its cluster with an injected straggler, and the TCP link
+# drops a dead predecessor's late LEAVE; what still reads the wall clock
+# is ROADMAP item 1's (virtual time).
 churn-smoke:
 	$(GO) test -run 'TestChurnRejoinTCP' -count=20 -failfast -timeout 1200s ./internal/core
 

@@ -194,6 +194,16 @@ func runChurnRejoinTCP(t *testing.T, cfg Config) {
 	for _, di := range probe.Clusters()[victimEdge] {
 		if probe.Devices()[di].ID == victimID {
 			victim = probe.Devices()[di].Name()
+		} else {
+			// Pace the run with a cluster peer as the injected
+			// straggler: every round then outlasts a restart by far,
+			// so the rejoin lands early enough to leave the reborn
+			// device its dense round and delta rounds after it. An
+			// unpaced cluster can finish its loop before the RESYNC
+			// arrives, leaving the rejoiner nothing to play or no
+			// one to answer it.
+			cfg.Straggler.SlowDeviceID = probe.Devices()[di].ID
+			cfg.Straggler.SlowDeviceDelay = 100 * time.Millisecond
 		}
 	}
 	roles := probe.RoleNames()

@@ -107,26 +107,24 @@ type SparseLayer struct {
 	Values  []float32
 }
 
-// ImportanceUpload is the device → edge importance set. Values travel
-// as float32: importance magnitudes are only used for ranking, and a
-// real deployment would not ship double precision. When the system is
-// configured with TopKFraction < 1, Sparse carries a top-k subset
-// instead of Layers; with a non-lossless Quantization mode, Quant
-// carries packed float16/int8 layers instead (sparsification wins when
-// both are configured).
+// ImportanceUpload is the device → edge importance set in its dense
+// lossless form. Values travel as float32: importance magnitudes are
+// only used for ranking, and a real deployment would not ship double
+// precision. When the system is configured with TopKFraction < 1,
+// Sparse carries a top-k subset instead of Layers. Quantized sets never
+// take this form: packed float16/int8 lanes travel only as delta
+// records (DeltaUpload; see WireOptions.deltaRecords).
 type ImportanceUpload struct {
 	DeviceID int
 	Layers   [][]float32
-	Quant    []QuantLayer
 	Sparse   []SparseLayer
 }
 
-// PersonalizedSet is the edge → device aggregated set Q'n, with the
-// same dense/quantized payload split as ImportanceUpload. Done ends
-// the single loop (convergence or round budget reached).
+// PersonalizedSet is the edge → device aggregated set Q'n in its dense
+// lossless form; a quantized set travels as a DownlinkDelta instead.
+// Done ends the single loop (convergence or round budget reached).
 type PersonalizedSet struct {
 	Layers  [][]float32
-	Quant   []QuantLayer
 	Discard int
 	Done    bool
 }
@@ -135,23 +133,10 @@ type PersonalizedSet struct {
 // an upload carries; topK is the run's Wire.TopKFraction, which a sparse
 // payload is vetted against.
 func (u *ImportanceUpload) layers(topK float64) ([][]float64, error) {
-	switch {
-	case len(u.Sparse) > 0:
+	if len(u.Sparse) > 0 {
 		return densifySet(u.Sparse, topK)
-	case len(u.Quant) > 0:
-		return dequantizeLayers(u.Quant)
-	default:
-		return dequantizeSet(u.Layers), nil
 	}
-}
-
-// layers extracts the float64 aggregated layers from whichever payload
-// the set carries.
-func (p *PersonalizedSet) layers() ([][]float64, error) {
-	if len(p.Quant) > 0 {
-		return dequantizeLayers(p.Quant)
-	}
-	return dequantizeSet(p.Layers), nil
+	return dequantizeSet(u.Layers), nil
 }
 
 // topKCount is how many of a layer's n entries top-k sparsification at

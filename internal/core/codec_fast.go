@@ -215,57 +215,6 @@ func (p *HeaderPackage) DecodeWire(d *wire.Dec) error {
 
 // --- importance payloads -------------------------------------------
 
-func (q QuantLayer) appendWire(b []byte) []byte {
-	b = wire.AppendStructTag(b, 4)
-	b = wire.AppendInt(b, int64(q.Mode))
-	b = wire.AppendFloat64(b, q.Scale)
-	b = wire.AppendInt(b, int64(q.N))
-	return wire.AppendBytes(b, q.Data)
-}
-
-func (q *QuantLayer) decodeWire(d *wire.Dec) error {
-	if err := d.Struct("core.QuantLayer", 4); err != nil {
-		return err
-	}
-	mode, err := d.Int("QuantLayer.Mode")
-	if err != nil {
-		return err
-	}
-	q.Mode = QuantMode(mode)
-	if q.Scale, err = d.Float64("QuantLayer.Scale"); err != nil {
-		return err
-	}
-	n, err := d.Int("QuantLayer.N")
-	if err != nil {
-		return err
-	}
-	q.N = int(n)
-	q.Data, err = d.Bytes("QuantLayer.Data")
-	return err
-}
-
-func appendQuantLayers(b []byte, qs []QuantLayer) []byte {
-	b = wire.AppendListTag(b, len(qs))
-	for i := range qs {
-		b = qs[i].appendWire(b)
-	}
-	return b
-}
-
-func decodeQuantLayers(d *wire.Dec, what string, prev []QuantLayer) ([]QuantLayer, error) {
-	n, err := d.ListLen(what)
-	if err != nil {
-		return nil, err
-	}
-	qs := listTarget(prev, n)
-	for i := range qs {
-		if err := qs[i].decodeWire(d); err != nil {
-			return nil, err
-		}
-	}
-	return qs, nil
-}
-
 func (s SparseLayer) appendWire(b []byte) []byte {
 	b = wire.AppendStructTag(b, 3)
 	b = wire.AppendInt(b, int64(s.Size))
@@ -312,10 +261,9 @@ func decodeF32Planes(d *wire.Dec, what string, prev [][]float32) ([][]float32, e
 
 // AppendWire implements wire.Marshaler.
 func (u ImportanceUpload) AppendWire(b []byte) ([]byte, error) {
-	b = wire.AppendStructTag(b, 4)
+	b = wire.AppendStructTag(b, 3)
 	b = wire.AppendInt(b, int64(u.DeviceID))
 	b = appendF32Planes(b, u.Layers)
-	b = appendQuantLayers(b, u.Quant)
 	b = wire.AppendListTag(b, len(u.Sparse))
 	for i := range u.Sparse {
 		b = u.Sparse[i].appendWire(b)
@@ -325,7 +273,7 @@ func (u ImportanceUpload) AppendWire(b []byte) ([]byte, error) {
 
 // DecodeWire implements wire.Unmarshaler.
 func (u *ImportanceUpload) DecodeWire(d *wire.Dec) error {
-	if err := d.Struct("core.ImportanceUpload", 4); err != nil {
+	if err := d.Struct("core.ImportanceUpload", 3); err != nil {
 		return err
 	}
 	id, err := d.Int("ImportanceUpload.DeviceID")
@@ -334,9 +282,6 @@ func (u *ImportanceUpload) DecodeWire(d *wire.Dec) error {
 	}
 	u.DeviceID = int(id)
 	if u.Layers, err = decodeF32Planes(d, "ImportanceUpload.Layers", u.Layers); err != nil {
-		return err
-	}
-	if u.Quant, err = decodeQuantLayers(d, "ImportanceUpload.Quant", u.Quant); err != nil {
 		return err
 	}
 	n, err := d.ListLen("ImportanceUpload.Sparse")
@@ -354,23 +299,19 @@ func (u *ImportanceUpload) DecodeWire(d *wire.Dec) error {
 
 // AppendWire implements wire.Marshaler.
 func (p PersonalizedSet) AppendWire(b []byte) ([]byte, error) {
-	b = wire.AppendStructTag(b, 4)
+	b = wire.AppendStructTag(b, 3)
 	b = appendF32Planes(b, p.Layers)
-	b = appendQuantLayers(b, p.Quant)
 	b = wire.AppendInt(b, int64(p.Discard))
 	return wire.AppendBool(b, p.Done), nil
 }
 
 // DecodeWire implements wire.Unmarshaler.
 func (p *PersonalizedSet) DecodeWire(d *wire.Dec) error {
-	if err := d.Struct("core.PersonalizedSet", 4); err != nil {
+	if err := d.Struct("core.PersonalizedSet", 3); err != nil {
 		return err
 	}
 	var err error
 	if p.Layers, err = decodeF32Planes(d, "PersonalizedSet.Layers", p.Layers); err != nil {
-		return err
-	}
-	if p.Quant, err = decodeQuantLayers(d, "PersonalizedSet.Quant", p.Quant); err != nil {
 		return err
 	}
 	discard, err := d.Int("PersonalizedSet.Discard")

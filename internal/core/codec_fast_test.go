@@ -68,17 +68,12 @@ func fastFixtures(t testing.TB) []any {
 
 	return []any{
 		ImportanceUpload{DeviceID: 3, Layers: [][]float32{f32s(64), f32s(5), nil}},
-		ImportanceUpload{DeviceID: 0, Quant: []QuantLayer{
-			{Mode: QuantFloat16, Scale: 0, N: 20, Data: bts(40)},
-			{Mode: QuantInt8, Scale: 0.25, N: 16, Data: bts(16)},
-		}},
 		ImportanceUpload{DeviceID: 9, Sparse: []SparseLayer{
 			{Size: 50, Indices: []int32{0, 7, 49}, Values: f32s(3)},
 			{Size: 1, Indices: []int32{0}, Values: f32s(1)},
 		}},
 		ImportanceUpload{},
 		PersonalizedSet{Layers: [][]float32{f32s(40)}, Discard: 2, Done: true},
-		PersonalizedSet{Quant: []QuantLayer{{Mode: QuantFloat16, N: 8, Data: bts(16)}}},
 		PersonalizedSet{},
 		DeltaUpload{DeviceID: 4, Round: 2, Layers: deltaPls},
 		DeltaUpload{DeviceID: 1, Round: 0, Layers: []DeltaLayerPayload{

@@ -40,9 +40,10 @@ type WireOptions struct {
 	// importance; QuantFloat16/QuantInt8 deterministically compress
 	// model traffic 4×/8× at bounded precision cost, and QuantMixed
 	// picks float16 or int8 per layer from the measured quantization
-	// error of the payload itself.
+	// error of the payload itself. Quantized importance sets always
+	// travel as delta records (see deltaRecords).
 	Quantization QuantMode
-	// DeltaImportance makes the Phase 2-2 exchange symmetric and
+	// DeltaImportance makes a lossless Phase 2-2 exchange symmetric and
 	// sparse: devices upload round-t importance sets as deltas against
 	// round t−1 (KindImportanceDelta), and the edge sends each device's
 	// personalized set as a delta against its previous downlink
@@ -51,9 +52,11 @@ type WireOptions struct {
 	// with a dense per-layer fallback when the delta would not be
 	// smaller. Reconstruction is bitwise-exact, so seeded Results are
 	// identical with the flag on or off; only the measured traffic
-	// changes. The uplink half is ignored when TopKFraction
-	// sparsification is active (the legacy top-k payload already is a
-	// sparse form); the downlink half applies regardless.
+	// changes. A quantized Quantization mode implies it: the delta
+	// records are the only container for packed lanes. The uplink half
+	// is ignored when TopKFraction sparsification is active (the top-k
+	// payload already is a sparse form); the downlink half applies
+	// regardless.
 	DeltaImportance bool
 	// TopKFraction sparsifies device importance uploads to the top
 	// fraction of entries by magnitude (0 or ≥1 sends dense sets). Low-
@@ -61,6 +64,14 @@ type WireOptions struct {
 	// moderate sparsification trades negligible fidelity for uplink
 	// bandwidth.
 	TopKFraction float64
+}
+
+// deltaRecords reports whether importance sets travel as delta
+// records (DeltaUpload / DownlinkDelta): always under a quantized mode,
+// whose packed lanes have no other container, and for lossless sets
+// when DeltaImportance asks for it.
+func (w WireOptions) deltaRecords() bool {
+	return w.DeltaImportance || w.Quantization != QuantLossless
 }
 
 // Validate reports wire-option errors.

@@ -9,16 +9,18 @@ import (
 )
 
 // This file implements the stateful, delta-aware Phase 2-2 importance
-// exchange (Config.Wire.DeltaImportance). Both endpoints hold the previous
-// round's payload in its packed byte form; round-t uploads then travel
-// as wire.DeltaLayer records — a changed-index bitmask plus the packed
+// exchange (WireOptions.deltaRecords: Config.Wire.DeltaImportance, or
+// any quantized mode). Both endpoints hold the previous round's payload
+// in its packed byte form; round-t uploads then travel as
+// wire.DeltaLayer records — a changed-index bitmask plus the packed
 // elements at changed positions — with a dense per-layer fallback when
 // the delta would not be smaller (or when no previous round exists,
-// or when an int8 scale changed between rounds). Deltas are computed
-// and applied bitwise on the packed representation, so a delta-encoded
-// exchange reconstructs exactly the bytes the dense path would have
-// shipped: seeded runs produce bitwise-identical Results with the flag
-// on or off.
+// or when an int8 scale changed between rounds). The dense fallback is
+// also the only wire form of a packed float16/int8 layer. Deltas are
+// computed and applied bitwise on the packed representation, so a
+// delta-encoded exchange reconstructs exactly the values a dense
+// lossless exchange would have: seeded runs produce bitwise-identical
+// Results with DeltaImportance on or off.
 
 // packedLayer is the byte-level wire representation of one importance
 // layer under a concrete quantization mode: raw little-endian float32
@@ -43,7 +45,7 @@ func elemSize(mode QuantMode) int {
 
 // packLayers converts dense float64 layers into their packed wire
 // representation under mode, resolving QuantMixed with the set-level
-// mass ranking (the same lanes quantizeLayers would pick).
+// mass ranking.
 func packLayers(layers [][]float64, mode QuantMode) ([]packedLayer, error) {
 	modes := layerModes(layers, mode)
 	out := make([]packedLayer, len(layers))
@@ -66,9 +68,9 @@ func packLayers(layers [][]float64, mode QuantMode) ([]packedLayer, error) {
 	return out, nil
 }
 
-// unpackLayer reverses packLayers for one layer, producing the exact
-// float64 values the dense decode path (dequantizeSet/dequantizeLayers)
-// would have produced.
+// unpackLayer reverses packLayers for one layer. A lossless layer
+// yields the exact float64 values the dense decode path (dequantizeSet)
+// produces.
 func unpackLayer(p packedLayer) ([]float64, error) {
 	es := elemSize(p.mode)
 	if len(p.data)%es != 0 {

@@ -37,7 +37,7 @@ func benchPerturb(rng *rand.Rand, layers [][]float64) {
 // BenchmarkDownlinkRound measures the symmetric edge→device exchange
 // of one personalized set over a 4-round loop: payload build, binary
 // wire encode, decode, and dense reconstruction on the device,
-// reporting the average wire bytes per round. Dense is the legacy
+// reporting the average wire bytes per round. Dense is the lossless
 // PersonalizedSet path; DeltaMixed is the headline DownlinkDelta
 // combination.
 func BenchmarkDownlinkRound(b *testing.B) {
@@ -48,7 +48,6 @@ func BenchmarkDownlinkRound(b *testing.B) {
 	}{
 		{"Dense", QuantLossless, false},
 		{"Delta", QuantLossless, true},
-		{"Mixed", QuantMixed, false},
 		{"DeltaMixed", QuantMixed, true},
 	}
 	const rounds = 4
@@ -82,14 +81,7 @@ func BenchmarkDownlinkRound(b *testing.B) {
 							b.Fatal(err)
 						}
 					} else {
-						ps := PersonalizedSet{Discard: 4 * (t + 1), Done: t == rounds-1}
-						if c.mode == QuantLossless {
-							ps.Layers = quantizeSet(layers)
-						} else {
-							if ps.Quant, err = quantizeLayers(layers, c.mode); err != nil {
-								b.Fatal(err)
-							}
-						}
+						ps := PersonalizedSet{Layers: quantizeSet(layers), Discard: 4 * (t + 1), Done: t == rounds-1}
 						if payload, err = wire.Encode(ps); err != nil {
 							b.Fatal(err)
 						}
@@ -97,9 +89,7 @@ func BenchmarkDownlinkRound(b *testing.B) {
 						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
-						if _, err := got.layers(); err != nil {
-							b.Fatal(err)
-						}
+						_ = dequantizeSet(got.Layers)
 					}
 					total += int64(len(payload))
 					benchPerturb(rng, layers)
@@ -114,9 +104,9 @@ func BenchmarkDownlinkRound(b *testing.B) {
 // BenchmarkImportanceRound measures the full device→edge exchange of
 // one importance set over a 4-round loop: payload build, binary wire
 // encode, decode, and dense reconstruction, reporting the average wire
-// bytes per round. Dense is the PR 2 lossless baseline; Delta adds
-// round t vs t−1 encoding; Mixed adds the per-layer float16/int8
-// ladder; DeltaMixed is the headline combination.
+// bytes per round. Dense is the lossless baseline; Delta adds round t
+// vs t−1 encoding; DeltaMixed adds the per-layer float16/int8 ladder,
+// whose packed lanes travel only as delta records.
 func BenchmarkImportanceRound(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -125,7 +115,6 @@ func BenchmarkImportanceRound(b *testing.B) {
 	}{
 		{"Dense", QuantLossless, false},
 		{"Delta", QuantLossless, true},
-		{"Mixed", QuantMixed, false},
 		{"DeltaMixed", QuantMixed, true},
 	}
 	const rounds = 4
@@ -158,14 +147,7 @@ func BenchmarkImportanceRound(b *testing.B) {
 							b.Fatal(err)
 						}
 					} else {
-						up := ImportanceUpload{DeviceID: 1}
-						if c.mode == QuantLossless {
-							up.Layers = quantizeSet(layers)
-						} else {
-							if up.Quant, err = quantizeLayers(layers, c.mode); err != nil {
-								b.Fatal(err)
-							}
-						}
+						up := ImportanceUpload{DeviceID: 1, Layers: quantizeSet(layers)}
 						if payload, err = wire.Encode(up); err != nil {
 							b.Fatal(err)
 						}

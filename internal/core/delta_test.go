@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 // runCfg runs a full system for an arbitrary config.
@@ -59,8 +60,9 @@ func perturb(rng *rand.Rand, layers [][]float64, frac, eps float64) [][]float64 
 }
 
 // TestPackUnpackMatchesDensePath asserts that the delta pipeline's
-// packed representation decodes to exactly the float64 layers the
-// legacy dense payloads produce, for every quantization mode.
+// packed representation decodes to exactly the float64 layers of the
+// dense lossless payload, and of each quantized lane's own
+// quantize/dequantize round trip, for every quantization mode.
 func TestPackUnpackMatchesDensePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	layers := randomLayers(rng, []int{64, 7, 129})
@@ -69,16 +71,19 @@ func TestPackUnpackMatchesDensePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want [][]float64
-		if mode == QuantLossless {
-			want = dequantizeSet(quantizeSet(layers))
-		} else {
-			qs, err := quantizeLayers(layers, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want, err = dequantizeLayers(qs); err != nil {
-				t.Fatal(err)
+		want := dequantizeSet(quantizeSet(layers))
+		if mode != QuantLossless {
+			// The packed lanes against their oracle: the per-layer
+			// lane choice, then each lane's own quantize/dequantize.
+			for i, lane := range layerModes(layers, mode) {
+				data, scale, err := quantizeLane(layers[i], lane, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = make([]float64, len(layers[i]))
+				if err := dequantizeValues(want[i], data, scale, lane); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		for i, p := range packed {
@@ -192,6 +197,28 @@ func TestDeltaDecoderRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestQuantLayersRejectCorrupt: hostile packed quantized layers. The
+// dense delta record is the only wire form of a packed lane, so its
+// element count and mode are vetted before anything is sized from them.
+func TestQuantLayersRejectCorrupt(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pl   DeltaLayerPayload
+	}{
+		{"int8 count lies about its bytes", DeltaLayerPayload{Mode: QuantInt8, Scale: 0.5,
+			Delta: wire.DeltaLayer{N: 5, Elem: 1, Dense: true, Changed: []byte{1, 2, 3}}}},
+		{"huge count with no bytes", DeltaLayerPayload{Mode: QuantInt8,
+			Delta: wire.DeltaLayer{N: 1 << 60, Elem: 1, Dense: true}}},
+		{"unknown mode", DeltaLayerPayload{Mode: QuantMode(99),
+			Delta: wire.DeltaLayer{N: 3, Elem: 1, Dense: true, Changed: []byte{1, 2, 3}}}},
+	} {
+		var dec deltaDecoder
+		if _, err := dec.applyLayers([]DeltaLayerPayload{c.pl}); err == nil {
+			t.Fatalf("%s: accepted", c.name)
+		}
+	}
+}
+
 // TestEdgeRejectsStaleDeltaAfterDenseUpload: a device that switches
 // from delta uploads to a dense upload and back must not have its
 // sparse delta applied against the stale shadow — the edge drops the
@@ -283,14 +310,15 @@ func TestDeltaSystemBitwiseEquivalence(t *testing.T) {
 	}
 	// Raw float32 payloads barely repeat bitwise between rounds, so
 	// lossless deltas mostly ride the dense fallback — the record
-	// overhead must stay small. The quantized lanes are where the
-	// redundancy lives: mixed deltas must strictly shrink.
+	// overhead must stay small. Quantized sets ride the delta records
+	// whatever DeltaImportance says, so the mixed pair sends the same
+	// bytes.
 	if got, lim := importanceBytes(deltaLossless), importanceBytes(denseLossless)*21/20; got > lim {
 		t.Fatalf("lossless delta overhead too high: %d vs dense %d", got, importanceBytes(denseLossless))
 	}
-	if importanceBytes(deltaMixed) >= importanceBytes(denseMixed) {
-		t.Fatalf("mixed delta did not shrink importance bytes: %d vs %d",
-			importanceBytes(deltaMixed), importanceBytes(denseMixed))
+	if importanceBytes(deltaMixed) != importanceBytes(denseMixed) || downlinkBytes(deltaMixed) != downlinkBytes(denseMixed) {
+		t.Fatalf("mixed importance bytes differ with delta on/off: up %d vs %d, down %d vs %d",
+			importanceBytes(deltaMixed), importanceBytes(denseMixed), downlinkBytes(deltaMixed), downlinkBytes(denseMixed))
 	}
 
 	// Delta uploads and downlinks travel under their own kinds; the
@@ -332,6 +360,36 @@ func TestDeltaSystemBitwiseEquivalence(t *testing.T) {
 	if deltaMixed.MeanAccuracyFinal() < denseLossless.MeanAccuracyFinal()-0.15 {
 		t.Fatalf("mixed accuracy %.3f collapsed vs lossless %.3f",
 			deltaMixed.MeanAccuracyFinal(), denseLossless.MeanAccuracyFinal())
+	}
+}
+
+// TestQuantizedSetsRideDeltaRecords pins the one wire form of packed
+// importance lanes: under every quantized mode, a run sends exactly the
+// same frames with DeltaImportance off as with it on — the delta
+// records — and no dense ImportanceUpload or PersonalizedSet at all.
+func TestQuantizedSetsRideDeltaRecords(t *testing.T) {
+	for _, mode := range []QuantMode{QuantFloat16, QuantInt8, QuantMixed} {
+		var runs [2]*Result
+		for i, delta := range []bool{false, true} {
+			cfg := tinyConfig()
+			cfg.Phase2Rounds = 3
+			cfg.Wire.Quantization = mode
+			cfg.Wire.DeltaImportance = delta
+			runs[i] = runCfg(t, cfg)
+		}
+		off, on := runs[0], runs[1]
+		if !reflect.DeepEqual(off.Reports, on.Reports) {
+			t.Fatalf("%v: Reports differ with DeltaImportance off/on", mode)
+		}
+		if a, b := off.Stats.BytesByKind(), on.Stats.BytesByKind(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%v: bytes by kind differ with DeltaImportance off/on:\n%v\n%v", mode, a, b)
+		}
+		for _, r := range runs {
+			msgs := r.Stats.MessagesByKind()
+			if n := msgs[transport.KindImportanceSet] + msgs[transport.KindPersonalizedSet]; n != 0 {
+				t.Fatalf("%v: %d dense importance/personalized-set messages", mode, n)
+			}
+		}
 	}
 }
 

@@ -260,8 +260,8 @@ type deviceRounds struct {
 	sampling bool // rounds come by ROUND-INVITE instead of self-pacing
 	last     int  // the most recent round played; startRound−1 before the first
 
-	// delta: uploads travel as deltas against the previous round's,
-	// through enc (off with DeltaImportance off, or top-k on).
+	// delta: uploads travel as delta records against the previous
+	// round's, through enc (Wire.deltaRecords, unless top-k is on).
 	delta   bool
 	enc     deltaEncoder
 	downDec deltaDecoder
@@ -286,11 +286,12 @@ type deviceRounds struct {
 // next round number is obtained (nextRound). It ends when the
 // self-paced round budget is spent, on a Done downlink (round budget or
 // convergence), or on a Done ROUND-CUTOFF (the edge's end-of-run
-// broadcast to members the final downlink did not reach). With
-// DeltaImportance on, uploads after the first round travel as sparse
-// deltas against the previous round's payload and the personalized set
-// comes back as a delta against the previous downlink; top-k
-// sparsification keeps its legacy uplink payload (already sparse). With
+// broadcast to members the final downlink did not reach). When
+// importance sets travel as delta records (Wire.deltaRecords: any
+// quantized mode, or DeltaImportance), uploads after the first round
+// travel as sparse deltas against the previous round's payload and the
+// personalized set comes back as a delta against the previous downlink;
+// top-k sparsification keeps its own uplink payload (already sparse). With
 // ImportanceRefreshPeriod > 1, importance is incremental: only
 // defaultIncrementalBatches new minibatches are folded into the running
 // accumulator per round — speculatively, while the in-flight upload
@@ -314,7 +315,7 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 		rng: rng, local: local, header: header, pkg: pkg,
 		sampling: s.Cfg.Fleet.Sampling(),
 		last:     startRound - 1,
-		delta:    s.Cfg.Wire.DeltaImportance && !s.topK(),
+		delta:    s.Cfg.Wire.deltaRecords() && !s.topK(),
 		enc:      deltaEncoder{mode: s.Cfg.Wire.Quantization},
 		liar:     s.liarFor(dev.ID),
 		buf:      uplinkBuffer{retain: s.retainRounds()},
@@ -521,10 +522,6 @@ func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transpor
 		up := ImportanceUpload{DeviceID: d.dev.ID}
 		if s.topK() {
 			up.Sparse = sparsifySet(layers, s.Cfg.Wire.TopKFraction)
-		} else if s.Cfg.Wire.Quantization != QuantLossless {
-			if up.Quant, err = quantizeLayers(layers, s.Cfg.Wire.Quantization); err != nil {
-				return 0, nil, 0, err
-			}
 		} else {
 			up.Layers = quantizeSet(layers)
 		}
@@ -739,15 +736,11 @@ func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message
 		if err := wire.Decode(msg.Payload, &ps); err != nil {
 			return nil, 0, false, fmt.Errorf("decode %v from %s in round %d: %w", msg.Kind, msg.From, round, err)
 		}
-		layers, err := ps.layers()
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("%v from %s: %w", msg.Kind, msg.From, err)
-		}
 		// A dense downlink does not advance the delta shadow, so drop
 		// it: a later delta must fail ("no shadow round") rather than
 		// silently reconstruct against a stale round.
 		*downDec = deltaDecoder{}
-		return layers, ps.Discard, ps.Done, nil
+		return dequantizeSet(ps.Layers), ps.Discard, ps.Done, nil
 	case transport.KindImportanceDownDelta:
 		var dd DownlinkDelta
 		if err := wire.Decode(msg.Payload, &dd); err != nil {

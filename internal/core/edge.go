@@ -415,7 +415,7 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 	// Downlink delta encoders: one per device, persisted across rounds
 	// so each round's personalized set is encoded against the previous
 	// round's downlink (the shadow the device holds).
-	if s.Cfg.Wire.DeltaImportance {
+	if s.Cfg.Wire.deltaRecords() {
 		st.downEncs = make([]*deltaEncoder, len(order))
 		for i := range st.downEncs {
 			st.downEncs[i] = &deltaEncoder{mode: s.Cfg.Wire.Quantization}

@@ -548,7 +548,7 @@ func (r *edgeRound) cutoffNotices(done bool) {
 // set. With a non-nil delta encoder it travels as a DownlinkDelta
 // against the device's previous downlink (per-layer dense fallback
 // when no shadow exists or the delta would not be smaller); otherwise
-// as the legacy dense/quantized PersonalizedSet. It reports the wire
+// as the dense lossless PersonalizedSet. It reports the wire
 // bytes sent and whether the delta form was used.
 func (s *System) sendPersonalized(from, to string, enc *deltaEncoder, round int, layers [][]float64, discard int, done bool) (int64, bool, error) {
 	if enc != nil {
@@ -560,15 +560,7 @@ func (s *System) sendPersonalized(from, to string, enc *deltaEncoder, round int,
 		n, err := s.sendCounted(transport.KindImportanceDownDelta, from, to, round, dd)
 		return n, true, err
 	}
-	ps := PersonalizedSet{Discard: discard, Done: done}
-	var err error
-	if s.Cfg.Wire.Quantization != QuantLossless {
-		if ps.Quant, err = quantizeLayers(layers, s.Cfg.Wire.Quantization); err != nil {
-			return 0, false, err
-		}
-	} else {
-		ps.Layers = quantizeSet(layers)
-	}
+	ps := PersonalizedSet{Layers: quantizeSet(layers), Discard: discard, Done: done}
 	n, err := s.sendCounted(transport.KindPersonalizedSet, from, to, round, ps)
 	return n, false, err
 }

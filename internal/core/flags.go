@@ -20,8 +20,8 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	fs.IntVar(&cfg.Phase2Rounds, "rounds", cfg.Phase2Rounds, "phase 2-2 loop rounds T")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	fs.BoolVar(&cfg.Wire.Entropy, "entropy", cfg.Wire.Entropy, "entropy-code bulk payloads: an adaptive range coder under the binary codec (lossless; receivers detect entropy frames without configuration, so decoded results are identical and mixed fleets interoperate)")
-	quant := fs.String("quant", cfg.Wire.Quantization.String(), "payload quantization: lossless, float16, int8, mixed")
-	fs.BoolVar(&cfg.Wire.DeltaImportance, "delta", cfg.Wire.DeltaImportance, "delta-encode successive importance payloads in both directions (round t vs t−1)")
+	quant := fs.String("quant", cfg.Wire.Quantization.String(), "payload quantization: lossless, float16, int8, mixed (quantized importance sets always travel as delta records)")
+	fs.BoolVar(&cfg.Wire.DeltaImportance, "delta", cfg.Wire.DeltaImportance, "delta-encode successive lossless importance payloads in both directions (round t vs t−1; implied by a quantized -quant)")
 	fs.IntVar(&cfg.ImportanceRefreshPeriod, "refresh", cfg.ImportanceRefreshPeriod, "device importance full-refresh period (≤1 = full recompute every round; >1 folds only new batches in between, overlapped with the upload)")
 	fs.Float64Var(&cfg.Straggler.Quorum, "quorum", cfg.Straggler.Quorum, "straggler quorum fraction in (0,1): combine a round once this share of uploads arrived and -cutoff elapsed (0 = wait for every device)")
 	fs.DurationVar(&cfg.Straggler.Deadline, "cutoff", cfg.Straggler.Deadline, "straggler deadline per aggregation round (set together with -quorum)")

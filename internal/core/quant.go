@@ -35,7 +35,7 @@ const (
 	// tensors use a measured-error rule instead: int8 unless its
 	// relative RMS quantization error exceeds mixedInt8RelErrMax
 	// (mixedLayerMode). The chosen mode travels per layer
-	// (QuantLayer.Mode / ParamBlob.Mode), so decoding needs no
+	// (DeltaLayerPayload.Mode / ParamBlob.Mode), so decoding needs no
 	// negotiation.
 	QuantMixed
 )
@@ -349,49 +349,4 @@ func dequantizeValues(dst []float64, data []byte, scale float64, mode QuantMode)
 	default:
 		return fmt.Errorf("core: dequantizeValues: mode %v has no packed form", mode)
 	}
-}
-
-// QuantLayer is one quantized importance layer: packed values plus the
-// int8 scale factor (unused for float16).
-type QuantLayer struct {
-	Mode  QuantMode
-	Scale float64
-	N     int
-	Data  []byte
-}
-
-// quantizeLayers packs dense importance layers for the wire. For
-// QuantMixed the set-level mass ranking assigns each layer its lane.
-func quantizeLayers(layers [][]float64, mode QuantMode) ([]QuantLayer, error) {
-	modes := layerModes(layers, mode)
-	out := make([]QuantLayer, len(layers))
-	for i, l := range layers {
-		data, scale, err := quantizeLane(l, modes[i], mode)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = QuantLayer{Mode: modes[i], Scale: scale, N: len(l), Data: data}
-	}
-	return out, nil
-}
-
-// dequantizeLayers reverses quantizeLayers. Every field is
-// wire-controlled, so the mode and element count are validated before
-// any allocation sized from them.
-func dequantizeLayers(qs []QuantLayer) ([][]float64, error) {
-	out := make([][]float64, len(qs))
-	for i, q := range qs {
-		valid := q.N >= 0 &&
-			((q.Mode == QuantInt8 && q.N == len(q.Data)) ||
-				(q.Mode == QuantFloat16 && 2*q.N == len(q.Data)))
-		if !valid {
-			return nil, fmt.Errorf("core: quant layer %d: %d values vs %d bytes (%v)", i, q.N, len(q.Data), q.Mode)
-		}
-		row := make([]float64, q.N)
-		if err := dequantizeValues(row, q.Data, q.Scale, q.Mode); err != nil {
-			return nil, err
-		}
-		out[i] = row
-	}
-	return out, nil
 }

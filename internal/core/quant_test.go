@@ -103,64 +103,6 @@ func TestInt8AllZeros(t *testing.T) {
 	}
 }
 
-func TestQuantLayersRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	layers := make([][]float64, 3)
-	for i := range layers {
-		layers[i] = make([]float64, 50+10*i)
-		for j := range layers[i] {
-			layers[i][j] = math.Abs(rng.NormFloat64())
-		}
-	}
-	for _, mode := range []QuantMode{QuantFloat16, QuantInt8} {
-		qs, err := quantizeLayers(layers, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := dequantizeLayers(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range layers {
-			if len(back[i]) != len(layers[i]) {
-				t.Fatalf("%v: layer %d length %d vs %d", mode, i, len(back[i]), len(layers[i]))
-			}
-			for j := range layers[i] {
-				rel := math.Abs(back[i][j]-layers[i][j]) / (math.Abs(layers[i][j]) + 1e-9)
-				limit := 1.0 / 2048
-				if mode == QuantInt8 {
-					limit = 0.05 // step/2 relative to small values can be larger
-				}
-				if rel > limit && math.Abs(back[i][j]-layers[i][j]) > 0.02 {
-					t.Fatalf("%v: layer %d[%d] %v → %v", mode, i, j, layers[i][j], back[i][j])
-				}
-			}
-		}
-	}
-}
-
-func TestQuantLayersRejectCorrupt(t *testing.T) {
-	qs, err := quantizeLayers([][]float64{{1, 2, 3}}, QuantInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs[0].N = 5 // lies about the element count
-	if _, err := dequantizeLayers(qs); err == nil {
-		t.Fatal("corrupt quant layer must be rejected")
-	}
-	// A wire-controlled layer with an unknown mode must be rejected
-	// before N sizes an allocation (a byzantine peer could set N to
-	// 1<<60 with Mode 0 and no data).
-	hostile := []QuantLayer{{Mode: QuantLossless, N: 1 << 60, Data: nil}}
-	if _, err := dequantizeLayers(hostile); err == nil {
-		t.Fatal("unknown quant mode must be rejected")
-	}
-	hostile[0].Mode = QuantMode(99)
-	if _, err := dequantizeLayers(hostile); err == nil {
-		t.Fatal("invalid quant mode must be rejected")
-	}
-}
-
 func TestParseQuantMode(t *testing.T) {
 	for s, want := range map[string]QuantMode{
 		"": QuantLossless, "lossless": QuantLossless,

@@ -79,7 +79,7 @@ func TestDeviceRoleReceivesThroughSession(t *testing.T) {
 				return true
 			}
 			switch sel.Sel.Name {
-			case "Recv", "RecvKind":
+			case "Recv":
 				t.Errorf("%s: device-role code calls %s directly; wait through Session.Receive so the frame is released on every path",
 					fset.Position(call.Pos()), sel.Sel.Name)
 			case "Receive":

@@ -249,7 +249,7 @@ var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0, StrikeLimit:
 // byzantineDevices is how many devices lie in a cell with a Strategy.
 const byzantineDevices = 2
 
-// cells returns the trajectory: 17 named cells and the 30-cell
+// cells returns the trajectory: 16 named cells and the 30-cell
 // adversarial matrix.
 func cells() []cell {
 	// acmesim's default scenario at seed 1. Its dense-lossless and
@@ -288,7 +288,6 @@ func cells() []cell {
 	out := []cell{
 		with(base, "dense-lossless", 3, nil),
 		with(base, "delta-lossless", 3, func(c *cell) { c.Delta = true }),
-		with(base, "dense-mixed", 3, func(c *cell) { c.Quant = "mixed" }),
 		deltaMixed,
 		with(deltaMixed, "delta-mixed-incremental", 4, func(c *cell) { c.Refresh = 4 }),
 		with(base, "tcp-dense-lossless", 4, func(c *cell) { c.Transport = "tcp" }),

@@ -3,9 +3,12 @@ package transport
 import (
 	"bytes"
 	"context"
+	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"acme/internal/wire"
 )
 
 // TestTCPSupervisedReconnect is the regression test for the dead cached
@@ -136,6 +139,52 @@ func TestTCPLeaveFailsFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("departed-peer send took %v; want fail-fast", elapsed)
+	}
+}
+
+// TestTCPStaleLeaveDropped: a restarted peer's predecessor can deliver
+// its LEAVE on the old connection after the successor's JOIN replaced
+// it. That LEAVE must neither tear down the successor's link nor reach
+// the inbox, where a role would mark the live successor departed.
+func TestTCPStaleLeaveDropped(t *testing.T) {
+	_, b := newPair(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	// The successor's connection is b's send path to a.
+	successor, _ := net.Pipe()
+	defer successor.Close()
+	l := b.link("a")
+	l.mu.Lock()
+	l.conn = successor
+	l.mu.Unlock()
+
+	// The predecessor's connection still carries its last word.
+	client, server := net.Pipe()
+	defer client.Close()
+	b.wg.Add(1)
+	go b.readLoop(server)
+	leave, err := wire.EncodeControl(wire.ControlRecord{Type: wire.ControlLeave, Node: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(client, Message{Kind: KindControl, From: "a", To: "b", Payload: leave}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(client, Message{Kind: KindHeader, From: "a", To: "b", Payload: []byte("after")}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := b.Recv(ctx, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Kind != KindHeader || string(msg.Payload) != "after" {
+		t.Fatalf("first delivery %v %q; want the stale LEAVE dropped", msg.Kind, msg.Payload)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.left || l.conn != successor {
+		t.Fatalf("stale LEAVE tore down the successor's link (left %v)", l.left)
 	}
 }
 

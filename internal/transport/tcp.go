@@ -191,7 +191,8 @@ func (t *TCP) readLoop(conn net.Conn) {
 		// LEAVE tears the link down (peers fail fast on Send) AND is
 		// forwarded to the inbox: membership is role-level state — an
 		// edge must drop the departed device from its pending gather
-		// immediately, not discover the loss on the next write.
+		// immediately, not discover the loss on the next write. A LEAVE
+		// peerLeft does not honor is dropped here.
 		if msg.Kind == KindControl && msg.To == t.node {
 			if rec, err := wire.DecodeControl(msg.Payload); err == nil {
 				switch rec.Type {
@@ -200,7 +201,10 @@ func (t *TCP) readLoop(conn net.Conn) {
 					msg.Release()
 					continue
 				case wire.ControlLeave:
-					t.peerLeft(msg.From, conn)
+					if !t.peerLeft(msg.From, conn) {
+						msg.Release()
+						continue
+					}
 				}
 			}
 		}
@@ -246,15 +250,19 @@ func (t *TCP) adoptConn(peer string, conn net.Conn) {
 // been adopted since, the peer already restarted and JOINed — the
 // LEAVE is the dead predecessor's last word, delayed behind its
 // successor's handshake, and acting on it would tear down the fresh
-// link and fail every send to a live peer.
-func (t *TCP) peerLeft(peer string, conn net.Conn) {
+// link and fail every send to a live peer. It reports whether the LEAVE
+// was honored: the predecessor's must not reach the inbox either, or
+// the role above would mark its live successor departed.
+func (t *TCP) peerLeft(peer string, conn net.Conn) bool {
 	l := t.link(peer)
 	l.mu.Lock()
-	if l.conn == nil || l.conn == conn {
-		l.left = true
-		l.conn = nil
+	defer l.mu.Unlock()
+	if l.conn != nil && l.conn != conn {
+		return false
 	}
-	l.mu.Unlock()
+	l.left = true
+	l.conn = nil
+	return true
 }
 
 // link returns (creating if needed) the supervised link for a peer.

@@ -173,7 +173,6 @@ const HeaderEstimate = 16
 // abort leaves some of it unconsumed in the inbox.
 type Stats struct {
 	mu              sync.Mutex
-	bytesBySrc      map[string]int64
 	bytesByKind     map[Kind]int64
 	rawByKind       map[Kind]int64
 	binByKind       map[Kind]int64
@@ -190,7 +189,6 @@ type Stats struct {
 // NewStats returns an empty counter set.
 func NewStats() *Stats {
 	return &Stats{
-		bytesBySrc:      make(map[string]int64),
 		bytesByKind:     make(map[Kind]int64),
 		rawByKind:       make(map[Kind]int64),
 		binByKind:       make(map[Kind]int64),
@@ -212,7 +210,6 @@ func (s *Stats) record(msg Message) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bytesBySrc[msg.From] += n
 	s.bytesByKind[msg.Kind] += n
 	s.rawByKind[msg.Kind] += int64(msg.Raw)
 	s.binByKind[msg.Kind] += bin
@@ -244,13 +241,6 @@ func (s *Stats) TotalMessages() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.totalMsgs
-}
-
-// BytesFrom returns bytes sent by the named node.
-func (s *Stats) BytesFrom(node string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesBySrc[node]
 }
 
 // MessagesByKind returns a copy of the per-kind message counters.
@@ -394,19 +384,6 @@ func (s *Stats) Kinds() []Kind {
 	return out
 }
 
-// BytesMatching sums bytes from senders for which pred returns true.
-func (s *Stats) BytesMatching(pred func(node string) bool) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
-	for node, n := range s.bytesBySrc {
-		if pred(node) {
-			total += n
-		}
-	}
-	return total
-}
-
 // Memory is an in-process Network with one buffered inbox per node.
 type Memory struct {
 	stats *Stats
@@ -490,18 +467,4 @@ func (m *Memory) Recv(ctx context.Context, node string) (Message, error) {
 	case <-ctx.Done():
 		return Message{}, fmt.Errorf("transport: recv %q: %w", node, ctx.Err())
 	}
-}
-
-// RecvKind receives messages for node until one of the wanted kind
-// arrives, failing on any other kind (protocol violation) to surface
-// sequencing bugs early.
-func RecvKind(ctx context.Context, n Network, node string, want Kind) (Message, error) {
-	msg, err := n.Recv(ctx, node)
-	if err != nil {
-		return Message{}, err
-	}
-	if msg.Kind != want {
-		return Message{}, fmt.Errorf("transport: %s expected %v from protocol, got %v from %s", node, want, msg.Kind, msg.From)
-	}
-	return msg, nil
 }
