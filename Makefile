@@ -55,14 +55,14 @@ fleet-bench:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-json regenerates the trajectory (~2½ min): 46 cells — wire
+# bench-json regenerates the trajectory (~2½ min): 48 cells — wire
 # shapes, TCP, straggler cutoff, fleet sampling, entropy coding, top-K,
 # the adversarial matrix, kill/restore, the checkpoint tax — run once
 # each from internal/experiments' cell table, with the gate table
 # benchcmp reads. The older BENCH_*.json files stay as the record;
 # nothing regenerates them.
 bench-json:
-	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_26.json
+	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_27.json
 
 # bench-compare diffs the two newest checked-in BENCH_*.json files and
 # fails on any gated regression (>10% wire bytes, 5 points of TPR/FPR,

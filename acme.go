@@ -44,7 +44,8 @@ import (
 type Config = core.Config
 
 // WireOptions groups the payload-shaping knobs (Config.Wire): entropy
-// coding, quantization, and the delta/top-k sparsification schemes.
+// coding, quantization, delta records and top-k, an encoder policy of
+// those records.
 type WireOptions = core.WireOptions
 
 // StragglerPolicy groups the round-scoped straggler cutoff and the

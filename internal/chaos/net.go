@@ -121,7 +121,7 @@ type pairState struct {
 }
 
 // Net wraps a Transport with the seeded link-fault model. It is the
-// successor of the old transport.Flaky wrapper (see NewFlaky) with a
+// successor of the old transport.Flaky wrapper with a
 // fixed lifecycle: Send after Close fails instead of racing Close's
 // wait, and inner-send errors from delivery goroutines are collected
 // and surfaced by Err and Close rather than swallowed.
@@ -148,15 +148,6 @@ func New(inner transport.Transport, opts Options) *Net {
 		start: time.Now(),
 		pairs: make(map[string]*pairState),
 	}
-}
-
-// NewFlaky is the legacy coin-flip wrapper, reimplemented as a chaos
-// preset: every message is delayed uniformly in [0, maxDelay) and
-// nothing else is perturbed. Use New with a Profile carrying
-// DuplicateProb for the duplication the old wrapper exposed as a
-// mutable field.
-func NewFlaky(inner transport.Transport, maxDelay time.Duration, seed int64) *Net {
-	return New(inner, Options{Seed: seed, Default: Profile{Jitter: maxDelay}})
 }
 
 // splitmix64 is the standard SplitMix64 mixer — the same generator the

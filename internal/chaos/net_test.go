@@ -13,7 +13,7 @@ import (
 func TestFlakyDeliversEverything(t *testing.T) {
 	mem := transport.NewMemory()
 	mem.Register("sink", 256)
-	f := NewFlaky(mem, 2*time.Millisecond, 1)
+	f := New(mem, Options{Seed: 1, Default: Profile{Jitter: 2 * time.Millisecond}})
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := f.Send(transport.Message{Kind: transport.KindControl, From: "src", To: "sink", Payload: []byte{byte(i)}}); err != nil {
@@ -140,7 +140,7 @@ func TestForwardsFullTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFlaky(inner, time.Millisecond, 1)
+	f := New(inner, Options{Seed: 1, Default: Profile{Jitter: time.Millisecond}})
 	var tr transport.Transport = f // compile-time and runtime interface check
 	if tr.Addr() != inner.Addr() {
 		t.Fatalf("Addr %q does not forward inner %q", tr.Addr(), inner.Addr())
@@ -174,7 +174,7 @@ func TestForwardsFullTransport(t *testing.T) {
 		t.Fatal("inner TCP still alive after chaos Close")
 	}
 	// Memory wrapped in chaos keeps a defined address and counters.
-	mf := NewFlaky(transport.NewMemory(), time.Millisecond, 1)
+	mf := New(transport.NewMemory(), Options{Seed: 1, Default: Profile{Jitter: time.Millisecond}})
 	if mf.Addr() == "" || mf.Stats() == nil {
 		t.Fatal("chaos-over-memory lacks transport surface")
 	}

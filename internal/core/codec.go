@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"acme/internal/energy"
 	"acme/internal/nas"
@@ -99,25 +98,15 @@ type HeaderPackage struct {
 	Masks nas.HeaderMasks
 }
 
-// SparseLayer is one parameter tensor's importance entries in sparse
-// form: only the top-k values by magnitude, with their indices.
-type SparseLayer struct {
-	Size    int32
-	Indices []int32
-	Values  []float32
-}
-
 // ImportanceUpload is the device → edge importance set in its dense
 // lossless form. Values travel as float32: importance magnitudes are
 // only used for ranking, and a real deployment would not ship double
-// precision. When the system is configured with TopKFraction < 1,
-// Sparse carries a top-k subset instead of Layers. Quantized sets never
-// take this form: packed float16/int8 lanes travel only as delta
-// records (DeltaUpload; see WireOptions.deltaRecords).
+// precision. Quantized and top-k sets never take this form: they
+// travel only as delta records (DeltaUpload; see
+// WireOptions.deltaRecords).
 type ImportanceUpload struct {
 	DeviceID int
 	Layers   [][]float32
-	Sparse   []SparseLayer
 }
 
 // PersonalizedSet is the edge → device aggregated set Q'n in its dense
@@ -127,74 +116,6 @@ type PersonalizedSet struct {
 	Layers  [][]float32
 	Discard int
 	Done    bool
-}
-
-// layers extracts the float64 importance layers from whichever payload
-// an upload carries; topK is the run's Wire.TopKFraction, which a sparse
-// payload is vetted against.
-func (u *ImportanceUpload) layers(topK float64) ([][]float64, error) {
-	if len(u.Sparse) > 0 {
-		return densifySet(u.Sparse, topK)
-	}
-	return dequantizeSet(u.Layers), nil
-}
-
-// topKCount is how many of a layer's n entries top-k sparsification at
-// fraction keeps.
-func topKCount(n int, fraction float64) int {
-	return min(max(int(fraction*float64(n)), 1), n)
-}
-
-// sparsifySet keeps the top fraction of entries (by value) per layer.
-func sparsifySet(layers [][]float64, fraction float64) []SparseLayer {
-	out := make([]SparseLayer, len(layers))
-	for i, l := range layers {
-		k := topKCount(len(l), fraction)
-		idx := make([]int, len(l))
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return l[idx[a]] > l[idx[b]] })
-		sl := SparseLayer{
-			Size:    int32(len(l)),
-			Indices: make([]int32, k),
-			Values:  make([]float32, k),
-		}
-		for j := 0; j < k; j++ {
-			sl.Indices[j] = int32(idx[j])
-			sl.Values[j] = float32(l[idx[j]])
-		}
-		out[i] = sl
-	}
-	return out
-}
-
-// densifySet reconstructs dense layers from a sparse upload (missing
-// entries are zero — they were below the top-k cut). The upload comes
-// off the wire, so each layer is vetted before its row is allocated: it
-// must carry exactly the entries sparsifySet keeps of Size at the run's
-// fraction — which bounds Size by the payload's own length — all of them
-// inside the row.
-func densifySet(sparse []SparseLayer, fraction float64) ([][]float64, error) {
-	out := make([][]float64, len(sparse))
-	for i, sl := range sparse {
-		k := topKCount(int(sl.Size), fraction)
-		if sl.Size < 0 || len(sl.Indices) != k || len(sl.Values) != k {
-			return nil, fmt.Errorf("sparse layer %d: size %d with %d indices and %d values, want %d of each at top-k fraction %v",
-				i, sl.Size, len(sl.Indices), len(sl.Values), k, fraction)
-		}
-		for _, idx := range sl.Indices {
-			if idx < 0 || idx >= sl.Size {
-				return nil, fmt.Errorf("sparse layer %d: index %d outside [0,%d)", i, idx, sl.Size)
-			}
-		}
-		row := make([]float64, sl.Size)
-		for j, idx := range sl.Indices {
-			row[idx] = float64(sl.Values[j])
-		}
-		out[i] = row
-	}
-	return out, nil
 }
 
 // quantizeSet converts importance layers to float32 for the wire.

@@ -215,28 +215,6 @@ func (p *HeaderPackage) DecodeWire(d *wire.Dec) error {
 
 // --- importance payloads -------------------------------------------
 
-func (s SparseLayer) appendWire(b []byte) []byte {
-	b = wire.AppendStructTag(b, 3)
-	b = wire.AppendInt(b, int64(s.Size))
-	b = wire.AppendInts(b, s.Indices)
-	return wire.AppendF32s(b, s.Values)
-}
-
-func (s *SparseLayer) decodeWire(d *wire.Dec) error {
-	if err := d.Struct("core.SparseLayer", 3); err != nil {
-		return err
-	}
-	var err error
-	if s.Size, err = d.Int32("SparseLayer.Size"); err != nil {
-		return err
-	}
-	if s.Indices, err = d.Int32s("SparseLayer.Indices", s.Indices); err != nil {
-		return err
-	}
-	s.Values, err = d.F32s("SparseLayer.Values", s.Values)
-	return err
-}
-
 func appendF32Planes(b []byte, planes [][]float32) []byte {
 	b = wire.AppendListTag(b, len(planes))
 	for _, p := range planes {
@@ -261,19 +239,14 @@ func decodeF32Planes(d *wire.Dec, what string, prev [][]float32) ([][]float32, e
 
 // AppendWire implements wire.Marshaler.
 func (u ImportanceUpload) AppendWire(b []byte) ([]byte, error) {
-	b = wire.AppendStructTag(b, 3)
+	b = wire.AppendStructTag(b, 2)
 	b = wire.AppendInt(b, int64(u.DeviceID))
-	b = appendF32Planes(b, u.Layers)
-	b = wire.AppendListTag(b, len(u.Sparse))
-	for i := range u.Sparse {
-		b = u.Sparse[i].appendWire(b)
-	}
-	return b, nil
+	return appendF32Planes(b, u.Layers), nil
 }
 
 // DecodeWire implements wire.Unmarshaler.
 func (u *ImportanceUpload) DecodeWire(d *wire.Dec) error {
-	if err := d.Struct("core.ImportanceUpload", 3); err != nil {
+	if err := d.Struct("core.ImportanceUpload", 2); err != nil {
 		return err
 	}
 	id, err := d.Int("ImportanceUpload.DeviceID")
@@ -281,20 +254,8 @@ func (u *ImportanceUpload) DecodeWire(d *wire.Dec) error {
 		return err
 	}
 	u.DeviceID = int(id)
-	if u.Layers, err = decodeF32Planes(d, "ImportanceUpload.Layers", u.Layers); err != nil {
-		return err
-	}
-	n, err := d.ListLen("ImportanceUpload.Sparse")
-	if err != nil {
-		return err
-	}
-	u.Sparse = listTarget(u.Sparse, n)
-	for i := range u.Sparse {
-		if err := u.Sparse[i].decodeWire(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	u.Layers, err = decodeF32Planes(d, "ImportanceUpload.Layers", u.Layers)
+	return err
 }
 
 // AppendWire implements wire.Marshaler.

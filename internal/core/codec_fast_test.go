@@ -11,7 +11,7 @@ import (
 )
 
 // fastFixtures builds one value per hot payload kind in several shapes
-// (dense, quantized, sparse, delta, empty) for differential testing
+// (dense, quantized, top-k, delta, empty) for differential testing
 // against the reflect oracle.
 func fastFixtures(t testing.TB) []any {
 	rng := rand.New(rand.NewSource(11))
@@ -68,14 +68,12 @@ func fastFixtures(t testing.TB) []any {
 
 	return []any{
 		ImportanceUpload{DeviceID: 3, Layers: [][]float32{f32s(64), f32s(5), nil}},
-		ImportanceUpload{DeviceID: 9, Sparse: []SparseLayer{
-			{Size: 50, Indices: []int32{0, 7, 49}, Values: f32s(3)},
-			{Size: 1, Indices: []int32{0}, Values: f32s(1)},
-		}},
 		ImportanceUpload{},
 		PersonalizedSet{Layers: [][]float32{f32s(40)}, Discard: 2, Done: true},
 		PersonalizedSet{},
 		DeltaUpload{DeviceID: 4, Round: 2, Layers: deltaPls},
+		// A cold top-k round: sparse float16 records against zeros.
+		DeltaUpload{DeviceID: 9, Layers: (&deltaEncoder{topK: 0.1}).encodeTopK([][]float64{f64s(50), f64s(1)})},
 		DeltaUpload{DeviceID: 1, Round: 0, Layers: []DeltaLayerPayload{
 			{Mode: QuantLossless, Delta: wire.DeltaLayer{N: 6, Elem: 4, Dense: true, Changed: bts(24)}},
 		}},

@@ -20,11 +20,11 @@ import (
 )
 
 // WireOptions groups the knobs that shape protocol payloads on the
-// wire: entropy coding, quantization, and the two sparsification
-// schemes. Payloads always travel in the compact binary codec
-// (internal/wire) — what Table I's traffic numbers measure. They
-// change measured traffic, never seeded results (lossless settings are
-// bitwise-identical across all of them).
+// wire: entropy coding, quantization, delta records and top-k
+// sparsification. Payloads always travel in the compact binary codec
+// (internal/wire) — what Table I's traffic numbers measure. Entropy
+// and DeltaImportance change measured traffic, never seeded results;
+// Quantization and TopKFraction trade precision for bytes.
 type WireOptions struct {
 	// Entropy layers an adaptive order-0 range coder under the binary
 	// codec for the bulk payload kinds (raw shards, provisioned data,
@@ -52,26 +52,32 @@ type WireOptions struct {
 	// with a dense per-layer fallback when the delta would not be
 	// smaller. Reconstruction is bitwise-exact, so seeded Results are
 	// identical with the flag on or off; only the measured traffic
-	// changes. A quantized Quantization mode implies it: the delta
-	// records are the only container for packed lanes. The uplink half
-	// is ignored when TopKFraction sparsification is active (the top-k
-	// payload already is a sparse form); the downlink half applies
-	// regardless.
+	// changes. A quantized Quantization mode or top-k implies it: the
+	// delta records are the only container for packed lanes and for
+	// sparse uploads.
 	DeltaImportance bool
-	// TopKFraction sparsifies device importance uploads to the top
-	// fraction of entries by magnitude (0 or ≥1 sends dense sets). Low-
-	// importance entries only matter near the discard threshold, so
-	// moderate sparsification trades negligible fidelity for uplink
-	// bandwidth.
+	// TopKFraction in (0,1) sparsifies device importance uploads with
+	// memory: each round a device sends, per layer, the fraction of
+	// entries furthest from what the edge already holds, in the float16
+	// lane whatever Quantization says, and the unsent residual carries
+	// into the next round (0 or ≥1 sends whole sets). Low-importance
+	// entries only matter near the discard threshold, so moderate
+	// sparsification trades little fidelity for uplink bandwidth.
 	TopKFraction float64
+}
+
+// topK reports whether importance uploads are top-k sparsified.
+func (w WireOptions) topK() bool {
+	return w.TopKFraction > 0 && w.TopKFraction < 1
 }
 
 // deltaRecords reports whether importance sets travel as delta
 // records (DeltaUpload / DownlinkDelta): always under a quantized mode,
-// whose packed lanes have no other container, and for lossless sets
-// when DeltaImportance asks for it.
+// whose packed lanes have no other container, and under top-k, whose
+// sparse uploads have none either; for lossless sets when
+// DeltaImportance asks for it.
 func (w WireOptions) deltaRecords() bool {
-	return w.DeltaImportance || w.Quantization != QuantLossless
+	return w.DeltaImportance || w.Quantization != QuantLossless || w.topK()
 }
 
 // Validate reports wire-option errors.

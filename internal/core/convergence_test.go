@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,48 +17,78 @@ import (
 	"acme/internal/wire"
 )
 
+// f16 is v at float16 precision, what a top-k upload carries.
+func f16(v float64) float64 { return float16value(float16bits(v)) }
+
+// TestSparsifyDensifyRoundTrip drives the top-k encoder and the edge's
+// decoder over a constant set. The cold round sends exactly the top k
+// by value — float16 there, zeros elsewhere — and the residual carries:
+// after ⌈n/k⌉ rounds both shadows hold float16(I) everywhere.
 func TestSparsifyDensifyRoundTrip(t *testing.T) {
 	layers := [][]float64{
 		{5, 1, 4, 0.5, 3},
 		{0.1, 0.9},
 	}
-	sparse := sparsifySet(layers, 0.4) // keep top 2 of 5, top 1 of 2
-	dense, err := densifySet(sparse, 0.4)
-	if err != nil {
-		t.Fatalf("an honest sparse set was refused: %v", err)
+	enc := &deltaEncoder{topK: 0.4} // top 2 of 5, top 1 of 2
+	var dec deltaDecoder
+	want := [][][]float64{
+		{{f16(5), 0, f16(4), 0, 0}, {0, f16(0.9)}},
+		{{f16(5), f16(1), f16(4), 0, f16(3)}, {f16(0.1), f16(0.9)}},
+		{{f16(5), f16(1), f16(4), f16(0.5), f16(3)}, {f16(0.1), f16(0.9)}},
 	}
-	// Top entries preserved at wire precision, dropped entries zero.
-	want := [][]float64{{5, 0, 4, 0, 0}, {0, float64(float32(0.9))}}
-	if !reflect.DeepEqual(dense, want) {
-		t.Fatalf("round trip: got %v, want %v", dense, want)
+	for round, w := range want {
+		pls, err := enc.encodeLayers(layers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pl := range pls {
+			if pl.Delta.Dense || pl.Mode != QuantFloat16 {
+				t.Fatalf("round %d layer %d: dense %v in lane %v, want a sparse float16 record", round, i, pl.Delta.Dense, pl.Mode)
+			}
+		}
+		got, err := dec.apply(pls, true)
+		if err != nil {
+			t.Fatalf("round %d: an honest top-k record was refused: %v", round, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("round %d: got %v, want %v", round, got, w)
+		}
+		for i := range enc.prev {
+			if !reflect.DeepEqual(enc.prev[i], dec.prev[i]) {
+				t.Fatalf("round %d layer %d: shadows differ at the two ends", round, i)
+			}
+		}
 	}
 }
 
-// hostileSparseLayers are frames no sparsifySet produces; densifying
-// them unchecked panics (negative size, ragged or negative indices) or
-// allocates 16 GiB (a size the payload does not back).
-var hostileSparseLayers = map[string]SparseLayer{
-	"negative size":  {Size: -1},
-	"ragged entries": {Size: 5, Indices: []int32{0, 1}, Values: []float32{1}},
-	"negative index": {Size: 5, Indices: []int32{0, -1}, Values: []float32{1, 2}},
-	"index past end": {Size: 5, Indices: []int32{0, 5}, Values: []float32{1, 2}},
-	"unbacked size":  {Size: 1<<31 - 1, Indices: []int32{0}, Values: []float32{1}},
+// hostileZeroStart are sparse records with no shadow round that no
+// top-k encoder produces: zeros sized by their N unchecked would
+// allocate 2 TiB (an N no mask backs), panic (negative N) or apply a
+// popcount the payload does not carry.
+var hostileZeroStart = map[string]wire.DeltaLayer{
+	"unbacked N":        {N: 1 << 40, Elem: 2, Mask: []byte{1}, Changed: []byte{1, 2}},
+	"negative N":        {N: -1, Elem: 2},
+	"mask/Changed skew": {N: 5, Elem: 2, Mask: []byte{0b11}, Changed: []byte{1, 2}},
+	"spare mask bits":   {N: 3, Elem: 2, Mask: []byte{0xf1}, Changed: make([]byte, 10)},
+	"wrong width":       {N: 5, Elem: 4, Mask: []byte{1}, Changed: []byte{1, 2, 3, 4}},
 }
 
 func TestDensifyRefusesHostileLayers(t *testing.T) {
-	for name, sl := range hostileSparseLayers {
-		if _, err := densifySet([]SparseLayer{sl}, 0.4); err == nil {
-			t.Errorf("%s: densified without error", name)
+	for name, dl := range hostileZeroStart {
+		var dec deltaDecoder
+		if _, err := dec.apply([]DeltaLayerPayload{{Mode: QuantFloat16, Delta: dl}}, true); err == nil {
+			t.Errorf("%s: applied without error", name)
 		}
 	}
 }
 
 // TestEdgeRefusesHostileSparseUpload: one device's top-k frame must not
-// take the edge down. With top-k off any sparse payload is refused;
-// with it on, one that is not what sparsifySet sends is — as an error
-// naming sender and kind, before anything is allocated or folded.
+// take the edge down. With top-k on, a zero-start record that is not
+// what the encoder sends is refused — as an error naming sender and
+// kind, before its zeros are allocated or anything is folded. With
+// top-k off, an honest one is still a sparse delta with no shadow round.
 func TestEdgeRefusesHostileSparseUpload(t *testing.T) {
-	fold := func(topK float64, sl SparseLayer) error {
+	fold := func(topK float64, dl wire.DeltaLayer) error {
 		cfg := tinyConfig()
 		cfg.Wire.TopKFraction = topK
 		sys, err := NewSystem(cfg)
@@ -64,34 +97,102 @@ func TestEdgeRefusesHostileSparseUpload(t *testing.T) {
 		}
 		st := sys.newEdgeState(0, transport.NewSession(edgeName(0), sys.Net), HeaderPackage{}, nil)
 		r := &edgeRound{edgeState: st, folded: make([]bool, len(st.order))}
-		payload, err := wire.Encode(ImportanceUpload{DeviceID: st.idByPos[0], Sparse: []SparseLayer{sl}})
+		up := DeltaUpload{DeviceID: st.idByPos[0], Layers: []DeltaLayerPayload{{Mode: QuantFloat16, Delta: dl}}}
+		payload, err := wire.Encode(up)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.fold(transport.Message{Kind: transport.KindImportanceSet, From: st.nameByPos[0], Payload: payload})
+		return r.fold(transport.Message{Kind: transport.KindImportanceDelta, From: st.nameByPos[0], Payload: payload})
 	}
 	named := func(err error) bool {
-		return err != nil && strings.Contains(err.Error(), transport.KindImportanceSet.String()) &&
+		return err != nil && strings.Contains(err.Error(), transport.KindImportanceDelta.String()) &&
 			strings.Contains(err.Error(), "device-")
 	}
-	honest := sparsifySet([][]float64{{5, 1, 4, 0.5, 3}}, 0.4)[0]
-	if err := fold(0, honest); !named(err) || !strings.Contains(err.Error(), "top-k sparsification is off") {
-		t.Fatalf("sparse upload with top-k off: %v", err)
+	honest := (&deltaEncoder{topK: 0.4}).encodeTopK([][]float64{{5, 1, 4, 0.5, 3}})[0].Delta
+	if err := fold(0, honest); !named(err) || !strings.Contains(err.Error(), "no shadow round") {
+		t.Fatalf("zero-start record with top-k off: %v", err)
 	}
-	for name, sl := range hostileSparseLayers {
-		if err := fold(0.4, sl); !named(err) {
+	for name, dl := range hostileZeroStart {
+		if err := fold(0.4, dl); !named(err) {
 			t.Errorf("%s with top-k on: %v", name, err)
 		}
 	}
 }
 
 func TestSparsifyKeepsAtLeastOne(t *testing.T) {
-	sparse := sparsifySet([][]float64{{1, 2, 3}}, 0.0001)
-	if len(sparse[0].Indices) != 1 {
-		t.Fatalf("kept %d entries", len(sparse[0].Indices))
+	pls := (&deltaEncoder{topK: 0.0001}).encodeTopK([][]float64{{1, 2, 3}})
+	var dec deltaDecoder
+	got, err := dec.apply(pls, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sparse[0].Indices[0] != 2 {
-		t.Fatalf("kept wrong entry %d", sparse[0].Indices[0])
+	if want := [][]float64{{0, 0, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept %v, want %v", got, want)
+	}
+}
+
+// topKTap is a transport that checks every top-k upload on its way: a
+// sparse float16 record per layer, changing at most topKCount entries.
+type topKTap struct {
+	transport.Transport
+	fraction float64
+
+	mu      sync.Mutex
+	uploads int
+	bad     []string
+}
+
+func (n *topKTap) Send(msg transport.Message) error {
+	if msg.Kind == transport.KindImportanceDelta {
+		var up DeltaUpload
+		if err := wire.Decode(msg.Payload, &up); err != nil {
+			return fmt.Errorf("tap: %w", err)
+		}
+		n.mu.Lock()
+		n.uploads++
+		for i, pl := range up.Layers {
+			changed := 0
+			for _, b := range pl.Delta.Mask {
+				changed += bits.OnesCount8(b)
+			}
+			if pl.Delta.Dense || pl.Mode != QuantFloat16 || changed > topKCount(pl.Delta.N, n.fraction) {
+				n.bad = append(n.bad, fmt.Sprintf("%s round %d layer %d: dense %v, lane %v, %d of %d changed",
+					msg.From, up.Round, i, pl.Delta.Dense, pl.Mode, changed, pl.Delta.N))
+			}
+		}
+		n.mu.Unlock()
+	}
+	return n.Transport.Send(msg)
+}
+
+// TestTopKRidesDeltaRecords pins top-k's one wire form: a top-k run
+// sends no dense ImportanceUpload or PersonalizedSet, and every upload
+// layer is a sparse float16 delta record of at most topKCount entries.
+func TestTopKRidesDeltaRecords(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Phase2Rounds = 3
+	cfg.Wire.TopKFraction = 0.25
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &topKTap{Transport: sys.Net.(transport.Transport), fraction: cfg.Wire.TopKFraction}
+	sys.Net = tap
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	res, err := sys.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := res.Stats.MessagesByKind()
+	if n := msgs[transport.KindImportanceSet] + msgs[transport.KindPersonalizedSet]; n != 0 {
+		t.Fatalf("%d dense importance/personalized-set messages", n)
+	}
+	if want := len(res.Reports) * cfg.Phase2Rounds; tap.uploads != want {
+		t.Fatalf("%d top-k uploads, want %d", tap.uploads, want)
+	}
+	if len(tap.bad) > 0 {
+		t.Fatalf("%d upload layers off the top-k form, first: %s", len(tap.bad), tap.bad[0])
 	}
 }
 
@@ -112,8 +213,9 @@ func TestSetsDelta(t *testing.T) {
 }
 
 // TestTopKSparsificationReducesUplink verifies the bandwidth knob: the
-// pipeline completes with sparsified uploads, moves fewer importance
-// bytes, and loses almost nothing in final accuracy.
+// pipeline completes with sparsified uploads, moves fewer uplink bytes
+// (under half the importance share), and loses almost nothing in final
+// accuracy.
 func TestTopKSparsificationReducesUplink(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
@@ -134,13 +236,12 @@ func TestTopKSparsificationReducesUplink(t *testing.T) {
 	dense := run(0)
 	sparse := run(0.25)
 
-	dk := dense.Stats.BytesByKind()[transport.KindImportanceSet]
-	sk := sparse.Stats.BytesByKind()[transport.KindImportanceSet]
-	if sk >= dk {
-		t.Fatalf("sparsification did not reduce importance bytes: %d vs %d", sk, dk)
+	if sparse.UploadBytes >= dense.UploadBytes {
+		t.Fatalf("sparsification did not reduce uplink bytes: %d vs %d", sparse.UploadBytes, dense.UploadBytes)
 	}
-	if sk > dk/2 {
-		t.Fatalf("top-25%% upload too large: %d vs dense %d", sk, dk)
+	// Everything else the devices upload (stats, shards) is identical.
+	if saved, dk := dense.UploadBytes-sparse.UploadBytes, dense.Stats.BytesByKind()[transport.KindImportanceSet]; 2*saved < dk {
+		t.Fatalf("top-25%% upload too large: saved %d of dense importance %d", saved, dk)
 	}
 	if len(sparse.Reports) != len(dense.Reports) {
 		t.Fatal("sparse run lost reports")

@@ -4,13 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"acme/internal/wire"
 )
 
 // This file implements the stateful, delta-aware Phase 2-2 importance
-// exchange (WireOptions.deltaRecords: Config.Wire.DeltaImportance, or
-// any quantized mode). Both endpoints hold the previous round's payload
+// exchange (WireOptions.deltaRecords: Config.Wire.DeltaImportance, any
+// quantized mode, or top-k). Both endpoints hold the previous round's payload
 // in its packed byte form; round-t uploads then travel as
 // wire.DeltaLayer records — a changed-index bitmask plus the packed
 // elements at changed positions — with a dense per-layer fallback when
@@ -20,7 +21,8 @@ import (
 // computed and applied bitwise on the packed representation, so a
 // delta-encoded exchange reconstructs exactly the values a dense
 // lossless exchange would have: seeded runs produce bitwise-identical
-// Results with DeltaImportance on or off.
+// Results with DeltaImportance on or off. Top-k is the one lossy
+// encoder policy over the same records (deltaEncoder.encodeTopK).
 
 // packedLayer is the byte-level wire representation of one importance
 // layer under a concrete quantization mode: raw little-endian float32
@@ -125,9 +127,11 @@ type DownlinkDelta struct {
 // importance uplink or the edge's per-device personalized-set downlink.
 // It keeps the packed form of the last payload the peer has (both loops
 // are synchronous, so last-sent is last-acked) and emits each round as
-// deltas against it.
+// deltas against it. A topK fraction in (0,1) makes it the top-k uplink
+// encoder (encodeTopK), which ignores mode.
 type deltaEncoder struct {
 	mode QuantMode
+	topK float64
 	prev []packedLayer
 }
 
@@ -135,6 +139,9 @@ type deltaEncoder struct {
 // layer as a delta against the previous round where that is valid and
 // smaller.
 func (e *deltaEncoder) encodeLayers(layers [][]float64) ([]DeltaLayerPayload, error) {
+	if e.topK > 0 {
+		return e.encodeTopK(layers), nil
+	}
 	cur, err := packLayers(layers, e.mode)
 	if err != nil {
 		return nil, err
@@ -158,6 +165,46 @@ func (e *deltaEncoder) encodeLayers(layers [][]float64) ([]DeltaLayerPayload, er
 	return out, nil
 }
 
+// topKCount is how many of a layer's n entries top-k sparsification at
+// fraction sends per round.
+func topKCount(n int, fraction float64) int {
+	return min(max(int(fraction*float64(n)), 1), n)
+}
+
+// encodeTopK is top-k sparsification with memory (error feedback), in
+// the float16 lane. Per layer it sends the topKCount entries whose value
+// is furthest from the shadow both ends hold (ties to the lower index)
+// and advances the shadow only there, so the unsent residual carries
+// into the next round. A chain starts from an all-zero shadow: a cold
+// round of non-negative importance sends exactly the top k by value.
+// An entry whose float16 bits did not change costs nothing on the wire.
+func (e *deltaEncoder) encodeTopK(layers [][]float64) []DeltaLayerPayload {
+	if len(e.prev) != len(layers) {
+		e.prev = make([]packedLayer, len(layers))
+	}
+	out := make([]DeltaLayerPayload, len(layers))
+	for i, l := range layers {
+		shadow := e.prev[i].data
+		if len(shadow) != 2*len(l) {
+			shadow = make([]byte, 2*len(l))
+		}
+		gap := make([]float64, len(l))
+		idx := make([]int, len(l))
+		for j, v := range l {
+			gap[j] = math.Abs(v - float16value(binary.LittleEndian.Uint16(shadow[2*j:])))
+			idx[j] = j
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return gap[idx[a]] > gap[idx[b]] })
+		next := append([]byte(nil), shadow...)
+		for _, j := range idx[:topKCount(len(l), e.topK)] {
+			binary.LittleEndian.PutUint16(next[2*j:], float16bits(l[j]))
+		}
+		out[i] = DeltaLayerPayload{Mode: QuantFloat16, Delta: wire.DiffLayer(shadow, next, 2)}
+		e.prev[i] = packedLayer{mode: QuantFloat16, data: next}
+	}
+	return out
+}
+
 // encode wraps encodeLayers in the uplink record.
 func (e *deltaEncoder) encode(deviceID, round int, layers [][]float64) (DeltaUpload, error) {
 	pls, err := e.encodeLayers(layers)
@@ -174,17 +221,13 @@ type deltaDecoder struct {
 	prev []packedLayer
 }
 
-// apply reconstructs the dense float64 layers of an uplink record
-// against the shadow.
-func (d *deltaDecoder) apply(up DeltaUpload) ([][]float64, error) {
-	return d.applyLayers(up.Layers)
-}
-
-// applyLayers reconstructs the dense float64 layers of pls against the
-// shadow and advances the shadow one round. Every field is
-// wire-controlled; shape, mode, and scale are validated before any
-// allocation or indexing derived from them.
-func (d *deltaDecoder) applyLayers(pls []DeltaLayerPayload) ([][]float64, error) {
+// apply reconstructs the dense float64 layers of pls against the shadow
+// and advances the shadow one round. Every field is wire-controlled;
+// shape, mode, and scale are validated before any allocation or
+// indexing derived from them. zeroStart is the top-k uplink's rule: a
+// chain starts from an all-zero shadow, so a sparse record with no
+// shadow round applies against zeros; otherwise it is refused.
+func (d *deltaDecoder) apply(pls []DeltaLayerPayload, zeroStart bool) ([][]float64, error) {
 	if d.prev != nil && len(d.prev) != len(pls) {
 		return nil, fmt.Errorf("core: delta payload has %d layers, shadow has %d", len(pls), len(d.prev))
 	}
@@ -202,15 +245,23 @@ func (d *deltaDecoder) applyLayers(pls []DeltaLayerPayload) ([][]float64, error)
 				i, pl.Delta.Elem, pl.Mode, es)
 		}
 		var prevData []byte
-		if !pl.Delta.Dense {
-			if d.prev[i].data == nil {
-				return nil, fmt.Errorf("core: sparse delta for layer %d with no shadow round", i)
-			}
+		switch {
+		case pl.Delta.Dense:
+		case d.prev[i].data != nil:
 			if d.prev[i].mode != pl.Mode || d.prev[i].scale != pl.Scale {
 				return nil, fmt.Errorf("core: sparse delta for layer %d changes mode/scale (%v/%g → %v/%g)",
 					i, d.prev[i].mode, d.prev[i].scale, pl.Mode, pl.Scale)
 			}
 			prevData = d.prev[i].data
+		case !zeroStart:
+			return nil, fmt.Errorf("core: sparse delta for layer %d with no shadow round", i)
+		default:
+			// The zeros are sized by the record's N, which only a record
+			// that passes Check (a mask of ⌈N/8⌉ bytes) has vouched for.
+			if err := pl.Delta.Check(); err != nil {
+				return nil, fmt.Errorf("core: delta layer %d: %w", i, err)
+			}
+			prevData = make([]byte, pl.Delta.N*es)
 		}
 		data, err := pl.Delta.Apply(prevData)
 		if err != nil {

@@ -77,7 +77,7 @@ func BenchmarkDownlinkRound(b *testing.B) {
 						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
-						if _, err := dec.applyLayers(got.Layers); err != nil {
+						if _, err := dec.apply(got.Layers, false); err != nil {
 							b.Fatal(err)
 						}
 					} else {
@@ -143,7 +143,7 @@ func BenchmarkImportanceRound(b *testing.B) {
 						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
-						if _, err := dec.apply(got); err != nil {
+						if _, err := dec.apply(got.Layers, false); err != nil {
 							b.Fatal(err)
 						}
 					} else {
@@ -155,9 +155,7 @@ func BenchmarkImportanceRound(b *testing.B) {
 						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
-						if _, err := got.layers(0); err != nil {
-							b.Fatal(err)
-						}
+						dequantizeSet(got.Layers)
 					}
 					total += int64(len(payload))
 					benchPerturb(rng, layers)

@@ -261,7 +261,7 @@ type deviceRounds struct {
 	last     int  // the most recent round played; startRound−1 before the first
 
 	// delta: uploads travel as delta records against the previous
-	// round's, through enc (Wire.deltaRecords, unless top-k is on).
+	// round's, through enc (Wire.deltaRecords).
 	delta   bool
 	enc     deltaEncoder
 	downDec deltaDecoder
@@ -288,10 +288,10 @@ type deviceRounds struct {
 // convergence), or on a Done ROUND-CUTOFF (the edge's end-of-run
 // broadcast to members the final downlink did not reach). When
 // importance sets travel as delta records (Wire.deltaRecords: any
-// quantized mode, or DeltaImportance), uploads after the first round
-// travel as sparse deltas against the previous round's payload and the
-// personalized set comes back as a delta against the previous downlink;
-// top-k sparsification keeps its own uplink payload (already sparse). With
+// quantized mode, top-k, or DeltaImportance), uploads after the first
+// round travel as sparse deltas against the previous round's payload
+// and the personalized set comes back as a delta against the previous
+// downlink; a top-k upload is sparse from its first round on. With
 // ImportanceRefreshPeriod > 1, importance is incremental: only
 // defaultIncrementalBatches new minibatches are folded into the running
 // accumulator per round — speculatively, while the in-flight upload
@@ -315,8 +315,8 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 		rng: rng, local: local, header: header, pkg: pkg,
 		sampling: s.Cfg.Fleet.Sampling(),
 		last:     startRound - 1,
-		delta:    s.Cfg.Wire.deltaRecords() && !s.topK(),
-		enc:      deltaEncoder{mode: s.Cfg.Wire.Quantization},
+		delta:    s.Cfg.Wire.deltaRecords(),
+		enc:      s.uplinkEncoder(),
 		liar:     s.liarFor(dev.ID),
 		buf:      uplinkBuffer{retain: s.retainRounds()},
 	}
@@ -360,16 +360,20 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 	}
 }
 
-// topK reports whether importance uploads are top-k sparsified.
-func (s *System) topK() bool {
-	return s.Cfg.Wire.TopKFraction > 0 && s.Cfg.Wire.TopKFraction < 1
+// uplinkEncoder is a fresh uplink delta chain: top-k's float16 encoder,
+// or whole sets in the run's quantization mode.
+func (s *System) uplinkEncoder() deltaEncoder {
+	if s.Cfg.Wire.topK() {
+		return deltaEncoder{topK: s.Cfg.Wire.TopKFraction}
+	}
+	return deltaEncoder{mode: s.Cfg.Wire.Quantization}
 }
 
 // coldUplink restarts the uplink delta chain: the edge dropped (or
 // never had) its shadow of our last upload, so the next one re-seeds it
-// dense.
+// dense — or, under top-k, sparse against the all-zero shadow.
 func (d *deviceRounds) coldUplink() {
-	d.enc = deltaEncoder{mode: d.s.Cfg.Wire.Quantization}
+	d.enc = d.s.uplinkEncoder()
 }
 
 // nextRound obtains the round this device plays next — the one place
@@ -519,13 +523,7 @@ func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transpor
 		}
 		kind, val = transport.KindImportanceDelta, up
 	} else {
-		up := ImportanceUpload{DeviceID: d.dev.ID}
-		if s.topK() {
-			up.Sparse = sparsifySet(layers, s.Cfg.Wire.TopKFraction)
-		} else {
-			up.Layers = quantizeSet(layers)
-		}
-		val = up
+		val = ImportanceUpload{DeviceID: d.dev.ID, Layers: quantizeSet(layers)}
 	}
 	// Encode once: the same bytes go on the wire and (when
 	// checkpointing is on) into the replay buffer, so a
@@ -750,7 +748,7 @@ func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message
 			return nil, 0, false, fmt.Errorf("%v from %s carries round %d during round %d (duplicate or out-of-order downlink)",
 				msg.Kind, msg.From, dd.Round, round)
 		}
-		layers, err := downDec.applyLayers(dd.Layers)
+		layers, err := downDec.apply(dd.Layers, false)
 		if err != nil {
 			return nil, 0, false, fmt.Errorf("%v from %s: %w", msg.Kind, msg.From, err)
 		}

@@ -47,7 +47,7 @@ func TestDownlinkDeltaMultiRoundChurn(t *testing.T) {
 					t.Fatal(err)
 				}
 				dd := DownlinkDelta{Round: round, Discard: 4 * (round + 1), Done: round == rounds-1, Layers: pls}
-				got, err := decs[d].applyLayers(dd.Layers)
+				got, err := decs[d].apply(dd.Layers, false)
 				if err != nil {
 					t.Fatalf("mode %v round %d device %d: %v", mode, round, d, err)
 				}

@@ -254,12 +254,7 @@ func (r *edgeRound) fold(msg transport.Message) error {
 			// outlived the crash in an inbox: drop the second copy.
 			return nil
 		}
-		if len(up.Sparse) > 0 && !r.s.topK() {
-			return fmt.Errorf("%v from %s (device %d): sparse payload but top-k sparsification is off", msg.Kind, msg.From, devID)
-		}
-		if layers, err = up.layers(r.s.Cfg.Wire.TopKFraction); err != nil {
-			return fmt.Errorf("%v from %s (device %d): %w", msg.Kind, msg.From, devID, err)
-		}
+		layers = dequantizeSet(up.Layers)
 		// A dense upload does not advance the delta shadow, so
 		// drop it: a later sparse delta from this device must
 		// fail ("no shadow round") rather than silently
@@ -285,7 +280,7 @@ func (r *edgeRound) fold(msg transport.Message) error {
 			// would corrupt the shadow chain, so drop it before apply.
 			return nil
 		}
-		if layers, err = r.shadows[p].apply(up); err != nil {
+		if layers, err = r.shadows[p].apply(up.Layers, r.s.Cfg.Wire.topK()); err != nil {
 			return fmt.Errorf("%v from %s (device %d): %w", msg.Kind, msg.From, devID, err)
 		}
 		r.rs.DeltaMessages++

@@ -30,7 +30,7 @@ func TestSystemTolerantOfDelaysAndReordering(t *testing.T) {
 
 	// Flaky run: same config, every delivery delayed up to 3ms.
 	mem := transport.NewMemory()
-	flaky := chaos.NewFlaky(mem, 3*time.Millisecond, 42)
+	flaky := chaos.New(mem, chaos.Options{Seed: 42, Default: chaos.Profile{Jitter: 3 * time.Millisecond}})
 	sys, err := NewSystemWithNetwork(cfg, flaky)
 	if err != nil {
 		t.Fatal(err)

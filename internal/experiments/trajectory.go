@@ -49,7 +49,8 @@ type cell struct {
 	Entropy bool   `json:"entropy"`
 	Refresh int    `json:"refresh,omitempty"`
 	// TopK is Wire.TopKFraction: importance uploads carry only that
-	// fraction of each layer's largest entries (0 = dense).
+	// fraction of each layer's entries, those furthest from what the
+	// edge holds (0 = whole sets).
 	TopK float64 `json:"topk_fraction,omitempty"`
 
 	// Transport is "memory" (one System, every role a goroutine) or
@@ -249,7 +250,7 @@ var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0, StrikeLimit:
 // byzantineDevices is how many devices lie in a cell with a Strategy.
 const byzantineDevices = 2
 
-// cells returns the trajectory: 16 named cells and the 30-cell
+// cells returns the trajectory: 18 named cells and the 30-cell
 // adversarial matrix.
 func cells() []cell {
 	// acmesim's default scenario at seed 1. Its dense-lossless and
@@ -297,8 +298,12 @@ func cells() []cell {
 		fleet,
 		with(fleet, "fleet-sampled-2000", 6, func(c *cell) { c.DevicesPerEdge, c.SampleFrac = 250, 0.1 }),
 		// Top-K against delta + mixed, the other way to shrink the
-		// uplink: fewer importance bytes at the same accuracy.
+		// uplink: sparse float16 delta records with error feedback.
 		with(base, "topk-005", 25, func(c *cell) { c.TopK = 0.05 }),
+		// The whole-run quantized modes that survived their trial beside
+		// mixed: their cells pin that verdict.
+		with(base, "float16", 27, func(c *cell) { c.Quant = "float16" }),
+		with(base, "int8", 27, func(c *cell) { c.Quant = "int8" }),
 		with(base, "dense-lossless-entropy", 7, func(c *cell) { c.Entropy = true }),
 		with(deltaMixed, "delta-mixed-entropy", 7, func(c *cell) { c.Entropy = true }),
 		restore,

@@ -65,8 +65,8 @@ func TestTrajectoryConfigsValid(t *testing.T) {
 			}
 		}
 	}
-	if len(seen) != 46 {
-		t.Errorf("%d cells, want 46 (the 48 of BENCH_3…10 less the three retired, plus topk-005)", len(seen))
+	if len(seen) != 48 {
+		t.Errorf("%d cells, want 48 (the 48 of BENCH_3…10 less the three retired, plus topk-005, float16 and int8)", len(seen))
 	}
 }
 
@@ -150,17 +150,19 @@ func TestDetectionAccounting(t *testing.T) {
 // per-kind byte map and the final accuracy the checked-in BENCH_10.json
 // recorded. These numbers are the refactoring licence of everything
 // under the round engines; until this test only a hand-run regeneration
-// stated them. One recorded change since BENCH_10.json: each dense
-// ImportanceUpload and PersonalizedSet frame is 2 B shorter, its empty
-// packed-lane list gone from the wire, so a cell's recorded bytes are
-// its pins plus 2 B per dense frame in each direction.
+// stated them. Two recorded changes since BENCH_10.json, both empty
+// lists gone from the wire: each dense ImportanceUpload and
+// PersonalizedSet frame lost its packed-lane list (2 B), and each dense
+// ImportanceUpload its sparse-layer list (2 B more). A cell's recorded
+// bytes are its pins plus 4 B per dense frame up and 2 B per dense
+// frame down.
 func TestContinuityPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full pipeline runs")
 	}
 	want := recorded(t, 10)
 	pinned := map[string]struct{ up, down, denseFrames int64 }{
-		"dense-lossless": {1065972, 1065948, 24},
+		"dense-lossless": {1065924, 1065948, 24},
 		"delta-mixed":    {309452, 318412, 0},
 	}
 	for _, c := range cells() {
@@ -176,15 +178,18 @@ func TestContinuityPinned(t *testing.T) {
 			t.Errorf("%s: uplink %d B, downlink %d B, want %d / %d",
 				c.Name, rep.ImportanceBytesTotal, rep.DownlinkBytesTotal, pin.up, pin.down)
 		}
-		shrunk := 2 * pin.denseFrames
+		upShrunk, downShrunk := 4*pin.denseFrames, 2*pin.denseFrames
 		rec := want[c.Name]
-		if rec["importance_bytes_total"] != float64(pin.up+shrunk) || rec["downlink_bytes_total"] != float64(pin.down+shrunk) {
+		if rec["importance_bytes_total"] != float64(pin.up+upShrunk) || rec["downlink_bytes_total"] != float64(pin.down+downShrunk) {
 			t.Errorf("%s: BENCH_10.json no longer records the pinned bytes", c.Name)
 		}
 		kinds := map[string]any{}
 		for k, v := range rep.KindBytesTotal {
-			if k == "importance-set" || k == "personalized-set" {
-				v += shrunk
+			switch k {
+			case "importance-set":
+				v += upShrunk
+			case "personalized-set":
+				v += downShrunk
 			}
 			kinds[k] = float64(v)
 		}

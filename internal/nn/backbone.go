@@ -222,12 +222,6 @@ func (b *Backbone) ResetImportance() {
 	}
 }
 
-// WidthState captures per-block head and neuron masks.
-type WidthState struct {
-	HeadMasks   [][]bool
-	NeuronMasks [][]bool
-}
-
 // ScaleWidth masks each block down to ⌈w·heads⌉ heads and ⌈w·hidden⌉
 // neurons, keeping the highest accumulated importances (paper §III-B1:
 // "discard those at the bottom of the list"). w must be in (0, 1].

@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"acme/internal/tensor"
 )
 
 // quadratic builds a single-parameter module with loss (x-3)².
@@ -138,46 +136,6 @@ func TestScheduledOptimizerConverges(t *testing.T) {
 	}
 	if opt.CurrentStep() != 400 {
 		t.Fatalf("step counter %d", opt.CurrentStep())
-	}
-}
-
-func TestDropoutTrainEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	d := NewDropout(0.5, rng)
-	x := tensor.New(10, 10)
-	x.Fill(1)
-
-	y := d.Forward(x)
-	var zeros, doubled int
-	for _, v := range y.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			doubled++
-		default:
-			t.Fatalf("unexpected dropout output %v", v)
-		}
-	}
-	if zeros == 0 || doubled == 0 {
-		t.Fatal("dropout mask degenerate")
-	}
-	// Backward must route through the same mask with the same scaling.
-	dy := tensor.New(10, 10)
-	dy.Fill(1)
-	dx := d.Backward(dy)
-	for i, v := range y.Data {
-		if (v == 0) != (dx.Data[i] == 0) {
-			t.Fatal("backward mask differs from forward mask")
-		}
-	}
-
-	d.Train = false
-	y2 := d.Forward(x)
-	for _, v := range y2.Data {
-		if v != 1 {
-			t.Fatal("eval-mode dropout must be identity")
-		}
 	}
 }
 

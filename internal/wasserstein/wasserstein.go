@@ -122,24 +122,6 @@ func JSDivergence(p, q []float64) (float64, error) {
 	return js, nil
 }
 
-// HistDistance1D returns the 1-Wasserstein distance between two discrete
-// distributions over the integer support 0..n-1 (the CDF-difference
-// formula). Used to compare label histograms.
-func HistDistance1D(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("wasserstein: histogram length %d vs %d", len(p), len(q))
-	}
-	pn := normalize(p)
-	qn := normalize(q)
-	var cdfP, cdfQ, total float64
-	for i := range pn {
-		cdfP += pn[i]
-		cdfQ += qn[i]
-		total += math.Abs(cdfP - cdfQ)
-	}
-	return total, nil
-}
-
 // SimilarityRaw turns a pairwise distance matrix w̃ into the paper's
 // symmetrized similarity W̄: wᵢⱼ = 1/(1+w̃ᵢⱼ) (Eq. 19) followed by the
 // element-wise geometric-mean symmetrization W̄ = sqrt(W ∘ Wᵀ). This is

@@ -122,19 +122,6 @@ func TestJSDivergenceLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestHistDistance1D(t *testing.T) {
-	p := []float64{1, 0, 0}
-	q := []float64{0, 0, 1}
-	d, err := HistDistance1D(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Moving all mass 2 bins costs 2 under the CDF formula.
-	if math.Abs(d-2) > 1e-9 {
-		t.Fatalf("hist W1 = %v want 2", d)
-	}
-}
-
 func TestSimilarityFromDistancesRowStochastic(t *testing.T) {
 	dist := [][]float64{
 		{0, 1, 5},

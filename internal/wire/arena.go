@@ -25,10 +25,8 @@ type Arena struct {
 
 	f64 []float64
 	f32 []float32
-	by  []byte
 	bo  []bool
 	i   []int
-	i32 []int32
 }
 
 // Reset recycles the arena: all previously carved slices become
@@ -36,10 +34,8 @@ type Arena struct {
 func (a *Arena) Reset() {
 	a.f64 = a.f64[:0]
 	a.f32 = a.f32[:0]
-	a.by = a.by[:0]
 	a.bo = a.bo[:0]
 	a.i = a.i[:0]
-	a.i32 = a.i32[:0]
 }
 
 const arenaBlock = 4096
@@ -79,15 +75,6 @@ func (a *Arena) carveF32(n int) []float32 {
 	return s
 }
 
-func (a *Arena) carveBytes(n int) []byte {
-	if a == nil {
-		return make([]byte, n)
-	}
-	s, next := carve(a.by, n)
-	a.by = next
-	return s
-}
-
 func (a *Arena) carveBools(n int) []bool {
 	if a == nil {
 		return make([]bool, n)
@@ -103,14 +90,5 @@ func (a *Arena) carveInts(n int) []int {
 	}
 	s, next := carve(a.i, n)
 	a.i = next
-	return s
-}
-
-func (a *Arena) carveInt32s(n int) []int32 {
-	if a == nil {
-		return make([]int32, n)
-	}
-	s, next := carve(a.i32, n)
-	a.i32 = next
 	return s
 }

@@ -82,18 +82,6 @@ func (d *Dec) Int(what string) (int64, error) {
 	return d.d.zigzag()
 }
 
-// Int32 decodes a signed integer and range-checks it into 32 bits.
-func (d *Dec) Int32(what string) (int32, error) {
-	x, err := d.Int(what)
-	if err != nil {
-		return 0, err
-	}
-	if x != int64(int32(x)) {
-		return 0, fmt.Errorf("wire: %d overflows int32", x)
-	}
-	return int32(x), nil
-}
-
 // Uint decodes an unsigned integer.
 func (d *Dec) Uint(what string) (uint64, error) {
 	if err := d.tag(tUint, what); err != nil {
@@ -273,32 +261,6 @@ func (d *Dec) Ints(what string, dst []int) ([]int, error) {
 			return nil, err
 		}
 		s[i] = int(x)
-	}
-	return s, nil
-}
-
-// Int32s decodes a zigzag-varint []int32 with per-element range checks.
-func (d *Dec) Int32s(what string, dst []int32) ([]int32, error) {
-	if err := d.tag(tInts, what); err != nil {
-		return nil, err
-	}
-	n, err := d.d.seqLen(1)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	s := sliceFor(dst, n, d.arena.carveInt32s)
-	for i := range s {
-		x, err := d.d.zigzag()
-		if err != nil {
-			return nil, err
-		}
-		if x != int64(int32(x)) {
-			return nil, fmt.Errorf("wire: %d overflows int32", x)
-		}
-		s[i] = int32(x)
 	}
 	return s, nil
 }

@@ -74,39 +74,52 @@ func DiffLayer(prev, cur []byte, elem int) DeltaLayer {
 	return d
 }
 
-// Apply reconstructs the round-t packed payload from the round t−1
-// payload. Every field is wire-controlled, so shapes are validated
-// before any indexing: a corrupt bitmask or truncated element block
-// surfaces as an error, never a panic or a silently wrong payload.
-func (d *DeltaLayer) Apply(prev []byte) ([]byte, error) {
+// Check validates the record against itself: every field is
+// wire-controlled, so a corrupt bitmask or truncated element block
+// surfaces here as an error. A record that passes has N backed by the
+// frame — by Changed when dense, by a mask of ⌈N/8⌉ bytes when sparse —
+// so a shadow of N elements costs no more than the frame carried.
+func (d *DeltaLayer) Check() error {
 	if d.N < 0 || d.Elem <= 0 || d.N > math.MaxInt/d.Elem {
-		return nil, fmt.Errorf("wire: delta layer with %d elements of %d bytes", d.N, d.Elem)
+		return fmt.Errorf("wire: delta layer with %d elements of %d bytes", d.N, d.Elem)
 	}
-	size := d.N * d.Elem
 	if d.Dense {
-		if len(d.Changed) != size {
-			return nil, fmt.Errorf("wire: dense delta carries %d bytes, want %d", len(d.Changed), size)
+		if len(d.Changed) != d.N*d.Elem {
+			return fmt.Errorf("wire: dense delta carries %d bytes, want %d", len(d.Changed), d.N*d.Elem)
 		}
-		return append([]byte(nil), d.Changed...), nil
-	}
-	if len(prev) != size {
-		return nil, fmt.Errorf("wire: sparse delta against %d-byte shadow, want %d", len(prev), size)
+		return nil
 	}
 	if want := (d.N + 7) / 8; len(d.Mask) != want {
-		return nil, fmt.Errorf("wire: delta bitmask %d bytes for %d elements, want %d", len(d.Mask), d.N, want)
+		return fmt.Errorf("wire: delta bitmask %d bytes for %d elements, want %d", len(d.Mask), d.N, want)
 	}
 	// Bits beyond N must be clear: a set spare bit means a corrupt or
 	// adversarial mask whose popcount no longer matches the payload.
 	if spare := d.N % 8; spare != 0 && d.Mask[len(d.Mask)-1]>>spare != 0 {
-		return nil, fmt.Errorf("wire: delta bitmask has bits set beyond element %d", d.N)
+		return fmt.Errorf("wire: delta bitmask has bits set beyond element %d", d.N)
 	}
 	changed := 0
 	for _, b := range d.Mask {
 		changed += bits.OnesCount8(b)
 	}
 	if len(d.Changed) != changed*d.Elem {
-		return nil, fmt.Errorf("wire: delta carries %d bytes for %d changed elements of %d",
+		return fmt.Errorf("wire: delta carries %d bytes for %d changed elements of %d",
 			len(d.Changed), changed, d.Elem)
+	}
+	return nil
+}
+
+// Apply reconstructs the round-t packed payload from the round t−1
+// payload. The record is checked before any indexing, so a hostile one
+// is an error, never a panic or a silently wrong payload.
+func (d *DeltaLayer) Apply(prev []byte) ([]byte, error) {
+	if err := d.Check(); err != nil {
+		return nil, err
+	}
+	if d.Dense {
+		return append([]byte(nil), d.Changed...), nil
+	}
+	if size := d.N * d.Elem; len(prev) != size {
+		return nil, fmt.Errorf("wire: sparse delta against %d-byte shadow, want %d", len(prev), size)
 	}
 	out := append([]byte(nil), prev...)
 	src := 0

@@ -104,6 +104,10 @@ func TestDeltaApplyRejectsCorrupt(t *testing.T) {
 		if _, err := d.Apply(shadow); err == nil {
 			t.Fatalf("%s: corrupt delta accepted", name)
 		}
+		// Only the shadow is outside the record: Check alone refuses the rest.
+		if err := d.Check(); err == nil && name != "short shadow" {
+			t.Fatalf("%s: Check passed a corrupt record", name)
+		}
 	}
 	check("short shadow", good, prev[:len(prev)-4])
 	trunc := good
