@@ -197,6 +197,14 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 	if err != nil {
 		return err
 	}
+	// Nothing runs the backbone after this, so the device drops it (and
+	// its forward scratch): a snapshot carries it as encoded here, once.
+	backboneParams := model.Backbone.ActiveParamCount()
+	if s.Cfg.CheckpointDir != "" || s.Cfg.Checkpoint.Enabled() {
+		pkg.Backbone = EncodeBackbone(model.Backbone, pkg.Backbone.W, pkg.Backbone.D,
+			pkg.Backbone.Candidate, QuantLossless)
+	}
+	model.Backbone = nil
 
 	// 3. Local refinement of the coarse header.
 	if err := header.TrainLocal(local, s.Cfg.LocalEpochs, s.Cfg.LocalBatch, s.Cfg.LocalLR, rng); err != nil {
@@ -236,7 +244,7 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 		AccuracyCoarse: accCoarse,
 		AccuracyFinal:  accFinal,
 		Energy:         dev.Profile.Energy(pkg.Backbone.W, pkg.Backbone.D),
-		BackboneParams: header.Backbone.ActiveParamCount(),
+		BackboneParams: backboneParams,
 		HeaderParams:   header.ActiveParamCount(),
 	}
 	return s.send(transport.KindReport, ses.Node(), "collector", report)

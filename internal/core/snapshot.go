@@ -421,10 +421,12 @@ func (s *System) resumeDevice(ctx context.Context, edgeID, devIdx int) error {
 // with masks, under the run's tag, to path: every round's warm-restore
 // snapshot (resumeDevice) and the final model saved under
 // Config.CheckpointDir (LoadDeviceCheckpoint) are this one file format.
+// The header is encoded from the live model; the frozen backbone is
+// pkg.Backbone, which the device encoded losslessly once before it
+// dropped the backbone (deviceRefineAndReport).
 func (s *System) writeDeviceSnapshot(path string, devID, round int, header *nas.HeaderModel, pkg HeaderPackage) error {
 	model := EncodeHeader(header, QuantLossless)
-	model.Backbone = EncodeBackbone(header.Backbone, pkg.Backbone.W, pkg.Backbone.D,
-		pkg.Backbone.Candidate, QuantLossless)
+	model.Backbone = pkg.Backbone
 	snap := DeviceSnapshot{
 		RunTag:   s.Cfg.runTag(),
 		DeviceID: devID,
