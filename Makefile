@@ -89,9 +89,10 @@ chaos-smoke:
 
 # fleet-smoke runs a 2000-device fleet (8 edges × 250 devices, shared
 # read-only data shards) in one process at -sample-frac 0.05, asserting
-# every round invites exactly the sampled count and all devices report.
+# every round invites exactly the sampled count and all devices report,
+# and pins a 12-device shared-shard fleet's reports and per-kind bytes.
 fleet-smoke:
-	$(GO) test -run 'TestFleetSmoke' -count=1 -v ./internal/core
+	$(GO) test -run 'TestFleetSmoke|TestSharedShardFleetPinned' -count=1 -v ./internal/core
 
 # restore-smoke kills an edge mid-loop over loopback TCP (sockets torn
 # down), restarts it on the same address, and restores it from its

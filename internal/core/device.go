@@ -182,18 +182,16 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 
 	// The backbone is frozen for the rest of this device's life, so its
 	// representations of the local and test samples are computed here,
-	// once, and every later pass — refinement, importance folds, round
-	// training, both evaluations — starts from them. This is the one
-	// place a fresh, a rejoining and a restored device all pass through.
+	// once (or taken from the cluster's first holder of the same shard,
+	// see deviceFeatures), and every later pass — refinement, importance
+	// folds, round training, both evaluations — starts from them. This is
+	// the one place a fresh, a rejoining and a restored device all pass
+	// through.
 	header, err := model.Frozen()
 	if err != nil {
 		return err
 	}
-	local, err := model.Featurize(s.devTrain[devIdx])
-	if err != nil {
-		return err
-	}
-	test, err := model.Featurize(s.devTest[devIdx])
+	local, test, err := s.deviceFeatures(ctx, edgeID, devIdx, model)
 	if err != nil {
 		return err
 	}

@@ -46,11 +46,16 @@ func (s *System) runEdge(ctx context.Context, edgeID int) error {
 	if err != nil {
 		return err
 	}
-	// Distribute backbone + header to devices. The package is kept
-	// for the rest of the run: it is also the dense re-seed a churned
-	// device receives when it resyncs mid-loop.
+	// Distribute backbone + header to devices: one encoding, the same
+	// read-only bytes to every member. The package is kept for the rest
+	// of the run: it is also the dense re-seed a churned device receives
+	// when it resyncs mid-loop.
+	payload, raw, err := s.encodePayload(transport.KindHeader, pkg)
+	if err != nil {
+		return err
+	}
 	for _, di := range members {
-		if err := s.send(transport.KindHeader, name, s.devices[di].Name(), pkg); err != nil {
+		if err := s.sendRaw(transport.KindHeader, name, s.devices[di].Name(), 0, payload, raw); err != nil {
 			return err
 		}
 	}

@@ -159,6 +159,7 @@ type System struct {
 	public   *data.Dataset
 	devTrain []*data.Dataset
 	devTest  []*data.Dataset
+	rows     sharedRows // feature rows of shards a cluster holds more than once
 
 	mu           sync.Mutex
 	assignments  map[int]pareto.Candidate
@@ -222,6 +223,7 @@ func NewSystem(cfg Config) (*System, error) {
 		devTest:     devTest,
 		assignments: make(map[int]pareto.Candidate),
 	}
+	s.rows.open(clusters, devTrain, devTest)
 	mem.Register("cloud", 64)
 	for e, members := range clusters {
 		// An edge's inbox must absorb a whole cluster's worth of setup

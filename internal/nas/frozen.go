@@ -17,27 +17,45 @@ import (
 // computes exactly what Forward computes over ds.
 //
 // The rows are a snapshot: rescaling, re-depthing or training the
-// backbone afterwards leaves them stale, which is why the caller holds
-// them explicitly and the header keeps no cache of its own.
+// backbone afterwards leaves them stale. Whoever calls Featurize owns
+// them: a device keeps its rows (and shares them, read-only, with the
+// devices that hold the same shard under the same backbone bits), and
+// the header itself holds none.
 func (h *HeaderModel) Featurize(ds *data.Dataset) (*data.Dataset, error) {
 	if h.Cfg.TrainBackbone {
 		return nil, fmt.Errorf("nas: featurize needs a frozen backbone")
 	}
-	half := h.Backbone.SeqLen() * h.Cfg.DModel
-	out := &data.Dataset{Name: ds.Name, NumClasses: ds.NumClasses, Dim: 2 * half, Y: ds.Y}
+	width := featureWidth(h.Backbone)
+	out := &data.Dataset{Name: ds.Name, NumClasses: ds.NumClasses, Dim: width, Y: ds.Y}
 	out.X = make([][]float64, ds.Len())
-	slab := make([]float64, ds.Len()*2*half)
+	slab := make([]float64, ds.Len()*width)
 	for i, x := range ds.X {
-		final, err := h.Backbone.Forward(x)
-		if err != nil {
+		row := slab[i*width : (i+1)*width : (i+1)*width]
+		if err := featureRow(h.Backbone, x, row); err != nil {
 			return nil, fmt.Errorf("nas: featurize sample %d: %w", i, err)
 		}
-		row := slab[i*2*half : (i+1)*2*half : (i+1)*2*half]
-		copy(row[:half], final.Data)
-		copy(row[half:], h.Backbone.Penultimate().Data)
 		out.X[i] = row
 	}
 	return out, nil
+}
+
+// featureWidth is the length of one feature row of bb: two (seq × d)
+// token matrices.
+func featureWidth(bb *nn.Backbone) int { return 2 * bb.SeqLen() * bb.Cfg.DModel }
+
+// featureRow runs bb over sample x and writes its feature row into row
+// (featureWidth values): the final token matrix, then the penultimate
+// one. Featurize and the searcher's validation rows both fill rows
+// through it.
+func featureRow(bb *nn.Backbone, x, row []float64) error {
+	final, err := bb.Forward(x)
+	if err != nil {
+		return err
+	}
+	half := len(row) / 2
+	copy(row[:half], final.Data)
+	copy(row[half:], bb.Penultimate().Data)
+	return nil
 }
 
 // FrozenHeader is a header whose backbone no longer trains, as an

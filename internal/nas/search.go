@@ -6,6 +6,7 @@ import (
 
 	"acme/internal/data"
 	"acme/internal/nn"
+	"acme/internal/tensor"
 )
 
 // SearchConfig controls the edge server's architecture search.
@@ -80,6 +81,14 @@ type Searcher struct {
 	train, val *data.Dataset
 	sharedOpt  *nn.Adam
 	rng        *rand.Rand
+
+	// valRows[i] is validation sample i's feature row under the current
+	// backbone: filled the first time a reward probes i, nil until then,
+	// and cleared by every shared step that trains the backbone. valSlab
+	// backs the rows; final and pen view the row a reward is reading.
+	valRows    [][]float64
+	valSlab    []float64
+	final, pen tensor.Matrix
 }
 
 // NewSearcher builds a searcher over the edge server's shared dataset.
@@ -104,6 +113,8 @@ func NewSearcher(cfg SearchConfig, backbone *nn.Backbone, numClasses int, train,
 		val:        val,
 		sharedOpt:  nn.NewAdam(cfg.SharedLR),
 		rng:        rng,
+		final:      tensor.Matrix{Rows: backbone.SeqLen(), Cols: d},
+		pen:        tensor.Matrix{Rows: backbone.SeqLen(), Cols: d},
 	}, nil
 }
 
@@ -158,20 +169,68 @@ func (s *Searcher) trainSharedStep() error {
 		child.Backward(dl)
 	}
 	s.sharedOpt.Step(s.childParams(child))
+	if s.Cfg.TrainBackbone {
+		clear(s.valRows) // the backbone moved: every cached row is stale
+	}
 	return nil
 }
 
-// reward evaluates arch on a probe of the validation set.
+// reward evaluates arch's accuracy on a probe of the validation set.
+// The probe is the rng.Perm draw data.Probe makes, and the header runs
+// from the probed samples' feature rows, so the backbone runs only over
+// samples no reward has probed since it last trained — the same
+// accuracy nn.Evaluate over the raw probe gives, bit for bit.
 func (s *Searcher) reward(arch Architecture) (float64, error) {
 	child, err := s.buildChild(arch)
 	if err != nil {
 		return 0, err
 	}
-	probe := s.val
-	if s.Cfg.RewardProbe > 0 && probe.Len() > s.Cfg.RewardProbe {
-		probe = data.Probe(probe, s.Cfg.RewardProbe, s.rng)
+	n := s.val.Len()
+	if n == 0 {
+		return 0, nil
 	}
-	return nn.Evaluate(child, probe.X, probe.Y)
+	var idx []int
+	if s.Cfg.RewardProbe > 0 && n > s.Cfg.RewardProbe {
+		idx = s.rng.Perm(n)[:s.Cfg.RewardProbe]
+	} else {
+		idx = make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	var correct int
+	for _, i := range idx {
+		row, err := s.valRow(i)
+		if err != nil {
+			return 0, err
+		}
+		half := len(row) / 2
+		s.final.Data, s.pen.Data = row[:half], row[half:]
+		if nn.Argmax(child.forwardFromFeatures(&s.final, &s.pen)) == s.val.Y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(idx)), nil
+}
+
+// valRow returns validation sample i's feature row under the current
+// backbone, running the backbone only if no reward has probed i since
+// the backbone last trained.
+func (s *Searcher) valRow(i int) ([]float64, error) {
+	w := featureWidth(s.Backbone)
+	if s.valRows == nil {
+		s.valRows = make([][]float64, s.val.Len())
+		s.valSlab = make([]float64, s.val.Len()*w)
+	}
+	if row := s.valRows[i]; row != nil {
+		return row, nil
+	}
+	row := s.valSlab[i*w : (i+1)*w : (i+1)*w]
+	if err := featureRow(s.Backbone, s.val.X[i], row); err != nil {
+		return nil, fmt.Errorf("validation sample %d: %w", i, err)
+	}
+	s.valRows[i] = row
+	return row, nil
 }
 
 // Search runs the alternating optimization and returns the best

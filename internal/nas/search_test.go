@@ -1,6 +1,9 @@
 package nas
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -70,6 +73,78 @@ func TestSearchDeterministicGivenSeed(t *testing.T) {
 	}
 	if a1.String() != a2.String() || r1 != r2 {
 		t.Fatalf("search not deterministic: %v (%v) vs %v (%v)", a1, r1, a2, r2)
+	}
+}
+
+// TestSearchRewardPinned pins a search whose backbone trains between
+// reward rounds — two epochs of shared steps and controller updates,
+// rewards over a probe smaller than the validation set — to the
+// architecture, best reward and final parameters it produced when every
+// reward ran the backbone over its probe.
+func TestSearchRewardPinned(t *testing.T) {
+	s, _ := searchFixture(t, 21)
+	s.Cfg.Epochs = 2
+	s.Cfg.ControllerUpdates = 2
+	if !s.Cfg.TrainBackbone || s.val.Len() <= s.Cfg.RewardProbe {
+		t.Fatal("fixture must train the backbone and probe a subset of the validation set")
+	}
+	arch, best, err := s.Search()
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := s.BuildFinal(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, p := range final.AllParams() {
+		for _, v := range p.Value.Data {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	const (
+		wantArch   = "arch[b0(1,0,avgpool,maxpool) b1(2,1,conv1,downsample)]"
+		wantBest   = 0x3fe2000000000000
+		wantParams = 0x492429c992b391e3
+	)
+	if arch.String() != wantArch || math.Float64bits(best) != wantBest || h.Sum64() != wantParams {
+		t.Fatalf("search gave %q, best %#x, params %#x; want %q, %#x, %#x",
+			arch.String(), math.Float64bits(best), h.Sum64(), wantArch, uint64(wantBest), uint64(wantParams))
+	}
+
+	// Over the whole validation set (no probe draw), a reward read from
+	// cached rows equals nn.Evaluate over the raw samples, and a shared
+	// step that trains the backbone leaves no cached row behind.
+	s.Cfg.RewardProbe = 0
+	child, err := s.buildChild(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		got, err := s.EvaluateArch(arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := nn.Evaluate(child, s.val.X, s.val.Y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("pass %d: cached reward %v, raw %v", pass, got, want)
+		}
+		for i, row := range s.valRows {
+			if row == nil {
+				t.Fatalf("pass %d: validation row %d not cached", pass, i)
+			}
+		}
+		if err := s.trainSharedStep(); err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range s.valRows {
+			if row != nil {
+				t.Fatalf("pass %d: validation row %d survived a backbone step", pass, i)
+			}
+		}
 	}
 }
 
