@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,7 +111,7 @@ func TestTCPRoles(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var collected *Result
+	var reports []DeviceReport
 	errc := make(chan error, len(roles))
 	for _, role := range roles {
 		role := role
@@ -129,7 +130,7 @@ func TestTCPRoles(t *testing.T) {
 			}
 			if res != nil {
 				mu.Lock()
-				collected = res
+				reports = append(reports, res.Reports...)
 				mu.Unlock()
 			}
 		}()
@@ -139,8 +140,10 @@ func TestTCPRoles(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if collected == nil || len(collected.Reports) != 2 {
-		t.Fatalf("collector got %+v", collected)
+	// The edges' reports, merged in DeviceID order, are the run's.
+	sort.Slice(reports, func(i, j int) bool { return reports[i].DeviceID < reports[j].DeviceID })
+	if len(reports) != 2 || reports[0].DeviceID != 0 || reports[1].DeviceID != 1 {
+		t.Fatalf("edges reported %+v", reports)
 	}
 }
 

@@ -1,15 +1,15 @@
-// Command acmenode runs one ACME role — cloud, edge-N, device-N, or
-// collector — as its own OS process over TCP. Every process must be
-// started with identical topology flags so that the deterministically
-// generated fleet and data shards agree.
+// Command acmenode runs one ACME role — cloud, edge-N or device-N — as
+// its own OS process over TCP. Every process must be started with
+// identical topology flags so that the deterministically generated
+// fleet and data shards agree. Each edge process prints its cluster's
+// device reports.
 //
 // Example 1-edge, 2-device deployment on one host:
 //
-//	acmenode -role collector -listen :7000 -peers cloud=:7001,edge-0=:7002,device-0=:7003,device-1=:7004,collector=:7000 &
-//	acmenode -role cloud     -listen :7001 -peers ... &
-//	acmenode -role edge-0    -listen :7002 -peers ... &
-//	acmenode -role device-0  -listen :7003 -peers ... &
-//	acmenode -role device-1  -listen :7004 -peers ...
+//	acmenode -role cloud    -listen :7001 -peers cloud=:7001,edge-0=:7002,device-0=:7003,device-1=:7004 &
+//	acmenode -role edge-0   -listen :7002 -peers ... &
+//	acmenode -role device-0 -listen :7003 -peers ... &
+//	acmenode -role device-1 -listen :7004 -peers ...
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 }
 
 func run() error {
-	role := flag.String("role", "", "role to run: cloud, edge-N, device-N, collector")
+	role := flag.String("role", "", "role to run: cloud, edge-N, device-N")
 	listen := flag.String("listen", "", "listen address for this node")
 	peers := flag.String("peers", "", "comma-separated name=addr peer list (must include every role)")
 	// The run flags are the ones acmesim takes, bound once next to
@@ -93,7 +93,7 @@ func run() error {
 		// A crashed role comes back from its durable snapshot: the edge
 		// rolls the session forward from the checkpointed round and
 		// broadcasts SESSION-RESUME; a device re-enters warm.
-		if err := sys.ResumeRole(ctx, *role); err != nil {
+		if res, err = sys.ResumeRole(ctx, *role); err != nil {
 			return fmt.Errorf("restore %s: %w", *role, err)
 		}
 	} else if *rejoin {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestMultiProcessPipeline builds the acmenode binary and runs the full
-// ACME pipeline as five separate OS processes talking over TCP — the
+// ACME pipeline as four separate OS processes talking over TCP — the
 // deployment mode of the paper's testbed.
 func TestMultiProcessPipeline(t *testing.T) {
 	if testing.Short() {
@@ -24,7 +24,7 @@ func TestMultiProcessPipeline(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 
-	roles := []string{"collector", "cloud", "edge-0", "device-0", "device-1"}
+	roles := []string{"cloud", "edge-0", "device-0", "device-1"}
 	addrs := make(map[string]string, len(roles))
 	for _, role := range roles {
 		addrs[role] = reservePort(t)
@@ -84,16 +84,16 @@ func TestMultiProcessPipeline(t *testing.T) {
 		}
 	}
 
-	// The collector must have printed both device reports.
-	var collectorOut string
+	// The edge must have printed both device reports.
+	var edgeOut string
 	for _, p := range procs {
-		if p.role == "collector" {
-			collectorOut = p.out.String()
+		if p.role == "edge-0" {
+			edgeOut = p.out.String()
 		}
 	}
-	for _, want := range []string{"device-0", "device-1", "mean final accuracy"} {
-		if !strings.Contains(collectorOut, want) {
-			t.Fatalf("collector output missing %q:\n%s", want, collectorOut)
+	for _, want := range []string{"device-0 (edge-0)", "device-1 (edge-0)", "mean final accuracy"} {
+		if !strings.Contains(edgeOut, want) {
+			t.Fatalf("edge-0 output missing %q:\n%s", want, edgeOut)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 	"sync"
 	"time"
 
@@ -72,9 +73,10 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
+	// Each edge role returns its cluster's reports.
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var collected *acme.Result
+	var reports []acme.DeviceReport
 	errs := make(chan error, len(roles))
 	for _, role := range roles {
 		role := role
@@ -93,7 +95,7 @@ func main() {
 			}
 			if res != nil {
 				mu.Lock()
-				collected = res
+				reports = append(reports, res.Reports...)
 				mu.Unlock()
 			}
 		}()
@@ -103,9 +105,10 @@ func main() {
 	for err := range errs {
 		log.Fatal(err)
 	}
+	sort.Slice(reports, func(i, j int) bool { return reports[i].DeviceID < reports[j].DeviceID })
 
 	fmt.Println("TCP cluster run complete — reports received over sockets:")
-	for _, r := range collected.Reports {
+	for _, r := range reports {
 		fmt.Printf("  device-%d: accuracy %.3f → %.3f\n", r.DeviceID, r.AccuracyCoarse, r.AccuracyFinal)
 	}
 	// Each role's TCP node counts the traffic it sent; summing over

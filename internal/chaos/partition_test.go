@@ -34,8 +34,7 @@ type partitionOutcome struct {
 // device emit LEAVE → RESYNC-REQUEST → round-0 upload into the
 // partition, and gathers on the edge. The chaos net must hold all three
 // until the heal and release them in program order, so the edge's fleet
-// registry sees the departure and the MEMBER-BACK recovery back to
-// back.
+// registry sees the departure and the RESYNC recovery back to back.
 func runPartitionScenario(t *testing.T, edge *transport.Session, devNet transport.Network) partitionOutcome {
 	t.Helper()
 	seedEpoch := edge.Membership().Seed(map[string]int{"dev": 0})
@@ -92,7 +91,7 @@ func runPartitionScenario(t *testing.T, edge *transport.Session, devNet transpor
 func checkPartitionOutcome(t *testing.T, label string, out partitionOutcome) {
 	t.Helper()
 	// LEAVE bumps (departure), RESYNC-REQUEST bumps again (rejoin):
-	// exactly two epoch movements, ending alive — MEMBER-BACK recovery.
+	// exactly two epoch movements, ending alive — RESYNC recovery.
 	if out.epochDelta != 2 {
 		t.Fatalf("%s: registry epoch moved %d times across partition+heal, want 2 (leave, rejoin)", label, out.epochDelta)
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -100,7 +98,7 @@ func TestByzantineDetectionEvictsMemory(t *testing.T) {
 // adversarial trial over loopback TCP with seeded link chaos on every
 // device link. Detection must fire exactly as on the in-memory
 // transport — the liar flagged and evicted, the honest devices
-// reporting through the collector.
+// reporting to their edge.
 func TestByzantineDetectTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-role TCP cluster")
@@ -115,7 +113,7 @@ func TestByzantineDetectTCP(t *testing.T) {
 
 	// Wrap every device transport in the chaos link model (delay-only
 	// profile: duplication would violate the protocol's exactly-once
-	// expectations). The edge and collector see adversarial content
+	// expectations). The edge sees adversarial content and reports
 	// arriving over faulty links at once.
 	nets := make(map[string]transport.Network, len(roles))
 	for _, role := range roles {
@@ -154,62 +152,18 @@ func TestByzantineDetectTCP(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		collected *Result
-		edgeSys   *System
-		failures  []error
-	)
-	for _, role := range roles {
-		sys, err := NewSystemWithNetwork(cfg, nets[role])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if role == "edge-0" {
-			edgeSys = sys
-		}
-		role := role
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := sys.RunRole(ctx, role)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				failures = append(failures, fmt.Errorf("%s: %w", role, err))
-				cancel()
-				return
-			}
-			if res != nil {
-				collected = res
-			}
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	if collected == nil {
-		t.Fatal("collector returned no result")
-	}
+	systems := roleSystems(t, cfg, nets)
+	reports := startRoles(ctx, cancel, roles, func(role string) *System { return systems[role] }, "", nil).wait(t)
 	for _, cn := range chaosNets {
 		cn.Wait()
 		if err := cn.Err(); err != nil {
 			t.Errorf("chaos link error: %v", err)
 		}
 	}
-	// The detection trace lives on the edge's own System in per-process
-	// mode, the reports on the collector's.
-	res := *collected
-	res.Phase2Rounds = edgeSys.phase2RoundsCopy()
-	checkByzantineOutcome(t, &res, len(probe.Devices()))
+	// In per-process mode the detection trace lives on the edge's own
+	// System, next to the reports it returned.
+	res := &Result{Reports: reports, Phase2Rounds: systems["edge-0"].phase2RoundsCopy()}
+	checkByzantineOutcome(t, res, len(probe.Devices()))
 }
 
 // TestByzantineConfigValidation pins the adversarial config contract.

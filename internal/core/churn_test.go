@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -213,44 +211,13 @@ func runChurnRejoinTCP(t *testing.T, cfg Config) {
 			n.Close()
 		}
 	}()
+	systems := roleSystems(t, cfg, nets)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 	victimCtx, killVictim := context.WithCancel(ctx)
 	defer killVictim()
-
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		collected *Result
-		failures  []error
-	)
-	for _, role := range roles {
-		sys, err := NewSystemWithNetwork(cfg, nets[role])
-		if err != nil {
-			t.Fatal(err)
-		}
-		role := role
-		runCtx := ctx
-		if role == victim {
-			runCtx = victimCtx
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := sys.RunRole(runCtx, role)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && role != victim {
-				failures = append(failures, fmt.Errorf("%s: %w", role, err))
-				cancel()
-				return
-			}
-			if res != nil {
-				collected = res
-			}
-		}()
-	}
+	run := startRoles(ctx, cancel, roles, func(role string) *System { return systems[role] }, victim, victimCtx)
 
 	// Kill the victim once it has sent its first importance upload —
 	// mid-loop, after setup completed.
@@ -281,24 +248,8 @@ func runChurnRejoinTCP(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejoinErr := rebornSys.RejoinRole(ctx, victim)
-
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if rejoinErr != nil {
-		t.Errorf("rejoin: %v", rejoinErr)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	if collected == nil {
-		t.Fatal("collector returned no result")
-	}
-	if got, want := len(collected.Reports), len(probe.Devices()); got != want {
+	run.finish("rejoined "+victim, nil, rebornSys.RejoinRole(ctx, victim))
+	if got, want := len(run.wait(t)), len(probe.Devices()); got != want {
 		t.Fatalf("run completed with %d reports, want %d (rejoined device missing?)", got, want)
 	}
 	// The rejoined instance must have re-entered the sparse exchange:
@@ -314,7 +265,8 @@ func runChurnRejoinTCP(t *testing.T, cfg Config) {
 	}
 }
 
-// TestRejoinRoleRejectsNonDevices pins the rejoin contract.
+// TestRejoinRoleRejectsNonDevices pins the rejoin contract, and that
+// no entry point knows a collector role: the edges collect the reports.
 func TestRejoinRoleRejectsNonDevices(t *testing.T) {
 	sys, err := NewSystem(tinyConfig())
 	if err != nil {
@@ -324,5 +276,24 @@ func TestRejoinRoleRejectsNonDevices(t *testing.T) {
 		if err := sys.RejoinRole(context.Background(), role); err == nil {
 			t.Fatalf("RejoinRole(%q) accepted", role)
 		}
+	}
+	for _, role := range sys.RoleNames() {
+		if role == "collector" {
+			t.Fatalf("RoleNames lists a collector: %v", sys.RoleNames())
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if _, err := sys.RunRole(ctx, "collector"); err == nil {
+		t.Fatal(`RunRole("collector") accepted`)
+	}
+	cfg := tinyConfig()
+	cfg.Checkpoint.Path = t.TempDir()
+	ckpt, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ckpt.ResumeRole(ctx, "collector"); err == nil {
+		t.Fatal(`ResumeRole("collector") accepted`)
 	}
 }

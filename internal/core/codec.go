@@ -144,7 +144,7 @@ func dequantizeSet(layers [][]float32) [][]float64 {
 	return out
 }
 
-// DeviceReport is the device's final metrics, sent to the collector.
+// DeviceReport is the device's final metrics, sent to its edge.
 type DeviceReport struct {
 	DeviceID       int
 	EdgeID         int

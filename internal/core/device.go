@@ -26,9 +26,9 @@ const (
 	defaultIncrementalBatches = 2
 )
 
-// errEvicted ends a device loop whose edge evicted it (Byzantine
-// detection crossed the strike limit): the device exits without
-// reporting — the collector was told not to wait via MEMBER-GONE.
+// errEvicted ends a device loop whose edge evicted it with a
+// MEMBER-GONE (Byzantine detection crossed the strike limit): the
+// device exits without reporting.
 var errEvicted = errors.New("core: device evicted by edge-side detection")
 
 // liarFor returns the Byzantine corruptor for a device, or nil for an
@@ -175,8 +175,8 @@ func buildDeviceHeader(pkg HeaderPackage) (*nas.HeaderModel, error) {
 // deviceRefineAndReport is the device's life after it holds a model:
 // local refinement of the coarse header, the Phase 2-2 loop from
 // startRound, final evaluation, optional checkpoint, and the report to
-// the collector. rng must be the same stream the caller used for its
-// setup so the no-churn path consumes random draws in the legacy order.
+// its edge. rng must be the same stream the caller used for its setup
+// so the no-churn path consumes random draws in the legacy order.
 func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Session, edgeID, devIdx int, rng *rand.Rand, model *nas.HeaderModel, pkg HeaderPackage, startRound int) error {
 	dev := s.devices[devIdx]
 
@@ -217,8 +217,7 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 	if err := s.deviceLoop(ctx, ses, dev, edgeID, rng, local, header, pkg, startRound); err != nil {
 		if errors.Is(err, errEvicted) {
 			// Evicted by the edge's Byzantine detector: exit silently —
-			// the collector already heard MEMBER-GONE and a report now
-			// would race the run's shutdown.
+			// the edge no longer waits for this device's report.
 			return nil
 		}
 		return err
@@ -245,7 +244,7 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 		BackboneParams: backboneParams,
 		HeaderParams:   header.ActiveParamCount(),
 	}
-	return s.send(transport.KindReport, ses.Node(), "collector", report)
+	return s.send(transport.KindReport, ses.Node(), edgeName(edgeID), report)
 }
 
 // deviceRounds is one device's Phase 2-2 loop state; its methods are

@@ -23,9 +23,10 @@ import (
 // then drives the Phase 2-2 single-loop aggregation (edge-device
 // bidirectional single-loop interaction) over the session API: a
 // round-scoped gather per round with optional straggler cutoff, plus
-// the control plane that lets churned devices resync mid-loop. Each
-// set-up step is one function below; the loop is edge_round.go.
-func (s *System) runEdge(ctx context.Context, edgeID int) error {
+// the control plane that lets churned devices resync mid-loop, and
+// ends with the cluster's reports. Each set-up step is one function
+// below; the loop is edge_round.go.
+func (s *System) runEdge(ctx context.Context, edgeID int) ([]DeviceReport, error) {
 	name := edgeName(edgeID)
 	members := s.clusters[edgeID]
 	rng := rand.New(rand.NewSource(s.Cfg.Seed + 2000 + int64(edgeID)))
@@ -33,18 +34,18 @@ func (s *System) runEdge(ctx context.Context, edgeID int) error {
 
 	shards, err := s.edgeGatherSetup(ctx, ses, edgeID)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.send(transport.KindStats, name, "cloud", s.clusterStats(edgeID)); err != nil {
-		return err
+		return nil, err
 	}
 	backbone, asg, err := s.edgeReceiveBackbone(ctx, ses)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pkg, err := s.searchHeader(backbone, asg, shards, rng)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Distribute backbone + header to devices: one encoding, the same
 	// read-only bytes to every member. The package is kept for the rest
@@ -52,11 +53,11 @@ func (s *System) runEdge(ctx context.Context, edgeID int) error {
 	// when it resyncs mid-loop.
 	payload, raw, err := s.encodePayload(transport.KindHeader, pkg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, di := range members {
 		if err := s.sendRaw(transport.KindHeader, name, s.devices[di].Name(), 0, payload, raw); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -70,24 +71,34 @@ func (s *System) runEdge(ctx context.Context, edgeID int) error {
 	// re-enter through the RESYNC-REQUEST control path.
 	sim, err := s.similarityMatrix(members, shards, rng)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	st := s.newEdgeState(edgeID, ses, pkg, sim)
-	return s.edgeRounds(ctx, st)
+	return s.serveCluster(ctx, s.newEdgeState(edgeID, ses, pkg, sim))
 }
 
-// preLoopControl is the edge's control plane before the loop exists. A
-// RESYNC-REQUEST this early (a device restarted with -rejoin before the
-// run reached the loop) cannot be served — the model package does not
-// exist yet — and must not kill the healthy run: it is dropped,
-// stalling only the mistimed rejoiner. A LEAVE here still fails the
-// gather: setup needs every device's shard.
+// serveCluster plays the loop from st, then the report phase, which
+// lets the rest of st — shadows, downlink encoders, the previous round's
+// sets, the detector — go while the devices finish their last epoch.
+func (s *System) serveCluster(ctx context.Context, st *edgeState) ([]DeviceReport, error) {
+	if err := s.edgeRounds(ctx, st); err != nil {
+		return nil, err
+	}
+	return awaitReports(ctx, st.ses, st.posByName, st.idByPos, st.departed)
+}
+
+// preLoopControl is the edge's control plane before the loop exists,
+// and the report phase's for anything but a LEAVE. A RESYNC-REQUEST
+// this early (a device restarted with -rejoin before the run reached
+// the loop) cannot be served — the model package does not exist yet —
+// and must not kill the healthy run: it is dropped, stalling only the
+// mistimed rejoiner (after the loop, there is no round left to rejoin).
+// A LEAVE here still fails the gather: setup needs every device's shard.
 func preLoopControl(msg transport.Message, rec wire.ControlRecord) (bool, error) {
 	switch rec.Type {
 	case wire.ControlJoin, wire.ControlResyncRequest:
 		return false, nil
 	default:
-		return false, fmt.Errorf("unexpected %v control from %s during setup", rec.Type, msg.From)
+		return false, fmt.Errorf("unexpected %v control from %s outside the loop", rec.Type, msg.From)
 	}
 }
 
@@ -446,22 +457,11 @@ func (st *edgeState) resetChains(p int) {
 	}
 }
 
-// depart drops position p from the remaining rounds. The collector is
-// waiting for this device's report; tell it the member is gone so the
-// run can end without it. Only the edge can: the device's LEAVE reaches
-// the peers it had live links to, and a device that dies pre-report
-// never spoke to the collector at all.
-func (st *edgeState) depart(p int) error {
-	if !st.departed[p] {
-		if err := st.ses.SendControl("collector", wire.ControlRecord{
-			Type: wire.ControlMemberGone, Node: st.name, Device: st.idByPos[p],
-		}); err != nil {
-			return err
-		}
-	}
+// depart drops position p from the remaining rounds and from the
+// report phase's wait.
+func (st *edgeState) depart(p int) {
 	st.departed[p] = true
 	st.shadows[p] = deltaDecoder{}
-	return nil
 }
 
 // sendCutoff tells one device its round was combined without it (or,
@@ -505,4 +505,68 @@ func posOf(pos map[int]int, msg transport.Message, devID int) (int, error) {
 		return 0, fmt.Errorf("%v from %s for unknown device %d", msg.Kind, msg.From, devID)
 	}
 	return p, nil
+}
+
+// awaitReports is the edge's report phase. It keeps nothing of the loop
+// but each member's position by node name, its device ID and whether it
+// departed. A member's last message is its DeviceReport; the phase ends
+// once every member has reported or departed and returns the reports in
+// DeviceID order. It takes exactly one report per member, sent by that
+// member. A member's LEAVE departs it: it will never report. JOIN, a
+// non-member's LEAVE and a RESYNC-REQUEST are noise, as before the
+// loop, and an upload arriving now — a cut straggler's, after the last
+// gather — is dropped unread.
+func awaitReports(ctx context.Context, ses *transport.Session, posByName map[string]int, idByPos []int, departed []bool) ([]DeviceReport, error) {
+	reports := make([]DeviceReport, 0, len(idByPos))
+	reported := make([]bool, len(idByPos))
+	done := func() bool {
+		for p, gone := range departed {
+			if !gone && !reported[p] {
+				return false
+			}
+		}
+		return true
+	}
+	var err error
+	if !done() {
+		err = ses.Receive(ctx, func(msg transport.Message) (bool, error) {
+			p, member := posByName[msg.From]
+			switch msg.Kind {
+			case transport.KindReport:
+				var rep DeviceReport
+				if err := wire.Decode(msg.Payload, &rep); err != nil {
+					return false, fmt.Errorf("decode %v from %s: %w", msg.Kind, msg.From, err)
+				}
+				switch {
+				case !member:
+					return false, fmt.Errorf("%v from %s, which is not a member", msg.Kind, msg.From)
+				case idByPos[p] != rep.DeviceID:
+					return false, fmt.Errorf("%v from %s is for device %d", msg.Kind, msg.From, rep.DeviceID)
+				case reported[p]:
+					return false, fmt.Errorf("duplicate %v from %s", msg.Kind, msg.From)
+				}
+				reported[p] = true
+				reports = append(reports, rep)
+			case transport.KindImportanceSet, transport.KindImportanceDelta:
+				// A cut straggler's upload, after the last gather.
+			case transport.KindControl:
+				rec, err := transport.ParseControl(msg)
+				if err != nil {
+					return false, err
+				}
+				if rec.Type != wire.ControlLeave {
+					_, err = preLoopControl(msg, rec)
+					return false, err
+				}
+				if member {
+					departed[p] = true
+				}
+			default:
+				return false, fmt.Errorf("unexpected %v from %s during the report phase", msg.Kind, msg.From)
+			}
+			return done(), nil
+		})
+	}
+	sort.Slice(reports, func(i, j int) bool { return reports[i].DeviceID < reports[j].DeviceID })
+	return reports, err
 }

@@ -335,29 +335,18 @@ func (r *edgeRound) control(msg transport.Message, rec wire.ControlRecord) (bool
 			// it is waiting on (the TestChurnRejoinTCP hang).
 			return false, nil
 		}
-		if err := r.depart(p); err != nil {
-			return false, err
-		}
+		r.depart(p)
 		return true, nil
 	case wire.ControlResyncRequest:
 		p, ok := r.pos[rec.Device]
 		if !ok || r.nameByPos[p] != msg.From {
 			return false, fmt.Errorf("%v from %s for device %d outside cluster %d", rec.Type, msg.From, rec.Device, r.edgeID)
 		}
-		if r.departed[p] {
-			// Undo the MEMBER-GONE: the member is back in the
-			// loop, so the collector must wait for its report
-			// again.
-			if err := r.ses.SendControl("collector", wire.ControlRecord{
-				Type: wire.ControlMemberBack, Node: r.name, Device: rec.Device,
-			}); err != nil {
-				return false, err
-			}
-		}
 		// Dense re-seed: both directions of the device's delta
 		// exchange restart cold, and the device re-enters the
 		// loop next round with a fresh copy of the model
-		// package (its local state died with it).
+		// package (its local state died with it). A departed
+		// member is back: the report phase waits for it again.
 		r.resetChains(p)
 		r.departed[p] = false
 		r.rejoinRound[p] = r.t + 1
@@ -398,15 +387,12 @@ func (r *edgeRound) screen() error {
 	}
 	for _, p := range verdict.Evicted {
 		r.rs.EvictedDevices = append(r.rs.EvictedDevices, r.idByPos[p])
-		// Registry eviction: epoch bump, MEMBER-GONE to the
-		// collector (stop waiting for this device's report), and
-		// the eviction notice to the device itself — its signal
-		// to exit without reporting. The device is dropped from
-		// every remaining round.
+		// Registry eviction: epoch bump, and the MEMBER-GONE
+		// eviction notice to the device itself — its signal to
+		// exit without reporting. The device is dropped from
+		// every remaining round and from the report wait.
 		r.reg.Leave(r.nameByPos[p])
-		if err := r.depart(p); err != nil {
-			return err
-		}
+		r.depart(p)
 		_ = r.ses.SendControl(r.nameByPos[p], wire.ControlRecord{
 			Type: wire.ControlMemberGone, Device: r.idByPos[p], Round: r.t,
 		})
@@ -503,8 +489,8 @@ func (r *edgeRound) downlink(combined []*importance.Set, done bool) {
 			// via resync. A transport that is broken rather than
 			// churned surfaces at the next round's gather — or, on
 			// the final round, as a CutoffCount in this round's
-			// stats and a device that never reports (the
-			// collector's timeout is the backstop).
+			// stats and a device that never reports (the run's
+			// timeout is the backstop).
 			r.resetChains(i)
 			r.rs.CutoffCount++
 			// If the device is actually alive behind a transient

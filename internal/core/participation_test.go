@@ -143,59 +143,15 @@ func TestSampledRejoinReseedsDense(t *testing.T) {
 	tap := &exchangeTap{Network: sys.Net, device: victim, onUpload: func() { once.Do(kill) },
 		upDense: map[int][]bool{}, downDense: map[int][]bool{}}
 	sys.Net = tap
-
-	var (
-		wg        sync.WaitGroup
-		dead      = make(chan struct{})
-		mu        sync.Mutex
-		collected *Result
-		failures  []error
-	)
-	for _, role := range sys.RoleNames() {
-		role := role
-		runCtx := ctx
-		if role == victim {
-			runCtx = victimCtx
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := sys.RunRole(runCtx, role)
-			if role == victim {
-				close(dead)
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				failures = append(failures, fmt.Errorf("%s: %w", role, err))
-				cancel()
-			}
-			if res != nil {
-				collected = res
-			}
-		}()
-	}
+	run := startRoles(ctx, cancel, sys.RoleNames(), func(string) *System { return sys }, victim, victimCtx)
 	select {
-	case <-dead:
+	case <-run.victimDone:
 	case <-ctx.Done():
 		t.Fatal("victim never died")
 	}
-	if err := sys.RejoinRole(ctx, victim); err != nil {
-		t.Errorf("rejoin: %v", err)
-		cancel()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	if collected == nil || len(collected.Reports) != len(sys.Devices()) {
-		t.Fatalf("run completed without every device reporting: %+v", collected)
+	run.finish("rejoined "+victim, nil, sys.RejoinRole(ctx, victim))
+	if reports := run.wait(t); len(reports) != len(sys.Devices()) {
+		t.Fatalf("run completed without every device reporting: %+v", reports)
 	}
 
 	// The edge stamped the re-entry round on the resync it served.

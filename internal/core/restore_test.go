@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"reflect"
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,12 +20,6 @@ func restoreConfig(dir string) Config {
 	cfg.Wire.DeltaImportance = true
 	cfg.Checkpoint.Path = dir
 	return cfg
-}
-
-func sortedReports(res *Result) []DeviceReport {
-	reports := append([]DeviceReport(nil), res.Reports...)
-	sort.Slice(reports, func(i, j int) bool { return reports[i].DeviceID < reports[j].DeviceID })
-	return reports
 }
 
 // runPlain runs cfg end to end on the in-memory transport.
@@ -69,8 +60,8 @@ func awaitEdgeSnapshot(t *testing.T, path string, minRound int) int {
 // TestRestoreEquivalenceMemory is the tentpole's core claim: a run in
 // which an edge is killed mid-loop and restored from its checkpoint
 // produces byte-identical device reports to the same seeded run left
-// uninterrupted. Equality is judged on the collector's reports — the
-// run's scientific output — not on traffic counters, which legitimately
+// uninterrupted. Equality is judged on the edges' reports — the run's
+// scientific output — not on traffic counters, which legitimately
 // count the retransmissions.
 func TestRestoreEquivalenceMemory(t *testing.T) {
 	cfg := restoreConfig(t.TempDir())
@@ -83,9 +74,9 @@ func TestRestoreEquivalenceMemory(t *testing.T) {
 
 	baseCfg := cfg
 	baseCfg.Checkpoint = CheckpointOptions{}
-	want := sortedReports(runPlain(t, baseCfg))
+	want := runPlain(t, baseCfg).Reports
 
-	got := sortedReports(runKillRestore(t, cfg, edgeName(slowEdge)))
+	got := runKillRestore(t, cfg, edgeName(slowEdge))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("kill-and-restore run diverged from the uninterrupted run:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -109,9 +100,9 @@ func TestRestoreEquivalenceSampledMemory(t *testing.T) {
 
 	baseCfg := cfg
 	baseCfg.Checkpoint = CheckpointOptions{}
-	want := sortedReports(runPlain(t, baseCfg))
+	want := runPlain(t, baseCfg).Reports
 
-	got := sortedReports(runKillRestore(t, cfg, edgeName(slowEdge)))
+	got := runKillRestore(t, cfg, edgeName(slowEdge))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sampled kill-and-restore run diverged from the uninterrupted run:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -119,8 +110,9 @@ func TestRestoreEquivalenceSampledMemory(t *testing.T) {
 
 // runKillRestore runs cfg on the in-memory transport, kills the named
 // edge once its checkpoint proves the loop is mid-flight, restores it
-// from the snapshot, and returns the collector's result.
-func runKillRestore(t *testing.T, cfg Config, victim string) *Result {
+// from the snapshot, and returns the edges' reports, the restored
+// edge's among them.
+func runKillRestore(t *testing.T, cfg Config, victim string) []DeviceReport {
 	t.Helper()
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -130,65 +122,18 @@ func runKillRestore(t *testing.T, cfg Config, victim string) *Result {
 	defer cancel()
 	victimCtx, kill := context.WithCancel(ctx)
 	defer kill()
-
-	var (
-		wg        sync.WaitGroup
-		edgeDead  sync.WaitGroup
-		mu        sync.Mutex
-		collected *Result
-		failures  []error
-	)
-	for _, role := range sys.RoleNames() {
-		role := role
-		runCtx := ctx
-		if role == victim {
-			runCtx = victimCtx
-			edgeDead.Add(1)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if role == victim {
-				defer edgeDead.Done()
-			}
-			res, err := sys.RunRole(runCtx, role)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && role != victim {
-				failures = append(failures, fmt.Errorf("%s: %w", role, err))
-				cancel()
-				return
-			}
-			if res != nil {
-				collected = res
-			}
-		}()
-	}
+	run := startRoles(ctx, cancel, sys.RoleNames(), func(string) *System { return sys }, victim, victimCtx)
 
 	// Kill the edge once its snapshot proves the loop is mid-flight,
 	// then wait for the goroutine to die (its snapshot writer must
 	// release the file before the resumed instance opens it).
 	awaitEdgeSnapshot(t, sys.checkpointFile(victim), 2)
 	kill()
-	edgeDead.Wait()
+	<-run.victimDone
 
-	if err := sys.ResumeRole(ctx, victim); err != nil {
-		t.Errorf("resume %s: %v", victim, err)
-		cancel()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	if collected == nil {
-		t.Fatal("collector returned no result")
-	}
-	return collected
+	res, err := sys.ResumeRole(ctx, victim)
+	run.finish("resumed "+victim, res, err)
+	return run.wait(t)
 }
 
 // TestCheckpointContinuity: arming checkpoints without any crash must
@@ -200,8 +145,8 @@ func TestCheckpointContinuity(t *testing.T) {
 
 	baseCfg := cfg
 	baseCfg.Checkpoint = CheckpointOptions{}
-	want := sortedReports(runPlain(t, baseCfg))
-	got := sortedReports(runPlain(t, cfg))
+	want := runPlain(t, baseCfg).Reports
+	got := runPlain(t, cfg).Reports
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpointing changed the run's reports:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -244,7 +189,7 @@ func TestRestoreSmokeTCP(t *testing.T) {
 
 	baseCfg := cfg
 	baseCfg.Checkpoint = CheckpointOptions{}
-	want := sortedReports(runPlain(t, baseCfg))
+	want := runPlain(t, baseCfg).Reports
 
 	probe, err := NewSystem(cfg)
 	if err != nil {
@@ -258,54 +203,18 @@ func TestRestoreSmokeTCP(t *testing.T) {
 			n.Close()
 		}
 	}()
+	systems := roleSystems(t, cfg, nets)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 	victimCtx, kill := context.WithCancel(ctx)
 	defer kill()
-
-	var (
-		wg        sync.WaitGroup
-		edgeDead  sync.WaitGroup
-		mu        sync.Mutex
-		collected *Result
-		failures  []error
-	)
-	for _, role := range roles {
-		sys, err := NewSystemWithNetwork(cfg, nets[role])
-		if err != nil {
-			t.Fatal(err)
-		}
-		role := role
-		runCtx := ctx
-		if role == victim {
-			runCtx = victimCtx
-			edgeDead.Add(1)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if role == victim {
-				defer edgeDead.Done()
-			}
-			res, err := sys.RunRole(runCtx, role)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && role != victim {
-				failures = append(failures, fmt.Errorf("%s: %w", role, err))
-				cancel()
-				return
-			}
-			if res != nil {
-				collected = res
-			}
-		}()
-	}
+	run := startRoles(ctx, cancel, roles, func(role string) *System { return systems[role] }, victim, victimCtx)
 
 	awaitEdgeSnapshot(t, probe.checkpointFile(victim), 2)
 	kill()
 	nets[victim].Close()
-	edgeDead.Wait()
+	<-run.victimDone
 
 	// Restart the edge on the same address — exactly what a supervisor
 	// restarting the acmenode process would do — and restore.
@@ -318,24 +227,9 @@ func TestRestoreSmokeTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rebornSys.ResumeRole(ctx, victim); err != nil {
-		t.Errorf("resume %s: %v", victim, err)
-		cancel()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	if collected == nil {
-		t.Fatal("collector returned no result")
-	}
-	got := sortedReports(collected)
-	if !reflect.DeepEqual(got, want) {
+	res, err := rebornSys.ResumeRole(ctx, victim)
+	run.finish("resumed "+victim, res, err)
+	if got := run.wait(t); !reflect.DeepEqual(got, want) {
 		t.Fatalf("TCP kill-and-restore run diverged from the uninterrupted run:\ngot  %+v\nwant %+v", got, want)
 	}
 }
@@ -368,40 +262,7 @@ func TestDeviceRestoreWarmRejoin(t *testing.T) {
 	defer cancel()
 	victimCtx, kill := context.WithCancel(ctx)
 	defer kill()
-
-	var (
-		wg        sync.WaitGroup
-		devDead   sync.WaitGroup
-		mu        sync.Mutex
-		collected *Result
-		failures  []error
-	)
-	for _, role := range sys.RoleNames() {
-		role := role
-		runCtx := ctx
-		if role == victim {
-			runCtx = victimCtx
-			devDead.Add(1)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if role == victim {
-				defer devDead.Done()
-			}
-			res, err := sys.RunRole(runCtx, role)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && role != victim {
-				failures = append(failures, fmt.Errorf("%s: %w", role, err))
-				cancel()
-				return
-			}
-			if res != nil {
-				collected = res
-			}
-		}()
-	}
+	run := startRoles(ctx, cancel, sys.RoleNames(), func(string) *System { return sys }, victim, victimCtx)
 
 	// Kill the device once it has persisted at least one snapshot.
 	path := sys.checkpointFile(victim)
@@ -417,28 +278,15 @@ func TestDeviceRestoreWarmRejoin(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	kill()
-	devDead.Wait()
+	<-run.victimDone
 
-	if err := sys.ResumeRole(ctx, victim); err != nil {
-		t.Errorf("resume %s: %v", victim, err)
-		cancel()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	if collected == nil {
-		t.Fatal("collector returned no result")
-	}
-	if got, want := len(collected.Reports), len(sys.Devices()); got != want {
+	res, err := sys.ResumeRole(ctx, victim)
+	run.finish("resumed "+victim, res, err)
+	reports := run.wait(t)
+	if got, want := len(reports), len(sys.Devices()); got != want {
 		t.Fatalf("restored-device run completed with %d reports, want %d", got, want)
 	}
-	checkSavedModels(t, sys, cfg.CheckpointDir, collected.Reports)
+	checkSavedModels(t, sys, cfg.CheckpointDir, reports)
 }
 
 // TestCheckpointValidation pins the config contract around the
@@ -463,7 +311,7 @@ func TestCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.ResumeRole(context.Background(), "edge-0"); err == nil {
+	if _, err := sys.ResumeRole(context.Background(), "edge-0"); err == nil {
 		t.Fatal("ResumeRole without a checkpoint path accepted")
 	}
 }
@@ -483,7 +331,7 @@ func TestResumeRejectsForeignSnapshot(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := sys.ResumeRole(ctx, edgeName(0)); err == nil {
+	if _, err := sys.ResumeRole(ctx, edgeName(0)); err == nil {
 		t.Fatal("edge resume accepted a snapshot from a different seed")
 	}
 }

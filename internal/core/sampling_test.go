@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -92,47 +90,11 @@ func TestSamplingDeterminismMemoryTCP(t *testing.T) {
 			n.Close()
 		}
 	}()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		edgeSys  []*System
-		failures []error
-	)
-	for _, role := range roles {
-		sys, err := NewSystemWithNetwork(cfg, nets[role])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for e := range sys.Clusters() {
-			if role == edgeName(e) {
-				edgeSys = append(edgeSys, sys)
-			}
-		}
-		role := role
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := sys.RunRole(ctx, role); err != nil {
-				mu.Lock()
-				failures = append(failures, fmt.Errorf("%s: %w", role, err))
-				mu.Unlock()
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
+	systems := roleSystems(t, cfg, nets)
+	startRoles(ctx, cancel, roles, func(role string) *System { return systems[role] }, "", nil).wait(t)
 	var tcpRounds []Phase2RoundStat
-	for _, sys := range edgeSys {
-		tcpRounds = append(tcpRounds, sys.phase2RoundsCopy()...)
+	for e := range probe.Clusters() {
+		tcpRounds = append(tcpRounds, systems[edgeName(e)].phase2RoundsCopy()...)
 	}
 	tcpTrace := traceOf(tcpRounds)
 	if !reflect.DeepEqual(memTrace, tcpTrace) {
@@ -143,9 +105,8 @@ func TestSamplingDeterminismMemoryTCP(t *testing.T) {
 // TestLeaveShrinksRoundTCP: a device that dies before its first upload
 // must shrink the round instead of hanging it — with no straggler
 // cutoff configured, the edge's gather unblocks on the role-level
-// LEAVE, combines over the remaining members, and forwards a
-// MEMBER-GONE so the collector stops waiting for the dead device's
-// report.
+// LEAVE, combines over the remaining members, and the report phase
+// does not wait for the dead device's report.
 func TestLeaveShrinksRoundTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-role TCP cluster with churn")
@@ -177,44 +138,13 @@ func TestLeaveShrinksRoundTCP(t *testing.T) {
 			n.Close()
 		}
 	}()
+	systems := roleSystems(t, cfg, nets)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 	victimCtx, killVictim := context.WithCancel(ctx)
 	defer killVictim()
-
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		collected *Result
-		failures  []error
-	)
-	for _, role := range roles {
-		sys, err := NewSystemWithNetwork(cfg, nets[role])
-		if err != nil {
-			t.Fatal(err)
-		}
-		role := role
-		runCtx := ctx
-		if role == victim {
-			runCtx = victimCtx
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := sys.RunRole(runCtx, role)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && role != victim {
-				failures = append(failures, fmt.Errorf("%s: %w", role, err))
-				cancel()
-				return
-			}
-			if res != nil {
-				collected = res
-			}
-		}()
-	}
+	run := startRoles(ctx, cancel, roles, func(role string) *System { return systems[role] }, victim, victimCtx)
 
 	// Kill the victim after setup (it received its model package) but
 	// before its first importance upload — the slow-device delay holds
@@ -238,22 +168,11 @@ func TestLeaveShrinksRoundTCP(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for _, err := range failures {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	if collected == nil {
-		t.Fatal("collector returned no result")
-	}
-	if got, want := len(collected.Reports), len(probe.Devices())-1; got != want {
+	reports := run.wait(t)
+	if got, want := len(reports), len(probe.Devices())-1; got != want {
 		t.Fatalf("run completed with %d reports, want %d (every member but the dead one)", got, want)
 	}
-	for _, rep := range collected.Reports {
+	for _, rep := range reports {
 		if rep.DeviceID == victimID {
 			t.Fatalf("dead device %d reported", victimID)
 		}

@@ -332,44 +332,46 @@ func (snap *EdgeSnapshot) restoreInto(st *edgeState) error {
 // ResumeRole restores a crashed role from its checkpoint and re-enters
 // the run in progress. An edge re-enters its Phase 2-2 loop exactly
 // where the snapshot left it, broadcasting SESSION-RESUME so its
-// devices retransmit the uploads the crash may have swallowed. A
-// device warm-rejoins through the RESYNC machinery, keeping its
-// checkpointed model; with no usable snapshot it falls back to the
-// plain dense rejoin (RejoinRole semantics).
-func (s *System) ResumeRole(ctx context.Context, role string) error {
+// devices retransmit the uploads the crash may have swallowed, and
+// returns its cluster's reports like RunRole. A device warm-rejoins
+// through the RESYNC machinery, keeping its checkpointed model; with no
+// usable snapshot it falls back to the plain dense rejoin (RejoinRole
+// semantics). Devices report only after their edge's final Done, so an
+// edge killed after any reported cannot be restored: they have exited.
+func (s *System) ResumeRole(ctx context.Context, role string) (*Result, error) {
 	if !s.Cfg.Checkpoint.Enabled() {
-		return fmt.Errorf("core: resume requires Config.Checkpoint.Path")
+		return nil, fmt.Errorf("core: resume requires Config.Checkpoint.Path")
 	}
 	if e, di, ok := s.roleOf(role); ok {
 		if di < 0 {
-			return s.resumeEdge(ctx, e)
+			return s.edgeResult(s.resumeEdge(ctx, e))
 		}
-		return s.resumeDevice(ctx, e, di)
+		return nil, s.resumeDevice(ctx, e, di)
 	}
-	return fmt.Errorf("core: only edge and device roles can resume, got %q", role)
+	return nil, fmt.Errorf("core: only edge and device roles can resume, got %q", role)
 }
 
 // resumeEdge restores an edge's loop state from its snapshot and
 // re-runs the loop from the snapshot round. A missing or mismatched
 // edge snapshot is a hard error: the edge's loop state exists nowhere
 // else (the cloud is gone), so there is nothing to fall back to.
-func (s *System) resumeEdge(ctx context.Context, edgeID int) error {
+func (s *System) resumeEdge(ctx context.Context, edgeID int) ([]DeviceReport, error) {
 	name := edgeName(edgeID)
 	var snap EdgeSnapshot
 	if err := checkpoint.ReadFile(s.checkpointFile(name), &snap); err != nil {
-		return fmt.Errorf("core: restore %s: %w", name, err)
+		return nil, fmt.Errorf("core: restore %s: %w", name, err)
 	}
 	if snap.RunTag != s.Cfg.runTag() {
-		return fmt.Errorf("core: restore %s: snapshot is from a different run (tag %s, want %s)",
+		return nil, fmt.Errorf("core: restore %s: snapshot is from a different run (tag %s, want %s)",
 			name, snap.RunTag, s.Cfg.runTag())
 	}
 	if snap.EdgeID != edgeID {
-		return fmt.Errorf("core: restore %s: snapshot belongs to edge %d", name, snap.EdgeID)
+		return nil, fmt.Errorf("core: restore %s: snapshot belongs to edge %d", name, snap.EdgeID)
 	}
 	ses := transport.NewSession(name, s.Net)
 	st := s.newEdgeState(edgeID, ses, snap.Pkg, snap.Sim)
 	if err := snap.restoreInto(st); err != nil {
-		return err
+		return nil, err
 	}
 	// Tell the cluster the edge is back: every device holding a
 	// buffered upload for the resume round or later retransmits it,
@@ -384,7 +386,7 @@ func (s *System) resumeEdge(ctx context.Context, edgeID int) error {
 			Device: st.idByPos[p], Round: snap.Round,
 		})
 	}
-	return s.edgeRounds(ctx, st)
+	return s.serveCluster(ctx, st)
 }
 
 // resumeDevice warm-rejoins a restored device: the normal RESYNC

@@ -56,19 +56,16 @@ func TestFunctionLengthCeiling(t *testing.T) {
 	}
 }
 
-// TestDeviceRoleReceivesThroughSession pins the device role's receive
-// discipline: it never calls a bare Recv, whose result the caller must
-// remember to Release on every path, only Session.Receive, which
-// releases each frame when the handler returns (pinned in turn by
-// transport's TestSessionReceiveReleasesEveryFrame).
+// TestDeviceRoleReceivesThroughSession pins every role's receive
+// discipline, the device's first among them: no code in this package
+// calls a bare Recv, whose result the caller must remember to Release
+// on every path, only Session.Receive (or Gather), which releases each
+// frame when the handler returns (pinned in turn by transport's
+// TestSessionReceiveReleasesEveryFrame).
 func TestDeviceRoleReceivesThroughSession(t *testing.T) {
 	fset, files := parseNonTest(t)
 	receives := 0
 	for _, f := range files {
-		name := fset.Position(f.Pos()).Filename
-		if !strings.HasPrefix(name, "device") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -80,7 +77,7 @@ func TestDeviceRoleReceivesThroughSession(t *testing.T) {
 			}
 			switch sel.Sel.Name {
 			case "Recv":
-				t.Errorf("%s: device-role code calls %s directly; wait through Session.Receive so the frame is released on every path",
+				t.Errorf("%s: calls %s directly; wait through Session.Receive so the frame is released on every path",
 					fset.Position(call.Pos()), sel.Sel.Name)
 			case "Receive":
 				receives++
@@ -89,6 +86,6 @@ func TestDeviceRoleReceivesThroughSession(t *testing.T) {
 		})
 	}
 	if receives == 0 {
-		t.Fatal("found no Session.Receive call in device*.go: the check is looking at the wrong files")
+		t.Fatal("found no Session.Receive call: the check is looking at the wrong files")
 	}
 }

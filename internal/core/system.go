@@ -238,7 +238,6 @@ func NewSystem(cfg Config) (*System, error) {
 	for _, d := range devices {
 		mem.Register(d.Name(), 64)
 	}
-	mem.Register("collector", 4*len(devices))
 	if cfg.Chaos.Enabled {
 		// The chaos wrapper perturbs delivery timing and order, never
 		// payloads, so seeded Results are identical with it on or off.
@@ -404,6 +403,7 @@ func (s *System) Run(ctx context.Context) (*Result, error) {
 	// collected (and joined) rather than first-write-wins.
 	errc := make(chan error, 1+len(s.clusters)+len(s.devices))
 	var wg sync.WaitGroup
+	clusterReports := make([][]DeviceReport, len(s.clusters))
 
 	launch := func(name string, fn func(context.Context) error) {
 		wg.Add(1)
@@ -418,24 +418,18 @@ func (s *System) Run(ctx context.Context) (*Result, error) {
 
 	launch("cloud", s.runCloud)
 	for e := range s.clusters {
-		e := e
-		launch(edgeName(e), func(ctx context.Context) error { return s.runEdge(ctx, e) })
+		launch(edgeName(e), func(ctx context.Context) (err error) {
+			clusterReports[e], err = s.runEdge(ctx, e)
+			return err
+		})
 	}
 	for e, members := range s.clusters {
 		for _, di := range members {
-			e, di := e, di
 			launch(s.devices[di].Name(), func(ctx context.Context) error { return s.runDevice(ctx, e, di) })
 		}
 	}
-
-	// Collect device reports.
-	reports, collectErr := s.collectReports(ctx)
 	wg.Wait()
 	close(errc)
-	// A failing role cancels ctx, which also aborts the collector with
-	// a context error — the role errors are the cause, the collector
-	// error just noise. Join every role error; surface collectErr only
-	// when no role failed.
 	var roleErrs []error
 	for err := range errc {
 		roleErrs = append(roleErrs, err)
@@ -443,9 +437,14 @@ func (s *System) Run(ctx context.Context) (*Result, error) {
 	if err := errors.Join(roleErrs...); err != nil {
 		return nil, err
 	}
-	if collectErr != nil {
-		return nil, fmt.Errorf("core: collect: %w", collectErr)
+	// Each edge ends with its cluster's reports; the run's are their
+	// merge in DeviceID order, not arrival order, so a seeded Result — and
+	// the means summed over it — do not depend on who finished first.
+	reports := make([]DeviceReport, 0, len(s.devices))
+	for _, cr := range clusterReports {
+		reports = append(reports, cr...)
 	}
+	sort.Slice(reports, func(i, j int) bool { return reports[i].DeviceID < reports[j].DeviceID })
 
 	res := &Result{
 		Reports:      reports,
@@ -472,72 +471,6 @@ func (s *System) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// collectReports is the collector role's loop, shared by Run and
-// RunRole: one KindReport per device ends the run, but a device that
-// churns away pre-report must not hang it forever — its edge, the only
-// node guaranteed to observe the departure, announces a MEMBER-GONE,
-// and the collector stops waiting for that device. A MEMBER-BACK (the
-// device resynced into the loop) re-arms the wait for its report.
-//
-// Reports come back in DeviceID order, not arrival order, so a seeded
-// run's Result — and the means summed over it — do not depend on which
-// device finished first. Every frame is released once handled, on the
-// error returns too: a DeviceReport is scalars, nothing aliases it.
-func (s *System) collectReports(ctx context.Context) ([]DeviceReport, error) {
-	reports := make([]DeviceReport, 0, len(s.devices))
-	reported := make(map[int]bool, len(s.devices))
-	gone := make(map[int]bool)
-	handle := func(msg transport.Message) error {
-		switch msg.Kind {
-		case transport.KindReport:
-			var rep DeviceReport
-			if err := wire.Decode(msg.Payload, &rep); err != nil {
-				return fmt.Errorf("decode %v from %s: %w", msg.Kind, msg.From, err)
-			}
-			if reported[rep.DeviceID] {
-				return fmt.Errorf("duplicate report from %s for device %d", msg.From, rep.DeviceID)
-			}
-			reported[rep.DeviceID] = true
-			delete(gone, rep.DeviceID)
-			reports = append(reports, rep)
-		case transport.KindControl:
-			rec, err := transport.ParseControl(msg)
-			if err != nil {
-				return err
-			}
-			switch rec.Type {
-			case wire.ControlMemberGone:
-				if !reported[rec.Device] {
-					gone[rec.Device] = true
-				}
-			case wire.ControlMemberBack:
-				delete(gone, rec.Device)
-			case wire.ControlJoin, wire.ControlLeave:
-				// Link lifecycle noise: on TCP every reporting device
-				// JOINs the collector's listener and LEAVEs on Close.
-			default:
-				return fmt.Errorf("unexpected %v control from %s at collector", rec.Type, msg.From)
-			}
-		default:
-			return fmt.Errorf("unexpected %v from %s at collector", msg.Kind, msg.From)
-		}
-		return nil
-	}
-	for len(reported)+len(gone) < len(s.devices) {
-		msg, err := s.Net.Recv(ctx, "collector")
-		if err != nil {
-			return reports, err
-		}
-		err = handle(msg)
-		msg.Release()
-		if err != nil {
-			return reports, err
-		}
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].DeviceID < reports[j].DeviceID })
-	return reports, nil
-}
-
 // networkStats returns the network's traffic counters when the
 // transport exposes them (the in-memory and TCP transports both do),
 // or empty counters otherwise.
@@ -550,28 +483,30 @@ func (s *System) networkStats() *transport.Stats {
 }
 
 // RunRole executes exactly one role of the pipeline over the system's
-// network: "cloud", "edge-N", "device-N", or "collector". Used when
-// each role runs in its own OS process (cmd/acmenode); every process
-// must construct the System from an identical Config. The collector
-// role receives one report per device and returns them via the Result.
+// network: "cloud", "edge-N" or "device-N". Used when each role runs in
+// its own OS process (cmd/acmenode); every process must construct the
+// System from an identical Config. An edge role returns its cluster's
+// reports, in DeviceID order, via the Result; the others return nil.
 func (s *System) RunRole(ctx context.Context, role string) (*Result, error) {
 	if role == "cloud" {
 		return nil, s.runCloud(ctx)
 	}
-	if role == "collector" {
-		reports, err := s.collectReports(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Reports: reports, Stats: s.networkStats()}, nil
-	}
 	if e, di, ok := s.roleOf(role); ok {
 		if di < 0 {
-			return nil, s.runEdge(ctx, e)
+			return s.edgeResult(s.runEdge(ctx, e))
 		}
 		return nil, s.runDevice(ctx, e, di)
 	}
 	return nil, fmt.Errorf("core: unknown role %q", role)
+}
+
+// edgeResult is what an edge role hands back: its cluster's reports and
+// this node's traffic counters.
+func (s *System) edgeResult(reports []DeviceReport, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Reports: reports, Stats: s.networkStats()}, nil
 }
 
 // RejoinRole re-enters a churned device into a run already in
@@ -612,7 +547,6 @@ func (s *System) RoleNames() []string {
 	for _, d := range s.devices {
 		names = append(names, d.Name())
 	}
-	names = append(names, "collector")
 	return names
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -110,10 +111,11 @@ func (n *scriptedNet) Recv(ctx context.Context, _ string) (transport.Message, er
 }
 
 // TestReportsInDeviceOrder: a seeded run's Result must not depend on
-// which device finished first. The collector returns reports in
-// DeviceID order, so the means — float sums, which are order-sensitive
-// in the last bit — come out bit-equal for every arrival order, and two
-// seeded runs have equal Reports without the caller sorting them.
+// which device finished first. An edge returns its cluster's reports in
+// DeviceID order, and Run merges the edges' in DeviceID order, so the
+// means — float sums, which are order-sensitive in the last bit — come
+// out bit-equal for every arrival order, and two seeded runs have equal
+// Reports without the caller sorting them.
 func TestReportsInDeviceOrder(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -123,7 +125,7 @@ func TestReportsInDeviceOrder(t *testing.T) {
 	collect := func(order []int) *Result {
 		t.Helper()
 		net := &scriptedNet{}
-		sys, err := NewSystemWithNetwork(tinyConfig(), net)
+		sys, err := NewSystemWithNetwork(oneCluster(4), net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,13 +135,14 @@ func TestReportsInDeviceOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net.msgs = append(net.msgs, transport.Message{Kind: transport.KindReport, From: "device", To: "collector", Payload: payload})
+			net.msgs = append(net.msgs, transport.Message{Kind: transport.KindReport,
+				From: fmt.Sprintf("device-%d", id), To: edgeName(0), Payload: payload})
 		}
-		res, err := sys.RunRole(ctx, "collector")
+		reports, err := reportPhase(ctx, sys, net)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return &Result{Reports: reports}
 	}
 	want := collect([]int{0, 1, 2, 3})
 	for _, order := range [][]int{{3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}} {

@@ -112,9 +112,9 @@ func slowDevice(sys *core.System) (deviceID, edgeID int, err error) {
 	return sys.Devices()[clusters[best][0]].ID, best, nil
 }
 
-// outcome is what one run of the pipeline leaves behind: the
-// collector's result, the traffic counters of every node (one set in
-// memory, one per role over TCP) and the wall it took.
+// outcome is what one run of the pipeline leaves behind: its result
+// (over TCP, the edges' reports), the traffic counters of every node
+// (one set in memory, one per role over TCP) and the wall it took.
 type outcome struct {
 	res   *core.Result
 	stats []*transport.Stats
@@ -201,11 +201,11 @@ func runTCP(ctx context.Context, cfg core.Config) (outcome, error) {
 
 // roleRun is a pipeline whose roles each run on their own goroutine.
 type roleRun struct {
-	wg        sync.WaitGroup
-	exited    map[string]chan struct{} // closed when that role's goroutine returns
-	mu        sync.Mutex
-	collected *core.Result
-	err       error
+	wg      sync.WaitGroup
+	exited  map[string]chan struct{} // closed when that role's goroutine returns
+	mu      sync.Mutex
+	reports []core.DeviceReport
+	err     error
 }
 
 // startRoles launches every role on the System sysOf names for it. The
@@ -213,7 +213,7 @@ type roleRun struct {
 // victimCtx and is expected to die with it.
 func startRoles(ctx context.Context, cancel context.CancelFunc, roles []string,
 	sysOf func(role string) *core.System, victim string, victimCtx context.Context) *roleRun {
-	r := &roleRun{exited: make(map[string]chan struct{}, len(roles))}
+	r := &roleRun{exited: make(map[string]chan struct{}, len(roles)), reports: []core.DeviceReport{}}
 	for _, role := range roles {
 		runCtx, exited := ctx, make(chan struct{})
 		if role == victim {
@@ -225,33 +225,40 @@ func startRoles(ctx context.Context, cancel context.CancelFunc, roles []string,
 			defer r.wg.Done()
 			defer close(exited)
 			res, err := sysOf(role).RunRole(runCtx, role)
-			r.mu.Lock()
-			defer r.mu.Unlock()
 			if err != nil && role != victim {
+				r.mu.Lock()
+				defer r.mu.Unlock()
 				if r.err == nil {
 					r.err = fmt.Errorf("%s: %w", role, err)
 				}
 				cancel()
 				return
 			}
-			if res != nil {
-				r.collected = res
-			}
+			r.add(res)
 		}()
 	}
 	return r
 }
 
-// wait returns the collector's result once every role has returned.
+// add merges an edge role's reports into the run's.
+func (r *roleRun) add(res *core.Result) {
+	if res == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reports = append(r.reports, res.Reports...)
+}
+
+// wait returns, once every role has returned, the edges' reports merged
+// in DeviceID order.
 func (r *roleRun) wait() (*core.Result, error) {
 	r.wg.Wait()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.collected == nil {
-		return nil, errors.New("collector returned no result")
-	}
-	return r.collected, nil
+	sort.Slice(r.reports, func(i, j int) bool { return r.reports[i].DeviceID < r.reports[j].DeviceID })
+	return &core.Result{Reports: r.reports}, nil
 }
 
 // bulkKinds are the kinds the entropy layer targets (core's eligibility
@@ -264,7 +271,7 @@ var bulkKinds = []transport.Kind{
 }
 
 // measureRounds reads the edges' round trace and the devices' compute
-// trace. Over TCP the roles are separate Systems and the collector's
+// trace. Over TCP the roles are separate Systems and the merged
 // result carries neither: there is nothing to read.
 func measureRounds(c cell, res *core.Result) *roundMetrics {
 	if len(res.Phase2Rounds) == 0 {
@@ -543,9 +550,11 @@ func runRestore(ctx context.Context, c cell) (*restoreMetrics, float64, error) {
 	if err == nil {
 		kill()
 		<-roles.exited[victim]
-		if err = sys.ResumeRole(ctx, victim); err != nil {
+		var res *core.Result
+		if res, err = sys.ResumeRole(ctx, victim); err != nil {
 			err = fmt.Errorf("resume %s: %w", victim, err)
 		}
+		roles.add(res)
 	}
 	if err != nil {
 		cancel()

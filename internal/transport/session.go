@@ -63,29 +63,21 @@ func (s *Session) Send(msg Message) error {
 	return s.net.Send(msg)
 }
 
-// Recv blocks until a message addressed to this session arrives.
-// Messages a previous gather buffered ahead of their round drain
-// first, in arrival order.
-func (s *Session) Recv(ctx context.Context) (Message, error) {
-	if len(s.pending) > 0 {
-		msg := s.pending[0]
-		s.pending = s.pending[1:]
-		return msg, nil
-	}
-	return s.net.Recv(ctx, s.node)
-}
-
 // Receive hands handle each message addressed to this session, in
-// arrival order, until handle reports done or fails, or ctx ends. It
-// is Recv with Gather's buffer contract: the frame is released when
-// handle returns — whatever it returns — so on a pooling transport the
+// arrival order (messages a previous gather buffered ahead of their
+// round first), until handle reports done or fails, or ctx ends. It
+// has Gather's buffer contract: the frame is released when handle
+// returns — whatever it returns — so on a pooling transport the
 // payload, and anything decoded zero-copy out of it, is only valid
 // inside handle. A role that waits through Receive cannot leak a frame
 // on an early return.
 func (s *Session) Receive(ctx context.Context, handle func(Message) (done bool, err error)) error {
 	for {
-		msg, err := s.Recv(ctx)
-		if err != nil {
+		var msg Message
+		var err error
+		if len(s.pending) > 0 {
+			msg, s.pending = s.pending[0], s.pending[1:]
+		} else if msg, err = s.net.Recv(ctx, s.node); err != nil {
 			return err
 		}
 		done, err := handle(msg)

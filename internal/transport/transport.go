@@ -32,7 +32,7 @@ const (
 	KindProvision                           // out-of-band setup: shared data already stored at the edge
 	KindImportanceDelta                     // device → edge: importance set as a delta vs round t−1
 	KindImportanceDownDelta                 // edge → device: personalized set as a delta vs round t−1
-	KindReport                              // device → collector: end-of-run result report
+	KindReport                              // device → edge: end-of-run result report, the device's last message
 )
 
 // String implements fmt.Stringer.

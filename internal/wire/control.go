@@ -19,10 +19,9 @@ const (
 	ControlJoin ControlType = iota + 1
 	// ControlLeave announces a deliberate teardown: the peer is going
 	// away and reconnect attempts are pointless. Sent best-effort on
-	// Close and consumed by the TCP link layer (peers fail fast). An
-	// edge that does see one at role level (in-memory transports, or a
-	// future membership protocol) drops the device from the remaining
-	// rounds — today that path is defensive, not load-bearing.
+	// Close and consumed by the TCP link layer (peers fail fast), which
+	// also forwards it to the role: an edge drops a member that LEAVEs
+	// from the remaining rounds and stops waiting for its report.
 	ControlLeave
 	// ControlResyncRequest is sent by a device that missed rounds
 	// (killed and restarted, or partitioned): it asks its edge for a
@@ -44,15 +43,10 @@ const (
 	// cutoff — so per-round cost scales with the sampled count, not the
 	// fleet size.
 	ControlRoundInvite
-	// ControlMemberGone is a registry record an edge forwards to the
-	// collector when a member device announced a LEAVE: the device is
-	// out of the run and will never report, so the collector must stop
-	// waiting for it instead of hanging on a departed member.
+	// ControlMemberGone is the eviction notice an edge sends a device
+	// whose uploads its Byzantine detector struck out: the device is out
+	// of the run, receives nothing more, and exits without reporting.
 	ControlMemberGone
-	// ControlMemberBack is the counterpart of ControlMemberGone: a
-	// previously departed device re-entered the run via RESYNC-REQUEST,
-	// so the collector should expect its report after all.
-	ControlMemberBack
 	// ControlSessionResume is broadcast by an edge that restarted from
 	// a durable checkpoint: Round names the round the snapshot resumes
 	// at, and every device must retransmit its buffered uploads for
@@ -78,8 +72,6 @@ func (t ControlType) String() string {
 		return "round-invite"
 	case ControlMemberGone:
 		return "member-gone"
-	case ControlMemberBack:
-		return "member-back"
 	case ControlSessionResume:
 		return "session-resume"
 	default:

@@ -14,8 +14,7 @@ func TestControlRecordRoundTrip(t *testing.T) {
 		{Type: ControlRoundCutoff, Device: 2, Round: 3, Done: true},
 		{Type: ControlRoundInvite, Device: 5, Round: 2},
 		{Type: ControlRoundInvite, Device: 0, Round: 9, Done: true},
-		{Type: ControlMemberGone, Node: "edge-1", Device: 6},
-		{Type: ControlMemberBack, Node: "edge-1", Device: 6, Round: 4},
+		{Type: ControlMemberGone, Device: 6, Round: 4},
 		{Type: ControlSessionResume, Node: "edge-0", Round: 5},
 	}
 	for _, in := range records {
@@ -57,7 +56,7 @@ func TestControlRecordRejectsUnknownType(t *testing.T) {
 func TestControlTypeStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for _, ct := range []ControlType{ControlJoin, ControlLeave, ControlResyncRequest, ControlRoundCutoff,
-		ControlRoundInvite, ControlMemberGone, ControlMemberBack, ControlSessionResume} {
+		ControlRoundInvite, ControlMemberGone, ControlSessionResume} {
 		if !ct.Valid() {
 			t.Fatalf("%v not valid", ct)
 		}
