@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/...
+	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/... ./internal/nn/... ./internal/prune/...
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tensor ./internal/nn ./internal/nas ./internal/wire ./internal/core ./internal/aggregate ./internal/importance

@@ -16,10 +16,11 @@ import (
 // AccumulateBackbone runs forward/backward passes of classifier c over
 // up to maxSamples samples of ds with importance recording enabled,
 // filling the per-block HeadImportance and NeuronImportance accumulators
-// of the backbone (Eq. 8: Ih ≈ |∂F/∂Oh · Oh|).
+// of the backbone (Eq. 8: Ih ≈ |∂F/∂Oh · Oh|). The passes run
+// data-parallel (nn's AccumulateImportance), bit-identical to serial.
 //
-// Parameter gradients produced as a side effect are cleared on return;
-// the model weights are not updated.
+// Parameter gradients are zero on return; the model weights are not
+// updated.
 func AccumulateBackbone(c *nn.BackboneClassifier, ds *data.Dataset, maxSamples int, rng *rand.Rand) error {
 	if maxSamples <= 0 || maxSamples > ds.Len() {
 		maxSamples = ds.Len()
@@ -30,15 +31,9 @@ func AccumulateBackbone(c *nn.BackboneClassifier, ds *data.Dataset, maxSamples i
 	defer bb.SetRecordImportance(false)
 
 	order := rng.Perm(ds.Len())[:maxSamples]
-	for _, i := range order {
-		logits, err := c.Forward(ds.X[i])
-		if err != nil {
-			return fmt.Errorf("importance: forward: %w", err)
-		}
-		_, dl := nn.CrossEntropy(logits, ds.Y[i])
-		c.Backward(dl)
+	if err := c.AccumulateImportance(ds.X, ds.Y, order); err != nil {
+		return fmt.Errorf("importance: forward: %w", err)
 	}
-	nn.ZeroGrads(c)
 	return nil
 }
 

@@ -42,6 +42,8 @@ type MHSA struct {
 	sQ, sK, sV, sDO, sDA, sDQ, sDK *tensor.Matrix
 	sDV                            *tensor.Matrix
 	rowDot                         []float64
+
+	rec *rec // set on a replica's copy (see team): operands and head terms are recorded, not accumulated
 }
 
 // NewMHSA returns an MHSA layer with all heads active. dModel must be a
@@ -70,6 +72,19 @@ func NewMHSA(name string, dModel, numHeads int, rng *rand.Rand) *MHSA {
 	m.attn = make([]*tensor.Matrix, numHeads)
 	m.headOut = make([]*tensor.Matrix, numHeads)
 	return m
+}
+
+// replica returns a copy of m over the same parameters and head mask
+// that records into r.
+func (m *MHSA) replica(r *rec) *MHSA {
+	return &MHSA{
+		DModel: m.DModel, NumHeads: m.NumHeads, HeadDim: m.HeadDim,
+		Wq: m.Wq, Wk: m.Wk, Wv: m.Wv, Wo: m.Wo, Bo: m.Bo,
+		HeadMask: m.HeadMask,
+		attn:     make([]*tensor.Matrix, m.NumHeads),
+		headOut:  make([]*tensor.Matrix, m.NumHeads),
+		rec:      r,
+	}
 }
 
 // ActiveHeads returns the number of unmasked heads.
@@ -143,8 +158,6 @@ func (m *MHSA) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward accumulates parameter gradients (and head importances when
 // enabled) and returns dx.
 func (m *MHSA) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	tensor.MatMulTransAAcc(m.Wo.Grad, m.concat, dy)
-	dy.SumRowsInto(m.Bo.Grad.Data)
 	m.dConcat = tensor.Ensure(m.dConcat, dy.Rows, m.DModel)
 	tensor.MatMulTransBInto(m.dConcat, dy, m.Wo.Value)
 
@@ -162,7 +175,12 @@ func (m *MHSA) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		dOh := m.headSliceInto(m.sDO, m.dConcat, h)
 		m.sDO = dOh
 		if m.RecordImportance {
-			m.HeadImportance[h] += math.Abs(tensor.Dot(dOh.Data, m.headOut[h].Data))
+			term := math.Abs(tensor.Dot(dOh.Data, m.headOut[h].Data))
+			if m.rec != nil {
+				m.rec.term()[h] = term
+			} else {
+				m.HeadImportance[h] += term
+			}
 		}
 		a := m.attn[h]
 		m.sV = m.headSliceInto(m.sV, m.v, h)
@@ -194,9 +212,15 @@ func (m *MHSA) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		m.headSliceAdd(m.dv, m.sDV, h)
 	}
 
-	tensor.MatMulTransAAcc(m.Wq.Grad, m.x, m.dq)
-	tensor.MatMulTransAAcc(m.Wk.Grad, m.x, m.dk)
-	tensor.MatMulTransAAcc(m.Wv.Grad, m.x, m.dv)
+	if m.rec != nil {
+		m.rec.put(m.x, m.concat, m.dq, m.dk, m.dv, dy)
+	} else {
+		tensor.MatMulTransAAcc(m.Wq.Grad, m.x, m.dq)
+		tensor.MatMulTransAAcc(m.Wk.Grad, m.x, m.dk)
+		tensor.MatMulTransAAcc(m.Wv.Grad, m.x, m.dv)
+		tensor.MatMulTransAAcc(m.Wo.Grad, m.concat, dy)
+		dy.SumRowsInto(m.Bo.Grad.Data)
+	}
 
 	m.dx = tensor.Ensure(m.dx, m.x.Rows, m.DModel)
 	tensor.MatMulTransBInto(m.dx, m.dq, m.Wq.Value)

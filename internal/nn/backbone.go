@@ -60,7 +60,9 @@ type Backbone struct {
 	embed   *tensor.Matrix // tokens[0]
 	patches tensor.Matrix  // the current sample viewed as patches × patchDim
 
-	dPatches *tensor.Matrix // reused backward scratch
+	dPatches tensor.Matrix // Backward's view of the patch rows of the token gradient
+
+	rec *rec // set on a replica's copy (see team): the token gradient is recorded, not accumulated
 }
 
 // NewBackbone builds a randomly initialized reference backbone (a
@@ -172,14 +174,16 @@ func (b *Backbone) Backward(dFinal *tensor.Matrix, injections map[int]*tensor.Ma
 	if inj, ok := injections[0]; ok {
 		tensor.AddInPlace(d, inj)
 	}
-	// d is the gradient at the token matrix: pos, cls, patch embed.
-	tensor.AddInPlace(b.Pos.Grad, d)
-	tensor.Axpy(1, d.Row(0), b.CLS.Grad.Data)
-	b.dPatches = tensor.Ensure(b.dPatches, b.Cfg.NumPatches, b.Cfg.DModel)
-	for i := 0; i < b.Cfg.NumPatches; i++ {
-		copy(b.dPatches.Row(i), d.Row(i+1))
+	// d is the gradient at the token matrix: pos, cls, patch embed. The
+	// input has no gradient, so the patch embedding skips its dx.
+	if b.rec != nil {
+		b.rec.put(d)
+	} else {
+		tensor.AddInPlace(b.Pos.Grad, d)
+		tensor.Axpy(1, d.Row(0), b.CLS.Grad.Data)
 	}
-	b.PatchEmbed.Backward(b.dPatches)
+	b.dPatches = tensor.Matrix{Rows: b.Cfg.NumPatches, Cols: b.Cfg.DModel, Data: d.Data[b.Cfg.DModel:]}
+	b.PatchEmbed.accumulate(&b.dPatches)
 }
 
 // Params implements Module. It returns the parameters of every block,

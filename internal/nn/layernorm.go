@@ -21,6 +21,8 @@ type LayerNorm struct {
 	// Reused output buffers; overwritten on the next pass, after
 	// callers have consumed them.
 	y, dx *tensor.Matrix
+
+	rec *rec // set on a replica's copy (see team): x̂ and dy are recorded, not accumulated
 }
 
 // NewLayerNorm returns a LayerNorm with gain 1 and bias 0.
@@ -70,11 +72,14 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward accumulates gain/bias gradients and returns dx.
 func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	if ln.rec != nil {
+		ln.rec.put(ln.xhat, dy)
+	} else {
+		ln.addGrads(ln.xhat, dy)
+	}
 	ln.dx = tensor.Ensure(ln.dx, dy.Rows, dy.Cols)
 	dx := ln.dx
 	g := ln.Gain.Value.Data
-	dg := ln.Gain.Grad.Data
-	db := ln.Bias.Grad.Data
 	n := float64(dy.Cols)
 	for i := 0; i < dy.Rows; i++ {
 		dyr := dy.Row(i)
@@ -85,8 +90,6 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 			dxh := dyr[j] * g[j]
 			mDxh += dxh
 			mDxhXh += dxh * xh[j]
-			dg[j] += dyr[j] * xh[j]
-			db[j] += dyr[j]
 		}
 		mDxh /= n
 		mDxhXh /= n
@@ -98,6 +101,26 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return dx
+}
+
+// addGrads adds the gain gradient Σ dy∘x̂ and the bias gradient Σ dy,
+// row by row.
+func (ln *LayerNorm) addGrads(xhat, dy *tensor.Matrix) {
+	dg := ln.Gain.Grad.Data
+	db := ln.Bias.Grad.Data
+	for i := 0; i < dy.Rows; i++ {
+		xh := xhat.Row(i)
+		for j, v := range dy.Row(i) {
+			dg[j] += v * xh[j]
+			db[j] += v
+		}
+	}
+}
+
+// replica returns a copy of ln over the same parameters that records
+// into r.
+func (ln *LayerNorm) replica(r *rec) *LayerNorm {
+	return &LayerNorm{Dim: ln.Dim, Gain: ln.Gain, Bias: ln.Bias, rec: r}
 }
 
 // Params implements Module.

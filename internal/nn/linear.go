@@ -21,6 +21,8 @@ type Linear struct {
 	// only after they are dead.
 	y  *tensor.Matrix
 	dx *tensor.Matrix
+
+	rec *rec // set on a replica's copy (see team): x and dy are recorded, not accumulated
 }
 
 // NewLinear returns a Xavier-initialized Linear layer (a received one
@@ -47,11 +49,32 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward accumulates dW, dB and returns dx.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	tensor.MatMulTransAAcc(l.W.Grad, l.x, dy)
-	dy.SumRowsInto(l.B.Grad.Data)
+	l.accumulate(dy)
 	l.dx = tensor.Ensure(l.dx, dy.Rows, l.In)
 	tensor.MatMulTransBInto(l.dx, dy, l.W.Value)
 	return l.dx
+}
+
+// accumulate is Backward without dx: it adds dW and dB for the cached
+// input, or on a replica records the input and dy for the fold.
+func (l *Linear) accumulate(dy *tensor.Matrix) {
+	if l.rec != nil {
+		l.rec.put(l.x, dy)
+		return
+	}
+	l.addGrads(l.x, dy)
+}
+
+// addGrads adds dW = xᵀ·dy and dB = Σ dy rows.
+func (l *Linear) addGrads(x, dy *tensor.Matrix) {
+	tensor.MatMulTransAAcc(l.W.Grad, x, dy)
+	dy.SumRowsInto(l.B.Grad.Data)
+}
+
+// replica returns a copy of l over the same parameters that records
+// into r.
+func (l *Linear) replica(r *rec) *Linear {
+	return &Linear{In: l.In, Out: l.Out, W: l.W, B: l.B, rec: r}
 }
 
 // Params implements Module.

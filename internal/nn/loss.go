@@ -10,13 +10,19 @@ import (
 // the integer label, and the gradient of the loss with respect to the
 // logits (p - onehot).
 func CrossEntropy(logits []float64, label int) (float64, []float64) {
+	grad := make([]float64, len(logits))
+	return crossEntropyInto(grad, logits, label), grad
+}
+
+// crossEntropyInto is CrossEntropy writing the gradient into grad, which
+// must be as long as logits.
+func crossEntropyInto(grad, logits []float64, label int) float64 {
 	maxv := math.Inf(-1)
 	for _, v := range logits {
 		if v > maxv {
 			maxv = v
 		}
 	}
-	grad := make([]float64, len(logits))
 	var sum float64
 	for i, v := range logits {
 		e := math.Exp(v - maxv)
@@ -29,7 +35,7 @@ func CrossEntropy(logits []float64, label int) (float64, []float64) {
 	}
 	loss := -math.Log(grad[label] + 1e-12)
 	grad[label] -= 1
-	return loss, grad
+	return loss
 }
 
 // Argmax returns the index of the largest element.

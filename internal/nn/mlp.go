@@ -26,6 +26,8 @@ type MLP struct {
 	NeuronImportance []float64
 
 	hidden *tensor.Matrix // post-activation, post-mask
+
+	rec *rec // set on a replica's copy (see team): neuron terms are recorded, not accumulated
 }
 
 // NewMLP returns an MLP with all neurons active.
@@ -80,7 +82,11 @@ func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 			for i := 0; i < dh.Rows; i++ {
 				s += dh.Row(i)[j] * m.hidden.Row(i)[j]
 			}
-			m.NeuronImportance[j] += math.Abs(s)
+			if m.rec != nil {
+				m.rec.term()[j] = math.Abs(s)
+			} else {
+				m.NeuronImportance[j] += math.Abs(s)
+			}
 		}
 	}
 	for j, on := range m.NeuronMask {
@@ -92,6 +98,19 @@ func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return m.FC1.Backward(m.act.Backward(dh))
+}
+
+// replica returns a copy of m over the same layers' parameters and
+// neuron mask: its neuron terms go to r, its layers record into fc1 and
+// fc2.
+func (m *MLP) replica(r, fc1, fc2 *rec) *MLP {
+	return &MLP{
+		DModel: m.DModel, Hidden: m.Hidden,
+		FC1:        m.FC1.replica(fc1),
+		FC2:        m.FC2.replica(fc2),
+		NeuronMask: m.NeuronMask,
+		rec:        r,
+	}
 }
 
 // BackwardParams implements SeqOp. FC1's gradient needs the chain

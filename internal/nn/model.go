@@ -24,6 +24,9 @@ type BackboneClassifier struct {
 
 	cls    *tensor.Matrix // 1×d copy of the CLS representation, reused
 	dFinal *tensor.Matrix // reused backward scratch
+	dl     tensor.Matrix  // Backward's view of the logits gradient
+
+	team *team // replicas of the data-parallel passes, kept across calls
 }
 
 var _ Classifier = (*BackboneClassifier)(nil)
@@ -49,8 +52,8 @@ func (c *BackboneClassifier) Forward(x []float64) ([]float64, error) {
 
 // Backward implements Classifier.
 func (c *BackboneClassifier) Backward(dlogits []float64) {
-	dl := tensor.FromSlice(1, len(dlogits), dlogits)
-	dcls := c.Head.Backward(dl)
+	c.dl = tensor.Matrix{Rows: 1, Cols: len(dlogits), Data: dlogits}
+	dcls := c.Head.Backward(&c.dl)
 	c.dFinal = zeroed(c.dFinal, c.Backbone.SeqLen(), c.Backbone.Cfg.DModel)
 	copy(c.dFinal.Row(0), dcls.Row(0))
 	c.Backbone.Backward(c.dFinal, nil)
@@ -64,6 +67,10 @@ func (c *BackboneClassifier) Params() []*Param {
 // TrainEpoch runs one epoch of minibatch training on (xs, ys), shuffling
 // with rng, and returns the mean loss. Gradients accumulate over each
 // minibatch before a single optimizer step.
+//
+// A BackboneClassifier trains data-parallel: each minibatch splits among
+// min(tensor.Parallelism(), batch) replicas of it, with a result
+// bit-identical to the serial loop below.
 func TrainEpoch(c Classifier, opt Optimizer, xs [][]float64, ys []int, batch int, rng *rand.Rand) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("nn: %d samples vs %d labels", len(xs), len(ys))
@@ -75,6 +82,11 @@ func TrainEpoch(c Classifier, opt Optimizer, xs [][]float64, ys []int, batch int
 		batch = 16
 	}
 	order := rng.Perm(len(xs))
+	if bc, ok := c.(*BackboneClassifier); ok {
+		if n := min(tensor.Parallelism(), batch); n > 1 {
+			return bc.trainEpoch(n, opt, xs, ys, order, batch)
+		}
+	}
 	var total float64
 	for start := 0; start < len(order); start += batch {
 		end := start + batch
@@ -118,6 +130,40 @@ func BatchGradients(c Classifier, xs [][]float64, ys []int, idx []int) error {
 		c.Backward(dl)
 	}
 	return nil
+}
+
+// AccumulateImportance runs a cross-entropy forward and backward pass of
+// c for every sample xs[i], i in idx, and adds each pass's head and
+// neuron importance terms (Eq. 8) to the blocks that record them
+// (SetRecordImportance), in idx order. The weights do not move, and
+// every gradient is zero on return.
+//
+// The passes split among min(tensor.Parallelism(), len(idx)) replicas of
+// c, with importances bit-identical to one pass after another.
+func (c *BackboneClassifier) AccumulateImportance(xs [][]float64, ys []int, idx []int) error {
+	if len(xs) != len(ys) {
+		return fmt.Errorf("nn: %d samples vs %d labels", len(xs), len(ys))
+	}
+	for _, i := range idx {
+		if i < 0 || i >= len(xs) {
+			return fmt.Errorf("nn: sample index %d outside [0,%d)", i, len(xs))
+		}
+	}
+	var err error
+	if n := min(tensor.Parallelism(), len(idx)); n > 1 {
+		err = c.importancePasses(n, xs, ys, idx)
+	} else {
+		for _, i := range idx {
+			var logits []float64
+			if logits, err = c.Forward(xs[i]); err != nil {
+				break
+			}
+			_, dl := CrossEntropy(logits, ys[i])
+			c.Backward(dl)
+		}
+	}
+	ZeroGrads(c)
+	return err
 }
 
 // Evaluate returns top-1 accuracy of c on (xs, ys).

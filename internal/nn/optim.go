@@ -81,24 +81,36 @@ func NewAdam(lr float64) *Adam {
 
 // Step implements Optimizer.
 func (a *Adam) Step(params []*Param) {
-	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	a.meet(params)
+	bc1, bc2 := a.begin(params)
 	for _, p := range params {
-		g := p.Grad.Data
-		clipNorm(g, a.Clip)
-		st := a.state[p]
-		m, v := st.m, st.v
-		for i := range g {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g[i]*g[i]
-			mh := m[i] / bc1
-			vh := v[i] / bc2
-			p.Value.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-		}
-		p.ZeroGrad()
+		a.update(p, bc1, bc2)
 	}
+}
+
+// begin counts a step over params and returns its bias corrections; the
+// step itself is one update per parameter, and updates of different
+// parameters may run concurrently.
+func (a *Adam) begin(params []*Param) (bc1, bc2 float64) {
+	a.t++
+	a.meet(params)
+	return 1 - math.Pow(a.Beta1, float64(a.t)), 1 - math.Pow(a.Beta2, float64(a.t))
+}
+
+// update applies the step begun with bias corrections bc1, bc2 to p and
+// zeroes its gradient.
+func (a *Adam) update(p *Param, bc1, bc2 float64) {
+	g := p.Grad.Data
+	clipNorm(g, a.Clip)
+	st := a.state[p]
+	m, v := st.m, st.v
+	for i := range g {
+		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]
+		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g[i]*g[i]
+		mh := m[i] / bc1
+		vh := v[i] / bc2
+		p.Value.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+	}
+	p.ZeroGrad()
 }
 
 // meet gives every parameter Step has not seen before its zeroed
@@ -108,7 +120,7 @@ func (a *Adam) meet(params []*Param) {
 	var need int
 	for _, p := range params {
 		if _, ok := a.state[p]; !ok {
-			need += 2 * len(p.Grad.Data)
+			need += 2 * p.NumParams()
 		}
 	}
 	if need == 0 {
@@ -119,7 +131,7 @@ func (a *Adam) meet(params []*Param) {
 		if _, ok := a.state[p]; ok {
 			continue
 		}
-		n := len(p.Grad.Data)
+		n := p.NumParams()
 		a.state[p] = moments{m: slab[:n:n], v: slab[n : 2*n : 2*n]}
 		slab = slab[2*n:]
 	}

@@ -186,6 +186,29 @@ func TestTrainingLearnsSeparableData(t *testing.T) {
 // one-step-per-sweep loops in internal/tensor; a reordered reduction in
 // any kernel changes it. The widths are deliberately not multiples of 4.
 func TestTrainEpochPinned(t *testing.T) {
+	c, xs, ys, rng := pinnedEpochFixture(t)
+	if _, err := TrainEpoch(c, NewAdam(2e-3), xs, ys, 8, rng); err != nil {
+		t.Fatal(err)
+	}
+	hash := fnv.New64a()
+	var buf [8]byte
+	for _, p := range c.Params() {
+		for _, v := range p.Value.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			hash.Write(buf[:])
+		}
+	}
+	const want uint64 = 0x0b9015c9bfabb416
+	if got := hash.Sum64(); got != want {
+		t.Fatalf("parameter hash %#x, want %#x", got, want)
+	}
+}
+
+// pinnedEpochFixture is TestTrainEpochPinned's model and data, and the
+// rng that shuffles its epoch: widths that are not multiples of 4, and 37
+// samples, so a batch of 8 leaves a partial last minibatch.
+func pinnedEpochFixture(t *testing.T) (*BackboneClassifier, [][]float64, []int, *rand.Rand) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(13))
 	bb, err := NewBackbone(BackboneConfig{
 		InputDim: 30, NumPatches: 5, DModel: 15, NumHeads: 3, Hidden: 22, Depth: 2,
@@ -203,19 +226,5 @@ func TestTrainEpochPinned(t *testing.T) {
 			xs[i][j] = float64(ys[i]) + rng.NormFloat64()
 		}
 	}
-	if _, err := TrainEpoch(c, NewAdam(2e-3), xs, ys, 8, rng); err != nil {
-		t.Fatal(err)
-	}
-	hash := fnv.New64a()
-	var buf [8]byte
-	for _, p := range c.Params() {
-		for _, v := range p.Value.Data {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			hash.Write(buf[:])
-		}
-	}
-	const want uint64 = 0x0b9015c9bfabb416
-	if got := hash.Sum64(); got != want {
-		t.Fatalf("parameter hash %#x, want %#x", got, want)
-	}
+	return c, xs, ys, rng
 }

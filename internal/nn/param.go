@@ -13,7 +13,8 @@
 // All layers operate on a single sample: a token sequence represented as
 // a (seq × d) tensor.Matrix. Batches are loops over samples with gradient
 // accumulation, which is plenty at this scale and keeps backward passes
-// easy to audit.
+// easy to audit. A BackboneClassifier's minibatch loops run those passes
+// on several cores and fold their gradients in sample order (replica.go).
 package nn
 
 import (

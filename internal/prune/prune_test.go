@@ -1,15 +1,25 @@
 package prune
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
 
 	"acme/internal/data"
 	"acme/internal/nn"
+	"acme/internal/tensor"
 )
 
 func setup(t *testing.T, seed int64) (*nn.BackboneClassifier, *data.Dataset, *rand.Rand) {
+	t.Helper()
+	return setupPublic(t, seed, 120)
+}
+
+// setupPublic trains a seeded reference for three epochs on a public
+// dataset of the given size.
+func setupPublic(t *testing.T, seed int64, samples int) (*nn.BackboneClassifier, *data.Dataset, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	spec := data.Spec{
@@ -20,7 +30,7 @@ func setup(t *testing.T, seed int64) (*nn.BackboneClassifier, *data.Dataset, *ra
 	if err != nil {
 		t.Fatal(err)
 	}
-	public := gen.Sample(120, nil, rng)
+	public := gen.Sample(samples, nil, rng)
 	bb, err := nn.NewBackbone(nn.BackboneConfig{
 		InputDim: 16, NumPatches: 4, DModel: 8, NumHeads: 2, Hidden: 12, Depth: 3,
 	}, rng)
@@ -189,5 +199,35 @@ func TestKLDistillationAlsoImproves(t *testing.T) {
 	}
 	if lossKL >= lossRaw {
 		t.Fatalf("KL distillation did not reduce loss: %.4f vs %.4f", lossKL, lossRaw)
+	}
+}
+
+// TestEnsureImportancePinned pins the importance sums themselves, which
+// TestCloudBackbonesPinned sees only through the top-k masks they select:
+// the FNV-1a hash of every block's HeadImportance and NeuronImportance
+// bits after EnsureImportance(256) on a seeded trained reference, with
+// the reference trained and probed at each parallelism from 1 to 4. The
+// constant was computed when both ran one sample after another, so a
+// reordered fold of the data-parallel passes changes it.
+func TestEnsureImportancePinned(t *testing.T) {
+	defer tensor.SetParallelism(0)
+	for p := 1; p <= 4; p++ {
+		tensor.SetParallelism(p)
+		ref, public, rng := setupPublic(t, 7, 300)
+		if err := NewGenerator(ref, public, DefaultDistillConfig()).EnsureImportance(256, rng); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, blk := range ref.Backbone.Blocks {
+			for _, imp := range [][]float64{blk.Attn.HeadImportance, blk.FFN.NeuronImportance} {
+				for _, v := range imp {
+					binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+				}
+			}
+		}
+		const want uint64 = 0xa36bc1a8d7fdc6b2
+		if got := h.Sum64(); got != want {
+			t.Fatalf("parallelism %d: importance hash %#x, want %#x", p, got, want)
+		}
 	}
 }

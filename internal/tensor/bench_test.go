@@ -45,14 +45,16 @@ func BenchmarkMatMulTransB(b *testing.B) { benchSerialParallel(b, MatMulTransBIn
 
 // BenchmarkKernel drives the reference loops of kernel_ref_test.go and
 // the shipped kernels from one binary at the shapes a customization run
-// multiplies (sequence 9, Conv1D im2col width 160, model width 32), so
-// the layer delta reproduces on any box without a parent checkout.
-// Shapes are output rows × inner × output columns.
+// multiplies (sequence 9, Conv1D im2col width 160, model width 32, and
+// the weight gradients of foldShapes per sample and stacked over
+// foldSamples samples), so the layer delta reproduces on any box without
+// a parent checkout. Shapes are output rows × inner × output columns.
 func BenchmarkKernel(b *testing.B) {
-	shapes := []struct {
+	type shape struct {
 		kernel  int // index into kernelCases
 		m, k, n int
-	}{
+	}
+	shapes := []shape{
 		{0, 9, 160, 32}, // Conv1D.Forward: cols · W
 		{1, 160, 9, 32}, // Conv1D.BackwardParams: colsᵀ · dy
 		{2, 9, 32, 160}, // Conv1D.Backward: dy · Wᵀ
@@ -61,6 +63,9 @@ func BenchmarkKernel(b *testing.B) {
 		{0, 64, 64, 64}, // the parallel crossover
 		{1, 64, 64, 64},
 		{2, 64, 64, 64},
+	}
+	for _, f := range foldShapes { // dW = xᵀ · dy, one sample and the fold's stack
+		shapes = append(shapes, shape{1, f[0], f[1], f[2]}, shape{1, f[0], foldSamples * f[1], f[2]})
 	}
 	for _, side := range []string{"ref", "new"} {
 		for _, sh := range shapes {

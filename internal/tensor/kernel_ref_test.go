@@ -98,6 +98,16 @@ var kernelCases = []kernelCase{
 		func(m, k, n int) (*Matrix, *Matrix) { return New(m, k), New(n, k) }, false},
 }
 
+// foldShapes are the weight-gradient products aᵀ·b that nn's
+// data-parallel fold stacks, as output rows, rows per sample and output
+// columns: a 32×32 projection and the MLP's two weights at sequence 9,
+// and the classifier head (one row, 100 classes). The serial backward
+// pass makes one product per sample; the fold makes one over foldSamples
+// samples' rows.
+var foldShapes = [][3]int{{32, 9, 32}, {32, 9, 64}, {64, 9, 32}, {32, 1, 100}}
+
+const foldSamples = 8
+
 // Left-operand zero patterns. "padded" is what Conv1D's im2col produces:
 // each row is a run of equal-width tap blocks, and the blocks whose tap
 // reaches past either end of the sequence are zero.
@@ -211,6 +221,32 @@ func TestKernelsMatchReferenceBitwise(t *testing.T) {
 					t.Errorf("%s: no shape with inner ≡ %d and columns ≡ %d (mod 4)", kc.name, kr, nr)
 				}
 			}
+		}
+	}
+	// The fold's stacked products: the reference loop over all rows, the
+	// shipped kernel over all rows, and the shipped kernel once per
+	// sample's rows in order (what the serial backward pass accumulates)
+	// agree bit for bit.
+	for _, sh := range foldShapes {
+		m, rows, n := sh[0], sh[1], sh[2]
+		k := foldSamples * rows
+		for _, pattern := range zeroPatterns {
+			a, b := New(k, m), New(k, n)
+			fillPattern(a, pattern, rng)
+			b.Randomize(rng, 1)
+			want := New(m, n)
+			want.Randomize(rng, 1)
+			stacked, perSample := want.Clone(), want.Clone()
+			refMatMulTransARange(want, a, b, 0, m)
+			MatMulTransAAcc(stacked, a, b)
+			for s := 0; s < foldSamples; s++ {
+				as := FromSlice(rows, m, a.Data[s*rows*m:(s+1)*rows*m])
+				bs := FromSlice(rows, n, b.Data[s*rows*n:(s+1)*rows*n])
+				MatMulTransAAcc(perSample, as, bs)
+			}
+			what := fmt.Sprintf("fold %dx%dx%d %s", m, k, n, pattern)
+			requireSameBits(t, what+" stacked", want, stacked)
+			requireSameBits(t, what+" per sample", want, perSample)
 		}
 	}
 }

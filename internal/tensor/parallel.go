@@ -27,6 +27,11 @@ func Parallelism() int {
 // SetParallelism sets the number of goroutines large kernels may use.
 // n ≤ 0 restores the default (GOMAXPROCS). Safe to call concurrently
 // with running kernels; in-flight calls keep their partitioning.
+//
+// It also sets the replica count of internal/nn's data-parallel passes
+// over a BackboneClassifier (nn.TrainEpoch, AccumulateImportance): each
+// minibatch splits among min(Parallelism(), batch) replicas, bit-identical
+// to one replica, so a seeded run's output does not depend on n.
 func SetParallelism(n int) {
 	if n < 0 {
 		n = 0
