@@ -1,6 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in lockstep.
-# Not part of `ci`: `kernel-bench` times the shipped matrix kernels
-# against the reference loops of internal/tensor/kernel_ref_test.go, and
+# Not part of `ci`: `kernel-bench` times the shipped matrix and Axpy
+# kernels against the pure-Go kernels and the reference loops of
+# internal/tensor/kernel_ref_test.go, and
 # `edge-bench` times the edge's round floor layer by layer: the grouped
 # fold against Combine, the range coder, and the Axpy kernels under both,
 # and `fleet-bench` times what a sampled fleet pays per round and per
@@ -9,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench kernel-bench edge-bench fleet-bench bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet ci
+.PHONY: all build test race bench kernel-bench edge-bench fleet-bench bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet portable ci
 
 all: build test
 
@@ -25,12 +26,14 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tensor ./internal/nn ./internal/nas ./internal/wire ./internal/core ./internal/aggregate ./internal/importance
 
-# kernel-bench measures internal/tensor's three serial kernels ("new")
-# against the loops they replaced ("ref") from one binary, at the shapes
-# a customization run multiplies and three left-operand zero patterns.
-# The shipped kernel must not be slower on any cell.
+# kernel-bench measures internal/tensor's three serial kernels and Axpy/
+# Axpy4 from one binary on three sides: the loops they replaced ("ref"),
+# the portable pure-Go kernels ("go") and the shipped path ("new", AVX2
+# where the CPU has it), at the shapes a customization run multiplies and
+# three left-operand zero patterns. "new" must not be slower than "go" or
+# "ref" on any cell.
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchtime=2000x -count=5 ./internal/tensor
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkAxpy' -benchtime=2000x -count=5 ./internal/tensor
 
 # edge-bench measures what the exchange-replay workload spends its CPU
 # on: BenchmarkEdgeAggregate (Combine vs the streaming combiner's tail
@@ -105,6 +108,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=20s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/checkpoint
+	$(GO) test -run='^$$' -fuzz=FuzzKernels -fuzztime=20s ./internal/tensor
 
 fmt:
 	gofmt -w .
@@ -117,4 +121,9 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet build test race bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke
+# portable compiles the !amd64 side of internal/tensor (the pure-Go
+# kernels alone, simd_other.go), which an amd64 build never sees.
+portable:
+	GOARCH=arm64 $(GO) vet ./internal/tensor && GOARCH=arm64 $(GO) build ./...
+
+ci: fmt-check vet build portable test race bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke

@@ -36,12 +36,23 @@ func benchSerialParallel(b *testing.B, into func(dst, x, y *Matrix), sizes ...in
 	}
 }
 
-// 64, 96 and 128 bracket minParallelFlops: its comment quotes these.
-func BenchmarkMatMul(b *testing.B) { benchSerialParallel(b, MatMulInto, 64, 96, 128, 256, 1024) }
+// 96, 128, 160 and 192 bracket minParallelFlops: its comment quotes these.
+func BenchmarkMatMul(b *testing.B) {
+	benchSerialParallel(b, MatMulInto, 64, 96, 128, 160, 192, 256, 1024)
+}
 
 func BenchmarkMatMulTransA(b *testing.B) { benchSerialParallel(b, MatMulTransAInto, 256, 1024) }
 
-func BenchmarkMatMulTransB(b *testing.B) { benchSerialParallel(b, MatMulTransBInto, 256, 1024) }
+// a·bᵀ stays scalar on every path; 96, 128 and 160 bracket its crossover.
+func BenchmarkMatMulTransB(b *testing.B) {
+	benchSerialParallel(b, MatMulTransBInto, 96, 128, 160, 256, 1024)
+}
+
+// benchSides are the sides of BenchmarkKernel and BenchmarkAxpy: the
+// reference loops of kernel_ref_test.go, the portable kernels ("go",
+// AVX2 off) and the shipped path ("new": AVX2 where CPUID selected it,
+// so on other machines "go" and "new" time the same code).
+var benchSides = []string{"ref", "go", "new"}
 
 // BenchmarkKernel drives the reference loops of kernel_ref_test.go and
 // the shipped kernels from one binary at the shapes a customization run
@@ -67,7 +78,7 @@ func BenchmarkKernel(b *testing.B) {
 	for _, f := range foldShapes { // dW = xᵀ · dy, one sample and the fold's stack
 		shapes = append(shapes, shape{1, f[0], f[1], f[2]}, shape{1, f[0], foldSamples * f[1], f[2]})
 	}
-	for _, side := range []string{"ref", "new"} {
+	for _, side := range benchSides {
 		for _, sh := range shapes {
 			kc := kernelCases[sh.kernel]
 			fn := kc.new
@@ -82,10 +93,12 @@ func BenchmarkKernel(b *testing.B) {
 					fillPattern(x, pattern, rng)
 					y.Randomize(rng, 1)
 					dst := New(sh.m, sh.n)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						fn(dst, x, y, 0, sh.m)
-					}
+					withAVX2(side != "go", func() {
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							fn(dst, x, y, 0, sh.m)
+						}
+					})
 				})
 			}
 		}
@@ -96,29 +109,45 @@ func BenchmarkKernel(b *testing.B) {
 // 19 844, one importance set of the exchange replay (what the combiner
 // folds per upload and per output), and 32, one model-width row (the
 // pools, Conv1D's col2im). "axpy4" is one grouped pass, to be read
-// against four "axpy" passes.
+// against four "axpy" passes; its "ref" side is four refAxpy passes.
 func BenchmarkAxpy(b *testing.B) {
-	for _, n := range []int{19844, 32} {
-		rng := rand.New(rand.NewSource(1))
-		var x [4][]float64
-		for i := range x {
-			x[i] = make([]float64, n)
-			for k := range x[i] {
-				x[i][k] = rng.NormFloat64()
+	for _, side := range benchSides {
+		for _, n := range []int{19844, 32} {
+			rng := rand.New(rand.NewSource(1))
+			var x [4][]float64
+			for i := range x {
+				x[i] = make([]float64, n)
+				for k := range x[i] {
+					x[i][k] = rng.NormFloat64()
+				}
 			}
+			y := make([]float64, n)
+			axpy, axpy4 := Axpy, Axpy4
+			if side == "ref" {
+				axpy = refAxpy
+				axpy4 = func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+					refAxpy(a0, x0, y)
+					refAxpy(a1, x1, y)
+					refAxpy(a2, x2, y)
+					refAxpy(a3, x3, y)
+				}
+			}
+			b.Run(fmt.Sprintf("%s/axpy/%d", side, n), func(b *testing.B) {
+				b.SetBytes(int64(8 * n))
+				withAVX2(side != "go", func() {
+					for i := 0; i < b.N; i++ {
+						axpy(0.25, x[0], y)
+					}
+				})
+			})
+			b.Run(fmt.Sprintf("%s/axpy4/%d", side, n), func(b *testing.B) {
+				b.SetBytes(int64(4 * 8 * n))
+				withAVX2(side != "go", func() {
+					for i := 0; i < b.N; i++ {
+						axpy4(0.25, -0.5, 0.125, 0.0625, x[0], x[1], x[2], x[3], y)
+					}
+				})
+			})
 		}
-		y := make([]float64, n)
-		b.Run(fmt.Sprintf("axpy/%d", n), func(b *testing.B) {
-			b.SetBytes(int64(8 * n))
-			for i := 0; i < b.N; i++ {
-				Axpy(0.25, x[0], y)
-			}
-		})
-		b.Run(fmt.Sprintf("axpy4/%d", n), func(b *testing.B) {
-			b.SetBytes(int64(4 * 8 * n))
-			for i := 0; i < b.N; i++ {
-				Axpy4(0.25, -0.5, 0.125, 0.0625, x[0], x[1], x[2], x[3], y)
-			}
-		})
 	}
 }

@@ -181,8 +181,10 @@ func oracleDim(rng *rand.Rand, block int) int {
 // passes, each shipped kernel must reproduce the reference loop's
 // result bit for bit. A reordered reduction shows up here as a last-bit
 // difference; parallel_test.go, which compares a kernel with itself,
-// cannot see one.
-func TestKernelsMatchReferenceBitwise(t *testing.T) {
+// cannot see one. It runs once per kernel path (forEachPath).
+func TestKernelsMatchReferenceBitwise(t *testing.T) { forEachPath(t, kernelsMatchReference) }
+
+func kernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const shapesPerKernel = 160
 	for _, kc := range kernelCases {
@@ -252,33 +254,41 @@ func TestKernelsMatchReferenceBitwise(t *testing.T) {
 }
 
 // TestKernelsMatchReferenceBitwiseSpecialValues pins the zero-skip
-// contract: in a·b and aᵀ·b a zero multiplier contributes nothing, so
-// 0·Inf and 0·NaN leave the output finite and a −0 destination under an
-// all-zero multiplier row keeps its sign; a·bᵀ multiplies everything,
-// so 0·Inf poisons the cell and −0 + (+0) becomes +0.
+// contract on every kernel path: in a·b and aᵀ·b a ±0 multiplier
+// contributes nothing, so 0·Inf and 0·NaN leave the output finite and a
+// −0 destination under an all-zero multiplier row keeps its sign, while
+// a NaN or ±Inf multiplier is multiplied like any other and poisons its
+// output row; a·bᵀ multiplies everything, so 0·Inf poisons the cell and
+// −0 + (+0) becomes +0.
 func TestKernelsMatchReferenceBitwiseSpecialValues(t *testing.T) {
+	forEachPath(t, kernelsMatchReferenceSpecialValues)
+}
+
+func kernelsMatchReferenceSpecialValues(t *testing.T) {
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(14))
 	for _, kc := range kernelCases {
 		for _, k := range []int{1, 3, 4, 7, 8, 66} {
-			const m, n = 3, 6
+			const m, n = 5, 6
 			a, b := kc.operands(m, k, n)
 			a.Randomize(rng, 1)
 			b.Randomize(rng, 1)
-			// Output row 0 sees only zero multipliers; row 1 sees zeros
-			// exactly where b holds Inf or NaN.
-			zeroAt := func(row, kk int) {
+			setA := func(row, kk int, v float64) {
 				if kc.name == "aTb" {
-					a.Data[kk*m+row] = 0
+					a.Data[kk*m+row] = v
 				} else {
-					a.Data[row*k+kk] = 0
+					a.Data[row*k+kk] = v
 				}
 			}
+			// Output row 0 sees only ±0 multipliers; row 1 sees ±0
+			// exactly where b holds Inf or NaN, −0 where b holds +Inf.
+			// Row 2 has a NaN multiplier and row 3 an Inf and a −Inf one,
+			// each at the last inner index, past any group of four.
 			for kk := 0; kk < k; kk++ {
-				zeroAt(0, kk)
+				setA(0, kk, []float64{0, negZero}[kk%2])
 			}
 			for kk := 0; kk < k; kk += 2 {
-				zeroAt(1, kk)
+				setA(1, kk, []float64{negZero, 0}[kk%4/2])
 				v := inf
 				if kk%4 == 2 {
 					v = nan
@@ -289,6 +299,9 @@ func TestKernelsMatchReferenceBitwiseSpecialValues(t *testing.T) {
 					b.Data[kk*n+2] = v
 				}
 			}
+			setA(2, k-1, nan)
+			setA(3, 0, inf)
+			setA(3, k-1, -inf)
 			want, got := New(m, n), New(m, n)
 			want.Data[0], got.Data[0] = negZero, negZero
 			kc.ref(want, a, b, 0, m)
@@ -302,6 +315,14 @@ func TestKernelsMatchReferenceBitwiseSpecialValues(t *testing.T) {
 			}
 			if !kc.skipZero && (!poisoned || keptSign) {
 				t.Errorf("%s: zero multiplier skipped (0·Inf poisoned: %v, −0 kept: %v)", what, poisoned, keptSign)
+			}
+			for j := 0; j < n; j++ {
+				if v := got.Data[2*n+j]; v == v {
+					t.Errorf("%s: NaN multiplier skipped: row 2 col %d is %v", what, j, v)
+				}
+				if v := got.Data[3*n+j]; !math.IsInf(v, 0) && v == v {
+					t.Errorf("%s: Inf multiplier skipped: row 3 col %d is %v", what, j, v)
+				}
 			}
 		}
 	}
@@ -318,7 +339,10 @@ func refAxpy(alpha float64, x, y []float64) {
 // TestAxpyMatchesReferenceBitwise covers every remainder of the length
 // mod 4 and the values a skipped multiply would treat differently: a
 // zero alpha still multiplies, so 0·Inf poisons y in Axpy and in Axpy4.
-func TestAxpyMatchesReferenceBitwise(t *testing.T) {
+// It runs once per kernel path.
+func TestAxpyMatchesReferenceBitwise(t *testing.T) { forEachPath(t, axpyMatchesReference) }
+
+func axpyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
 	draw := func(n int, special bool) []float64 {

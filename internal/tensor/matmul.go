@@ -58,11 +58,22 @@ func matMulRange(dst, a, b *Matrix, i0, i1 int) {
 // mulAddRows is the inner kernel of a·b and aᵀ·b: for t = 0, 1, … it
 // adds as[t·astride] · bs[t·bstride : t·bstride+len(d)] into d, skipping
 // zero multipliers (so 0·Inf contributes nothing and a −0 in d keeps its
-// sign). It takes the next four non-zero multipliers at a time and
-// applies them in one pass over d: the same rounded multiply-adds in the
-// same ascending-t order per element as four separate passes, with one
-// load and one store of d instead of four.
+// sign). It runs the AVX2 kernel where the CPU has one and
+// mulAddRowsGo elsewhere; both give the same bits.
 func mulAddRows(d, as []float64, astride int, bs []float64, bstride int) {
+	if useAVX2 {
+		mulAddRowsWide(d, as, astride, bs, bstride)
+		return
+	}
+	mulAddRowsGo(d, as, astride, bs, bstride)
+}
+
+// mulAddRowsGo is the portable mulAddRows. It takes the next four
+// non-zero multipliers at a time and applies them in one pass over d:
+// the same rounded multiply-adds in the same ascending-t order per
+// element as four separate passes, with one load and one store of d
+// instead of four.
+func mulAddRowsGo(d, as []float64, astride int, bs []float64, bstride int) {
 	var mul [4]float64
 	var off [4]int
 	g := 0

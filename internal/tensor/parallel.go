@@ -41,13 +41,18 @@ func SetParallelism(n int) {
 
 // minParallelFlops is the kernel cost (multiply-adds) below which
 // dispatching to the pool costs more than it saves and the serial
-// kernel runs instead. Measured with BenchmarkMatMul on a 2-thread
-// amd64 box after the register-blocked kernels landed (serial vs
-// pooled, µs per product): 64³ 75 vs 105, 96³ 265 vs 250, 128³ 585 vs
-// 410. Waking a worker and being woken by it costs about 30 µs whatever
-// the size, so the pool starts to pay where the serial kernel takes a
-// few hundred µs: 96³.
-const minParallelFlops = 96 * 96 * 96
+// kernel runs instead. Measured on a 2-vCPU amd64 VM (serial vs pooled,
+// µs per product, medians, the threshold lowered to time the pool below
+// it):
+//   - a·b on the AVX2 kernels (BenchmarkMatMul, median of 3): 96³ 143 vs
+//     162, 128³ 359 vs 383, 160³ 719 vs 612, 192³ 1 283 vs 1 017. The
+//     scalar kernels broke even at 96³ (265 vs 250 µs); four lanes wide
+//     the serial kernel is 2–4× faster while a hand-off to a worker costs
+//     what it did, so the break-even moved up to between 128³ and 160³.
+//   - a·bᵀ, scalar on every path (BenchmarkMatMulTransB, median of 7):
+//     96³ 369 vs 452, 128³ 1 031 vs 762, so it breaks even between 96³
+//     and 128³ and the one threshold serves both.
+const minParallelFlops = 128 * 128 * 128
 
 type blockTask struct {
 	fn         func(start, end int)

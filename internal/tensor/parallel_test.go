@@ -30,12 +30,13 @@ func bitwiseEqual(t *testing.T, op string, serial, parallel *Matrix) {
 }
 
 // equivalenceShapes covers non-divisible block sizes, degenerate rows
-// and columns, and empty matrices.
+// and columns, and empty matrices. The equivalence tests run once per
+// kernel path (forEachPath).
 var equivalenceShapes = []struct{ m, k, n int }{
-	{64, 64, 64},  // exactly one block, below the parallel crossover
-	{96, 96, 96},  // exactly the parallel crossover
-	{65, 130, 67}, // every dimension straddles a block boundary
-	{130, 65, 131},
+	{64, 64, 64},    // exactly one block, below the parallel crossover
+	{128, 128, 128}, // exactly the parallel crossover
+	{65, 130, 67},   // every dimension straddles a block boundary
+	{130, 130, 131},
 	{1, 300, 300}, // single output row
 	{300, 300, 1}, // single output column
 	{1, 1, 1},
@@ -44,7 +45,7 @@ var equivalenceShapes = []struct{ m, k, n int }{
 	{5, 0, 7},     // empty inner dimension
 	{7, 5, 0},
 	{0, 0, 0},
-	{97, 257, 65}, // prime-ish, larger than one block in k and j
+	{97, 257, 97}, // prime-ish, larger than one block in k and j
 }
 
 func randomized(rng *rand.Rand, r, c int, sparsity float64) *Matrix {
@@ -59,56 +60,64 @@ func randomized(rng *rand.Rand, r, c int, sparsity float64) *Matrix {
 }
 
 func TestMatMulSerialParallelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, sh := range equivalenceShapes {
-		a := randomized(rng, sh.m, sh.k, 0.2)
-		b := randomized(rng, sh.k, sh.n, 0.2)
-		var serial, parallel *Matrix
-		withParallelism(t, 1, func() { serial = MatMul(a, b) })
-		withParallelism(t, 8, func() { parallel = MatMul(a, b) })
-		bitwiseEqual(t, "matmul", serial, parallel)
-	}
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for _, sh := range equivalenceShapes {
+			a := randomized(rng, sh.m, sh.k, 0.2)
+			b := randomized(rng, sh.k, sh.n, 0.2)
+			var serial, parallel *Matrix
+			withParallelism(t, 1, func() { serial = MatMul(a, b) })
+			withParallelism(t, 8, func() { parallel = MatMul(a, b) })
+			bitwiseEqual(t, "matmul", serial, parallel)
+		}
+	})
 }
 
 func TestMatMulTransASerialParallelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, sh := range equivalenceShapes {
-		a := randomized(rng, sh.k, sh.m, 0.2) // aᵀ is m×k
-		b := randomized(rng, sh.k, sh.n, 0.2)
-		var serial, parallel *Matrix
-		withParallelism(t, 1, func() { serial = MatMulTransA(a, b) })
-		withParallelism(t, 8, func() { parallel = MatMulTransA(a, b) })
-		bitwiseEqual(t, "matmul-transA", serial, parallel)
-	}
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		for _, sh := range equivalenceShapes {
+			a := randomized(rng, sh.k, sh.m, 0.2) // aᵀ is m×k
+			b := randomized(rng, sh.k, sh.n, 0.2)
+			var serial, parallel *Matrix
+			withParallelism(t, 1, func() { serial = MatMulTransA(a, b) })
+			withParallelism(t, 8, func() { parallel = MatMulTransA(a, b) })
+			bitwiseEqual(t, "matmul-transA", serial, parallel)
+		}
+	})
 }
 
 func TestMatMulTransBSerialParallelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, sh := range equivalenceShapes {
-		a := randomized(rng, sh.m, sh.k, 0.2)
-		b := randomized(rng, sh.n, sh.k, 0.2) // bᵀ is k×n
-		var serial, parallel *Matrix
-		withParallelism(t, 1, func() { serial = MatMulTransB(a, b) })
-		withParallelism(t, 8, func() { parallel = MatMulTransB(a, b) })
-		bitwiseEqual(t, "matmul-transB", serial, parallel)
-	}
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for _, sh := range equivalenceShapes {
+			a := randomized(rng, sh.m, sh.k, 0.2)
+			b := randomized(rng, sh.n, sh.k, 0.2) // bᵀ is k×n
+			var serial, parallel *Matrix
+			withParallelism(t, 1, func() { serial = MatMulTransB(a, b) })
+			withParallelism(t, 8, func() { parallel = MatMulTransB(a, b) })
+			bitwiseEqual(t, "matmul-transB", serial, parallel)
+		}
+	})
 }
 
 // TestMatMulEquivalenceRandomShapes fuzzes shapes around the serial
 // fallback threshold and the block boundaries.
 func TestMatMulEquivalenceRandomShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 30; trial++ {
-		m := rng.Intn(200)
-		k := rng.Intn(200)
-		n := rng.Intn(200)
-		a := randomized(rng, m, k, 0.3)
-		b := randomized(rng, k, n, 0.3)
-		var serial, parallel *Matrix
-		withParallelism(t, 1, func() { serial = MatMul(a, b) })
-		withParallelism(t, 7, func() { parallel = MatMul(a, b) })
-		bitwiseEqual(t, "matmul", serial, parallel)
-	}
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(10))
+		for trial := 0; trial < 30; trial++ {
+			m := rng.Intn(200)
+			k := rng.Intn(200)
+			n := rng.Intn(200)
+			a := randomized(rng, m, k, 0.3)
+			b := randomized(rng, k, n, 0.3)
+			var serial, parallel *Matrix
+			withParallelism(t, 1, func() { serial = MatMul(a, b) })
+			withParallelism(t, 7, func() { parallel = MatMul(a, b) })
+			bitwiseEqual(t, "matmul", serial, parallel)
+		}
+	})
 }
 
 func TestAccVariantsAccumulate(t *testing.T) {
@@ -151,41 +160,44 @@ func TestAccVariantsAccumulate(t *testing.T) {
 
 // TestParallelPoolRace hammers the worker pool from many goroutines at
 // once; run with -race to check the pool hands each row block to
-// exactly one writer.
+// exactly one writer. Race builds have only the /go subtest (useAVX2 is
+// off there), whose kernel writes the detector can see.
 func TestParallelPoolRace(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := randomized(rng, 96, 96, 0)
-	b := randomized(rng, 96, 96, 0)
-	var want *Matrix
-	withParallelism(t, 1, func() { want = MatMul(a, b) })
-	SetParallelism(8)
-	defer SetParallelism(0)
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		a := randomized(rng, 128, 128, 0)
+		b := randomized(rng, 128, 128, 0)
+		var want *Matrix
+		withParallelism(t, 1, func() { want = MatMul(a, b) })
+		SetParallelism(8)
+		defer SetParallelism(0)
 
-	const goroutines = 16
-	const iters = 20
-	var wg sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dst := New(96, 96)
-			for i := 0; i < iters; i++ {
-				MatMulInto(dst, a, b)
-				for j := range dst.Data {
-					if dst.Data[j] != want.Data[j] {
-						errs <- "concurrent MatMulInto diverged from serial result"
-						return
+		const goroutines = 16
+		const iters = 20
+		var wg sync.WaitGroup
+		errs := make(chan string, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst := New(128, 128)
+				for i := 0; i < iters; i++ {
+					MatMulInto(dst, a, b)
+					for j := range dst.Data {
+						if dst.Data[j] != want.Data[j] {
+							errs <- "concurrent MatMulInto diverged from serial result"
+							return
+						}
 					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
-	}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		if msg, ok := <-errs; ok {
+			t.Fatal(msg)
+		}
+	})
 }
 
 func TestSetParallelismClamp(t *testing.T) {

@@ -234,13 +234,24 @@ func Dot(a, b []float64) float64 {
 }
 
 // Axpy computes y += alpha*x for equal-length vectors. Nothing is
-// skipped: a zero alpha still multiplies, so 0·Inf makes a NaN. The loop
-// takes four elements per iteration; each element is still one rounded
-// multiply-add, so the unrolling does not change a bit.
+// skipped: a zero alpha still multiplies, so 0·Inf makes a NaN. Each
+// element is one rounded multiply and one rounded add, on the AVX2
+// kernel where the CPU has one and in axpyGo elsewhere.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: axpy length %d vs %d", len(x), len(y)))
 	}
+	if useAVX2 {
+		axpyAVX2(alpha, x, y)
+		return
+	}
+	axpyGo(alpha, x, y)
+}
+
+// axpyGo is the portable Axpy loop. It takes four elements per
+// iteration; each element is still one rounded multiply-add, so the
+// unrolling does not change a bit.
+func axpyGo(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
@@ -258,11 +269,21 @@ func Axpy(alpha float64, x, y []float64) {
 // Axpy4 computes y += a0*x0; y += a1*x1; y += a2*x2; y += a3*x3 in one
 // pass over y: per element the same four rounded multiply-adds in the
 // same order as four Axpy calls, with one load and one store of y
-// instead of four. Like Axpy it skips nothing.
+// instead of four. Like Axpy it skips nothing and runs the AVX2 kernel
+// where the CPU has one.
 func Axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	if len(x0) != len(y) || len(x1) != len(y) || len(x2) != len(y) || len(x3) != len(y) {
 		panic(fmt.Sprintf("tensor: axpy4 lengths %d, %d, %d, %d vs %d", len(x0), len(x1), len(x2), len(x3), len(y)))
 	}
+	if useAVX2 {
+		axpy4AVX2(a0, a1, a2, a3, x0, x1, x2, x3, y)
+		return
+	}
+	axpy4Go(a0, a1, a2, a3, x0, x1, x2, x3, y)
+}
+
+// axpy4Go is the portable Axpy4 loop.
+func axpy4Go(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	x0, x1, x2, x3 = x0[:len(y)], x1[:len(y)], x2[:len(y)], x3[:len(y)]
 	for k, v := range y {
 		v += a0 * x0[k]
