@@ -7,10 +7,12 @@
 # and `fleet-bench` times what a sampled fleet pays per round and per
 # device: the edge's combine for all rows against the invitees' rows, a
 # device's model set-up, and one backbone forward pass (0 allocs/op).
+# `traffic` is a review tool too: it lists the production functions that
+# no standing run executes.
 
 GO ?= go
 
-.PHONY: all build test race bench kernel-bench edge-bench fleet-bench bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet portable ci
+.PHONY: all build test race bench kernel-bench edge-bench fleet-bench traffic bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet portable ci
 
 all: build test
 
@@ -50,6 +52,27 @@ edge-bench:
 # BenchmarkBackboneForward (per sample; must report 0 allocs/op).
 fleet-bench:
 	$(GO) test -run '^$$' -bench 'EdgeAggregate/sampled|BuildDeviceHeader|BackboneForward' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/nn
+
+# traffic (~4 min on 2 vCPUs) builds the standing benchmark (bench/, as
+# checked in), acmebench and acmesim with coverage of every acme package
+# into the git-ignored .traffic_build/, runs the four workloads (5 s
+# each), every paper experiment at one seed, the trajectory (table only)
+# and a default acmesim, and prints the production functions none of
+# them executed (0.0 % in `go tool covdata func`, acme/bench excluded).
+# A function on that list has no traffic: a candidate for deletion.
+TRAFFIC := $(CURDIR)/.traffic_build
+traffic:
+	rm -rf $(TRAFFIC) && mkdir -p $(TRAFFIC)/cov
+	$(GO) build -C bench -cover -coverpkg=acme/... -o $(TRAFFIC)/acme-bench .
+	$(GO) build -cover -coverpkg=acme/... -o $(TRAFFIC)/acmebench ./cmd/acmebench
+	$(GO) build -cover -coverpkg=acme/... -o $(TRAFFIC)/acmesim ./cmd/acmesim
+	for w in customize-dense customize-shaped-tcp fleet-sampled exchange-replay; do \
+		GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acme-bench -workload $$w -trace 0 -seconds 5 >/dev/null || exit 1; \
+	done
+	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmebench -exp all -seeds 1 >/dev/null
+	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmebench -exp trajectory >/dev/null
+	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmesim >/dev/null
+	$(GO) tool covdata func -i $(TRAFFIC)/cov | awk '$$NF == "0.0%" && $$1 !~ /^acme\/bench\//'
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never

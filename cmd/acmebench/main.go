@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"acme/internal/experiments"
-	"acme/internal/tensor"
 )
 
 func main() {
@@ -29,10 +28,8 @@ func main() {
 func run() error {
 	exp := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 	seeds := flag.Int("seeds", 2, "seeds for averaged micro-scale experiments")
-	parallel := flag.Int("parallel", 0, "tensor-kernel goroutines (0 = GOMAXPROCS)")
 	jsonPath := flag.String("json", "", "write the trajectory document here (-exp trajectory; empty only renders the table)")
 	flag.Parse()
-	tensor.SetParallelism(*parallel)
 
 	type runner struct {
 		id string

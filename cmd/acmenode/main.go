@@ -74,7 +74,7 @@ func run() error {
 		// flag interoperate untouched. Config.Chaos itself wraps the
 		// in-memory transport, which this process never uses, so it is
 		// cleared once the profile is taken.
-		net = chaos.New(tcpNet, chaos.Options{Seed: cfg.ChaosSeed(), Default: cfg.Chaos.Profile()})
+		net = chaos.New(tcpNet, chaos.Options{Seed: cfg.Seed, Default: cfg.Chaos.Profile()})
 		cfg.Chaos = acme.ChaosOptions{}
 	}
 	defer net.Close()

@@ -15,7 +15,6 @@ import (
 
 	"acme"
 	"acme/internal/data"
-	"acme/internal/tensor"
 )
 
 func main() {
@@ -32,9 +31,7 @@ func run() error {
 	dataset := flag.String("dataset", "cifar100", "dataset family: cifar100, cars")
 	agg := flag.String("agg", "wasserstein", "aggregation: wasserstein, js, average, alone")
 	timeout := flag.Duration("timeout", 10*time.Minute, "run timeout")
-	parallel := flag.Int("parallel", 0, "tensor-kernel goroutines (0 = GOMAXPROCS)")
 	flag.Parse()
-	tensor.SetParallelism(*parallel)
 
 	switch *dataset {
 	case "cifar100":

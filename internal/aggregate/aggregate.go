@@ -389,9 +389,9 @@ func UniformMatrix(n int) [][]float64 {
 	return m
 }
 
-// IdentityMatrix returns the n×n identity (the Alone baseline's
+// identityMatrix returns the n×n identity (the Alone baseline's
 // weights: each device keeps only its own set).
-func IdentityMatrix(n int) [][]float64 {
+func identityMatrix(n int) [][]float64 {
 	m := make([][]float64, n)
 	for i := range m {
 		m[i] = make([]float64, n)
@@ -497,7 +497,7 @@ func MatrixFor(m Method, n int, histograms [][]float64, features [][][]float64, 
 	}
 	switch m {
 	case Alone:
-		return IdentityMatrix(n), nil
+		return identityMatrix(n), nil
 	case Average:
 		return UniformMatrix(n), nil
 	case JS:

@@ -18,7 +18,7 @@ func makeSets(vals ...float64) []*importance.Set {
 
 func TestCombineIdentityIsAlone(t *testing.T) {
 	sets := makeSets(1, 2, 3)
-	out, err := Combine(sets, IdentityMatrix(3))
+	out, err := Combine(sets, identityMatrix(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"acme/internal/importance"
-	"acme/internal/tensor"
 )
 
 // sameBits is the oracle's equality: identical bit patterns, with any
@@ -104,8 +104,7 @@ func seedSpecials(rng *rand.Rand, sets []*importance.Set, sim [][]float64) {
 // race step relies on this test for that), and n = 64 with a few
 // thousand entries is the replay's shape in small.
 func TestCombinerGroupedFoldMatchesCombineBitwise(t *testing.T) {
-	tensor.SetParallelism(4)
-	defer tensor.SetParallelism(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(14))
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 64} {
 		shape := []int{17, 5, 64}

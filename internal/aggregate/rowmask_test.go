@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"acme/internal/importance"
-	"acme/internal/tensor"
 )
 
 // rowMasks is every read set the oracle drives a combiner of n rows
@@ -55,8 +55,7 @@ func requireMaskedRows(t *testing.T, label string, read []bool, want, got []*imp
 // masked fold and renormalization run on several goroutines under the
 // race step.
 func TestCombinerRowMaskMatchesCombineBitwise(t *testing.T) {
-	tensor.SetParallelism(4)
-	defer tensor.SetParallelism(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(17))
 	for _, n := range []int{4, 5, 13, 64, 100} {
 		shape := []int{17, 5, 64}

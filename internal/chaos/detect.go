@@ -29,16 +29,6 @@ type Detector struct {
 	// StrikeLimit is how many flagged rounds evict a device. Zero
 	// selects the default of 2; negative disables eviction.
 	StrikeLimit int
-	// MaxValues bounds the per-device sample the distance runs on.
-	// Zero selects the default of 512.
-	MaxValues int
-	// ReplayFrac is the replay cut on the cross-round self-distance: a
-	// device whose upload sits within ReplayFrac of the cluster's
-	// median self-drift from its own previous upload is flagged as a
-	// replay (honest training keeps drifting; a re-sent upload is *too*
-	// similar — its distance to itself is exactly zero). Zero selects
-	// the default of 0.1; negative disables the replay screen.
-	ReplayFrac float64
 
 	strikes map[int]int
 	evicted map[int]bool
@@ -46,6 +36,17 @@ type Detector struct {
 	// self-distance is measured against.
 	prev map[int][]float64
 }
+
+const (
+	// sampleValues bounds the per-device sample the distance runs on.
+	sampleValues = 512
+	// replayFrac is the replay cut on the cross-round self-distance: a
+	// device whose upload sits within replayFrac of the cluster's median
+	// self-drift from its own previous upload is flagged as a replay
+	// (honest training keeps drifting; a re-sent upload is *too* similar
+	// — its distance to itself is exactly zero).
+	replayFrac = 0.1
+)
 
 // Verdict is one round's detection outcome.
 type Verdict struct {
@@ -95,13 +96,6 @@ func (d *Detector) strikeLimit() int {
 	return d.StrikeLimit
 }
 
-func (d *Detector) maxValues() int {
-	if d.MaxValues <= 0 {
-		return 512
-	}
-	return d.MaxValues
-}
-
 // Downsample flattens layers into at most max values with a
 // deterministic stride, so the distance cost is bounded by the sample
 // budget, not the model size.
@@ -133,7 +127,7 @@ func Downsample(layers [][]float64, max int) []float64 {
 // Sample prepares one device's upload for Inspect: flatten and
 // downsample to the detector's value budget.
 func (d *Detector) Sample(layers [][]float64) []float64 {
-	return Downsample(layers, d.maxValues())
+	return Downsample(layers, sampleValues)
 }
 
 // median of xs, which it sorts in place.
@@ -147,16 +141,6 @@ func median(xs []float64) float64 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-func (d *Detector) replayFrac() float64 {
-	if d.ReplayFrac == 0 {
-		return 0.1
-	}
-	if d.ReplayFrac < 0 {
-		return 0
-	}
-	return d.ReplayFrac
 }
 
 // rememberSamples rotates this round's samples into the self-distance
@@ -227,27 +211,25 @@ func (d *Detector) Inspect(samples map[int][]float64) Verdict {
 	// screen self-calibrates to however fast this cluster converges and
 	// stays silent when the whole cluster has genuinely stalled
 	// (median ≈ 0).
-	if frac := d.replayFrac(); frac > 0 {
-		v.SelfScores = make(map[int]float64, len(ids))
-		selfs := make([]float64, 0, len(ids))
-		for _, id := range ids {
-			ref, ok := d.prev[id]
-			if !ok {
-				continue
-			}
-			sd := wasserstein.Distance1D(samples[id], ref, 1)
-			v.SelfScores[id] = sd
-			selfs = append(selfs, sd)
+	v.SelfScores = make(map[int]float64, len(ids))
+	selfs := make([]float64, 0, len(ids))
+	for _, id := range ids {
+		ref, ok := d.prev[id]
+		if !ok {
+			continue
 		}
-		if len(selfs) >= 3 {
-			if sm := median(selfs); sm > 0 {
-				v.SelfThreshold = frac * sm
-				for _, id := range ids {
-					sd, ok := v.SelfScores[id]
-					if ok && sd <= v.SelfThreshold && !flagged[id] {
-						flagged[id] = true
-						v.ReplaySuspects = append(v.ReplaySuspects, id)
-					}
+		sd := wasserstein.Distance1D(samples[id], ref, 1)
+		v.SelfScores[id] = sd
+		selfs = append(selfs, sd)
+	}
+	if len(selfs) >= 3 {
+		if sm := median(selfs); sm > 0 {
+			v.SelfThreshold = replayFrac * sm
+			for _, id := range ids {
+				sd, ok := v.SelfScores[id]
+				if ok && sd <= v.SelfThreshold && !flagged[id] {
+					flagged[id] = true
+					v.ReplaySuspects = append(v.ReplaySuspects, id)
 				}
 			}
 		}

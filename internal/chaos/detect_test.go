@@ -67,14 +67,6 @@ func TestDetectorReplayScreenGuards(t *testing.T) {
 	if len(v.ReplaySuspects) != 0 {
 		t.Fatalf("stalled-cluster round flagged %v", v.ReplaySuspects)
 	}
-	// A negative ReplayFrac disables the screen outright.
-	d2 := &Detector{ReplayFrac: -1}
-	r0 := map[int][]float64{0: {1, 2}, 1: {3, 4}, 2: {5, 6}}
-	d2.Inspect(r0)
-	v = d2.Inspect(map[int][]float64{0: {1, 2}, 1: {3.5, 4.5}, 2: {5.5, 6.5}})
-	if v.SelfScores != nil || len(v.ReplaySuspects) != 0 {
-		t.Fatalf("disabled screen still scored: %+v", v)
-	}
 }
 
 func TestDetectorStateRoundTrip(t *testing.T) {

@@ -204,27 +204,3 @@ func sqDist(a, b [2]float64) float64 {
 	dy := a[1] - b[1]
 	return dx*dx + dy*dy
 }
-
-// MinStorage returns min over the cluster members' Cn — the binding
-// constraint of Eq. 10.
-func MinStorage(devices []Device, members []int) float64 {
-	m := math.Inf(1)
-	for _, i := range members {
-		m = math.Min(m, devices[i].Storage)
-	}
-	return m
-}
-
-// MaxEnergyProfile returns the member whose profile yields the highest
-// energy for a unit workload — the cluster's representative Es (Eq. 10
-// uses the max energy within the cluster).
-func MaxEnergyProfile(devices []Device, members []int) energy.Profile {
-	best := devices[members[0]].Profile
-	bestE := best.Energy(1, 1)
-	for _, i := range members[1:] {
-		if e := devices[i].Profile.Energy(1, 1); e > bestE {
-			best, bestE = devices[i].Profile, e
-		}
-	}
-	return best
-}

@@ -117,24 +117,6 @@ func TestPartitionBadK(t *testing.T) {
 	}
 }
 
-func TestMinStorageAndMaxEnergyProfile(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	devs := GenerateFleet(FleetSpec{Clusters: 1, DevicesPerCluster: 5}, rng)
-	members := []int{0, 1, 2, 3, 4}
-	minS := MinStorage(devs, members)
-	for _, i := range members {
-		if devs[i].Storage < minS {
-			t.Fatal("MinStorage not minimal")
-		}
-	}
-	prof := MaxEnergyProfile(devs, members)
-	for _, i := range members {
-		if devs[i].Profile.Energy(1, 1) > prof.Energy(1, 1) {
-			t.Fatal("MaxEnergyProfile not maximal")
-		}
-	}
-}
-
 func TestDeviceName(t *testing.T) {
 	d := Device{ID: 7}
 	if d.Name() != "device-7" {

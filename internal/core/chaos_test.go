@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -91,6 +93,39 @@ func TestByzantineDetectionEvictsMemory(t *testing.T) {
 	// second.
 	if len(res.Phase2Rounds) == 0 || len(res.Phase2Rounds[0].Suspects) == 0 {
 		t.Error("liar not flagged in round 0")
+	}
+}
+
+// TestByzantineDrawsPinned pins the seeded lie stream: with the liar
+// lying in about half its rounds, which rounds flag and evict it, and
+// what every device reports, follow from the per-(device, round) lie
+// draws, so a change to the seed they read moves the hash. At seed 4
+// the liar is flagged in round 0, lies not in round 1, and is flagged
+// and evicted in round 2.
+func TestByzantineDrawsPinned(t *testing.T) {
+	cfg := byzantineConfig()
+	cfg.Fleet.Byzantine.Prob = 0.5
+	cfg.Seed = 4
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	res, err := sys.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, rs := range res.Phase2Rounds {
+		fmt.Fprintf(h, "%d %v %v\n", rs.Round, rs.Suspects, rs.EvictedDevices)
+	}
+	for _, rep := range res.Reports {
+		fmt.Fprintf(h, "%+v\n", rep)
+	}
+	const want uint64 = 0x15b2754677eadc59
+	if got := h.Sum64(); got != want {
+		t.Fatalf("byzantine run hash %#x, want %#x", got, want)
 	}
 }
 

@@ -136,9 +136,9 @@ func (p StragglerPolicy) Validate() error {
 
 // ByzantineOptions injects adversarial devices into the fleet: the
 // first Count device IDs corrupt their importance uploads per
-// internal/chaos's Liar, with per-round lie probability Prob. Seeded
-// and deterministic, so the trial matrix's TPR/FPR numbers are
-// reproducible across runs and transports.
+// internal/chaos's Liar, with per-round lie probability Prob. The lie
+// draws are seeded by the run seed and deterministic, so the trial
+// matrix's TPR/FPR numbers are reproducible across runs and transports.
 type ByzantineOptions struct {
 	// Strategy is the corruption mode: "inflate", "fabricate",
 	// "replay", or "" (no Byzantine devices).
@@ -149,8 +149,6 @@ type ByzantineOptions struct {
 	Prob float64
 	// Factor scales the corruption (0 = the chaos default of 10).
 	Factor float64
-	// Seed drives the per-(device, round) lie draws (0 = the run seed).
-	Seed int64
 }
 
 // Enabled reports whether any device is configured to lie.
@@ -190,13 +188,6 @@ type DetectOptions struct {
 	// StrikeLimit is how many flagged rounds evict a device (0 =
 	// default 2; negative disables eviction).
 	StrikeLimit int
-	// MaxValues bounds the per-upload sample the score runs on (0 =
-	// default 512).
-	MaxValues int
-	// ReplayFrac is the replay screen's cut on the cross-round
-	// self-distance as a fraction of the cluster's median self-drift
-	// (0 = chaos default of 0.1; negative disables the screen).
-	ReplayFrac float64
 }
 
 // FleetOptions groups the fleet topology and the per-round
@@ -211,12 +202,10 @@ type FleetOptions struct {
 	// round the edge samples ceil(SampleFrac × live members) devices
 	// from its membership registry and invites only those. 0 (default)
 	// and ≥1 disable sampling — every live device participates every
-	// round, bitwise identical to the pre-sampling protocol.
+	// round, bitwise identical to the pre-sampling protocol. The draw is
+	// seeded by the run seed: same seed, same membership, same subsets —
+	// on any transport.
 	SampleFrac float64
-	// SampleSeed seeds the deterministic participation draw (0 = derive
-	// from the run seed). Same seed, same membership, same subsets — on
-	// any transport.
-	SampleSeed int64
 	// SharedShards scales simulation memory to thousands of devices: the
 	// fleet draws one training shard per data group instead of one per
 	// device, and devices alias their group's shard read-only. Device
@@ -250,11 +239,10 @@ func (f FleetOptions) Sampling() bool {
 // it exists to shake out ordering assumptions and to give the
 // adversarial trial matrix realistic link conditions. Disabled (the
 // zero value) leaves the transport untouched, byte-identical to the
-// pre-chaos pipeline.
+// pre-chaos pipeline. The per-message schedule draws are seeded by the
+// run seed.
 type ChaosOptions struct {
 	Enabled bool
-	// Seed drives the per-message schedule draws (0 = the run seed).
-	Seed int64
 	// Link knobs, mirroring chaos.Profile.
 	BaseDelay    time.Duration
 	Jitter       time.Duration
@@ -293,11 +281,14 @@ func (c ChaosOptions) Validate() error {
 // importance accumulator, fleet membership + epoch, detector strikes)
 // to Path at round boundaries, atomically and off the critical path,
 // and each device snapshots its refined header after every applied
-// downlink. A killed process restarts with System.ResumeRole: the edge
-// reloads the latest snapshot and broadcasts SESSION-RESUME so devices
-// retransmit the rounds the crash may have swallowed; a device warm-
-// starts from its own snapshot through the RESYNC path, falling back
-// to a dense resync when the snapshot is missing or stale. Snapshots
+// downlink and saves its final customized model (backbone + header) as
+// device-N.ckpt beside those snapshots, loadable with
+// LoadDeviceCheckpoint. A killed process restarts with
+// System.ResumeRole: the edge reloads the latest snapshot and
+// broadcasts SESSION-RESUME so devices retransmit the rounds the crash
+// may have swallowed; a device warm-starts from its own snapshot
+// through the RESYNC path, falling back to a dense resync when the
+// snapshot is missing or stale. Snapshots
 // never change what a run computes — a checkpointed seeded run is
 // bitwise identical to an unchekpointed one; only durability and a
 // little write bandwidth are added.
@@ -408,16 +399,10 @@ type Config struct {
 	// distances ≪ 1, which would wash out the row softmax).
 	DistanceScale float64
 
-	// CheckpointDir, when non-empty, makes every device save its final
-	// customized model (backbone + header) as device-N.ckpt in that
-	// directory — a DeviceSnapshot, the format of the per-round device
-	// snapshots — loadable with LoadDeviceCheckpoint.
-	CheckpointDir string
-
-	// Checkpoint is the mid-flight durability policy: when armed, every
-	// edge (and device) persists a restartable session snapshot at
-	// round boundaries, and System.ResumeRole can rehydrate a crashed
-	// role from the latest snapshot.
+	// Checkpoint is the durability policy: when armed, every edge (and
+	// device) persists a restartable session snapshot at round
+	// boundaries, System.ResumeRole can rehydrate a crashed role from
+	// the latest snapshot, and every device saves its final model.
 	Checkpoint CheckpointOptions
 
 	// Wire is the payload shaping: entropy coding, quantization,
@@ -505,33 +490,6 @@ func DefaultConfig() Config {
 		DistanceScale:    8,
 		Seed:             1,
 	}
-}
-
-// SampleSeed returns the participation-sampling seed: the explicit
-// Fleet.SampleSeed, or the run seed when unset.
-func (c Config) SampleSeed() int64 {
-	if c.Fleet.SampleSeed != 0 {
-		return c.Fleet.SampleSeed
-	}
-	return c.Seed
-}
-
-// ChaosSeed returns the link-fault seed: the explicit Chaos.Seed, or
-// the run seed when unset.
-func (c Config) ChaosSeed() int64 {
-	if c.Chaos.Seed != 0 {
-		return c.Chaos.Seed
-	}
-	return c.Seed
-}
-
-// ByzantineSeed returns the lie-draw seed: the explicit
-// Fleet.Byzantine.Seed, or the run seed when unset.
-func (c Config) ByzantineSeed() int64 {
-	if c.Fleet.Byzantine.Seed != 0 {
-		return c.Fleet.Byzantine.Seed
-	}
-	return c.Seed
 }
 
 // Validate reports configuration errors.

@@ -42,7 +42,7 @@ func (s *System) liarFor(devID int) *chaos.Liar {
 		Strategy: chaos.Strategy(b.Strategy),
 		Prob:     b.Prob,
 		Factor:   b.Factor,
-		Seed:     s.Cfg.ByzantineSeed(),
+		Seed:     s.Cfg.Seed,
 		Device:   devID,
 	}
 }
@@ -198,7 +198,7 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 	// Nothing runs the backbone after this, so the device drops it (and
 	// its forward scratch): a snapshot carries it as encoded here, once.
 	backboneParams := model.Backbone.ActiveParamCount()
-	if s.Cfg.CheckpointDir != "" || s.Cfg.Checkpoint.Enabled() {
+	if s.Cfg.Checkpoint.Enabled() {
 		pkg.Backbone = EncodeBackbone(model.Backbone, pkg.Backbone.W, pkg.Backbone.D,
 			pkg.Backbone.Candidate, QuantLossless)
 	}
@@ -227,8 +227,8 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 		return err
 	}
 
-	if s.Cfg.CheckpointDir != "" {
-		if err := s.writeDeviceSnapshot(deviceModelFile(s.Cfg.CheckpointDir, dev.ID), dev.ID, s.Cfg.Phase2Rounds, model, pkg); err != nil {
+	if s.Cfg.Checkpoint.Enabled() {
+		if err := s.writeDeviceSnapshot(deviceModelFile(s.Cfg.Checkpoint.Path, dev.ID), dev.ID, s.Cfg.Phase2Rounds, model, pkg); err != nil {
 			return err
 		}
 	}

@@ -412,7 +412,7 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 		invited:      make([]bool, len(order)),
 		lastRound:    -1,
 		sampling:     s.Cfg.Fleet.Sampling(),
-		sampler:      fleet.Sampler{Frac: s.Cfg.Fleet.SampleFrac, Seed: s.Cfg.SampleSeed()},
+		sampler:      fleet.Sampler{Frac: s.Cfg.Fleet.SampleFrac, Seed: s.Cfg.Seed},
 		monitor:      s.Cfg.ConvergenceEpsilon > 0,
 		cutoff:       s.Cfg.Straggler.Enabled(),
 		resumedRound: -1,
@@ -439,8 +439,7 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 	}
 	if s.Cfg.Fleet.Detect.Enabled {
 		d := s.Cfg.Fleet.Detect
-		st.detect = &chaos.Detector{K: d.K, Margin: d.Margin, StrikeLimit: d.StrikeLimit,
-			MaxValues: d.MaxValues, ReplayFrac: d.ReplayFrac}
+		st.detect = &chaos.Detector{K: d.K, Margin: d.Margin, StrikeLimit: d.StrikeLimit}
 		st.detectPending = make([]*importance.Set, len(order))
 		st.detectSamples = make(map[int][]float64, len(order))
 	}

@@ -27,7 +27,6 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	fs.DurationVar(&cfg.Straggler.Deadline, "cutoff", cfg.Straggler.Deadline, "straggler deadline per aggregation round (set together with -quorum)")
 	straggle := fs.Duration("straggle", 0, "artificially delay device 0's upload by this much every round (a deterministic straggler for -quorum/-cutoff demos)")
 	fs.Float64Var(&cfg.Fleet.SampleFrac, "sample-frac", cfg.Fleet.SampleFrac, "per-round participation fraction in (0,1): each round every edge invites only a seeded sample of its live devices (0 = full participation)")
-	fs.Int64Var(&cfg.Fleet.SampleSeed, "sample-seed", cfg.Fleet.SampleSeed, "participation sampling seed (0 = derive from -seed)")
 	fs.BoolVar(&cfg.Fleet.SharedShards, "shared-shards", cfg.Fleet.SharedShards, "share one training shard per data group across its devices (memory scaling for thousands of simulated devices)")
 
 	// The option groups are staged: each lands in cfg only when its
@@ -39,7 +38,6 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 		checkpoint CheckpointOptions
 	)
 	fs.BoolVar(&chaos.Enabled, "chaos", false, "wrap the transport in the seeded link-fault model (timing only — seeded results are identical with it on or off; per node over TCP, so a mixed fleet interoperates)")
-	fs.Int64Var(&chaos.Seed, "chaos-seed", 0, "link-fault schedule seed (0 = derive from -seed)")
 	fs.DurationVar(&chaos.BaseDelay, "chaos-base", 200*time.Microsecond, "chaos per-message base delay")
 	fs.DurationVar(&chaos.Jitter, "chaos-jitter", 2*time.Millisecond, "chaos uniform jitter on top of the base delay")
 	fs.Float64Var(&chaos.SpikeProb, "chaos-spike-prob", 0.1, "chaos per-message probability of a latency spike")
@@ -49,13 +47,11 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	fs.IntVar(&byzantine.Count, "byzantine-count", 1, "how many devices lie (IDs 0..count-1)")
 	fs.Float64Var(&byzantine.Prob, "byzantine-prob", 1, "per-round lie probability of each byzantine device")
 	fs.Float64Var(&byzantine.Factor, "byzantine-factor", 0, "corruption scale: inflate multiplier / fabricate range (0 = default 10)")
-	fs.Int64Var(&byzantine.Seed, "byzantine-seed", 0, "lie-draw seed (0 = derive from -seed)")
 	fs.BoolVar(&detect.Enabled, "detect", false, "arm the edge-side statistical detector: Wasserstein anomaly scoring, suspect exclusion, strike-limit eviction")
 	fs.Float64Var(&detect.K, "detect-k", 0, "detector MAD multiplier in the outlier threshold (0 = default 3)")
 	fs.Float64Var(&detect.Margin, "detect-margin", 0, "detector relative slack on the median score (0 = default 0.5)")
 	fs.IntVar(&detect.StrikeLimit, "detect-strikes", 0, "flagged rounds before eviction (0 = default 2, negative = never evict)")
-	fs.Float64Var(&detect.ReplayFrac, "detect-replay", 0, "replay screen: flag a device whose upload sits within this fraction of the cluster's median round-to-round self-drift of its own previous upload (0 = default 0.1, negative = screen off)")
-	fs.StringVar(&checkpoint.Path, "ckpt-path", "", "checkpoint directory: write durable session snapshots at round boundaries")
+	fs.StringVar(&checkpoint.Path, "ckpt-path", "", "checkpoint directory: write durable session snapshots at round boundaries and every device's final model")
 	fs.IntVar(&checkpoint.Every, "ckpt-every", 0, "snapshot every Nth round (0 or 1 = every round)")
 	fs.BoolVar(&checkpoint.Fsync, "ckpt-fsync", false, "fsync snapshots to stable storage before they count")
 

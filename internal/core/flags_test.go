@@ -18,11 +18,11 @@ var runFlagDefaults = map[string]string{
 	"edges": "2", "devices": "3", "samples": "160", "rounds": "2", "seed": "1",
 	"entropy": "false", "quant": "lossless", "delta": "false", "refresh": "0",
 	"quorum": "0", "cutoff": "0s", "straggle": "0s",
-	"sample-frac": "0", "sample-seed": "0", "shared-shards": "false",
-	"chaos": "false", "chaos-seed": "0", "chaos-base": "200µs", "chaos-jitter": "2ms",
+	"sample-frac": "0", "shared-shards": "false",
+	"chaos": "false", "chaos-base": "200µs", "chaos-jitter": "2ms",
 	"chaos-spike-prob": "0.1", "chaos-spike": "10ms", "chaos-bandwidth": "0",
-	"byzantine": "", "byzantine-count": "1", "byzantine-prob": "1", "byzantine-factor": "0", "byzantine-seed": "0",
-	"detect": "false", "detect-k": "0", "detect-margin": "0", "detect-strikes": "0", "detect-replay": "0",
+	"byzantine": "", "byzantine-count": "1", "byzantine-prob": "1", "byzantine-factor": "0",
+	"detect": "false", "detect-k": "0", "detect-margin": "0", "detect-strikes": "0",
 	"ckpt-path": "", "ckpt-every": "0", "ckpt-fsync": "false",
 }
 
@@ -77,13 +77,13 @@ func TestBindFlagsApply(t *testing.T) {
 		t.Fatalf("no flags changed the config (err %v):\n got  %+v\n want %+v", err, cfg, DefaultConfig())
 	}
 	// Sub-options of a group that is off are ignored, as before.
-	if cfg, err := parse("-chaos-seed", "9", "-byzantine-count", "4", "-detect-k", "2", "-ckpt-every", "3"); err != nil || !reflect.DeepEqual(cfg, DefaultConfig()) {
+	if cfg, err := parse("-chaos-jitter", "9ms", "-byzantine-count", "4", "-detect-k", "2", "-ckpt-every", "3"); err != nil || !reflect.DeepEqual(cfg, DefaultConfig()) {
 		t.Fatalf("sub-options of disabled groups leaked into the config (err %v): %+v", err, cfg)
 	}
 
 	cfg, err := parse("-edges", "4", "-devices", "5", "-quant", "mixed", "-delta", "-entropy",
 		"-quorum", "0.5", "-cutoff", "2s", "-straggle", "30ms", "-sample-frac", "0.25",
-		"-chaos", "-chaos-seed", "7",
+		"-chaos", "-chaos-jitter", "3ms",
 		"-byzantine", "inflate", "-byzantine-prob", "0.5", "-detect", "-detect-strikes", "3",
 		"-ckpt-path", "/tmp/x", "-ckpt-every", "2")
 	if err != nil {
@@ -94,8 +94,8 @@ func TestBindFlagsApply(t *testing.T) {
 	want.Wire = WireOptions{Entropy: true, Quantization: QuantMixed, DeltaImportance: true}
 	want.Straggler = StragglerPolicy{Quorum: 0.5, Deadline: 2 * time.Second, SlowDeviceDelay: 30 * time.Millisecond}
 	want.Fleet.SampleFrac = 0.25
-	want.Chaos = ChaosOptions{Enabled: true, Seed: 7, BaseDelay: 200 * time.Microsecond,
-		Jitter: 2 * time.Millisecond, SpikeProb: 0.1, SpikeDelay: 10 * time.Millisecond}
+	want.Chaos = ChaosOptions{Enabled: true, BaseDelay: 200 * time.Microsecond,
+		Jitter: 3 * time.Millisecond, SpikeProb: 0.1, SpikeDelay: 10 * time.Millisecond}
 	want.Fleet.Byzantine = ByzantineOptions{Strategy: "inflate", Count: 1, Prob: 0.5}
 	want.Fleet.Detect = DetectOptions{Enabled: true, StrikeLimit: 3}
 	want.Checkpoint = CheckpointOptions{Path: "/tmp/x", Every: 2}

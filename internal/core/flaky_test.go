@@ -76,7 +76,6 @@ func TestSystemTolerantOfDelaysAndReordering(t *testing.T) {
 	chaosCfg := cfg
 	chaosCfg.Chaos = ChaosOptions{
 		Enabled:      true,
-		Seed:         7,
 		BaseDelay:    200 * time.Microsecond,
 		Jitter:       2 * time.Millisecond,
 		SpikeProb:    0.2,

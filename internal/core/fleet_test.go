@@ -96,7 +96,7 @@ func TestCarsLikeDataset(t *testing.T) {
 // TestDeviceCheckpoints verifies devices persist loadable final models.
 func TestDeviceCheckpoints(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.CheckpointDir = t.TempDir()
+	cfg.Checkpoint.Path = t.TempDir()
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestDeviceCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSavedModels(t, sys, cfg.CheckpointDir, res.Reports)
+	checkSavedModels(t, sys, cfg.Checkpoint.Path, res.Reports)
 }
 
 // checkSavedModels loads each reporting device's saved final model and

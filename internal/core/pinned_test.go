@@ -84,7 +84,6 @@ func TestDeviceSnapshotBytesPinned(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Phase2Rounds = 2
 	cfg.Checkpoint.Path = t.TempDir()
-	cfg.CheckpointDir = t.TempDir()
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestDeviceSnapshotBytesPinned(t *testing.T) {
 	h := fnv.New64a()
 	for _, path := range []string{
 		sys.checkpointFile("device-0"),
-		deviceModelFile(cfg.CheckpointDir, 0),
+		deviceModelFile(cfg.Checkpoint.Path, 0),
 	} {
 		var snap DeviceSnapshot
 		if err := checkpoint.ReadFile(path, &snap); err != nil {

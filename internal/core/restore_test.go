@@ -242,7 +242,6 @@ func TestRestoreSmokeTCP(t *testing.T) {
 // must be the one the reference path computes for the model it saved.
 func TestDeviceRestoreWarmRejoin(t *testing.T) {
 	cfg := restoreConfig(t.TempDir())
-	cfg.CheckpointDir = t.TempDir()
 	// The victim needs cluster peers to satisfy the quorum while gone.
 	victimID, victimEdge := slowDeviceInLargestCluster(t, cfg)
 	cfg.Straggler.Quorum = 0.5
@@ -286,7 +285,7 @@ func TestDeviceRestoreWarmRejoin(t *testing.T) {
 	if got, want := len(reports), len(sys.Devices()); got != want {
 		t.Fatalf("restored-device run completed with %d reports, want %d", got, want)
 	}
-	checkSavedModels(t, sys, cfg.CheckpointDir, reports)
+	checkSavedModels(t, sys, cfg.Checkpoint.Path, reports)
 }
 
 // TestCheckpointValidation pins the config contract around the

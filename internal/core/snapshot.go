@@ -421,8 +421,8 @@ func (s *System) resumeDevice(ctx context.Context, edgeID, devIdx int) error {
 
 // writeDeviceSnapshot persists one device's trained model, lossless
 // with masks, under the run's tag, to path: every round's warm-restore
-// snapshot (resumeDevice) and the final model saved under
-// Config.CheckpointDir (LoadDeviceCheckpoint) are this one file format.
+// snapshot (resumeDevice) and the final model saved beside it
+// (LoadDeviceCheckpoint) are this one file format.
 // The header is encoded from the live model; the frozen backbone is
 // pkg.Backbone, which the device encoded losslessly once before it
 // dropped the backbone (deviceRefineAndReport).
@@ -445,13 +445,13 @@ func (s *System) writeDeviceSnapshot(path string, devID, round int, header *nas.
 }
 
 // deviceModelFile is where device id's final model lands under dir
-// (Config.CheckpointDir).
+// (Config.Checkpoint.Path).
 func deviceModelFile(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("device-%d.ckpt", id))
 }
 
 // LoadDeviceCheckpoint restores the final customized model device id
-// saved under dir (Config.CheckpointDir).
+// saved under dir (Config.Checkpoint.Path).
 func LoadDeviceCheckpoint(dir string, id int) (*nn.Backbone, *nas.HeaderModel, error) {
 	var snap DeviceSnapshot
 	if err := checkpoint.ReadFile(deviceModelFile(dir, id), &snap); err != nil {

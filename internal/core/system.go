@@ -242,7 +242,7 @@ func NewSystem(cfg Config) (*System, error) {
 		// The chaos wrapper perturbs delivery timing and order, never
 		// payloads, so seeded Results are identical with it on or off.
 		s.Net = chaos.New(mem, chaos.Options{
-			Seed:    cfg.ChaosSeed(),
+			Seed:    cfg.Seed,
 			Default: cfg.Chaos.Profile(),
 		})
 	}
@@ -564,7 +564,7 @@ func (s *System) centralizedBytes() int64 {
 			Histogram: s.devTrain[i].ClassHistogram(),
 		}
 		if payload, _, err := s.encodePayload(transport.KindRawData, shard); err == nil {
-			total += int64(len(payload)) + 16
+			total += int64(len(payload)) + transport.HeaderEstimate
 		}
 	}
 	return total

@@ -155,11 +155,6 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	return g, nil
 }
 
-// ClassMean returns the mean of class c (copy).
-func (g *Generator) ClassMean(c int) []float64 {
-	return append([]float64(nil), g.classMeans[c]...)
-}
-
 // Sample draws n samples from the given classes (uniformly across
 // them), applying the spec's label noise.
 func (g *Generator) Sample(n int, classes []int, rng *rand.Rand) *Dataset {

@@ -24,7 +24,7 @@ func TestGeneratorDeterministicMeans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 20; c += 7 {
-		m1, m2 := g1.ClassMean(c), g2.ClassMean(c)
+		m1, m2 := g1.classMeans[c], g2.classMeans[c]
 		for i := range m1 {
 			if m1[i] != m2[i] {
 				t.Fatalf("class %d mean differs between generators", c)
@@ -77,8 +77,8 @@ func TestSuperclassGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Classes 0..4 share superclass 0; class 5 is in superclass 1.
-	sameSuper := dist(g.ClassMean(0), g.ClassMean(1))
-	crossSuper := dist(g.ClassMean(0), g.ClassMean(5))
+	sameSuper := dist(g.classMeans[0], g.classMeans[1])
+	crossSuper := dist(g.classMeans[0], g.classMeans[5])
 	if sameSuper >= crossSuper {
 		t.Fatalf("within-super distance %.2f ≥ cross-super %.2f", sameSuper, crossSuper)
 	}

@@ -243,8 +243,7 @@ var links = map[string]core.ChaosOptions{
 // contaminate every honest device's pooled comparison set, which
 // inflates honest scores — the wider margin keeps the false-positive
 // rate at the floor while the inflate and fabricate scores still clear
-// it by a wide multiple. The replay screen is armed through the
-// detector's default ReplayFrac.
+// it by a wide multiple. The replay screen is always armed.
 var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0, StrikeLimit: 2}
 
 // byzantineDevices is how many devices lie in a cell with a Strategy.

@@ -88,7 +88,7 @@ func TestSamplerDisabledAndBounds(t *testing.T) {
 
 func TestRegistryEpochAndLiveness(t *testing.T) {
 	r := NewRegistry()
-	if r.Epoch() != 0 || r.LiveCount() != 0 {
+	if r.Epoch() != 0 || len(r.Live()) != 0 {
 		t.Fatal("fresh registry not empty at epoch 0")
 	}
 	seed := map[string]int{"device-0": 0, "device-1": 1, "device-2": 2}
@@ -105,8 +105,8 @@ func TestRegistryEpochAndLiveness(t *testing.T) {
 	if e := r.Leave("device-1"); e != 2 {
 		t.Fatalf("duplicate leave bumped the epoch to %d", e)
 	}
-	if r.LiveCount() != 2 {
-		t.Fatalf("live count %d after leave, want 2", r.LiveCount())
+	if got := r.Live(); len(got) != 2 {
+		t.Fatalf("live %v after leave, want 2 members", got)
 	}
 	// Rejoin restores liveness with a fresh epoch.
 	if e := r.Join("device-1", 1); e != 3 {

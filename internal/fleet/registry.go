@@ -177,19 +177,6 @@ func (r *Registry) Live() []string {
 	return out
 }
 
-// LiveCount returns the number of alive members.
-func (r *Registry) LiveCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, m := range r.members {
-		if m.Alive {
-			n++
-		}
-	}
-	return n
-}
-
 // Lookup returns a copy of the named member's entry.
 func (r *Registry) Lookup(node string) (Member, bool) {
 	r.mu.Lock()

@@ -173,11 +173,7 @@ func SpaceSizeWithOps(blocks, numOps int) float64 {
 // RandomArchitecture samples a uniform architecture with B blocks over
 // the default operation set.
 func RandomArchitecture(blocks int, rng *rand.Rand) Architecture {
-	return RandomArchitectureFrom(blocks, DefaultOpSet(), rng)
-}
-
-// RandomArchitectureFrom samples uniformly over the given operation set.
-func RandomArchitectureFrom(blocks int, ops []OpKind, rng *rand.Rand) Architecture {
+	ops := DefaultOpSet()
 	a := Architecture{Blocks: make([]BlockGene, blocks)}
 	for b := range a.Blocks {
 		limit := InputSetSize(b)

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"acme/internal/tensor"
 )
 
 // requireNoGoroutinesLeft waits briefly for the goroutine count to come
@@ -30,7 +28,7 @@ func requireNoGoroutinesLeft(t *testing.T, baseline int, what string) {
 // optimizer state, gradients and importances.
 func replicatedRun(t *testing.T, p, batch int, sgd bool, shape func(*Backbone)) []uint64 {
 	t.Helper()
-	tensor.SetParallelism(p)
+	runtime.GOMAXPROCS(p)
 	c, xs, ys, rng := pinnedEpochFixture(t)
 	bb := c.Backbone
 	if shape != nil {
@@ -84,7 +82,7 @@ func replicatedRun(t *testing.T, p, batch int, sgd bool, shape func(*Backbone)) 
 // model (masked heads and neurons, an inactive block) and under SGD; no
 // replica goroutine outlives its pass.
 func TestReplicatedPassesMatchSerial(t *testing.T) {
-	defer tensor.SetParallelism(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	scaled := func(bb *Backbone) {
 		if err := bb.ScaleWidth(0.6); err != nil {
 			t.Fatal(err)
@@ -128,10 +126,10 @@ func TestReplicatedPassesMatchSerial(t *testing.T) {
 // last replica's share fails the pass with the serial loop's error, and
 // the replicas still stop.
 func TestReplicatedPassReturnsErrors(t *testing.T) {
-	defer tensor.SetParallelism(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	baseline := runtime.NumGoroutine()
 	for p := 2; p <= 4; p++ {
-		tensor.SetParallelism(p)
+		runtime.GOMAXPROCS(p)
 		c, xs, ys, _ := pinnedEpochFixture(t)
 		// Slot 7 of the first minibatch of 8 is in the last replica's share.
 		bad := rand.New(rand.NewSource(1)).Perm(len(xs))[7]

@@ -7,7 +7,6 @@ package prune
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"acme/internal/data"
@@ -24,11 +23,6 @@ type DistillConfig struct {
 	Epochs  int
 	Batch   int
 	LR      float64
-	// UseKL replaces the paper's MSE logits term with Hinton-style
-	// soft-target KL at the given Temperature (an alternative this repo
-	// ablates; Eq. 9 itself uses MSE).
-	UseKL       bool
-	Temperature float64
 }
 
 // DefaultDistillConfig returns sensible micro-scale defaults.
@@ -133,14 +127,8 @@ func (g *Generator) distill(teacher, student *nn.BackboneClassifier, rng *rand.R
 				if err != nil {
 					return err
 				}
-				// λ₁ · l(ý, y) on logits (MSE per Eq. 9, or soft-target
-				// KL when configured).
-				var dLogits []float64
-				if cfg.UseKL {
-					_, dLogits = softKLGrad(sLogits, tLogits, cfg.Temperature)
-				} else {
-					_, dLogits = nn.MSEVec(sLogits, tLogits)
-				}
+				// λ₁ · l(ý, y) on logits (MSE per Eq. 9).
+				_, dLogits := nn.MSEVec(sLogits, tLogits)
 				for j := range dLogits {
 					dLogits[j] *= cfg.Lambda1
 				}
@@ -170,46 +158,6 @@ func (g *Generator) distill(teacher, student *nn.BackboneClassifier, rng *rand.R
 		}
 	}
 	return nil
-}
-
-// softKLGrad returns KL(softmax(t/T) ‖ softmax(s/T)) scaled by T² (the
-// standard gradient-magnitude correction) and its gradient with respect
-// to the student logits s: softmax(s/T) − softmax(t/T), scaled by T.
-func softKLGrad(student, teacher []float64, temperature float64) (float64, []float64) {
-	if temperature <= 0 {
-		temperature = 2
-	}
-	ps := softmaxTemp(student, temperature)
-	pt := softmaxTemp(teacher, temperature)
-	var kl float64
-	grad := make([]float64, len(student))
-	for i := range student {
-		if pt[i] > 0 && ps[i] > 0 {
-			kl += pt[i] * math.Log(pt[i]/ps[i])
-		}
-		grad[i] = temperature * (ps[i] - pt[i])
-	}
-	return temperature * temperature * kl, grad
-}
-
-func softmaxTemp(logits []float64, temperature float64) []float64 {
-	maxv := math.Inf(-1)
-	for _, v := range logits {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	out := make([]float64, len(logits))
-	var sum float64
-	for i, v := range logits {
-		e := math.Exp((v - maxv) / temperature)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
 }
 
 func cloneLinear(l *nn.Linear) *nn.Linear {

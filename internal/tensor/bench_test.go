@@ -6,47 +6,32 @@ import (
 	"testing"
 )
 
-// Benchmarks compare the serial kernel (parallelism 1) against the
-// pooled kernel at GOMAXPROCS across the sizes the training stack
-// actually hits: 64 (header-scale), 256 (backbone-scale), 1024
-// (stress / paper-scale surrogate).
-
-func benchMatMul(b *testing.B, into func(dst, x, y *Matrix), n, parallelism int) {
-	SetParallelism(parallelism)
-	defer SetParallelism(0)
-	rng := rand.New(rand.NewSource(1))
-	x := New(n, n)
-	y := New(n, n)
-	x.Randomize(rng, 1)
-	y.Randomize(rng, 1)
-	dst := New(n, n)
-	b.SetBytes(int64(8 * n * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		into(dst, x, y)
-	}
-}
-
-// benchSerialParallel runs one product at each size on the serial kernel
-// and on the pool, in a fixed order so benchstat pairs the results.
-func benchSerialParallel(b *testing.B, into func(dst, x, y *Matrix), sizes ...int) {
+// BenchmarkMatMul* time the three products at the sizes the training
+// stack hits: 64 (header-scale), 256 (backbone-scale), 1024 (stress /
+// paper-scale surrogate).
+func benchMatMul(b *testing.B, into func(dst, x, y *Matrix), sizes ...int) {
 	for _, n := range sizes {
-		b.Run(fmt.Sprintf("serial/%d", n), func(b *testing.B) { benchMatMul(b, into, n, 1) })
-		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) { benchMatMul(b, into, n, 0) })
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x := New(n, n)
+			y := New(n, n)
+			x.Randomize(rng, 1)
+			y.Randomize(rng, 1)
+			dst := New(n, n)
+			b.SetBytes(int64(8 * n * n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				into(dst, x, y)
+			}
+		})
 	}
 }
 
-// 96, 128, 160 and 192 bracket minParallelFlops: its comment quotes these.
-func BenchmarkMatMul(b *testing.B) {
-	benchSerialParallel(b, MatMulInto, 64, 96, 128, 160, 192, 256, 1024)
-}
+func BenchmarkMatMul(b *testing.B) { benchMatMul(b, MatMulInto, 64, 256, 1024) }
 
-func BenchmarkMatMulTransA(b *testing.B) { benchSerialParallel(b, MatMulTransAInto, 256, 1024) }
+func BenchmarkMatMulTransA(b *testing.B) { benchMatMul(b, MatMulTransAInto, 256, 1024) }
 
-// a·bᵀ stays scalar on every path; 96, 128 and 160 bracket its crossover.
-func BenchmarkMatMulTransB(b *testing.B) {
-	benchSerialParallel(b, MatMulTransBInto, 96, 128, 160, 256, 1024)
-}
+func BenchmarkMatMulTransB(b *testing.B) { benchMatMul(b, MatMulTransBInto, 256, 1024) }
 
 // benchSides are the sides of BenchmarkKernel and BenchmarkAxpy: the
 // reference loops of kernel_ref_test.go, the portable kernels ("go",
@@ -71,7 +56,7 @@ func BenchmarkKernel(b *testing.B) {
 		{2, 9, 32, 160}, // Conv1D.Backward: dy · Wᵀ
 		{0, 9, 32, 32},  // Linear / attention projections
 		{0, 9, 32, 128}, // MLP up-projection
-		{0, 64, 64, 64}, // the parallel crossover
+		{0, 64, 64, 64}, // one blockK panel
 		{1, 64, 64, 64},
 		{2, 64, 64, 64},
 	}

@@ -177,11 +177,10 @@ func oracleDim(rng *rand.Rand, block int) int {
 
 // TestKernelsMatchReferenceBitwise is the fail-closed oracle for the
 // register-blocked kernels: on seeded random shapes, zero patterns,
-// pre-filled destinations and the row sub-ranges the parallel path
-// passes, each shipped kernel must reproduce the reference loop's
-// result bit for bit. A reordered reduction shows up here as a last-bit
-// difference; parallel_test.go, which compares a kernel with itself,
-// cannot see one. It runs once per kernel path (forEachPath).
+// pre-filled destinations and random row sub-ranges, each shipped
+// kernel must reproduce the reference loop's result bit for bit. A
+// reordered reduction shows up here as a last-bit difference. It runs
+// once per kernel path (forEachPath).
 func TestKernelsMatchReferenceBitwise(t *testing.T) { forEachPath(t, kernelsMatchReference) }
 
 func kernelsMatchReference(t *testing.T) {
@@ -208,8 +207,7 @@ func kernelsMatchReference(t *testing.T) {
 			}
 			what := fmt.Sprintf("%s %dx%dx%d %s", kc.name, m, k, n, pattern)
 			kc.ref(want, a, b, 0, m)
-			// The shipped kernel runs over a random partition of the rows,
-			// as parallelFor would hand them out.
+			// The shipped kernel runs over a random partition of the rows.
 			for i0 := 0; i0 < m; {
 				i1 := i0 + 1 + rng.Intn(m-i0)
 				kc.new(got, a, b, i0, i1)

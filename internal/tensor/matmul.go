@@ -6,7 +6,7 @@ import "fmt"
 // (128 KiB) sits comfortably in L2 while a blockJ-wide dst row segment
 // (2 KiB) stays in L1 across the k sweep. Blocking only reorders which
 // (i, j) cells are visited when; every per-element reduction still runs
-// in ascending-k order, so blocked, serial, and parallel kernels produce
+// in ascending-k order, so blocked kernels over any row partition produce
 // bitwise-identical results.
 const (
 	blockK = 64
@@ -24,20 +24,6 @@ func MatMul(a, b *Matrix) *Matrix {
 func MatMulInto(dst, a, b *Matrix) {
 	checkMatMul("matmul", dst, a.Rows, b.Cols, a.Cols, b.Rows)
 	dst.Zero()
-	matMulAcc(dst, a, b)
-}
-
-// MatMulAcc computes dst += a·b, reusing dst's storage.
-func MatMulAcc(dst, a, b *Matrix) {
-	checkMatMul("matmul", dst, a.Rows, b.Cols, a.Cols, b.Rows)
-	matMulAcc(dst, a, b)
-}
-
-func matMulAcc(dst, a, b *Matrix) {
-	if a.Rows*a.Cols*b.Cols >= minParallelFlops {
-		parallelFor(a.Rows, func(i0, i1 int) { matMulRange(dst, a, b, i0, i1) })
-		return
-	}
 	matMulRange(dst, a, b, 0, a.Rows)
 }
 
@@ -119,20 +105,12 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 func MatMulTransBInto(dst, a, b *Matrix) {
 	checkMatMul("matmul-transB", dst, a.Rows, b.Rows, a.Cols, b.Cols)
 	dst.Zero()
-	matMulTransBAcc(dst, a, b)
+	matMulTransBRange(dst, a, b, 0, a.Rows)
 }
 
 // MatMulTransBAcc computes dst += a·bᵀ, reusing dst's storage.
 func MatMulTransBAcc(dst, a, b *Matrix) {
 	checkMatMul("matmul-transB", dst, a.Rows, b.Rows, a.Cols, b.Cols)
-	matMulTransBAcc(dst, a, b)
-}
-
-func matMulTransBAcc(dst, a, b *Matrix) {
-	if a.Rows*b.Rows*a.Cols >= minParallelFlops {
-		parallelFor(a.Rows, func(i0, i1 int) { matMulTransBRange(dst, a, b, i0, i1) })
-		return
-	}
 	matMulTransBRange(dst, a, b, 0, a.Rows)
 }
 
@@ -190,7 +168,7 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 func MatMulTransAInto(dst, a, b *Matrix) {
 	checkMatMul("matmul-transA", dst, a.Cols, b.Cols, a.Rows, b.Rows)
 	dst.Zero()
-	matMulTransAAcc(dst, a, b)
+	matMulTransARange(dst, a, b, 0, a.Cols)
 }
 
 // MatMulTransAAcc computes dst += aᵀ·b, reusing dst's storage. It is
@@ -198,14 +176,6 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 // (dW += xᵀ·dy).
 func MatMulTransAAcc(dst, a, b *Matrix) {
 	checkMatMul("matmul-transA", dst, a.Cols, b.Cols, a.Rows, b.Rows)
-	matMulTransAAcc(dst, a, b)
-}
-
-func matMulTransAAcc(dst, a, b *Matrix) {
-	if a.Rows*a.Cols*b.Cols >= minParallelFlops {
-		parallelFor(a.Cols, func(i0, i1 int) { matMulTransARange(dst, a, b, i0, i1) })
-		return
-	}
 	matMulTransARange(dst, a, b, 0, a.Cols)
 }
 

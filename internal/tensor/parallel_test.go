@@ -2,21 +2,24 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-// withParallelism runs f under the given parallelism setting and
-// restores the default afterwards.
-func withParallelism(t *testing.T, n int, f func()) {
-	t.Helper()
-	SetParallelism(n)
-	defer SetParallelism(0)
-	f()
+func randomized(rng *rand.Rand, r, c int, sparsity float64) *Matrix {
+	m := New(r, c)
+	for i := range m.Data {
+		if rng.Float64() < sparsity {
+			continue // keep zeros: exercises the zero-skip fast path
+		}
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
 }
 
 // bitwiseEqual reports exact (tolerance-zero) equality, the contract
-// the parallel kernels promise relative to the serial ones.
+// ParallelFor promises for work split by rows.
 func bitwiseEqual(t *testing.T, op string, serial, parallel *Matrix) {
 	t.Helper()
 	if serial.Rows != parallel.Rows || serial.Cols != parallel.Cols {
@@ -29,12 +32,20 @@ func bitwiseEqual(t *testing.T, op string, serial, parallel *Matrix) {
 	}
 }
 
+// pooled runs kernel over ParallelFor's row blocks of [0, rows) with
+// GOMAXPROCS at n, so the blocks run on the worker pool.
+func pooled(n, rows int, kernel func(i0, i1 int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	ParallelFor(rows, kernel)
+}
+
 // equivalenceShapes covers non-divisible block sizes, degenerate rows
 // and columns, and empty matrices. The equivalence tests run once per
-// kernel path (forEachPath).
+// kernel path (forEachPath) and compare the exported product (one call)
+// with its range kernel split into ParallelFor blocks on the pool.
 var equivalenceShapes = []struct{ m, k, n int }{
-	{64, 64, 64},    // exactly one block, below the parallel crossover
-	{128, 128, 128}, // exactly the parallel crossover
+	{64, 64, 64},    // exactly one block
+	{128, 128, 128}, // two blocks in k
 	{65, 130, 67},   // every dimension straddles a block boundary
 	{130, 130, 131},
 	{1, 300, 300}, // single output row
@@ -48,27 +59,15 @@ var equivalenceShapes = []struct{ m, k, n int }{
 	{97, 257, 97}, // prime-ish, larger than one block in k and j
 }
 
-func randomized(rng *rand.Rand, r, c int, sparsity float64) *Matrix {
-	m := New(r, c)
-	for i := range m.Data {
-		if rng.Float64() < sparsity {
-			continue // keep zeros: exercises the zero-skip fast path
-		}
-		m.Data[i] = rng.NormFloat64()
-	}
-	return m
-}
-
 func TestMatMulSerialParallelEquivalence(t *testing.T) {
 	forEachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for _, sh := range equivalenceShapes {
 			a := randomized(rng, sh.m, sh.k, 0.2)
 			b := randomized(rng, sh.k, sh.n, 0.2)
-			var serial, parallel *Matrix
-			withParallelism(t, 1, func() { serial = MatMul(a, b) })
-			withParallelism(t, 8, func() { parallel = MatMul(a, b) })
-			bitwiseEqual(t, "matmul", serial, parallel)
+			parallel := New(sh.m, sh.n)
+			pooled(8, sh.m, func(i0, i1 int) { matMulRange(parallel, a, b, i0, i1) })
+			bitwiseEqual(t, "matmul", MatMul(a, b), parallel)
 		}
 	})
 }
@@ -79,10 +78,9 @@ func TestMatMulTransASerialParallelEquivalence(t *testing.T) {
 		for _, sh := range equivalenceShapes {
 			a := randomized(rng, sh.k, sh.m, 0.2) // aᵀ is m×k
 			b := randomized(rng, sh.k, sh.n, 0.2)
-			var serial, parallel *Matrix
-			withParallelism(t, 1, func() { serial = MatMulTransA(a, b) })
-			withParallelism(t, 8, func() { parallel = MatMulTransA(a, b) })
-			bitwiseEqual(t, "matmul-transA", serial, parallel)
+			parallel := New(sh.m, sh.n)
+			pooled(8, sh.m, func(i0, i1 int) { matMulTransARange(parallel, a, b, i0, i1) })
+			bitwiseEqual(t, "matmul-transA", MatMulTransA(a, b), parallel)
 		}
 	})
 }
@@ -93,16 +91,15 @@ func TestMatMulTransBSerialParallelEquivalence(t *testing.T) {
 		for _, sh := range equivalenceShapes {
 			a := randomized(rng, sh.m, sh.k, 0.2)
 			b := randomized(rng, sh.n, sh.k, 0.2) // bᵀ is k×n
-			var serial, parallel *Matrix
-			withParallelism(t, 1, func() { serial = MatMulTransB(a, b) })
-			withParallelism(t, 8, func() { parallel = MatMulTransB(a, b) })
-			bitwiseEqual(t, "matmul-transB", serial, parallel)
+			parallel := New(sh.m, sh.n)
+			pooled(8, sh.m, func(i0, i1 int) { matMulTransBRange(parallel, a, b, i0, i1) })
+			bitwiseEqual(t, "matmul-transB", MatMulTransB(a, b), parallel)
 		}
 	})
 }
 
-// TestMatMulEquivalenceRandomShapes fuzzes shapes around the serial
-// fallback threshold and the block boundaries.
+// TestMatMulEquivalenceRandomShapes draws shapes across the block
+// boundaries and splits them seven ways.
 func TestMatMulEquivalenceRandomShapes(t *testing.T) {
 	forEachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(10))
@@ -112,10 +109,9 @@ func TestMatMulEquivalenceRandomShapes(t *testing.T) {
 			n := rng.Intn(200)
 			a := randomized(rng, m, k, 0.3)
 			b := randomized(rng, k, n, 0.3)
-			var serial, parallel *Matrix
-			withParallelism(t, 1, func() { serial = MatMul(a, b) })
-			withParallelism(t, 7, func() { parallel = MatMul(a, b) })
-			bitwiseEqual(t, "matmul", serial, parallel)
+			parallel := New(m, n)
+			pooled(7, m, func(i0, i1 int) { matMulRange(parallel, a, b, i0, i1) })
+			bitwiseEqual(t, "matmul", MatMul(a, b), parallel)
 		}
 	})
 }
@@ -123,16 +119,6 @@ func TestMatMulEquivalenceRandomShapes(t *testing.T) {
 func TestAccVariantsAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randomized(rng, 70, 90, 0)
-	b := randomized(rng, 90, 80, 0)
-	base := randomized(rng, 70, 80, 0)
-
-	dst := base.Clone()
-	MatMulAcc(dst, a, b)
-	want := Add(base, MatMul(a, b))
-	if !Equal(dst, want, 1e-12) {
-		t.Fatal("MatMulAcc does not accumulate")
-	}
-
 	y := randomized(rng, 70, 80, 0)
 	dstA := New(90, 80)
 	dstA.Fill(1)
@@ -159,18 +145,19 @@ func TestAccVariantsAccumulate(t *testing.T) {
 }
 
 // TestParallelPoolRace hammers the worker pool from many goroutines at
-// once; run with -race to check the pool hands each row block to
-// exactly one writer. Race builds have only the /go subtest (useAVX2 is
-// off there), whose kernel writes the detector can see.
+// once, each splitting one product's rows into ParallelFor blocks that
+// write only their own rows; run with -race to check the pool hands each
+// block to exactly one writer. Every result must equal the one-block
+// pass. Race builds have only the /go subtest (useAVX2 is off there),
+// whose kernel writes the detector can see.
 func TestParallelPoolRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	forEachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(12))
 		a := randomized(rng, 128, 128, 0)
 		b := randomized(rng, 128, 128, 0)
-		var want *Matrix
-		withParallelism(t, 1, func() { want = MatMul(a, b) })
-		SetParallelism(8)
-		defer SetParallelism(0)
+		want := New(128, 128)
+		matMulRange(want, a, b, 0, a.Rows)
 
 		const goroutines = 16
 		const iters = 20
@@ -180,12 +167,12 @@ func TestParallelPoolRace(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				dst := New(128, 128)
 				for i := 0; i < iters; i++ {
-					MatMulInto(dst, a, b)
+					dst := New(128, 128)
+					ParallelFor(a.Rows, func(i0, i1 int) { matMulRange(dst, a, b, i0, i1) })
 					for j := range dst.Data {
 						if dst.Data[j] != want.Data[j] {
-							errs <- "concurrent MatMulInto diverged from serial result"
+							errs <- "concurrent ParallelFor blocks diverged from the one-block pass"
 							return
 						}
 					}
@@ -198,14 +185,6 @@ func TestParallelPoolRace(t *testing.T) {
 			t.Fatal(msg)
 		}
 	})
-}
-
-func TestSetParallelismClamp(t *testing.T) {
-	SetParallelism(-5)
-	defer SetParallelism(0)
-	if Parallelism() < 1 {
-		t.Fatalf("Parallelism() = %d after negative set", Parallelism())
-	}
 }
 
 func TestEnsure(t *testing.T) {

@@ -107,16 +107,6 @@ func Sub(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Hadamard returns the element-wise product a∘b.
-func Hadamard(a, b *Matrix) *Matrix {
-	shapeCheck("hadamard", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 // Scale multiplies every element of m by s, in place.
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {
@@ -135,17 +125,6 @@ func (m *Matrix) AddRowVector(v []float64) {
 			row[j] += v[j]
 		}
 	}
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
 }
 
 // SoftmaxRows applies a numerically stable softmax to each row, in place.

@@ -44,8 +44,8 @@ func TestGatherDerivesExpectFromMembership(t *testing.T) {
 		t.Fatalf("shrunk gather still reports missing peers: %v", res.Missing)
 	}
 	// The LEAVE also updated the registry.
-	if reg.LiveCount() != 2 || reg.Epoch() == epoch {
-		t.Fatalf("LEAVE did not reach the registry: live %d epoch %d", reg.LiveCount(), reg.Epoch())
+	if live := reg.Live(); len(live) != 2 || reg.Epoch() == epoch {
+		t.Fatalf("LEAVE did not reach the registry: live %v epoch %d", live, reg.Epoch())
 	}
 	// Counted uploads recorded per-member traffic history.
 	mem, ok := reg.Lookup("a")

@@ -137,7 +137,7 @@ func TestRolesSurviveReleasedFrames(t *testing.T) {
 	run := func(destroy bool) ([]core.DeviceReport, [][]float64) {
 		t.Helper()
 		cfg := releaseConfig()
-		cfg.CheckpointDir = t.TempDir()
+		cfg.Checkpoint.Path = t.TempDir()
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +151,7 @@ func TestRolesSurviveReleasedFrames(t *testing.T) {
 		reseed = net.header0
 		var models [][]float64
 		for _, r := range res.Reports {
-			models = append(models, finalModel(t, cfg.CheckpointDir, r.DeviceID))
+			models = append(models, finalModel(t, cfg.Checkpoint.Path, r.DeviceID))
 		}
 		return res.Reports, models
 	}
@@ -167,7 +167,7 @@ func TestRolesSurviveReleasedFrames(t *testing.T) {
 	rejoin := func(destroy bool) []float64 {
 		t.Helper()
 		cfg := releaseConfig()
-		cfg.CheckpointDir = t.TempDir()
+		cfg.Checkpoint.Path = t.TempDir()
 		sys, err := core.NewSystemWithNetwork(cfg, &reseedNet{reseed: reseed, round: cfg.Phase2Rounds, destroy: destroy})
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +175,7 @@ func TestRolesSurviveReleasedFrames(t *testing.T) {
 		if err := sys.RejoinRole(ctx, "device-0"); err != nil {
 			t.Fatal(err)
 		}
-		return finalModel(t, cfg.CheckpointDir, 0)
+		return finalModel(t, cfg.Checkpoint.Path, 0)
 	}
 	if !reflect.DeepEqual(rejoin(false), rejoin(true)) {
 		t.Fatal("a rejoined device's model differs once its re-seed frame is destroyed on release")

@@ -54,15 +54,6 @@ func (s *Session) Membership() *fleet.Registry {
 	return s.membership
 }
 
-// Network exposes the underlying transport.
-func (s *Session) Network() Network { return s.net }
-
-// Send stamps the session's node as the sender and delivers msg.
-func (s *Session) Send(msg Message) error {
-	msg.From = s.node
-	return s.net.Send(msg)
-}
-
 // Receive hands handle each message addressed to this session, in
 // arrival order (messages a previous gather buffered ahead of their
 // round first), until handle reports done or fails, or ctx ends. It

@@ -131,10 +131,3 @@ func (d *DeltaLayer) Apply(prev []byte) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// WireSize returns the approximate encoded size of the record's
-// payload fields (mask plus packed elements), the quantity DiffLayer
-// minimizes when choosing between the sparse and dense forms.
-func (d *DeltaLayer) WireSize() int {
-	return len(d.Mask) + len(d.Changed)
-}

@@ -45,9 +45,10 @@ func TestDeltaRoundTripProperty(t *testing.T) {
 		if !bytes.Equal(got, cur) {
 			t.Fatalf("trial %d: reconstruction differs (n=%d elem=%d frac=%v dense=%v)", trial, n, elem, frac, d.Dense)
 		}
-		// The chosen form never exceeds the dense payload size.
-		if d.WireSize() > n*elem && n > 0 {
-			t.Fatalf("trial %d: delta %d bytes exceeds dense %d", trial, d.WireSize(), n*elem)
+		// The chosen form (mask plus packed elements) never exceeds the
+		// dense payload size.
+		if size := len(d.Mask) + len(d.Changed); size > n*elem && n > 0 {
+			t.Fatalf("trial %d: delta %d bytes exceeds dense %d", trial, size, n*elem)
 		}
 	}
 }
@@ -62,8 +63,8 @@ func TestDeltaSparseWhenRedundant(t *testing.T) {
 	if d.Dense {
 		t.Fatal("2% change must take the sparse form")
 	}
-	if d.WireSize() > 1024 {
-		t.Fatalf("sparse delta too large: %d bytes for 4096 dense", d.WireSize())
+	if size := len(d.Mask) + len(d.Changed); size > 1024 {
+		t.Fatalf("sparse delta too large: %d bytes for 4096 dense", size)
 	}
 }
 
