@@ -31,7 +31,7 @@ func BenchmarkMatMul(b *testing.B) { benchMatMul(b, MatMulInto, 64, 256, 1024) }
 
 func BenchmarkMatMulTransA(b *testing.B) { benchMatMul(b, MatMulTransAInto, 256, 1024) }
 
-func BenchmarkMatMulTransB(b *testing.B) { benchMatMul(b, MatMulTransBInto, 256, 1024) }
+func BenchmarkMatMulTransB(b *testing.B) { benchMatMul(b, MatMulTransBInto, 64, 256, 1024) }
 
 // benchSides are the sides of BenchmarkKernel and BenchmarkAxpy: the
 // reference loops of kernel_ref_test.go, the portable kernels ("go",
@@ -59,6 +59,11 @@ func BenchmarkKernel(b *testing.B) {
 		{0, 64, 64, 64}, // one blockK panel
 		{1, 64, 64, 64},
 		{2, 64, 64, 64},
+		{2, 1, 100, 32}, // the header head's FC2.Backward: dy · Wᵀ
+		{2, 1, 32, 64},  // FC1.Backward
+		{2, 9, 8, 9},    // attention scores q·kᵀ and dA per head
+		{2, 9, 64, 32},  // the MLP's Linear.Backward, both weights
+		{2, 9, 32, 64},
 	}
 	for _, f := range foldShapes { // dW = xᵀ · dy, one sample and the fold's stack
 		shapes = append(shapes, shape{1, f[0], f[1], f[2]}, shape{1, f[0], foldSamples * f[1], f[2]})

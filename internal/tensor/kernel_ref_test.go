@@ -188,6 +188,9 @@ func kernelsMatchReference(t *testing.T) {
 	const shapesPerKernel = 160
 	for _, kc := range kernelCases {
 		var classes [4][4]int
+		var rowClasses [4]int
+		var loneRows [4][4]int
+		chunked := 0
 		for s := 0; s < shapesPerKernel; s++ {
 			m := oracleDim(rng, 8)
 			k := oracleDim(rng, blockK)
@@ -196,6 +199,12 @@ func kernelsMatchReference(t *testing.T) {
 				n = oracleDim(rng, blockK) // keep most cases small; still straddles 64
 			}
 			classes[k%4][n%4]++
+			if m > 4 {
+				rowClasses[m%4]++
+			}
+			if k > blockK {
+				chunked++
+			}
 			pattern := zeroPatterns[s%len(zeroPatterns)]
 			a, b := kc.operands(m, k, n)
 			fillPattern(a, pattern, rng)
@@ -207,9 +216,16 @@ func kernelsMatchReference(t *testing.T) {
 			}
 			what := fmt.Sprintf("%s %dx%dx%d %s", kc.name, m, k, n, pattern)
 			kc.ref(want, a, b, 0, m)
-			// The shipped kernel runs over a random partition of the rows.
+			// The shipped kernel runs over all rows at once, or over a
+			// random partition of them.
 			for i0 := 0; i0 < m; {
-				i1 := i0 + 1 + rng.Intn(m-i0)
+				i1 := m
+				if s%4 != 2 {
+					i1 = i0 + 1 + rng.Intn(m-i0)
+				}
+				if (i1-i0)%4 == 1 && k > 0 {
+					loneRows[k%4][n%4]++
+				}
 				kc.new(got, a, b, i0, i1)
 				i0 = i1
 			}
@@ -221,6 +237,24 @@ func kernelsMatchReference(t *testing.T) {
 					t.Errorf("%s: no shape with inner ≡ %d and columns ≡ %d (mod 4)", kc.name, kr, nr)
 				}
 			}
+		}
+		// a·bᵀ's AVX2 kernels take a in groups of four rows, the inner
+		// dimension in panel chunks of blockK, and a lone row (a range of
+		// 4q+1 rows) on a kernel of its own that walks k four at a time.
+		for kr, row := range loneRows {
+			for nr, count := range row {
+				if count == 0 {
+					t.Errorf("%s: no lone row with inner ≡ %d and columns ≡ %d (mod 4)", kc.name, kr, nr)
+				}
+			}
+		}
+		for r, count := range rowClasses {
+			if count == 0 {
+				t.Errorf("%s: no shape past one row group with rows ≡ %d (mod 4)", kc.name, r)
+			}
+		}
+		if chunked == 0 {
+			t.Errorf("%s: no shape with an inner dimension past %d", kc.name, blockK)
 		}
 	}
 	// The fold's stacked products: the reference loop over all rows, the
@@ -257,7 +291,9 @@ func kernelsMatchReference(t *testing.T) {
 // −0 destination under an all-zero multiplier row keeps its sign, while
 // a NaN or ±Inf multiplier is multiplied like any other and poisons its
 // output row; a·bᵀ multiplies everything, so 0·Inf poisons the cell and
-// −0 + (+0) becomes +0.
+// −0 + (+0) becomes +0. The 0·Inf cells sit in the first group of four
+// rows and columns and past it: in the last row (a·bᵀ's lone row at five
+// rows, its kernel's three-row tail at seven) and the last column.
 func TestKernelsMatchReferenceBitwiseSpecialValues(t *testing.T) {
 	forEachPath(t, kernelsMatchReferenceSpecialValues)
 }
@@ -266,60 +302,74 @@ func kernelsMatchReferenceSpecialValues(t *testing.T) {
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(14))
 	for _, kc := range kernelCases {
-		for _, k := range []int{1, 3, 4, 7, 8, 66} {
-			const m, n = 5, 6
-			a, b := kc.operands(m, k, n)
-			a.Randomize(rng, 1)
-			b.Randomize(rng, 1)
-			setA := func(row, kk int, v float64) {
-				if kc.name == "aTb" {
-					a.Data[kk*m+row] = v
-				} else {
-					a.Data[row*k+kk] = v
+		for _, m := range []int{5, 7} {
+			for _, k := range []int{1, 3, 4, 7, 8, 66} {
+				const n = 6
+				a, b := kc.operands(m, k, n)
+				a.Randomize(rng, 1)
+				b.Randomize(rng, 1)
+				setA := func(row, kk int, v float64) {
+					if kc.name == "aTb" {
+						a.Data[kk*m+row] = v
+					} else {
+						a.Data[row*k+kk] = v
+					}
 				}
-			}
-			// Output row 0 sees only ±0 multipliers; row 1 sees ±0
-			// exactly where b holds Inf or NaN, −0 where b holds +Inf.
-			// Row 2 has a NaN multiplier and row 3 an Inf and a −Inf one,
-			// each at the last inner index, past any group of four.
-			for kk := 0; kk < k; kk++ {
-				setA(0, kk, []float64{0, negZero}[kk%2])
-			}
-			for kk := 0; kk < k; kk += 2 {
-				setA(1, kk, []float64{negZero, 0}[kk%4/2])
-				v := inf
-				if kk%4 == 2 {
-					v = nan
+				// Output row 0 sees only ±0 multipliers; rows 1 and m−1
+				// see ±0 exactly where b holds Inf or NaN for output
+				// columns 2 and n−1 (row 1 −0 where b holds +Inf, row
+				// m−1 −0 where b holds NaN). Row 2 has a
+				// NaN multiplier and row 3 an Inf and a −Inf one, each at
+				// the last inner index, past any group of four.
+				for kk := 0; kk < k; kk++ {
+					setA(0, kk, []float64{0, negZero}[kk%2])
 				}
-				if kc.name == "abT" {
-					b.Data[2*k+kk] = v // column 2 of the output
-				} else {
-					b.Data[kk*n+2] = v
+				for kk := 0; kk < k; kk += 2 {
+					setA(1, kk, []float64{negZero, 0}[kk%4/2])
+					setA(m-1, kk, []float64{0, negZero}[kk%4/2])
+					v := inf
+					if kk%4 == 2 {
+						v = nan
+					}
+					for _, col := range []int{2, n - 1} {
+						if kc.name == "abT" {
+							b.Data[col*k+kk] = v
+						} else {
+							b.Data[kk*n+col] = v
+						}
+					}
 				}
-			}
-			setA(2, k-1, nan)
-			setA(3, 0, inf)
-			setA(3, k-1, -inf)
-			want, got := New(m, n), New(m, n)
-			want.Data[0], got.Data[0] = negZero, negZero
-			kc.ref(want, a, b, 0, m)
-			kc.new(got, a, b, 0, m)
-			what := fmt.Sprintf("%s special values k=%d", kc.name, k)
-			requireSameBits(t, what, want, got)
-			poisoned := got.Data[1*n+2] != got.Data[1*n+2]
-			keptSign := math.Signbit(got.Data[0])
-			if kc.skipZero && (poisoned || !keptSign) {
-				t.Errorf("%s: zero multiplier not skipped (0·Inf poisoned: %v, −0 kept: %v)", what, poisoned, keptSign)
-			}
-			if !kc.skipZero && (!poisoned || keptSign) {
-				t.Errorf("%s: zero multiplier skipped (0·Inf poisoned: %v, −0 kept: %v)", what, poisoned, keptSign)
-			}
-			for j := 0; j < n; j++ {
-				if v := got.Data[2*n+j]; v == v {
-					t.Errorf("%s: NaN multiplier skipped: row 2 col %d is %v", what, j, v)
+				setA(2, k-1, nan)
+				setA(3, 0, inf)
+				setA(3, k-1, -inf)
+				want, got := New(m, n), New(m, n)
+				want.Data[0], got.Data[0] = negZero, negZero
+				kc.ref(want, a, b, 0, m)
+				kc.new(got, a, b, 0, m)
+				what := fmt.Sprintf("%s special values %dx%dx%d", kc.name, m, k, n)
+				requireSameBits(t, what, want, got)
+				poisoned := 0
+				for _, row := range []int{1, m - 1} {
+					for _, col := range []int{2, n - 1} {
+						if v := got.Data[row*n+col]; v != v {
+							poisoned++
+						}
+					}
 				}
-				if v := got.Data[3*n+j]; !math.IsInf(v, 0) && v == v {
-					t.Errorf("%s: Inf multiplier skipped: row 3 col %d is %v", what, j, v)
+				keptSign := math.Signbit(got.Data[0])
+				if kc.skipZero && (poisoned > 0 || !keptSign) {
+					t.Errorf("%s: zero multiplier not skipped (0·Inf cells poisoned: %d of 4, −0 kept: %v)", what, poisoned, keptSign)
+				}
+				if !kc.skipZero && (poisoned < 4 || keptSign) {
+					t.Errorf("%s: zero multiplier skipped (0·Inf cells poisoned: %d of 4, −0 kept: %v)", what, poisoned, keptSign)
+				}
+				for j := 0; j < n; j++ {
+					if v := got.Data[2*n+j]; v == v {
+						t.Errorf("%s: NaN multiplier skipped: row 2 col %d is %v", what, j, v)
+					}
+					if v := got.Data[3*n+j]; !math.IsInf(v, 0) && v == v {
+						t.Errorf("%s: Inf multiplier skipped: row 3 col %d is %v", what, j, v)
+					}
 				}
 			}
 		}

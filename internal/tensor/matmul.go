@@ -114,13 +114,26 @@ func MatMulTransBAcc(dst, a, b *Matrix) {
 	matMulTransBRange(dst, a, b, 0, a.Rows)
 }
 
-// matMulTransBRange accumulates rows [i0, i1) of a·bᵀ into dst. The
-// rows of b are walked in panels so the panel stays cached across the
-// rows of a in this range. Four output cells are reduced at once: each
-// still sums in ascending k from zero with its own accumulator, but the
-// four add chains overlap in the pipeline and a's element is loaded once
-// for four rows of b. Nothing is skipped: a zero in a still multiplies.
+// matMulTransBRange accumulates rows [i0, i1) of a·bᵀ into dst: each
+// cell sums a[i][k]·b[j][k] in ascending k from +0 and adds the sum to
+// dst once. Nothing is skipped: a zero in a still multiplies. It runs the
+// AVX2 kernel where the CPU has one and matMulTransBGo elsewhere; both
+// give the same bits.
 func matMulTransBRange(dst, a, b *Matrix, i0, i1 int) {
+	if useAVX2 {
+		matMulTransBWide(dst, a, b, i0, i1)
+		return
+	}
+	matMulTransBGo(dst, a, b, i0, i1)
+}
+
+// matMulTransBGo is the portable matMulTransBRange. The rows of b are
+// walked in panels so the panel stays cached across the rows of a in
+// this range. Four output cells are reduced at once: each still sums in
+// ascending k from zero with its own accumulator, but the four add
+// chains overlap in the pipeline and a's element is loaded once for four
+// rows of b.
+func matMulTransBGo(dst, a, b *Matrix, i0, i1 int) {
 	ac, br := a.Cols, b.Rows
 	for p0 := 0; p0 < br; p0 += blockK {
 		p1 := min(p0+blockK, br)

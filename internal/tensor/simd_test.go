@@ -36,8 +36,10 @@ func forEachPath(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestKernelsAllocateNothing: neither path allocates in a serial product
-// or in Axpy4. The AVX2 kernel gathers its multipliers into its own
-// stack frame.
+// or in Axpy4. The AVX2 kernels gather their multipliers, and build a·bᵀ's
+// panel and partial sums, in their own stack frames. The a·bᵀ products
+// run 9 rows (two row groups and a lone row) over an inner dimension of
+// 160, three panel chunks.
 func TestKernelsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a, b, dst := New(9, 160), New(160, 32), New(9, 32)
@@ -46,12 +48,15 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	fillPattern(at, "padded", rng)
 	b.Randomize(rng, 1)
 	dt.Randomize(rng, 1)
+	bt := FromSlice(32, 160, b.Data)
 	x, y := b.Data[:1000], dt.Data[:1000]
 	forEachPath(t, func(t *testing.T) {
 		for name, f := range map[string]func(){
-			"MatMulInto":      func() { MatMulInto(dst, a, b) },
-			"MatMulTransAAcc": func() { MatMulTransAAcc(dt, at, dst) },
-			"Axpy4":           func() { Axpy4(0.5, 0.25, -1, 2, x, x, x, x, y) },
+			"MatMulInto":       func() { MatMulInto(dst, a, b) },
+			"MatMulTransAAcc":  func() { MatMulTransAAcc(dt, at, dst) },
+			"MatMulTransBInto": func() { MatMulTransBInto(dst, a, bt) },
+			"MatMulTransBAcc":  func() { MatMulTransBAcc(dst, at, bt) },
+			"Axpy4":            func() { Axpy4(0.5, 0.25, -1, 2, x, x, x, x, y) },
 		} {
 			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 				t.Errorf("%s: %v allocs per call, want 0", name, allocs)
