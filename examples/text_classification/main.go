@@ -48,7 +48,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, dl := nn.CrossEntropy(logits, train.Y[i])
+		dl := make([]float64, len(logits))
+		nn.CrossEntropy(dl, logits, train.Y[i])
 		clf.Backward(dl)
 	}
 	bb.SetRecordImportance(false)
@@ -79,7 +80,8 @@ func trainEpoch(clf *nn.TokenClassifier, ds *data.TextDataset, opt nn.Optimizer,
 			if err != nil {
 				log.Fatal(err)
 			}
-			_, dl := nn.CrossEntropy(logits, ds.Y[i])
+			dl := make([]float64, len(logits))
+			nn.CrossEntropy(dl, logits, ds.Y[i])
 			for j := range dl {
 				dl[j] /= float64(end - start)
 			}

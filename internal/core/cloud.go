@@ -192,6 +192,7 @@ func (s *System) scoreWidth(ref *nn.BackboneClassifier, head *nn.Linear, w float
 	loss := make([]float64, len(depths))
 	correct := make([]int, len(depths))
 	cls := tensor.New(1, bb.Cfg.DModel)
+	dl := make([]float64, head.Out) // CrossEntropy's gradient, never read
 	for k, x := range probe.X {
 		if _, err := bb.Forward(x); err != nil {
 			return invalid()
@@ -206,8 +207,7 @@ func (s *System) scoreWidth(ref *nn.BackboneClassifier, head *nn.Linear, w float
 			if nn.Argmax(logits) == probe.Y[k] {
 				correct[i]++
 			}
-			l, _ := nn.CrossEntropy(logits, probe.Y[k])
-			loss[i] += l
+			loss[i] += nn.CrossEntropy(dl, logits, probe.Y[k])
 		}
 	}
 	if n := float64(len(probe.X)); n > 0 {

@@ -57,15 +57,19 @@ func (a *Accumulator) Batches() int { return a.batches }
 
 // FoldBatches draws a fresh shuffle of ds and folds up to maxBatches
 // minibatches of batchSize samples into the running sum: each batch
-// runs forward/backward with accumulated gradients, then adds its
-// (g·υ)² terms. Gradients are cleared on return; the weights are not
-// updated. It returns how many batches were folded.
+// runs forward/backward with accumulated gradients, all batches through
+// one nn.Pass, then adds its (g·υ)² terms. Gradients are cleared on
+// return; the weights are not updated. It returns how many batches were
+// folded.
 func (a *Accumulator) FoldBatches(c nn.Classifier, ds *data.Dataset, batchSize, maxBatches int, rng *rand.Rand) (int, error) {
 	if batchSize <= 0 {
 		batchSize = 16
 	}
 	// One parameter list for the whole call: a module may rebuild its
-	// list on every Params(), and each batch below asks twice.
+	// list on every Params(), and each batch below asks twice. One
+	// nn.Pass for the whole call too: its records are borrowed once.
+	pass := nn.NewPass(c)
+	defer pass.Release()
 	c = pinned{c, c.Params()}
 	if a.sum == nil {
 		a.sum = NewSet(c)
@@ -77,7 +81,8 @@ func (a *Accumulator) FoldBatches(c nn.Classifier, ds *data.Dataset, batchSize, 
 		if end > len(order) {
 			end = len(order)
 		}
-		if err := nn.BatchGradients(c, ds.X, ds.Y, order[start:end]); err != nil {
+		nn.ZeroGrads(c)
+		if err := pass.Run(ds.X, ds.Y, order[start:end], 1); err != nil {
 			return folded, fmt.Errorf("importance: fold: %w", err)
 		}
 		if err := a.sum.Accumulate(c); err != nil {

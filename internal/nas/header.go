@@ -129,6 +129,8 @@ type HeaderModel struct {
 	pooled     *tensor.Matrix
 	seqLen     int
 
+	stacked []nn.Stackable // StackedLayers, listed on first use
+
 	// Backward scratch.
 	dl           tensor.Matrix
 	dModule      []gradSlot
@@ -582,6 +584,24 @@ func (h *HeaderModel) Params() []*nn.Param {
 	ps = append(ps, h.FC1.Params()...)
 	ps = append(ps, h.FC2.Params()...)
 	return ps
+}
+
+// StackedLayers implements nn.Stacking: the convolutions in (u, b,
+// slot) order, then FC1 and FC2. Each runs once per sample.
+func (h *HeaderModel) StackedLayers() []nn.Stackable {
+	if h.stacked == nil {
+		for u := range h.ops {
+			for b := range h.ops[u] {
+				for _, op := range h.ops[u][b] {
+					if conv, ok := op.(*nn.Conv1D); ok {
+						h.stacked = append(h.stacked, conv)
+					}
+				}
+			}
+		}
+		h.stacked = append(h.stacked, h.FC1, h.FC2)
+	}
+	return h.stacked
 }
 
 // AllParams returns header plus backbone parameters (for Phase 2-1

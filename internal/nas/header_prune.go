@@ -146,34 +146,28 @@ func (h *HeaderModel) TrainLocal(local *data.Dataset, epochs, batch int, lr floa
 	return trainHeader(h, h.Params(), local, epochs, batch, lr, rng)
 }
 
-// trainHeader is epochs of nn.TrainEpoch with a fresh Adam, specialized
-// to a header's parameters (the backbone stays frozen even where
-// Forward runs it). params is c.Params(), built once for the call.
+// trainHeader is epochs of minibatch training with a fresh Adam,
+// specialized to a header's parameters (the backbone stays frozen even
+// where Forward runs it). params is c.Params(), built once for the call.
+// The minibatches run through one nn.Pass, and the optimizer's moments,
+// like the Pass's records, are borrowed for the call.
 func trainHeader(c nn.Classifier, params []*nn.Param, ds *data.Dataset, epochs, batch int, lr float64, rng *rand.Rand) error {
 	if batch <= 0 {
 		batch = 16
 	}
-	opt := nn.NewAdam(lr)
+	opt := nn.BorrowAdam(lr)
+	defer opt.Release()
+	pass := nn.NewPass(c)
+	defer pass.Release()
 	for e := 0; e < epochs; e++ {
 		order := rng.Perm(ds.Len())
 		for start := 0; start < len(order); start += batch {
-			end := start + batch
-			if end > len(order) {
-				end = len(order)
-			}
+			mb := order[start:min(start+batch, len(order))]
 			for _, p := range params {
 				p.ZeroGrad()
 			}
-			for _, i := range order[start:end] {
-				logits, err := c.Forward(ds.X[i])
-				if err != nil {
-					return err
-				}
-				_, dl := nn.CrossEntropy(logits, ds.Y[i])
-				for j := range dl {
-					dl[j] /= float64(end - start)
-				}
-				c.Backward(dl)
+			if err := pass.Run(ds.X, ds.Y, mb, float64(len(mb))); err != nil {
+				return err
 			}
 			opt.Step(params)
 		}

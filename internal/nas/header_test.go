@@ -116,7 +116,7 @@ func TestHeaderGradients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := nn.CrossEntropy(logits, label)
+		v := nn.CrossEntropy(make([]float64, len(logits)), logits, label)
 		return v
 	}
 	nn.ZeroGrads(h)
@@ -125,7 +125,8 @@ func TestHeaderGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dl := nn.CrossEntropy(logits, label)
+	dl := make([]float64, len(logits))
+	nn.CrossEntropy(dl, logits, label)
 	h.Backward(dl)
 
 	check := func(params []*nn.Param) {
@@ -166,7 +167,8 @@ func TestHeaderFrozenBackboneGetsNoGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dl := nn.CrossEntropy(logits, 0)
+	dl := make([]float64, len(logits))
+	nn.CrossEntropy(dl, logits, 0)
 	h.Backward(dl)
 	for _, p := range bb.Params() {
 		for _, g := range p.Grad.Data {
@@ -334,7 +336,8 @@ func TestFixedHeadersForwardBackward(t *testing.T) {
 		if len(logits) != 5 {
 			t.Fatalf("%v: %d logits", kind, len(logits))
 		}
-		_, dl := nn.CrossEntropy(logits, 1)
+		dl := make([]float64, len(logits))
+		nn.CrossEntropy(dl, logits, 1)
 		nn.ZeroGrads(h)
 		h.Backward(dl)
 		var gradNorm float64

@@ -157,16 +157,10 @@ func (s *Searcher) trainSharedStep() error {
 	}
 	nn.ZeroGrads(child)
 	nn.ZeroGrads(s.Backbone)
-	for _, i := range idx {
-		logits, err := child.Forward(s.train.X[i])
-		if err != nil {
-			return err
-		}
-		_, dl := nn.CrossEntropy(logits, s.train.Y[i])
-		for j := range dl {
-			dl[j] /= float64(len(idx))
-		}
-		child.Backward(dl)
+	pass := nn.NewPass(child)
+	defer pass.Release()
+	if err := pass.Run(s.train.X, s.train.Y, idx, float64(len(idx))); err != nil {
+		return err
 	}
 	s.sharedOpt.Step(s.childParams(child))
 	if s.Cfg.TrainBackbone {

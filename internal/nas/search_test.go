@@ -237,7 +237,8 @@ func TestExtendedOpSetSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dl := nn.CrossEntropy(logits, 0)
+	dl := make([]float64, len(logits))
+	nn.CrossEntropy(dl, logits, 0)
 	nn.ZeroGrads(header)
 	header.Backward(dl) // must not panic on extended op types
 }
@@ -270,7 +271,7 @@ func TestExtendedOpSetGradients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := nn.CrossEntropy(logits, 2)
+		v := nn.CrossEntropy(make([]float64, len(logits)), logits, 2)
 		return v
 	}
 	nn.ZeroGrads(h)
@@ -278,7 +279,8 @@ func TestExtendedOpSetGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dl := nn.CrossEntropy(logits, 2)
+	dl := make([]float64, len(logits))
+	nn.CrossEntropy(dl, logits, 2)
 	h.Backward(dl)
 	for _, p := range h.Params() {
 		n := p.NumParams()

@@ -191,7 +191,8 @@ func TestCrossEntropyProperties(t *testing.T) {
 			logits[i] = 3 * rng.NormFloat64()
 		}
 		label := rng.Intn(len(logits))
-		loss, grad := CrossEntropy(logits, label)
+		grad := make([]float64, len(logits))
+		loss := CrossEntropy(grad, logits, label)
 		if loss < 0 {
 			return false
 		}
@@ -206,7 +207,7 @@ func TestCrossEntropyProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A confident correct prediction has near-zero loss.
-	loss, _ := CrossEntropy([]float64{100, 0, 0}, 0)
+	loss := CrossEntropy(make([]float64, 3), []float64{100, 0, 0}, 0)
 	if loss > 1e-6 {
 		t.Fatalf("confident correct loss %v", loss)
 	}
@@ -254,7 +255,7 @@ func TestScoreMatchesTwoPasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, _ := CrossEntropy(logits, ys[i])
+		l := CrossEntropy(make([]float64, len(logits)), logits, ys[i])
 		total += l
 	}
 	wantAcc, err := Evaluate(c, xs, ys)

@@ -222,7 +222,7 @@ func TestBackboneClassifierGradients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := CrossEntropy(logits, label)
+		v := CrossEntropy(make([]float64, len(logits)), logits, label)
 		return v
 	}
 	backward := func() {
@@ -230,7 +230,8 @@ func TestBackboneClassifierGradients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, dl := CrossEntropy(logits, label)
+		dl := make([]float64, len(logits))
+		CrossEntropy(dl, logits, label)
 		c.Backward(dl)
 	}
 	checkGrads(t, c, loss, backward, rng)

@@ -22,7 +22,7 @@ type Linear struct {
 	y  *tensor.Matrix
 	dx *tensor.Matrix
 
-	rec *rec // set on a replica's copy (see team): x and dy are recorded, not accumulated
+	rec *rec // set on a replica's copy (see team) or under a Pass: x and dy are recorded, not accumulated
 }
 
 // NewLinear returns a Xavier-initialized Linear layer (a received one
@@ -70,6 +70,11 @@ func (l *Linear) addGrads(x, dy *tensor.Matrix) {
 	tensor.MatMulTransAAcc(l.W.Grad, x, dy)
 	dy.SumRowsInto(l.B.Grad.Data)
 }
+
+func (l *Linear) setRec(r *rec) { l.rec = r }
+
+// foldRec adds the gradients of the samples a Pass recorded, stacked.
+func (l *Linear) foldRec(r *rec) { l.addGrads(r.ops[0].view(r.n), r.ops[1].view(r.n)) }
 
 // replica returns a copy of l over the same parameters that records
 // into r.

@@ -7,16 +7,9 @@ import (
 )
 
 // CrossEntropy returns the softmax cross-entropy loss of logits against
-// the integer label, and the gradient of the loss with respect to the
-// logits (p - onehot).
-func CrossEntropy(logits []float64, label int) (float64, []float64) {
-	grad := make([]float64, len(logits))
-	return crossEntropyInto(grad, logits, label), grad
-}
-
-// crossEntropyInto is CrossEntropy writing the gradient into grad, which
-// must be as long as logits.
-func crossEntropyInto(grad, logits []float64, label int) float64 {
+// the integer label and writes the gradient of the loss with respect to
+// the logits (p - onehot) into grad, which must be as long as logits.
+func CrossEntropy(grad, logits []float64, label int) float64 {
 	maxv := math.Inf(-1)
 	for _, v := range logits {
 		if v > maxv {

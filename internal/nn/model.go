@@ -88,6 +88,7 @@ func TrainEpoch(c Classifier, opt Optimizer, xs [][]float64, ys []int, batch int
 		}
 	}
 	var total float64
+	var dl []float64
 	for start := 0; start < len(order); start += batch {
 		end := start + batch
 		if end > len(order) {
@@ -99,37 +100,14 @@ func TrainEpoch(c Classifier, opt Optimizer, xs [][]float64, ys []int, batch int
 			if err != nil {
 				return 0, err
 			}
-			loss, dl := CrossEntropy(logits, ys[i])
-			total += loss
+			dl = grow(dl, len(logits))
+			total += CrossEntropy(dl, logits, ys[i])
 			scaleVec(dl, 1/float64(end-start))
 			c.Backward(dl)
 		}
 		opt.Step(c.Params())
 	}
 	return total / float64(len(xs)), nil
-}
-
-// BatchGradients zeroes c's gradients and accumulates one minibatch of
-// cross-entropy gradients over the samples at idx, leaving them in
-// place for the caller (an optimizer step, or a Taylor importance fold
-// that reads g·υ per parameter). The model weights are not updated.
-func BatchGradients(c Classifier, xs [][]float64, ys []int, idx []int) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("nn: %d samples vs %d labels", len(xs), len(ys))
-	}
-	ZeroGrads(c)
-	for _, i := range idx {
-		if i < 0 || i >= len(xs) {
-			return fmt.Errorf("nn: batch index %d outside [0,%d)", i, len(xs))
-		}
-		logits, err := c.Forward(xs[i])
-		if err != nil {
-			return fmt.Errorf("nn: batch forward: %w", err)
-		}
-		_, dl := CrossEntropy(logits, ys[i])
-		c.Backward(dl)
-	}
-	return nil
 }
 
 // AccumulateImportance runs a cross-entropy forward and backward pass of
@@ -153,14 +131,9 @@ func (c *BackboneClassifier) AccumulateImportance(xs [][]float64, ys []int, idx 
 	if n := min(tensor.Parallelism(), len(idx)); n > 1 {
 		err = c.importancePasses(n, xs, ys, idx)
 	} else {
-		for _, i := range idx {
-			var logits []float64
-			if logits, err = c.Forward(xs[i]); err != nil {
-				break
-			}
-			_, dl := CrossEntropy(logits, ys[i])
-			c.Backward(dl)
-		}
+		p := NewPass(c)
+		err = p.Run(xs, ys, idx, 1)
+		p.Release()
 	}
 	ZeroGrads(c)
 	return err
@@ -199,6 +172,7 @@ func Score(c Classifier, xs [][]float64, ys []int) (loss, accuracy float64, err 
 	}
 	var total float64
 	var correct int
+	var dl []float64 // unread: the loss is all Score wants
 	for i, x := range xs {
 		logits, err := c.Forward(x)
 		if err != nil {
@@ -207,11 +181,19 @@ func Score(c Classifier, xs [][]float64, ys []int) (loss, accuracy float64, err 
 		if Argmax(logits) == ys[i] {
 			correct++
 		}
-		l, _ := CrossEntropy(logits, ys[i])
-		total += l
+		dl = grow(dl, len(logits))
+		total += CrossEntropy(dl, logits, ys[i])
 	}
 	n := float64(len(xs))
 	return total / n, float64(correct) / n, nil
+}
+
+// grow returns buf if it holds n values, else a new slice of n.
+func grow(buf []float64, n int) []float64 {
+	if len(buf) == n {
+		return buf
+	}
+	return make([]float64, n)
 }
 
 func scaleVec(v []float64, s float64) {

@@ -57,8 +57,10 @@ type Adam struct {
 	Eps          float64
 	Clip         float64 // max gradient L2 norm per parameter tensor; 0 disables
 
-	t     int
-	state map[*Param]moments
+	t      int
+	state  map[*Param]moments
+	borrow bool    // moments come from the scratch pool (BorrowAdam)
+	leases []*slab // the slabs they were cut from, while borrowed
 }
 
 // moments is Adam's per-parameter state: the first and second moment
@@ -77,6 +79,29 @@ func NewAdam(lr float64) *Adam {
 		Clip:  5,
 		state: make(map[*Param]moments),
 	}
+}
+
+// BorrowAdam is NewAdam for one call: its moments are borrowed from the
+// scratch pool, zeroed, and go back on Release.
+func BorrowAdam(lr float64) *Adam {
+	a := NewAdam(lr)
+	a.borrow = true
+	return a
+}
+
+// Release gives back the moments of a BorrowAdam and leaves it a fresh
+// optimizer, as NewAdam built it; on an Adam that owns its moments it
+// does nothing.
+func (a *Adam) Release() {
+	if !a.borrow {
+		return
+	}
+	for _, s := range a.leases {
+		giveBack(s)
+	}
+	a.leases = a.leases[:0]
+	clear(a.state)
+	a.t = 0
 }
 
 // Step implements Optimizer.
@@ -114,8 +139,7 @@ func (a *Adam) update(p *Param, bc1, bc2 float64) {
 }
 
 // meet gives every parameter Step has not seen before its zeroed
-// moments, all cut from one slab: a header has some thirty parameters
-// and a device builds a fresh Adam for every round's TrainLocal.
+// moments, all cut from one slab, allocated or (BorrowAdam) borrowed.
 func (a *Adam) meet(params []*Param) {
 	var need int
 	for _, p := range params {
@@ -126,14 +150,21 @@ func (a *Adam) meet(params []*Param) {
 	if need == 0 {
 		return
 	}
-	slab := make([]float64, need)
+	var buf []float64
+	if a.borrow {
+		s := borrowZeroed(need)
+		a.leases = append(a.leases, s)
+		buf = s.data
+	} else {
+		buf = make([]float64, need)
+	}
 	for _, p := range params {
 		if _, ok := a.state[p]; ok {
 			continue
 		}
 		n := p.NumParams()
-		a.state[p] = moments{m: slab[:n:n], v: slab[n : 2*n : 2*n]}
-		slab = slab[2*n:]
+		a.state[p] = moments{m: buf[:n:n], v: buf[n : 2*n : 2*n]}
+		buf = buf[2*n:]
 	}
 }
 

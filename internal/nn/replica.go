@@ -88,17 +88,27 @@ type tape struct {
 	weights bool
 }
 
-// rec is where a replica's copy of a layer records: its replica's slot of
-// stacks that every replica's copy of the layer shares.
+// rec is where a layer records instead of accumulating: on a replica's
+// copy, its replica's slot of stacks that every replica's copy of the
+// layer shares; on a layer under a Pass (tape nil), its own stacks, one
+// sample after another.
 type rec struct {
 	*tape
 	ops   []*stack // weight-gradient operands, in the order the layer puts them
 	terms *stack   // importance terms, one row per sample
+
+	n     int       // a Pass's: samples recorded since the last fold
+	layer Stackable // a Pass's: the layer the records fold into
+	pass  *Pass     // a Pass's: the Pass, whose scratch a fold uses
 }
 
 // put records the weight-gradient operands of the sample in flight, in
 // ops order.
 func (r *rec) put(ms ...*tensor.Matrix) {
+	if r.tape == nil {
+		r.append(ms)
+		return
+	}
 	if !r.weights {
 		return
 	}
@@ -117,11 +127,18 @@ type stack struct {
 	data       []float64
 	rows, cols int
 	first      tensor.Matrix
+	lease      *slab // a Pass's stack: data is borrowed
 }
 
 func (s *stack) sample(slot int) []float64 {
 	n := s.rows * s.cols
 	return s.data[slot*n : (slot+1)*n]
+}
+
+// view returns the first n samples as one matrix.
+func (s *stack) view(n int) *tensor.Matrix {
+	s.first = tensor.Matrix{Rows: n * s.rows, Cols: s.cols, Data: s.data[:n*s.rows*s.cols]}
+	return &s.first
 }
 
 func (s *stack) put(slot int, m *tensor.Matrix) {
@@ -439,7 +456,7 @@ func (t *team) runShare(k int) {
 			r.err = err
 			return
 		}
-		t.loss[s] = crossEntropyInto(r.dl, logits, t.ys[i])
+		t.loss[s] = CrossEntropy(r.dl, logits, t.ys[i])
 		scaleVec(r.dl, t.scale)
 		r.Backward(r.dl)
 	}
@@ -451,7 +468,7 @@ func (t *team) runShare(k int) {
 // params is the classifier's list, for the step's bookkeeping.
 func (t *team) fold(n int, zero bool, adam *Adam, params []*Param) {
 	for _, s := range t.stacks {
-		s.first = tensor.Matrix{Rows: n * s.rows, Cols: s.cols, Data: s.data[:n*s.rows*s.cols]}
+		s.view(n)
 	}
 	t.n, t.zero, t.adam = n, zero, adam
 	if adam != nil {

@@ -35,9 +35,12 @@ type Conv1D struct {
 	W           *Param // (kernel*d) × d
 	B           *Param // 1 × d
 
+	x    *tensor.Matrix // cached input for a Pass's record
 	cols *tensor.Matrix // im2col cache: seq × (kernel*d)
 
 	y, dcols, dx *tensor.Matrix // reused scratch, as in Linear
+
+	rec *rec // set under a Pass: the input and dy are recorded, not accumulated
 }
 
 var _ SeqOp = (*Conv1D)(nil)
@@ -57,32 +60,63 @@ func NewConv1D(name string, kernel, dim int, rng *rand.Rand) *Conv1D {
 
 // Forward applies the convolution with zero padding.
 func (c *Conv1D) Forward(x *tensor.Matrix) *tensor.Matrix {
-	seq := x.Rows
-	half := c.Kernel / 2
-	// The zero padding needs no clearing on reuse: for a given seq the
-	// same cells are padding every time, and nothing else writes cols.
-	c.cols = tensor.Ensure(c.cols, seq, c.Kernel*c.Dim)
-	for t := 0; t < seq; t++ {
-		dst := c.cols.Row(t)
-		for k := 0; k < c.Kernel; k++ {
-			src := t + k - half
-			if src < 0 || src >= seq {
-				continue
-			}
-			copy(dst[k*c.Dim:(k+1)*c.Dim], x.Row(src))
-		}
-	}
-	c.y = tensor.Ensure(c.y, seq, c.Dim)
+	c.x = x
+	c.cols = tensor.Ensure(c.cols, x.Rows, c.Kernel*c.Dim)
+	c.im2col(c.cols, x)
+	c.y = tensor.Ensure(c.y, x.Rows, c.Dim)
 	tensor.MatMulInto(c.y, c.cols, c.W.Value)
 	c.y.AddRowVector(c.B.Value.Data)
 	return c.y
 }
 
-// BackwardParams implements SeqOp: dW and dB only.
+// im2col writes the im2col rows of x into cols (x.Rows × kernel·d): row
+// t holds input rows t−kernel/2 … t+kernel/2, zero past either end.
+func (c *Conv1D) im2col(cols, x *tensor.Matrix) {
+	seq, half := x.Rows, c.Kernel/2
+	for t := 0; t < seq; t++ {
+		dst := cols.Row(t)
+		for k := 0; k < c.Kernel; k++ {
+			tap := dst[k*c.Dim : (k+1)*c.Dim]
+			if src := t + k - half; src >= 0 && src < seq {
+				copy(tap, x.Row(src))
+			} else {
+				clear(tap)
+			}
+		}
+	}
+}
+
+// BackwardParams implements SeqOp: dW and dB only, or under a Pass the
+// input and dy recorded for its fold.
 func (c *Conv1D) BackwardParams(dy *tensor.Matrix) {
-	tensor.MatMulTransAAcc(c.W.Grad, c.cols, dy)
+	if c.rec != nil {
+		c.rec.put(c.x, dy)
+		return
+	}
+	c.addColGrads(c.cols, dy)
+}
+
+// foldRec adds the gradients of the samples a Pass recorded: their
+// im2col rows, rebuilt from the inputs in the Pass's scratch, and their
+// dy, in one product.
+func (c *Conv1D) foldRec(r *rec) {
+	x, dy := r.ops[0], r.ops[1]
+	cols := r.pass.colScratch(r.n*x.rows, c.Kernel*c.Dim)
+	for s := 0; s < r.n; s++ {
+		in := tensor.Matrix{Rows: x.rows, Cols: x.cols, Data: x.sample(s)}
+		out := tensor.Matrix{Rows: x.rows, Cols: cols.Cols, Data: cols.Data[s*x.rows*cols.Cols : (s+1)*x.rows*cols.Cols]}
+		c.im2col(&out, &in)
+	}
+	c.addColGrads(cols, dy.view(r.n))
+}
+
+// addColGrads adds dW = colsᵀ·dy and dB = Σ dy rows.
+func (c *Conv1D) addColGrads(cols, dy *tensor.Matrix) {
+	tensor.MatMulTransAAcc(c.W.Grad, cols, dy)
 	dy.SumRowsInto(c.B.Grad.Data)
 }
+
+func (c *Conv1D) setRec(r *rec) { c.rec = r }
 
 // Backward accumulates gradients and returns dx.
 func (c *Conv1D) Backward(dy *tensor.Matrix) *tensor.Matrix {

@@ -43,7 +43,8 @@ func trainTokens(t *testing.T, c *TokenClassifier, ds *data.TextDataset, epochs 
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, dl := CrossEntropy(logits, ds.Y[i])
+				dl := make([]float64, len(logits))
+				CrossEntropy(dl, logits, ds.Y[i])
 				for j := range dl {
 					dl[j] /= float64(end - start)
 				}
@@ -79,7 +80,7 @@ func TestTokenBackboneGradients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := CrossEntropy(logits, label)
+		v := CrossEntropy(make([]float64, len(logits)), logits, label)
 		return v
 	}
 	ZeroGrads(c)
@@ -87,7 +88,8 @@ func TestTokenBackboneGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dl := CrossEntropy(logits, label)
+	dl := make([]float64, len(logits))
+	CrossEntropy(dl, logits, label)
 	c.Backward(dl)
 
 	for _, p := range c.Params() {
@@ -134,7 +136,8 @@ func TestTokenBackboneWidthScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, dl := CrossEntropy(logits, ds.Y[i])
+		dl := make([]float64, len(logits))
+		CrossEntropy(dl, logits, ds.Y[i])
 		c.Backward(dl)
 	}
 	bb.SetRecordImportance(false)

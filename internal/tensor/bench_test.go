@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -43,7 +44,8 @@ var benchSides = []string{"ref", "go", "new"}
 // the shipped kernels from one binary at the shapes a customization run
 // multiplies (sequence 9, Conv1D im2col width 160, model width 32, and
 // the weight gradients of foldShapes per sample and stacked over
-// foldSamples samples), so the layer delta reproduces on any box without
+// foldSamples samples, and of headerFoldShapes per sample and stacked
+// over headerFoldChunk), so the layer delta reproduces on any box without
 // a parent checkout. Shapes are output rows × inner × output columns.
 func BenchmarkKernel(b *testing.B) {
 	type shape struct {
@@ -67,6 +69,13 @@ func BenchmarkKernel(b *testing.B) {
 	}
 	for _, f := range foldShapes { // dW = xᵀ · dy, one sample and the fold's stack
 		shapes = append(shapes, shape{1, f[0], f[1], f[2]}, shape{1, f[0], foldSamples * f[1], f[2]})
+	}
+	for _, f := range headerFoldShapes { // a header's dW, one sample and a Pass's stack
+		for _, sh := range []shape{{1, f[0], f[1], f[2]}, {1, f[0], headerFoldChunk * f[1], f[2]}} {
+			if !slices.Contains(shapes, sh) {
+				shapes = append(shapes, sh)
+			}
+		}
 	}
 	for _, side := range benchSides {
 		for _, sh := range shapes {

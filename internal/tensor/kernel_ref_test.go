@@ -108,6 +108,14 @@ var foldShapes = [][3]int{{32, 9, 32}, {32, 9, 64}, {64, 9, 32}, {32, 1, 100}}
 
 const foldSamples = 8
 
+// headerFoldShapes are the weight gradients a device header's minibatch
+// pass (nn.Pass) folds, headerFoldChunk samples at a time: its
+// convolutions' colsᵀ·dy at kernel 1, 3 and 5 (9 token rows a sample)
+// and its classifier's FC1 and FC2 xᵀ·dy (one row a sample).
+var headerFoldShapes = [][3]int{{32, 9, 32}, {96, 9, 32}, {160, 9, 32}, {64, 1, 32}, {32, 1, 100}}
+
+const headerFoldChunk = 4
+
 // Left-operand zero patterns. "padded" is what Conv1D's im2col produces:
 // each row is a run of equal-width tap blocks, and the blocks whose tap
 // reaches past either end of the sequence are zero.
@@ -282,6 +290,54 @@ func kernelsMatchReference(t *testing.T) {
 			requireSameBits(t, what+" stacked", want, stacked)
 			requireSameBits(t, what+" per sample", want, perSample)
 		}
+	}
+}
+
+// TestHeaderFoldMatchesPerSample: on every kernel path, a 10-sample
+// minibatch folded at the header's shapes in chunks of headerFoldChunk
+// (4 + 4 + 2 samples, one MatMulTransAAcc and one SumRowsInto each) adds
+// the same bits to the weight and bias gradients as one call per sample.
+// The operands carry what a masked header feeds the fold: im2col
+// padding, zero input channels in every tap and zero dy columns.
+func TestHeaderFoldMatchesPerSample(t *testing.T) { forEachPath(t, headerFoldMatchesPerSample) }
+
+func headerFoldMatchesPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const samples = 10
+	for _, sh := range headerFoldShapes {
+		m, rows, n := sh[0], sh[1], sh[2]
+		a, b := New(samples*rows, m), New(samples*rows, n)
+		fillPattern(a, "padded", rng)
+		b.Randomize(rng, 1)
+		for r := 0; r < a.Rows; r++ {
+			for c := 3; c < m; c += 32 { // input channel 3 in every tap block
+				a.Data[r*m+c] = 0
+			}
+			for _, c := range []int{1, n - 1} {
+				b.Data[r*n+c] = 0
+			}
+		}
+		w, bias := New(m, n), New(1, n)
+		w.Randomize(rng, 1)
+		bias.Randomize(rng, 1)
+		wStacked, wSerial := w.Clone(), w.Clone()
+		bStacked, bSerial := bias.Clone(), bias.Clone()
+		for s := 0; s < samples; s++ {
+			as := FromSlice(rows, m, a.Data[s*rows*m:(s+1)*rows*m])
+			bs := FromSlice(rows, n, b.Data[s*rows*n:(s+1)*rows*n])
+			MatMulTransAAcc(wSerial, as, bs)
+			bs.SumRowsInto(bSerial.Data)
+		}
+		for s0 := 0; s0 < samples; s0 += headerFoldChunk {
+			s1 := min(s0+headerFoldChunk, samples)
+			as := FromSlice((s1-s0)*rows, m, a.Data[s0*rows*m:s1*rows*m])
+			bs := FromSlice((s1-s0)*rows, n, b.Data[s0*rows*n:s1*rows*n])
+			MatMulTransAAcc(wStacked, as, bs)
+			bs.SumRowsInto(bStacked.Data)
+		}
+		what := fmt.Sprintf("header fold %dx%dx%d", m, rows, n)
+		requireSameBits(t, what+" weight", wSerial, wStacked)
+		requireSameBits(t, what+" bias", bSerial, bStacked)
 	}
 }
 
