@@ -23,7 +23,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/... ./internal/nn/... ./internal/prune/...
+	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/... ./internal/nn/... ./internal/nas/... ./internal/prune/...
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tensor ./internal/nn ./internal/nas ./internal/wire ./internal/core ./internal/aggregate ./internal/importance
@@ -48,8 +48,10 @@ edge-bench:
 # fleet-bench measures the three costs the fleet-sampled workload scales
 # with: BenchmarkEdgeAggregate/sampled-10of100x19844 (one round of 100
 # uploads, all 100 rows of Eq. 21 vs the 10 that get a downlink),
-# BenchmarkBuildDeviceHeader (package → model, per device) and
-# BenchmarkBackboneForward (per sample; must report 0 allocs/op).
+# BenchmarkBuildDeviceHeader (package → model, per device: /decode for a
+# device that decodes its backbone, /holder for a shared shard's
+# non-owner, which builds the header only) and BenchmarkBackboneForward
+# (per sample; must report 0 allocs/op).
 fleet-bench:
 	$(GO) test -run '^$$' -bench 'EdgeAggregate/sampled|BuildDeviceHeader|BackboneForward' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/nn
 
@@ -78,7 +80,7 @@ traffic:
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_36.json: per-pair values, medians, the base's quartiles,
+# writes PERF_37.json: per-pair values, medians, the base's quartiles,
 # pairs won and a verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
@@ -87,7 +89,7 @@ PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_36.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_37.json
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never

@@ -86,7 +86,10 @@ func BenchmarkDecodeBackbone(b *testing.B) {
 // BenchmarkBuildDeviceHeader measures what each of a fleet's devices
 // pays to turn the package its edge sent into a model: the default
 // backbone and a 19 844-parameter header, decoded as received layers —
-// no random initialisation, no gradient storage for the backbone.
+// no random initialisation, no gradient storage. "decode" is a device
+// that featurizes (a private shard, a shared shard's owner); "holder"
+// is a shared shard's other holder, which builds the header alone and
+// keeps its backbone's encoding to compare with the owner's.
 func BenchmarkBuildDeviceHeader(b *testing.B) {
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(1))
@@ -110,11 +113,30 @@ func BenchmarkBuildDeviceHeader(b *testing.B) {
 	}
 	pkg := EncodeHeader(h, QuantLossless)
 	pkg.Backbone = EncodeBackbone(bb, 1, cfg.Backbone.Depth, pareto.Candidate{W: 1, D: cfg.Backbone.Depth}, QuantLossless)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := buildDeviceHeader(pkg); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name  string
+		build func() error
+	}{
+		{"decode", func() error {
+			bb, err := DecodeBackbone(pkg.Backbone)
+			if err == nil {
+				_, err = buildDeviceHeader(pkg, bb)
+			}
+			return err
+		}},
+		{"holder", func() error {
+			_ = ownEncoding(pkg.Backbone)
+			_, err := buildDeviceHeader(pkg, nil)
+			return err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -79,20 +79,25 @@ func (s *System) runDevice(ctx context.Context, edgeID, devIdx int) error {
 		return err
 	}
 
-	// 2. Receive the customized model.
+	// 2. Receive the customized model. A holder of a shard that its
+	// cluster holds more than once learns whether it owns the shard's rows
+	// before anything is decoded (shared_rows.go).
 	var header *nas.HeaderModel
 	var pkg HeaderPackage
+	var hold holding
 	if err := ses.Receive(ctx, func(msg transport.Message) (done bool, err error) {
 		if msg.Kind != transport.KindHeader {
 			return false, fmt.Errorf("transport: %s expected %v from protocol, got %v from %s",
 				name, transport.KindHeader, msg.Kind, msg.From)
 		}
-		header, pkg, err = s.modelFromFrame(msg.Payload)
+		hold = s.rows.arrive(s.shardOf(edgeID, devIdx))
+		header, pkg, err = s.modelFromFrame(msg.Payload, &hold)
 		return true, err
 	}); err != nil {
+		hold.abandon()
 		return err
 	}
-	return s.deviceRefineAndReport(ctx, ses, edgeID, devIdx, rng, header, pkg, 0)
+	return s.deviceRefineAndReport(ctx, ses, edgeID, devIdx, rng, header, pkg, hold, 0)
 }
 
 // runDeviceRejoin re-enters a churned device mid-run: instead of the
@@ -111,7 +116,7 @@ func (s *System) runDeviceRejoin(ctx context.Context, edgeID, devIdx int) error 
 	if err != nil {
 		return err
 	}
-	return s.deviceRefineAndReport(ctx, ses, edgeID, devIdx, rng, header, pkg, startRound)
+	return s.deviceRefineAndReport(ctx, ses, edgeID, devIdx, rng, header, pkg, holding{}, startRound)
 }
 
 // resync is the handshake every re-entering device opens with, cold
@@ -137,7 +142,7 @@ func (s *System) resync(ctx context.Context, ses *transport.Session, edge string
 		}
 		round = msg.Round
 		if cold {
-			header, pkg, err = s.modelFromFrame(msg.Payload)
+			header, pkg, err = s.modelFromFrame(msg.Payload, nil)
 		}
 		return true, err
 	})
@@ -151,23 +156,46 @@ func (s *System) resync(ctx context.Context, ses *transport.Session, edge string
 // holds its own copy of every value, and the package comes back without
 // its blobs — shape, candidate and configs only — so nothing a device
 // keeps for the rest of its life points into a pooled buffer.
-func (s *System) modelFromFrame(payload []byte) (*nas.HeaderModel, HeaderPackage, error) {
+//
+// hold is nil for a device that featurizes alone. A holder of a shared
+// shard keeps a copy of its backbone's encoding for the comparison that
+// decides whether it may take the owner's rows, and only the owner (and
+// a holder that writes checkpoints, which encode the backbone again)
+// decodes the backbone here.
+func (s *System) modelFromFrame(payload []byte, hold *holding) (*nas.HeaderModel, HeaderPackage, error) {
 	var pkg HeaderPackage
 	if err := wire.Decode(payload, &pkg); err != nil {
 		return nil, HeaderPackage{}, fmt.Errorf("decode %v: %w", transport.KindHeader, err)
 	}
-	header, err := buildDeviceHeader(pkg)
+	decode := true
+	if hold != nil && hold.e != nil {
+		hold.enc = ownEncoding(pkg.Backbone)
+		decode = hold.owner || s.Cfg.Checkpoint.Enabled()
+	}
+	var backbone *nn.Backbone
+	var header *nas.HeaderModel
+	var err error
+	if decode {
+		backbone, err = s.decodeBackbone(pkg.Backbone)
+	}
+	if err == nil {
+		header, err = buildDeviceHeader(pkg, backbone)
+	}
 	pkg.Backbone.Params, pkg.HeaderParams = nil, nil
 	return header, pkg, err
 }
 
-// buildDeviceHeader reconstructs the device's model from a received
-// package, with the backbone frozen for Phase 2-2.
-func buildDeviceHeader(pkg HeaderPackage) (*nas.HeaderModel, error) {
-	backbone, err := DecodeBackbone(pkg.Backbone)
-	if err != nil {
-		return nil, err
-	}
+// decodeBackbone is DecodeBackbone for one of s's devices, counted in
+// s.backboneDecodes.
+func (s *System) decodeBackbone(asg BackboneAssignment) (*nn.Backbone, error) {
+	s.backboneDecodes.Add(1)
+	return DecodeBackbone(asg)
+}
+
+// buildDeviceHeader reconstructs the device's header from a received
+// package over backbone (nil for a device that holds none), with the
+// backbone frozen for Phase 2-2.
+func buildDeviceHeader(pkg HeaderPackage, backbone *nn.Backbone) (*nas.HeaderModel, error) {
 	pkg.HeaderCfg.TrainBackbone = false // Phase 2-2 freezes the backbone
 	return DecodeHeader(pkg, backbone)
 }
@@ -176,28 +204,30 @@ func buildDeviceHeader(pkg HeaderPackage) (*nas.HeaderModel, error) {
 // local refinement of the coarse header, the Phase 2-2 loop from
 // startRound, final evaluation, optional checkpoint, and the report to
 // its edge. rng must be the same stream the caller used for its setup
-// so the no-churn path consumes random draws in the legacy order.
-func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Session, edgeID, devIdx int, rng *rand.Rand, model *nas.HeaderModel, pkg HeaderPackage, startRound int) error {
+// so the no-churn path consumes random draws in the legacy order. hold
+// is the device's place among its shard's holders (zero for one that
+// featurizes alone: a private shard, a rejoined or restored device).
+func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Session, edgeID, devIdx int, rng *rand.Rand, model *nas.HeaderModel, pkg HeaderPackage, hold holding, startRound int) error {
 	dev := s.devices[devIdx]
 
 	// The backbone is frozen for the rest of this device's life, so its
 	// representations of the local and test samples are computed here,
-	// once (or taken from the cluster's first holder of the same shard,
-	// see deviceFeatures), and every later pass — refinement, importance
+	// once (or taken from the cluster's owner of the same shard, see
+	// deviceFeatures), and every later pass — refinement, importance
 	// folds, round training, both evaluations — starts from them. This is
 	// the one place a fresh, a rejoining and a restored device all pass
 	// through.
-	header, err := model.Frozen()
+	rows, err := s.deviceFeatures(ctx, edgeID, devIdx, model, hold)
 	if err != nil {
 		return err
 	}
-	local, test, err := s.deviceFeatures(ctx, edgeID, devIdx, model)
+	local, test := rows.local, rows.test
+	header, err := model.Frozen(pkg.Backbone.Cfg)
 	if err != nil {
 		return err
 	}
 	// Nothing runs the backbone after this, so the device drops it (and
 	// its forward scratch): a snapshot carries it as encoded here, once.
-	backboneParams := model.Backbone.ActiveParamCount()
 	if s.Cfg.Checkpoint.Enabled() {
 		pkg.Backbone = EncodeBackbone(model.Backbone, pkg.Backbone.W, pkg.Backbone.D,
 			pkg.Backbone.Candidate, QuantLossless)
@@ -241,7 +271,7 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 		AccuracyCoarse: accCoarse,
 		AccuracyFinal:  accFinal,
 		Energy:         dev.Profile.Energy(pkg.Backbone.W, pkg.Backbone.D),
-		BackboneParams: backboneParams,
+		BackboneParams: rows.backboneParams,
 		HeaderParams:   header.ActiveParamCount(),
 	}
 	return s.send(transport.KindReport, ses.Node(), edgeName(edgeID), report)

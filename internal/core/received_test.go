@@ -111,13 +111,25 @@ func TestDecodeIsBitExact(t *testing.T) {
 	}
 }
 
+// decodedDeviceModel is the model a device that decodes its backbone
+// builds from pkg.
+func decodedDeviceModel(pkg HeaderPackage) (*nas.HeaderModel, error) {
+	bb, err := DecodeBackbone(pkg.Backbone)
+	if err != nil {
+		return nil, err
+	}
+	return buildDeviceHeader(pkg, bb)
+}
+
 // TestDeviceBackboneHoldsNoGradients: a device's backbone is frozen for
 // good, so through set-up, local training and evaluation it never
 // acquires gradient storage — and everything a device still does
-// with it (count, package, checkpoint) works without.
+// with it (count, package, checkpoint) works without. The header's
+// gradients are borrowed by the calls that train it, so between calls
+// it holds none either.
 func TestDeviceBackboneHoldsNoGradients(t *testing.T) {
 	bb, _, pkg := receivedFixture(t)
-	model, err := buildDeviceHeader(pkg)
+	model, err := decodedDeviceModel(pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +152,7 @@ func TestDeviceBackboneHoldsNoGradients(t *testing.T) {
 		}
 		local.Y[i] = rng.Intn(5)
 	}
-	frozen, err := model.Frozen()
+	frozen, err := model.Frozen(model.Backbone.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +168,8 @@ func TestDeviceBackboneHoldsNoGradients(t *testing.T) {
 	}
 	noGrads("after local training")
 	for _, p := range model.Params() {
-		if p.Grad == nil {
-			t.Fatalf("trained header param %s holds no gradient storage", p.Name)
+		if p.Grad != nil {
+			t.Fatalf("trained header param %s kept its gradient storage", p.Name)
 		}
 	}
 
@@ -208,7 +220,7 @@ func TestReceivedModelOutlivesItsFrame(t *testing.T) {
 		if err := wire.Decode(append([]byte(nil), sent...), &pristine); err != nil {
 			t.Fatal(err)
 		}
-		want, err := buildDeviceHeader(pristine)
+		want, err := decodedDeviceModel(pristine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,12 +233,12 @@ func TestReceivedModelOutlivesItsFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		overwrite(frame)
-		if late, err := buildDeviceHeader(dangling); err == nil && sameParamBits(want.Backbone.Params(), late.Backbone.Params()) {
+		if late, err := decodedDeviceModel(dangling); err == nil && sameParamBits(want.Backbone.Params(), late.Backbone.Params()) {
 			t.Fatalf("%v: blobs no longer alias the frame; this test pins nothing", mode)
 		}
 
 		frame = append([]byte(nil), sent...)
-		model, kept, err := s.modelFromFrame(frame)
+		model, kept, err := s.modelFromFrame(frame, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,6 +247,24 @@ func TestReceivedModelOutlivesItsFrame(t *testing.T) {
 		requireSameParams(t, want.Params(), model.Params())
 		if kept.Backbone.Params != nil || kept.HeaderParams != nil {
 			t.Fatalf("%v: parameter blobs kept past the frame", mode)
+		}
+
+		// A holder of a shared shard that does not own it builds the
+		// header alone and keeps its backbone's encoding, which must
+		// outlive the frame too.
+		frame = append([]byte(nil), sent...)
+		hold := holding{e: &rowsEntry{}}
+		model, _, err = s.modelFromFrame(frame, &hold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwrite(frame)
+		if model.Backbone != nil {
+			t.Fatalf("%v: a holder that is not the owner decoded its backbone", mode)
+		}
+		requireSameParams(t, want.Params(), model.Params())
+		if !sameEncoding(hold.enc, pristine.Backbone) {
+			t.Fatalf("%v: the holder's copy of its encoding did not outlive the frame", mode)
 		}
 		if b := kept.Backbone; b.W != 0.5 || b.D != 2 || b.Candidate != pkg.Backbone.Candidate {
 			t.Fatalf("%v: shape or candidate lost: %+v", mode, b)

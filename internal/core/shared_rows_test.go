@@ -14,6 +14,7 @@ import (
 	"acme/internal/data"
 	"acme/internal/nas"
 	"acme/internal/nn"
+	"acme/internal/pareto"
 )
 
 // sharedShardConfig is a tinyConfig-sized fleet whose devices share
@@ -53,6 +54,11 @@ func TestSharedShardFleetPinned(t *testing.T) {
 	}
 	if n := len(sys.rows.entries); n != 0 {
 		t.Fatalf("%d shared-row entries outlived the run", n)
+	}
+	// Every device holds a shared shard, and only each shard's owner
+	// decodes its backbone.
+	if n := sys.backboneDecodes.Load(); n != 4 {
+		t.Fatalf("devices decoded %d backbones, want one per shared shard (4)", n)
 	}
 	h := fnv.New64a()
 	for _, rep := range res.Reports {
@@ -104,58 +110,113 @@ func sharedShardFixture(t *testing.T) (*System, shardKey, []int, *nas.HeaderMode
 	return sys, key, holders, h
 }
 
-// holderModel is h over a copy of its backbone, as a device decodes it.
+// holderModel is h over a copy of its backbone, as an owner decodes it.
 func holderModel(h *nas.HeaderModel) *nas.HeaderModel { return h.Clone(h.Backbone.Clone()) }
+
+// arriveWith checks a holder of key in as runDevice does, its model
+// packaged with backbone encoding enc: the owner's model holds h's
+// backbone, any other holder's none.
+func arriveWith(sys *System, key shardKey, h *nas.HeaderModel, enc BackboneAssignment) (*nas.HeaderModel, holding) {
+	hold := sys.rows.arrive(key)
+	hold.enc = enc
+	if hold.e == nil || hold.owner {
+		return holderModel(h), hold
+	}
+	return h.Clone(nil), hold
+}
 
 // sameRows reports whether two feature datasets share row storage.
 func sameRows(a, b *data.Dataset) bool { return &a.X[0][0] == &b.X[0][0] }
 
-// TestSharedRowsNeedSameBackboneBits: a holder whose backbone differs
-// from the first holder's in one bit of one parameter featurizes its own
-// rows instead of taking the first holder's.
+// TestSharedRowsNeedSameBackboneBits: holders compare their backbone's
+// encoding with the owner's. One whose encoding is equal takes the
+// owner's rows and never decodes its backbone; one whose int8 encoding
+// differs in one blob byte decodes its own backbone and featurizes its
+// own rows. The comparison also tells apart lossless encodings one bit
+// apart and int8 ones with different scales.
 func TestSharedRowsNeedSameBackboneBits(t *testing.T) {
 	sys, key, holders, h := sharedShardFixture(t)
+	if len(holders) < 3 {
+		t.Fatalf("cluster 0 holds the shard %d times, want 3", len(holders))
+	}
 	ctx := context.Background()
-	ownerLocal, ownerTest, err := sys.deviceFeatures(ctx, 0, holders[0], holderModel(h))
+	enc := EncodeBackbone(h.Backbone, 1, h.Backbone.Cfg.Depth, pareto.Candidate{}, QuantInt8)
+	model, hold := arriveWith(sys, key, h, enc)
+	if !hold.owner {
+		t.Fatal("the first holder to arrive does not own the shard")
+	}
+	owner, err := sys.deviceFeatures(ctx, 0, holders[0], model, hold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipped := holderModel(h)
-	p := flipped.Backbone.Params()[0].Value.Data
-	p[0] = math.Float64frombits(math.Float64bits(p[0]) ^ 1)
-	local, test, err := sys.deviceFeatures(ctx, 0, holders[1], flipped)
+
+	flipped := ownEncoding(enc)
+	flipped.Params[0].Quant[0] ^= 1
+	model, hold = arriveWith(sys, key, h, flipped)
+	own, err := sys.deviceFeatures(ctx, 0, holders[1], model, hold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sameRows(local, ownerLocal) || sameRows(test, ownerTest) {
-		t.Fatal("a holder one bit apart took the first holder's rows")
+	if sameRows(own.local, owner.local) || sameRows(own.test, owner.test) {
+		t.Fatal("a holder one byte apart took the owner's rows")
 	}
-	want, _, err := featurizeShard(flipped, key)
+	if n := sys.backboneDecodes.Load(); n != 1 {
+		t.Fatalf("%d backbone decodes, want the one of the holder one byte apart", n)
+	}
+	bb, err := DecodeBackbone(flipped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range want.X {
-		if !slices.Equal(local.X[i], row) {
+	want, err := featurizeShard(h.Clone(bb), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range want.local.X {
+		if !slices.Equal(own.local.X[i], row) {
 			t.Fatalf("local row %d is not the holder's own", i)
 		}
+	}
+
+	model, hold = arriveWith(sys, key, h, ownEncoding(enc))
+	same, err := sys.deviceFeatures(ctx, 0, holders[2], model, hold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRows(same.local, owner.local) || !sameRows(same.test, owner.test) || same.backboneParams != owner.backboneParams {
+		t.Fatal("a holder with the owner's encoding did not take its rows")
+	}
+	if model.Backbone != nil || sys.backboneDecodes.Load() != 1 {
+		t.Fatal("a holder with the owner's encoding decoded its backbone")
+	}
+
+	lossless := EncodeBackbone(h.Backbone, 1, h.Backbone.Cfg.Depth, pareto.Candidate{}, QuantLossless)
+	bit := ownEncoding(lossless)
+	bit.Params[0].Data = slices.Clone(bit.Params[0].Data)
+	bit.Params[0].Data[0] = math.Float64frombits(math.Float64bits(bit.Params[0].Data[0]) ^ 1)
+	scaled := ownEncoding(enc)
+	scaled.Params[0].Scale = math.Nextafter(scaled.Params[0].Scale, 0)
+	if !sameEncoding(lossless, ownEncoding(lossless)) || sameEncoding(lossless, bit) || sameEncoding(enc, scaled) {
+		t.Fatal("sameEncoding misjudges a lossless bit or an int8 scale")
 	}
 }
 
 // TestSharedRowsReleasedByLastHolder: every holder the System counted
-// takes the same rows, concurrently; the last one drops the entry, and a
-// holder arriving after that (a rejoining device) featurizes alone and
-// leaves no entry behind.
+// takes the same rows, concurrently, and only the owner decodes; the
+// last one to arrive drops the entry, and a holder arriving after that
+// featurizes alone and leaves no entry behind.
 func TestSharedRowsReleasedByLastHolder(t *testing.T) {
 	sys, key, holders, h := sharedShardFixture(t)
 	ctx := context.Background()
-	locals := make([]*data.Dataset, len(holders))
+	enc := EncodeBackbone(h.Backbone, 1, h.Backbone.Cfg.Depth, pareto.Candidate{}, QuantFloat16)
+	rows := make([]shardRows, len(holders))
 	errs := make([]error, len(holders))
 	var wg sync.WaitGroup
 	for i, di := range holders {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			locals[i], _, errs[i] = sys.deviceFeatures(ctx, 0, di, holderModel(h))
+			model, hold := arriveWith(sys, key, h, ownEncoding(enc))
+			rows[i], errs[i] = sys.deviceFeatures(ctx, 0, di, model, hold)
 		}()
 	}
 	wg.Wait()
@@ -163,18 +224,25 @@ func TestSharedRowsReleasedByLastHolder(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if !sameRows(locals[i], locals[0]) {
+		if !sameRows(rows[i].local, rows[0].local) {
 			t.Fatalf("holder %d of %d featurized its own rows", i, len(holders))
 		}
+	}
+	if n := sys.backboneDecodes.Load(); n != 0 {
+		t.Fatalf("%d holders decoded a backbone", n)
 	}
 	if sys.rows.entries[key] != nil {
 		t.Fatal("entry outlived its last holder")
 	}
-	late, _, err := sys.deviceFeatures(ctx, 0, holders[0], holderModel(h))
+	model, hold := arriveWith(sys, key, h, enc)
+	if hold.e != nil {
+		t.Fatal("a holder after release found an entry")
+	}
+	late, err := sys.deviceFeatures(ctx, 0, holders[0], model, hold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sameRows(late, locals[0]) {
+	if sameRows(late.local, rows[0].local) {
 		t.Fatal("a holder after release took the released rows")
 	}
 	if sys.rows.entries[key] != nil {

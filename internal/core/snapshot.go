@@ -403,7 +403,11 @@ func (s *System) resumeDevice(ctx context.Context, edgeID, devIdx int) error {
 	if snap.RunTag != s.Cfg.runTag() || snap.DeviceID != dev.ID {
 		return s.runDeviceRejoin(ctx, edgeID, devIdx)
 	}
-	header, err := buildDeviceHeader(snap.Package)
+	backbone, err := s.decodeBackbone(snap.Package.Backbone)
+	if err != nil {
+		return s.runDeviceRejoin(ctx, edgeID, devIdx)
+	}
+	header, err := buildDeviceHeader(snap.Package, backbone)
 	if err != nil {
 		return s.runDeviceRejoin(ctx, edgeID, devIdx)
 	}
@@ -416,7 +420,7 @@ func (s *System) resumeDevice(ctx context.Context, edgeID, devIdx int) error {
 	if err != nil {
 		return err
 	}
-	return s.deviceRefineAndReport(ctx, ses, edgeID, devIdx, rng, header, snap.Package, startRound)
+	return s.deviceRefineAndReport(ctx, ses, edgeID, devIdx, rng, header, snap.Package, holding{}, startRound)
 }
 
 // writeDeviceSnapshot persists one device's trained model, lossless

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"acme/internal/chaos"
 	"acme/internal/cluster"
@@ -160,6 +161,9 @@ type System struct {
 	devTrain []*data.Dataset
 	devTest  []*data.Dataset
 	rows     sharedRows // feature rows of shards a cluster holds more than once
+	// backboneDecodes counts the backbones s's devices decoded, which
+	// shared shards keep to one per shard and cluster (deviceFeatures).
+	backboneDecodes atomic.Int64
 
 	mu           sync.Mutex
 	assignments  map[int]pareto.Candidate

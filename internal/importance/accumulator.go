@@ -58,7 +58,8 @@ func (a *Accumulator) Batches() int { return a.batches }
 // FoldBatches draws a fresh shuffle of ds and folds up to maxBatches
 // minibatches of batchSize samples into the running sum: each batch
 // runs forward/backward with accumulated gradients, all batches through
-// one nn.Pass, then adds its (g·υ)² terms. Gradients are cleared on
+// one nn.Pass, then adds its (g·υ)² terms. The gradients are borrowed
+// for the call (nn.BorrowGrads), so every Param.Grad of c is nil on
 // return; the weights are not updated. It returns how many batches were
 // folded.
 func (a *Accumulator) FoldBatches(c nn.Classifier, ds *data.Dataset, batchSize, maxBatches int, rng *rand.Rand) (int, error) {
@@ -66,11 +67,14 @@ func (a *Accumulator) FoldBatches(c nn.Classifier, ds *data.Dataset, batchSize, 
 		batchSize = 16
 	}
 	// One parameter list for the whole call: a module may rebuild its
-	// list on every Params(), and each batch below asks twice. One
-	// nn.Pass for the whole call too: its records are borrowed once.
+	// list on every Params(), and each batch below asks for it. One
+	// nn.Pass and one gradient slab for the whole call too, each
+	// borrowed once.
 	pass := nn.NewPass(c)
 	defer pass.Release()
 	c = pinned{c, c.Params()}
+	grads := nn.BorrowGrads(c.Params())
+	defer grads.Release()
 	if a.sum == nil {
 		a.sum = NewSet(c)
 	}
@@ -81,7 +85,9 @@ func (a *Accumulator) FoldBatches(c nn.Classifier, ds *data.Dataset, batchSize, 
 		if end > len(order) {
 			end = len(order)
 		}
-		nn.ZeroGrads(c)
+		if folded > 0 {
+			grads.Zero()
+		}
 		if err := pass.Run(ds.X, ds.Y, order[start:end], 1); err != nil {
 			return folded, fmt.Errorf("importance: fold: %w", err)
 		}
@@ -90,7 +96,6 @@ func (a *Accumulator) FoldBatches(c nn.Classifier, ds *data.Dataset, batchSize, 
 		}
 		folded++
 	}
-	nn.ZeroGrads(c)
 	a.batches += folded
 	return folded, nil
 }

@@ -73,13 +73,15 @@ type FrozenHeader struct {
 
 var _ nn.Classifier = (*FrozenHeader)(nil)
 
-// Frozen returns the feature-row view of h. The header must have its
-// backbone frozen (HeaderConfig.TrainBackbone off), and stay so.
-func (h *HeaderModel) Frozen() (*FrozenHeader, error) {
+// Frozen returns the view of h over the feature rows of a backbone
+// shaped bb, which h itself need not hold: a device that takes its rows
+// from another device's backbone never decodes one. The header must have
+// its backbone frozen (HeaderConfig.TrainBackbone off), and stay so.
+func (h *HeaderModel) Frozen(bb nn.BackboneConfig) (*FrozenHeader, error) {
 	if h.Cfg.TrainBackbone {
 		return nil, fmt.Errorf("nas: frozen view of a header that trains its backbone")
 	}
-	seq, d := h.Backbone.SeqLen(), h.Cfg.DModel
+	seq, d := bb.SeqLen(), h.Cfg.DModel
 	return &FrozenHeader{
 		HeaderModel: h,
 		params:      h.Params(),
@@ -104,6 +106,15 @@ func (f *FrozenHeader) Forward(row []float64) ([]float64, error) {
 // Params implements nn.Module: the header's parameter list, built once
 // (a header's ops never change after construction).
 func (f *FrozenHeader) Params() []*nn.Param { return f.params }
+
+// UseScratch implements nn.ScratchUser; at the end of a call the view
+// lets go of the last feature row too.
+func (f *FrozenHeader) UseScratch(s *nn.Scratch) {
+	f.HeaderModel.UseScratch(s)
+	if s == nil {
+		f.final.Data, f.pen.Data = nil, nil
+	}
+}
 
 // TrainLocal is HeaderModel.TrainLocal over Featurize rows of the
 // local data: same shuffles, same updates, no backbone passes.

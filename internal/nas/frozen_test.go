@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"acme/internal/data"
@@ -93,7 +94,7 @@ func TestFrozenPathMatchesRawPath(t *testing.T) {
 		var c nn.Classifier = h
 		trainLocal := h.TrainLocal
 		if frozen {
-			fh, err := h.Frozen()
+			fh, err := h.Frozen(h.Backbone.Cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +164,7 @@ func TestFrozenPathMatchesRawPath(t *testing.T) {
 // backbone and only over feature rows.
 func TestFrozenHeaderRejectsMisuse(t *testing.T) {
 	h, local, _ := deviceFixture(t, 12, 4)
-	fh, err := h.Frozen()
+	fh, err := h.Frozen(h.Backbone.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestFrozenHeaderRejectsMisuse(t *testing.T) {
 		t.Error("a raw sample passed for a feature row")
 	}
 	h.Cfg.TrainBackbone = true
-	if _, err := h.Frozen(); err == nil {
+	if _, err := h.Frozen(h.Backbone.Cfg); err == nil {
 		t.Error("frozen view of a training backbone")
 	}
 	if _, err := h.Featurize(local); err == nil {
@@ -297,10 +298,11 @@ func TestTrainBackbonePathPinned(t *testing.T) {
 // TestFrozenSteadyStateAllocs guards the allocation-free steady state:
 // once the buffers exist, a forward+backward over a feature row makes
 // only the loss gradient (TestTrainLocalBorrowsItsMemory bounds a
-// TrainLocal epoch, which borrows that too).
+// TrainLocal epoch, which borrows that too), and an nn.Evaluate, whose
+// buffers are borrowed for the call, allocates nothing at all.
 func TestFrozenSteadyStateAllocs(t *testing.T) {
 	h, local, _ := deviceFixture(t, 13, 128)
-	fh, err := h.Frozen()
+	fh, err := h.Frozen(h.Backbone.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +322,20 @@ func TestFrozenSteadyStateAllocs(t *testing.T) {
 	step()
 	if got := testing.AllocsPerRun(20, step); got > 2 {
 		t.Errorf("forward+backward allocates %.0f objects per sample, want at most 2", got)
+	}
+
+	if raceDetectorEnabled {
+		return // the race detector's sync.Pool drops pooled objects on purpose
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	eval := func() {
+		if _, err := nn.Evaluate(fh, feats.X, feats.Y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval()
+	if got := testing.AllocsPerRun(5, eval); got != 0 {
+		t.Errorf("Evaluate over %d rows allocates %.0f objects, want none", feats.Len(), got)
 	}
 }
 
@@ -349,7 +365,7 @@ func BenchmarkHeaderFold(b *testing.B) {
 
 func benchRawAndFeaturized(b *testing.B, ops func(h *HeaderModel, fh *FrozenHeader, raw, feats *data.Dataset, rng *rand.Rand) (rawOp, featOp func() error)) {
 	h, local, _ := deviceFixture(b, 1, 128)
-	fh, err := h.Frozen()
+	fh, err := h.Frozen(h.Backbone.Cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

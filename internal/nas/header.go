@@ -122,12 +122,15 @@ type HeaderModel struct {
 	loose []int
 
 	// Forward state, kept in reused buffers (the tensor.Ensure idiom of
-	// nn.Linear): after the first sample a forward/backward pair
-	// allocates nothing here.
+	// nn.Linear), which an nn.Pass or nn.Evaluate lends for the call
+	// (sc, see UseScratch): after the first sample a forward/backward
+	// pair allocates nothing here.
 	nodes      [][]*tensor.Matrix // per repeat: 2 inputs + block outputs
-	moduleOuts []*tensor.Matrix
-	pooled     *tensor.Matrix
+	blockOuts  [][]tensor.Matrix  // per repeat: what nodes[u][2:] point at
+	moduleOuts []tensor.Matrix
+	pooled     tensor.Matrix
 	seqLen     int
+	sc         *nn.Scratch
 
 	stacked []nn.Stackable // StackedLayers, listed on first use
 
@@ -135,8 +138,8 @@ type HeaderModel struct {
 	dl           tensor.Matrix
 	dModule      []gradSlot
 	nodeGrads    []gradSlot
-	masked       [2]*tensor.Matrix // masked copies of a block's gradient
-	dFinal, dPen *tensor.Matrix
+	masked       [2]tensor.Matrix // masked copies of a block's gradient
+	dFinal, dPen tensor.Matrix
 }
 
 var _ nn.Classifier = (*HeaderModel)(nil)
@@ -291,10 +294,15 @@ func (h *HeaderModel) forwardFromFeatures(final, pen *tensor.Matrix) []float64 {
 	h.seqLen = seq
 	if h.nodes == nil {
 		h.nodes = make([][]*tensor.Matrix, U)
+		h.blockOuts = make([][]tensor.Matrix, U)
 		for u := range h.nodes {
 			h.nodes[u] = make([]*tensor.Matrix, 2+B)
+			h.blockOuts[u] = make([]tensor.Matrix, B)
+			for b := range h.blockOuts[u] {
+				h.nodes[u][2+b] = &h.blockOuts[u][b]
+			}
 		}
-		h.moduleOuts = make([]*tensor.Matrix, U)
+		h.moduleOuts = make([]tensor.Matrix, U)
 	}
 	for u := 0; u < U; u++ {
 		nodes := h.nodes[u]
@@ -304,23 +312,20 @@ func (h *HeaderModel) forwardFromFeatures(final, pen *tensor.Matrix) []float64 {
 			y2 := h.ops[u][b][1].Forward(nodes[gene.In2])
 			zeroCols(y1, h.maskedCols[u][b][0])
 			zeroCols(y2, h.maskedCols[u][b][1])
-			nodes[2+b] = tensor.Ensure(nodes[2+b], seq, d)
-			tensor.AddInto(nodes[2+b], y1, y2)
+			tensor.AddInto(h.sc.Ensure(nodes[2+b], seq, d), y1, y2)
 		}
 		// Module output: mean of the loose-end blocks.
-		out := tensor.Ensure(h.moduleOuts[u], seq, d)
-		out.Zero()
+		out := h.sc.Zeroed(&h.moduleOuts[u], seq, d)
 		for _, idx := range h.loose {
 			tensor.AddInPlace(out, nodes[idx])
 		}
 		out.Scale(1 / float64(len(h.loose)))
-		h.moduleOuts[u] = out
 	}
 
 	// Token mean-pool of the last module output, concatenated with the
 	// backbone [CLS] representation.
-	h.pooled = tensor.Ensure(h.pooled, 1, 2*d)
-	mean := h.pooled.Data[:d]
+	pooled := h.sc.Ensure(&h.pooled, 1, 2*d)
+	mean := pooled.Data[:d]
 	for j := range mean {
 		mean[j] = 0
 	}
@@ -331,9 +336,9 @@ func (h *HeaderModel) forwardFromFeatures(final, pen *tensor.Matrix) []float64 {
 			mean[j] *= inv
 		}
 	}
-	copy(h.pooled.Data[d:], final.Row(0))
+	copy(pooled.Data[d:], final.Row(0))
 
-	hid := h.act.Forward(h.FC1.Forward(h.pooled))
+	hid := h.act.Forward(h.FC1.Forward(pooled))
 	for j, on := range h.HiddenMask {
 		if !on {
 			hid.Data[j] = 0
@@ -366,9 +371,9 @@ func (h *HeaderModel) moduleInputs(u int, final, pen *tensor.Matrix) (in0, in1 *
 	case 0:
 		return final, pen
 	case 1:
-		return h.moduleOuts[0], final
+		return &h.moduleOuts[0], final
 	default:
-		return h.moduleOuts[u-1], h.moduleOuts[u-2]
+		return &h.moduleOuts[u-1], &h.moduleOuts[u-2]
 	}
 }
 
@@ -404,7 +409,7 @@ func (h *HeaderModel) Backward(dlogits []float64) {
 		h.dModule[u].set = false
 	}
 	// Gradient of the token mean-pool back to the last module output.
-	dLast := h.dModule[U-1].reset(h.seqLen, d)
+	dLast := h.dModule[U-1].reset(h.sc, h.seqLen, d)
 	inv := 1 / float64(h.seqLen)
 	for t := 0; t < h.seqLen; t++ {
 		row := dLast.Row(t)
@@ -413,14 +418,12 @@ func (h *HeaderModel) Backward(dlogits []float64) {
 		}
 	}
 	if train {
-		h.dFinal = tensor.Ensure(h.dFinal, h.seqLen, d)
-		h.dFinal.Zero()
+		dFinal := h.sc.Zeroed(&h.dFinal, h.seqLen, d)
 		// CLS half of the concat flows straight into the backbone final row 0.
 		for j := 0; j < d; j++ {
-			h.dFinal.Row(0)[j] += dConcat.Data[d+j]
+			dFinal.Row(0)[j] += dConcat.Data[d+j]
 		}
-		h.dPen = tensor.Ensure(h.dPen, h.seqLen, d)
-		h.dPen.Zero()
+		h.sc.Zeroed(&h.dPen, h.seqLen, d)
 	}
 
 	for u := U - 1; u >= 0; u-- {
@@ -432,13 +435,13 @@ func (h *HeaderModel) Backward(dlogits []float64) {
 		}
 		inv := 1 / float64(len(h.loose))
 		for _, idx := range h.loose {
-			h.nodeGrads[idx].axpy(inv, h.dModule[u].m)
+			h.nodeGrads[idx].axpy(h.sc, inv, &h.dModule[u].m)
 		}
 		for b := B - 1; b >= 0; b-- {
 			if !h.nodeGrads[2+b].set {
 				continue
 			}
-			g := h.nodeGrads[2+b].m
+			g := &h.nodeGrads[2+b].m
 			gene := h.Arch.Blocks[b]
 			for slot, in := range [2]int{gene.In1, gene.In2} {
 				op := h.ops[u][b][slot]
@@ -447,7 +450,7 @@ func (h *HeaderModel) Backward(dlogits []float64) {
 					op.BackwardParams(dy)
 					continue
 				}
-				h.nodeGrads[in].add(op.Backward(dy))
+				h.nodeGrads[in].add(h.sc, op.Backward(dy))
 			}
 		}
 		h.routeInputGrads(u)
@@ -456,9 +459,9 @@ func (h *HeaderModel) Backward(dlogits []float64) {
 	if train {
 		inj := map[int]*tensor.Matrix{}
 		if h.Backbone.ActiveDepth > 0 {
-			inj[h.Backbone.ActiveDepth-1] = h.dPen
+			inj[h.Backbone.ActiveDepth-1] = &h.dPen
 		}
-		h.Backbone.Backward(h.dFinal, inj)
+		h.Backbone.Backward(&h.dFinal, inj)
 	}
 }
 
@@ -467,7 +470,7 @@ func (h *HeaderModel) Backward(dlogits []float64) {
 // backbone representations.
 func (h *HeaderModel) routeInputGrads(u int) {
 	for i := 0; i < 2; i++ {
-		g := h.nodeGrads[i]
+		g := &h.nodeGrads[i]
 		if !g.set {
 			continue
 		}
@@ -475,11 +478,11 @@ func (h *HeaderModel) routeInputGrads(u int) {
 		case !backboneInput(u, i):
 			// Node 0 is the previous module's output, node 1 the one
 			// before that (moduleInputs).
-			h.dModule[u-1-i].add(g.m)
+			h.dModule[u-1-i].add(h.sc, &g.m)
 		case u == 0 && i == 1:
-			tensor.AddInPlace(h.dPen, g.m)
+			tensor.AddInPlace(&h.dPen, &g.m)
 		default:
-			tensor.AddInPlace(h.dFinal, g.m)
+			tensor.AddInPlace(&h.dFinal, &g.m)
 		}
 	}
 }
@@ -491,43 +494,42 @@ func (h *HeaderModel) maskedGrad(g *tensor.Matrix, u, b, slot int) *tensor.Matri
 	if len(off) == 0 {
 		return g
 	}
-	m := tensor.Ensure(h.masked[slot], g.Rows, g.Cols)
-	h.masked[slot] = m
+	m := h.sc.Ensure(&h.masked[slot], g.Rows, g.Cols)
 	copy(m.Data, g.Data)
 	zeroCols(m, off)
 	return m
 }
 
 // gradSlot is a reusable gradient accumulator that counts as absent
-// until a backward pass first contributes to it.
+// until a backward pass first contributes to it. Its buffer comes from
+// the header's Scratch, as the header's others do.
 type gradSlot struct {
-	m   *tensor.Matrix
+	m   tensor.Matrix
 	set bool
 }
 
 // reset marks the slot present and returns its r×c buffer, contents
 // unspecified.
-func (g *gradSlot) reset(r, c int) *tensor.Matrix {
-	g.m = tensor.Ensure(g.m, r, c)
+func (g *gradSlot) reset(sc *nn.Scratch, r, c int) *tensor.Matrix {
 	g.set = true
-	return g.m
+	return sc.Ensure(&g.m, r, c)
 }
 
 // add accumulates src; the first contribution is an exact copy.
-func (g *gradSlot) add(src *tensor.Matrix) {
+func (g *gradSlot) add(sc *nn.Scratch, src *tensor.Matrix) {
 	if g.set {
-		tensor.AddInPlace(g.m, src)
+		tensor.AddInPlace(&g.m, src)
 		return
 	}
-	copy(g.reset(src.Rows, src.Cols).Data, src.Data)
+	copy(g.reset(sc, src.Rows, src.Cols).Data, src.Data)
 }
 
 // axpy accumulates alpha·src, starting from zero.
-func (g *gradSlot) axpy(alpha float64, src *tensor.Matrix) {
+func (g *gradSlot) axpy(sc *nn.Scratch, alpha float64, src *tensor.Matrix) {
 	if !g.set {
-		g.reset(src.Rows, src.Cols).Zero()
+		g.reset(sc, src.Rows, src.Cols).Zero()
 	}
-	tensor.AxpyRows(alpha, src, g.m)
+	tensor.AxpyRows(alpha, src, &g.m)
 }
 
 // indexMasks rebuilds maskedCols from opMasks; every writer of opMasks
@@ -602,6 +604,28 @@ func (h *HeaderModel) StackedLayers() []nn.Stackable {
 		h.stacked = append(h.stacked, h.FC1, h.FC2)
 	}
 	return h.stacked
+}
+
+// UseScratch implements nn.ScratchUser: the header's own buffers and
+// those of its layers come from s until UseScratch(nil), which also
+// drops the header's view of the call's last logits gradient.
+func (h *HeaderModel) UseScratch(s *nn.Scratch) {
+	h.sc = s
+	for u := range h.ops {
+		for b := range h.ops[u] {
+			for _, op := range h.ops[u][b] {
+				if l, ok := op.(nn.ScratchUser); ok {
+					l.UseScratch(s)
+				}
+			}
+		}
+	}
+	h.FC1.UseScratch(s)
+	h.FC2.UseScratch(s)
+	h.act.UseScratch(s)
+	if s == nil {
+		h.dl = tensor.Matrix{}
+	}
 }
 
 // AllParams returns header plus backbone parameters (for Phase 2-1

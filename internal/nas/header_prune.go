@@ -149,12 +149,17 @@ func (h *HeaderModel) TrainLocal(local *data.Dataset, epochs, batch int, lr floa
 // trainHeader is epochs of minibatch training with a fresh Adam,
 // specialized to a header's parameters (the backbone stays frozen even
 // where Forward runs it). params is c.Params(), built once for the call.
-// The minibatches run through one nn.Pass, and the optimizer's moments,
-// like the Pass's records, are borrowed for the call.
+// The minibatches run through one nn.Pass. Everything but the weights is
+// borrowed for the call — the Pass's records and layer buffers, the
+// optimizer's moments and the gradients — so the header holds none of
+// it between calls.
 func trainHeader(c nn.Classifier, params []*nn.Param, ds *data.Dataset, epochs, batch int, lr float64, rng *rand.Rand) error {
 	if batch <= 0 {
 		batch = 16
 	}
+	// The gradients start zero, and every Step zeroes them again.
+	grads := nn.BorrowGrads(params)
+	defer grads.Release()
 	opt := nn.BorrowAdam(lr)
 	defer opt.Release()
 	pass := nn.NewPass(c)
@@ -163,9 +168,6 @@ func trainHeader(c nn.Classifier, params []*nn.Param, ds *data.Dataset, epochs, 
 		order := rng.Perm(ds.Len())
 		for start := 0; start < len(order); start += batch {
 			mb := order[start:min(start+batch, len(order))]
-			for _, p := range params {
-				p.ZeroGrad()
-			}
 			if err := pass.Run(ds.X, ds.Y, mb, float64(len(mb))); err != nil {
 				return err
 			}

@@ -1,14 +1,18 @@
 package nas
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"acme/internal/data"
 	"acme/internal/importance"
 	"acme/internal/nn"
+	"acme/internal/tensor"
 )
 
 // refTrainHeader is trainHeader as the per-sample loop it replaced: a
@@ -88,10 +92,10 @@ func maskedDevice(t *testing.T, seed int64, n int) (a, b *FrozenHeader, feats *d
 		t.Fatal(err)
 	}
 	twin := h.Clone(h.Backbone)
-	if a, err = h.Frozen(); err != nil {
+	if a, err = h.Frozen(h.Backbone.Cfg); err != nil {
 		t.Fatal(err)
 	}
-	if b, err = twin.Frozen(); err != nil {
+	if b, err = twin.Frozen(twin.Backbone.Cfg); err != nil {
 		t.Fatal(err)
 	}
 	return a, b, feats
@@ -138,10 +142,55 @@ func TestPassMatchesPerSampleLoop(t *testing.T) {
 	}
 }
 
-// TestPassesGiveBackScratch: TrainLocal, FoldBatches and a shared search
-// step give back every scratch slab they borrow, also when a sample
-// fails in the middle of a minibatch, after a fold and with records
-// pending.
+// heldBuffers lists, by field path, every layer buffer reachable from
+// v that still has storage: a tensor.Matrix or a []float64 outside the
+// parameters (nn.Param) and the backbone, which are the weights.
+func heldBuffers(v reflect.Value, path string, seen map[uintptr]bool) []string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] || v.Type() == reflect.TypeFor[*nn.Param]() || v.Type() == reflect.TypeFor[*nn.Backbone]() {
+			return nil
+		}
+		seen[v.Pointer()] = true
+		return heldBuffers(v.Elem(), path, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return nil
+		}
+		return heldBuffers(v.Elem(), path, seen)
+	case reflect.Struct:
+		if v.Type() == reflect.TypeFor[tensor.Matrix]() {
+			if v.FieldByName("Data").Len() > 0 {
+				return []string{path}
+			}
+			return nil
+		}
+		var held []string
+		for i := 0; i < v.NumField(); i++ {
+			held = append(held, heldBuffers(v.Field(i), path+"."+v.Type().Field(i).Name, seen)...)
+		}
+		return held
+	case reflect.Slice, reflect.Array:
+		if v.Type().Elem().Kind() == reflect.Float64 {
+			if v.Len() > 0 {
+				return []string{path}
+			}
+			return nil
+		}
+		var held []string
+		for i := 0; i < v.Len(); i++ {
+			held = append(held, heldBuffers(v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen)...)
+		}
+		return held
+	}
+	return nil
+}
+
+// TestPassesGiveBackScratch: TrainLocal, FoldBatches, Evaluate and a
+// shared search step give back every scratch slab they borrow, also
+// when a sample fails in the middle of a minibatch, after a fold and
+// with records pending; and a device header holds only its weights
+// between calls: no gradient and no layer buffer.
 func TestPassesGiveBackScratch(t *testing.T) {
 	fh, _, feats := maskedDevice(t, 19, 48)
 	lent := func(what string) {
@@ -150,15 +199,31 @@ func TestPassesGiveBackScratch(t *testing.T) {
 			t.Errorf("%s: %d scratch slabs still lent", what, n)
 		}
 	}
+	holdsNothing := func(what string) {
+		t.Helper()
+		lent(what)
+		for _, p := range fh.Params() {
+			if p.Grad != nil {
+				t.Errorf("%s: %s kept its gradient", what, p.Name)
+			}
+		}
+		for _, f := range heldBuffers(reflect.ValueOf(fh), "header", map[uintptr]bool{}) {
+			t.Errorf("%s: %s kept its buffer", what, f)
+		}
+	}
 	if err := fh.TrainLocal(feats, 1, 16, 2e-3, rand.New(rand.NewSource(1))); err != nil {
 		t.Fatal(err)
 	}
-	lent("TrainLocal")
+	holdsNothing("TrainLocal")
 	acc := importance.NewAccumulator()
 	if _, err := acc.FoldBatches(fh, feats, 16, 3, rand.New(rand.NewSource(2))); err != nil {
 		t.Fatal(err)
 	}
-	lent("FoldBatches")
+	holdsNothing("FoldBatches")
+	if _, err := nn.Evaluate(fh, feats.X, feats.Y); err != nil {
+		t.Fatal(err)
+	}
+	holdsNothing("Evaluate")
 
 	// A feature row of the wrong length as the sixth sample of the first
 	// minibatch each call draws.
@@ -172,11 +237,17 @@ func TestPassesGiveBackScratch(t *testing.T) {
 	if err := fh.TrainLocal(bad(5), 1, 16, 2e-3, rand.New(rand.NewSource(5))); err == nil {
 		t.Error("TrainLocal over a short feature row succeeded")
 	}
-	lent("TrainLocal that fails")
+	holdsNothing("TrainLocal that fails")
 	if _, err := acc.FoldBatches(fh, bad(6), 16, 3, rand.New(rand.NewSource(6))); err == nil {
 		t.Error("FoldBatches over a short feature row succeeded")
 	}
-	lent("FoldBatches that fails")
+	holdsNothing("FoldBatches that fails")
+	short := bad(7)
+	short.X[5] = short.X[5][:7]
+	if _, err := nn.Evaluate(fh, short.X, short.Y); err == nil {
+		t.Error("Evaluate over a short feature row succeeded")
+	}
+	holdsNothing("Evaluate that fails")
 
 	s, _ := searchFixture(t, 7)
 	if err := s.trainSharedStep(); err != nil {
@@ -195,6 +266,74 @@ func TestPassesGiveBackScratch(t *testing.T) {
 	lent("trainSharedStep that fails")
 }
 
+// TestDevicesShareThePool: device headers that train, fold and evaluate
+// on goroutines of their own borrow gradients, records and layer
+// buffers from one pool, and each ends bit-identical to a twin run
+// alone. Under -race (make race) it also checks that a slab handed from
+// one goroutine to the next is not still written by the first.
+func TestDevicesShareThePool(t *testing.T) {
+	const devices = 4
+	run := func(fh *FrozenHeader, feats *data.Dataset, seed int64) (*importance.Set, float64, error) {
+		rng := rand.New(rand.NewSource(seed))
+		if err := fh.TrainLocal(feats, 2, 10, 2e-3, rng); err != nil {
+			return nil, 0, err
+		}
+		acc := importance.NewAccumulator()
+		if _, err := acc.FoldBatches(fh, feats, 10, 3, rng); err != nil {
+			return nil, 0, err
+		}
+		set, err := acc.Average()
+		if err != nil {
+			return nil, 0, err
+		}
+		a, err := nn.Evaluate(fh, feats.X, feats.Y)
+		return set, a, err
+	}
+	var heads, twins [devices]*FrozenHeader
+	var feats [devices]*data.Dataset
+	for i := range heads {
+		heads[i], twins[i], feats[i] = maskedDevice(t, int64(31+i), 40)
+	}
+	var sets [devices]*importance.Set
+	var accs [devices]float64
+	var errs [devices]error
+	var wg sync.WaitGroup
+	for i := range heads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sets[i], accs[i], errs[i] = run(heads[i], feats[i], int64(i))
+		}()
+	}
+	wg.Wait()
+	if n := nn.Lent(); n != 0 {
+		t.Errorf("%d scratch slabs still lent", n)
+	}
+	for i := range heads {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		set, acc, err := run(twins[i], feats[i], int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := heads[i].Params(), twins[i].Params()
+		for k := range got {
+			if !bitsEqual(got[k].Value.Data, want[k].Value.Data) {
+				t.Errorf("device %d: %s differs from its twin trained alone", i, got[k].Name)
+			}
+		}
+		for l := range set.Layers {
+			if !bitsEqual(sets[i].Layers[l], set.Layers[l]) {
+				t.Errorf("device %d: importance layer %d differs from its twin's", i, l)
+			}
+		}
+		if accs[i] != acc {
+			t.Errorf("device %d: accuracy %v, its twin's %v", i, accs[i], acc)
+		}
+	}
+}
+
 // TestTrainLocalBorrowsItsMemory: after a warm-up call, a one-epoch
 // TrainLocal allocates no logits gradient per sample and no moment slab
 // (its Adam borrows one), and stays far under one allocation per sample.
@@ -202,10 +341,10 @@ func TestPassesGiveBackScratch(t *testing.T) {
 // given back.
 func TestTrainLocalBorrowsItsMemory(t *testing.T) {
 	if raceDetectorEnabled {
-		t.Skip("the race detector's sync.Pool drops slabs on purpose")
+		t.Skip("the race detector's sync.Pool drops pooled objects on purpose")
 	}
 	h, local, _ := deviceFixture(t, 13, 128)
-	fh, err := h.Frozen()
+	fh, err := h.Frozen(h.Backbone.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

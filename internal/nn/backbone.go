@@ -90,7 +90,11 @@ func NewBackbone(cfg BackboneConfig, rng *rand.Rand) (*Backbone, error) {
 }
 
 // SeqLen returns the token sequence length (patches + CLS).
-func (b *Backbone) SeqLen() int { return b.Cfg.NumPatches + 1 }
+func (b *Backbone) SeqLen() int { return b.Cfg.SeqLen() }
+
+// SeqLen returns the token sequence length of a backbone of this
+// configuration (patches + CLS).
+func (c BackboneConfig) SeqLen() int { return c.NumPatches + 1 }
 
 // Tokenize embeds sample x into the (seq × d) token matrix — the input
 // of block 0. Exposed for incremental execution (early-exit inference

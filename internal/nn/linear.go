@@ -18,9 +18,9 @@ type Linear struct {
 	// Reused output/gradient buffers. A layer instance runs at most one
 	// forward/backward pair at a time, and callers consume each result
 	// before the instance's next pass, so the buffers are overwritten
-	// only after they are dead.
-	y  *tensor.Matrix
-	dx *tensor.Matrix
+	// only after they are dead. Under a Scratch (sc) they are the call's.
+	y, dx tensor.Matrix
+	sc    *Scratch
 
 	rec *rec // set on a replica's copy (see team) or under a Pass: x and dy are recorded, not accumulated
 }
@@ -41,18 +41,18 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 // Forward computes y = x·W + b.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
-	l.y = tensor.Ensure(l.y, x.Rows, l.Out)
-	tensor.MatMulInto(l.y, x, l.W.Value)
-	l.y.AddRowVector(l.B.Value.Data)
-	return l.y
+	y := l.sc.Ensure(&l.y, x.Rows, l.Out)
+	tensor.MatMulInto(y, x, l.W.Value)
+	y.AddRowVector(l.B.Value.Data)
+	return y
 }
 
 // Backward accumulates dW, dB and returns dx.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	l.accumulate(dy)
-	l.dx = tensor.Ensure(l.dx, dy.Rows, l.In)
-	tensor.MatMulTransBInto(l.dx, dy, l.W.Value)
-	return l.dx
+	dx := l.sc.Ensure(&l.dx, dy.Rows, l.In)
+	tensor.MatMulTransBInto(dx, dy, l.W.Value)
+	return dx
 }
 
 // accumulate is Backward without dx: it adds dW and dB for the cached
@@ -72,6 +72,9 @@ func (l *Linear) addGrads(x, dy *tensor.Matrix) {
 }
 
 func (l *Linear) setRec(r *rec) { l.rec = r }
+
+// UseScratch implements ScratchUser.
+func (l *Linear) UseScratch(s *Scratch) { l.sc, l.x = s, nil }
 
 // foldRec adds the gradients of the samples a Pass recorded, stacked.
 func (l *Linear) foldRec(r *rec) { l.addGrads(r.ops[0].view(r.n), r.ops[1].view(r.n)) }

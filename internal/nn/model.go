@@ -139,11 +139,14 @@ func (c *BackboneClassifier) AccumulateImportance(xs [][]float64, ys []int, idx 
 	return err
 }
 
-// Evaluate returns top-1 accuracy of c on (xs, ys).
+// Evaluate returns top-1 accuracy of c on (xs, ys). A classifier that
+// takes a Scratch runs on buffers lent for the call.
 func Evaluate(c Classifier, xs [][]float64, ys []int) (float64, error) {
 	if len(xs) == 0 {
 		return 0, nil
 	}
+	sc := lendScratch(c)
+	defer sc.end(c)
 	var correct int
 	for i, x := range xs {
 		logits, err := c.Forward(x)

@@ -37,7 +37,8 @@ import (
 // first ZeroGrad, which every training loop issues before its first
 // Backward, so a received model that trains pays for its gradients then
 // and one that never does — a device's frozen backbone, a score-only
-// clone — never holds any.
+// clone — never holds any. A loop that borrows its gradients for the
+// call (BorrowGrads) leaves Grad nil again when it returns.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix

@@ -16,7 +16,8 @@ import (
 // ascending order, with the same zero skips, as one call per sample, so
 // the gradients are bit-identical to the per-sample loop's. Every logits
 // gradient is written into one buffer. The records and that buffer are
-// borrowed from the scratch pool and go back on Release.
+// borrowed from the scratch pool and go back on Release, and so, for a
+// classifier that takes a Scratch, are its layers' buffers.
 
 // foldChunk is how many samples a stacked layer records between folds.
 // It bounds what a Pass holds, ≈ 0.4 MB for a header of eight k5
@@ -48,12 +49,14 @@ type Pass struct {
 	dl     *slab
 	cols   *slab         // the convolutions' im2col rows at a fold
 	colsM  tensor.Matrix // the view of cols a fold uses
+	sc     *Scratch      // c's layer buffers, if it takes them
 }
 
-// NewPass returns a Pass over c, whose stacked layers record from now
-// until Release.
+// NewPass returns a Pass over c, whose stacked layers record, and whose
+// layers take their buffers from the Pass's Scratch, from now until
+// Release.
 func NewPass(c Classifier) *Pass {
-	p := &Pass{c: c}
+	p := &Pass{c: c, sc: lendScratch(c)}
 	s, ok := c.(Stacking)
 	if !ok {
 		return p
@@ -110,8 +113,11 @@ func (p *Pass) Run(xs [][]float64, ys []int, idx []int, n float64) error {
 }
 
 // Release takes the records off the stacked layers, which accumulate
-// directly again, and gives back everything the Pass borrowed.
+// directly again, and gives back everything the Pass borrowed, its
+// layers' buffers included.
 func (p *Pass) Release() {
+	p.sc.end(p.c)
+	p.sc = nil
 	for i := range p.recs {
 		p.recs[i].layer.setRec(nil)
 		p.recs[i].n = 0

@@ -15,9 +15,9 @@ import (
 // mismatches — shape-preserving ops make that insertion implicit).
 //
 // Outputs and input gradients are per-instance scratch buffers (the
-// tensor.Ensure idiom of Linear): a result is valid until the same
-// instance's next Forward or Backward, so callers consume it before
-// then.
+// tensor.Ensure idiom of Linear), lent by a Scratch under one: a result
+// is valid until the same instance's next Forward or Backward, so
+// callers consume it before then.
 type SeqOp interface {
 	Module
 	Forward(x *tensor.Matrix) *tensor.Matrix
@@ -36,9 +36,10 @@ type Conv1D struct {
 	B           *Param // 1 × d
 
 	x    *tensor.Matrix // cached input for a Pass's record
-	cols *tensor.Matrix // im2col cache: seq × (kernel*d)
+	cols tensor.Matrix  // im2col cache: seq × (kernel*d)
 
-	y, dcols, dx *tensor.Matrix // reused scratch, as in Linear
+	y, dcols, dx tensor.Matrix // reused scratch, as in Linear
+	sc           *Scratch
 
 	rec *rec // set under a Pass: the input and dy are recorded, not accumulated
 }
@@ -61,12 +62,12 @@ func NewConv1D(name string, kernel, dim int, rng *rand.Rand) *Conv1D {
 // Forward applies the convolution with zero padding.
 func (c *Conv1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	c.x = x
-	c.cols = tensor.Ensure(c.cols, x.Rows, c.Kernel*c.Dim)
-	c.im2col(c.cols, x)
-	c.y = tensor.Ensure(c.y, x.Rows, c.Dim)
-	tensor.MatMulInto(c.y, c.cols, c.W.Value)
-	c.y.AddRowVector(c.B.Value.Data)
-	return c.y
+	cols := c.sc.Ensure(&c.cols, x.Rows, c.Kernel*c.Dim)
+	c.im2col(cols, x)
+	y := c.sc.Ensure(&c.y, x.Rows, c.Dim)
+	tensor.MatMulInto(y, cols, c.W.Value)
+	y.AddRowVector(c.B.Value.Data)
+	return y
 }
 
 // im2col writes the im2col rows of x into cols (x.Rows × kernel·d): row
@@ -93,7 +94,7 @@ func (c *Conv1D) BackwardParams(dy *tensor.Matrix) {
 		c.rec.put(c.x, dy)
 		return
 	}
-	c.addColGrads(c.cols, dy)
+	c.addColGrads(&c.cols, dy)
 }
 
 // foldRec adds the gradients of the samples a Pass recorded: their
@@ -118,17 +119,19 @@ func (c *Conv1D) addColGrads(cols, dy *tensor.Matrix) {
 
 func (c *Conv1D) setRec(r *rec) { c.rec = r }
 
+// UseScratch implements ScratchUser.
+func (c *Conv1D) UseScratch(s *Scratch) { c.sc, c.x = s, nil }
+
 // Backward accumulates gradients and returns dx.
 func (c *Conv1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	c.BackwardParams(dy)
 	seq := dy.Rows
-	c.dcols = tensor.Ensure(c.dcols, seq, c.Kernel*c.Dim)
-	tensor.MatMulTransBInto(c.dcols, dy, c.W.Value)
+	dcols := c.sc.Ensure(&c.dcols, seq, c.Kernel*c.Dim)
+	tensor.MatMulTransBInto(dcols, dy, c.W.Value)
 	half := c.Kernel / 2
-	c.dx = zeroed(c.dx, seq, c.Dim)
-	dx := c.dx
+	dx := c.sc.Zeroed(&c.dx, seq, c.Dim)
 	for t := 0; t < seq; t++ {
-		row := c.dcols.Row(t)
+		row := dcols.Row(t)
 		for k := 0; k < c.Kernel; k++ {
 			src := t + k - half
 			if src < 0 || src >= seq {
@@ -164,7 +167,8 @@ func (Identity) Params() []*Param { return nil }
 type AvgPool1D struct {
 	Window int
 	seq    int
-	y, dx  *tensor.Matrix // reused scratch
+	y, dx  tensor.Matrix // reused scratch
+	sc     *Scratch
 }
 
 var _ SeqOp = (*AvgPool1D)(nil)
@@ -173,7 +177,7 @@ var _ SeqOp = (*AvgPool1D)(nil)
 func (p *AvgPool1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	p.seq = x.Rows
 	half := p.Window / 2
-	p.y = zeroed(p.y, x.Rows, x.Cols)
+	y := p.sc.Zeroed(&p.y, x.Rows, x.Cols)
 	for t := 0; t < x.Rows; t++ {
 		lo, hi := t-half, t+half
 		if lo < 0 {
@@ -183,19 +187,18 @@ func (p *AvgPool1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 			hi = x.Rows - 1
 		}
 		inv := 1 / float64(hi-lo+1)
-		yr := p.y.Row(t)
+		yr := y.Row(t)
 		for s := lo; s <= hi; s++ {
 			tensor.Axpy(inv, x.Row(s), yr)
 		}
 	}
-	return p.y
+	return y
 }
 
 // Backward spreads each output gradient uniformly over its window.
 func (p *AvgPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	half := p.Window / 2
-	p.dx = zeroed(p.dx, dy.Rows, dy.Cols)
-	dx := p.dx
+	dx := p.sc.Zeroed(&p.dx, dy.Rows, dy.Cols)
 	for t := 0; t < dy.Rows; t++ {
 		lo, hi := t-half, t+half
 		if lo < 0 {
@@ -216,15 +219,21 @@ func (p *AvgPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // BackwardParams implements SeqOp.
 func (p *AvgPool1D) BackwardParams(*tensor.Matrix) {}
 
+// UseScratch implements ScratchUser.
+func (p *AvgPool1D) UseScratch(s *Scratch) { p.sc = s }
+
 // Params implements Module.
 func (p *AvgPool1D) Params() []*Param { return nil }
 
 // MaxPool1D is a same-padded max pooling over the token axis.
 type MaxPool1D struct {
 	Window int
-	argmax []int // flattened (t*d + j) -> source row
+	// argmax maps t*d + j to the source row of output (t, j), a small
+	// integer held exactly as a float64 so that it is scratch like y.
+	argmax tensor.Matrix
 	dim    int
-	y, dx  *tensor.Matrix // reused scratch
+	y, dx  tensor.Matrix // reused scratch
+	sc     *Scratch
 }
 
 var _ SeqOp = (*MaxPool1D)(nil)
@@ -233,11 +242,8 @@ var _ SeqOp = (*MaxPool1D)(nil)
 func (p *MaxPool1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	half := p.Window / 2
 	p.dim = x.Cols
-	if len(p.argmax) != x.Rows*x.Cols {
-		p.argmax = make([]int, x.Rows*x.Cols)
-	}
-	p.y = tensor.Ensure(p.y, x.Rows, x.Cols)
-	y := p.y
+	argmax := p.sc.Ensure(&p.argmax, x.Rows, x.Cols).Data
+	y := p.sc.Ensure(&p.y, x.Rows, x.Cols)
 	for t := 0; t < x.Rows; t++ {
 		lo, hi := t-half, t+half
 		if lo < 0 {
@@ -255,7 +261,7 @@ func (p *MaxPool1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 				}
 			}
 			yr[j] = best
-			p.argmax[t*x.Cols+j] = bi
+			argmax[t*x.Cols+j] = float64(bi)
 		}
 	}
 	return y
@@ -263,12 +269,11 @@ func (p *MaxPool1D) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward routes each gradient to its argmax source.
 func (p *MaxPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	p.dx = zeroed(p.dx, dy.Rows, dy.Cols)
-	dx := p.dx
+	dx := p.sc.Zeroed(&p.dx, dy.Rows, dy.Cols)
 	for t := 0; t < dy.Rows; t++ {
 		row := dy.Row(t)
 		for j, v := range row {
-			src := p.argmax[t*p.dim+j]
+			src := int(p.argmax.Data[t*p.dim+j])
 			dx.Row(src)[j] += v
 		}
 	}
@@ -278,6 +283,9 @@ func (p *MaxPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // BackwardParams implements SeqOp.
 func (p *MaxPool1D) BackwardParams(*tensor.Matrix) {}
 
+// UseScratch implements ScratchUser.
+func (p *MaxPool1D) UseScratch(s *Scratch) { p.sc = s }
+
 // Params implements Module.
 func (p *MaxPool1D) Params() []*Param { return nil }
 
@@ -285,15 +293,15 @@ func (p *MaxPool1D) Params() []*Param { return nil }
 // repeats rows back to the original length, giving a coarse, shape-
 // preserving downsampling operation.
 type Downsample struct {
-	y, dx *tensor.Matrix // reused scratch
+	y, dx tensor.Matrix // reused scratch
+	sc    *Scratch
 }
 
 var _ SeqOp = (*Downsample)(nil)
 
 // Forward averages row pairs and duplicates them back out.
 func (d *Downsample) Forward(x *tensor.Matrix) *tensor.Matrix {
-	d.y = tensor.Ensure(d.y, x.Rows, x.Cols) // every row is written below
-	y := d.y
+	y := d.sc.Ensure(&d.y, x.Rows, x.Cols) // every row is written below
 	for t := 0; t < x.Rows; t += 2 {
 		hi := t + 1
 		if hi >= x.Rows {
@@ -312,8 +320,7 @@ func (d *Downsample) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward distributes gradients back through the average+repeat.
 func (d *Downsample) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	d.dx = zeroed(d.dx, dy.Rows, dy.Cols)
-	dx := d.dx
+	dx := d.sc.Zeroed(&d.dx, dy.Rows, dy.Cols)
 	for t := 0; t < dy.Rows; t += 2 {
 		hi := t + 1
 		if hi >= dy.Rows {
@@ -336,6 +343,9 @@ func (d *Downsample) Backward(dy *tensor.Matrix) *tensor.Matrix {
 
 // BackwardParams implements SeqOp.
 func (d *Downsample) BackwardParams(*tensor.Matrix) {}
+
+// UseScratch implements ScratchUser.
+func (d *Downsample) UseScratch(s *Scratch) { d.sc = s }
 
 // Params implements Module.
 func (d *Downsample) Params() []*Param { return nil }
