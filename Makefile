@@ -37,13 +37,19 @@ bench:
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkAxpy' -benchtime=2000x -count=5 ./internal/tensor
 
-# edge-bench measures what the exchange-replay workload spends its CPU
-# on: BenchmarkEdgeAggregate (Combine vs the streaming combiner's tail
-# at 12 × 5 120, vs its total and tail at the replay's 64 × 19 844),
+# edge-bench measures what the edge spends on the exchange:
+# BenchmarkEdgeAggregate (Combine vs the streaming combiner's tail at
+# 12 × 5 120, vs its total and tail at the exchange-replay workload's
+# 64 × 19 844), BenchmarkEdgeFold (one round of 12 uploads of a 12-layer
+# header set through the edge's fold and combine, /dense and /delta;
+# its B/op is what a round allocates once the arena, the lease pool and
+# the combiner's spares are warm), BenchmarkDecodeFreshTarget (an upload
+# decoded into a fresh target with one reused arena, the frame at byte
+# offsets 0–3: 2 allocs/op, the target and its layer list),
 # BenchmarkEntropyCompress/Expand, and BenchmarkAxpy (one Axpy pass and
 # one four-source pass at 19 844 and 32 elements).
 edge-bench:
-	$(GO) test -run '^$$' -bench 'EdgeAggregate|Entropy|Axpy' -count=5 ./internal/aggregate ./internal/wire ./internal/tensor
+	$(GO) test -run '^$$' -bench 'EdgeAggregate|EdgeFold|DecodeFreshTarget|Entropy|Axpy' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/wire ./internal/tensor
 
 # fleet-bench measures the three costs the fleet-sampled workload scales
 # with: BenchmarkEdgeAggregate/sampled-10of100x19844 (one round of 100
@@ -80,7 +86,7 @@ traffic:
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_37.json: per-pair values, medians, the base's quartiles,
+# writes PERF_38.json: per-pair values, medians, the base's quartiles,
 # pairs won and a verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
@@ -89,7 +95,7 @@ PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_37.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_38.json
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never
@@ -166,4 +172,4 @@ vet:
 portable:
 	GOARCH=arm64 $(GO) vet ./internal/tensor && GOARCH=arm64 $(GO) build ./...
 
-ci: fmt-check vet build portable test race bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke
+ci: fmt-check vet build portable test race fuzz bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke

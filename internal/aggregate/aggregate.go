@@ -94,6 +94,7 @@ type Combiner struct {
 	n       int
 	rows    []int             // output rows computed, ascending
 	acc     []*importance.Set // nil outside rows
+	spare   []*importance.Set // dead sets the accumulators may reuse (Reuse)
 	first   *importance.Set   // first set added: the shape every other must match
 	pending []*importance.Set // added but not yet folded
 	added   int               // positions handed to Add so far
@@ -147,6 +148,30 @@ func NewCombinerFor(sim [][]float64, read []bool) (*Combiner, error) {
 	}, nil
 }
 
+// Reuse hands the combiner dead sets — a finished round's results that
+// nothing reads any more — to build its accumulators from instead of
+// allocating them: a spare shaped like the uploads is zeroed and taken,
+// one of another shape (or nil) is skipped. The combiner owns every
+// spare from here on, and its results may be spares. Call it before the
+// first Add.
+func (c *Combiner) Reuse(spares []*importance.Set) { c.spare = spares }
+
+// zeroed returns an accumulator shaped like ref: a spare, cleared, or a
+// fresh zero set when no spare fits.
+func (c *Combiner) zeroed(ref *importance.Set) *importance.Set {
+	for len(c.spare) > 0 {
+		s := c.spare[len(c.spare)-1]
+		c.spare = c.spare[:len(c.spare)-1]
+		if s != nil && shapeCheck(ref, s, 0) == nil {
+			for _, l := range s.Layers {
+				clear(l)
+			}
+			return s
+		}
+	}
+	return ref.ZeroClone()
+}
+
 // Added reports how many device positions have been handed to Add.
 func (c *Combiner) Added() int { return c.added }
 
@@ -171,8 +196,9 @@ func (c *Combiner) Add(pos int, set *importance.Set) error {
 		c.first = set
 		c.acc = make([]*importance.Set, c.n)
 		for _, i := range c.rows {
-			c.acc[i] = set.ZeroClone()
+			c.acc[i] = c.zeroed(set)
 		}
+		c.spare = nil
 	} else if err := shapeCheck(c.first, set, pos); err != nil {
 		return err
 	}

@@ -263,3 +263,62 @@ func TestCombinerDeferredFoldKeepsAddChecks(t *testing.T) {
 		t.Fatal("duplicate for folded position accepted")
 	}
 }
+
+// TestCombinerReusesSpares: accumulators built on spares — a previous
+// round's results, dirty, some of another shape, some nil — come out
+// bit-identical to freshly allocated ones, full and partial, with every
+// fitting spare taken and no other.
+func TestCombinerReusesSpares(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const n = 6
+	shape := []int{17, 5, 64}
+	sets := randomSets(rng, n, shape)
+	sim := randomStochastic(rng, n)
+	want, err := Combine(sets, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, partial := range []bool{false, true} {
+		spares := randomSets(rng, 4, shape)
+		spares = append(spares, nil, randomSets(rng, 1, []int{17, 5, 63})[0], randomSets(rng, 1, []int{17, 5})[0])
+		fits := map[*importance.Set]bool{}
+		for _, s := range spares[:4] {
+			fits[s] = true
+		}
+		comb, err := NewCombiner(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comb.Reuse(spares)
+		present := make([]bool, n)
+		for p := range sets {
+			if partial && p == 2 {
+				continue
+			}
+			present[p] = true
+			if err := comb.Add(p, sets[p]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []*importance.Set
+		if partial {
+			got, _, _, err = comb.ResultPartial(nil)
+			requireSameSets(t, "partial", partialOracle(t, sets, sim, present), got)
+		} else {
+			got, _, err = comb.Result(nil)
+			requireSameSets(t, "full", want, got)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused := 0
+		for _, s := range got {
+			if fits[s] {
+				reused++
+			}
+		}
+		if reused != len(fits) {
+			t.Errorf("partial=%v: %d of %d fitting spares reused", partial, reused, len(fits))
+		}
+	}
+}

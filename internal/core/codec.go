@@ -118,12 +118,13 @@ type PersonalizedSet struct {
 	Done    bool
 }
 
-// quantizeSet converts importance layers to float32 for the wire.
-func quantizeSet(layers [][]float64) [][]float32 {
+// quantizeSetInto converts importance layers to float32 for the wire,
+// into rows cut from l (allocated when l is nil).
+func quantizeSetInto(l *nn.Lease, layers [][]float64) [][]float32 {
 	out := make([][]float32, len(layers))
-	for i, l := range layers {
-		row := make([]float32, len(l))
-		for j, v := range l {
+	for i, layer := range layers {
+		row := l.F32s(len(layer))
+		for j, v := range layer {
 			row[j] = float32(v)
 		}
 		out[i] = row
@@ -131,12 +132,13 @@ func quantizeSet(layers [][]float64) [][]float32 {
 	return out
 }
 
-// dequantizeSet converts wire layers back to float64.
-func dequantizeSet(layers [][]float32) [][]float64 {
+// dequantizeSetInto converts wire layers back to float64, into rows cut
+// from l (allocated when l is nil).
+func dequantizeSetInto(l *nn.Lease, layers [][]float32) [][]float64 {
 	out := make([][]float64, len(layers))
-	for i, l := range layers {
-		row := make([]float64, len(l))
-		for j, v := range l {
+	for i, layer := range layers {
+		row := l.F64s(len(layer))
+		for j, v := range layer {
 			row[j] = float64(v)
 		}
 		out[i] = row

@@ -127,8 +127,8 @@ func TestHeaderCodecRoundTrip(t *testing.T) {
 
 func TestQuantizeRoundTrip(t *testing.T) {
 	layers := [][]float64{{1.5, 2.25}, {0.125}}
-	q := quantizeSet(layers)
-	back := dequantizeSet(q)
+	q := quantizeSetInto(nil, layers)
+	back := dequantizeSetInto(nil, q)
 	for i := range layers {
 		for j := range layers[i] {
 			if back[i][j] != layers[i][j] { // exact for these dyadic values

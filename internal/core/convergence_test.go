@@ -46,7 +46,7 @@ func TestSparsifyDensifyRoundTrip(t *testing.T) {
 				t.Fatalf("round %d layer %d: dense %v in lane %v, want a sparse float16 record", round, i, pl.Delta.Dense, pl.Mode)
 			}
 		}
-		got, err := dec.apply(pls, true)
+		got, err := dec.apply(pls, true, nil)
 		if err != nil {
 			t.Fatalf("round %d: an honest top-k record was refused: %v", round, err)
 		}
@@ -76,7 +76,7 @@ var hostileZeroStart = map[string]wire.DeltaLayer{
 func TestDensifyRefusesHostileLayers(t *testing.T) {
 	for name, dl := range hostileZeroStart {
 		var dec deltaDecoder
-		if _, err := dec.apply([]DeltaLayerPayload{{Mode: QuantFloat16, Delta: dl}}, true); err == nil {
+		if _, err := dec.apply([]DeltaLayerPayload{{Mode: QuantFloat16, Delta: dl}}, true, nil); err == nil {
 			t.Errorf("%s: applied without error", name)
 		}
 	}
@@ -122,7 +122,7 @@ func TestEdgeRefusesHostileSparseUpload(t *testing.T) {
 func TestSparsifyKeepsAtLeastOne(t *testing.T) {
 	pls := (&deltaEncoder{topK: 0.0001}).encodeTopK([][]float64{{1, 2, 3}})
 	var dec deltaDecoder
-	got, err := dec.apply(pls, true)
+	got, err := dec.apply(pls, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"acme/internal/nn"
 	"acme/internal/wire"
 )
 
@@ -70,16 +71,15 @@ func packLayers(layers [][]float64, mode QuantMode) ([]packedLayer, error) {
 	return out, nil
 }
 
-// unpackLayer reverses packLayers for one layer. A lossless layer
-// yields the exact float64 values the dense decode path (dequantizeSet)
-// produces.
-func unpackLayer(p packedLayer) ([]float64, error) {
+// unpackLayerInto reverses packLayers for one layer, into a row cut
+// from l (allocated when l is nil). A lossless layer yields the exact
+// float64 values the dense decode path (dequantizeSetInto) produces.
+func unpackLayerInto(l *nn.Lease, p packedLayer) ([]float64, error) {
 	es := elemSize(p.mode)
 	if len(p.data)%es != 0 {
 		return nil, fmt.Errorf("core: packed layer of %d bytes not a multiple of element size %d", len(p.data), es)
 	}
-	n := len(p.data) / es
-	row := make([]float64, n)
+	row := l.F64s(len(p.data) / es)
 	if p.mode == QuantLossless {
 		for j := range row {
 			row[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p.data[4*j:])))
@@ -221,13 +221,14 @@ type deltaDecoder struct {
 	prev []packedLayer
 }
 
-// apply reconstructs the dense float64 layers of pls against the shadow
-// and advances the shadow one round. Every field is wire-controlled;
+// apply reconstructs the dense float64 layers of pls against the shadow,
+// into rows cut from l (allocated when l is nil), and advances the
+// shadow one round. Every field is wire-controlled;
 // shape, mode, and scale are validated before any allocation or
 // indexing derived from them. zeroStart is the top-k uplink's rule: a
 // chain starts from an all-zero shadow, so a sparse record with no
 // shadow round applies against zeros; otherwise it is refused.
-func (d *deltaDecoder) apply(pls []DeltaLayerPayload, zeroStart bool) ([][]float64, error) {
+func (d *deltaDecoder) apply(pls []DeltaLayerPayload, zeroStart bool, l *nn.Lease) ([][]float64, error) {
 	if d.prev != nil && len(d.prev) != len(pls) {
 		return nil, fmt.Errorf("core: delta payload has %d layers, shadow has %d", len(pls), len(d.prev))
 	}
@@ -268,7 +269,7 @@ func (d *deltaDecoder) apply(pls []DeltaLayerPayload, zeroStart bool) ([][]float
 			return nil, fmt.Errorf("core: delta layer %d: %w", i, err)
 		}
 		d.prev[i] = packedLayer{mode: pl.Mode, scale: pl.Scale, data: data}
-		row, err := unpackLayer(d.prev[i])
+		row, err := unpackLayerInto(l, d.prev[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: delta layer %d: %w", i, err)
 		}

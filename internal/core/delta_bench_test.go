@@ -77,11 +77,11 @@ func BenchmarkDownlinkRound(b *testing.B) {
 						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
-						if _, err := dec.apply(got.Layers, false); err != nil {
+						if _, err := dec.apply(got.Layers, false, nil); err != nil {
 							b.Fatal(err)
 						}
 					} else {
-						ps := PersonalizedSet{Layers: quantizeSet(layers), Discard: 4 * (t + 1), Done: t == rounds-1}
+						ps := PersonalizedSet{Layers: quantizeSetInto(nil, layers), Discard: 4 * (t + 1), Done: t == rounds-1}
 						if payload, err = wire.Encode(ps); err != nil {
 							b.Fatal(err)
 						}
@@ -89,7 +89,7 @@ func BenchmarkDownlinkRound(b *testing.B) {
 						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
-						_ = dequantizeSet(got.Layers)
+						_ = dequantizeSetInto(nil, got.Layers)
 					}
 					total += int64(len(payload))
 					benchPerturb(rng, layers)
@@ -143,11 +143,11 @@ func BenchmarkImportanceRound(b *testing.B) {
 						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
-						if _, err := dec.apply(got.Layers, false); err != nil {
+						if _, err := dec.apply(got.Layers, false, nil); err != nil {
 							b.Fatal(err)
 						}
 					} else {
-						up := ImportanceUpload{DeviceID: 1, Layers: quantizeSet(layers)}
+						up := ImportanceUpload{DeviceID: 1, Layers: quantizeSetInto(nil, layers)}
 						if payload, err = wire.Encode(up); err != nil {
 							b.Fatal(err)
 						}
@@ -155,7 +155,7 @@ func BenchmarkImportanceRound(b *testing.B) {
 						if err := wire.Decode(payload, &got); err != nil {
 							b.Fatal(err)
 						}
-						dequantizeSet(got.Layers)
+						dequantizeSetInto(nil, got.Layers)
 					}
 					total += int64(len(payload))
 					benchPerturb(rng, layers)

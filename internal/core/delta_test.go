@@ -71,7 +71,7 @@ func TestPackUnpackMatchesDensePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := dequantizeSet(quantizeSet(layers))
+		want := dequantizeSetInto(nil, quantizeSetInto(nil, layers))
 		if mode != QuantLossless {
 			// The packed lanes against their oracle: the per-layer
 			// lane choice, then each lane's own quantize/dequantize.
@@ -87,7 +87,7 @@ func TestPackUnpackMatchesDensePath(t *testing.T) {
 			}
 		}
 		for i, p := range packed {
-			got, err := unpackLayer(p)
+			got, err := unpackLayerInto(nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestDeltaExchangeMultiRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := dec.apply(up.Layers, false)
+			got, err := dec.apply(up.Layers, false, nil)
 			if err != nil {
 				t.Fatalf("mode %v round %d: %v", mode, round, err)
 			}
@@ -124,7 +124,7 @@ func TestDeltaExchangeMultiRound(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, p := range packed {
-				want, err := unpackLayer(p)
+				want, err := unpackLayerInto(nil, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,13 +163,13 @@ func TestDeltaDecoderRejectsCorrupt(t *testing.T) {
 	// Sparse round with no shadow.
 	var fresh deltaDecoder
 	if !up1.Layers[0].Delta.Dense {
-		if _, err := fresh.apply(up1.Layers, false); err == nil {
+		if _, err := fresh.apply(up1.Layers, false, nil); err == nil {
 			t.Fatal("sparse delta without shadow accepted")
 		}
 	}
 
 	var dec deltaDecoder
-	if _, err := dec.apply(up0.Layers, false); err != nil {
+	if _, err := dec.apply(up0.Layers, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Mode flip between rounds on a sparse layer.
@@ -178,7 +178,7 @@ func TestDeltaDecoderRejectsCorrupt(t *testing.T) {
 	if !bad.Layers[0].Delta.Dense {
 		bad.Layers[0].Mode = QuantFloat16
 		bad.Layers[0].Delta.Elem = 2
-		if _, err := dec.apply(bad.Layers, false); err == nil {
+		if _, err := dec.apply(bad.Layers, false, nil); err == nil {
 			t.Fatal("mode flip on sparse layer accepted")
 		}
 	}
@@ -186,13 +186,13 @@ func TestDeltaDecoderRejectsCorrupt(t *testing.T) {
 	bad2 := up1
 	bad2.Layers = append([]DeltaLayerPayload(nil), up1.Layers...)
 	bad2.Layers[0].Mode = QuantMixed
-	if _, err := dec.apply(bad2.Layers, false); err == nil {
+	if _, err := dec.apply(bad2.Layers, false, nil); err == nil {
 		t.Fatal("QuantMixed on the wire accepted")
 	}
 	// Layer-count change between rounds.
 	bad3 := up1
 	bad3.Layers = append(append([]DeltaLayerPayload(nil), up1.Layers...), up1.Layers[0])
-	if _, err := dec.apply(bad3.Layers, false); err == nil {
+	if _, err := dec.apply(bad3.Layers, false, nil); err == nil {
 		t.Fatal("layer-count change accepted")
 	}
 }
@@ -213,7 +213,7 @@ func TestQuantLayersRejectCorrupt(t *testing.T) {
 			Delta: wire.DeltaLayer{N: 3, Elem: 1, Dense: true, Changed: []byte{1, 2, 3}}}},
 	} {
 		var dec deltaDecoder
-		if _, err := dec.apply([]DeltaLayerPayload{c.pl}, false); err == nil {
+		if _, err := dec.apply([]DeltaLayerPayload{c.pl}, false, nil); err == nil {
 			t.Fatalf("%s: accepted", c.name)
 		}
 	}
@@ -235,7 +235,7 @@ func TestEdgeRejectsStaleDeltaAfterDenseUpload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dec.apply(up.Layers, false); err != nil {
+		if _, err := dec.apply(up.Layers, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		layers = perturb(rng, layers, 0.02, 0.01)
@@ -258,7 +258,7 @@ func TestEdgeRejectsStaleDeltaAfterDenseUpload(t *testing.T) {
 	if !sparse {
 		t.Skip("seed produced all-dense layers; stale-shadow case needs a sparse one")
 	}
-	if _, err := dec.apply(up.Layers, false); err == nil {
+	if _, err := dec.apply(up.Layers, false, nil); err == nil {
 		t.Fatal("sparse delta against a dropped shadow accepted")
 	}
 }

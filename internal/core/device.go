@@ -302,6 +302,10 @@ type deviceRounds struct {
 	downDec deltaDecoder
 	liar    *chaos.Liar
 	acc     importance.Accumulator
+	// rows lends a round's importance rows and wire copies: from the
+	// upload's average to its encoding, and from the downlink's decode
+	// to its apply. It holds nothing between rounds.
+	rows nn.Lease
 	// refresh > 0 makes importance incremental (see deviceLoop);
 	// prefolded is how many batches the previous round folded ahead.
 	refresh, prefolded int
@@ -362,6 +366,7 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 	if s.Cfg.ImportanceRefreshPeriod > 1 && !d.sampling {
 		d.refresh = s.Cfg.ImportanceRefreshPeriod
 	}
+	defer d.rows.Release()
 	for {
 		t, ok, err := d.nextRound(ctx)
 		if err != nil || !ok {
@@ -521,6 +526,7 @@ func isDownlink(kind transport.Kind) bool {
 // turns its average into the bytes to upload.
 func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transport.Kind, payload []byte, raw int, err error) {
 	s := d.s
+	defer d.rows.Release()
 	start := time.Now()
 	if d.refresh == 0 || t%d.refresh == 0 {
 		// Full refresh: reset and recompute over the complete batch
@@ -537,7 +543,7 @@ func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transpor
 		return 0, nil, 0, err
 	}
 	d.prefolded = 0
-	set, err := d.acc.Average()
+	set, err := d.acc.AverageInto(&d.rows)
 	if err != nil {
 		return 0, nil, 0, err
 	}
@@ -558,7 +564,7 @@ func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transpor
 		}
 		kind, val = transport.KindImportanceDelta, up
 	} else {
-		val = ImportanceUpload{DeviceID: d.dev.ID, Layers: quantizeSet(layers)}
+		val = ImportanceUpload{DeviceID: d.dev.ID, Layers: quantizeSetInto(&d.rows, layers)}
 	}
 	// Encode once: the same bytes go on the wire and (when
 	// checkpointing is on) into the replay buffer, so a
@@ -690,10 +696,10 @@ func (d *deviceRounds) awaitDownlink(ctx context.Context, t int) (out downlinkOu
 				// the one the shadow already advanced through.
 				return false, nil
 			}
-			// The decoded layers are fresh float64 copies either way, so
-			// nothing aliases the frame once this returns.
+			// The decoded layers are leased float64 copies either way,
+			// so nothing aliases the frame once this returns.
 			var err error
-			out.layers, out.discard, out.final, err = d.s.decodePersonalized(&d.downDec, msg, d.edge, t)
+			out.layers, out.discard, out.final, err = d.s.decodePersonalized(&d.downDec, msg, d.edge, t, &d.rows, d.header.Params())
 			return true, err
 		}
 		rec, err := transport.ParseControl(msg)
@@ -736,7 +742,9 @@ func (d *deviceRounds) awaitDownlink(ctx context.Context, t int) (out downlinkOu
 // it and, with checkpointing on, snapshots the result.
 func (d *deviceRounds) apply(t int, out downlinkOutcome) error {
 	s := d.s
-	if err := d.header.ApplyImportance(&importance.Set{Layers: out.layers}, out.discard); err != nil {
+	err := d.header.ApplyImportance(&importance.Set{Layers: out.layers}, out.discard)
+	d.rows.Release()
+	if err != nil {
 		return err
 	}
 	if err := d.header.TrainLocal(d.local, 1, s.Cfg.LocalBatch, s.Cfg.LocalLR, d.rng); err != nil {
@@ -757,15 +765,21 @@ func (d *deviceRounds) apply(t int, out downlinkOutcome) error {
 // a message from anyone but the device's own edge, a duplicate or
 // out-of-order delta round, or an unexpected kind is a protocol
 // violation named after the sender and kind. A dense downlink resets
-// the delta shadow; a delta downlink advances it.
-func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message, edge string, round int) ([][]float64, int, bool, error) {
+// the delta shadow; a delta downlink advances it. The layers, and a
+// dense downlink's float32 decode, are cut from l; the float32 rows are
+// shaped like params, so that a downlink of that shape decodes into
+// them in place (nil params leave the decoder to allocate).
+func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message, edge string, round int, l *nn.Lease, params []*nn.Param) ([][]float64, int, bool, error) {
 	if msg.From != edge {
 		return nil, 0, false, fmt.Errorf("%v from %s in round %d: personalized sets must come from %s",
 			msg.Kind, msg.From, round, edge)
 	}
 	switch msg.Kind {
 	case transport.KindPersonalizedSet:
-		var ps PersonalizedSet
+		ps := PersonalizedSet{Layers: make([][]float32, len(params))}
+		for i, p := range params {
+			ps.Layers[i] = l.F32s(p.NumParams())
+		}
 		if err := wire.Decode(msg.Payload, &ps); err != nil {
 			return nil, 0, false, fmt.Errorf("decode %v from %s in round %d: %w", msg.Kind, msg.From, round, err)
 		}
@@ -773,7 +787,7 @@ func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message
 		// it: a later delta must fail ("no shadow round") rather than
 		// silently reconstruct against a stale round.
 		*downDec = deltaDecoder{}
-		return dequantizeSet(ps.Layers), ps.Discard, ps.Done, nil
+		return dequantizeSetInto(l, ps.Layers), ps.Discard, ps.Done, nil
 	case transport.KindImportanceDownDelta:
 		var dd DownlinkDelta
 		if err := wire.Decode(msg.Payload, &dd); err != nil {
@@ -783,7 +797,7 @@ func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message
 			return nil, 0, false, fmt.Errorf("%v from %s carries round %d during round %d (duplicate or out-of-order downlink)",
 				msg.Kind, msg.From, dd.Round, round)
 		}
-		layers, err := downDec.apply(dd.Layers, false)
+		layers, err := downDec.apply(dd.Layers, false, l)
 		if err != nil {
 			return nil, 0, false, fmt.Errorf("%v from %s: %w", msg.Kind, msg.From, err)
 		}

@@ -47,7 +47,7 @@ func TestDownlinkDeltaMultiRoundChurn(t *testing.T) {
 					t.Fatal(err)
 				}
 				dd := DownlinkDelta{Round: round, Discard: 4 * (round + 1), Done: round == rounds-1, Layers: pls}
-				got, err := decs[d].apply(dd.Layers, false)
+				got, err := decs[d].apply(dd.Layers, false, nil)
 				if err != nil {
 					t.Fatalf("mode %v round %d device %d: %v", mode, round, d, err)
 				}
@@ -56,7 +56,7 @@ func TestDownlinkDeltaMultiRoundChurn(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, p := range packed {
-					want, err := unpackLayer(p)
+					want, err := unpackLayerInto(nil, p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -110,7 +110,7 @@ func TestDeviceRejectsForeignDownlink(t *testing.T) {
 		From:    "intruder",
 		Payload: encodePayload(t, PersonalizedSet{Layers: [][]float32{{1}}}),
 	}
-	_, _, _, err := sys.decodePersonalized(&dec, msg, "edge-0", 0)
+	_, _, _, err := sys.decodePersonalized(&dec, msg, "edge-0", 0, nil, nil)
 	if err == nil {
 		t.Fatal("downlink from a foreign sender accepted")
 	}
@@ -139,11 +139,11 @@ func TestDeviceRejectsOutOfOrderDownlinkDelta(t *testing.T) {
 		From:    "edge-0",
 		Payload: encodePayload(t, DownlinkDelta{Round: 0, Discard: 4, Layers: pls}),
 	}
-	if _, _, _, err := sys.decodePersonalized(&dec, good, "edge-0", 0); err != nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, good, "edge-0", 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Replaying round 0 during round 1 is a duplicate.
-	if _, _, _, err := sys.decodePersonalized(&dec, good, "edge-0", 1); err == nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, good, "edge-0", 1, nil, nil); err == nil {
 		t.Fatal("duplicate downlink round accepted")
 	} else if !strings.Contains(err.Error(), "round 0 during round 1") ||
 		!strings.Contains(err.Error(), "importance-down-delta") {
@@ -155,7 +155,7 @@ func TestDeviceRejectsOutOfOrderDownlinkDelta(t *testing.T) {
 		From:    "edge-0",
 		Payload: encodePayload(t, DownlinkDelta{Round: 3, Layers: pls}),
 	}
-	if _, _, _, err := sys.decodePersonalized(&dec, future, "edge-0", 1); err == nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, future, "edge-0", 1, nil, nil); err == nil {
 		t.Fatal("future downlink round accepted")
 	}
 }
@@ -176,13 +176,13 @@ func TestDeviceDenseDownlinkResetsShadow(t *testing.T) {
 	}
 	r0 := transport.Message{Kind: transport.KindImportanceDownDelta, From: "edge-0",
 		Payload: encodePayload(t, DownlinkDelta{Round: 0, Layers: pls0})}
-	if _, _, _, err := sys.decodePersonalized(&dec, r0, "edge-0", 0); err != nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, r0, "edge-0", 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Dense interlude drops the shadow.
 	dense := transport.Message{Kind: transport.KindPersonalizedSet, From: "edge-0",
-		Payload: encodePayload(t, PersonalizedSet{Layers: quantizeSet(layers)})}
-	if _, _, _, err := sys.decodePersonalized(&dec, dense, "edge-0", 1); err != nil {
+		Payload: encodePayload(t, PersonalizedSet{Layers: quantizeSetInto(nil, layers)})}
+	if _, _, _, err := sys.decodePersonalized(&dec, dense, "edge-0", 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The edge, unaware, keeps delta-encoding; the next sparse delta
@@ -202,7 +202,7 @@ func TestDeviceDenseDownlinkResetsShadow(t *testing.T) {
 	}
 	r2 := transport.Message{Kind: transport.KindImportanceDownDelta, From: "edge-0",
 		Payload: encodePayload(t, DownlinkDelta{Round: 2, Layers: pls2})}
-	if _, _, _, err := sys.decodePersonalized(&dec, r2, "edge-0", 2); err == nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, r2, "edge-0", 2, nil, nil); err == nil {
 		t.Fatal("sparse downlink delta against a dropped shadow accepted")
 	}
 }

@@ -342,7 +342,11 @@ type edgeState struct {
 	doneTold    []bool
 	invited     []bool
 
+	// prev is the last round's combined sets, kept for the
+	// convergence monitor; spare is dead sets the next round's combiner
+	// builds its accumulators on (aggregate.Combiner.Reuse).
 	prev      []*importance.Set
+	spare     []*importance.Set
 	lastRound int
 
 	sampling bool
@@ -367,11 +371,14 @@ type edgeState struct {
 	startRound   int
 	resumedRound int
 
-	// arena backs the zero-copy decode of every gathered upload: reset
-	// per message, float payloads aliased straight into the frame buffer
-	// instead of allocated. Safe because everything the fold keeps past
-	// one message — combiner layers, delta shadows — is copied by the
-	// fold itself (importance uploads convert f32→f64, delta application
+	// arena backs the decode of every gathered upload, reset per
+	// message. A float payload aliases the frame buffer when its data
+	// happens to be 4-byte aligned in the frame; otherwise, the common
+	// case, it is copied into the arena's block, which grows to the
+	// largest upload once and is reused from then on. Safe because
+	// everything the fold keeps past one message — combiner layers,
+	// delta shadows — is copied by the fold itself (importance uploads
+	// convert f32→f64 into the round's leased rows, delta application
 	// copies into the shadow), inside the buffer lifetime the gather
 	// guarantees OnMessage.
 	arena *wire.Arena

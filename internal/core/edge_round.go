@@ -7,6 +7,7 @@ import (
 
 	"acme/internal/aggregate"
 	"acme/internal/importance"
+	"acme/internal/nn"
 	"acme/internal/tensor"
 	"acme/internal/transport"
 	"acme/internal/wire"
@@ -29,6 +30,9 @@ type edgeRound struct {
 	// comb is built once the round's invitees are known, before the
 	// gather that feeds it.
 	comb *aggregate.Combiner
+	// rows holds the decoded uploads, which comb reads until its
+	// result; they go back to the pool once it is taken.
+	rows nn.Lease
 }
 
 // edgeRounds is the round loop itself: a round-scoped gather per round
@@ -83,6 +87,7 @@ func (r *edgeRound) checkpoint(writer *snapshotWriter) {
 // run plays the round from invite to cutoff notices and reports
 // whether it was the loop's last.
 func (r *edgeRound) run(ctx context.Context) (done bool, err error) {
+	defer r.rows.Release()
 	expect, epoch := r.invite()
 	if r.sampling && len(expect) == 0 {
 		// Every sampled member churned before its invite landed:
@@ -114,6 +119,11 @@ func (r *edgeRound) run(ctx context.Context) (done bool, err error) {
 	r.downlink(combined, done)
 	r.cutoffNotices(done)
 	r.rs.DownlinkNS = time.Since(busy).Nanoseconds()
+	if !r.monitor {
+		// Every downlink is encoded: nothing reads the round's sets
+		// any more, and the next round's combiner builds on them.
+		r.spare = combined
+	}
 	return done, nil
 }
 
@@ -188,6 +198,8 @@ func (r *edgeRound) gather(ctx context.Context, expect []string, epoch uint64) e
 	if r.comb, err = aggregate.NewCombinerFor(r.sim, read); err != nil {
 		return err
 	}
+	r.comb.Reuse(r.spare)
+	r.spare = nil
 	spec := transport.GatherSpec{
 		Round:  r.t,
 		Kinds:  []transport.Kind{transport.KindImportanceSet, transport.KindImportanceDelta},
@@ -254,7 +266,7 @@ func (r *edgeRound) fold(msg transport.Message) error {
 			// outlived the crash in an inbox: drop the second copy.
 			return nil
 		}
-		layers = dequantizeSet(up.Layers)
+		layers = dequantizeSetInto(&r.rows, up.Layers)
 		// A dense upload does not advance the delta shadow, so
 		// drop it: a later sparse delta from this device must
 		// fail ("no shadow round") rather than silently
@@ -280,7 +292,7 @@ func (r *edgeRound) fold(msg transport.Message) error {
 			// would corrupt the shadow chain, so drop it before apply.
 			return nil
 		}
-		if layers, err = r.shadows[p].apply(up.Layers, r.s.Cfg.Wire.topK()); err != nil {
+		if layers, err = r.shadows[p].apply(up.Layers, r.s.Cfg.Wire.topK(), &r.rows); err != nil {
 			return fmt.Errorf("%v from %s (device %d): %w", msg.Kind, msg.From, devID, err)
 		}
 		r.rs.DeltaMessages++
@@ -288,8 +300,8 @@ func (r *edgeRound) fold(msg transport.Message) error {
 	if r.detect != nil {
 		// Detection mode: hold the upload until the gather ends —
 		// a flagged one must never fold. The decoded layers are
-		// fresh float64 copies with round lifetime (same contract
-		// comb.Add relies on below), so buffering them is safe.
+		// leased for the round (the contract comb.Add relies on
+		// below), so buffering them is safe.
 		if r.detectPending[p] != nil {
 			return fmt.Errorf("%v from %s (device %d): duplicate upload for position %d", msg.Kind, msg.From, devID, p)
 		}
@@ -423,6 +435,7 @@ func (r *edgeRound) combine() (combined []*importance.Set, done bool, err error)
 	if err != nil {
 		return nil, false, err
 	}
+	r.rows.Release()
 	r.rs.AggregateNS += time.Since(busy).Nanoseconds()
 	// The loop ends at the round budget or on convergence of the
 	// aggregated sets (§II-A: "repeated iteratively until
@@ -434,9 +447,10 @@ func (r *edgeRound) combine() (combined []*importance.Set, done bool, err error)
 	}
 	if r.monitor {
 		// The monitor is r.prev's only reader; without it the round's
-		// accumulators are garbage once the downlinks are sent, and a
-		// snapshot has nothing to copy.
-		r.prev = combined
+		// accumulators are spares once the downlinks are sent (run),
+		// and a snapshot has nothing to copy. With it, the sets the
+		// result just compared against are the spares.
+		r.spare, r.prev = r.prev, combined
 	}
 	return combined, done, nil
 }
@@ -529,8 +543,9 @@ func (r *edgeRound) cutoffNotices(done bool) {
 // set. With a non-nil delta encoder it travels as a DownlinkDelta
 // against the device's previous downlink (per-layer dense fallback
 // when no shadow exists or the delta would not be smaller); otherwise
-// as the dense lossless PersonalizedSet. It reports the wire
-// bytes sent and whether the delta form was used.
+// as the dense lossless PersonalizedSet, whose float32 copy is leased
+// until it is sent. It reports the wire bytes sent and whether the
+// delta form was used.
 func (s *System) sendPersonalized(from, to string, enc *deltaEncoder, round int, layers [][]float64, discard int, done bool) (int64, bool, error) {
 	if enc != nil {
 		pls, err := enc.encodeLayers(layers)
@@ -541,7 +556,9 @@ func (s *System) sendPersonalized(from, to string, enc *deltaEncoder, round int,
 		n, err := s.sendCounted(transport.KindImportanceDownDelta, from, to, round, dd)
 		return n, true, err
 	}
-	ps := PersonalizedSet{Layers: quantizeSet(layers), Discard: discard, Done: done}
+	var wire32 nn.Lease
+	defer wire32.Release()
+	ps := PersonalizedSet{Layers: quantizeSetInto(&wire32, layers), Discard: discard, Done: done}
 	n, err := s.sendCounted(transport.KindPersonalizedSet, from, to, round, ps)
 	return n, false, err
 }

@@ -105,10 +105,21 @@ func (a *Accumulator) FoldBatches(c nn.Classifier, ds *data.Dataset, batchSize, 
 // extending it. With no folded batches it returns the zeroed shape
 // (matching the legacy single-shot behaviour on an empty dataset).
 func (a *Accumulator) Average() (*Set, error) {
+	return a.AverageInto(nil)
+}
+
+// AverageInto is Average with the set's rows cut from l, which the
+// caller gives back when it is done with them; a nil l allocates them.
+func (a *Accumulator) AverageInto(l *nn.Lease) (*Set, error) {
 	if a.sum == nil {
 		return nil, fmt.Errorf("importance: average of empty accumulator")
 	}
-	out := a.sum.Clone()
+	out := &Set{Layers: make([][]float64, len(a.sum.Layers))}
+	for i, sum := range a.sum.Layers {
+		row := l.F64s(len(sum))
+		copy(row, sum)
+		out.Layers[i] = row
+	}
 	if a.batches > 0 {
 		out.Scale(1 / float64(a.batches))
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"acme/internal/nn"
 )
 
 // TestAccumulatorMatchesSingleShot: a Reset followed by one FoldBatches
@@ -125,5 +127,36 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 		if p.Grad != nil {
 			t.Fatalf("%s kept gradient storage after the fold", p.Name)
 		}
+	}
+}
+
+// TestAverageIntoLeasedRows: AverageInto on a lease is Average bit for
+// bit, its rows come from the lease, and Release gives them all back.
+func TestAverageIntoLeasedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	c := testClassifier(t, rng)
+	ds := testDataset(rng)
+	acc := NewAccumulator()
+	if _, err := acc.FoldBatches(c, ds, 8, 3, rng); err != nil {
+		t.Fatal(err)
+	}
+	want, err := acc.Average()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows nn.Lease
+	got, err := acc.AverageInto(&rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Layers, want.Layers) {
+		t.Fatal("AverageInto differs from Average")
+	}
+	if nn.Lent() == 0 {
+		t.Fatal("AverageInto leased nothing")
+	}
+	rows.Release()
+	if n := nn.Lent(); n != 0 {
+		t.Fatalf("%d slabs still lent after Release", n)
 	}
 }

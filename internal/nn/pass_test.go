@@ -215,3 +215,53 @@ func TestBorrowAdamMatchesNewAdam(t *testing.T) {
 		t.Errorf("released Adam at step %d with %d moments, want a fresh one", borrowed.t, len(borrowed.state))
 	}
 }
+
+// TestLeaseCutsAndGivesBack: a Lease cuts disjoint rows of both float
+// types, a row longer than a chunk included, and Release gives every
+// slab back, so the next round's rows are the same storage; a nil
+// Lease allocates.
+func TestLeaseCutsAndGivesBack(t *testing.T) {
+	sizes := []int{10, leaseChunk + 1, 300, leaseChunk, 7}
+	var l Lease
+	round := func() (f64 [][]float64, f32 [][]float32) {
+		for i, n := range sizes {
+			a, b := l.F64s(n), l.F32s(n)
+			if len(a) != n || cap(a) != n || len(b) != n || cap(b) != n {
+				t.Fatalf("row %d: lengths %d/%d, capacities %d/%d, want %d", i, len(a), len(b), cap(a), cap(b), n)
+			}
+			for j := range a {
+				a[j], b[j] = float64(i), float32(i)
+			}
+			f64, f32 = append(f64, a), append(f32, b)
+		}
+		for i := range f64 {
+			for j := range f64[i] {
+				if f64[i][j] != float64(i) || f32[i][j] != float32(i) {
+					t.Fatalf("row %d overlaps another", i)
+				}
+			}
+		}
+		return f64, f32
+	}
+	first, _ := round()
+	if Lent() == 0 {
+		t.Fatal("a lease borrowed nothing")
+	}
+	l.Release()
+	if n := Lent(); n != 0 {
+		t.Fatalf("%d slabs lent after Release", n)
+	}
+	second, _ := round()
+	if &first[1][0] != &second[1][0] {
+		t.Error("the second round did not reuse the storage the first gave back")
+	}
+	l.Release()
+	l.Release()
+	if n := Lent(); n != 0 {
+		t.Fatalf("%d slabs lent after a second Release", n)
+	}
+	var none *Lease
+	if a, b := none.F64s(3), none.F32s(4); len(a) != 3 || len(b) != 4 || Lent() != 0 {
+		t.Fatal("a nil Lease does not allocate plain rows")
+	}
+}

@@ -9,48 +9,89 @@ import (
 
 // The scratch pool lends the working memory of one call — a Pass's
 // record stacks and logits gradient, a BorrowAdam's moments, the
-// gradients of BorrowGrads, the layer buffers of a Scratch — and takes
-// it back when the call ends, so that the next call, on this goroutine
+// gradients of BorrowGrads, the layer buffers of a Scratch — and of one
+// round of the importance exchange (a Lease's rows), and takes it back
+// when the call or round ends, so that the next one, on this goroutine
 // or another, reuses it instead of allocating, and a model between
 // calls holds only its weights. Lent counts the slabs that are out:
 // every call that borrows gives everything back before it returns,
 // errors included.
 //
-// Idle slabs wait in free lists by length, up to idleCap values in all;
-// one given back past that is left to the collector. A sync.Pool would
-// drop them at every second collection, and devices borrow in bursts a
-// round apart with a collection or two in between: on customize-dense
-// the borrowed slabs cost 11.8 MB of allocation per run from sync.Pools
-// and 2.2 MB from the free lists.
+// Idle slabs wait in free lists by element type and length, up to
+// idleCap bytes in all; one given back past that is left to the
+// collector. A sync.Pool would drop them at every second collection,
+// and devices borrow in bursts a round apart with a collection or two
+// in between: on customize-dense the borrowed slabs cost 11.8 MB of
+// allocation per run from sync.Pools and 2.2 MB from the free lists.
 
-// slab is one pooled block of float64s.
-type slab struct{ data []float64 }
+// slab is one pooled block of float64s (data) or of float32s (f32).
+type slab struct {
+	data []float64
+	f32  []float32
+}
 
-// idleCap bounds the values the free lists keep between calls (32 MiB),
+// slabKey names a free list: the element type and the length.
+type slabKey struct {
+	n   int
+	f32 bool
+}
+
+func (s *slab) key() slabKey {
+	if s.f32 != nil {
+		return slabKey{len(s.f32), true}
+	}
+	return slabKey{len(s.data), false}
+}
+
+func (k slabKey) bytes() int {
+	if k.f32 {
+		return 4 * k.n
+	}
+	return 8 * k.n
+}
+
+// idleCap bounds the bytes the free lists keep between calls (32 MiB),
 // so that a burst of borrowing, such as a fleet's devices all starting
 // at once, leaves at most that much behind.
-const idleCap = 1 << 22
+const idleCap = 32 << 20
 
 var (
-	poolMu     sync.Mutex
-	freeLists  = map[int][]*slab{} // idle slabs by length
-	idleValues int                 // values in freeLists
-	lent       atomic.Int64
+	poolMu    sync.Mutex
+	freeLists = map[slabKey][]*slab{} // idle slabs
+	idleBytes int                     // bytes in freeLists
+	lent      atomic.Int64
 )
 
-// borrow returns a slab of n values from the pool, contents unspecified.
-func borrow(n int) *slab {
+// take returns an idle slab for k, or nil when there is none.
+func take(k slabKey) *slab {
 	lent.Add(1)
 	poolMu.Lock()
-	if l := freeLists[n]; len(l) > 0 {
-		s := l[len(l)-1]
-		l[len(l)-1] = nil
-		freeLists[n], idleValues = l[:len(l)-1], idleValues-n
-		poolMu.Unlock()
+	defer poolMu.Unlock()
+	l := freeLists[k]
+	if len(l) == 0 {
+		return nil
+	}
+	s := l[len(l)-1]
+	l[len(l)-1] = nil
+	freeLists[k], idleBytes = l[:len(l)-1], idleBytes-k.bytes()
+	return s
+}
+
+// borrow returns a slab of n float64s from the pool, contents
+// unspecified.
+func borrow(n int) *slab {
+	if s := take(slabKey{n, false}); s != nil {
 		return s
 	}
-	poolMu.Unlock()
 	return &slab{data: make([]float64, n)}
+}
+
+// borrow32 is borrow for n float32s.
+func borrow32(n int) *slab {
+	if s := take(slabKey{n, true}); s != nil {
+		return s
+	}
+	return &slab{f32: make([]float32, n)}
 }
 
 // borrowZeroed is borrow with every value zero.
@@ -63,17 +104,76 @@ func borrowZeroed(n int) *slab {
 // giveBack returns s to the pool; its borrower must not touch it again.
 func giveBack(s *slab) {
 	lent.Add(-1)
-	n := len(s.data)
+	k := s.key()
 	poolMu.Lock()
-	if idleValues+n <= idleCap {
-		freeLists[n], idleValues = append(freeLists[n], s), idleValues+n
+	if idleBytes+k.bytes() <= idleCap {
+		freeLists[k], idleBytes = append(freeLists[k], s), idleBytes+k.bytes()
 	}
 	poolMu.Unlock()
 }
 
 // Lent reports how many scratch slabs are borrowed and not yet given
-// back: zero whenever no call that borrows is in progress.
+// back: zero whenever no call or round that borrows is in progress.
 func Lent() int { return int(lent.Load()) }
+
+// A Lease lends the rows of one round of the importance exchange — the
+// decoded layers of an upload that the edge's combiner reads until the
+// round's result, a device's averaged set and its float32 wire copy, a
+// decoded downlink — cut from pooled slabs, and gives them all back at
+// Release; a Scratch cuts its layer buffers from one too. Contents of a
+// row are unspecified. The zero Lease is ready to use and holds nothing
+// after Release; on a nil *Lease every row is allocated instead, as
+// with a nil *Scratch.
+type Lease struct {
+	chunks []*slab   // borrowed
+	f64    []float64 // the uncut tail of the last float64 chunk
+	f32    []float32 // the uncut tail of the last float32 chunk
+}
+
+// leaseChunk is the smallest slab a Lease borrows, in values (64 KiB of
+// float64s): a device header's layer buffers for one call, or its
+// importance set, fit in one or a few.
+const leaseChunk = 1 << 13
+
+// F64s cuts n float64s from the lease.
+func (l *Lease) F64s(n int) []float64 {
+	if l == nil {
+		return make([]float64, n)
+	}
+	if len(l.f64) < n {
+		ch := borrow(max(n, leaseChunk))
+		l.chunks = append(l.chunks, ch)
+		l.f64 = ch.data
+	}
+	s := l.f64[:n:n]
+	l.f64 = l.f64[n:]
+	return s
+}
+
+// F32s cuts n float32s from the lease.
+func (l *Lease) F32s(n int) []float32 {
+	if l == nil {
+		return make([]float32, n)
+	}
+	if len(l.f32) < n {
+		ch := borrow32(max(n, 2*leaseChunk))
+		l.chunks = append(l.chunks, ch)
+		l.f32 = ch.f32
+	}
+	s := l.f32[:n:n]
+	l.f32 = l.f32[n:]
+	return s
+}
+
+// Release gives back every slab the lease cut rows from; none of its
+// rows may be touched again. Releasing an empty lease does nothing.
+func (l *Lease) Release() {
+	for _, ch := range l.chunks {
+		giveBack(ch)
+	}
+	clear(l.chunks)
+	l.chunks, l.f64, l.f32 = l.chunks[:0], nil, nil
+}
 
 // GradLease is the gradient storage BorrowGrads lent one call.
 type GradLease struct {
@@ -132,9 +232,8 @@ func (g *GradLease) Release() {
 // at once. Pass and Evaluate lend one; a layer used outside them keeps
 // its buffers, as a nil *Scratch does.
 type Scratch struct {
-	chunks []*slab          // borrowed, the last one being cut
-	free   []float64        // the uncut tail of the last chunk
-	held   []*tensor.Matrix // every buffer cut, emptied at the end
+	rows Lease            // the buffers' storage
+	held []*tensor.Matrix // every buffer cut, emptied at the end
 }
 
 // ScratchUser is a classifier or layer whose buffers a Scratch can
@@ -143,10 +242,6 @@ type Scratch struct {
 type ScratchUser interface {
 	UseScratch(s *Scratch)
 }
-
-// scratchChunk is the length of the slabs a Scratch cuts buffers from:
-// 64 KiB, a device header's buffers for one call in one or a few.
-const scratchChunk = 1 << 13
 
 var scratches = sync.Pool{New: func() any { return new(Scratch) }}
 
@@ -173,11 +268,7 @@ func (s *Scratch) end(c Classifier) {
 	}
 	clear(s.held)
 	s.held = s.held[:0]
-	for _, ch := range s.chunks {
-		giveBack(ch)
-	}
-	clear(s.chunks)
-	s.chunks, s.free = s.chunks[:0], nil
+	s.rows.Release()
 	scratches.Put(s)
 }
 
@@ -193,13 +284,7 @@ func (s *Scratch) Ensure(m *tensor.Matrix, r, c int) *tensor.Matrix {
 		*m = tensor.Matrix{Rows: r, Cols: c, Data: make([]float64, n)}
 		return m
 	}
-	if len(s.free) < n {
-		ch := borrow(max(n, scratchChunk))
-		s.chunks = append(s.chunks, ch)
-		s.free = ch.data
-	}
-	*m = tensor.Matrix{Rows: r, Cols: c, Data: s.free[:n:n]}
-	s.free = s.free[n:]
+	*m = tensor.Matrix{Rows: r, Cols: c, Data: s.rows.F64s(n)}
 	s.held = append(s.held, m)
 	return m
 }

@@ -23,72 +23,86 @@ type Arena struct {
 	// buffer being decoded.
 	AliasInput bool
 
-	f64 []float64
-	f32 []float32
-	bo  []bool
-	i   []int
+	f64 region[float64]
+	f32 region[float32]
+	bo  region[bool]
+	i   region[int]
 }
 
 // Reset recycles the arena: all previously carved slices become
-// invalid and their space is reused by subsequent decodes.
+// invalid and their space is reused by subsequent decodes. The arena
+// remembers, per element type, the most one Reset-to-Reset cycle has
+// carved: once a cycle needed more than the block holds, the next
+// cycle's first carve takes one block of that size, so from then on a
+// decode of the same shape carves without allocating.
 func (a *Arena) Reset() {
-	a.f64 = a.f64[:0]
-	a.f32 = a.f32[:0]
-	a.bo = a.bo[:0]
-	a.i = a.i[:0]
+	a.f64.reset()
+	a.f32.reset()
+	a.bo.reset()
+	a.i.reset()
 }
 
+// arenaBlock is the smallest block an arena allocates, in elements.
 const arenaBlock = 4096
 
-// carve cuts an n-element slice from buf, growing buf's block when it
-// is full. The returned slice is capacity-clamped so an append by the
+// region is one element type's blocks: buf is the block being carved
+// (its length the part carved), need what this cycle has carved in all,
+// high the most any cycle has.
+type region[T any] struct {
+	buf        []T
+	need, high int
+}
+
+// carve cuts an n-element slice, moving to a fresh block, big enough
+// for what is left of the largest cycle seen, when the current one is
+// full. The returned slice is capacity-clamped so an append by the
 // caller cannot stomp the next carve.
-func carve[T any](buf []T, n int) (s, next []T) {
-	if cap(buf)-len(buf) < n {
-		c := n
-		if c < arenaBlock {
-			c = arenaBlock
-		}
-		// The old block stays referenced by slices already handed out;
-		// it is reclaimed once those decoded values die.
-		buf = make([]T, 0, c)
+func (r *region[T]) carve(n int) []T {
+	if cap(r.buf)-len(r.buf) < n {
+		// The old block stays referenced by slices already handed out
+		// until the next Reset.
+		r.buf = make([]T, 0, max(n, r.high-r.need, arenaBlock))
 	}
-	s = buf[len(buf) : len(buf)+n : len(buf)+n]
-	return s, buf[:len(buf)+n]
+	r.need += n
+	s := r.buf[len(r.buf) : len(r.buf)+n : len(r.buf)+n]
+	r.buf = r.buf[:len(r.buf)+n]
+	return s
+}
+
+// reset drops a block too small for the largest cycle seen, so that the
+// next carve takes one that holds a whole cycle.
+func (r *region[T]) reset() {
+	r.high = max(r.high, r.need)
+	if cap(r.buf) < r.high {
+		r.buf = nil
+	}
+	r.buf, r.need = r.buf[:0], 0
 }
 
 func (a *Arena) carveF64(n int) []float64 {
 	if a == nil {
 		return make([]float64, n)
 	}
-	s, next := carve(a.f64, n)
-	a.f64 = next
-	return s
+	return a.f64.carve(n)
 }
 
 func (a *Arena) carveF32(n int) []float32 {
 	if a == nil {
 		return make([]float32, n)
 	}
-	s, next := carve(a.f32, n)
-	a.f32 = next
-	return s
+	return a.f32.carve(n)
 }
 
 func (a *Arena) carveBools(n int) []bool {
 	if a == nil {
 		return make([]bool, n)
 	}
-	s, next := carve(a.bo, n)
-	a.bo = next
-	return s
+	return a.bo.carve(n)
 }
 
 func (a *Arena) carveInts(n int) []int {
 	if a == nil {
 		return make([]int, n)
 	}
-	s, next := carve(a.i, n)
-	a.i = next
-	return s
+	return a.i.carve(n)
 }
