@@ -213,7 +213,7 @@ func runChurnRejoinTCP(t *testing.T, cfg Config) {
 	}()
 	systems := roleSystems(t, cfg, nets)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	ctx, cancel := cappedContext(t, runLimit)
 	defer cancel()
 	victimCtx, killVictim := context.WithCancel(ctx)
 	defer killVictim()
@@ -225,7 +225,7 @@ func runChurnRejoinTCP(t *testing.T, cfg Config) {
 	killed := false
 	deadline := time.Now().Add(3 * time.Minute)
 	for !killed {
-		if time.Now().After(deadline) {
+		if time.Now().After(deadline) || ctx.Err() != nil {
 			t.Fatal("victim never reached the importance loop")
 		}
 		up, _ := nets[victim].Stats().BytesForKinds(transport.KindImportanceDelta, transport.KindImportanceSet)

@@ -39,14 +39,14 @@ func runPlain(t *testing.T, cfg Config) *Result {
 }
 
 // awaitEdgeSnapshot polls an edge's checkpoint file until it holds a
-// snapshot at minRound or later, returning the snapshot round. The
-// file is written atomically, so every read observes a complete
-// snapshot.
-func awaitEdgeSnapshot(t *testing.T, path string, minRound int) int {
+// snapshot at minRound or later, returning the snapshot round, and
+// fails t if ctx ends or three minutes pass first. The file is
+// written atomically, so every read observes a complete snapshot.
+func awaitEdgeSnapshot(ctx context.Context, t *testing.T, path string, minRound int) int {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Minute)
 	for {
-		if time.Now().After(deadline) {
+		if time.Now().After(deadline) || ctx.Err() != nil {
 			t.Fatalf("edge snapshot never reached round %d", minRound)
 		}
 		var snap EdgeSnapshot
@@ -127,7 +127,7 @@ func runKillRestore(t *testing.T, cfg Config, victim string) []DeviceReport {
 	// Kill the edge once its snapshot proves the loop is mid-flight,
 	// then wait for the goroutine to die (its snapshot writer must
 	// release the file before the resumed instance opens it).
-	awaitEdgeSnapshot(t, sys.checkpointFile(victim), 2)
+	awaitEdgeSnapshot(ctx, t, sys.checkpointFile(victim), 2)
 	kill()
 	<-run.victimDone
 
@@ -205,13 +205,13 @@ func TestRestoreSmokeTCP(t *testing.T) {
 	}()
 	systems := roleSystems(t, cfg, nets)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	ctx, cancel := cappedContext(t, runLimit)
 	defer cancel()
 	victimCtx, kill := context.WithCancel(ctx)
 	defer kill()
 	run := startRoles(ctx, cancel, roles, func(role string) *System { return systems[role] }, victim, victimCtx)
 
-	awaitEdgeSnapshot(t, probe.checkpointFile(victim), 2)
+	awaitEdgeSnapshot(ctx, t, probe.checkpointFile(victim), 2)
 	kill()
 	nets[victim].Close()
 	<-run.victimDone

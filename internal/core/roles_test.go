@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"acme/internal/transport"
 )
@@ -37,6 +40,33 @@ func roleSystems[N transport.Network](t *testing.T, cfg Config, nets map[string]
 		systems[role] = sys
 	}
 	return systems
+}
+
+// runLimit caps a multi-role run over sockets. A healthy one takes a few
+// seconds, under -race too; one that is still going at the cap is hung.
+const runLimit = time.Minute
+
+// cappedContext returns the context of a multi-role run that fails t
+// with evidence if it outlives limit: every goroutine's stack goes to the
+// test log while the hang is still in place, and only then is the
+// context cancelled, so the roles return. Its cancel func, safe to call
+// more than once, disarms the cap.
+func cappedContext(t *testing.T, limit time.Duration) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	fired := make(chan struct{})
+	timer := time.AfterFunc(limit, func() {
+		defer close(fired)
+		var stacks strings.Builder
+		pprof.Lookup("goroutine").WriteTo(&stacks, 2)
+		t.Errorf("run still going after %v; every goroutine:\n%s", limit, stacks.String())
+		cancel()
+	})
+	return ctx, sync.OnceFunc(func() {
+		if !timer.Stop() {
+			<-fired
+		}
+		cancel()
+	})
 }
 
 // startRoles launches every role on the System sysOf names for it.

@@ -395,7 +395,7 @@ func controllerVsRandom(seed int64) (guided, random drawResult, err error) {
 	const draws = 12
 	archRng := rand.New(rand.NewSource(77 + seed))
 	for i := 0; i < draws; i++ {
-		g, err := searcher.EvaluateArch(searcher.Controller.Sample().Arch)
+		g, err := searcher.EvaluateArch(searcher.Controller.Sample(false).Arch)
 		if err != nil {
 			return drawResult{}, drawResult{}, err
 		}

@@ -37,6 +37,14 @@ type Controller struct {
 
 	opt *nn.Adam
 	rng *rand.Rand
+
+	// tape lends the buffers of taped draws and of Update's backprop;
+	// Update releases it. A tape-free draw runs on work, its steps
+	// alternating between the two, and z holds a step's gate
+	// pre-activations. zeros is the initial hidden and cell state.
+	tape     nn.Lease
+	work     [2]ctrlStep
+	z, zeros []float64
 }
 
 // NewController builds a controller over the default operation set.
@@ -87,6 +95,10 @@ func NewControllerWithOps(blocks, hiddenDim int, lr float64, ops []OpKind, rng *
 	c.opEmb.Value.Randomize(rng, 0.1)
 	c.inHeadW.InitXavier(rng, hiddenDim, maxIn)
 	c.opHeadW.InitXavier(rng, hiddenDim, numOps)
+	for i := range c.work {
+		c.cut(&c.work[i], nil, max(maxIn, numOps))
+	}
+	c.z, c.zeros = make([]float64, 4*hiddenDim), make([]float64, hiddenDim)
 	return c
 }
 
@@ -98,7 +110,8 @@ func (c *Controller) Params() []*nn.Param {
 	}
 }
 
-// ctrlStep caches one decision step for BPTT.
+// ctrlStep caches one decision step for BPTT. x, hprev and cprev are
+// read-only views: an embedding row, or the previous step's h and cell.
 type ctrlStep struct {
 	x, hprev, cprev []float64
 	gi, gf, gg, go_ []float64
@@ -112,60 +125,67 @@ type ctrlStep struct {
 	prevIsStart     bool
 }
 
-// Trajectory is one sampled architecture with the caches needed to
-// compute its policy gradient.
+// cut points step's cached vectors at buffers cut from l (allocated for
+// a nil l), with room for n probabilities.
+func (c *Controller) cut(step *ctrlStep, l *nn.Lease, n int) {
+	H := c.HiddenDim
+	buf := l.F64s(7*H + n)
+	v := func() []float64 { s := buf[:H:H]; buf = buf[H:]; return s }
+	step.gi, step.gf, step.gg, step.go_ = v(), v(), v(), v()
+	step.cell, step.tanhc, step.h = v(), v(), v()
+	step.probs = buf
+}
+
+// Trajectory is one sampled architecture with, for a taped draw, the
+// caches needed to compute its policy gradient.
 type Trajectory struct {
 	Arch  Architecture
-	steps []*ctrlStep
+	steps []ctrlStep
 	// LogProb is Σ log π(aₜ) of the sample.
 	LogProb float64
 }
 
-// Sample draws one architecture from the current policy.
-func (c *Controller) Sample() Trajectory {
-	h := make([]float64, c.HiddenDim)
-	cc := make([]float64, c.HiddenDim)
-	x := append([]float64(nil), c.startEmb.Value.Data...)
-	prevIsStart := true
-	prevIsOp := false
-	prevAction := 0
-
+// Sample draws one architecture from the current policy. A taped draw
+// records its steps for Update, in buffers the next Update gives back;
+// a tape-free one runs on the controller's own and allocates only its
+// Architecture. Both consume the same random numbers.
+func (c *Controller) Sample(taped bool) Trajectory {
 	traj := Trajectory{Arch: Architecture{Blocks: make([]BlockGene, c.Blocks)}}
+	if taped {
+		traj.steps = make([]ctrlStep, 4*c.Blocks)
+	}
+	h, cc, x := c.zeros, c.zeros, c.startEmb.Value.Data
+	prevIsStart, prevIsOp, prevAction := true, false, 0
 	for b := 0; b < c.Blocks; b++ {
-		valid := InputSetSize(b)
-		numOps := len(c.ops)
-		decisions := []struct {
-			isOp  bool
-			valid int
-		}{
-			{false, valid}, {false, valid}, {true, numOps}, {true, numOps},
-		}
-		actions := make([]int, 4)
-		for d, spec := range decisions {
-			step := &ctrlStep{
-				x: x, hprev: h, cprev: cc,
-				isOp: spec.isOp, valid: spec.valid,
-				prevAction: prevAction, prevIsOp: prevIsOp, prevIsStart: prevIsStart,
+		var actions [4]int
+		for d := range actions {
+			isOp := d >= 2 // Î₁, Î₂, then Ô₁, Ô₂
+			headW, emb, valid := c.inHeadW, c.inEmb, InputSetSize(b)
+			if isOp {
+				headW, emb, valid = c.opHeadW, c.opEmb, len(c.ops)
 			}
+			n := headW.Value.Cols
+			var step *ctrlStep
+			if taped {
+				step = &traj.steps[4*b+d]
+				c.cut(step, &c.tape, n)
+			} else {
+				step = &c.work[d%2]
+				step.probs = step.probs[:n]
+			}
+			step.x, step.hprev, step.cprev = x, h, cc
+			step.isOp, step.valid = isOp, valid
+			step.prevAction, step.prevIsOp, step.prevIsStart = prevAction, prevIsOp, prevIsStart
 			h, cc = c.cellForward(step)
-			logits := c.headForward(step)
-			probs := maskedSoftmax(logits, spec.valid)
-			step.probs = probs
-			a := sampleFrom(probs, c.rng)
+			c.headForward(step)
+			a := sampleFrom(step.probs, c.rng)
 			step.action = a
-			traj.LogProb += math.Log(probs[a] + 1e-12)
-			traj.steps = append(traj.steps, step)
+			traj.LogProb += math.Log(step.probs[a] + 1e-12)
 			actions[d] = a
 
 			// Next input embedding.
-			prevIsStart = false
-			prevIsOp = spec.isOp
-			prevAction = a
-			if spec.isOp {
-				x = embRow(c.opEmb, a)
-			} else {
-				x = embRow(c.inEmb, a)
-			}
+			prevIsStart, prevIsOp, prevAction = false, isOp, a
+			x = embRow(emb, a)
 		}
 		traj.Arch.Blocks[b] = BlockGene{
 			In1: actions[0], In2: actions[1],
@@ -177,8 +197,11 @@ func (c *Controller) Sample() Trajectory {
 
 // Update applies one REINFORCE step over the sampled trajectories with
 // their rewards (validation accuracies), using the moving-average
-// baseline to reduce variance.
+// baseline to reduce variance. Only taped draws carry a gradient. It
+// gives back every buffer the tape lent, so no trajectory drawn before
+// it may be passed to a later Update.
 func (c *Controller) Update(trajs []Trajectory, rewards []float64) error {
+	defer c.tape.Release()
 	if len(trajs) != len(rewards) {
 		return fmt.Errorf("nas: %d trajectories vs %d rewards", len(trajs), len(rewards))
 	}
@@ -200,30 +223,42 @@ func (c *Controller) Update(trajs []Trajectory, rewards []float64) error {
 	for _, p := range c.Params() {
 		p.ZeroGrad()
 	}
+	H, t := c.HiddenDim, &c.tape
+	g := bptt{
+		dh: t.F64s(H), dc: t.F64s(H), dhprev: t.F64s(H), dcprev: t.F64s(H),
+		dz: t.F64s(4 * H), dx: t.F64s(c.EmbedDim), dlogits: t.F64s(max(c.maxIn, len(c.ops))),
+	}
 	scale := 1 / float64(len(trajs))
 	for ti, traj := range trajs {
 		adv := rewards[ti] - c.Baseline
-		c.backprop(traj, adv*scale, c.EntropyWeight*scale)
+		c.backprop(traj, adv*scale, c.EntropyWeight*scale, &g)
 	}
 	c.opt.Step(c.Params())
 	return nil
 }
 
+// bptt is backprop's working memory, cut from the tape once per Update:
+// the gradients at a step's h and c and at its predecessor's (swapped
+// after every step), and those at the gate pre-activations, the input
+// and the logits.
+type bptt struct{ dh, dc, dhprev, dcprev, dz, dx, dlogits []float64 }
+
 // backprop accumulates the policy gradient of one trajectory: the loss
 // is -adv·Σ log π(aₜ) - entScale·H(π), so dlogits = adv·(probs − onehot)
 // plus the entropy-bonus gradient.
-func (c *Controller) backprop(traj Trajectory, adv, entScale float64) {
-	dh := make([]float64, c.HiddenDim)
-	dc := make([]float64, c.HiddenDim)
+func (c *Controller) backprop(traj Trajectory, adv, entScale float64, g *bptt) {
+	clear(g.dh)
+	clear(g.dc)
 	for t := len(traj.steps) - 1; t >= 0; t-- {
-		step := traj.steps[t]
+		step := &traj.steps[t]
 		// Head gradient.
 		headW, headB := c.opHeadW, c.opHeadB
 		if !step.isOp {
 			headW, headB = c.inHeadW, c.inHeadB
 		}
 		n := len(step.probs)
-		dlogits := make([]float64, n)
+		dlogits, dh := g.dlogits[:n], g.dh
+		clear(dlogits)
 		for j := 0; j < step.valid; j++ {
 			dlogits[j] = adv * step.probs[j]
 		}
@@ -258,18 +293,19 @@ func (c *Controller) backprop(traj Trajectory, adv, entScale float64) {
 			headB.Grad.Data[j] += dlogits[j]
 		}
 
-		dx, dhprev, dcprev := c.cellBackward(step, dh, dc)
+		c.cellBackward(step, g)
 
 		// Route dx into the embedding that produced x.
 		switch {
 		case step.prevIsStart:
-			tensorAxpy(1, dx, c.startEmb.Grad.Data)
+			tensorAxpy(1, g.dx, c.startEmb.Grad.Data)
 		case step.prevIsOp:
-			tensorAxpy(1, dx, embGradRow(c.opEmb, step.prevAction))
+			tensorAxpy(1, g.dx, embGradRow(c.opEmb, step.prevAction))
 		default:
-			tensorAxpy(1, dx, embGradRow(c.inEmb, step.prevAction))
+			tensorAxpy(1, g.dx, embGradRow(c.inEmb, step.prevAction))
 		}
-		dh, dc = dhprev, dcprev
+		g.dh, g.dhprev = g.dhprev, g.dh
+		g.dc, g.dcprev = g.dcprev, g.dc
 	}
 }
 
@@ -277,7 +313,7 @@ func (c *Controller) backprop(traj Trajectory, adv, entScale float64) {
 // (h, c).
 func (c *Controller) cellForward(step *ctrlStep) (h, cell []float64) {
 	H := c.HiddenDim
-	z := make([]float64, 4*H)
+	z := c.z
 	copy(z, c.bias.Value.Data)
 	for i, xv := range step.x {
 		if xv == 0 {
@@ -293,13 +329,8 @@ func (c *Controller) cellForward(step *ctrlStep) (h, cell []float64) {
 		row := c.wh.Value.Data[i*4*H : (i+1)*4*H]
 		tensorAxpy(hv, row, z)
 	}
-	gi := make([]float64, H)
-	gf := make([]float64, H)
-	gg := make([]float64, H)
-	go_ := make([]float64, H)
-	cell = make([]float64, H)
-	tanhc := make([]float64, H)
-	h = make([]float64, H)
+	gi, gf, gg, go_ := step.gi, step.gf, step.gg, step.go_
+	cell, tanhc, h := step.cell, step.tanhc, step.h
 	for j := 0; j < H; j++ {
 		gi[j] = nn.Sigmoid(z[j])
 		gf[j] = nn.Sigmoid(z[H+j])
@@ -309,32 +340,27 @@ func (c *Controller) cellForward(step *ctrlStep) (h, cell []float64) {
 		tanhc[j] = math.Tanh(cell[j])
 		h[j] = go_[j] * tanhc[j]
 	}
-	step.gi, step.gf, step.gg, step.go_ = gi, gf, gg, go_
-	step.cell, step.tanhc, step.h = cell, tanhc, h
 	return h, cell
 }
 
-// cellBackward backpropagates (dh, dc) through the cached cell step and
-// returns (dx, dhprev, dcprev), accumulating parameter gradients.
-func (c *Controller) cellBackward(step *ctrlStep, dh, dc []float64) (dx, dhprev, dcprev []float64) {
+// cellBackward backpropagates (g.dh, g.dc) through the cached cell step
+// into g.dx, g.dhprev and g.dcprev, accumulating parameter gradients.
+func (c *Controller) cellBackward(step *ctrlStep, g *bptt) {
 	H := c.HiddenDim
-	dz := make([]float64, 4*H)
-	dcprev = make([]float64, H)
+	dh, dc, dz := g.dh, g.dc, g.dz
 	for j := 0; j < H; j++ {
 		do := dh[j] * step.tanhc[j]
 		dcell := dc[j] + dh[j]*step.go_[j]*(1-step.tanhc[j]*step.tanhc[j])
 		di := dcell * step.gg[j]
 		dg := dcell * step.gi[j]
 		df := dcell * step.cprev[j]
-		dcprev[j] = dcell * step.gf[j]
+		g.dcprev[j] = dcell * step.gf[j]
 		dz[j] = di * step.gi[j] * (1 - step.gi[j])
 		dz[H+j] = df * step.gf[j] * (1 - step.gf[j])
 		dz[2*H+j] = dg * (1 - step.gg[j]*step.gg[j])
 		dz[3*H+j] = do * step.go_[j] * (1 - step.go_[j])
 	}
 	// Parameter grads and input grads.
-	dx = make([]float64, c.EmbedDim)
-	dhprev = make([]float64, H)
 	for i, xv := range step.x {
 		grow := c.wx.Grad.Data[i*4*H : (i+1)*4*H]
 		row := c.wx.Value.Data[i*4*H : (i+1)*4*H]
@@ -343,7 +369,7 @@ func (c *Controller) cellBackward(step *ctrlStep, dh, dc []float64) (dx, dhprev,
 			grow[j] += xv * dz[j]
 			s += dz[j] * row[j]
 		}
-		dx[i] = s
+		g.dx[i] = s
 	}
 	for i, hv := range step.hprev {
 		grow := c.wh.Grad.Data[i*4*H : (i+1)*4*H]
@@ -353,21 +379,21 @@ func (c *Controller) cellBackward(step *ctrlStep, dh, dc []float64) (dx, dhprev,
 			grow[j] += hv * dz[j]
 			s += dz[j] * row[j]
 		}
-		dhprev[i] = s
+		g.dhprev[i] = s
 	}
 	tensorAxpy(1, dz, c.bias.Grad.Data)
-	return dx, dhprev, dcprev
 }
 
-// headForward computes logits for the current step from the hidden
-// state.
-func (c *Controller) headForward(step *ctrlStep) []float64 {
+// headForward computes the step's logits from its hidden state and
+// turns them into their masked softmax, all in step.probs.
+func (c *Controller) headForward(step *ctrlStep) {
 	headW, headB := c.opHeadW, c.opHeadB
 	if !step.isOp {
 		headW, headB = c.inHeadW, c.inHeadB
 	}
 	n := headW.Value.Cols
-	logits := append([]float64(nil), headB.Value.Data...)
+	logits := step.probs
+	copy(logits, headB.Value.Data)
 	for i, hv := range step.h {
 		if hv == 0 {
 			continue
@@ -375,11 +401,12 @@ func (c *Controller) headForward(step *ctrlStep) []float64 {
 		row := headW.Value.Data[i*n : (i+1)*n]
 		tensorAxpy(hv, row, logits)
 	}
-	return logits
+	maskedSoftmax(logits, step.valid)
 }
 
-func maskedSoftmax(logits []float64, valid int) []float64 {
-	probs := make([]float64, len(logits))
+// maskedSoftmax turns logits into the softmax of their first valid
+// entries, in place; the rest become 0.
+func maskedSoftmax(logits []float64, valid int) {
 	maxv := math.Inf(-1)
 	for j := 0; j < valid; j++ {
 		if logits[j] > maxv {
@@ -389,13 +416,13 @@ func maskedSoftmax(logits []float64, valid int) []float64 {
 	var sum float64
 	for j := 0; j < valid; j++ {
 		e := math.Exp(logits[j] - maxv)
-		probs[j] = e
+		logits[j] = e
 		sum += e
 	}
 	for j := 0; j < valid; j++ {
-		probs[j] /= sum
+		logits[j] /= sum
 	}
-	return probs
+	clear(logits[valid:])
 }
 
 func sampleFrom(probs []float64, rng *rand.Rand) int {
@@ -415,8 +442,10 @@ func sampleFrom(probs []float64, rng *rand.Rand) int {
 	return last
 }
 
+// embRow is a view of row of p's embedding table.
 func embRow(p *nn.Param, row int) []float64 {
-	return append([]float64(nil), p.Value.Data[row*p.Value.Cols:(row+1)*p.Value.Cols]...)
+	n := p.Value.Cols
+	return p.Value.Data[row*n : (row+1)*n : (row+1)*n]
 }
 
 func embGradRow(p *nn.Param, row int) []float64 {

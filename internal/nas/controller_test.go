@@ -2,7 +2,10 @@ package nas
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"acme/internal/nn"
 )
 
 // TestControllerLearnsSyntheticReward verifies the REINFORCE machinery:
@@ -28,7 +31,7 @@ func TestControllerLearnsSyntheticReward(t *testing.T) {
 	frac := func(samples int) float64 {
 		var conv3, total int
 		for i := 0; i < samples; i++ {
-			a := c.Sample().Arch
+			a := c.Sample(false).Arch
 			for _, g := range a.Blocks {
 				if g.Op1 == OpConv3 {
 					conv3++
@@ -47,7 +50,7 @@ func TestControllerLearnsSyntheticReward(t *testing.T) {
 		trajs := make([]Trajectory, 8)
 		rewards := make([]float64, 8)
 		for i := range trajs {
-			trajs[i] = c.Sample()
+			trajs[i] = c.Sample(true)
 			rewards[i] = reward(trajs[i].Arch)
 		}
 		if err := c.Update(trajs, rewards); err != nil {
@@ -70,12 +73,49 @@ func TestControllerSampleValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := NewController(4, 32, 0.01, rng)
 	for i := 0; i < 100; i++ {
-		traj := c.Sample()
+		traj := c.Sample(false)
 		if err := traj.Arch.Validate(); err != nil {
 			t.Fatalf("sample %d: %v (%v)", i, err, traj.Arch)
 		}
 		if traj.LogProb >= 0 {
 			t.Fatalf("sample %d: non-negative log prob %v", i, traj.LogProb)
 		}
+	}
+}
+
+// TestTapeFreeSampleMatchesTaped: a tape-free draw is the taped draw
+// without its record. Two controllers built from one seed, one drawing
+// taped and one not, draw the same architectures and log-probabilities
+// and leave their rngs in the same state; Update gives every taped
+// buffer back.
+func TestTapeFreeSampleMatchesTaped(t *testing.T) {
+	taped := NewController(4, 32, 0.01, rand.New(rand.NewSource(3)))
+	free := NewController(4, 32, 0.01, rand.New(rand.NewSource(3)))
+	for i := 0; i < 50; i++ {
+		a, b := taped.Sample(true), free.Sample(false)
+		if !reflect.DeepEqual(a.Arch, b.Arch) || a.LogProb != b.LogProb {
+			t.Fatalf("draw %d: taped %v (%v), tape-free %v (%v)", i, a.Arch, a.LogProb, b.Arch, b.LogProb)
+		}
+	}
+	if a, b := taped.rng.Int63(), free.rng.Int63(); a != b {
+		t.Fatalf("rngs diverged: next draws %d and %d", a, b)
+	}
+	if err := taped.Update(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := nn.Lent(); n != 0 {
+		t.Fatalf("%d scratch slabs still lent after Update", n)
+	}
+}
+
+// TestTapeFreeSampleAllocatesOnlyItsArchitecture: a draw that needs only
+// the architecture runs on the controller's own step buffers.
+func TestTapeFreeSampleAllocatesOnlyItsArchitecture(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := NewController(4, 100, 0.01, rand.New(rand.NewSource(4)))
+	if n := testing.AllocsPerRun(20, func() { c.Sample(false) }); n != 1 {
+		t.Fatalf("tape-free draw made %v allocations, want 1 (its Architecture)", n)
 	}
 }

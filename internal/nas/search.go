@@ -146,8 +146,7 @@ func (s *Searcher) childParams(h *HeaderModel) []*nn.Param {
 // update to the shared weights (step 1 of the alternating optimization,
 // the Monte-Carlo estimate of Eq. 15).
 func (s *Searcher) trainSharedStep() error {
-	traj := s.Controller.Sample()
-	child, err := s.buildChild(traj.Arch)
+	child, err := s.buildChild(s.Controller.Sample(false).Arch)
 	if err != nil {
 		return err
 	}
@@ -238,6 +237,7 @@ func (s *Searcher) Search() (Architecture, float64, error) {
 			bestArch, bestR = arch, r
 		}
 	}
+	defer s.Controller.tape.Release() // a failed reward leaves its draws taped
 	warmup := s.Cfg.WarmupEpochs
 	if warmup < 0 {
 		warmup = s.Cfg.Epochs / 2
@@ -255,7 +255,7 @@ func (s *Searcher) Search() (Architecture, float64, error) {
 			trajs := make([]Trajectory, s.Cfg.ControllerSamples)
 			rewards := make([]float64, s.Cfg.ControllerSamples)
 			for i := range trajs {
-				trajs[i] = s.Controller.Sample()
+				trajs[i] = s.Controller.Sample(true)
 				r, err := s.reward(trajs[i].Arch)
 				if err != nil {
 					return Architecture{}, 0, fmt.Errorf("nas: reward: %w", err)
@@ -270,7 +270,7 @@ func (s *Searcher) Search() (Architecture, float64, error) {
 	}
 	// Final selection round: sample candidates from the trained policy.
 	for i := 0; i < s.Cfg.FinalCandidates; i++ {
-		arch := s.Controller.Sample().Arch
+		arch := s.Controller.Sample(false).Arch
 		r, err := s.reward(arch)
 		if err != nil {
 			return Architecture{}, 0, err

@@ -52,15 +52,15 @@ func TestLinearGradients(t *testing.T) {
 	x.Randomize(rng, 1)
 	target := tensor.New(2, 3)
 	target.Randomize(rng, 1)
+	dy := tensor.New(target.Rows, target.Cols)
 
 	loss := func() float64 {
 		y := l.Forward(x)
-		v, _ := MSE(y, target)
-		return v
+		return MSE(dy, y, target)
 	}
 	backward := func() {
 		y := l.Forward(x)
-		_, dy := MSE(y, target)
+		MSE(dy, y, target)
 		l.Backward(dy)
 	}
 	checkGrads(t, l, loss, backward, rng)
@@ -75,13 +75,13 @@ func TestLayerNormGradients(t *testing.T) {
 	x.Randomize(rng, 1)
 	target := tensor.New(3, 6)
 	target.Randomize(rng, 1)
+	dy := tensor.New(target.Rows, target.Cols)
 
 	loss := func() float64 {
-		v, _ := MSE(ln.Forward(x), target)
-		return v
+		return MSE(dy, ln.Forward(x), target)
 	}
 	backward := func() {
-		_, dy := MSE(ln.Forward(x), target)
+		MSE(dy, ln.Forward(x), target)
 		ln.Backward(dy)
 	}
 	checkGrads(t, ln, loss, backward, rng)
@@ -94,17 +94,19 @@ func TestLayerNormInputGradient(t *testing.T) {
 	x.Randomize(rng, 1)
 	target := tensor.New(2, 5)
 	target.Randomize(rng, 1)
+	dy := tensor.New(target.Rows, target.Cols)
+	probe := tensor.New(target.Rows, target.Cols) // the probes' gradients, unread
 
-	_, dy := MSE(ln.Forward(x), target)
+	MSE(dy, ln.Forward(x), target)
 	dx := ln.Backward(dy)
 
 	const h = 1e-5
 	for _, i := range []int{0, 3, 7, 9} {
 		orig := x.Data[i]
 		x.Data[i] = orig + h
-		lp, _ := MSE(ln.Forward(x), target)
+		lp := MSE(probe, ln.Forward(x), target)
 		x.Data[i] = orig - h
-		lm, _ := MSE(ln.Forward(x), target)
+		lm := MSE(probe, ln.Forward(x), target)
 		x.Data[i] = orig
 		want := (lp - lm) / (2 * h)
 		if math.Abs(dx.Data[i]-want) > 1e-4*(1+math.Abs(want)) {
@@ -120,13 +122,13 @@ func TestMHSAGradients(t *testing.T) {
 	x.Randomize(rng, 1)
 	target := tensor.New(3, 8)
 	target.Randomize(rng, 1)
+	dy := tensor.New(target.Rows, target.Cols)
 
 	loss := func() float64 {
-		v, _ := MSE(m.Forward(x), target)
-		return v
+		return MSE(dy, m.Forward(x), target)
 	}
 	backward := func() {
-		_, dy := MSE(m.Forward(x), target)
+		MSE(dy, m.Forward(x), target)
 		m.Backward(dy)
 	}
 	checkGrads(t, m, loss, backward, rng)
@@ -140,9 +142,10 @@ func TestMHSAMaskedHeadProducesNoGradient(t *testing.T) {
 	x.Randomize(rng, 1)
 	target := tensor.New(3, 8)
 	target.Randomize(rng, 1)
+	dy := tensor.New(target.Rows, target.Cols)
 
 	ZeroGrads(m)
-	_, dy := MSE(m.Forward(x), target)
+	MSE(dy, m.Forward(x), target)
 	m.Backward(dy)
 
 	// Columns of Wq belonging to head 1 must have zero gradient.
@@ -164,13 +167,13 @@ func TestMLPGradientsAndMask(t *testing.T) {
 	x.Randomize(rng, 1)
 	target := tensor.New(2, 6)
 	target.Randomize(rng, 1)
+	dy := tensor.New(target.Rows, target.Cols)
 
 	loss := func() float64 {
-		v, _ := MSE(m.Forward(x), target)
-		return v
+		return MSE(dy, m.Forward(x), target)
 	}
 	backward := func() {
-		_, dy := MSE(m.Forward(x), target)
+		MSE(dy, m.Forward(x), target)
 		m.Backward(dy)
 	}
 	checkGrads(t, m, loss, backward, rng)
@@ -190,13 +193,13 @@ func TestBlockGradients(t *testing.T) {
 	x.Randomize(rng, 1)
 	target := tensor.New(3, 8)
 	target.Randomize(rng, 1)
+	dy := tensor.New(target.Rows, target.Cols)
 
 	loss := func() float64 {
-		v, _ := MSE(b.Forward(x), target)
-		return v
+		return MSE(dy, b.Forward(x), target)
 	}
 	backward := func() {
-		_, dy := MSE(b.Forward(x), target)
+		MSE(dy, b.Forward(x), target)
 		b.Backward(dy)
 	}
 	checkGrads(t, b, loss, backward, rng)
@@ -244,13 +247,13 @@ func TestConv1DGradients(t *testing.T) {
 	x.Randomize(rng, 1)
 	target := tensor.New(5, 6)
 	target.Randomize(rng, 1)
+	dy := tensor.New(target.Rows, target.Cols)
 
 	loss := func() float64 {
-		v, _ := MSE(c.Forward(x), target)
-		return v
+		return MSE(dy, c.Forward(x), target)
 	}
 	backward := func() {
-		_, dy := MSE(c.Forward(x), target)
+		MSE(dy, c.Forward(x), target)
 		c.Backward(dy)
 	}
 	checkGrads(t, c, loss, backward, rng)
@@ -271,18 +274,20 @@ func TestSeqOpsInputGradients(t *testing.T) {
 		x.Randomize(rng, 1)
 		target := tensor.New(5, 6)
 		target.Randomize(rng, 1)
+		dy := tensor.New(target.Rows, target.Cols)
+		probe := tensor.New(target.Rows, target.Cols) // the probes' gradients, unread
 
 		ZeroGrads(op)
-		_, dy := MSE(op.Forward(x), target)
+		MSE(dy, op.Forward(x), target)
 		dx := op.Backward(dy)
 
 		const h = 1e-5
 		for _, i := range []int{0, 7, 13, 29} {
 			orig := x.Data[i]
 			x.Data[i] = orig + h
-			lp, _ := MSE(op.Forward(x), target)
+			lp := MSE(probe, op.Forward(x), target)
 			x.Data[i] = orig - h
-			lm, _ := MSE(op.Forward(x), target)
+			lm := MSE(probe, op.Forward(x), target)
 			x.Data[i] = orig
 			// re-run forward at the original point so caches are valid
 			op.Forward(x)

@@ -42,30 +42,33 @@ func Argmax(v []float64) int {
 	return bi
 }
 
-// MSE returns the mean squared error between a and b and the gradient
-// with respect to a, i.e. 2(a-b)/n.
-func MSE(a, b *tensor.Matrix) (float64, *tensor.Matrix) {
-	d := tensor.Sub(a, b)
-	n := float64(len(d.Data))
+// MSE returns the mean squared error between a and b and writes its
+// gradient with respect to a, (a-b)·(2/n), into grad, which has a's
+// shape.
+func MSE(grad, a, b *tensor.Matrix) float64 {
+	n := float64(len(a.Data))
+	s := 2 / n
 	var loss float64
-	for _, v := range d.Data {
-		loss += v * v
+	for i, v := range a.Data {
+		d := v - b.Data[i]
+		loss += d * d
+		grad.Data[i] = d * s
 	}
-	loss /= n
-	d.Scale(2 / n)
-	return loss, d
+	return loss / n
 }
 
-// MSEVec returns the mean squared error between vectors a and b and the
-// gradient with respect to a.
-func MSEVec(a, b []float64) (float64, []float64) {
+// MSEVec returns the mean squared error between vectors a and b and
+// writes its gradient with respect to a, 2(a-b)/n, into grad, which
+// must be as long as a. It rounds differently from MSE's (a-b)·(2/n),
+// and the distilled backbones are pinned with each form where it is
+// used.
+func MSEVec(grad, a, b []float64) float64 {
 	n := float64(len(a))
-	grad := make([]float64, len(a))
 	var loss float64
 	for i := range a {
 		d := a[i] - b[i]
 		loss += d * d
 		grad[i] = 2 * d / n
 	}
-	return loss / n, grad
+	return loss / n
 }

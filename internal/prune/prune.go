@@ -99,64 +99,99 @@ func (g *Generator) Generate(w float64, d int, rng *rand.Rand) (*nn.BackboneClas
 }
 
 // distill trains the student to match the teacher's logits, embeddings
-// and hidden states on the public dataset (Eq. 9). Hidden states are
-// matched with uniform layer mapping: student layer i mimics teacher
-// layer ⌊(i+1)·T/D⌋-1.
+// and hidden states on the public dataset (Eq. 9).
 func (g *Generator) distill(teacher, student *nn.BackboneClassifier, rng *rand.Rand) error {
-	cfg := g.Distill
-	opt := nn.NewAdam(cfg.LR)
-	tb, sb := teacher.Backbone, student.Backbone
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	d := newDistillation(teacher, student, g.Distill)
+	defer d.release()
+	for epoch := 0; epoch < g.Distill.Epochs; epoch++ {
 		order := rng.Perm(g.Public.Len())
-		for start := 0; start < len(order); start += cfg.Batch {
-			end := start + cfg.Batch
-			if end > len(order) {
-				end = len(order)
+		for start := 0; start < len(order); start += g.Distill.Batch {
+			if err := d.minibatch(g.Public.X, order[start:min(start+g.Distill.Batch, len(order))]); err != nil {
+				return err
 			}
-			nn.ZeroGrads(student)
-			for _, i := range order[start:end] {
-				x := g.Public.X[i]
-				tLogits, err := teacher.Forward(x)
-				if err != nil {
-					return err
-				}
-				tEmb := tb.Embedding().Clone()
-				tHidden := tb.HiddenStates()
-
-				sLogits, err := student.Forward(x)
-				if err != nil {
-					return err
-				}
-				// λ₁ · l(ý, y) on logits (MSE per Eq. 9).
-				_, dLogits := nn.MSEVec(sLogits, tLogits)
-				for j := range dLogits {
-					dLogits[j] *= cfg.Lambda1
-				}
-				dl := tensor.FromSlice(1, len(dLogits), dLogits)
-				dcls := student.Head.Backward(dl)
-				dFinal := tensor.New(sb.SeqLen(), sb.Cfg.DModel)
-				copy(dFinal.Row(0), dcls.Row(0))
-
-				injections := make(map[int]*tensor.Matrix)
-				// λ₂ · l(É, E) on embeddings.
-				_, dEmb := nn.MSE(sb.Embedding(), tEmb)
-				dEmb.Scale(cfg.Lambda2)
-				injections[0] = dEmb
-				// l(H́, H) on mapped hidden states.
-				sHidden := sb.HiddenStates()
-				for si := range sHidden {
-					ti := (si+1)*len(tHidden)/len(sHidden) - 1
-					if ti < 0 {
-						ti = 0
-					}
-					_, dh := nn.MSE(sHidden[si], tHidden[ti])
-					injections[si+1] = dh
-				}
-				sb.Backward(dFinal, injections)
-			}
-			opt.Step(student.Params())
 		}
 	}
+	return nil
+}
+
+// distillation is one distill call: its gradient buffers are made once
+// per call, and the student's gradients and Adam moments are borrowed
+// until release, so a minibatch allocates nothing per sample. The
+// teacher's embedding and hidden states are read from its own
+// per-instance buffers, which the student's passes never touch.
+type distillation struct {
+	teacher, student *nn.BackboneClassifier
+	cfg              DistillConfig
+	params           []*nn.Param
+	opt              *nn.Adam
+	grads            *nn.GradLease
+
+	dLogits    tensor.Matrix // 1 × classes
+	dFinal     *tensor.Matrix
+	injections map[int]*tensor.Matrix // the embedding's (0) and each hidden state's gradient
+}
+
+// newDistillation makes a distill call's buffers and borrows the
+// student's gradients and Adam moments.
+func newDistillation(teacher, student *nn.BackboneClassifier, cfg DistillConfig) *distillation {
+	sb := student.Backbone
+	n := sb.SeqLen() * sb.Cfg.DModel
+	buf := make([]float64, (sb.ActiveDepth+2)*n)
+	view := func(k int) *tensor.Matrix { return tensor.FromSlice(sb.SeqLen(), sb.Cfg.DModel, buf[k*n:(k+1)*n]) }
+	d := &distillation{
+		teacher: teacher, student: student, cfg: cfg,
+		params:     student.Params(),
+		opt:        nn.BorrowAdam(cfg.LR),
+		dLogits:    tensor.Matrix{Rows: 1, Cols: student.Head.Out, Data: make([]float64, student.Head.Out)},
+		dFinal:     view(sb.ActiveDepth + 1), // only row 0 is ever written
+		injections: make(map[int]*tensor.Matrix, sb.ActiveDepth+1),
+	}
+	for l := 0; l <= sb.ActiveDepth; l++ {
+		d.injections[l] = view(l)
+	}
+	d.grads = nn.BorrowGrads(d.params)
+	return d
+}
+
+// release gives back the borrowed gradients and moments.
+func (d *distillation) release() {
+	d.grads.Release()
+	d.opt.Release()
+}
+
+// minibatch accumulates the gradient of Eq. 9 over the samples xs[idx]
+// and takes one Adam step. Hidden states are matched with uniform layer
+// mapping: student layer i mimics teacher layer ⌊(i+1)·T/D⌋-1.
+func (d *distillation) minibatch(xs [][]float64, idx []int) error {
+	tb, sb := d.teacher.Backbone, d.student.Backbone
+	for _, i := range idx {
+		tLogits, err := d.teacher.Forward(xs[i])
+		if err != nil {
+			return err
+		}
+		sLogits, err := d.student.Forward(xs[i])
+		if err != nil {
+			return err
+		}
+		// λ₁ · l(ý, y) on logits (MSE per Eq. 9).
+		nn.MSEVec(d.dLogits.Data, sLogits, tLogits)
+		for j := range d.dLogits.Data {
+			d.dLogits.Data[j] *= d.cfg.Lambda1
+		}
+		copy(d.dFinal.Row(0), d.student.Head.Backward(&d.dLogits).Row(0))
+
+		// λ₂ · l(É, E) on embeddings.
+		nn.MSE(d.injections[0], sb.Embedding(), tb.Embedding())
+		d.injections[0].Scale(d.cfg.Lambda2)
+		// l(H́, H) on mapped hidden states.
+		sHidden, tHidden := sb.HiddenStates(), tb.HiddenStates()
+		for si := range sHidden {
+			ti := max((si+1)*len(tHidden)/len(sHidden)-1, 0)
+			nn.MSE(d.injections[si+1], sHidden[si], tHidden[ti])
+		}
+		sb.Backward(d.dFinal, d.injections)
+	}
+	d.opt.Step(d.params)
 	return nil
 }
 

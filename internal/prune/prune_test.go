@@ -179,3 +179,40 @@ func TestEnsureImportancePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestDistillMinibatchAllocatesNothing: once the models' buffers are
+// warm, a distillation minibatch allocates nothing, per sample or for
+// its Adam step, and release gives back every borrowed slab.
+func TestDistillMinibatchAllocatesNothing(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled objects on purpose")
+	}
+	ref, public, _ := setup(t, 9)
+	teacherBB := ref.Backbone.Clone()
+	studentBB := ref.Backbone.Clone()
+	if err := studentBB.SetDepth(2); err != nil {
+		t.Fatal(err)
+	}
+	teacher := &nn.BackboneClassifier{Backbone: teacherBB, Head: cloneLinear(ref.Head)}
+	student := &nn.BackboneClassifier{Backbone: studentBB, Head: cloneLinear(ref.Head)}
+	d := newDistillation(teacher, student, DefaultDistillConfig())
+	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	minibatch := func() {
+		if err := d.minibatch(public.X, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	minibatch()
+	if n := testing.AllocsPerRun(10, minibatch); n != 0 {
+		t.Fatalf("a warm minibatch of %d samples made %v allocations, want 0", len(idx), n)
+	}
+	d.release()
+	if n := nn.Lent(); n != 0 {
+		t.Fatalf("%d scratch slabs still lent after release", n)
+	}
+	for _, p := range student.Params() {
+		if p.Grad != nil {
+			t.Fatalf("%s keeps a gradient after release", p.Name)
+		}
+	}
+}

@@ -97,16 +97,6 @@ func AddInPlace(a, b *Matrix) {
 	}
 }
 
-// Sub returns a-b.
-func Sub(a, b *Matrix) *Matrix {
-	shapeCheck("sub", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
 // Scale multiplies every element of m by s, in place.
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {

@@ -157,13 +157,12 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestNormAndSub(t *testing.T) {
+func TestNorm(t *testing.T) {
 	a := FromSlice(1, 2, []float64{3, 4})
 	if got := a.Norm(); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("norm=%v", got)
 	}
-	d := Sub(a, a)
-	if d.Norm() != 0 {
-		t.Fatal("a-a should be zero")
+	if New(2, 3).Norm() != 0 {
+		t.Fatal("zero matrix should have norm 0")
 	}
 }
