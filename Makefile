@@ -7,8 +7,8 @@
 # and `fleet-bench` times what a sampled fleet pays per round and per
 # device: the edge's combine for all rows against the invitees' rows, a
 # device's model set-up, and one backbone forward pass (0 allocs/op).
-# `traffic` is a review tool too: it lists the production functions that
-# no standing run executes.
+# `traffic` is a review gate too: it fails when a production function
+# that no standing run or example executes is missing from TRAFFIC.txt.
 
 GO ?= go
 
@@ -62,31 +62,52 @@ fleet-bench:
 	$(GO) test -run '^$$' -bench 'EdgeAggregate/sampled|BuildDeviceHeader|BackboneForward' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/nn
 
 # traffic (~4 min on 2 vCPUs) builds the standing benchmark (bench/, as
-# checked in), acmebench and acmesim with coverage of every acme package
-# into the git-ignored .traffic_build/, runs the four workloads (5 s
-# each), every paper experiment at one seed, the trajectory (table only)
-# and a default acmesim, and prints the production functions none of
-# them executed (0.0 % in `go tool covdata func`, acme/bench excluded).
-# A function on that list has no traffic: a candidate for deletion.
+# checked in), acmebench, acmesim and every examples/ program with
+# coverage of every acme package into the git-ignored .traffic_build/,
+# runs the four workloads (5 s each), every paper experiment at one
+# seed, the trajectory (table only), a default acmesim and the examples,
+# and lists the production functions none of them executed (0.0 % in
+# `go tool covdata func`, acme/bench excluded) as `file: function` in
+# .traffic_build/traffic.txt. A function on that list has no traffic: a
+# candidate for deletion. It is a gate against TRAFFIC.txt, the checked-in
+# list: it prints the functions added to it and removed from it, and
+# fails on any addition. Refresh TRAFFIC.txt from the union of three
+# runs' lists, so that a function only some runs reach cannot fail it.
+# Not part of `ci`: the list assumes the AVX2 kernel path.
 TRAFFIC := $(CURDIR)/.traffic_build
+EXAMPLES := quickstart heterogeneous_devices noniid_personalization tcp_cluster
 traffic:
 	rm -rf $(TRAFFIC) && mkdir -p $(TRAFFIC)/cov
 	$(GO) build -C bench -cover -coverpkg=acme/... -o $(TRAFFIC)/acme-bench .
 	$(GO) build -cover -coverpkg=acme/... -o $(TRAFFIC)/acmebench ./cmd/acmebench
 	$(GO) build -cover -coverpkg=acme/... -o $(TRAFFIC)/acmesim ./cmd/acmesim
+	for e in $(EXAMPLES); do \
+		$(GO) build -cover -coverpkg=acme/... -o $(TRAFFIC)/example-$$e ./examples/$$e || exit 1; \
+	done
 	for w in customize-dense customize-shaped-tcp fleet-sampled exchange-replay; do \
 		GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acme-bench -workload $$w -trace 0 -seconds 5 >/dev/null || exit 1; \
 	done
 	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmebench -exp all -seeds 1 >/dev/null
 	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmebench -exp trajectory >/dev/null
 	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmesim >/dev/null
-	$(GO) tool covdata func -i $(TRAFFIC)/cov | awk '$$NF == "0.0%" && $$1 !~ /^acme\/bench\//'
+	for e in $(EXAMPLES); do \
+		GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/example-$$e >/dev/null || exit 1; \
+	done
+	$(GO) tool covdata func -i $(TRAFFIC)/cov | \
+		awk '$$NF == "0.0%" && $$1 !~ /^acme\/bench\// { f = $$1; sub(/^acme\//, "", f); sub(/:[0-9]+:$$/, "", f); print f ": " $$2 }' | \
+		LC_ALL=C sort -u > $(TRAFFIC)/traffic.txt
+	@LC_ALL=C sort -u TRAFFIC.txt > $(TRAFFIC)/want.txt; \
+	added=$$(LC_ALL=C comm -13 $(TRAFFIC)/want.txt $(TRAFFIC)/traffic.txt); \
+	removed=$$(LC_ALL=C comm -23 $(TRAFFIC)/want.txt $(TRAFFIC)/traffic.txt); \
+	echo "traffic: $$(wc -l < $(TRAFFIC)/traffic.txt) production functions with no traffic, TRAFFIC.txt lists $$(wc -l < $(TRAFFIC)/want.txt)"; \
+	if [ -n "$$removed" ]; then echo "removed (now executed or deleted):"; echo "$$removed" | sed 's/^/  /'; fi; \
+	if [ -n "$$added" ]; then echo "added (no run executes them):" >&2; echo "$$added" | sed 's/^/  /' >&2; exit 1; fi
 
 # perf-pairs (ROADMAP item 9) judges a performance claim: it builds
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_42.json: per-pair values, medians, the base's quartiles,
+# writes PERF_45.json: per-pair values, medians, the base's quartiles,
 # pairs won and a verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
@@ -95,7 +116,7 @@ PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_42.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_45.json
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never

@@ -426,18 +426,9 @@ func identityMatrix(n int) [][]float64 {
 	return m
 }
 
-// WassersteinSimilarity builds the Eq. 19–20 similarity matrix from
-// per-device probe features using the sliced p-Wasserstein distance.
-func WassersteinSimilarity(features [][][]float64, p float64, projections int, rng *rand.Rand) ([][]float64, error) {
-	dist, err := wassersteinDistances(features, p, projections, rng)
-	if err != nil {
-		return nil, err
-	}
-	return wasserstein.SimilarityFromDistances(dist)
-}
-
-// WassersteinSimilarityRaw is WassersteinSimilarity without the final
-// row-softmax — the matrix the Fig. 10 heatmaps display.
+// WassersteinSimilarityRaw builds the Eq. 19 similarity matrix, before
+// Eq. 20's row-softmax, from per-device probe features using the sliced
+// p-Wasserstein distance — the matrix the Fig. 10 heatmaps display.
 func WassersteinSimilarityRaw(features [][][]float64, p float64, projections int, rng *rand.Rand) ([][]float64, error) {
 	dist, err := wassersteinDistances(features, p, projections, rng)
 	if err != nil {
@@ -465,18 +456,9 @@ func wassersteinDistances(features [][][]float64, p float64, projections int, rn
 	return dist, nil
 }
 
-// JSSimilarity builds the similarity matrix from per-device label
-// histograms with Jensen–Shannon divergence as the distance (the JS
+// JSSimilarityRaw is WassersteinSimilarityRaw over per-device label
+// histograms, with Jensen–Shannon divergence as the distance (the JS
 // baseline of Fig. 10–11).
-func JSSimilarity(histograms [][]float64) ([][]float64, error) {
-	dist, err := jsDistances(histograms)
-	if err != nil {
-		return nil, err
-	}
-	return wasserstein.SimilarityFromDistances(dist)
-}
-
-// JSSimilarityRaw is JSSimilarity without the final row-softmax.
 func JSSimilarityRaw(histograms [][]float64) ([][]float64, error) {
 	dist, err := jsDistances(histograms)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"acme/internal/importance"
+	"acme/internal/wasserstein"
 )
 
 func makeSets(vals ...float64) []*importance.Set {
@@ -92,7 +93,11 @@ func TestWassersteinSimilarityGroupsDevices(t *testing.T) {
 		return out
 	}
 	features := [][][]float64{cloud(0), cloud(0), cloud(5)}
-	sim, err := WassersteinSimilarity(features, 1, 24, rng)
+	dist, err := wassersteinDistances(features, 1, 24, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := wasserstein.SimilarityFromDistances(dist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,11 @@ func TestJSSimilarityGroupsDevices(t *testing.T) {
 		{0.45, 0.55, 0, 0},
 		{0, 0, 0.5, 0.5},
 	}
-	sim, err := JSSimilarity(hists)
+	dist, err := jsDistances(hists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := wasserstein.SimilarityFromDistances(dist)
 	if err != nil {
 		t.Fatal(err)
 	}

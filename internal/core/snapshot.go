@@ -172,14 +172,6 @@ func stateToPacked(sts []PackedLayerState) []packedLayer {
 	return out
 }
 
-func copyLayers2(layers [][]float64) [][]float64 {
-	out := make([][]float64, len(layers))
-	for i, l := range layers {
-		out[i] = append([]float64(nil), l...)
-	}
-	return out
-}
-
 // snapshotWriter persists snapshots off the loop's critical path: the
 // loop hands a fully-marshalled (deep-copied) snapshot to a single
 // worker goroutine and continues. The hand-off channel is unbuffered,
@@ -266,7 +258,7 @@ func (st *edgeState) snapshot(t int) *EdgeSnapshot {
 		snap.Prev = make([][][]float64, len(st.prev))
 		for i, set := range st.prev {
 			if set != nil {
-				snap.Prev[i] = copyLayers2(set.Layers)
+				snap.Prev[i] = set.Clone().Layers
 			}
 		}
 	}

@@ -25,11 +25,9 @@ func (p pinned) Params() []*nn.Param { return p.params }
 // refresh that bounds drift between the running average and a from-
 // scratch recompute).
 //
-// A Reset followed by one FoldBatches over the full batch budget is
-// arithmetically identical to the legacy single-shot computation
-// (nas.ComputeImportanceSet is implemented on top of exactly that), so
-// incremental mode with refresh period 1 reproduces the non-
-// incremental path bitwise.
+// A Reset followed by one FoldBatches over the full batch budget is the
+// single-shot computation, so incremental mode with refresh period 1
+// reproduces the non-incremental path bitwise.
 type Accumulator struct {
 	sum     *Set
 	batches int

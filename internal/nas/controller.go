@@ -47,16 +47,10 @@ type Controller struct {
 	z, zeros []float64
 }
 
-// NewController builds a controller over the default operation set.
-// hiddenDim follows the paper's single-layer LSTM with 100 hidden units
-// when set to 0.
-func NewController(blocks, hiddenDim int, lr float64, rng *rand.Rand) *Controller {
-	return NewControllerWithOps(blocks, hiddenDim, lr, DefaultOpSet(), rng)
-}
-
 // NewControllerWithOps builds a controller whose op decisions range
 // over the given operation set (the paper's "various NAS search
-// spaces").
+// spaces"), DefaultOpSet when ops is empty. hiddenDim follows the
+// paper's single-layer LSTM with 100 hidden units when set to 0.
 func NewControllerWithOps(blocks, hiddenDim int, lr float64, ops []OpKind, rng *rand.Rand) *Controller {
 	if hiddenDim <= 0 {
 		hiddenDim = 100

@@ -13,7 +13,7 @@ import (
 // probability of sampling conv3 must rise substantially.
 func TestControllerLearnsSyntheticReward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := NewController(3, 48, 0.02, rng)
+	c := NewControllerWithOps(3, 48, 0.02, nil, rng)
 
 	reward := func(a Architecture) float64 {
 		var conv3 int
@@ -71,7 +71,7 @@ func TestControllerLearnsSyntheticReward(t *testing.T) {
 // well-formed.
 func TestControllerSampleValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c := NewController(4, 32, 0.01, rng)
+	c := NewControllerWithOps(4, 32, 0.01, nil, rng)
 	for i := 0; i < 100; i++ {
 		traj := c.Sample(false)
 		if err := traj.Arch.Validate(); err != nil {
@@ -89,8 +89,8 @@ func TestControllerSampleValidity(t *testing.T) {
 // and leave their rngs in the same state; Update gives every taped
 // buffer back.
 func TestTapeFreeSampleMatchesTaped(t *testing.T) {
-	taped := NewController(4, 32, 0.01, rand.New(rand.NewSource(3)))
-	free := NewController(4, 32, 0.01, rand.New(rand.NewSource(3)))
+	taped := NewControllerWithOps(4, 32, 0.01, nil, rand.New(rand.NewSource(3)))
+	free := NewControllerWithOps(4, 32, 0.01, nil, rand.New(rand.NewSource(3)))
 	for i := 0; i < 50; i++ {
 		a, b := taped.Sample(true), free.Sample(false)
 		if !reflect.DeepEqual(a.Arch, b.Arch) || a.LogProb != b.LogProb {
@@ -114,7 +114,7 @@ func TestTapeFreeSampleAllocatesOnlyItsArchitecture(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := NewController(4, 100, 0.01, rand.New(rand.NewSource(4)))
+	c := NewControllerWithOps(4, 100, 0.01, nil, rand.New(rand.NewSource(4)))
 	if n := testing.AllocsPerRun(20, func() { c.Sample(false) }); n != 1 {
 		t.Fatalf("tape-free draw made %v allocations, want 1 (its Architecture)", n)
 	}

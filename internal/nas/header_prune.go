@@ -10,20 +10,6 @@ import (
 	"acme/internal/nn"
 )
 
-// ComputeImportanceSet trains nothing: it runs forward/backward over up
-// to maxBatches minibatches of local data and accumulates the
-// first-order Taylor parameter importances Q⁽¹⁾ᵣ = (gᵣυᵣ)² of the
-// header parameters (Eq. 16–18), returning their per-minibatch average.
-// It is the single-shot form of importance.Accumulator: one fresh
-// accumulation over the full batch budget.
-func ComputeImportanceSet(h *HeaderModel, local *data.Dataset, batchSize, maxBatches int, rng *rand.Rand) (*importance.Set, error) {
-	acc := importance.NewAccumulator()
-	if _, err := acc.FoldBatches(h, local, batchSize, maxBatches, rng); err != nil {
-		return nil, fmt.Errorf("nas: importance: %w", err)
-	}
-	return acc.Average()
-}
-
 // unit is a prunable neuron: a group of header parameters that are
 // discarded together (a conv output channel or a classifier hidden
 // neuron).

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"acme/internal/data"
+	"acme/internal/importance"
 	"acme/internal/nn"
 )
 
@@ -243,7 +244,11 @@ func TestComputeImportanceSetAndPrune(t *testing.T) {
 	}
 	local := gen.Sample(40, nil, rng)
 
-	set, err := ComputeImportanceSet(h, local, 8, 4, rng)
+	acc := importance.NewAccumulator()
+	if _, err := acc.FoldBatches(h, local, 8, 4, rng); err != nil {
+		t.Fatal(err)
+	}
+	set, err := acc.Average()
 	if err != nil {
 		t.Fatal(err)
 	}

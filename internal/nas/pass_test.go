@@ -78,7 +78,11 @@ func refFoldBatches(c nn.Classifier, ds *data.Dataset, batch, maxBatches int, rn
 func maskedDevice(t *testing.T, seed int64, n int) (a, b *FrozenHeader, feats *data.Dataset) {
 	t.Helper()
 	h, local, _ := deviceFixture(t, seed, n)
-	set, err := ComputeImportanceSet(h, local, 16, 2, rand.New(rand.NewSource(seed)))
+	acc := importance.NewAccumulator()
+	if _, err := acc.FoldBatches(h, local, 16, 2, rand.New(rand.NewSource(seed))); err != nil {
+		t.Fatal(err)
+	}
+	set, err := acc.Average()
 	if err != nil {
 		t.Fatal(err)
 	}

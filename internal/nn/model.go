@@ -71,7 +71,7 @@ func (c *BackboneClassifier) Params() []*Param {
 // A BackboneClassifier trains data-parallel: each minibatch splits among
 // min(tensor.Parallelism(), batch) replicas of it, with a result
 // bit-identical to the serial loop below.
-func TrainEpoch(c Classifier, opt Optimizer, xs [][]float64, ys []int, batch int, rng *rand.Rand) (float64, error) {
+func TrainEpoch(c Classifier, opt *Adam, xs [][]float64, ys []int, batch int, rng *rand.Rand) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("nn: %d samples vs %d labels", len(xs), len(ys))
 	}

@@ -1,54 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"acme/internal/tensor"
-)
-
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter and zeroes gradients.
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	Clip     float64 // max gradient L2 norm per parameter tensor; 0 disables
-
-	velocity map[*Param][]float64
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		g := p.Grad.Data
-		clipNorm(g, s.Clip)
-		if s.Momentum == 0 {
-			for i := range g {
-				p.Value.Data[i] -= s.LR * g[i]
-			}
-		} else {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = make([]float64, len(g))
-				s.velocity[p] = v
-			}
-			tensor.ScaleAddVec(s.Momentum, v, g)
-			tensor.Axpy(-s.LR, v, p.Value.Data)
-		}
-		p.ZeroGrad()
-	}
-}
+import "math"
 
 // Adam is the Adam optimizer with bias correction.
 type Adam struct {
@@ -66,8 +18,6 @@ type Adam struct {
 // moments is Adam's per-parameter state: the first and second moment
 // estimates, each as long as the parameter.
 type moments struct{ m, v []float64 }
-
-var _ Optimizer = (*Adam)(nil)
 
 // NewAdam returns an Adam optimizer with standard betas.
 func NewAdam(lr float64) *Adam {
@@ -104,7 +54,7 @@ func (a *Adam) Release() {
 	a.t = 0
 }
 
-// Step implements Optimizer.
+// Step applies one update to every parameter and zeroes its gradient.
 func (a *Adam) Step(params []*Param) {
 	bc1, bc2 := a.begin(params)
 	for _, p := range params {

@@ -21,30 +21,6 @@ func (q *quadratic) lossAndGrad() float64 {
 	return (x - 3) * (x - 3)
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	q := &quadratic{p: NewParam("x", 1, 1)}
-	opt := NewSGD(0.1, 0)
-	for i := 0; i < 200; i++ {
-		q.lossAndGrad()
-		opt.Step(q.Params())
-	}
-	if got := q.p.Value.Data[0]; math.Abs(got-3) > 1e-3 {
-		t.Fatalf("SGD converged to %v, want 3", got)
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	q := &quadratic{p: NewParam("x", 1, 1)}
-	opt := NewSGD(0.05, 0.9)
-	for i := 0; i < 300; i++ {
-		q.lossAndGrad()
-		opt.Step(q.Params())
-	}
-	if got := q.p.Value.Data[0]; math.Abs(got-3) > 1e-2 {
-		t.Fatalf("momentum SGD converged to %v, want 3", got)
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	q := &quadratic{p: NewParam("x", 1, 1)}
 	opt := NewAdam(0.1)
@@ -64,11 +40,6 @@ func TestOptimizerZeroesGradients(t *testing.T) {
 	if q.p.Grad.Data[0] != 0 {
 		t.Fatal("Adam.Step must zero gradients")
 	}
-	q.lossAndGrad()
-	NewSGD(0.1, 0.5).Step(q.Params())
-	if q.p.Grad.Data[0] != 0 {
-		t.Fatal("SGD.Step must zero gradients")
-	}
 }
 
 func TestGradientClipping(t *testing.T) {
@@ -85,57 +56,6 @@ func TestGradientClipping(t *testing.T) {
 	clipNorm(h, 1)
 	if h[0] != 0.3 || h[1] != 0.4 {
 		t.Fatal("small gradient should be untouched")
-	}
-}
-
-func TestCosineLRShape(t *testing.T) {
-	s := CosineLR{Max: 1, Min: 0.1, WarmupSteps: 10, TotalSteps: 110}
-	if got := s.LR(0); got >= s.LR(9) {
-		t.Fatal("warmup must be increasing")
-	}
-	if math.Abs(s.LR(10)-1) > 1e-9 {
-		t.Fatalf("post-warmup LR %v want 1", s.LR(10))
-	}
-	if got := s.LR(1000); math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("final LR %v want 0.1", got)
-	}
-	mid := s.LR(60)
-	if mid >= 1 || mid <= 0.1 {
-		t.Fatalf("midpoint LR %v outside (0.1, 1)", mid)
-	}
-	// Monotone decreasing after warmup.
-	prev := s.LR(10)
-	for step := 11; step <= 110; step += 7 {
-		cur := s.LR(step)
-		if cur > prev+1e-12 {
-			t.Fatalf("cosine LR increased at step %d", step)
-		}
-		prev = cur
-	}
-}
-
-func TestStepLR(t *testing.T) {
-	s := StepLR{Base: 1, Gamma: 0.5, StepSize: 10}
-	if s.LR(0) != 1 || s.LR(9) != 1 {
-		t.Fatal("first window must use the base rate")
-	}
-	if s.LR(10) != 0.5 || s.LR(25) != 0.25 {
-		t.Fatalf("decay wrong: %v %v", s.LR(10), s.LR(25))
-	}
-}
-
-func TestScheduledOptimizerConverges(t *testing.T) {
-	q := &quadratic{p: NewParam("x", 1, 1)}
-	opt := NewScheduledAdam(CosineLR{Max: 0.2, Min: 0.001, TotalSteps: 400})
-	for i := 0; i < 400; i++ {
-		q.lossAndGrad()
-		opt.Step(q.Params())
-	}
-	if got := q.p.Value.Data[0]; math.Abs(got-3) > 1e-2 {
-		t.Fatalf("scheduled Adam converged to %v", got)
-	}
-	if opt.CurrentStep() != 400 {
-		t.Fatalf("step counter %d", opt.CurrentStep())
 	}
 }
 

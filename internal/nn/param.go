@@ -2,7 +2,7 @@
 // with manual backpropagation: linear layers, layer normalization,
 // multi-head self-attention with per-head masks, MLPs with per-neuron
 // masks, 1-D convolutions and poolings over token sequences, losses, and
-// SGD/Adam optimizers.
+// the Adam optimizer.
 //
 // The stack is sized for CPU-trainable micro-Transformers (d_model tens,
 // a handful of layers). It exists so ACME's pruning, distillation,

@@ -168,12 +168,11 @@ func (c *BackboneClassifier) replicas(n int) *team {
 }
 
 // trainEpoch is TrainEpoch on n replicas over the shuffled order.
-func (c *BackboneClassifier) trainEpoch(n int, opt Optimizer, xs [][]float64, ys []int, order []int, batch int) (float64, error) {
+func (c *BackboneClassifier) trainEpoch(n int, opt *Adam, xs [][]float64, ys []int, order []int, batch int) (float64, error) {
 	t := c.replicas(n)
 	t.start(true)
 	defer t.stop()
 	params := c.Params()
-	adam, _ := opt.(*Adam)
 	var total float64
 	for start := 0; start < len(order); start += batch {
 		mb := order[start:min(start+batch, len(order))]
@@ -187,12 +186,9 @@ func (c *BackboneClassifier) trainEpoch(n int, opt Optimizer, xs [][]float64, ys
 			}
 			var step *Adam
 			if at+len(idx) == len(mb) {
-				step = adam
+				step = opt
 			}
 			t.fold(len(idx), at == 0, step, params)
-		}
-		if adam == nil {
-			opt.Step(params)
 		}
 	}
 	return total / float64(len(xs)), nil

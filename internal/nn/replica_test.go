@@ -26,7 +26,7 @@ func requireNoGoroutinesLeft(t *testing.T, baseline int, what string) {
 // parallelism p, then accumulates importances over every sample, and
 // returns every bit that leaves behind: the epoch losses, parameters,
 // optimizer state, gradients and importances.
-func replicatedRun(t *testing.T, p, batch int, sgd bool, shape func(*Backbone)) []uint64 {
+func replicatedRun(t *testing.T, p, batch int, shape func(*Backbone)) []uint64 {
 	t.Helper()
 	runtime.GOMAXPROCS(p)
 	c, xs, ys, rng := pinnedEpochFixture(t)
@@ -34,10 +34,7 @@ func replicatedRun(t *testing.T, p, batch int, sgd bool, shape func(*Backbone)) 
 	if shape != nil {
 		shape(bb)
 	}
-	var opt Optimizer = NewAdam(2e-3)
-	if sgd {
-		opt = NewSGD(1e-2, 0.9)
-	}
+	opt := NewAdam(2e-3)
 	var bits []uint64
 	add := func(vs ...float64) {
 		for _, v := range vs {
@@ -59,13 +56,8 @@ func replicatedRun(t *testing.T, p, batch int, sgd bool, shape func(*Backbone)) 
 	for _, prm := range c.Params() {
 		add(prm.Value.Data...)
 		add(prm.Grad.Data...)
-		switch o := opt.(type) {
-		case *Adam:
-			add(o.state[prm].m...)
-			add(o.state[prm].v...)
-		case *SGD:
-			add(o.velocity[prm]...)
-		}
+		add(opt.state[prm].m...)
+		add(opt.state[prm].v...)
 	}
 	for _, blk := range bb.Blocks {
 		add(blk.Attn.HeadImportance...)
@@ -79,8 +71,8 @@ func replicatedRun(t *testing.T, p, batch int, sgd bool, shape func(*Backbone)) 
 // importance bit-equal to one replica (the serial loops), at batch 8
 // (partial last minibatch), 1 (always serial), 16 (two chunks per
 // minibatch) and 12 (a partial last chunk), on a width- and depth-scaled
-// model (masked heads and neurons, an inactive block) and under SGD; no
-// replica goroutine outlives its pass.
+// model (masked heads and neurons, an inactive block); no replica
+// goroutine outlives its pass.
 func TestReplicatedPassesMatchSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	scaled := func(bb *Backbone) {
@@ -94,21 +86,19 @@ func TestReplicatedPassesMatchSerial(t *testing.T) {
 	cases := []struct {
 		name  string
 		batch int
-		sgd   bool
 		shape func(*Backbone)
 	}{
-		{"batch8", 8, false, nil},
-		{"batch1", 1, false, nil},
-		{"batch16", 16, false, nil},
-		{"batch12", 12, false, nil},
-		{"batch8-scaled", 8, false, scaled},
-		{"batch8-sgd", 8, true, nil},
+		{"batch8", 8, nil},
+		{"batch1", 1, nil},
+		{"batch16", 16, nil},
+		{"batch12", 12, nil},
+		{"batch8-scaled", 8, scaled},
 	}
 	baseline := runtime.NumGoroutine()
 	for _, tc := range cases {
-		want := replicatedRun(t, 1, tc.batch, tc.sgd, tc.shape)
+		want := replicatedRun(t, 1, tc.batch, tc.shape)
 		for p := 2; p <= 4; p++ {
-			got := replicatedRun(t, p, tc.batch, tc.sgd, tc.shape)
+			got := replicatedRun(t, p, tc.batch, tc.shape)
 			if len(got) != len(want) {
 				t.Fatalf("%s at parallelism %d: %d values, want %d", tc.name, p, len(got), len(want))
 			}

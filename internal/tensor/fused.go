@@ -33,17 +33,6 @@ func AxpyRows(alpha float64, x, y *Matrix) {
 	Axpy(alpha, x.Data, y.Data)
 }
 
-// ScaleAddVec computes y = alpha·y + x for equal-length vectors — the
-// in-place scale+add used by momentum-style accumulators.
-func ScaleAddVec(alpha float64, y, x []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: scale-add length %d vs %d", len(y), len(x)))
-	}
-	for i := range y {
-		y[i] = alpha*y[i] + x[i]
-	}
-}
-
 // DotRows computes out[i] = x.Row(i)·y.Row(i) for every row, reusing
 // out when it already has length x.Rows. Returns the filled slice.
 func DotRows(x, y *Matrix, out []float64) []float64 {

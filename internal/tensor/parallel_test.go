@@ -209,12 +209,6 @@ func TestFusedHelpers(t *testing.T) {
 		t.Fatalf("AxpyRows: %v", y.Data)
 	}
 
-	v := []float64{1, 2}
-	ScaleAddVec(3, v, []float64{10, 20})
-	if v[0] != 13 || v[1] != 26 {
-		t.Fatalf("ScaleAddVec: %v", v)
-	}
-
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(2, 3, []float64{1, 1, 1, 2, 2, 2})
 	dots := DotRows(a, b, nil)

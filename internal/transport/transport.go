@@ -105,7 +105,7 @@ func (m Message) Retain() {
 // Release drops one reference to the frame buffer backing the payload.
 // When the last reference is dropped the buffer returns to its pool,
 // so neither the payload nor any alias decoded out of it (wire.Dec
-// Bytes/F64s/F32s with AliasInput) may be touched afterwards. Messages
+// Bytes, and F32s with AliasInput) may be touched afterwards. Messages
 // whose payload was allocated by the sender (Memory transport, TCP
 // self-delivery) have no pooled buffer and Release is a no-op.
 // Forgetting to Release is safe — the buffer falls to the garbage

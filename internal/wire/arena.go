@@ -10,17 +10,17 @@ package wire
 // until the next Reset. Callers that hold decoded values across
 // messages (rather than folding them immediately) must copy first.
 //
-// With AliasInput set, []float32/[]float64 decode as direct aliases of
-// the frame buffer on platforms where that is sound (little-endian,
-// suitably aligned payload), skipping even the arena copy. The alias
-// then shares the *frame's* lifetime: only enable it when the frame
-// buffer outlives the decoded value's use — e.g. a transport message
-// retained for the duration of the fold and released after
-// (Message.Retain/Release). []byte fields always alias the frame
+// With AliasInput set, []float32 decodes as a direct alias of the frame
+// buffer on platforms where that is sound (little-endian, suitably
+// aligned payload), skipping even the arena copy; []float64 is always
+// copied. The alias then shares the *frame's* lifetime: only enable it
+// when the frame buffer outlives the decoded value's use — e.g. a
+// transport message retained for the duration of the fold and released
+// after (Message.Retain/Release). []byte fields always alias the frame
 // buffer under the same contract, arena or not.
 type Arena struct {
-	// AliasInput permits zero-copy float-slice aliasing into the frame
-	// buffer being decoded.
+	// AliasInput permits zero-copy float32-slice aliasing into the
+	// frame buffer being decoded.
 	AliasInput bool
 
 	f64 region[float64]

@@ -4,6 +4,40 @@ import (
 	"testing"
 )
 
+// f64Row is an Unmarshaler holding one decoded []float64.
+type f64Row struct{ v []float64 }
+
+func (r *f64Row) DecodeWire(d *Dec) (err error) {
+	r.v, err = d.F64s("row", nil)
+	return err
+}
+
+// TestAliasInputCopiesFloat64s: under Arena.AliasInput only float32
+// slices may alias the frame. A []float64 decoded from a frame at every
+// byte offset 0–7, so at least one of them leaves the payload aligned,
+// keeps its values when the frame is overwritten afterwards.
+func TestAliasInputCopiesFloat64s(t *testing.T) {
+	want := []float64{1.5, -2.25, 3e10}
+	frame := AppendF64s([]byte{Version}, want)
+	for off := 0; off < 8; off++ {
+		buf := make([]byte, off+len(frame))
+		copy(buf[off:], frame)
+		arena := &Arena{AliasInput: true}
+		var row f64Row
+		if err := DecodeArena(buf[off:], &row, arena); err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		for i, v := range want {
+			if row.v[i] != v {
+				t.Fatalf("offset %d: value %d reads %v after the frame was overwritten, want %v", off, i, row.v[i], v)
+			}
+		}
+	}
+}
+
 // TestArenaKeepsItsHighWaterBlock: a cycle of carves bigger than one
 // arena block, layers longer than a block among them, allocates only
 // until the arena has seen it once; after that the arena keeps one

@@ -11,16 +11,13 @@ import (
 // the same byte layout as the reflect decoder with the same bounds
 // and plausibility checks, but decodes without reflection and — when
 // bound to an Arena — without per-slice allocations. []byte results
-// always alias the frame buffer; float slices alias it too when the
-// arena opts in (see Arena.AliasInput), and otherwise land in arena
-// blocks or caller-supplied backing.
+// always alias the frame buffer; float32 slices alias it too when the
+// arena opts in (see Arena.AliasInput), and other float slices land in
+// arena blocks or caller-supplied backing.
 type Dec struct {
 	d     decoder
 	arena *Arena
 }
-
-// Arena returns the arena the Dec was bound to, if any.
-func (d *Dec) Arena() *Arena { return d.arena }
 
 func (d *Dec) tag(want byte, what string) error {
 	got, err := d.d.u8()
@@ -179,11 +176,6 @@ func (d *Dec) F64s(what string, dst []float64) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if d.arena != nil && d.arena.AliasInput {
-		if s, ok := aliasF64(raw, n); ok {
-			return s, nil
-		}
-	}
 	s := sliceFor(dst, n, d.arena.carveF64)
 	for i := range s {
 		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
@@ -191,7 +183,8 @@ func (d *Dec) F64s(what string, dst []float64) ([]float64, error) {
 	return s, nil
 }
 
-// F32s decodes a packed []float32; see F64s for backing rules.
+// F32s decodes a packed []float32; see F64s for backing rules. Under
+// Arena.AliasInput it may alias the frame buffer instead.
 func (d *Dec) F32s(what string, dst []float32) ([]float32, error) {
 	if err := d.tag(tF32s, what); err != nil {
 		return nil, err
