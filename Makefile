@@ -46,10 +46,12 @@ kernel-bench:
 # the combiner's spares are warm), BenchmarkDecodeFreshTarget (an upload
 # decoded into a fresh target with one reused arena, the frame at byte
 # offsets 0–3: 2 allocs/op, the target and its layer list),
+# BenchmarkLeasedSend (an 80 KB upload encoded into a leased frame, sent
+# and received over the memory transport and released: 0 allocs/op),
 # BenchmarkEntropyCompress/Expand, and BenchmarkAxpy (one Axpy pass and
 # one four-source pass at 19 844 and 32 elements).
 edge-bench:
-	$(GO) test -run '^$$' -bench 'EdgeAggregate|EdgeFold|DecodeFreshTarget|Entropy|Axpy' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/wire ./internal/tensor
+	$(GO) test -run '^$$' -bench 'EdgeAggregate|EdgeFold|DecodeFreshTarget|LeasedSend|Entropy|Axpy' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/wire ./internal/tensor
 
 # fleet-bench measures the three costs the fleet-sampled workload scales
 # with: BenchmarkEdgeAggregate/sampled-10of100x19844 (one round of 100
@@ -107,7 +109,7 @@ traffic:
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_45.json: per-pair values, medians, the base's quartiles,
+# writes PERF_46.json: per-pair values, medians, the base's quartiles,
 # pairs won and a verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
@@ -116,7 +118,7 @@ PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_45.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_46.json
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never

@@ -15,6 +15,7 @@ import (
 
 	"acme"
 	"acme/internal/data"
+	"acme/internal/wire"
 )
 
 func main() {
@@ -75,12 +76,16 @@ func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	start := time.Now()
+	leased, start := wire.Leased(), time.Now()
 	res, err := acme.Run(ctx, cfg)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
+	// Every frame the run leased should be back in the pool: one still
+	// out was never released (harmless, the garbage collector takes it,
+	// but a leak of the pool's buffers).
+	unreleased := wire.Leased() - leased
 
 	fmt.Printf("ACME run: %d edges × %d devices, %s data, %s aggregation (%.1fs)\n\n",
 		cfg.EdgeServers, cfg.Fleet.Spec.DevicesPerCluster, *level, *agg, elapsed.Seconds())
@@ -129,6 +134,7 @@ func run() error {
 	fmt.Printf("\nwire traffic (binary codec, %s payloads): %d messages, %d wire bytes, %d in-memory bytes (ratio %.2f); received %d messages, %d bytes\n",
 		cfg.Wire.Quantization, st.TotalMessages(), st.TotalBytes(), st.TotalRawBytes(), st.CompressionRatio(),
 		st.TotalReceivedMessages(), st.TotalReceivedBytes())
+	fmt.Printf("pooled frames not released after the run: %d\n", unreleased)
 	wireByKind := st.BytesByKind()
 	rawByKind := st.RawBytesByKind()
 	binByKind := st.BinaryBytesByKind()

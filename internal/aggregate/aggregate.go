@@ -77,7 +77,7 @@ func Combine(sets []*importance.Set, sim [][]float64) ([]*importance.Set, error)
 // accumulator applying the group's multiply-adds in ascending device
 // position — Combine's exact floating-point addition order at a
 // fraction of its accumulator traffic. Each fold fans out across the
-// output accumulators on the tensor worker pool (every accumulator is
+// output accumulators in tensor.ParallelFor blocks (every accumulator is
 // owned by one goroutine, so the parallelism is also bitwise-invisible).
 //
 // A set handed to Add is read when its group folds, which may be as late
@@ -99,6 +99,13 @@ type Combiner struct {
 	pending []*importance.Set // added but not yet folded
 	added   int               // positions handed to Add so far
 	next    int               // positions [0,next) are folded or skipped
+
+	// group[:grouped] are the positions the running fold applies, and
+	// foldRows, bound once, folds them into a block of rows: a fold
+	// hands ParallelFor no fresh closure.
+	group    [foldGroup]int
+	grouped  int
+	foldRows func(k0, k1 int)
 }
 
 // foldGroup is how many uploads one pass over the accumulators folds.
@@ -140,12 +147,14 @@ func NewCombinerFor(sim [][]float64, read []bool) (*Combiner, error) {
 			rows = append(rows, i)
 		}
 	}
-	return &Combiner{
+	c := &Combiner{
 		sim:     sim,
 		n:       n,
 		rows:    rows,
 		pending: make([]*importance.Set, n),
-	}, nil
+	}
+	c.foldRows = c.foldBlock
+	return c, nil
 }
 
 // Reuse hands the combiner dead sets — a finished round's results that
@@ -237,25 +246,30 @@ func shapeCheck(ref, set *importance.Set, pos int) error {
 // Result and ResultPartial produce those) takes one Axpy pass per
 // position. Shapes were validated in Add.
 func (c *Combiner) fold(ps [foldGroup]int, g int) {
-	tensor.ParallelFor(len(c.rows), func(k0, k1 int) {
-		for _, i := range c.rows[k0:k1] {
-			w, acc := c.sim[i], c.acc[i].Layers
-			if g < foldGroup {
-				for _, p := range ps[:g] {
-					for l, x := range c.pending[p].Layers {
-						tensor.Axpy(w[p], x, acc[l])
-					}
-				}
-				continue
-			}
-			s0, s1, s2, s3 := c.pending[ps[0]].Layers, c.pending[ps[1]].Layers, c.pending[ps[2]].Layers, c.pending[ps[3]].Layers
-			for l, y := range acc {
-				tensor.Axpy4(w[ps[0]], w[ps[1]], w[ps[2]], w[ps[3]], s0[l], s1[l], s2[l], s3[l], y)
-			}
-		}
-	})
+	c.group, c.grouped = ps, g
+	tensor.ParallelFor(len(c.rows), c.foldRows)
 	for _, p := range ps[:g] {
 		c.pending[p] = nil
+	}
+}
+
+// foldBlock is fold's work on output rows c.rows[k0:k1].
+func (c *Combiner) foldBlock(k0, k1 int) {
+	ps, g := &c.group, c.grouped
+	for _, i := range c.rows[k0:k1] {
+		w, acc := c.sim[i], c.acc[i].Layers
+		if g < foldGroup {
+			for _, p := range ps[:g] {
+				for l, x := range c.pending[p].Layers {
+					tensor.Axpy(w[p], x, acc[l])
+				}
+			}
+			continue
+		}
+		s0, s1, s2, s3 := c.pending[ps[0]].Layers, c.pending[ps[1]].Layers, c.pending[ps[2]].Layers, c.pending[ps[3]].Layers
+		for l, y := range acc {
+			tensor.Axpy4(w[ps[0]], w[ps[1]], w[ps[2]], w[ps[3]], s0[l], s1[l], s2[l], s3[l], y)
+		}
 	}
 }
 
@@ -345,7 +359,7 @@ func (c *Combiner) ResultPartial(prev []*importance.Set) ([]*importance.Set, int
 // Empty inputs, length mismatches, nil sets, and per-layer shape
 // mismatches all report +Inf — a malformed comparison never counts as
 // converged. The per-set contributions are independent, so they are
-// computed on the tensor worker pool and reduced in ascending set
+// computed in tensor.ParallelFor blocks and reduced in ascending set
 // order — the edge's finalize barrier shrinks on wide clusters while
 // the result stays bitwise identical to the serial pass.
 func SetsDelta(prev, cur []*importance.Set) float64 {

@@ -228,12 +228,15 @@ func (n *Net) healAfter(from, to string, off time.Duration) time.Duration {
 // profile and delivered asynchronously at its due time. Per-pair FIFO
 // order is preserved — a message never overtakes an earlier one on the
 // same link — matching what a single TCP connection would do, so delay
-// injection reorders across links, not within one.
+// injection reorders across links, not within one. The caller's
+// reference to a leased payload rides the delivery to the inner
+// transport; a duplicate retains one more.
 func (n *Net) Send(msg transport.Message) error {
 	prof := n.profileFor(msg.From, msg.To)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
+		msg.Release()
 		return fmt.Errorf("chaos: network closed")
 	}
 	key := msg.From + "\x00" + msg.To
@@ -261,6 +264,13 @@ func (n *Net) Send(msg transport.Message) error {
 	if n.opts.Record {
 		n.trace = append(n.trace, Delivery{From: msg.From, To: msg.To, Seq: seq,
 			Kind: msg.Kind, Round: msg.Round, Delay: delay})
+	}
+	if dup {
+		// The copy is a second message on the same frame: it holds a
+		// reference of its own, which its receiver releases. It is taken
+		// before the first delivery starts, which may release the
+		// caller's reference at once.
+		msg.Retain()
 	}
 	// wg.Add under the same lock that Close takes before wg.Wait: a
 	// Send either observes closed (and spawns nothing) or registers its

@@ -1,13 +1,16 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 func TestFlakyDeliversEverything(t *testing.T) {
@@ -52,6 +55,67 @@ func TestFlakyDuplication(t *testing.T) {
 	f.Wait()
 	if got := mem.Stats().TotalMessages(); got != 2*n {
 		t.Fatalf("expected %d deliveries with duplication, got %d", 2*n, got)
+	}
+}
+
+// releasingSend is an inner transport that, like TCP once its write
+// ends, is done with a message the moment Send returns: it checks the
+// payload and releases it at once.
+type releasingSend struct {
+	*transport.Memory
+	mu    sync.Mutex
+	sends int
+	bad   int
+}
+
+func (r *releasingSend) Send(msg transport.Message) error {
+	r.mu.Lock()
+	r.sends++
+	if !bytes.Equal(msg.Payload, dupFrame) {
+		r.bad++
+	}
+	r.mu.Unlock()
+	msg.Release()
+	return nil
+}
+
+var dupFrame = []byte("one frame, two deliveries")
+
+// A duplicate holds a reference of its own from before the first
+// delivery starts: on a link with no delay, that delivery can reach an
+// inner transport that releases at once before Send has returned. Every
+// delivery must still see the frame as sent (released frames are
+// scrubbed), and every lease must end released exactly once (a release
+// too many panics). Recording the trace makes Send slower between the
+// two deliveries (its appends grow the trace), which widens the window
+// a late Retain would lose.
+func TestDuplicateOfLeasedFrameOnZeroDelayLink(t *testing.T) {
+	wire.SetScrub(func(b []byte) {
+		for i := range b {
+			b[i] = 0xa5
+		}
+	})
+	defer wire.SetScrub(nil)
+	inner := &releasingSend{Memory: transport.NewMemory()}
+	f := New(inner, Options{Seed: 4, Record: true, Default: Profile{DuplicateProb: 1}})
+	start := wire.Leased()
+	const n = 5000
+	for i := 0; i < n; i++ {
+		b := wire.Lease()
+		b.B = append(b.B, dupFrame...)
+		if err := f.Send(transport.Message{Kind: transport.KindControl, From: "src", To: "sink"}.WithLease(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Wait()
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if inner.sends != 2*n || inner.bad != 0 {
+		t.Fatalf("%d deliveries, %d of them past their frame's release; want %d, none", inner.sends, inner.bad, 2*n)
+	}
+	if d := wire.Leased() - start; d != 0 {
+		t.Fatalf("%d frames still leased", d)
 	}
 }
 

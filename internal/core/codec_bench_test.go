@@ -89,7 +89,7 @@ func BenchmarkDecodeBackbone(b *testing.B) {
 // no random initialisation, no gradient storage. "decode" is a device
 // that featurizes (a private shard, a shared shard's owner); "holder"
 // is a shared shard's other holder, which builds the header alone and
-// keeps its backbone's encoding to compare with the owner's.
+// keeps its frame, whose backbone encoding it compares with the owner's.
 func BenchmarkBuildDeviceHeader(b *testing.B) {
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(1))
@@ -125,7 +125,6 @@ func BenchmarkBuildDeviceHeader(b *testing.B) {
 			return err
 		}},
 		{"holder", func() error {
-			_ = ownEncoding(pkg.Backbone)
 			_, err := buildDeviceHeader(pkg, nil)
 			return err
 		}},

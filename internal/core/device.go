@@ -91,7 +91,7 @@ func (s *System) runDevice(ctx context.Context, edgeID, devIdx int) error {
 				name, transport.KindHeader, msg.Kind, msg.From)
 		}
 		hold = s.rows.arrive(s.shardOf(edgeID, devIdx))
-		header, pkg, err = s.modelFromFrame(msg.Payload, &hold)
+		header, pkg, err = s.modelFromFrame(msg, &hold)
 		return true, err
 	}); err != nil {
 		hold.abandon()
@@ -142,7 +142,7 @@ func (s *System) resync(ctx context.Context, ses *transport.Session, edge string
 		}
 		round = msg.Round
 		if cold {
-			header, pkg, err = s.modelFromFrame(msg.Payload, nil)
+			header, pkg, err = s.modelFromFrame(msg, nil)
 		}
 		return true, err
 	})
@@ -158,18 +158,21 @@ func (s *System) resync(ctx context.Context, ses *transport.Session, edge string
 // keeps for the rest of its life points into a pooled buffer.
 //
 // hold is nil for a device that featurizes alone. A holder of a shared
-// shard keeps a copy of its backbone's encoding for the comparison that
-// decides whether it may take the owner's rows, and only the owner (and
-// a holder that writes checkpoints, which encode the backbone again)
-// decodes the backbone here.
-func (s *System) modelFromFrame(payload []byte, hold *holding) (*nas.HeaderModel, HeaderPackage, error) {
+// shard keeps its backbone's encoding, still aliasing the frame, for the
+// comparison that decides whether it may take the owner's rows: it
+// retains the frame, and drops it once it is done with the encodings
+// (holding.done).
+// Only the owner (and a holder that writes checkpoints, which encode the
+// backbone again) decodes the backbone here.
+func (s *System) modelFromFrame(msg transport.Message, hold *holding) (*nas.HeaderModel, HeaderPackage, error) {
 	var pkg HeaderPackage
-	if err := wire.Decode(payload, &pkg); err != nil {
+	if err := wire.Decode(msg.Payload, &pkg); err != nil {
 		return nil, HeaderPackage{}, fmt.Errorf("decode %v: %w", transport.KindHeader, err)
 	}
 	decode := true
 	if hold != nil && hold.e != nil {
-		hold.enc = ownEncoding(pkg.Backbone)
+		msg.Retain()
+		hold.enc, hold.frame = pkg.Backbone, msg
 		decode = hold.owner || s.Cfg.Checkpoint.Enabled()
 	}
 	var backbone *nn.Backbone
@@ -373,11 +376,11 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 			return err
 		}
 		drs := DeviceRoundStat{DeviceID: dev.ID, Round: t}
-		kind, payload, raw, err := d.prepareUpload(t, &drs)
+		kind, buf, raw, err := d.prepareUpload(t, &drs)
 		if err != nil {
 			return err
 		}
-		out, err := d.upload(ctx, t, kind, payload, raw)
+		out, err := d.upload(ctx, t, kind, buf, raw)
 		if err != nil {
 			return err
 		}
@@ -524,7 +527,7 @@ func isDownlink(kind transport.Kind) bool {
 
 // prepareUpload brings the importance accumulator up to round t and
 // turns its average into the bytes to upload.
-func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transport.Kind, payload []byte, raw int, err error) {
+func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transport.Kind, buf *wire.Buffer, raw int, err error) {
 	s := d.s
 	defer d.rows.Release()
 	start := time.Now()
@@ -569,16 +572,17 @@ func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transpor
 	// Encode once: the same bytes go on the wire and (when
 	// checkpointing is on) into the replay buffer, so a
 	// SESSION-RESUME retransmission is bitwise identical.
-	payload, raw, err = s.encodePayload(kind, val)
-	return kind, payload, raw, err
+	buf, raw, err = s.encodePayload(kind, val)
+	return kind, buf, raw, err
 }
 
-// upload sends round t's encoded upload. A cut outcome means the round
+// upload sends round t's encoded upload, passing its lease on to the
+// network. A cut outcome means the round
 // is over for this device with no downlink to wait for — the edge
 // already combined without it — and, with done, that the whole run is.
-func (d *deviceRounds) upload(ctx context.Context, t int, kind transport.Kind, payload []byte, raw int) (downlinkOutcome, error) {
-	d.buf.add(t, kind, payload, raw)
-	sendErr := d.s.sendRaw(kind, d.ses.Node(), d.edge, t, payload, raw)
+func (d *deviceRounds) upload(ctx context.Context, t int, kind transport.Kind, buf *wire.Buffer, raw int) (downlinkOutcome, error) {
+	d.buf.add(t, kind, buf.B, raw)
+	sendErr := d.s.sendLeased(kind, d.ses.Node(), d.edge, t, buf, raw)
 	if sendErr == nil {
 		return downlinkOutcome{}, nil
 	}

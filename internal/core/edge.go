@@ -48,18 +48,24 @@ func (s *System) runEdge(ctx context.Context, edgeID int) ([]DeviceReport, error
 		return nil, err
 	}
 	// Distribute backbone + header to devices: one encoding, the same
-	// read-only bytes to every member. The package is kept for the rest
-	// of the run: it is also the dense re-seed a churned device receives
-	// when it resyncs mid-loop.
-	payload, raw, err := s.encodePayload(transport.KindHeader, pkg)
+	// read-only frame to every member. The edge holds its reference
+	// across the sends and each message carries one of its own, so the
+	// frame goes back to the pool once the edge and every member are
+	// done with it. The package is kept for the rest of the run: it is
+	// also the dense re-seed a churned device receives when it resyncs
+	// mid-loop.
+	buf, raw, err := s.encodePayload(transport.KindHeader, pkg)
 	if err != nil {
 		return nil, err
 	}
 	for _, di := range members {
-		if err := s.sendRaw(transport.KindHeader, name, s.devices[di].Name(), 0, payload, raw); err != nil {
+		buf.Retain()
+		if err := s.sendLeased(transport.KindHeader, name, s.devices[di].Name(), 0, buf, raw); err != nil {
+			buf.Release()
 			return nil, err
 		}
 	}
+	buf.Release()
 
 	// Phase 2-2 loop: similarity matrix once, then up to T streaming
 	// aggregation rounds over the round-scoped gather. Uploads arrive

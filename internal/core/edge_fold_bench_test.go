@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"acme/internal/aggregate"
@@ -98,11 +99,12 @@ func edgeFoldFrames(b *testing.B, wo WireOptions, devices, rounds int) [][]trans
 				}
 				kind, val = transport.KindImportanceDelta, up
 			}
-			payload, _, err := s.encodePayload(kind, val)
+			buf, _, err := s.encodePayload(kind, val)
 			if err != nil {
 				b.Fatal(err)
 			}
-			msgs[t] = append(msgs[t], transport.Message{Kind: kind, From: fmt.Sprintf("device-%d", p), Round: t, Payload: payload})
+			msgs[t] = append(msgs[t], transport.Message{Kind: kind, From: fmt.Sprintf("device-%d", p), Round: t, Payload: slices.Clone(buf.B)})
+			buf.Release()
 		}
 	}
 	return msgs

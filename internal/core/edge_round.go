@@ -466,8 +466,8 @@ type downSent struct {
 // downlink streams the personalized sets: every accumulator is final
 // once the last upload folds, so each device's set is encoded
 // (quantized, or delta-encoded against that device's previous
-// downlink) on the worker pool and sent the moment its worker
-// finishes — not behind a serial quantize-then-send loop. Each
+// downlink) in a tensor.ParallelFor block and sent the moment its
+// block finishes — not behind a serial quantize-then-send loop. Each
 // encoder is owned by exactly one worker, so the parallelism is
 // bitwise-invisible. Cut stragglers, departed devices, and
 // devices still waiting on their rejoin round are skipped: a cut

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -115,11 +116,13 @@ func newExchangeDevice(t *testing.T, pkg HeaderPackage, wo WireOptions, seed int
 // leased rows and its downlink, and the device's decode and apply.
 func (e *exchangeDevice) round(t int) error {
 	var drs DeviceRoundStat
-	kind, payload, _, err := e.d.prepareUpload(t, &drs)
+	kind, buf, _, err := e.d.prepareUpload(t, &drs)
 	if err != nil {
 		return err
 	}
-	e.uploads = append(e.uploads, payload)
+	defer buf.Release()
+	payload := buf.B
+	e.uploads = append(e.uploads, slices.Clone(payload))
 	var rows nn.Lease
 	defer rows.Release()
 	var layers [][]float64

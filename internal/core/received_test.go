@@ -9,6 +9,7 @@ import (
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
+	"acme/internal/transport"
 	"acme/internal/wire"
 )
 
@@ -206,10 +207,15 @@ func overwrite(frame []byte) {
 // model receive shares must have built the model — and dropped the
 // blobs — by the time it returns. The frame is overwritten the moment
 // it does; the model must equal one built from an untouched copy of the
-// same bytes. (The waits themselves, and the edge's, run against frames
-// destroyed on release in transport's TestRolesSurviveReleasedFrames.)
+// same bytes. A holder of a shared shard instead keeps its frame: its
+// backbone's encoding aliases it, and must stay intact past the
+// handler's release until the holder drops it, and no longer. (The
+// waits themselves, and the edge's, run against frames destroyed on
+// release in transport's TestRolesSurviveReleasedFrames.)
 func TestReceivedModelOutlivesItsFrame(t *testing.T) {
 	s := &System{}
+	wire.SetScrub(overwrite)
+	defer wire.SetScrub(nil)
 	for _, mode := range []QuantMode{QuantInt8, QuantFloat16, QuantMixed} {
 		_, _, pkg := receivedFixtureQuant(t, mode)
 		sent, err := wire.Encode(pkg)
@@ -238,7 +244,7 @@ func TestReceivedModelOutlivesItsFrame(t *testing.T) {
 		}
 
 		frame = append([]byte(nil), sent...)
-		model, kept, err := s.modelFromFrame(frame, nil)
+		model, kept, err := s.modelFromFrame(transport.Message{Payload: frame}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,21 +256,35 @@ func TestReceivedModelOutlivesItsFrame(t *testing.T) {
 		}
 
 		// A holder of a shared shard that does not own it builds the
-		// header alone and keeps its backbone's encoding, which must
-		// outlive the frame too.
-		frame = append([]byte(nil), sent...)
+		// header alone and keeps its frame past the handler's release
+		// (wire.SetScrub overwrites a frame at its final release).
+		start := wire.Leased()
+		buf := wire.Lease()
+		buf.B = append(buf.B, sent...)
+		msg := transport.Message{Kind: transport.KindHeader}.WithLease(buf)
 		hold := holding{e: &rowsEntry{}}
-		model, _, err = s.modelFromFrame(frame, &hold)
+		hold.e.comparing.Store(1)
+		model, _, err = s.modelFromFrame(msg, &hold)
 		if err != nil {
 			t.Fatal(err)
 		}
-		overwrite(frame)
+		msg.Release()
 		if model.Backbone != nil {
 			t.Fatalf("%v: a holder that is not the owner decoded its backbone", mode)
 		}
 		requireSameParams(t, want.Params(), model.Params())
+		if n := wire.Leased() - start; n != 1 {
+			t.Fatalf("%v: %d frames leased after the handler's release, want the holder's 1", mode, n)
+		}
 		if !sameEncoding(hold.enc, pristine.Backbone) {
-			t.Fatalf("%v: the holder's copy of its encoding did not outlive the frame", mode)
+			t.Fatalf("%v: the holder's encoding did not outlive the handler", mode)
+		}
+		hold.done()
+		if n := wire.Leased() - start; n != 0 {
+			t.Fatalf("%v: %d frames leased after the holder was done", mode, n)
+		}
+		if sameEncoding(hold.enc, pristine.Backbone) {
+			t.Fatalf("%v: the holder's encoding does not alias its frame; this test pins nothing", mode)
 		}
 		if b := kept.Backbone; b.W != 0.5 || b.D != 2 || b.Candidate != pkg.Backbone.Candidate {
 			t.Fatalf("%v: shape or candidate lost: %+v", mode, b)

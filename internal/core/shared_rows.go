@@ -6,9 +6,11 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"acme/internal/data"
 	"acme/internal/nas"
+	"acme/internal/transport"
 )
 
 // shardKey names one cluster's holders of a data shard: the devices of
@@ -34,17 +36,25 @@ type shardRows struct {
 
 // rowsEntry is the feature rows of one shardKey, shared by its holders.
 // The first holder to receive its model (the owner) decodes its
-// backbone and featurizes the shard; the rest keep a copy of their
-// backbone's encoding, wait for ready, and alias the owner's rows if
-// the two encodings are equal byte for byte, without ever decoding
-// theirs.
+// backbone and featurizes the shard; the rest keep their frame and
+// their backbone's encoding aliasing it, wait for ready, and alias the
+// owner's rows if the two encodings are equal byte for byte, without
+// ever decoding theirs. On the memory transport all of them hold the
+// edge's one fan-out frame.
 type rowsEntry struct {
 	left    int // holders yet to arrive
 	claimed bool
 	ready   chan struct{} // closed once the owner has set the fields below
+	// comparing counts the holders, the owner among them, that are not
+	// yet done with the encodings: the last of them releases the
+	// owner's frame. Each holder's decrement comes after its last use of
+	// the entry, and the owner's after it set frame, so the Add that
+	// reaches zero orders that release after all of them.
+	comparing atomic.Int32
 
-	enc  BackboneAssignment // the owner's encoding
-	rows shardRows          // zero if the owner failed
+	enc   BackboneAssignment // the owner's encoding, aliasing frame
+	frame transport.Message  // the owner's frame, retained (zero if it had none)
+	rows  shardRows          // zero if the owner failed
 }
 
 // sharedRows is a System's memo of feature rows for shards that several
@@ -72,18 +82,22 @@ func (r *sharedRows) open(clusters [][]int, devTrain, devTest []*data.Dataset) {
 		if r.entries == nil {
 			r.entries = make(map[shardKey]*rowsEntry)
 		}
-		r.entries[key] = &rowsEntry{left: n, ready: make(chan struct{})}
+		e := &rowsEntry{left: n, ready: make(chan struct{})}
+		e.comparing.Store(int32(n))
+		r.entries[key] = e
 	}
 }
 
 // holding is one device's place among its shard's holders: e is nil for
 // a device that featurizes alone, owner marks the one that featurizes
-// for all, and enc is the device's backbone encoding, its blobs copied
-// out of the frame they arrived in.
+// for all, and enc is the device's backbone encoding, its blobs aliasing
+// frame, the model package it arrived in, which the holder retains
+// until it is done with the encodings.
 type holding struct {
 	e     *rowsEntry
 	owner bool
 	enc   BackboneAssignment
+	frame transport.Message
 }
 
 // arrive checks one holder of key in, as its model arrives and before
@@ -105,11 +119,30 @@ func (r *sharedRows) arrive(key shardKey) holding {
 	return holding{e: e, owner: owner}
 }
 
-// abandon releases the holders waiting on an owner that failed before
-// it featurized: they featurize their own rows.
+// abandon is the exit of a holder that failed before deviceFeatures.
+// An owner hands its frame to the entry and releases the holders
+// waiting on it, who featurize their own rows; any other holder gives
+// up its comparison.
 func (h holding) abandon() {
+	if h.e == nil {
+		return
+	}
 	if h.owner {
+		h.e.frame = h.frame
 		close(h.e.ready)
+	}
+	h.done()
+}
+
+// done is a holder finished with the encodings. One other than the
+// owner releases its own frame (the owner's belongs to the entry), and
+// the last holder of all to finish releases the owner's.
+func (h holding) done() {
+	if !h.owner {
+		h.frame.Release()
+	}
+	if h.e.comparing.Add(-1) == 0 {
+		h.e.frame.Release()
 	}
 }
 
@@ -127,26 +160,31 @@ func (s *System) deviceFeatures(ctx context.Context, edgeID, devIdx int, model *
 	}
 	if h.owner {
 		rows, err := featurizeShard(model, key)
+		h.e.frame = h.frame
 		if err == nil {
 			h.e.enc, h.e.rows = h.enc, rows
 		}
 		close(h.e.ready)
+		h.done()
 		return rows, err
 	}
 	select {
 	case <-h.e.ready:
 	case <-ctx.Done():
+		h.done()
 		return shardRows{}, ctx.Err()
 	}
-	if h.e.rows.local != nil && sameEncoding(h.e.enc, h.enc) {
-		return h.e.rows, nil
+	same := h.e.rows.local != nil && sameEncoding(h.e.enc, h.enc)
+	var err error
+	if !same && model.Backbone == nil {
+		model.Backbone, err = s.decodeBackbone(h.enc)
 	}
-	if model.Backbone == nil {
-		bb, err := s.decodeBackbone(h.enc)
-		if err != nil {
-			return shardRows{}, err
-		}
-		model.Backbone = bb
+	h.done()
+	switch {
+	case err != nil:
+		return shardRows{}, err
+	case same:
+		return h.e.rows, nil
 	}
 	return featurizeShard(model, key)
 }
@@ -163,16 +201,6 @@ func featurizeShard(model *nas.HeaderModel, key shardKey) (shardRows, error) {
 		return shardRows{}, err
 	}
 	return shardRows{local, test, model.Backbone.ActiveParamCount()}, nil
-}
-
-// ownEncoding returns asg with its blobs' quantized bytes copied out of
-// the frame they alias.
-func ownEncoding(asg BackboneAssignment) BackboneAssignment {
-	asg.Params = slices.Clone(asg.Params)
-	for i := range asg.Params {
-		asg.Params[i].Quant = bytes.Clone(asg.Params[i].Quant)
-	}
-	return asg
 }
 
 // sameEncoding reports whether a and b decode to the same backbone: the

@@ -15,6 +15,8 @@ import (
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
+	"acme/internal/transport"
+	"acme/internal/wire"
 )
 
 // sharedShardConfig is a tinyConfig-sized fleet whose devices share
@@ -125,6 +127,16 @@ func arriveWith(sys *System, key shardKey, h *nas.HeaderModel, enc BackboneAssig
 	return h.Clone(nil), hold
 }
 
+// cloneEncoding returns asg with its parameter list and its blobs'
+// quantized bytes copied, so a test can change one without the other.
+func cloneEncoding(asg BackboneAssignment) BackboneAssignment {
+	asg.Params = slices.Clone(asg.Params)
+	for i := range asg.Params {
+		asg.Params[i].Quant = slices.Clone(asg.Params[i].Quant)
+	}
+	return asg
+}
+
 // sameRows reports whether two feature datasets share row storage.
 func sameRows(a, b *data.Dataset) bool { return &a.X[0][0] == &b.X[0][0] }
 
@@ -150,7 +162,7 @@ func TestSharedRowsNeedSameBackboneBits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flipped := ownEncoding(enc)
+	flipped := cloneEncoding(enc)
 	flipped.Params[0].Quant[0] ^= 1
 	model, hold = arriveWith(sys, key, h, flipped)
 	own, err := sys.deviceFeatures(ctx, 0, holders[1], model, hold)
@@ -177,7 +189,7 @@ func TestSharedRowsNeedSameBackboneBits(t *testing.T) {
 		}
 	}
 
-	model, hold = arriveWith(sys, key, h, ownEncoding(enc))
+	model, hold = arriveWith(sys, key, h, cloneEncoding(enc))
 	same, err := sys.deviceFeatures(ctx, 0, holders[2], model, hold)
 	if err != nil {
 		t.Fatal(err)
@@ -190,12 +202,12 @@ func TestSharedRowsNeedSameBackboneBits(t *testing.T) {
 	}
 
 	lossless := EncodeBackbone(h.Backbone, 1, h.Backbone.Cfg.Depth, pareto.Candidate{}, QuantLossless)
-	bit := ownEncoding(lossless)
+	bit := cloneEncoding(lossless)
 	bit.Params[0].Data = slices.Clone(bit.Params[0].Data)
 	bit.Params[0].Data[0] = math.Float64frombits(math.Float64bits(bit.Params[0].Data[0]) ^ 1)
-	scaled := ownEncoding(enc)
+	scaled := cloneEncoding(enc)
 	scaled.Params[0].Scale = math.Nextafter(scaled.Params[0].Scale, 0)
-	if !sameEncoding(lossless, ownEncoding(lossless)) || sameEncoding(lossless, bit) || sameEncoding(enc, scaled) {
+	if !sameEncoding(lossless, cloneEncoding(lossless)) || sameEncoding(lossless, bit) || sameEncoding(enc, scaled) {
 		t.Fatal("sameEncoding misjudges a lossless bit or an int8 scale")
 	}
 }
@@ -215,7 +227,7 @@ func TestSharedRowsReleasedByLastHolder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			model, hold := arriveWith(sys, key, h, ownEncoding(enc))
+			model, hold := arriveWith(sys, key, h, cloneEncoding(enc))
 			rows[i], errs[i] = sys.deviceFeatures(ctx, 0, di, model, hold)
 		}()
 	}
@@ -247,5 +259,29 @@ func TestSharedRowsReleasedByLastHolder(t *testing.T) {
 	}
 	if sys.rows.entries[key] != nil {
 		t.Fatal("a holder after release left an entry behind")
+	}
+}
+
+// TestSharedRowsOwnerFrameOutlivesEarlyLeavers: holders that give up
+// before the owner has featurized (a failed decode, a cancelled wait)
+// leave it the last one done, and its frame, which it hands to the
+// entry, is still released — by the owner itself.
+func TestSharedRowsOwnerFrameOutlivesEarlyLeavers(t *testing.T) {
+	sys, key, holders, h := sharedShardFixture(t)
+	enc := EncodeBackbone(h.Backbone, 1, h.Backbone.Cfg.Depth, pareto.Candidate{}, QuantInt8)
+	start := wire.Leased()
+	leasedFrame := func() transport.Message { return transport.Message{}.WithLease(wire.Lease()) }
+	model, owner := arriveWith(sys, key, h, enc)
+	owner.frame = leasedFrame()
+	for range holders[1:] {
+		_, hold := arriveWith(sys, key, h, cloneEncoding(enc))
+		hold.frame = leasedFrame()
+		hold.abandon()
+	}
+	if _, err := sys.deviceFeatures(context.Background(), 0, holders[0], model, owner); err != nil {
+		t.Fatal(err)
+	}
+	if n := wire.Leased() - start; n != 0 {
+		t.Fatalf("%d frames still leased once every holder is done", n)
 	}
 }

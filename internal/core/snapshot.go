@@ -480,8 +480,9 @@ type bufferedUpload struct {
 	raw     int
 }
 
-// add retains one upload's encoded form. The payload is copied: the
-// sent slice's lifetime belongs to the transport.
+// add retains one upload's encoded form. The payload must be copied:
+// the frame is leased to the transport, and the receiver's Release
+// puts it back in the pool to be overwritten by the next encoding.
 func (b *uplinkBuffer) add(round int, kind transport.Kind, payload []byte, raw int) {
 	if b.retain <= 0 {
 		return
@@ -496,14 +497,15 @@ func (b *uplinkBuffer) add(round int, kind transport.Kind, payload []byte, raw i
 }
 
 // resend retransmits every retained upload for fromRound or later, in
-// round order, each as a fresh copy of the original bytes.
+// round order, each as a leased copy of the original bytes.
 func (b *uplinkBuffer) resend(s *System, from, to string, fromRound int) error {
 	for _, up := range b.ups {
 		if up.round < fromRound {
 			continue
 		}
-		payload := append([]byte(nil), up.payload...)
-		if err := s.sendRaw(up.kind, from, to, up.round, payload, up.raw); err != nil {
+		buf := wire.Lease()
+		buf.B = append(buf.B, up.payload...)
+		if err := s.sendLeased(up.kind, from, to, up.round, buf, up.raw); err != nil {
 			return fmt.Errorf("resume retransmit of round %d: %w", up.round, err)
 		}
 	}

@@ -359,41 +359,42 @@ func (s *System) sendRound(kind transport.Kind, from, to string, round int, v an
 // estimate), for paths that feed the per-round traffic traces without
 // re-reading the shared Stats counters.
 func (s *System) sendCounted(kind transport.Kind, from, to string, round int, v any) (int64, error) {
-	payload, raw, err := s.encodePayload(kind, v)
+	buf, raw, err := s.encodePayload(kind, v)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.sendRaw(kind, from, to, round, payload, raw); err != nil {
+	n := int64(len(buf.B)) + transport.HeaderEstimate
+	if err := s.sendLeased(kind, from, to, round, buf, raw); err != nil {
 		return 0, err
 	}
-	return int64(len(payload)) + transport.HeaderEstimate, nil
+	return n, nil
 }
 
 // encodePayload encodes v once — its wire encoding, entropy-coded when
-// Wire.Entropy is set and kind is one of entropyKinds — and returns the
-// payload bytes plus the raw-size estimate, so a caller can both send
-// the message and retain the exact bytes (the uplink replay buffer
+// Wire.Entropy is set and kind is one of entropyKinds — into a leased
+// wire.Buffer, and returns it with the raw-size estimate. The caller
+// owns the lease: it sends it (sendLeased hands it to the transport,
+// which releases it), copies what it keeps (the uplink replay buffer
 // retransmits originals after a SESSION-RESUME, keeping a resumed run
-// byte-identical). Receivers decode with wire.Decode either way:
-// entropy frames self-identify.
-func (s *System) encodePayload(kind transport.Kind, v any) ([]byte, int, error) {
-	payload, err := wire.Encode(v)
+// byte-identical) and releases whatever it does not send. Receivers
+// decode with wire.Decode either way: entropy frames self-identify.
+func (s *System) encodePayload(kind transport.Kind, v any) (*wire.Buffer, int, error) {
+	buf, err := wire.EncodeLeased(v)
 	if err != nil {
 		return nil, 0, fmt.Errorf("encode %v: %w", kind, err)
 	}
 	if s.Cfg.Wire.Entropy && entropyKinds[kind] {
-		payload = wire.EntropyCompress(payload)
+		buf = wire.CompressLeased(buf)
 	}
-	return payload, wire.RawSize(v), nil
+	return buf, wire.RawSize(v), nil
 }
 
-// sendRaw sends an already-encoded payload as one round-stamped
-// message.
-func (s *System) sendRaw(kind transport.Kind, from, to string, round int, payload []byte, raw int) error {
+// sendLeased sends an encoded frame as one round-stamped message,
+// passing the caller's reference to buf on to the network.
+func (s *System) sendLeased(kind transport.Kind, from, to string, round int, buf *wire.Buffer, raw int) error {
 	return s.Net.Send(transport.Message{
-		Kind: kind, From: from, To: to, Round: round,
-		Payload: payload, Raw: raw,
-	})
+		Kind: kind, From: from, To: to, Round: round, Raw: raw,
+	}.WithLease(buf))
 }
 
 // Run executes the full pipeline: Phase 1 on the cloud, Phase 2-1 on
@@ -567,8 +568,9 @@ func (s *System) centralizedBytes() int64 {
 			Y:         s.devTrain[i].Y,
 			Histogram: s.devTrain[i].ClassHistogram(),
 		}
-		if payload, _, err := s.encodePayload(transport.KindRawData, shard); err == nil {
-			total += int64(len(payload)) + transport.HeaderEstimate
+		if buf, _, err := s.encodePayload(transport.KindRawData, shard); err == nil {
+			total += int64(len(buf.B)) + transport.HeaderEstimate
+			buf.Release()
 		}
 	}
 	return total

@@ -130,13 +130,13 @@ func TestReportsInDeviceOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range order {
-			payload, _, err := sys.encodePayload(transport.KindReport,
+			buf, _, err := sys.encodePayload(transport.KindReport,
 				DeviceReport{DeviceID: id, AccuracyFinal: accs[id], AccuracyCoarse: accs[id] / 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			net.msgs = append(net.msgs, transport.Message{Kind: transport.KindReport,
-				From: fmt.Sprintf("device-%d", id), To: edgeName(0), Payload: payload})
+				From: fmt.Sprintf("device-%d", id), To: edgeName(0)}.WithLease(buf))
 		}
 		reports, err := reportPhase(ctx, sys, net)
 		if err != nil {

@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// ParallelFor runs its callers' independent per-index work on a reusable
-// pool of worker goroutines. Work is partitioned into contiguous index
-// blocks so that every element is written by exactly one goroutine:
-// results are bitwise identical whatever the worker count, and seeded
-// runs stay reproducible.
+// ParallelFor runs its callers' independent per-index work on goroutines
+// it starts for the call and waits for: nothing outlives the call, so no
+// goroutine of this package is left running between calls. Work is
+// partitioned into contiguous index blocks so that every element is
+// written by exactly one goroutine: results are bitwise identical
+// whatever the worker count, and seeded runs stay reproducible.
 
 // Parallelism returns the number of goroutines ParallelFor splits work
 // among: GOMAXPROCS. It also sets the replica count of internal/nn's
@@ -19,41 +20,14 @@ import (
 // seeded run's output does not depend on it.
 func Parallelism() int { return runtime.GOMAXPROCS(0) }
 
-type blockTask struct {
-	fn         func(start, end int)
-	start, end int
-	wg         *sync.WaitGroup
-}
-
-var (
-	poolOnce sync.Once
-	taskCh   chan blockTask
-)
-
-// startPool launches the package-level workers, sized to GOMAXPROCS at
-// first use. A later GOMAXPROCS changes how finely work is split, not the
-// pool size, so lowering it never strands goroutines.
-func startPool() {
-	n := runtime.GOMAXPROCS(0)
-	taskCh = make(chan blockTask, 8*n)
-	for i := 0; i < n; i++ {
-		go func() {
-			for t := range taskCh {
-				t.fn(t.start, t.end)
-				t.wg.Done()
-			}
-		}()
-	}
-}
-
 // ParallelFor splits [0, n) into up to Parallelism() contiguous blocks
-// and runs fn over each on the package worker pool — the entry point for
-// callers with independent per-index work (e.g. the aggregate.Combiner
-// folding one upload into every output accumulator). The caller executes
-// the first block itself; the rest go to the pool, falling back to inline
-// execution when the queue is full so nested calls cannot deadlock. fn
-// must only write state owned by its index range; partitioning is
-// deterministic, so results are bitwise independent of the pool.
+// and runs fn over each — the entry point for callers with independent
+// per-index work (e.g. the aggregate.Combiner folding one upload into
+// every output accumulator). The caller executes the first block itself
+// and starts one goroutine for each of the others, and ParallelFor
+// returns once every block is done. fn must only write state owned by
+// its index range; partitioning is deterministic, so results are bitwise
+// independent of the scheduling.
 func ParallelFor(n int, fn func(start, end int)) {
 	p := min(Parallelism(), n)
 	if p <= 1 {
@@ -62,19 +36,18 @@ func ParallelFor(n int, fn func(start, end int)) {
 		}
 		return
 	}
-	poolOnce.Do(startPool)
 	chunk := (n + p - 1) / p
 	var wg sync.WaitGroup
 	for s := chunk; s < n; s += chunk {
-		e := min(s+chunk, n)
 		wg.Add(1)
-		select {
-		case taskCh <- blockTask{fn, s, e, &wg}:
-		default:
-			fn(s, e)
-			wg.Done()
-		}
+		go runBlock(fn, s, min(s+chunk, n), &wg)
 	}
 	fn(0, chunk)
 	wg.Wait()
+}
+
+// runBlock runs one block of a ParallelFor call on its own goroutine.
+func runBlock(fn func(start, end int), start, end int, wg *sync.WaitGroup) {
+	defer wg.Done()
+	fn(start, end)
 }

@@ -3,8 +3,10 @@ package tensor
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func randomized(rng *rand.Rand, r, c int, sparsity float64) *Matrix {
@@ -33,7 +35,7 @@ func bitwiseEqual(t *testing.T, op string, serial, parallel *Matrix) {
 }
 
 // pooled runs kernel over ParallelFor's row blocks of [0, rows) with
-// GOMAXPROCS at n, so the blocks run on the worker pool.
+// GOMAXPROCS at n, so the blocks run on goroutines of their own.
 func pooled(n, rows int, kernel func(i0, i1 int)) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	ParallelFor(rows, kernel)
@@ -42,7 +44,7 @@ func pooled(n, rows int, kernel func(i0, i1 int)) {
 // equivalenceShapes covers non-divisible block sizes, degenerate rows
 // and columns, and empty matrices. The equivalence tests run once per
 // kernel path (forEachPath) and compare the exported product (one call)
-// with its range kernel split into ParallelFor blocks on the pool.
+// with its range kernel split into ParallelFor blocks.
 var equivalenceShapes = []struct{ m, k, n int }{
 	{64, 64, 64},    // exactly one block
 	{128, 128, 128}, // two blocks in k
@@ -144,10 +146,9 @@ func TestAccVariantsAccumulate(t *testing.T) {
 	}
 }
 
-// TestParallelPoolRace hammers the worker pool from many goroutines at
-// once, each splitting one product's rows into ParallelFor blocks that
-// write only their own rows; run with -race to check the pool hands each
-// block to exactly one writer. Every result must equal the one-block
+// TestParallelPoolRace hammers ParallelFor from many goroutines at once,
+// each splitting one product's rows into blocks that write only their
+// own rows; run with -race to check each block has exactly one writer. Every result must equal the one-block
 // pass. Race builds have only the /go subtest (useAVX2 is off there),
 // whose kernel writes the detector can see.
 func TestParallelPoolRace(t *testing.T) {
@@ -185,6 +186,49 @@ func TestParallelPoolRace(t *testing.T) {
 			t.Fatal(msg)
 		}
 	})
+}
+
+// TestParallelForLeavesNoGoroutine: every goroutine a ParallelFor call
+// starts is done by the time it returns, whatever the block count, so
+// no goroutine of this package outlives a call — not a worker pool
+// parked between calls either. A block's goroutine signals the call
+// before it exits, so it may outlive the return by that last step; the
+// goroutine dump must show none but the test's own within a second.
+func TestParallelForLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	buf := make([]byte, 1<<20)
+	// others returns the dumps of the goroutines other than this one
+	// (the first in the dump) that run a function of this package.
+	others := func() []string {
+		dump := string(buf[:runtime.Stack(buf, true)])
+		var found []string
+		for _, g := range strings.Split(dump, "\n\n")[1:] {
+			if strings.Contains(g, "acme/internal/tensor.") {
+				found = append(found, g)
+			}
+		}
+		return found
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 64, 1000} {
+		rows := make([]int, n)
+		ParallelFor(n, func(s, e int) {
+			for i := s; i < e; i++ {
+				rows[i]++
+			}
+		})
+		for i, v := range rows {
+			if v != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, v)
+			}
+		}
+		left := others()
+		for deadline := time.Now().Add(time.Second); len(left) > 0 && time.Now().Before(deadline); left = others() {
+			runtime.Gosched()
+		}
+		if len(left) > 0 {
+			t.Fatalf("n=%d: %d goroutines of this package outlive ParallelFor, the first:\n%s", n, len(left), left[0])
+		}
+	}
 }
 
 func TestEnsure(t *testing.T) {

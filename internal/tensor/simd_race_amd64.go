@@ -4,6 +4,6 @@ package tensor
 
 // raceEnabled keeps race builds on the pure-Go kernels: the race
 // detector does not instrument assembly, so writes made by the AVX2
-// kernels (a pooled worker's ParallelFor block, a replica fold into Param.Grad)
-// would be invisible to it.
+// kernels (a ParallelFor block on its own goroutine, a replica fold into
+// Param.Grad) would be invisible to it.
 const raceEnabled = true

@@ -1,5 +1,8 @@
 // Package tensor provides dense float64 matrix math for the micro
-// neural-network stack in internal/nn.
+// neural-network stack in internal/nn, and ParallelFor, the one fan-out
+// of independent per-index work. ParallelFor starts its goroutines per
+// call and waits for them, so no goroutine of this package outlives the
+// call that started it: the package keeps no worker pool.
 //
 // The package follows the gonum convention for dimension errors: a shape
 // mismatch is a programmer error and panics with a descriptive message,

@@ -6,8 +6,9 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync"
 	"testing"
+
+	"acme/internal/wire"
 )
 
 // frameBytes encodes msg into one wire frame.
@@ -20,21 +21,11 @@ func frameBytes(t *testing.T, msg Message) []byte {
 	return buf.Bytes()
 }
 
-// withCountingReadPool swaps readPool for a fresh pool that counts
-// buffer constructions, so a test can observe recycling (Get after Put
-// on the same goroutine hits the pool's private slot and allocates
-// nothing new).
-func withCountingReadPool(t *testing.T) *int {
-	t.Helper()
-	old := readPool
-	allocs := 0
-	readPool = &sync.Pool{New: func() any { allocs++; return new(frameBuf) }}
-	t.Cleanup(func() { readPool = old })
-	return &allocs
-}
+// leased is how many wire Buffers are out of the pool.
+func leased() int64 { return wire.Leased() }
 
 // TestReadFrameErrorPathsReturnBuffer is the error-path audit for the
-// pooled read buffer: every parse failure after the body has been read
+// leased read buffer: every parse failure after the body has been read
 // must hand the buffer back to the pool, so a byzantine peer cannot
 // make the receiver allocate a fresh buffer per corrupt frame.
 func TestReadFrameErrorPathsReturnBuffer(t *testing.T) {
@@ -48,18 +39,14 @@ func TestReadFrameErrorPathsReturnBuffer(t *testing.T) {
 	truncated[0] = good[0] // keep the full length prefix: body read fails mid-way
 
 	corrupt := [][]byte{short, badRound, badFrom, truncated}
-	allocs := withCountingReadPool(t)
+	start := leased()
 	for i, frame := range corrupt {
 		if _, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
 			t.Fatalf("corrupt frame %d decoded without error", i)
 		}
-	}
-	// Every error path returned its buffer, so the sequence needed at
-	// most one construction (the later frames reuse the first buffer).
-	// The race runtime randomly discards sync.Pool puts, so the exact
-	// count only holds on non-race builds.
-	if *allocs > 1 && !raceEnabled {
-		t.Fatalf("%d corrupt frames constructed %d buffers, want 1 (error paths must return buffers to the pool)", len(corrupt), *allocs)
+		if n := leased() - start; n != 0 {
+			t.Fatalf("corrupt frame %d left %d buffers leased (error paths must return buffers to the pool)", i, n)
+		}
 	}
 }
 
@@ -77,7 +64,7 @@ func TestReadFrameReleaseRecyclesBuffer(t *testing.T) {
 		return msg
 	}
 
-	allocs := withCountingReadPool(t)
+	start := leased()
 	first := read()
 	if first.ref == nil {
 		t.Fatal("message from readFrame carries no buffer reference")
@@ -85,22 +72,32 @@ func TestReadFrameReleaseRecyclesBuffer(t *testing.T) {
 	first.Retain() // simulate a zero-copy alias parked by a consumer
 
 	// One Release with the alias still outstanding must NOT recycle:
-	// the next read has to construct a second buffer.
+	// the buffer stays leased, and the next read takes another.
 	first.Release()
 	second := read()
-	if *allocs != 2 {
-		t.Fatalf("read with a live alias outstanding reused its buffer (%d constructions, want 2)", *allocs)
+	if n := leased() - start; n != 2 {
+		t.Fatalf("%d buffers leased with an alias outstanding and a second read, want 2", n)
+	}
+	if second.ref == first.ref {
+		t.Fatal("a read reused a buffer whose alias is still outstanding")
 	}
 
-	// Dropping the last references returns both buffers; two further
-	// reads then construct nothing new. (Race builds randomly discard
-	// sync.Pool puts, so the exact count only holds without -race.)
+	// Dropping the last references returns both buffers, and a read
+	// after that takes one of them back from the pool. (Race builds
+	// randomly discard sync.Pool puts, so reuse only shows without
+	// -race.)
 	first.Release()
 	second.Release()
-	read().Release()
-	read().Release()
-	if *allocs != 2 && !raceEnabled {
-		t.Fatalf("released buffers were not recycled (%d constructions, want 2)", *allocs)
+	if n := leased() - start; n != 0 {
+		t.Fatalf("%d buffers still leased after the final releases", n)
+	}
+	third := read()
+	if third.ref != first.ref && third.ref != second.ref && !raceEnabled {
+		t.Fatal("a released buffer was not recycled")
+	}
+	third.Release()
+	if n := leased() - start; n != 0 {
+		t.Fatalf("%d buffers still leased", n)
 	}
 }
 
@@ -122,8 +119,10 @@ func TestReleaseWithoutRetainPanics(t *testing.T) {
 	msg.Release()
 }
 
-// TestReleaseNoopWithoutPool checks sender-allocated payloads (Memory
-// transport, TCP self-delivery) tolerate any number of Releases.
+// TestReleaseNoopWithoutPool checks that a message whose payload nobody
+// leased (a plain []byte: control records, a test's hand-built frame)
+// tolerates any number of Releases. Leased payloads, which both
+// transports deliver, count their references instead.
 func TestReleaseNoopWithoutPool(t *testing.T) {
 	msg := Message{Kind: KindStats, Payload: []byte("plain")}
 	msg.Retain()
@@ -150,15 +149,15 @@ func (n *frameNet) Recv(context.Context, string) (Message, error) {
 // TestSessionReceiveReleasesEveryFrame pins the receive discipline the
 // device role waits through: whatever the handler returns — keep
 // waiting, done, or an error — the frame it was handed goes back to the
-// pool, so a wait that drops strays or fails early constructs no more
-// buffers than one that reads a single message.
+// pool, so a wait that drops strays or fails early leaves no buffer
+// leased.
 func TestSessionReceiveReleasesEveryFrame(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5a}, 64)
 	frame := frameBytes(t, Message{Kind: KindControl, From: "e0", To: "d0", Round: 3, Payload: payload})
 	ses := NewSession("d0", &frameNet{frames: [][]byte{frame, frame, frame, frame, frame, frame}})
 	errRefused := errors.New("refused")
 
-	allocs := withCountingReadPool(t)
+	start := leased()
 	seen := 0
 	// Two strays dropped, the third message ends the wait.
 	if err := ses.Receive(context.Background(), func(msg Message) (bool, error) {
@@ -190,9 +189,7 @@ func TestSessionReceiveReleasesEveryFrame(t *testing.T) {
 	if seen != 6 {
 		t.Fatalf("handler saw %d of 6 frames", seen)
 	}
-	// (Race builds randomly discard sync.Pool puts, so the exact count
-	// only holds without -race.)
-	if *allocs != 1 && !raceEnabled {
-		t.Fatalf("6 frames through Receive constructed %d buffers, want 1 (every path must release)", *allocs)
+	if n := leased() - start; n != 0 {
+		t.Fatalf("6 frames through Receive left %d buffers leased (every path must release)", n)
 	}
 }

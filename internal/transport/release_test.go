@@ -12,9 +12,10 @@ import (
 	"acme/internal/transport"
 )
 
-// destroyingNet hands every received message over in a frame that is
-// destroyed when released (when destroy is set), and keeps the model
-// package the edge sent device-0.
+// destroyingNet hands every received message over in a private leased
+// copy (when destroy is set) and releases the frame it arrived in.
+// Under ScrubReleased both are overwritten in place at their final
+// Release. It keeps the model package the edge sent device-0.
 type destroyingNet struct {
 	transport.Network
 	destroy bool
@@ -123,12 +124,19 @@ func finalModel(t *testing.T, dir string, id int) []float64 {
 }
 
 // TestRolesSurviveReleasedFrames runs the pipeline once over the plain
-// in-memory network and once over frames destroyed on release, then a
-// device's RESYNC rejoin the same two ways. Every role releases its
-// frames (Session.Receive, Gather), so one that reads anything aliasing
-// a frame after its handler returned — a model built from blobs left
-// dangling — ends with a different model; both pairs must end with the
-// same reports and bit-equal device models.
+// in-memory network and once over frames overwritten in place at their
+// final release, then a device's RESYNC rejoin the same two ways. Each
+// receiver gets its own copy of every frame, scrubbed at that
+// receiver's last release however many others still hold the frame it
+// came in — the edge's one model package fanned out to every member.
+// The memory transport hands the sender's leased frame on, so that
+// frame too is scrubbed once its last holder lets go: a sender that
+// reads what it sent after its send is caught as well. Every role
+// releases its frames (Session.Receive, Gather), so one that reads
+// anything aliasing a frame after its last release — a model built from
+// blobs left dangling, a holder's encoding compared after its frame went
+// back — ends with a different model; both pairs must end with the same
+// reports and bit-equal device models.
 func TestRolesSurviveReleasedFrames(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -138,6 +146,10 @@ func TestRolesSurviveReleasedFrames(t *testing.T) {
 		t.Helper()
 		cfg := releaseConfig()
 		cfg.Checkpoint.Path = t.TempDir()
+		// Both devices hold one shard: the second to get its model
+		// keeps that frame until it has compared encodings with the
+		// first.
+		cfg.Fleet.SharedShards, cfg.DataGroups = true, 1
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -156,13 +168,6 @@ func TestRolesSurviveReleasedFrames(t *testing.T) {
 		return res.Reports, models
 	}
 	want, wantModels := run(false)
-	got, gotModels := run(true)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("reports differ once frames are destroyed on release:\n plain     %+v\n destroyed %+v", want, got)
-	}
-	if !reflect.DeepEqual(wantModels, gotModels) {
-		t.Fatal("final models differ once frames are destroyed on release")
-	}
 
 	rejoin := func(destroy bool) []float64 {
 		t.Helper()
@@ -177,7 +182,17 @@ func TestRolesSurviveReleasedFrames(t *testing.T) {
 		}
 		return finalModel(t, cfg.Checkpoint.Path, 0)
 	}
-	if !reflect.DeepEqual(rejoin(false), rejoin(true)) {
+	wantRejoin := rejoin(false)
+
+	transport.ScrubReleased(t)
+	got, gotModels := run(true)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("reports differ once frames are destroyed on release:\n plain     %+v\n destroyed %+v", want, got)
+	}
+	if !reflect.DeepEqual(wantModels, gotModels) {
+		t.Fatal("final models differ once frames are destroyed on release")
+	}
+	if !reflect.DeepEqual(wantRejoin, rejoin(true)) {
 		t.Fatal("a rejoined device's model differs once its re-seed frame is destroyed on release")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -310,7 +311,9 @@ func (t *TCP) reconnectPolicy() (base, lim time.Duration, attempts int) {
 // Send implements Network. The link to the destination is supervised:
 // a dead cached connection is evicted on write error and redialed with
 // capped exponential backoff, so one peer restart costs a retry rather
-// than poisoning every subsequent Send. Note the TCP write buffer can
+// than poisoning every subsequent Send. A leased payload is released
+// once the write attempts end, whatever their outcome; a self-addressed
+// message keeps its lease into the inbox. Note the TCP write buffer can
 // accept a frame the peer never reads; loss on an ungracefully dying
 // peer surfaces at the protocol layer (straggler cutoff, resync), not
 // here.
@@ -321,6 +324,9 @@ func (t *TCP) Send(msg Message) error {
 		t.inbox <- msg
 		return nil
 	}
+	// The frame is copied into the socket (or given up on) below, so
+	// the lease ends with this call.
+	defer msg.Release()
 	l := t.link(msg.To)
 	t.stats.record(msg)
 	base, lim, attempts := t.reconnectPolicy()
@@ -475,35 +481,6 @@ func (t *TCP) Close() error {
 // cannot trigger a gigantic allocation.
 const maxFrame = 1 << 30
 
-// frameBuf is a pooled scratch buffer so each Send assembles its frame
-// without a fresh allocation (params and importance sets make this the
-// TCP hot path).
-type frameBuf struct{ b []byte }
-
-var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 4096)} }}
-
-// readPool recycles inbound frame bodies. Unlike framePool buffers,
-// which return the moment the socket write finishes, a read buffer is
-// aliased by Message.Payload (and, under zero-copy decode, by slices
-// carved straight out of it), so it travels with the message as a
-// bufRef and returns to the pool only on the final Release.
-var readPool = &sync.Pool{New: func() any { return new(frameBuf) }}
-
-// maxPooledFrame caps the buffers readPool retains. An oversized frame
-// (a provision blob, or a corrupt length prefix short of maxFrame)
-// still decodes, but its buffer falls to the GC instead of pinning
-// gigabytes inside the pool.
-const maxPooledFrame = 4 << 20
-
-func putReadBuf(rb *frameBuf) {
-	if cap(rb.b) > maxPooledFrame {
-		rb.b = nil
-	} else {
-		rb.b = rb.b[:0]
-	}
-	readPool.Put(rb)
-}
-
 func uvarintLen(x uint64) int {
 	n := 1
 	for x >= 0x80 {
@@ -513,7 +490,8 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// writeFrame emits one varint-framed message:
+// writeFrame emits one varint-framed message, assembled in a buffer
+// leased from wire's pool for the write:
 //
 //	varint bodyLen | uint8 kind | varint round | varint fromLen | from |
 //	varint toLen | to | payload
@@ -526,8 +504,8 @@ func writeFrame(w io.Writer, msg Message) error {
 		uvarintLen(uint64(len(msg.From))) + len(msg.From) +
 		uvarintLen(uint64(len(msg.To))) + len(msg.To) +
 		len(msg.Payload)
-	f := framePool.Get().(*frameBuf)
-	b := binary.AppendUvarint(f.b[:0], uint64(bodyLen))
+	f := wire.Lease()
+	b := binary.AppendUvarint(f.B, uint64(bodyLen))
 	b = append(b, byte(msg.Kind))
 	b = binary.AppendUvarint(b, uint64(msg.Round))
 	b = binary.AppendUvarint(b, uint64(len(msg.From)))
@@ -536,8 +514,8 @@ func writeFrame(w io.Writer, msg Message) error {
 	b = append(b, msg.To...)
 	b = append(b, msg.Payload...)
 	_, err := w.Write(b)
-	f.b = b[:0]
-	framePool.Put(f)
+	f.B = b
+	f.Release()
 	return err
 }
 
@@ -548,13 +526,13 @@ type frameReader interface {
 	io.ByteReader
 }
 
-// readFrame parses one varint-framed message into a pooled body
-// buffer. On success the returned message's Payload aliases that
-// buffer and carries a bufRef with one reference: the consumer's
-// Release returns the buffer to readPool. On any error — including a
-// parse error after the body was read — the buffer goes straight back
-// to the pool here, so a torn or corrupt frame cannot leak it; no
-// alias can be outstanding because the message was never returned.
+// readFrame parses one varint-framed message into a body buffer leased
+// from wire's pool. On success the returned message's Payload aliases
+// that buffer and carries its one reference: the consumer's Release
+// returns it to the pool. On any error — including a parse error after
+// the body was read — the buffer is released here, so a torn or corrupt
+// frame cannot leak it; no alias can be outstanding because the message
+// was never returned.
 func readFrame(r frameReader) (Message, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -563,43 +541,46 @@ func readFrame(r frameReader) (Message, error) {
 	if n > maxFrame {
 		return Message{}, fmt.Errorf("transport: frame too large: %d", n)
 	}
-	rb := readPool.Get().(*frameBuf)
-	if uint64(cap(rb.b)) < n {
-		rb.b = make([]byte, 0, n)
+	buf := wire.Lease()
+	msg, err := parseFrame(r, buf, int(n))
+	if err != nil {
+		buf.Release()
+		return Message{}, err
 	}
-	body := rb.b[:n]
+	return msg, nil
+}
+
+// parseFrame reads an n-byte frame body into buf and parses it into a
+// message leasing buf.
+func parseFrame(r frameReader, buf *wire.Buffer, n int) (Message, error) {
+	buf.B = slices.Grow(buf.B[:0], n)[:n]
+	body := buf.B
 	if _, err := io.ReadFull(r, body); err != nil {
-		putReadBuf(rb)
 		return Message{}, err
 	}
 	if len(body) < 4 {
-		putReadBuf(rb)
 		return Message{}, fmt.Errorf("transport: short frame")
 	}
 	msg := Message{Kind: Kind(body[0])}
 	off := 1
 	round, rn := binary.Uvarint(body[off:])
 	if rn <= 0 || round > uint64(maxFrame) {
-		putReadBuf(rb)
 		return Message{}, fmt.Errorf("transport: bad round varint")
 	}
 	msg.Round = int(round)
 	off += rn
 	from, off, err := frameString(body, off)
 	if err != nil {
-		putReadBuf(rb)
 		return Message{}, fmt.Errorf("transport: bad from field: %w", err)
 	}
 	msg.From = from
 	to, off, err := frameString(body, off)
 	if err != nil {
-		putReadBuf(rb)
 		return Message{}, fmt.Errorf("transport: bad to field: %w", err)
 	}
 	msg.To = to
+	msg = msg.WithLease(buf)
 	msg.Payload = body[off:]
-	msg.ref = &bufRef{free: func() { putReadBuf(rb) }}
-	msg.ref.refs.Store(1)
 	return msg, nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"acme/internal/wire"
 )
@@ -79,56 +78,57 @@ type Message struct {
 	// encoding (see wire.RawSize). It is sender-side accounting only
 	// and never travels over a socket.
 	Raw int
-	// ref is the reference count of the pooled frame buffer backing
-	// Payload, installed by transports that recycle receive buffers
-	// (TCP). It is nil for sender-allocated payloads, in which case
-	// Retain and Release are no-ops.
-	ref *bufRef
+	// ref is the leased buffer backing Payload, when one does: an
+	// encoded frame a sender leased to the message (WithLease), or a
+	// frame the TCP reader read off its socket. Its reference count
+	// lives in the buffer. It is nil for a payload nobody leased (a
+	// plain []byte), and Retain and Release are then no-ops.
+	ref *wire.Buffer
 }
 
-// bufRef reference-counts a pooled buffer shared by a Message payload
-// and any zero-copy aliases decoded out of it.
-type bufRef struct {
-	refs atomic.Int32
-	free func()
+// WithLease returns m carrying the frame b as its payload, together
+// with the caller's reference to b: whoever ends up holding the message
+// releases it. Send passes the reference on. The memory transport hands
+// it to the receiver, whose Release returns the buffer to the pool; TCP
+// releases it once the frame is written. A sender that sends one frame
+// to several peers holds its own reference across the sends and
+// Retains once per message.
+func (m Message) WithLease(b *wire.Buffer) Message {
+	m.Payload, m.ref = b.B, b
+	return m
 }
 
-// Retain adds a reference to the frame buffer backing the payload.
+// Retain adds a reference to the leased buffer backing the payload.
 // Call it before parking a message (or a slice decoded zero-copy out
-// of it) beyond the scope that will call Release.
+// of it) beyond the scope that will call Release, or before handing
+// the same message to a second Send.
 func (m Message) Retain() {
 	if m.ref != nil {
-		m.ref.refs.Add(1)
+		m.ref.Retain()
 	}
 }
 
-// Release drops one reference to the frame buffer backing the payload.
-// When the last reference is dropped the buffer returns to its pool,
-// so neither the payload nor any alias decoded out of it (wire.Dec
-// Bytes, and F32s with AliasInput) may be touched afterwards. Messages
-// whose payload was allocated by the sender (Memory transport, TCP
-// self-delivery) have no pooled buffer and Release is a no-op.
+// Release drops one reference to the leased buffer backing the
+// payload. When the last reference is dropped the buffer returns to
+// wire's pool, so neither the payload nor any alias decoded out of it
+// (wire.Dec Bytes, and F32s with AliasInput) may be touched afterwards.
+// Both transports deliver leased frames: memory passes the sender's
+// lease through, TCP leases each frame it reads. A message whose
+// payload nobody leased has no buffer, and Release is a no-op.
 // Forgetting to Release is safe — the buffer falls to the garbage
 // collector instead of the pool; releasing more times than retained is
 // a bug and panics.
 func (m Message) Release() {
-	if m.ref == nil {
-		return
-	}
-	switch n := m.ref.refs.Add(-1); {
-	case n == 0:
-		if m.ref.free != nil {
-			m.ref.free()
-		}
-	case n < 0:
-		panic("transport: Message.Release without matching Retain")
+	if m.ref != nil {
+		m.ref.Release()
 	}
 }
 
 // Network moves messages between named nodes.
 type Network interface {
 	// Send delivers msg to msg.To. It blocks only if the destination
-	// inbox is full.
+	// inbox is full. It takes over the caller's reference to a leased
+	// payload, whether it succeeds or fails.
 	Send(msg Message) error
 	// Recv blocks until a message addressed to node arrives or ctx is
 	// done.
@@ -435,16 +435,18 @@ func (m *Memory) Register(node string, buffer int) {
 	}
 }
 
-// Send implements Network.
+// Send implements Network. A leased payload travels as is: the
+// receiver's Release returns it to the pool.
 func (m *Memory) Send(msg Message) error {
 	m.mu.Lock()
 	ch, ok := m.inbox[msg.To]
 	closed := m.closed
 	m.mu.Unlock()
-	if closed {
-		return fmt.Errorf("transport: network closed")
-	}
-	if !ok {
+	if closed || !ok {
+		msg.Release()
+		if closed {
+			return fmt.Errorf("transport: network closed")
+		}
 		return fmt.Errorf("transport: unknown node %q", msg.To)
 	}
 	m.stats.record(msg)

@@ -492,27 +492,39 @@ func EntropyInfo(data []byte) (plainLen int, ok bool) {
 // including when the frame contains structures the walker does not
 // model. The choice is deterministic, so seeded runs stay reproducible.
 func EntropyCompress(plain []byte) []byte {
-	if len(plain) < 2 || plain[0] != Version || plain[1] == tEntropy {
+	if !compressible(plain) {
 		return plain
 	}
+	if out, ok := appendEntropy(make([]byte, 0, len(plain)), plain); ok {
+		return out
+	}
+	return plain
+}
+
+// compressible reports whether plain is a plain frame the coder may
+// take on.
+func compressible(plain []byte) bool {
+	return len(plain) >= 2 && plain[0] == Version && plain[1] != tEntropy
+}
+
+// appendEntropy appends plain's entropy frame to dst. ok is false when
+// that frame is not strictly smaller than plain or plain holds a
+// structure the walker does not model; out is then garbage past dst.
+func appendEntropy(dst, plain []byte) (out []byte, ok bool) {
 	m := entropyModelPool.Get().(*entropyModel)
 	m.reset()
 	defer entropyModelPool.Put(m)
-	out := make([]byte, 0, len(plain))
-	out = append(out, Version, tEntropy)
+	out = append(dst, Version, tEntropy)
 	out = binary.AppendUvarint(out, uint64(len(plain)-1))
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(plain[1:], entropyCRC))
 	var rc rcEncoder
 	rc.init(out)
 	s := &encStream{src: plain[1:], rc: &rc, m: m}
 	if err := walkValue(s, 0); err != nil || s.off != len(s.src) {
-		return plain
+		return rc.out, false
 	}
 	rc.flush()
-	if len(rc.out) >= len(plain) {
-		return plain
-	}
-	return rc.out
+	return rc.out, len(rc.out)-len(dst) < len(plain)
 }
 
 // EntropyExpand recovers the plain frame from an entropy frame. For

@@ -11,9 +11,11 @@
 // message when each message uses a fresh encoder, and spends 5–6 bytes
 // per float32 — this format has no per-message type descriptors and
 // fixed 4/8-byte floats, which is what Table I's "Upload Data" column
-// measures. Encoding scratch buffers are pooled so the hot path
-// (importance sets every round, backbone parameter blobs) does not
-// re-grow a buffer per message.
+// measures. Frames are encoded into pooled, reference-counted Buffers
+// (buffer.go), so the hot path (importance sets every round, backbone
+// parameter blobs) neither re-grows a buffer nor copies a frame per
+// message: a sender leases the frame to the transport, and the last
+// receiver to release it returns it to the pool.
 //
 // Layout:
 //
@@ -26,6 +28,7 @@ package wire
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -67,25 +70,16 @@ func tagName(t byte) string {
 	return fmt.Sprintf("tag(0x%02x)", t)
 }
 
-// encBuf is a pooled scratch buffer for Encode.
-type encBuf struct{ b []byte }
-
-var bufPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 1024)} }}
-
-// Encode serializes v into a fresh byte slice. The scratch buffer is
-// pooled; the returned slice is an exact-size copy the caller owns.
+// Encode serializes v into a fresh byte slice the caller owns. It
+// encodes into a leased Buffer and copies the frame out; a sender that
+// hands the frame on uses EncodeLeased and skips the copy.
 func Encode(v any) ([]byte, error) {
-	e := bufPool.Get().(*encBuf)
-	b, err := AppendEncode(e.b[:0], v)
+	b, err := EncodeLeased(v)
 	if err != nil {
-		e.b = b[:0]
-		bufPool.Put(e)
 		return nil, err
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	e.b = b[:0]
-	bufPool.Put(e)
+	out := slices.Clone(b.B)
+	b.Release()
 	return out, nil
 }
 
