@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench kernel-bench edge-bench fleet-bench traffic perf-pairs bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet portable ci
+.PHONY: all build test race virtual bench kernel-bench edge-bench fleet-bench traffic perf-pairs bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet portable ci
 
 all: build test
 
@@ -25,17 +25,30 @@ test:
 race:
 	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/... ./internal/nn/... ./internal/nas/... ./internal/prune/...
 
+# virtual runs internal/core's virtual-time tests (virtual_test.go, built
+# only under GOEXPERIMENT=synctest): fleet scenarios inside a synctest
+# bubble, where the clock moves only when every goroutine is blocked, so
+# a straggler's delay and a gather's wait are exact numbers. Five times
+# each at GOMAXPROCS 1 and 2.
+virtual:
+	GOEXPERIMENT=synctest GOMAXPROCS=1 $(GO) test -run 'Virtual' -count=5 ./internal/core
+	GOEXPERIMENT=synctest GOMAXPROCS=2 $(GO) test -run 'Virtual' -count=5 ./internal/core
+
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tensor ./internal/nn ./internal/nas ./internal/wire ./internal/core ./internal/aggregate ./internal/importance
 
 # kernel-bench measures internal/tensor's three serial kernels and Axpy/
-# Axpy4 from one binary on three sides: the loops they replaced ("ref"),
-# the portable pure-Go kernels ("go") and the shipped path ("new", AVX2
-# where the CPU has it), at the shapes a customization run multiplies and
-# three left-operand zero patterns. "new" must not be slower than "go" or
-# "ref" on any cell.
+# Axpy4 from one binary on four sides: the loops they replaced ("ref"),
+# the portable pure-Go kernels ("go"), the AVX2 kernels ("avx2", AVX-512
+# off) and the shipped path ("new": AVX-512 where the CPU has it, else
+# AVX2), at the shapes a customization run multiplies and three
+# left-operand zero patterns, and one Adam step of a header's 19 844
+# parameters ("go" and "new"). The sides of one cell run back to back,
+# so the host's drift lands on them alike; compare medians of the five
+# samples. "new" must not be slower than "avx2", "go" or "ref" on any
+# cell where they run different code.
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkAxpy' -benchtime=2000x -count=5 ./internal/tensor
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkAxpy|BenchmarkAdamStep' -benchtime=2000x -count=5 ./internal/tensor
 
 # edge-bench measures what the edge spends on the exchange:
 # BenchmarkEdgeAggregate (Combine vs the streaming combiner's tail at
@@ -75,7 +88,10 @@ fleet-bench:
 # list: it prints the functions added to it and removed from it, and
 # fails on any addition. Refresh TRAFFIC.txt from the union of three
 # runs' lists, so that a function only some runs reach cannot fail it.
-# Not part of `ci`: the list assumes the AVX2 kernel path.
+# Not part of `ci`: the list assumes a CPU with AVX2, with or without
+# AVX-512. Both SIMD tiers run behind the same Go wrappers and coverage
+# counts no assembly, so the two give one list; without AVX2 the Go
+# kernels it lists run and the wrappers do not.
 TRAFFIC := $(CURDIR)/.traffic_build
 EXAMPLES := quickstart heterogeneous_devices noniid_personalization tcp_cluster
 traffic:
@@ -109,7 +125,7 @@ traffic:
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_46.json: per-pair values, medians, the base's quartiles,
+# writes PERF_47.json: per-pair values, medians, the base's quartiles,
 # pairs won and a verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
@@ -118,7 +134,7 @@ PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_46.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_47.json
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never
@@ -195,4 +211,4 @@ vet:
 portable:
 	GOARCH=arm64 $(GO) vet ./internal/tensor && GOARCH=arm64 $(GO) build ./...
 
-ci: fmt-check vet build portable test race fuzz bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke
+ci: fmt-check vet build portable test race virtual fuzz bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke

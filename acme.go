@@ -165,13 +165,22 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 // in-memory network.
 func NewSystem(cfg Config) (*System, error) { return core.NewSystem(cfg) }
 
-// Run executes the full three-tier pipeline and returns the result.
+// Run executes the full three-tier pipeline on a system of its own and
+// returns the result; the system's network is closed when Run returns.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return sys.Run(ctx)
+	res, err := sys.Run(ctx)
+	// The network is this run's own: closing it releases every frame
+	// still parked in an inbox nobody reads. A chaos network first waits
+	// for its delayed deliveries, then closes the memory network inside;
+	// its error names deliveries that failed, which res already reflects.
+	if c, ok := sys.Net.(transport.Transport); ok {
+		c.Close()
+	}
+	return res, err
 }
 
 // Network moves protocol messages between named nodes. The in-memory

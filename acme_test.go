@@ -2,6 +2,7 @@ package acme
 
 import (
 	"context"
+	"fmt"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"acme/internal/experiments"
+	"acme/internal/wire"
 )
 
 // smallConfig is a fast end-to-end configuration for facade tests.
@@ -37,6 +39,27 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if res.MeanAccuracyFinal() <= 0 {
 		t.Fatal("zero final accuracy")
+	}
+}
+
+// TestRunReleasesEveryFrame: Run closes its network, so every frame the
+// run leased is back in wire's pool when it returns, over the memory
+// network and over the chaos network that wraps it.
+func TestRunReleasesEveryFrame(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for _, chaos := range []bool{false, true} {
+		t.Run(fmt.Sprintf("chaos=%v", chaos), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Chaos = ChaosOptions{Enabled: chaos, BaseDelay: time.Millisecond, Jitter: time.Millisecond}
+			start := wire.Leased()
+			if _, err := Run(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if n := wire.Leased() - start; n != 0 {
+				t.Fatalf("%d frames still leased after Run", n)
+			}
+		})
 	}
 }
 

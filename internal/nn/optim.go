@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"acme/internal/tensor"
+)
 
 // Adam is the Adam optimizer with bias correction.
 type Adam struct {
@@ -77,14 +81,7 @@ func (a *Adam) update(p *Param, bc1, bc2 float64) {
 	g := p.Grad.Data
 	clipNorm(g, a.Clip)
 	st := a.state[p]
-	m, v := st.m, st.v
-	for i := range g {
-		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]
-		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g[i]*g[i]
-		mh := m[i] / bc1
-		vh := v[i] / bc2
-		p.Value.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-	}
+	tensor.AdamStep(p.Value.Data, g, st.m, st.v, a.Beta1, a.Beta2, bc1, bc2, a.LR, a.Eps)
 	p.ZeroGrad()
 }
 

@@ -36,17 +36,32 @@ func BenchmarkMatMulTransB(b *testing.B) { benchMatMul(b, MatMulTransBInto, 64, 
 
 // benchSides are the sides of BenchmarkKernel and BenchmarkAxpy: the
 // reference loops of kernel_ref_test.go, the portable kernels ("go",
-// AVX2 off) and the shipped path ("new": AVX2 where CPUID selected it,
-// so on other machines "go" and "new" time the same code).
-var benchSides = []string{"ref", "go", "new"}
+// SIMD off), the AVX2 kernels ("avx2", AVX-512 off) and the shipped path
+// ("new": the widest tier CPUID selected). Where a tier is missing its
+// side times the next narrower path: on an AVX2-only machine "avx2" and
+// "new" time the same code.
+var benchSides = []string{"ref", "go", "avx2", "new"}
+
+// benchPath is the kernel path a bench side runs on.
+func benchPath(side string) kernelPath {
+	switch side {
+	case "go":
+		return kernelPath{"go", false, false}
+	case "avx2":
+		return kernelPath{"avx2", useAVX2, false}
+	}
+	return kernelPath{side, useAVX2, useAVX512}
+}
 
 // BenchmarkKernel drives the reference loops of kernel_ref_test.go and
-// the shipped kernels from one binary at the shapes a customization run
+// the kernels of every path from one binary at the shapes a customization run
 // multiplies (sequence 9, Conv1D im2col width 160, model width 32, and
 // the weight gradients of foldShapes per sample and stacked over
 // foldSamples samples, and of headerFoldShapes per sample and stacked
 // over headerFoldChunk), so the layer delta reproduces on any box without
 // a parent checkout. Shapes are output rows × inner × output columns.
+// The sides of one cell run back to back (names stay side first), so a
+// shared machine's drift over the minutes of a run lands on them alike.
 func BenchmarkKernel(b *testing.B) {
 	type shape struct {
 		kernel  int // index into kernelCases
@@ -77,14 +92,14 @@ func BenchmarkKernel(b *testing.B) {
 			}
 		}
 	}
-	for _, side := range benchSides {
-		for _, sh := range shapes {
-			kc := kernelCases[sh.kernel]
-			fn := kc.new
-			if side == "ref" {
-				fn = kc.ref
-			}
-			for _, pattern := range zeroPatterns[:3] { // "zerorows" is for the oracle only
+	for _, sh := range shapes {
+		kc := kernelCases[sh.kernel]
+		for _, pattern := range zeroPatterns[:3] { // "zerorows" is for the oracle only
+			for _, side := range benchSides {
+				fn := kc.new
+				if side == "ref" {
+					fn = kc.ref
+				}
 				name := fmt.Sprintf("%s/%s_%dx%dx%d/%s", side, kc.name, sh.m, sh.k, sh.n, pattern)
 				b.Run(name, func(b *testing.B) {
 					rng := rand.New(rand.NewSource(1))
@@ -92,7 +107,7 @@ func BenchmarkKernel(b *testing.B) {
 					fillPattern(x, pattern, rng)
 					y.Randomize(rng, 1)
 					dst := New(sh.m, sh.n)
-					withAVX2(side != "go", func() {
+					withPath(benchPath(side), func() {
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
 							fn(dst, x, y, 0, sh.m)
@@ -109,18 +124,19 @@ func BenchmarkKernel(b *testing.B) {
 // folds per upload and per output), and 32, one model-width row (the
 // pools, Conv1D's col2im). "axpy4" is one grouped pass, to be read
 // against four "axpy" passes; its "ref" side is four refAxpy passes.
+// The sides of one length run back to back, as in BenchmarkKernel.
 func BenchmarkAxpy(b *testing.B) {
-	for _, side := range benchSides {
-		for _, n := range []int{19844, 32} {
-			rng := rand.New(rand.NewSource(1))
-			var x [4][]float64
-			for i := range x {
-				x[i] = make([]float64, n)
-				for k := range x[i] {
-					x[i][k] = rng.NormFloat64()
-				}
+	for _, n := range []int{19844, 32} {
+		rng := rand.New(rand.NewSource(1))
+		var x [4][]float64
+		for i := range x {
+			x[i] = make([]float64, n)
+			for k := range x[i] {
+				x[i][k] = rng.NormFloat64()
 			}
-			y := make([]float64, n)
+		}
+		y := make([]float64, n)
+		for _, side := range benchSides {
 			axpy, axpy4 := Axpy, Axpy4
 			if side == "ref" {
 				axpy = refAxpy
@@ -133,7 +149,7 @@ func BenchmarkAxpy(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/axpy/%d", side, n), func(b *testing.B) {
 				b.SetBytes(int64(8 * n))
-				withAVX2(side != "go", func() {
+				withPath(benchPath(side), func() {
 					for i := 0; i < b.N; i++ {
 						axpy(0.25, x[0], y)
 					}
@@ -141,12 +157,35 @@ func BenchmarkAxpy(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("%s/axpy4/%d", side, n), func(b *testing.B) {
 				b.SetBytes(int64(4 * 8 * n))
-				withAVX2(side != "go", func() {
+				withPath(benchPath(side), func() {
 					for i := 0; i < b.N; i++ {
 						axpy4(0.25, -0.5, 0.125, 0.0625, x[0], x[1], x[2], x[3], y)
 					}
 				})
 			})
 		}
+	}
+}
+
+// BenchmarkAdamStep times one Adam update of a device header's
+// parameters (19 844, the exchange replay's importance set) on the
+// portable loop ("go") and the shipped path ("new").
+func BenchmarkAdamStep(b *testing.B) {
+	const n = 19844
+	rng := rand.New(rand.NewSource(1))
+	st := New(4, n) // w, g, m, v
+	st.Randomize(rng, 1)
+	for i, x := range st.Row(3) {
+		st.Row(3)[i] = x * x
+	}
+	for _, side := range []string{"go", "new"} {
+		b.Run(fmt.Sprintf("%s/%d", side, n), func(b *testing.B) {
+			b.SetBytes(int64(4 * 8 * n))
+			withPath(benchPath(side), func() {
+				for i := 0; i < b.N; i++ {
+					AdamStep(st.Row(0), st.Row(1), st.Row(2), st.Row(3), 0.9, 0.999, 0.5, 0.25, 1e-3, 1e-8)
+				}
+			})
+		})
 	}
 }

@@ -197,6 +197,7 @@ func kernelsMatchReference(t *testing.T) {
 	for _, kc := range kernelCases {
 		var classes [4][4]int
 		var rowClasses [4]int
+		var rowClasses8 [8]int
 		var loneRows [4][4]int
 		chunked := 0
 		for s := 0; s < shapesPerKernel; s++ {
@@ -234,6 +235,9 @@ func kernelsMatchReference(t *testing.T) {
 				if (i1-i0)%4 == 1 && k > 0 {
 					loneRows[k%4][n%4]++
 				}
+				if r := i1 - i0; r > 8 && k > 0 {
+					rowClasses8[r%8]++
+				}
 				kc.new(got, a, b, i0, i1)
 				i0 = i1
 			}
@@ -246,9 +250,10 @@ func kernelsMatchReference(t *testing.T) {
 				}
 			}
 		}
-		// a·bᵀ's AVX2 kernels take a in groups of four rows, the inner
-		// dimension in panel chunks of blockK, and a lone row (a range of
-		// 4q+1 rows) on a kernel of its own that walks k four at a time.
+		// a·bᵀ's AVX2 kernels take a in groups of four rows (eight on the
+		// AVX-512 path), the inner dimension in panel chunks of blockK,
+		// and a lone row (a range of 4q+1 rows, or 8q+1) on a kernel of
+		// its own that walks k four at a time.
 		for kr, row := range loneRows {
 			for nr, count := range row {
 				if count == 0 {
@@ -259,6 +264,11 @@ func kernelsMatchReference(t *testing.T) {
 		for r, count := range rowClasses {
 			if count == 0 {
 				t.Errorf("%s: no shape past one row group with rows ≡ %d (mod 4)", kc.name, r)
+			}
+		}
+		for r, count := range rowClasses8 {
+			if count == 0 {
+				t.Errorf("%s: no row range past eight rows with rows ≡ %d (mod 8)", kc.name, r)
 			}
 		}
 		if chunked == 0 {
@@ -348,8 +358,12 @@ func headerFoldMatchesPerSample(t *testing.T) {
 // a NaN or ±Inf multiplier is multiplied like any other and poisons its
 // output row; a·bᵀ multiplies everything, so 0·Inf poisons the cell and
 // −0 + (+0) becomes +0. The 0·Inf cells sit in the first group of four
-// rows and columns and past it: in the last row (a·bᵀ's lone row at five
-// rows, its kernel's three-row tail at seven) and the last column.
+// rows and columns and past it: in the last row (on the AVX2 path a·bᵀ's
+// lone row at five rows and nine, its kernel's three-row tail at seven;
+// on the AVX-512 path a five- and a seven-row panel and, at nine, the
+// lone row after a full one) and the last column, at six columns (a
+// four-column tile and two lone columns) and at thirteen (an eight-, a
+// four- and a one-column tile).
 func TestKernelsMatchReferenceBitwiseSpecialValues(t *testing.T) {
 	forEachPath(t, kernelsMatchReferenceSpecialValues)
 }
@@ -358,9 +372,9 @@ func kernelsMatchReferenceSpecialValues(t *testing.T) {
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(14))
 	for _, kc := range kernelCases {
-		for _, m := range []int{5, 7} {
-			for _, k := range []int{1, 3, 4, 7, 8, 66} {
-				const n = 6
+		for _, m := range []int{5, 7, 9} {
+			for _, nk := range [][2]int{{6, 1}, {6, 3}, {6, 4}, {6, 7}, {6, 8}, {6, 66}, {13, 5}, {13, 66}} {
+				n, k := nk[0], nk[1]
 				a, b := kc.operands(m, k, n)
 				a.Randomize(rng, 1)
 				b.Randomize(rng, 1)
@@ -491,5 +505,60 @@ func axpyMatchesReference(t *testing.T) {
 	Axpy4(1, 1, 0, 1, y, y, inf, y, y)
 	if y[0] == y[0] || y[4] == y[4] {
 		t.Fatalf("Axpy4 skipped a zero multiplier: %v", y)
+	}
+}
+
+// refAdam is internal/nn's Adam update loop as it stood before AdamStep:
+// the reference for AdamStep on every path.
+func refAdam(w, g, m, v []float64, beta1, beta2, bc1, bc2, lr, eps float64) {
+	for i := range g {
+		m[i] = beta1*m[i] + (1-beta1)*g[i]
+		v[i] = beta2*v[i] + (1-beta2)*g[i]*g[i]
+		mh := m[i] / bc1
+		vh := v[i] / bc2
+		w[i] -= lr * mh / (math.Sqrt(vh) + eps)
+	}
+}
+
+// TestAdamStepMatchesReferenceBitwise runs three Adam steps at every
+// length from 0 to 37 (every remainder of the four-lane kernel, and its
+// Go tail) on gradients that carry ±0, subnormals and values whose
+// square overflows, and requires the parameters and both moments to
+// match refAdam bit for bit. It runs once per kernel path; a step makes
+// no allocation.
+func TestAdamStepMatchesReferenceBitwise(t *testing.T) { forEachPath(t, adamMatchesReference) }
+
+func adamMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-320, 1e-160, 1e200, -1e300}
+	const beta1, beta2, lr, eps = 0.9, 0.999, 3e-3, 1e-8
+	for n := 0; n <= 37; n++ {
+		want := New(4, n) // w, g, m, v
+		want.Randomize(rng, 1)
+		for i, x := range want.Row(3) {
+			want.Row(3)[i] = x * x
+		}
+		got := want.Clone()
+		for step := 1; step <= 3; step++ {
+			for i := range want.Row(1) {
+				g := rng.NormFloat64()
+				if rng.Intn(3) == 0 {
+					g = specials[rng.Intn(len(specials))]
+				}
+				want.Row(1)[i], got.Row(1)[i] = g, g
+			}
+			bc1 := 1 - math.Pow(beta1, float64(step))
+			bc2 := 1 - math.Pow(beta2, float64(step))
+			refAdam(want.Row(0), want.Row(1), want.Row(2), want.Row(3), beta1, beta2, bc1, bc2, lr, eps)
+			AdamStep(got.Row(0), got.Row(1), got.Row(2), got.Row(3), beta1, beta2, bc1, bc2, lr, eps)
+			requireSameBits(t, fmt.Sprintf("adam n=%d step %d", n, step), want, got)
+		}
+	}
+	st := New(4, 37)
+	st.Fill(0.5)
+	if allocs := testing.AllocsPerRun(20, func() {
+		AdamStep(st.Row(0), st.Row(1), st.Row(2), st.Row(3), beta1, beta2, 0.5, 0.25, lr, eps)
+	}); allocs != 0 {
+		t.Errorf("AdamStep: %v allocs per call, want 0", allocs)
 	}
 }

@@ -195,14 +195,22 @@ func MatMulTransAAcc(dst, a, b *Matrix) {
 // matMulTransARange accumulates rows [i0, i1) of aᵀ·b into dst (row i
 // of the output corresponds to column i of a). An output row is visited
 // once per four rows of a, not once per row: the multipliers are read
-// down a's column with stride a.Cols.
+// down a's column with stride a.Cols. On the AVX-512 path eight output
+// rows at a time go to one kernel call, which reads their multipliers as
+// eight adjacent columns of a.
 func matMulTransARange(dst, a, b *Matrix, i0, i1 int) {
 	ar, ac, bc := a.Rows, a.Cols, b.Cols
 	for k0 := 0; k0 < ar; k0 += blockK {
 		k1 := min(k0+blockK, ar)
 		for j0 := 0; j0 < bc; j0 += blockJ {
 			j1 := min(j0+blockJ, bc)
-			for i := i0; i < i1; i++ {
+			i := i0
+			if useAVX512 {
+				for ; i+8 <= i1; i += 8 {
+					mulAddRows8Wide(dst.Data[i*bc+j0:], bc, j1-j0, a.Data[k0*ac+i:], ac, k1-k0, b.Data[k0*bc+j0:], bc)
+				}
+			}
+			for ; i < i1; i++ {
 				mulAddRows(dst.Data[i*bc+j0:i*bc+j1], a.Data[k0*ac+i:(k1-1)*ac+i+1], ac, b.Data[k0*bc+j0:], bc)
 			}
 		}

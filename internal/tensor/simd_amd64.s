@@ -1,10 +1,12 @@
 #include "textflag.h"
 
-// AVX2 kernels under mulAddRows, matMulTransBRange, Axpy and Axpy4.
+// AVX2 kernels under mulAddRows, matMulTransBRange, Axpy, Axpy4 and
+// AdamStep, and the AVX-512 tier (mulAddRowsAVX512, abTAVX512) that
+// takes mulAddRows and a·bᵀ's row panels where the CPU has AVX-512F.
 // Every lane does the scalar loop's rounded multiply (VMULPD/VMULSD) and
 // then its rounded add (VADDPD/VADDSD), with the running value as the
-// add's first operand, in the scalar loop's order. There is no VFMADD
-// here: a fused multiply-add rounds once and would change the bits.
+// add's first operand, in the scalar loop's order. There is no fused
+// multiply-add here: it rounds once and would change the bits.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -831,5 +833,843 @@ axpy4x1:
 	JMP    axpy4x1
 
 axpy4Done:
+	VZEROUPPER
+	RET
+
+// ENTRYZ loads gathered entry AX of the ZMM kernel: its multiplier,
+// broadcast, into Z8 and the address of its row of bs at the current
+// column into R12.
+#define ENTRYZ \
+	VBROADCASTSD (R11)(AX*8), Z8; \
+	MOVQ         576(R11)(AX*8), R12; \
+	ADDQ         DX, R12
+
+// MULADDZ adds Z8 · (the eight doubles at off(R12)) into acc, through tmp.
+#define MULADDZ(off, acc, tmp) \
+	VMULPD off(R12), Z8, tmp; \
+	VADDPD tmp, acc, acc
+
+// NEXTZ advances to the next gathered entry and loops while one is left.
+#define NEXTZ(loop) \
+	INCQ AX; \
+	CMPQ AX, R13; \
+	JLT  loop
+
+// SWEEPZ applies the R13 gathered entries at R11 to the len R8 segment
+// of d at DI, bs's rows at DX, and goes on at done: d is held 64, 32, 16
+// and 8 doubles at a time in ZMM registers across every entry, and its
+// last 1–7 go under the opmask K1, so nothing past d or a row of bs is
+// read or written. It uses AX, CX, R12, Z0…Z8 and Z16…Z23 and moves DI,
+// DX and R8.
+#define SWEEPZ(done) \
+zblock64: \
+	CMPQ      R8, $64; \
+	JLT       zblock32; \
+	VMOVUPD   0(DI), Z0; \
+	VMOVUPD   64(DI), Z1; \
+	VMOVUPD   128(DI), Z2; \
+	VMOVUPD   192(DI), Z3; \
+	VMOVUPD   256(DI), Z4; \
+	VMOVUPD   320(DI), Z5; \
+	VMOVUPD   384(DI), Z6; \
+	VMOVUPD   448(DI), Z7; \
+	XORQ      AX, AX; \
+zloop64: \
+	ENTRYZ; \
+	MULADDZ(0, Z0, Z16); \
+	MULADDZ(64, Z1, Z17); \
+	MULADDZ(128, Z2, Z18); \
+	MULADDZ(192, Z3, Z19); \
+	MULADDZ(256, Z4, Z20); \
+	MULADDZ(320, Z5, Z21); \
+	MULADDZ(384, Z6, Z22); \
+	MULADDZ(448, Z7, Z23); \
+	NEXTZ(zloop64); \
+	VMOVUPD   Z0, 0(DI); \
+	VMOVUPD   Z1, 64(DI); \
+	VMOVUPD   Z2, 128(DI); \
+	VMOVUPD   Z3, 192(DI); \
+	VMOVUPD   Z4, 256(DI); \
+	VMOVUPD   Z5, 320(DI); \
+	VMOVUPD   Z6, 384(DI); \
+	VMOVUPD   Z7, 448(DI); \
+	ADDQ      $512, DI; \
+	ADDQ      $512, DX; \
+	SUBQ      $64, R8; \
+	JMP       zblock64; \
+zblock32: \
+	CMPQ      R8, $32; \
+	JLT       zblock16; \
+	VMOVUPD   0(DI), Z0; \
+	VMOVUPD   64(DI), Z1; \
+	VMOVUPD   128(DI), Z2; \
+	VMOVUPD   192(DI), Z3; \
+	XORQ      AX, AX; \
+zloop32: \
+	ENTRYZ; \
+	MULADDZ(0, Z0, Z16); \
+	MULADDZ(64, Z1, Z17); \
+	MULADDZ(128, Z2, Z18); \
+	MULADDZ(192, Z3, Z19); \
+	NEXTZ(zloop32); \
+	VMOVUPD   Z0, 0(DI); \
+	VMOVUPD   Z1, 64(DI); \
+	VMOVUPD   Z2, 128(DI); \
+	VMOVUPD   Z3, 192(DI); \
+	ADDQ      $256, DI; \
+	ADDQ      $256, DX; \
+	SUBQ      $32, R8; \
+zblock16: \
+	CMPQ      R8, $16; \
+	JLT       zblock8; \
+	VMOVUPD   0(DI), Z0; \
+	VMOVUPD   64(DI), Z1; \
+	XORQ      AX, AX; \
+zloop16: \
+	ENTRYZ; \
+	MULADDZ(0, Z0, Z16); \
+	MULADDZ(64, Z1, Z17); \
+	NEXTZ(zloop16); \
+	VMOVUPD   Z0, 0(DI); \
+	VMOVUPD   Z1, 64(DI); \
+	ADDQ      $128, DI; \
+	ADDQ      $128, DX; \
+	SUBQ      $16, R8; \
+zblock8: \
+	CMPQ      R8, $8; \
+	JLT       ztail; \
+	VMOVUPD   0(DI), Z0; \
+	XORQ      AX, AX; \
+zloop8: \
+	ENTRYZ; \
+	MULADDZ(0, Z0, Z16); \
+	NEXTZ(zloop8); \
+	VMOVUPD   Z0, 0(DI); \
+	ADDQ      $64, DI; \
+	ADDQ      $64, DX; \
+	SUBQ      $8, R8; \
+ztail: \
+	TESTQ     R8, R8; \
+	JEQ       done; \
+	MOVQ      R8, CX; \
+	MOVQ      $1, AX; \
+	SHLQ      CX, AX; \
+	DECQ      AX; \
+	KMOVW     AX, K1; \
+	VMOVUPD.Z (DI), K1, Z0; \
+	XORQ      AX, AX; \
+zloop1: \
+	ENTRYZ; \
+	VMOVUPD.Z (R12), K1, Z16; \
+	VMULPD    Z16, Z8, Z16; \
+	VADDPD    Z16, Z0, Z0; \
+	NEXTZ(zloop1); \
+	VMOVUPD   Z0, K1, (DI)
+
+// iota8 is the qwords 0…7: the lane numbers.
+DATA iota8<>+0(SB)/8, $0
+DATA iota8<>+8(SB)/8, $1
+DATA iota8<>+16(SB)/8, $2
+DATA iota8<>+24(SB)/8, $3
+DATA iota8<>+32(SB)/8, $4
+DATA iota8<>+40(SB)/8, $5
+DATA iota8<>+48(SB)/8, $6
+DATA iota8<>+56(SB)/8, $7
+GLOBL iota8<>(SB), RODATA|NOPTR, $64
+
+// func mulAddRowsAVX512(d, as []float64, astride, n int, bs []float64, bstride int)
+//
+// mulAddRowsAVX2 with ZMM accumulators: d is swept 64, 32, 16 and 8
+// doubles at a time and its last 1–7 under an opmask, so no element
+// takes the scalar path. The gather has no branch on a multiplier's
+// value. Contiguous multipliers go eight at a time: a load under the
+// mask of those left, a compare that keeps every lane but ±0 (a NaN is
+// unordered, so kept, as the scalar loop's av == 0 test keeps it), and
+// VCOMPRESSPD of the kept multipliers and their rows' byte offsets to
+// the frame. Strided ones go one at a time, counted through a CMOV.
+//
+// Frame: the gathered multipliers at 0(SP) and their rows' byte offsets
+// in bs at 576(SP), 64 entries each and room for one more group's
+// full-width store.
+TEXT ·mulAddRowsAVX512(SB), $1152-96
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), R8
+	MOVQ as_base+24(FP), SI
+	MOVQ astride+48(FP), R9
+	SHLQ $3, R9
+	MOVQ n+56(FP), CX
+	MOVQ bs_base+64(FP), DX
+	MOVQ bstride+88(FP), R10
+	SHLQ $3, R10
+	LEAQ 0(SP), R11
+	XORQ R13, R13 // gathered entries
+	CMPQ R9, $8
+	JNE  zstrided
+
+	// Contiguous multipliers (a·b): K1 marks the ones left in this group
+	// of up to eight, and VCMPPD keeps those that are not ±0.
+	VMOVDQU64    iota8<>(SB), Z9
+	VPBROADCASTQ R10, Z10
+	VPMULUDQ     Z10, Z9, Z11 // the group's row offsets, t·bstride bytes
+	VPSLLQ       $3, Z10, Z10 // one group's step
+	VPXORQ       Z13, Z13, Z13
+
+zgroup:
+	MOVQ $0xff, AX
+	CMPQ CX, $8
+	JGE  zfull
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+
+zfull:
+	KMOVW       AX, K1
+	VMOVUPD.Z   (SI), K1, Z14
+	VCMPPD      $4, Z13, Z14, K1, K2
+	VCOMPRESSPD Z14, K2, Z15
+	VPCOMPRESSQ Z11, K2, Z16
+	VMOVUPD     Z15, (R11)(R13*8)
+	VMOVDQU64   Z16, 576(R11)(R13*8)
+	KMOVW       K2, AX
+	POPCNTL     AX, AX
+	ADDQ        AX, R13
+	VPADDQ      Z10, Z11, Z11
+	ADDQ        $64, SI
+	SUBQ        $8, CX
+	JGT         zgroup
+	JMP         zgathered
+
+	// Multipliers down a column (aᵀ·b): one at a time, each written to
+	// the frame and counted only if shifting out its sign bit leaves a
+	// non-zero.
+zstrided:
+	XORQ R12, R12 // byte offset of multiplier t's row
+
+zscalar:
+	MOVQ    (SI), AX
+	MOVQ    AX, (R11)(R13*8)
+	MOVQ    R12, 576(R11)(R13*8)
+	LEAQ    1(R13), R14
+	SHLQ    $1, AX
+	CMOVQNE R14, R13
+	ADDQ    R9, SI
+	ADDQ    R10, R12
+	DECQ    CX
+	JNE     zscalar
+
+zgathered:
+	TESTQ R13, R13
+	JEQ   zdone
+
+	SWEEPZ(zdone)
+
+zdone:
+	VZEROUPPER
+	RET
+
+// TRANSPOSE8 turns the eight accumulators Z0…Z7, each holding one output
+// column's eight rows, into the eight rows' segments of those columns,
+// row r in Zr, through Z16…Z31.
+#define TRANSPOSE8 \
+	VUNPCKLPD  Z1, Z0, Z16; \
+	VUNPCKHPD  Z1, Z0, Z17; \
+	VUNPCKLPD  Z3, Z2, Z18; \
+	VUNPCKHPD  Z3, Z2, Z19; \
+	VUNPCKLPD  Z5, Z4, Z20; \
+	VUNPCKHPD  Z5, Z4, Z21; \
+	VUNPCKLPD  Z7, Z6, Z22; \
+	VUNPCKHPD  Z7, Z6, Z23; \
+	VSHUFF64X2 $0x88, Z18, Z16, Z24; \
+	VSHUFF64X2 $0xdd, Z18, Z16, Z25; \
+	VSHUFF64X2 $0x88, Z19, Z17, Z26; \
+	VSHUFF64X2 $0xdd, Z19, Z17, Z27; \
+	VSHUFF64X2 $0x88, Z22, Z20, Z28; \
+	VSHUFF64X2 $0xdd, Z22, Z20, Z29; \
+	VSHUFF64X2 $0x88, Z23, Z21, Z30; \
+	VSHUFF64X2 $0xdd, Z23, Z21, Z31; \
+	VSHUFF64X2 $0x88, Z28, Z24, Z0; \
+	VSHUFF64X2 $0xdd, Z28, Z24, Z4; \
+	VSHUFF64X2 $0x88, Z29, Z25, Z2; \
+	VSHUFF64X2 $0xdd, Z29, Z25, Z6; \
+	VSHUFF64X2 $0x88, Z30, Z26, Z1; \
+	VSHUFF64X2 $0xdd, Z30, Z26, Z5; \
+	VSHUFF64X2 $0x88, Z31, Z27, Z3; \
+	VSHUFF64X2 $0xdd, Z31, Z27, Z7
+
+// COMPRESSROW appends the kept multipliers of output row r, in zr, and
+// their rows' byte offsets (Z11) to row r's list at list(SP), whose
+// length is at count(SP).
+#define COMPRESSROW(zr, list, count) \
+	VCMPPD      $4, Z13, zr, K1, K2; \
+	VCOMPRESSPD zr, K2, Z14; \
+	VPCOMPRESSQ Z11, K2, Z15; \
+	MOVQ        count(SP), AX; \
+	VMOVUPD     Z14, list(SP)(AX*8); \
+	VMOVDQU64   Z15, list+576(SP)(AX*8); \
+	KMOVW       K2, BX; \
+	POPCNTL     BX, BX; \
+	ADDQ        BX, AX; \
+	MOVQ        AX, count(SP)
+
+// func mulAddRows8AVX512(d []float64, dstride, width int, as []float64, astride, n int, bs []float64, bstride int)
+//
+// mulAddRowsAVX512 for eight consecutive output rows of aᵀ·b: row r of
+// d, d[r·dstride:][:width], gets as[t·astride+r] · bs[t·bstride:][:width]
+// for t = 0 … n−1 in ascending order, skipping ±0 multipliers. Eight
+// rows' multipliers at one t are eight adjacent doubles, so the gather
+// loads eight t's of them, transposes the 8 × 8 block in registers and
+// compresses each row's kept multipliers into that row's list; then
+// SWEEPZ runs once per row. It needs 1 ≤ n ≤ wideMultipliers.
+//
+// Frame: row r's list at r·1152(SP) (its multipliers, then their rows'
+// byte offsets at +576), the lists' lengths at 9216(SP), the row being
+// swept at 9280(SP) and its segment of d at 9288(SP).
+TEXT ·mulAddRows8AVX512(SB), $9296-112
+	MOVQ as_base+40(FP), SI
+	MOVQ astride+64(FP), R9
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R10
+	LEAQ (SI)(R9*4), R12
+	MOVQ n+72(FP), CX
+	MOVQ bstride+104(FP), DX
+	SHLQ $3, DX
+
+	VMOVDQU64    iota8<>(SB), Z9
+	VPBROADCASTQ DX, Z10
+	VPMULUDQ     Z10, Z9, Z11 // the group's row offsets, t·bstride bytes
+	VPSLLQ       $3, Z10, Z10 // one group's step
+	VPXORQ       Z13, Z13, Z13
+	XORQ         AX, AX
+	MOVQ         AX, 9216(SP)
+	MOVQ         AX, 9224(SP)
+	MOVQ         AX, 9232(SP)
+	MOVQ         AX, 9240(SP)
+	MOVQ         AX, 9248(SP)
+	MOVQ         AX, 9256(SP)
+	MOVQ         AX, 9264(SP)
+	MOVQ         AX, 9272(SP)
+
+	// Load eight t's (fewer in the last group: the rest stay zero, and
+	// K1 masks them out of the compare) and transpose them into the
+	// rows' multipliers.
+rgroup:
+	CMPQ    CX, $8
+	JLT     rpart
+	VMOVUPD (SI), Z0
+	VMOVUPD (SI)(R9*1), Z1
+	VMOVUPD (SI)(R9*2), Z2
+	VMOVUPD (SI)(R10*1), Z3
+	VMOVUPD (R12), Z4
+	VMOVUPD (R12)(R9*1), Z5
+	VMOVUPD (R12)(R9*2), Z6
+	VMOVUPD (R12)(R10*1), Z7
+	MOVQ    $0xff, AX
+	JMP     rloaded
+
+rpart:
+	VPXORQ  Z1, Z1, Z1
+	VPXORQ  Z2, Z2, Z2
+	VPXORQ  Z3, Z3, Z3
+	VPXORQ  Z4, Z4, Z4
+	VPXORQ  Z5, Z5, Z5
+	VPXORQ  Z6, Z6, Z6
+	VPXORQ  Z7, Z7, Z7
+	VMOVUPD (SI), Z0
+	CMPQ    CX, $2
+	JLT     rmask
+	VMOVUPD (SI)(R9*1), Z1
+	CMPQ    CX, $3
+	JLT     rmask
+	VMOVUPD (SI)(R9*2), Z2
+	CMPQ    CX, $4
+	JLT     rmask
+	VMOVUPD (SI)(R10*1), Z3
+	CMPQ    CX, $5
+	JLT     rmask
+	VMOVUPD (R12), Z4
+	CMPQ    CX, $6
+	JLT     rmask
+	VMOVUPD (R12)(R9*1), Z5
+	CMPQ    CX, $7
+	JLT     rmask
+	VMOVUPD (R12)(R9*2), Z6
+
+rmask:
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+
+rloaded:
+	KMOVW AX, K1
+	TRANSPOSE8
+	COMPRESSROW(Z0, 0, 9216)
+	COMPRESSROW(Z1, 1152, 9224)
+	COMPRESSROW(Z2, 2304, 9232)
+	COMPRESSROW(Z3, 3456, 9240)
+	COMPRESSROW(Z4, 4608, 9248)
+	COMPRESSROW(Z5, 5760, 9256)
+	COMPRESSROW(Z6, 6912, 9264)
+	COMPRESSROW(Z7, 8064, 9272)
+	VPADDQ Z10, Z11, Z11
+	LEAQ   (SI)(R9*8), SI
+	LEAQ   (R12)(R9*8), R12
+	SUBQ   $8, CX
+	JGT    rgroup
+
+	MOVQ $0, 9280(SP)
+	MOVQ d_base+0(FP), AX
+	MOVQ AX, 9288(SP)
+
+rrow:
+	MOVQ  9280(SP), AX
+	MOVQ  9216(SP)(AX*8), R13
+	TESTQ R13, R13
+	JEQ   rnext
+	IMULQ $1152, AX
+	LEAQ  0(SP)(AX*1), R11
+	MOVQ  9288(SP), DI
+	MOVQ  width+32(FP), R8
+	MOVQ  bs_base+80(FP), DX
+	SWEEPZ(rnext)
+
+rnext:
+	MOVQ dstride+24(FP), AX
+	SHLQ $3, AX
+	ADDQ AX, 9288(SP)
+	INCQ 9280(SP)
+	CMPQ 9280(SP), $8
+	JLT  rrow
+	VZEROUPPER
+	RET
+
+// ADDROWZ adds the eight sums in row to the destination at (AX) and moves
+// AX to the next row.
+#define ADDROWZ(row) \
+	VADDPD  (AX), row, row; \
+	VMOVUPD row, (AX); \
+	ADDQ    R8, AX
+
+// TERMZ adds the panel entry Z8 times the b element at addr, broadcast,
+// into acc, through tmp.
+#define TERMZ(addr, acc, tmp) \
+	VMULPD.BCST addr, Z8, tmp; \
+	VADDPD      tmp, acc, acc
+
+// ADDCELLZ adds the sum at off(R14) to the destination double at (AX)
+// and moves AX to the next row.
+#define ADDCELLZ(off) \
+	VMOVSD (AX), X9; \
+	VADDSD off(R14), X9, X9; \
+	VMOVSD X9, (AX); \
+	ADDQ   R8, AX
+
+// ADDCELLSZ adds the first BX ≥ 2 sums of the column at off(R14) to the
+// destination column from AX, one row at a time, then goes on at done.
+#define ADDCELLSZ(off, done) \
+	ADDCELLZ(off); \
+	ADDCELLZ(off+8); \
+	CMPQ BX, $3; \
+	JLT  done; \
+	ADDCELLZ(off+16); \
+	CMPQ BX, $4; \
+	JLT  done; \
+	ADDCELLZ(off+24); \
+	CMPQ BX, $5; \
+	JLT  done; \
+	ADDCELLZ(off+32); \
+	CMPQ BX, $6; \
+	JLT  done; \
+	ADDCELLZ(off+40); \
+	CMPQ BX, $7; \
+	JLT  done; \
+	ADDCELLZ(off+48); \
+	CMPQ BX, $8; \
+	JLT  done; \
+	ADDCELLZ(off+56)
+
+// func abTAVX512(d []float64, dstride int, a []float64, rows int, b []float64, ncols, k int)
+//
+// abTAVX2 with a panel eight lanes wide: entry kk of the panel holds the
+// rows' elements at inner index k0+kk in lanes 0…rows−1 and zeros in the
+// rest. Each column of b sums the panel entries times its elements,
+// broadcast, in ascending k, 8, 4 or 1 columns at a time, one ZMM
+// accumulator per column. Between chunks of 64 inner indices a column's
+// eight partial sums wait in the frame; after the last chunk an 8-column
+// tile is transposed into rows and added to d a row at a time, and a
+// 4- or 1-column tile is added one cell at a time, in the rows that
+// exist.
+//
+// Frame: the panel (64 entries × 8 doubles) at 0(SP), the partial sums
+// (64 columns × 8 rows) at 4096(SP), the chunk's start k0 as a byte
+// offset into a row at 8192(SP) and its length in bytes at 8200(SP).
+//
+// Registers: BX rows, R8 d's row stride, R9 a row of a or b, R10 three
+// rows of b, R11 the panel's end, R13 columns left, R14 the current
+// column's partial sums, DX its row of b at k0, DI its first row of d.
+TEXT ·abTAVX512(SB), $8216-104
+	MOVQ dstride+24(FP), R8
+	SHLQ $3, R8
+	MOVQ rows+56(FP), BX
+	MOVQ k+96(FP), R9
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ $0, 8192(SP)
+	MOVQ $64, AX
+	XORQ CX, CX
+	CMPQ R9, $512
+	CMOVQGT AX, CX
+	MOVQ CX, 8208(SP)
+
+zchunk:
+	MOVQ    R9, CX
+	SUBQ    8192(SP), CX
+	MOVQ    $512, AX
+	CMPQ    CX, AX
+	CMOVQGT AX, CX
+	MOVQ    CX, 8200(SP)
+	LEAQ    0(SP), DI
+	LEAQ    (DI)(CX*8), R11
+
+	// Build the panel. Eight rows: load eight inner indices of each
+	// (the last ones under an opmask), transpose, store eight entries.
+	// Fewer: zero the panel, then copy row r's chunk into lane r.
+	CMPQ   BX, $8
+	JEQ    zfill8
+	VPXORQ Z0, Z0, Z0
+
+zzero:
+	VMOVUPD Z0, (DI)
+	ADDQ    $64, DI
+	CMPQ    DI, R11
+	JLT     zzero
+
+zfill:
+	MOVQ a_base+32(FP), SI
+	ADDQ 8192(SP), SI
+	LEAQ 0(SP), R12
+	MOVQ BX, R13
+
+zfillRow:
+	MOVQ SI, DX
+	MOVQ R12, DI
+	MOVQ CX, R14
+
+zfillK:
+	MOVQ (DX), AX
+	MOVQ AX, (DI)
+	ADDQ $8, DX
+	ADDQ $64, DI
+	SUBQ $8, R14
+	JNE  zfillK
+	ADDQ R9, SI
+	ADDQ $8, R12
+	DECQ R13
+	JNE  zfillRow
+	JMP  zpanel
+
+zfill8:
+	MOVQ a_base+32(FP), SI
+	ADDQ 8192(SP), SI
+	LEAQ (SI)(R9*4), R12
+
+zfill8k:
+	MOVQ      $0xff, AX
+	CMPQ      CX, $64
+	JGE       zfill8full
+	MOVQ      CX, R13
+	MOVQ      CX, R14
+	SHRQ      $3, R14
+	MOVQ      R14, CX
+	MOVQ      $1, AX
+	SHLQ      CX, AX
+	DECQ      AX
+	MOVQ      R13, CX
+
+zfill8full:
+	KMOVW     AX, K1
+	VMOVUPD.Z (SI), K1, Z0
+	VMOVUPD.Z (SI)(R9*1), K1, Z1
+	VMOVUPD.Z (SI)(R9*2), K1, Z2
+	VMOVUPD.Z (SI)(R10*1), K1, Z3
+	VMOVUPD.Z (R12), K1, Z4
+	VMOVUPD.Z (R12)(R9*1), K1, Z5
+	VMOVUPD.Z (R12)(R9*2), K1, Z6
+	VMOVUPD.Z (R12)(R10*1), K1, Z7
+	TRANSPOSE8
+	VMOVUPD   Z0, 0(DI)
+	VMOVUPD   Z1, 64(DI)
+	VMOVUPD   Z2, 128(DI)
+	VMOVUPD   Z3, 192(DI)
+	VMOVUPD   Z4, 256(DI)
+	VMOVUPD   Z5, 320(DI)
+	VMOVUPD   Z6, 384(DI)
+	VMOVUPD   Z7, 448(DI)
+	ADDQ      $64, SI
+	ADDQ      $64, R12
+	ADDQ      $512, DI
+	SUBQ      $64, CX
+	JGT       zfill8k
+
+zpanel:
+	MOVQ b_base+64(FP), DX
+	ADDQ 8192(SP), DX
+	MOVQ d_base+0(FP), DI
+	LEAQ 4096(SP), R14
+	MOVQ ncols+88(FP), R13
+
+ztile8:
+	CMPQ   R13, $8
+	JLT    ztile4
+	CMPQ   8192(SP), $0
+	JNE    zresume8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	JMP    zsweep8
+
+zresume8:
+	VMOVUPD 0(R14), Z0
+	VMOVUPD 64(R14), Z1
+	VMOVUPD 128(R14), Z2
+	VMOVUPD 192(R14), Z3
+	VMOVUPD 256(R14), Z4
+	VMOVUPD 320(R14), Z5
+	VMOVUPD 384(R14), Z6
+	VMOVUPD 448(R14), Z7
+
+zsweep8:
+	MOVQ DX, R12
+	LEAQ (DX)(R9*4), SI
+	LEAQ 0(SP), AX
+
+zloop8t:
+	VMOVUPD (AX), Z8
+	TERMZ((R12), Z0, Z16)
+	TERMZ((R12)(R9*1), Z1, Z17)
+	TERMZ((R12)(R9*2), Z2, Z18)
+	TERMZ((R12)(R10*1), Z3, Z19)
+	TERMZ((SI), Z4, Z20)
+	TERMZ((SI)(R9*1), Z5, Z21)
+	TERMZ((SI)(R9*2), Z6, Z22)
+	TERMZ((SI)(R10*1), Z7, Z23)
+	ADDQ $8, R12
+	ADDQ $8, SI
+	ADDQ $64, AX
+	CMPQ AX, R11
+	JLT  zloop8t
+
+	MOVQ    8192(SP), AX
+	ADDQ    8200(SP), AX
+	CMPQ    AX, R9
+	JEQ     zflush8
+	VMOVUPD Z0, 0(R14)
+	VMOVUPD Z1, 64(R14)
+	VMOVUPD Z2, 128(R14)
+	VMOVUPD Z3, 192(R14)
+	VMOVUPD Z4, 256(R14)
+	VMOVUPD Z5, 320(R14)
+	VMOVUPD Z6, 384(R14)
+	VMOVUPD Z7, 448(R14)
+	JMP     znext8
+
+zflush8:
+	TRANSPOSE8
+	MOVQ DI, AX
+	ADDROWZ(Z0)
+	ADDROWZ(Z1)
+	CMPQ BX, $3
+	JLT  znext8
+	ADDROWZ(Z2)
+	CMPQ BX, $4
+	JLT  znext8
+	ADDROWZ(Z3)
+	CMPQ BX, $5
+	JLT  znext8
+	ADDROWZ(Z4)
+	CMPQ BX, $6
+	JLT  znext8
+	ADDROWZ(Z5)
+	CMPQ BX, $7
+	JLT  znext8
+	ADDROWZ(Z6)
+	CMPQ BX, $8
+	JLT  znext8
+	ADDROWZ(Z7)
+
+znext8:
+	MOVQ 8208(SP), AX
+	SHLQ $3, AX
+	ADDQ AX, R14
+	ADDQ $64, DI
+	LEAQ (DX)(R9*8), DX
+	SUBQ $8, R13
+	JMP  ztile8
+
+ztile4:
+	CMPQ   R13, $4
+	JLT    ztile1
+	CMPQ   8192(SP), $0
+	JNE    zresume4
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	JMP    zsweep4
+
+zresume4:
+	VMOVUPD 0(R14), Z0
+	VMOVUPD 64(R14), Z1
+	VMOVUPD 128(R14), Z2
+	VMOVUPD 192(R14), Z3
+
+zsweep4:
+	MOVQ DX, R12
+	LEAQ 0(SP), AX
+
+zloop4t:
+	VMOVUPD (AX), Z8
+	TERMZ((R12), Z0, Z16)
+	TERMZ((R12)(R9*1), Z1, Z17)
+	TERMZ((R12)(R9*2), Z2, Z18)
+	TERMZ((R12)(R10*1), Z3, Z19)
+	ADDQ $8, R12
+	ADDQ $64, AX
+	CMPQ AX, R11
+	JLT  zloop4t
+
+	// The tile's sums go through the frame either way: as partial sums,
+	// or to be added to d one cell at a time.
+	VMOVUPD Z0, 0(R14)
+	VMOVUPD Z1, 64(R14)
+	VMOVUPD Z2, 128(R14)
+	VMOVUPD Z3, 192(R14)
+	MOVQ    8192(SP), AX
+	ADDQ    8200(SP), AX
+	CMPQ    AX, R9
+	JNE     znext4
+	MOVQ    DI, AX
+	ADDCELLSZ(0, zcol1)
+
+zcol1:
+	LEAQ 8(DI), AX
+	ADDCELLSZ(64, zcol2)
+
+zcol2:
+	LEAQ 16(DI), AX
+	ADDCELLSZ(128, zcol3)
+
+zcol3:
+	LEAQ 24(DI), AX
+	ADDCELLSZ(192, znext4)
+
+znext4:
+	MOVQ 8208(SP), AX
+	SHLQ $2, AX
+	ADDQ AX, R14
+	ADDQ $32, DI
+	LEAQ (DX)(R9*4), DX
+	SUBQ $4, R13
+
+ztile1:
+	TESTQ  R13, R13
+	JEQ    zchunkDone
+	CMPQ   8192(SP), $0
+	JNE    zresume1
+	VPXORQ Z0, Z0, Z0
+	JMP    zsweep1
+
+zresume1:
+	VMOVUPD 0(R14), Z0
+
+zsweep1:
+	MOVQ DX, R12
+	LEAQ 0(SP), AX
+
+zloop1t:
+	VMOVUPD (AX), Z8
+	TERMZ((R12), Z0, Z16)
+	ADDQ $8, R12
+	ADDQ $64, AX
+	CMPQ AX, R11
+	JLT  zloop1t
+
+	VMOVUPD Z0, 0(R14)
+	MOVQ    8192(SP), AX
+	ADDQ    8200(SP), AX
+	CMPQ    AX, R9
+	JNE     znext1
+	MOVQ    DI, AX
+	ADDCELLSZ(0, znext1)
+
+znext1:
+	ADDQ 8208(SP), R14
+	ADDQ $8, DI
+	ADDQ R9, DX
+	DECQ R13
+	JMP  ztile1
+
+zchunkDone:
+	MOVQ 8192(SP), AX
+	ADDQ 8200(SP), AX
+	MOVQ AX, 8192(SP)
+	CMPQ AX, R9
+	JLT  zchunk
+	VZEROUPPER
+	RET
+
+// func adamAVX2(w, g, m, v []float64, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
+//
+// Four elements of AdamStep per iteration, each lane the Go loop's
+// rounded operations in its order: m = β1·m + c1·g, v = β2·v + (c2·g)·g,
+// then w −= (lr·(m/bc1)) / (√(v/bc2) + eps). VDIVPD and VSQRTPD round
+// correctly, as DIVSD and SQRTSD do.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-160
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	MOVQ         m_base+48(FP), R8
+	MOVQ         v_base+72(FP), R9
+	VBROADCASTSD beta1+96(FP), Y0
+	VBROADCASTSD c1+104(FP), Y1
+	VBROADCASTSD beta2+112(FP), Y2
+	VBROADCASTSD c2+120(FP), Y3
+	VBROADCASTSD bc1+128(FP), Y4
+	VBROADCASTSD bc2+136(FP), Y5
+	VBROADCASTSD lr+144(FP), Y6
+	VBROADCASTSD eps+152(FP), Y7
+	SHRQ         $2, CX
+	JEQ          adamDone
+	XORQ         AX, AX
+
+adamLoop:
+	VMOVUPD (SI)(AX*1), Y8
+	VMULPD  (R8)(AX*1), Y0, Y9
+	VMULPD  Y8, Y1, Y10
+	VADDPD  Y10, Y9, Y9
+	VMOVUPD Y9, (R8)(AX*1)
+	VMULPD  (R9)(AX*1), Y2, Y11
+	VMULPD  Y8, Y3, Y12
+	VMULPD  Y8, Y12, Y12
+	VADDPD  Y12, Y11, Y11
+	VMOVUPD Y11, (R9)(AX*1)
+	VDIVPD  Y4, Y9, Y9
+	VDIVPD  Y5, Y11, Y11
+	VSQRTPD Y11, Y11
+	VADDPD  Y7, Y11, Y11
+	VMULPD  Y9, Y6, Y9
+	VDIVPD  Y11, Y9, Y9
+	VMOVUPD (DI)(AX*1), Y10
+	VSUBPD  Y9, Y10, Y10
+	VMOVUPD Y10, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNE     adamLoop
+
+adamDone:
 	VZEROUPPER
 	RET

@@ -4,6 +4,13 @@
 // call and waits for them, so no goroutine of this package outlives the
 // call that started it: the package keeps no worker pool.
 //
+// The products, Axpy, Axpy4 and AdamStep (Adam's per-element update) run
+// on one of three paths, chosen once from CPUID: the pure-Go loops, AVX2
+// kernels, or, for a·b, aᵀ·b and a·bᵀ's row panels, AVX-512 kernels
+// eight lanes wide (simd_amd64.s). Every path gives the same bits: each
+// lane does the Go loop's rounded operations in its order, with no fused
+// multiply-add.
+//
 // The package follows the gonum convention for dimension errors: a shape
 // mismatch is a programmer error and panics with a descriptive message,
 // the same way the runtime panics on an out-of-range slice index. All

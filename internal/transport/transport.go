@@ -413,14 +413,35 @@ func (m *Memory) SetPeers(map[string]string) {}
 // Addr implements Transport.
 func (m *Memory) Addr() string { return "memory" }
 
-// Close implements Transport: subsequent Sends fail. Receivers blocked
-// in Recv are left to their contexts, matching a closed socket whose
-// reader times out rather than observing the close directly.
+// Close implements Transport: subsequent Sends fail, and every message
+// parked in an inbox is released, as TCP.Close releases its inbox's.
+// Receivers blocked in Recv are left to their contexts, matching a
+// closed socket whose reader times out rather than observing the close
+// directly.
 func (m *Memory) Close() error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.closed = true
+	inboxes := make([]chan Message, 0, len(m.inbox))
+	for _, ch := range m.inbox {
+		inboxes = append(inboxes, ch)
+	}
+	m.mu.Unlock()
+	for _, ch := range inboxes {
+		drain(ch)
+	}
 	return nil
+}
+
+// drain releases every message waiting in ch.
+func drain(ch chan Message) {
+	for {
+		select {
+		case msg := <-ch:
+			msg.Release()
+		default:
+			return
+		}
+	}
 }
 
 // Register creates the inbox for a node. Registering twice is a no-op.
@@ -451,6 +472,14 @@ func (m *Memory) Send(msg Message) error {
 	}
 	m.stats.record(msg)
 	ch <- msg
+	// A Close that ran since the check above may have drained the inbox
+	// before msg arrived: drain it again rather than leave msg parked.
+	m.mu.Lock()
+	closed = m.closed
+	m.mu.Unlock()
+	if closed {
+		drain(ch)
+	}
 	return nil
 }
 

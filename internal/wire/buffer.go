@@ -93,9 +93,14 @@ func (b *Buffer) Release() {
 
 // EncodeLeased is Encode into a leased Buffer: the frame is the
 // Buffer's B, and the caller owns the one reference. On error nothing
-// stays leased.
+// stays leased. A pooled Buffer smaller than v's RawSize grows once, to
+// that size and a margin for the encoding's tags and lengths, where
+// append's step-by-step growth would allocate several times the frame.
 func EncodeLeased(v any) (*Buffer, error) {
 	b := Lease()
+	if size := RawSize(v); size > cap(b.B) {
+		b.B = slices.Grow(b.B, size+size/16+64)
+	}
 	out, err := AppendEncode(b.B, v)
 	b.B = out
 	if err != nil {

@@ -269,3 +269,32 @@ func TestDeterministicEncoding(t *testing.T) {
 		t.Fatal("encoding is not deterministic")
 	}
 }
+
+// TestEncodeLeasedGrowsOnceToSize: a leased encode grows an empty pooled
+// Buffer once, to the frame's size, where append alone would grow it
+// through many steps and allocate several times the frame.
+func TestEncodeLeasedGrowsOnceToSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race allocates on its own")
+	}
+	type layer struct {
+		Name string
+		Data []float64
+	}
+	v := &struct{ Layers []layer }{[]layer{{"w", make([]float64, 10000)}, {"b", make([]float64, 100)}}}
+	raw := RawSize(v)
+	grows := testing.AllocsPerRun(20, func() {
+		b, err := EncodeLeased(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.B) < raw {
+			t.Fatalf("frame %d bytes, payload %d", len(b.B), raw)
+		}
+		b.B = nil // back to the pool empty: the next lease starts from nothing
+		b.Release()
+	})
+	if grows != 1 {
+		t.Fatalf("%v allocations per encode from an empty Buffer, want 1", grows)
+	}
+}
