@@ -125,7 +125,7 @@ traffic:
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_47.json: per-pair values, medians, the base's quartiles,
+# writes PERF_48.json: per-pair values, medians, the base's quartiles,
 # pairs won and a verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
@@ -134,7 +134,7 @@ PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_47.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_48.json
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never
@@ -191,6 +191,7 @@ restore-smoke:
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecords -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=20s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzKernels -fuzztime=20s ./internal/tensor

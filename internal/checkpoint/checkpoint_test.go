@@ -22,6 +22,17 @@ type snapshot struct {
 	Departs []bool
 }
 
+func (s *snapshot) WireFields(f *wire.Fields) {
+	f.Struct(5)
+	f.Int(&s.Round)
+	f.String(&s.Node)
+	wire.List(f, &s.Layers, (*wire.Fields).F64s)
+	f.Bytes(&s.Packed)
+	f.Bools(&s.Departs)
+}
+
+func (s snapshot) WireValue(f *wire.Fields) { s.WireFields(f) }
+
 func sample() snapshot {
 	return snapshot{
 		Round:   7,

@@ -3,7 +3,27 @@ package checkpoint
 import (
 	"encoding/binary"
 	"testing"
+
+	"acme/internal/wire"
 )
+
+// state is the record FuzzDecode decodes into.
+type state struct {
+	Round  int
+	Node   string
+	Shadow [][]byte
+	Walls  []float64
+}
+
+func (s *state) WireFields(f *wire.Fields) {
+	f.Struct(4)
+	f.Int(&s.Round)
+	f.String(&s.Node)
+	wire.List(f, &s.Shadow, (*wire.Fields).Bytes)
+	f.F64s(&s.Walls)
+}
+
+func (s state) WireValue(f *wire.Fields) { s.WireFields(f) }
 
 // FuzzDecode drives arbitrary bytes through the envelope decoder. The
 // invariant is "error, never panic": a snapshot file torn by a crash,
@@ -13,12 +33,6 @@ import (
 // corrupt-CRC, wrong-version, wrong-magic, oversized-length and
 // version-1 variants.
 func FuzzDecode(f *testing.F) {
-	type state struct {
-		Round  int
-		Node   string
-		Shadow [][]byte
-		Walls  []float64
-	}
 	value := state{
 		Round:  3,
 		Node:   "edge-1",

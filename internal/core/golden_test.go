@@ -145,7 +145,15 @@ func TestGoldenFrames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range []any{c.value, emptied[i].value, pointerTo(c.value)} {
+			// Every kind encodes by pointer; the kinds sent or written
+			// by value (all but EdgeSnapshot) encode by value too.
+			encodings := []any{pointerTo(c.value), pointerTo(emptied[i].value)}
+			if _, ok := c.value.(wire.Value); ok {
+				encodings = append(encodings, c.value)
+			} else if c.name != "EdgeSnapshot" {
+				t.Fatalf("%s has no WireValue", c.name)
+			}
+			for _, v := range encodings {
 				got, err := wire.Encode(v)
 				if err != nil {
 					t.Fatal(err)

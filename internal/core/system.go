@@ -379,14 +379,14 @@ func (s *System) sendCounted(kind transport.Kind, from, to string, round int, v 
 // byte-identical) and releases whatever it does not send. Receivers
 // decode with wire.Decode either way: entropy frames self-identify.
 func (s *System) encodePayload(kind transport.Kind, v any) (*wire.Buffer, int, error) {
-	buf, err := wire.EncodeLeased(v)
+	buf, raw, err := wire.EncodeLeased(v)
 	if err != nil {
 		return nil, 0, fmt.Errorf("encode %v: %w", kind, err)
 	}
 	if s.Cfg.Wire.Entropy && entropyKinds[kind] {
 		buf = wire.CompressLeased(buf)
 	}
-	return buf, wire.RawSize(v), nil
+	return buf, raw, nil
 }
 
 // sendLeased sends an encoded frame as one round-stamped message,

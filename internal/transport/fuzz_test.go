@@ -21,7 +21,7 @@ func FuzzReadFrame(f *testing.F) {
 	// An entropy-coded payload, as the entropy codec puts on the wire:
 	// the frame layer must carry it opaquely, and the per-kind stats
 	// probe (wire.EntropyInfo) must tolerate mutated headers.
-	entPlain, err := wire.Encode(struct{ Xs []float32 }{Xs: make([]float32, 200)})
+	entPlain, err := wire.Encode(&floatLayers{Layers: [][]float32{make([]float32, 200)}})
 	if err != nil {
 		f.Fatal(err)
 	}

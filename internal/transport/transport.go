@@ -111,7 +111,8 @@ func (m Message) Retain() {
 // Release drops one reference to the leased buffer backing the
 // payload. When the last reference is dropped the buffer returns to
 // wire's pool, so neither the payload nor any alias decoded out of it
-// (wire.Dec Bytes, and F32s with AliasInput) may be touched afterwards.
+// ([]byte fields, and []float32 ones under wire.Arena.AliasInput) may
+// be touched afterwards.
 // Both transports deliver leased frames: memory passes the sender's
 // lease through, TCP leases each frame it reads. A message whose
 // payload nobody leased has no buffer, and Release is a no-op.

@@ -15,13 +15,8 @@ import (
 // plain or entropy-coded, and decodes on the receiving side with no
 // knowledge of which — entropy frames identify themselves.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	type payload struct {
-		A int
-		B []float64
-		C string
-	}
 	in := payload{A: 7, B: []float64{1, 2, 3}, C: "hello"}
-	plain, err := wire.Encode(in)
+	plain, err := wire.Encode(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +41,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestBinaryCodecIsSmallerOnFloatPayloads(t *testing.T) {
-	type payload struct{ Layers [][]float32 }
-	in := payload{Layers: make([][]float32, 4)}
+	in := floatLayers{Layers: make([][]float32, 4)}
 	for i := range in.Layers {
 		in.Layers[i] = make([]float32, 256)
 		for j := range in.Layers[i] {
@@ -60,7 +54,7 @@ func TestBinaryCodecIsSmallerOnFloatPayloads(t *testing.T) {
 	if err := gob.NewEncoder(&g).Encode(in); err != nil {
 		t.Fatal(err)
 	}
-	b, err := wire.Encode(in)
+	b, err := wire.Encode(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +124,15 @@ func TestStatsRawVsWireAccounting(t *testing.T) {
 	// A message carries the in-memory payload size next to the wire
 	// size; 512 float64s are 4096 raw bytes while the binary wire form
 	// is 4096 + small headers.
-	vals := make([]float64, 512)
+	vals := make(floats, 512)
 	for i := range vals {
 		vals[i] = float64(i) * 0.25
 	}
-	payload, err := wire.Encode(vals)
+	payload, err := wire.Encode(&vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Send(Message{Kind: KindImportanceSet, From: "dev", To: "edge", Payload: payload, Raw: wire.RawSize(vals)}); err != nil {
+	if err := m.Send(Message{Kind: KindImportanceSet, From: "dev", To: "edge", Payload: payload, Raw: wire.RawSize(&vals)}); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
@@ -198,3 +192,30 @@ func TestKindStrings(t *testing.T) {
 		t.Fatal("unknown kind must still render")
 	}
 }
+
+// payload, floatLayers and floats are the records these tests encode.
+type payload struct {
+	A int
+	B []float64
+	C string
+}
+
+func (p *payload) WireFields(f *wire.Fields) {
+	f.Struct(3)
+	f.Int(&p.A)
+	f.F64s(&p.B)
+	f.String(&p.C)
+}
+
+type floatLayers struct{ Layers [][]float32 }
+
+func (l *floatLayers) WireFields(f *wire.Fields) {
+	f.Struct(1)
+	wire.List(f, &l.Layers, (*wire.Fields).F32s)
+}
+
+// floats is a record that is not a struct: its frame is the bare packed
+// slice.
+type floats []float64
+
+func (v *floats) WireFields(f *wire.Fields) { f.F64s((*[]float64)(v)) }

@@ -3,6 +3,6 @@
 package wire
 
 // Big-endian (or unknown-endianness) platforms cannot alias packed
-// little-endian float32 payloads; the Dec falls back to copying.
+// little-endian float32 payloads; the decode falls back to copying.
 
 func aliasF32(raw []byte, n int) ([]float32, bool) { return nil, false }

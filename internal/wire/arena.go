@@ -1,6 +1,6 @@
 package wire
 
-// Arena is a typed bump allocator for decode output. A Dec bound to an
+// Arena is a typed bump allocator for decode output. A decode bound to an
 // arena carves decoded slices out of reusable blocks instead of
 // allocating per slice, so a steady-state decode loop (the edge
 // folding one upload per device per round) runs at zero float-slice

@@ -4,13 +4,11 @@ import (
 	"testing"
 )
 
-// f64Row is an Unmarshaler holding one decoded []float64.
+// f64Row is a record holding one []float64; its frame is the bare
+// packed slice.
 type f64Row struct{ v []float64 }
 
-func (r *f64Row) DecodeWire(d *Dec) (err error) {
-	r.v, err = d.F64s("row", nil)
-	return err
-}
+func (r *f64Row) WireFields(f *Fields) { f.F64s(&r.v) }
 
 // TestAliasInputCopiesFloat64s: under Arena.AliasInput only float32
 // slices may alias the frame. A []float64 decoded from a frame at every
@@ -18,7 +16,10 @@ func (r *f64Row) DecodeWire(d *Dec) (err error) {
 // keeps its values when the frame is overwritten afterwards.
 func TestAliasInputCopiesFloat64s(t *testing.T) {
 	want := []float64{1.5, -2.25, 3e10}
-	frame := AppendF64s([]byte{Version}, want)
+	frame, err := Encode(&f64Row{want})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for off := 0; off < 8; off++ {
 		buf := make([]byte, off+len(frame))
 		copy(buf[off:], frame)

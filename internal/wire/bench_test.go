@@ -14,6 +14,15 @@ type benchPayload struct {
 	Masks    [][]bool
 }
 
+func (p *benchPayload) WireFields(f *Fields) {
+	f.Struct(3)
+	f.Int(&p.DeviceID)
+	List(f, &p.Layers, (*Fields).F32s)
+	List(f, &p.Masks, (*Fields).Bools)
+}
+
+func (p benchPayload) WireValue(f *Fields) { p.WireFields(f) }
+
 func makeBenchPayload() benchPayload {
 	p := benchPayload{DeviceID: 42}
 	p.Layers = make([][]float32, 8)

@@ -92,22 +92,23 @@ func (b *Buffer) Release() {
 }
 
 // EncodeLeased is Encode into a leased Buffer: the frame is the
-// Buffer's B, and the caller owns the one reference. On error nothing
-// stays leased. A pooled Buffer smaller than v's RawSize grows once, to
-// that size and a margin for the encoding's tags and lengths, where
-// append's step-by-step growth would allocate several times the frame.
-func EncodeLeased(v any) (*Buffer, error) {
-	b := Lease()
-	if size := RawSize(v); size > cap(b.B) {
-		b.B = slices.Grow(b.B, size+size/16+64)
-	}
-	out, err := AppendEncode(b.B, v)
-	b.B = out
+// Buffer's B, and the caller owns the one reference. It also returns
+// v's RawSize, which it sizes the Buffer by: a pooled Buffer smaller
+// than that grows once, to the size and a margin for the encoding's
+// tags and lengths, where append's step-by-step growth would allocate
+// several times the frame. On error nothing stays leased.
+func EncodeLeased(v any) (*Buffer, int, error) {
+	s, err := walk(Fields{mode: sizing}, v)
 	if err != nil {
-		b.Release()
-		return nil, err
+		return nil, 0, err
 	}
-	return b, nil
+	b := Lease()
+	if s.raw > cap(b.B) {
+		b.B = slices.Grow(b.B, s.raw+s.raw/16+64)
+	}
+	e, _ := walk(Fields{mode: encoding, b: append(b.B, Version)}, v)
+	b.B = e.b
+	return b, s.raw, nil
 }
 
 // CompressLeased is EntropyCompress for a leased frame: it returns a

@@ -102,6 +102,19 @@ type ControlRecord struct {
 	Done bool
 }
 
+// WireFields states the control record's schema.
+func (r *ControlRecord) WireFields(f *Fields) {
+	f.Struct(5)
+	f.Uint8((*uint8)(&r.Type))
+	f.String(&r.Node)
+	f.Int(&r.Device)
+	f.Int(&r.Round)
+	f.Bool(&r.Done)
+}
+
+// WireValue lets Encode and RawSize take a control record by value.
+func (r ControlRecord) WireValue(f *Fields) { r.WireFields(f) }
+
 // EncodeControl serializes a control record.
 func EncodeControl(rec ControlRecord) ([]byte, error) {
 	if !rec.Type.Valid() {

@@ -32,6 +32,18 @@ type DeltaLayer struct {
 	Changed []byte // packed changed elements (or all N, when Dense)
 }
 
+// WireFields states the delta layer's schema. Mask and Changed decode
+// as aliases of the frame; Apply copies before a shadow keeps anything,
+// so the alias never outlives the frame.
+func (d *DeltaLayer) WireFields(f *Fields) {
+	f.Struct(5)
+	f.Int(&d.N)
+	f.Int(&d.Elem)
+	f.Bool(&d.Dense)
+	f.Bytes(&d.Mask)
+	f.Bytes(&d.Changed)
+}
+
 // DiffLayer encodes cur against prev, both packed element arrays of
 // the same element width. It returns the sparse form when that is
 // strictly smaller than shipping cur densely, and the dense form

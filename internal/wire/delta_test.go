@@ -149,14 +149,14 @@ func TestDeltaEmpty(t *testing.T) {
 	}
 }
 
-// TestDeltaEncodesThroughCodec round-trips a DeltaLayer through the
-// generic struct codec, the path the transport actually uses.
+// TestDeltaEncodesThroughCodec round-trips a DeltaLayer through its
+// schema, the path the transport actually uses.
 func TestDeltaEncodesThroughCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	prev := randomPayload(rng, 128, 2)
 	cur := mutate(rng, prev, 2, 0.05)
 	in := DiffLayer(prev, cur, 2)
-	raw, err := Encode(in)
+	raw, err := Encode(&in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -379,15 +379,13 @@ func walkValue(s estream, depth int) error {
 		return err
 	}
 	switch tag {
-	case tNil, tFalse, tTrue:
+	case tFalse, tTrue:
 		return nil
 	case tInt, tUint:
 		_, err := s.uvarint()
 		return err
 	case tF64:
 		return s.run(ctxF64, 8, 8)
-	case tF32:
-		return s.run(ctxF32, 4, 4)
 	case tString:
 		n, err := walkLen(s, 1)
 		if err != nil {
@@ -424,7 +422,7 @@ func walkValue(s estream, depth int) error {
 			return err
 		}
 		return s.run(ctxBool, (n+7)/8, 1)
-	case tInts, tUints:
+	case tInts:
 		n, err := walkLen(s, 1)
 		if err != nil {
 			return err
@@ -441,20 +439,6 @@ func walkValue(s estream, depth int) error {
 			return err
 		}
 		for i := 0; i < n; i++ {
-			if err := walkValue(s, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	case tMap:
-		n, err := walkLen(s, 2)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if err := walkValue(s, depth+1); err != nil {
-				return err
-			}
 			if err := walkValue(s, depth+1); err != nil {
 				return err
 			}
@@ -487,7 +471,7 @@ func EntropyInfo(data []byte) (plainLen int, ok bool) {
 }
 
 // EntropyCompress re-encodes a plain frame (as produced by Encode or
-// AppendEncode) through the range coder. It returns the entropy frame
+// EncodeLeased) through the range coder. It returns the entropy frame
 // when that is strictly smaller, and the input unchanged otherwise —
 // including when the frame contains structures the walker does not
 // model. The choice is deterministic, so seeded runs stay reproducible.

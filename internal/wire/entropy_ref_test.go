@@ -230,7 +230,7 @@ func (s *refDecStream) run(base, n, stride int) error {
 func (s *refDecStream) remaining() int { return s.limit - len(s.out) }
 
 // refEntropyCompress re-encodes a plain frame (as produced by Encode or
-// AppendEncode) through the range coder. It returns the entropy frame
+// EncodeLeased) through the range coder. It returns the entropy frame
 // when that is strictly smaller, and the input unchanged otherwise —
 // including when the frame contains structures the walker does not
 // model. The choice is deterministic, so seeded runs stay reproducible.
@@ -299,10 +299,10 @@ func refEntropyExpand(data []byte) (plain []byte, wasEntropy bool, err error) {
 	return s.out, true, nil
 }
 
-// refDeltaRecord mirrors core.DeltaUpload / core.DownlinkDelta (core
-// imports wire, so the test cannot name them): scalar fields, a bool,
-// and per layer a mode, a scale and a DeltaLayer whose Mask and Changed
-// travel as tBytes runs.
+// refDeltaRecord has the shape of core.DeltaUpload / core.DownlinkDelta
+// (core imports wire, so the test cannot name them): scalar fields, a
+// bool, and per layer a mode, a scale and a DeltaLayer whose Mask and
+// Changed travel as tBytes runs.
 type refDeltaRecord struct {
 	DeviceID int
 	Round    int
@@ -311,11 +311,66 @@ type refDeltaRecord struct {
 	Layers   []refDeltaLayer
 }
 
+func (r *refDeltaRecord) WireFields(f *Fields) {
+	f.Struct(5)
+	f.Int(&r.DeviceID)
+	f.Int(&r.Round)
+	f.Int(&r.Discard)
+	f.Bool(&r.Done)
+	Records(f, &r.Layers)
+}
+
 type refDeltaLayer struct {
 	Mode  int
 	Scale float64
 	Delta DeltaLayer
 }
+
+func (l *refDeltaLayer) WireFields(f *Fields) {
+	f.Struct(3)
+	f.Int(&l.Mode)
+	f.F64(&l.Scale)
+	l.Delta.WireFields(f)
+}
+
+// f64Layers, nested, boolsInts, rawBytes and str are the other shapes
+// refFrames encodes.
+type f64Layers struct{ Layers [][]float64 }
+
+func (l *f64Layers) WireFields(f *Fields) {
+	f.Struct(1)
+	List(f, &l.Layers, (*Fields).F64s)
+}
+
+type nested struct {
+	L [][]string
+	E []inner
+}
+
+func (n *nested) WireFields(f *Fields) {
+	f.Struct(2)
+	List(f, &n.L, func(f *Fields, l *[]string) { List(f, l, (*Fields).String) })
+	Records(f, &n.E)
+}
+
+type boolsInts struct {
+	B []bool
+	I []int
+}
+
+func (b *boolsInts) WireFields(f *Fields) {
+	f.Struct(2)
+	f.Bools(&b.B)
+	f.Ints(&b.I)
+}
+
+type rawBytes []byte
+
+func (b *rawBytes) WireFields(f *Fields) { f.Bytes((*[]byte)(b)) }
+
+type str string
+
+func (s *str) WireFields(f *Fields) { f.String((*string)(s)) }
 
 // refFrames builds seeded plain frames of every kind the walker models.
 func refFrames(t *testing.T) map[string][]byte {
@@ -347,8 +402,8 @@ func refFrames(t *testing.T) map[string][]byte {
 		}
 		return DiffLayer(prev, cur, elem)
 	}
-	record := func(layers ...DeltaLayer) refDeltaRecord {
-		r := refDeltaRecord{DeviceID: 5, Round: 3, Discard: 4, Done: true}
+	record := func(layers ...DeltaLayer) *refDeltaRecord {
+		r := &refDeltaRecord{DeviceID: 5, Round: 3, Discard: 4, Done: true}
 		for i, d := range layers {
 			r.Layers = append(r.Layers, refDeltaLayer{Mode: 1 + i%3, Scale: 0.5 + rng.Float64(), Delta: d})
 		}
@@ -356,33 +411,21 @@ func refFrames(t *testing.T) map[string][]byte {
 	}
 	noise := make([]byte, 64)
 	rng.Read(noise)
+	longString := str(strings.Repeat("importance ", 40))
+	noShrink := rawBytes(noise)
 	values := map[string]any{
 		"dense-f32": benchPayload{DeviceID: 9, Layers: [][]float32{f32s(17), f32s(5), f32s(1201)}},
-		"dense-f64": struct{ Layers [][]float64 }{[][]float64{f64s(33), f64s(2), f64s(700)}},
-		"scalars": struct {
-			A    float64
-			B    float32
-			C    int
-			D    uint
-			E, F bool
-			G    *inner
-		}{math.Pi, -1.5, -77, 1 << 40, true, false, nil},
-		"delta-up":   record(delta(1001, 1, 37), delta(513, 2, 101), delta(300, 4, 7)),
-		"delta-down": record(delta(75, 1, 75), DiffLayer(nil, noise[:63], 1), delta(999, 2, 1)),
-		"mixed":      makeEntropyPayload(rng, 300),
-		"sample":     testSample(),
-		"nested": struct {
-			L [][]string
-			M map[string][]int
-			N map[int]map[string]float64
-		}{[][]string{{"a", "bc"}, {}, {"def"}}, map[string][]int{"x": {1, -2, 300}, "y": nil}, map[int]map[string]float64{1: {"p": 0.25}, 2: {}}},
-		"bools-ints": struct {
-			B []bool
-			I []int
-			U []uint32
-		}{make([]bool, 1003), rng.Perm(257), []uint32{0, 1, 1 << 31}},
-		"no-shrink":   noise,
-		"long-string": strings.Repeat("importance ", 40),
+		"dense-f64": &f64Layers{[][]float64{f64s(33), f64s(2), f64s(700)}},
+		"scalars": &scalars{T: true, I: -77, I64: 1 << 40, U: 1 << 40, U8: 9, X: math.Pi,
+			Inf: math.Inf(-1), S: "scalars", Empty: f64s(3)},
+		"delta-up":    record(delta(1001, 1, 37), delta(513, 2, 101), delta(300, 4, 7)),
+		"delta-down":  record(delta(75, 1, 75), DiffLayer(nil, noise[:63], 1), delta(999, 2, 1)),
+		"mixed":       makeEntropyPayload(rng, 300),
+		"sample":      testSample(),
+		"nested":      &nested{L: [][]string{{"a", "bc"}, {}, {"def"}}, E: []inner{{Name: "x", Score: 0.25}, {Flag: true}}},
+		"bools-ints":  &boolsInts{B: make([]bool, 1003), I: rng.Perm(257)},
+		"no-shrink":   &noShrink,
+		"long-string": &longString,
 	}
 	frames := make(map[string][]byte, len(values))
 	for name, v := range values {

@@ -17,6 +17,20 @@ type entropyPayload struct {
 	Done   bool
 }
 
+func (p *entropyPayload) WireFields(f *Fields) {
+	f.Struct(8)
+	f.String(&p.Name)
+	f.Int(&p.Round)
+	f.F64s(&p.Dense)
+	f.F32s(&p.Small)
+	f.Bytes(&p.Quant)
+	f.Bools(&p.Mask)
+	f.Ints(&p.Labels)
+	f.Bool(&p.Done)
+}
+
+func (p entropyPayload) WireValue(f *Fields) { p.WireFields(f) }
+
 func makeEntropyPayload(rng *rand.Rand, n int) entropyPayload {
 	p := entropyPayload{Name: "layer-0", Round: 7, Done: true}
 	for i := 0; i < n; i++ {

@@ -1,83 +1,40 @@
 package wire
 
 import (
-	"reflect"
+	"math/rand"
 	"testing"
 )
 
-// FuzzDecode drives arbitrary bytes through Decode against the
-// protocol-shaped target types. The invariant is "error, never panic":
-// a malformed frame from a byzantine peer must surface as a clean
-// decode error. The seed corpus (testdata/fuzz/FuzzDecode) holds valid
-// encodings of each shape plus truncated/corrupt variants.
+// FuzzDecode drives arbitrary bytes through Decode into this package's
+// own records (DeltaLayer, ControlRecord) and into the test records of
+// every field kind. The invariant is "error, never panic": a malformed
+// frame from a byzantine peer must surface as a clean decode error. The
+// protocol's frame kinds are fuzzed where their schemas live
+// (core.FuzzDecodeRecords). The seed corpus (testdata/fuzz/FuzzDecode)
+// holds valid encodings plus truncated/corrupt variants.
 func FuzzDecode(f *testing.F) {
-	type blob struct {
-		Name string
-		Rows int
-		Cols int
-		Data []float64
-	}
-	type assignment struct {
-		W      float64
-		D      int
-		Params []blob
-		Masks  [][]bool
-	}
-	type upload struct {
-		DeviceID int
-		Layers   [][]float32
-		Packed   []byte
-	}
-	type deltaLayer struct {
-		Mode  int
-		Scale float64
-		Delta DeltaLayer
-	}
-	type deltaUpload struct {
-		DeviceID int
-		Round    int
-		Layers   []deltaLayer
-	}
-	type downlinkDelta struct {
-		Round   int
-		Discard int
-		Done    bool
-		Layers  []deltaLayer
-	}
-
 	sparseDelta := DiffLayer(
 		[]byte{1, 2, 3, 4, 5, 6, 7, 8},
 		[]byte{1, 2, 9, 9, 5, 6, 7, 8}, 2)
+	filled := testSample()
 	seedValues := []any{
-		assignment{W: 0.5, D: 2, Params: []blob{{Name: "w", Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}}, Masks: [][]bool{{true, false}}},
-		upload{DeviceID: 7, Layers: [][]float32{{0.1, 0.2}, {0.3}}, Packed: []byte{1, 2, 3}},
-		deltaUpload{DeviceID: 3, Round: 1, Layers: []deltaLayer{
-			{Mode: 2, Scale: 0.5, Delta: sparseDelta},
-			{Mode: 0, Delta: DeltaLayer{N: 2, Elem: 4, Dense: true, Changed: []byte{1, 2, 3, 4, 5, 6, 7, 8}}},
-		}},
-		// A delta record with a corrupt bitmask (spare bits set, wrong
-		// popcount) must decode into a struct that Apply later rejects —
+		&sparseDelta,
+		&DeltaLayer{N: 2, Elem: 4, Dense: true, Changed: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		// Delta records with a corrupt bitmask (spare bits set, wrong
+		// popcount) must decode into a record that Apply later rejects —
 		// the decode itself stays panic-free.
-		deltaUpload{DeviceID: 4, Round: 2, Layers: []deltaLayer{
-			{Mode: 2, Delta: DeltaLayer{N: 3, Elem: 1, Mask: []byte{0xff}, Changed: []byte{1}}},
-		}},
-		// The symmetric edge → device downlink record: a sparse layer
-		// plus a dense fallback layer, and a corrupt-bitmask variant.
-		downlinkDelta{Round: 2, Discard: 8, Done: true, Layers: []deltaLayer{
-			{Mode: 1, Scale: 0.25, Delta: sparseDelta},
-			{Mode: 0, Delta: DeltaLayer{N: 1, Elem: 4, Dense: true, Changed: []byte{9, 8, 7, 6}}},
-		}},
-		downlinkDelta{Round: 1, Layers: []deltaLayer{
-			{Mode: 2, Delta: DeltaLayer{N: 5, Elem: 1, Mask: []byte{0xfe}, Changed: []byte{3}}},
-		}},
+		&DeltaLayer{N: 3, Elem: 1, Mask: []byte{0xff}, Changed: []byte{1}},
+		&DeltaLayer{N: 5, Elem: 1, Mask: []byte{0xfe}, Changed: []byte{3}},
 		// The session control plane: every verb, including the loop
 		// records that carry rounds and the Done end-of-loop marker.
 		ControlRecord{Type: ControlJoin, Node: "device-2"},
 		ControlRecord{Type: ControlLeave, Node: "edge-0"},
 		ControlRecord{Type: ControlResyncRequest, Node: "device-1", Device: 1, Round: 3},
 		ControlRecord{Type: ControlRoundCutoff, Device: 5, Round: 2, Done: true},
-		[]float64{1, 2, 3},
-		map[string]int{"a": 1},
+		ControlRecord{Type: ControlRoundInvite, Device: 4, Round: 6},
+		ControlRecord{Type: ControlSessionResume, Node: "edge-1", Round: 9},
+		&filled,
+		&scalars{T: true, I: -3, I64: 1 << 50, U: 1 << 60, U8: 200, X: 0.5, S: "s", Empty: []float64{1, 2}},
 	}
 	for _, v := range seedValues {
 		raw, err := Encode(v)
@@ -100,11 +57,7 @@ func FuzzDecode(f *testing.F) {
 	// expand path must error — never panic, never over-allocate — on a
 	// truncated range-coder stream, a corrupt header, or an over-long
 	// declared inner length.
-	entSrc := upload{DeviceID: 9, Layers: [][]float32{make([]float32, 256)}}
-	for i := range entSrc.Layers[0] {
-		entSrc.Layers[0][i] = float32(i % 7)
-	}
-	entPlain, err := Encode(entSrc)
+	entPlain, err := Encode(makeEntropyPayload(rand.New(rand.NewSource(9)), 256))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -124,15 +77,12 @@ func FuzzDecode(f *testing.F) {
 	// Over-long run: a tiny frame declaring a huge inner length.
 	f.Add([]byte{Version, tEntropy, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0})
 
-	targets := []func() any{
-		func() any { return &assignment{} },
-		func() any { return &upload{} },
-		func() any { return &deltaUpload{} },
-		func() any { return &downlinkDelta{} },
-		func() any { return &ControlRecord{} },
-		func() any { return new([]float64) },
-		func() any { return new(map[string]int) },
-		func() any { return new(string) },
+	targets := []func() Record{
+		func() Record { return &DeltaLayer{} },
+		func() Record { return &ControlRecord{} },
+		func() Record { return &sample{} },
+		func() Record { return &scalars{} },
+		func() Record { return &entropyPayload{} },
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, mk := range targets {
@@ -140,9 +90,8 @@ func FuzzDecode(f *testing.F) {
 			if err := Decode(data, target); err != nil {
 				continue
 			}
-			// A successful decode must re-encode without error (the
-			// value is well-formed Go data).
-			if _, err := Encode(reflect.ValueOf(target).Elem().Interface()); err != nil {
+			// A successful decode must re-encode without error.
+			if _, err := Encode(target); err != nil {
 				t.Fatalf("decoded value does not re-encode: %v", err)
 			}
 		}

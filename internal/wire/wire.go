@@ -3,9 +3,10 @@
 // payload (internal/checkpoint) travels in. The format is self-describing at the value level:
 // every value is prefixed with a one-byte type tag, lengths and integers
 // travel as varints, float slices and byte slices are packed raw, and
-// bool slices are bit-packed. Struct frames carry their exported field
-// count so a schema mismatch is detected instead of silently
-// mis-decoding.
+// bool slices are bit-packed. Each record states its schema once, as
+// its WireFields method (fields.go): the same list of fields encodes,
+// decodes and sizes the record. Struct frames carry their field count
+// so a schema mismatch is detected instead of silently mis-decoding.
 //
 // Compared to encoding/gob — which writes full type metadata with every
 // message when each message uses a fresh encoder, and spends 5–6 bytes
@@ -27,54 +28,49 @@ package wire
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
-	"sync"
 )
 
 // Version is the first byte of every encoded payload.
 const Version = 1
 
-// Type tags. One byte each; bools fold their value into the tag.
+// Type tags. One byte each; bools fold their value into the tag. The
+// gaps are tags of value kinds no record has.
 const (
-	tNil    = 0x00 // nil pointer / absent value
 	tFalse  = 0x01 // bool false
 	tTrue   = 0x02 // bool true
 	tInt    = 0x03 // zigzag varint
 	tUint   = 0x04 // varint
 	tF64    = 0x05 // 8 bytes little-endian
-	tF32    = 0x06 // 4 bytes little-endian
 	tString = 0x07 // varint len + UTF-8 bytes
-	tBytes  = 0x08 // []byte or []int8: varint len + raw bytes
+	tBytes  = 0x08 // []byte: varint len + raw bytes
 	tF64s   = 0x09 // []float64: varint n + n×8 bytes
 	tF32s   = 0x0a // []float32: varint n + n×4 bytes
-	tInts   = 0x0b // signed int slice: varint n + n zigzag varints
-	tUints  = 0x0c // unsigned int slice: varint n + n varints
+	tInts   = 0x0b // []int: varint n + n zigzag varints
 	tBools  = 0x0d // []bool: varint n + ceil(n/8) bit-packed bytes
-	tList   = 0x0e // generic slice/array: varint n + n values
-	tStruct = 0x0f // varint field count + exported fields in order
-	tMap    = 0x10 // varint n + n sorted key/value pairs
+	tList   = 0x0e // any other slice or array: varint n + n values
+	tStruct = 0x0f // varint field count + the fields in order
 )
 
+var tagNames = [...]string{
+	tFalse: "false", tTrue: "true", tInt: "int", tUint: "uint", tF64: "float64",
+	tString: "string", tBytes: "bytes", tF64s: "[]float64", tF32s: "[]float32",
+	tInts: "[]int", tBools: "[]bool", tList: "list", tStruct: "struct",
+}
+
 func tagName(t byte) string {
-	names := map[byte]string{
-		tNil: "nil", tFalse: "false", tTrue: "true", tInt: "int",
-		tUint: "uint", tF64: "float64", tF32: "float32", tString: "string",
-		tBytes: "bytes", tF64s: "[]float64", tF32s: "[]float32",
-		tInts: "[]int", tUints: "[]uint", tBools: "[]bool",
-		tList: "list", tStruct: "struct", tMap: "map",
-	}
-	if n, ok := names[t]; ok {
-		return n
+	if int(t) < len(tagNames) && tagNames[t] != "" {
+		return tagNames[t]
 	}
 	return fmt.Sprintf("tag(0x%02x)", t)
 }
 
-// Encode serializes v into a fresh byte slice the caller owns. It
-// encodes into a leased Buffer and copies the frame out; a sender that
-// hands the frame on uses EncodeLeased and skips the copy.
+// Encode serializes v, a Record or a Value, into a fresh byte slice the
+// caller owns. It encodes into a leased Buffer and copies the frame
+// out; a sender that hands the frame on uses EncodeLeased and skips the
+// copy.
 func Encode(v any) ([]byte, error) {
-	b, err := EncodeLeased(v)
+	b, _, err := EncodeLeased(v)
 	if err != nil {
 		return nil, err
 	}
@@ -83,24 +79,10 @@ func Encode(v any) ([]byte, error) {
 	return out, nil
 }
 
-// AppendEncode appends the encoding of v to dst and returns the
-// extended slice. This is the zero-copy entry point for callers that
-// frame messages themselves (the TCP transport). Types implementing
-// Marshaler encode through their hand-rolled path; everything else
-// goes through the reflect walk. Both produce identical bytes.
-func AppendEncode(dst []byte, v any) ([]byte, error) {
-	dst = append(dst, Version)
-	if m, ok := v.(Marshaler); ok {
-		return m.AppendWire(dst)
-	}
-	return appendValue(dst, reflect.ValueOf(v))
-}
-
-// Decode deserializes data into v, which must be a non-nil pointer.
+// Decode deserializes data into v, which must be a non-nil Record.
 // Malformed input returns an error; it never panics. Trailing bytes
 // after the value are rejected. Entropy-coded frames are expanded
-// transparently; pointer types implementing Unmarshaler decode
-// through their hand-rolled path.
+// transparently.
 func Decode(data []byte, v any) error {
 	return DecodeArena(data, v, nil)
 }
@@ -118,150 +100,32 @@ func DecodeArena(data []byte, v any, a *Arena) error {
 		// are safe regardless of who owns the original buffer.
 		data = plain
 	}
-	if u, ok := v.(Unmarshaler); ok {
-		d := decPool.Get().(*Dec)
-		defer func() {
-			d.d = decoder{}
-			d.arena = nil
-			decPool.Put(d)
-		}()
-		d.d = decoder{b: data}
-		d.arena = a
-		ver, err := d.d.u8()
-		if err != nil {
-			return fmt.Errorf("wire: missing version byte")
-		}
-		if ver != Version {
-			return fmt.Errorf("wire: unsupported version %d", ver)
-		}
-		if err := u.DecodeWire(d); err != nil {
-			return err
-		}
-		if d.d.off != len(d.d.b) {
-			return fmt.Errorf("wire: %d trailing bytes after value", len(d.d.b)-d.d.off)
-		}
-		return nil
+	if _, ok := v.(Record); !ok {
+		return fmt.Errorf("wire: decode target must be a record pointer, got %T", v)
 	}
-	return DecodeReflect(data, v)
-}
-
-// EncodeReflect is Encode forced through the generic reflect walk,
-// ignoring any Marshaler implementation — the differential-test
-// oracle for hand-rolled codecs.
-func EncodeReflect(v any) ([]byte, error) {
-	b, err := AppendReflect([]byte{Version}, v)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// DecodeReflect is Decode forced through the generic reflect walk,
-// ignoring any Unmarshaler implementation — the differential-test
-// oracle for hand-rolled codecs. It does not expand entropy frames.
-func DecodeReflect(data []byte, v any) error {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return fmt.Errorf("wire: decode target must be a non-nil pointer, got %T", v)
-	}
-	d := &decoder{b: data}
-	ver, err := d.u8()
-	if err != nil {
+	if len(data) == 0 {
 		return fmt.Errorf("wire: missing version byte")
 	}
-	if ver != Version {
-		return fmt.Errorf("wire: unsupported version %d", ver)
+	if data[0] != Version {
+		return fmt.Errorf("wire: unsupported version %d", data[0])
 	}
-	if err := decodeValue(d, rv.Elem()); err != nil {
+	f, err := walk(Fields{mode: decoding, b: data, off: 1, arena: a}, v)
+	if err != nil {
 		return err
 	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("wire: %d trailing bytes after value", len(d.b)-d.off)
+	if f.off != len(data) {
+		return fmt.Errorf("wire: %d trailing bytes after value", len(data)-f.off)
 	}
 	return nil
 }
 
-// decPool recycles Dec cursors: the interface call in DecodeArena
-// would otherwise heap-allocate one per hand-rolled decode.
-var decPool = sync.Pool{New: func() any { return new(Dec) }}
-
-// fieldCache maps a struct type to the indices of its exported fields.
-var fieldCache sync.Map // reflect.Type -> []int
-
-func exportedFields(t reflect.Type) []int {
-	if idx, ok := fieldCache.Load(t); ok {
-		return idx.([]int)
-	}
-	var idx []int
-	for i := 0; i < t.NumField(); i++ {
-		if t.Field(i).IsExported() {
-			idx = append(idx, i)
-		}
-	}
-	fieldCache.Store(t, idx)
-	return idx
-}
-
 // RawSize returns the in-memory payload size of v in bytes: the space
-// the logical data occupies before any encoding (float64 = 8, float32
-// = 4, bool = 1, strings and byte slices at their length). The stats
-// layer records it next to the wire size so compression ratios are a
-// first-class measurement.
+// the logical data occupies before any encoding (int and float64 = 8,
+// float32 = 4, bool and uint8 = 1, strings and byte slices at their
+// length). The stats layer records it next to the wire size so
+// compression ratios are a first-class measurement. A v that is not a
+// record has size 0.
 func RawSize(v any) int {
-	return rawSize(reflect.ValueOf(v))
-}
-
-func rawSize(v reflect.Value) int {
-	switch v.Kind() {
-	case reflect.Bool, reflect.Int8, reflect.Uint8:
-		return 1
-	case reflect.Int16, reflect.Uint16:
-		return 2
-	case reflect.Int32, reflect.Uint32, reflect.Float32:
-		return 4
-	case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64, reflect.Float64:
-		return 8
-	case reflect.String:
-		return v.Len()
-	case reflect.Slice, reflect.Array:
-		n := v.Len()
-		if n == 0 {
-			return 0
-		}
-		switch v.Type().Elem().Kind() {
-		case reflect.Bool, reflect.Int8, reflect.Uint8:
-			return n
-		case reflect.Int16, reflect.Uint16:
-			return 2 * n
-		case reflect.Int32, reflect.Uint32, reflect.Float32:
-			return 4 * n
-		case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64, reflect.Float64:
-			return 8 * n
-		}
-		total := 0
-		for i := 0; i < n; i++ {
-			total += rawSize(v.Index(i))
-		}
-		return total
-	case reflect.Struct:
-		total := 0
-		for _, i := range exportedFields(v.Type()) {
-			total += rawSize(v.Field(i))
-		}
-		return total
-	case reflect.Pointer:
-		if v.IsNil() {
-			return 0
-		}
-		return rawSize(v.Elem())
-	case reflect.Map:
-		total := 0
-		iter := v.MapRange()
-		for iter.Next() {
-			total += rawSize(iter.Key()) + rawSize(iter.Value())
-		}
-		return total
-	default:
-		return 0
-	}
+	s, _ := walk(Fields{mode: sizing}, v)
+	return s.raw
 }

@@ -11,7 +11,14 @@ import (
 type inner struct {
 	Name  string
 	Flag  bool
-	Score float32
+	Score float64
+}
+
+func (x *inner) WireFields(f *Fields) {
+	f.Struct(3)
+	f.String(&x.Name)
+	f.Bool(&x.Flag)
+	f.F64(&x.Score)
 }
 
 type sample struct {
@@ -21,14 +28,29 @@ type sample struct {
 	D [][]bool
 	E []inner
 	F [2][]bool
-	G map[int]string
-	H []int32
-	I []uint16
+	H []int
 	J []byte
-	K []int8
-	L *inner
+	K []float32
 	M float64
+	N uint64
 }
+
+func (s *sample) WireFields(f *Fields) {
+	f.Struct(11)
+	f.Int(&s.A)
+	f.F64s(&s.B)
+	f.String(&s.C)
+	List(f, &s.D, (*Fields).Bools)
+	Records(f, &s.E)
+	Array(f, s.F[:], (*Fields).Bools)
+	f.Ints(&s.H)
+	f.Bytes(&s.J)
+	f.F32s(&s.K)
+	f.F64(&s.M)
+	f.Uint64(&s.N)
+}
+
+func (s sample) WireValue(f *Fields) { s.WireFields(f) }
 
 func testSample() sample {
 	return sample{
@@ -38,13 +60,11 @@ func testSample() sample {
 		D: [][]bool{{true, false, true}, {false}},
 		E: []inner{{Name: "x", Flag: true, Score: 0.5}, {Name: "y"}},
 		F: [2][]bool{{true, true}, {false, true, false}},
-		G: map[int]string{3: "c", 1: "a", 2: "b"},
-		H: []int32{-1, 0, 1, 1 << 20},
-		I: []uint16{0, 1, 65535},
+		H: []int{-1, 0, 1, 1 << 20},
 		J: []byte{0xde, 0xad},
-		K: []int8{-128, 0, 127},
-		L: &inner{Name: "ptr"},
+		K: []float32{-0.5, 3},
 		M: -math.MaxFloat64,
+		N: 1<<63 + 5,
 	}
 }
 
@@ -63,42 +83,68 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRoundTripScalars(t *testing.T) {
-	checks := []any{
-		true, false, int(7), int64(-1 << 40), uint64(1<<63 + 5),
-		3.75, float32(-0.5), "str", []float64{}, []string{"a", "b"},
-		math.Inf(1), math.Copysign(0, -1),
-	}
-	for _, in := range checks {
-		raw, err := Encode(in)
-		if err != nil {
-			t.Fatalf("%v: %v", in, err)
-		}
-		out := reflect.New(reflect.TypeOf(in))
-		if err := Decode(raw, out.Interface()); err != nil {
-			t.Fatalf("%v: %v", in, err)
-		}
-		got := out.Elem().Interface()
-		if len(raw) > 0 && !reflect.DeepEqual(in, got) {
-			// Empty slices decode to nil; everything else must match.
-			if v := reflect.ValueOf(in); !(v.Kind() == reflect.Slice && v.Len() == 0) {
-				t.Fatalf("round trip %v → %v", in, got)
-			}
-		}
-	}
+// scalars is one field of each scalar kind a record can hold.
+type scalars struct {
+	T, F    bool
+	I       int
+	I64     int64
+	U       uint64
+	U8      uint8
+	X       float64
+	Inf     float64
+	NegZero float64
+	S       string
+	Empty   []float64
 }
 
-func TestNaNRoundTrip(t *testing.T) {
-	raw, err := Encode(math.NaN())
+func (s *scalars) WireFields(f *Fields) {
+	f.Struct(11)
+	f.Bool(&s.T)
+	f.Bool(&s.F)
+	f.Int(&s.I)
+	f.Int64(&s.I64)
+	f.Uint64(&s.U)
+	f.Uint8(&s.U8)
+	f.F64(&s.X)
+	f.F64(&s.Inf)
+	f.F64(&s.NegZero)
+	f.String(&s.S)
+	f.F64s(&s.Empty)
+}
+
+func TestRoundTripScalars(t *testing.T) {
+	in := scalars{T: true, I: 7, I64: -1 << 40, U: 1<<63 + 5, U8: 255, X: 3.75, Inf: math.Inf(1),
+		NegZero: math.Copysign(0, -1), S: "str", Empty: []float64{}}
+	raw, err := Encode(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out float64
+	var out scalars
 	if err := Decode(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(out) {
-		t.Fatalf("NaN decoded to %v", out)
+	// Empty slices decode to nil; everything else must match.
+	in.Empty = nil
+	if !reflect.DeepEqual(in, out) || !math.Signbit(out.NegZero) {
+		t.Fatalf("round trip %+v → %+v", in, out)
+	}
+}
+
+type nan struct{ X float64 }
+
+func (n *nan) WireFields(f *Fields) { f.F64(&n.X) }
+
+func TestNaNRoundTrip(t *testing.T) {
+	raw, err := Encode(&nan{math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out nan
+	if err := Decode(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(out.X) {
+		t.Fatalf("NaN decoded to %v", out.X)
 	}
 }
 
@@ -124,20 +170,38 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestDecodeTargetValidation(t *testing.T) {
-	raw, _ := Encode(7)
+	raw, err := Encode(&nan{7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := Decode(raw, 7); err == nil {
 		t.Fatal("non-pointer target must error")
 	}
-	var p *int
+	var p *nan
 	if err := Decode(raw, p); err == nil {
 		t.Fatal("nil pointer target must error")
 	}
 }
 
+type v1 struct{ A, B int }
+
+func (v *v1) WireFields(f *Fields) {
+	f.Struct(2)
+	f.Int(&v.A)
+	f.Int(&v.B)
+}
+
+type v2 struct{ A, B, C int }
+
+func (v *v2) WireFields(f *Fields) {
+	f.Struct(3)
+	f.Int(&v.A)
+	f.Int(&v.B)
+	f.Int(&v.C)
+}
+
 func TestStructFieldCountMismatch(t *testing.T) {
-	type v1 struct{ A, B int }
-	type v2 struct{ A, B, C int }
-	raw, err := Encode(v1{A: 1, B: 2})
+	raw, err := Encode(&v1{A: 1, B: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,54 +211,40 @@ func TestStructFieldCountMismatch(t *testing.T) {
 	}
 }
 
+// TestUnsupportedTypes: only records have a wire form. A value with no
+// schema, or a nil record, is an error on both sides and has no raw
+// size.
 func TestUnsupportedTypes(t *testing.T) {
-	if _, err := Encode(make(chan int)); err == nil {
-		t.Fatal("chan must be rejected")
+	for _, v := range []any{make(chan int), map[float64]int{1: 1}, 7, []float64{1}, (*v1)(nil), nil} {
+		if _, err := Encode(v); err == nil {
+			t.Fatalf("%T must be rejected at encode", v)
+		}
+		if RawSize(v) != 0 {
+			t.Fatalf("%T has a raw size", v)
+		}
 	}
-	if _, err := Encode(map[float64]int{1: 1}); err == nil {
-		t.Fatal("float-keyed map must be rejected")
-	}
-	// Nested pointers cannot round-trip (a nil inner pointer is
-	// indistinguishable from a nil outer pointer on the wire), so they
-	// must be rejected on both sides rather than silently flattened.
-	inner := (*int)(nil)
-	type nested struct{ P **int }
-	if _, err := Encode(nested{P: &inner}); err == nil {
-		t.Fatal("nested pointer must be rejected at encode")
-	}
-	raw, err := Encode(struct{ P *int }{})
+	raw, err := Encode(&v1{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out nested
+	var out int
 	if err := Decode(raw, &out); err == nil {
-		t.Fatal("nested pointer must be rejected at decode")
+		t.Fatal("a target with no schema must be rejected at decode")
 	}
 }
 
-func TestMapDeterminism(t *testing.T) {
-	m := map[string]int{"z": 26, "a": 1, "m": 13, "q": 17}
-	first, err := Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		again, err := Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, again) {
-			t.Fatal("map encoding is not deterministic")
-		}
-	}
-}
+// bitSlice is a record that is not a struct: its frame is the bare
+// packed slice.
+type bitSlice []bool
+
+func (b *bitSlice) WireFields(f *Fields) { f.Bools((*[]bool)(b)) }
 
 func TestBoolSliceBitPacking(t *testing.T) {
-	in := make([]bool, 100)
+	in := make(bitSlice, 100)
 	for i := range in {
 		in[i] = i%3 == 0
 	}
-	raw, err := Encode(in)
+	raw, err := Encode(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +252,7 @@ func TestBoolSliceBitPacking(t *testing.T) {
 	if want := 1 + 1 + 1 + 13; len(raw) != want {
 		t.Fatalf("bit packing: got %d bytes, want %d", len(raw), want)
 	}
-	var out []bool
+	var out bitSlice
 	if err := Decode(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +261,21 @@ func TestBoolSliceBitPacking(t *testing.T) {
 	}
 }
 
+type upload struct {
+	DeviceID int
+	Layers   [][]float32
+}
+
+func (u *upload) WireFields(f *Fields) {
+	f.Struct(2)
+	f.Int(&u.DeviceID)
+	List(f, &u.Layers, (*Fields).F32s)
+}
+
 func TestCompactVsGob(t *testing.T) {
 	// The protocol-shaped payload the format exists for: dense float
 	// layers. The binary encoding must beat per-message gob by a wide
 	// margin (this is Table I's UploadBytes).
-	type upload struct {
-		DeviceID int
-		Layers   [][]float32
-	}
 	layers := make([][]float32, 8)
 	for i := range layers {
 		layers[i] = make([]float32, 512)
@@ -228,7 +285,7 @@ func TestCompactVsGob(t *testing.T) {
 	}
 	in := upload{DeviceID: 3, Layers: layers}
 
-	wireRaw, err := Encode(in)
+	wireRaw, err := Encode(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,16 +298,26 @@ func TestCompactVsGob(t *testing.T) {
 	}
 }
 
+type payload struct {
+	A int
+	B []float64
+	C string
+	D []float32
+	E bool
+}
+
+func (p *payload) WireFields(f *Fields) {
+	f.Struct(5)
+	f.Int(&p.A)
+	f.F64s(&p.B)
+	f.String(&p.C)
+	f.F32s(&p.D)
+	f.Bool(&p.E)
+}
+
 func TestRawSize(t *testing.T) {
-	type payload struct {
-		A int
-		B []float64
-		C string
-		D []float32
-		E bool
-	}
 	in := payload{A: 1, B: make([]float64, 10), C: "abcd", D: make([]float32, 3), E: true}
-	if got, want := RawSize(in), 8+80+4+12+1; got != want {
+	if got, want := RawSize(&in), 8+80+4+12+1; got != want {
 		t.Fatalf("RawSize = %d, want %d", got, want)
 	}
 }
@@ -277,14 +344,10 @@ func TestEncodeLeasedGrowsOnceToSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race allocates on its own")
 	}
-	type layer struct {
-		Name string
-		Data []float64
-	}
-	v := &struct{ Layers []layer }{[]layer{{"w", make([]float64, 10000)}, {"b", make([]float64, 100)}}}
+	v := &layers{[]layer{{"w", make([]float64, 10000)}, {"b", make([]float64, 100)}}}
 	raw := RawSize(v)
 	grows := testing.AllocsPerRun(20, func() {
-		b, err := EncodeLeased(v)
+		b, _, err := EncodeLeased(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,4 +360,22 @@ func TestEncodeLeasedGrowsOnceToSize(t *testing.T) {
 	if grows != 1 {
 		t.Fatalf("%v allocations per encode from an empty Buffer, want 1", grows)
 	}
+}
+
+type layer struct {
+	Name string
+	Data []float64
+}
+
+func (l *layer) WireFields(f *Fields) {
+	f.Struct(2)
+	f.String(&l.Name)
+	f.F64s(&l.Data)
+}
+
+type layers struct{ Layers []layer }
+
+func (l *layers) WireFields(f *Fields) {
+	f.Struct(1)
+	Records(f, &l.Layers)
 }
