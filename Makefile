@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: all build test race virtual bench kernel-bench edge-bench fleet-bench traffic perf-pairs bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet portable ci
+.PHONY: all build test race virtual v3 bench kernel-bench edge-bench fleet-bench traffic perf-pairs bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet portable ci
 
 all: build test
 
@@ -34,6 +34,13 @@ virtual:
 	GOEXPERIMENT=synctest GOMAXPROCS=1 $(GO) test -run 'Virtual' -count=5 ./internal/core
 	GOEXPERIMENT=synctest GOMAXPROCS=2 $(GO) test -run 'Virtual' -count=5 ./internal/core
 
+# v3 runs tensor's and nn's tests built for GOAMD64=v3 (AVX2, FMA). The
+# transcendental kernels and the pins assume math.Erf's Horner steps
+# and every Go multiply-add round twice; Go 1.24 emits MULSD + ADDSD
+# there at v3 too. A toolchain that fused them would fail here.
+v3:
+	GOAMD64=v3 $(GO) test ./internal/tensor ./internal/nn
+
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tensor ./internal/nn ./internal/nas ./internal/wire ./internal/core ./internal/aggregate ./internal/importance
 
@@ -42,13 +49,17 @@ bench:
 # the portable pure-Go kernels ("go"), the AVX2 kernels ("avx2", AVX-512
 # off) and the shipped path ("new": AVX-512 where the CPU has it, else
 # AVX2), at the shapes a customization run multiplies and three
-# left-operand zero patterns, and one Adam step of a header's 19 844
-# parameters ("go" and "new"). The sides of one cell run back to back,
-# so the host's drift lands on them alike; compare medians of the five
-# samples. "new" must not be slower than "avx2", "go" or "ref" on any
-# cell where they run different code.
+# left-operand zero patterns; one Adam step of a header's 19 844
+# parameters, and GELU, GELUGrad and Exp at the run's shapes (9 × 64, a
+# 9-long softmax row, 10 logits), on "go" and "new". The sides of one
+# cell run back to back, so the host's drift lands on them alike.
+# cmd/kernelstat passes the samples through and then tables each cell's
+# median and minimum of the five per side, with go/new and avx2/new on
+# both: a burst of stolen ticks moves a median, rarely a minimum. "new"
+# must not be slower than "avx2", "go" or "ref" on any cell where they
+# run different code.
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkAxpy|BenchmarkAdamStep' -benchtime=2000x -count=5 ./internal/tensor
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkAxpy|BenchmarkAdamStep|BenchmarkTranscendental' -benchtime=2000x -count=5 ./internal/tensor | $(GO) run ./cmd/kernelstat
 
 # edge-bench measures what the edge spends on the exchange:
 # BenchmarkEdgeAggregate (Combine vs the streaming combiner's tail at
@@ -125,7 +136,7 @@ traffic:
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_48.json: per-pair values, medians, the base's quartiles,
+# writes PERF_49.json: per-pair values, medians, the base's quartiles,
 # pairs won and a verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
@@ -134,7 +145,7 @@ PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_48.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_49.json
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never
@@ -164,7 +175,7 @@ bench-compare:
 # 20-iteration stress loop guards the rejoin path's timing races. The
 # test paces its cluster with an injected straggler, and the TCP link
 # drops a dead predecessor's late LEAVE; what still reads the wall clock
-# is ROADMAP item 1's (virtual time).
+# is ROADMAP item 16's (virtual time).
 churn-smoke:
 	$(GO) test -run 'TestChurnRejoinTCP' -count=20 -failfast -timeout 1200s ./internal/core
 
@@ -195,6 +206,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=20s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzKernels -fuzztime=20s ./internal/tensor
+	$(GO) test -run='^$$' -fuzz=FuzzTranscendentals -fuzztime=20s ./internal/tensor
 
 fmt:
 	gofmt -w .
@@ -212,4 +224,4 @@ vet:
 portable:
 	GOARCH=arm64 $(GO) vet ./internal/tensor && GOARCH=arm64 $(GO) build ./...
 
-ci: fmt-check vet build portable test race virtual fuzz bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke
+ci: fmt-check vet build portable test v3 race virtual fuzz bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke

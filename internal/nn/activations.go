@@ -18,25 +18,21 @@ type GELU struct {
 	sc         *Scratch
 }
 
-// Forward computes y = x·Φ(x) with the exact Gaussian CDF.
+// Forward computes y = x·Φ(x) with the exact Gaussian CDF,
+// Φ(x) = 0.5·(1 + erf(x/√2)) (tensor.GELU).
 func (g *GELU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	g.x = x
 	y := g.sc.Ensure(&g.y, x.Rows, x.Cols)
 	cdf := g.sc.Ensure(&g.cdf, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		c := gaussCDF(v)
-		cdf.Data[i] = c
-		y.Data[i] = v * c
-	}
+	tensor.GELU(y.Data, cdf.Data, x.Data)
 	return y
 }
 
-// Backward returns dx = dy ∘ gelu'(x), gelu'(x) = Φ(x) + x·φ(x).
+// Backward returns dx = dy ∘ gelu'(x), gelu'(x) = Φ(x) + x·φ(x)
+// (tensor.GELUGrad).
 func (g *GELU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dx := g.sc.Ensure(&g.dx, dy.Rows, dy.Cols)
-	for i, v := range g.x.Data {
-		dx.Data[i] = dy.Data[i] * (g.cdf.Data[i] + v*gaussPDF(v))
-	}
+	tensor.GELUGrad(dx.Data, dy.Data, g.x.Data, g.cdf.Data)
 	return dx
 }
 
@@ -45,12 +41,6 @@ func (g *GELU) UseScratch(s *Scratch) { g.sc, g.x = s, nil }
 
 // Params implements Module.
 func (g *GELU) Params() []*Param { return nil }
-
-func gaussCDF(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
-
-func gaussPDF(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
-}
 
 // Sigmoid returns 1/(1+e^-x).
 func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

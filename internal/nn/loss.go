@@ -16,10 +16,13 @@ func CrossEntropy(grad, logits []float64, label int) float64 {
 			maxv = v
 		}
 	}
-	var sum float64
+	exps := grad[:len(logits)]
 	for i, v := range logits {
-		e := math.Exp(v - maxv)
-		grad[i] = e
+		exps[i] = v - maxv
+	}
+	tensor.Exp(exps, exps)
+	var sum float64
+	for _, e := range exps {
 		sum += e
 	}
 	inv := 1 / sum

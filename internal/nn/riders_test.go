@@ -32,6 +32,14 @@ func TestGELUBackwardReusesForwardCDFBitwise(t *testing.T) {
 	}
 }
 
+// gaussCDF and gaussPDF are GELU's scalar formulas, which tensor.GELU
+// and tensor.GELUGrad reproduce bit for bit.
+func gaussCDF(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
+
+func gaussPDF(x float64) float64 {
+	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
+}
+
 // TestAdamSlabMatchesReferenceBitwise steps parameters Adam meets all
 // at once, and one it meets a step later, against the textbook update
 // with separately allocated moments.

@@ -189,3 +189,51 @@ func BenchmarkAdamStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTranscendental times GELU, GELUGrad and Exp on the portable
+// loops ("go") and the shipped path ("new") at the shapes a
+// customization run hands them: a 9 × 64 GELU (the MLP's hidden layer
+// over nine tokens), a 9-long softmax row of attention scores and 10
+// logits, the exps given their max-shifted arguments (≤ 0) as
+// SoftmaxRows and nn.CrossEntropy do.
+func BenchmarkTranscendental(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 9 * 64
+	x, dy, y, cdf, dx := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], dy[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	shifted := func(k int) []float64 {
+		v := make([]float64, k)
+		for i := range v {
+			v[i] = 2 * rng.NormFloat64()
+		}
+		m := slices.Max(v)
+		for i := range v {
+			v[i] -= m
+		}
+		return v
+	}
+	row, logits := shifted(9), shifted(10)
+	exp := make([]float64, 10)
+	cells := []struct {
+		name string
+		f    func()
+	}{
+		{"gelu_9x64", func() { GELU(y, cdf, x) }},
+		{"gelugrad_9x64", func() { GELUGrad(dx, dy, x, cdf) }},
+		{"exp_9", func() { Exp(exp[:9], row) }},
+		{"exp_10", func() { Exp(exp, logits) }},
+	}
+	for _, c := range cells {
+		for _, side := range []string{"go", "new"} {
+			b.Run(side+"/"+c.name, func(b *testing.B) {
+				withPath(benchPath(side), func() {
+					for i := 0; i < b.N; i++ {
+						c.f()
+					}
+				})
+			})
+		}
+	}
+}

@@ -9,9 +9,14 @@ package tensor
 // gives the same bits: each lane does the rounded multiply and then the
 // rounded add that the scalar loop does (VMULPD + VADDPD, never a fused
 // VFMADD), in the same ascending order, with the same zero skips.
+//
+// useFMA adds, on top of useAVX2, the CPU test math makes before its own
+// fused exp (AVX and FMA): the kernels under GELU, GELUGrad and Exp fuse
+// where that exp does, and run only where math.Exp takes it.
 var (
 	useAVX2   = hasAVX2() && !raceEnabled
 	useAVX512 = useAVX2 && hasAVX512()
+	useFMA    = useAVX2 && hasFMA()
 )
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
@@ -42,6 +47,13 @@ func hasAVX512() bool {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&(1<<16) != 0
+}
+
+// hasFMA reports, on a CPU that passed hasAVX2, whether it has FMA
+// (CPUID leaf 1 ECX bit 12).
+func hasFMA() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	return ecx1&(1<<12) != 0
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -217,3 +229,17 @@ func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
 //
 //go:noescape
 func adamAVX2(w, g, m, v []float64, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
+
+// expAVX2, geluAVX2 and geluGradAVX2 are the loops of Exp, GELU and
+// GELUGrad from element i in blocks of four (transcendental_amd64.s).
+// Each returns len(x), or the start of a block it left unstored for the
+// scalar loop. Every other slice must be as long as x.
+//
+//go:noescape
+func expAVX2(dst, x []float64, i int) int
+
+//go:noescape
+func geluAVX2(y, cdf, x []float64, i int) int
+
+//go:noescape
+func geluGradAVX2(dx, dy, x, cdf []float64, i int) int

@@ -2,9 +2,9 @@
 
 package tensor
 
-// useAVX2 and useAVX512 are false off amd64: the pure-Go kernels are the
-// only path, and nothing calls the stubs below.
-var useAVX2, useAVX512 = false, false
+// useAVX2, useAVX512 and useFMA are false off amd64: the pure-Go kernels
+// are the only path, and nothing calls the stubs below.
+var useAVX2, useAVX512, useFMA = false, false, false
 
 func mulAddRowsWide(d, as []float64, astride int, bs []float64, bstride int) {
 	panic("tensor: no AVX2 kernels on this GOARCH")
@@ -26,4 +26,12 @@ func adamAVX2(w, g, m, v []float64, beta1, c1, beta2, c2, bc1, bc2, lr, eps floa
 
 func mulAddRows8Wide(d []float64, dstride, width int, as []float64, astride, n int, bs []float64, bstride int) {
 	panic("tensor: no AVX-512 kernels on this GOARCH")
+}
+
+func expAVX2(dst, x []float64, i int) int { panic("tensor: no AVX2 kernels on this GOARCH") }
+
+func geluAVX2(y, cdf, x []float64, i int) int { panic("tensor: no AVX2 kernels on this GOARCH") }
+
+func geluGradAVX2(dx, dy, x, cdf []float64, i int) int {
+	panic("tensor: no AVX2 kernels on this GOARCH")
 }

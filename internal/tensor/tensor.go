@@ -7,9 +7,11 @@
 // The products, Axpy, Axpy4 and AdamStep (Adam's per-element update) run
 // on one of three paths, chosen once from CPUID: the pure-Go loops, AVX2
 // kernels, or, for a·b, aᵀ·b and a·bᵀ's row panels, AVX-512 kernels
-// eight lanes wide (simd_amd64.s). Every path gives the same bits: each
-// lane does the Go loop's rounded operations in its order, with no fused
-// multiply-add.
+// eight lanes wide (simd_amd64.s). GELU, GELUGrad and Exp run math.Erf
+// and math.Exp four lanes wide where the CPU also has FMA
+// (transcendental_amd64.s). Every path gives the same bits: each lane
+// does the Go loop's rounded operations in its order, with no fused
+// multiply-add except where math.Exp's own amd64 code fuses.
 //
 // The package follows the gonum convention for dimension errors: a shape
 // mismatch is a programmer error and panics with a descriptive message,
@@ -137,10 +139,12 @@ func (m *Matrix) SoftmaxRows() {
 				maxv = v
 			}
 		}
-		var sum float64
 		for j, v := range row {
-			e := math.Exp(v - maxv)
-			row[j] = e
+			row[j] = v - maxv
+		}
+		Exp(row, row)
+		var sum float64
+		for _, e := range row {
 			sum += e
 		}
 		if sum == 0 {

@@ -81,15 +81,16 @@ func (s *Session) Receive(ctx context.Context, handle func(Message) (done bool, 
 
 // SendControl sends a typed control-plane record to a peer. Control
 // records always travel in the transport-owned binary encoding,
-// independent of the run's payload codec.
+// independent of the run's payload codec; the record is sized and
+// encoded once.
 func (s *Session) SendControl(to string, rec wire.ControlRecord) error {
-	payload, err := wire.EncodeControl(rec)
+	payload, raw, err := wire.EncodeControlSized(rec)
 	if err != nil {
 		return err
 	}
 	return s.net.Send(Message{
 		Kind: KindControl, From: s.node, To: to, Round: rec.Round,
-		Payload: payload, Raw: wire.RawSize(rec),
+		Payload: payload, Raw: raw,
 	})
 }
 

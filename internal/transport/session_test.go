@@ -320,3 +320,53 @@ func TestStatsReceivedConcurrentSenders(t *testing.T) {
 		t.Fatalf("per-kind received counts %v, want %d delta / %d dense", recvMsgs, senders*13, senders*12)
 	}
 }
+
+// TestSendControlEncodesOnce: SendControl sizes and encodes a control
+// record once, carries the record's raw size for the accounting, and
+// leaves no pooled Buffer leased; a memory-transport send, receive and
+// release allocates twice per control message (the record boxed for
+// the encoder, the copied frame), where sizing the record a second time
+// for Message.Raw took three.
+func TestSendControlEncodesOnce(t *testing.T) {
+	m := NewMemory()
+	m.Register("edge", 4)
+	ses := NewSession("device-0", m)
+	rec := wire.ControlRecord{Type: wire.ControlRoundInvite, Node: "device-0", Device: 7, Round: 12}
+	start := wire.Leased()
+	if err := ses.SendControl("edge", rec); err != nil {
+		t.Fatal(err)
+	}
+	if n := wire.Leased() - start; n != 0 {
+		t.Fatalf("%d frames leased by a control send", n)
+	}
+	msg, err := m.Recv(context.Background(), "edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Raw != wire.RawSize(rec) {
+		t.Fatalf("control message raw size %d, want %d", msg.Raw, wire.RawSize(rec))
+	}
+	if got, err := ParseControl(msg); err != nil || got != rec {
+		t.Fatalf("control round trip: %+v, %v", got, err)
+	}
+	msg.Release()
+	if err := ses.SendControl("edge", wire.ControlRecord{}); err == nil {
+		t.Fatal("a control record of unknown type was sent")
+	}
+	if raceEnabled {
+		return // the race detector's sync.Pool drops pooled buffers at random
+	}
+	send := func() {
+		if err := ses.SendControl("edge", rec); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := m.Recv(context.Background(), "edge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg.Release()
+	}
+	if n := testing.AllocsPerRun(100, send); n > 2 {
+		t.Fatalf("a control send allocates %v times, want at most 2", n)
+	}
+}

@@ -117,10 +117,21 @@ func (r ControlRecord) WireValue(f *Fields) { r.WireFields(f) }
 
 // EncodeControl serializes a control record.
 func EncodeControl(rec ControlRecord) ([]byte, error) {
+	out, _, err := EncodeControlSized(rec)
+	return out, err
+}
+
+// EncodeControlSized is EncodeControl that also returns the record's
+// RawSize, for the message's raw accounting: one walk sizes the record
+// and one encodes it. The frame is copied out of its pooled Buffer,
+// which goes straight back: a control frame is a few dozen bytes, and
+// sent as a lease it would park a pooled Buffer, often one an upload
+// grew to tens of kilobytes, in the receiver's inbox.
+func EncodeControlSized(rec ControlRecord) ([]byte, int, error) {
 	if !rec.Type.Valid() {
-		return nil, fmt.Errorf("wire: cannot encode control record of unknown type %d", uint8(rec.Type))
+		return nil, 0, fmt.Errorf("wire: cannot encode control record of unknown type %d", uint8(rec.Type))
 	}
-	return Encode(rec)
+	return encodeCopy(rec)
 }
 
 // DecodeControl deserializes a control record, rejecting unknown verbs

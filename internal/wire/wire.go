@@ -70,13 +70,20 @@ func tagName(t byte) string {
 // out; a sender that hands the frame on uses EncodeLeased and skips the
 // copy.
 func Encode(v any) ([]byte, error) {
-	b, _, err := EncodeLeased(v)
+	out, _, err := encodeCopy(v)
+	return out, err
+}
+
+// encodeCopy is Encode that also returns v's RawSize, which
+// EncodeLeased takes anyway.
+func encodeCopy(v any) ([]byte, int, error) {
+	b, raw, err := EncodeLeased(v)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	out := slices.Clone(b.B)
 	b.Release()
-	return out, nil
+	return out, raw, nil
 }
 
 // Decode deserializes data into v, which must be a non-nil Record.
