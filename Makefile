@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: all build test race virtual v3 bench kernel-bench edge-bench fleet-bench traffic perf-pairs bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet portable ci
+.PHONY: all build test pins race virtual v3 bench kernel-bench edge-bench fleet-bench traffic perf-pairs bench-module bench-json bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke fuzz fmt fmt-check vet portable ci
 
 all: build test
 
@@ -21,6 +21,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# pins runs every bit-identity pin and the Pass oracles at GOMAXPROCS 1
+# and 2: a BackboneClassifier's minibatches split among
+# min(GOMAXPROCS, batch) replicas, so `test`, at the host's default
+# alone, meets one replica count only.
+pins:
+	$(GO) test -count=1 -cpu 1,2 -run 'Pinned|Replicated|Pass' ./internal/nn ./internal/nas ./internal/importance ./internal/prune ./internal/core ./internal/experiments
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/... ./internal/nn/... ./internal/nas/... ./internal/prune/...
@@ -224,4 +231,4 @@ vet:
 portable:
 	GOARCH=arm64 $(GO) vet ./internal/tensor && GOARCH=arm64 $(GO) build ./...
 
-ci: fmt-check vet build portable test v3 race virtual fuzz bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke
+ci: fmt-check vet build portable test pins v3 race virtual fuzz bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke

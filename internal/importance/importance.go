@@ -16,8 +16,9 @@ import (
 // AccumulateBackbone runs forward/backward passes of classifier c over
 // up to maxSamples samples of ds with importance recording enabled,
 // filling the per-block HeadImportance and NeuronImportance accumulators
-// of the backbone (Eq. 8: Ih ≈ |∂F/∂Oh · Oh|). The passes run
-// data-parallel (nn's AccumulateImportance), bit-identical to serial.
+// of the backbone (Eq. 8: Ih ≈ |∂F/∂Oh · Oh|). The passes run through
+// nn's AccumulateImportance, on replicas of c that split them across the
+// cores, bit-identical to one pass after another.
 //
 // Parameter gradients are zero on return; the model weights are not
 // updated.

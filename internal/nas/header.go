@@ -447,7 +447,15 @@ func (h *HeaderModel) Backward(dlogits []float64) {
 				op := h.ops[u][b][slot]
 				dy := h.maskedGrad(g, u, b, slot)
 				if !train && backboneInput(u, in) {
-					op.BackwardParams(dy)
+					// Nobody reads the input gradient: an op takes its
+					// parameter gradients only, if it has parameters.
+					switch op := op.(type) {
+					case nn.ParamBackward:
+						op.BackwardParams(dy)
+					case nn.Identity, *nn.AvgPool1D, *nn.MaxPool1D, *nn.Downsample:
+					default:
+						op.Backward(dy)
+					}
 					continue
 				}
 				h.nodeGrads[in].add(h.sc, op.Backward(dy))
@@ -704,10 +712,10 @@ func cloneOp(op nn.SeqOp, dim int) nn.SeqOp {
 		return &nn.AvgPool1D{Window: o.Window}
 	case *nn.MaxPool1D:
 		return &nn.MaxPool1D{Window: o.Window}
-	case *nn.LayerNormOp:
-		ln := nn.NewLayerNormOp(o.LN.Gain.Name, dim, nil)
-		copy(ln.LN.Gain.Value.Data, o.LN.Gain.Value.Data)
-		copy(ln.LN.Bias.Value.Data, o.LN.Bias.Value.Data)
+	case *nn.LayerNorm:
+		ln := nn.NewLayerNorm(o.Gain.Name, dim, nil)
+		copy(ln.Gain.Value.Data, o.Gain.Value.Data)
+		copy(ln.Bias.Value.Data, o.Bias.Value.Data)
 		return ln
 	case *nn.MHSA:
 		m := nn.NewMHSA(o.Wq.Name, dim, o.NumHeads, nil)

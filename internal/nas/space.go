@@ -93,7 +93,7 @@ func newOp(k OpKind, name string, dim int, rng *rand.Rand) nn.SeqOp {
 	case OpMaxPool:
 		return &nn.MaxPool1D{Window: 3}
 	case OpLayerNorm:
-		return nn.NewLayerNormOp(name, dim, rng)
+		return nn.NewLayerNorm(name, dim, rng)
 	case OpMHSA:
 		heads := 2
 		for dim%heads != 0 {

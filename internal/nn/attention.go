@@ -28,22 +28,24 @@ type MHSA struct {
 
 	// caches for backward
 	x       *tensor.Matrix
-	q, k, v *tensor.Matrix
-	attn    []*tensor.Matrix // per head: seq × seq softmax weights
-	headOut []*tensor.Matrix // per head: seq × headDim
-	concat  *tensor.Matrix
+	q, k, v tensor.Matrix
+	attn    []tensor.Matrix // per head: seq × seq softmax weights
+	headOut []tensor.Matrix // per head: seq × headDim
+	concat  tensor.Matrix
 
-	// Reused buffers. The layer runs one forward/backward pair at a
-	// time and callers consume each result before the next pass, so
-	// overwriting between passes is safe. sQ/sK/sV/sDO/sDA/sDQ/sDK/sDV
-	// are per-head scratch reused across the head loop.
-	y, dx                          *tensor.Matrix
-	dq, dk, dv, dConcat            *tensor.Matrix
-	sQ, sK, sV, sDO, sDA, sDQ, sDK *tensor.Matrix
-	sDV                            *tensor.Matrix
+	// Reused buffers (a Scratch's, under one). The layer runs one
+	// forward/backward pair at a time and callers consume each result
+	// before the next pass, so overwriting between passes is safe.
+	// sQ/sK/sV/sDO/sDA/sDQ/sDK/sDV are per-head scratch reused across the
+	// head loop.
+	y, dx                          tensor.Matrix
+	dq, dk, dv, dConcat            tensor.Matrix
+	sQ, sK, sV, sDO, sDA, sDQ, sDK tensor.Matrix
+	sDV                            tensor.Matrix
 	rowDot                         []float64
+	sc                             *Scratch
 
-	rec *rec // set on a replica's copy (see team): operands and head terms are recorded, not accumulated
+	rec *rec // set under a Pass: operands and head terms are recorded, not accumulated
 }
 
 // NewMHSA returns an MHSA layer with all heads active. dModel must be a
@@ -69,22 +71,9 @@ func NewMHSA(name string, dModel, numHeads int, rng *rand.Rand) *MHSA {
 	m.Wv.InitXavier(rng, dModel, dModel)
 	m.Wo.InitXavier(rng, dModel, dModel)
 	m.HeadImportance = make([]float64, numHeads)
-	m.attn = make([]*tensor.Matrix, numHeads)
-	m.headOut = make([]*tensor.Matrix, numHeads)
+	m.attn = make([]tensor.Matrix, numHeads)
+	m.headOut = make([]tensor.Matrix, numHeads)
 	return m
-}
-
-// replica returns a copy of m over the same parameters and head mask
-// that records into r.
-func (m *MHSA) replica(r *rec) *MHSA {
-	return &MHSA{
-		DModel: m.DModel, NumHeads: m.NumHeads, HeadDim: m.HeadDim,
-		Wq: m.Wq, Wk: m.Wk, Wv: m.Wv, Wo: m.Wo, Bo: m.Bo,
-		HeadMask: m.HeadMask,
-		attn:     make([]*tensor.Matrix, m.NumHeads),
-		headOut:  make([]*tensor.Matrix, m.NumHeads),
-		rec:      r,
-	}
 }
 
 // ActiveHeads returns the number of unmasked heads.
@@ -101,7 +90,7 @@ func (m *MHSA) ActiveHeads() int {
 // headSliceInto copies the columns of mat belonging to head h into dst,
 // reusing dst's storage when shapes allow.
 func (m *MHSA) headSliceInto(dst, mat *tensor.Matrix, h int) *tensor.Matrix {
-	dst = tensor.Ensure(dst, mat.Rows, m.HeadDim)
+	dst = m.sc.Ensure(dst, mat.Rows, m.HeadDim)
 	off := h * m.HeadDim
 	for i := 0; i < mat.Rows; i++ {
 		copy(dst.Row(i), mat.Row(i)[off:off+m.HeadDim])
@@ -123,73 +112,65 @@ func (m *MHSA) headSliceAdd(dst, src *tensor.Matrix, h int) {
 // Forward computes masked multi-head self-attention over x (seq × d).
 func (m *MHSA) Forward(x *tensor.Matrix) *tensor.Matrix {
 	m.x = x
-	m.q = tensor.Ensure(m.q, x.Rows, m.DModel)
-	m.k = tensor.Ensure(m.k, x.Rows, m.DModel)
-	m.v = tensor.Ensure(m.v, x.Rows, m.DModel)
-	tensor.MatMulInto(m.q, x, m.Wq.Value)
-	tensor.MatMulInto(m.k, x, m.Wk.Value)
-	tensor.MatMulInto(m.v, x, m.Wv.Value)
-	m.concat = tensor.Ensure(m.concat, x.Rows, m.DModel)
-	m.concat.Zero()
+	q := m.sc.Ensure(&m.q, x.Rows, m.DModel)
+	k := m.sc.Ensure(&m.k, x.Rows, m.DModel)
+	v := m.sc.Ensure(&m.v, x.Rows, m.DModel)
+	tensor.MatMulInto(q, x, m.Wq.Value)
+	tensor.MatMulInto(k, x, m.Wk.Value)
+	tensor.MatMulInto(v, x, m.Wv.Value)
+	concat := m.sc.Zeroed(&m.concat, x.Rows, m.DModel)
 	scale := 1 / math.Sqrt(float64(m.HeadDim))
 	for h := 0; h < m.NumHeads; h++ {
 		if !m.HeadMask[h] {
 			continue
 		}
-		m.sQ = m.headSliceInto(m.sQ, m.q, h)
-		m.sK = m.headSliceInto(m.sK, m.k, h)
-		m.sV = m.headSliceInto(m.sV, m.v, h)
-		s := tensor.Ensure(m.attn[h], x.Rows, x.Rows)
-		m.attn[h] = s
-		tensor.MatMulTransBInto(s, m.sQ, m.sK)
+		sQ := m.headSliceInto(&m.sQ, q, h)
+		sK := m.headSliceInto(&m.sK, k, h)
+		sV := m.headSliceInto(&m.sV, v, h)
+		s := m.sc.Ensure(&m.attn[h], x.Rows, x.Rows)
+		tensor.MatMulTransBInto(s, sQ, sK)
 		s.Scale(scale)
 		s.SoftmaxRows()
-		oh := tensor.Ensure(m.headOut[h], x.Rows, m.HeadDim)
-		m.headOut[h] = oh
-		tensor.MatMulInto(oh, s, m.sV)
-		m.headSliceAdd(m.concat, oh, h)
+		oh := m.sc.Ensure(&m.headOut[h], x.Rows, m.HeadDim)
+		tensor.MatMulInto(oh, s, sV)
+		m.headSliceAdd(concat, oh, h)
 	}
-	m.y = tensor.Ensure(m.y, x.Rows, m.DModel)
-	tensor.MatMulInto(m.y, m.concat, m.Wo.Value)
-	m.y.AddRowVector(m.Bo.Value.Data)
-	return m.y
+	y := m.sc.Ensure(&m.y, x.Rows, m.DModel)
+	tensor.MatMulInto(y, concat, m.Wo.Value)
+	y.AddRowVector(m.Bo.Value.Data)
+	return y
 }
 
 // Backward accumulates parameter gradients (and head importances when
 // enabled) and returns dx.
 func (m *MHSA) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	m.dConcat = tensor.Ensure(m.dConcat, dy.Rows, m.DModel)
-	tensor.MatMulTransBInto(m.dConcat, dy, m.Wo.Value)
+	dConcat := m.sc.Ensure(&m.dConcat, dy.Rows, m.DModel)
+	tensor.MatMulTransBInto(dConcat, dy, m.Wo.Value)
 
-	m.dq = tensor.Ensure(m.dq, m.x.Rows, m.DModel)
-	m.dk = tensor.Ensure(m.dk, m.x.Rows, m.DModel)
-	m.dv = tensor.Ensure(m.dv, m.x.Rows, m.DModel)
-	m.dq.Zero()
-	m.dk.Zero()
-	m.dv.Zero()
+	dq := m.sc.Zeroed(&m.dq, m.x.Rows, m.DModel)
+	dk := m.sc.Zeroed(&m.dk, m.x.Rows, m.DModel)
+	dv := m.sc.Zeroed(&m.dv, m.x.Rows, m.DModel)
 	scale := 1 / math.Sqrt(float64(m.HeadDim))
 	for h := 0; h < m.NumHeads; h++ {
 		if !m.HeadMask[h] {
 			continue
 		}
-		dOh := m.headSliceInto(m.sDO, m.dConcat, h)
-		m.sDO = dOh
+		dOh := m.headSliceInto(&m.sDO, dConcat, h)
 		if m.RecordImportance {
 			term := math.Abs(tensor.Dot(dOh.Data, m.headOut[h].Data))
 			if m.rec != nil {
-				m.rec.term()[h] = term
+				m.rec.term(m.NumHeads)[h] = term
 			} else {
 				m.HeadImportance[h] += term
 			}
 		}
-		a := m.attn[h]
-		m.sV = m.headSliceInto(m.sV, m.v, h)
+		a := &m.attn[h]
+		sV := m.headSliceInto(&m.sV, &m.v, h)
 
-		dA := tensor.Ensure(m.sDA, a.Rows, a.Cols)
-		m.sDA = dA
-		tensor.MatMulTransBInto(dA, dOh, m.sV)
-		m.sDV = tensor.Ensure(m.sDV, m.x.Rows, m.HeadDim)
-		tensor.MatMulTransAInto(m.sDV, a, dOh)
+		dA := m.sc.Ensure(&m.sDA, a.Rows, a.Cols)
+		tensor.MatMulTransBInto(dA, dOh, sV)
+		sDV := m.sc.Ensure(&m.sDV, m.x.Rows, m.HeadDim)
+		tensor.MatMulTransAInto(sDV, a, dOh)
 		// softmax backward, row-wise and in place:
 		// dS = scale · A ∘ (dA - rowsum(A∘dA))
 		m.rowDot = tensor.DotRows(a, dA, m.rowDot)
@@ -201,37 +182,66 @@ func (m *MHSA) Backward(dy *tensor.Matrix) *tensor.Matrix {
 				darow[j] = arow[j] * (darow[j] - dot) * scale
 			}
 		}
-		m.sQ = m.headSliceInto(m.sQ, m.q, h)
-		m.sK = m.headSliceInto(m.sK, m.k, h)
-		m.sDQ = tensor.Ensure(m.sDQ, a.Rows, m.HeadDim)
-		tensor.MatMulInto(m.sDQ, dA, m.sK)
-		m.sDK = tensor.Ensure(m.sDK, a.Rows, m.HeadDim)
-		tensor.MatMulTransAInto(m.sDK, dA, m.sQ)
-		m.headSliceAdd(m.dq, m.sDQ, h)
-		m.headSliceAdd(m.dk, m.sDK, h)
-		m.headSliceAdd(m.dv, m.sDV, h)
+		sQ := m.headSliceInto(&m.sQ, &m.q, h)
+		sK := m.headSliceInto(&m.sK, &m.k, h)
+		sDQ := m.sc.Ensure(&m.sDQ, a.Rows, m.HeadDim)
+		tensor.MatMulInto(sDQ, dA, sK)
+		sDK := m.sc.Ensure(&m.sDK, a.Rows, m.HeadDim)
+		tensor.MatMulTransAInto(sDK, dA, sQ)
+		m.headSliceAdd(dq, sDQ, h)
+		m.headSliceAdd(dk, sDK, h)
+		m.headSliceAdd(dv, sDV, h)
 	}
 
 	if m.rec != nil {
-		m.rec.put(m.x, m.concat, m.dq, m.dk, m.dv, dy)
+		m.rec.put(m.x, &m.concat, dq, dk, dv, dy)
 	} else {
-		tensor.MatMulTransAAcc(m.Wq.Grad, m.x, m.dq)
-		tensor.MatMulTransAAcc(m.Wk.Grad, m.x, m.dk)
-		tensor.MatMulTransAAcc(m.Wv.Grad, m.x, m.dv)
-		tensor.MatMulTransAAcc(m.Wo.Grad, m.concat, dy)
+		tensor.MatMulTransAAcc(m.Wq.Grad, m.x, dq)
+		tensor.MatMulTransAAcc(m.Wk.Grad, m.x, dk)
+		tensor.MatMulTransAAcc(m.Wv.Grad, m.x, dv)
+		tensor.MatMulTransAAcc(m.Wo.Grad, &m.concat, dy)
 		dy.SumRowsInto(m.Bo.Grad.Data)
 	}
 
-	m.dx = tensor.Ensure(m.dx, m.x.Rows, m.DModel)
-	tensor.MatMulTransBInto(m.dx, m.dq, m.Wq.Value)
-	tensor.MatMulTransBAcc(m.dx, m.dk, m.Wk.Value)
-	tensor.MatMulTransBAcc(m.dx, m.dv, m.Wv.Value)
-	return m.dx
+	dx := m.sc.Ensure(&m.dx, m.x.Rows, m.DModel)
+	tensor.MatMulTransBInto(dx, dq, m.Wq.Value)
+	tensor.MatMulTransBAcc(dx, dk, m.Wk.Value)
+	tensor.MatMulTransBAcc(dx, dv, m.Wv.Value)
+	return dx
 }
 
-// BackwardParams implements SeqOp. Only the last three products of
-// Backward are input-gradient work, so the full Backward runs.
-func (m *MHSA) BackwardParams(dy *tensor.Matrix) { m.Backward(dy) }
+func (m *MHSA) setRec(r *rec) { m.rec = r }
+
+// folds: one job for each of Wq, Wk and Wv, one for Wo with Bo, and the
+// head terms. The records are x, concat, dq, dk, dv and dy.
+func (m *MHSA) folds(jobs []foldJob) []foldJob {
+	c := m.DModel * m.DModel
+	return append(jobs, foldJob{params: [2]*Param{m.Wq}, cost: c}, foldJob{params: [2]*Param{m.Wk}, cost: c},
+		foldJob{params: [2]*Param{m.Wv}, cost: c}, foldJob{params: [2]*Param{m.Wo, m.Bo}, cost: c}, foldJob{})
+}
+
+func (m *MHSA) fold(j int, r *rec) {
+	switch j {
+	case 0, 1, 2:
+		w := [...]*Param{m.Wq, m.Wk, m.Wv}[j]
+		tensor.MatMulTransAAcc(w.Grad, r.op(0), r.op(2+j))
+	case 3:
+		tensor.MatMulTransAAcc(m.Wo.Grad, r.op(1), r.op(5))
+		r.op(5).SumRowsInto(m.Bo.Grad.Data)
+	default:
+		if !m.RecordImportance {
+			return
+		}
+		for s := range r.n {
+			terms := r.terms.at(s)
+			for h, on := range m.HeadMask {
+				if on {
+					m.HeadImportance[h] += terms[h]
+				}
+			}
+		}
+	}
+}
 
 // ResetImportance zeroes accumulated head importances.
 func (m *MHSA) ResetImportance() {

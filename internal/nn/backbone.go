@@ -57,12 +57,13 @@ type Backbone struct {
 	// until then, and after the first sample a Forward allocates nothing.
 	tokens  []*tensor.Matrix // tokens[l] = input to block l; tokens[ActiveDepth] = last block output
 	final   *tensor.Matrix
-	embed   *tensor.Matrix // tokens[0]
-	patches tensor.Matrix  // the current sample viewed as patches × patchDim
+	embed   tensor.Matrix // tokens[0]
+	patches tensor.Matrix // the current sample viewed as patches × patchDim
 
 	dPatches tensor.Matrix // Backward's view of the patch rows of the token gradient
 
-	rec *rec // set on a replica's copy (see team): the token gradient is recorded, not accumulated
+	sc  *Scratch // a Pass replica's: its buffers
+	rec *rec     // set under a Pass: the token gradient is recorded, not accumulated
 }
 
 // NewBackbone builds a randomly initialized reference backbone (a
@@ -111,8 +112,7 @@ func (b *Backbone) Tokenize(x []float64) (*tensor.Matrix, error) {
 func (b *Backbone) tokenize(x []float64) *tensor.Matrix {
 	b.patches = tensor.Matrix{Rows: b.Cfg.NumPatches, Cols: b.Cfg.InputDim / b.Cfg.NumPatches, Data: x}
 	emb := b.PatchEmbed.Forward(&b.patches)
-	b.embed = tensor.Ensure(b.embed, b.SeqLen(), b.Cfg.DModel)
-	t := b.embed // every row is written below
+	t := b.sc.Ensure(&b.embed, b.SeqLen(), b.Cfg.DModel) // every row is written below
 	copy(t.Row(0), b.CLS.Value.Data)
 	for i := 0; i < b.Cfg.NumPatches; i++ {
 		copy(t.Row(i+1), emb.Row(i))
@@ -188,6 +188,21 @@ func (b *Backbone) Backward(dFinal *tensor.Matrix, injections map[int]*tensor.Ma
 	}
 	b.dPatches = tensor.Matrix{Rows: b.Cfg.NumPatches, Cols: b.Cfg.DModel, Data: d.Data[b.Cfg.DModel:]}
 	b.PatchEmbed.accumulate(&b.dPatches)
+}
+
+func (b *Backbone) setRec(r *rec) { b.rec = r }
+
+// folds: the token gradient's job, for Pos and CLS.
+func (b *Backbone) folds(jobs []foldJob) []foldJob {
+	return append(jobs, foldJob{params: [2]*Param{b.Pos, b.CLS}, cost: b.Cfg.DModel})
+}
+
+func (b *Backbone) fold(_ int, r *rec) {
+	tok := &r.ops[0]
+	for s := range r.n {
+		tensor.AddInPlace(b.Pos.Grad, &tensor.Matrix{Rows: tok.rows, Cols: tok.cols, Data: tok.at(s)})
+		tensor.Axpy(1, tok.at(s)[:tok.cols], b.CLS.Grad.Data)
+	}
 }
 
 // Params implements Module. It returns the parameters of every block,

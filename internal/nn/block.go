@@ -16,13 +16,14 @@ type Block struct {
 	LN2  *LayerNorm
 	FFN  *MLP
 
-	// Reused buffers (the tensor.Ensure idiom of Linear). h and y are
+	// Reused buffers (the Scratch.Ensure idiom of Linear). h and y are
 	// Forward's two residual sums; y, the block's output, is what the
 	// backbone keeps in tokens across a pass, and each block has its own,
 	// so it stays valid until this block's next Forward. Backward outputs
 	// are consumed by the next-lower block before this block runs again.
-	h, y   *tensor.Matrix
-	dh, dx *tensor.Matrix
+	h, y   tensor.Matrix
+	dh, dx tensor.Matrix
+	sc     *Scratch
 }
 
 // NewBlock returns a Transformer block with the given dimensions.
@@ -38,20 +39,20 @@ func NewBlock(name string, dModel, numHeads, hidden int, rng *rand.Rand) *Block 
 // Forward applies the block to x (seq × d). The result is valid until
 // this block's next Forward.
 func (b *Block) Forward(x *tensor.Matrix) *tensor.Matrix {
-	b.h = tensor.Ensure(b.h, x.Rows, x.Cols)
-	tensor.AddInto(b.h, x, b.Attn.Forward(b.LN1.Forward(x)))
-	b.y = tensor.Ensure(b.y, x.Rows, x.Cols)
-	tensor.AddInto(b.y, b.h, b.FFN.Forward(b.LN2.Forward(b.h)))
-	return b.y
+	h := b.sc.Ensure(&b.h, x.Rows, x.Cols)
+	tensor.AddInto(h, x, b.Attn.Forward(b.LN1.Forward(x)))
+	y := b.sc.Ensure(&b.y, x.Rows, x.Cols)
+	tensor.AddInto(y, h, b.FFN.Forward(b.LN2.Forward(h)))
+	return y
 }
 
 // Backward propagates dy through the block and returns dx.
 func (b *Block) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	b.dh = tensor.Ensure(b.dh, dy.Rows, dy.Cols)
-	tensor.AddInto(b.dh, dy, b.LN2.Backward(b.FFN.Backward(dy)))
-	b.dx = tensor.Ensure(b.dx, dy.Rows, dy.Cols)
-	tensor.AddInto(b.dx, b.dh, b.LN1.Backward(b.Attn.Backward(b.dh)))
-	return b.dx
+	dh := b.sc.Ensure(&b.dh, dy.Rows, dy.Cols)
+	tensor.AddInto(dh, dy, b.LN2.Backward(b.FFN.Backward(dy)))
+	dx := b.sc.Ensure(&b.dx, dy.Rows, dy.Cols)
+	tensor.AddInto(dx, dh, b.LN1.Backward(b.Attn.Backward(dh)))
+	return dx
 }
 
 // Params implements Module.

@@ -266,7 +266,7 @@ func TestSeqOpsInputGradients(t *testing.T) {
 		"avgpool":    &AvgPool1D{Window: 3},
 		"maxpool":    &MaxPool1D{Window: 3},
 		"downsample": &Downsample{},
-		"layernorm":  NewLayerNormOp("lnop", 6, rng),
+		"layernorm":  NewLayerNorm("lnop", 6, rng),
 		"conv5":      NewConv1D("conv5", 5, 6, rng),
 	}
 	for name, op := range ops {

@@ -10,19 +10,21 @@ import (
 const lnEps = 1e-5
 
 // LayerNorm normalizes each row of a (seq × d) input to zero mean and
-// unit variance, then applies a learned per-feature gain and bias.
+// unit variance, then applies a learned per-feature gain and bias. It is
+// a SeqOp too, a candidate operation of the header search space.
 type LayerNorm struct {
 	Dim   int
 	Gain  *Param // 1 × d
 	Bias  *Param // 1 × d
-	xhat  *tensor.Matrix
-	invSD []float64
+	xhat  tensor.Matrix
+	invSD tensor.Matrix // 1 × rows
 
-	// Reused output buffers; overwritten on the next pass, after
-	// callers have consumed them.
-	y, dx *tensor.Matrix
+	// Reused output buffers (a Scratch's, under one); overwritten on the
+	// next pass, after callers have consumed them.
+	y, dx tensor.Matrix
+	sc    *Scratch
 
-	rec *rec // set on a replica's copy (see team): x̂ and dy are recorded, not accumulated
+	rec *rec // set under a Pass: x̂ and dy are recorded, not accumulated
 }
 
 // NewLayerNorm returns a LayerNorm with gain 1 and bias 0.
@@ -38,12 +40,9 @@ func NewLayerNorm(name string, dim int, rng *rand.Rand) *LayerNorm {
 
 // Forward normalizes each row and applies gain/bias.
 func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
-	ln.xhat = tensor.Ensure(ln.xhat, x.Rows, x.Cols)
-	if len(ln.invSD) != x.Rows {
-		ln.invSD = make([]float64, x.Rows)
-	}
-	ln.y = tensor.Ensure(ln.y, x.Rows, x.Cols)
-	y := ln.y
+	xhat := ln.sc.Ensure(&ln.xhat, x.Rows, x.Cols)
+	invSD := ln.sc.Ensure(&ln.invSD, 1, x.Rows).Data
+	y := ln.sc.Ensure(&ln.y, x.Rows, x.Cols)
 	g := ln.Gain.Value.Data
 	b := ln.Bias.Value.Data
 	for i := 0; i < x.Rows; i++ {
@@ -59,8 +58,8 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 			varsum += d * d
 		}
 		inv := 1 / math.Sqrt(varsum/float64(len(row))+lnEps)
-		ln.invSD[i] = inv
-		xh := ln.xhat.Row(i)
+		invSD[i] = inv
+		xh := xhat.Row(i)
 		yr := y.Row(i)
 		for j, v := range row {
 			xh[j] = (v - mean) * inv
@@ -73,12 +72,11 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward accumulates gain/bias gradients and returns dx.
 func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if ln.rec != nil {
-		ln.rec.put(ln.xhat, dy)
+		ln.rec.put(&ln.xhat, dy)
 	} else {
-		ln.addGrads(ln.xhat, dy)
+		ln.addGrads(&ln.xhat, dy)
 	}
-	ln.dx = tensor.Ensure(ln.dx, dy.Rows, dy.Cols)
-	dx := ln.dx
+	dx := ln.sc.Ensure(&ln.dx, dy.Rows, dy.Cols)
 	g := ln.Gain.Value.Data
 	n := float64(dy.Cols)
 	for i := 0; i < dy.Rows; i++ {
@@ -93,7 +91,7 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		}
 		mDxh /= n
 		mDxhXh /= n
-		inv := ln.invSD[i]
+		inv := ln.invSD.Data[i]
 		dxr := dx.Row(i)
 		for j := range dyr {
 			dxh := dyr[j] * g[j]
@@ -117,11 +115,13 @@ func (ln *LayerNorm) addGrads(xhat, dy *tensor.Matrix) {
 	}
 }
 
-// replica returns a copy of ln over the same parameters that records
-// into r.
-func (ln *LayerNorm) replica(r *rec) *LayerNorm {
-	return &LayerNorm{Dim: ln.Dim, Gain: ln.Gain, Bias: ln.Bias, rec: r}
+func (ln *LayerNorm) setRec(r *rec) { ln.rec = r }
+
+func (ln *LayerNorm) folds(jobs []foldJob) []foldJob {
+	return append(jobs, foldJob{params: [2]*Param{ln.Gain, ln.Bias}, cost: 2 * ln.Dim})
 }
+
+func (ln *LayerNorm) fold(_ int, r *rec) { ln.addGrads(r.op(0), r.op(1)) }
 
 // Params implements Module.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gain, ln.Bias} }

@@ -22,7 +22,7 @@ type Linear struct {
 	y, dx tensor.Matrix
 	sc    *Scratch
 
-	rec *rec // set on a replica's copy (see team) or under a Pass: x and dy are recorded, not accumulated
+	rec *rec // set under a Pass: x and dy are recorded, not accumulated
 }
 
 // NewLinear returns a Xavier-initialized Linear layer (a received one
@@ -56,7 +56,7 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 }
 
 // accumulate is Backward without dx: it adds dW and dB for the cached
-// input, or on a replica records the input and dy for the fold.
+// input, or under a Pass records the input and dy for the fold.
 func (l *Linear) accumulate(dy *tensor.Matrix) {
 	if l.rec != nil {
 		l.rec.put(l.x, dy)
@@ -73,17 +73,15 @@ func (l *Linear) addGrads(x, dy *tensor.Matrix) {
 
 func (l *Linear) setRec(r *rec) { l.rec = r }
 
+func (l *Linear) folds(jobs []foldJob) []foldJob {
+	return append(jobs, foldJob{params: [2]*Param{l.W, l.B}, cost: l.In * l.Out})
+}
+
+// fold adds the gradients of the samples a Pass recorded, stacked.
+func (l *Linear) fold(_ int, r *rec) { l.addGrads(r.op(0), r.op(1)) }
+
 // UseScratch implements ScratchUser.
 func (l *Linear) UseScratch(s *Scratch) { l.sc, l.x = s, nil }
-
-// foldRec adds the gradients of the samples a Pass recorded, stacked.
-func (l *Linear) foldRec(r *rec) { l.addGrads(r.ops[0].view(r.n), r.ops[1].view(r.n)) }
-
-// replica returns a copy of l over the same parameters that records
-// into r.
-func (l *Linear) replica(r *rec) *Linear {
-	return &Linear{In: l.In, Out: l.Out, W: l.W, B: l.B, rec: r}
-}
 
 // Params implements Module.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }

@@ -27,7 +27,7 @@ type MLP struct {
 
 	hidden *tensor.Matrix // post-activation, post-mask
 
-	rec *rec // set on a replica's copy (see team): neuron terms are recorded, not accumulated
+	rec *rec // set under a Pass: neuron terms are recorded, not accumulated
 }
 
 // NewMLP returns an MLP with all neurons active.
@@ -83,7 +83,7 @@ func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 				s += dh.Row(i)[j] * m.hidden.Row(i)[j]
 			}
 			if m.rec != nil {
-				m.rec.term()[j] = math.Abs(s)
+				m.rec.term(m.Hidden)[j] = math.Abs(s)
 			} else {
 				m.NeuronImportance[j] += math.Abs(s)
 			}
@@ -100,23 +100,22 @@ func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return m.FC1.Backward(m.act.Backward(dh))
 }
 
-// replica returns a copy of m over the same layers' parameters and
-// neuron mask: its neuron terms go to r, its layers record into fc1 and
-// fc2.
-func (m *MLP) replica(r, fc1, fc2 *rec) *MLP {
-	return &MLP{
-		DModel: m.DModel, Hidden: m.Hidden,
-		FC1:        m.FC1.replica(fc1),
-		FC2:        m.FC2.replica(fc2),
-		NeuronMask: m.NeuronMask,
-		rec:        r,
+// setRec puts the neuron terms on r; FC1 and FC2 are stacked layers of
+// their own.
+func (m *MLP) setRec(r *rec) { m.rec = r }
+
+func (m *MLP) folds(jobs []foldJob) []foldJob { return append(jobs, foldJob{}) }
+
+func (m *MLP) fold(_ int, r *rec) {
+	if !m.RecordImportance {
+		return
+	}
+	for s := range r.n {
+		for j, v := range r.terms.at(s) {
+			m.NeuronImportance[j] += v
+		}
 	}
 }
-
-// BackwardParams implements SeqOp. FC1's gradient needs the chain
-// through FC2 anyway, so only FC1's own dx would be saved: the full
-// Backward runs.
-func (m *MLP) BackwardParams(dy *tensor.Matrix) { m.Backward(dy) }
 
 // ResetImportance zeroes accumulated neuron importances.
 func (m *MLP) ResetImportance() {

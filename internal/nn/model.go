@@ -25,8 +25,6 @@ type BackboneClassifier struct {
 	cls    *tensor.Matrix // 1×d copy of the CLS representation, reused
 	dFinal *tensor.Matrix // reused backward scratch
 	dl     tensor.Matrix  // Backward's view of the logits gradient
-
-	team *team // replicas of the data-parallel passes, kept across calls
 }
 
 var _ Classifier = (*BackboneClassifier)(nil)
@@ -54,7 +52,8 @@ func (c *BackboneClassifier) Forward(x []float64) ([]float64, error) {
 func (c *BackboneClassifier) Backward(dlogits []float64) {
 	c.dl = tensor.Matrix{Rows: 1, Cols: len(dlogits), Data: dlogits}
 	dcls := c.Head.Backward(&c.dl)
-	c.dFinal = zeroed(c.dFinal, c.Backbone.SeqLen(), c.Backbone.Cfg.DModel)
+	c.dFinal = tensor.Ensure(c.dFinal, c.Backbone.SeqLen(), c.Backbone.Cfg.DModel)
+	c.dFinal.Zero()
 	copy(c.dFinal.Row(0), dcls.Row(0))
 	c.Backbone.Backward(c.dFinal, nil)
 }
@@ -64,13 +63,45 @@ func (c *BackboneClassifier) Params() []*Param {
 	return append(c.Backbone.Params(), c.Head.Params()...)
 }
 
+// StackedLayers implements Stacking: every layer with parameters, the
+// MLPs for their neuron terms, and the backbone for its token gradient.
+func (c *BackboneClassifier) StackedLayers() []Stackable {
+	b := c.Backbone
+	ls := []Stackable{b, b.PatchEmbed}
+	for _, blk := range b.Blocks {
+		ls = append(ls, blk.LN1, blk.Attn, blk.LN2, blk.FFN, blk.FFN.FC1, blk.FFN.FC2)
+	}
+	return append(ls, b.FinalLN, c.Head)
+}
+
+// replica returns a copy of c over the same parameters and masks, with
+// buffers from sc, whose blocks record importance terms when c's do:
+// one of a Pass's replicas.
+func (c *BackboneClassifier) replica(sc *Scratch) *BackboneClassifier {
+	lin := func(l *Linear) *Linear { return &Linear{In: l.In, Out: l.Out, W: l.W, B: l.B, sc: sc} }
+	ln := func(l *LayerNorm) *LayerNorm { return &LayerNorm{Dim: l.Dim, Gain: l.Gain, Bias: l.Bias, sc: sc} }
+	b := c.Backbone
+	rb := &Backbone{Cfg: b.Cfg, ActiveDepth: b.ActiveDepth, PatchEmbed: lin(b.PatchEmbed), CLS: b.CLS, Pos: b.Pos,
+		Blocks: make([]*Block, len(b.Blocks)), FinalLN: ln(b.FinalLN), sc: sc}
+	for l, blk := range b.Blocks {
+		m, f := blk.Attn, blk.FFN
+		rb.Blocks[l] = &Block{LN1: ln(blk.LN1), LN2: ln(blk.LN2), sc: sc,
+			Attn: &MHSA{DModel: m.DModel, NumHeads: m.NumHeads, HeadDim: m.HeadDim,
+				Wq: m.Wq, Wk: m.Wk, Wv: m.Wv, Wo: m.Wo, Bo: m.Bo,
+				HeadMask: m.HeadMask, RecordImportance: m.RecordImportance,
+				attn: make([]tensor.Matrix, m.NumHeads), headOut: make([]tensor.Matrix, m.NumHeads), sc: sc},
+			FFN: &MLP{DModel: f.DModel, Hidden: f.Hidden, FC1: lin(f.FC1), FC2: lin(f.FC2), act: GELU{sc: sc},
+				NeuronMask: f.NeuronMask, RecordImportance: f.RecordImportance}}
+	}
+	return &BackboneClassifier{Backbone: rb, Head: lin(c.Head)}
+}
+
 // TrainEpoch runs one epoch of minibatch training on (xs, ys), shuffling
 // with rng, and returns the mean loss. Gradients accumulate over each
-// minibatch before a single optimizer step.
-//
-// A BackboneClassifier trains data-parallel: each minibatch splits among
-// min(tensor.Parallelism(), batch) replicas of it, with a result
-// bit-identical to the serial loop below.
+// minibatch, each logits gradient multiplied by 1/len(minibatch), before
+// a single optimizer step. The minibatches run through one Pass, which
+// splits a BackboneClassifier's among min(tensor.Parallelism(), batch)
+// replicas.
 func TrainEpoch(c Classifier, opt *Adam, xs [][]float64, ys []int, batch int, rng *rand.Rand) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("nn: %d samples vs %d labels", len(xs), len(ys))
@@ -82,32 +113,17 @@ func TrainEpoch(c Classifier, opt *Adam, xs [][]float64, ys []int, batch int, rn
 		batch = 16
 	}
 	order := rng.Perm(len(xs))
-	if bc, ok := c.(*BackboneClassifier); ok {
-		if n := min(tensor.Parallelism(), batch); n > 1 {
-			return bc.trainEpoch(n, opt, xs, ys, order, batch)
-		}
-	}
-	var total float64
-	var dl []float64
+	ZeroGrads(c)
+	p := newPass(c, batch)
+	defer p.Release()
+	p.stepWith(opt, c.Params())
 	for start := 0; start < len(order); start += batch {
-		end := start + batch
-		if end > len(order) {
-			end = len(order)
+		mb := order[start:min(start+batch, len(order))]
+		if err := p.run(xs, ys, mb, 1, 1/float64(len(mb))); err != nil {
+			return 0, err
 		}
-		ZeroGrads(c)
-		for _, i := range order[start:end] {
-			logits, err := c.Forward(xs[i])
-			if err != nil {
-				return 0, err
-			}
-			dl = grow(dl, len(logits))
-			total += CrossEntropy(dl, logits, ys[i])
-			scaleVec(dl, 1/float64(end-start))
-			c.Backward(dl)
-		}
-		opt.Step(c.Params())
 	}
-	return total / float64(len(xs)), nil
+	return p.loss / float64(len(xs)), nil
 }
 
 // AccumulateImportance runs a cross-entropy forward and backward pass of
@@ -116,25 +132,13 @@ func TrainEpoch(c Classifier, opt *Adam, xs [][]float64, ys []int, batch int, rn
 // (SetRecordImportance), in idx order. The weights do not move, and
 // every gradient is zero on return.
 //
-// The passes split among min(tensor.Parallelism(), len(idx)) replicas of
-// c, with importances bit-identical to one pass after another.
+// The passes run through one Pass, split among
+// min(tensor.Parallelism(), len(idx)) replicas of c.
 func (c *BackboneClassifier) AccumulateImportance(xs [][]float64, ys []int, idx []int) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("nn: %d samples vs %d labels", len(xs), len(ys))
-	}
-	for _, i := range idx {
-		if i < 0 || i >= len(xs) {
-			return fmt.Errorf("nn: sample index %d outside [0,%d)", i, len(xs))
-		}
-	}
-	var err error
-	if n := min(tensor.Parallelism(), len(idx)); n > 1 {
-		err = c.importancePasses(n, xs, ys, idx)
-	} else {
-		p := NewPass(c)
-		err = p.Run(xs, ys, idx, 1)
-		p.Release()
-	}
+	ZeroGrads(c)
+	p := newPass(c, len(idx))
+	err := p.Run(xs, ys, idx, 1)
+	p.Release()
 	ZeroGrads(c)
 	return err
 }
@@ -184,23 +188,11 @@ func Score(c Classifier, xs [][]float64, ys []int) (loss, accuracy float64, err 
 		if Argmax(logits) == ys[i] {
 			correct++
 		}
-		dl = grow(dl, len(logits))
+		if len(dl) != len(logits) {
+			dl = make([]float64, len(logits))
+		}
 		total += CrossEntropy(dl, logits, ys[i])
 	}
 	n := float64(len(xs))
 	return total / n, float64(correct) / n, nil
-}
-
-// grow returns buf if it holds n values, else a new slice of n.
-func grow(buf []float64, n int) []float64 {
-	if len(buf) == n {
-		return buf
-	}
-	return make([]float64, n)
-}
-
-func scaleVec(v []float64, s float64) {
-	for i := range v {
-		v[i] *= s
-	}
 }

@@ -13,8 +13,9 @@
 // All layers operate on a single sample: a token sequence represented as
 // a (seq × d) tensor.Matrix. Batches are loops over samples with gradient
 // accumulation, which is plenty at this scale and keeps backward passes
-// easy to audit. A BackboneClassifier's minibatch loops run those passes
-// on several cores and fold their gradients in sample order (replica.go).
+// easy to audit. Every minibatch loop runs through a Pass (pass.go),
+// which folds the gradients in sample order, a BackboneClassifier's on
+// several cores.
 package nn
 
 import (

@@ -101,8 +101,12 @@ func borrowZeroed(n int) *slab {
 	return s
 }
 
-// giveBack returns s to the pool; its borrower must not touch it again.
+// giveBack returns s, unless nil, to the pool; its borrower must not
+// touch it again.
 func giveBack(s *slab) {
+	if s == nil {
+		return
+	}
 	lent.Add(-1)
 	k := s.key()
 	poolMu.Lock()
@@ -257,12 +261,15 @@ func lendScratch(c Classifier) *Scratch {
 	return s
 }
 
-// end takes s back from c and gives back every buffer cut from it.
+// end takes s back from c, if c took it, and gives back every buffer
+// cut from it.
 func (s *Scratch) end(c Classifier) {
 	if s == nil {
 		return
 	}
-	c.(ScratchUser).UseScratch(nil)
+	if u, ok := c.(ScratchUser); ok {
+		u.UseScratch(nil)
+	}
 	for _, m := range s.held {
 		*m = tensor.Matrix{}
 	}

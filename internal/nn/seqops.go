@@ -22,9 +22,14 @@ type SeqOp interface {
 	Module
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Backward(dy *tensor.Matrix) *tensor.Matrix
-	// BackwardParams accumulates the parameter gradients Backward would
-	// and skips the input gradient — for an op whose input nobody
-	// differentiates (a frozen backbone's representation).
+}
+
+// ParamBackward is an op that can accumulate the parameter gradients
+// Backward would and skip the input gradient, for an input nobody
+// differentiates (a frozen backbone's representation): a Conv1D. Of
+// the other ops with parameters, an MHSA's, MLP's or LayerNorm's input
+// gradient is a small share of its Backward, which runs in its place.
+type ParamBackward interface {
 	BackwardParams(dy *tensor.Matrix)
 }
 
@@ -87,8 +92,8 @@ func (c *Conv1D) im2col(cols, x *tensor.Matrix) {
 	}
 }
 
-// BackwardParams implements SeqOp: dW and dB only, or under a Pass the
-// input and dy recorded for its fold.
+// BackwardParams implements ParamBackward: dW and dB only, or under a
+// Pass the input and dy recorded for its fold.
 func (c *Conv1D) BackwardParams(dy *tensor.Matrix) {
 	if c.rec != nil {
 		c.rec.put(c.x, dy)
@@ -97,18 +102,24 @@ func (c *Conv1D) BackwardParams(dy *tensor.Matrix) {
 	c.addColGrads(&c.cols, dy)
 }
 
-// foldRec adds the gradients of the samples a Pass recorded: their
-// im2col rows, rebuilt from the inputs in the Pass's scratch, and their
-// dy, in one product.
-func (c *Conv1D) foldRec(r *rec) {
-	x, dy := r.ops[0], r.ops[1]
-	cols := r.pass.colScratch(r.n*x.rows, c.Kernel*c.Dim)
-	for s := 0; s < r.n; s++ {
-		in := tensor.Matrix{Rows: x.rows, Cols: x.cols, Data: x.sample(s)}
-		out := tensor.Matrix{Rows: x.rows, Cols: cols.Cols, Data: cols.Data[s*x.rows*cols.Cols : (s+1)*x.rows*cols.Cols]}
-		c.im2col(&out, &in)
+func (c *Conv1D) setRec(r *rec) { c.rec = r }
+
+func (c *Conv1D) folds(jobs []foldJob) []foldJob {
+	return append(jobs, foldJob{params: [2]*Param{c.W, c.B}, cost: c.Kernel * c.Dim * c.Dim})
+}
+
+// fold adds the gradients of the samples a Pass recorded: their im2col
+// rows, rebuilt from the inputs in a borrowed slab, and their dy, in
+// one product.
+func (c *Conv1D) fold(_ int, r *rec) {
+	x, k := &r.ops[0], c.Kernel*c.Dim
+	s := borrow(foldChunk * x.rows * k) // one length per kernel size, for the pool's free lists
+	for i := range r.n {
+		out := tensor.Matrix{Rows: x.rows, Cols: k, Data: s.data[i*x.rows*k : (i+1)*x.rows*k]}
+		c.im2col(&out, &tensor.Matrix{Rows: x.rows, Cols: x.cols, Data: x.at(i)})
 	}
-	c.addColGrads(cols, dy.view(r.n))
+	c.addColGrads(&tensor.Matrix{Rows: r.n * x.rows, Cols: k, Data: s.data[:r.n*x.rows*k]}, r.op(1))
+	giveBack(s)
 }
 
 // addColGrads adds dW = colsᵀ·dy and dB = Σ dy rows.
@@ -116,8 +127,6 @@ func (c *Conv1D) addColGrads(cols, dy *tensor.Matrix) {
 	tensor.MatMulTransAAcc(c.W.Grad, cols, dy)
 	dy.SumRowsInto(c.B.Grad.Data)
 }
-
-func (c *Conv1D) setRec(r *rec) { c.rec = r }
 
 // UseScratch implements ScratchUser.
 func (c *Conv1D) UseScratch(s *Scratch) { c.sc, c.x = s, nil }
@@ -156,9 +165,6 @@ func (Identity) Forward(x *tensor.Matrix) *tensor.Matrix { return x }
 
 // Backward returns dy.
 func (Identity) Backward(dy *tensor.Matrix) *tensor.Matrix { return dy }
-
-// BackwardParams implements SeqOp.
-func (Identity) BackwardParams(*tensor.Matrix) {}
 
 // Params implements Module.
 func (Identity) Params() []*Param { return nil }
@@ -215,9 +221,6 @@ func (p *AvgPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	}
 	return dx
 }
-
-// BackwardParams implements SeqOp.
-func (p *AvgPool1D) BackwardParams(*tensor.Matrix) {}
 
 // UseScratch implements ScratchUser.
 func (p *AvgPool1D) UseScratch(s *Scratch) { p.sc = s }
@@ -280,9 +283,6 @@ func (p *MaxPool1D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
-// BackwardParams implements SeqOp.
-func (p *MaxPool1D) BackwardParams(*tensor.Matrix) {}
-
 // UseScratch implements ScratchUser.
 func (p *MaxPool1D) UseScratch(s *Scratch) { p.sc = s }
 
@@ -341,44 +341,8 @@ func (d *Downsample) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
-// BackwardParams implements SeqOp.
-func (d *Downsample) BackwardParams(*tensor.Matrix) {}
-
 // UseScratch implements ScratchUser.
 func (d *Downsample) UseScratch(s *Scratch) { d.sc = s }
 
 // Params implements Module.
 func (d *Downsample) Params() []*Param { return nil }
-
-// LayerNormOp adapts LayerNorm to the SeqOp interface.
-type LayerNormOp struct {
-	LN *LayerNorm
-}
-
-var _ SeqOp = (*LayerNormOp)(nil)
-
-// NewLayerNormOp returns a LayerNorm sequence operation.
-func NewLayerNormOp(name string, dim int, rng *rand.Rand) *LayerNormOp {
-	return &LayerNormOp{LN: NewLayerNorm(name, dim, rng)}
-}
-
-// Forward implements SeqOp.
-func (o *LayerNormOp) Forward(x *tensor.Matrix) *tensor.Matrix { return o.LN.Forward(x) }
-
-// Backward implements SeqOp.
-func (o *LayerNormOp) Backward(dy *tensor.Matrix) *tensor.Matrix { return o.LN.Backward(dy) }
-
-// BackwardParams implements SeqOp. LayerNorm computes its gain/bias
-// gradients and dx in one sweep, so the full Backward runs.
-func (o *LayerNormOp) BackwardParams(dy *tensor.Matrix) { o.LN.Backward(dy) }
-
-// Params implements Module.
-func (o *LayerNormOp) Params() []*Param { return o.LN.Params() }
-
-// zeroed is tensor.Ensure followed by Zero: a scratch buffer that the
-// caller accumulates into.
-func zeroed(m *tensor.Matrix, r, c int) *tensor.Matrix {
-	m = tensor.Ensure(m, r, c)
-	m.Zero()
-	return m
-}

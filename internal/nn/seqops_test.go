@@ -65,7 +65,7 @@ func TestSeqOpsShapePreserving(t *testing.T) {
 		&MaxPool1D{Window: 3},
 		&Downsample{},
 		NewConv1D("c", 5, 6, rng),
-		NewLayerNormOp("l", 6, rng),
+		NewLayerNorm("l", 6, rng),
 		NewMHSA("m", 6, 2, rng),
 		NewMLP("p", 6, 8, rng),
 	}
@@ -120,7 +120,7 @@ func seqOpSet() map[string]func() SeqOp {
 		"downsample": func() SeqOp { return &Downsample{} },
 		"conv1":      func() SeqOp { return NewConv1D("c1", 1, 6, fresh()) },
 		"conv5":      func() SeqOp { return NewConv1D("c5", 5, 6, fresh()) },
-		"layernorm":  func() SeqOp { return NewLayerNormOp("l", 6, fresh()) },
+		"layernorm":  func() SeqOp { return NewLayerNorm("l", 6, fresh()) },
 		"mhsa":       func() SeqOp { return NewMHSA("m", 6, 2, fresh()) },
 		"mlp":        func() SeqOp { return NewMLP("p", 6, 8, fresh()) },
 	}
@@ -167,17 +167,25 @@ func TestSeqOpScratchReuse(t *testing.T) {
 	}
 }
 
-// TestBackwardParamsMatchesBackward: skipping the input gradient leaves
-// every parameter gradient bit-identical.
+// TestBackwardParamsMatchesBackward: on an op that can skip its input
+// gradient (ParamBackward, the convolutions), skipping it leaves every
+// parameter gradient bit-identical.
 func TestBackwardParamsMatchesBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for name, build := range seqOpSet() {
 		full, params := build(), build()
+		pb, ok := params.(ParamBackward)
+		if _, conv := params.(*Conv1D); ok != conv {
+			t.Fatalf("%s: ParamBackward %v", name, ok)
+		}
+		if !ok {
+			continue
+		}
 		x, dy := randSeq(rng, 7, 6), randSeq(rng, 7, 6)
 		full.Forward(x)
 		full.Backward(dy)
 		params.Forward(x)
-		params.BackwardParams(dy)
+		pb.BackwardParams(dy)
 		for i, p := range full.Params() {
 			if !sameBits(p.Grad.Data, params.Params()[i].Grad.Data) {
 				t.Errorf("%s: BackwardParams gradient %s differs", name, p.Name)

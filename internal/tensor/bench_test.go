@@ -58,7 +58,7 @@ func benchPath(side string) kernelPath {
 // multiplies (sequence 9, Conv1D im2col width 160, model width 32, and
 // the weight gradients of foldShapes per sample and stacked over
 // foldSamples samples, and of headerFoldShapes per sample and stacked
-// over headerFoldChunk), so the layer delta reproduces on any box without
+// over foldSamples), so the layer delta reproduces on any box without
 // a parent checkout. Shapes are output rows × inner × output columns.
 // The sides of one cell run back to back (names stay side first), so a
 // shared machine's drift over the minutes of a run lands on them alike.
@@ -86,7 +86,7 @@ func BenchmarkKernel(b *testing.B) {
 		shapes = append(shapes, shape{1, f[0], f[1], f[2]}, shape{1, f[0], foldSamples * f[1], f[2]})
 	}
 	for _, f := range headerFoldShapes { // a header's dW, one sample and a Pass's stack
-		for _, sh := range []shape{{1, f[0], f[1], f[2]}, {1, f[0], headerFoldChunk * f[1], f[2]}} {
+		for _, sh := range []shape{{1, f[0], f[1], f[2]}, {1, f[0], foldSamples * f[1], f[2]}} {
 			if !slices.Contains(shapes, sh) {
 				shapes = append(shapes, sh)
 			}

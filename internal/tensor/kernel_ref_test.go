@@ -98,23 +98,21 @@ var kernelCases = []kernelCase{
 		func(m, k, n int) (*Matrix, *Matrix) { return New(m, k), New(n, k) }, false},
 }
 
-// foldShapes are the weight-gradient products aᵀ·b that nn's
-// data-parallel fold stacks, as output rows, rows per sample and output
-// columns: a 32×32 projection and the MLP's two weights at sequence 9,
-// and the classifier head (one row, 100 classes). The serial backward
-// pass makes one product per sample; the fold makes one over foldSamples
-// samples' rows.
+// foldShapes are the weight-gradient products aᵀ·b that nn.Pass's fold
+// stacks over a backbone replica's records, as output rows, rows per
+// sample and output columns: a 32×32 projection and the MLP's two
+// weights at sequence 9, and the classifier head (one row, 100 classes).
+// The serial backward pass makes one product per sample; the fold makes
+// one over foldSamples samples' rows (nn's foldChunk).
 var foldShapes = [][3]int{{32, 9, 32}, {32, 9, 64}, {64, 9, 32}, {32, 1, 100}}
 
-const foldSamples = 8
+const foldSamples = 4
 
 // headerFoldShapes are the weight gradients a device header's minibatch
-// pass (nn.Pass) folds, headerFoldChunk samples at a time: its
+// pass (nn.Pass) folds, foldSamples samples at a time: its
 // convolutions' colsᵀ·dy at kernel 1, 3 and 5 (9 token rows a sample)
 // and its classifier's FC1 and FC2 xᵀ·dy (one row a sample).
 var headerFoldShapes = [][3]int{{32, 9, 32}, {96, 9, 32}, {160, 9, 32}, {64, 1, 32}, {32, 1, 100}}
-
-const headerFoldChunk = 4
 
 // Left-operand zero patterns. "padded" is what Conv1D's im2col produces:
 // each row is a run of equal-width tap blocks, and the blocks whose tap
@@ -304,7 +302,7 @@ func kernelsMatchReference(t *testing.T) {
 }
 
 // TestHeaderFoldMatchesPerSample: on every kernel path, a 10-sample
-// minibatch folded at the header's shapes in chunks of headerFoldChunk
+// minibatch folded at the header's shapes in chunks of foldSamples
 // (4 + 4 + 2 samples, one MatMulTransAAcc and one SumRowsInto each) adds
 // the same bits to the weight and bias gradients as one call per sample.
 // The operands carry what a masked header feeds the fold: im2col
@@ -338,8 +336,8 @@ func headerFoldMatchesPerSample(t *testing.T) {
 			MatMulTransAAcc(wSerial, as, bs)
 			bs.SumRowsInto(bSerial.Data)
 		}
-		for s0 := 0; s0 < samples; s0 += headerFoldChunk {
-			s1 := min(s0+headerFoldChunk, samples)
+		for s0 := 0; s0 < samples; s0 += foldSamples {
+			s1 := min(s0+foldSamples, samples)
 			as := FromSlice((s1-s0)*rows, m, a.Data[s0*rows*m:s1*rows*m])
 			bs := FromSlice((s1-s0)*rows, n, b.Data[s0*rows*n:s1*rows*n])
 			MatMulTransAAcc(wStacked, as, bs)

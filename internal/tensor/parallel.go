@@ -14,10 +14,10 @@ import (
 
 // Parallelism returns the number of goroutines ParallelFor splits work
 // among: GOMAXPROCS. It also sets the replica count of internal/nn's
-// data-parallel passes over a BackboneClassifier (nn.TrainEpoch,
-// AccumulateImportance): each minibatch splits among
-// min(Parallelism(), batch) replicas, bit-identical to one replica, so a
-// seeded run's output does not depend on it.
+// minibatch Pass over a BackboneClassifier (nn.TrainEpoch,
+// AccumulateImportance, BatchGradients): each chunk of a minibatch
+// splits among min(Parallelism(), batch) replicas, bit-identical to one
+// replica, so a seeded run's output does not depend on it.
 func Parallelism() int { return runtime.GOMAXPROCS(0) }
 
 // ParallelFor splits [0, n) into up to Parallelism() contiguous blocks
