@@ -101,11 +101,17 @@ fleet-bench:
 # seed, the trajectory (table only), a default acmesim and the examples,
 # and lists the production functions none of them executed (0.0 % in
 # `go tool covdata func`, acme/bench excluded) as `file: function` in
-# .traffic_build/traffic.txt. A function on that list has no traffic: a
-# candidate for deletion. It is a gate against TRAFFIC.txt, the checked-in
-# list: it prints the functions added to it and removed from it, and
-# fails on any addition. Refresh TRAFFIC.txt from the union of three
-# runs' lists, so that a function only some runs reach cannot fail it.
+# .traffic_build/traffic.txt. It records the trajectory's cells without
+# judging them: its cross-cell gates (the checkpoint tax is a wall-clock
+# ratio) are bench-json's, and a covered binary writes its counters on
+# exit, so a cell that stops the run early still shows up below as the
+# functions it left unexecuted. It is a gate against TRAFFIC.txt, the
+# checked-in list, whose every line is `file: function  # class` with a
+# class from the closed list in traffic_test.go (TestTrafficList, run
+# first, checks the form): it prints the functions added to the list
+# and removed from it, and fails on any addition. Refresh TRAFFIC.txt
+# from the union of three runs' lists, so that a function only some
+# runs reach cannot fail it, and give every new line its class.
 # Not part of `ci`: the list assumes a CPU with AVX2, with or without
 # AVX-512. Both SIMD tiers run behind the same Go wrappers and coverage
 # counts no assembly, so the two give one list; without AVX2 the Go
@@ -113,6 +119,7 @@ fleet-bench:
 TRAFFIC := $(CURDIR)/.traffic_build
 EXAMPLES := quickstart heterogeneous_devices noniid_personalization tcp_cluster
 traffic:
+	$(GO) test -count=1 -run '^TestTrafficList$$' .
 	rm -rf $(TRAFFIC) && mkdir -p $(TRAFFIC)/cov
 	$(GO) build -C bench -cover -coverpkg=acme/... -o $(TRAFFIC)/acme-bench .
 	$(GO) build -cover -coverpkg=acme/... -o $(TRAFFIC)/acmebench ./cmd/acmebench
@@ -124,7 +131,8 @@ traffic:
 		GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acme-bench -workload $$w -trace 0 -seconds 5 >/dev/null || exit 1; \
 	done
 	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmebench -exp all -seeds 1 >/dev/null
-	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmebench -exp trajectory >/dev/null
+	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmebench -exp trajectory >/dev/null || \
+		echo "traffic: the trajectory's cross-cell gates failed (recorded here, judged by bench-json)"
 	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/acmesim >/dev/null
 	for e in $(EXAMPLES); do \
 		GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/example-$$e >/dev/null || exit 1; \
@@ -132,7 +140,7 @@ traffic:
 	$(GO) tool covdata func -i $(TRAFFIC)/cov | \
 		awk '$$NF == "0.0%" && $$1 !~ /^acme\/bench\// { f = $$1; sub(/^acme\//, "", f); sub(/:[0-9]+:$$/, "", f); print f ": " $$2 }' | \
 		LC_ALL=C sort -u > $(TRAFFIC)/traffic.txt
-	@LC_ALL=C sort -u TRAFFIC.txt > $(TRAFFIC)/want.txt; \
+	@sed 's/  # .*//' TRAFFIC.txt | LC_ALL=C sort -u > $(TRAFFIC)/want.txt; \
 	added=$$(LC_ALL=C comm -13 $(TRAFFIC)/want.txt $(TRAFFIC)/traffic.txt); \
 	removed=$$(LC_ALL=C comm -23 $(TRAFFIC)/want.txt $(TRAFFIC)/traffic.txt); \
 	echo "traffic: $$(wc -l < $(TRAFFIC)/traffic.txt) production functions with no traffic, TRAFFIC.txt lists $$(wc -l < $(TRAFFIC)/want.txt)"; \
@@ -161,11 +169,11 @@ perf-pairs:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-json regenerates the trajectory (~2½ min): 48 cells — wire
+# bench-json regenerates the trajectory (~2½ min): 51 cells — wire
 # shapes, TCP, straggler cutoff, fleet sampling, entropy coding, top-K,
-# the adversarial matrix, kill/restore, the checkpoint tax — run once
-# each from internal/experiments' cell table, with the gate table
-# benchcmp reads. The older BENCH_*.json files stay as the record;
+# the adversarial matrix, edge and device kill/restore, the checkpoint
+# tax — run once each from internal/experiments' cell table, with the
+# gate table benchcmp reads. The older BENCH_*.json files stay as the record;
 # nothing regenerates them.
 bench-json:
 	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_27.json

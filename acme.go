@@ -118,10 +118,6 @@ const (
 	QuantMixed    = core.QuantMixed    // per-layer float16/int8: mass-ranked importance, error-tested params
 )
 
-// ParseQuantMode resolves a quantization mode from its flag name
-// (lossless, float16, int8, mixed).
-func ParseQuantMode(s string) (QuantMode, error) { return core.ParseQuantMode(s) }
-
 // Phase2RoundStat traces one edge round of the Phase 2-2 importance
 // loop (Result.Phase2Rounds): uplink and downlink bytes, dense vs
 // delta message counts in both directions, and edge busy time.
@@ -188,18 +184,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // one for multi-process deployments.
 type Network = transport.Network
 
-// Transport is the full substrate contract — Network plus peer-table
-// rebinding, addressing, traffic counters, and Close — implemented by
-// the in-memory, TCP, and fault-injecting networks alike.
+// Transport is the substrate contract — Network plus traffic counters
+// and Close — implemented by the in-memory, TCP, and fault-injecting
+// networks alike.
 type Transport = transport.Transport
 
 // Session is the session-oriented API over a Network: the typed
 // control plane (JOIN / LEAVE / RESYNC-REQUEST / ROUND-CUTOFF) and the
 // round-scoped Gather primitive with straggler quorum and deadline.
 type Session = transport.Session
-
-// NewSession binds a session for the named node over net.
-func NewSession(node string, net Network) *Session { return transport.NewSession(node, net) }
 
 // TCPNetwork is a socket-backed Network with supervised per-peer
 // links: reconnect with capped exponential backoff, connection reuse

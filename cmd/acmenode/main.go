@@ -87,7 +87,7 @@ func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	fmt.Printf("acmenode: role %s listening on %s\n", *role, net.Addr())
+	fmt.Printf("acmenode: role %s listening on %s\n", *role, tcpNet.Addr())
 	var res *core.Result
 	if *restore {
 		// A crashed role comes back from its durable snapshot: the edge

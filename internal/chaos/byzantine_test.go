@@ -142,8 +142,8 @@ func TestDetectorFlagsAndEvicts(t *testing.T) {
 	if len(v.Evicted) != 1 || v.Evicted[0] != 0 {
 		t.Fatalf("round 1 evicted %v, want [0] at the default strike limit", v.Evicted)
 	}
-	if d.Strikes(0) != 2 {
-		t.Fatalf("strikes(0) = %d, want 2", d.Strikes(0))
+	if d.strikes[0] != 2 {
+		t.Fatalf("strikes(0) = %d, want 2", d.strikes[0])
 	}
 	// Eviction is reported once.
 	v = round()

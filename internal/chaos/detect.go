@@ -320,6 +320,3 @@ func (d *Detector) Restore(st State) {
 		d.prev[e.ID] = append([]float64(nil), e.Values...)
 	}
 }
-
-// Strikes returns a device's accumulated flag count.
-func (d *Detector) Strikes(id int) int { return d.strikes[id] }

@@ -43,8 +43,8 @@ func TestDetectorFlagsReplay(t *testing.T) {
 	if v.SelfScores[0] != 0 {
 		t.Fatalf("replayed upload self-distance %v, want exactly 0", v.SelfScores[0])
 	}
-	if d.Strikes(0) != 1 {
-		t.Fatalf("strikes(0) = %d after one replay", d.Strikes(0))
+	if d.strikes[0] != 1 {
+		t.Fatalf("strikes(0) = %d after one replay", d.strikes[0])
 	}
 	// Round 2: the same replay again crosses the default strike limit.
 	r2 := map[int][]float64{0: r0[0]}

@@ -44,12 +44,6 @@ type Profile struct {
 	DuplicateProb float64
 }
 
-// zero reports whether the profile perturbs nothing.
-func (p Profile) zero() bool {
-	return p.BaseDelay == 0 && p.Jitter == 0 && p.SpikeProb == 0 &&
-		p.BandwidthBps == 0 && p.DuplicateProb == 0
-}
-
 // LinkRule binds a profile to the link pairs it matches. Empty From/To
 // match any node; the first matching rule wins.
 type LinkRule struct {
@@ -322,12 +316,6 @@ func (n *Net) deliver(msg transport.Message, due time.Time, prev, done chan stru
 func (n *Net) Recv(ctx context.Context, node string) (transport.Message, error) {
 	return n.inner.Recv(ctx, node)
 }
-
-// SetPeers implements Transport.
-func (n *Net) SetPeers(peers map[string]string) { n.inner.SetPeers(peers) }
-
-// Addr implements Transport.
-func (n *Net) Addr() string { return n.inner.Addr() }
 
 // Stats implements Transport.
 func (n *Net) Stats() *transport.Stats { return n.inner.Stats() }

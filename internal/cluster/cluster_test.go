@@ -24,8 +24,8 @@ func TestGenerateFleetShape(t *testing.T) {
 		if d.Storage <= 0 || d.GPU <= 0 {
 			t.Fatalf("bad device %+v", d)
 		}
-		if err := d.Profile.Validate(); err != nil {
-			t.Fatalf("device %d profile: %v", d.ID, err)
+		if p := d.Profile; p.GPU <= 0 || p.BaseLatency <= 0 || p.Epochs <= 0 {
+			t.Fatalf("device %d: non-positive profile fields %+v", d.ID, p)
 		}
 	}
 }

@@ -82,3 +82,49 @@ func TestSweepSharesDepthPrefix(t *testing.T) {
 	// only (0.5, 2) and (0.5, 1) score.
 	check([]float64{1.5, 0.5, 0}, []int{0, 2, cfg.Backbone.Depth + 1, 1}, 2)
 }
+
+// TestInfeasibleStorageFallsBackToSmallest: a cluster whose devices can
+// store no candidate still gets a backbone, and it is the sweep's
+// smallest one, not the front model Select would pick under a looser
+// cap.
+func TestInfeasibleStorageFallsBackToSmallest(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.StorageFractions = []float64{0.01} // of the reference model: below every candidate
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+	ref, err := s.trainReference(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := prune.NewGenerator(ref, s.public, cfg.Distill)
+	if err := gen.EnsureImportance(256, rng); err != nil {
+		t.Fatal(err)
+	}
+	cs := s.clusterStats(0)
+	if err := s.customizeCluster(ref, gen, cs); err != nil {
+		t.Fatal(err)
+	}
+
+	cands := s.sweepCandidates(ref, cs, rand.New(rand.NewSource(cfg.Seed+1000)))
+	want := cands[0]
+	for _, c := range cands {
+		if c.Size <= cs.MinStorage {
+			t.Fatalf("candidate (%v, %d) of %v params fits the cap: the fallback is not reached", c.W, c.D, c.Size)
+		}
+		if c.Size < want.Size {
+			want = c
+		}
+	}
+	if got := s.assignmentsCopy()[0]; got.W != want.W || got.D != want.D || got.Size != want.Size {
+		t.Fatalf("assigned (%v, %d) of %v params, want the smallest candidate (%v, %d) of %v",
+			got.W, got.D, got.Size, want.W, want.D, want.Size)
+	}
+	if grid, err := pareto.Build(cands, cfg.Pareto); err != nil {
+		t.Fatal(err)
+	} else if front, err := grid.Select(math.Inf(1)); err == nil && front.W == want.W && front.D == want.D {
+		t.Fatalf("uncapped Select also picks (%v, %d): the test cannot tell the fallback from it", want.W, want.D)
+	}
+}

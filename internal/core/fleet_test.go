@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"acme/internal/data"
-	"acme/internal/nn"
 )
 
 // TestPaperFleetSetting runs the paper's §IV-A topology — 10 device
@@ -107,40 +106,7 @@ func TestDeviceCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSavedModels(t, sys, cfg.Checkpoint.Path, res.Reports)
-}
-
-// checkSavedModels loads each reporting device's saved final model and
-// re-evaluates it on the device's raw test samples through
-// HeaderModel.Forward, the reference path. The device computed its
-// reported accuracy over backbone features it built once (at start, or
-// at resume from a snapshot), so exact equality shows those features
-// are the ones its final model's backbone produces.
-func checkSavedModels(t *testing.T, sys *System, dir string, reports []DeviceReport) {
-	t.Helper()
-	for _, rep := range reports {
-		backbone, header, err := LoadDeviceCheckpoint(dir, rep.DeviceID)
-		if err != nil {
-			t.Fatalf("device %d: %v", rep.DeviceID, err)
-		}
-		if backbone.ActiveParamCount() != rep.BackboneParams {
-			t.Fatalf("device %d: checkpoint backbone %d params, report %d",
-				rep.DeviceID, backbone.ActiveParamCount(), rep.BackboneParams)
-		}
-		var di int
-		for i, d := range sys.Devices() {
-			if d.ID == rep.DeviceID {
-				di = i
-			}
-		}
-		test := sys.DeviceTest(di)
-		acc, err := nn.Evaluate(header, test.X, test.Y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if acc != rep.AccuracyFinal {
-			t.Fatalf("device %d: restored accuracy %.3f vs reported %.3f",
-				rep.DeviceID, acc, rep.AccuracyFinal)
-		}
+	if err := sys.CheckSavedModels(res.Reports); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -464,6 +464,46 @@ func LoadDeviceCheckpoint(dir string, id int) (*nn.Backbone, *nas.HeaderModel, e
 	return backbone, header, nil
 }
 
+// CheckSavedModels requires a report from every device, and that each
+// device's final model saved under Config.Checkpoint.Path, re-evaluated
+// on the device's raw test samples through HeaderModel.Forward (the
+// reference path), scores the accuracy the device reported. The device
+// computed that accuracy over backbone features it built once (at
+// start, or on re-entry from a snapshot or a rejoin), so equality shows
+// they are the ones its saved backbone produces.
+func (s *System) CheckSavedModels(reports []DeviceReport) error {
+	unreported := make(map[int]int, len(s.devices)) // device ID → index
+	for di, d := range s.devices {
+		unreported[d.ID] = di
+	}
+	for _, rep := range reports {
+		di, ok := unreported[rep.DeviceID]
+		if !ok {
+			return fmt.Errorf("core: device %d reported twice or is not in the fleet", rep.DeviceID)
+		}
+		delete(unreported, rep.DeviceID)
+		backbone, header, err := LoadDeviceCheckpoint(s.Cfg.Checkpoint.Path, rep.DeviceID)
+		if err != nil {
+			return err
+		}
+		if backbone.ActiveParamCount() != rep.BackboneParams {
+			return fmt.Errorf("core: device %d: saved backbone has %d params, report %d",
+				rep.DeviceID, backbone.ActiveParamCount(), rep.BackboneParams)
+		}
+		acc, err := nn.Evaluate(header, s.devTest[di].X, s.devTest[di].Y)
+		if err != nil {
+			return err
+		}
+		if acc != rep.AccuracyFinal {
+			return fmt.Errorf("core: device %d: saved model scores %v, report %v", rep.DeviceID, acc, rep.AccuracyFinal)
+		}
+	}
+	if len(unreported) > 0 {
+		return fmt.Errorf("core: %d of %d devices never reported", len(unreported), len(s.devices))
+	}
+	return nil
+}
+
 // uplinkBuffer retains a device's last few encoded uploads — the exact
 // payload bytes, so a retransmission is bitwise identical to the
 // original — for the edge's SESSION-RESUME recovery. Inactive (zero

@@ -8,8 +8,6 @@
 // surface that Phase 1 searches.
 package energy
 
-import "fmt"
-
 // Arch captures the architecture constants of the reference backbone
 // used by the ζ parameter-count model: H (parameters of all attention
 // heads per layer), ξh (hidden dimension), and ξf (feed-forward
@@ -58,14 +56,6 @@ type Profile struct {
 	BaseLatency    float64 // L: fixed per-epoch latency (s)
 	LatencyPerUnit float64 // ΔL: extra latency per unit of w·d (s)
 	Epochs         int     // k
-}
-
-// Validate reports profile errors.
-func (p Profile) Validate() error {
-	if p.GPU <= 0 || p.BaseLatency <= 0 || p.Epochs <= 0 {
-		return fmt.Errorf("energy: non-positive profile fields %+v", p)
-	}
-	return nil
 }
 
 // NewProfile derives a profile from a device's GPU capacity G, base

@@ -65,12 +65,3 @@ func TestProfileProportionality(t *testing.T) {
 		t.Fatal("Gβ must scale with G")
 	}
 }
-
-func TestProfileValidate(t *testing.T) {
-	if err := (Profile{}).Validate(); err == nil {
-		t.Fatal("zero profile should fail validation")
-	}
-	if err := NewProfile(50, 1, 9, 3).Validate(); err != nil {
-		t.Fatalf("valid profile rejected: %v", err)
-	}
-}

@@ -75,11 +75,19 @@ type cell struct {
 	LieProb  float64 `json:"lie_prob,omitempty"`
 	Detect   bool    `json:"detect,omitempty"`
 
+	// Converge is Config.ConvergenceEpsilon: each edge keeps a round's
+	// combined sets to compare the next round's against (0 = off).
+	Converge float64 `json:"convergence_epsilon,omitempty"`
+
 	// CkptTax runs every trial twice, checkpoints off then on.
 	// KillMinRound > 0 kills the straggler's edge once its snapshot
-	// reaches that round and restores it from the snapshot.
+	// reaches that round and restores it from the snapshot. KillDevice
+	// kills the straggler itself instead, and Rejoin brings it back
+	// cold (RejoinRole) rather than from its snapshot (ResumeRole).
 	CkptTax      bool `json:"ckpt_tax,omitempty"`
 	KillMinRound int  `json:"kill_min_round,omitempty"`
+	KillDevice   bool `json:"kill_device,omitempty"`
+	Rejoin       bool `json:"rejoin,omitempty"`
 }
 
 // wireMetrics is what a single run of the pipeline moved.
@@ -142,12 +150,16 @@ type detectMetrics struct {
 	HonestReportRate float64 `json:"honest_report_rate"`
 }
 
-// restoreMetrics is a kill/restore trial: RestoreEqualTPR is 1 when the
-// restored run's reports are bitwise those of the uninterrupted run.
+// restoreMetrics is a kill/restore trial. An edge's restore is exact:
+// RestoreEqualTPR is 1 when the restored run's reports are bitwise
+// those of the uninterrupted run. A device's re-entry depends on when
+// the edge cut it off, so RestoreCompleteTPR is 1 when every device
+// reported and every saved model loads with its reported accuracy.
 type restoreMetrics struct {
-	Victim          string  `json:"victim"`
-	KillRound       int     `json:"kill_round"`
-	RestoreEqualTPR float64 `json:"restore_equal_tpr"`
+	Victim             string  `json:"victim"`
+	KillRound          int     `json:"kill_round"`
+	RestoreEqualTPR    float64 `json:"restore_equal_tpr,omitempty"`
+	RestoreCompleteTPR float64 `json:"restore_complete_tpr,omitempty"`
 }
 
 // taxMetrics is the durability tax: the median relative wall overhead
@@ -187,6 +199,7 @@ var gates = []gate{
 	{"detection_tpr", "fraction", "higher", 0.05, "points"},
 	{"detection_fpr", "fraction", "lower", 0.05, "points"},
 	{"restore_equal_tpr", "fraction", "higher", 0.05, "points"},
+	{"restore_complete_tpr", "fraction", "higher", 0.05, "points"},
 	{"ckpt_overhead_frac", "fraction", "lower", ckptTaxCeiling, "ceiling"},
 }
 
@@ -249,7 +262,7 @@ var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0, StrikeLimit:
 // byzantineDevices is how many devices lie in a cell with a Strategy.
 const byzantineDevices = 2
 
-// cells returns the trajectory: 18 named cells and the 30-cell
+// cells returns the trajectory: 21 named cells and the 30-cell
 // adversarial matrix.
 func cells() []cell {
 	// acmesim's default scenario at seed 1. Its dense-lossless and
@@ -284,6 +297,9 @@ func cells() []cell {
 	// it to.
 	restore := cell{Name: "restore-kill-edge", OriginPR: 9, Tiny: true, Edges: 2, DevicesPerEdge: 2, Samples: 60,
 		Rounds: 5, Seed: 1, Quant: "lossless", Delta: true, Transport: "memory", StraggleMS: 50, KillMinRound: 2}
+	deviceKill := with(restore, "restore-kill-device", 51, func(c *cell) {
+		c.KillMinRound, c.KillDevice, c.Quorum, c.CutoffMS = 1, true, 0.5, 150
+	})
 
 	out := []cell{
 		with(base, "dense-lossless", 3, nil),
@@ -309,6 +325,17 @@ func cells() []cell {
 		with(base, "ckpt-overhead", 9, func(c *cell) { c.Trials, c.CkptTax = 5, true }),
 		// The restored edge must re-derive the identical picks.
 		with(restore, "restore-kill-edge-sampled", 10, func(c *cell) { c.DevicesPerEdge, c.SampleFrac = 4, 0.5 }),
+		// The restored edge must resume the detector's strike book and
+		// the convergence monitor's last sets too: two devices inflate
+		// every round, and no round's change falls below the epsilon.
+		with(restore, "restore-kill-edge-detect", 51, func(c *cell) {
+			c.DevicesPerEdge, c.Detect, c.Strategy, c.LieProb, c.Converge = 4, true, "inflate", 1, 1e-9
+		}),
+		// A killed device re-enters the loop in progress, warm from its
+		// snapshot or cold with the package's model; its peers carry the
+		// quorum meanwhile.
+		deviceKill,
+		with(deviceKill, "rejoin-device", 51, func(c *cell) { c.Rejoin = true }),
 	}
 
 	// The adversarial matrix: one edge over a six-device cluster
@@ -450,10 +477,13 @@ func Trajectory(path string) (*Table, error) {
 		doc.Configs = append(doc.Configs, rep)
 		byName[c.Name] = rep
 	}
+	// Derived before the gates, so a run that fails them has still
+	// executed everything but the file and the table (make traffic
+	// records the trajectory without judging it).
+	doc.Headlines = headlines(byName)
 	if err := check(byName); err != nil {
 		return nil, err
 	}
-	doc.Headlines = headlines(byName)
 
 	if path != "" {
 		raw, err := json.MarshalIndent(doc, "", "  ")
@@ -482,7 +512,7 @@ func Trajectory(path string) (*Table, error) {
 		case c.detectMetrics != nil:
 			row[5], row[6] = f2(c.DetectionTPR), f2(c.DetectionFPR)
 		case c.restoreMetrics != nil:
-			row[5] = f2(c.RestoreEqualTPR)
+			row[5] = f2(max(c.RestoreEqualTPR, c.RestoreCompleteTPR)) // a cell sets one
 		}
 		t.AddRow(row...)
 	}

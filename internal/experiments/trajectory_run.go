@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -68,6 +69,7 @@ func (c cell) config(trial int) (core.Config, error) {
 	cfg.Wire.DeltaImportance = c.Delta
 	cfg.Wire.Entropy = c.Entropy
 	cfg.ImportanceRefreshPeriod = c.Refresh
+	cfg.ConvergenceEpsilon = c.Converge
 	cfg.Wire.TopKFraction = c.TopK
 
 	cfg.Fleet.SampleFrac = c.SampleFrac
@@ -150,6 +152,10 @@ func runMemory(ctx context.Context, cfg core.Config) (outcome, error) {
 		return outcome{}, err
 	}
 	res, err := sys.Run(ctx)
+	// The network is this run's own, as in acme.Run: closing it releases
+	// the frames still parked in inboxes nobody reads, once a chaos
+	// network has drained its delayed deliveries.
+	sys.Net.(transport.Transport).Close()
 	if err != nil {
 		return outcome{}, err
 	}
@@ -495,27 +501,43 @@ func runTax(ctx context.Context, c cell) (*taxMetrics, error) {
 	return m, nil
 }
 
-// awaitSnapshot polls an edge's checkpoint file until it holds a
-// snapshot at minRound or later. The file is written atomically, so
-// every read observes a complete snapshot.
-func awaitSnapshot(ctx context.Context, path string, minRound int) (int, error) {
+// awaitSnapshot polls a role's checkpoint file until it holds a
+// snapshot at minRound or later: an edge's, or with device set a
+// device's. The file is written atomically, so every read observes a
+// complete snapshot.
+func awaitSnapshot(ctx context.Context, path string, device bool, minRound int) (int, error) {
 	for ctx.Err() == nil {
-		var snap core.EdgeSnapshot
-		if err := checkpoint.ReadFile(path, &snap); err == nil && snap.Round >= minRound {
-			return snap.Round, nil
+		var round int
+		var err error
+		if device {
+			var snap core.DeviceSnapshot
+			err, round = checkpoint.ReadFile(path, &snap), snap.Round
+		} else {
+			var snap core.EdgeSnapshot
+			err, round = checkpoint.ReadFile(path, &snap), snap.Round
+		}
+		if err == nil && round >= minRound {
+			return round, nil
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return 0, fmt.Errorf("edge snapshot never reached round %d: %w", minRound, ctx.Err())
+	return 0, fmt.Errorf("%s never reached round %d: %w", filepath.Base(path), minRound, ctx.Err())
 }
 
-// runRestore kills the straggler's edge mid-loop, restores it from its
-// durable snapshot, and requires the finished run's reports to be
-// bitwise those of the same seeded run left uninterrupted.
+// runRestore kills a role mid-loop and brings it back. The straggler's
+// edge is restored from its durable snapshot, and the finished run's
+// reports must be bitwise those of the same seeded run left
+// uninterrupted. The straggler itself (KillDevice) resumes from its
+// snapshot or rejoins cold (Rejoin); the edge cuts it off meanwhile, so
+// the run must only complete: every device reports, and every saved
+// model loads with the accuracy its device reported.
 func runRestore(ctx context.Context, c cell) (*restoreMetrics, float64, error) {
-	base, err := c.run(ctx, 0, "")
-	if err != nil {
-		return nil, 0, fmt.Errorf("uninterrupted baseline: %w", err)
+	var base outcome
+	if !c.KillDevice {
+		var err error
+		if base, err = c.run(ctx, 0, ""); err != nil {
+			return nil, 0, fmt.Errorf("uninterrupted baseline: %w", err)
+		}
 	}
 	dir, err := os.MkdirTemp("", "acme-restore-")
 	if err != nil {
@@ -531,11 +553,14 @@ func runRestore(ctx context.Context, c cell) (*restoreMetrics, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	_, slowEdge, err := slowDevice(sys)
+	slowID, slowEdge, err := slowDevice(sys)
 	if err != nil {
 		return nil, 0, err
 	}
 	victim := fmt.Sprintf("edge-%d", slowEdge)
+	if c.KillDevice {
+		victim = fmt.Sprintf("device-%d", slowID)
+	}
 
 	ctx, cancel := context.WithTimeout(ctx, runTimeout)
 	defer cancel()
@@ -543,16 +568,21 @@ func runRestore(ctx context.Context, c cell) (*restoreMetrics, float64, error) {
 	defer kill()
 	roles := startRoles(ctx, cancel, sys.RoleNames(), func(string) *core.System { return sys }, victim, victimCtx)
 
-	// Kill the edge once its snapshot proves the loop is mid-flight,
+	// Kill the role once its snapshot proves the loop is mid-flight,
 	// wait for the goroutine to die (its snapshot writer must release
-	// the file before the resumed instance opens it), then restore.
-	killRound, err := awaitSnapshot(ctx, sys.CheckpointFile(victim), c.KillMinRound)
+	// the file before the restored instance opens it), then restore.
+	killRound, err := awaitSnapshot(ctx, sys.CheckpointFile(victim), c.KillDevice, c.KillMinRound)
 	if err == nil {
 		kill()
 		<-roles.exited[victim]
 		var res *core.Result
-		if res, err = sys.ResumeRole(ctx, victim); err != nil {
-			err = fmt.Errorf("resume %s: %w", victim, err)
+		if c.Rejoin {
+			err = sys.RejoinRole(ctx, victim)
+		} else {
+			res, err = sys.ResumeRole(ctx, victim)
+		}
+		if err != nil {
+			err = fmt.Errorf("restore %s: %w", victim, err)
 		}
 		roles.add(res)
 	}
@@ -563,9 +593,18 @@ func runRestore(ctx context.Context, c cell) (*restoreMetrics, float64, error) {
 	if err := errors.Join(err, waitErr); err != nil {
 		return nil, 0, err
 	}
-	if !reflect.DeepEqual(res.Reports, base.res.Reports) {
-		return nil, 0, fmt.Errorf("kill-and-restore run diverged from the uninterrupted run:\ngot  %+v\nwant %+v",
-			res.Reports, base.res.Reports)
+	m := &restoreMetrics{Victim: victim, KillRound: killRound}
+	if c.KillDevice {
+		if err := sys.CheckSavedModels(res.Reports); err != nil {
+			return nil, 0, err
+		}
+		m.RestoreCompleteTPR = 1
+	} else {
+		if !reflect.DeepEqual(res.Reports, base.res.Reports) {
+			return nil, 0, fmt.Errorf("kill-and-restore run diverged from the uninterrupted run:\ngot  %+v\nwant %+v",
+				res.Reports, base.res.Reports)
+		}
+		m.RestoreEqualTPR = 1
 	}
-	return &restoreMetrics{Victim: victim, KillRound: killRound, RestoreEqualTPR: 1}, res.MeanAccuracyFinal(), nil
+	return m, res.MeanAccuracyFinal(), nil
 }

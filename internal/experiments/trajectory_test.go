@@ -65,8 +65,8 @@ func TestTrajectoryConfigsValid(t *testing.T) {
 			}
 		}
 	}
-	if len(seen) != 48 {
-		t.Errorf("%d cells, want 48 (the 48 of BENCH_3…10 less the three retired, plus topk-005, float16 and int8)", len(seen))
+	if len(seen) != 51 {
+		t.Errorf("%d cells, want 51 (the 48 of BENCH_3…10 less the three retired, plus topk-005, float16, int8 and the three device and detector restore cells)", len(seen))
 	}
 }
 

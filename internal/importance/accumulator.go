@@ -50,9 +50,6 @@ func (a *Accumulator) Reset() {
 	a.batches = 0
 }
 
-// Batches reports how many minibatches the running sum currently holds.
-func (a *Accumulator) Batches() int { return a.batches }
-
 // FoldBatches draws a fresh shuffle of ds and folds up to maxBatches
 // minibatches of batchSize samples into the running sum: each batch
 // runs forward/backward with accumulated gradients, all batches through

@@ -33,8 +33,8 @@ func TestAccumulatorMatchesSingleShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	reused.Reset()
-	if reused.Batches() != 0 {
-		t.Fatalf("reset left %d batches", reused.Batches())
+	if reused.batches != 0 {
+		t.Fatalf("reset left %d batches", reused.batches)
 	}
 	if _, err := reused.FoldBatches(c, ds, 8, 4, rand.New(rand.NewSource(9))); err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestAccumulatorIncrementalFolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc.Batches() != n1+n2 {
-		t.Fatalf("batches %d, want %d", acc.Batches(), n1+n2)
+	if acc.batches != n1+n2 {
+		t.Fatalf("batches %d, want %d", acc.batches, n1+n2)
 	}
 	full, err := acc.Average()
 	if err != nil {

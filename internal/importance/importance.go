@@ -76,15 +76,6 @@ func (s *Set) ZeroClone() *Set {
 	return out
 }
 
-// Total returns the number of scalar entries.
-func (s *Set) Total() int {
-	var n int
-	for _, l := range s.Layers {
-		n += len(l)
-	}
-	return n
-}
-
 // Scale multiplies every entry by f.
 func (s *Set) Scale(f float64) {
 	for _, l := range s.Layers {

@@ -70,8 +70,8 @@ func TestSetShapeAndAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := nn.NewLinear("l", 3, 2, rng)
 	set := NewSet(l)
-	if set.Total() != 3*2+2 {
-		t.Fatalf("set total %d", set.Total())
+	if len(set.Layers) != 2 || len(set.Layers[0])+len(set.Layers[1]) != 3*2+2 {
+		t.Fatalf("set shape %v, want 2 layers of 3·2 + 2 entries", set.Layers)
 	}
 	// Put a known gradient in and verify (g·v)².
 	l.W.Value.Fill(2)

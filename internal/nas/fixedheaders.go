@@ -155,8 +155,3 @@ func (h *FixedHeader) Params() []*nn.Param {
 	ps = append(ps, h.fc2.Params()...)
 	return ps
 }
-
-// AllParams returns header plus backbone parameters.
-func (h *FixedHeader) AllParams() []*nn.Param {
-	return append(h.Params(), h.Backbone.Params()...)
-}

@@ -3,7 +3,6 @@ package nas
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"acme/internal/nn"
 	"acme/internal/tensor"
@@ -61,33 +60,6 @@ func (bk *OpBank) Get(u, b, slot int, kind OpKind) nn.SeqOp {
 	op := newOp(kind, name, bk.Dim, bk.rng)
 	bk.ops[key] = op
 	return op
-}
-
-// Params returns all instantiated bank parameters in deterministic
-// order.
-func (bk *OpBank) Params() []*nn.Param {
-	keys := make([]bankKey, 0, len(bk.ops))
-	for k := range bk.ops {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.U != b.U {
-			return a.U < b.U
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		if a.Slot != b.Slot {
-			return a.Slot < b.Slot
-		}
-		return a.Kind < b.Kind
-	})
-	var ps []*nn.Param
-	for _, k := range keys {
-		ps = append(ps, bk.ops[k].Params()...)
-	}
-	return ps
 }
 
 // HeaderModel is a concrete header: the DAG of B blocks repeated U

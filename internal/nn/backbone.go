@@ -97,17 +97,6 @@ func (b *Backbone) SeqLen() int { return b.Cfg.SeqLen() }
 // configuration (patches + CLS).
 func (c BackboneConfig) SeqLen() int { return c.NumPatches + 1 }
 
-// Tokenize embeds sample x into the (seq × d) token matrix — the input
-// of block 0. Exposed for incremental execution (early-exit inference
-// runs blocks one at a time via Blocks[l].Forward). The result is valid
-// until this backbone's next Tokenize or Forward.
-func (b *Backbone) Tokenize(x []float64) (*tensor.Matrix, error) {
-	if len(x) != b.Cfg.InputDim {
-		return nil, fmt.Errorf("nn: sample dim %d want %d", len(x), b.Cfg.InputDim)
-	}
-	return b.tokenize(x), nil
-}
-
 // tokenize embeds sample x into the (seq × d) token matrix.
 func (b *Backbone) tokenize(x []float64) *tensor.Matrix {
 	b.patches = tensor.Matrix{Rows: b.Cfg.NumPatches, Cols: b.Cfg.InputDim / b.Cfg.NumPatches, Data: x}
@@ -268,15 +257,6 @@ func (b *Backbone) SetDepth(d int) error {
 	}
 	b.ActiveDepth = d
 	return nil
-}
-
-// Width returns the current effective width factor (active heads over
-// total heads of the first block; head and neuron masks move together).
-func (b *Backbone) Width() float64 {
-	if len(b.Blocks) == 0 {
-		return 1
-	}
-	return float64(b.Blocks[0].Attn.ActiveHeads()) / float64(b.Cfg.NumHeads)
 }
 
 // Clone returns a deep copy of the backbone (parameters, masks, depth).

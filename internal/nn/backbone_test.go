@@ -46,9 +46,6 @@ func TestScaleWidthCounts(t *testing.T) {
 			t.Fatalf("block %d: %d neurons, want 6", l, got)
 		}
 	}
-	if w := bb.Width(); math.Abs(w-0.5) > 1e-9 {
-		t.Fatalf("Width() = %v", w)
-	}
 	// ceil semantics: w=0.3 on 4 heads keeps 2.
 	bb2 := newTestBackbone(t, 2)
 	if err := bb2.ScaleWidth(0.3); err != nil {
@@ -87,7 +84,7 @@ func TestSetDepthAffectsForwardAndParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.Equal(fullCopy, shallow, 1e-9) {
+	if matEqual(fullCopy, shallow, 1e-9) {
 		t.Fatal("depth change did not alter the representation")
 	}
 	if bb.ActiveParamCount() >= fullParams {
@@ -147,7 +144,7 @@ func TestCloneMatchesForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(a, b, 1e-12) {
+	if !matEqual(a, b, 1e-12) {
 		t.Fatal("clone forward differs")
 	}
 	// Mutating the clone must not touch the original.
@@ -156,7 +153,7 @@ func TestCloneMatchesForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(a, c, 1e-12) {
+	if !matEqual(a, c, 1e-12) {
 		t.Fatal("clone shares storage with original")
 	}
 }
@@ -168,17 +165,14 @@ func TestTokenizeMatchesForwardInput(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	tokens, err := bb.Tokenize(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tokens := bb.tokenize(x).Clone()
 	if _, err := bb.Forward(x); err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(tokens, bb.Embedding(), 1e-12) {
-		t.Fatal("Tokenize differs from Forward's embedding")
+	if !matEqual(tokens, bb.Embedding(), 1e-12) {
+		t.Fatal("tokenize differs from Forward's embedding")
 	}
-	if _, err := bb.Tokenize(x[:3]); err == nil {
+	if _, err := bb.Forward(x[:3]); err == nil {
 		t.Fatal("bad input size accepted")
 	}
 }
@@ -229,7 +223,7 @@ func TestPenultimateIdentity(t *testing.T) {
 	pen := bb.Penultimate()
 	hidden := bb.HiddenStates()
 	// Penultimate is the input of the last block = output of block 0.
-	if !tensor.Equal(pen, hidden[0], 1e-12) {
+	if !matEqual(pen, hidden[0], 1e-12) {
 		t.Fatal("penultimate mismatch")
 	}
 }
@@ -298,4 +292,18 @@ func BenchmarkBackboneForward(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// matEqual reports whether a and b have the same shape and elements
+// within tol.
+func matEqual(a, b *tensor.Matrix, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Abs(a.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -1,10 +1,5 @@
 package pareto
 
-import "math"
-
-// point3 is a normalized objective point.
-type point3 struct{ x, y, z float64 }
-
 // ExactFront returns the indices of candidates on the exact (non-grid)
 // Pareto front in raw objective space: no other candidate is ≤ in every
 // objective and < in at least one.
@@ -38,103 +33,4 @@ func dominates(a, b Candidate) bool {
 		}
 	}
 	return strict
-}
-
-// Hypervolume computes the dominated hypervolume of a candidate subset
-// against a reference (worst-case) point, with all three objectives
-// min-max normalized over the full pool. Larger is better. The measure
-// is the standard multi-objective front-quality indicator; the ablation
-// benches use it to compare the grid-approximated front with the exact
-// one.
-//
-// Computed by inclusion of axis-aligned boxes via a simple sweep over
-// the loss dimension — O(n² ) after sorting, plenty for lattice-sized
-// fronts.
-func Hypervolume(indices []int, pool []Candidate) float64 {
-	if len(indices) == 0 {
-		return 0
-	}
-	var lo, hi [3]float64
-	for l := 0; l < 3; l++ {
-		lo[l], hi[l] = math.Inf(1), math.Inf(-1)
-	}
-	for _, c := range pool {
-		for l := 0; l < 3; l++ {
-			v := c.objective(l)
-			lo[l] = math.Min(lo[l], v)
-			hi[l] = math.Max(hi[l], v)
-		}
-	}
-	norm := func(c Candidate, l int) float64 {
-		span := hi[l] - lo[l]
-		if span <= 0 {
-			return 0
-		}
-		return (c.objective(l) - lo[l]) / span
-	}
-
-	// Points in normalized [0,1]³ minimization space; reference (1,1,1).
-	pts := make([]point3, 0, len(indices))
-	for _, i := range indices {
-		pts = append(pts, point3{norm(pool[i], 0), norm(pool[i], 1), norm(pool[i], 2)})
-	}
-	// Sweep over x: sort ascending, each slab [x_i, x_next) contributes
-	// slabWidth × (2-D hypervolume of the y-z front of points with
-	// x ≤ x_i).
-	for i := 1; i < len(pts); i++ {
-		for j := i; j > 0 && pts[j].x < pts[j-1].x; j-- {
-			pts[j], pts[j-1] = pts[j-1], pts[j]
-		}
-	}
-	var volume float64
-	for i := range pts {
-		xNext := 1.0
-		if i+1 < len(pts) {
-			xNext = pts[i+1].x
-		}
-		width := xNext - pts[i].x
-		if width <= 0 {
-			continue
-		}
-		volume += width * area2D(pts[:i+1])
-	}
-	return volume
-}
-
-// area2D computes the area dominated by (y, z) points against reference
-// (1, 1), minimization: the union of rectangles [yᵢ,1]×[zᵢ,1].
-func area2D(pts []point3) float64 {
-	// Keep the non-dominated (y, z) pairs, sorted by y ascending — z is
-	// then strictly decreasing along the front.
-	type yz struct{ y, z float64 }
-	var front []yz
-	for _, p := range pts {
-		dominated := false
-		for _, q := range pts {
-			if (q.y < p.y && q.z <= p.z) || (q.y <= p.y && q.z < p.z) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, yz{p.y, p.z})
-		}
-	}
-	for i := 1; i < len(front); i++ {
-		for j := i; j > 0 && front[j].y < front[j-1].y; j-- {
-			front[j], front[j-1] = front[j-1], front[j]
-		}
-	}
-	// Each point adds the horizontal strip between the previous z level
-	// and its own, spanning [yᵢ, 1].
-	var area float64
-	prevZ := 1.0
-	for _, p := range front {
-		if p.z >= prevZ {
-			continue // duplicate y with worse z
-		}
-		area += (1 - p.y) * (prevZ - p.z)
-		prevZ = p.z
-	}
-	return area
 }

@@ -416,41 +416,6 @@ func (m *WeightedSum) Select(cands []Candidate, sizeCap float64) (Candidate, err
 	return best, nil
 }
 
-// Metrics are the Fig. 9 evaluation measures for a selected model.
-type Metrics struct {
-	Accuracy              float64
-	Size                  float64
-	Energy                float64
-	EnergyEfficiencyRatio float64 // accuracy per unit energy
-	SizeEfficiencyRatio   float64 // accuracy per unit size
-	TradeoffScore         float64 // normalized L + E + ζ; lower is better
-}
-
-// Evaluate computes the Fig. 9 metrics of c against normalization
-// baselines taken from the candidate pool.
-func Evaluate(c Candidate, pool []Candidate) Metrics {
-	var maxE, maxS, maxL float64
-	for _, p := range pool {
-		maxE = math.Max(maxE, p.Energy)
-		maxS = math.Max(maxS, p.Size)
-		maxL = math.Max(maxL, p.Loss)
-	}
-	norm := func(v, m float64) float64 {
-		if m <= 0 {
-			return v
-		}
-		return v / m
-	}
-	return Metrics{
-		Accuracy:              c.Accuracy,
-		Size:                  c.Size,
-		Energy:                c.Energy,
-		EnergyEfficiencyRatio: c.Accuracy / norm(c.Energy, maxE),
-		SizeEfficiencyRatio:   c.Accuracy / norm(c.Size, maxS),
-		TradeoffScore:         norm(c.Loss, maxL) + norm(c.Energy, maxE) + norm(c.Size, maxS),
-	}
-}
-
 // SweepCandidates enumerates the (w, d) candidate lattice the cloud
 // evaluates in Algorithm 1, with widths in ascending order.
 func SweepCandidates(widths []float64, depths []int, eval func(w float64, d int) Candidate) []Candidate {

@@ -219,14 +219,6 @@ func TestPFGMatcherCachesGrid(t *testing.T) {
 	}
 }
 
-func TestEvaluateMetrics(t *testing.T) {
-	cands := syntheticCandidates()
-	met := Evaluate(cands[len(cands)-1], cands)
-	if met.TradeoffScore <= 0 || met.EnergyEfficiencyRatio <= 0 || met.SizeEfficiencyRatio <= 0 {
-		t.Fatalf("bad metrics %+v", met)
-	}
-}
-
 func TestSweepCandidatesOrder(t *testing.T) {
 	calls := 0
 	cands := SweepCandidates([]float64{1.0, 0.5}, []int{2, 1}, func(w float64, d int) Candidate {

@@ -13,13 +13,6 @@ const (
 	blockJ = 256
 )
 
-// MatMul returns a·b.
-func MatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes dst = a·b, reusing dst's storage.
 func MatMulInto(dst, a, b *Matrix) {
 	checkMatMul("matmul", dst, a.Rows, b.Cols, a.Cols, b.Rows)
@@ -94,13 +87,6 @@ func mulAddRowsGo(d, as []float64, astride int, bs []float64, bstride int) {
 	}
 }
 
-// MatMulTransB returns a·bᵀ.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Rows)
-	MatMulTransBInto(out, a, b)
-	return out
-}
-
 // MatMulTransBInto computes dst = a·bᵀ, reusing dst's storage.
 func MatMulTransBInto(dst, a, b *Matrix) {
 	checkMatMul("matmul-transB", dst, a.Rows, b.Rows, a.Cols, b.Cols)
@@ -168,13 +154,6 @@ func matMulTransBGo(dst, a, b *Matrix, i0, i1 int) {
 			}
 		}
 	}
-}
-
-// MatMulTransA returns aᵀ·b.
-func MatMulTransA(a, b *Matrix) *Matrix {
-	out := New(a.Cols, b.Cols)
-	MatMulTransAInto(out, a, b)
-	return out
 }
 
 // MatMulTransAInto computes dst = aᵀ·b, reusing dst's storage.

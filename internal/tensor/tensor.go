@@ -50,9 +50,6 @@ func FromSlice(r, c int, data []float64) *Matrix {
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
@@ -89,16 +86,6 @@ func shapeCheck(op string, a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-}
-
-// Add returns a+b.
-func Add(a, b *Matrix) *Matrix {
-	shapeCheck("add", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
 }
 
 // AddInPlace computes a += b.
@@ -180,28 +167,6 @@ func (m *Matrix) MeanRows() []float64 {
 		out[j] *= inv
 	}
 	return out
-}
-
-// Norm returns the Frobenius norm of m.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Equal reports whether a and b have the same shape and elements within tol.
-func Equal(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Dot returns the dot product of equal-length vectors a and b.

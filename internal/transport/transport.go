@@ -136,19 +136,13 @@ type Network interface {
 	Recv(ctx context.Context, node string) (Message, error)
 }
 
-// Transport is the full substrate contract the session layer and
-// multi-process deployments rely on: message movement plus peer-table
-// rebinding (late-bound addresses on TCP; a no-op in memory),
-// addressing, traffic accounting, and lifecycle shutdown. Memory, TCP,
-// and the chaos link-fault wrapper all implement it, so the session
-// API composes with any of them — including chaos wrapped around TCP.
+// Transport is the substrate contract the chaos wrapper and the
+// multi-process deployments rely on: message movement plus traffic
+// accounting and lifecycle shutdown. Memory, TCP, and the chaos
+// link-fault wrapper all implement it, so chaos composes with either
+// substrate. Addressing and peer tables belong to *TCP alone.
 type Transport interface {
 	Network
-	// SetPeers replaces the node name → address table.
-	SetPeers(peers map[string]string)
-	// Addr returns the transport's reachable address for this node
-	// ("memory" for the in-process network).
-	Addr() string
 	// Stats exposes the traffic counters.
 	Stats() *Stats
 	// Close tears the transport down. Further Sends fail.
@@ -406,13 +400,6 @@ func NewMemory() *Memory {
 
 // Stats exposes the traffic counters.
 func (m *Memory) Stats() *Stats { return m.stats }
-
-// SetPeers implements Transport. The in-memory network has no
-// addresses, so the peer table is ignored.
-func (m *Memory) SetPeers(map[string]string) {}
-
-// Addr implements Transport.
-func (m *Memory) Addr() string { return "memory" }
 
 // Close implements Transport: subsequent Sends fail, and every message
 // parked in an inbox is released, as TCP.Close releases its inbox's.
