@@ -30,7 +30,7 @@ pins:
 	$(GO) test -count=1 -cpu 1,2 -run 'Pinned|Replicated|Pass' ./internal/nn ./internal/nas ./internal/importance ./internal/prune ./internal/core ./internal/experiments
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/... ./internal/nn/... ./internal/nas/... ./internal/prune/...
+	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/... ./internal/nn/... ./internal/nas/... ./internal/prune/... ./internal/chaos/... ./internal/fleet/...
 
 # virtual runs internal/core's virtual-time tests (virtual_test.go, built
 # only under GOEXPERIMENT=synctest): fleet scenarios inside a synctest

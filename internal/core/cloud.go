@@ -48,9 +48,10 @@ func (s *System) runCloud(ctx context.Context) error {
 	}
 	stats := make(map[int]ClusterStats, len(s.clusters))
 	if _, err := ses.Gather(ctx, transport.GatherSpec{
-		Kinds:  []transport.Kind{transport.KindStats},
-		Expect: edgeNames,
-		Label:  "phase-1 statistics",
+		Kinds:     cloudProtocol.stats.kinds(),
+		Expect:    edgeNames,
+		Label:     cloudProtocol.stats.label(0),
+		OnControl: gatherControl(&cloudProtocol.stats, 0, func(transport.Message, wire.ControlRecord) (bool, error) { return true, nil }),
 		OnMessage: func(msg transport.Message) error {
 			var cs ClusterStats
 			if err := wire.Decode(msg.Payload, &cs); err != nil {

@@ -85,11 +85,7 @@ func (s *System) runDevice(ctx context.Context, edgeID, devIdx int) error {
 	var header *nas.HeaderModel
 	var pkg HeaderPackage
 	var hold holding
-	if err := ses.Receive(ctx, func(msg transport.Message) (done bool, err error) {
-		if msg.Kind != transport.KindHeader {
-			return false, fmt.Errorf("transport: %s expected %v from protocol, got %v from %s",
-				name, transport.KindHeader, msg.Kind, msg.From)
-		}
+	if err := receive(ctx, ses, &deviceProtocol.model, 0, func(msg transport.Message, _ wire.ControlRecord) (done bool, err error) {
 		hold = s.rows.arrive(s.shardOf(edgeID, devIdx))
 		header, pkg, err = s.modelFromFrame(msg, &hold)
 		return true, err
@@ -136,8 +132,8 @@ func (s *System) resync(ctx context.Context, ses *transport.Session, edge string
 	}); err != nil {
 		return 0, nil, pkg, err
 	}
-	err = ses.Receive(ctx, func(msg transport.Message) (done bool, err error) {
-		if msg.Kind != transport.KindHeader || msg.From != edge {
+	err = receive(ctx, ses, &deviceProtocol.resync, 0, func(msg transport.Message, _ wire.ControlRecord) (done bool, err error) {
+		if msg.From != edge {
 			return false, nil // stray predecessor traffic: dropped unread
 		}
 		round = msg.Round
@@ -389,7 +385,7 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 		}
 		s.recordDeviceRound(drs)
 		if err == nil && !out.cut {
-			out, err = d.awaitDownlink(ctx, t)
+			out, err = d.await(ctx, &deviceProtocol.downlink, t)
 		}
 		if err != nil || out.done {
 			return err
@@ -426,9 +422,11 @@ func (d *deviceRounds) coldUplink() {
 // whatever the edge's next ROUND-INVITE names. ok false ends the loop.
 func (d *deviceRounds) nextRound(ctx context.Context) (t int, ok bool, err error) {
 	if d.sampling {
-		if t, ok, err = d.awaitInvite(ctx); err != nil || !ok {
+		out, err := d.await(ctx, &deviceProtocol.invite, d.last+1)
+		if err != nil || out.done {
 			return 0, false, err
 		}
+		t = out.round
 	} else if t = d.last + 1; t >= d.s.Cfg.Phase2Rounds {
 		return 0, false, nil
 	}
@@ -451,78 +449,6 @@ func (d *deviceRounds) nextRound(ctx context.Context) (t int, ok bool, err error
 		}
 	}
 	return t, true, nil
-}
-
-// sessionControl handles the control records that mean the same
-// whatever the device is waiting for; handled false leaves rec to the
-// caller. fromEdge says the sender is this device's own edge.
-func (d *deviceRounds) sessionControl(rec wire.ControlRecord, fromEdge bool) (handled bool, err error) {
-	switch {
-	case rec.Type == wire.ControlMemberGone && fromEdge:
-		// Evicted: the edge's detector crossed the strike limit on our
-		// uploads, so nothing more is coming. Exit without reporting.
-		return true, errEvicted
-	case rec.Type == wire.ControlSessionResume && fromEdge:
-		// The edge restarted from its checkpoint and re-runs the loop
-		// from rec.Round: whatever uploads it held for those rounds died
-		// with it, so retransmit our buffered copies and keep waiting.
-		d.resumed = true
-		return true, d.buf.resend(d.s, d.ses.Node(), d.edge, rec.Round)
-	case d.s.Cfg.Checkpoint.Enabled() && (rec.Type == wire.ControlJoin || rec.Type == wire.ControlLeave):
-		// Link lifecycle noise from a crashing or restarting peer's
-		// transport. In a checkpointed run the edge's death is not the
-		// end of the session — anything final still arrives as a Done
-		// cutoff before the link goes down — so wait on.
-		return true, nil
-	}
-	return false, nil
-}
-
-// awaitInvite waits for the edge's next ROUND-INVITE — or the word
-// that the run is over (ok false).
-func (d *deviceRounds) awaitInvite(ctx context.Context) (t int, ok bool, err error) {
-	err = d.ses.Receive(ctx, func(msg transport.Message) (bool, error) {
-		if msg.Kind != transport.KindControl && d.resumed && msg.From == d.edge && msg.Round <= d.last && isDownlink(msg.Kind) {
-			// A restarted edge re-ran a round this device already
-			// applied; the duplicate downlink is byte-identical to
-			// the copy the shadow advanced through. Drop it unread.
-			return false, nil
-		}
-		if msg.Kind != transport.KindControl || msg.From != d.edge {
-			return false, fmt.Errorf("unexpected %v from %s while awaiting a round invite", msg.Kind, msg.From)
-		}
-		rec, err := transport.ParseControl(msg)
-		if err != nil {
-			return false, err
-		}
-		if handled, err := d.sessionControl(rec, true); handled {
-			return false, err
-		}
-		switch rec.Type {
-		case wire.ControlRoundInvite:
-			if d.s.Cfg.Checkpoint.Enabled() && rec.Round <= d.last {
-				// A restarted edge re-running a round already played:
-				// the retransmitted upload buffer answers the
-				// re-invite and the duplicate downlink is dropped
-				// above — not a new participation.
-				return false, nil
-			}
-			t, ok = rec.Round, true
-			return true, nil
-		case wire.ControlRoundCutoff:
-			// A round we were cut from (the edge dropped our uplink
-			// shadow) or, with Done, the end-of-run broadcast.
-			d.coldUplink()
-			return rec.Done, nil
-		}
-		return false, fmt.Errorf("unexpected %v control from %s while awaiting a round invite", rec.Type, msg.From)
-	})
-	return t, ok, err
-}
-
-// isDownlink reports whether kind carries a personalized set.
-func isDownlink(kind transport.Kind) bool {
-	return kind == transport.KindPersonalizedSet || kind == transport.KindImportanceDownDelta
 }
 
 // prepareUpload brings the importance accumulator up to round t and
@@ -577,34 +503,20 @@ func (d *deviceRounds) prepareUpload(t int, drs *DeviceRoundStat) (kind transpor
 }
 
 // upload sends round t's encoded upload, passing its lease on to the
-// network. A cut outcome means the round
-// is over for this device with no downlink to wait for — the edge
-// already combined without it — and, with done, that the whole run is.
+// network. A cut outcome means the round is over for this device with
+// no downlink to wait for — the edge already combined without it — and,
+// with done, that the whole run is. An undeliverable upload usually
+// means the edge already cut us, its ROUND-CUTOFF (sent before any LEAVE
+// on the link) its last word before shutting down, or, with
+// checkpointing on, that it is mid-restart, its SESSION-RESUME on the
+// way: the grace wait reads that out of the inbox instead of dying
+// unreported, and without it the send error surfaces.
 func (d *deviceRounds) upload(ctx context.Context, t int, kind transport.Kind, buf *wire.Buffer, raw int) (downlinkOutcome, error) {
 	d.buf.add(t, kind, buf.B, raw)
 	sendErr := d.s.sendLeased(kind, d.ses.Node(), d.edge, t, buf, raw)
 	if sendErr == nil {
 		return downlinkOutcome{}, nil
 	}
-	// An undeliverable upload on a straggling round usually
-	// means the edge already cut us — possibly on its final
-	// round, with its ROUND-CUTOFF as its last word before
-	// shutting down (a departed edge fails sends fast). Read
-	// that explanation out of the inbox instead of dying with
-	// an unreported device.
-	return d.recoverFromLostUplink(ctx, t, sendErr)
-}
-
-// recoverFromLostUplink explains a failed round-t upload send: if the
-// edge already cut this device's round — its ROUND-CUTOFF, delivered
-// before any LEAVE on the same link, is sitting in the inbox — the
-// device can finalize (cut and done) or move to the next round (cut)
-// instead of failing unreported. With checkpointing on, the dead uplink
-// can instead mean the edge is mid-restart: its SESSION-RESUME triggers
-// a retransmission of the buffered uploads (this round's included) and
-// hands the device back to the normal downlink wait (not cut). Anything
-// else surfaces the original send error.
-func (d *deviceRounds) recoverFromLostUplink(ctx context.Context, round int, sendErr error) (out downlinkOutcome, err error) {
 	wait := 250 * time.Millisecond
 	if d.s.Cfg.Checkpoint.Enabled() {
 		// A kill-and-restore cycle (process restart, snapshot read,
@@ -614,40 +526,9 @@ func (d *deviceRounds) recoverFromLostUplink(ctx context.Context, round int, sen
 	}
 	grace, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
-	// The handler settles err itself, so an error out of Receive is the
-	// grace period running out.
-	if rerr := d.ses.Receive(grace, func(msg transport.Message) (bool, error) {
-		if msg.Kind != transport.KindControl || msg.From != d.edge {
-			return false, nil // already in a failure path: drop stray traffic
-		}
-		rec, rerr := transport.ParseControl(msg)
-		if rerr != nil {
-			return false, nil
-		}
-		switch {
-		case rec.Type == wire.ControlMemberGone:
-			// Evicted by the edge's Byzantine detector mid-failure: the
-			// eviction notice explains the dead uplink.
-			err = errEvicted
-		case rec.Type == wire.ControlSessionResume:
-			// The edge restarted from its checkpoint — that is what
-			// killed the send. Retransmit everything it may have lost.
-			if err = d.buf.resend(d.s, d.ses.Node(), d.edge, rec.Round); err == nil {
-				d.resumed = true
-			}
-		case rec.Type == wire.ControlRoundCutoff && (rec.Round == round || rec.Done):
-			// The edge combined without us and dropped our uplink
-			// shadow; restart the encoder cold like the in-band cutoff
-			// path does. A Done cutoff counts whatever round it stamps:
-			// the end-of-run broadcast may trail our self-paced round.
-			d.coldUplink()
-			out = downlinkOutcome{cut: true, done: rec.Done}
-		default:
-			return false, nil
-		}
-		return true, nil
-	}); rerr != nil {
-		return out, fmt.Errorf("upload for round %d undeliverable: %w", round, sendErr)
+	out, err := d.await(grace, &deviceProtocol.grace, t)
+	if err != nil && !out.heard {
+		return out, fmt.Errorf("upload for round %d undeliverable: %w", t, sendErr)
 	}
 	return out, err
 }
@@ -669,77 +550,109 @@ func (d *deviceRounds) prefold(t int, drs *DeviceRoundStat) (err error) {
 	return err
 }
 
-// downlinkOutcome is what a round resolved to once its upload was on
-// its way (or found undeliverable): either a cutoff (cut, with done
-// marking the end of the run) or a decoded personalized set.
+// downlinkOutcome is what a device's wait on its edge resolved to: a
+// cutoff (cut, with done marking the end of the run), a decoded
+// personalized set, or, for the invite wait, the invited round (or done).
+// heard marks an outcome a message settled, not the wait's context.
 type downlinkOutcome struct {
 	cut     bool
 	done    bool
 	layers  [][]float64
 	discard int
 	final   bool
+	round   int
+	heard   bool
 }
 
-// awaitDownlink blocks until round t's downlink (or its cutoff)
-// arrives from the edge, working the session control plane while it
-// waits: the personalized set — dense, or delta-encoded against the
-// previous round's downlink — or a ROUND-CUTOFF control record when
-// this device straggled past the quorum deadline. Anything from the
-// wrong sender, a duplicate, or an out-of-order round is a protocol
-// violation named after the sender and kind — mirroring the edge's
-// upload hardening — except inside a restarted edge's resume window,
-// where the re-run rounds' re-invites and duplicate downlinks
-// (byte-identical to the copies already applied) are dropped unread.
-func (d *deviceRounds) awaitDownlink(ctx context.Context, t int) (out downlinkOutcome, err error) {
-	err = d.ses.Receive(ctx, func(msg transport.Message) (bool, error) {
-		if msg.Kind != transport.KindControl {
-			if d.resumed && msg.Round < t && isDownlink(msg.Kind) {
-				// A restarted edge re-sent a downlink for a round this
-				// device already applied. The retransmitted round replays
-				// the exact upload bytes, so this copy is byte-identical to
-				// the one the shadow already advanced through.
-				return false, nil
-			}
-			// The decoded layers are leased float64 copies either way,
-			// so nothing aliases the frame once this returns.
-			var err error
-			out.layers, out.discard, out.final, err = d.s.decodePersonalized(&d.downDec, msg, d.edge, t, &d.rows, d.header.Params())
-			return true, err
-		}
-		rec, err := transport.ParseControl(msg)
-		if err != nil {
-			return false, err
-		}
-		fromEdge := msg.From == d.edge
-		if handled, err := d.sessionControl(rec, fromEdge); handled {
-			return false, err
-		}
-		switch {
-		case d.s.Cfg.Checkpoint.Enabled() && rec.Type == wire.ControlRoundInvite && fromEdge && rec.Round <= t:
-			// A restarted edge re-running sampled rounds this device
-			// already played: the retransmitted upload buffer answers
-			// the re-invite, so it is not a new participation.
-			return false, nil
-		case rec.Type != wire.ControlRoundCutoff || !fromEdge:
-			return false, fmt.Errorf("unexpected %v control from %s during refinement round %d", rec.Type, msg.From, t)
-		case rec.Round != t && !rec.Done:
-			return false, fmt.Errorf("round-cutoff from %s carries round %d during round %d", msg.From, rec.Round, t)
-		}
-		// A Done cutoff is accepted regardless of its round stamp:
-		// the edge's end-of-loop backstop stamps its own final
-		// round, which can trail a rejoined device's self-paced
-		// position, but its meaning — no more downlinks, ever — is
-		// position-independent.
-		// The edge combined this round without our upload and
-		// invalidated its copy of our uplink shadow; restart the
-		// encoder cold so the next upload re-seeds it dense. The
-		// downlink shadow pair is still in sync (the edge did not
-		// advance it either), so it stays.
-		d.coldUplink()
-		out = downlinkOutcome{cut: true, done: rec.Done}
-		return true, nil
+// await is the device's wait on its edge in phase ph of its table: the
+// invite for round t (the round after the last one played), round t's
+// downlink, or, once round t's upload could not be sent, the grace wait.
+func (d *deviceRounds) await(ctx context.Context, ph *row, t int) (out downlinkOutcome, err error) {
+	err = receive(ctx, d.ses, ph, t, func(msg transport.Message, rec wire.ControlRecord) (bool, error) {
+		done, err := d.onMessage(ph, t, &out, msg, rec)
+		out.heard = done || err != nil
+		return done, err
 	})
 	return out, err
+}
+
+// onMessage is await's handler for what the phase's row hands it,
+// judged on what the table cannot see. Control records count only from
+// the device's own edge. In a checkpointed run the edge's death is not
+// the end of the session (anything final arrives as a Done cutoff
+// first), so JOIN and LEAVE are waited through. Once the edge resumed,
+// a downlink for a round already applied is dropped unread: it is
+// byte-identical to the copy the shadow advanced through. The downlink
+// wait takes both of those from any sender, where the invite wait wants
+// the device's own edge.
+func (d *deviceRounds) onMessage(ph *row, t int, out *downlinkOutcome, msg transport.Message, rec wire.ControlRecord) (bool, error) {
+	fromEdge := msg.From == d.edge
+	downlink := ph == &deviceProtocol.downlink
+	ckpt := d.s.Cfg.Checkpoint.Enabled()
+	switch {
+	case msg.Kind != transport.KindControl:
+		if d.resumed && msg.Round < t && (fromEdge || downlink) {
+			return false, nil
+		}
+		if !downlink {
+			return false, errRefused
+		}
+		// The decoded layers are leased float64 copies either way, so
+		// nothing aliases the frame once this returns.
+		var err error
+		out.layers, out.discard, out.final, err = d.s.decodePersonalized(&d.downDec, msg, d.edge, t, &d.rows, d.header.Params())
+		return true, err
+	case rec.Type == wire.ControlJoin || rec.Type == wire.ControlLeave:
+		if ckpt && (fromEdge || downlink) {
+			return false, nil
+		}
+		return false, errRefused
+	case !fromEdge:
+		if ph == &deviceProtocol.grace {
+			return false, nil // already in a failure path: drop stray traffic
+		}
+		return false, errRefused
+	case rec.Type == wire.ControlMemberGone:
+		// Evicted: the edge's detector crossed the strike limit on our
+		// uploads, so nothing more is coming. Exit without reporting.
+		return true, errEvicted
+	case rec.Type == wire.ControlSessionResume:
+		// The edge restarted from its checkpoint and re-runs the loop
+		// from rec.Round, so retransmit our buffered uploads. That
+		// explains a failed send; any other wait goes on.
+		d.resumed = true
+		return ph == &deviceProtocol.grace, d.buf.resend(d.s, d.ses.Node(), d.edge, rec.Round)
+	case rec.Type == wire.ControlRoundInvite:
+		if ckpt && rec.Round <= d.last {
+			return false, nil // a re-run round already played: the retransmission answers it
+		}
+		if downlink {
+			return false, errRefused
+		}
+		out.round = rec.Round
+		return true, nil
+	}
+	// A ROUND-CUTOFF: the edge combined a round without our upload, or,
+	// with Done, the run is over — whatever round it stamps: the edge's
+	// end-of-loop backstop stamps its own final round, which can trail a
+	// rejoined device's self-paced position.
+	invite := ph == &deviceProtocol.invite
+	if !invite && rec.Round != t && !rec.Done {
+		if !downlink {
+			return false, nil
+		}
+		return false, fmt.Errorf("round-cutoff from %s carries round %d during round %d", msg.From, rec.Round, t)
+	}
+	// Restart the uplink encoder cold so the next upload re-seeds the
+	// edge's shadow dense. The downlink shadow pair is still in sync (the
+	// edge did not advance it either), so it stays.
+	d.coldUplink()
+	if invite {
+		out.done = rec.Done
+		return rec.Done, nil
+	}
+	*out = downlinkOutcome{cut: true, done: rec.Done}
+	return true, nil
 }
 
 // apply installs round t's personalized set, trains one local epoch on
@@ -767,8 +680,9 @@ func (d *deviceRounds) apply(t int, out downlinkOutcome) error {
 // decodePersonalized validates and decodes a round-t personalized-set
 // downlink on the device side, mirroring the edge's upload hardening:
 // a message from anyone but the device's own edge, a duplicate or
-// out-of-order delta round, or an unexpected kind is a protocol
-// violation named after the sender and kind. A dense downlink resets
+// out-of-order delta round is a protocol violation named after the
+// sender and kind. msg is one of the two downlink kinds, the only ones
+// the device's table hands its handler. A dense downlink resets
 // the delta shadow; a delta downlink advances it. The layers, and a
 // dense downlink's float32 decode, are cut from l; the float32 rows are
 // shaped like params, so that a downlink of that shape decodes into
@@ -778,8 +692,7 @@ func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message
 		return nil, 0, false, fmt.Errorf("%v from %s in round %d: personalized sets must come from %s",
 			msg.Kind, msg.From, round, edge)
 	}
-	switch msg.Kind {
-	case transport.KindPersonalizedSet:
+	if msg.Kind == transport.KindPersonalizedSet {
 		ps := PersonalizedSet{Layers: make([][]float32, len(params))}
 		for i, p := range params {
 			ps.Layers[i] = l.F32s(p.NumParams())
@@ -792,21 +705,18 @@ func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message
 		// silently reconstruct against a stale round.
 		*downDec = deltaDecoder{}
 		return dequantizeSetInto(l, ps.Layers), ps.Discard, ps.Done, nil
-	case transport.KindImportanceDownDelta:
-		var dd DownlinkDelta
-		if err := wire.Decode(msg.Payload, &dd); err != nil {
-			return nil, 0, false, fmt.Errorf("decode %v from %s in round %d: %w", msg.Kind, msg.From, round, err)
-		}
-		if dd.Round != round {
-			return nil, 0, false, fmt.Errorf("%v from %s carries round %d during round %d (duplicate or out-of-order downlink)",
-				msg.Kind, msg.From, dd.Round, round)
-		}
-		layers, err := downDec.apply(dd.Layers, false, l)
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("%v from %s: %w", msg.Kind, msg.From, err)
-		}
-		return layers, dd.Discard, dd.Done, nil
-	default:
-		return nil, 0, false, fmt.Errorf("unexpected %v from %s during refinement round %d", msg.Kind, msg.From, round)
 	}
+	var dd DownlinkDelta
+	if err := wire.Decode(msg.Payload, &dd); err != nil {
+		return nil, 0, false, fmt.Errorf("decode %v from %s in round %d: %w", msg.Kind, msg.From, round, err)
+	}
+	if dd.Round != round {
+		return nil, 0, false, fmt.Errorf("%v from %s carries round %d during round %d (duplicate or out-of-order downlink)",
+			msg.Kind, msg.From, dd.Round, round)
+	}
+	layers, err := downDec.apply(dd.Layers, false, l)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("%v from %s: %w", msg.Kind, msg.From, err)
+	}
+	return layers, dd.Discard, dd.Done, nil
 }

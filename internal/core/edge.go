@@ -92,22 +92,6 @@ func (s *System) serveCluster(ctx context.Context, st *edgeState) ([]DeviceRepor
 	return awaitReports(ctx, st.ses, st.posByName, st.idByPos, st.departed)
 }
 
-// preLoopControl is the edge's control plane before the loop exists,
-// and the report phase's for anything but a LEAVE. A RESYNC-REQUEST
-// this early (a device restarted with -rejoin before the run reached
-// the loop) cannot be served — the model package does not exist yet —
-// and must not kill the healthy run: it is dropped, stalling only the
-// mistimed rejoiner (after the loop, there is no round left to rejoin).
-// A LEAVE here still fails the gather: setup needs every device's shard.
-func preLoopControl(msg transport.Message, rec wire.ControlRecord) (bool, error) {
-	switch rec.Type {
-	case wire.ControlJoin, wire.ControlResyncRequest:
-		return false, nil
-	default:
-		return false, fmt.Errorf("unexpected %v control from %s outside the loop", rec.Type, msg.From)
-	}
-}
-
 // edgeGatherSetup collects every cluster member's statistics and
 // shared-data shard. Uploads are keyed by device ID, so a duplicate (a
 // retransmitting device) or an upload for a device outside this cluster
@@ -142,11 +126,11 @@ func (s *System) edgeGatherSetup(ctx context.Context, ses *transport.Session, ed
 		return nil
 	}
 	_, err := ses.Gather(ctx, transport.GatherSpec{
-		Kinds:     []transport.Kind{transport.KindStats, transport.KindProvision},
+		Kinds:     edgeProtocol.setup.kinds(),
 		Expect:    deviceNames,
 		PerPeer:   2,
-		Label:     "setup",
-		OnControl: preLoopControl,
+		Label:     edgeProtocol.setup.label(0),
+		OnControl: gatherControl(&edgeProtocol.setup, 0, nil),
 		OnMessage: func(msg transport.Message) error {
 			switch msg.Kind {
 			case transport.KindStats:
@@ -198,22 +182,9 @@ func (s *System) clusterStats(edgeID int) ClusterStats {
 // backbone from it — inside the handler, because a quantized parameter
 // blob aliases the frame (ParamBlob.Quant is decoded zero-copy) and the
 // frame is released when the handler returns; the assignment comes back
-// without its blobs. Control traffic (a premature RESYNC-REQUEST) is
-// dropped here for the same reason as in setup.
+// without its blobs.
 func (s *System) edgeReceiveBackbone(ctx context.Context, ses *transport.Session) (backbone *nn.Backbone, asg BackboneAssignment, err error) {
-	err = ses.Receive(ctx, func(msg transport.Message) (done bool, err error) {
-		if msg.Kind == transport.KindControl {
-			rec, err := transport.ParseControl(msg)
-			if err != nil {
-				return false, err
-			}
-			_, err = preLoopControl(msg, rec)
-			return false, err
-		}
-		if msg.Kind != transport.KindBackbone {
-			return false, fmt.Errorf("%s expected %v from protocol, got %v from %s",
-				ses.Node(), transport.KindBackbone, msg.Kind, msg.From)
-		}
+	err = receive(ctx, ses, &edgeProtocol.backbone, 0, func(msg transport.Message, _ wire.ControlRecord) (done bool, err error) {
 		if err = wire.Decode(msg.Payload, &asg); err != nil {
 			err = fmt.Errorf("decode %v from %s: %w", msg.Kind, msg.From, err)
 		} else {
@@ -524,10 +495,8 @@ func posOf(pos map[int]int, msg transport.Message, devID int) (int, error) {
 // departed. A member's last message is its DeviceReport; the phase ends
 // once every member has reported or departed and returns the reports in
 // DeviceID order. It takes exactly one report per member, sent by that
-// member. A member's LEAVE departs it: it will never report. JOIN, a
-// non-member's LEAVE and a RESYNC-REQUEST are noise, as before the
-// loop, and an upload arriving now — a cut straggler's, after the last
-// gather — is dropped unread.
+// member. A member's LEAVE departs it: it will never report; a
+// non-member's is noise.
 func awaitReports(ctx context.Context, ses *transport.Session, posByName map[string]int, idByPos []int, departed []bool) ([]DeviceReport, error) {
 	reports := make([]DeviceReport, 0, len(idByPos))
 	reported := make([]bool, len(idByPos))
@@ -541,41 +510,28 @@ func awaitReports(ctx context.Context, ses *transport.Session, posByName map[str
 	}
 	var err error
 	if !done() {
-		err = ses.Receive(ctx, func(msg transport.Message) (bool, error) {
+		err = receive(ctx, ses, &edgeProtocol.reports, 0, func(msg transport.Message, _ wire.ControlRecord) (bool, error) {
 			p, member := posByName[msg.From]
-			switch msg.Kind {
-			case transport.KindReport:
-				var rep DeviceReport
-				if err := wire.Decode(msg.Payload, &rep); err != nil {
-					return false, fmt.Errorf("decode %v from %s: %w", msg.Kind, msg.From, err)
-				}
-				switch {
-				case !member:
-					return false, fmt.Errorf("%v from %s, which is not a member", msg.Kind, msg.From)
-				case idByPos[p] != rep.DeviceID:
-					return false, fmt.Errorf("%v from %s is for device %d", msg.Kind, msg.From, rep.DeviceID)
-				case reported[p]:
-					return false, fmt.Errorf("duplicate %v from %s", msg.Kind, msg.From)
-				}
-				reported[p] = true
-				reports = append(reports, rep)
-			case transport.KindImportanceSet, transport.KindImportanceDelta:
-				// A cut straggler's upload, after the last gather.
-			case transport.KindControl:
-				rec, err := transport.ParseControl(msg)
-				if err != nil {
-					return false, err
-				}
-				if rec.Type != wire.ControlLeave {
-					_, err = preLoopControl(msg, rec)
-					return false, err
-				}
+			if msg.Kind == transport.KindControl { // a LEAVE
 				if member {
 					departed[p] = true
 				}
-			default:
-				return false, fmt.Errorf("unexpected %v from %s during the report phase", msg.Kind, msg.From)
+				return done(), nil
 			}
+			var rep DeviceReport
+			if err := wire.Decode(msg.Payload, &rep); err != nil {
+				return false, fmt.Errorf("decode %v from %s: %w", msg.Kind, msg.From, err)
+			}
+			switch {
+			case !member:
+				return false, fmt.Errorf("%v from %s, which is not a member", msg.Kind, msg.From)
+			case idByPos[p] != rep.DeviceID:
+				return false, fmt.Errorf("%v from %s is for device %d", msg.Kind, msg.From, rep.DeviceID)
+			case reported[p]:
+				return false, fmt.Errorf("duplicate %v from %s", msg.Kind, msg.From)
+			}
+			reported[p] = true
+			reports = append(reports, rep)
 			return done(), nil
 		})
 	}

@@ -202,10 +202,10 @@ func (r *edgeRound) gather(ctx context.Context, expect []string, epoch uint64) e
 	r.spare = nil
 	spec := transport.GatherSpec{
 		Round:  r.t,
-		Kinds:  []transport.Kind{transport.KindImportanceSet, transport.KindImportanceDelta},
+		Kinds:  edgeProtocol.round.kinds(),
 		Expect: expect,
 		Epoch:  epoch,
-		Label:  fmt.Sprintf("aggregation round %d", r.t),
+		Label:  edgeProtocol.round.label(r.t),
 		// Always tolerant: churn can inject out-of-round traffic
 		// with or without the cutoff — a rejoining device races
 		// ahead of a cluster still mid-gather (its next-round
@@ -216,7 +216,7 @@ func (r *edgeRound) gather(ctx context.Context, expect []string, epoch uint64) e
 		// check and the combiner's duplicate rejection.
 		Tolerant:  true,
 		OnMessage: r.fold,
-		OnControl: r.control,
+		OnControl: gatherControl(&edgeProtocol.round, r.t, r.churn),
 	}
 	if r.cutoff {
 		spec.Quorum = r.s.Cfg.Straggler.Quorum
@@ -319,16 +319,10 @@ func (r *edgeRound) fold(msg transport.Message) error {
 	return nil
 }
 
-// control is the loop's churn plane: what a JOIN, a LEAVE or a
-// RESYNC-REQUEST arriving mid-gather does to the round and to the
-// rounds after it.
-func (r *edgeRound) control(msg transport.Message, rec wire.ControlRecord) (bool, error) {
-	switch rec.Type {
-	case wire.ControlJoin:
-		// A rejoining device announcing its fresh link:
-		// advisory, the resync request carries the state change.
-		return false, nil
-	case wire.ControlLeave:
+// churn is what a LEAVE or a RESYNC-REQUEST arriving mid-gather does to
+// the round and to the rounds after it.
+func (r *edgeRound) churn(msg transport.Message, rec wire.ControlRecord) (bool, error) {
+	if rec.Type == wire.ControlLeave {
 		p, ok := r.posByName[msg.From]
 		if !ok {
 			// Not a cluster member: link teardown from a peer
@@ -349,27 +343,23 @@ func (r *edgeRound) control(msg transport.Message, rec wire.ControlRecord) (bool
 		}
 		r.depart(p)
 		return true, nil
-	case wire.ControlResyncRequest:
-		p, ok := r.pos[rec.Device]
-		if !ok || r.nameByPos[p] != msg.From {
-			return false, fmt.Errorf("%v from %s for device %d outside cluster %d", rec.Type, msg.From, rec.Device, r.edgeID)
-		}
-		// Dense re-seed: both directions of the device's delta
-		// exchange restart cold, and the device re-enters the
-		// loop next round with a fresh copy of the model
-		// package (its local state died with it). A departed
-		// member is back: the report phase waits for it again.
-		r.resetChains(p)
-		r.departed[p] = false
-		r.rejoinRound[p] = r.t + 1
-		r.rs.ResyncCount++
-		if err := r.s.sendRound(transport.KindHeader, r.name, msg.From, r.t+1, r.pkg); err != nil {
-			return false, err
-		}
-		return true, nil
-	default:
-		return false, fmt.Errorf("unexpected %v control from %s during aggregation round %d", rec.Type, msg.From, r.t)
 	}
+	p, ok := r.pos[rec.Device]
+	if !ok || r.nameByPos[p] != msg.From {
+		return false, fmt.Errorf("%v from %s for device %d outside cluster %d", rec.Type, msg.From, rec.Device, r.edgeID)
+	}
+	// Dense re-seed: both directions of the device's delta exchange
+	// restart cold, and the device re-enters the loop next round with a
+	// fresh copy of the model package (its local state died with it). A
+	// departed member is back: the report phase waits for it again.
+	r.resetChains(p)
+	r.departed[p] = false
+	r.rejoinRound[p] = r.t + 1
+	r.rs.ResyncCount++
+	if err := r.s.sendRound(transport.KindHeader, r.name, msg.From, r.t+1, r.pkg); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // screen is the Byzantine screening: score the buffered uploads, fold

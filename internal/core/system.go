@@ -330,16 +330,9 @@ func edgeName(e int) string { return fmt.Sprintf("edge-%d", e) }
 // find skew. Control, stats, and report traffic stays plain — at their
 // sizes the entropy frame's own header would eat the win, and the
 // never-lose fallback would send them plain anyway.
-var entropyKinds = map[transport.Kind]bool{
-	transport.KindBackbone:            true,
-	transport.KindHeader:              true,
-	transport.KindImportanceSet:       true,
-	transport.KindPersonalizedSet:     true,
-	transport.KindRawData:             true,
-	transport.KindProvision:           true,
-	transport.KindImportanceDelta:     true,
-	transport.KindImportanceDownDelta: true,
-}
+var entropyKinds = kindBit(transport.KindBackbone) | kindBit(transport.KindHeader) | kindBit(transport.KindImportanceSet) |
+	kindBit(transport.KindPersonalizedSet) | kindBit(transport.KindRawData) | kindBit(transport.KindProvision) |
+	kindBit(transport.KindImportanceDelta) | kindBit(transport.KindImportanceDownDelta)
 
 // send encodes v for its kind and sends it as one message, recording
 // raw-vs-wire byte accounting.
@@ -383,7 +376,7 @@ func (s *System) encodePayload(kind transport.Kind, v any) (*wire.Buffer, int, e
 	if err != nil {
 		return nil, 0, fmt.Errorf("encode %v: %w", kind, err)
 	}
-	if s.Cfg.Wire.Entropy && entropyKinds[kind] {
+	if s.Cfg.Wire.Entropy && entropyKinds&kindBit(kind) != 0 {
 		buf = wire.CompressLeased(buf)
 	}
 	return buf, raw, nil

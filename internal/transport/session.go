@@ -106,6 +106,17 @@ func ParseControl(msg Message) (wire.ControlRecord, error) {
 	return rec, nil
 }
 
+// Unexpected is the protocol's one refusal: msg — whose control record
+// is rec, when msg is a control frame — has no place in what its
+// receiver was doing, which during names.
+func Unexpected(msg Message, rec wire.ControlRecord, during string) error {
+	what := msg.Kind.String()
+	if msg.Kind == KindControl {
+		what = rec.Type.String() + " control"
+	}
+	return fmt.Errorf("unexpected %s from %s during %s", what, msg.From, during)
+}
+
 // GatherSpec describes one round-scoped collection: which peers are
 // expected to contribute, which kinds count, and when the gather may
 // return without the stragglers.
@@ -340,7 +351,7 @@ func (s *Session) Gather(ctx context.Context, spec GatherSpec) (*GatherResult, e
 					excludePeer(msg.From)
 					continue
 				}
-				return nil, fmt.Errorf("unexpected %v control from %s during %s", rec.Type, msg.From, label)
+				return nil, Unexpected(msg, rec, label)
 			}
 			exclude, err := spec.OnControl(msg, rec)
 			if err != nil {
@@ -352,6 +363,7 @@ func (s *Session) Gather(ctx context.Context, spec GatherSpec) (*GatherResult, e
 		case kinds[msg.Kind]:
 			if msg.Round != spec.Round {
 				if !spec.Tolerant {
+					msg.Release()
 					return nil, fmt.Errorf("%v from %s carries round %d during %s", msg.Kind, msg.From, msg.Round, label)
 				}
 				if msg.Round < spec.Round {
@@ -370,7 +382,8 @@ func (s *Session) Gather(ctx context.Context, spec GatherSpec) (*GatherResult, e
 				return nil, err
 			}
 		default:
-			return nil, fmt.Errorf("unexpected %v from %s during %s", msg.Kind, msg.From, label)
+			msg.Release()
+			return nil, Unexpected(msg, wire.ControlRecord{}, label)
 		}
 	}
 	for p, rem := range remaining {

@@ -10,7 +10,8 @@ package transport
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"acme/internal/wire"
@@ -225,112 +226,58 @@ func (s *Stats) recordRecv(msg Message) {
 }
 
 // TotalBytes returns the total bytes moved.
-func (s *Stats) TotalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalBytes
-}
+func (s *Stats) TotalBytes() int64 { return s.total(&s.totalBytes) }
 
 // TotalMessages returns the total message count.
-func (s *Stats) TotalMessages() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalMsgs
-}
+func (s *Stats) TotalMessages() int64 { return s.total(&s.totalMsgs) }
 
 // MessagesByKind returns a copy of the per-kind message counters.
-func (s *Stats) MessagesByKind() map[Kind]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Kind]int64, len(s.msgsByKind))
-	for k, v := range s.msgsByKind {
-		out[k] = v
-	}
-	return out
-}
+func (s *Stats) MessagesByKind() map[Kind]int64 { return s.copyOf(s.msgsByKind) }
 
 // BytesByKind returns a copy of the per-kind wire byte counters.
-func (s *Stats) BytesByKind() map[Kind]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Kind]int64, len(s.bytesByKind))
-	for k, v := range s.bytesByKind {
-		out[k] = v
-	}
-	return out
-}
+func (s *Stats) BytesByKind() map[Kind]int64 { return s.copyOf(s.bytesByKind) }
 
 // RawBytesByKind returns a copy of the per-kind raw (pre-encoding)
 // byte counters. Kinds sent without raw accounting report 0.
-func (s *Stats) RawBytesByKind() map[Kind]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Kind]int64, len(s.rawByKind))
-	for k, v := range s.rawByKind {
-		out[k] = v
-	}
-	return out
-}
+func (s *Stats) RawBytesByKind() map[Kind]int64 { return s.copyOf(s.rawByKind) }
 
 // BinaryBytesByKind returns a copy of the per-kind pre-entropy byte
 // counters: what the wire bytes would have been had entropy coding
 // been off (the plain binary frame size plus header estimate). For
 // kinds sent without entropy coding this equals BytesByKind, so the
 // binary/wire quotient is the per-kind entropy coding ratio.
-func (s *Stats) BinaryBytesByKind() map[Kind]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Kind]int64, len(s.binByKind))
-	for k, v := range s.binByKind {
-		out[k] = v
-	}
-	return out
-}
+func (s *Stats) BinaryBytesByKind() map[Kind]int64 { return s.copyOf(s.binByKind) }
 
 // ReceivedBytesByKind returns a copy of the per-kind wire byte
 // counters of consumed (received) messages.
-func (s *Stats) ReceivedBytesByKind() map[Kind]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Kind]int64, len(s.recvBytesByKind))
-	for k, v := range s.recvBytesByKind {
-		out[k] = v
-	}
-	return out
-}
+func (s *Stats) ReceivedBytesByKind() map[Kind]int64 { return s.copyOf(s.recvBytesByKind) }
 
 // ReceivedMessagesByKind returns a copy of the per-kind received
 // message counters.
-func (s *Stats) ReceivedMessagesByKind() map[Kind]int64 {
+func (s *Stats) ReceivedMessagesByKind() map[Kind]int64 { return s.copyOf(s.recvMsgsByKind) }
+
+// total reads one of s's totals.
+func (s *Stats) total(n *int64) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[Kind]int64, len(s.recvMsgsByKind))
-	for k, v := range s.recvMsgsByKind {
-		out[k] = v
-	}
-	return out
+	return *n
+}
+
+// copyOf returns a copy of one of s's per-kind counters.
+func (s *Stats) copyOf(byKind map[Kind]int64) map[Kind]int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(byKind)
 }
 
 // TotalReceivedBytes returns the total bytes consumed by receivers.
-func (s *Stats) TotalReceivedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalRecvBytes
-}
+func (s *Stats) TotalReceivedBytes() int64 { return s.total(&s.totalRecvBytes) }
 
 // TotalReceivedMessages returns the total messages consumed.
-func (s *Stats) TotalReceivedMessages() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalRecvMsgs
-}
+func (s *Stats) TotalReceivedMessages() int64 { return s.total(&s.totalRecvMsgs) }
 
 // TotalRawBytes returns the total pre-encoding payload bytes.
-func (s *Stats) TotalRawBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalRaw
-}
+func (s *Stats) TotalRawBytes() int64 { return s.total(&s.totalRaw) }
 
 // CompressionRatio returns raw bytes divided by wire bytes over every
 // message with raw accounting, or 0 when nothing was recorded. Values
@@ -364,19 +311,9 @@ func (s *Stats) BytesForKinds(kinds ...Kind) (sent, received int64) {
 func (s *Stats) Kinds() []Kind {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen := make(map[Kind]bool, len(s.msgsByKind))
-	out := make([]Kind, 0, len(s.msgsByKind))
-	for k := range s.msgsByKind {
-		seen[k] = true
-		out = append(out, k)
-	}
-	for k := range s.recvMsgsByKind {
-		if !seen[k] {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.AppendSeq(slices.Collect(maps.Keys(s.msgsByKind)), maps.Keys(s.recvMsgsByKind))
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Memory is an in-process Network with one buffered inbox per node.
