@@ -84,15 +84,18 @@ kernel-bench:
 edge-bench:
 	$(GO) test -run '^$$' -bench 'EdgeAggregate|EdgeFold|DecodeFreshTarget|LeasedSend|Entropy|Axpy' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/wire ./internal/tensor
 
-# fleet-bench measures the three costs the fleet-sampled workload scales
+# fleet-bench measures the four costs the fleet-sampled workload scales
 # with: BenchmarkEdgeAggregate/sampled-10of100x19844 (one round of 100
 # uploads, all 100 rows of Eq. 21 vs the 10 that get a downlink),
 # BenchmarkBuildDeviceHeader (package → model, per device: /decode for a
 # device that decodes its backbone, /holder for a shared shard's
-# non-owner, which builds the header only) and BenchmarkBackboneForward
-# (per sample; must report 0 allocs/op).
+# non-owner, which builds the header only), BenchmarkDeviceRound (one
+# steady-state round of an invited device, /dense and /delta-mixed; none
+# of its allocs/op is per parameter, and TestSteadyDeviceRoundAllocates
+# bounds them at GOMAXPROCS 1) and BenchmarkBackboneForward (per sample;
+# must report 0 allocs/op).
 fleet-bench:
-	$(GO) test -run '^$$' -bench 'EdgeAggregate/sampled|BuildDeviceHeader|BackboneForward' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/nn
+	$(GO) test -run '^$$' -bench 'EdgeAggregate/sampled|BuildDeviceHeader|DeviceRound|BackboneForward' -benchmem -count=5 ./internal/aggregate ./internal/core ./internal/nn
 
 # traffic (~4 min on 2 vCPUs) builds the standing benchmark (bench/, as
 # checked in), acmebench, acmesim and every examples/ program with
@@ -151,7 +154,7 @@ traffic:
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_49.json: per-pair values, medians, the base's quartiles,
+# writes PERF_53.json: per-pair values, medians, the base's quartiles,
 # pairs won and a verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
@@ -160,7 +163,7 @@ PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_49.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_53.json
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never

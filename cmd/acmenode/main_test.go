@@ -1,10 +1,13 @@
 package main
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -25,10 +28,7 @@ func TestMultiProcessPipeline(t *testing.T) {
 	}
 
 	roles := []string{"cloud", "edge-0", "device-0", "device-1"}
-	addrs := make(map[string]string, len(roles))
-	for _, role := range roles {
-		addrs[role] = reservePort(t)
-	}
+	addrs := reservePorts(t, roles)
 	var peerList []string
 	for role, addr := range addrs {
 		peerList = append(peerList, role+"="+addr)
@@ -98,17 +98,39 @@ func TestMultiProcessPipeline(t *testing.T) {
 	}
 }
 
-// reservePort grabs an ephemeral port and releases it for the child
-// process to bind. A small race window is acceptable in a test.
-func reservePort(t *testing.T) string {
+// reservePorts picks a free loopback port for each role, for its child
+// process to bind, from the lower half of the ports below the kernel's
+// ephemeral range. The kernel hands those to no ":0" listener and no
+// outgoing connection, so between the check here and the child's bind
+// only a process that names the very port could take it; a port from
+// ":0" could go to any other test that listens or dials in between.
+func reservePorts(t *testing.T, roles []string) map[string]string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	low := 32768 // Linux's default floor; macOS and Windows start at 49152
+	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(b)); len(f) == 2 {
+			if n, err := strconv.Atoi(f[0]); err == nil && n > 2048 {
+				low = n
+			}
+		}
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	addrs := make(map[string]string, len(roles))
+	for _, role := range roles {
+		for try := 0; ; try++ {
+			if try == 100 {
+				t.Fatalf("no free loopback port in [%d, %d)", low/2, low)
+			}
+			ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", low/2+rand.IntN(low-low/2)))
+			if err != nil {
+				continue // taken
+			}
+			// Held until every role has its own port.
+			defer ln.Close()
+			addrs[role] = ln.Addr().String()
+			break
+		}
+	}
+	return addrs
 }
 
 // TestFlagValidation checks the CLI rejects incomplete flags.

@@ -454,12 +454,14 @@ func WassersteinSimilarityRaw(features [][][]float64, p float64, projections int
 func wassersteinDistances(features [][][]float64, p float64, projections int, rng *rand.Rand) ([][]float64, error) {
 	n := len(features)
 	dist := make([][]float64, n)
+	cells := make([]float64, n*n)
 	for i := range dist {
-		dist[i] = make([]float64, n)
+		dist[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
+	var s wasserstein.Slicer
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d, err := wasserstein.Sliced(features[i], features[j], p, projections, rng)
+			d, err := s.Distance(features[i], features[j], p, projections, rng)
 			if err != nil {
 				return nil, fmt.Errorf("aggregate: devices %d,%d: %w", i, j, err)
 			}

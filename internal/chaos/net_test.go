@@ -101,7 +101,7 @@ func TestDuplicateOfLeasedFrameOnZeroDelayLink(t *testing.T) {
 	start := wire.Leased()
 	const n = 5000
 	for i := 0; i < n; i++ {
-		b := wire.Lease()
+		b := wire.Lease(len(dupFrame))
 		b.B = append(b.B, dupFrame...)
 		if err := f.Send(transport.Message{Kind: transport.KindControl, From: "src", To: "sink"}.WithLease(b)); err != nil {
 			t.Fatal(err)

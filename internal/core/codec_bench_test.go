@@ -83,19 +83,15 @@ func BenchmarkDecodeBackbone(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildDeviceHeader measures what each of a fleet's devices
-// pays to turn the package its edge sent into a model: the default
-// backbone and a 19 844-parameter header, decoded as received layers —
-// no random initialisation, no gradient storage. "decode" is a device
-// that featurizes (a private shard, a shared shard's owner); "holder"
-// is a shared shard's other holder, which builds the header alone and
-// keeps its frame, whose backbone encoding it compares with the owner's.
-func BenchmarkBuildDeviceHeader(b *testing.B) {
+// fleetPackage is the model package a fleet device receives: the
+// default backbone and a 19 844-parameter header.
+func fleetPackage(tb testing.TB) HeaderPackage {
+	tb.Helper()
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(1))
 	bb, err := nn.NewBackbone(cfg.Backbone, rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	hc := nas.HeaderConfig{
 		Blocks: cfg.Search.Blocks, Repeats: cfg.Search.Repeats,
@@ -109,10 +105,22 @@ func BenchmarkBuildDeviceHeader(b *testing.B) {
 	}}
 	h, err := nas.NewHeaderModel(hc, arch, bb, rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pkg := EncodeHeader(h, QuantLossless)
 	pkg.Backbone = EncodeBackbone(bb, 1, cfg.Backbone.Depth, pareto.Candidate{W: 1, D: cfg.Backbone.Depth}, QuantLossless)
+	return pkg
+}
+
+// BenchmarkBuildDeviceHeader measures what each of a fleet's devices
+// pays to turn the package its edge sent into a model: the default
+// backbone and a 19 844-parameter header, decoded as received layers —
+// no random initialisation, no gradient storage. "decode" is a device
+// that featurizes (a private shard, a shared shard's owner); "holder"
+// is a shared shard's other holder, which builds the header alone and
+// keeps its frame, whose backbone encoding it compares with the owner's.
+func BenchmarkBuildDeviceHeader(b *testing.B) {
+	pkg := fleetPackage(b)
 	for _, c := range []struct {
 		name  string
 		build func() error

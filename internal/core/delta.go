@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"acme/internal/nn"
@@ -48,25 +49,28 @@ func elemSize(mode QuantMode) int {
 
 // packLayers converts dense float64 layers into their packed wire
 // representation under mode, resolving QuantMixed with the set-level
-// mass ranking.
-func packLayers(layers [][]float64, mode QuantMode) ([]packedLayer, error) {
+// mass ranking. The layers are packed one after another into dst's
+// storage, which is grown when it is short (4 bytes per value always
+// suffices); each layer's data is a slice of it.
+func packLayers(dst []byte, layers [][]float64, mode QuantMode) ([]packedLayer, error) {
 	modes := layerModes(layers, mode)
 	out := make([]packedLayer, len(layers))
+	dst = dst[:0]
 	for i, l := range layers {
 		m := modes[i]
+		start := len(dst)
+		var scale float64
 		if m == QuantLossless {
-			data := make([]byte, 4*len(l))
-			for j, v := range l {
-				binary.LittleEndian.PutUint32(data[4*j:], math.Float32bits(float32(v)))
+			for _, v := range l {
+				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
 			}
-			out[i] = packedLayer{mode: m, data: data}
-			continue
+		} else {
+			var err error
+			if dst, scale, err = quantizeLane(dst, l, m, mode); err != nil {
+				return nil, err
+			}
 		}
-		data, scale, err := quantizeLane(l, m, mode)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = packedLayer{mode: m, scale: scale, data: data}
+		out[i] = packedLayer{mode: m, scale: scale, data: dst[start:len(dst):len(dst)]}
 	}
 	return out, nil
 }
@@ -123,45 +127,129 @@ type DownlinkDelta struct {
 	Layers  []DeltaLayerPayload
 }
 
+// shadow is one end's packed copy of a delta chain's last payload: the
+// layers the next round is diffed against (encoder) or applied to
+// (decoder). The layers are cut from one buffer leased from wire's pool
+// and overwritten in place round after round; only a new layout (a
+// chain's first round, a layer that switched lanes) moves them to a
+// fresh lease. warm is false before the first round and after reset,
+// which gives the lease back: a cold chain holds no storage.
+type shadow struct {
+	prev []packedLayer
+	buf  *wire.Buffer
+	warm bool
+}
+
+// reset restarts the chain cold and gives its storage back.
+func (s *shadow) reset() {
+	s.warm = false
+	clear(s.prev)
+	s.prev = s.prev[:0]
+	if s.buf != nil {
+		s.buf.Release()
+		s.buf = nil
+	}
+}
+
+// fit lays prev out for n layers, layer i size(i) bytes long. A warm
+// shadow already of that layout stays where it is; otherwise the layers
+// move to a fresh lease, a warm one's keeping its content wherever its
+// size is unchanged, and the old lease goes back. Modes and scales are
+// the caller's to set.
+func (s *shadow) fit(n int, size func(i int) int) {
+	if s.warm && len(s.prev) == n {
+		i := 0
+		for i < n && len(s.prev[i].data) == size(i) {
+			i++
+		}
+		if i == n {
+			return
+		}
+	}
+	total := 0
+	for i := 0; i < n; i++ {
+		total += size(i)
+	}
+	b := wire.Lease(total)
+	b.B = slices.Grow(b.B[:0], total)[:total]
+	if len(s.prev) != n {
+		s.warm = false
+		s.prev = slices.Grow(s.prev[:0], n)[:n]
+	}
+	off := 0
+	for i := range s.prev {
+		sz := size(i)
+		dst := b.B[off : off+sz : off+sz]
+		if s.warm && len(s.prev[i].data) == sz {
+			copy(dst, s.prev[i].data)
+		}
+		s.prev[i].data = dst
+		off += sz
+	}
+	if s.buf != nil {
+		s.buf.Release()
+	}
+	s.buf = b
+}
+
 // deltaEncoder is the sending side of a delta exchange — a device's
 // importance uplink or the edge's per-device personalized-set downlink.
-// It keeps the packed form of the last payload the peer has (both loops
-// are synchronous, so last-sent is last-acked) and emits each round as
-// deltas against it. A topK fraction in (0,1) makes it the top-k uplink
-// encoder (encodeTopK), which ignores mode.
+// Its shadow is the packed form of the last payload the peer has (both
+// loops are synchronous, so last-sent is last-acked), and it emits each
+// round as deltas against it. A topK fraction in (0,1) makes it the
+// top-k uplink encoder (encodeTopK), which ignores mode.
 type deltaEncoder struct {
 	mode QuantMode
 	topK float64
-	prev []packedLayer
+	shadow
 }
 
 // encodeLayers packs layers under the encoder's mode and expresses each
 // layer as a delta against the previous round where that is valid and
-// smaller.
+// smaller. The round is packed into a leased scratch buffer and then
+// copied over the shadow. A dense record's Changed is the shadow
+// itself, so the records must be encoded before the next call.
 func (e *deltaEncoder) encodeLayers(layers [][]float64) ([]DeltaLayerPayload, error) {
 	if e.topK > 0 {
 		return e.encodeTopK(layers), nil
 	}
-	cur, err := packLayers(layers, e.mode)
+	n := 0
+	for _, l := range layers {
+		n += 4 * len(l)
+	}
+	scratch := wire.Lease(n)
+	defer scratch.Release()
+	cur, err := packLayers(scratch.B, layers, e.mode)
 	if err != nil {
 		return nil, err
 	}
+	if len(e.prev) != len(cur) {
+		e.warm = false
+	}
 	out := make([]DeltaLayerPayload, len(cur))
 	for i, c := range cur {
-		es := elemSize(c.mode)
-		pl := DeltaLayerPayload{Mode: c.mode, Scale: c.scale}
+		out[i] = DeltaLayerPayload{Mode: c.mode, Scale: c.scale}
 		// A sparse delta is only meaningful when the previous layer has
 		// the same packed interpretation: same lane, same int8 scale,
 		// same length. DiffLayer additionally falls back to dense when
 		// the sparse form would not be smaller.
-		if i < len(e.prev) && e.prev[i].mode == c.mode && e.prev[i].scale == c.scale {
-			pl.Delta = wire.DiffLayer(e.prev[i].data, c.data, es)
+		if e.warm && e.prev[i].mode == c.mode && e.prev[i].scale == c.scale {
+			out[i].Delta = wire.DiffLayer(e.prev[i].data, c.data, elemSize(c.mode))
 		} else {
-			pl.Delta = wire.DeltaLayer{N: len(c.data) / es, Elem: es, Dense: true, Changed: c.data}
+			out[i].Delta.Dense = true
 		}
-		out[i] = pl
 	}
-	e.prev = cur
+	e.fit(len(cur), func(i int) int { return len(cur[i].data) })
+	for i, c := range cur {
+		p := &e.prev[i]
+		p.mode, p.scale = c.mode, c.scale
+		copy(p.data, c.data)
+		if out[i].Delta.Dense {
+			es := elemSize(c.mode)
+			out[i].Delta = wire.DeltaLayer{N: len(p.data) / es, Elem: es, Dense: true, Changed: p.data}
+		}
+	}
+	e.warm = true
 	return out, nil
 }
 
@@ -179,9 +267,10 @@ func topKCount(n int, fraction float64) int {
 // round of non-negative importance sends exactly the top k by value.
 // An entry whose float16 bits did not change costs nothing on the wire.
 func (e *deltaEncoder) encodeTopK(layers [][]float64) []DeltaLayerPayload {
-	if len(e.prev) != len(layers) {
+	if !e.warm || len(e.prev) != len(layers) {
 		e.prev = make([]packedLayer, len(layers))
 	}
+	e.warm = true
 	out := make([]DeltaLayerPayload, len(layers))
 	for i, l := range layers {
 		shadow := e.prev[i].data
@@ -214,28 +303,25 @@ func (e *deltaEncoder) encode(deviceID, round int, layers [][]float64) (DeltaUpl
 	return DeltaUpload{DeviceID: deviceID, Round: round, Layers: pls}, nil
 }
 
-// deltaDecoder is the receiving side: the shadow copy of the last
+// deltaDecoder is the receiving side: its shadow is the last
 // reconstructed packed payload (per device on the edge, per downlink on
-// the device).
+// the device), patched in place every round.
 type deltaDecoder struct {
-	prev []packedLayer
+	shadow
 }
 
 // apply reconstructs the dense float64 layers of pls against the shadow,
 // into rows cut from l (allocated when l is nil), and advances the
-// shadow one round. Every field is wire-controlled;
-// shape, mode, and scale are validated before any allocation or
-// indexing derived from them. zeroStart is the top-k uplink's rule: a
-// chain starts from an all-zero shadow, so a sparse record with no
-// shadow round applies against zeros; otherwise it is refused.
+// shadow one round. Every field is wire-controlled: shape, mode, and
+// scale of every layer are validated before the shadow is touched or
+// anything derived from them is allocated or indexed, so a refused
+// payload leaves the chain as it was. zeroStart is the top-k uplink's
+// rule: a chain starts from an all-zero shadow, so a sparse record with
+// no shadow round applies against zeros; otherwise it is refused.
 func (d *deltaDecoder) apply(pls []DeltaLayerPayload, zeroStart bool, l *nn.Lease) ([][]float64, error) {
-	if d.prev != nil && len(d.prev) != len(pls) {
+	if d.warm && len(d.prev) != len(pls) {
 		return nil, fmt.Errorf("core: delta payload has %d layers, shadow has %d", len(pls), len(d.prev))
 	}
-	if d.prev == nil {
-		d.prev = make([]packedLayer, len(pls))
-	}
-	out := make([][]float64, len(pls))
 	for i, pl := range pls {
 		if !pl.Mode.Valid() || pl.Mode == QuantMixed {
 			return nil, fmt.Errorf("core: delta layer %d carries non-concrete mode %v", i, pl.Mode)
@@ -245,35 +331,47 @@ func (d *deltaDecoder) apply(pls []DeltaLayerPayload, zeroStart bool, l *nn.Leas
 			return nil, fmt.Errorf("core: delta layer %d element size %d does not match mode %v (%d)",
 				i, pl.Delta.Elem, pl.Mode, es)
 		}
-		var prevData []byte
 		switch {
 		case pl.Delta.Dense:
-		case d.prev[i].data != nil:
-			if d.prev[i].mode != pl.Mode || d.prev[i].scale != pl.Scale {
+		case d.warm:
+			if p := d.prev[i]; p.mode != pl.Mode || p.scale != pl.Scale {
 				return nil, fmt.Errorf("core: sparse delta for layer %d changes mode/scale (%v/%g → %v/%g)",
-					i, d.prev[i].mode, d.prev[i].scale, pl.Mode, pl.Scale)
+					i, p.mode, p.scale, pl.Mode, pl.Scale)
 			}
-			prevData = d.prev[i].data
 		case !zeroStart:
 			return nil, fmt.Errorf("core: sparse delta for layer %d with no shadow round", i)
-		default:
-			// The zeros are sized by the record's N, which only a record
-			// that passes Check (a mask of ⌈N/8⌉ bytes) has vouched for.
-			if err := pl.Delta.Check(); err != nil {
-				return nil, fmt.Errorf("core: delta layer %d: %w", i, err)
-			}
-			prevData = make([]byte, pl.Delta.N*es)
 		}
-		data, err := pl.Delta.Apply(prevData)
+		// A record that passes Check has its N backed by the frame (by
+		// Changed when dense, by a mask of ⌈N/8⌉ bytes when sparse), so
+		// the shadow it asks for costs no more than the frame carried.
+		if err := pl.Delta.Check(); err != nil {
+			return nil, fmt.Errorf("core: delta layer %d: %w", i, err)
+		}
+		if size := pl.Delta.N * es; !pl.Delta.Dense && d.warm && len(d.prev[i].data) != size {
+			return nil, fmt.Errorf("core: delta layer %d: sparse delta against %d-byte shadow, want %d",
+				i, len(d.prev[i].data), size)
+		}
+	}
+	d.fit(len(pls), func(i int) int { return pls[i].Delta.N * pls[i].Delta.Elem })
+	warm := d.warm
+	d.warm = false
+	out := make([][]float64, len(pls))
+	for i, pl := range pls {
+		p := &d.prev[i]
+		if !warm && !pl.Delta.Dense {
+			clear(p.data) // top-k's zero start
+		}
+		data, err := pl.Delta.Apply(p.data)
 		if err != nil {
 			return nil, fmt.Errorf("core: delta layer %d: %w", i, err)
 		}
-		d.prev[i] = packedLayer{mode: pl.Mode, scale: pl.Scale, data: data}
-		row, err := unpackLayerInto(l, d.prev[i])
+		*p = packedLayer{mode: pl.Mode, scale: pl.Scale, data: data}
+		row, err := unpackLayerInto(l, *p)
 		if err != nil {
 			return nil, fmt.Errorf("core: delta layer %d: %w", i, err)
 		}
 		out[i] = row
 	}
+	d.warm = true
 	return out, nil
 }

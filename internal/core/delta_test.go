@@ -67,7 +67,7 @@ func TestPackUnpackMatchesDensePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	layers := randomLayers(rng, []int{64, 7, 129})
 	for _, mode := range []QuantMode{QuantLossless, QuantFloat16, QuantInt8, QuantMixed} {
-		packed, err := packLayers(layers, mode)
+		packed, err := packLayers(nil, layers, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestPackUnpackMatchesDensePath(t *testing.T) {
 			// The packed lanes against their oracle: the per-layer
 			// lane choice, then each lane's own quantize/dequantize.
 			for i, lane := range layerModes(layers, mode) {
-				data, scale, err := quantizeLane(layers[i], lane, mode)
+				data, scale, err := quantizeLane(nil, layers[i], lane, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +119,7 @@ func TestDeltaExchangeMultiRound(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mode %v round %d: %v", mode, round, err)
 			}
-			packed, err := packLayers(layers, mode)
+			packed, err := packLayers(nil, layers, mode)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -278,9 +278,10 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 
 // deviceRounds is one device's Phase 2-2 loop state; its methods are
 // the steps deviceLoop strings together. What a round produces — the
-// importance set, the encoded upload, the decoded downlink — passes
-// between steps as values and is never kept here, so a device blocked
-// on its edge holds no round's buffers.
+// importance sum and set, the encoded upload, the decoded downlink —
+// passes between steps as values and is never kept here, so a device
+// blocked on its edge holds its header's weights and its two delta
+// shadows, and no round's buffers.
 type deviceRounds struct {
 	s      *System
 	ses    *transport.Session
@@ -302,9 +303,11 @@ type deviceRounds struct {
 	liar    *chaos.Liar
 	acc     importance.Accumulator
 	// rows lends a round's importance rows and wire copies: from the
-	// upload's average to its encoding, and from the downlink's decode
-	// to its apply. It holds nothing between rounds.
-	rows nn.Lease
+	// first fold of the upload's sum to its encoding, and from the
+	// downlink's decode to its apply. It holds nothing between rounds.
+	// sums lends the importance sum of incremental folding, which lives
+	// from one refresh to the next; it stays empty otherwise.
+	rows, sums nn.Lease
 	// refresh > 0 makes importance incremental (see deviceLoop);
 	// prefolded is how many batches the previous round folded ahead.
 	refresh, prefolded int
@@ -348,24 +351,8 @@ type deviceRounds struct {
 // are dropped unread, so a killed-and-restored edge finishes with
 // reports identical to the uninterrupted run.
 func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev cluster.Device, edgeID int, rng *rand.Rand, local *data.Dataset, header *nas.FrozenHeader, pkg HeaderPackage, startRound int) error {
-	d := &deviceRounds{
-		s: s, ses: ses, dev: dev, edge: edgeName(edgeID),
-		rng: rng, local: local, header: header, pkg: pkg,
-		sampling: s.Cfg.Fleet.Sampling(),
-		last:     startRound - 1,
-		delta:    s.Cfg.Wire.deltaRecords(),
-		enc:      s.uplinkEncoder(),
-		liar:     s.liarFor(dev.ID),
-		buf:      uplinkBuffer{retain: s.retainRounds()},
-	}
-	// Incremental folding is self-paced only. It does not compose with
-	// participation gaps: the accumulator would mix batches from
-	// parameters many rounds apart, so an invited device computes
-	// importance from scratch for every round it plays.
-	if s.Cfg.ImportanceRefreshPeriod > 1 && !d.sampling {
-		d.refresh = s.Cfg.ImportanceRefreshPeriod
-	}
-	defer d.rows.Release()
+	d := s.newDeviceRounds(ses, dev, edgeName(edgeID), rng, local, header, pkg, startRound)
+	defer d.release()
 	for {
 		t, ok, err := d.nextRound(ctx)
 		if err != nil || !ok {
@@ -399,6 +386,46 @@ func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev clu
 	}
 }
 
+// newDeviceRounds is the loop state of a device entering the loop at
+// startRound.
+func (s *System) newDeviceRounds(ses *transport.Session, dev cluster.Device, edge string, rng *rand.Rand, local *data.Dataset, header *nas.FrozenHeader, pkg HeaderPackage, startRound int) *deviceRounds {
+	d := &deviceRounds{
+		s: s, ses: ses, dev: dev, edge: edge,
+		rng: rng, local: local, header: header, pkg: pkg,
+		sampling: s.Cfg.Fleet.Sampling(),
+		last:     startRound - 1,
+		delta:    s.Cfg.Wire.deltaRecords(),
+		enc:      s.uplinkEncoder(),
+		liar:     s.liarFor(dev.ID),
+		buf:      uplinkBuffer{retain: s.retainRounds()},
+	}
+	// Incremental folding is self-paced only. It does not compose with
+	// participation gaps: the accumulator would mix batches from
+	// parameters many rounds apart, so an invited device computes
+	// importance from scratch for every round it plays.
+	if s.Cfg.ImportanceRefreshPeriod > 1 && !d.sampling {
+		d.refresh = s.Cfg.ImportanceRefreshPeriod
+	}
+	// One code path, two lifetimes: a sum recomputed every round is the
+	// round's, and goes out as its average; an incremental one outlives
+	// the rounds between refreshes.
+	if d.refresh > 0 {
+		d.acc.UseLease(&d.sums)
+	} else {
+		d.acc.UseLease(&d.rows)
+	}
+	return d
+}
+
+// release gives back what the loop still borrows when it ends: the
+// rows, the sums and the storage of both delta shadows.
+func (d *deviceRounds) release() {
+	d.rows.Release()
+	d.sums.Release()
+	d.enc.reset()
+	d.downDec.reset()
+}
+
 // uplinkEncoder is a fresh uplink delta chain: top-k's float16 encoder,
 // or whole sets in the run's quantization mode.
 func (s *System) uplinkEncoder() deltaEncoder {
@@ -406,13 +433,6 @@ func (s *System) uplinkEncoder() deltaEncoder {
 		return deltaEncoder{topK: s.Cfg.Wire.TopKFraction}
 	}
 	return deltaEncoder{mode: s.Cfg.Wire.Quantization}
-}
-
-// coldUplink restarts the uplink delta chain: the edge dropped (or
-// never had) its shadow of our last upload, so the next one re-seeds it
-// dense — or, under top-k, sparse against the all-zero shadow.
-func (d *deviceRounds) coldUplink() {
-	d.enc = d.s.uplinkEncoder()
 }
 
 // nextRound obtains the round this device plays next — the one place
@@ -435,8 +455,8 @@ func (d *deviceRounds) nextRound(ctx context.Context) (t int, ok bool, err error
 		// played: both delta-shadow chains restart cold, mirroring the
 		// reset the edge derives from its own lastSampled history, so a
 		// resampled device re-seeds dense with no extra signaling.
-		d.coldUplink()
-		d.downDec = deltaDecoder{}
+		d.enc.reset()
+		d.downDec.reset()
 	}
 	d.last = t
 	// Deterministic straggler injection for cutoff benchmarks and
@@ -644,9 +664,10 @@ func (d *deviceRounds) onMessage(ph *row, t int, out *downlinkOutcome, msg trans
 		return false, fmt.Errorf("round-cutoff from %s carries round %d during round %d", msg.From, rec.Round, t)
 	}
 	// Restart the uplink encoder cold so the next upload re-seeds the
-	// edge's shadow dense. The downlink shadow pair is still in sync (the
-	// edge did not advance it either), so it stays.
-	d.coldUplink()
+	// edge's shadow dense (or, under top-k, sparse against the all-zero
+	// shadow). The downlink shadow pair is still in sync (the edge did
+	// not advance it either), so it stays.
+	d.enc.reset()
 	if invite {
 		out.done = rec.Done
 		return rec.Done, nil
@@ -703,7 +724,7 @@ func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message
 		// A dense downlink does not advance the delta shadow, so drop
 		// it: a later delta must fail ("no shadow round") rather than
 		// silently reconstruct against a stale round.
-		*downDec = deltaDecoder{}
+		downDec.reset()
 		return dequantizeSetInto(l, ps.Layers), ps.Discard, ps.Done, nil
 	}
 	var dd DownlinkDelta

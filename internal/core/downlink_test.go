@@ -51,7 +51,7 @@ func TestDownlinkDeltaMultiRoundChurn(t *testing.T) {
 				if err != nil {
 					t.Fatalf("mode %v round %d device %d: %v", mode, round, d, err)
 				}
-				packed, err := packLayers(layers[d], mode)
+				packed, err := packLayers(nil, layers[d], mode)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -431,12 +431,20 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 }
 
 // resetChains restarts both directions of position p's delta exchange
-// cold: the uplink shadow is dropped and the downlink encoder replaced,
-// so the next upload and the next downlink both travel dense.
+// cold, so the next upload and the next downlink both travel dense, and
+// gives both shadows' storage back to wire's pool.
 func (st *edgeState) resetChains(p int) {
-	st.shadows[p] = deltaDecoder{}
+	st.shadows[p].reset()
 	if st.downEncs != nil {
-		st.downEncs[p] = &deltaEncoder{mode: st.downEncs[p].mode}
+		st.downEncs[p].reset()
+	}
+}
+
+// releaseChains restarts every delta chain cold, which gives back the
+// storage of every shadow: the loop is over.
+func (st *edgeState) releaseChains() {
+	for p := range st.shadows {
+		st.resetChains(p)
 	}
 }
 
@@ -444,7 +452,7 @@ func (st *edgeState) resetChains(p int) {
 // report phase's wait.
 func (st *edgeState) depart(p int) {
 	st.departed[p] = true
-	st.shadows[p] = deltaDecoder{}
+	st.shadows[p].reset()
 }
 
 // sendCutoff tells one device its round was combined without it (or,

@@ -42,6 +42,7 @@ type edgeRound struct {
 // writer: a round hands it a marshalled snapshot and keeps going; the
 // write (and its fsync, if configured) happens off the critical path.
 func (s *System) edgeRounds(ctx context.Context, st *edgeState) (err error) {
+	defer st.releaseChains()
 	var writer *snapshotWriter
 	if s.Cfg.Checkpoint.Enabled() {
 		if writer, err = newSnapshotWriter(s.checkpointFile(st.name), s.Cfg.Checkpoint.Fsync); err != nil {
@@ -178,6 +179,14 @@ func (r *edgeRound) invite() (expect []string, epoch uint64) {
 		expect = append(expect, nm)
 		r.rs.Sampled = append(r.rs.Sampled, r.idByPos[p])
 	}
+	for p, last := range r.lastSampled {
+		if last == r.t-1 && !r.invited[p] {
+			// Played the last round and sits this one out: its chains
+			// restart cold whenever it is next sampled, so their
+			// storage goes back now.
+			r.resetChains(p)
+		}
+	}
 	r.rs.SampledCount = len(expect)
 	return expect, r.reg.Epoch()
 }
@@ -236,7 +245,7 @@ func (r *edgeRound) gather(ctx context.Context, expect []string, epoch uint64) e
 	for _, nm := range gres.Missing {
 		p := r.posByName[nm]
 		r.missing[p] = true
-		r.shadows[p] = deltaDecoder{}
+		r.shadows[p].reset()
 		r.rs.CutoffCount++
 	}
 	return nil
@@ -271,7 +280,7 @@ func (r *edgeRound) fold(msg transport.Message) error {
 		// drop it: a later sparse delta from this device must
 		// fail ("no shadow round") rather than silently
 		// reconstruct against a stale round.
-		r.shadows[p] = deltaDecoder{}
+		r.shadows[p].reset()
 		r.rs.DenseMessages++
 	case transport.KindImportanceDelta:
 		var up DeltaUpload

@@ -74,42 +74,39 @@ type exchangeDevice struct {
 	uploads [][]byte
 }
 
-func newExchangeDevice(t *testing.T, pkg HeaderPackage, wo WireOptions, seed int64) *exchangeDevice {
-	t.Helper()
+func newExchangeDevice(tb testing.TB, pkg HeaderPackage, wo WireOptions, seed int64) *exchangeDevice {
+	tb.Helper()
 	model, err := decodedDeviceModel(pkg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	header, err := model.Frozen(pkg.Backbone.Cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	local := &data.Dataset{Name: "local", NumClasses: 5, Dim: 16, X: make([][]float64, 32), Y: make([]int, 32)}
+	dim, classes := pkg.Backbone.Cfg.InputDim, pkg.HeaderCfg.NumClasses
+	local := &data.Dataset{Name: "local", NumClasses: classes, Dim: dim, X: make([][]float64, 32), Y: make([]int, 32)}
 	for i := range local.X {
-		local.X[i] = make([]float64, 16)
+		local.X[i] = make([]float64, dim)
 		for j := range local.X[i] {
 			local.X[i][j] = rng.NormFloat64()
 		}
-		local.Y[i] = rng.Intn(5)
+		local.Y[i] = rng.Intn(classes)
 	}
 	feats, err := model.Featurize(local)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Wire = wo
 	cfg.LocalBatch = 8
 	s := &System{Cfg: cfg}
-	e := &exchangeDevice{
-		d: &deviceRounds{
-			s: s, dev: cluster.Device{ID: int(seed)}, edge: "edge-0", rng: rng, local: feats, header: header, pkg: pkg,
-			delta: wo.deltaRecords(), enc: s.uplinkEncoder(),
-		},
+	return &exchangeDevice{
+		d:       s.newDeviceRounds(nil, cluster.Device{ID: int(seed)}, "edge-0", rng, feats, header, pkg, 0),
 		arena:   wire.Arena{AliasInput: true},
 		downEnc: deltaEncoder{mode: wo.Quantization},
 	}
-	return e
 }
 
 // round plays round t: the device's upload, the edge's decode into

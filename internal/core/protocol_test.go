@@ -58,7 +58,7 @@ func controlVerbs() []wire.ControlType {
 // a pooled buffer, so a wait that drops it without releasing it shows
 // in wire.Leased.
 func leasedProbe(k transport.Kind, from, to string, round int) transport.Message {
-	buf := wire.Lease()
+	buf := wire.Lease(3)
 	buf.B = append(buf.B, 0xff, 0xfe, 0xfd)
 	return transport.Message{Kind: k, From: from, To: to, Round: round}.WithLease(buf)
 }

@@ -282,48 +282,52 @@ func layerModes(layers [][]float64, mode QuantMode) []QuantMode {
 // quantizeValues packs vals according to mode: float16 → 2 bytes LE
 // per value, int8 → 1 byte per value plus the returned scale.
 func quantizeValues(vals []float64, mode QuantMode) (data []byte, scale float64, err error) {
+	return appendQuantized(make([]byte, 0, elemSize(mode)*len(vals)), vals, mode)
+}
+
+// appendQuantized is quantizeValues appending to dst.
+func appendQuantized(dst []byte, vals []float64, mode QuantMode) (data []byte, scale float64, err error) {
 	switch mode {
 	case QuantFloat16:
-		data = make([]byte, 2*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint16(data[2*i:], float16bits(v))
+		for _, v := range vals {
+			dst = binary.LittleEndian.AppendUint16(dst, float16bits(v))
 		}
-		return data, 0, nil
+		return dst, 0, nil
 	case QuantInt8:
 		scale = int8Scale(maxAbs64(vals))
-		return int8Pack(vals, scale), scale, nil
+		return appendInt8(dst, vals, scale), scale, nil
 	default:
 		return nil, 0, fmt.Errorf("core: quantizeValues: mode %v has no packed form", mode)
 	}
 }
 
-// int8Pack rounds vals to signed bytes under the given scale.
-func int8Pack(vals []float64, scale float64) []byte {
-	data := make([]byte, len(vals))
+// appendInt8 appends vals rounded to signed bytes under the given
+// scale to dst.
+func appendInt8(dst []byte, vals []float64, scale float64) []byte {
 	if scale == 0 {
-		return data
+		return append(dst, make([]byte, len(vals))...)
 	}
-	for i, v := range vals {
+	for _, v := range vals {
 		q := math.RoundToEven(v / scale)
 		if q > 127 {
 			q = 127
 		} else if q < -127 {
 			q = -127
 		}
-		data[i] = byte(int8(q))
+		dst = append(dst, byte(int8(q)))
 	}
-	return data
+	return dst
 }
 
-// quantizeLane packs one layer into its concrete lane. Layers whose
-// lane was assigned by QuantMixed use the round-stable power-of-two
-// int8 scale; plain int8 keeps the exact max-abs scale.
-func quantizeLane(l []float64, lane, requested QuantMode) (data []byte, scale float64, err error) {
+// quantizeLane appends one layer packed in its concrete lane to dst.
+// Layers whose lane was assigned by QuantMixed use the round-stable
+// power-of-two int8 scale; plain int8 keeps the exact max-abs scale.
+func quantizeLane(dst []byte, l []float64, lane, requested QuantMode) (data []byte, scale float64, err error) {
 	if lane == QuantInt8 && requested == QuantMixed {
 		scale = pow2Int8Scale(maxAbs64(l))
-		return int8Pack(l, scale), scale, nil
+		return appendInt8(dst, l, scale), scale, nil
 	}
-	return quantizeValues(l, lane)
+	return appendQuantized(dst, l, lane)
 }
 
 // dequantizeValues reverses quantizeValues into dst, which must have

@@ -259,7 +259,7 @@ func TestReceivedModelOutlivesItsFrame(t *testing.T) {
 		// header alone and keeps its frame past the handler's release
 		// (wire.SetScrub overwrites a frame at its final release).
 		start := wire.Leased()
-		buf := wire.Lease()
+		buf := wire.Lease(len(sent))
 		buf.B = append(buf.B, sent...)
 		msg := transport.Message{Kind: transport.KindHeader}.WithLease(buf)
 		hold := holding{e: &rowsEntry{}}

@@ -270,7 +270,7 @@ func TestSharedRowsOwnerFrameOutlivesEarlyLeavers(t *testing.T) {
 	sys, key, holders, h := sharedShardFixture(t)
 	enc := EncodeBackbone(h.Backbone, 1, h.Backbone.Cfg.Depth, pareto.Candidate{}, QuantInt8)
 	start := wire.Leased()
-	leasedFrame := func() transport.Message { return transport.Message{}.WithLease(wire.Lease()) }
+	leasedFrame := func() transport.Message { return transport.Message{}.WithLease(wire.Lease(0)) }
 	model, owner := arriveWith(sys, key, h, enc)
 	owner.frame = leasedFrame()
 	for range holders[1:] {

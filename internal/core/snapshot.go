@@ -237,19 +237,19 @@ func (st *edgeState) snapshot(t int) *EdgeSnapshot {
 		Members:     st.reg.Snapshot(),
 		Epoch:       st.reg.Epoch(),
 	}
-	for i := range st.shadows {
-		snap.Shadows[i] = ShadowState{
-			Present: st.shadows[i].prev != nil,
-			Layers:  packedToState(st.shadows[i].prev),
+	// A cold chain has no shadow round to save.
+	for i, sh := range st.shadows {
+		snap.Shadows[i] = ShadowState{Present: sh.warm}
+		if sh.warm {
+			snap.Shadows[i].Layers = packedToState(sh.prev)
 		}
 	}
 	if st.downEncs != nil {
 		snap.DownEncs = make([]EncoderState, len(st.downEncs))
 		for i, e := range st.downEncs {
-			snap.DownEncs[i] = EncoderState{
-				Present: e.prev != nil,
-				Mode:    e.mode,
-				Layers:  packedToState(e.prev),
+			snap.DownEncs[i] = EncoderState{Present: e.warm, Mode: e.mode}
+			if e.warm {
+				snap.DownEncs[i].Layers = packedToState(e.prev)
 			}
 		}
 	}
@@ -284,20 +284,14 @@ func (snap *EdgeSnapshot) restoreInto(st *edgeState) error {
 	copy(st.rejoinRound, snap.RejoinRound)
 	copy(st.lastSampled, snap.LastSampled)
 	for i, sh := range snap.Shadows {
-		st.shadows[i] = deltaDecoder{}
-		if sh.Present {
-			st.shadows[i].prev = stateToPacked(sh.Layers)
-		}
+		st.shadows[i] = deltaDecoder{shadow{prev: stateToPacked(sh.Layers), warm: sh.Present}}
 	}
 	if snap.DownEncs != nil {
 		if st.downEncs == nil || len(snap.DownEncs) != n {
 			return fmt.Errorf("core: edge snapshot carries downlink encoders the config does not")
 		}
 		for i, es := range snap.DownEncs {
-			st.downEncs[i] = &deltaEncoder{mode: es.Mode}
-			if es.Present {
-				st.downEncs[i].prev = stateToPacked(es.Layers)
-			}
+			st.downEncs[i] = &deltaEncoder{mode: es.Mode, shadow: shadow{prev: stateToPacked(es.Layers), warm: es.Present}}
 		}
 	}
 	if snap.HavePrev {
@@ -543,7 +537,7 @@ func (b *uplinkBuffer) resend(s *System, from, to string, fromRound int) error {
 		if up.round < fromRound {
 			continue
 		}
-		buf := wire.Lease()
+		buf := wire.Lease(len(up.payload))
 		buf.B = append(buf.B, up.payload...)
 		if err := s.sendLeased(up.kind, from, to, up.round, buf, up.raw); err != nil {
 			return fmt.Errorf("resume retransmit of round %d: %w", up.round, err)

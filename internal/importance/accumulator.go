@@ -8,10 +8,6 @@ import (
 	"acme/internal/nn"
 )
 
-// Accumulator maintains a running sum of per-minibatch Taylor
-// importance contributions Q⁽¹⁾ᵣ = (gᵣ·υᵣ)² (Eq. 17) across calls, so
-// a device can fold only newly seen batches into its previous round's
-// state instead of recomputing the full set from scratch every round.
 // pinned is a classifier with its parameter list fixed up front.
 type pinned struct {
 	nn.Classifier
@@ -20,6 +16,10 @@ type pinned struct {
 
 func (p pinned) Params() []*nn.Param { return p.params }
 
+// Accumulator maintains a running sum of per-minibatch Taylor
+// importance contributions Q⁽¹⁾ᵣ = (gᵣ·υᵣ)² (Eq. 17) across calls, so
+// a device can fold only newly seen batches into its previous round's
+// state instead of recomputing the full set from scratch every round.
 // Average returns the per-batch mean the paper uses as the pruning
 // criterion; Reset starts a fresh accumulation (the periodic full
 // refresh that bounds drift between the running average and a from-
@@ -28,8 +28,18 @@ func (p pinned) Params() []*nn.Param { return p.params }
 // A Reset followed by one FoldBatches over the full batch budget is the
 // single-shot computation, so incremental mode with refresh period 1
 // reproduces the non-incremental path bitwise.
+//
+// The sum is cut from the lease given to UseLease (allocated without
+// one), so the caller decides how long it lives. Under a round's lease
+// it lives for the round: AverageInto that lease scales it in place
+// into the round's average and hands it over, and the accumulator holds
+// nothing until its next fold — a device that recomputes its set from
+// scratch every round holds none between rounds. Under a lease that
+// lives as long as the accumulator it stays across rounds, and later
+// folds extend it (incremental mode).
 type Accumulator struct {
 	sum     *Set
+	rows    *nn.Lease // where the next sum is cut from
 	batches int
 }
 
@@ -37,8 +47,15 @@ type Accumulator struct {
 // adopted from the module on the first fold.
 func NewAccumulator() *Accumulator { return &Accumulator{} }
 
-// Reset discards all folded batches (the full-refresh path). The
-// backing set is zeroed in place, so the next fold reuses its storage.
+// UseLease empties the accumulator and cuts its sums from l from now
+// on; l must not be released while the accumulator holds a sum cut
+// from it.
+func (a *Accumulator) UseLease(l *nn.Lease) {
+	a.sum, a.rows, a.batches = nil, l, 0
+}
+
+// Reset discards all folded batches (the full-refresh path). A sum
+// still held is zeroed in place, so the next fold reuses its storage.
 func (a *Accumulator) Reset() {
 	if a.sum != nil {
 		for _, l := range a.sum.Layers {
@@ -71,7 +88,7 @@ func (a *Accumulator) FoldBatches(c nn.Classifier, ds *data.Dataset, batchSize, 
 	grads := nn.BorrowGrads(c.Params())
 	defer grads.Release()
 	if a.sum == nil {
-		a.sum = NewSet(c)
+		a.sum = leasedSet(a.rows, c.Params())
 	}
 	order := rng.Perm(ds.Len())
 	folded := 0
@@ -105,18 +122,26 @@ func (a *Accumulator) Average() (*Set, error) {
 
 // AverageInto is Average with the set's rows cut from l, which the
 // caller gives back when it is done with them; a nil l allocates them.
+// When l is the lease the sum was cut from, the sum itself is scaled
+// into the average and handed over with l's rows: the accumulator is
+// empty afterwards, as after a Reset, and its next fold cuts a new sum.
 func (a *Accumulator) AverageInto(l *nn.Lease) (*Set, error) {
 	if a.sum == nil {
 		return nil, fmt.Errorf("importance: average of empty accumulator")
 	}
-	out := &Set{Layers: make([][]float64, len(a.sum.Layers))}
-	for i, sum := range a.sum.Layers {
-		row := l.F64s(len(sum))
-		copy(row, sum)
-		out.Layers[i] = row
+	out, batches := a.sum, a.batches
+	if l != nil && l == a.rows {
+		a.sum, a.batches = nil, 0
+	} else {
+		out = &Set{Layers: make([][]float64, len(a.sum.Layers))}
+		for i, sum := range a.sum.Layers {
+			row := l.F64s(len(sum))
+			copy(row, sum)
+			out.Layers[i] = row
+		}
 	}
-	if a.batches > 0 {
-		out.Scale(1 / float64(a.batches))
+	if batches > 0 {
+		out.Scale(1 / float64(batches))
 	}
 	return out, nil
 }

@@ -160,3 +160,74 @@ func TestAverageIntoLeasedRows(t *testing.T) {
 		t.Fatalf("%d slabs still lent after Release", n)
 	}
 }
+
+// TestAccumulatorLeaseLifetimes: under a round's lease, AverageInto that
+// lease hands the sum itself over as the average — bit for bit the
+// copy Average makes, no second set cut — and the next fold starts a
+// new sum; under a lease of its own the sum outlives the average and
+// later folds extend it, as on an accumulator that allocates its sum.
+func TestAccumulatorLeaseLifetimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	c := testClassifier(t, rng)
+	ds := testDataset(rng)
+	fold := func(acc *Accumulator, seed int64) {
+		t.Helper()
+		if _, err := acc.FoldBatches(c, ds, 8, 3, rand.New(rand.NewSource(seed))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ref := NewAccumulator()
+	fold(ref, 1)
+	want, err := ref.Average()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var round nn.Lease
+	acc := NewAccumulator()
+	acc.UseLease(&round)
+	for r := 0; r < 2; r++ {
+		acc.Reset()
+		fold(acc, 1)
+		lent := nn.Lent()
+		got, err := acc.AverageInto(&round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nn.Lent() != lent {
+			t.Fatalf("round %d: the average cut %d more slabs", r, nn.Lent()-lent)
+		}
+		if !reflect.DeepEqual(got.Layers, want.Layers) {
+			t.Fatalf("round %d: handed-over average differs from Average", r)
+		}
+		if _, err := acc.Average(); err == nil {
+			t.Fatalf("round %d: the accumulator still holds the handed-over sum", r)
+		}
+		round.Release()
+	}
+
+	var own, rows nn.Lease
+	acc.UseLease(&own)
+	fold(acc, 1)
+	fold(ref, 2)
+	fold(acc, 2)
+	want, err = ref.Average()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := acc.AverageInto(&rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Layers, want.Layers) {
+		t.Fatal("incremental sum under its own lease differs from an allocated one")
+	}
+	rows.Release()
+	if _, err := acc.Average(); err != nil {
+		t.Fatalf("the sum did not outlive its average: %v", err)
+	}
+	own.Release()
+	if n := nn.Lent(); n != 0 {
+		t.Fatalf("%d slabs still lent", n)
+	}
+}

@@ -49,11 +49,15 @@ type Set struct {
 }
 
 // NewSet allocates a zeroed set shaped like m's parameters.
-func NewSet(m nn.Module) *Set {
-	params := m.Params()
+func NewSet(m nn.Module) *Set { return leasedSet(nil, m.Params()) }
+
+// leasedSet is a zeroed set shaped like params, its rows cut from l (a
+// nil l allocates them).
+func leasedSet(l *nn.Lease, params []*nn.Param) *Set {
 	s := &Set{Layers: make([][]float64, len(params))}
 	for i, p := range params {
-		s.Layers[i] = make([]float64, p.NumParams())
+		s.Layers[i] = l.F64s(p.NumParams())
+		clear(s.Layers[i])
 	}
 	return s
 }

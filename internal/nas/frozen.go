@@ -67,7 +67,6 @@ func featureRow(bb *nn.Backbone, x, row []float64) error {
 type FrozenHeader struct {
 	*HeaderModel
 
-	params     []*nn.Param
 	final, pen tensor.Matrix // views into the current feature row
 }
 
@@ -84,7 +83,6 @@ func (h *HeaderModel) Frozen(bb nn.BackboneConfig) (*FrozenHeader, error) {
 	seq, d := bb.SeqLen(), h.Cfg.DModel
 	return &FrozenHeader{
 		HeaderModel: h,
-		params:      h.Params(),
 		final:       tensor.Matrix{Rows: seq, Cols: d},
 		pen:         tensor.Matrix{Rows: seq, Cols: d},
 	}, nil
@@ -103,10 +101,6 @@ func (f *FrozenHeader) Forward(row []float64) ([]float64, error) {
 	return f.forwardFromFeatures(&f.final, &f.pen), nil
 }
 
-// Params implements nn.Module: the header's parameter list, built once
-// (a header's ops never change after construction).
-func (f *FrozenHeader) Params() []*nn.Param { return f.params }
-
 // UseScratch implements nn.ScratchUser; at the end of a call the view
 // lets go of the last feature row too.
 func (f *FrozenHeader) UseScratch(s *nn.Scratch) {
@@ -119,5 +113,5 @@ func (f *FrozenHeader) UseScratch(s *nn.Scratch) {
 // TrainLocal is HeaderModel.TrainLocal over Featurize rows of the
 // local data: same shuffles, same updates, no backbone passes.
 func (f *FrozenHeader) TrainLocal(feats *data.Dataset, epochs, batch int, lr float64, rng *rand.Rand) error {
-	return trainHeader(f, f.params, feats, epochs, batch, lr, rng)
+	return trainHeader(f, f.Params(), feats, epochs, batch, lr, rng)
 }

@@ -105,6 +105,7 @@ type HeaderModel struct {
 	sc         *nn.Scratch
 
 	stacked []nn.Stackable // StackedLayers, listed on first use
+	params  []*nn.Param    // Params, listed on first use
 
 	// Backward scratch.
 	dl           tensor.Matrix
@@ -547,25 +548,29 @@ func zeroCols(m *tensor.Matrix, cols []int) {
 // Params implements Module. Header parameters only — the backbone's are
 // deliberately excluded so Phase 2-2 training and importance sets cover
 // exactly ΥᴴΥ (the paper's header parameter set). Order is
-// deterministic: ops in (u, b, slot) order, then FC1, FC2.
+// deterministic: ops in (u, b, slot) order, then FC1, FC2. The list is
+// built on first use (a header's ops never change after construction)
+// and shared by every call; an append to it copies.
 func (h *HeaderModel) Params() []*nn.Param {
-	var ps []*nn.Param
-	seen := make(map[*nn.Param]bool)
-	for u := range h.ops {
-		for b := range h.ops[u] {
-			for s := 0; s < 2; s++ {
-				for _, p := range h.ops[u][b][s].Params() {
-					if !seen[p] {
-						seen[p] = true
-						ps = append(ps, p)
+	if h.params == nil {
+		seen := make(map[*nn.Param]bool)
+		for u := range h.ops {
+			for b := range h.ops[u] {
+				for s := 0; s < 2; s++ {
+					for _, p := range h.ops[u][b][s].Params() {
+						if !seen[p] {
+							seen[p] = true
+							h.params = append(h.params, p)
+						}
 					}
 				}
 			}
 		}
+		h.params = append(h.params, h.FC1.Params()...)
+		h.params = append(h.params, h.FC2.Params()...)
+		h.params = h.params[:len(h.params):len(h.params)]
 	}
-	ps = append(ps, h.FC1.Params()...)
-	ps = append(ps, h.FC2.Params()...)
-	return ps
+	return h.params
 }
 
 // StackedLayers implements nn.Stacking: the convolutions in (u, b,

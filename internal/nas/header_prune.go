@@ -3,19 +3,38 @@ package nas
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"acme/internal/data"
 	"acme/internal/importance"
 	"acme/internal/nn"
 )
 
-// unit is a prunable neuron: a group of header parameters that are
-// discarded together (a conv output channel or a classifier hidden
-// neuron).
+// pruneScratch is ApplyImportance's working memory, pooled between
+// calls so that a header holds none of it and a call allocates nothing:
+// the prunable convolutions and the units of one call.
+type pruneScratch struct {
+	convs []prunedConv
+	units []unit
+}
+
+var pruneScratches = sync.Pool{New: func() any { return new(pruneScratch) }}
+
+// prunedConv is a convolution whose output channels are prunable units,
+// at the first (u, b, slot) that uses it; mask is that slot's mask from
+// before the call, storage for the one the call derives.
+type prunedConv struct {
+	conv    *nn.Conv1D
+	u, b, s int
+	mask    []bool
+}
+
+// unit is a prunable neuron: output channel j of convs[conv], or
+// classifier hidden neuron j when conv is -1.
 type unit struct {
-	score float64
-	apply func()
+	score   float64
+	conv, j int
 }
 
 // ApplyImportance rebuilds the header's masks from an importance set:
@@ -33,8 +52,26 @@ func (h *HeaderModel) ApplyImportance(set *importance.Set, discardUnits int) err
 			return fmt.Errorf("nas: layer %d size %d vs %d", i, p.NumParams(), len(set.Layers[i]))
 		}
 	}
+	sc := pruneScratches.Get().(*pruneScratch)
+	defer pruneScratches.Put(sc)
+	sc.convs = sc.convs[:0]
+	for u := range h.ops {
+		for b := range h.ops[u] {
+			for s := 0; s < 2; s++ {
+				conv, ok := h.ops[u][b][s].(*nn.Conv1D)
+				if ok && !slices.ContainsFunc(sc.convs, func(c prunedConv) bool { return c.conv == conv }) {
+					sc.convs = append(sc.convs, prunedConv{conv: conv, u: u, b: b, s: s, mask: h.opMasks[u][b][s]})
+				}
+			}
+		}
+	}
 	// Reset all masks to fully active, then re-derive.
-	defer h.indexMasks()
+	defer func() {
+		for i := range sc.convs {
+			sc.convs[i] = prunedConv{}
+		}
+		h.indexMasks()
+	}()
 	for u := range h.opMasks {
 		for b := range h.opMasks[u] {
 			h.opMasks[u][b][0] = nil
@@ -48,49 +85,27 @@ func (h *HeaderModel) ApplyImportance(set *importance.Set, discardUnits int) err
 		return nil
 	}
 
-	layerIdx := make(map[*nn.Param]int, len(params))
-	for i, p := range params {
-		layerIdx[p] = i
-	}
-	var units []unit
-
 	// Conv output channels.
-	seen := make(map[*nn.Param]bool)
-	for u := range h.ops {
-		for b := range h.ops[u] {
-			for s := 0; s < 2; s++ {
-				conv, ok := h.ops[u][b][s].(*nn.Conv1D)
-				if !ok || seen[conv.W] {
-					continue
-				}
-				seen[conv.W] = true
-				qw := set.Layers[layerIdx[conv.W]]
-				qb := set.Layers[layerIdx[conv.B]]
-				dim := conv.Dim
-				rows := conv.Kernel * conv.Dim
-				u, b, s := u, b, s
-				for j := 0; j < dim; j++ {
-					var score float64
-					for r := 0; r < rows; r++ {
-						score += qw[r*dim+j]
-					}
-					score += qb[j]
-					j := j
-					units = append(units, unit{score: score, apply: func() {
-						if h.opMasks[u][b][s] == nil {
-							h.opMasks[u][b][s] = fullMask(dim)
-						}
-						h.opMasks[u][b][s][j] = false
-					}})
-				}
+	units := sc.units[:0]
+	for k, c := range sc.convs {
+		qw := set.Layers[slices.Index(params, c.conv.W)]
+		qb := set.Layers[slices.Index(params, c.conv.B)]
+		dim := c.conv.Dim
+		rows := c.conv.Kernel * c.conv.Dim
+		for j := 0; j < dim; j++ {
+			var score float64
+			for r := 0; r < rows; r++ {
+				score += qw[r*dim+j]
 			}
+			score += qb[j]
+			units = append(units, unit{score: score, conv: k, j: j})
 		}
 	}
 
 	// Classifier hidden neurons.
-	qf1w := set.Layers[layerIdx[h.FC1.W]]
-	qf1b := set.Layers[layerIdx[h.FC1.B]]
-	qf2w := set.Layers[layerIdx[h.FC2.W]]
+	qf1w := set.Layers[slices.Index(params, h.FC1.W)]
+	qf1b := set.Layers[slices.Index(params, h.FC1.B)]
+	qf2w := set.Layers[slices.Index(params, h.FC2.W)]
 	hiddenN := h.Cfg.Hidden
 	classes := h.Cfg.NumClasses
 	in2d := 2 * h.Cfg.DModel
@@ -103,16 +118,38 @@ func (h *HeaderModel) ApplyImportance(set *importance.Set, discardUnits int) err
 		for c := 0; c < classes; c++ {
 			score += qf2w[j*classes+c]
 		}
-		j := j
-		units = append(units, unit{score: score, apply: func() { h.HiddenMask[j] = false }})
+		units = append(units, unit{score: score, conv: -1, j: j})
 	}
+	sc.units = units
 
-	sort.SliceStable(units, func(i, j int) bool { return units[i].score < units[j].score })
-	if discardUnits > len(units) {
-		discardUnits = len(units)
-	}
-	for i := 0; i < discardUnits; i++ {
-		units[i].apply()
+	// Ascending by score with ties in unit order: the ranking
+	// sort.SliceStable gave under score < score, NaNs included.
+	slices.SortStableFunc(units, func(a, b unit) int {
+		switch {
+		case a.score < b.score:
+			return -1
+		case b.score < a.score:
+			return 1
+		}
+		return 0
+	})
+	for _, un := range units[:min(discardUnits, len(units))] {
+		if un.conv < 0 {
+			h.HiddenMask[un.j] = false
+			continue
+		}
+		c := &sc.convs[un.conv]
+		mask := h.opMasks[c.u][c.b][c.s]
+		if mask == nil {
+			if mask = c.mask; len(mask) != c.conv.Dim {
+				mask = make([]bool, c.conv.Dim)
+			}
+			for j := range mask {
+				mask[j] = true
+			}
+			h.opMasks[c.u][c.b][c.s] = mask
+		}
+		mask[un.j] = false
 	}
 	// Never let the classifier go fully dark.
 	if allFalse(h.HiddenMask) {
@@ -161,14 +198,6 @@ func trainHeader(c nn.Classifier, params []*nn.Param, ds *data.Dataset, epochs, 
 		}
 	}
 	return nil
-}
-
-func fullMask(n int) []bool {
-	m := make([]bool, n)
-	for i := range m {
-		m[i] = true
-	}
-	return m
 }
 
 func allFalse(m []bool) bool {

@@ -50,8 +50,11 @@ func TestHeaderCloneIsBitExact(t *testing.T) {
 	}
 	// Prune a little so the masks are not all-true.
 	h.HiddenMask[1] = false
-	h.opMasks[0][0][0] = fullMask(cfg.DModel)
-	h.opMasks[0][0][0][2] = false
+	mask := make([]bool, cfg.DModel)
+	for j := range mask {
+		mask[j] = j != 2
+	}
+	h.opMasks[0][0][0] = mask
 	h.indexMasks()
 
 	clone := h.Clone(bb)

@@ -16,7 +16,7 @@ import (
 // whoever else still holds the original. For external tests that run
 // whole roles over such frames.
 func DestroyOnRelease(msg Message) Message {
-	b := wire.Lease()
+	b := wire.Lease(len(msg.Payload))
 	b.B = append(b.B, msg.Payload...)
 	msg.Release()
 	return msg.WithLease(b)

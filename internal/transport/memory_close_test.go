@@ -9,7 +9,7 @@ import (
 
 // leasedMessage is a message to node that carries a leased frame.
 func leasedMessage(node string) Message {
-	b := wire.Lease()
+	b := wire.Lease(len("frame"))
 	b.B = append(b.B, "frame"...)
 	return Message{Kind: KindControl, From: "sender", To: node}.WithLease(b)
 }

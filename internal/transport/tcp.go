@@ -504,7 +504,7 @@ func writeFrame(w io.Writer, msg Message) error {
 		uvarintLen(uint64(len(msg.From))) + len(msg.From) +
 		uvarintLen(uint64(len(msg.To))) + len(msg.To) +
 		len(msg.Payload)
-	f := wire.Lease()
+	f := wire.Lease(binary.MaxVarintLen64 + bodyLen)
 	b := binary.AppendUvarint(f.B, uint64(bodyLen))
 	b = append(b, byte(msg.Kind))
 	b = binary.AppendUvarint(b, uint64(msg.Round))
@@ -541,7 +541,7 @@ func readFrame(r frameReader) (Message, error) {
 	if n > maxFrame {
 		return Message{}, fmt.Errorf("transport: frame too large: %d", n)
 	}
-	buf := wire.Lease()
+	buf := wire.Lease(int(n))
 	msg, err := parseFrame(r, buf, int(n))
 	if err != nil {
 		buf.Release()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -74,6 +75,20 @@ func quantile(sorted []float64, q float64) float64 {
 // multivariate optimal-transport distance the paper computes between
 // probe-shard feature distributions while staying O(n log n).
 func Sliced(xs, ys [][]float64, p float64, numProjections int, rng *rand.Rand) (float64, error) {
+	var s Slicer
+	return s.Distance(xs, ys, p, numProjections, rng)
+}
+
+// A Slicer computes sliced distances with scratch it keeps from one
+// call to the next: a loop over many pairs allocates its projections
+// and direction once. The zero Slicer is ready to use; one Slicer must
+// not be used by two goroutines at once.
+type Slicer struct {
+	px, py, dir []float64
+}
+
+// Distance is Sliced, bit for bit, with s's scratch.
+func (s *Slicer) Distance(xs, ys [][]float64, p float64, numProjections int, rng *rand.Rand) (float64, error) {
 	if len(xs) == 0 || len(ys) == 0 {
 		return 0, fmt.Errorf("wasserstein: empty sample set")
 	}
@@ -85,9 +100,10 @@ func Sliced(xs, ys [][]float64, p float64, numProjections int, rng *rand.Rand) (
 		numProjections = 32
 	}
 	var total float64
-	px := make([]float64, len(xs))
-	py := make([]float64, len(ys))
-	dir := make([]float64, dim)
+	s.px = slices.Grow(s.px[:0], len(xs))[:len(xs)]
+	s.py = slices.Grow(s.py[:0], len(ys))[:len(ys)]
+	s.dir = slices.Grow(s.dir[:0], dim)[:dim]
+	px, py, dir := s.px, s.py, s.dir
 	for k := 0; k < numProjections; k++ {
 		randUnitInto(rng, dir)
 		for i, x := range xs {

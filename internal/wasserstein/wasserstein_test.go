@@ -181,3 +181,43 @@ func TestQuantileInterpolation(t *testing.T) {
 		t.Fatalf("median of {0,10} = %v", q)
 	}
 }
+
+// TestSlicerMatchesSliced: one Slicer over pairs of different sizes and
+// dimensions gives Sliced's distances bit for bit, its scratch reused
+// from pair to pair.
+func TestSlicerMatchesSliced(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cloud := func(n, dim int) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = make([]float64, dim)
+			for j := range out[i] {
+				out[i][j] = rng.NormFloat64()
+			}
+		}
+		return out
+	}
+	pairs := [][2][][]float64{
+		{cloud(40, 8), cloud(30, 8)},
+		{cloud(5, 3), cloud(9, 3)},
+		{cloud(60, 16), cloud(60, 16)},
+		{cloud(7, 3), cloud(2, 3)},
+	}
+	var s Slicer
+	for i, pr := range pairs {
+		want, err := Sliced(pr[0], pr[1], 1, 24, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Distance(pr[0], pr[1], 1, 24, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pair %d: Slicer %v, Sliced %v", i, got, want)
+		}
+	}
+	if _, err := s.Distance(nil, pairs[0][1], 1, 4, rng); err == nil {
+		t.Fatal("expected error on empty set")
+	}
+}

@@ -7,27 +7,64 @@ import (
 )
 
 // Buffer is a pooled, reference-counted byte buffer: the one pool every
-// encoded frame and every frame read off a socket comes from. Lease
-// hands a Buffer out holding one reference; Retain adds one, and the
-// Release that drops the last puts the Buffer back in the pool, after
-// which neither B nor any slice aliasing it (a zero-copy decode) may be
-// read. Forgetting Release is safe: the Buffer then falls to the garbage
-// collector instead of the pool. The count lives in the Buffer itself,
-// so passing a lease along allocates nothing.
+// encoded frame, every frame read off a socket and every packed round
+// of a delta encoder comes from. Lease hands a Buffer out holding one
+// reference; Retain adds one, and the Release that drops the last puts
+// the Buffer back in the pool, after which neither B nor any slice
+// aliasing it (a zero-copy decode) may be read. Forgetting Release is
+// safe: the Buffer then falls to the garbage collector instead of the
+// pool. The count lives in the Buffer itself, so passing a lease along
+// allocates nothing.
+//
+// The pool keeps its Buffers in size classes, four to each power of two
+// from minClass to maxPooled bytes (256, 320, 384, 448, 512, 640, …),
+// and a lease draws from the class of the size its caller asks for: a
+// control frame of a few bytes never holds a Buffer an upload grew to
+// tens of kilobytes, a large encode does not draw a small Buffer and
+// grow it, and no Buffer is more than a quarter larger than its class
+// needs.
 type Buffer struct {
 	// B is the frame. The holder of a fresh lease appends to it (it
 	// starts empty) and may then only read it.
-	B    []byte
-	refs atomic.Int32
+	B     []byte
+	refs  atomic.Int32
+	class int // the size class it returns to
 }
 
-// maxPooled caps the capacity of a Buffer the pool takes back. A larger
+// minClass is the smallest size class, in bytes, and maxPooled the
+// largest: the capacity cap of a Buffer the pool takes back. A larger
 // frame (a raw-data blob, or a corrupt length prefix short of the TCP
 // limit) still works, but its bytes fall to the garbage collector
 // instead of pinning megabytes in the pool.
-const maxPooled = 4 << 20
+const (
+	minClass  = 1 << 8
+	maxPooled = 4 << 20
+	classes   = 57 // classSize(classes-1) == maxPooled
+)
 
-var pool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 1024)} }}
+// classSize is the room, in bytes, of size class c: minClass times
+// 1, 1.25, 1.5 or 1.75 times a power of two.
+func classSize(c int) int { return (4 + c%4) << (c/4 + 6) }
+
+// pools holds the idle Buffers of each size class; class c's have room
+// for at least classSize(c) bytes, and less than classSize(c+1).
+var pools [classes]sync.Pool
+
+func init() {
+	for c := range pools {
+		pools[c].New = func() any { return &Buffer{B: make([]byte, 0, classSize(c)), class: c} }
+	}
+}
+
+// classOf is the smallest class with room for n bytes (the largest for
+// an n past maxPooled).
+func classOf(n int) int {
+	c := 0
+	for c < classes-1 && classSize(c) < n {
+		c++
+	}
+	return c
+}
 
 // leased counts the Buffers leased and not yet finally released,
 // process-wide. Only Lease and Release change it.
@@ -55,9 +92,16 @@ func SetScrub(f func([]byte)) {
 	scrub.Store(&f)
 }
 
-// Lease takes an empty Buffer from the pool, holding one reference.
-func Lease() *Buffer {
-	b := pool.Get().(*Buffer)
+// Lease takes an empty Buffer with room for n bytes from the pool,
+// holding one reference. The room is a promise for an n up to
+// maxPooled; past that, the first append grows it.
+func Lease(n int) *Buffer {
+	c := classOf(n)
+	b := pools[c].Get().(*Buffer)
+	if cap(b.B) < n && n <= maxPooled {
+		// Its last holder dropped B, or it came back too big to pool.
+		b.B = make([]byte, 0, classSize(c))
+	}
 	b.refs.Store(1)
 	leased.Add(1)
 	return b
@@ -80,12 +124,20 @@ func (b *Buffer) Release() {
 		if f := scrub.Load(); f != nil {
 			(*f)(b.B)
 		}
-		if cap(b.B) > maxPooled {
+		switch n := cap(b.B); {
+		case n > maxPooled:
 			b.B = nil
-		} else {
+		case b.class < classes-1 && n >= classSize(b.class+1):
+			// A Buffer grown past its class moves up to the largest
+			// class its capacity covers.
+			b.B, b.class = b.B[:0], classOf(n)
+			if classSize(b.class) > n {
+				b.class--
+			}
+		default:
 			b.B = b.B[:0]
 		}
-		pool.Put(b)
+		pools[b.class].Put(b)
 	case n < 0:
 		panic("wire: Buffer.Release without matching Retain")
 	}
@@ -102,9 +154,10 @@ func EncodeLeased(v any) (*Buffer, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	b := Lease()
+	size := s.raw + s.raw/16 + 64
+	b := Lease(size)
 	if s.raw > cap(b.B) {
-		b.B = slices.Grow(b.B, s.raw+s.raw/16+64)
+		b.B = slices.Grow(b.B, size)
 	}
 	e, _ := walk(Fields{mode: encoding, b: append(b.B, Version)}, v)
 	b.B = e.b
@@ -118,7 +171,7 @@ func CompressLeased(plain *Buffer) *Buffer {
 	if !compressible(plain.B) {
 		return plain
 	}
-	out := Lease()
+	out := Lease(len(plain.B))
 	enc, ok := appendEntropy(slices.Grow(out.B, len(plain.B)), plain.B)
 	out.B = enc
 	if !ok {

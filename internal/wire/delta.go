@@ -33,8 +33,8 @@ type DeltaLayer struct {
 }
 
 // WireFields states the delta layer's schema. Mask and Changed decode
-// as aliases of the frame; Apply copies before a shadow keeps anything,
-// so the alias never outlives the frame.
+// as aliases of the frame; Apply copies them into the shadow, so the
+// alias never outlives the frame.
 func (d *DeltaLayer) WireFields(f *Fields) {
 	f.Struct(5)
 	f.Int(&d.N)
@@ -50,7 +50,9 @@ func (d *DeltaLayer) WireFields(f *Fields) {
 // otherwise. len(prev) != len(cur) (a shape change between rounds)
 // also forces the dense form. Trailing bytes beyond the last whole
 // element are dropped, keeping the record consistent with its own
-// Apply; callers are expected to pass exact multiples of elem.
+// Apply; callers are expected to pass exact multiples of elem. The
+// dense form's Changed is cur itself, so cur must stay unchanged until
+// the record is encoded; the sparse form owns its Mask and Changed.
 func DiffLayer(prev, cur []byte, elem int) DeltaLayer {
 	if elem <= 0 {
 		elem = 1
@@ -59,8 +61,7 @@ func DiffLayer(prev, cur []byte, elem int) DeltaLayer {
 	cur = cur[:n*elem]
 	d := DeltaLayer{N: n, Elem: elem}
 	if len(prev) != len(cur) {
-		d.Dense = true
-		d.Changed = append([]byte(nil), cur...)
+		d.Dense, d.Changed = true, cur
 		return d
 	}
 	changed := 0
@@ -71,8 +72,7 @@ func DiffLayer(prev, cur []byte, elem int) DeltaLayer {
 	}
 	maskLen := (n + 7) / 8
 	if maskLen+changed*elem >= n*elem {
-		d.Dense = true
-		d.Changed = append([]byte(nil), cur...)
+		d.Dense, d.Changed = true, cur
 		return d
 	}
 	d.Mask = make([]byte, maskLen)
@@ -120,26 +120,30 @@ func (d *DeltaLayer) Check() error {
 	return nil
 }
 
-// Apply reconstructs the round-t packed payload from the round t−1
-// payload. The record is checked before any indexing, so a hostile one
-// is an error, never a panic or a silently wrong payload.
+// Apply turns the round t−1 payload prev into the round-t payload in
+// place and returns it: a sparse record patches the changed elements of
+// prev, a dense one overwrites prev with Changed, in prev's storage
+// when it is large enough (whatever prev's length) and in a new slice
+// otherwise. Its caller keeps the result as its shadow in place of
+// prev. The record is checked before anything is written, so a hostile
+// one is an error that leaves prev as it was, never a panic or a
+// silently wrong payload.
 func (d *DeltaLayer) Apply(prev []byte) ([]byte, error) {
 	if err := d.Check(); err != nil {
 		return nil, err
 	}
 	if d.Dense {
-		return append([]byte(nil), d.Changed...), nil
+		return append(prev[:0], d.Changed...), nil
 	}
 	if size := d.N * d.Elem; len(prev) != size {
 		return nil, fmt.Errorf("wire: sparse delta against %d-byte shadow, want %d", len(prev), size)
 	}
-	out := append([]byte(nil), prev...)
 	src := 0
 	for i := 0; i < d.N; i++ {
 		if d.Mask[i/8]&(1<<(i%8)) != 0 {
-			copy(out[i*d.Elem:(i+1)*d.Elem], d.Changed[src:src+d.Elem])
+			copy(prev[i*d.Elem:(i+1)*d.Elem], d.Changed[src:src+d.Elem])
 			src += d.Elem
 		}
 	}
-	return out, nil
+	return prev, nil
 }

@@ -172,3 +172,50 @@ func TestDeltaEncodesThroughCodec(t *testing.T) {
 		t.Fatal("codec round trip lost delta fidelity")
 	}
 }
+
+// TestDeltaApplyInPlace: Apply patches the shadow it is given and
+// returns it. A sparse record writes only its changed elements, a dense
+// one overwrites the shadow in its own storage when that is large
+// enough (and in a new slice when it is not), and a refused record
+// leaves the shadow as it was.
+func TestDeltaApplyInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	prev := randomPayload(rng, 256, 2)
+	cur := mutate(rng, prev, 2, 0.05)
+	sparse := DiffLayer(prev, cur, 2)
+	if sparse.Dense {
+		t.Fatal("5% change must take the sparse form")
+	}
+	shadow := bytes.Clone(prev)
+	got, err := sparse.Apply(shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &shadow[0] || !bytes.Equal(shadow, cur) {
+		t.Fatal("sparse apply did not patch the shadow in place")
+	}
+
+	next := randomPayload(rng, 200, 2)
+	dense := DiffLayer(nil, next, 2)
+	if got, err = dense.Apply(shadow); err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &shadow[0] || !bytes.Equal(got, next) {
+		t.Fatal("dense apply into a larger shadow did not reuse its storage")
+	}
+	grown := randomPayload(rng, 300, 2)
+	larger := DiffLayer(nil, grown, 2)
+	if got, err = larger.Apply(got); err != nil || !bytes.Equal(got, grown) {
+		t.Fatalf("dense apply into a smaller shadow: %v", err)
+	}
+
+	before := bytes.Clone(got)
+	bad := DiffLayer(before, mutate(rng, before, 2, 0.05), 2)
+	bad.Changed = bad.Changed[:len(bad.Changed)-1]
+	if _, err := bad.Apply(got); err == nil {
+		t.Fatal("corrupt record accepted")
+	}
+	if !bytes.Equal(got, before) {
+		t.Fatal("a refused record changed the shadow")
+	}
+}

@@ -379,3 +379,55 @@ func (l *layers) WireFields(f *Fields) {
 	f.Struct(1)
 	Records(f, &l.Layers)
 }
+
+// TestLeaseSizeClasses: the pool serves a lease from the size class of
+// what its caller asks for. A class has room for at most a quarter more
+// than any size it serves. Over a mix of control-sized and upload-sized
+// frames, every lease has room for its frame, a small one never holds a
+// buffer sized for a large one, a buffer grown past its class moves up
+// to the class its capacity covers, and once every class in use is warm
+// the mix allocates nothing.
+func TestLeaseSizeClasses(t *testing.T) {
+	if classSize(classes-1) != maxPooled {
+		t.Fatalf("largest class %d bytes, want %d", classSize(classes-1), maxPooled)
+	}
+	for n := minClass; n <= maxPooled; n += n/7 + 1 {
+		if room := classSize(classOf(n)); room < n || 4*room > 5*n {
+			t.Fatalf("a %d-byte lease draws from a class of %d", n, room)
+		}
+	}
+	sizes := []int{20, 80 << 10, 3, 300 << 10, 64, 80 << 10, 1 << 10, 20}
+	round := func() {
+		for _, n := range sizes {
+			b := Lease(n)
+			if cap(b.B) < n {
+				t.Fatalf("lease of %d bytes has room for %d", n, cap(b.B))
+			}
+			if len(b.B) != 0 {
+				t.Fatalf("lease of %d bytes starts %d bytes long", n, len(b.B))
+			}
+			if n <= 1<<10 && cap(b.B) > 4<<10 {
+				t.Fatalf("a %d-byte lease holds a %d-byte buffer", n, cap(b.B))
+			}
+			b.B = append(b.B, make([]byte, n)...)
+			b.Release()
+		}
+	}
+	round()
+	grown := Lease(100)
+	grown.B = append(grown.B, make([]byte, 50<<10)...)
+	grown.Release()
+	for i := 0; i < 8; i++ {
+		if b := Lease(100); cap(b.B) > 4<<10 {
+			t.Fatalf("a 100-byte lease holds the %d-byte buffer a small lease grew", cap(b.B))
+		} else {
+			b.Release()
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops items at random under -race
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("%v allocations per warm round of leases, want 0", allocs)
+	}
+}
