@@ -154,7 +154,7 @@ traffic:
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_53.json: per-pair values, medians, the base's quartiles,
+# writes PERF_54.json: per-pair values, medians, the base's quartiles,
 # pairs won and a verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
@@ -163,7 +163,7 @@ PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_53.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_54.json
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never
@@ -238,8 +238,12 @@ vet:
 	$(GO) vet ./...
 
 # portable compiles the !amd64 side of internal/tensor (the pure-Go
-# kernels alone, simd_other.go), which an amd64 build never sees.
+# kernels alone, simd_other.go), which an amd64 build never sees, and,
+# on s390x, the big-endian side of internal/wire (alias_other.go: float
+# slices packed and unpacked element by element), which no
+# little-endian build sees.
 portable:
 	GOARCH=arm64 $(GO) vet ./internal/tensor && GOARCH=arm64 $(GO) build ./...
+	GOARCH=s390x $(GO) build ./... && GOARCH=s390x $(GO) vet ./internal/wire && GOARCH=s390x $(GO) test -c -o /dev/null ./internal/wire
 
 ci: fmt-check vet build portable test pins v3 race virtual fuzz bench bench-module bench-compare churn-smoke fleet-smoke chaos-smoke restore-smoke

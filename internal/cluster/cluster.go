@@ -20,10 +20,17 @@ type Device struct {
 	GPU     float64 // Gn: GPU capacity (watts of base draw)
 	Storage float64 // Cn: maximum storable parameter count
 	Profile energy.Profile
+
+	name string // Name, formatted once by GenerateFleet
 }
 
 // Name returns the device's transport node name.
-func (d Device) Name() string { return fmt.Sprintf("device-%d", d.ID) }
+func (d Device) Name() string {
+	if d.name != "" {
+		return d.name
+	}
+	return fmt.Sprintf("device-%d", d.ID)
+}
 
 // FleetSpec generates a synthetic heterogeneous fleet mirroring the
 // paper's setup: clusters of devices with similar vCPU (3–7) and storage
@@ -75,6 +82,7 @@ func GenerateFleet(spec FleetSpec, rng *rand.Rand) []Device {
 				Storage: levels[d%len(levels)],
 				Profile: energy.NewProfile(gpu, lat, 9, epochs),
 			}
+			dev.name = dev.Name()
 			devices = append(devices, dev)
 			id++
 		}

@@ -42,14 +42,10 @@ func (s *System) runCloud(ctx context.Context) error {
 	}
 
 	// Gather statistical parameters from every edge server.
-	edgeNames := make([]string, 0, len(s.clusters))
-	for e := range s.clusters {
-		edgeNames = append(edgeNames, edgeName(e))
-	}
 	stats := make(map[int]ClusterStats, len(s.clusters))
 	if _, err := ses.Gather(ctx, transport.GatherSpec{
 		Kinds:     cloudProtocol.stats.kinds(),
-		Expect:    edgeNames,
+		Expect:    s.edgeNames,
 		Label:     cloudProtocol.stats.label(0),
 		OnControl: gatherControl(&cloudProtocol.stats, 0, func(transport.Message, wire.ControlRecord) (bool, error) { return true, nil }),
 		OnMessage: func(msg transport.Message) error {
@@ -107,7 +103,7 @@ func (s *System) customizeCluster(ref *nn.BackboneClassifier, gen *prune.Generat
 	}
 	s.recordAssignment(edgeID, selected)
 	asg := EncodeBackbone(student.Backbone, selected.W, selected.D, selected, s.Cfg.Wire.Quantization)
-	return s.send(transport.KindBackbone, "cloud", edgeName(edgeID), asg)
+	return s.send(transport.KindBackbone, "cloud", s.edgeNames[edgeID], asg)
 }
 
 // trainReference pretrains θ₀ on the public dataset.

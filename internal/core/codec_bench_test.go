@@ -84,8 +84,9 @@ func BenchmarkDecodeBackbone(b *testing.B) {
 }
 
 // fleetPackage is the model package a fleet device receives: the
-// default backbone and a 19 844-parameter header.
-func fleetPackage(tb testing.TB) HeaderPackage {
+// default backbone and a 19 844-parameter header, their parameters
+// quantized in mode.
+func fleetPackage(tb testing.TB, mode QuantMode) HeaderPackage {
 	tb.Helper()
 	cfg := DefaultConfig()
 	rng := rand.New(rand.NewSource(1))
@@ -107,9 +108,32 @@ func fleetPackage(tb testing.TB) HeaderPackage {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pkg := EncodeHeader(h, QuantLossless)
-	pkg.Backbone = EncodeBackbone(bb, 1, cfg.Backbone.Depth, pareto.Candidate{W: 1, D: cfg.Backbone.Depth}, QuantLossless)
+	pkg := EncodeHeader(h, mode)
+	pkg.Backbone = EncodeBackbone(bb, 1, cfg.Backbone.Depth, pareto.Candidate{W: 1, D: cfg.Backbone.Depth}, mode)
 	return pkg
+}
+
+// join is a shared shard's non-owner taking the package frame its edge
+// sent (System.modelFromFrame): the frame decoded, the header built
+// without a backbone.
+func join(frame []byte) error {
+	var pkg HeaderPackage
+	if err := wire.Decode(frame, &pkg); err != nil {
+		return err
+	}
+	_, err := buildDeviceHeader(pkg, nil)
+	return err
+}
+
+// fleetFrame is the frame of fleetPackage in the mixed lanes, as the
+// fleet-sampled workload's edges send it.
+func fleetFrame(tb testing.TB) []byte {
+	tb.Helper()
+	frame, err := wire.Encode(fleetPackage(tb, QuantMixed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
 }
 
 // BenchmarkBuildDeviceHeader measures what each of a fleet's devices
@@ -118,9 +142,13 @@ func fleetPackage(tb testing.TB) HeaderPackage {
 // no random initialisation, no gradient storage. "decode" is a device
 // that featurizes (a private shard, a shared shard's owner); "holder"
 // is a shared shard's other holder, which builds the header alone and
-// keeps its frame, whose backbone encoding it compares with the owner's.
+// keeps its frame, whose backbone encoding it compares with the owner's;
+// "join" is the holder's whole join, the package in the mixed lanes
+// decoded from its frame first (TestDeviceJoinAllocates bounds its
+// allocs/op).
 func BenchmarkBuildDeviceHeader(b *testing.B) {
-	pkg := fleetPackage(b)
+	pkg := fleetPackage(b, QuantLossless)
+	frame := fleetFrame(b)
 	for _, c := range []struct {
 		name  string
 		build func() error
@@ -136,6 +164,7 @@ func BenchmarkBuildDeviceHeader(b *testing.B) {
 			_, err := buildDeviceHeader(pkg, nil)
 			return err
 		}},
+		{"join", func() error { return join(frame) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -53,7 +53,7 @@ func (s *System) liarFor(devID int) *chaos.Liar {
 func (s *System) runDevice(ctx context.Context, edgeID, devIdx int) error {
 	dev := s.devices[devIdx]
 	name := dev.Name()
-	edge := edgeName(edgeID)
+	edge := s.edgeNames[edgeID]
 	rng := rand.New(rand.NewSource(s.Cfg.Seed + 3000 + int64(dev.ID)))
 	local := s.devTrain[devIdx]
 	ses := transport.NewSession(name, s.Net)
@@ -108,7 +108,7 @@ func (s *System) runDeviceRejoin(ctx context.Context, edgeID, devIdx int) error 
 	// stream died with it.
 	rng := rand.New(rand.NewSource(s.Cfg.Seed + 4000 + int64(dev.ID)))
 	ses := transport.NewSession(dev.Name(), s.Net)
-	startRound, header, pkg, err := s.resync(ctx, ses, edgeName(edgeID), dev.ID, true)
+	startRound, header, pkg, err := s.resync(ctx, ses, s.edgeNames[edgeID], dev.ID, true)
 	if err != nil {
 		return err
 	}
@@ -273,7 +273,7 @@ func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Sessi
 		BackboneParams: rows.backboneParams,
 		HeaderParams:   header.ActiveParamCount(),
 	}
-	return s.send(transport.KindReport, ses.Node(), edgeName(edgeID), report)
+	return s.send(transport.KindReport, ses.Node(), s.edgeNames[edgeID], report)
 }
 
 // deviceRounds is one device's Phase 2-2 loop state; its methods are
@@ -351,7 +351,7 @@ type deviceRounds struct {
 // are dropped unread, so a killed-and-restored edge finishes with
 // reports identical to the uninterrupted run.
 func (s *System) deviceLoop(ctx context.Context, ses *transport.Session, dev cluster.Device, edgeID int, rng *rand.Rand, local *data.Dataset, header *nas.FrozenHeader, pkg HeaderPackage, startRound int) error {
-	d := s.newDeviceRounds(ses, dev, edgeName(edgeID), rng, local, header, pkg, startRound)
+	d := s.newDeviceRounds(ses, dev, s.edgeNames[edgeID], rng, local, header, pkg, startRound)
 	defer d.release()
 	for {
 		t, ok, err := d.nextRound(ctx)

@@ -75,15 +75,16 @@ func (f *deviceRoundFixture) play() error {
 }
 
 // steadyRoundAllocs bounds the objects a warm round of the fixture's
-// 19 844-parameter header allocates: 22 on the dense wire and 35 on
+// 19 844-parameter header allocates: 22 on the dense wire and 31–32 on
 // delta records in the mixed lanes when it was set. They are the
 // minibatch orders, optimizer and pass of the two training calls, the
 // set, record and lane lists of the exchange, the boxing of its frame,
-// and the mask and changed elements a layer that travels as a sparse
-// delta owns. None is per parameter: the importance sum and average,
-// the packed round, both delta shadows, the decoded downlink and
-// ApplyImportance's ranking are borrowed or patched in place.
-const steadyRoundAllocs = 40
+// and the one block (mask and changed elements) a layer that travels
+// as a sparse delta owns. None is per parameter: the importance sum
+// and average, the packed round, both delta shadows, the decoded
+// downlink and ApplyImportance's ranking are borrowed or patched in
+// place.
+const steadyRoundAllocs = 32
 
 // TestSteadyDeviceRoundAllocates: after warm-up, a device round
 // (prepareUpload → apply) allocates at most steadyRoundAllocs objects,
@@ -93,7 +94,7 @@ func TestSteadyDeviceRoundAllocates(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("-race allocates on its own")
 	}
-	pkg := fleetPackage(t)
+	pkg := fleetPackage(t, QuantLossless)
 	for _, c := range []struct {
 		name string
 		wo   WireOptions
@@ -123,6 +124,38 @@ func TestSteadyDeviceRoundAllocates(t *testing.T) {
 	}
 }
 
+// joinAllocs bounds the objects a device's join allocates: the mixed
+// fleet package's frame decoded and the header built without a
+// backbone (join). It was 171 with a string per decoded name and 73
+// when set: a value slab and a box per header parameter (12), the op
+// and layer structs, the parameter names the convolutions and the
+// classifier concatenate, the header's op, mask and parameter lists,
+// and the decoded blob, mask and gene lists. A decoded name comes from
+// wire's string table, an op name is formatted once per process.
+const joinAllocs = 92
+
+// TestDeviceJoinAllocates: once the names are known, a device's join
+// allocates at most joinAllocs objects.
+func TestDeviceJoinAllocates(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("-race allocates on its own")
+	}
+	frame := fleetFrame(t)
+	var err error
+	allocs := testing.AllocsPerRun(10, func() {
+		if e := join(frame); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%v allocations per join", allocs)
+	if allocs > joinAllocs {
+		t.Errorf("%v allocations per join, want at most %d", allocs, joinAllocs)
+	}
+}
+
 // BenchmarkDeviceRound times one steady-state device round of a fleet
 // device (the 19 844-parameter header of BenchmarkBuildDeviceHeader):
 // importance, average and encoding of its upload, then decode, apply
@@ -130,7 +163,7 @@ func TestSteadyDeviceRoundAllocates(t *testing.T) {
 // with GOMAXPROCS by the passes' replicas; at GOMAXPROCS 1 they are
 // TestSteadyDeviceRoundAllocates' count.
 func BenchmarkDeviceRound(b *testing.B) {
-	pkg := fleetPackage(b)
+	pkg := fleetPackage(b, QuantLossless)
 	for _, c := range []struct {
 		name string
 		wo   WireOptions

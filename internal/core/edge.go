@@ -27,7 +27,7 @@ import (
 // ends with the cluster's reports. Each set-up step is one function
 // below; the loop is edge_round.go.
 func (s *System) runEdge(ctx context.Context, edgeID int) ([]DeviceReport, error) {
-	name := edgeName(edgeID)
+	name := s.edgeNames[edgeID]
 	members := s.clusters[edgeID]
 	rng := rand.New(rand.NewSource(s.Cfg.Seed + 2000 + int64(edgeID)))
 	ses := transport.NewSession(name, s.Net)
@@ -378,7 +378,7 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 	st := &edgeState{
 		s:            s,
 		edgeID:       edgeID,
-		name:         edgeName(edgeID),
+		name:         s.edgeNames[edgeID],
 		ses:          ses,
 		reg:          ses.Membership(),
 		order:        order,

@@ -342,7 +342,7 @@ func (s *System) ResumeRole(ctx context.Context, role string) (*Result, error) {
 // edge snapshot is a hard error: the edge's loop state exists nowhere
 // else (the cloud is gone), so there is nothing to fall back to.
 func (s *System) resumeEdge(ctx context.Context, edgeID int) ([]DeviceReport, error) {
-	name := edgeName(edgeID)
+	name := s.edgeNames[edgeID]
 	var snap EdgeSnapshot
 	if err := checkpoint.ReadFile(s.checkpointFile(name), &snap); err != nil {
 		return nil, fmt.Errorf("core: restore %s: %w", name, err)
@@ -402,7 +402,7 @@ func (s *System) resumeDevice(ctx context.Context, edgeID, devIdx int) error {
 	// The dense re-seed exactly like the cold rejoin — but keep the
 	// checkpointed model; only the re-entry round is taken from the
 	// wire.
-	startRound, _, _, err := s.resync(ctx, ses, edgeName(edgeID), dev.ID, false)
+	startRound, _, _, err := s.resync(ctx, ses, s.edgeNames[edgeID], dev.ID, false)
 	if err != nil {
 		return err
 	}

@@ -155,12 +155,13 @@ type System struct {
 	Cfg Config
 	Net transport.Network
 
-	devices  []cluster.Device
-	clusters [][]int // edge id → device indices
-	public   *data.Dataset
-	devTrain []*data.Dataset
-	devTest  []*data.Dataset
-	rows     sharedRows // feature rows of shards a cluster holds more than once
+	devices   []cluster.Device
+	clusters  [][]int  // edge id → device indices
+	edgeNames []string // edge id → node name, formatted once
+	public    *data.Dataset
+	devTrain  []*data.Dataset
+	devTest   []*data.Dataset
+	rows      sharedRows // feature rows of shards a cluster holds more than once
 	// backboneDecodes counts the backbones s's devices decoded, which
 	// shared shards keep to one per shard and cluster (deviceFeatures).
 	backboneDecodes atomic.Int64
@@ -222,6 +223,7 @@ func NewSystem(cfg Config) (*System, error) {
 		Net:         mem,
 		devices:     devices,
 		clusters:    clusters,
+		edgeNames:   make([]string, len(clusters)),
 		public:      public,
 		devTrain:    devTrain,
 		devTest:     devTest,
@@ -230,6 +232,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s.rows.open(clusters, devTrain, devTest)
 	mem.Register("cloud", 64)
 	for e, members := range clusters {
+		s.edgeNames[e] = edgeName(e)
 		// An edge's inbox must absorb a whole cluster's worth of setup
 		// uploads (2 per device) plus loop traffic without backpressure
 		// deadlocking thousands of senders.
@@ -237,7 +240,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if 4*len(members) > n {
 			n = 4 * len(members)
 		}
-		mem.Register(edgeName(e), n)
+		mem.Register(s.edgeNames[e], n)
 	}
 	for _, d := range devices {
 		mem.Register(d.Name(), 64)
@@ -323,6 +326,8 @@ func (s *System) DeviceTrain(i int) *data.Dataset { return s.devTrain[i] }
 // DeviceTest returns device i's local test shard.
 func (s *System) DeviceTest(i int) *data.Dataset { return s.devTest[i] }
 
+// edgeName formats edge e's node name; a System keeps its edges' names
+// in edgeNames.
 func edgeName(e int) string { return fmt.Sprintf("edge-%d", e) }
 
 // entropyKinds is the per-kind eligibility set for Wire.Entropy: the
@@ -416,7 +421,7 @@ func (s *System) Run(ctx context.Context) (*Result, error) {
 
 	launch("cloud", s.runCloud)
 	for e := range s.clusters {
-		launch(edgeName(e), func(ctx context.Context) (err error) {
+		launch(s.edgeNames[e], func(ctx context.Context) (err error) {
 			clusterReports[e], err = s.runEdge(ctx, e)
 			return err
 		})
@@ -524,7 +529,7 @@ func (s *System) RejoinRole(ctx context.Context, role string) error {
 // device, its device index (−1 for an edge).
 func (s *System) roleOf(role string) (edgeID, devIdx int, ok bool) {
 	for e, members := range s.clusters {
-		if role == edgeName(e) {
+		if role == s.edgeNames[e] {
 			return e, -1, true
 		}
 		for _, di := range members {
@@ -540,7 +545,7 @@ func (s *System) roleOf(role string) (edgeID, devIdx int, ok bool) {
 func (s *System) RoleNames() []string {
 	names := []string{"cloud"}
 	for e := range s.clusters {
-		names = append(names, edgeName(e))
+		names = append(names, s.edgeNames[e])
 	}
 	for _, d := range s.devices {
 		names = append(names, d.Name())

@@ -52,8 +52,11 @@ type Set struct {
 func NewSet(m nn.Module) *Set { return leasedSet(nil, m.Params()) }
 
 // leasedSet is a zeroed set shaped like params, its rows cut from l (a
-// nil l allocates them).
+// nil l cuts them from one slab).
 func leasedSet(l *nn.Lease, params []*nn.Param) *Set {
+	if l == nil {
+		return slabSet(len(params), func(i int) int { return params[i].NumParams() })
+	}
 	s := &Set{Layers: make([][]float64, len(params))}
 	for i, p := range params {
 		s.Layers[i] = l.F64s(p.NumParams())
@@ -62,22 +65,35 @@ func leasedSet(l *nn.Lease, params []*nn.Param) *Set {
 	return s
 }
 
+// slabSet is a zeroed set of n layers, layer i size(i) long, every
+// layer cut capacity-clamped from one slab: three allocations whatever
+// the layer count.
+func slabSet(n int, size func(i int) int) *Set {
+	total := 0
+	for i := range n {
+		total += size(i)
+	}
+	slab := make([]float64, total)
+	s := &Set{Layers: make([][]float64, n)}
+	for i := range s.Layers {
+		k := size(i)
+		s.Layers[i], slab = slab[:k:k], slab[k:]
+	}
+	return s
+}
+
 // Clone returns a deep copy of s.
 func (s *Set) Clone() *Set {
-	out := &Set{Layers: make([][]float64, len(s.Layers))}
+	out := s.ZeroClone()
 	for i, l := range s.Layers {
-		out.Layers[i] = append([]float64(nil), l...)
+		copy(out.Layers[i], l)
 	}
 	return out
 }
 
 // ZeroClone returns a zeroed set with the same shape as s.
 func (s *Set) ZeroClone() *Set {
-	out := &Set{Layers: make([][]float64, len(s.Layers))}
-	for i, l := range s.Layers {
-		out.Layers[i] = make([]float64, len(l))
-	}
-	return out
+	return slabSet(len(s.Layers), func(i int) int { return len(s.Layers[i]) })
 }
 
 // Scale multiplies every entry by f.

@@ -161,3 +161,50 @@ func TestImportanceIdentifiesCriticalHead(t *testing.T) {
 		}
 	}
 }
+
+// params is a module of fixed parameters, whose Params allocates
+// nothing.
+type params []*nn.Param
+
+func (p params) Params() []*nn.Param { return p }
+
+// TestSetIsOneSlab: a set, fresh, zeroed or copied, is three
+// allocations whatever its layer count, and an append to one of its
+// layers cannot run into the next.
+func TestSetIsOneSlab(t *testing.T) {
+	var m nn.Module = params(testClassifier(t, rand.New(rand.NewSource(1))).Params())
+	src := NewSet(m)
+	for i, l := range src.Layers {
+		for j := range l {
+			l[j] = float64(i + j + 1)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		make   func() *Set
+		copies bool
+	}{
+		{"NewSet", func() *Set { return NewSet(m) }, false},
+		{"ZeroClone", src.ZeroClone, false},
+		{"Clone", src.Clone, true},
+	} {
+		if allocs := testing.AllocsPerRun(10, func() { c.make() }); allocs != 3 {
+			t.Errorf("%s: %v allocations for %d layers, want 3", c.name, allocs, len(src.Layers))
+		}
+		s := c.make()
+		for i, l := range s.Layers {
+			if len(l) != len(src.Layers[i]) || cap(l) != len(l) {
+				t.Fatalf("%s: layer %d has length %d and capacity %d, want %d", c.name, i, len(l), cap(l), len(src.Layers[i]))
+			}
+			for j, v := range l {
+				want := 0.0
+				if c.copies {
+					want = src.Layers[i][j]
+				}
+				if v != want {
+					t.Fatalf("%s: layer %d[%d] = %v, want %v", c.name, i, j, v, want)
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package nas
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"acme/internal/nn"
 	"acme/internal/tensor"
@@ -56,10 +58,31 @@ func (bk *OpBank) Get(u, b, slot int, kind OpKind) nn.SeqOp {
 	if op, ok := bk.ops[key]; ok {
 		return op
 	}
-	name := fmt.Sprintf("bank.u%d.b%d.s%d.%v", u, b, slot, kind)
-	op := newOp(kind, name, bk.Dim, bk.rng)
+	op := newOp(kind, opName(key), bk.Dim, bk.rng)
 	bk.ops[key] = op
 	return op
+}
+
+// opNames holds the name of every bank position an op has been built
+// at, formatted once per process: each device builds its received
+// header in a bank of its own, at the positions of its cluster's
+// architecture. The positions are bounded by the search space
+// (Repeats × Blocks × 2 slots × the op kinds).
+var opNames = struct {
+	sync.Mutex
+	m map[bankKey]string
+}{m: make(map[bankKey]string)}
+
+// opName is the name of the op at key's position.
+func opName(key bankKey) string {
+	opNames.Lock()
+	defer opNames.Unlock()
+	name, ok := opNames.m[key]
+	if !ok {
+		name = fmt.Sprintf("bank.u%d.b%d.s%d.%v", key.U, key.B, key.Slot, key.Kind)
+		opNames.m[key] = name
+	}
+	return name
 }
 
 // HeaderModel is a concrete header: the DAG of B blocks repeated U
@@ -550,27 +573,38 @@ func zeroCols(m *tensor.Matrix, cols []int) {
 // exactly ΥᴴΥ (the paper's header parameter set). Order is
 // deterministic: ops in (u, b, slot) order, then FC1, FC2. The list is
 // built on first use (a header's ops never change after construction)
-// and shared by every call; an append to it copies.
+// and shared by every call; an append to it copies. Every position
+// holds an op of its own (OpBank.Get, Clone), so no parameter is
+// listed twice.
 func (h *HeaderModel) Params() []*nn.Param {
 	if h.params == nil {
-		seen := make(map[*nn.Param]bool)
+		var buf [64]*nn.Param
+		ps := buf[:0]
 		for u := range h.ops {
 			for b := range h.ops[u] {
-				for s := 0; s < 2; s++ {
-					for _, p := range h.ops[u][b][s].Params() {
-						if !seen[p] {
-							seen[p] = true
-							h.params = append(h.params, p)
-						}
-					}
+				for _, op := range h.ops[u][b] {
+					ps = appendOpParams(ps, op)
 				}
 			}
 		}
-		h.params = append(h.params, h.FC1.Params()...)
-		h.params = append(h.params, h.FC2.Params()...)
-		h.params = h.params[:len(h.params):len(h.params)]
+		h.params = slices.Clip(slices.Clone(append(ps, h.FC1.W, h.FC1.B, h.FC2.W, h.FC2.B)))
 	}
 	return h.params
+}
+
+// appendOpParams appends op's parameters to ps, in op.Params' order,
+// without the list op.Params allocates for the kinds a header is
+// usually made of.
+func appendOpParams(ps []*nn.Param, op nn.SeqOp) []*nn.Param {
+	switch o := op.(type) {
+	case *nn.Conv1D:
+		return append(ps, o.W, o.B)
+	case *nn.LayerNorm:
+		return append(ps, o.Gain, o.Bias)
+	case nn.Identity, *nn.Downsample, *nn.AvgPool1D, *nn.MaxPool1D:
+		return ps
+	}
+	return append(ps, op.Params()...)
 }
 
 // StackedLayers implements nn.Stacking: the convolutions in (u, b,

@@ -46,22 +46,30 @@ type Param struct {
 	Grad  *tensor.Matrix
 }
 
-// NewParam allocates a named r×c parameter with a zeroed gradient.
+// NewParam allocates a named r×c parameter with a zeroed gradient. The
+// parameter and its two matrix headers are one allocation.
 func NewParam(name string, r, c int) *Param {
-	return &Param{
-		Name:  name,
-		Value: tensor.New(r, c),
-		Grad:  tensor.New(r, c),
-	}
+	b := &struct {
+		p           Param
+		value, grad tensor.Matrix
+	}{value: tensor.Zeros(r, c), grad: tensor.Zeros(r, c)}
+	b.p = Param{Name: name, Value: &b.value, Grad: &b.grad}
+	return &b.p
 }
 
 // newParam is NewParam for a layer constructor handed rng: fresh with
-// one, received (no gradient storage yet) with nil.
+// one, received (no gradient storage yet) with nil. A received
+// parameter and its value header are one allocation.
 func newParam(name string, r, c int, rng *rand.Rand) *Param {
 	if rng != nil {
 		return NewParam(name, r, c)
 	}
-	return &Param{Name: name, Value: tensor.New(r, c)}
+	b := &struct {
+		p     Param
+		value tensor.Matrix
+	}{value: tensor.Zeros(r, c)}
+	b.p = Param{Name: name, Value: &b.value}
+	return &b.p
 }
 
 // InitXavier fills p with Xavier/Glorot-normal values for fanIn/fanOut.

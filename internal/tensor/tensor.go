@@ -33,10 +33,17 @@ type Matrix struct {
 
 // New returns a zeroed r×c matrix.
 func New(r, c int) *Matrix {
+	m := Zeros(r, c)
+	return &m
+}
+
+// Zeros is New by value, for a caller that keeps the header inside an
+// allocation of its own.
+func Zeros(r, c int) Matrix {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", r, c))
 	}
-	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
+	return Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
 // FromSlice wraps data (not copied) as an r×c matrix.

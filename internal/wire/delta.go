@@ -52,7 +52,8 @@ func (d *DeltaLayer) WireFields(f *Fields) {
 // element are dropped, keeping the record consistent with its own
 // Apply; callers are expected to pass exact multiples of elem. The
 // dense form's Changed is cur itself, so cur must stay unchanged until
-// the record is encoded; the sparse form owns its Mask and Changed.
+// the record is encoded; the sparse form owns its Mask and Changed, cut
+// from one allocation.
 func DiffLayer(prev, cur []byte, elem int) DeltaLayer {
 	if elem <= 0 {
 		elem = 1
@@ -75,8 +76,8 @@ func DiffLayer(prev, cur []byte, elem int) DeltaLayer {
 		d.Dense, d.Changed = true, cur
 		return d
 	}
-	d.Mask = make([]byte, maskLen)
-	d.Changed = make([]byte, 0, changed*elem)
+	buf := make([]byte, maskLen+changed*elem)
+	d.Mask, d.Changed = buf[:maskLen:maskLen], buf[maskLen:maskLen]
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(prev[i*elem:(i+1)*elem], cur[i*elem:(i+1)*elem]) {
 			d.Mask[i/8] |= 1 << (i % 8)

@@ -299,9 +299,50 @@ func (f *Fields) String(p *string) {
 		f.raw += n
 	case decoding:
 		if raw := f.take(n); f.err == nil {
-			*p = string(raw)
+			*p = strtab.get(raw)
 		}
 	}
+}
+
+// Bounds of the string table: a longer string, or any string once the
+// table is full, decodes as a plain copy.
+const (
+	tableMaxLen     = 64
+	tableMaxEntries = 4096
+)
+
+// strtab is the one table decoded strings come from. The strings a
+// protocol carries are names from a small set (parameter blobs, node
+// names, run tags) that every frame of a kind repeats, so a decode
+// returns the table's canonical copy and allocates nothing once it has
+// seen the name; a receiver that keeps the string keeps that copy.
+// Entries are never evicted: the bounds cap what the table can hold
+// whatever a peer sends.
+var strtab = stringTable{m: make(map[string]string)}
+
+type stringTable struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+// get returns raw as a string: the table's copy when it has one, a
+// copy it keeps when it has room, a plain copy otherwise. The lookup
+// m[string(raw)] does not convert raw (unique.Make would, once per
+// call).
+func (t *stringTable) get(raw []byte) string {
+	if len(raw) == 0 || len(raw) > tableMaxLen {
+		return string(raw)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s, ok := t.m[string(raw)]; ok {
+		return s
+	}
+	s := string(raw)
+	if len(t.m) < tableMaxEntries {
+		t.m[s] = s
+	}
+	return s
 }
 
 // Bytes is a []byte field: its length and its bytes. It decodes as an
@@ -337,11 +378,7 @@ func (f *Fields) F64s(p *[]float64) {
 	n := f.open(tF64s, len(*p), 8)
 	switch f.mode {
 	case encoding:
-		b := f.b
-		for _, x := range *p {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-		}
-		f.b = b
+		f.b = appendF64s(f.b, *p)
 	case sizing:
 		f.raw += 8 * n
 	case decoding:
@@ -354,9 +391,7 @@ func (f *Fields) F64s(p *[]float64) {
 			return
 		}
 		s := sliceFor(*p, n, f.arena.carveF64)
-		for i := range s {
-			s[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
+		copyF64s(s, raw)
 		*p = s
 	}
 }
@@ -366,11 +401,7 @@ func (f *Fields) F32s(p *[]float32) {
 	n := f.open(tF32s, len(*p), 4)
 	switch f.mode {
 	case encoding:
-		b := f.b
-		for _, x := range *p {
-			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
-		}
-		f.b = b
+		f.b = appendF32s(f.b, *p)
 	case sizing:
 		f.raw += 4 * n
 	case decoding:
@@ -389,9 +420,7 @@ func (f *Fields) F32s(p *[]float32) {
 			}
 		}
 		s := sliceFor(*p, n, f.arena.carveF32)
-		for i := range s {
-			s[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
+		copyF32s(s, raw)
 		*p = s
 	}
 }

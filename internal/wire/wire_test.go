@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"reflect"
@@ -429,5 +430,61 @@ func TestLeaseSizeClasses(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 		t.Fatalf("%v allocations per warm round of leases, want 0", allocs)
+	}
+}
+
+type floats struct {
+	A []float32
+	B []float64
+}
+
+func (x *floats) WireFields(f *Fields) {
+	f.Struct(2)
+	f.F32s(&x.A)
+	f.F64s(&x.B)
+}
+
+// TestFloatSlicesPackLittleEndian: float slices travel as their
+// elements' IEEE bits, little-endian, whatever the platform moves them
+// with, and decode back to the same bits (NaN payloads, −0 and
+// subnormals included).
+func TestFloatSlicesPackLittleEndian(t *testing.T) {
+	in := floats{
+		A: []float32{math.Float32frombits(0x7fa00001), -0, math.SmallestNonzeroFloat32, float32(math.Inf(-1)), 1.5},
+		B: []float64{math.Float64frombits(0x7ff4000000000001), math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64},
+	}
+	in.A[1] = float32(math.Copysign(0, -1))
+	want := []byte{Version, tStruct, 2, tF32s, byte(len(in.A))}
+	for _, x := range in.A {
+		want = binary.LittleEndian.AppendUint32(want, math.Float32bits(x))
+	}
+	want = append(want, tF64s, byte(len(in.B)))
+	for _, x := range in.B {
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(x))
+	}
+	raw, err := Encode(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Fatalf("encoded % x, want % x", raw, want)
+	}
+	// The float32 payload starts 5 bytes into the frame: unaligned, and
+	// so copied, in raw; aligned, and so aliased, 3 bytes further in.
+	for _, frame := range [][]byte{raw, append(make([]byte, 3), raw...)[3:]} {
+		var out floats
+		if err := DecodeArena(frame, &out, &Arena{AliasInput: true}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range in.A {
+			if math.Float32bits(out.A[i]) != math.Float32bits(in.A[i]) {
+				t.Errorf("float32 %d decoded as %#x, want %#x", i, math.Float32bits(out.A[i]), math.Float32bits(in.A[i]))
+			}
+		}
+		for i := range in.B {
+			if math.Float64bits(out.B[i]) != math.Float64bits(in.B[i]) {
+				t.Errorf("float64 %d decoded as %#x, want %#x", i, math.Float64bits(out.B[i]), math.Float64bits(in.B[i]))
+			}
+		}
 	}
 }
