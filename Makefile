@@ -22,12 +22,12 @@ build:
 test:
 	$(GO) test ./...
 
-# pins runs every bit-identity pin and the Pass oracles at GOMAXPROCS 1
-# and 2: a BackboneClassifier's minibatches split among
-# min(GOMAXPROCS, batch) replicas, so `test`, at the host's default
-# alone, meets one replica count only.
+# pins runs every bit-identity pin, the golden frames and the Pass
+# oracles at GOMAXPROCS 1 and 2: a BackboneClassifier's minibatches
+# split among min(GOMAXPROCS, batch) replicas, so `test`, at the host's
+# default alone, meets one replica count only.
 pins:
-	$(GO) test -count=1 -cpu 1,2 -run 'Pinned|Replicated|Pass' ./internal/nn ./internal/nas ./internal/importance ./internal/prune ./internal/core ./internal/experiments
+	$(GO) test -count=1 -cpu 1,2 -run 'Pinned|Replicated|Pass|Golden' ./internal/nn ./internal/nas ./internal/importance ./internal/prune ./internal/core ./internal/experiments
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/wire/... ./internal/tensor/... ./internal/aggregate/... ./internal/importance/... ./internal/nn/... ./internal/nas/... ./internal/prune/... ./internal/chaos/... ./internal/fleet/...

@@ -26,9 +26,6 @@ type Detector struct {
 	// near-zero MAD when honest uploads are nearly identical. Zero
 	// selects the default of 0.5.
 	Margin float64
-	// StrikeLimit is how many flagged rounds evict a device. Zero
-	// selects the default of 2; negative disables eviction.
-	StrikeLimit int
 
 	strikes map[int]int
 	evicted map[int]bool
@@ -38,6 +35,8 @@ type Detector struct {
 }
 
 const (
+	// StrikeLimit is how many flagged rounds evict a device.
+	StrikeLimit = 2
 	// sampleValues bounds the per-device sample the distance runs on.
 	sampleValues = 512
 	// replayFrac is the replay cut on the cross-round self-distance: a
@@ -87,13 +86,6 @@ func (d *Detector) margin() float64 {
 		return 0.5
 	}
 	return d.Margin
-}
-
-func (d *Detector) strikeLimit() int {
-	if d.StrikeLimit == 0 {
-		return 2
-	}
-	return d.StrikeLimit
 }
 
 // Downsample flattens layers into at most max values with a
@@ -246,7 +238,7 @@ func (d *Detector) Inspect(samples map[int][]float64) Verdict {
 		}
 		v.Suspects = append(v.Suspects, id)
 		d.strikes[id]++
-		if lim := d.strikeLimit(); lim > 0 && d.strikes[id] >= lim && !d.evicted[id] {
+		if d.strikes[id] >= StrikeLimit && !d.evicted[id] {
 			d.evicted[id] = true
 			v.Evicted = append(v.Evicted, id)
 		}

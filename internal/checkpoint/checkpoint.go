@@ -61,16 +61,17 @@ func IsEnvelope(data []byte) bool {
 // Encode serializes v through the wire codec and wraps it in the
 // envelope.
 func Encode(v any) ([]byte, error) {
-	payload, err := wire.Encode(v)
+	payload, _, err := wire.EncodeLeased(v)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	out := make([]byte, headerSize+len(payload))
+	defer payload.Release()
+	out := make([]byte, headerSize+len(payload.B))
 	copy(out, Magic)
 	out[4] = Version
-	binary.LittleEndian.PutUint64(out[5:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(out[13:], crc32.Checksum(payload, castagnoli))
-	copy(out[headerSize:], payload)
+	binary.LittleEndian.PutUint64(out[5:], uint64(len(payload.B)))
+	binary.LittleEndian.PutUint32(out[13:], crc32.Checksum(payload.B, castagnoli))
+	copy(out[headerSize:], payload.B)
 	return out, nil
 }
 
@@ -100,19 +101,11 @@ func Decode(data []byte, v any) error {
 	return nil
 }
 
-// WriteFile encodes v and writes it to path atomically: the bytes land
-// in a temp file in the same directory, optionally fsynced, then
-// renamed over path. A reader never observes a partial file; a crash
-// leaves either the old snapshot or the new one.
-func WriteFile(path string, v any, fsync bool) error {
-	data, err := Encode(v)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, data, fsync)
-}
-
-func writeFileAtomic(path string, data []byte, fsync bool) error {
+// WriteFile writes an envelope (Encode's output) to path atomically:
+// the bytes land in a temp file in the same directory, optionally
+// fsynced, then renamed over path. A reader never observes a partial
+// file; a crash leaves either the old snapshot or the new one.
+func WriteFile(path string, data []byte, fsync bool) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

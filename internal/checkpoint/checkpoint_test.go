@@ -134,8 +134,12 @@ func TestDecodeRejectsDamage(t *testing.T) {
 func TestWriteFileAtomicAndFsync(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "edge-0.ackp")
+	raw, err := Encode(sample())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, fsync := range []bool{false, true} {
-		if err := WriteFile(path, sample(), fsync); err != nil {
+		if err := WriteFile(path, raw, fsync); err != nil {
 			t.Fatalf("fsync=%v: %v", fsync, err)
 		}
 		var got snapshot
@@ -166,7 +170,11 @@ func TestWriteFileOverwritesCorrupt(t *testing.T) {
 	if err := ReadFile(path, &got); err == nil {
 		t.Fatal("corrupt file decoded cleanly")
 	}
-	if err := WriteFile(path, sample(), false); err != nil {
+	raw, err := Encode(sample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, raw, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := ReadFile(path, &got); err != nil {

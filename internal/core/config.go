@@ -177,7 +177,8 @@ func (b ByzantineOptions) Validate() error {
 // Wasserstein distance to the pooled uploads of the rest of the
 // cluster, excludes outliers from the similarity-weighted combine
 // (ResultPartial renormalizes over the devices that remain), and
-// evicts repeat offenders through the fleet registry (MEMBER-GONE).
+// evicts a device flagged in chaos.StrikeLimit rounds through the fleet
+// registry (MEMBER-GONE).
 type DetectOptions struct {
 	Enabled bool
 	// K is the MAD multiplier in the outlier threshold (0 = chaos
@@ -185,9 +186,6 @@ type DetectOptions struct {
 	K float64
 	// Margin is the relative slack on the score median (0 = default 0.5).
 	Margin float64
-	// StrikeLimit is how many flagged rounds evict a device (0 =
-	// default 2; negative disables eviction).
-	StrikeLimit int
 }
 
 // FleetOptions groups the fleet topology and the per-round
@@ -279,8 +277,8 @@ func (c ChaosOptions) Validate() error {
 // session: each edge writes a versioned, CRC-guarded snapshot of its
 // in-flight loop state (round counter, delta shadows both directions,
 // importance accumulator, fleet membership + epoch, detector strikes)
-// to Path at round boundaries, atomically and off the critical path,
-// and each device snapshots its refined header after every applied
+// to Path at every round boundary — encoded on the loop, written
+// atomically in the background — and each device snapshots its refined header after every applied
 // downlink and saves its final customized model (backbone + header) as
 // device-N.ckpt beside those snapshots, loadable with
 // LoadDeviceCheckpoint. A killed process restarts with
@@ -290,15 +288,12 @@ func (c ChaosOptions) Validate() error {
 // through the RESYNC path, falling back to a dense resync when the
 // snapshot is missing or stale. Snapshots
 // never change what a run computes — a checkpointed seeded run is
-// bitwise identical to an unchekpointed one; only durability and a
+// bitwise identical to an uncheckpointed one; only durability and a
 // little write bandwidth are added.
 type CheckpointOptions struct {
 	// Path is the snapshot directory (created if missing). Empty
 	// disables checkpointing.
 	Path string
-	// Every writes a snapshot at the start of every Nth round (0 or 1 =
-	// every round).
-	Every int
 	// Fsync forces snapshot bytes (and the directory rename) to stable
 	// storage before a write counts — crash-proof against power loss,
 	// not just process death, at the cost of write latency.
@@ -308,20 +303,9 @@ type CheckpointOptions struct {
 // Enabled reports whether checkpointing is armed.
 func (o CheckpointOptions) Enabled() bool { return o.Path != "" }
 
-// EveryN returns the snapshot period in rounds, defaulted.
-func (o CheckpointOptions) EveryN() int {
-	if o.Every <= 1 {
-		return 1
-	}
-	return o.Every
-}
-
 // Validate reports checkpoint-option errors.
 func (o CheckpointOptions) Validate() error {
-	if o.Every < 0 {
-		return fmt.Errorf("core: negative checkpoint period %d", o.Every)
-	}
-	if !o.Enabled() && (o.Every > 0 || o.Fsync) {
+	if !o.Enabled() && o.Fsync {
 		return fmt.Errorf("core: checkpoint options set without a checkpoint path")
 	}
 	return nil

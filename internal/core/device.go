@@ -397,7 +397,7 @@ func (s *System) newDeviceRounds(ses *transport.Session, dev cluster.Device, edg
 		delta:    s.Cfg.Wire.deltaRecords(),
 		enc:      s.uplinkEncoder(),
 		liar:     s.liarFor(dev.ID),
-		buf:      uplinkBuffer{retain: s.retainRounds()},
+		buf:      uplinkBuffer{armed: s.Cfg.Checkpoint.Enabled()},
 	}
 	// Incremental folding is self-paced only. It does not compose with
 	// participation gaps: the accumulator would mix batches from
@@ -688,12 +688,12 @@ func (d *deviceRounds) apply(t int, out downlinkOutcome) error {
 	if err := d.header.TrainLocal(d.local, 1, s.Cfg.LocalBatch, s.Cfg.LocalLR, d.rng); err != nil {
 		return err
 	}
-	if s.Cfg.Checkpoint.Enabled() && !out.final && (t+1)%s.Cfg.Checkpoint.EveryN() == 0 {
+	if s.Cfg.Checkpoint.Enabled() && !out.final {
 		// End-of-round device snapshot: the trained model a restarted
 		// device warm-rejoins with (resumeDevice). Synchronous — a
 		// device's round is compute-dominated, and the loop must not
 		// advance past state it claims to have persisted.
-		return s.writeDeviceSnapshot(s.checkpointFile(d.dev.Name()), d.dev.ID, t+1, d.header.HeaderModel, d.pkg)
+		return s.writeDeviceSnapshot(s.CheckpointFile(d.dev.Name()), d.dev.ID, t+1, d.header.HeaderModel, d.pkg)
 	}
 	return nil
 }

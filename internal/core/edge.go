@@ -304,27 +304,12 @@ type edgeState struct {
 	pkg HeaderPackage
 	sim [][]float64
 
-	shadows  []deltaDecoder
-	downEncs []*deltaEncoder
-
-	// departed marks devices that announced a LEAVE: they are dropped
-	// from the remaining rounds. rejoinRound marks a resynced device's
-	// re-entry round (-1 when not resyncing); until then it receives
-	// neither a downlink nor a cutoff. lastSampled tracks each device's
-	// most recent invited round under participation sampling; doneTold
-	// tracks who already heard the run is over.
-	departed    []bool
-	rejoinRound []int
-	lastSampled []int
-	doneTold    []bool
-	invited     []bool
-
-	// prev is the last round's combined sets, kept for the
-	// convergence monitor; spare is dead sets the next round's combiner
-	// builds its accumulators on (aggregate.Combiner.Reuse).
-	prev      []*importance.Set
-	spare     []*importance.Set
-	lastRound int
+	loopState
+	// invited marks the round's sampled invitees; spare is dead sets the
+	// next round's combiner builds its accumulators on
+	// (aggregate.Combiner.Reuse).
+	invited []bool
+	spare   []*importance.Set
 
 	sampling bool
 	sampler  fleet.Sampler
@@ -361,12 +346,39 @@ type edgeState struct {
 	arena *wire.Arena
 }
 
+// loopState is what an edge's loop changes from round to round, and
+// all of it an EdgeSnapshot carries: its schema (schema.go) frames the
+// live buffers, so a snapshot is encoded straight from them and a
+// restore decodes straight into a fresh copy.
+type loopState struct {
+	// departed marks devices that announced a LEAVE: they are dropped
+	// from the remaining rounds. doneTold tracks who already heard the
+	// run is over. rejoinRound marks a resynced device's re-entry round
+	// (-1 when not resyncing); until then it receives neither a
+	// downlink nor a cutoff. lastSampled tracks each device's most
+	// recent invited round under participation sampling.
+	departed    []bool
+	doneTold    []bool
+	rejoinRound []int
+	lastSampled []int
+
+	// shadows and downEncs are the two directions of every device's
+	// delta exchange (downEncs is nil without delta records).
+	shadows  []deltaDecoder
+	downEncs []*deltaEncoder
+
+	// prev is the last round's combined sets, kept for the convergence
+	// monitor (nil with it off, or before a round combined).
+	prev      []*importance.Set
+	lastRound int
+}
+
 // inResumeWindow reports whether round t is close enough to a restore
 // point that a duplicate upload (a SESSION-RESUME retransmission
 // crossing an original that outlived the crash in an inbox) is
 // expected and must be dropped instead of failing the round.
 func (st *edgeState) inResumeWindow(t int) bool {
-	return st.resumedRound >= 0 && t <= st.resumedRound+st.s.retainRounds()
+	return st.resumedRound >= 0 && t <= st.resumedRound+retainRounds
 }
 
 // newEdgeState builds the loop state fresh from the Config and the
@@ -376,25 +388,27 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 	order := append([]int(nil), members...)
 	sort.Ints(order)
 	st := &edgeState{
-		s:            s,
-		edgeID:       edgeID,
-		name:         s.edgeNames[edgeID],
-		ses:          ses,
-		reg:          ses.Membership(),
-		order:        order,
-		pos:          make(map[int]int, len(order)),
-		posByName:    make(map[string]int, len(order)),
-		nameByPos:    make([]string, len(order)),
-		idByPos:      make([]int, len(order)),
-		pkg:          pkg,
-		sim:          sim,
-		shadows:      make([]deltaDecoder, len(order)),
-		departed:     make([]bool, len(order)),
-		rejoinRound:  make([]int, len(order)),
-		lastSampled:  make([]int, len(order)),
-		doneTold:     make([]bool, len(order)),
+		s:         s,
+		edgeID:    edgeID,
+		name:      s.edgeNames[edgeID],
+		ses:       ses,
+		reg:       ses.Membership(),
+		order:     order,
+		pos:       make(map[int]int, len(order)),
+		posByName: make(map[string]int, len(order)),
+		nameByPos: make([]string, len(order)),
+		idByPos:   make([]int, len(order)),
+		pkg:       pkg,
+		sim:       sim,
+		loopState: loopState{
+			departed:    make([]bool, len(order)),
+			doneTold:    make([]bool, len(order)),
+			rejoinRound: make([]int, len(order)),
+			lastSampled: make([]int, len(order)),
+			shadows:     make([]deltaDecoder, len(order)),
+			lastRound:   -1,
+		},
 		invited:      make([]bool, len(order)),
-		lastRound:    -1,
 		sampling:     s.Cfg.Fleet.Sampling(),
 		sampler:      fleet.Sampler{Frac: s.Cfg.Fleet.SampleFrac, Seed: s.Cfg.Seed},
 		monitor:      s.Cfg.ConvergenceEpsilon > 0,
@@ -423,7 +437,7 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 	}
 	if s.Cfg.Fleet.Detect.Enabled {
 		d := s.Cfg.Fleet.Detect
-		st.detect = &chaos.Detector{K: d.K, Margin: d.Margin, StrikeLimit: d.StrikeLimit}
+		st.detect = &chaos.Detector{K: d.K, Margin: d.Margin}
 		st.detectPending = make([]*importance.Set, len(order))
 		st.detectSamples = make(map[int][]float64, len(order))
 	}

@@ -35,7 +35,7 @@ func BenchmarkEdgeFold(b *testing.B) {
 				order:        make([]int, devices),
 				pos:          make(map[int]int, devices),
 				sim:          aggregate.UniformMatrix(devices),
-				shadows:      make([]deltaDecoder, devices),
+				loopState:    loopState{shadows: make([]deltaDecoder, devices)},
 				resumedRound: -1,
 				arena:        &wire.Arena{AliasInput: true},
 			}

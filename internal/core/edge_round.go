@@ -39,13 +39,13 @@ type edgeRound struct {
 // with optional straggler cutoff, the control plane that lets churned
 // devices resync mid-loop, and the streamed downlinks.
 // When checkpointing is configured it owns the background snapshot
-// writer: a round hands it a marshalled snapshot and keeps going; the
+// writer: a round hands it an encoded snapshot and keeps going; the
 // write (and its fsync, if configured) happens off the critical path.
 func (s *System) edgeRounds(ctx context.Context, st *edgeState) (err error) {
 	defer st.releaseChains()
 	var writer *snapshotWriter
 	if s.Cfg.Checkpoint.Enabled() {
-		if writer, err = newSnapshotWriter(s.checkpointFile(st.name), s.Cfg.Checkpoint.Fsync); err != nil {
+		if writer, err = newSnapshotWriter(s.CheckpointFile(st.name), s.Cfg.Checkpoint.Fsync); err != nil {
 			return err
 		}
 		defer func() {
@@ -60,7 +60,9 @@ func (s *System) edgeRounds(ctx context.Context, st *edgeState) (err error) {
 			rs:     Phase2RoundStat{EdgeID: st.edgeID, Round: t},
 			folded: make([]bool, len(st.order)),
 		}
-		r.checkpoint(writer)
+		if err := r.checkpoint(writer); err != nil {
+			return err
+		}
 		done, err := r.run(ctx)
 		if err != nil {
 			return err
@@ -74,15 +76,18 @@ func (s *System) edgeRounds(ctx context.Context, st *edgeState) (err error) {
 	return nil
 }
 
-// checkpoint hands the background writer the loop state as the round
-// finds it, at the entry round and every EveryN-th one.
-func (r *edgeRound) checkpoint(writer *snapshotWriter) {
-	if writer != nil && (r.t == r.startRound || r.t%r.s.Cfg.Checkpoint.EveryN() == 0) {
-		// Marshal synchronously (deep copies of everything the round
-		// will mutate), persist in the background.
-		writer.write(r.snapshot(r.t))
+// checkpoint encodes the loop state as the round finds it and hands
+// the bytes to the background writer.
+func (r *edgeRound) checkpoint(writer *snapshotWriter) error {
+	if writer != nil {
+		data, err := r.snapshot(r.t)
+		if err != nil {
+			return err
+		}
+		writer.write(data)
 	}
 	r.lastRound = r.t
+	return nil
 }
 
 // run plays the round from invite to cutoff notices and reports
@@ -447,7 +452,7 @@ func (r *edgeRound) combine() (combined []*importance.Set, done bool, err error)
 	if r.monitor {
 		// The monitor is r.prev's only reader; without it the round's
 		// accumulators are spares once the downlinks are sent (run),
-		// and a snapshot has nothing to copy. With it, the sets the
+		// and a snapshot has no sets to carry. With it, the sets the
 		// result just compared against are the spares.
 		r.spare, r.prev = r.prev, combined
 	}

@@ -50,9 +50,7 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	fs.BoolVar(&detect.Enabled, "detect", false, "arm the edge-side statistical detector: Wasserstein anomaly scoring, suspect exclusion, strike-limit eviction")
 	fs.Float64Var(&detect.K, "detect-k", 0, "detector MAD multiplier in the outlier threshold (0 = default 3)")
 	fs.Float64Var(&detect.Margin, "detect-margin", 0, "detector relative slack on the median score (0 = default 0.5)")
-	fs.IntVar(&detect.StrikeLimit, "detect-strikes", 0, "flagged rounds before eviction (0 = default 2, negative = never evict)")
-	fs.StringVar(&checkpoint.Path, "ckpt-path", "", "checkpoint directory: write durable session snapshots at round boundaries and every device's final model")
-	fs.IntVar(&checkpoint.Every, "ckpt-every", 0, "snapshot every Nth round (0 or 1 = every round)")
+	fs.StringVar(&checkpoint.Path, "ckpt-path", "", "checkpoint directory: write durable session snapshots at every round boundary and every device's final model")
 	fs.BoolVar(&checkpoint.Fsync, "ckpt-fsync", false, "fsync snapshots to stable storage before they count")
 
 	return func() (err error) {

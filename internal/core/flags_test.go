@@ -22,8 +22,8 @@ var runFlagDefaults = map[string]string{
 	"chaos": "false", "chaos-base": "200µs", "chaos-jitter": "2ms",
 	"chaos-spike-prob": "0.1", "chaos-spike": "10ms", "chaos-bandwidth": "0",
 	"byzantine": "", "byzantine-count": "1", "byzantine-prob": "1", "byzantine-factor": "0",
-	"detect": "false", "detect-k": "0", "detect-margin": "0", "detect-strikes": "0",
-	"ckpt-path": "", "ckpt-every": "0", "ckpt-fsync": "false",
+	"detect": "false", "detect-k": "0", "detect-margin": "0",
+	"ckpt-path": "", "ckpt-fsync": "false",
 }
 
 func boundFlags(fs *flag.FlagSet) map[string]string {
@@ -77,15 +77,15 @@ func TestBindFlagsApply(t *testing.T) {
 		t.Fatalf("no flags changed the config (err %v):\n got  %+v\n want %+v", err, cfg, DefaultConfig())
 	}
 	// Sub-options of a group that is off are ignored, as before.
-	if cfg, err := parse("-chaos-jitter", "9ms", "-byzantine-count", "4", "-detect-k", "2", "-ckpt-every", "3"); err != nil || !reflect.DeepEqual(cfg, DefaultConfig()) {
+	if cfg, err := parse("-chaos-jitter", "9ms", "-byzantine-count", "4", "-detect-k", "2", "-ckpt-fsync"); err != nil || !reflect.DeepEqual(cfg, DefaultConfig()) {
 		t.Fatalf("sub-options of disabled groups leaked into the config (err %v): %+v", err, cfg)
 	}
 
 	cfg, err := parse("-edges", "4", "-devices", "5", "-quant", "mixed", "-delta", "-entropy",
 		"-quorum", "0.5", "-cutoff", "2s", "-straggle", "30ms", "-sample-frac", "0.25",
 		"-chaos", "-chaos-jitter", "3ms",
-		"-byzantine", "inflate", "-byzantine-prob", "0.5", "-detect", "-detect-strikes", "3",
-		"-ckpt-path", "/tmp/x", "-ckpt-every", "2")
+		"-byzantine", "inflate", "-byzantine-prob", "0.5", "-detect", "-detect-margin", "0.75",
+		"-ckpt-path", "/tmp/x", "-ckpt-fsync")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestBindFlagsApply(t *testing.T) {
 	want.Chaos = ChaosOptions{Enabled: true, BaseDelay: 200 * time.Microsecond,
 		Jitter: 3 * time.Millisecond, SpikeProb: 0.1, SpikeDelay: 10 * time.Millisecond}
 	want.Fleet.Byzantine = ByzantineOptions{Strategy: "inflate", Count: 1, Prob: 0.5}
-	want.Fleet.Detect = DetectOptions{Enabled: true, StrikeLimit: 3}
-	want.Checkpoint = CheckpointOptions{Path: "/tmp/x", Every: 2}
+	want.Fleet.Detect = DetectOptions{Enabled: true, Margin: 0.75}
+	want.Checkpoint = CheckpointOptions{Path: "/tmp/x", Fsync: true}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("parsed config:\n got  %+v\n want %+v", cfg, want)
 	}

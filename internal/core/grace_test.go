@@ -118,7 +118,7 @@ func TestLostUplinkGraceWait(t *testing.T) {
 			s := &System{Cfg: cfg, Net: &lostUplinkNet{Memory: mem}}
 			d := &deviceRounds{
 				s: s, ses: transport.NewSession("device-0", s.Net), edge: "edge-0",
-				enc: s.uplinkEncoder(), buf: uplinkBuffer{retain: s.retainRounds()},
+				enc: s.uplinkEncoder(), buf: uplinkBuffer{armed: tc.ckpt},
 			}
 			buf, raw, err := wire.EncodeLeased(ImportanceUpload{DeviceID: 0, Layers: [][]float32{{0.5, 0.25}}})
 			if err != nil {

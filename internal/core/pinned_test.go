@@ -95,7 +95,7 @@ func TestDeviceSnapshotBytesPinned(t *testing.T) {
 	}
 	h := fnv.New64a()
 	for _, path := range []string{
-		sys.checkpointFile("device-0"),
+		sys.CheckpointFile("device-0"),
 		deviceModelFile(cfg.Checkpoint.Path, 0),
 	} {
 		var snap DeviceSnapshot

@@ -127,7 +127,7 @@ func runKillRestore(t *testing.T, cfg Config, victim string) []DeviceReport {
 	// Kill the edge once its snapshot proves the loop is mid-flight,
 	// then wait for the goroutine to die (its snapshot writer must
 	// release the file before the resumed instance opens it).
-	awaitEdgeSnapshot(ctx, t, sys.checkpointFile(victim), 2)
+	awaitEdgeSnapshot(ctx, t, sys.CheckpointFile(victim), 2)
 	kill()
 	<-run.victimDone
 
@@ -156,7 +156,7 @@ func TestCheckpointContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := range sys.Clusters() {
-		path := sys.checkpointFile(edgeName(e))
+		path := sys.CheckpointFile(edgeName(e))
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("edge snapshot missing: %v", err)
@@ -166,7 +166,7 @@ func TestCheckpointContinuity(t *testing.T) {
 		}
 	}
 	for _, dev := range sys.Devices() {
-		if _, err := os.Stat(sys.checkpointFile(dev.Name())); err != nil {
+		if _, err := os.Stat(sys.CheckpointFile(dev.Name())); err != nil {
 			t.Fatalf("device snapshot missing: %v", err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestRestoreSmokeTCP(t *testing.T) {
 	defer kill()
 	run := startRoles(ctx, cancel, roles, func(role string) *System { return systems[role] }, victim, victimCtx)
 
-	awaitEdgeSnapshot(ctx, t, probe.checkpointFile(victim), 2)
+	awaitEdgeSnapshot(ctx, t, probe.CheckpointFile(victim), 2)
 	kill()
 	nets[victim].Close()
 	<-run.victimDone
@@ -264,7 +264,7 @@ func TestDeviceRestoreWarmRejoin(t *testing.T) {
 	run := startRoles(ctx, cancel, sys.RoleNames(), func(string) *System { return sys }, victim, victimCtx)
 
 	// Kill the device once it has persisted at least one snapshot.
-	path := sys.checkpointFile(victim)
+	path := sys.CheckpointFile(victim)
 	deadline := time.Now().Add(3 * time.Minute)
 	for {
 		if time.Now().After(deadline) {
@@ -299,9 +299,9 @@ func TestCheckpointValidation(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("valid checkpoint config rejected: %v", err)
 	}
-	cfg.Checkpoint.Every = -1
+	cfg.Checkpoint = CheckpointOptions{Fsync: true}
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative checkpoint interval accepted")
+		t.Fatal("checkpoint fsync without a checkpoint path accepted")
 	}
 
 	sys, err := NewSystem(tinyConfig())

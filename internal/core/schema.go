@@ -4,6 +4,7 @@ import (
 	"acme/internal/chaos"
 	"acme/internal/energy"
 	"acme/internal/fleet"
+	"acme/internal/importance"
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/pareto"
@@ -13,12 +14,14 @@ import (
 // The wire schemas of every record this package sends or checkpoints.
 // Each record states its exported fields once, in declaration order, in
 // its WireFields method; the wire.Fields cursor that runs it encodes,
-// decodes or sizes the record from that one list. The nested types
-// other packages own have their schemas here as plain functions, so
-// that those packages do not import wire. A frame kind that is sent or
-// written by value also has a WireValue method, so that wire.Encode and
-// wire.RawSize take it by value; the edge writes its snapshot by
-// pointer.
+// decodes or sizes the record from that one list. The edge's loop state
+// (loopState) is the exception: a snapshot frames its live delta
+// shadows, encoders and sets directly, so their schemas state the
+// unexported fields that travel. The nested types other packages own
+// have their schemas here as plain functions, so that those packages do
+// not import wire. A frame kind that is sent or written by value also
+// has a WireValue method, so that wire.Encode and wire.RawSize take it
+// by value; the edge writes its snapshot by pointer.
 //
 // Decoding reuses the target's slices where their capacity allows and
 // carves the rest from the arena, so a steady-state decode loop (the
@@ -177,29 +180,44 @@ func (d *DownlinkDelta) WireFields(f *wire.Fields) {
 func (d DownlinkDelta) WireValue(f *wire.Fields) { d.WireFields(f) }
 
 // WireFields states the packed layer's schema.
-func (s *PackedLayerState) WireFields(f *wire.Fields) {
+func (p *packedLayer) WireFields(f *wire.Fields) {
 	f.Struct(3)
-	f.Int((*int)(&s.Mode))
-	f.F64(&s.Scale)
-	f.Bytes(&s.Data)
+	f.Int((*int)(&p.mode))
+	f.F64(&p.scale)
+	f.Bytes(&p.data)
 }
 
-// WireFields states the shadow's schema.
-func (s *ShadowState) WireFields(f *wire.Fields) {
+// WireFields states the uplink shadow's schema.
+func (d *deltaDecoder) WireFields(f *wire.Fields) {
 	f.Struct(2)
-	f.Bool(&s.Present)
-	wire.Records(f, &s.Layers)
+	f.Bool(&d.warm)
+	d.layerFields(f)
 }
 
-// WireFields states the encoder's schema.
-func (s *EncoderState) WireFields(f *wire.Fields) {
+// WireFields states the downlink encoder's schema. Its top-k fraction
+// is the uplink's policy alone, so it does not travel.
+func (e *deltaEncoder) WireFields(f *wire.Fields) {
 	f.Struct(3)
-	f.Bool(&s.Present)
-	f.Int((*int)(&s.Mode))
-	wire.Records(f, &s.Layers)
+	f.Bool(&e.warm)
+	f.Int((*int)(&e.mode))
+	e.layerFields(f)
 }
 
-// WireFields states the snapshot's schema.
+// layerFields frames the shadow's packed layers after its warm flag. A
+// cold shadow's layers are stale and travel as an empty list.
+func (s *shadow) layerFields(f *wire.Fields) {
+	var layers []packedLayer
+	if s.warm {
+		layers = s.prev
+	}
+	wire.Records(f, &layers)
+	if s.warm {
+		s.prev = layers
+	}
+}
+
+// WireFields states the snapshot's schema: its loop state inline, nine
+// of the 18 fields.
 func (s *EdgeSnapshot) WireFields(f *wire.Fields) {
 	f.Struct(18)
 	f.String(&s.RunTag)
@@ -207,19 +225,50 @@ func (s *EdgeSnapshot) WireFields(f *wire.Fields) {
 	f.Int(&s.Round)
 	s.Pkg.WireFields(f)
 	wire.List(f, &s.Sim, (*wire.Fields).F64s)
-	f.Bools(&s.Departed)
-	f.Bools(&s.DoneTold)
-	f.Ints(&s.RejoinRound)
-	f.Ints(&s.LastSampled)
-	wire.Records(f, &s.Shadows)
-	wire.Records(f, &s.DownEncs)
-	wire.List(f, &s.Prev, func(f *wire.Fields, set *[][]float64) { wire.List(f, set, (*wire.Fields).F64s) })
-	f.Bool(&s.HavePrev)
-	f.Int(&s.LastRound)
+	s.loop.fields(f)
 	detectorFields(f, &s.Detector)
 	f.Bool(&s.HaveDetector)
 	wire.List(f, &s.Members, memberFields)
 	f.Uint64(&s.Epoch)
+}
+
+// fields frames the loop state. A nil prev (no set kept) travels as a
+// false flag after the list.
+func (l *loopState) fields(f *wire.Fields) {
+	f.Bools(&l.departed)
+	f.Bools(&l.doneTold)
+	f.Ints(&l.rejoinRound)
+	f.Ints(&l.lastSampled)
+	wire.Records(f, &l.shadows)
+	wire.List(f, &l.downEncs, func(f *wire.Fields, e **deltaEncoder) {
+		if *e == nil {
+			*e = new(deltaEncoder)
+		}
+		(*e).WireFields(f)
+	})
+	wire.List(f, &l.prev, setFields)
+	kept := l.prev != nil
+	f.Bool(&kept)
+	if !kept {
+		l.prev = nil
+	}
+	f.Int(&l.lastRound)
+}
+
+// setFields frames one combined set as its layers; a nil set travels
+// as an empty one.
+func setFields(f *wire.Fields, s **importance.Set) {
+	var layers [][]float64
+	if *s != nil {
+		layers = (*s).Layers
+	}
+	wire.List(f, &layers, (*wire.Fields).F64s)
+	switch {
+	case *s != nil:
+		(*s).Layers = layers
+	case layers != nil:
+		*s = &importance.Set{Layers: layers}
+	}
 }
 
 // WireFields states the snapshot's schema.

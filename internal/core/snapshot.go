@@ -11,43 +11,19 @@ import (
 	"acme/internal/chaos"
 	"acme/internal/checkpoint"
 	"acme/internal/fleet"
-	"acme/internal/importance"
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/transport"
 	"acme/internal/wire"
 )
 
-// This file is the durable-session layer: the serializable mirrors of
-// the Phase 2-2 loop state, the background writer that persists them at
-// round boundaries, and the restore paths that let a crashed edge or
-// device re-enter a mid-flight run (System.ResumeRole). Snapshots
-// travel in the internal/checkpoint envelope (versioned, CRC-guarded,
-// atomically renamed into place), so a torn or bit-rotted file is
-// detected on restore instead of silently resuming from garbage.
-
-// PackedLayerState is the exported form of one packed delta-shadow
-// layer (see packedLayer).
-type PackedLayerState struct {
-	Mode  QuantMode
-	Scale float64
-	Data  []byte
-}
-
-// ShadowState is the exported form of one uplink delta decoder: the
-// packed representation of the last upload a device's edge folded.
-type ShadowState struct {
-	Present bool
-	Layers  []PackedLayerState
-}
-
-// EncoderState is the exported form of one downlink delta encoder: the
-// packed representation of the last personalized set a device received.
-type EncoderState struct {
-	Present bool
-	Mode    QuantMode
-	Layers  []PackedLayerState
-}
+// This file is the durable-session layer: the snapshot of the Phase
+// 2-2 loop state, the background writer that persists it at round
+// boundaries, and the restore paths that let a crashed edge or device
+// re-enter a mid-flight run (System.ResumeRole). Snapshots travel in
+// the internal/checkpoint envelope (versioned, CRC-guarded, atomically
+// renamed into place), so a torn or bit-rotted file is detected on
+// restore instead of silently resuming from garbage.
 
 // EdgeSnapshot is one edge server's Phase 2-2 loop state at the start
 // of Round — everything a restarted edge needs to re-enter the loop
@@ -68,20 +44,9 @@ type EdgeSnapshot struct {
 	// rng draws a restored edge must not repeat).
 	Sim [][]float64
 
-	Departed    []bool
-	DoneTold    []bool
-	RejoinRound []int
-	LastSampled []int
-
-	Shadows  []ShadowState
-	DownEncs []EncoderState
-	// Prev is the last combined set per position (nil when no round has
-	// combined yet, or when convergence checking is off and the loop
-	// never kept it).
-	Prev     [][][]float64
-	HavePrev bool
-
-	LastRound int
+	// loop is the edge's own round-by-round state: a snapshot encodes
+	// the live one, and a restore hands the decoded one to the edge.
+	loop loopState
 
 	// Detector is the Byzantine detector's cross-round memory (strike
 	// book, eviction set, previous-round samples).
@@ -115,73 +80,32 @@ func (c *Config) runTag() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// checkpointFile is the snapshot path for one role under the
-// configured checkpoint directory.
-func (s *System) checkpointFile(role string) string {
+// CheckpointFile is a role's snapshot path under the configured
+// checkpoint directory — where a supervisor (or a chaos harness) finds
+// the durable state to restore from.
+func (s *System) CheckpointFile(role string) string {
 	return filepath.Join(s.Cfg.Checkpoint.Path, role+".ackp")
 }
-
-// CheckpointFile exposes a role's snapshot path — where a supervisor
-// (or a chaos harness) finds the durable state to restore from.
-func (s *System) CheckpointFile(role string) string { return s.checkpointFile(role) }
 
 // retainRounds is how many encoded uploads a device retains for
 // SESSION-RESUME retransmission, and the width of the edge's
 // post-restore duplicate-tolerance window. The on-disk snapshot trails
-// the live round by at most 2×EveryN−1 rounds (one snapshot in flight
-// behind the blocking writer, one period between writes), and a device
-// can be one downlink ahead of the edge, so this depth always covers
-// the span a restored edge may ask back.
-func (s *System) retainRounds() int {
-	if !s.Cfg.Checkpoint.Enabled() {
-		return 0
-	}
-	return 2*s.Cfg.Checkpoint.EveryN() + 1
-}
-
-// packedToState deep-copies packed layers into their exported form:
-// the writer goroutine serializes the snapshot while the loop keeps
-// mutating the live buffers, so nothing may alias.
-func packedToState(pls []packedLayer) []PackedLayerState {
-	if pls == nil {
-		return nil
-	}
-	out := make([]PackedLayerState, len(pls))
-	for i, pl := range pls {
-		out[i] = PackedLayerState{
-			Mode:  pl.mode,
-			Scale: pl.scale,
-			Data:  append([]byte(nil), pl.data...),
-		}
-	}
-	return out
-}
-
-func stateToPacked(sts []PackedLayerState) []packedLayer {
-	if sts == nil {
-		return nil
-	}
-	out := make([]packedLayer, len(sts))
-	for i, st := range sts {
-		out[i] = packedLayer{
-			mode:  st.Mode,
-			scale: st.Scale,
-			data:  append([]byte(nil), st.Data...),
-		}
-	}
-	return out
-}
+// the live round by at most one round (one snapshot in flight behind
+// the blocking writer), and a device can be one downlink ahead of the
+// edge, so this depth always covers the span a restored edge may ask
+// back.
+const retainRounds = 3
 
 // snapshotWriter persists snapshots off the loop's critical path: the
-// loop hands a fully-marshalled (deep-copied) snapshot to a single
-// worker goroutine and continues. The hand-off channel is unbuffered,
-// so enqueueing round t's snapshot waits only while the previous one
-// is still being written — bounding how far the on-disk state can
-// trail the live loop (see retainRounds).
+// loop hands an encoded snapshot to a single worker goroutine and
+// continues. The hand-off channel is unbuffered, so enqueueing round
+// t's snapshot waits only while the previous one is still being
+// written — bounding how far the on-disk state can trail the live loop
+// (see retainRounds).
 type snapshotWriter struct {
 	path  string
 	fsync bool
-	ch    chan any
+	ch    chan []byte
 	done  chan struct{}
 	err   error // written by the worker, read after done closes
 }
@@ -190,24 +114,24 @@ func newSnapshotWriter(path string, fsync bool) (*snapshotWriter, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	w := &snapshotWriter{path: path, fsync: fsync, ch: make(chan any), done: make(chan struct{})}
+	w := &snapshotWriter{path: path, fsync: fsync, ch: make(chan []byte), done: make(chan struct{})}
 	go w.loop()
 	return w, nil
 }
 
 func (w *snapshotWriter) loop() {
 	defer close(w.done)
-	for v := range w.ch {
-		if err := checkpoint.WriteFile(w.path, v, w.fsync); err != nil && w.err == nil {
+	for data := range w.ch {
+		if err := checkpoint.WriteFile(w.path, data, w.fsync); err != nil && w.err == nil {
 			w.err = err
 		}
 	}
 }
 
-// write enqueues one snapshot, blocking while the previous write is
-// still in flight.
-func (w *snapshotWriter) write(v any) {
-	w.ch <- v
+// write enqueues one encoded snapshot, blocking while the previous
+// write is still in flight.
+func (w *snapshotWriter) write(data []byte) {
+	w.ch <- data
 }
 
 // Close drains the worker and reports the first write error.
@@ -217,98 +141,48 @@ func (w *snapshotWriter) Close() error {
 	return w.err
 }
 
-// snapshot marshals the loop state at the start of round t into its
-// serializable form. Every mutable buffer is deep-copied here,
-// synchronously, so the writer goroutine can serialize it while the
-// round runs.
-func (st *edgeState) snapshot(t int) *EdgeSnapshot {
+// snapshot encodes the loop state at the start of round t into a
+// checkpoint envelope. The encoding is the deep copy: the writer
+// goroutine gets bytes, so the round may change the live state the
+// moment this returns.
+func (st *edgeState) snapshot(t int) ([]byte, error) {
 	snap := &EdgeSnapshot{
-		RunTag:      st.s.Cfg.runTag(),
-		EdgeID:      st.edgeID,
-		Round:       t,
-		Pkg:         st.pkg, // immutable after setup
-		Sim:         st.sim, // immutable after setup
-		Departed:    append([]bool(nil), st.departed...),
-		DoneTold:    append([]bool(nil), st.doneTold...),
-		RejoinRound: append([]int(nil), st.rejoinRound...),
-		LastSampled: append([]int(nil), st.lastSampled...),
-		Shadows:     make([]ShadowState, len(st.shadows)),
-		LastRound:   st.lastRound,
-		Members:     st.reg.Snapshot(),
-		Epoch:       st.reg.Epoch(),
-	}
-	// A cold chain has no shadow round to save.
-	for i, sh := range st.shadows {
-		snap.Shadows[i] = ShadowState{Present: sh.warm}
-		if sh.warm {
-			snap.Shadows[i].Layers = packedToState(sh.prev)
-		}
-	}
-	if st.downEncs != nil {
-		snap.DownEncs = make([]EncoderState, len(st.downEncs))
-		for i, e := range st.downEncs {
-			snap.DownEncs[i] = EncoderState{Present: e.warm, Mode: e.mode}
-			if e.warm {
-				snap.DownEncs[i].Layers = packedToState(e.prev)
-			}
-		}
-	}
-	if st.prev != nil {
-		snap.HavePrev = true
-		snap.Prev = make([][][]float64, len(st.prev))
-		for i, set := range st.prev {
-			if set != nil {
-				snap.Prev[i] = set.Clone().Layers
-			}
-		}
+		RunTag:  st.s.Cfg.runTag(),
+		EdgeID:  st.edgeID,
+		Round:   t,
+		Pkg:     st.pkg,
+		Sim:     st.sim,
+		loop:    st.loopState,
+		Members: st.reg.Snapshot(),
+		Epoch:   st.reg.Epoch(),
 	}
 	if st.detect != nil {
 		snap.HaveDetector = true
 		snap.Detector = st.detect.State()
 	}
-	return snap
+	return checkpoint.Encode(snap)
 }
 
-// restoreInto rehydrates the loop state from a snapshot. The positional
-// geometry (order, pos maps) was already rebuilt from the Config by
-// newEdgeState; this fills in the round-dependent state.
+// restoreInto hands the snapshot's loop state to st, whose positional
+// geometry (order, pos maps) newEdgeState already rebuilt from the
+// Config, once its shape fits the cluster and every part it carries is
+// one the Config enables.
 func (snap *EdgeSnapshot) restoreInto(st *edgeState) error {
-	n := len(st.order)
-	if len(snap.Departed) != n || len(snap.DoneTold) != n ||
-		len(snap.RejoinRound) != n || len(snap.LastSampled) != n ||
-		len(snap.Shadows) != n {
+	n, l := len(st.order), &snap.loop
+	if len(l.departed) != n || len(l.doneTold) != n || len(l.rejoinRound) != n ||
+		len(l.lastSampled) != n || len(l.shadows) != n {
 		return fmt.Errorf("core: edge snapshot shape does not match cluster size %d", n)
 	}
-	copy(st.departed, snap.Departed)
-	copy(st.doneTold, snap.DoneTold)
-	copy(st.rejoinRound, snap.RejoinRound)
-	copy(st.lastSampled, snap.LastSampled)
-	for i, sh := range snap.Shadows {
-		st.shadows[i] = deltaDecoder{shadow{prev: stateToPacked(sh.Layers), warm: sh.Present}}
+	if len(l.downEncs) != len(st.downEncs) {
+		return fmt.Errorf("core: edge snapshot's downlink encoders do not match the config")
 	}
-	if snap.DownEncs != nil {
-		if st.downEncs == nil || len(snap.DownEncs) != n {
-			return fmt.Errorf("core: edge snapshot carries downlink encoders the config does not")
-		}
-		for i, es := range snap.DownEncs {
-			st.downEncs[i] = &deltaEncoder{mode: es.Mode, shadow: shadow{prev: stateToPacked(es.Layers), warm: es.Present}}
-		}
-	}
-	if snap.HavePrev {
-		st.prev = make([]*importance.Set, len(snap.Prev))
-		for i, layers := range snap.Prev {
-			if layers != nil {
-				st.prev[i] = &importance.Set{Layers: layers}
-			}
-		}
-	}
-	st.lastRound = snap.LastRound
 	if snap.HaveDetector {
 		if st.detect == nil {
 			return fmt.Errorf("core: edge snapshot carries detector state the config does not enable")
 		}
 		st.detect.Restore(snap.Detector)
 	}
+	st.loopState = *l
 	st.reg.Restore(snap.Members, snap.Epoch)
 	st.startRound = snap.Round
 	st.resumedRound = snap.Round
@@ -344,7 +218,7 @@ func (s *System) ResumeRole(ctx context.Context, role string) (*Result, error) {
 func (s *System) resumeEdge(ctx context.Context, edgeID int) ([]DeviceReport, error) {
 	name := s.edgeNames[edgeID]
 	var snap EdgeSnapshot
-	if err := checkpoint.ReadFile(s.checkpointFile(name), &snap); err != nil {
+	if err := checkpoint.ReadFile(s.CheckpointFile(name), &snap); err != nil {
 		return nil, fmt.Errorf("core: restore %s: %w", name, err)
 	}
 	if snap.RunTag != s.Cfg.runTag() {
@@ -383,7 +257,7 @@ func (s *System) resumeEdge(ctx context.Context, edgeID int) ([]DeviceReport, er
 func (s *System) resumeDevice(ctx context.Context, edgeID, devIdx int) error {
 	dev := s.devices[devIdx]
 	var snap DeviceSnapshot
-	if err := checkpoint.ReadFile(s.checkpointFile(dev.Name()), &snap); err != nil {
+	if err := checkpoint.ReadFile(s.CheckpointFile(dev.Name()), &snap); err != nil {
 		return s.runDeviceRejoin(ctx, edgeID, devIdx)
 	}
 	if snap.RunTag != s.Cfg.runTag() || snap.DeviceID != dev.ID {
@@ -428,7 +302,11 @@ func (s *System) writeDeviceSnapshot(path string, devID, round int, header *nas.
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	if err := checkpoint.WriteFile(path, snap, s.Cfg.Checkpoint.Fsync); err != nil {
+	data, err := checkpoint.Encode(snap)
+	if err == nil {
+		err = checkpoint.WriteFile(path, data, s.Cfg.Checkpoint.Fsync)
+	}
+	if err != nil {
 		return fmt.Errorf("core: device %d snapshot: %w", devID, err)
 	}
 	return nil
@@ -498,13 +376,13 @@ func (s *System) CheckSavedModels(reports []DeviceReport) error {
 	return nil
 }
 
-// uplinkBuffer retains a device's last few encoded uploads — the exact
-// payload bytes, so a retransmission is bitwise identical to the
-// original — for the edge's SESSION-RESUME recovery. Inactive (zero
-// retain) when checkpointing is off.
+// uplinkBuffer retains a device's last retainRounds encoded uploads —
+// the exact payload bytes, so a retransmission is bitwise identical to
+// the original — for the edge's SESSION-RESUME recovery. Unarmed when
+// checkpointing is off.
 type uplinkBuffer struct {
-	retain int
-	ups    []bufferedUpload
+	armed bool
+	ups   []bufferedUpload
 }
 
 type bufferedUpload struct {
@@ -518,15 +396,15 @@ type bufferedUpload struct {
 // the frame is leased to the transport, and the receiver's Release
 // puts it back in the pool to be overwritten by the next encoding.
 func (b *uplinkBuffer) add(round int, kind transport.Kind, payload []byte, raw int) {
-	if b.retain <= 0 {
+	if !b.armed {
 		return
 	}
 	b.ups = append(b.ups, bufferedUpload{
 		round: round, kind: kind,
 		payload: append([]byte(nil), payload...), raw: raw,
 	})
-	if len(b.ups) > b.retain {
-		b.ups = b.ups[len(b.ups)-b.retain:]
+	if len(b.ups) > retainRounds {
+		b.ups = b.ups[len(b.ups)-retainRounds:]
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"acme/internal/chaos"
 	"acme/internal/core"
 )
 
@@ -257,7 +258,7 @@ var links = map[string]core.ChaosOptions{
 // inflates honest scores — the wider margin keeps the false-positive
 // rate at the floor while the inflate and fabricate scores still clear
 // it by a wide multiple. The replay screen is always armed.
-var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0, StrikeLimit: 2}
+var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0}
 
 // byzantineDevices is how many devices lie in a cell with a Strategy.
 const byzantineDevices = 2
@@ -457,7 +458,7 @@ func headlines(r map[string]*report) map[string]float64 {
 func Trajectory(path string) (*Table, error) {
 	ctx := context.Background()
 	doc := trajectoryDoc{Experiment: "trajectory", Gates: gates, Links: make(map[string]map[string]any, len(links)),
-		Detector: map[string]any{"k": detector.K, "margin": detector.Margin, "strike_limit": detector.StrikeLimit,
+		Detector: map[string]any{"k": detector.K, "margin": detector.Margin, "strike_limit": chaos.StrikeLimit,
 			"byzantine_devices": byzantineDevices}}
 	for name, l := range links {
 		doc.Links[name] = map[string]any{

@@ -83,13 +83,11 @@ func TestAccumulatorIncrementalFolds(t *testing.T) {
 	}
 	// …and equal sum/batches: un-averaging both must agree on the sum
 	// contributed by the first installment's batches.
-	midSum := mid.Clone()
-	midSum.Scale(float64(n1))
-	fullSum := full.Clone()
-	fullSum.Scale(float64(n1 + n2))
-	for i := range fullSum.Layers {
-		for j := range fullSum.Layers[i] {
-			if fullSum.Layers[i][j] < midSum.Layers[i][j]-1e-9 {
+	mid.Scale(float64(n1))
+	full.Scale(float64(n1 + n2))
+	for i := range full.Layers {
+		for j := range full.Layers[i] {
+			if full.Layers[i][j] < mid.Layers[i][j]-1e-9 {
 				t.Fatalf("running sum shrank at layer %d[%d]", i, j)
 			}
 		}

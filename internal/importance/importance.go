@@ -82,15 +82,6 @@ func slabSet(n int, size func(i int) int) *Set {
 	return s
 }
 
-// Clone returns a deep copy of s.
-func (s *Set) Clone() *Set {
-	out := s.ZeroClone()
-	for i, l := range s.Layers {
-		copy(out.Layers[i], l)
-	}
-	return out
-}
-
 // ZeroClone returns a zeroed set with the same shape as s.
 func (s *Set) ZeroClone() *Set {
 	return slabSet(len(s.Layers), func(i int) int { return len(s.Layers[i]) })

@@ -33,14 +33,6 @@ type TCP struct {
 	node  string
 	stats *Stats
 
-	// Reconnect policy for supervised links: on a write or dial error
-	// Send retries with exponential backoff starting at ReconnectBase,
-	// doubling up to ReconnectCap, for at most ReconnectAttempts tries.
-	// Set before first use; the zero value selects the defaults.
-	ReconnectBase     time.Duration
-	ReconnectCap      time.Duration
-	ReconnectAttempts int
-
 	mu        sync.Mutex
 	peers     map[string]string // node name → address
 	links     map[string]*link  // node name → supervised send path
@@ -65,10 +57,13 @@ type link struct {
 
 var _ Transport = (*TCP)(nil)
 
+// The reconnect policy of a supervised link: on a write or dial error
+// Send retries with exponential backoff starting at reconnectBase,
+// doubling up to reconnectCap, for at most reconnectAttempts tries.
 const (
-	defaultReconnectBase     = 25 * time.Millisecond
-	defaultReconnectCap      = 500 * time.Millisecond
-	defaultReconnectAttempts = 8
+	reconnectBase     = 25 * time.Millisecond
+	reconnectCap      = 500 * time.Millisecond
+	reconnectAttempts = 8
 )
 
 // NewTCP starts a TCP network node listening on addr. peers maps every
@@ -294,20 +289,6 @@ func (t *TCP) isClosed() bool {
 	return t.closed
 }
 
-func (t *TCP) reconnectPolicy() (base, lim time.Duration, attempts int) {
-	base, lim, attempts = t.ReconnectBase, t.ReconnectCap, t.ReconnectAttempts
-	if base <= 0 {
-		base = defaultReconnectBase
-	}
-	if lim <= 0 {
-		lim = defaultReconnectCap
-	}
-	if attempts <= 0 {
-		attempts = defaultReconnectAttempts
-	}
-	return base, lim, attempts
-}
-
 // Send implements Network. The link to the destination is supervised:
 // a dead cached connection is evicted on write error and redialed with
 // capped exponential backoff, so one peer restart costs a retry rather
@@ -329,13 +310,12 @@ func (t *TCP) Send(msg Message) error {
 	defer msg.Release()
 	l := t.link(msg.To)
 	t.stats.record(msg)
-	base, lim, attempts := t.reconnectPolicy()
-	backoff := base
+	backoff := reconnectBase
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < reconnectAttempts; attempt++ {
 		if t.isClosed() {
 			return fmt.Errorf("transport: network closed")
 		}
@@ -367,7 +347,7 @@ func (t *TCP) Send(msg Message) error {
 			l.conn.Close()
 			l.conn = nil
 		}
-		if attempt+1 < attempts {
+		if attempt+1 < reconnectAttempts {
 			// Sleep without the link lock: a restarted peer's JOIN
 			// adoption (which is exactly what would make the retry
 			// succeed) and other senders must not stall behind the
@@ -375,8 +355,8 @@ func (t *TCP) Send(msg Message) error {
 			l.mu.Unlock()
 			time.Sleep(backoff)
 			l.mu.Lock()
-			if backoff *= 2; backoff > lim {
-				backoff = lim
+			if backoff *= 2; backoff > reconnectCap {
+				backoff = reconnectCap
 			}
 		}
 	}
