@@ -14,7 +14,6 @@ import (
 // packed payload (2 bytes/value for float16, 1 for int8) and Data is
 // empty. Scale is the int8 per-tensor scale factor.
 type ParamBlob struct {
-	Name  string
 	Rows  int
 	Cols  int
 	Data  []float64
@@ -39,7 +38,7 @@ func (p *ParamBlob) Count() int {
 func (p *ParamBlob) Values(dst []float64) error {
 	if p.Mode == QuantLossless {
 		if len(dst) != len(p.Data) {
-			return fmt.Errorf("core: blob %s: %d values into %d slots", p.Name, len(p.Data), len(dst))
+			return fmt.Errorf("core: %dx%d blob: %d values into %d slots", p.Rows, p.Cols, len(p.Data), len(dst))
 		}
 		copy(dst, p.Data)
 		return nil
@@ -163,7 +162,6 @@ func blobsFromParams(params []*nn.Param, mode QuantMode) []ParamBlob {
 	out := make([]ParamBlob, len(params))
 	for i, p := range params {
 		blob := ParamBlob{
-			Name: p.Name,
 			Rows: p.Value.Rows,
 			Cols: p.Value.Cols,
 			Mode: mode,
@@ -187,10 +185,11 @@ func loadParams(params []*nn.Param, blobs []ParamBlob) error {
 		return fmt.Errorf("core: %d params vs %d blobs", len(params), len(blobs))
 	}
 	for i, p := range params {
-		if p.NumParams() != blobs[i].Count() {
-			return fmt.Errorf("core: param %s size %d vs blob %d", p.Name, p.NumParams(), blobs[i].Count())
+		b := &blobs[i]
+		if p.NumParams() != b.Count() {
+			return fmt.Errorf("core: blob %d (%dx%d): %d values for a %d-value param", i, b.Rows, b.Cols, b.Count(), p.NumParams())
 		}
-		if err := blobs[i].Values(p.Value.Data); err != nil {
+		if err := b.Values(p.Value.Data); err != nil {
 			return err
 		}
 	}

@@ -57,8 +57,8 @@ func fastFixtures(t testing.TB) []any {
 		t.Fatal(err)
 	}
 
-	blob := ParamBlob{Name: "w.0", Rows: 8, Cols: 12, Data: f64s(96), Mode: QuantLossless, Scale: 0}
-	qblob := ParamBlob{Name: "w.1", Rows: 4, Cols: 4, Mode: QuantInt8, Quant: bts(16), Scale: 0.042}
+	blob := ParamBlob{Rows: 8, Cols: 12, Data: f64s(96), Mode: QuantLossless, Scale: 0}
+	qblob := ParamBlob{Rows: 4, Cols: 4, Mode: QuantInt8, Quant: bts(16), Scale: 0.042}
 	asg := BackboneAssignment{
 		W: 0.75, D: 3, ActiveDepth: 2,
 		Params:      []ParamBlob{blob, qblob},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -150,6 +151,67 @@ func TestDecodeBackboneRejectsCorruptMasks(t *testing.T) {
 	asg2.Params[0].Data = asg2.Params[0].Data[:1]
 	if _, err := DecodeBackbone(asg2); err == nil {
 		t.Fatal("expected param-size error")
+	}
+}
+
+// TestBlobErrorsNameIndexAndShape: a blob carries no name, so a blob
+// that does not fit its parameter is named by its index and shape.
+func TestBlobErrorsNameIndexAndShape(t *testing.T) {
+	bb := codecBackbone(t, rand.New(rand.NewSource(3)))
+	asg := EncodeBackbone(bb, 1, 3, pareto.Candidate{}, QuantLossless)
+	blob := &asg.Params[2]
+	n := len(blob.Data)
+	blob.Data = blob.Data[:n-1]
+	want := fmt.Sprintf("core: blob 2 (%dx%d): %d values for a %d-value param", blob.Rows, blob.Cols, n-1, n)
+	if _, err := DecodeBackbone(asg); err == nil || err.Error() != want {
+		t.Fatalf("mismatched blob: err %v, want %q", err, want)
+	}
+	want = fmt.Sprintf("core: %dx%d blob: %d values into %d slots", blob.Rows, blob.Cols, n-1, n)
+	if err := blob.Values(make([]float64, n)); err == nil || err.Error() != want {
+		t.Fatalf("short blob: err %v, want %q", err, want)
+	}
+}
+
+// TestFramesCarryNoParamNames: the backbone and header frames carry
+// parameter values, never their names (receivers match blobs by
+// position), lossless or in the mixed lanes, plain or entropy-coded.
+func TestFramesCarryNoParamNames(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	bb := codecBackbone(t, rng)
+	arch := nas.Architecture{Blocks: []nas.BlockGene{
+		{In1: 0, In2: 1, Op1: nas.OpConv3, Op2: nas.OpMHSA},
+		{In1: 2, In2: 0, Op1: nas.OpMLPBlock, Op2: nas.OpLayerNorm},
+		{In1: 3, In2: 1, Op1: nas.OpConv1, Op2: nas.OpIdentity},
+	}}
+	h, err := nas.NewHeaderModel(nas.HeaderConfig{Blocks: 3, Repeats: 1, DModel: 8, Hidden: 10, NumClasses: 5}, arch, bb, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names [][]byte
+	for _, p := range append(bb.Params(), h.Params()...) {
+		names = append(names, []byte(p.Name))
+	}
+	for _, mode := range []QuantMode{QuantLossless, QuantMixed} {
+		asg := EncodeBackbone(bb, 1, 3, pareto.Candidate{}, mode)
+		pkg := EncodeHeader(h, mode)
+		pkg.Backbone = asg
+		for kind, v := range map[string]any{"backbone": asg, "header": pkg} {
+			plain, err := wire.Encode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expanded, wasEntropy, err := wire.EntropyExpand(wire.EntropyCompress(plain))
+			if err != nil || !wasEntropy {
+				t.Fatalf("%v %s: entropy frame does not expand: %v", mode, kind, err)
+			}
+			for _, frame := range [][]byte{plain, expanded} {
+				for _, name := range names {
+					if bytes.Contains(frame, name) {
+						t.Fatalf("%v %s frame carries the name %q", mode, kind, name)
+					}
+				}
+			}
+		}
 	}
 }
 

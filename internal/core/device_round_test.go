@@ -130,11 +130,13 @@ func TestSteadyDeviceRoundAllocates(t *testing.T) {
 // when set: a value slab and a box per header parameter (12), the op
 // and layer structs, the parameter names the convolutions and the
 // classifier concatenate, the header's op, mask and parameter lists,
-// and the decoded blob, mask and gene lists. A decoded name comes from
-// wire's string table, an op name is formatted once per process.
+// and the decoded blob, mask and gene lists. The frame carries no
+// names (a blob is its shape and values), and an op name is formatted
+// once per process; the join still reads 73 since wire's string table,
+// which had saved it the blob names, went with them.
 const joinAllocs = 92
 
-// TestDeviceJoinAllocates: once the names are known, a device's join
+// TestDeviceJoinAllocates: once the op names are known, a device's join
 // allocates at most joinAllocs objects.
 func TestDeviceJoinAllocates(t *testing.T) {
 	if raceDetectorEnabled {

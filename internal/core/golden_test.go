@@ -24,6 +24,10 @@ import (
 // testdata/golden and its wire.RawSize. The frames and sizes were
 // recorded with the reflect walk the schema cursor replaced, so they pin
 // the wire format itself: any schema that drifts from it fails here.
+// The four frames that carry parameter blobs were re-recorded when
+// blobs stopped carrying their parameter's name: each is its old
+// recording with every blob's name string cut out and the blob's field
+// count lowered from 7 to 6, byte for byte.
 type goldenCase struct {
 	name  string
 	value any
@@ -45,11 +49,11 @@ func goldenFixtures(empty bool) []goldenCase {
 	}
 	profile := energy.Profile{GPU: 31.5, PowerPerUnit: 2.25, BatchPower: 0.125, Patches: 16,
 		BaseLatency: 0.75, LatencyPerUnit: 0.0625, Epochs: 3}
-	dense := ParamBlob{Name: "blk0.attn.w", Rows: 2, Cols: 3, Data: []float64{1.5, -2.25, 0, 3e-9, -7, 1e300},
+	dense := ParamBlob{Rows: 2, Cols: 3, Data: []float64{1.5, -2.25, 0, 3e-9, -7, 1e300},
 		Mode: QuantLossless, Quant: nilOr([]byte{}).([]byte)}
-	int8Blob := ParamBlob{Name: "blk0.ffn.w", Rows: 3, Cols: 2, Data: nilOr([]float64{}).([]float64),
+	int8Blob := ParamBlob{Rows: 3, Cols: 2, Data: nilOr([]float64{}).([]float64),
 		Mode: QuantInt8, Quant: []byte{0x81, 0x00, 0x7f, 0x10, 0xf0, 0x01}, Scale: 0.0421875}
-	f16Blob := ParamBlob{Name: "head.b", Rows: 1, Cols: 2, Mode: QuantFloat16, Quant: []byte{0x00, 0x3c, 0x00, 0xbc}}
+	f16Blob := ParamBlob{Rows: 1, Cols: 2, Mode: QuantFloat16, Quant: []byte{0x00, 0x3c, 0x00, 0xbc}}
 	asg := BackboneAssignment{
 		W: 0.75, D: 3, ActiveDepth: 2,
 		Cfg:         nn.BackboneConfig{InputDim: 32, NumPatches: 4, DModel: 8, NumHeads: 2, Hidden: 16, Depth: 3},
@@ -120,16 +124,16 @@ func goldenFixtures(empty bool) []goldenCase {
 		{"ClusterStats", ClusterStats{EdgeID: 1, MinStorage: 1.5e9, Profile: profile, DeviceIDs: []int{3, -1, 70000}}, 96},
 		{"RawShard", RawShard{DeviceID: 6, X: [][]float64{{1, 2, 3}, nilOr([]float64{}).([]float64), {-4, 5.5, 6}},
 			Y: []int{0, 4, -2}, Histogram: []float64{0.25, 0.75}}, 96},
-		{"BackboneAssignment", asg, 316},
-		{"HeaderPackage", pkg, 563},
+		{"BackboneAssignment", asg, 289},
+		{"HeaderPackage", pkg, 519},
 		{"ImportanceUpload", ImportanceUpload{DeviceID: 3, Layers: layers}, 28},
 		{"PersonalizedSet", PersonalizedSet{Layers: layers, Discard: 2, Done: true}, 29},
 		{"DeltaUpload", DeltaUpload{DeviceID: 5, Round: 2, Layers: deltaLayers}, 94},
 		{"DownlinkDelta", DownlinkDelta{Round: 2, Discard: 1, Done: true, Layers: deltaLayers}, 95},
 		{"DeviceReport", DeviceReport{DeviceID: 3, EdgeID: 1, Width: 0.5, Depth: 2, AccuracyCoarse: 0.625,
 			AccuracyFinal: 0.875, Energy: 4.5, BackboneParams: 9000, HeaderParams: 1200}, 72},
-		{"EdgeSnapshot", snap, 1017},
-		{"DeviceSnapshot", DeviceSnapshot{RunTag: "feedfacefeedface", DeviceID: 3, Round: 5, Package: pkg}, 595},
+		{"EdgeSnapshot", snap, 973},
+		{"DeviceSnapshot", DeviceSnapshot{RunTag: "feedfacefeedface", DeviceID: 3, Round: 5, Package: pkg}, 551},
 	}
 }
 

@@ -36,7 +36,8 @@ func (r *backboneRecorder) Send(msg transport.Message) error {
 // backbone frame and the selected candidates — to the bytes the serial
 // cloud produced, so customizing the clusters concurrently changes
 // nothing an edge receives. Under -race it also catches sweeps or
-// distillations that share a scratch buffer.
+// distillations that share a scratch buffer. Re-pinned once since, when
+// parameter blobs stopped carrying their parameter's name.
 func TestCloudBackbonesPinned(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.EdgeServers = 3
@@ -69,7 +70,7 @@ func TestCloudBackbonesPinned(t *testing.T) {
 	for _, id := range ids {
 		fmt.Fprintf(h, "%d %+v\n", id, res.Assignments[id])
 	}
-	const want uint64 = 0x73c0474acb80f4f0
+	const want uint64 = 0x832b3ba46519fa02
 	if got := h.Sum64(); got != want {
 		t.Fatalf("cloud backbones hash %#x, want %#x", got, want)
 	}
@@ -79,7 +80,8 @@ func TestCloudBackbonesPinned(t *testing.T) {
 // its end-of-round snapshot and its final model file — to the bytes
 // written when every snapshot re-encoded the device's live backbone.
 // The run tag is left out: it fingerprints the Config, whose checkpoint
-// paths are per-test temporary directories.
+// paths are per-test temporary directories. Re-pinned once since, when
+// parameter blobs stopped carrying their parameter's name.
 func TestDeviceSnapshotBytesPinned(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Phase2Rounds = 2
@@ -112,7 +114,7 @@ func TestDeviceSnapshotBytesPinned(t *testing.T) {
 		}
 		h.Write(b)
 	}
-	const want uint64 = 0x8d083a928e89077d
+	const want uint64 = 0x36f2ff527afc8307
 	if got := h.Sum64(); got != want {
 		t.Fatalf("device 0 snapshots hash %#x, want %#x", got, want)
 	}

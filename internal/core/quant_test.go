@@ -124,9 +124,9 @@ func TestQuantizedBackboneRoundTrip(t *testing.T) {
 	bb := codecBackbone(t, rng)
 	for _, mode := range []QuantMode{QuantFloat16, QuantInt8} {
 		asg := EncodeBackbone(bb, 1, 3, pareto.Candidate{}, mode)
-		for _, p := range asg.Params {
+		for i, p := range asg.Params {
 			if len(p.Data) != 0 {
-				t.Fatalf("%v: blob %s still carries float64 data", mode, p.Name)
+				t.Fatalf("%v: blob %d still carries float64 data", mode, i)
 			}
 		}
 		got, err := DecodeBackbone(asg)

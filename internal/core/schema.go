@@ -31,8 +31,7 @@ import (
 
 // WireFields states the blob's schema.
 func (p *ParamBlob) WireFields(f *wire.Fields) {
-	f.Struct(7)
-	f.String(&p.Name)
+	f.Struct(6)
 	f.Int(&p.Rows)
 	f.Int(&p.Cols)
 	f.F64s(&p.Data)

@@ -214,7 +214,7 @@ func sameEncoding(a, b BackboneAssignment) bool {
 	}
 	for i := range a.Params {
 		p, q := &a.Params[i], &b.Params[i]
-		if p.Name != q.Name || p.Rows != q.Rows || p.Cols != q.Cols || p.Mode != q.Mode ||
+		if p.Rows != q.Rows || p.Cols != q.Cols || p.Mode != q.Mode ||
 			math.Float64bits(p.Scale) != math.Float64bits(q.Scale) ||
 			!bytes.Equal(p.Quant, q.Quant) || !slices.EqualFunc(p.Data, q.Data, sameBits) {
 			return false

@@ -202,9 +202,9 @@ func (h *HeaderModel) Clone(backbone *nn.Backbone) *HeaderModel {
 		out.ops[u] = make([][2]nn.SeqOp, len(h.ops[u]))
 		out.opMasks[u] = make([][2][]bool, len(h.ops[u]))
 		out.maskedCols[u] = make([][2][]int, len(h.ops[u]))
-		for b := range h.ops[u] {
-			for s := 0; s < 2; s++ {
-				out.ops[u][b][s] = cloneOp(h.ops[u][b][s], h.Cfg.DModel)
+		for b, gene := range h.Arch.Blocks {
+			for s, kind := range [2]OpKind{gene.Op1, gene.Op2} {
+				out.ops[u][b][s] = cloneOp(h.ops[u][b][s], bankKey{U: u, B: b, Slot: s, Kind: kind}, h.Cfg.DModel)
 				if m := h.opMasks[u][b][s]; m != nil {
 					out.opMasks[u][b][s] = append([]bool(nil), m...)
 				}
@@ -706,45 +706,20 @@ func cloneLinear(l *nn.Linear) *nn.Linear {
 	return &nn.Linear{In: l.In, Out: l.Out, W: l.W.Clone(), B: l.B.Clone()}
 }
 
-// cloneOp copies op into a received instance (nn.Param): nothing is
-// drawn for the weights about to be overwritten.
-func cloneOp(op nn.SeqOp, dim int) nn.SeqOp {
-	switch o := op.(type) {
-	case *nn.Conv1D:
-		c := nn.NewConv1D(o.W.Name, o.Kernel, dim, nil)
-		copy(c.W.Value.Data, o.W.Value.Data)
-		copy(c.B.Value.Data, o.B.Value.Data)
-		return c
-	case nn.Identity:
-		return nn.Identity{}
-	case *nn.Downsample:
-		return &nn.Downsample{}
-	case *nn.AvgPool1D:
-		return &nn.AvgPool1D{Window: o.Window}
-	case *nn.MaxPool1D:
-		return &nn.MaxPool1D{Window: o.Window}
-	case *nn.LayerNorm:
-		ln := nn.NewLayerNorm(o.Gain.Name, dim, nil)
-		copy(ln.Gain.Value.Data, o.Gain.Value.Data)
-		copy(ln.Bias.Value.Data, o.Bias.Value.Data)
-		return ln
-	case *nn.MHSA:
-		m := nn.NewMHSA(o.Wq.Name, dim, o.NumHeads, nil)
-		src, dst := o.Params(), m.Params()
-		for i := range src {
-			copy(dst[i].Value.Data, src[i].Value.Data)
-		}
-		copy(m.HeadMask, o.HeadMask)
-		return m
-	case *nn.MLP:
-		m := nn.NewMLP(o.FC1.W.Name, o.DModel, o.Hidden, nil)
-		src, dst := o.Params(), m.Params()
-		for i := range src {
-			copy(dst[i].Value.Data, src[i].Value.Data)
-		}
-		copy(m.NeuronMask, o.NeuronMask)
-		return m
-	default:
-		panic(fmt.Sprintf("nas: unknown op type %T", op))
+// cloneOp copies op, the op at key's position, into a received instance
+// (nn.Param) under that position's name: nothing is drawn for the
+// weights about to be overwritten.
+func cloneOp(op nn.SeqOp, key bankKey, dim int) nn.SeqOp {
+	c := newOp(key.Kind, opName(key), dim, nil)
+	dst := c.Params()
+	for i, p := range op.Params() {
+		copy(dst[i].Value.Data, p.Value.Data)
 	}
+	switch o := op.(type) {
+	case *nn.MHSA:
+		copy(c.(*nn.MHSA).HeadMask, o.HeadMask)
+	case *nn.MLP:
+		copy(c.(*nn.MLP).NeuronMask, o.NeuronMask)
+	}
+	return c
 }

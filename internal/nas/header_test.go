@@ -3,6 +3,7 @@ package nas
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,37 @@ func TestHeaderCloneIndependence(t *testing.T) {
 	for i := range a {
 		if a[i] != c[i] {
 			t.Fatal("clone shares parameter storage")
+		}
+	}
+}
+
+// TestCloneKeepsParamNames: a clone names its ops after their bank
+// positions, as the header it copies does, so a clone of a clone reports
+// the same parameter names instead of stacking suffixes.
+func TestCloneKeepsParamNames(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	bb := testBackbone(t, rng)
+	arch := Architecture{Blocks: []BlockGene{
+		{In1: 0, In2: 1, Op1: OpConv3, Op2: OpMHSA},
+		{In1: 2, In2: 0, Op1: OpMLPBlock, Op2: OpLayerNorm},
+		{In1: 3, In2: 1, Op1: OpConv1, Op2: OpMaxPool},
+	}}
+	h, err := NewHeaderModel(testHeaderConfig(), arch, bb, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(h *HeaderModel) []string {
+		var out []string
+		for _, p := range h.Params() {
+			out = append(out, p.Name)
+		}
+		return out
+	}
+	want := names(h)
+	clone := h.Clone(bb)
+	for i, got := range [][]string{names(clone), names(clone.Clone(bb))} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("clone %d names its params\n%q\nwant\n%q", i+1, got, want)
 		}
 	}
 }

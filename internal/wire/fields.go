@@ -289,7 +289,8 @@ func (f *Fields) F64(p *float64) {
 	}
 }
 
-// String is a string field: its length and its bytes.
+// String is a string field: its length and its bytes. It decodes as a
+// copy of the frame's bytes.
 func (f *Fields) String(p *string) {
 	n := f.open(tString, len(*p), 1)
 	switch f.mode {
@@ -299,50 +300,9 @@ func (f *Fields) String(p *string) {
 		f.raw += n
 	case decoding:
 		if raw := f.take(n); f.err == nil {
-			*p = strtab.get(raw)
+			*p = string(raw)
 		}
 	}
-}
-
-// Bounds of the string table: a longer string, or any string once the
-// table is full, decodes as a plain copy.
-const (
-	tableMaxLen     = 64
-	tableMaxEntries = 4096
-)
-
-// strtab is the one table decoded strings come from. The strings a
-// protocol carries are names from a small set (parameter blobs, node
-// names, run tags) that every frame of a kind repeats, so a decode
-// returns the table's canonical copy and allocates nothing once it has
-// seen the name; a receiver that keeps the string keeps that copy.
-// Entries are never evicted: the bounds cap what the table can hold
-// whatever a peer sends.
-var strtab = stringTable{m: make(map[string]string)}
-
-type stringTable struct {
-	mu sync.Mutex
-	m  map[string]string
-}
-
-// get returns raw as a string: the table's copy when it has one, a
-// copy it keeps when it has room, a plain copy otherwise. The lookup
-// m[string(raw)] does not convert raw (unique.Make would, once per
-// call).
-func (t *stringTable) get(raw []byte) string {
-	if len(raw) == 0 || len(raw) > tableMaxLen {
-		return string(raw)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.m[string(raw)]; ok {
-		return s
-	}
-	s := string(raw)
-	if len(t.m) < tableMaxEntries {
-		t.m[s] = s
-	}
-	return s
 }
 
 // Bytes is a []byte field: its length and its bytes. It decodes as an

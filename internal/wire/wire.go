@@ -16,11 +16,9 @@
 // (buffer.go), so the hot path (importance sets every round, backbone
 // parameter blobs) neither re-grows a buffer nor copies a frame per
 // message: a sender leases the frame to the transport, and the last
-// receiver to release it returns it to the pool. Decoded strings come
-// from one bounded table (fields.go's strtab) that keeps one copy of
-// each name the protocol carries. It is not a third pool beside these
-// Buffers and nn's scratch slabs: it lends nothing, and holds nothing
-// but those names.
+// receiver to release it returns it to the pool. A decoded string is a
+// copy of its bytes, never an alias of the frame: the strings a frame
+// carries are node names and run tags, a few per frame.
 //
 // Layout:
 //
