@@ -15,12 +15,12 @@ type Strategy string
 
 // Byzantine strategies.
 const (
-	// StrategyInflate multiplies every importance value by Factor: the
+	// StrategyInflate multiplies every importance value by factor (10): the
 	// classic self-promotion attack — the device's update dominates the
 	// similarity-weighted aggregate.
 	StrategyInflate Strategy = "inflate"
 	// StrategyFabricate replaces the upload with hash-derived noise
-	// scaled to Factor× the honest value range: the device never ran
+	// scaled to factor× the honest value range: the device never ran
 	// training at all.
 	StrategyFabricate Strategy = "fabricate"
 	// StrategyReplay re-sends the device's previous honest upload:
@@ -43,9 +43,6 @@ type Liar struct {
 	Strategy Strategy
 	// Prob is the per-round probability of lying.
 	Prob float64
-	// Factor scales the corruption (inflate multiplier, fabricate
-	// range multiplier). Zero selects the default of 10.
-	Factor float64
 	// Seed and Device identify the hash stream.
 	Seed   int64
 	Device int
@@ -54,13 +51,9 @@ type Liar struct {
 	prev [][]float64
 }
 
-// factor returns the configured corruption scale.
-func (l *Liar) factor() float64 {
-	if l.Factor <= 0 {
-		return 10
-	}
-	return l.Factor
-}
+// factor scales the corruption: the inflate multiplier and the
+// fabricate range multiplier.
+const factor = 10
 
 // lies reports whether the liar corrupts the given round.
 func (l *Liar) lies(round int) bool {
@@ -88,16 +81,15 @@ func (l *Liar) Corrupt(round int, layers [][]float64) [][]float64 {
 	switch l.Strategy {
 	case StrategyInflate:
 		out := copyLayers(layers)
-		f := l.factor()
 		for _, row := range out {
 			for i := range row {
-				row[i] *= f
+				row[i] *= factor
 			}
 		}
 		return out
 	case StrategyFabricate:
 		out := copyLayers(layers)
-		// Scale the noise to Factor× the honest maximum so the values
+		// Scale the noise to factor× the honest maximum so the values
 		// are wrong in range, not just in shape.
 		var hi float64
 		for _, row := range layers {
@@ -110,7 +102,7 @@ func (l *Liar) Corrupt(round int, layers [][]float64) [][]float64 {
 		if hi == 0 {
 			hi = 1
 		}
-		span := hi * l.factor()
+		span := hi * factor
 		pair := fnv1a("fab") ^ splitmix64(uint64(l.Device))
 		var i uint64
 		for _, row := range out {

@@ -52,13 +52,13 @@ func TestLiarDeterministicAndNonMutating(t *testing.T) {
 
 func TestLiarStrategies(t *testing.T) {
 	// Prob 1: every round lies.
-	inflate := &Liar{Strategy: StrategyInflate, Prob: 1, Factor: 4, Seed: 1, Device: 0}
+	inflate := &Liar{Strategy: StrategyInflate, Prob: 1, Seed: 1, Device: 0}
 	out := inflate.Corrupt(0, honestLayers())
-	if out[0][0] != 0.4 {
-		t.Fatalf("inflate by 4: got %v, want 0.4", out[0][0])
+	if out[0][0] != 1 {
+		t.Fatalf("inflate by %v: got %v, want 1", factor, out[0][0])
 	}
 
-	fab := &Liar{Strategy: StrategyFabricate, Prob: 1, Factor: 2, Seed: 1, Device: 0}
+	fab := &Liar{Strategy: StrategyFabricate, Prob: 1, Seed: 1, Device: 0}
 	out = fab.Corrupt(0, honestLayers())
 	same := true
 	for l, row := range out {
@@ -66,8 +66,8 @@ func TestLiarStrategies(t *testing.T) {
 			if v != honestLayers()[l][i] {
 				same = false
 			}
-			if v < 0 || v >= 0.6*2 {
-				t.Fatalf("fabricated value %v outside [0, %v)", v, 0.6*2)
+			if v < 0 || v >= 0.6*factor {
+				t.Fatalf("fabricated value %v outside [0, %v)", v, 0.6*factor)
 			}
 		}
 	}

@@ -38,17 +38,18 @@ func (d Device) Name() string {
 type FleetSpec struct {
 	Clusters          int
 	DevicesPerCluster int
-	// StorageLevels are the per-cluster-position storage budgets in
-	// parameters; defaults to the paper's 200..400 MB ladder.
-	StorageLevels []float64
-	Epochs        int
 }
 
-// paper storage ladder: 200, 250, 300, 350, 400 MB of float32 params.
-func defaultStorageLevels() []float64 {
-	mb := 1024.0 * 1024 / 4 // parameters per MB at 4 bytes each
-	return []float64{200 * mb, 250 * mb, 300 * mb, 350 * mb, 400 * mb}
-}
+// paramsPerMB is the float32 parameters one MB holds.
+const paramsPerMB = 1024.0 * 1024 / 4
+
+// storageLevels are the per-cluster-position storage budgets in
+// parameters: the paper's ladder of 200, 250, 300, 350 and 400 MB.
+var storageLevels = [...]float64{200 * paramsPerMB, 250 * paramsPerMB, 300 * paramsPerMB, 350 * paramsPerMB, 400 * paramsPerMB}
+
+// profileEpochs is k, the training epochs of every device's energy
+// profile (Eq. 1).
+const profileEpochs = 3
 
 // GenerateFleet builds the device list. Devices within a cluster share
 // similar capability; clusters differ.
@@ -58,14 +59,6 @@ func GenerateFleet(spec FleetSpec, rng *rand.Rand) []Device {
 	}
 	if spec.DevicesPerCluster <= 0 {
 		spec.DevicesPerCluster = 5
-	}
-	levels := spec.StorageLevels
-	if len(levels) == 0 {
-		levels = defaultStorageLevels()
-	}
-	epochs := spec.Epochs
-	if epochs <= 0 {
-		epochs = 3
 	}
 	devices := make([]Device, 0, spec.Clusters*spec.DevicesPerCluster)
 	id := 0
@@ -79,8 +72,8 @@ func GenerateFleet(spec FleetSpec, rng *rand.Rand) []Device {
 				ID:      id,
 				VCPUs:   baseVCPU,
 				GPU:     gpu,
-				Storage: levels[d%len(levels)],
-				Profile: energy.NewProfile(gpu, lat, 9, epochs),
+				Storage: storageLevels[d%len(storageLevels)],
+				Profile: energy.NewProfile(gpu, lat, 9, profileEpochs),
 			}
 			dev.name = dev.Name()
 			devices = append(devices, dev)

@@ -8,7 +8,7 @@ import (
 
 func TestGenerateFleetShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	devs := GenerateFleet(FleetSpec{Clusters: 4, DevicesPerCluster: 3, Epochs: 2}, rng)
+	devs := GenerateFleet(FleetSpec{Clusters: 4, DevicesPerCluster: 3}, rng)
 	if len(devs) != 12 {
 		t.Fatalf("got %d devices", len(devs))
 	}

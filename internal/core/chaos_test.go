@@ -21,7 +21,7 @@ func byzantineConfig() Config {
 	cfg.Fleet.Spec.Clusters = 2
 	cfg.Fleet.Spec.DevicesPerCluster = 3
 	cfg.Phase2Rounds = 4
-	cfg.Fleet.Byzantine = ByzantineOptions{Strategy: "inflate", Count: 1, Prob: 1, Factor: 20}
+	cfg.Fleet.Byzantine = ByzantineOptions{Strategy: "inflate", Count: 1, Prob: 1}
 	cfg.Fleet.Detect = DetectOptions{Enabled: true}
 	return cfg
 }

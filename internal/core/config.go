@@ -147,8 +147,6 @@ type ByzantineOptions struct {
 	Count int
 	// Prob is each Byzantine device's per-round lie probability.
 	Prob float64
-	// Factor scales the corruption (0 = the chaos default of 10).
-	Factor float64
 }
 
 // Enabled reports whether any device is configured to lie.
@@ -166,8 +164,6 @@ func (b ByzantineOptions) Validate() error {
 		return fmt.Errorf("core: negative byzantine device count %d", b.Count)
 	case b.Prob < 0 || b.Prob > 1:
 		return fmt.Errorf("core: byzantine lie probability %v outside [0,1]", b.Prob)
-	case b.Factor < 0:
-		return fmt.Errorf("core: negative byzantine factor %v", b.Factor)
 	}
 	return nil
 }
@@ -249,6 +245,31 @@ type ChaosOptions struct {
 	BandwidthBps int64
 }
 
+// ChaosLinks are the named link conditions (delay-only: the protocol
+// expects exactly-once delivery). "ideal" leaves the transport
+// untouched; "default" is a jittery but healthy edge link, the one
+// -chaos selects; "harsh" is congested with heavy tail spikes. The
+// trajectory's adversarial matrix sweeps all three.
+var ChaosLinks = map[string]ChaosOptions{
+	"ideal": {},
+	"default": {
+		Enabled:      true,
+		BaseDelay:    200 * time.Microsecond,
+		Jitter:       2 * time.Millisecond,
+		SpikeProb:    0.15,
+		SpikeDelay:   5 * time.Millisecond,
+		BandwidthBps: 16 << 20,
+	},
+	"harsh": {
+		Enabled:      true,
+		BaseDelay:    1 * time.Millisecond,
+		Jitter:       5 * time.Millisecond,
+		SpikeProb:    0.3,
+		SpikeDelay:   20 * time.Millisecond,
+		BandwidthBps: 2 << 20,
+	},
+}
+
 // Profile converts the options to the chaos link profile.
 func (c ChaosOptions) Profile() chaos.Profile {
 	return chaos.Profile{
@@ -311,7 +332,9 @@ func (o CheckpointOptions) Validate() error {
 	return nil
 }
 
-// Config assembles every knob of a full ACME run.
+// Config assembles every knob of a full ACME run. Each leaf field has
+// a line in KNOBS.txt naming the standing run that sets it, or the
+// class that says why it stays without one (TestKnobList).
 type Config struct {
 	// Model and data.
 	Backbone   nn.BackboneConfig
@@ -447,7 +470,7 @@ func DefaultConfig() Config {
 		},
 		NumClasses:       spec.NumClasses,
 		Dataset:          spec,
-		Fleet:            FleetOptions{Spec: cluster.FleetSpec{Clusters: 2, DevicesPerCluster: 3, Epochs: 3}},
+		Fleet:            FleetOptions{Spec: cluster.FleetSpec{Clusters: 2, DevicesPerCluster: 3}},
 		EdgeServers:      2,
 		SamplesPerDevice: 160,
 		ClassesPerDevice: 20,
@@ -502,6 +525,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.NumClasses <= 0:
 		return fmt.Errorf("core: non-positive class count")
+	case c.NumClasses != c.Dataset.NumClasses:
+		return fmt.Errorf("core: %d classes, but dataset %q has %d", c.NumClasses, c.Dataset.Name, c.Dataset.NumClasses)
 	case c.EdgeServers <= 0:
 		return fmt.Errorf("core: need at least one edge server")
 	case c.SamplesPerDevice <= 0:

@@ -41,7 +41,6 @@ func (s *System) liarFor(devID int) *chaos.Liar {
 	return &chaos.Liar{
 		Strategy: chaos.Strategy(b.Strategy),
 		Prob:     b.Prob,
-		Factor:   b.Factor,
 		Seed:     s.Cfg.Seed,
 		Device:   devID,
 	}

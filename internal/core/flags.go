@@ -1,18 +1,17 @@
 package core
 
-import (
-	"flag"
-	"time"
-)
+import "flag"
 
 // BindFlags declares on fs the run flags every ACME command line shares
 // — fleet shape, wire shaping, straggler policy, participation
 // sampling, link chaos, Byzantine injection and detection,
 // checkpointing — defaulted from *cfg, and returns the function that
 // writes them into *cfg once fs is parsed. The processes of a TCP
-// deployment must run with identical values for all of them (the chaos
-// flags excepted: link faults are per node); binding one declaration to
-// one Config is what makes the same flags mean the same run everywhere.
+// deployment must run with identical values for all of them (-chaos
+// excepted: link faults are per node); binding one declaration to one
+// Config is what makes the same flags mean the same run everywhere.
+// Every flag has a line in KNOBS.txt naming the run that sets what it
+// writes, or why it stays without one.
 func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	fs.IntVar(&cfg.EdgeServers, "edges", cfg.EdgeServers, "edge servers (device clusters)")
 	fs.IntVar(&cfg.Fleet.Spec.DevicesPerCluster, "devices", cfg.Fleet.Spec.DevicesPerCluster, "devices per cluster")
@@ -32,24 +31,15 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	// The option groups are staged: each lands in cfg only when its
 	// switch (-chaos, -byzantine, -detect, -ckpt-path) is set.
 	var (
-		chaos      ChaosOptions
 		byzantine  ByzantineOptions
 		detect     DetectOptions
 		checkpoint CheckpointOptions
 	)
-	fs.BoolVar(&chaos.Enabled, "chaos", false, "wrap the transport in the seeded link-fault model (timing only — seeded results are identical with it on or off; per node over TCP, so a mixed fleet interoperates)")
-	fs.DurationVar(&chaos.BaseDelay, "chaos-base", 200*time.Microsecond, "chaos per-message base delay")
-	fs.DurationVar(&chaos.Jitter, "chaos-jitter", 2*time.Millisecond, "chaos uniform jitter on top of the base delay")
-	fs.Float64Var(&chaos.SpikeProb, "chaos-spike-prob", 0.1, "chaos per-message probability of a latency spike")
-	fs.DurationVar(&chaos.SpikeDelay, "chaos-spike", 10*time.Millisecond, "chaos extra delay of a latency spike")
-	fs.Int64Var(&chaos.BandwidthBps, "chaos-bandwidth", 0, "chaos per-link bandwidth in bytes/s for serialization delay (0 = unlimited)")
+	chaos := fs.Bool("chaos", false, "wrap the transport in the seeded link-fault model on the \"default\" link: 200µs base delay, 2ms jitter, 15% spikes of 5ms, 16 MiB/s (timing only — seeded results are identical with it on or off; per node over TCP, so a mixed fleet interoperates)")
 	fs.StringVar(&byzantine.Strategy, "byzantine", "", "byzantine strategy for the first -byzantine-count devices: inflate, fabricate, replay ('' = none)")
 	fs.IntVar(&byzantine.Count, "byzantine-count", 1, "how many devices lie (IDs 0..count-1)")
 	fs.Float64Var(&byzantine.Prob, "byzantine-prob", 1, "per-round lie probability of each byzantine device")
-	fs.Float64Var(&byzantine.Factor, "byzantine-factor", 0, "corruption scale: inflate multiplier / fabricate range (0 = default 10)")
 	fs.BoolVar(&detect.Enabled, "detect", false, "arm the edge-side statistical detector: Wasserstein anomaly scoring, suspect exclusion, strike-limit eviction")
-	fs.Float64Var(&detect.K, "detect-k", 0, "detector MAD multiplier in the outlier threshold (0 = default 3)")
-	fs.Float64Var(&detect.Margin, "detect-margin", 0, "detector relative slack on the median score (0 = default 0.5)")
 	fs.StringVar(&checkpoint.Path, "ckpt-path", "", "checkpoint directory: write durable session snapshots at every round boundary and every device's final model")
 	fs.BoolVar(&checkpoint.Fsync, "ckpt-fsync", false, "fsync snapshots to stable storage before they count")
 
@@ -62,8 +52,8 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 			cfg.Straggler.SlowDeviceID = 0
 			cfg.Straggler.SlowDeviceDelay = *straggle
 		}
-		if chaos.Enabled {
-			cfg.Chaos = chaos
+		if *chaos {
+			cfg.Chaos = ChaosLinks["default"]
 		}
 		if byzantine.Strategy != "" {
 			cfg.Fleet.Byzantine = byzantine

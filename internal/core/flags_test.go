@@ -9,20 +9,16 @@ import (
 	"time"
 )
 
-// runFlagDefaults is the run-flag set acmesim and acmenode both
-// declared by hand before BindFlags, with acmesim's defaults, minus the
-// retired -wire: name → default as flag.Value.String prints it. The
-// fleet-shape flags default from the Config handed in; every other
-// default is fixed.
+// runFlagDefaults is the run-flag set acmesim and acmenode share,
+// with acmesim's defaults: name → default as flag.Value.String prints
+// it. The fleet-shape flags default from the Config handed in; every
+// other default is fixed.
 var runFlagDefaults = map[string]string{
 	"edges": "2", "devices": "3", "samples": "160", "rounds": "2", "seed": "1",
 	"entropy": "false", "quant": "lossless", "delta": "false", "refresh": "0",
 	"quorum": "0", "cutoff": "0s", "straggle": "0s",
-	"sample-frac": "0", "shared-shards": "false",
-	"chaos": "false", "chaos-base": "200µs", "chaos-jitter": "2ms",
-	"chaos-spike-prob": "0.1", "chaos-spike": "10ms", "chaos-bandwidth": "0",
-	"byzantine": "", "byzantine-count": "1", "byzantine-prob": "1", "byzantine-factor": "0",
-	"detect": "false", "detect-k": "0", "detect-margin": "0",
+	"sample-frac": "0", "shared-shards": "false", "chaos": "false",
+	"byzantine": "", "byzantine-count": "1", "byzantine-prob": "1", "detect": "false",
 	"ckpt-path": "", "ckpt-fsync": "false",
 }
 
@@ -77,14 +73,14 @@ func TestBindFlagsApply(t *testing.T) {
 		t.Fatalf("no flags changed the config (err %v):\n got  %+v\n want %+v", err, cfg, DefaultConfig())
 	}
 	// Sub-options of a group that is off are ignored, as before.
-	if cfg, err := parse("-chaos-jitter", "9ms", "-byzantine-count", "4", "-detect-k", "2", "-ckpt-fsync"); err != nil || !reflect.DeepEqual(cfg, DefaultConfig()) {
+	if cfg, err := parse("-byzantine-count", "4", "-ckpt-fsync"); err != nil || !reflect.DeepEqual(cfg, DefaultConfig()) {
 		t.Fatalf("sub-options of disabled groups leaked into the config (err %v): %+v", err, cfg)
 	}
 
 	cfg, err := parse("-edges", "4", "-devices", "5", "-quant", "mixed", "-delta", "-entropy",
 		"-quorum", "0.5", "-cutoff", "2s", "-straggle", "30ms", "-sample-frac", "0.25",
-		"-chaos", "-chaos-jitter", "3ms",
-		"-byzantine", "inflate", "-byzantine-prob", "0.5", "-detect", "-detect-margin", "0.75",
+		"-chaos",
+		"-byzantine", "inflate", "-byzantine-prob", "0.5", "-detect",
 		"-ckpt-path", "/tmp/x", "-ckpt-fsync")
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +90,9 @@ func TestBindFlagsApply(t *testing.T) {
 	want.Wire = WireOptions{Entropy: true, Quantization: QuantMixed, DeltaImportance: true}
 	want.Straggler = StragglerPolicy{Quorum: 0.5, Deadline: 2 * time.Second, SlowDeviceDelay: 30 * time.Millisecond}
 	want.Fleet.SampleFrac = 0.25
-	want.Chaos = ChaosOptions{Enabled: true, BaseDelay: 200 * time.Microsecond,
-		Jitter: 3 * time.Millisecond, SpikeProb: 0.1, SpikeDelay: 10 * time.Millisecond}
+	want.Chaos = ChaosLinks["default"]
 	want.Fleet.Byzantine = ByzantineOptions{Strategy: "inflate", Count: 1, Prob: 0.5}
-	want.Fleet.Detect = DetectOptions{Enabled: true, Margin: 0.75}
+	want.Fleet.Detect = DetectOptions{Enabled: true}
 	want.Checkpoint = CheckpointOptions{Path: "/tmp/x", Fsync: true}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("parsed config:\n got  %+v\n want %+v", cfg, want)

@@ -79,9 +79,9 @@ func TestCloudBackbonesPinned(t *testing.T) {
 // TestDeviceSnapshotBytesPinned pins what a checkpointed device writes —
 // its end-of-round snapshot and its final model file — to the bytes
 // written when every snapshot re-encoded the device's live backbone.
-// The run tag is left out: it fingerprints the Config, whose checkpoint
-// paths are per-test temporary directories. Re-pinned once since, when
-// parameter blobs stopped carrying their parameter's name.
+// The run tag is left out: it hashes the Config's printed form, which
+// changes whenever a Config field is added or removed. Re-pinned once
+// since, when parameter blobs stopped carrying their parameter's name.
 func TestDeviceSnapshotBytesPinned(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Phase2Rounds = 2

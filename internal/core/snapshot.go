@@ -70,13 +70,18 @@ type DeviceSnapshot struct {
 	Package HeaderPackage
 }
 
-// runTag fingerprints the full configuration plus seed, so a snapshot
-// is only ever restored into the run shape that wrote it. The fleet,
+// runTag fingerprints the configuration plus seed, so a snapshot is
+// only ever restored into the run shape that wrote it. The fleet,
 // datasets, and every protocol choice derive deterministically from
-// the Config, so hashing its printed form pins them all.
+// the Config, so hashing its printed form pins them all. Checkpoint is
+// left out: where the snapshots live and whether they are fsynced are
+// the deployment's, not the run's, so a moved directory or a flipped
+// -ckpt-fsync still restores.
 func (c *Config) runTag() string {
+	shape := *c
+	shape.Checkpoint = CheckpointOptions{}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", *c)
+	fmt.Fprintf(h, "%v", shape)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -214,3 +214,29 @@ func TestEdgeSnapshotRoundTripsLoopState(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTagIgnoresDeployment: the run tag names the run, not where its
+// snapshots live, so a moved checkpoint directory or a flipped fsync
+// keeps it, while another round count or seed changes it.
+func TestRunTagIgnoresDeployment(t *testing.T) {
+	base := DefaultConfig()
+	base.Checkpoint = CheckpointOptions{Path: "ckpt-a"}
+	tag := base.runTag()
+	for _, ck := range []CheckpointOptions{{Path: "ckpt-b"}, {Path: "ckpt-a", Fsync: true}, {Path: "ckpt-b", Fsync: true}} {
+		cfg := base
+		cfg.Checkpoint = ck
+		if got := cfg.runTag(); got != tag {
+			t.Errorf("checkpoint %+v: tag %s, want %s", ck, got, tag)
+		}
+	}
+	for name, edit := range map[string]func(*Config){
+		"Phase2Rounds": func(c *Config) { c.Phase2Rounds++ },
+		"Seed":         func(c *Config) { c.Seed++ },
+	} {
+		cfg := base
+		edit(&cfg)
+		if cfg.runTag() == tag {
+			t.Errorf("another %s kept the tag %s", name, tag)
+		}
+	}
+}

@@ -51,6 +51,19 @@ func tinyConfig() Config {
 	return cfg
 }
 
+// TestClassCountValidation: Config.NumClasses must be its dataset's
+// class count, which every setter keeps in step with it.
+func TestClassCountValidation(t *testing.T) {
+	cfg := tinyConfig()
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("tinyConfig: %v", err)
+	}
+	cfg.NumClasses = DefaultConfig().NumClasses // 100, against the dataset's 20
+	if err := cfg.Validate(); err == nil {
+		t.Error("100 classes over a 20-class dataset accepted")
+	}
+}
+
 func TestSystemEndToEnd(t *testing.T) {
 	cfg := tinyConfig()
 	sys, err := NewSystem(cfg)

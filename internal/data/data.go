@@ -17,15 +17,14 @@ import (
 
 // Spec describes a synthetic dataset family.
 type Spec struct {
-	Name         string
-	NumClasses   int
-	NumSuper     int     // superclasses; must divide NumClasses
-	Dim          int     // feature dimension of each sample
-	SuperSep     float64 // distance scale between superclass means
-	ClassSep     float64 // distance scale between class means within a superclass
-	WithinStd    float64 // per-class sample standard deviation
-	LabelNoise   float64 // probability a label is replaced uniformly at random
-	SeedOverride int64   // class-mean seed; 0 derives it from Name
+	Name       string
+	NumClasses int
+	NumSuper   int     // superclasses; must divide NumClasses
+	Dim        int     // feature dimension of each sample
+	SuperSep   float64 // distance scale between superclass means
+	ClassSep   float64 // distance scale between class means within a superclass
+	WithinStd  float64 // per-class sample standard deviation
+	LabelNoise float64 // probability a label is replaced uniformly at random
 }
 
 // CIFAR100Like returns the spec standing in for CIFAR-100
@@ -130,12 +129,9 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	seed := spec.SeedOverride
-	if seed == 0 {
-		seed = int64(len(spec.Name))*7919 + 12345
-		for _, r := range spec.Name {
-			seed = seed*31 + int64(r)
-		}
+	seed := int64(len(spec.Name))*7919 + 12345
+	for _, r := range spec.Name {
+		seed = seed*31 + int64(r)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	perSuper := spec.NumClasses / spec.NumSuper

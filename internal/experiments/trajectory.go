@@ -228,30 +228,6 @@ type trajectoryDoc struct {
 	Configs   []*report          `json:"configs"`
 }
 
-// links are the swept link conditions, applied through Config.Chaos
-// (delay-only knobs: the protocol expects exactly-once delivery).
-// "ideal" leaves the transport untouched; "default" is a jittery but
-// healthy edge link; "harsh" is congested with heavy tail spikes.
-var links = map[string]core.ChaosOptions{
-	"ideal": {},
-	"default": {
-		Enabled:      true,
-		BaseDelay:    200 * time.Microsecond,
-		Jitter:       2 * time.Millisecond,
-		SpikeProb:    0.15,
-		SpikeDelay:   5 * time.Millisecond,
-		BandwidthBps: 16 << 20,
-	},
-	"harsh": {
-		Enabled:      true,
-		BaseDelay:    1 * time.Millisecond,
-		Jitter:       5 * time.Millisecond,
-		SpikeProb:    0.3,
-		SpikeDelay:   20 * time.Millisecond,
-		BandwidthBps: 2 << 20,
-	},
-}
-
 // detector is the matrix cells' edge-side defense. Margin sits above
 // the core default (0.5): with two of six devices lying, the liars
 // contaminate every honest device's pooled comparison set, which
@@ -263,9 +239,9 @@ var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0}
 // byzantineDevices is how many devices lie in a cell with a Strategy.
 const byzantineDevices = 2
 
-// cells returns the trajectory: 21 named cells and the 30-cell
-// adversarial matrix.
-func cells() []cell {
+// Cells returns the trajectory: 21 named cells and the 30-cell
+// adversarial matrix. KNOBS.txt cites them as cell/<name>.
+func Cells() []cell {
 	// acmesim's default scenario at seed 1. Its dense-lossless and
 	// delta-mixed cells are the continuity pair every PR since 3 has
 	// re-run unchanged: their bytes and accuracy are pinned
@@ -457,10 +433,10 @@ func headlines(r map[string]*report) map[string]float64 {
 // table).
 func Trajectory(path string) (*Table, error) {
 	ctx := context.Background()
-	doc := trajectoryDoc{Experiment: "trajectory", Gates: gates, Links: make(map[string]map[string]any, len(links)),
+	doc := trajectoryDoc{Experiment: "trajectory", Gates: gates, Links: make(map[string]map[string]any, len(core.ChaosLinks)),
 		Detector: map[string]any{"k": detector.K, "margin": detector.Margin, "strike_limit": chaos.StrikeLimit,
 			"byzantine_devices": byzantineDevices}}
-	for name, l := range links {
+	for name, l := range core.ChaosLinks {
 		doc.Links[name] = map[string]any{
 			"base_delay_us":  l.BaseDelay.Microseconds(),
 			"jitter_us":      l.Jitter.Microseconds(),
@@ -470,7 +446,7 @@ func Trajectory(path string) (*Table, error) {
 		}
 	}
 	byName := make(map[string]*report)
-	for _, c := range cells() {
+	for _, c := range Cells() {
 		rep, err := runCell(ctx, c)
 		if err != nil {
 			return nil, err

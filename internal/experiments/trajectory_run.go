@@ -76,7 +76,7 @@ func (c cell) config(trial int) (core.Config, error) {
 	cfg.Straggler.Quorum = c.Quorum
 	cfg.Straggler.Deadline = time.Duration(c.CutoffMS) * time.Millisecond
 
-	cfg.Chaos = links[c.Link]
+	cfg.Chaos = core.ChaosLinks[c.Link]
 	if c.Detect {
 		cfg.Fleet.Detect = detector
 	}

@@ -38,7 +38,7 @@ func recorded(t *testing.T, n int) map[string]map[string]any {
 // a name that is its own.
 func TestTrajectoryConfigsValid(t *testing.T) {
 	seen := map[string]bool{}
-	for _, c := range cells() {
+	for _, c := range Cells() {
 		if seen[c.Name] {
 			t.Errorf("cell name %q used twice", c.Name)
 		}
@@ -169,7 +169,7 @@ func TestContinuityPinned(t *testing.T) {
 		"delta-mixed":    {309452, 318412, 0},
 	}
 	blobNames := struct{ backbone, header int64 }{2692, 9162}
-	for _, c := range cells() {
+	for _, c := range Cells() {
 		pin, ok := pinned[c.Name]
 		if !ok {
 			continue

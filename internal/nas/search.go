@@ -39,10 +39,6 @@ type SearchConfig struct {
 	// TrainBackbone lets gradients flow into the backbone during search
 	// (the paper does not freeze it in Phase 2-1).
 	TrainBackbone bool
-	// ParameterSharing can be disabled for the ablation bench; without
-	// it every sampled child trains from scratch for ChildBatches
-	// minibatches.
-	ParameterSharing bool
 }
 
 // DefaultSearchConfig returns micro-scale defaults.
@@ -61,7 +57,6 @@ func DefaultSearchConfig() SearchConfig {
 		SharedLR:          2e-3,
 		ControllerLR:      5e-3,
 		TrainBackbone:     true,
-		ParameterSharing:  true,
 	}
 }
 

@@ -47,20 +47,22 @@ type Config struct {
 	// PerformanceWindow is γp: the acceptable performance trade-off that
 	// sets the number of grid intervals K = |f¹(θ*) − f¹(θ⁻)| / γp.
 	PerformanceWindow float64
-	// Sigma is the σ > 0 constant preventing division by zero (Eq. 11).
-	Sigma float64
-	// MaxIntervals caps K against degenerate windows.
-	MaxIntervals int
 }
+
+// sigma is the σ > 0 constant of Eq. 11 that keeps a collapsed extent
+// from dividing by zero.
+const sigma = 1e-9
+
+// maxIntervals caps K against degenerate windows.
+const maxIntervals = 64
 
 // DefaultConfig returns the configuration used in the experiments.
 func DefaultConfig() Config {
-	return Config{PerformanceWindow: 0.05, Sigma: 1e-9, MaxIntervals: 64}
+	return Config{PerformanceWindow: 0.05}
 }
 
 // Grid is the constructed Pareto Front Grid for one device cluster.
 type Grid struct {
-	Cfg        Config
 	K          int
 	Candidates []Candidate
 	// Coords[i][l] = Ψl of candidate i (Eq. 11).
@@ -84,13 +86,7 @@ func Build(cands []Candidate, cfg Config) (*Grid, error) {
 	if len(cands) == 0 {
 		return nil, ErrNoCandidates
 	}
-	if cfg.Sigma <= 0 {
-		cfg.Sigma = 1e-9
-	}
-	if cfg.MaxIntervals <= 0 {
-		cfg.MaxIntervals = 64
-	}
-	g := &Grid{Cfg: cfg, Candidates: append([]Candidate(nil), cands...)}
+	g := &Grid{Candidates: append([]Candidate(nil), cands...)}
 	for l := 0; l < 3; l++ {
 		g.ideal[l] = math.Inf(1)
 		g.worst[l] = math.Inf(-1)
@@ -127,12 +123,12 @@ func Build(cands []Candidate, cfg Config) (*Grid, error) {
 	if k < 1 {
 		k = 1
 	}
-	if k > cfg.MaxIntervals {
-		k = cfg.MaxIntervals
+	if k > maxIntervals {
+		k = maxIntervals
 	}
 	g.K = k
 	for l := 0; l < 3; l++ {
-		g.r[l] = (g.worst[l] - g.ideal[l] + 2*cfg.Sigma) / float64(k)
+		g.r[l] = (g.worst[l] - g.ideal[l] + 2*sigma) / float64(k)
 	}
 	g.Coords = make([][3]int, len(g.Candidates))
 	for i, c := range g.Candidates {
@@ -151,7 +147,7 @@ func (g *Grid) coord(v float64, l int) int {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return g.K
 	}
-	c := int(math.Ceil((v - g.ideal[l] + g.Cfg.Sigma) / g.r[l]))
+	c := int(math.Ceil((v - g.ideal[l] + sigma) / g.r[l]))
 	if c < 1 {
 		c = 1
 	}
