@@ -154,16 +154,18 @@ traffic:
 # bench/ at BASE (from `git archive`) and at the working tree into the
 # git-ignored .perfpairs/, runs PAIRS alternating pairs of every workload
 # (WORKLOADS, comma-separated, to narrow it; seeds from FIRST), and
-# writes PERF_56.json: per-pair values, medians, the base's quartiles,
-# pairs won and a verdict per end-to-end metric. Met means better in
+# writes OUT (`make perf-pairs OUT=PERF_<n>.json` names a new table):
+# per-pair values, medians, the base's quartiles, pairs won and a
+# verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
 # It refuses to report when bytes or accuracy differ within a pair.
 BASE ?= HEAD
 PAIRS ?= 10
 FIRST ?= 11
 WORKLOADS ?=
+OUT ?= PERF_58.json
 perf-pairs:
-	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out PERF_56.json
+	$(GO) run ./cmd/perfpairs -base $(BASE) -pairs $(PAIRS) -first $(FIRST) -workloads "$(WORKLOADS)" -out $(OUT)
 
 # bench-module vets and tests the standing benchmark, a module of its
 # own (bench/go.mod) that `go build ./... && go test ./...` never

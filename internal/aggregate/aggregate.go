@@ -86,15 +86,22 @@ func Combine(sets []*importance.Set, sim [][]float64) ([]*importance.Set, error)
 // grouped pass plus finalize.
 //
 // Output rows are independent of one another, so a combiner built by
-// NewCombinerFor allocates, folds and renormalizes only the rows its
+// NewCombinerFor leases, folds and renormalizes only the rows its
 // caller will read and leaves the others nil; the rows it does compute
 // are the ones NewCombiner would, bit for bit.
+//
+// The accumulators are leased from nn's scratch pool, each cut from one
+// slab (importance.Set.LeaseZeroClone), and the combiner sees them
+// through their whole life: Result or ResultPartial hands them to the
+// caller, and the next round's combiner takes them back when its Result
+// or ResultPartial is passed them as prev, so that the round after
+// leases the same storage again. A combiner abandoned before its result
+// gives them back at Release.
 type Combiner struct {
 	sim     [][]float64
 	n       int
 	rows    []int             // output rows computed, ascending
-	acc     []*importance.Set // nil outside rows
-	spare   []*importance.Set // dead sets the accumulators may reuse (Reuse)
+	acc     []*importance.Set // leased, nil outside rows; the caller's after a result
 	first   *importance.Set   // first set added: the shape every other must match
 	pending []*importance.Set // added but not yet folded
 	added   int               // positions handed to Add so far
@@ -157,30 +164,6 @@ func NewCombinerFor(sim [][]float64, read []bool) (*Combiner, error) {
 	return c, nil
 }
 
-// Reuse hands the combiner dead sets — a finished round's results that
-// nothing reads any more — to build its accumulators from instead of
-// allocating them: a spare shaped like the uploads is zeroed and taken,
-// one of another shape (or nil) is skipped. The combiner owns every
-// spare from here on, and its results may be spares. Call it before the
-// first Add.
-func (c *Combiner) Reuse(spares []*importance.Set) { c.spare = spares }
-
-// zeroed returns an accumulator shaped like ref: a spare, cleared, or a
-// fresh zero set when no spare fits.
-func (c *Combiner) zeroed(ref *importance.Set) *importance.Set {
-	for len(c.spare) > 0 {
-		s := c.spare[len(c.spare)-1]
-		c.spare = c.spare[:len(c.spare)-1]
-		if s != nil && shapeCheck(ref, s, 0) == nil {
-			for _, l := range s.Layers {
-				clear(l)
-			}
-			return s
-		}
-	}
-	return ref.ZeroClone()
-}
-
 // Added reports how many device positions have been handed to Add.
 func (c *Combiner) Added() int { return c.added }
 
@@ -205,9 +188,8 @@ func (c *Combiner) Add(pos int, set *importance.Set) error {
 		c.first = set
 		c.acc = make([]*importance.Set, c.n)
 		for _, i := range c.rows {
-			c.acc[i] = c.zeroed(set)
+			c.acc[i] = set.LeaseZeroClone()
 		}
-		c.spare = nil
 	} else if err := shapeCheck(c.first, set, pos); err != nil {
 		return err
 	}
@@ -300,12 +282,38 @@ func (c *Combiner) flush() {
 // convergence delta against prev (the previous round's combined sets) in
 // the same pass over the still-cache-hot accumulators, returning +Inf
 // when prev is nil or shaped differently (both mean "not converged").
+//
+// Result takes prev back: once the delta has read it, every leased set
+// in it is released, and the caller must not read prev again. A nil
+// prev, or sets that were never leased (decoded from a snapshot), are
+// only read. On error prev is left alone.
 func (c *Combiner) Result(prev []*importance.Set) ([]*importance.Set, float64, error) {
 	if c.added != c.n {
 		return nil, 0, fmt.Errorf("aggregate: only %d of %d sets added", c.added, c.n)
 	}
 	c.flush()
-	return c.acc, SetsDelta(prev, c.acc), nil
+	acc, delta := c.handOver(prev)
+	return acc, delta, nil
+}
+
+// handOver gives the accumulators to the caller with their convergence
+// delta against prev, then releases prev.
+func (c *Combiner) handOver(prev []*importance.Set) ([]*importance.Set, float64) {
+	acc, delta := c.acc, SetsDelta(prev, c.acc)
+	c.acc = nil
+	importance.ReleaseAll(prev)
+	return acc, delta
+}
+
+// Release gives back the accumulators of a combiner abandoned before its
+// result, such as by a gather that failed midway. Once Result or
+// ResultPartial has handed them over they are the caller's, and Release
+// does nothing, as it does on a nil combiner.
+func (c *Combiner) Release() {
+	if c != nil {
+		importance.ReleaseAll(c.acc)
+		c.acc = nil
+	}
 }
 
 // ResultPartial finalizes a quorum combine: the positions that never
@@ -317,7 +325,7 @@ func (c *Combiner) Result(prev []*importance.Set) ([]*importance.Set, float64, e
 // folded here, in ascending position order. present reports how many
 // positions contributed. A full combine should keep using Result — it
 // skips the renormalization pass entirely, so the no-cutoff path stays
-// bitwise identical to Combine.
+// bitwise identical to Combine. It takes prev back as Result does.
 func (c *Combiner) ResultPartial(prev []*importance.Set) ([]*importance.Set, int, float64, error) {
 	if c.added == 0 {
 		return nil, 0, 0, fmt.Errorf("aggregate: quorum combine with no sets folded")
@@ -351,7 +359,8 @@ func (c *Combiner) ResultPartial(prev []*importance.Set) ([]*importance.Set, int
 			}
 		}
 	})
-	return c.acc, present, SetsDelta(prev, c.acc), nil
+	acc, delta := c.handOver(prev)
+	return acc, present, delta, nil
 }
 
 // SetsDelta measures the mean relative L2 change between consecutive

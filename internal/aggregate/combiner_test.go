@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"acme/internal/importance"
+	"acme/internal/nn"
 )
 
 // sameBits is the oracle's equality: identical bit patterns, with any
@@ -264,61 +267,298 @@ func TestCombinerDeferredFoldKeepsAddChecks(t *testing.T) {
 	}
 }
 
-// TestCombinerReusesSpares: accumulators built on spares — a previous
-// round's results, dirty, some of another shape, some nil — come out
-// bit-identical to freshly allocated ones, full and partial, with every
-// fitting spare taken and no other.
+// TestCombinerReusesSpares: each round's accumulators are cut from the
+// storage the round before last gave back when its result came back to
+// the next combiner as prev. They start dirty, as that round's caller
+// left them, and still equal Combine's bit for bit, full and partial.
+// One lease per row is out between rounds, and none once the last
+// result is released.
 func TestCombinerReusesSpares(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	const n = 6
-	shape := []int{17, 5, 64}
-	sets := randomSets(rng, n, shape)
+	const n, rounds = 6, 5
 	sim := randomStochastic(rng, n)
-	want, err := Combine(sets, sim)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, partial := range []bool{false, true} {
-		spares := randomSets(rng, 4, shape)
-		spares = append(spares, nil, randomSets(rng, 1, []int{17, 5, 63})[0], randomSets(rng, 1, []int{17, 5})[0])
-		fits := map[*importance.Set]bool{}
-		for _, s := range spares[:4] {
-			fits[s] = true
+		lent := nn.Lent()
+		var prev []*importance.Set
+		storage := make([]map[*float64]bool, rounds)
+		for r := range rounds {
+			sets := randomSets(rng, n, []int{17, 5, 64})
+			comb, err := NewCombiner(sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			present := make([]bool, n)
+			for p := range sets {
+				if partial && p == r%n {
+					continue
+				}
+				present[p] = true
+				if err := comb.Add(p, sets[p]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			label := fmt.Sprintf("partial=%v round %d", partial, r)
+			var got []*importance.Set
+			if partial {
+				got, _, _, err = comb.ResultPartial(prev)
+				requireSameSets(t, label, partialOracle(t, sets, sim, present), got)
+			} else {
+				var want []*importance.Set
+				if want, err = Combine(sets, sim); err != nil {
+					t.Fatal(err)
+				}
+				got, _, err = comb.Result(prev)
+				requireSameSets(t, label, want, got)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := nn.Lent() - lent; d != n {
+				t.Fatalf("%s: %d leases out, want one per row (%d)", label, d, n)
+			}
+			storage[r] = map[*float64]bool{}
+			for _, s := range got {
+				storage[r][&s.Layers[0][0]] = true
+				for _, l := range s.Layers {
+					for k := range l {
+						l[k] = math.NaN()
+					}
+				}
+			}
+			if r >= 2 && !reflect.DeepEqual(storage[r], storage[r-2]) {
+				t.Errorf("%s: accumulators are not the storage round %d gave back", label, r-2)
+			}
+			prev = got
+		}
+		importance.ReleaseAll(prev)
+		if d := nn.Lent() - lent; d != 0 {
+			t.Errorf("partial=%v: %d leases out after the last result's release", partial, d)
+		}
+	}
+}
+
+// TestCombinerLoopStaysFlat plays ten rounds the way a caller with no
+// bookkeeping does, exchange-replay's loop in small: a fresh combiner
+// per round, every upload added, and the result taken with the round
+// before's result as prev, then read. nn.Lent() must stay flat (one
+// lease per computed row, every round) and every round must equal
+// Combine bit for bit: through Result, through ResultPartial with a few
+// positions missing, and through NewCombinerFor with a quarter of the
+// rows read and nil elsewhere.
+func TestCombinerLoopStaysFlat(t *testing.T) {
+	const n, rounds = 64, 10
+	for _, mode := range []string{"result", "partial", "rows"} {
+		t.Run(mode, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(22))
+			sim := randomStochastic(rng, n)
+			lent := nn.Lent()
+			var prev []*importance.Set
+			for r := range rounds {
+				sets := randomSets(rng, n, []int{1500, 3, 700})
+				present := make([]bool, n)
+				for p := range present {
+					present[p] = mode != "partial" || p%9 != r%9
+				}
+				var read []bool
+				rows := n
+				if mode == "rows" {
+					read, rows = make([]bool, n), n/4
+					for _, i := range rng.Perm(n)[:rows] {
+						read[i] = true
+					}
+				}
+				comb, err := NewCombinerFor(sim, read)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range rng.Perm(n) {
+					if present[p] {
+						if err := comb.Add(p, sets[p]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				var got, want []*importance.Set
+				if mode == "partial" {
+					got, _, _, err = comb.ResultPartial(prev)
+					want = partialOracle(t, sets, sim, present)
+				} else {
+					got, _, err = comb.Result(prev)
+					if err == nil {
+						want, err = Combine(sets, sim)
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("round %d", r)
+				if mode == "rows" {
+					requireMaskedRows(t, label, read, want, got)
+				} else {
+					requireSameSets(t, label, want, got)
+				}
+				if d := nn.Lent() - lent; d != rows {
+					t.Fatalf("%s: %d leases out, want %d", label, d, rows)
+				}
+				prev = got
+			}
+			importance.ReleaseAll(prev)
+			if d := nn.Lent() - lent; d != 0 {
+				t.Errorf("%d leases out after the last result's release", d)
+			}
+		})
+	}
+}
+
+// TestResultLeavesUnleasedPrev: a prev that was never leased, like the
+// sets a restored edge decodes from its snapshot, is only read: Result
+// and ResultPartial measure the delta against it and leave every value
+// and every lease count as it was.
+func TestResultLeavesUnleasedPrev(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 5
+	sim := randomStochastic(rng, n)
+	shape := []int{9, 30}
+	for _, partial := range []bool{false, true} {
+		prev := randomSets(rng, n, shape)
+		kept := make([]*importance.Set, n)
+		for i, s := range prev {
+			kept[i] = &importance.Set{Layers: make([][]float64, len(s.Layers))}
+			for l, row := range s.Layers {
+				kept[i].Layers[l] = slices.Clone(row)
+			}
 		}
 		comb, err := NewCombiner(sim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		comb.Reuse(spares)
-		present := make([]bool, n)
-		for p := range sets {
-			if partial && p == 2 {
-				continue
-			}
-			present[p] = true
-			if err := comb.Add(p, sets[p]); err != nil {
-				t.Fatal(err)
+		for p, s := range randomSets(rng, n, shape) {
+			if !partial || p != 1 {
+				if err := comb.Add(p, s); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		lent := nn.Lent()
 		var got []*importance.Set
+		var delta float64
 		if partial {
-			got, _, _, err = comb.ResultPartial(nil)
-			requireSameSets(t, "partial", partialOracle(t, sets, sim, present), got)
+			got, _, delta, err = comb.ResultPartial(prev)
 		} else {
-			got, _, err = comb.Result(nil)
-			requireSameSets(t, "full", want, got)
+			got, delta, err = comb.Result(prev)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused := 0
-		for _, s := range got {
-			if fits[s] {
-				reused++
+		if nn.Lent() != lent {
+			t.Errorf("partial=%v: the result moved nn.Lent() by %d", partial, nn.Lent()-lent)
+		}
+		requireSameSets(t, fmt.Sprintf("partial=%v prev", partial), kept, prev)
+		if want := SetsDelta(kept, got); delta != want {
+			t.Errorf("partial=%v: delta %v, want %v", partial, delta, want)
+		}
+		importance.ReleaseAll(got)
+	}
+}
+
+// TestCombinerReleaseGivesBackAbandoned: a combiner dropped before its
+// result (a gather that failed midway) gives its accumulators back at
+// Release; after a result, Release leaves the caller's sets alone, and
+// on a nil combiner it does nothing.
+func TestCombinerReleaseGivesBackAbandoned(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	sets := randomSets(rng, 6, []int{17, 5})
+	sim := randomStochastic(rng, 6)
+	lent := nn.Lent()
+	comb, err := NewCombiner(sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range 3 {
+		if err := comb.Add(p, sets[p]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := nn.Lent() - lent; d != 6 {
+		t.Fatalf("%d leases out mid-gather, want 6", d)
+	}
+	comb.Release()
+	comb.Release()
+	var none *Combiner
+	none.Release()
+	if d := nn.Lent() - lent; d != 0 {
+		t.Fatalf("%d leases out after the abandoned combiner's Release", d)
+	}
+
+	if comb, err = NewCombiner(sim); err != nil {
+		t.Fatal(err)
+	}
+	for p, s := range sets {
+		if err := comb.Add(p, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _, err := comb.Result(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Combine(sets, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comb.Release()
+	requireSameSets(t, "after Release", want, got)
+	if d := nn.Lent() - lent; d != 6 {
+		t.Fatalf("%d leases out after a result's Release, want the result's 6", d)
+	}
+	importance.ReleaseAll(got)
+}
+
+// warmRoundAllocs is what a warm round of TestCombinerWarmRoundAllocates
+// allocates at GOMAXPROCS 1: the combiner, its row and pending lists and
+// its bound fold (4), its accumulator list (1), and SetsDelta's parts
+// and their closure (2). No accumulator is among them: each one's slab
+// and header come back from the round before last through Result.
+const warmRoundAllocs = 7
+
+// TestCombinerWarmRoundAllocates: once the pool holds a round's
+// accumulators, a round of 64 uploads — a fresh combiner, the adds and
+// the result against the round before's — allocates warmRoundAllocs
+// objects.
+func TestCombinerWarmRoundAllocates(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("-race allocates on its own")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(25))
+	const n = 64
+	sets := randomSets(rng, n, []int{1500, 3, 700})
+	sim := randomStochastic(rng, n)
+	var prev []*importance.Set
+	var err error
+	round := func() {
+		comb, e := NewCombiner(sim)
+		if e == nil {
+			for p, s := range sets {
+				if e = comb.Add(p, s); e != nil {
+					break
+				}
 			}
 		}
-		if reused != len(fits) {
-			t.Errorf("partial=%v: %d of %d fitting spares reused", partial, reused, len(fits))
+		if e == nil {
+			prev, _, e = comb.Result(prev)
 		}
+		if e != nil {
+			err = e
+		}
+	}
+	round()
+	allocs := testing.AllocsPerRun(10, round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	importance.ReleaseAll(prev)
+	if allocs != warmRoundAllocs {
+		t.Errorf("%v allocations per warm round, want %d", allocs, warmRoundAllocs)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -75,16 +76,39 @@ func (f *deviceRoundFixture) play() error {
 }
 
 // steadyRoundAllocs bounds the objects a warm round of the fixture's
-// 19 844-parameter header allocates: 22 on the dense wire and 31–32 on
-// delta records in the mixed lanes when it was set. They are the
-// minibatch orders, optimizer and pass of the two training calls, the
-// set, record and lane lists of the exchange, the boxing of its frame,
-// and the one block (mask and changed elements) a layer that travels
-// as a sparse delta owns. None is per parameter: the importance sum
-// and average, the packed round, both delta shadows, the decoded
+// 19 844-parameter header allocates: 22 on the dense wire and 31 on
+// delta records in the mixed lanes (32 now and then: the runtime
+// extends a type assertion's cache at random, about one call in 1 024).
+// They are the minibatch orders, optimizer and pass of the two training
+// calls, the set, record and lane lists of the exchange, the boxing of
+// its frame, and the one block (mask and changed elements) a layer that
+// travels as a sparse delta owns. None is per parameter: the importance
+// sum and average, the packed round, both delta shadows, the decoded
 // downlink and ApplyImportance's ranking are borrowed or patched in
 // place.
 const steadyRoundAllocs = 32
+
+// settle takes what the pools' history decides out of the measured
+// rounds. The delta upload's frame changes size class with its density,
+// and whether wire's pool still held an idle Buffer of the class a
+// measured round needed depended on when the collector had last run: a
+// miss cost the round a Buffer and its bytes, and read 33 on a loaded
+// box. So settle collects first, which puts the next cycle far past
+// five rounds, and then leaves two idle Buffers of every class up to a
+// dense frame on the one P that testing.AllocsPerRun measures on.
+func (f *deviceRoundFixture) settle() {
+	n := 4096
+	for _, p := range f.d.header.Params() {
+		n += 4 * p.NumParams()
+	}
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for size := 256; size <= n; size += size / 16 {
+		a, b := wire.Lease(size), wire.Lease(size)
+		a.Release()
+		b.Release()
+	}
+}
 
 // TestSteadyDeviceRoundAllocates: after warm-up, a device round
 // (prepareUpload → apply) allocates at most steadyRoundAllocs objects,
@@ -104,6 +128,7 @@ func TestSteadyDeviceRoundAllocates(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f := newDeviceRoundFixture(t, pkg, c.wo)
+			f.settle()
 			var err error
 			allocs := testing.AllocsPerRun(5, func() {
 				if e := f.play(); e != nil {

@@ -305,11 +305,8 @@ type edgeState struct {
 	sim [][]float64
 
 	loopState
-	// invited marks the round's sampled invitees; spare is dead sets the
-	// next round's combiner builds its accumulators on
-	// (aggregate.Combiner.Reuse).
+	// invited marks the round's sampled invitees.
 	invited []bool
-	spare   []*importance.Set
 
 	sampling bool
 	sampler  fleet.Sampler
@@ -454,12 +451,15 @@ func (st *edgeState) resetChains(p int) {
 	}
 }
 
-// releaseChains restarts every delta chain cold, which gives back the
-// storage of every shadow: the loop is over.
-func (st *edgeState) releaseChains() {
+// release gives back what the loop state leases once the loop is over:
+// every delta chain restarts cold, which frees every shadow, and the
+// monitor's last combined sets go back to the pool.
+func (st *edgeState) release() {
 	for p := range st.shadows {
 		st.resetChains(p)
 	}
+	importance.ReleaseAll(st.prev)
+	st.prev = nil
 }
 
 // depart drops position p from the remaining rounds and from the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"acme/internal/aggregate"
+	"acme/internal/importance"
 	"acme/internal/transport"
 	"acme/internal/wire"
 )
@@ -14,11 +15,11 @@ import (
 // BenchmarkEdgeFold times the edge's side of Phase 2-2 rounds through
 // edgeRound.fold and combine: 12 devices' uploads of a 12-layer header
 // set (uploadLayerSizes) decoded into the round's leased rows and folded
-// into accumulators built on the previous round's results, then the
-// combine. One op is one round of a 4-round loop; /dense ships
-// ImportanceUploads, /delta DeltaUploads (QuantMixed lanes) against the
-// round before. B/op is what a round allocates once the arena's block,
-// the pool's slabs and the spares are warm.
+// into leased accumulators, then the combine, whose sets go back to the
+// pool as the edge's run gives them back. One op is one round of a
+// 4-round loop; /dense ships ImportanceUploads, /delta DeltaUploads
+// (QuantMixed lanes) against the round before. B/op is what a round
+// allocates once the arena's block and the pool's slabs are warm.
 func BenchmarkEdgeFold(b *testing.B) {
 	const devices, rounds = 12, 4
 	for _, wo := range []struct {
@@ -50,12 +51,10 @@ func BenchmarkEdgeFold(b *testing.B) {
 					clear(st.shadows)
 				}
 				r := &edgeRound{edgeState: st, t: t, folded: make([]bool, devices)}
-				comb, err := aggregate.NewCombinerFor(st.sim, nil)
-				if err != nil {
+				var err error
+				if r.comb, err = aggregate.NewCombinerFor(st.sim, nil); err != nil {
 					b.Fatal(err)
 				}
-				comb.Reuse(st.spare)
-				r.comb, st.spare = comb, nil
 				for _, msg := range msgs[t] {
 					if err := r.fold(msg); err != nil {
 						b.Fatal(err)
@@ -65,7 +64,7 @@ func BenchmarkEdgeFold(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				st.spare = combined
+				importance.ReleaseAll(combined)
 				r.rows.Release()
 			}
 		})

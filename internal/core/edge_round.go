@@ -42,7 +42,7 @@ type edgeRound struct {
 // writer: a round hands it an encoded snapshot and keeps going; the
 // write (and its fsync, if configured) happens off the critical path.
 func (s *System) edgeRounds(ctx context.Context, st *edgeState) (err error) {
-	defer st.releaseChains()
+	defer st.release()
 	var writer *snapshotWriter
 	if s.Cfg.Checkpoint.Enabled() {
 		if writer, err = newSnapshotWriter(s.CheckpointFile(st.name), s.Cfg.Checkpoint.Fsync); err != nil {
@@ -93,7 +93,8 @@ func (r *edgeRound) checkpoint(writer *snapshotWriter) error {
 // run plays the round from invite to cutoff notices and reports
 // whether it was the loop's last.
 func (r *edgeRound) run(ctx context.Context) (done bool, err error) {
-	defer r.rows.Release()
+	// A gather that failed midway abandons its combiner's leases.
+	defer func() { r.rows.Release(); r.comb.Release() }()
 	expect, epoch := r.invite()
 	if r.sampling && len(expect) == 0 {
 		// Every sampled member churned before its invite landed:
@@ -127,8 +128,8 @@ func (r *edgeRound) run(ctx context.Context) (done bool, err error) {
 	r.rs.DownlinkNS = time.Since(busy).Nanoseconds()
 	if !r.monitor {
 		// Every downlink is encoded: nothing reads the round's sets
-		// any more, and the next round's combiner builds on them.
-		r.spare = combined
+		// any more, and the next round's combiner leases them again.
+		importance.ReleaseAll(combined)
 	}
 	return done, nil
 }
@@ -212,8 +213,6 @@ func (r *edgeRound) gather(ctx context.Context, expect []string, epoch uint64) e
 	if r.comb, err = aggregate.NewCombinerFor(r.sim, read); err != nil {
 		return err
 	}
-	r.comb.Reuse(r.spare)
-	r.spare = nil
 	spec := transport.GatherSpec{
 		Round:  r.t,
 		Kinds:  edgeProtocol.round.kinds(),
@@ -425,7 +424,7 @@ func (r *edgeRound) screen() error {
 func (r *edgeRound) combine() (combined []*importance.Set, done bool, err error) {
 	// The fused convergence pass only runs when convergence checking
 	// is on: r.prev stays nil otherwise, which short-circuits
-	// SetsDelta to +Inf.
+	// SetsDelta to +Inf. The result gives r.prev back to the pool.
 	busy := time.Now()
 	var delta float64
 	if r.comb.Added() == len(r.order) {
@@ -450,11 +449,10 @@ func (r *edgeRound) combine() (combined []*importance.Set, done bool, err error)
 		done = true
 	}
 	if r.monitor {
-		// The monitor is r.prev's only reader; without it the round's
-		// accumulators are spares once the downlinks are sent (run),
-		// and a snapshot has no sets to carry. With it, the sets the
-		// result just compared against are the spares.
-		r.spare, r.prev = r.prev, combined
+		// The monitor is r.prev's only reader; without it run releases
+		// the round's sets once the downlinks are sent, and a snapshot
+		// has no sets to carry.
+		r.prev = combined
 	}
 	return combined, done, nil
 }

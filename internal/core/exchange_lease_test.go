@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,11 +20,12 @@ import (
 )
 
 // TestExchangeLeasesComeBack: after Run, every row the Phase 2-2
-// exchange leased — the edge's decoded uploads and downlink wire copies,
-// the devices' averaged sets, wire copies and decoded downlinks — is
-// back in the pool, whichever path the rounds took. The convergence
-// monitor changes which dead sets the combiner reuses (the round
-// before's, or the one before that) but not what it computes: with an
+// exchange leased — the edge's decoded uploads, combiner accumulators
+// and downlink wire copies, the devices' averaged sets, wire copies and
+// decoded downlinks — is back in the pool, whichever path the rounds
+// took, a run cancelled mid-gather included. The convergence monitor
+// changes how long the combined sets are kept (to the next round's
+// result, or to the downlinks) but not what is computed: with an
 // epsilon nothing reaches, the reports equal the unmonitored run's.
 func TestExchangeLeasesComeBack(t *testing.T) {
 	cases := []struct {
@@ -35,6 +37,7 @@ func TestExchangeLeasesComeBack(t *testing.T) {
 		{"delta-mixed", func(c *Config) { c.Wire.Quantization = QuantMixed }},
 		{"sampled", func(c *Config) { c.Fleet.SampleFrac = 0.5 }},
 		{"detect", func(c *Config) { c.Fleet.Detect = DetectOptions{Enabled: true} }},
+		{"cancelled", func(c *Config) { c.ConvergenceEpsilon = 1e-300 }},
 	}
 	reports := map[string][]DeviceReport{}
 	for _, c := range cases {
@@ -48,19 +51,49 @@ func TestExchangeLeasesComeBack(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 			defer cancel()
+			if c.name == "cancelled" {
+				// The run ends the moment edge-0 receives its second
+				// upload of round 2: its combiner holds leased
+				// accumulators and its monitor the sets of round 1.
+				sys.Net = &cancelOnUpload{Network: sys.Net, edge: edgeName(0), round: 2, cancel: cancel}
+			}
 			res, err := sys.Run(ctx)
-			if err != nil {
+			if c.name == "cancelled" {
+				if err == nil {
+					t.Fatal("a run cancelled mid-gather returned no error")
+				}
+			} else if err != nil {
 				t.Fatal(err)
 			}
 			if n := nn.Lent(); n != 0 {
 				t.Errorf("%d slabs still lent after Run", n)
 			}
-			reports[c.name] = res.Reports
+			if res != nil {
+				reports[c.name] = res.Reports
+			}
 		})
 	}
 	if !reflect.DeepEqual(reports["monitor"], reports["dense"]) {
 		t.Errorf("monitored run reports %+v, unmonitored %+v", reports["monitor"], reports["dense"])
 	}
+}
+
+// cancelOnUpload is a Network that cancels the run when edge receives
+// its second importance upload of round.
+type cancelOnUpload struct {
+	transport.Network
+	edge   string
+	round  int
+	cancel context.CancelFunc
+	seen   atomic.Int32
+}
+
+func (n *cancelOnUpload) Recv(ctx context.Context, node string) (transport.Message, error) {
+	msg, err := n.Network.Recv(ctx, node)
+	if err == nil && node == n.edge && msg.Round == n.round && msg.Kind == transport.KindImportanceSet && n.seen.Add(1) == 2 {
+		n.cancel()
+	}
+	return msg, err
 }
 
 // exchangeDevice is one device's side of the Phase 2-2 exchange, with

@@ -89,6 +89,7 @@ func TestEdgeSnapshotRoundTripsLoopState(t *testing.T) {
 		return sys.newEdgeState(0, transport.NewSession(edgeName(0), sys.Net), HeaderPackage{}, aggregate.UniformMatrix(n))
 	}
 	st := newEdge()
+	defer st.release()
 	genesis := make(map[string]int, n)
 	for p, name := range st.nameByPos {
 		genesis[name] = st.idByPos[p]

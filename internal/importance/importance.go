@@ -7,6 +7,7 @@ package importance
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"acme/internal/data"
 	"acme/internal/nn"
@@ -46,6 +47,9 @@ func AccumulateBackbone(c *nn.BackboneClassifier, ds *data.Dataset, maxSamples i
 type Set struct {
 	// Layers[i] holds the importances of the i-th parameter tensor.
 	Layers [][]float64
+	// slab is the storage of a leased set (LeaseZeroClone), zero for
+	// any other.
+	slab nn.Slab
 }
 
 // NewSet allocates a zeroed set shaped like m's parameters.
@@ -85,6 +89,50 @@ func slabSet(n int, size func(i int) int) *Set {
 // ZeroClone returns a zeroed set with the same shape as s.
 func (s *Set) ZeroClone() *Set {
 	return slabSet(len(s.Layers), func(i int) int { return len(s.Layers[i]) })
+}
+
+// LeaseZeroClone is ZeroClone with storage from nn's scratch pool: every
+// layer is cut from one slab, which Release gives back. The header is
+// the one the slab's last set left with it, so a steady round of leases
+// allocates nothing.
+func (s *Set) LeaseZeroClone() *Set {
+	total := 0
+	for _, l := range s.Layers {
+		total += len(l)
+	}
+	slab, rows, kept := nn.BorrowSlab(total)
+	z, _ := kept.(*Set)
+	if z == nil {
+		z = new(Set)
+	}
+	z.slab = slab
+	z.Layers = slices.Grow(z.Layers[:0], len(s.Layers))[:len(s.Layers)]
+	for i, l := range s.Layers {
+		k := len(l)
+		z.Layers[i], rows = rows[:k:k], rows[k:]
+	}
+	return z
+}
+
+// Release gives a leased set's storage back to nn's pool, and its header
+// with it for the slab's next lease, so that neither may be touched
+// again. It does nothing on a nil or unleased set (built by NewSet,
+// ZeroClone or a decode), and nothing on one it just released: a set is
+// never given back twice.
+func (s *Set) Release() {
+	if s == nil || s.slab == (nn.Slab{}) {
+		return
+	}
+	clear(s.Layers)
+	s.Layers = s.Layers[:0]
+	s.slab.Release(s)
+}
+
+// ReleaseAll releases every set of sets (Release).
+func ReleaseAll(sets []*Set) {
+	for _, s := range sets {
+		s.Release()
+	}
 }
 
 // Scale multiplies every entry by f.

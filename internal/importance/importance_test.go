@@ -198,3 +198,57 @@ func TestSetIsOneSlab(t *testing.T) {
 		}
 	}
 }
+
+// TestLeasedSetGivesBackOnce: a leased set is zero, shaped like its
+// source and cut capacity-clamped from one slab; Release gives that slab
+// back with the header, which the slab's next lease takes again, zeroed;
+// a second Release does nothing, and neither a nil set nor an unleased
+// one (ZeroClone, a decoded literal) is touched.
+func TestLeasedSetGivesBackOnce(t *testing.T) {
+	src := &Set{Layers: [][]float64{{1, 2, 3}, {4}, {5, 6, 7, 8, 9}}}
+	lent := nn.Lent()
+	s := src.LeaseZeroClone()
+	if d := nn.Lent() - lent; d != 1 {
+		t.Fatalf("a leased set holds %d slabs, want 1", d)
+	}
+	for i, l := range s.Layers {
+		if len(l) != len(src.Layers[i]) || cap(l) != len(l) {
+			t.Fatalf("layer %d has length %d and capacity %d, want %d", i, len(l), cap(l), len(src.Layers[i]))
+		}
+		for j, v := range l {
+			if v != 0 {
+				t.Fatalf("layer %d[%d] = %v, want 0", i, j, v)
+			}
+			l[j] = math.NaN()
+		}
+	}
+	s.Release()
+	s.Release()
+	if d := nn.Lent() - lent; d != 0 {
+		t.Fatalf("%d slabs out after two Releases, want 0", d)
+	}
+	again := src.LeaseZeroClone()
+	if again != s {
+		t.Error("a lease of given-back storage did not take the header left with it")
+	}
+	for i, l := range again.Layers {
+		for j, v := range l {
+			if v != 0 {
+				t.Fatalf("a lease of given-back storage has layer %d[%d] = %v", i, j, v)
+			}
+		}
+	}
+	again.Release()
+	var none *Set
+	none.Release()
+	for name, u := range map[string]*Set{"ZeroClone": src.ZeroClone(), "literal": src} {
+		before := len(u.Layers)
+		u.Release()
+		if len(u.Layers) != before || nn.Lent() != lent {
+			t.Errorf("Release touched an unleased %s set", name)
+		}
+	}
+	if src.Layers[2][4] != 9 {
+		t.Error("Release changed an unleased set's values")
+	}
+}

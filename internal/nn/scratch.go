@@ -10,12 +10,12 @@ import (
 // The scratch pool lends the working memory of one call — a Pass's
 // record stacks and logits gradient, a BorrowAdam's moments, the
 // gradients of BorrowGrads, the layer buffers of a Scratch — and of one
-// round of the importance exchange (a Lease's rows), and takes it back
-// when the call or round ends, so that the next one, on this goroutine
-// or another, reuses it instead of allocating, and a model between
-// calls holds only its weights. Lent counts the slabs that are out:
-// every call that borrows gives everything back before it returns,
-// errors included.
+// round of the importance exchange (a Lease's rows, a Slab per combiner
+// accumulator), and takes it back when the call or round ends, so that
+// the next one, on this goroutine or another, reuses it instead of
+// allocating, and a model between calls holds only its weights. Lent
+// counts the slabs that are out: every call that borrows gives
+// everything back before it returns, errors included.
 //
 // Idle slabs wait in free lists by element type and length, up to
 // idleCap bytes in all; one given back past that is left to the
@@ -28,6 +28,7 @@ import (
 type slab struct {
 	data []float64
 	f32  []float32
+	kept any // what its last Slab holder left with it (Slab.Release)
 }
 
 // slabKey names a free list: the element type and the length.
@@ -177,6 +178,36 @@ func (l *Lease) Release() {
 	}
 	clear(l.chunks)
 	l.chunks, l.f64, l.f32 = l.chunks[:0], nil, nil
+}
+
+// A Slab is one float64 slab lent on its own rather than for one call
+// or round: whoever reads it last gives it back, as the round after a
+// combine does with the combiner's accumulators (importance.Set). Its
+// holder may leave a value with it at Release, and the slab's next
+// borrower gets that value back: an importance.Set leaves its header,
+// which so lives as long as the idle slab, collections or not. The zero
+// Slab holds nothing.
+type Slab struct{ s *slab }
+
+// BorrowSlab lends n zeroed float64s, and the value the slab's last
+// holder left with it (nil if none).
+func BorrowSlab(n int) (Slab, []float64, any) {
+	s := borrowZeroed(n)
+	kept := s.kept
+	s.kept = nil
+	return Slab{s}, s.data, kept
+}
+
+// Release gives the slab back with kept for its next borrower and leaves
+// b zero first, so that releasing it again does nothing and b may be
+// part of kept; the storage must not be touched again.
+func (b *Slab) Release(kept any) {
+	s := b.s
+	b.s = nil
+	if s != nil {
+		s.kept = kept
+	}
+	giveBack(s)
 }
 
 // GradLease is the gradient storage BorrowGrads lent one call.
