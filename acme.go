@@ -61,16 +61,6 @@ type FleetOptions = core.FleetOptions
 // importance uploads with a seeded strategy.
 type ByzantineOptions = core.ByzantineOptions
 
-// DetectOptions arms the edge-side statistical screen against
-// Byzantine uploads (Config.Fleet.Detect): Wasserstein anomaly
-// scoring, suspect exclusion, and strike-limit eviction.
-type DetectOptions = core.DetectOptions
-
-// ChaosOptions wraps the run's in-memory transport in the seeded
-// link-fault model (Config.Chaos): per-pair delays, jitter, spikes,
-// and bandwidth serialization — timing only, never payloads.
-type ChaosOptions = core.ChaosOptions
-
 // CheckpointOptions arms durable checkpoint/restore of mid-flight
 // sessions (Config.Checkpoint): versioned, CRC-guarded snapshots at
 // round boundaries, restored with System.ResumeRole.

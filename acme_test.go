@@ -51,7 +51,9 @@ func TestRunReleasesEveryFrame(t *testing.T) {
 	for _, chaos := range []bool{false, true} {
 		t.Run(fmt.Sprintf("chaos=%v", chaos), func(t *testing.T) {
 			cfg := smallConfig()
-			cfg.Chaos = ChaosOptions{Enabled: chaos, BaseDelay: time.Millisecond, Jitter: time.Millisecond}
+			if chaos {
+				cfg.Chaos = "default"
+			}
 			start := wire.Leased()
 			if _, err := Run(ctx, cfg); err != nil {
 				t.Fatal(err)

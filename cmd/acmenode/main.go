@@ -68,14 +68,14 @@ func run() error {
 		return err
 	}
 	var net transport.Transport = tcpNet
-	if cfg.Chaos.Enabled {
+	if link := core.ChaosLinks[cfg.Chaos]; link != (chaos.Profile{}) {
 		// Per-node link chaos over the real TCP transport: this node's
 		// sends are delayed per the seeded schedule; nodes without the
 		// flag interoperate untouched. Config.Chaos itself wraps the
 		// in-memory transport, which this process never uses, so it is
 		// cleared once the profile is taken.
-		net = chaos.New(tcpNet, chaos.Options{Seed: cfg.Seed, Default: cfg.Chaos.Profile()})
-		cfg.Chaos = acme.ChaosOptions{}
+		net = chaos.New(tcpNet, chaos.Options{Seed: cfg.Seed, Default: link})
+		cfg.Chaos = ""
 	}
 	defer net.Close()
 

@@ -15,8 +15,9 @@
 // and must not move.
 //
 // Both binaries are built under dir (git-ignored .perfpairs/), the base
-// from `git archive BASE`, with the Go build cache there too, so a run
-// writes nothing else in the checkout and nothing outside it.
+// from `git archive BASE` in a tree deleted once it is built, with the
+// Go build cache there too, so a run writes nothing else in the
+// checkout and nothing outside it.
 //
 //	perfpairs -base HEAD~1                       all four workloads, 10 pairs, PERF.json
 //	perfpairs -base c69b549 -workloads fleet-sampled -pairs 10 -first 11 -out PERF_36.json
@@ -209,7 +210,9 @@ func git(args ...string) (string, error) {
 }
 
 // build extracts the base revision under dir and builds bench/ there
-// and in the working tree, returning the two binaries.
+// and in the working tree, returning the two binaries. The extracted
+// tree goes once the binaries are built; the build and module caches
+// under dir stay for the next run.
 func build(dir, rev string) (baseBin, changeBin string, err error) {
 	tree := filepath.Join(dir, "base-"+rev[:12])
 	if err := os.RemoveAll(tree); err != nil {
@@ -218,6 +221,7 @@ func build(dir, rev string) (baseBin, changeBin string, err error) {
 	if err := os.MkdirAll(tree, 0o755); err != nil {
 		return "", "", err
 	}
+	defer func() { err = errors.Join(err, os.RemoveAll(tree)) }()
 	archive := exec.Command("git", "archive", rev)
 	untar := exec.Command("tar", "-x", "-C", tree)
 	if untar.Stdin, err = archive.StdoutPipe(); err != nil {

@@ -6,8 +6,8 @@ package chaos
 // uploaded importance values (downsampled to a fixed budget) are
 // compared against the pooled values of every other device in the
 // round; a device whose distribution sits far outside the cluster's —
-// past a robust median + K·MAD threshold — is flagged, and repeat
-// offenders cross the strike limit into eviction.
+// past a robust median + OutlierK·MAD threshold — is flagged, and
+// repeat offenders cross the strike limit into eviction.
 
 import (
 	"sort"
@@ -19,14 +19,6 @@ import (
 // repeat offenders. It is not safe for concurrent use; each edge owns
 // one.
 type Detector struct {
-	// K is the MAD multiplier in the outlier threshold
-	// median·(1+margin) + K·MAD. Zero selects the default of 3.
-	K float64
-	// Margin is the relative slack on the median, guarding against a
-	// near-zero MAD when honest uploads are nearly identical. Zero
-	// selects the default of 0.5.
-	Margin float64
-
 	strikes map[int]int
 	evicted map[int]bool
 	// prev keeps each device's previous-round sample, the reference the
@@ -37,6 +29,17 @@ type Detector struct {
 const (
 	// StrikeLimit is how many flagged rounds evict a device.
 	StrikeLimit = 2
+	// OutlierK is the MAD multiplier in the outlier threshold
+	// median·(1+OutlierMargin) + OutlierK·MAD.
+	OutlierK = 4
+	// OutlierMargin is the relative slack on the median, guarding
+	// against a near-zero MAD when honest uploads are nearly identical.
+	// It is wide because with two of six devices lying, the liars
+	// contaminate every honest device's pooled comparison set, which
+	// inflates honest scores: at 1.0 the false-positive rate stays at
+	// the floor while inflate and fabricate scores still clear the cut
+	// by a wide multiple.
+	OutlierMargin = 1.0
 	// sampleValues bounds the per-device sample the distance runs on.
 	sampleValues = 512
 	// replayFrac is the replay cut on the cross-round self-distance: a
@@ -72,20 +75,6 @@ type Verdict struct {
 	// Evicted lists the devices whose strike count crossed the limit
 	// this round, ascending. Each device is reported at most once.
 	Evicted []int
-}
-
-func (d *Detector) k() float64 {
-	if d.K <= 0 {
-		return 3
-	}
-	return d.K
-}
-
-func (d *Detector) margin() float64 {
-	if d.Margin <= 0 {
-		return 0.5
-	}
-	return d.Margin
 }
 
 // Downsample flattens layers into at most max values with a
@@ -187,7 +176,7 @@ func (d *Detector) Inspect(samples map[int][]float64) Verdict {
 		}
 	}
 	mad := median(dev)
-	v.Threshold = m*(1+d.margin()) + d.k()*mad
+	v.Threshold = m*(1+OutlierMargin) + OutlierK*mad
 	flagged := make(map[int]bool)
 	for _, id := range ids {
 		if v.Scores[id] > v.Threshold {

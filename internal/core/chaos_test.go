@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func byzantineConfig() Config {
 	cfg.Fleet.Spec.DevicesPerCluster = 3
 	cfg.Phase2Rounds = 4
 	cfg.Fleet.Byzantine = ByzantineOptions{Strategy: "inflate", Count: 1, Prob: 1}
-	cfg.Fleet.Detect = DetectOptions{Enabled: true}
+	cfg.Fleet.Detect = true
 	return cfg
 }
 
@@ -216,13 +217,40 @@ func TestByzantineConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative byzantine count accepted")
 	}
+	// Config.Chaos names a ChaosLinks entry or nothing, and a straggler
+	// delay needs a cluster with a peer that can carry the round
+	// without the straggler.
 	cfg.Fleet.Byzantine = ByzantineOptions{}
-	cfg.Chaos = ChaosOptions{Enabled: true, Jitter: -time.Millisecond}
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative chaos jitter accepted")
+	for _, link := range []string{"", "ideal", "default", "harsh"} {
+		cfg.Chaos = link
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("chaos link %q rejected: %v", link, err)
+		}
 	}
-	cfg.Chaos = ChaosOptions{Enabled: true, Jitter: time.Millisecond, SpikeProb: 0.1, SpikeDelay: 2 * time.Millisecond}
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("valid chaos config rejected: %v", err)
+	cfg.Chaos = "lossy"
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), `unknown chaos link "lossy"`) {
+		t.Errorf("unknown chaos link: %v", err)
+	}
+
+	cfg = tinyConfig()
+	cfg.Straggler.SlowDeviceDelay = 30 * time.Millisecond
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, edge := sys.Straggler(); edge < 0 || sys.Devices()[sys.Clusters()[edge][0]].ID != id {
+		t.Errorf("straggler device %d of edge %d is not its cluster's first", id, edge)
+	}
+	cfg.Fleet.Spec.DevicesPerCluster = 1 // two edges, one device each
+	if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "cluster of ≥2 devices") {
+		t.Errorf("straggler delay on one-device clusters: %v", err)
+	}
+	cfg.Straggler.SlowDeviceDelay = 0
+	sys, err = NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, edge := sys.Straggler(); id != -1 || edge != -1 {
+		t.Errorf("one-device clusters name straggler %d of edge %d, want none", id, edge)
 	}
 }

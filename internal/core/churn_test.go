@@ -8,25 +8,19 @@ import (
 	"acme/internal/transport"
 )
 
-// slowDeviceInLargestCluster picks a device from the largest cluster of
-// cfg's deterministic fleet, so the straggler quorum can always be met
-// by its cluster peers.
+// slowDeviceInLargestCluster is the straggler NewSystem picks from
+// cfg's deterministic fleet: a device of the largest cluster, so the
+// straggler quorum can always be met by its cluster peers.
 func slowDeviceInLargestCluster(t *testing.T, cfg Config) (deviceID, edgeID int) {
 	t.Helper()
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := -1
-	for e, members := range sys.Clusters() {
-		if len(members) >= 2 && (best < 0 || len(members) > len(sys.Clusters()[best])) {
-			best = e
-		}
-	}
-	if best < 0 {
+	if deviceID, edgeID = sys.Straggler(); edgeID < 0 {
 		t.Fatal("no cluster with ≥2 devices; cutoff cannot trigger")
 	}
-	return sys.Devices()[sys.Clusters()[best][0]].ID, best
+	return deviceID, edgeID
 }
 
 // TestStragglerCutoffMemory: with one artificially slowed device and
@@ -39,8 +33,7 @@ func TestStragglerCutoffMemory(t *testing.T) {
 	base := tinyConfig()
 	base.Phase2Rounds = 3
 	base.Wire.DeltaImportance = true // the cutoff must keep the delta shadows coherent
-	slowID, slowEdge := slowDeviceInLargestCluster(t, base)
-	base.Straggler.SlowDeviceID = slowID
+	_, slowEdge := slowDeviceInLargestCluster(t, base)
 	base.Straggler.SlowDeviceDelay = 300 * time.Millisecond
 
 	gatherWall := func(res *Result) (slow time.Duration) {
@@ -181,27 +174,23 @@ func TestChurnRejoinTCPNoCutoff(t *testing.T) {
 func runChurnRejoinTCP(t *testing.T, cfg Config) {
 	t.Helper()
 
+	// Pace the run with the injected straggler: every round then
+	// outlasts a restart by far, so the rejoin lands early enough to
+	// leave the reborn device its dense round and delta rounds after
+	// it. An unpaced cluster can finish its loop before the RESYNC
+	// arrives, leaving the rejoiner nothing to play or no one to answer
+	// it. The victim is a cluster peer of the straggler, so the quorum
+	// can be met while it is gone.
+	cfg.Straggler.SlowDeviceDelay = 100 * time.Millisecond
 	probe, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The victim must sit in a cluster with ≥2 devices so the quorum
-	// can be met while it is gone.
-	victimID, victimEdge := slowDeviceInLargestCluster(t, cfg)
+	slowID, slowEdge := probe.Straggler()
 	victim := ""
-	for _, di := range probe.Clusters()[victimEdge] {
-		if probe.Devices()[di].ID == victimID {
+	for _, di := range probe.Clusters()[slowEdge] {
+		if probe.Devices()[di].ID != slowID {
 			victim = probe.Devices()[di].Name()
-		} else {
-			// Pace the run with a cluster peer as the injected
-			// straggler: every round then outlasts a restart by far,
-			// so the rejoin lands early enough to leave the reborn
-			// device its dense round and delta rounds after it. An
-			// unpaced cluster can finish its loop before the RESYNC
-			// arrives, leaving the rejoiner nothing to play or no
-			// one to answer it.
-			cfg.Straggler.SlowDeviceID = probe.Devices()[di].ID
-			cfg.Straggler.SlowDeviceDelay = 100 * time.Millisecond
 		}
 	}
 	roles := probe.RoleNames()

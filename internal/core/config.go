@@ -105,10 +105,10 @@ type StragglerPolicy struct {
 	Quorum   float64
 	Deadline time.Duration
 	// SlowDeviceDelay artificially delays one device's importance
-	// upload by this much every round (the device whose ID is
-	// SlowDeviceID) — a deterministic straggler for benchmarks and
-	// cutoff tests. 0 disables the injection.
-	SlowDeviceID    int
+	// upload by this much every round — a deterministic straggler for
+	// benchmarks and cutoff tests. The device is the one
+	// System.Straggler names: the first of the largest cluster, so a
+	// quorum can still combine without it. 0 disables the injection.
 	SlowDeviceDelay time.Duration
 }
 
@@ -168,22 +168,6 @@ func (b ByzantineOptions) Validate() error {
 	return nil
 }
 
-// DetectOptions enables edge-side statistical detection of Byzantine
-// uploads: each round the edge scores every device's upload by its
-// Wasserstein distance to the pooled uploads of the rest of the
-// cluster, excludes outliers from the similarity-weighted combine
-// (ResultPartial renormalizes over the devices that remain), and
-// evicts a device flagged in chaos.StrikeLimit rounds through the fleet
-// registry (MEMBER-GONE).
-type DetectOptions struct {
-	Enabled bool
-	// K is the MAD multiplier in the outlier threshold (0 = chaos
-	// default of 3).
-	K float64
-	// Margin is the relative slack on the score median (0 = default 0.5).
-	Margin float64
-}
-
 // FleetOptions groups the fleet topology and the per-round
 // participation sampling that makes large fleets affordable: each
 // Phase 2-2 round invites only a sampled subset of the live membership,
@@ -206,9 +190,16 @@ type FleetOptions struct {
 	// data is no longer per-device unique within a group, so it is a
 	// simulation-scaling knob, not a protocol change.
 	SharedShards bool
-	// Byzantine injects lying devices; Detect is the edge-side defense.
+	// Byzantine injects lying devices.
 	Byzantine ByzantineOptions
-	Detect    DetectOptions
+	// Detect arms the edge-side defense: each round the edge scores
+	// every device's upload by its Wasserstein distance to the pooled
+	// uploads of the rest of the cluster, excludes outliers past
+	// chaos.OutlierK and chaos.OutlierMargin from the similarity-weighted
+	// combine (ResultPartial renormalizes over the devices that remain),
+	// and evicts a device flagged in chaos.StrikeLimit rounds through
+	// the fleet registry (MEMBER-GONE).
+	Detect bool
 }
 
 // Validate reports fleet-option errors.
@@ -224,36 +215,23 @@ func (f FleetOptions) Sampling() bool {
 	return f.SampleFrac > 0 && f.SampleFrac < 1
 }
 
-// ChaosOptions wraps the run's in-memory transport in the
-// internal/chaos link-fault model: every message is delayed per a
-// seeded per-pair schedule (base + jitter + spikes + serialization).
-// Every message is delivered exactly once — the protocol expects it;
-// duplication is a transport-level knob of chaos.Profile only. Chaos
-// perturbs timing and delivery order, never payloads, so seeded Results are identical with it on or off —
-// it exists to shake out ordering assumptions and to give the
-// adversarial trial matrix realistic link conditions. Disabled (the
-// zero value) leaves the transport untouched, byte-identical to the
-// pre-chaos pipeline. The per-message schedule draws are seeded by the
-// run seed.
-type ChaosOptions struct {
-	Enabled bool
-	// Link knobs, mirroring chaos.Profile.
-	BaseDelay    time.Duration
-	Jitter       time.Duration
-	SpikeProb    float64
-	SpikeDelay   time.Duration
-	BandwidthBps int64
-}
-
-// ChaosLinks are the named link conditions (delay-only: the protocol
-// expects exactly-once delivery). "ideal" leaves the transport
-// untouched; "default" is a jittery but healthy edge link, the one
-// -chaos selects; "harsh" is congested with heavy tail spikes. The
+// ChaosLinks are the named link conditions Config.Chaos selects from,
+// each a profile of the internal/chaos link-fault model that wraps the
+// run's in-memory transport: every message is delayed per a seeded
+// per-pair schedule (base + jitter + spikes + serialization). The links
+// are delay-only: every message is delivered exactly once, as the
+// protocol expects (duplication is a transport-level knob of
+// chaos.Profile only). Chaos perturbs timing and delivery order, never
+// payloads, so seeded Results are identical on any link — it exists to
+// shake out ordering assumptions and to give the adversarial trial
+// matrix realistic link conditions. "ideal" (or "") is the zero
+// profile and leaves the transport untouched, byte-identical to the
+// pre-chaos pipeline; "default" is a jittery but healthy edge link, the
+// one -chaos selects; "harsh" is congested with heavy tail spikes. The
 // trajectory's adversarial matrix sweeps all three.
-var ChaosLinks = map[string]ChaosOptions{
+var ChaosLinks = map[string]chaos.Profile{
 	"ideal": {},
 	"default": {
-		Enabled:      true,
 		BaseDelay:    200 * time.Microsecond,
 		Jitter:       2 * time.Millisecond,
 		SpikeProb:    0.15,
@@ -261,37 +239,12 @@ var ChaosLinks = map[string]ChaosOptions{
 		BandwidthBps: 16 << 20,
 	},
 	"harsh": {
-		Enabled:      true,
 		BaseDelay:    1 * time.Millisecond,
 		Jitter:       5 * time.Millisecond,
 		SpikeProb:    0.3,
 		SpikeDelay:   20 * time.Millisecond,
 		BandwidthBps: 2 << 20,
 	},
-}
-
-// Profile converts the options to the chaos link profile.
-func (c ChaosOptions) Profile() chaos.Profile {
-	return chaos.Profile{
-		BaseDelay:    c.BaseDelay,
-		Jitter:       c.Jitter,
-		SpikeProb:    c.SpikeProb,
-		SpikeDelay:   c.SpikeDelay,
-		BandwidthBps: c.BandwidthBps,
-	}
-}
-
-// Validate reports chaos-option errors.
-func (c ChaosOptions) Validate() error {
-	switch {
-	case c.BaseDelay < 0 || c.Jitter < 0 || c.SpikeDelay < 0:
-		return fmt.Errorf("core: negative chaos delay (base %v, jitter %v, spike %v)", c.BaseDelay, c.Jitter, c.SpikeDelay)
-	case c.SpikeProb < 0 || c.SpikeProb > 1:
-		return fmt.Errorf("core: chaos spike probability %v outside [0,1]", c.SpikeProb)
-	case c.BandwidthBps < 0:
-		return fmt.Errorf("core: negative chaos bandwidth %d", c.BandwidthBps)
-	}
-	return nil
 }
 
 // CheckpointOptions arms durable checkpoint/restore of the Phase 2-2
@@ -416,8 +369,9 @@ type Config struct {
 	// sparsification.
 	Wire WireOptions
 
-	// Chaos injects seeded link faults into the in-memory transport.
-	Chaos ChaosOptions
+	// Chaos names the ChaosLinks entry whose seeded link faults wrap
+	// the in-memory transport ("" is the ideal link).
+	Chaos string
 
 	Seed int64
 }
@@ -516,8 +470,8 @@ func (c Config) Validate() error {
 	if err := c.Fleet.Validate(); err != nil {
 		return err
 	}
-	if err := c.Chaos.Validate(); err != nil {
-		return err
+	if _, ok := ChaosLinks[c.Chaos]; !ok && c.Chaos != "" {
+		return fmt.Errorf("core: unknown chaos link %q (want ideal, default or harsh)", c.Chaos)
 	}
 	if err := c.Checkpoint.Validate(); err != nil {
 		return err

@@ -459,8 +459,8 @@ func (d *deviceRounds) nextRound(ctx context.Context) (t int, ok bool, err error
 	}
 	d.last = t
 	// Deterministic straggler injection for cutoff benchmarks and
-	// tests: one configured device computes late every round.
-	if p := d.s.Cfg.Straggler; p.SlowDeviceDelay > 0 && d.dev.ID == p.SlowDeviceID {
+	// tests: the system's straggler computes late every round.
+	if p := d.s.Cfg.Straggler; p.SlowDeviceDelay > 0 && d.dev.ID == d.s.stragglerID {
 		select {
 		case <-time.After(p.SlowDeviceDelay):
 		case <-ctx.Done():

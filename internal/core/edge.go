@@ -432,9 +432,8 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 			st.downEncs[i] = &deltaEncoder{mode: s.Cfg.Wire.Quantization}
 		}
 	}
-	if s.Cfg.Fleet.Detect.Enabled {
-		d := s.Cfg.Fleet.Detect
-		st.detect = &chaos.Detector{K: d.K, Margin: d.Margin}
+	if s.Cfg.Fleet.Detect {
+		st.detect = &chaos.Detector{}
 		st.detectPending = make([]*importance.Set, len(order))
 		st.detectSamples = make(map[int][]float64, len(order))
 	}

@@ -36,7 +36,7 @@ func TestExchangeLeasesComeBack(t *testing.T) {
 		{"monitor", func(c *Config) { c.ConvergenceEpsilon = 1e-300 }},
 		{"delta-mixed", func(c *Config) { c.Wire.Quantization = QuantMixed }},
 		{"sampled", func(c *Config) { c.Fleet.SampleFrac = 0.5 }},
-		{"detect", func(c *Config) { c.Fleet.Detect = DetectOptions{Enabled: true} }},
+		{"detect", func(c *Config) { c.Fleet.Detect = true }},
 		{"cancelled", func(c *Config) { c.ConvergenceEpsilon = 1e-300 }},
 	}
 	reports := map[string][]DeviceReport{}

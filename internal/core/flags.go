@@ -24,22 +24,22 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 	fs.IntVar(&cfg.ImportanceRefreshPeriod, "refresh", cfg.ImportanceRefreshPeriod, "device importance full-refresh period (≤1 = full recompute every round; >1 folds only new batches in between, overlapped with the upload)")
 	fs.Float64Var(&cfg.Straggler.Quorum, "quorum", cfg.Straggler.Quorum, "straggler quorum fraction in (0,1): combine a round once this share of uploads arrived and -cutoff elapsed (0 = wait for every device)")
 	fs.DurationVar(&cfg.Straggler.Deadline, "cutoff", cfg.Straggler.Deadline, "straggler deadline per aggregation round (set together with -quorum)")
-	straggle := fs.Duration("straggle", 0, "artificially delay device 0's upload by this much every round (a deterministic straggler for -quorum/-cutoff demos)")
+	fs.DurationVar(&cfg.Straggler.SlowDeviceDelay, "straggle", cfg.Straggler.SlowDeviceDelay, "artificially delay one device's upload by this much every round, the first of the largest cluster (a deterministic straggler for -quorum/-cutoff demos)")
 	fs.Float64Var(&cfg.Fleet.SampleFrac, "sample-frac", cfg.Fleet.SampleFrac, "per-round participation fraction in (0,1): each round every edge invites only a seeded sample of its live devices (0 = full participation)")
 	fs.BoolVar(&cfg.Fleet.SharedShards, "shared-shards", cfg.Fleet.SharedShards, "share one training shard per data group across its devices (memory scaling for thousands of simulated devices)")
 
+	fs.BoolVar(&cfg.Fleet.Detect, "detect", cfg.Fleet.Detect, "arm the edge-side statistical detector: Wasserstein anomaly scoring, suspect exclusion, strike-limit eviction (the gated setting of the trajectory's detector cells)")
+
 	// The option groups are staged: each lands in cfg only when its
-	// switch (-chaos, -byzantine, -detect, -ckpt-path) is set.
+	// switch (-chaos, -byzantine, -ckpt-path) is set.
 	var (
 		byzantine  ByzantineOptions
-		detect     DetectOptions
 		checkpoint CheckpointOptions
 	)
 	chaos := fs.Bool("chaos", false, "wrap the transport in the seeded link-fault model on the \"default\" link: 200µs base delay, 2ms jitter, 15% spikes of 5ms, 16 MiB/s (timing only — seeded results are identical with it on or off; per node over TCP, so a mixed fleet interoperates)")
 	fs.StringVar(&byzantine.Strategy, "byzantine", "", "byzantine strategy for the first -byzantine-count devices: inflate, fabricate, replay ('' = none)")
 	fs.IntVar(&byzantine.Count, "byzantine-count", 1, "how many devices lie (IDs 0..count-1)")
 	fs.Float64Var(&byzantine.Prob, "byzantine-prob", 1, "per-round lie probability of each byzantine device")
-	fs.BoolVar(&detect.Enabled, "detect", false, "arm the edge-side statistical detector: Wasserstein anomaly scoring, suspect exclusion, strike-limit eviction")
 	fs.StringVar(&checkpoint.Path, "ckpt-path", "", "checkpoint directory: write durable session snapshots at every round boundary and every device's final model")
 	fs.BoolVar(&checkpoint.Fsync, "ckpt-fsync", false, "fsync snapshots to stable storage before they count")
 
@@ -48,18 +48,11 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) (apply func() error) {
 		if cfg.Wire.Quantization, err = ParseQuantMode(*quant); err != nil {
 			return err
 		}
-		if *straggle > 0 {
-			cfg.Straggler.SlowDeviceID = 0
-			cfg.Straggler.SlowDeviceDelay = *straggle
-		}
 		if *chaos {
-			cfg.Chaos = ChaosLinks["default"]
+			cfg.Chaos = "default"
 		}
 		if byzantine.Strategy != "" {
 			cfg.Fleet.Byzantine = byzantine
-		}
-		if detect.Enabled {
-			cfg.Fleet.Detect = detect
 		}
 		if checkpoint.Path != "" {
 			cfg.Checkpoint = checkpoint

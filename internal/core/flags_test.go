@@ -90,9 +90,9 @@ func TestBindFlagsApply(t *testing.T) {
 	want.Wire = WireOptions{Entropy: true, Quantization: QuantMixed, DeltaImportance: true}
 	want.Straggler = StragglerPolicy{Quorum: 0.5, Deadline: 2 * time.Second, SlowDeviceDelay: 30 * time.Millisecond}
 	want.Fleet.SampleFrac = 0.25
-	want.Chaos = ChaosLinks["default"]
+	want.Chaos = "default"
 	want.Fleet.Byzantine = ByzantineOptions{Strategy: "inflate", Count: 1, Prob: 0.5}
-	want.Fleet.Detect = DetectOptions{Enabled: true}
+	want.Fleet.Detect = true
 	want.Checkpoint = CheckpointOptions{Path: "/tmp/x", Fsync: true}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("parsed config:\n got  %+v\n want %+v", cfg, want)

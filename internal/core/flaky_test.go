@@ -68,20 +68,14 @@ func TestSystemTolerantOfDelaysAndReordering(t *testing.T) {
 		}
 	}
 
-	// Third run through the Config.Chaos front door: the full link
-	// model (base delay + jitter + spikes + bandwidth serialization)
-	// wrapped around the in-memory transport by NewSystem itself.
-	// Chaos perturbs timing and order, never payloads, so the seeded
-	// results must match the reliable run bitwise.
+	// Third run through the Config.Chaos front door: the "default"
+	// link's full model (base delay + jitter + spikes + bandwidth
+	// serialization) wrapped around the in-memory transport by
+	// NewSystem itself. Chaos perturbs timing and order, never
+	// payloads, so the seeded results must match the reliable run
+	// bitwise.
 	chaosCfg := cfg
-	chaosCfg.Chaos = ChaosOptions{
-		Enabled:      true,
-		BaseDelay:    200 * time.Microsecond,
-		Jitter:       2 * time.Millisecond,
-		SpikeProb:    0.2,
-		SpikeDelay:   3 * time.Millisecond,
-		BandwidthBps: 8 << 20,
-	}
+	chaosCfg.Chaos = "default"
 	chaosSys, err := NewSystem(chaosCfg)
 	if err != nil {
 		t.Fatal(err)

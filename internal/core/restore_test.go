@@ -68,8 +68,7 @@ func TestRestoreEquivalenceMemory(t *testing.T) {
 	// Pace the victim's cluster with the deterministic straggler delay
 	// (no cutoff), so rounds are slow enough that the kill reliably
 	// lands mid-loop instead of racing the run to completion.
-	slowID, slowEdge := slowDeviceInLargestCluster(t, cfg)
-	cfg.Straggler.SlowDeviceID = slowID
+	_, slowEdge := slowDeviceInLargestCluster(t, cfg)
 	cfg.Straggler.SlowDeviceDelay = 50 * time.Millisecond
 
 	baseCfg := cfg
@@ -94,8 +93,7 @@ func TestRestoreEquivalenceSampledMemory(t *testing.T) {
 	cfg := restoreConfig(t.TempDir())
 	cfg.Fleet.Spec.DevicesPerCluster = 4
 	cfg.Fleet.SampleFrac = 0.5
-	slowID, slowEdge := slowDeviceInLargestCluster(t, cfg)
-	cfg.Straggler.SlowDeviceID = slowID
+	_, slowEdge := slowDeviceInLargestCluster(t, cfg)
 	cfg.Straggler.SlowDeviceDelay = 50 * time.Millisecond
 
 	baseCfg := cfg
@@ -183,8 +181,7 @@ func TestRestoreSmokeTCP(t *testing.T) {
 		t.Skip("multi-role TCP cluster with a kill/restore cycle")
 	}
 	cfg := restoreConfig(t.TempDir())
-	slowID, slowEdge := slowDeviceInLargestCluster(t, cfg)
-	cfg.Straggler.SlowDeviceID = slowID
+	_, slowEdge := slowDeviceInLargestCluster(t, cfg)
 	cfg.Straggler.SlowDeviceDelay = 50 * time.Millisecond
 
 	baseCfg := cfg

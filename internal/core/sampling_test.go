@@ -118,7 +118,6 @@ func TestLeaveShrinksRoundTCP(t *testing.T) {
 	victimID, victimEdge := slowDeviceInLargestCluster(t, cfg)
 	// Slow the victim's first round so it reliably dies between the
 	// setup handshake and its first importance upload.
-	cfg.Straggler.SlowDeviceID = victimID
 	cfg.Straggler.SlowDeviceDelay = 3 * time.Second
 
 	probe, err := NewSystem(cfg)

@@ -76,7 +76,7 @@ func TestEdgeSnapshotRoundTripsLoopState(t *testing.T) {
 	cfg.Fleet.Spec.DevicesPerCluster = 4
 	cfg.Wire.Quantization = QuantMixed
 	cfg.ConvergenceEpsilon = 1e-12
-	cfg.Fleet.Detect = DetectOptions{Enabled: true}
+	cfg.Fleet.Detect = true
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -165,6 +165,9 @@ type System struct {
 	// backboneDecodes counts the backbones s's devices decoded, which
 	// shared shards keep to one per shard and cluster (deviceFeatures).
 	backboneDecodes atomic.Int64
+	// stragglerID and stragglerEdge name the device SlowDeviceDelay
+	// slows and its edge (Straggler).
+	stragglerID, stragglerEdge int
 
 	mu           sync.Mutex
 	assignments  map[int]pareto.Candidate
@@ -205,6 +208,10 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: partition: %w", err)
 	}
+	stragglerID, stragglerEdge := straggler(devices, clusters)
+	if cfg.Straggler.SlowDeviceDelay > 0 && stragglerEdge < 0 {
+		return nil, errors.New("core: a straggler delay needs a cluster of ≥2 devices to slow one of")
+	}
 
 	publicN := cfg.PublicSamples
 	if publicN <= 0 {
@@ -219,15 +226,17 @@ func NewSystem(cfg Config) (*System, error) {
 
 	mem := transport.NewMemory()
 	s := &System{
-		Cfg:         cfg,
-		Net:         mem,
-		devices:     devices,
-		clusters:    clusters,
-		edgeNames:   make([]string, len(clusters)),
-		public:      public,
-		devTrain:    devTrain,
-		devTest:     devTest,
-		assignments: make(map[int]pareto.Candidate),
+		Cfg:           cfg,
+		Net:           mem,
+		devices:       devices,
+		clusters:      clusters,
+		edgeNames:     make([]string, len(clusters)),
+		stragglerID:   stragglerID,
+		stragglerEdge: stragglerEdge,
+		public:        public,
+		devTrain:      devTrain,
+		devTest:       devTest,
+		assignments:   make(map[int]pareto.Candidate),
 	}
 	s.rows.open(clusters, devTrain, devTest)
 	mem.Register("cloud", 64)
@@ -245,15 +254,29 @@ func NewSystem(cfg Config) (*System, error) {
 	for _, d := range devices {
 		mem.Register(d.Name(), 64)
 	}
-	if cfg.Chaos.Enabled {
+	if link := ChaosLinks[cfg.Chaos]; link != (chaos.Profile{}) {
 		// The chaos wrapper perturbs delivery timing and order, never
 		// payloads, so seeded Results are identical with it on or off.
-		s.Net = chaos.New(mem, chaos.Options{
-			Seed:    cfg.Seed,
-			Default: cfg.Chaos.Profile(),
-		})
+		s.Net = chaos.New(mem, chaos.Options{Seed: cfg.Seed, Default: link})
 	}
 	return s, nil
+}
+
+// straggler picks the device a straggler delay slows: the first of the
+// largest cluster with ≥2 members (the first such cluster on a tie), so
+// a quorum can still combine without it. Both are -1 when every cluster
+// has one member.
+func straggler(devices []cluster.Device, clusters [][]int) (deviceID, edge int) {
+	edge = -1
+	for e, members := range clusters {
+		if len(members) >= 2 && (edge < 0 || len(members) > len(clusters[edge])) {
+			edge = e
+		}
+	}
+	if edge < 0 {
+		return -1, -1
+	}
+	return devices[clusters[edge][0]].ID, edge
 }
 
 // deviceShards materializes every device's local train/test split: one
@@ -316,6 +339,11 @@ func (s *System) Devices() []cluster.Device { return s.devices }
 
 // Clusters exposes the edge partition (read-only use).
 func (s *System) Clusters() [][]int { return s.clusters }
+
+// Straggler names the device Config.Straggler.SlowDeviceDelay slows,
+// and its edge: the first device of the largest cluster with ≥2
+// members. Both are -1 when the fleet has no such cluster.
+func (s *System) Straggler() (deviceID, edgeID int) { return s.stragglerID, s.stragglerEdge }
 
 // PublicDataset exposes the cloud dataset (read-only use).
 func (s *System) PublicDataset() *data.Dataset { return s.public }

@@ -42,8 +42,7 @@ func TestStragglerCutoffVirtual(t *testing.T) {
 	base := tinyConfig()
 	base.Phase2Rounds = 3
 	base.Wire.DeltaImportance = true
-	slowID, slowEdge := slowDeviceInLargestCluster(t, base)
-	base.Straggler.SlowDeviceID = slowID
+	_, slowEdge := slowDeviceInLargestCluster(t, base)
 	base.Straggler.SlowDeviceDelay = 300 * time.Millisecond
 
 	slowEdgeWait := func(res *Result) (wait time.Duration, cutoffs int) {

@@ -24,7 +24,11 @@ type Spec struct {
 	SuperSep   float64 // distance scale between superclass means
 	ClassSep   float64 // distance scale between class means within a superclass
 	WithinStd  float64 // per-class sample standard deviation
-	LabelNoise float64 // probability a label is replaced uniformly at random
+	// LabelNoise is the probability a label is replaced uniformly at
+	// random. It reaches only the cloud's public set and probes:
+	// Partition gives every device shard its confusion level's noise
+	// instead.
+	LabelNoise float64
 }
 
 // CIFAR100Like returns the spec standing in for CIFAR-100

@@ -228,14 +228,6 @@ type trajectoryDoc struct {
 	Configs   []*report          `json:"configs"`
 }
 
-// detector is the matrix cells' edge-side defense. Margin sits above
-// the core default (0.5): with two of six devices lying, the liars
-// contaminate every honest device's pooled comparison set, which
-// inflates honest scores — the wider margin keeps the false-positive
-// rate at the floor while the inflate and fabricate scores still clear
-// it by a wide multiple. The replay screen is always armed.
-var detector = core.DetectOptions{Enabled: true, K: 4, Margin: 1.0}
-
 // byzantineDevices is how many devices lie in a cell with a Strategy.
 const byzantineDevices = 2
 
@@ -434,7 +426,7 @@ func headlines(r map[string]*report) map[string]float64 {
 func Trajectory(path string) (*Table, error) {
 	ctx := context.Background()
 	doc := trajectoryDoc{Experiment: "trajectory", Gates: gates, Links: make(map[string]map[string]any, len(core.ChaosLinks)),
-		Detector: map[string]any{"k": detector.K, "margin": detector.Margin, "strike_limit": chaos.StrikeLimit,
+		Detector: map[string]any{"k": chaos.OutlierK, "margin": chaos.OutlierMargin, "strike_limit": chaos.StrikeLimit,
 			"byzantine_devices": byzantineDevices}}
 	for name, l := range core.ChaosLinks {
 		doc.Links[name] = map[string]any{

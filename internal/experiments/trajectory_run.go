@@ -76,42 +76,13 @@ func (c cell) config(trial int) (core.Config, error) {
 	cfg.Straggler.Quorum = c.Quorum
 	cfg.Straggler.Deadline = time.Duration(c.CutoffMS) * time.Millisecond
 
-	cfg.Chaos = core.ChaosLinks[c.Link]
-	if c.Detect {
-		cfg.Fleet.Detect = detector
-	}
+	cfg.Chaos = c.Link
+	cfg.Fleet.Detect = c.Detect
 	if c.Strategy != "" {
 		cfg.Fleet.Byzantine = core.ByzantineOptions{Strategy: c.Strategy, Count: byzantineDevices, Prob: c.LieProb}
 	}
-	if c.StraggleMS > 0 {
-		// The artificial straggler must name a real device of the fleet.
-		probe, err := core.NewSystem(cfg)
-		if err != nil {
-			return cfg, err
-		}
-		if cfg.Straggler.SlowDeviceID, _, err = slowDevice(probe); err != nil {
-			return cfg, err
-		}
-		cfg.Straggler.SlowDeviceDelay = time.Duration(c.StraggleMS) * time.Millisecond
-	}
+	cfg.Straggler.SlowDeviceDelay = time.Duration(c.StraggleMS) * time.Millisecond
 	return cfg, nil
-}
-
-// slowDevice picks the device a straggling cell delays — the first of
-// the largest cluster, so a quorum can still combine without it — and
-// that cluster's edge.
-func slowDevice(sys *core.System) (deviceID, edgeID int, err error) {
-	clusters := sys.Clusters()
-	best := -1
-	for e, members := range clusters {
-		if len(members) >= 2 && (best < 0 || len(members) > len(clusters[best])) {
-			best = e
-		}
-	}
-	if best < 0 {
-		return 0, 0, errors.New("no cluster with ≥2 devices")
-	}
-	return sys.Devices()[clusters[best][0]].ID, best, nil
 }
 
 // outcome is what one run of the pipeline leaves behind: its result
@@ -553,10 +524,7 @@ func runRestore(ctx context.Context, c cell) (*restoreMetrics, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	slowID, slowEdge, err := slowDevice(sys)
-	if err != nil {
-		return nil, 0, err
-	}
+	slowID, slowEdge := sys.Straggler()
 	victim := fmt.Sprintf("edge-%d", slowEdge)
 	if c.KillDevice {
 		victim = fmt.Sprintf("device-%d", slowID)

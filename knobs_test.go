@@ -25,7 +25,6 @@ var knobClasses = map[string]string{
 	"deployment":  "the operator's choice, not the run's: where checkpoints go and whether they are fsynced",
 	"trial":       "on ROADMAP item 3's trial queue, which keeps or deletes it by measurement",
 	"bench-reads": "bench/ reads or writes it, so it stays while bench/ does",
-	"test-seam":   "only tests set it off its default, to pick the device a straggler test paces",
 }
 
 // knobLine is one KNOBS.txt entry: `knob: why`. The knob is a Config
