@@ -35,7 +35,6 @@ import (
 
 	"acme/internal/core"
 	"acme/internal/data"
-	"acme/internal/fleet"
 	"acme/internal/transport"
 )
 
@@ -65,15 +64,6 @@ type ByzantineOptions = core.ByzantineOptions
 // sessions (Config.Checkpoint): versioned, CRC-guarded snapshots at
 // round boundaries, restored with System.ResumeRole.
 type CheckpointOptions = core.CheckpointOptions
-
-// FleetMember is one registered device in a session's membership
-// registry: liveness, epoch of the last change, and per-round traffic
-// history.
-type FleetMember = fleet.Member
-
-// FleetRegistry is the epoch-stamped membership registry the session
-// control plane feeds and the edges sample participation subsets from.
-type FleetRegistry = fleet.Registry
 
 // Result aggregates the outcome of one run: per-device reports,
 // backbone assignments, and measured traffic.

@@ -23,21 +23,18 @@ func partitionOptions() Options {
 }
 
 type partitionOutcome struct {
-	epochDelta uint64
-	alive      bool
-	gathered   int
-	verbs      []wire.ControlType
-	wall       time.Duration
+	gathered int
+	verbs    []wire.ControlType
+	wall     time.Duration
 }
 
 // runPartitionScenario partitions a device from its edge, has the
 // device emit LEAVE → RESYNC-REQUEST → round-0 upload into the
 // partition, and gathers on the edge. The chaos net must hold all three
-// until the heal and release them in program order, so the edge's fleet
-// registry sees the departure and the RESYNC recovery back to back.
+// until the heal and release them in program order, so the edge sees
+// the departure and the RESYNC recovery back to back.
 func runPartitionScenario(t *testing.T, edge *transport.Session, devNet transport.Network) partitionOutcome {
 	t.Helper()
-	seedEpoch := edge.Membership().Seed(map[string]int{"dev": 0})
 
 	send := func(rec wire.ControlRecord) {
 		payload, err := wire.EncodeControl(rec)
@@ -81,23 +78,11 @@ func runPartitionScenario(t *testing.T, edge *transport.Session, devNet transpor
 		t.Fatalf("gather across partition: %v", err)
 	}
 	out.wall = res.Wall
-	out.epochDelta = edge.Membership().Epoch() - seedEpoch
-	if m, ok := edge.Membership().Lookup("dev"); ok {
-		out.alive = m.Alive
-	}
 	return out
 }
 
 func checkPartitionOutcome(t *testing.T, label string, out partitionOutcome) {
 	t.Helper()
-	// LEAVE bumps (departure), RESYNC-REQUEST bumps again (rejoin):
-	// exactly two epoch movements, ending alive — RESYNC recovery.
-	if out.epochDelta != 2 {
-		t.Fatalf("%s: registry epoch moved %d times across partition+heal, want 2 (leave, rejoin)", label, out.epochDelta)
-	}
-	if !out.alive {
-		t.Fatalf("%s: device not alive after heal — rejoin record lost or reordered", label)
-	}
 	if out.gathered != 1 {
 		t.Fatalf("%s: gathered %d uploads, want 1", label, out.gathered)
 	}
@@ -112,7 +97,7 @@ func checkPartitionOutcome(t *testing.T, label string, out partitionOutcome) {
 	}
 }
 
-func TestPartitionHealRegistryMemory(t *testing.T) {
+func TestPartitionHealMemory(t *testing.T) {
 	mem := transport.NewMemory()
 	mem.Register("edge", 64)
 	mem.Register("dev", 64)
@@ -123,7 +108,7 @@ func TestPartitionHealRegistryMemory(t *testing.T) {
 	checkPartitionOutcome(t, "memory", out)
 }
 
-func TestPartitionHealRegistryTCP(t *testing.T) {
+func TestPartitionHealTCP(t *testing.T) {
 	edgeTCP, err := transport.NewTCP("edge", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +128,8 @@ func TestPartitionHealRegistryTCP(t *testing.T) {
 	checkPartitionOutcome(t, "tcp", out)
 }
 
-// The two transports must agree on the scenario: same epoch movement,
-// same verb order, same gather count. (Delivery *schedules* are already
+// The two transports must agree on the scenario: same verb order, same
+// gather count. (Delivery *schedules* are already
 // pinned byte-for-byte by TestScheduleDeterministicAcrossMemoryAndTCP;
 // this pins the protocol-visible recovery.)
 func TestPartitionHealMatchesAcrossTransports(t *testing.T) {
@@ -171,8 +156,7 @@ func TestPartitionHealMatchesAcrossTransports(t *testing.T) {
 	defer nt.Close()
 	tcpOut := runPartitionScenario(t, transport.NewSession("edge", edgeTCP), nt)
 
-	if memOut.epochDelta != tcpOut.epochDelta || memOut.alive != tcpOut.alive ||
-		memOut.gathered != tcpOut.gathered || len(memOut.verbs) != len(tcpOut.verbs) {
+	if memOut.gathered != tcpOut.gathered || len(memOut.verbs) != len(tcpOut.verbs) {
 		t.Fatalf("recovery diverges across transports:\n  memory %+v\n  tcp    %+v", memOut, tcpOut)
 	}
 	for i := range memOut.verbs {

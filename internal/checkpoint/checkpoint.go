@@ -9,15 +9,16 @@
 //
 //	offset  size  field
 //	0       4     magic "ACKP"
-//	4       1     envelope version (currently 3)
+//	4       1     envelope version (currently 4)
 //	5       8     payload length, uint64 LE
 //	13      4     CRC-32C (Castagnoli) of the payload, uint32 LE
 //	17      n     payload (wire encoding)
 //
 // Version 1 carried a payload-codec byte after the version (wire or
 // gob); version 2 had today's layout, but its payloads framed every
-// parameter blob with its parameter's name. Both are refused with
-// ErrVersion.
+// parameter blob with its parameter's name; version 3's edge snapshots
+// carried a membership registry after the detector state. All three
+// are refused with ErrVersion.
 package checkpoint
 
 import (
@@ -35,7 +36,7 @@ import (
 const Magic = "ACKP"
 
 // Version is the current envelope version. Decoders reject any other.
-const Version = 3
+const Version = 4
 
 // headerSize is the fixed envelope prefix before the payload.
 const headerSize = 4 + 1 + 8 + 4

@@ -119,6 +119,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{"version 1, wire payload", v1Envelope(1, payload), ErrVersion},
 		{"version 1, gob payload", v1Envelope(2, payload), ErrVersion},
 		{"version 2", mut(func(b []byte) { b[4] = 2 }), ErrVersion},
+		{"version 3", mut(func(b []byte) { b[4] = 3 }), ErrVersion},
 		{"truncated payload", raw[:len(raw)-3], ErrTruncated},
 		{"oversized length", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[5:], 1<<40) }), ErrTruncated},
 		{"flipped payload bit", mut(func(b []byte) { b[len(b)-1] ^= 0x01 }), ErrChecksum},

@@ -177,8 +177,9 @@ type FleetOptions struct {
 	// Spec is the fleet topology (clusters × devices per cluster).
 	Spec cluster.FleetSpec
 	// SampleFrac is the per-round participation fraction in (0,1): each
-	// round the edge samples ceil(SampleFrac × live members) devices
-	// from its membership registry and invites only those. 0 (default)
+	// round the edge samples ceil(SampleFrac × n) of its n members that
+	// have not departed and are not waiting for their rejoin round, and
+	// invites only those. 0 (default)
 	// and ≥1 disable sampling — every live device participates every
 	// round, bitwise identical to the pre-sampling protocol. The draw is
 	// seeded by the run seed: same seed, same membership, same subsets —
@@ -197,8 +198,8 @@ type FleetOptions struct {
 	// uploads of the rest of the cluster, excludes outliers past
 	// chaos.OutlierK and chaos.OutlierMargin from the similarity-weighted
 	// combine (ResultPartial renormalizes over the devices that remain),
-	// and evicts a device flagged in chaos.StrikeLimit rounds through
-	// the fleet registry (MEMBER-GONE).
+	// and evicts a device flagged in chaos.StrikeLimit rounds: it is
+	// marked departed and told so with MEMBER-GONE.
 	Detect bool
 }
 

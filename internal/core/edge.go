@@ -101,17 +101,10 @@ func (s *System) edgeGatherSetup(ctx context.Context, ses *transport.Session, ed
 	members := s.clusters[edgeID]
 	memberIDs := make(map[int]bool, len(members))
 	deviceNames := make([]string, 0, len(members))
-	genesis := make(map[string]int, len(members))
 	for _, di := range members {
 		memberIDs[s.devices[di].ID] = true
 		deviceNames = append(deviceNames, s.devices[di].Name())
-		genesis[s.devices[di].Name()] = s.devices[di].ID
 	}
-	// The membership registry outlives any single gather: seeded from
-	// the static cluster list, then fed by every control record the
-	// session sees (JOIN / LEAVE / RESYNC fold in automatically), it is
-	// the live member set each round's participation sample draws from.
-	ses.Membership().Seed(genesis)
 	haveStats := make(map[int]bool, len(members))
 	shards := make(map[int]RawShard, len(members))
 	// accept vets one upload's device ID against the cluster and the
@@ -292,7 +285,6 @@ type edgeState struct {
 	edgeID int
 	name   string
 	ses    *transport.Session
-	reg    *fleet.Registry
 
 	// Positional geometry, derived deterministically from the Config.
 	order     []int
@@ -348,11 +340,13 @@ type edgeState struct {
 // live buffers, so a snapshot is encoded straight from them and a
 // restore decodes straight into a fresh copy.
 type loopState struct {
-	// departed marks devices that announced a LEAVE: they are dropped
-	// from the remaining rounds. doneTold tracks who already heard the
-	// run is over. rejoinRound marks a resynced device's re-entry round
-	// (-1 when not resyncing); until then it receives neither a
-	// downlink nor a cutoff. lastSampled tracks each device's most
+	// departed marks devices that announced a LEAVE or were evicted:
+	// they are dropped from the remaining rounds. doneTold tracks who
+	// already heard the run is over. rejoinRound marks a resynced
+	// device's re-entry round (-1 when not resyncing); until then it
+	// receives neither a downlink nor a cutoff, nor an invite. departed
+	// and rejoinRound are the cluster's membership: nothing else records
+	// who is in the loop. lastSampled tracks each device's most
 	// recent invited round under participation sampling.
 	departed    []bool
 	doneTold    []bool
@@ -389,7 +383,6 @@ func (s *System) newEdgeState(edgeID int, ses *transport.Session, pkg HeaderPack
 		edgeID:    edgeID,
 		name:      s.edgeNames[edgeID],
 		ses:       ses,
-		reg:       ses.Membership(),
 		order:     order,
 		pos:       make(map[int]int, len(order)),
 		posByName: make(map[string]int, len(order)),

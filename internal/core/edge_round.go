@@ -95,13 +95,13 @@ func (r *edgeRound) checkpoint(writer *snapshotWriter) error {
 func (r *edgeRound) run(ctx context.Context) (done bool, err error) {
 	// A gather that failed midway abandons its combiner's leases.
 	defer func() { r.rows.Release(); r.comb.Release() }()
-	expect, epoch := r.invite()
+	expect := r.invite()
 	if r.sampling && len(expect) == 0 {
 		// Every sampled member churned before its invite landed:
 		// nothing to gather or combine this round.
 		return false, nil
 	}
-	if err := r.gather(ctx, expect, epoch); err != nil {
+	if err := r.gather(ctx, expect); err != nil {
 		return false, err
 	}
 	if err := r.screen(); err != nil {
@@ -136,12 +136,11 @@ func (r *edgeRound) run(ctx context.Context) (done bool, err error) {
 
 // invite decides who owes this round an upload. Full participation
 // expects every member that has not departed, with no message sent.
-// Under sampling it builds the round from the live membership, not the
-// static cluster list: draw the seeded sample, invite exactly the
-// sampled devices (everyone else sits the round out without computing
-// or uploading anything), and remember the registry epoch so the gather
-// re-checks liveness if membership moves while invites are in flight.
-func (r *edgeRound) invite() (expect []string, epoch uint64) {
+// Under sampling it draws the seeded sample from the members the loop
+// state holds eligible — not departed, and not waiting for a later
+// rejoin round — and invites exactly the sampled devices (everyone
+// else sits the round out without computing or uploading anything).
+func (r *edgeRound) invite() (expect []string) {
 	if !r.sampling {
 		expect = make([]string, 0, len(r.order))
 		for i := range r.order {
@@ -149,18 +148,16 @@ func (r *edgeRound) invite() (expect []string, epoch uint64) {
 				expect = append(expect, r.nameByPos[i])
 			}
 		}
-		return expect, 0
+		return expect
 	}
 	for i := range r.invited {
 		r.invited[i] = false
 	}
 	eligible := make([]string, 0, len(r.order))
-	for _, nm := range r.reg.Live() {
-		p, ok := r.posByName[nm]
-		if !ok || r.departed[p] || r.rejoinRound[p] > r.t {
-			continue
+	for p, nm := range r.nameByPos {
+		if !r.departed[p] && r.rejoinRound[p] <= r.t {
+			eligible = append(eligible, nm)
 		}
-		eligible = append(eligible, nm)
 	}
 	for _, nm := range r.sampler.Sample(r.t, eligible) {
 		p := r.posByName[nm]
@@ -194,13 +191,13 @@ func (r *edgeRound) invite() (expect []string, epoch uint64) {
 		}
 	}
 	r.rs.SampledCount = len(expect)
-	return expect, r.reg.Epoch()
+	return expect
 }
 
 // gather collects the round's uploads through fold and control, under
 // the straggler cutoff when one is configured, and marks who it ended
 // without.
-func (r *edgeRound) gather(ctx context.Context, expect []string, epoch uint64) error {
+func (r *edgeRound) gather(ctx context.Context, expect []string) error {
 	// A sampled round sends a downlink to its invitees only, so only
 	// their rows of Eq. 21 are computed — unless the convergence
 	// monitor is on, which compares every row with the previous
@@ -217,7 +214,6 @@ func (r *edgeRound) gather(ctx context.Context, expect []string, epoch uint64) e
 		Round:  r.t,
 		Kinds:  edgeProtocol.round.kinds(),
 		Expect: expect,
-		Epoch:  epoch,
 		Label:  edgeProtocol.round.label(r.t),
 		// Always tolerant: churn can inject out-of-round traffic
 		// with or without the cutoff — a rejoining device races
@@ -377,11 +373,11 @@ func (r *edgeRound) churn(msg transport.Message, rec wire.ControlRecord) (bool, 
 
 // screen is the Byzantine screening: score the buffered uploads, fold
 // only the unflagged ones (ascending position, preserving Combine's
-// exact addition order), and evict repeat offenders through the fleet
-// registry. A suspect's upload is excluded from the combine —
-// ResultPartial renormalizes the similarity mass over the devices that
-// remain — but a suspect below the strike limit stays in the loop and
-// still receives its personalized downlink. A no-op with detection off.
+// exact addition order), and evict repeat offenders. A suspect's
+// upload is excluded from the combine — ResultPartial renormalizes the
+// similarity mass over the devices that remain — but a suspect below
+// the strike limit stays in the loop and still receives its
+// personalized downlink. A no-op with detection off.
 func (r *edgeRound) screen() error {
 	if r.detect == nil {
 		return nil
@@ -402,11 +398,9 @@ func (r *edgeRound) screen() error {
 	}
 	for _, p := range verdict.Evicted {
 		r.rs.EvictedDevices = append(r.rs.EvictedDevices, r.idByPos[p])
-		// Registry eviction: epoch bump, and the MEMBER-GONE
-		// eviction notice to the device itself — its signal to
-		// exit without reporting. The device is dropped from
-		// every remaining round and from the report wait.
-		r.reg.Leave(r.nameByPos[p])
+		// Eviction: the device is dropped from every remaining
+		// round and from the report wait, and MEMBER-GONE tells it
+		// so — its signal to exit without reporting.
 		r.depart(p)
 		_ = r.ses.SendControl(r.nameByPos[p], wire.ControlRecord{
 			Type: wire.ControlMemberGone, Device: r.idByPos[p], Round: r.t,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -181,5 +182,105 @@ func TestSampledRejoinReseedsDense(t *testing.T) {
 	}
 	if rejoin+1 < cfg.Phase2Rounds && !sparse {
 		t.Fatalf("no sparse record after the re-seed (uploads %v, downlinks %v)", tap.upDense, tap.downDense)
+	}
+}
+
+// lateLeave is a Network that kills one device after its first upload
+// and, right after forwarding the RESYNC-REQUEST of the instance that
+// replaces it, sends its edge a LEAVE from the device's node name: the
+// dead predecessor's teardown, arriving behind its successor's rejoin
+// as it can over TCP, where the two instances hold different
+// connections.
+type lateLeave struct {
+	transport.Network
+	device, edge string
+	kill         func()
+	leave        []byte // the LEAVE record's payload
+	once, left   sync.Once
+}
+
+func (n *lateLeave) Send(msg transport.Message) error {
+	if msg.From != n.device {
+		return n.Network.Send(msg)
+	}
+	err := n.Network.Send(msg)
+	switch msg.Kind {
+	case transport.KindImportanceSet, transport.KindImportanceDelta:
+		n.once.Do(n.kill)
+	case transport.KindControl:
+		rec, perr := transport.ParseControl(msg)
+		if perr != nil || rec.Type != wire.ControlResyncRequest {
+			break
+		}
+		n.left.Do(func() {
+			_ = n.Network.Send(transport.Message{Kind: transport.KindControl, From: n.device, To: n.edge, Payload: n.leave})
+		})
+	}
+	return err
+}
+
+// TestLateLeaveKeepsRejoinedDeviceSampled: a dead predecessor's LEAVE
+// that arrives after its successor's RESYNC-REQUEST is ignored by the
+// round it lands in, and must not drop the rejoined device from the
+// participation sample either. At a fraction that invites every
+// eligible member, the device is sampled in every round from its
+// rejoin round on, and it reports.
+func TestLateLeaveKeepsRejoinedDeviceSampled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full run with a kill and a rejoin")
+	}
+	cfg := tinyConfig()
+	cfg.Fleet.Spec.DevicesPerCluster = 3
+	cfg.Phase2Rounds = 6
+	cfg.Fleet.SampleFrac = 0.99
+	victimID, victimEdge := slowDeviceInLargestCluster(t, cfg)
+	victim := fmt.Sprintf("device-%d", victimID)
+
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := cappedContext(t, runLimit)
+	defer cancel()
+	victimCtx, kill := context.WithCancel(ctx)
+	defer kill()
+	leave, err := wire.EncodeControl(wire.ControlRecord{Type: wire.ControlLeave, Node: victim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Net = &lateLeave{Network: sys.Net, device: victim, edge: edgeName(victimEdge), kill: kill, leave: leave}
+	run := startRoles(ctx, cancel, sys.RoleNames(), func(string) *System { return sys }, victim, victimCtx)
+	select {
+	case <-run.victimDone:
+	case <-ctx.Done():
+		t.Fatal("victim never died")
+	}
+	run.finish("rejoined "+victim, nil, sys.RejoinRole(ctx, victim))
+	reported := false
+	for _, rep := range run.wait(t) {
+		reported = reported || rep.DeviceID == victimID
+	}
+
+	rejoin := -1
+	rounds := map[int]Phase2RoundStat{}
+	for _, rs := range sys.phase2RoundsCopy() {
+		if rs.EdgeID != victimEdge {
+			continue
+		}
+		rounds[rs.Round] = rs
+		if rs.ResyncCount > 0 {
+			rejoin = rs.Round + 1
+		}
+	}
+	if rejoin <= 0 || rejoin >= cfg.Phase2Rounds {
+		t.Fatalf("rejoin round %d is not mid-run (0 < r < %d)", rejoin, cfg.Phase2Rounds)
+	}
+	for r := rejoin; r < cfg.Phase2Rounds; r++ {
+		if !slices.Contains(rounds[r].Sampled, victimID) {
+			t.Errorf("round %d sampled %v without the rejoined device %d", r, rounds[r].Sampled, victimID)
+		}
+	}
+	if !reported {
+		t.Errorf("the rejoined device %d did not report", victimID)
 	}
 }

@@ -213,8 +213,7 @@ func protocolWaitFor(t *testing.T, ph *row, sys *System, mem *transport.Memory, 
 			}
 			r := &edgeRound{edgeState: sys.newEdgeState(0, edgeSes, HeaderPackage{}, sim), t: 1, folded: make([]bool, n)}
 			defer r.rows.Release()
-			expect, _ := r.invite()
-			return r.gather(ctx, expect, 0)
+			return r.gather(ctx, r.invite())
 		})
 	case &edgeProtocol.reports:
 		return refusing(edge, dev.Name(), 0, func(ctx context.Context) error {

@@ -180,7 +180,7 @@ func TestLeaveShrinksRoundTCP(t *testing.T) {
 
 // TestFleetSmoke runs a 2000-device fleet in one process at 5%
 // participation — the memory-scaling path (shared shards) plus the
-// registry-driven sampled rounds, end to end (make fleet-smoke).
+// sampled rounds, end to end (make fleet-smoke).
 func TestFleetSmoke(t *testing.T) {
 	if testing.Short() || raceDetectorEnabled {
 		t.Skip("2000-device fleet run")

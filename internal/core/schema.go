@@ -3,7 +3,6 @@ package core
 import (
 	"acme/internal/chaos"
 	"acme/internal/energy"
-	"acme/internal/fleet"
 	"acme/internal/importance"
 	"acme/internal/nas"
 	"acme/internal/nn"
@@ -216,9 +215,9 @@ func (s *shadow) layerFields(f *wire.Fields) {
 }
 
 // WireFields states the snapshot's schema: its loop state inline, nine
-// of the 18 fields.
+// of the 16 fields.
 func (s *EdgeSnapshot) WireFields(f *wire.Fields) {
-	f.Struct(18)
+	f.Struct(16)
 	f.String(&s.RunTag)
 	f.Int(&s.EdgeID)
 	f.Int(&s.Round)
@@ -227,8 +226,6 @@ func (s *EdgeSnapshot) WireFields(f *wire.Fields) {
 	s.loop.fields(f)
 	detectorFields(f, &s.Detector)
 	f.Bool(&s.HaveDetector)
-	wire.List(f, &s.Members, memberFields)
-	f.Uint64(&s.Epoch)
 }
 
 // fields frames the loop state. A nil prev (no set kept) travels as a
@@ -358,18 +355,4 @@ func detectorFields(f *wire.Fields, s *chaos.State) {
 		f.Int(&e.ID)
 		f.F64s(&e.Values)
 	})
-}
-
-func memberFields(f *wire.Fields, m *fleet.Member) {
-	f.Struct(10)
-	f.String(&m.Node)
-	f.Int(&m.Device)
-	f.Bool(&m.Alive)
-	f.Uint64(&m.Epoch)
-	f.Int(&m.Joins)
-	f.Int(&m.Leaves)
-	f.Int(&m.Rounds)
-	f.Int(&m.LastRound)
-	f.Int64(&m.Bytes)
-	f.Int64((*int64)(&m.Wall))
 }

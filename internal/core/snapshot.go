@@ -10,7 +10,6 @@ import (
 
 	"acme/internal/chaos"
 	"acme/internal/checkpoint"
-	"acme/internal/fleet"
 	"acme/internal/nas"
 	"acme/internal/nn"
 	"acme/internal/transport"
@@ -52,10 +51,6 @@ type EdgeSnapshot struct {
 	// book, eviction set, previous-round samples).
 	Detector     chaos.State
 	HaveDetector bool
-
-	// Members and Epoch restore the fleet membership registry.
-	Members []fleet.Member
-	Epoch   uint64
 }
 
 // DeviceSnapshot is one device's loop state at the end of a round: its
@@ -152,14 +147,12 @@ func (w *snapshotWriter) Close() error {
 // moment this returns.
 func (st *edgeState) snapshot(t int) ([]byte, error) {
 	snap := &EdgeSnapshot{
-		RunTag:  st.s.Cfg.runTag(),
-		EdgeID:  st.edgeID,
-		Round:   t,
-		Pkg:     st.pkg,
-		Sim:     st.sim,
-		loop:    st.loopState,
-		Members: st.reg.Snapshot(),
-		Epoch:   st.reg.Epoch(),
+		RunTag: st.s.Cfg.runTag(),
+		EdgeID: st.edgeID,
+		Round:  t,
+		Pkg:    st.pkg,
+		Sim:    st.sim,
+		loop:   st.loopState,
 	}
 	if st.detect != nil {
 		snap.HaveDetector = true
@@ -188,7 +181,6 @@ func (snap *EdgeSnapshot) restoreInto(st *edgeState) error {
 		st.detect.Restore(snap.Detector)
 	}
 	st.loopState = *l
-	st.reg.Restore(snap.Members, snap.Epoch)
 	st.startRound = snap.Round
 	st.resumedRound = snap.Round
 	return nil

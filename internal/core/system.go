@@ -59,8 +59,7 @@ type Phase2RoundStat struct {
 	// round's statistical screen flagged (their uploads were excluded
 	// from the combine and the similarity mass renormalized over the
 	// rest) and the IDs whose strike count crossed the limit and were
-	// evicted through the fleet registry. Empty when detection is off
-	// or nothing was flagged.
+	// evicted. Empty when detection is off or nothing was flagged.
 	Suspects       []int
 	EvictedDevices []int
 

@@ -7,11 +7,10 @@ import (
 )
 
 // Sampler draws each round's participation subset from the live member
-// set: a uniform, seeded, deterministic sample (scored sampling over
-// the registry's latency/bytes history is the planned follow-up). The
-// draw depends only on (Seed, round, live set) — not on arrival order,
-// transport, or wall clock — so every process of a distributed run
-// that agrees on the membership view derives the same subset.
+// set: a uniform, seeded, deterministic sample. The draw depends only
+// on (Seed, round, live set) — not on arrival order, transport, or wall
+// clock — so every process of a distributed run that agrees on the
+// membership view derives the same subset.
 type Sampler struct {
 	// Frac is the participation fraction in (0,1); values outside that
 	// range disable sampling (every live member participates).

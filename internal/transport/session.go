@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"acme/internal/fleet"
 	"acme/internal/wire"
 )
 
@@ -27,11 +26,6 @@ type Session struct {
 	// a resynced device racing the rest of its cluster — until the
 	// round that consumes them.
 	pending []Message
-	// membership is the session's fleet registry, created on first use.
-	// Once attached, every control record a gather sees is folded into
-	// it and every counted upload updates the sender's traffic history,
-	// so the registry converges as a side effect of normal rounds.
-	membership *fleet.Registry
 }
 
 // NewSession binds a session for the named node over net.
@@ -41,18 +35,6 @@ func NewSession(node string, net Network) *Session {
 
 // Node returns the session's node name.
 func (s *Session) Node() string { return s.node }
-
-// Membership returns the session's fleet registry, creating it on
-// first call. Attaching a registry changes gather behaviour: control
-// records fold into it automatically, counted uploads record traffic
-// history, and a GatherSpec may carry the registry Epoch instead of a
-// hand-threaded peer list.
-func (s *Session) Membership() *fleet.Registry {
-	if s.membership == nil {
-		s.membership = fleet.NewRegistry()
-	}
-	return s.membership
-}
 
 // Receive hands handle each message addressed to this session, in
 // arrival order (messages a previous gather buffered ahead of their
@@ -126,16 +108,9 @@ type GatherSpec struct {
 	// Kinds are the payload kinds that count toward the gather.
 	Kinds []Kind
 	// Expect names the peers that each owe PerPeer counted messages.
-	// With a membership registry attached and Epoch set it may be nil:
-	// the gather then expects every currently-live member.
+	// Nil expects nobody: the gather only drains what an earlier one
+	// buffered for its round.
 	Expect []string
-	// Epoch is the membership-registry epoch this gather was built
-	// against (0 = not membership-aware). Requires the session's
-	// registry. If the registry moved past Epoch by gather start, the
-	// expected set is re-filtered to currently-live members, so a
-	// departure between spec construction and gather start shrinks the
-	// round instead of hanging it.
-	Epoch uint64
 	// PerPeer is how many counted messages each peer owes (default 1;
 	// the setup gather expects a stats and a shard upload per device).
 	PerPeer int
@@ -216,28 +191,8 @@ func (s *Session) Gather(ctx context.Context, spec GatherSpec) (*GatherResult, e
 	for _, k := range spec.Kinds {
 		kinds[k] = true
 	}
-	expect := spec.Expect
-	if spec.Epoch != 0 {
-		if s.membership == nil {
-			return nil, fmt.Errorf("transport: %s carries membership epoch %d but the session has no registry", label, spec.Epoch)
-		}
-		if expect == nil {
-			expect = s.membership.Live()
-		} else if s.membership.Epoch() != spec.Epoch {
-			// Membership moved between spec construction and gather
-			// start: drop peers that already departed so the round
-			// shrinks up front instead of waiting on them.
-			filtered := make([]string, 0, len(expect))
-			for _, p := range expect {
-				if m, ok := s.membership.Lookup(p); ok && m.Alive {
-					filtered = append(filtered, p)
-				}
-			}
-			expect = filtered
-		}
-	}
-	remaining := make(map[string]int, len(expect))
-	for _, p := range expect {
+	remaining := make(map[string]int, len(spec.Expect))
+	for _, p := range spec.Expect {
 		remaining[p] = per
 	}
 	live := len(remaining)
@@ -264,10 +219,6 @@ func (s *Session) Gather(ctx context.Context, spec GatherSpec) (*GatherResult, e
 			}
 		}
 		res.Gathered++
-		if s.membership != nil {
-			s.membership.RecordGather(msg.From, spec.Round,
-				int64(len(msg.Payload))+HeaderEstimate, time.Since(start))
-		}
 		if rem, ok := remaining[msg.From]; ok && rem > 0 {
 			remaining[msg.From] = rem - 1
 			outstanding--
@@ -338,9 +289,6 @@ func (s *Session) Gather(ctx context.Context, spec GatherSpec) (*GatherResult, e
 			msg.Release()
 			if err != nil {
 				return nil, fmt.Errorf("%w during %s", err, label)
-			}
-			if s.membership != nil {
-				s.membership.Apply(msg.From, rec)
 			}
 			if spec.OnControl == nil {
 				// Without a handler a LEAVE from an expected peer still

@@ -197,6 +197,39 @@ func TestGatherControlExcludesPeer(t *testing.T) {
 	}
 }
 
+// TestGatherLeaveExcludesPeerWithoutHandler: with an explicit Expect
+// and no OnControl, a LEAVE from an expected peer excludes it, and the
+// gather ends on the other peers' uploads instead of waiting on it.
+func TestGatherLeaveExcludesPeerWithoutHandler(t *testing.T) {
+	m := gatherNet(t, "edge")
+	ses := NewSession("edge", m)
+	for _, from := range []string{"a", "b"} {
+		m.Send(Message{Kind: KindImportanceSet, From: from, To: "edge", Round: 1, Payload: []byte{1, 2, 3}})
+	}
+	if err := NewSession("c", m).SendControl("edge", wire.ControlRecord{Type: wire.ControlLeave, Node: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := ses.Gather(ctx, GatherSpec{
+		Round:  1,
+		Kinds:  []Kind{KindImportanceSet},
+		Expect: []string{"a", "b", "c"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Gathered != 2 {
+		t.Fatalf("gathered %d uploads, want 2", res.Gathered)
+	}
+	if len(res.Excluded) != 1 || res.Excluded[0] != "c" {
+		t.Fatalf("LEAVE did not exclude the departed peer: %v", res.Excluded)
+	}
+	if len(res.Missing) != 0 {
+		t.Fatalf("shrunk gather still reports missing peers: %v", res.Missing)
+	}
+}
+
 func TestGatherRejectsUnexpectedKindAndControl(t *testing.T) {
 	m := gatherNet(t, "edge")
 	ses := NewSession("edge", m)

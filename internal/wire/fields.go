@@ -255,12 +255,6 @@ func (f *Fields) Int(p *int) {
 	}
 }
 
-// Int64 is an int64 field.
-func (f *Fields) Int64(p *int64) { f.signed(p, 8) }
-
-// Uint64 is a uint64 field.
-func (f *Fields) Uint64(p *uint64) { f.unsigned(p, 8) }
-
 // Uint8 is a uint8 field; a decoded value past 255 is an error.
 func (f *Fields) Uint8(p *uint8) {
 	x := uint64(*p)

@@ -48,7 +48,7 @@ func (s *sample) WireFields(f *Fields) {
 	f.Bytes(&s.J)
 	f.F32s(&s.K)
 	f.F64(&s.M)
-	f.Uint64(&s.N)
+	f.unsigned(&s.N, 8)
 }
 
 func (s sample) WireValue(f *Fields) { s.WireFields(f) }
@@ -103,8 +103,8 @@ func (s *scalars) WireFields(f *Fields) {
 	f.Bool(&s.T)
 	f.Bool(&s.F)
 	f.Int(&s.I)
-	f.Int64(&s.I64)
-	f.Uint64(&s.U)
+	f.signed(&s.I64, 8)
+	f.unsigned(&s.U, 8)
 	f.Uint8(&s.U8)
 	f.F64(&s.X)
 	f.F64(&s.Inf)
