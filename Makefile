@@ -158,7 +158,8 @@ traffic:
 # per-pair values, medians, the base's quartiles, pairs won and a
 # verdict per end-to-end metric. Met means better in
 # ≥ 9 of 10 pairs with a median gap past the base's interquartile range.
-# It refuses to report when bytes or accuracy differ within a pair.
+# Bytes and accuracy are judged by the same rule, and one that moved in a
+# pair is printed with its per-pair values.
 BASE ?= HEAD
 PAIRS ?= 10
 FIRST ?= 11
@@ -178,10 +179,14 @@ bench-module:
 # shapes, TCP, straggler cutoff, fleet sampling, entropy coding, top-K,
 # the adversarial matrix, edge and device kill/restore, the checkpoint
 # tax — run once each from internal/experiments' cell table, with the
-# gate table benchcmp reads. The older BENCH_*.json files stay as the record;
-# nothing regenerates them.
+# gate table benchcmp reads. It writes a new record, BENCH_$(N).json
+# (`make bench-json N=<n>`), and refuses to run without N or over a file
+# that exists: the older BENCH_*.json files stay as the record, and
+# bench-compare then compares the new file with the newest of them.
 bench-json:
-	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_27.json
+	@test -n "$(N)" || { echo "bench-json: name the new record: make bench-json N=<n> writes BENCH_<n>.json" >&2; exit 1; }
+	@test ! -e BENCH_$(N).json || { echo "bench-json: BENCH_$(N).json exists; a record is never overwritten" >&2; exit 1; }
+	$(GO) run ./cmd/acmebench -exp trajectory -json BENCH_$(N).json
 
 # bench-compare diffs the two newest checked-in BENCH_*.json files and
 # fails on any gated regression (>10% wire bytes, 5 points of TPR/FPR,
@@ -193,9 +198,13 @@ bench-compare:
 # via the dense-resync control path, asserting the run completes with
 # every device reporting and the exchange back to sparse deltas. The
 # 20-iteration stress loop guards the rejoin path's timing races. The
-# test paces its cluster with an injected straggler, and the TCP link
-# drops a dead predecessor's late LEAVE; what still reads the wall clock
-# is ROADMAP item 16's (virtual time).
+# test paces its cluster with an injected straggler. A dead
+# predecessor's late LEAVE is dropped by the TCP link when it arrives on
+# the old connection after the successor's JOIN; one that gets through
+# carries the setup life's stamp, which the edge ignores once it granted
+# a newer life. TestChurnRejoinTCPDiesAgain kills the rejoined device
+# too: its role's own LEAVE, stamped with its life, departs it. What
+# still reads the wall clock is ROADMAP item 16's (virtual time).
 churn-smoke:
 	$(GO) test -run 'TestChurnRejoinTCP' -count=20 -failfast -timeout 1200s ./internal/core
 

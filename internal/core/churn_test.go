@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -153,7 +154,7 @@ func TestChurnRejoinTCP(t *testing.T) {
 	cfg.Wire.DeltaImportance = true
 	cfg.Straggler.Quorum = 0.5
 	cfg.Straggler.Deadline = 250 * time.Millisecond
-	runChurnRejoinTCP(t, cfg)
+	runChurnRejoinTCP(t, cfg, false)
 }
 
 // TestChurnRejoinTCPNoCutoff: rejoin must work independently of the
@@ -168,10 +169,30 @@ func TestChurnRejoinTCPNoCutoff(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Phase2Rounds = 4
 	cfg.Wire.DeltaImportance = true
-	runChurnRejoinTCP(t, cfg)
+	runChurnRejoinTCP(t, cfg, false)
 }
 
-func runChurnRejoinTCP(t *testing.T, cfg Config) {
+// TestChurnRejoinTCPDiesAgain: a rejoined device that dies again after
+// its first upload, its role returning before its transport closes as in
+// acmenode, sends a LEAVE stamped with its life. TCP.Close's own LEAVE is
+// stamped with the setup life, which the edge ignores once it granted a
+// newer one. The edge must depart the device on the first, or, without
+// a cutoff, it waits for the device's upload or report until the run's
+// cap.
+func TestChurnRejoinTCPDiesAgain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-role TCP cluster with churn")
+	}
+	cfg := tinyConfig()
+	cfg.Phase2Rounds = 4
+	cfg.Wire.DeltaImportance = true
+	runChurnRejoinTCP(t, cfg, true)
+}
+
+// runChurnRejoinTCP kills one device mid-loop and rejoins it; with
+// diesAgain it kills the rejoined device after its first upload too, and
+// the run must complete without it.
+func runChurnRejoinTCP(t *testing.T, cfg Config, diesAgain bool) {
 	t.Helper()
 
 	// Pace the run with the injected straggler: every round then
@@ -187,10 +208,10 @@ func runChurnRejoinTCP(t *testing.T, cfg Config) {
 		t.Fatal(err)
 	}
 	slowID, slowEdge := probe.Straggler()
-	victim := ""
+	victim, victimID := "", -1
 	for _, di := range probe.Clusters()[slowEdge] {
 		if probe.Devices()[di].ID != slowID {
-			victim = probe.Devices()[di].Name()
+			victim, victimID = probe.Devices()[di].Name(), probe.Devices()[di].ID
 		}
 	}
 	roles := probe.RoleNames()
@@ -233,11 +254,34 @@ func runChurnRejoinTCP(t *testing.T, cfg Config) {
 		t.Fatalf("rebind %s: %v", victimAddr, err)
 	}
 	defer reborn.Close()
-	rebornSys, err := NewSystemWithNetwork(cfg, reborn)
+	rebornCtx, killReborn := context.WithCancel(ctx)
+	defer killReborn()
+	var rebornNet transport.Network = reborn
+	if diesAgain {
+		rebornNet = &uploadKill{Network: reborn, device: victim, kill: killReborn}
+	}
+	rebornSys, err := NewSystemWithNetwork(cfg, rebornNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.finish("rejoined "+victim, nil, rebornSys.RejoinRole(ctx, victim))
+	err = rebornSys.RejoinRole(rebornCtx, victim)
+	if diesAgain {
+		reborn.Close()
+		if !errors.Is(err, context.Canceled) {
+			run.finish("rejoined "+victim, nil, err)
+		}
+		reports := run.wait(t)
+		if got, want := len(reports), len(probe.Devices())-1; got != want {
+			t.Fatalf("run completed with %d reports, want %d", got, want)
+		}
+		for _, rep := range reports {
+			if rep.DeviceID == victimID {
+				t.Fatalf("%s reported after it died again", victim)
+			}
+		}
+		return
+	}
+	run.finish("rejoined "+victim, nil, err)
 	if got, want := len(run.wait(t)), len(probe.Devices()); got != want {
 		t.Fatalf("run completed with %d reports, want %d (rejoined device missing?)", got, want)
 	}

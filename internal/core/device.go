@@ -118,13 +118,13 @@ func (s *System) runDeviceRejoin(ctx context.Context, edgeID, devIdx int) error 
 // (runDeviceRejoin) or warm from a snapshot (resumeDevice): announce the
 // fresh instance with a RESYNC-REQUEST and wait for the edge's dense
 // re-seed. The re-seed's round stamp — the round this device re-enters
-// at — is returned, and with it, for a cold device, the model built from
-// the re-seed (a warm one keeps its checkpointed model and reads only
-// the stamp). Traffic addressed to this device's dead predecessor (a
-// downlink or cutoff the edge sent before it learned of the churn,
-// delivered here because the listener rebound the same address) can
-// still be in flight — it is dropped instead of treated as a protocol
-// violation.
+// at, which is its new life — is returned, and with it, for a cold
+// device, the model built from the re-seed (a warm one keeps its
+// checkpointed model and reads only the stamp). The life begins at the
+// re-seed: a downlink, cutoff or invite its edge stamped before it (one
+// the edge sent the dead predecessor before it learned of the churn,
+// delivered here because the listener rebound the same address) is
+// stamped for an older life, and dropped.
 func (s *System) resync(ctx context.Context, ses *transport.Session, edge string, devID int, cold bool) (round int, header *nas.HeaderModel, pkg HeaderPackage, err error) {
 	if err := ses.SendControl(edge, wire.ControlRecord{
 		Type: wire.ControlResyncRequest, Node: ses.Node(), Device: devID,
@@ -132,8 +132,11 @@ func (s *System) resync(ctx context.Context, ses *transport.Session, edge string
 		return 0, nil, pkg, err
 	}
 	err = receive(ctx, ses, &deviceProtocol.resync, 0, func(msg transport.Message, _ wire.ControlRecord) (done bool, err error) {
-		if msg.From != edge {
-			return false, nil // stray predecessor traffic: dropped unread
+		switch {
+		case msg.From != edge:
+			return false, errRefused
+		case msg.Kind != transport.KindHeader:
+			return false, nil // sent before the re-seed: not this life's
 		}
 		round = msg.Round
 		if cold {
@@ -204,9 +207,16 @@ func buildDeviceHeader(pkg HeaderPackage, backbone *nn.Backbone) (*nas.HeaderMod
 // its edge. rng must be the same stream the caller used for its setup
 // so the no-churn path consumes random draws in the legacy order. hold
 // is the device's place among its shard's holders (zero for one that
-// featurizes alone: a private shard, a rejoined or restored device).
-func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Session, edgeID, devIdx int, rng *rand.Rand, model *nas.HeaderModel, pkg HeaderPackage, hold holding, startRound int) error {
+// featurizes alone: a private shard, a rejoined or restored device). One
+// past its setup life that gives up sends its edge a LEAVE stamped with
+// its life (loopState.ofLife), since TCP.Close stamps its own 0.
+func (s *System) deviceRefineAndReport(ctx context.Context, ses *transport.Session, edgeID, devIdx int, rng *rand.Rand, model *nas.HeaderModel, pkg HeaderPackage, hold holding, startRound int) (err error) {
 	dev := s.devices[devIdx]
+	defer func() {
+		if err != nil && startRound > 0 {
+			_ = ses.SendControl(s.edgeNames[edgeID], wire.ControlRecord{Type: wire.ControlLeave, Node: ses.Node(), Round: startRound})
+		}
+	}()
 
 	// The backbone is frozen for the rest of this device's life, so its
 	// representations of the local and test samples are computed here,
@@ -292,6 +302,7 @@ type deviceRounds struct {
 	pkg    HeaderPackage
 
 	sampling bool // rounds come by ROUND-INVITE instead of self-pacing
+	life     int  // the round this life entered the loop at: startRound (stale)
 	last     int  // the most recent round played; startRound−1 before the first
 
 	// delta: uploads travel as delta records against the previous
@@ -392,6 +403,7 @@ func (s *System) newDeviceRounds(ses *transport.Session, dev cluster.Device, edg
 		s: s, ses: ses, dev: dev, edge: edge,
 		rng: rng, local: local, header: header, pkg: pkg,
 		sampling: s.Cfg.Fleet.Sampling(),
+		life:     startRound,
 		last:     startRound - 1,
 		delta:    s.Cfg.Wire.deltaRecords(),
 		enc:      s.uplinkEncoder(),
@@ -596,21 +608,25 @@ func (d *deviceRounds) await(ctx context.Context, ph *row, t int) (out downlinkO
 }
 
 // onMessage is await's handler for what the phase's row hands it,
-// judged on what the table cannot see. Control records count only from
-// the device's own edge. In a checkpointed run the edge's death is not
-// the end of the session (anything final arrives as a Done cutoff
+// judged on what the table cannot see. Everything counts only from the
+// device's own edge, and a downlink, cutoff or invite stamped for an
+// older life is dropped (stale). In a checkpointed run the edge's death
+// is not the end of the session (anything final arrives as a Done cutoff
 // first), so JOIN and LEAVE are waited through. Once the edge resumed,
 // a downlink for a round already applied is dropped unread: it is
-// byte-identical to the copy the shadow advanced through. The downlink
-// wait takes both of those from any sender, where the invite wait wants
-// the device's own edge.
+// byte-identical to the copy the shadow advanced through.
 func (d *deviceRounds) onMessage(ph *row, t int, out *downlinkOutcome, msg transport.Message, rec wire.ControlRecord) (bool, error) {
-	fromEdge := msg.From == d.edge
+	if msg.From != d.edge {
+		if ph == &deviceProtocol.grace {
+			return false, nil // already in a failure path: drop stray traffic
+		}
+		return false, errRefused
+	}
 	downlink := ph == &deviceProtocol.downlink
 	ckpt := d.s.Cfg.Checkpoint.Enabled()
 	switch {
 	case msg.Kind != transport.KindControl:
-		if d.resumed && msg.Round < t && (fromEdge || downlink) {
+		if d.stale(msg.Round) || d.resumed && msg.Round < t {
 			return false, nil
 		}
 		if !downlink {
@@ -619,18 +635,15 @@ func (d *deviceRounds) onMessage(ph *row, t int, out *downlinkOutcome, msg trans
 		// The decoded layers are leased float64 copies either way, so
 		// nothing aliases the frame once this returns.
 		var err error
-		out.layers, out.discard, out.final, err = d.s.decodePersonalized(&d.downDec, msg, d.edge, t, &d.rows, d.header.Params())
+		out.layers, out.discard, out.final, err = d.s.decodePersonalized(&d.downDec, msg, t, &d.rows, d.header.Params())
 		return true, err
 	case rec.Type == wire.ControlJoin || rec.Type == wire.ControlLeave:
-		if ckpt && (fromEdge || downlink) {
+		if ckpt {
 			return false, nil
 		}
 		return false, errRefused
-	case !fromEdge:
-		if ph == &deviceProtocol.grace {
-			return false, nil // already in a failure path: drop stray traffic
-		}
-		return false, errRefused
+	case (rec.Type == wire.ControlRoundCutoff || rec.Type == wire.ControlRoundInvite) && d.stale(rec.Round):
+		return false, nil
 	case rec.Type == wire.ControlMemberGone:
 		// Evicted: the edge's detector crossed the strike limit on our
 		// uploads, so nothing more is coming. Exit without reporting.
@@ -675,6 +688,10 @@ func (d *deviceRounds) onMessage(ph *row, t int, out *downlinkOutcome, msg trans
 	return true, nil
 }
 
+// stale reports whether the edge stamped a message for a round before this
+// life began: it was meant for a dead predecessor of the same name.
+func (d *deviceRounds) stale(round int) bool { return round < d.life }
+
 // apply installs round t's personalized set, trains one local epoch on
 // it and, with checkpointing on, snapshots the result.
 func (d *deviceRounds) apply(t int, out downlinkOutcome) error {
@@ -698,20 +715,16 @@ func (d *deviceRounds) apply(t int, out downlinkOutcome) error {
 }
 
 // decodePersonalized validates and decodes a round-t personalized-set
-// downlink on the device side, mirroring the edge's upload hardening:
-// a message from anyone but the device's own edge, a duplicate or
-// out-of-order delta round is a protocol violation named after the
-// sender and kind. msg is one of the two downlink kinds, the only ones
-// the device's table hands its handler. A dense downlink resets
-// the delta shadow; a delta downlink advances it. The layers, and a
-// dense downlink's float32 decode, are cut from l; the float32 rows are
-// shaped like params, so that a downlink of that shape decodes into
-// them in place (nil params leave the decoder to allocate).
-func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message, edge string, round int, l *nn.Lease, params []*nn.Param) ([][]float64, int, bool, error) {
-	if msg.From != edge {
-		return nil, 0, false, fmt.Errorf("%v from %s in round %d: personalized sets must come from %s",
-			msg.Kind, msg.From, round, edge)
-	}
+// downlink from the device's own edge, mirroring the edge's upload
+// hardening: a duplicate or out-of-order delta round is a protocol
+// violation named after the sender and kind. msg is one of the two
+// downlink kinds, the only ones the device's table hands its handler.
+// A dense downlink resets the delta shadow; a delta downlink advances
+// it. The layers, and a dense downlink's float32 decode, are cut from
+// l; the float32 rows are shaped like params, so that a downlink of that
+// shape decodes into them in place (nil params leave the decoder to
+// allocate).
+func (s *System) decodePersonalized(downDec *deltaDecoder, msg transport.Message, round int, l *nn.Lease, params []*nn.Param) ([][]float64, int, bool, error) {
 	if msg.Kind == transport.KindPersonalizedSet {
 		ps := PersonalizedSet{Layers: make([][]float32, len(params))}
 		for i, p := range params {

@@ -68,7 +68,7 @@ func (f *deviceRoundFixture) play() error {
 	}
 	buf.Release()
 	var out downlinkOutcome
-	out.layers, out.discard, out.final, err = f.d.s.decodePersonalized(&f.d.downDec, f.msg, f.d.edge, f.t, &f.d.rows, f.d.header.Params())
+	out.layers, out.discard, out.final, err = f.d.s.decodePersonalized(&f.d.downDec, f.msg, f.t, &f.d.rows, f.d.header.Params())
 	if err != nil {
 		return err
 	}

@@ -103,14 +103,16 @@ func encodePayload(t *testing.T, v any) []byte {
 // other than the device's own edge is a protocol violation naming the
 // sender and kind.
 func TestDeviceRejectsForeignDownlink(t *testing.T) {
-	sys := downlinkSystem(t)
-	var dec deltaDecoder
+	d := &deviceRounds{s: downlinkSystem(t), edge: "edge-0"}
 	msg := transport.Message{
 		Kind:    transport.KindPersonalizedSet,
 		From:    "intruder",
 		Payload: encodePayload(t, PersonalizedSet{Layers: [][]float32{{1}}}),
 	}
-	_, _, _, err := sys.decodePersonalized(&dec, msg, "edge-0", 0, nil, nil)
+	ph := &deviceProtocol.downlink
+	_, err := routeRecord(ph, 0, msg, wire.ControlRecord{}, func(msg transport.Message, rec wire.ControlRecord) (bool, error) {
+		return d.onMessage(ph, 0, &downlinkOutcome{}, msg, rec)
+	})
 	if err == nil {
 		t.Fatal("downlink from a foreign sender accepted")
 	}
@@ -139,11 +141,11 @@ func TestDeviceRejectsOutOfOrderDownlinkDelta(t *testing.T) {
 		From:    "edge-0",
 		Payload: encodePayload(t, DownlinkDelta{Round: 0, Discard: 4, Layers: pls}),
 	}
-	if _, _, _, err := sys.decodePersonalized(&dec, good, "edge-0", 0, nil, nil); err != nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, good, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Replaying round 0 during round 1 is a duplicate.
-	if _, _, _, err := sys.decodePersonalized(&dec, good, "edge-0", 1, nil, nil); err == nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, good, 1, nil, nil); err == nil {
 		t.Fatal("duplicate downlink round accepted")
 	} else if !strings.Contains(err.Error(), "round 0 during round 1") ||
 		!strings.Contains(err.Error(), "importance-down-delta") {
@@ -155,7 +157,7 @@ func TestDeviceRejectsOutOfOrderDownlinkDelta(t *testing.T) {
 		From:    "edge-0",
 		Payload: encodePayload(t, DownlinkDelta{Round: 3, Layers: pls}),
 	}
-	if _, _, _, err := sys.decodePersonalized(&dec, future, "edge-0", 1, nil, nil); err == nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, future, 1, nil, nil); err == nil {
 		t.Fatal("future downlink round accepted")
 	}
 }
@@ -176,13 +178,13 @@ func TestDeviceDenseDownlinkResetsShadow(t *testing.T) {
 	}
 	r0 := transport.Message{Kind: transport.KindImportanceDownDelta, From: "edge-0",
 		Payload: encodePayload(t, DownlinkDelta{Round: 0, Layers: pls0})}
-	if _, _, _, err := sys.decodePersonalized(&dec, r0, "edge-0", 0, nil, nil); err != nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, r0, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Dense interlude drops the shadow.
 	dense := transport.Message{Kind: transport.KindPersonalizedSet, From: "edge-0",
 		Payload: encodePayload(t, PersonalizedSet{Layers: quantizeSetInto(nil, layers)})}
-	if _, _, _, err := sys.decodePersonalized(&dec, dense, "edge-0", 1, nil, nil); err != nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, dense, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The edge, unaware, keeps delta-encoding; the next sparse delta
@@ -202,7 +204,7 @@ func TestDeviceDenseDownlinkResetsShadow(t *testing.T) {
 	}
 	r2 := transport.Message{Kind: transport.KindImportanceDownDelta, From: "edge-0",
 		Payload: encodePayload(t, DownlinkDelta{Round: 2, Layers: pls2})}
-	if _, _, _, err := sys.decodePersonalized(&dec, r2, "edge-0", 2, nil, nil); err == nil {
+	if _, _, _, err := sys.decodePersonalized(&dec, r2, 2, nil, nil); err == nil {
 		t.Fatal("sparse downlink delta against a dropped shadow accepted")
 	}
 }

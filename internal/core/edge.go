@@ -89,7 +89,7 @@ func (s *System) serveCluster(ctx context.Context, st *edgeState) ([]DeviceRepor
 	if err := s.edgeRounds(ctx, st); err != nil {
 		return nil, err
 	}
-	return awaitReports(ctx, st.ses, st.posByName, st.idByPos, st.departed)
+	return awaitReports(ctx, st.ses, st.posByName, st.idByPos, &st.loopState)
 }
 
 // edgeGatherSetup collects every cluster member's statistics and
@@ -342,12 +342,13 @@ type edgeState struct {
 type loopState struct {
 	// departed marks devices that announced a LEAVE or were evicted:
 	// they are dropped from the remaining rounds. doneTold tracks who
-	// already heard the run is over. rejoinRound marks a resynced
-	// device's re-entry round (-1 when not resyncing); until then it
-	// receives neither a downlink nor a cutoff, nor an invite. departed
-	// and rejoinRound are the cluster's membership: nothing else records
-	// who is in the loop. lastSampled tracks each device's most
-	// recent invited round under participation sampling.
+	// already heard the run is over. rejoinRound is each device's life:
+	// the round its last re-seed re-entered it at, −1 for the setup
+	// life, never lowered (ofLife); until that round it receives neither
+	// a downlink nor a cutoff, nor an invite. departed and rejoinRound
+	// are the cluster's membership: nothing else records who is in the
+	// loop. lastSampled tracks each device's most recent invited round
+	// under participation sampling.
 	departed    []bool
 	doneTold    []bool
 	rejoinRound []int
@@ -454,6 +455,12 @@ func (st *edgeState) release() {
 	st.prev = nil
 }
 
+// ofLife reports whether a LEAVE from position p stamps the life the edge
+// last granted p, or a newer one, not a dead predecessor's.
+func (l *loopState) ofLife(p int, leave wire.ControlRecord) bool {
+	return leave.Round >= l.rejoinRound[p]
+}
+
 // depart drops position p from the remaining rounds and from the
 // report phase's wait.
 func (st *edgeState) depart(p int) {
@@ -478,19 +485,16 @@ func (st *edgeState) sendCutoff(p, round int, done bool) {
 // was not invited to the final sampled round, one that resynced during
 // the final round and expects a round that will never run, or one whose
 // final-round notification was lost to a churn race. Any device the
-// edge has not positively told the run is over gets a Done cutoff here
-// — best-effort, but over a live link it is what unblocks a loop stuck
-// in Recv after every other role has exited.
+// edge has not positively told the run is over gets a Done cutoff here,
+// stamped no earlier than its life — best-effort, but over a live link
+// it is what unblocks a loop stuck in Recv after every other role has
+// exited.
 func (st *edgeState) closeOut() {
 	for i := range st.order {
 		if st.departed[i] || st.doneTold[i] {
 			continue
 		}
-		round := st.lastRound
-		if st.rejoinRound[i] > st.lastRound {
-			round = st.rejoinRound[i]
-		}
-		st.sendCutoff(i, round, true)
+		st.sendCutoff(i, max(st.lastRound, st.rejoinRound[i]), true)
 	}
 }
 
@@ -505,17 +509,17 @@ func posOf(pos map[int]int, msg transport.Message, devID int) (int, error) {
 }
 
 // awaitReports is the edge's report phase. It keeps nothing of the loop
-// but each member's position by node name, its device ID and whether it
-// departed. A member's last message is its DeviceReport; the phase ends
+// but each member's position by node name, its device ID and the loop's
+// membership. A member's last message is its DeviceReport; the phase ends
 // once every member has reported or departed and returns the reports in
 // DeviceID order. It takes exactly one report per member, sent by that
-// member. A member's LEAVE departs it: it will never report; a
-// non-member's is noise.
-func awaitReports(ctx context.Context, ses *transport.Session, posByName map[string]int, idByPos []int, departed []bool) ([]DeviceReport, error) {
+// member. A member's LEAVE departs it, unless a dead predecessor sent it
+// (ofLife): it will never report; a non-member's is noise.
+func awaitReports(ctx context.Context, ses *transport.Session, posByName map[string]int, idByPos []int, l *loopState) ([]DeviceReport, error) {
 	reports := make([]DeviceReport, 0, len(idByPos))
 	reported := make([]bool, len(idByPos))
 	done := func() bool {
-		for p, gone := range departed {
+		for p, gone := range l.departed {
 			if !gone && !reported[p] {
 				return false
 			}
@@ -524,11 +528,11 @@ func awaitReports(ctx context.Context, ses *transport.Session, posByName map[str
 	}
 	var err error
 	if !done() {
-		err = receive(ctx, ses, &edgeProtocol.reports, 0, func(msg transport.Message, _ wire.ControlRecord) (bool, error) {
+		err = receive(ctx, ses, &edgeProtocol.reports, 0, func(msg transport.Message, rec wire.ControlRecord) (bool, error) {
 			p, member := posByName[msg.From]
 			if msg.Kind == transport.KindControl { // a LEAVE
-				if member {
-					departed[p] = true
+				if member && l.ofLife(p, rec) {
+					l.departed[p] = true
 				}
 				return done(), nil
 			}

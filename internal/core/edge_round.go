@@ -329,25 +329,15 @@ func (r *edgeRound) fold(msg transport.Message) error {
 }
 
 // churn is what a LEAVE or a RESYNC-REQUEST arriving mid-gather does to
-// the round and to the rounds after it.
+// the round and to the rounds after it: a member's LEAVE departs it
+// unless a dead predecessor sent it (ofLife), and a RESYNC-REQUEST
+// grants the device a new life.
 func (r *edgeRound) churn(msg transport.Message, rec wire.ControlRecord) (bool, error) {
 	if rec.Type == wire.ControlLeave {
 		p, ok := r.posByName[msg.From]
-		if !ok {
-			// Not a cluster member: link teardown from a peer
-			// that finished its part of the run (the cloud
-			// closes its transport after Phase 1) — lifecycle
-			// noise, not churn.
-			return false, nil
-		}
-		if r.rejoinRound[p] > r.t {
-			// A rejoin is already pending for this device: the
-			// LEAVE is its dead predecessor's shutdown
-			// announcement, delivered on the old connection
-			// *after* the successor's RESYNC overtook it on the
-			// new one. Honoring it would re-mark the reborn
-			// device departed and silently skip every downlink
-			// it is waiting on (the TestChurnRejoinTCP hang).
+		if !ok || !r.ofLife(p, rec) {
+			// Not a cluster member (the cloud closes its transport
+			// after Phase 1), or a dead predecessor: not churn.
 			return false, nil
 		}
 		r.depart(p)
@@ -360,7 +350,8 @@ func (r *edgeRound) churn(msg transport.Message, rec wire.ControlRecord) (bool, 
 	// Dense re-seed: both directions of the device's delta exchange
 	// restart cold, and the device re-enters the loop next round with a
 	// fresh copy of the model package (its local state died with it). A
-	// departed member is back: the report phase waits for it again.
+	// departed member is back: the report phase waits for it again. Its
+	// new life is the round it re-enters at.
 	r.resetChains(p)
 	r.departed[p] = false
 	r.rejoinRound[p] = r.t + 1

@@ -188,7 +188,7 @@ func (e *exchangeDevice) round(t int) error {
 	}
 	rows.Release()
 	var out downlinkOutcome
-	out.layers, out.discard, out.final, err = e.d.s.decodePersonalized(&e.d.downDec, msg, e.d.edge, t, &e.d.rows, e.d.header.Params())
+	out.layers, out.discard, out.final, err = e.d.s.decodePersonalized(&e.d.downDec, msg, t, &e.d.rows, e.d.header.Params())
 	if err != nil {
 		return err
 	}

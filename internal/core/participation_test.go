@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,102 +187,200 @@ func TestSampledRejoinReseedsDense(t *testing.T) {
 	}
 }
 
-// lateLeave is a Network that kills one device after its first upload
-// and, right after forwarding the RESYNC-REQUEST of the instance that
-// replaces it, sends its edge a LEAVE from the device's node name: the
-// dead predecessor's teardown, arriving behind its successor's rejoin
-// as it can over TCP, where the two instances hold different
-// connections.
-type lateLeave struct {
+// leaveAt is where lateLeave delivers its LEAVE.
+type leaveAt int
+
+const (
+	afterResync leaveAt = iota // right after the successor's RESYNC-REQUEST
+	atInvite                   // as the edge invites the successor to its first round
+)
+
+// uploadKill is a Network that calls kill once device has sent its
+// first importance upload: mid-loop, after setup completed.
+type uploadKill struct {
 	transport.Network
-	device, edge string
-	kill         func()
-	leave        []byte // the LEAVE record's payload
-	once, left   sync.Once
+	device string
+	kill   func()
+	once   sync.Once
 }
 
-func (n *lateLeave) Send(msg transport.Message) error {
-	if msg.From != n.device {
-		return n.Network.Send(msg)
-	}
+func (n *uploadKill) Send(msg transport.Message) error {
 	err := n.Network.Send(msg)
-	switch msg.Kind {
-	case transport.KindImportanceSet, transport.KindImportanceDelta:
+	if msg.From == n.device && (msg.Kind == transport.KindImportanceSet || msg.Kind == transport.KindImportanceDelta) {
 		n.once.Do(n.kill)
-	case transport.KindControl:
-		rec, perr := transport.ParseControl(msg)
-		if perr != nil || rec.Type != wire.ControlResyncRequest {
-			break
-		}
-		n.left.Do(func() {
-			_ = n.Network.Send(transport.Message{Kind: transport.KindControl, From: n.device, To: n.edge, Payload: n.leave})
-		})
 	}
 	return err
 }
 
-// TestLateLeaveKeepsRejoinedDeviceSampled: a dead predecessor's LEAVE
-// that arrives after its successor's RESYNC-REQUEST is ignored by the
-// round it lands in, and must not drop the rejoined device from the
-// participation sample either. At a fraction that invites every
-// eligible member, the device is sampled in every round from its
-// rejoin round on, and it reports.
-func TestLateLeaveKeepsRejoinedDeviceSampled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full run with a kill and a rejoin")
+// lateLeave is an uploadKill that, at the point at names, sends the
+// device's edge a LEAVE from the device's node name: the dead
+// predecessor's teardown, stamped with its setup life (0) and arriving
+// behind its successor's rejoin, as it can over TCP, where the two
+// instances hold different connections. With own set, it sends nothing
+// itself but calls own at that point to kill the successor, whose own
+// LEAVE is the one its dying role sends.
+type lateLeave struct {
+	uploadKill
+	edge string
+	at   leaveAt
+	own  func()
+	left sync.Once
+	// headers counts the model packages sent to the device: the second
+	// is the successor's re-seed.
+	headers atomic.Int32
+}
+
+func (n *lateLeave) Send(msg transport.Message) error {
+	var rec wire.ControlRecord
+	if msg.Kind == transport.KindControl {
+		rec, _ = transport.ParseControl(msg)
 	}
+	switch {
+	case msg.From == n.device && rec.Type == wire.ControlResyncRequest && n.at == afterResync:
+		err := n.Network.Send(msg)
+		n.left.Do(n.leave)
+		return err
+	case msg.To == n.device && msg.Kind == transport.KindHeader:
+		n.headers.Add(1)
+	case msg.To == n.device && rec.Type == wire.ControlRoundInvite && n.at == atInvite && n.headers.Load() == 2:
+		if n.own != nil {
+			n.left.Do(n.own)
+		} else {
+			n.left.Do(n.leave)
+		}
+	}
+	return n.uploadKill.Send(msg)
+}
+
+// leave sends the device's edge its dead predecessor's LEAVE.
+func (n *lateLeave) leave() {
+	payload, err := wire.EncodeControl(wire.ControlRecord{Type: wire.ControlLeave, Node: n.device})
+	if err != nil {
+		panic(err)
+	}
+	_ = n.Network.Send(transport.Message{Kind: transport.KindControl, From: n.device, To: n.edge, Payload: payload})
+}
+
+// lateLeaveOutcome is what a lateLeave run came to at the victim's edge.
+type lateLeaveOutcome struct {
+	rejoin   int          // the successor's life: the round after the one its RESYNC-REQUEST landed in
+	sampled  map[int]bool // the rounds that sampled the victim
+	reported bool
+	err      error // the roles' errors, or why the run could not start
+}
+
+// lateLeaveConfig is the sampled fleet the late-LEAVE runs churn: at a
+// fraction that invites every eligible member, a live device is sampled
+// in every round.
+func lateLeaveConfig() Config {
 	cfg := tinyConfig()
 	cfg.Fleet.Spec.DevicesPerCluster = 3
 	cfg.Phase2Rounds = 6
 	cfg.Fleet.SampleFrac = 0.99
-	victimID, victimEdge := slowDeviceInLargestCluster(t, cfg)
-	victim := fmt.Sprintf("device-%d", victimID)
+	return cfg
+}
 
+// runLateLeave runs cfg with device victimID of edge victimEdge killed
+// after its first upload and rejoined, over a lateLeave delivering its
+// LEAVE at the point at names. ctx bounds the run and cancel ends it; it fails no test,
+// so a bubble's goroutine can call it.
+func runLateLeave(ctx context.Context, cancel context.CancelFunc, cfg Config, victimID, victimEdge int, at leaveAt, own bool) lateLeaveOutcome {
+	victim := fmt.Sprintf("device-%d", victimID)
 	sys, err := NewSystem(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return lateLeaveOutcome{err: err}
 	}
-	ctx, cancel := cappedContext(t, runLimit)
-	defer cancel()
 	victimCtx, kill := context.WithCancel(ctx)
 	defer kill()
-	leave, err := wire.EncodeControl(wire.ControlRecord{Type: wire.ControlLeave, Node: victim})
-	if err != nil {
-		t.Fatal(err)
+	rebornCtx, killReborn := context.WithCancel(ctx)
+	defer killReborn()
+	net := &lateLeave{uploadKill: uploadKill{Network: sys.Net, device: victim, kill: kill}, edge: edgeName(victimEdge), at: at}
+	if own {
+		net.own = killReborn
 	}
-	sys.Net = &lateLeave{Network: sys.Net, device: victim, edge: edgeName(victimEdge), kill: kill, leave: leave}
+	sys.Net = net
 	run := startRoles(ctx, cancel, sys.RoleNames(), func(string) *System { return sys }, victim, victimCtx)
 	select {
 	case <-run.victimDone:
 	case <-ctx.Done():
-		t.Fatal("victim never died")
+		return lateLeaveOutcome{err: errors.New("victim never died")}
 	}
-	run.finish("rejoined "+victim, nil, sys.RejoinRole(ctx, victim))
-	reported := false
-	for _, rep := range run.wait(t) {
-		reported = reported || rep.DeviceID == victimID
+	if err := sys.RejoinRole(rebornCtx, victim); !own || !errors.Is(err, context.Canceled) {
+		run.finish("rejoined "+victim, nil, err)
 	}
-
-	rejoin := -1
-	rounds := map[int]Phase2RoundStat{}
+	out := lateLeaveOutcome{rejoin: -1, sampled: map[int]bool{}}
+	var reports []DeviceReport
+	reports, out.err = run.result()
+	for _, rep := range reports {
+		out.reported = out.reported || rep.DeviceID == victimID
+	}
 	for _, rs := range sys.phase2RoundsCopy() {
 		if rs.EdgeID != victimEdge {
 			continue
 		}
-		rounds[rs.Round] = rs
+		out.sampled[rs.Round] = slices.Contains(rs.Sampled, victimID)
 		if rs.ResyncCount > 0 {
-			rejoin = rs.Round + 1
+			out.rejoin = rs.Round + 1
 		}
 	}
-	if rejoin <= 0 || rejoin >= cfg.Phase2Rounds {
-		t.Fatalf("rejoin round %d is not mid-run (0 < r < %d)", rejoin, cfg.Phase2Rounds)
+	return out
+}
+
+// check fails t unless the run completed with the successor in the
+// loop from its rejoin round on and reporting — or, when own, with the
+// successor departed once its own LEAVE landed: sampled in its rejoin
+// round, in no round after the first one that left it out, and not
+// reporting. Its role sends that LEAVE as it dies, so the round it lands
+// in is not fixed; the report phase would wait for the device forever
+// if the edge ignored it.
+func (out lateLeaveOutcome) check(t *testing.T, rounds int, own bool) {
+	t.Helper()
+	if out.err != nil {
+		t.Fatal(out.err)
 	}
-	for r := rejoin; r < cfg.Phase2Rounds; r++ {
-		if !slices.Contains(rounds[r].Sampled, victimID) {
-			t.Errorf("round %d sampled %v without the rejoined device %d", r, rounds[r].Sampled, victimID)
+	if out.rejoin <= 0 || out.rejoin >= rounds {
+		t.Fatalf("rejoin round %d is not mid-run (0 < r < %d)", out.rejoin, rounds)
+	}
+	left := false
+	for r := out.rejoin; r < rounds; r++ {
+		left = left || own && r > out.rejoin && !out.sampled[r]
+		if out.sampled[r] == left {
+			t.Errorf("round %d sampled the rejoined device: %v, want %v", r, out.sampled[r], !left)
 		}
 	}
-	if !reported {
-		t.Errorf("the rejoined device %d did not report", victimID)
+	if out.reported == own {
+		t.Errorf("the rejoined device reported: %v, want %v", out.reported, !own)
+	}
+}
+
+// TestLateLeaveKeepsRejoinedDeviceSampled: a dead predecessor's LEAVE
+// that arrives after its successor's RESYNC-REQUEST is stamped with an
+// older life, and the edge ignores it in whatever round it lands: in
+// the round the RESYNC-REQUEST landed in, or in the successor's first
+// round, where a round-based guard once departed the live device and
+// hung the run. The successor is then sampled in every round from its
+// rejoin round on, and it reports. Killed at its first invite, the
+// successor's role sends its own LEAVE, stamped with its life, and that
+// LEAVE still departs it.
+func TestLateLeaveKeepsRejoinedDeviceSampled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full runs with a kill and a rejoin")
+	}
+	cfg := lateLeaveConfig()
+	victimID, victimEdge := slowDeviceInLargestCluster(t, cfg)
+	for _, c := range []struct {
+		name string
+		at   leaveAt
+		own  bool
+	}{
+		{"predecessor-after-resync", afterResync, false},
+		{"predecessor-at-invite", atInvite, false},
+		{"own-at-invite", atInvite, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := cappedContext(t, runLimit)
+			defer cancel()
+			runLateLeave(ctx, cancel, cfg, victimID, victimEdge, c.at, c.own).check(t, cfg.Phase2Rounds, c.own)
+		})
 	}
 }

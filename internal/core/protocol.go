@@ -108,9 +108,9 @@ var (
 	}
 	deviceProtocol = struct{ model, resync, invite, downlink, grace row }{
 		model: row{name: "model wait", handle: kindBit(transport.KindHeader)},
-		// Anything but the re-seed is stray traffic addressed to the
-		// device's dead predecessor.
-		resync:   row{name: "resync", handle: kindBit(transport.KindHeader), drop: anyKey},
+		// A new life begins at its re-seed: from its edge, what comes
+		// before it was addressed to an older life (resync).
+		resync:   row{name: "resync", handle: kindBit(transport.KindHeader) | loopKeys},
 		invite:   row{name: "invite wait", handle: loopKeys},
 		downlink: row{name: "refinement round", perRound: true, handle: loopKeys},
 		// Once an upload could not be sent, only the edge's explanation

@@ -218,7 +218,7 @@ func protocolWaitFor(t *testing.T, ph *row, sys *System, mem *transport.Memory, 
 	case &edgeProtocol.reports:
 		return refusing(edge, dev.Name(), 0, func(ctx context.Context) error {
 			st := sys.newEdgeState(0, edgeSes, HeaderPackage{}, nil)
-			_, err := awaitReports(ctx, edgeSes, st.posByName, st.idByPos, st.departed)
+			_, err := awaitReports(ctx, edgeSes, st.posByName, st.idByPos, &st.loopState)
 			return err
 		})
 	case &deviceProtocol.model:

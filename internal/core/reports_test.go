@@ -24,7 +24,7 @@ func oneCluster(n int) Config {
 func reportPhase(ctx context.Context, sys *System, net transport.Network) ([]DeviceReport, error) {
 	ses := transport.NewSession(edgeName(0), net)
 	st := sys.newEdgeState(0, ses, HeaderPackage{}, nil)
-	return awaitReports(ctx, ses, st.posByName, st.idByPos, st.departed)
+	return awaitReports(ctx, ses, st.posByName, st.idByPos, &st.loopState)
 }
 
 // reportFrom is a report for device id, sent by from.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/pprof"
 	"strings"
@@ -111,15 +112,21 @@ func (r *roleRun) finish(role string, res *Result, err error) {
 // the edges' reports merged in DeviceID order.
 func (r *roleRun) wait(t *testing.T) []DeviceReport {
 	t.Helper()
-	r.wg.Wait()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, err := range r.failures {
+	reports, err := r.result()
+	if err != nil {
 		t.Error(err)
 	}
 	if t.Failed() {
 		t.FailNow()
 	}
+	return reports
+}
+
+// result is wait for a caller that may not fail t: a bubble's goroutine.
+func (r *roleRun) result() ([]DeviceReport, error) {
+	r.wg.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	sortReportsByID(r.reports)
-	return r.reports
+	return r.reports, errors.Join(r.failures...)
 }

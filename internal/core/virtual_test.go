@@ -71,3 +71,21 @@ func TestStragglerCutoffVirtual(t *testing.T) {
 		t.Fatalf("cutoff run lost reports: %d vs %d", len(cut.Reports), len(baseline.Reports))
 	}
 }
+
+// TestLateLeaveAtInviteVirtual is TestLateLeaveKeepsRejoinedDeviceSampled's
+// predecessor-at-invite case in a bubble, where it is deterministic: the
+// dead predecessor's LEAVE lands in its successor's first round. An edge
+// that judged it by the round departed the live device there, and the
+// run hung until its 3-minute context ended, at exactly 3m0s of virtual
+// time, in every run at GOMAXPROCS 1 and 2.
+func TestLateLeaveAtInviteVirtual(t *testing.T) {
+	cfg := lateLeaveConfig()
+	victimID, victimEdge := slowDeviceInLargestCluster(t, cfg)
+	var out lateLeaveOutcome
+	synctest.Run(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+		defer cancel()
+		out = runLateLeave(ctx, cancel, cfg, victimID, victimEdge, atInvite, false)
+	})
+	out.check(t, cfg.Phase2Rounds, false)
+}

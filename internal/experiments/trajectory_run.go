@@ -441,27 +441,32 @@ func runDetection(ctx context.Context, c cell) (*detectMetrics, float64, error) 
 // runTax runs paired (plain, checkpointed) trials and reports the
 // median relative wall overhead of arming checkpoints, clamped at zero
 // (the estimate is a tax, never a speedup — negative pair noise is
-// measurement jitter).
+// measurement jitter). Even trials run the plain side first and odd
+// ones the checkpointed side, so a drift that favours the first or the
+// second run of a pair lands on both sides alike.
 func runTax(ctx context.Context, c cell) (*taxMetrics, error) {
 	m := &taxMetrics{}
 	var fracs []float64
 	for trial := 0; trial < c.Trials; trial++ {
-		plain, err := c.run(ctx, trial, "")
-		if err != nil {
-			return nil, fmt.Errorf("plain trial %d: %w", trial, err)
+		var walls [2]float64 // plain, checkpointed
+		for i := range 2 {
+			side, dir := (trial+i)%2, ""
+			var err error
+			if side == 1 {
+				if dir, err = os.MkdirTemp("", "acme-ckpt-tax-"); err != nil {
+					return nil, err
+				}
+			}
+			out, err := c.run(ctx, trial, dir)
+			os.RemoveAll(dir)
+			if err != nil {
+				return nil, fmt.Errorf("trial %d (checkpointed: %v): %w", trial, side == 1, err)
+			}
+			walls[side] = out.wall.Seconds()
 		}
-		dir, err := os.MkdirTemp("", "acme-ckpt-tax-")
-		if err != nil {
-			return nil, err
-		}
-		ckpt, err := c.run(ctx, trial, dir)
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, fmt.Errorf("checkpointed trial %d: %w", trial, err)
-		}
-		m.PlainWallSeconds = append(m.PlainWallSeconds, plain.wall.Seconds())
-		m.CkptWallSeconds = append(m.CkptWallSeconds, ckpt.wall.Seconds())
-		fracs = append(fracs, (ckpt.wall.Seconds()-plain.wall.Seconds())/plain.wall.Seconds())
+		m.PlainWallSeconds = append(m.PlainWallSeconds, walls[0])
+		m.CkptWallSeconds = append(m.CkptWallSeconds, walls[1])
+		fracs = append(fracs, (walls[1]-walls[0])/walls[0])
 	}
 	sort.Float64s(fracs)
 	med := fracs[len(fracs)/2]

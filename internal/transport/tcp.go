@@ -243,12 +243,13 @@ func (t *TCP) adoptConn(peer string, conn net.Conn) {
 // to it: subsequent Sends fail fast instead of redialing into a closed
 // listener. A LEAVE is only honored when the cached send path is the
 // connection it arrived on (or none): if a *different* connection has
-// been adopted since, the peer already restarted and JOINed — the
-// LEAVE is the dead predecessor's last word, delayed behind its
-// successor's handshake, and acting on it would tear down the fresh
-// link and fail every send to a live peer. It reports whether the LEAVE
-// was honored: the predecessor's must not reach the inbox either, or
-// the role above would mark its live successor departed.
+// been adopted since, the peer already restarted and JOINed — the LEAVE
+// is the dead predecessor's last word, delayed behind its successor's
+// handshake, and acting on it would tear down the fresh link and fail
+// every send to a live peer. The connection stands for the peer's life
+// here: Close stamps its LEAVE 0, the setup life's. It reports whether
+// the LEAVE was honored: the predecessor's must not reach the inbox
+// either, or the role above would mark its live successor departed.
 func (t *TCP) peerLeft(peer string, conn net.Conn) bool {
 	l := t.link(peer)
 	l.mu.Lock()

@@ -94,8 +94,9 @@ type ControlRecord struct {
 	Node string
 	// Device is the device ID the record concerns (resync, cutoff).
 	Device int
-	// Round is the loop round the record refers to: the round a
-	// cutoff combined without the device, or unset for link records.
+	// Round is the loop round the record refers to: the round a cutoff
+	// combined without the device, or a LEAVE's sender's life, the round
+	// it entered the loop at (0 for a setup life and for a transport's).
 	Round int
 	// Done marks a ROUND-CUTOFF for the final round: the loop ended
 	// and the device should finalize instead of rejoining next round.
